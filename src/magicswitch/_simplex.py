@@ -3,8 +3,7 @@
 This is the embedded LP engine behind every robustness value.  Problems are
 small (at most a few hundred columns and a few dozen rows) but are solved
 thousands of times per parameter sweep, so the pivot loop is the package's
-hot kernel: it is written once in a form that numba compiles directly and
-that also runs as-is on plain numpy (see :mod:`magicswitch._accel`).
+hot kernel: each pivot is a handful of whole-array numpy operations.
 
 Bland's rule (smallest eligible index enters; ratio ties broken by smallest
 basic variable index) makes the walk deterministic and cycle-free, so
@@ -16,8 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-from ._accel import maybe_njit
 
 STATUS_OPTIMAL = 0
 STATUS_UNBOUNDED = 1
@@ -34,51 +31,52 @@ STATUS_NAMES = {
 _PIVOT_TOL = 1e-9
 
 
-def _bland_pivot_loop(tableau, basis, n_enterable, tol, max_iter):
+def bland_pivot_loop(tableau, basis, n_enterable, tol, max_iter):
     """Pivot to optimality under Bland's rule.
 
     tableau: (m+1, n_cols+1) float64, objective (reduced-cost) row last,
     rhs column last.  basis: (m,) int64.  Only columns < n_enterable may
-    enter the basis.  Returns (status, iterations).
+    enter the basis.  Both are updated in place.  Returns (status,
+    iterations), where the last iteration is the one that finds the
+    optimum or the unbounded column.
+
+    Each pivot is a few whole-array operations: the entering column is the
+    first reduced cost below -tol, the leaving row the minimum ratio over
+    the rows with a positive pivot-column entry (exact ties go to the
+    smallest basic variable), and the update one rank-1 subtraction.  The
+    subtraction skips the pivot row and the rows whose pivot-column entry
+    is zero, so every entry gets the same floating-point operations as a
+    row-by-row elimination and the walk is identical to it bit for bit.
     """
     m = tableau.shape[0] - 1
+    reduced = tableau[m, :n_enterable]
+    rhs = tableau[:m, -1]
     it = 0
     while it < max_iter:
         it += 1
-        # Entering column: first index with a negative reduced cost.
-        q = -1
-        for j in range(n_enterable):
-            if tableau[m, j] < -tol:
-                q = j
-                break
-        if q == -1:
-            return 0, it
-        # Leaving row: minimum ratio, ties to the smallest basic variable.
-        best_ratio = np.inf
-        r = -1
-        best_var = np.int64(2**62)
-        for i in range(m):
-            a = tableau[i, q]
-            if a > tol:
-                ratio = tableau[i, -1] / a
-                if ratio < best_ratio or (ratio == best_ratio and basis[i] < best_var):
-                    best_ratio = ratio
-                    r = i
-                    best_var = basis[i]
-        if r == -1:
-            return 1, it
-        piv = tableau[r, q]
-        tableau[r, :] /= piv
-        for i in range(m + 1):
-            if i != r:
-                f = tableau[i, q]
-                if f != 0.0:
-                    tableau[i, :] -= f * tableau[r, :]
+        entering = (reduced < -tol).nonzero()[0]
+        if not entering.size:
+            return STATUS_OPTIMAL, it
+        q = entering[0]
+        column = tableau[:, q]
+        rows = (column[:m] > tol).nonzero()[0]
+        if not rows.size:
+            return STATUS_UNBOUNDED, it
+        ratios = rhs[rows] / column[rows]
+        k = ratios.argmin()
+        ties = ratios == ratios[k]
+        if np.count_nonzero(ties) > 1:
+            rows = rows[ties]
+            k = basis[rows].argmin()
+        r = rows[k]
+        tableau[r] /= tableau[r, q]
+        update = column != 0.0
+        update[r] = False
+        np.subtract(
+            tableau, np.multiply.outer(column, tableau[r]), out=tableau, where=update[:, None]
+        )
         basis[r] = q
-    return 2, it
-
-
-bland_pivot_loop = maybe_njit(_bland_pivot_loop)
+    return STATUS_ITER_LIMIT, it
 
 
 @dataclass(frozen=True)

@@ -37,8 +37,9 @@ from .channels import (
     qutrit_noisy_th_channel,
     unitary_channel,
 )
+from .config import DEFAULT_TOL
 from .gates import T_GATE, plus_state
-from .lp import channel_robustness, rom_state
+from .lp import L1Solution, channel_robustness, rom_state
 from .phasespace import build_frame, mana_channel, mana_state
 from .qswitch import (
     EffectiveDepolarizingSwitch,
@@ -150,24 +151,27 @@ def _choi_atoms():
     return cspo_choi_atoms(enumerate_stabilizer_states(2))
 
 
-def _robustness_value(ch: KrausChannel, lp_tol: float) -> tuple[float, str]:
-    solution = channel_robustness(ch, _choi_atoms())
+def _certified_value(solution: L1Solution, lp_tol: float) -> tuple[float, str]:
+    """Value and status of a robustness LP, with its certificates enforced:
+    a reconstruction residual or duality gap above ``DEFAULT_TOL.lp_residual``
+    tags the value ``check_failed``."""
     if solution.status != "optimal":
         return float("nan"), solution.status
+    if max(solution.residual, solution.dual_gap) > DEFAULT_TOL.lp_residual:
+        return solution.value, "check_failed"
     if solution.value < 1.0 - lp_tol:
         return solution.value, "below_floor"
     return solution.value, "ok"
+
+
+def _robustness_value(ch: KrausChannel, lp_tol: float) -> tuple[float, str]:
+    return _certified_value(channel_robustness(ch, _choi_atoms()), lp_tol)
 
 
 def _rom_value(rho: DensityOperator, prob: float, lp_tol: float) -> tuple[float, str]:
     if prob <= _DEGENERATE_PROB:
         return float("nan"), "degenerate"
-    solution = rom_state(rho, _qubit_dictionary())
-    if solution.status != "optimal":
-        return float("nan"), solution.status
-    if solution.value < 1.0 - lp_tol:
-        return solution.value, "below_floor"
-    return solution.value, "ok"
+    return _certified_value(rom_state(rho, _qubit_dictionary()), lp_tol)
 
 
 def _prob_status(prob_plus: float, prob_minus: float) -> str:

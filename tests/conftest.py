@@ -1,7 +1,17 @@
 import numpy as np
 import pytest
 
-from magicswitch import build_frame, cspo_choi_atoms, enumerate_stabilizer_states
+from magicswitch import (
+    build_frame,
+    compose_channels,
+    cspo_choi_atoms,
+    depolarizing_channel,
+    effective_t_channels,
+    enumerate_stabilizer_states,
+    noisy_th_channel,
+    unitary_channel,
+)
+from magicswitch.gates import T_GATE
 
 
 @pytest.fixture(scope="session")
@@ -47,3 +57,16 @@ def random_kraus_channel(d, n_ops, rng):
     from magicswitch import KrausChannel
 
     return KrausChannel(tuple(b @ inv_sqrt for b in blocks))
+
+
+def fig2_fig3_channels():
+    """The channels whose robustness fig2 and fig3 plot, on a coarse p grid:
+    the noisy TH channel, and the T gate behind sequential and switched
+    depolarizing noise (both switch branches)."""
+    for p in np.linspace(0.0, 1.0, 6):
+        yield noisy_th_channel(p)
+    for p in np.linspace(0.0, 0.45, 4):
+        noise = depolarizing_channel(2, p)
+        yield compose_channels(noise, compose_channels(noise, unitary_channel(T_GATE)))
+        for branch in effective_t_channels(p):
+            yield branch.channel

@@ -1,8 +1,11 @@
 import json
 import math
+from dataclasses import replace
 
 import pytest
 
+from magicswitch import experiments
+from magicswitch.config import DEFAULT_TOL
 from magicswitch.experiments import (
     MEASURE_COLUMNS,
     MEASURES,
@@ -96,6 +99,28 @@ class TestSweeps:
     def test_wrong_config_experiment_rejected(self):
         with pytest.raises(ValueError):
             run_fig2(_tiny("fig3"))
+
+
+class TestCertificates:
+    """A robustness value whose LP certificate fails carries the check_failed status."""
+
+    @pytest.mark.parametrize("certificate", ["residual", "dual_gap"])
+    def test_failed_certificate_is_tagged(self, monkeypatch, certificate):
+        def doctored(solver):
+            def solve(*args, **kwargs):
+                solution = solver(*args, **kwargs)
+                return replace(solution, **{certificate: 10 * DEFAULT_TOL.lp_residual})
+
+            return solve
+
+        monkeypatch.setattr(experiments, "channel_robustness", doctored(experiments.channel_robustness))
+        monkeypatch.setattr(experiments, "rom_state", doctored(experiments.rom_state))
+        fig2 = run_fig2(_tiny("fig2", stop=0.15))[0]
+        assert fig2.status["channel_robustness"] == "check_failed"
+        assert fig2.status["rom_plus"] == fig2.status["rom_minus"] == "check_failed"
+        fig3 = run_fig3(_tiny("fig3", stop=0.15))[0]
+        for measure in ("rob_sequential", "rob_switch_plus", "rob_switch_minus"):
+            assert fig3.status[measure] == "check_failed"
 
 
 class TestDeterminism:

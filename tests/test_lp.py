@@ -1,6 +1,7 @@
 import itertools
 
 import numpy as np
+import pytest
 
 from magicswitch import (
     AffineL1Problem,
@@ -18,10 +19,10 @@ from magicswitch import (
     solve_l1,
     unitary_channel,
 )
-from magicswitch.gates import HADAMARD, PHASE_S, T_GATE, plus_state
+from magicswitch.gates import HADAMARD, PAULI_X, PAULI_Y, PAULI_Z, PHASE_S, T_GATE, plus_state
 from magicswitch.linalg import partial_trace, pauli_strings, pauli_vectorize
 
-from conftest import random_density_matrix
+from conftest import fig2_fig3_channels, random_density_matrix
 
 SQRT2 = np.sqrt(2.0)
 
@@ -142,6 +143,55 @@ class TestStateRobustness:
             rho = random_density_matrix(2, rng)
             sol = rom_state(DensityOperator(rho), qubit_dict)
             assert sol.dual_gap < 1e-8
+
+
+def highs_channel_robustness(ch, choi_atoms):
+    """Independent oracle: the channel-robustness LP (Seddon & Campbell,
+    Proc. R. Soc. A 475, 20190251, 2019) written over complex matrix
+    entries and solved by HiGHS.  min sum(a + b) over a, b >= 0 with
+    sum (a_i - b_i) atom_i = Choi(ch), and each side's reference marginal
+    proportional to the identity."""
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    projectors = np.array([atom.projector for atom in choi_atoms]).reshape(len(choi_atoms), -1)
+    marginals = np.array([atom.marginal for atom in choi_atoms])
+    flat = np.vstack([projectors.real.T, projectors.imag.T])  # (32, n)
+    target = choi_of_channel(ch).matrix.reshape(-1)
+    b_choi = np.concatenate([target.real, target.imag])
+    # Off-diagonal entry and diagonal difference of the marginal vanish.
+    marg_rows = np.array([
+        marginals[:, 0, 1].real,
+        marginals[:, 0, 1].imag,
+        (marginals[:, 0, 0] - marginals[:, 1, 1]).real,
+    ])
+    zeros = np.zeros_like(marg_rows)
+    A_eq = np.vstack([
+        np.hstack([flat, -flat]),
+        np.hstack([marg_rows, zeros]),
+        np.hstack([zeros, marg_rows]),
+    ])
+    b_eq = np.concatenate([b_choi, np.zeros(6)])
+    n_cols = 2 * len(choi_atoms)
+    result = linprog(np.ones(n_cols), A_eq=A_eq, b_eq=b_eq, bounds=(0, None), method="highs")
+    assert result.status == 0, result.message
+    return result.fun
+
+
+def test_channel_robustness_matches_highs(choi_atoms):
+    for ch in fig2_fig3_channels():
+        sol = channel_robustness(ch, choi_atoms)
+        assert sol.status == "optimal"
+        assert abs(sol.value - highs_channel_robustness(ch, choi_atoms)) < 1e-9
+
+
+def test_qubit_rom_matches_closed_form(qubit_dict, rng):
+    # Howard & Campbell, PRL 118, 090501 (2017): a qubit state with Bloch
+    # vector r has robustness max(1, |r_x| + |r_y| + |r_z|).
+    for _ in range(50):
+        direction = rng.normal(size=3)
+        r = direction / np.linalg.norm(direction) * rng.uniform() ** (1 / 3)
+        rho = (np.eye(2) + r[0] * PAULI_X + r[1] * PAULI_Y + r[2] * PAULI_Z) / 2
+        sol = rom_state(DensityOperator(rho), qubit_dict)
+        assert abs(sol.value - max(1.0, np.abs(r).sum())) < 1e-9
 
 
 class TestChannelRobustness:

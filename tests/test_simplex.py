@@ -1,16 +1,18 @@
 import itertools
 
 import numpy as np
-import pytest
 
-from magicswitch._accel import HAVE_NUMBA, force_njit
+from magicswitch import _simplex, channel_robustness, noisy_th_channel
 from magicswitch._simplex import (
     STATUS_INFEASIBLE,
+    STATUS_ITER_LIMIT,
     STATUS_OPTIMAL,
     STATUS_UNBOUNDED,
-    _bland_pivot_loop,
+    bland_pivot_loop,
     solve_standard_form,
 )
+
+from conftest import fig2_fig3_channels
 
 
 def brute_force_optimum(A, b, c, tol=1e-9):
@@ -134,24 +136,126 @@ def test_deterministic(rng):
     assert first.iterations == second.iterations
 
 
-@pytest.mark.skipif(not HAVE_NUMBA, reason="numba not installed")
-def test_python_and_jit_paths_agree(rng):
-    jitted = force_njit(_bland_pivot_loop)
-    for _ in range(10):
-        m, n = 3, 6
-        A = rng.normal(size=(m, n))
-        b = np.abs(A @ np.abs(rng.normal(size=n)))
-        tableau = np.zeros((m + 1, n + m + 1))
-        tableau[:m, :n] = A
-        tableau[:m, n : n + m] = np.eye(m)
-        tableau[:m, -1] = b
-        tableau[m, :n] = -A.sum(axis=0)
-        tableau[m, -1] = -b.sum()
-        basis = np.arange(n, n + m, dtype=np.int64)
-        t_py, b_py = tableau.copy(), basis.copy()
-        t_nb, b_nb = tableau.copy(), basis.copy()
-        status_py = _bland_pivot_loop(t_py, b_py, n, 1e-9, 1000)
-        status_nb = jitted(t_nb, b_nb, n, 1e-9, 1000)
-        assert status_py == tuple(status_nb)
-        assert np.array_equal(t_py, t_nb)
-        assert np.array_equal(b_py, b_nb)
+def reference_pivot_loop(tableau, basis, n_enterable, tol, max_iter):
+    """Row-by-row Bland pivot loop: the scalar form the vectorized kernel
+    must reproduce bit for bit (same pivots, basis and tableau)."""
+    m = tableau.shape[0] - 1
+    it = 0
+    while it < max_iter:
+        it += 1
+        # Entering column: first index with a negative reduced cost.
+        q = -1
+        for j in range(n_enterable):
+            if tableau[m, j] < -tol:
+                q = j
+                break
+        if q == -1:
+            return 0, it
+        # Leaving row: minimum ratio, ties to the smallest basic variable.
+        best_ratio = np.inf
+        r = -1
+        best_var = np.int64(2**62)
+        for i in range(m):
+            a = tableau[i, q]
+            if a > tol:
+                ratio = tableau[i, -1] / a
+                if ratio < best_ratio or (ratio == best_ratio and basis[i] < best_var):
+                    best_ratio = ratio
+                    r = i
+                    best_var = basis[i]
+        if r == -1:
+            return 1, it
+        piv = tableau[r, q]
+        tableau[r, :] /= piv
+        for i in range(m + 1):
+            if i != r:
+                f = tableau[i, q]
+                if f != 0.0:
+                    tableau[i, :] -= f * tableau[r, :]
+        basis[r] = q
+    return 2, it
+
+
+def recorded_pivot_inputs(monkeypatch, solve):
+    """Run ``solve()`` and return a copy of every pivot-loop input it made
+    (the phase-1 and phase-2 tableaux of each LP)."""
+    inputs = []
+
+    def recorder(tableau, basis, n_enterable, tol, max_iter):
+        inputs.append((tableau.copy(), basis.copy(), n_enterable, tol, max_iter))
+        return bland_pivot_loop(tableau, basis, n_enterable, tol, max_iter)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(_simplex, "bland_pivot_loop", recorder)
+        solve()
+    return inputs
+
+
+def assert_same_walk(tableau, basis, n_enterable, tol, max_iter):
+    t_ref, b_ref = tableau.copy(), basis.copy()
+    t_new, b_new = tableau.copy(), basis.copy()
+    expected = reference_pivot_loop(t_ref, b_ref, n_enterable, tol, max_iter)
+    assert bland_pivot_loop(t_new, b_new, n_enterable, tol, max_iter) == expected
+    assert np.array_equal(b_new, b_ref)
+    # Bit for bit, signed zeros included.
+    assert t_new.tobytes() == t_ref.tobytes()
+    return expected
+
+
+def test_ratio_tie_goes_to_smallest_basic_variable():
+    # Column 0 enters; rows 0 and 1 tie at ratio 1, and the later row holds
+    # the smaller basic variable, so it must leave.
+    tableau = np.array([
+        [1.0, 1.0, 0.0, 1.0],
+        [2.0, 0.0, 1.0, 2.0],
+        [-1.0, 0.0, 0.0, 0.0],
+    ])
+    basis = np.array([2, 1], dtype=np.int64)
+    assert_same_walk(tableau, basis, 1, 1e-9, 10)
+    bland_pivot_loop(tableau, basis, 1, 1e-9, 10)
+    assert basis.tolist() == [2, 0]
+
+
+def test_kernel_matches_reference_on_integer_lps(monkeypatch, rng):
+    # Small integers make exact ratio ties, and so the smallest-basic-index
+    # tie-break, common; negative costs make some programs unbounded.
+    statuses = set()
+    for _ in range(60):
+        m = int(rng.integers(2, 6))
+        n = int(rng.integers(m + 1, 10))
+        A = rng.integers(-3, 4, size=(m, n)).astype(float)
+        b = A @ rng.integers(0, 3, size=n)
+        c = rng.integers(-1, 4, size=n).astype(float)
+        for inputs in recorded_pivot_inputs(monkeypatch, lambda: solve_standard_form(A, b, c)):
+            statuses.add(assert_same_walk(*inputs)[0])
+    assert {STATUS_OPTIMAL, STATUS_UNBOUNDED} <= statuses
+
+
+def test_kernel_matches_reference_when_unbounded(monkeypatch):
+    A = np.array([[0.0, 1.0]])
+    inputs = recorded_pivot_inputs(
+        monkeypatch, lambda: solve_standard_form(A, np.array([1.0]), np.array([-1.0, 0.0]))
+    )
+    assert assert_same_walk(*inputs[-1])[0] == STATUS_UNBOUNDED
+
+
+def test_kernel_matches_reference_with_no_enterable_column():
+    tableau = np.array([[1.0, 1.0], [-1.0, -1.0]])
+    basis = np.array([0], dtype=np.int64)
+    assert assert_same_walk(tableau, basis, 0, 1e-9, 10) == (STATUS_OPTIMAL, 1)
+
+
+def test_kernel_matches_reference_on_channel_lps(monkeypatch, choi_atoms):
+    for ch in fig2_fig3_channels():
+        inputs = recorded_pivot_inputs(monkeypatch, lambda: channel_robustness(ch, choi_atoms))
+        assert len(inputs) == 2  # phase 1 and phase 2
+        for recorded in inputs:
+            assert assert_same_walk(*recorded)[0] == STATUS_OPTIMAL
+
+
+def test_kernel_matches_reference_at_iteration_limit(monkeypatch, choi_atoms):
+    ch = noisy_th_channel(0.2)
+    tableau, basis, n, tol, _ = recorded_pivot_inputs(
+        monkeypatch, lambda: channel_robustness(ch, choi_atoms)
+    )[0]
+    assert assert_same_walk(tableau, basis, n, tol, 3) == (STATUS_ITER_LIMIT, 3)
