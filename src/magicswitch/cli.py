@@ -226,8 +226,16 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_appendix_c(args) -> int:
-    d_values = tuple(int(x) for x in args.dims.split(","))
-    report = run_appendix_c(d_values=d_values, n_points=args.points)
+    try:
+        d_values = tuple(int(x) for x in args.dims.split(","))
+    except ValueError:
+        print(f"error: --dims {args.dims!r} is not a comma-separated list of integers", file=sys.stderr)
+        return 2
+    try:
+        report = run_appendix_c(d_values=d_values, n_points=args.points)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     _emit(report, args.out)
     return 0 if report["strictly_negative"] else 1
 

@@ -304,20 +304,22 @@ def run_appendix_c(d_values=(2, 3, 5, 10), n_points: int = 10_000) -> dict:
     """Verify p_plus < 2p - p^2 on a dense grid of p in (0, 1] per dimension.
 
     Also evaluates the factored algebraic identity behind the inequality;
-    its residual stays at rounding level (< 1e-12).
+    its residual stays at rounding level (< 1e-12).  The grid is p = k / n
+    for k = 1..n; an empty grid or dimension list, or any d < 2 (through
+    ``from_noise``), raises ``ValueError`` rather than passing vacuously.
     """
+    if n_points < 1:
+        raise ValueError(f"n_points={n_points} must be at least 1")
+    if not d_values:
+        raise ValueError("at least one dimension is required")
+    p = np.arange(1, n_points + 1) / n_points
     report = {"n_points": n_points, "dimensions": {}}
     overall_gap = -np.inf
     overall_identity = 0.0
     for d in d_values:
-        worst_gap = -np.inf
-        worst_identity = 0.0
-        for k in range(1, n_points + 1):
-            p = k / n_points
-            eff = EffectiveDepolarizingSwitch.from_noise(d, p)
-            gap = eff.p_plus - eff.sequential_strength()
-            worst_gap = max(worst_gap, gap)
-            worst_identity = max(worst_identity, eff.factored_identity_residual())
+        eff = EffectiveDepolarizingSwitch.from_noise(d, p)
+        worst_gap = float((eff.p_plus - eff.sequential_strength()).max())
+        worst_identity = float(eff.factored_identity_residual().max())
         report["dimensions"][d] = {
             "max_gap": worst_gap,
             "max_identity_residual": worst_identity,

@@ -29,10 +29,6 @@ from .config import DEFAULT_TOL
 from .gates import T_GATE, plus_state
 from .linalg import DimensionMismatchError, tensor
 
-_P0 = np.diag([1.0, 0.0]).astype(complex)
-_P1 = np.diag([0.0, 1.0]).astype(complex)
-
-
 @dataclass(frozen=True, eq=False)
 class SwitchedChannel:
     """The composite channel on control (x) target.
@@ -43,8 +39,6 @@ class SwitchedChannel:
     inner channels the flag is irrelevant).
     """
 
-    inner_a: KrausChannel
-    inner_b: KrausChannel
     kraus: tuple
     dim: int
     swap_order: bool = False
@@ -57,8 +51,9 @@ def build_switch(a: KrausChannel, b: KrausChannel, swap_order: bool = False) -> 
     """Construct the switched channel of two equal-dimension channels.
 
     Both inner channels must be complete; the composite Kraus set is built
-    as |0><0|_c (x) E_i F_j + |1><1|_c (x) F_j E_i and its completeness is
-    verified before returning.
+    as |0><0|_c (x) E_i F_j + |1><1|_c (x) F_j E_i, that is the block
+    diagonal of E_i F_j and F_j E_i, and its completeness is verified before
+    returning.
     """
     if a.d_in != a.d_out or b.d_in != b.d_out:
         raise DimensionMismatchError("switch requires square inner channels")
@@ -73,8 +68,11 @@ def build_switch(a: KrausChannel, b: KrausChannel, swap_order: bool = False) -> 
     for E in a.kraus_ops:
         for F in b.kraus_ops:
             first, second = (F @ E, E @ F) if swap_order else (E @ F, F @ E)
-            ops.append(tensor(_P0, first) + tensor(_P1, second))
-    switched = SwitchedChannel(inner_a=a, inner_b=b, kraus=tuple(ops), dim=d, swap_order=swap_order)
+            op = np.zeros((2 * d, 2 * d), dtype=complex)
+            op[:d, :d] = first
+            op[d:, d:] = second
+            ops.append(op)
+    switched = SwitchedChannel(kraus=tuple(ops), dim=d, swap_order=swap_order)
     residual = switched.as_channel().completeness_residual()
     if residual > DEFAULT_TOL.completeness:
         raise RuntimeError(f"switched channel completeness residual {residual:.3e}")
@@ -121,6 +119,9 @@ class EffectiveDepolarizingSwitch:
     the p-independent strength ``p_minus = d^2/(d^2-1)`` with probability
     ``weight_minus``.  The plus branch is strictly less noisy than two
     sequential passes: p_plus < 2p - p^2 for every p in (0, 1].
+
+    ``p`` may be a float or an array of noise strengths; every field and
+    method then holds the elementwise values.
     """
 
     d: int
@@ -134,7 +135,7 @@ class EffectiveDepolarizingSwitch:
     def from_noise(cls, d: int, p: float) -> "EffectiveDepolarizingSwitch":
         if d < 2:
             raise ValueError(f"dimension d={d} must be at least 2")
-        if not 0.0 <= p <= 1.0:
+        if not np.all((0.0 <= p) & (p <= 1.0)):
             raise ValueError(f"noise strength p={p} outside [0, 1]")
         d2 = float(d * d)
         denom = 2 * d2 - (d2 - 1) * p * p

@@ -120,3 +120,15 @@ def test_unknown_channel_exits(capsys):
     with pytest.raises(SystemExit):
         main(["-q", "channel-robustness", "--channel", "teleporter:p=1"])
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "flag, value", [("--points", "0"), ("--points", "-5"), ("--dims", "1"), ("--dims", "2,x")]
+)
+def test_appendix_c_bad_input_is_a_one_line_error(capsys, flag, value):
+    code = main(["-q", "appendix-c", flag, value])
+    captured = capsys.readouterr()
+    assert code != 0
+    assert captured.out == ""
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")

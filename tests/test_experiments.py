@@ -6,6 +6,7 @@ import pytest
 
 from magicswitch import experiments
 from magicswitch.config import DEFAULT_TOL
+from magicswitch.qswitch import EffectiveDepolarizingSwitch
 from magicswitch.experiments import (
     MEASURE_COLUMNS,
     MEASURES,
@@ -188,6 +189,31 @@ class TestThresholdFinder:
         assert "figs1_mana_plus" in MEASURES
 
 
+def scalar_appendix_c(d_values, n_points):
+    """Reference: the appendix-C report built one grid point at a time."""
+    report = {"n_points": n_points, "dimensions": {}}
+    overall_gap = -math.inf
+    overall_identity = 0.0
+    for d in d_values:
+        worst_gap = -math.inf
+        worst_identity = 0.0
+        for k in range(1, n_points + 1):
+            eff = EffectiveDepolarizingSwitch.from_noise(d, k / n_points)
+            worst_gap = max(worst_gap, eff.p_plus - eff.sequential_strength())
+            worst_identity = max(worst_identity, eff.factored_identity_residual())
+        report["dimensions"][d] = {
+            "max_gap": worst_gap,
+            "max_identity_residual": worst_identity,
+            "strictly_negative": worst_gap < 0.0,
+        }
+        overall_gap = max(overall_gap, worst_gap)
+        overall_identity = max(overall_identity, worst_identity)
+    report["max_gap"] = overall_gap
+    report["max_identity_residual"] = overall_identity
+    report["strictly_negative"] = overall_gap < 0.0
+    return report
+
+
 class TestAppendixC:
     def test_report_structure(self):
         report = run_appendix_c(d_values=(2, 3), n_points=400)
@@ -195,6 +221,26 @@ class TestAppendixC:
         assert report["max_gap"] < 0.0
         assert report["max_identity_residual"] < 1e-12
         assert set(report["dimensions"]) == {2, 3}
+
+    def test_whole_grid_matches_pointwise_loop(self):
+        got = run_appendix_c(d_values=(2, 3, 5, 10), n_points=1000)
+        want = scalar_appendix_c((2, 3, 5, 10), 1000)
+        assert got == want
+        assert json.dumps(got) == json.dumps(want)
+
+    @pytest.mark.parametrize(
+        "d_values, n_points, message",
+        [
+            ((2, 3), 0, "n_points"),
+            ((2, 3), -5, "n_points"),
+            ((1,), 10, "dimension"),
+            ((2, 1), 10, "dimension"),
+            ((), 10, "dimension"),
+        ],
+    )
+    def test_rejects_empty_or_degenerate_input(self, d_values, n_points, message):
+        with pytest.raises(ValueError, match=message):
+            run_appendix_c(d_values=d_values, n_points=n_points)
 
 
 class TestConfigFile:

@@ -14,10 +14,36 @@ from magicswitch import (
     wigner_of_channel,
     wigner_of_state,
 )
+from magicswitch import choi_of_channel, phasespace
 from magicswitch.gates import fourier_gate, plus_state, qutrit_phase_s, qutrit_t_gate
-from magicswitch.phasespace import heisenberg_weyl_operators, wigner_of_operator
+from magicswitch.linalg import tensor
+from magicswitch.phasespace import _choi_route_wigner, heisenberg_weyl_operators, wigner_of_operator
 
 from conftest import random_density_matrix, random_kraus_channel
+
+
+def wigner_of_choi(choi, frame_in, frame_out):
+    """Plain two-system Wigner function of a Choi state (no transpose)."""
+    d_in, d_out = frame_in.d, frame_out.d
+    out = np.empty((d_in**2, d_out**2))
+    for u in range(d_in**2):
+        for v in range(d_out**2):
+            val = np.trace(tensor(frame_in.phase_points[u], frame_out.phase_points[v]) @ choi.matrix)
+            out[u, v] = (val / (d_in * d_out)).real
+    return out
+
+
+def reference_choi_route(choi, frame_in, frame_out):
+    """Reference: W(v|u) = Tr[(A_u^T (x) A_v) J] d_in / d_out, one kron and
+    trace per (u, v) pair."""
+    d_in, d_out = frame_in.d, frame_out.d
+    out = np.empty((d_out**2, d_in**2))
+    for u in range(d_in**2):
+        au_t = frame_in.phase_points[u].T
+        for v in range(d_out**2):
+            val = np.trace(tensor(au_t, frame_out.phase_points[v]) @ choi.matrix)
+            out[v, u] = (val * d_in / d_out).real
+    return out
 
 
 class TestFrame:
@@ -139,13 +165,25 @@ class TestChannelWigner:
         for _ in range(5):
             wigner_of_channel(random_kraus_channel(3, 2, rng), frame3)
 
+    def test_choi_route_matches_kron_loop(self, frame3, rng):
+        for n_ops in (1, 2, 3, 4, 5):
+            choi = choi_of_channel(random_kraus_channel(3, n_ops, rng))
+            got = _choi_route_wigner(choi, frame3, frame3)
+            want = reference_choi_route(choi, frame3, frame3)
+            assert np.abs(got - want).max() < 1e-14
+
+    def test_cross_check_catches_a_wrong_choi_state(self, frame3, monkeypatch):
+        # The check must compare against the channel's own Choi state: fed
+        # another channel's, it has to fail rather than pass silently.
+        other = choi_of_channel(unitary_channel(fourier_gate(3)))
+        monkeypatch.setattr(phasespace, "choi_of_channel", lambda ch: other)
+        with pytest.raises(RuntimeError, match="cross-check"):
+            wigner_of_channel(unitary_channel(qutrit_t_gate()), frame3)
+
     def test_conditional_and_choi_wigner_share_values(self, frame3, rng):
         # Transposition permutes the phase-point set, so the conditional
         # Wigner values and d^2 times the plain Choi-state Wigner values
         # coincide as multisets.
-        from magicswitch import choi_of_channel
-        from magicswitch.phasespace import wigner_of_choi
-
         ch = random_kraus_channel(3, 2, rng)
         cond = np.sort(wigner_of_channel(ch, frame3).reshape(-1))
         plain = np.sort(9 * wigner_of_choi(choi_of_channel(ch), frame3, frame3).reshape(-1))

@@ -13,6 +13,7 @@ from magicswitch import (
     effective_t_channels,
     identity_channel,
     noisy_th_channel,
+    qutrit_noisy_th_channel,
     unitary_channel,
 )
 from magicswitch.channels import ChannelCompletenessError, apply_kraus
@@ -50,6 +51,18 @@ def interference_branch(kraus_ops, psi):
     return out
 
 
+def kron_switch_kraus(a, b, swap_order):
+    """Reference: |0><0|_c (x) E F + |1><1|_c (x) F E, built with kron."""
+    p0 = np.diag([1.0, 0.0]).astype(complex)
+    p1 = np.diag([0.0, 1.0]).astype(complex)
+    ops = []
+    for E in a.kraus_ops:
+        for F in b.kraus_ops:
+            first, second = (F @ E, E @ F) if swap_order else (E @ F, F @ E)
+            ops.append(tensor(p0, first) + tensor(p1, second))
+    return ops
+
+
 class TestBuildSwitch:
     def test_identity_inner_channels(self, rng):
         switched = build_switch(identity_channel(2), identity_channel(2))
@@ -59,19 +72,23 @@ class TestBuildSwitch:
         out = apply_channel(switched.as_channel(), joint)
         assert np.abs(out.matrix - joint.matrix).max() < 1e-12
 
-    def test_kraus_construction_equation(self):
-        a, b = noisy_th_channel(0.3), noisy_th_channel(0.7)
-        switched = build_switch(a, b)
-        p0 = np.diag([1.0, 0.0]).astype(complex)
-        p1 = np.diag([0.0, 1.0]).astype(complex)
-        expected = [
-            tensor(p0, E @ F) + tensor(p1, F @ E)
-            for E in a.kraus_ops
-            for F in b.kraus_ops
+    def test_kraus_construction_equation(self, rng):
+        # build_switch writes the two orders into diagonal blocks; it must
+        # equal the kron form of the defining equation entry for entry.
+        pairs = [
+            (noisy_th_channel(0.3), noisy_th_channel(0.7)),
+            (random_kraus_channel(2, 3, rng), random_kraus_channel(2, 2, rng)),
+            (qutrit_noisy_th_channel(0.4), qutrit_noisy_th_channel(0.1)),
+            (random_kraus_channel(3, 2, rng), random_kraus_channel(3, 3, rng)),
         ]
-        assert len(switched.kraus) == len(expected)
-        for got, want in zip(switched.kraus, expected):
-            assert np.abs(got - want).max() == 0.0
+        for a, b in pairs:
+            for swap_order in (False, True):
+                switched = build_switch(a, b, swap_order=swap_order)
+                expected = kron_switch_kraus(a, b, swap_order)
+                assert len(switched.kraus) == len(expected)
+                for got, want in zip(switched.kraus, expected):
+                    assert got.dtype == want.dtype
+                    assert np.array_equal(got, want)
 
     def test_completeness(self, rng):
         for d in (2, 3):
