@@ -8,6 +8,18 @@ hot kernel: each pivot is a handful of whole-array numpy operations.
 Bland's rule (smallest eligible index enters; ratio ties broken by smallest
 basic variable index) makes the walk deterministic and cycle-free, so
 repeated runs produce bit-identical solutions.
+
+A solve can start from a given basis, such as the optimal basis of the
+same LP at a neighbouring parameter value.  When that basis is nonsingular,
+well conditioned and primal feasible for the new right-hand side, phase 1
+starts from the tableau ``B^-1 [A | I | b]`` with its phase-1 cost row
+instead of from the all-artificial basis.  Phase 1 then ends at its first
+check, and since reduced costs do not depend on ``b``, a basis that was
+optimal for the neighbour is still optimal and phase 2 ends there too.
+Both phases, the infeasibility cut, the artificial drive-out and the dual
+read-off are the same code either way.  Any other basis falls back to the
+artificial start.  The optimal value does not depend on the start beyond
+rounding; where an LP has several optimal vertices, ``x`` may.
 """
 
 from __future__ import annotations
@@ -86,10 +98,44 @@ class SimplexResult:
     objective: float
     dual: np.ndarray
     iterations: int
+    basis: np.ndarray
 
     @property
     def status_name(self) -> str:
         return STATUS_NAMES[self.status]
+
+
+def _cost_row(tableau, basis, cost):
+    """Reduced costs and minus the objective, ``cost - cost_B B^-1 [A | I | b]``,
+    for the basis of a tableau whose body is already ``B^-1 [A | I | b]``."""
+    m = basis.size
+    return cost - cost[basis] @ tableau[:m]
+
+
+def _start_from_basis(A, b, basis, tol):
+    """Phase-1 tableau body ``B^-1 [A | I | b]`` for a starting basis over the
+    columns of ``[A | I]``, or None when the basis cannot start the solve:
+    wrong length, an index out of range, numerically singular, or primal
+    infeasible for this ``b``."""
+    m, n = A.shape
+    basis = np.array(basis, dtype=np.int64)
+    if basis.shape != (m,) or not np.all((0 <= basis) & (basis < n + m)):
+        return None
+    body = np.hstack([A, np.eye(m), b[:, None]])
+    B = body[:, basis]
+    try:
+        body = np.linalg.solve(B, body)
+    except np.linalg.LinAlgError:
+        return None
+    # Round-off in B^-1 [A | I | b] grows with the condition number of B
+    # (1-norm; B^-1 sits in the artificial columns).  Past tol/eps it could
+    # carry an entry across the pivot tolerance; NaN fails this test too.
+    condition = np.abs(B).sum(axis=0).max() * np.abs(body[:, n : n + m]).sum(axis=0).max()
+    if not condition * np.finfo(np.float64).eps <= tol:
+        return None
+    if not np.all(body[:, -1] >= -tol):
+        return None
+    return body, basis
 
 
 def solve_standard_form(
@@ -98,8 +144,15 @@ def solve_standard_form(
     c: np.ndarray,
     tol: float = _PIVOT_TOL,
     max_iter: int | None = None,
+    basis: np.ndarray | None = None,
 ) -> SimplexResult:
     """Minimize c.x subject to A x = b, x >= 0.
+
+    Phase 1 starts from ``basis`` (column indices into ``[A | I]``, the
+    artificial columns counted after the real ones) when that basis is
+    nonsingular and primal feasible for this ``b``, and from the all-
+    artificial basis otherwise.  The optimal basis of a neighbouring
+    problem usually passes, and then phase 1 ends at its first check.
 
     The dual vector is read off the final tableau (artificial columns stay
     in the tableau, barred from entering), so callers can verify a zero
@@ -121,13 +174,20 @@ def solve_standard_form(
     b[flip] *= -1.0
 
     tableau = np.zeros((m + 1, n + m + 1), dtype=np.float64)
-    tableau[:m, :n] = A
-    tableau[:m, n : n + m] = np.eye(m)
-    tableau[:m, -1] = b
-    # Reduced costs for the artificial objective with artificials basic.
-    tableau[m, :n] = -A.sum(axis=0)
-    tableau[m, -1] = -b.sum()
-    basis = np.arange(n, n + m, dtype=np.int64)
+    start = None if basis is None else _start_from_basis(A, b, basis, tol)
+    if start is None:
+        tableau[:m, :n] = A
+        tableau[:m, n : n + m] = np.eye(m)
+        tableau[:m, -1] = b
+        # Reduced costs for the artificial objective with artificials basic.
+        tableau[m, :n] = -A.sum(axis=0)
+        tableau[m, -1] = -b.sum()
+        basis = np.arange(n, n + m, dtype=np.int64)
+    else:
+        tableau[:m], basis = start
+        artificial_cost = np.zeros(n + m + 1)
+        artificial_cost[n : n + m] = 1.0
+        tableau[m] = _cost_row(tableau, basis, artificial_cost)
 
     status, it1 = bland_pivot_loop(tableau, basis, n, tol, max_iter)
     phase1_obj = -tableau[m, -1]
@@ -137,37 +197,35 @@ def solve_standard_form(
         status = STATUS_INFEASIBLE
     if status != STATUS_OPTIMAL:
         empty = np.zeros(n)
-        return SimplexResult(status, empty, np.nan, np.zeros(m), it1)
+        return SimplexResult(status, empty, np.nan, np.zeros(m), it1, basis)
 
-    # Pivot leftover artificials out where possible; a row with no real
-    # pivot entry is a redundant constraint and stays inert at zero.
-    for i in range(m):
-        if basis[i] >= n:
-            row = tableau[i, :n]
-            nz = np.nonzero(np.abs(row) > tol)[0]
-            if nz.size:
-                q = int(nz[0])
-                piv = tableau[i, q]
-                tableau[i, :] /= piv
-                for k in range(m + 1):
-                    if k != i and tableau[k, q] != 0.0:
-                        tableau[k, :] -= tableau[k, q] * tableau[i, :]
-                basis[i] = q
+    # Pivot leftover artificials out where possible (first real column with
+    # a usable entry); a row with no real pivot entry is a redundant
+    # constraint and stays inert at zero.
+    for i in np.flatnonzero(basis >= n):
+        nz = np.flatnonzero(np.abs(tableau[i, :n]) > tol)
+        if nz.size:
+            q = nz[0]
+            tableau[i] /= tableau[i, q]
+            column = tableau[:, q]
+            update = column != 0.0
+            update[i] = False
+            np.subtract(
+                tableau, np.multiply.outer(column, tableau[i]), out=tableau, where=update[:, None]
+            )
+            basis[i] = q
 
     # Phase 2: rebuild the objective row for the real costs.
-    tableau[m, :] = 0.0
-    tableau[m, :n] = c
-    for i in range(m):
-        if basis[i] < n and c[basis[i]] != 0.0:
-            tableau[m, :] -= c[basis[i]] * tableau[i, :]
+    real_cost = np.zeros(n + m + 1)
+    real_cost[:n] = c
+    tableau[m] = _cost_row(tableau, basis, real_cost)
 
     status, it2 = bland_pivot_loop(tableau, basis, n, tol, max_iter)
     x = np.zeros(n)
-    for i in range(m):
-        if basis[i] < n:
-            x[basis[i]] = tableau[i, -1]
+    real = basis < n
+    x[basis[real]] = tableau[:m, -1][real]
     objective = float(-tableau[m, -1])
     # Reduced cost of artificial column e_i is -y_i; undo the rhs sign flips.
     dual = -tableau[m, n : n + m].copy()
     dual[flip] *= -1.0
-    return SimplexResult(status, x, objective, dual, it1 + it2)
+    return SimplexResult(status, x, objective, dual, it1 + it2, basis)

@@ -49,12 +49,18 @@ _JOBS_ENV = "MAGIC_SWITCH_JOBS"
 
 
 def _resolve_jobs(flag_value: int) -> int:
+    """Worker count: ``MAGIC_SWITCH_JOBS`` when set, else the flag (which
+    ``SweepConfig`` checks).  An environment value that is not a positive
+    integer raises ``ValueError``."""
     env = os.environ.get(_JOBS_ENV, "").strip()
     if env:
         try:
-            return max(1, int(env))
+            jobs = int(env)
         except ValueError:
-            raise SystemExit(f"{_JOBS_ENV}={env!r} is not an integer")
+            raise ValueError(f"{_JOBS_ENV}={env!r} is not an integer") from None
+        if jobs < 1:
+            raise ValueError(f"{_JOBS_ENV}={env!r} must be at least 1")
+        return jobs
     return flag_value
 
 
@@ -219,7 +225,11 @@ def _emit(payload: dict, out: str | None) -> None:
 
 
 def _cmd_sweep(args) -> int:
-    config = _sweep_config(args)
+    try:
+        config = _sweep_config(args)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     rows = run_experiment(config)
     write_rows(rows, config)
     return 0

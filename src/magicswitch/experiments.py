@@ -11,8 +11,13 @@ reproduces:
 * ``appendix_c`` - grid verification that the plus branch of switched
   depolarizing noise is strictly weaker than two sequential passes.
 
-Rows are computed independently per noise value, so sweeps parallelize
-over a process pool; identical configs produce byte-identical CSV.
+A sweep walks its grid in order and starts each robustness LP from the
+optimal basis the same LP column reached at the previous grid point, so a
+row depends on the rows before it in its run.  ``jobs`` splits the grid into
+at most that many contiguous runs, each on its own worker and each starting
+cold; identical configs therefore produce byte-identical CSV.  A warm-started
+value can differ from a lone cold solve at the same point in the last bits,
+never in the printed digits of the default grids.
 """
 
 from __future__ import annotations
@@ -151,27 +156,46 @@ def _choi_atoms():
     return cspo_choi_atoms(enumerate_stabilizer_states(2))
 
 
+@dataclass
+class _RunState:
+    """What one contiguous run of sweep rows carries from row to row: the
+    last optimal basis of each LP column, and the value of fig3's minus
+    branch, whose channel does not depend on p."""
+
+    bases: dict = field(default_factory=dict)
+    switch_minus: tuple | None = None
+
+
 def _certified_value(solution: L1Solution, lp_tol: float) -> tuple[float, str]:
     """Value and status of a robustness LP, with its certificates enforced:
-    a reconstruction residual or duality gap above ``DEFAULT_TOL.lp_residual``
-    tags the value ``check_failed``."""
+    a reconstruction residual, duality gap or dual infeasibility above
+    ``DEFAULT_TOL.lp_residual`` tags the value ``check_failed``."""
     if solution.status != "optimal":
         return float("nan"), solution.status
-    if max(solution.residual, solution.dual_gap) > DEFAULT_TOL.lp_residual:
+    worst = max(solution.residual, solution.dual_gap, solution.dual_violation)
+    if worst > DEFAULT_TOL.lp_residual:
         return solution.value, "check_failed"
     if solution.value < 1.0 - lp_tol:
         return solution.value, "below_floor"
     return solution.value, "ok"
 
 
-def _robustness_value(ch: KrausChannel, lp_tol: float) -> tuple[float, str]:
-    return _certified_value(channel_robustness(ch, _choi_atoms()), lp_tol)
+def _robustness_value(
+    ch: KrausChannel, lp_tol: float, state: _RunState, column: str
+) -> tuple[float, str]:
+    solution = channel_robustness(ch, _choi_atoms(), basis=state.bases.get(column))
+    state.bases[column] = solution.basis
+    return _certified_value(solution, lp_tol)
 
 
-def _rom_value(rho: DensityOperator, prob: float, lp_tol: float) -> tuple[float, str]:
+def _rom_value(
+    rho: DensityOperator, prob: float, lp_tol: float, state: _RunState, column: str
+) -> tuple[float, str]:
     if prob <= _DEGENERATE_PROB:
         return float("nan"), "degenerate"
-    return _certified_value(rom_state(rho, _qubit_dictionary()), lp_tol)
+    solution = rom_state(rho, _qubit_dictionary(), basis=state.bases.get(column))
+    state.bases[column] = solution.basis
+    return _certified_value(solution, lp_tol)
 
 
 def _prob_status(prob_plus: float, prob_minus: float) -> str:
@@ -187,34 +211,38 @@ def _prob_status(prob_plus: float, prob_minus: float) -> str:
 # Row workers (module level so process pools can pickle them)
 # ---------------------------------------------------------------------------
 
-def _fig2_row(p: float, lp_tol: float) -> SweepRow:
+def _fig2_row(p: float, lp_tol: float, state: _RunState) -> SweepRow:
     row = SweepRow(p=p)
     ch = noisy_th_channel(p)
-    row.values["channel_robustness"], row.status["channel_robustness"] = _robustness_value(ch, lp_tol)
+    row.values["channel_robustness"], row.status["channel_robustness"] = _robustness_value(
+        ch, lp_tol, state, "channel_robustness"
+    )
     switched = build_switch(ch, ch)
     rho_plus, rho_minus, prob_plus, prob_minus = conditional_outputs(
         switched, DensityOperator.pure(plus_state(2))
     )
-    row.values["rom_plus"], row.status["rom_plus"] = _rom_value(rho_plus, prob_plus, lp_tol)
-    row.values["rom_minus"], row.status["rom_minus"] = _rom_value(rho_minus, prob_minus, lp_tol)
+    for name, rho, prob in (("rom_plus", rho_plus, prob_plus), ("rom_minus", rho_minus, prob_minus)):
+        row.values[name], row.status[name] = _rom_value(rho, prob, lp_tol, state, name)
     row.values["prob_plus"] = prob_plus
     row.values["prob_minus"] = prob_minus
     row.status["prob_plus"] = row.status["prob_minus"] = _prob_status(prob_plus, prob_minus)
     return row
 
 
-def _fig3_row(p: float, lp_tol: float) -> SweepRow:
+def _fig3_row(p: float, lp_tol: float, state: _RunState) -> SweepRow:
     row = SweepRow(p=p)
     noise = depolarizing_channel(2, p)
     sequential = compose_channels(noise, compose_channels(noise, unitary_channel(T_GATE)))
-    row.values["rob_sequential"], row.status["rob_sequential"] = _robustness_value(sequential, lp_tol)
+    row.values["rob_sequential"], row.status["rob_sequential"] = _robustness_value(
+        sequential, lp_tol, state, "rob_sequential"
+    )
     branch_plus, branch_minus = effective_t_channels(p)
     row.values["rob_switch_plus"], row.status["rob_switch_plus"] = _robustness_value(
-        branch_plus.channel, lp_tol
+        branch_plus.channel, lp_tol, state, "rob_switch_plus"
     )
-    row.values["rob_switch_minus"], row.status["rob_switch_minus"] = _robustness_value(
-        branch_minus.channel, lp_tol
-    )
+    if state.switch_minus is None:
+        state.switch_minus = _robustness_value(branch_minus.channel, lp_tol, state, "rob_switch_minus")
+    row.values["rob_switch_minus"], row.status["rob_switch_minus"] = state.switch_minus
     row.values["weight_plus"] = branch_plus.weight
     row.values["weight_minus"] = branch_minus.weight
     row.status["weight_plus"] = row.status["weight_minus"] = _prob_status(
@@ -223,7 +251,7 @@ def _fig3_row(p: float, lp_tol: float) -> SweepRow:
     return row
 
 
-def _figs1_row(p: float, lp_tol: float) -> SweepRow:
+def _figs1_row(p: float, lp_tol: float, state: _RunState) -> SweepRow:
     row = SweepRow(p=p)
     frame = build_frame(3)
     ch = qutrit_noisy_th_channel(p)
@@ -251,19 +279,27 @@ _ROW_WORKERS = {"fig2": _fig2_row, "fig3": _fig3_row, "figs1": _figs1_row}
 
 
 def _dispatch_row(args) -> SweepRow:
-    experiment, p, lp_tol = args
-    return _ROW_WORKERS[experiment](p, lp_tol)
+    experiment, p, lp_tol, state = args
+    return _ROW_WORKERS[experiment](p, lp_tol, state)
+
+
+def _run_rows(experiment: str, grid: list[float], lp_tol: float) -> list[SweepRow]:
+    """One contiguous run of grid rows, in order, from a cold start."""
+    state = _RunState()
+    return [_dispatch_row((experiment, p, lp_tol, state)) for p in grid]
 
 
 def _run_sweep(config: SweepConfig) -> list[SweepRow]:
     grid = config.grid()
-    tasks = [(config.experiment, p, config.lp_tol) for p in grid]
-    if config.jobs == 1:
-        rows = [_dispatch_row(task) for task in tasks]
-    else:
-        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
-            rows = list(pool.map(_dispatch_row, tasks))
-    return rows
+    n_runs = min(config.jobs, len(grid))
+    if n_runs == 1:
+        return _run_rows(config.experiment, grid, config.lp_tol)
+    size, extra = divmod(len(grid), n_runs)
+    bounds = [k * size + min(k, extra) for k in range(n_runs + 1)]
+    runs = [grid[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+    with ProcessPoolExecutor(max_workers=n_runs) as pool:
+        chunks = pool.map(_run_rows, [config.experiment] * n_runs, runs, [config.lp_tol] * n_runs)
+        return [row for chunk in chunks for row in chunk]
 
 
 def run_fig2(config: SweepConfig | None = None) -> list[SweepRow]:

@@ -132,13 +132,9 @@ def pauli_vectorize(op: np.ndarray, paulis: list[tuple[str, np.ndarray]]) -> np.
     the returned real vectors.
     """
     op = np.asarray(op, dtype=complex)
-    d = op.shape[0]
-    coeffs = np.empty(len(paulis))
-    scale = 1.0 / np.sqrt(d)
-    for k, (_, pauli) in enumerate(paulis):
-        val = np.trace(pauli @ op) * scale
-        coeffs[k] = val.real
-    return coeffs
+    stacked = np.array([pauli for _, pauli in paulis])
+    # tr(P_k op) = sum_ij (P_k)_ij op_ji, for every string k at once.
+    return np.einsum("kij,ji->k", stacked, op).real * (1.0 / np.sqrt(op.shape[0]))
 
 
 def pauli_unvectorize(vec: np.ndarray, paulis: list[tuple[str, np.ndarray]]) -> np.ndarray:

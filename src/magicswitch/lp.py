@@ -84,6 +84,10 @@ class L1Solution:
     2p + 1 automatically, since the trace row forces sum a - sum b = 1).
     ``coefficients`` are the net per-atom weights a_i - b_i; the split parts
     are kept for consumers that need each side of a channel decomposition.
+    ``residual``, ``dual_gap`` and ``dual_violation`` (the worst excess of
+    A^T y over c) certify the value.  ``basis`` is the optimal simplex
+    basis, which can start the solve of a neighbouring problem; it is None
+    when no optimum was found.
     """
 
     value: float
@@ -93,6 +97,9 @@ class L1Solution:
     plus: np.ndarray
     minus: np.ndarray
     dual_gap: float
+    dual_violation: float
+    iterations: int
+    basis: np.ndarray | None = None
     renorm_factor: float = 1.0
 
 
@@ -117,15 +124,18 @@ def _assemble_standard_form(problem: AffineL1Problem):
     return A, b, c
 
 
-def solve_l1(problem: AffineL1Problem, max_iter: int | None = None) -> L1Solution:
+def solve_l1(
+    problem: AffineL1Problem, max_iter: int | None = None, basis: np.ndarray | None = None
+) -> L1Solution:
     """Solve the l1 program with the embedded simplex.
 
-    Deterministic under the fixed atom ordering; the reconstruction residual
-    and the duality gap of the returned basic solution are reported so
-    callers can enforce their own floors.
+    Deterministic under the fixed atom ordering and the starting ``basis``
+    (see ``solve_standard_form``); the reconstruction residual, the duality
+    gap and the dual feasibility of the returned basic solution are
+    reported so callers can enforce their own floors.
     """
     A, b, c = _assemble_standard_form(problem)
-    result = solve_standard_form(A, b, c, max_iter=max_iter)
+    result = solve_standard_form(A, b, c, max_iter=max_iter, basis=basis)
     n = problem.n_atoms
     if result.status == STATUS_INFEASIBLE:
         status = "infeasible"
@@ -135,7 +145,9 @@ def solve_l1(problem: AffineL1Problem, max_iter: int | None = None) -> L1Solutio
         status = "numerical_failure"
     if status != "optimal":
         nanvec = np.full(n, np.nan)
-        return L1Solution(np.nan, nanvec, status, np.nan, nanvec, nanvec, np.nan)
+        return L1Solution(
+            np.nan, nanvec, status, np.nan, nanvec, nanvec, np.nan, np.nan, result.iterations
+        )
     if problem.sign_split:
         plus, minus = result.x[:n], result.x[n:]
     else:
@@ -143,6 +155,7 @@ def solve_l1(problem: AffineL1Problem, max_iter: int | None = None) -> L1Solutio
     coeffs = plus - minus
     residual = float(np.abs(A @ result.x - b).max())
     dual_gap = float(abs(result.objective - result.dual @ b))
+    dual_violation = float(max(0.0, (A.T @ result.dual - c).max()))
     return L1Solution(
         value=float(result.objective),
         coefficients=coeffs,
@@ -151,6 +164,9 @@ def solve_l1(problem: AffineL1Problem, max_iter: int | None = None) -> L1Solutio
         plus=plus,
         minus=minus,
         dual_gap=dual_gap,
+        dual_violation=dual_violation,
+        iterations=result.iterations,
+        basis=result.basis,
     )
 
 
@@ -166,12 +182,15 @@ def _state_atom_matrix(dictionary_key):
     return np.array([pauli_vectorize(P, paulis) for P in dictionary.projectors])
 
 
-def rom_state(rho: DensityOperator, dictionary, max_iter: int | None = None) -> L1Solution:
+def rom_state(
+    rho: DensityOperator, dictionary, max_iter: int | None = None, basis: np.ndarray | None = None
+) -> L1Solution:
     """Robustness of a state over a stabilizer dictionary.
 
     Unnormalized inputs are renormalized first and the factor is logged and
     reported on the solution.  Faithful: the value is 1 exactly when the
-    state lies in the stabilizer polytope.
+    state lies in the stabilizer polytope.  ``basis`` may carry the optimal
+    basis of a neighbouring state's solve as a starting point.
     """
     factor = 1.0
     if not rho.normalized or abs(rho.trace - 1.0) > DEFAULT_TOL.psd:
@@ -185,7 +204,7 @@ def rom_state(rho: DensityOperator, dictionary, max_iter: int | None = None) -> 
     atoms = _state_atom_matrix(dictionary)
     target = pauli_vectorize(rho.matrix, paulis)
     problem = AffineL1Problem(atoms=atoms, target=target)
-    solution = solve_l1(problem, max_iter=max_iter)
+    solution = solve_l1(problem, max_iter=max_iter, basis=basis)
     logger.info("rom_state status=%s value=%.12g", solution.status, solution.value)
     if solution.status == "infeasible":
         raise ValueError("robustness LP infeasible: input is not a valid state")
@@ -205,13 +224,17 @@ def _channel_atom_data(atoms_key):
     return atom_matrix, marg_rows
 
 
-def channel_robustness(ch: KrausChannel, atoms, max_iter: int | None = None) -> L1Solution:
+def channel_robustness(
+    ch: KrausChannel, atoms, max_iter: int | None = None, basis: np.ndarray | None = None
+) -> L1Solution:
     """Channel robustness of a single-qubit channel over Choi atoms.
 
     The two sides of the decomposition are conic combinations of stabilizer
     Choi projectors; each side separately satisfies the trace-preservation
     marginal (its X, Y, Z components vanish), which together with the Choi
-    reconstruction rows makes the optimal l1 norm equal 1 + 2p.
+    reconstruction rows makes the optimal l1 norm equal 1 + 2p.  ``basis``
+    may carry the optimal basis of a neighbouring channel's solve as a
+    starting point.
     """
     if ch.d_in != 2 or ch.d_out != 2:
         raise DimensionMismatchError("channel robustness is implemented for qubit channels")
@@ -226,7 +249,7 @@ def channel_robustness(ch: KrausChannel, atoms, max_iter: int | None = None) -> 
         extras.append(ExtraEquality(plus_coeffs=row, minus_coeffs=zeros, rhs=0.0))
         extras.append(ExtraEquality(plus_coeffs=zeros, minus_coeffs=row, rhs=0.0))
     problem = AffineL1Problem(atoms=atom_matrix, target=target, extra_equalities=tuple(extras))
-    solution = solve_l1(problem, max_iter=max_iter)
+    solution = solve_l1(problem, max_iter=max_iter, basis=basis)
     logger.info("channel_robustness status=%s value=%.12g", solution.status, solution.value)
     return solution
 

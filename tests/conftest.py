@@ -70,3 +70,22 @@ def fig2_fig3_channels():
         yield compose_channels(noise, compose_channels(noise, unitary_channel(T_GATE)))
         for branch in effective_t_channels(p):
             yield branch.channel
+
+
+def pivot_walks(monkeypatch, run):
+    """Run ``run()``; return its result and the (status, iterations) of every
+    simplex pivot loop it ran, in order: each solve runs phase 1, then
+    phase 2."""
+    from magicswitch import _simplex
+
+    walks = []
+    pivot_loop = _simplex.bland_pivot_loop
+
+    def recorder(*args):
+        walks.append(pivot_loop(*args))
+        return walks[-1]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(_simplex, "bland_pivot_loop", recorder)
+        result = run()
+    return result, walks

@@ -132,3 +132,42 @@ def test_appendix_c_bad_input_is_a_one_line_error(capsys, flag, value):
     assert captured.out == ""
     lines = captured.err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:")
+
+
+def assert_one_line_error(capsys, code):
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+
+
+class RefusedPool:
+    def __init__(self, *args, **kwargs):
+        raise AssertionError("a worker pool was started for an invalid --jobs value")
+
+
+@pytest.mark.parametrize("flag", ["0", "-2"])
+def test_bad_jobs_flag_is_a_one_line_error(capsys, monkeypatch, flag):
+    from magicswitch import experiments
+
+    monkeypatch.delenv("MAGIC_SWITCH_JOBS", raising=False)
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", RefusedPool)
+    assert_one_line_error(capsys, main(["-q", "fig2", "--grid", "0:0.02:0.01", "--jobs", flag]))
+
+
+@pytest.mark.parametrize("env", ["0", "-3", "two", "1.5"])
+def test_bad_jobs_env_is_a_one_line_error(capsys, monkeypatch, env):
+    from magicswitch import experiments
+
+    monkeypatch.setenv("MAGIC_SWITCH_JOBS", env)
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", RefusedPool)
+    assert_one_line_error(capsys, main(["-q", "fig3", "--grid", "0:0.02:0.01"]))
+
+
+def test_jobs_above_row_count_runs_one_row_per_worker(tmp_path, capsys):
+    out = tmp_path / "fig3.csv"
+    code, _ = run_cli(capsys, "fig3", "--grid", "0:0.01:0.01", "--jobs", "5", "--out", str(out))
+    serial = tmp_path / "serial.csv"
+    assert run_cli(capsys, "fig3", "--grid", "0:0.01:0.01", "--out", str(serial))[0] == 0
+    assert code == 0 and out.read_bytes() == serial.read_bytes()

@@ -1,10 +1,11 @@
+import hashlib
 import json
 import math
 from dataclasses import replace
 
 import pytest
 
-from magicswitch import experiments
+from magicswitch import experiments, lp
 from magicswitch.config import DEFAULT_TOL
 from magicswitch.qswitch import EffectiveDepolarizingSwitch
 from magicswitch.experiments import (
@@ -24,6 +25,8 @@ from magicswitch.experiments import (
     run_figs1,
     write_rows,
 )
+
+from conftest import pivot_walks
 
 
 class TestSweepConfig:
@@ -105,7 +108,7 @@ class TestSweeps:
 class TestCertificates:
     """A robustness value whose LP certificate fails carries the check_failed status."""
 
-    @pytest.mark.parametrize("certificate", ["residual", "dual_gap"])
+    @pytest.mark.parametrize("certificate", ["residual", "dual_gap", "dual_violation"])
     def test_failed_certificate_is_tagged(self, monkeypatch, certificate):
         def doctored(solver):
             def solve(*args, **kwargs):
@@ -135,6 +138,110 @@ class TestDeterminism:
         serial = rows_to_csv(run_fig2(_tiny("fig2", jobs=1)), MEASURE_COLUMNS["fig2"])
         parallel = rows_to_csv(run_fig2(_tiny("fig2", jobs=2)), MEASURE_COLUMNS["fig2"])
         assert serial == parallel
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("experiment", ["fig2", "fig3"])
+    def test_default_csv_matches_reference_hash(self, experiment, jobs):
+        # With jobs=2 each half of the grid is its own warm-started run.
+        from perfbench.workloads import EXPECTED_SHA256
+
+        rows = run_experiment(default_config(experiment, jobs=jobs))
+        text = rows_to_csv(rows, MEASURE_COLUMNS[experiment])
+        assert hashlib.sha256(text.encode()).hexdigest() == EXPECTED_SHA256[experiment]
+
+
+LP_COLUMNS = {
+    "fig2": ("channel_robustness", "rom_plus", "rom_minus"),
+    "fig3": ("rob_sequential", "rob_switch_plus", "rob_switch_minus"),
+}
+
+
+def phase1_iterations(monkeypatch, run):
+    """Run ``run()``; return its result and the phase-1 pivot count of every
+    LP it solved, in order."""
+    result, walks = pivot_walks(monkeypatch, run)
+    return result, [it for _, it in walks[::2]]
+
+
+class RecordingPool:
+    """Stands in for ProcessPoolExecutor: runs the map in this process and
+    records the worker count and the grid of each run."""
+
+    made = []
+
+    def __init__(self, max_workers):
+        self.max_workers = max_workers
+        self.runs = []
+        RecordingPool.made.append(self)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        for args in zip(*iterables):
+            self.runs.append(list(args[1]))
+            yield fn(*args)
+
+
+class TestWarmStart:
+    @pytest.mark.parametrize("experiment", ["fig2", "fig3"])
+    def test_warm_values_match_cold_solves(self, monkeypatch, experiment):
+        grid = default_config(experiment).grid()
+        cold = [experiments._dispatch_row((experiment, p, 1e-6, experiments._RunState())) for p in grid]
+        forward, phase1 = phase1_iterations(
+            monkeypatch, lambda: experiments._run_rows(experiment, grid, 1e-6)
+        )
+        backward = experiments._run_rows(experiment, grid[::-1], 1e-6)[::-1]
+        for warm in (forward, backward):
+            for got, want in zip(warm, cold):
+                assert got.p == want.p
+                for m in LP_COLUMNS[experiment]:
+                    assert got.status[m] == want.status[m], (got.p, m)
+                    if math.isnan(want.values[m]):
+                        assert math.isnan(got.values[m])
+                    else:
+                        assert abs(got.values[m] - want.values[m]) <= 1e-12, (got.p, m)
+        # Nearly every LP after the first of its column starts from a basis
+        # that phase 1 only has to confirm.
+        assert sum(it == 1 for it in phase1) >= 0.9 * len(phase1)
+
+    def test_each_run_starts_cold(self, monkeypatch):
+        config = _tiny("fig3", stop=0.2, step=0.02)
+        first, walk = phase1_iterations(monkeypatch, lambda: run_fig3(config))
+        second, again = phase1_iterations(monkeypatch, lambda: run_fig3(config))
+        assert walk == again and walk[0] > 1
+        assert rows_to_csv(first, MEASURE_COLUMNS["fig3"]) == rows_to_csv(second, MEASURE_COLUMNS["fig3"])
+
+    def test_fig3_minus_branch_is_solved_once_per_run(self, monkeypatch):
+        calls = []
+
+        def counting(ch, atoms, **kwargs):
+            calls.append(ch)
+            return lp.channel_robustness(ch, atoms, **kwargs)
+
+        monkeypatch.setattr(experiments, "channel_robustness", counting)
+        rows = run_fig3(_tiny("fig3", start=0.0, stop=0.4))
+        assert len(rows) == 5 and len(calls) == 2 * 5 + 1
+        values = {(r.values["rob_switch_minus"], r.status["rob_switch_minus"]) for r in rows}
+        assert len(values) == 1
+
+    @pytest.mark.parametrize(
+        "jobs, rows, runs", [(2, 5, [3, 2]), (3, 7, [3, 2, 2]), (8, 3, [1, 1, 1])]
+    )
+    def test_jobs_split_the_grid_into_contiguous_runs(self, monkeypatch, jobs, rows, runs):
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
+        RecordingPool.made.clear()
+        config = _tiny("fig3", start=0.0, stop=0.01 * (rows - 1), step=0.01, jobs=jobs)
+        got = run_fig3(config)
+        (pool,) = RecordingPool.made
+        assert pool.max_workers == len(runs)
+        assert [len(run) for run in pool.runs] == runs
+        assert [p for run in pool.runs for p in run] == config.grid() == [r.p for r in got]
+        serial = run_fig3(replace(config, jobs=1))
+        assert rows_to_csv(got, MEASURE_COLUMNS["fig3"]) == rows_to_csv(serial, MEASURE_COLUMNS["fig3"])
 
 
 class TestOutput:

@@ -89,3 +89,23 @@ def test_pauli_vectorization_roundtrip(rng):
     paulis = pauli_strings(1)
     m = random_density_matrix(2, rng)
     assert np.abs(pauli_unvectorize(pauli_vectorize(m, paulis), paulis) - m).max() < 1e-12
+
+
+def trace_loop_vectorize(op, paulis):
+    """Reference: one tr(P op) per Pauli string, the loop ``pauli_vectorize``
+    replaced with a single contraction."""
+    scale = 1.0 / np.sqrt(op.shape[0])
+    return np.array([(np.trace(pauli @ op) * scale).real for _, pauli in paulis])
+
+
+def test_pauli_vectorize_matches_trace_loop(rng):
+    # The contraction sums in another order, so agreement is to rounding.
+    for n_qubits in (1, 2):
+        paulis = pauli_strings(n_qubits)
+        d = 2**n_qubits
+        for _ in range(10):
+            g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+            op = g + g.conj().T
+            got = pauli_vectorize(op, paulis)
+            assert got.shape == (4**n_qubits,) and got.dtype == np.float64
+            assert np.abs(got - trace_loop_vectorize(op, paulis)).max() < 1e-14

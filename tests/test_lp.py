@@ -143,6 +143,7 @@ class TestStateRobustness:
             rho = random_density_matrix(2, rng)
             sol = rom_state(DensityOperator(rho), qubit_dict)
             assert sol.dual_gap < 1e-8
+            assert 0.0 <= sol.dual_violation < 1e-8
 
 
 def highs_channel_robustness(ch, choi_atoms):
@@ -260,6 +261,8 @@ class TestChannelRobustness:
         for p in (0.0, 0.2, 0.4):
             sol = channel_robustness(noisy_th_channel(p), choi_atoms)
             assert sol.dual_gap < 1e-8
+            assert 0.0 <= sol.dual_violation < 1e-8
+            assert sol.iterations > 2 and sol.basis.shape == (22,)
 
 
 def test_lp_text_export(qubit_dict):

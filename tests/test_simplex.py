@@ -12,7 +12,7 @@ from magicswitch._simplex import (
     solve_standard_form,
 )
 
-from conftest import fig2_fig3_channels
+from conftest import fig2_fig3_channels, pivot_walks
 
 
 def brute_force_optimum(A, b, c, tol=1e-9):
@@ -259,3 +259,128 @@ def test_kernel_matches_reference_at_iteration_limit(monkeypatch, choi_atoms):
         monkeypatch, lambda: channel_robustness(ch, choi_atoms)
     )[0]
     assert assert_same_walk(tableau, basis, n, tol, 3) == (STATUS_ITER_LIMIT, 3)
+
+
+
+def assert_same_result(got, want):
+    assert (got.status, got.iterations, got.objective) == (want.status, want.iterations, want.objective)
+    for field in ("x", "dual", "basis"):
+        assert np.array_equal(getattr(got, field), getattr(want, field)), field
+
+
+def test_warm_start_takes_one_phase1_iteration(monkeypatch, choi_atoms):
+    # The optimal basis at one grid point is feasible at the next, so phase 1
+    # only confirms it; phase 2 then runs from there.
+    for p, step in ((0.1, 0.01), (0.5, 0.01), (0.9, -0.01)):
+        start = channel_robustness(noisy_th_channel(p), choi_atoms)
+        ch = noisy_th_channel(p + step)
+        cold, cold_walks = pivot_walks(monkeypatch, lambda: channel_robustness(ch, choi_atoms))
+        warm, walks = pivot_walks(
+            monkeypatch, lambda: channel_robustness(ch, choi_atoms, basis=start.basis)
+        )
+        assert len(walks) == 2 and walks[0] == (STATUS_OPTIMAL, 1)
+        assert cold_walks[0][1] > 1
+        assert warm.status == "optimal" and abs(warm.value - cold.value) < 1e-12
+
+
+def test_start_basis_holding_a_positive_artificial_runs_phase1(monkeypatch):
+    # x0 + x1 = 1, x1 + x2 = 1.  The basis {x0, artificial of row 1} is
+    # nonsingular and feasible for [A | I] (the artificial sits at 1), so
+    # phase 1 starts there and must pivot the artificial out.
+    A = np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 1.0]])
+    b = np.array([1.0, 1.0])
+    c = np.array([1.0, 3.0, 1.0])
+    cold = solve_standard_form(A, b, c)
+    warm, walks = pivot_walks(monkeypatch, lambda: solve_standard_form(A, b, c, basis=np.array([0, 4])))
+    assert walks[0][1] > 1
+    assert warm.status == STATUS_OPTIMAL and warm.objective == cold.objective == 2.0
+    assert np.array_equal(warm.x, [1.0, 0.0, 1.0])
+
+
+def test_infeasible_start_basis_falls_back_to_cold_start():
+    # x0 - x1 = b: the basis {x0} is feasible for b = 1 and not for b = -1.
+    A = np.array([[1.0, -1.0]])
+    c = np.array([1.0, 2.0])
+    assert solve_standard_form(A, np.array([1.0]), c).basis.tolist() == [0]
+    cold = solve_standard_form(A, np.array([-1.0]), c)
+    warm = solve_standard_form(A, np.array([-1.0]), c, basis=np.array([0]))
+    assert_same_result(warm, cold)
+    assert warm.basis.tolist() == [1] and warm.objective == 2.0
+
+
+def test_unusable_start_basis_falls_back_to_cold_start():
+    # Columns 0 and 1 are parallel up to 1e-13: the basis {0, 1, 2, 3} is
+    # feasible but so ill-conditioned that starting from it gives a wrong
+    # optimum.  A repeated column is exactly singular.
+    c0 = np.array([1.0, 2.0, 3.0, 4.0])
+    c1 = c0 + 1e-13 * np.array([1.0, -1.0, 2.0, 0.5])
+    A = np.column_stack([c0, c1, [0, 1, 0, 2], [3, 0, 1, 1], [1, 1, 1, 1], [2, 0, 0, 1]])
+    b = A[:, :4] @ np.ones(4)
+    c = np.ones(6)
+    cold = solve_standard_form(A, b, c)
+    assert cold.status == STATUS_OPTIMAL
+    for basis in ([0, 1, 2, 3], [0, 0, 2, 3], [0, 2, 3], [0, 2, 3, 10], [-1, 2, 3, 4]):
+        assert_same_result(solve_standard_form(A, b, c, basis=np.array(basis)), cold)
+    # The optimal basis itself is a valid start and gives the same optimum.
+    warm = solve_standard_form(A, b, c, basis=cold.basis)
+    assert warm.status == STATUS_OPTIMAL and abs(warm.objective - cold.objective) < 1e-12
+
+
+def reference_phase2_start(tableau, basis, c, tol):
+    """The row-by-row set-up between the phases that ``solve_standard_form``
+    replaced with array operations: drive leftover artificials out of the
+    basis, then rebuild the objective row for the real costs.  Returns the
+    number of artificials driven out."""
+    m = tableau.shape[0] - 1
+    n = c.size
+    driven = 0
+    for i in range(m):
+        if basis[i] >= n:
+            nz = np.nonzero(np.abs(tableau[i, :n]) > tol)[0]
+            if nz.size:
+                q = int(nz[0])
+                tableau[i, :] /= tableau[i, q]
+                for k in range(m + 1):
+                    if k != i and tableau[k, q] != 0.0:
+                        tableau[k, :] -= tableau[k, q] * tableau[i, :]
+                basis[i] = q
+                driven += 1
+    tableau[m, :] = 0.0
+    tableau[m, :n] = c
+    for i in range(m):
+        if basis[i] < n and c[basis[i]] != 0.0:
+            tableau[m, :] -= c[basis[i]] * tableau[i, :]
+    return driven
+
+
+def test_phase2_set_up_matches_row_loop(monkeypatch, rng):
+    # Sparse integer solutions make degenerate LPs, which leave artificials
+    # basic at zero after phase 1 for the drive-out to remove.
+    driven = 0
+    for _ in range(60):
+        m = int(rng.integers(2, 6))
+        n = int(rng.integers(m + 1, 10))
+        A = rng.integers(-3, 4, size=(m, n)).astype(float)
+        b = A @ (rng.integers(0, 3, size=n) * (rng.random(n) < 0.3))
+        c = rng.integers(0, 4, size=n).astype(float)
+        loops = []
+
+        def recorder(tableau, basis, n_enterable, tol, max_iter):
+            before = (tableau.copy(), basis.copy())
+            out = bland_pivot_loop(tableau, basis, n_enterable, tol, max_iter)
+            loops.append((before, (tableau.copy(), basis.copy())))
+            return out
+
+        with monkeypatch.context() as patch:
+            patch.setattr(_simplex, "bland_pivot_loop", recorder)
+            result = solve_standard_form(A, b, c)
+        if result.status != STATUS_OPTIMAL:
+            continue
+        (_, (want, want_basis)), ((got, got_basis), _) = loops
+        driven += reference_phase2_start(want, want_basis, c, _simplex._PIVOT_TOL)
+        assert np.array_equal(got_basis, want_basis)
+        # The drive-out does the same arithmetic as the loop; the objective
+        # row is one matrix product now, so it agrees to rounding.
+        assert got[:m].tobytes() == want[:m].tobytes()
+        assert np.allclose(got[m], want[m], rtol=1e-12, atol=1e-12)
+    assert driven > 0
