@@ -33,13 +33,6 @@ STATUS_UNBOUNDED = 1
 STATUS_ITER_LIMIT = 2
 STATUS_INFEASIBLE = 3
 
-STATUS_NAMES = {
-    STATUS_OPTIMAL: "optimal",
-    STATUS_UNBOUNDED: "unbounded",
-    STATUS_ITER_LIMIT: "iteration_limit",
-    STATUS_INFEASIBLE: "infeasible",
-}
-
 _PIVOT_TOL = 1e-9
 
 
@@ -99,10 +92,6 @@ class SimplexResult:
     dual: np.ndarray
     iterations: int
     basis: np.ndarray
-
-    @property
-    def status_name(self) -> str:
-        return STATUS_NAMES[self.status]
 
 
 def _cost_row(tableau, basis, cost):

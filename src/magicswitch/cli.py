@@ -13,6 +13,8 @@ import json
 import logging
 import os
 import sys
+from dataclasses import replace
+from functools import partial
 
 import numpy as np
 
@@ -20,16 +22,15 @@ from . import __version__
 from .channels import (
     DensityOperator,
     KrausChannel,
-    compose_channels,
     depolarizing_channel,
-    noisy_th_channel,
     qutrit_k2_variant_report,
-    qutrit_noisy_th_channel,
     unitary_channel,
 )
 from .experiments import (
+    CHANNELS,
     MEASURES,
     BracketError,
+    SweepConfig,
     default_config,
     find_threshold,
     parse_config_file,
@@ -40,7 +41,6 @@ from .experiments import (
 from .gates import HADAMARD, T_GATE, basis_state, plus_state, qutrit_t_gate
 from .lp import channel_robustness, rom_state
 from .phasespace import build_frame, mana_channel, mana_state
-from .qswitch import effective_t_channels
 from .stabilizers import cspo_choi_atoms, enumerate_stabilizer_states
 
 logger = logging.getLogger(__name__)
@@ -64,17 +64,19 @@ def _resolve_jobs(flag_value: int) -> int:
     return flag_value
 
 
-def _parse_grid(text: str) -> tuple[float, float, float]:
+def _parse_floats(text: str, form: str) -> tuple:
+    """Colon-separated numbers shaped like ``form``, e.g. ``lo:hi``."""
     parts = text.split(":")
-    if len(parts) != 3:
-        raise argparse.ArgumentTypeError("grid must look like start:stop:step")
+    if len(parts) != form.count(":") + 1:
+        raise argparse.ArgumentTypeError(f"expected {form}, got {text!r}")
     try:
         return tuple(float(x) for x in parts)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc))
 
 
-def _parse_tols(text: str) -> dict:
+def _parse_tols(text: str, keys=("lp", "threshold")) -> dict:
+    """``lp=1e-7,threshold=1e-4`` -> ``{"lp_tol": 1e-7, "threshold_tol": 1e-4}``."""
     out = {}
     for piece in text.split(","):
         piece = piece.strip()
@@ -82,133 +84,112 @@ def _parse_tols(text: str) -> dict:
             continue
         key, _, val = piece.partition("=")
         key = key.strip()
-        if key not in ("lp", "threshold"):
-            raise argparse.ArgumentTypeError(f"unknown tolerance {key!r} (use lp=, threshold=)")
-        out[key] = float(val)
+        if key not in keys:
+            raise argparse.ArgumentTypeError(f"unknown tolerance {key!r} (use {'=, '.join(keys)}=)")
+        try:
+            out[f"{key}_tol"] = float(val)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"tolerance {piece!r} is not a number") from None
     return out
 
 
 def _add_sweep_options(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--out", default=None, help="output path ('-' for stdout)")
     sub.add_argument("--format", choices=("csv", "json"), default=None)
-    sub.add_argument("--grid", type=_parse_grid, default=None, metavar="START:STOP:STEP")
-    sub.add_argument("--tol", type=_parse_tols, default=None, metavar="lp=..,threshold=..")
+    grid = partial(_parse_floats, form="start:stop:step")
+    sub.add_argument("--grid", type=grid, default=None, metavar="START:STOP:STEP")
+    sub.add_argument("--tol", type=partial(_parse_tols, keys=("lp",)), default={}, metavar="lp=..")
     sub.add_argument("--jobs", type=int, default=1)
     sub.add_argument("--config", default=None, help="key=value config file; flags override it")
 
 
-def _sweep_config(args) -> "SweepConfig":
-    from .experiments import SweepConfig  # local to keep module import light
-
-    if args.config:
-        base = parse_config_file(args.config)
-        values = dict(
-            experiment=base.experiment,
-            start=base.start,
-            stop=base.stop,
-            step=base.step,
-            lp_tol=base.lp_tol,
-            threshold_tol=base.threshold_tol,
-            output_path=base.output_path,
-            format=base.format,
-            jobs=base.jobs,
-        )
-    else:
-        base = default_config(args.experiment)
-        values = dict(
-            experiment=base.experiment,
-            start=base.start,
-            stop=base.stop,
-            step=base.step,
-            lp_tol=base.lp_tol,
-            threshold_tol=base.threshold_tol,
-            output_path=base.output_path,
-            format=base.format,
-            jobs=base.jobs,
-        )
-    values["experiment"] = args.experiment
+def _sweep_config(args) -> SweepConfig:
+    base = parse_config_file(args.config) if args.config else default_config(args.experiment)
+    overrides = dict(args.tol, experiment=args.experiment, jobs=_resolve_jobs(args.jobs))
     if args.grid:
-        values["start"], values["stop"], values["step"] = args.grid
-    if args.tol:
-        if "lp" in args.tol:
-            values["lp_tol"] = args.tol["lp"]
-        if "threshold" in args.tol:
-            values["threshold_tol"] = args.tol["threshold"]
+        overrides["start"], overrides["stop"], overrides["step"] = args.grid
     if args.out is not None:
-        values["output_path"] = args.out
+        overrides["output_path"] = args.out
     if args.format is not None:
-        values["format"] = args.format
-    values["jobs"] = _resolve_jobs(args.jobs)
-    return SweepConfig(**values)
+        overrides["format"] = args.format
+    return replace(base, **overrides)
 
 
 # ---------------------------------------------------------------------------
 # Named states and channels for the generic subcommands
 # ---------------------------------------------------------------------------
 
-def _parse_kwargs(spec: str) -> tuple[str, dict]:
+def _parse_spec(spec: str, known: dict, kind: str) -> tuple[str, dict]:
+    """Split ``name:key=value,...`` into a ``kind`` name of ``known`` and its
+    parameters, checked against ``known[name]`` (key -> default; None marks
+    a required one)."""
     name, _, tail = spec.partition(":")
+    name = name.strip().lower()
+    if name not in known:
+        raise ValueError(f"unknown {kind} {name!r}; choices: {', '.join(known)}")
+    params = known[name]
     kwargs = {}
-    if tail:
-        for piece in tail.split(","):
-            key, _, val = piece.partition("=")
-            kwargs[key.strip()] = float(val)
-    return name.strip().lower(), kwargs
+    for piece in filter(None, tail.split(",")):
+        key, _, val = piece.partition("=")
+        key = key.strip()
+        if key not in params:
+            raise ValueError(f"{name!r} takes no parameter {key!r} (takes: {', '.join(params) or 'none'})")
+        try:
+            kwargs[key] = float(val)
+        except ValueError:
+            raise ValueError(f"parameter {key}={val.strip()!r} of {name!r} is not a number") from None
+    for key, default in params.items():
+        if key not in kwargs and default is None:
+            raise ValueError(f"{name!r} needs {key}=, as in {name}:{key}=0.3")
+    return name, {**params, **kwargs}
+
+
+_STATES = {
+    "zero": lambda: DensityOperator.pure(basis_state(2, 0)),
+    "one": lambda: DensityOperator.pure(basis_state(2, 1)),
+    "plus": lambda: DensityOperator.pure(plus_state(2)),
+    "t-plus": lambda: DensityOperator.pure(T_GATE @ plus_state(2)),
+    "mixed": lambda: DensityOperator.maximally_mixed(2),
+    "qutrit-plus": lambda: DensityOperator.pure(plus_state(3)),
+    "qutrit-t-plus": lambda: DensityOperator.pure(qutrit_t_gate() @ plus_state(3)),
+    "qutrit-mixed": lambda: DensityOperator.maximally_mixed(3),
+}
+
+# Channel name -> its parameters (key -> default; None marks a required one).
+_CHANNEL_PARAMS = {
+    **dict.fromkeys(CHANNELS, {"p": None}),
+    "switch-minus-t": {"p": 0.0},
+    "depolarizing": {"p": None, "d": 2},
+    **dict.fromkeys(("t", "h", "qutrit-t"), {}),
+}
 
 
 def _named_state(spec: str) -> DensityOperator:
-    name, kwargs = _parse_kwargs(spec)
-    presets = {
-        "zero": lambda: DensityOperator.pure(basis_state(2, 0)),
-        "one": lambda: DensityOperator.pure(basis_state(2, 1)),
-        "plus": lambda: DensityOperator.pure(plus_state(2)),
-        "t-plus": lambda: DensityOperator.pure(T_GATE @ plus_state(2)),
-        "mixed": lambda: DensityOperator.maximally_mixed(2),
-        "qutrit-plus": lambda: DensityOperator.pure(plus_state(3)),
-        "qutrit-t-plus": lambda: DensityOperator.pure(qutrit_t_gate() @ plus_state(3)),
-        "qutrit-mixed": lambda: DensityOperator.maximally_mixed(3),
-    }
-    if name not in presets:
-        raise SystemExit(f"unknown state {name!r}; choices: {sorted(presets)}")
-    if kwargs:
-        raise SystemExit(f"state {name!r} takes no parameters")
-    return presets[name]()
+    name, _ = _parse_spec(spec, dict.fromkeys(_STATES, {}), "state")
+    return _STATES[name]()
 
 
 def _state_from_file(path: str) -> DensityOperator:
     with open(path) as fh:
         payload = json.load(fh)
-    entries = np.array([[complex(re, im) for re, im in row] for row in payload["matrix"]])
+    if not isinstance(payload, dict) or "matrix" not in payload:
+        raise ValueError(f"{path}: expected a JSON object with a 'matrix' key")
+    try:
+        entries = np.array([[complex(re, im) for re, im in row] for row in payload["matrix"]])
+    except (TypeError, ValueError):
+        raise ValueError(f"{path}: 'matrix' must be a list of rows of [re, im] pairs") from None
+    if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
+        raise ValueError(f"{path}: 'matrix' must be square, got shape {entries.shape}")
     return DensityOperator(entries, normalized=bool(payload.get("normalized", True)))
 
 
 def _named_channel(spec: str) -> KrausChannel:
-    name, kwargs = _parse_kwargs(spec)
-    if name == "noisy-th":
-        return noisy_th_channel(kwargs.pop("p"))
-    if name == "qutrit-noisy-th":
-        return qutrit_noisy_th_channel(kwargs.pop("p"))
-    if name == "t":
-        return unitary_channel(T_GATE)
-    if name == "h":
-        return unitary_channel(HADAMARD)
-    if name == "qutrit-t":
-        return unitary_channel(qutrit_t_gate())
+    name, params = _parse_spec(spec, _CHANNEL_PARAMS, "channel")
+    if name in CHANNELS:
+        return CHANNELS[name](params["p"])
     if name == "depolarizing":
-        d = int(kwargs.pop("d", 2))
-        return depolarizing_channel(d, kwargs.pop("p"))
-    if name == "depol-squared-t":
-        p = kwargs.pop("p")
-        noise = depolarizing_channel(2, p)
-        return compose_channels(noise, compose_channels(noise, unitary_channel(T_GATE)))
-    if name == "switch-plus-t":
-        return effective_t_channels(kwargs.pop("p"))[0].channel
-    if name == "switch-minus-t":
-        return effective_t_channels(kwargs.pop("p", 0.0))[1].channel
-    raise SystemExit(
-        f"unknown channel {name!r}; choices: noisy-th, qutrit-noisy-th, t, h, qutrit-t, "
-        "depolarizing, depol-squared-t, switch-plus-t, switch-minus-t"
-    )
+        return depolarizing_channel(int(params["d"]), params["p"])
+    return unitary_channel({"t": T_GATE, "h": HADAMARD, "qutrit-t": qutrit_t_gate()}[name])
 
 
 # ---------------------------------------------------------------------------
@@ -225,11 +206,7 @@ def _emit(payload: dict, out: str | None) -> None:
 
 
 def _cmd_sweep(args) -> int:
-    try:
-        config = _sweep_config(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    config = _sweep_config(args)
     rows = run_experiment(config)
     write_rows(rows, config)
     return 0
@@ -239,30 +216,14 @@ def _cmd_appendix_c(args) -> int:
     try:
         d_values = tuple(int(x) for x in args.dims.split(","))
     except ValueError:
-        print(f"error: --dims {args.dims!r} is not a comma-separated list of integers", file=sys.stderr)
-        return 2
-    try:
-        report = run_appendix_c(d_values=d_values, n_points=args.points)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        raise ValueError(f"--dims {args.dims!r} is not a comma-separated list of integers") from None
+    report = run_appendix_c(d_values=d_values, n_points=args.points)
     _emit(report, args.out)
     return 0 if report["strictly_negative"] else 1
 
 
 def _cmd_threshold(args) -> int:
-    tols = args.tol or {}
-    try:
-        result = find_threshold(
-            args.measure,
-            lo=args.bracket[0],
-            hi=args.bracket[1],
-            lp_tol=tols.get("lp", 1e-6),
-            threshold_tol=tols.get("threshold", 1e-3),
-        )
-    except BracketError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    result = find_threshold(args.measure, *args.bracket, **args.tol)
     _emit(
         {
             "measure": result.measure,
@@ -278,7 +239,7 @@ def _cmd_threshold(args) -> int:
 def _cmd_rom(args) -> int:
     rho = _state_from_file(args.state_file) if args.state_file else _named_state(args.state)
     if rho.dim not in (2, 4):
-        raise SystemExit("rom supports 1- and 2-qubit states")
+        raise ValueError(f"rom supports 1- and 2-qubit states, got dimension {rho.dim}")
     n = 1 if rho.dim == 2 else 2
     solution = rom_state(rho, enumerate_stabilizer_states(n))
     _emit(
@@ -338,8 +299,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("threshold", help="bisect a measure onto its faithfulness floor")
     sub.add_argument("--measure", required=True, choices=sorted(MEASURES))
-    sub.add_argument("--bracket", type=_parse_grid_pair, required=True, metavar="LO:HI")
-    sub.add_argument("--tol", type=_parse_tols, default=None, metavar="lp=..,threshold=..")
+    sub.add_argument("--bracket", type=partial(_parse_floats, form="lo:hi"), required=True, metavar="LO:HI")
+    sub.add_argument("--tol", type=_parse_tols, default={}, metavar="lp=..,threshold=..")
     sub.add_argument("--out", default=None)
     sub.set_defaults(handler=_cmd_threshold)
 
@@ -370,13 +331,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_grid_pair(text: str) -> tuple[float, float]:
-    parts = text.split(":")
-    if len(parts) != 2:
-        raise argparse.ArgumentTypeError("bracket must look like lo:hi")
-    return float(parts[0]), float(parts[1])
-
-
 def _cmd_k2_check(args) -> int:
     _emit(qutrit_k2_variant_report(args.p), args.out)
     return 0
@@ -390,7 +344,11 @@ def main(argv=None) -> int:
         level=logging.WARNING if args.quiet else logging.INFO,
         format="%(levelname)s %(name)s: %(message)s",
     )
-    return args.handler(args)
+    try:
+        return args.handler(args)
+    except (BracketError, ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1 if isinstance(exc, BracketError) else 2
 
 
 if __name__ == "__main__":

@@ -11,13 +11,23 @@ reproduces:
 * ``appendix_c`` - grid verification that the plus branch of switched
   depolarizing noise is strictly weaker than two sequential passes.
 
+Each measure is written once, in ``MEASURE_TABLE``: an experiment names its
+channel and its ordered columns, and a column holds one measure
+``(point, column name) -> (value, status)`` and, when it is bisected, its
+threshold name and floor.  A ``_Point`` builds the intermediates of one noise
+value (channel, switch outputs, T-gate branches) on first use, so a sweep
+row builds each once and a threshold evaluation only what its measure reads.
+The CSV columns (``MEASURE_COLUMNS``) and the threshold registry
+(``MEASURES``) are derived from the table.
+
 A sweep walks its grid in order and starts each robustness LP from the
 optimal basis the same LP column reached at the previous grid point, so a
 row depends on the rows before it in its run.  ``jobs`` splits the grid into
 at most that many contiguous runs, each on its own worker and each starting
 cold; identical configs therefore produce byte-identical CSV.  A warm-started
 value can differ from a lone cold solve at the same point in the last bits,
-never in the printed digits of the default grids.
+never in the printed digits of the default grids.  A threshold evaluation
+always starts cold.
 """
 
 from __future__ import annotations
@@ -28,7 +38,8 @@ import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache, partial
+from typing import Callable, NamedTuple, get_type_hints
 
 import numpy as np
 
@@ -68,12 +79,6 @@ _EXPERIMENT_ALIASES = {
 
 _DEGENERATE_PROB = 1e-9
 
-MEASURE_COLUMNS = {
-    "fig2": ("channel_robustness", "rom_plus", "rom_minus", "prob_plus", "prob_minus"),
-    "fig3": ("rob_sequential", "rob_switch_plus", "rob_switch_minus", "weight_plus", "weight_minus"),
-    "figs1": ("mana_channel", "mana_plus", "mana_minus", "prob_plus", "prob_minus"),
-}
-
 
 class BracketError(RuntimeError):
     """The requested threshold bracket does not straddle a crossing."""
@@ -95,8 +100,7 @@ class SweepConfig:
     start: float
     stop: float
     step: float
-    lp_tol: float = 1e-6
-    threshold_tol: float = 1e-3
+    lp_tol: float = DEFAULT_TOL.lp_value
     output_path: str = "-"
     format: str = "csv"
     jobs: int = 1
@@ -107,8 +111,6 @@ class SweepConfig:
             raise ValueError(f"grid must satisfy 0 <= start < stop <= 1, got [{self.start}, {self.stop}]")
         if self.step <= 0:
             raise ValueError(f"step must be positive, got {self.step}")
-        if self.threshold_tol < 1e-4:
-            raise ValueError(f"threshold_tol must be at least 1e-4, got {self.threshold_tol}")
         if self.format not in ("csv", "json"):
             raise ValueError(f"format must be csv or json, got {self.format!r}")
         if self.jobs < 1:
@@ -142,9 +144,23 @@ class SweepRow:
     status: dict = field(default_factory=dict)
 
 
-# ---------------------------------------------------------------------------
-# Shared lazy singletons (cached per process)
-# ---------------------------------------------------------------------------
+def sequential_t_channel(p: float) -> KrausChannel:
+    """Fig. 3's sequential channel: a T gate behind two passes of qubit
+    depolarizing noise of strength ``p``."""
+    noise = depolarizing_channel(2, p)
+    return compose_channels(noise, compose_channels(noise, unitary_channel(T_GATE)))
+
+
+# Noise-parameterized channels by CLI name.  Each builder is looked up at call
+# time, so a rebound module global reaches sweeps, thresholds and the CLI alike.
+CHANNELS = {
+    "noisy-th": lambda p: noisy_th_channel(p),
+    "qutrit-noisy-th": lambda p: qutrit_noisy_th_channel(p),
+    "depol-squared-t": lambda p: sequential_t_channel(p),
+    "switch-plus-t": lambda p: effective_t_channels(p)[0].channel,
+    "switch-minus-t": lambda p: effective_t_channels(p)[1].channel,
+}
+
 
 @lru_cache(maxsize=None)
 def _qubit_dictionary():
@@ -180,24 +196,6 @@ def _certified_value(solution: L1Solution, lp_tol: float) -> tuple[float, str]:
     return solution.value, "ok"
 
 
-def _robustness_value(
-    ch: KrausChannel, lp_tol: float, state: _RunState, column: str
-) -> tuple[float, str]:
-    solution = channel_robustness(ch, _choi_atoms(), basis=state.bases.get(column))
-    state.bases[column] = solution.basis
-    return _certified_value(solution, lp_tol)
-
-
-def _rom_value(
-    rho: DensityOperator, prob: float, lp_tol: float, state: _RunState, column: str
-) -> tuple[float, str]:
-    if prob <= _DEGENERATE_PROB:
-        return float("nan"), "degenerate"
-    solution = rom_state(rho, _qubit_dictionary(), basis=state.bases.get(column))
-    state.bases[column] = solution.basis
-    return _certified_value(solution, lp_tol)
-
-
 def _prob_status(prob_plus: float, prob_minus: float) -> str:
     ok = (
         -1e-9 <= prob_plus <= 1 + 1e-9
@@ -207,80 +205,158 @@ def _prob_status(prob_plus: float, prob_minus: float) -> str:
     return "ok" if ok else "check_failed"
 
 
+def _mana_status(value: float) -> tuple[float, str]:
+    return value, "ok" if value >= -1e-9 else "check_failed"
+
+
+@dataclass
+class _Point:
+    """One noise value ``p`` of one experiment.  Each intermediate is built on
+    first use and kept for the other columns of the same row."""
+
+    experiment: str
+    p: float
+    lp_tol: float
+    state: _RunState
+
+    @cached_property
+    def channel(self) -> KrausChannel:
+        return CHANNELS[MEASURE_TABLE[self.experiment][0]](self.p)
+
+    @cached_property
+    def switch_outputs(self) -> tuple:
+        """(rho_plus, rho_minus, prob_plus, prob_minus) of the channel switched
+        with itself, control and target both in |+>."""
+        ch = self.channel
+        return conditional_outputs(build_switch(ch, ch), DensityOperator.pure(plus_state(ch.d_in)))
+
+    @cached_property
+    def t_branches(self) -> tuple:
+        return effective_t_channels(self.p)
+
+    def solve(self, column: str, program, *args) -> tuple[float, str]:
+        """Solve one robustness LP of ``column``, starting from the optimal
+        basis the column reached earlier in this run."""
+        solution = program(*args, basis=self.state.bases.get(column))
+        self.state.bases[column] = solution.basis
+        return _certified_value(solution, self.lp_tol)
+
+
+# Measures: (point, column name) -> (value, status); k is 0 for the plus
+# branch and 1 for the minus branch.
+
+def _channel_robustness(pt: _Point, column: str) -> tuple[float, str]:
+    return pt.solve(column, channel_robustness, pt.channel, _choi_atoms())
+
+
+def _channel_mana(pt: _Point, column: str) -> tuple[float, str]:
+    return _mana_status(mana_channel(pt.channel, build_frame(3)))
+
+
+def _branch_probability(pt: _Point, column: str, k: int) -> tuple[float, str]:
+    probs = pt.switch_outputs[2:]
+    return probs[k], _prob_status(*probs)
+
+
+def _branch_robustness(pt: _Point, column: str, k: int) -> tuple[float, str]:
+    if pt.switch_outputs[2 + k] <= _DEGENERATE_PROB:
+        return float("nan"), "degenerate"
+    return pt.solve(column, rom_state, pt.switch_outputs[k], _qubit_dictionary())
+
+
+def _branch_mana(pt: _Point, column: str, k: int) -> tuple[float, str]:
+    if pt.switch_outputs[2 + k] <= _DEGENERATE_PROB:
+        return float("nan"), "degenerate"
+    return _mana_status(mana_state(pt.switch_outputs[k], build_frame(3)))
+
+
+def _t_branch_robustness(pt: _Point, column: str, k: int) -> tuple[float, str]:
+    return pt.solve(column, channel_robustness, pt.t_branches[k].channel, _choi_atoms())
+
+
+def _t_minus_robustness(pt: _Point, column: str) -> tuple[float, str]:
+    # The minus-branch channel does not depend on p: solve it once per run.
+    if pt.state.switch_minus is None:
+        pt.state.switch_minus = _t_branch_robustness(pt, column, 1)
+    return pt.state.switch_minus
+
+
+def _t_branch_weight(pt: _Point, column: str, k: int) -> tuple[float, str]:
+    weights = [branch.weight for branch in pt.t_branches]
+    return weights[k], _prob_status(*weights)
+
+
+class Column(NamedTuple):
+    """One sweep output column: its measure and, when the measure has a
+    crossing worth bisecting, its ``MEASURES`` name and faithfulness floor."""
+
+    name: str
+    measure: Callable
+    threshold: str | None = None
+    floor: float = 0.0
+
+
+# Sweep experiment -> (its channel in ``CHANNELS``, its columns in CSV order).
+MEASURE_TABLE = {
+    "fig2": ("noisy-th", (
+        Column("channel_robustness", _channel_robustness, "fig2_channel_robustness", 1.0),
+        Column("rom_plus", partial(_branch_robustness, k=0), "fig2_rom_plus", 1.0),
+        Column("rom_minus", partial(_branch_robustness, k=1)),
+        Column("prob_plus", partial(_branch_probability, k=0)),
+        Column("prob_minus", partial(_branch_probability, k=1)),
+    )),
+    "fig3": ("depol-squared-t", (
+        Column("rob_sequential", _channel_robustness, "fig3_sequential", 1.0),
+        Column("rob_switch_plus", partial(_t_branch_robustness, k=0), "fig3_switch_plus", 1.0),
+        Column("rob_switch_minus", _t_minus_robustness, "fig3_switch_minus", 1.0),
+        Column("weight_plus", partial(_t_branch_weight, k=0)),
+        Column("weight_minus", partial(_t_branch_weight, k=1)),
+    )),
+    "figs1": ("qutrit-noisy-th", (
+        Column("mana_channel", _channel_mana, "figs1_mana_channel", 0.0),
+        Column("mana_plus", partial(_branch_mana, k=0), "figs1_mana_plus", 0.0),
+        Column("mana_minus", partial(_branch_mana, k=1), "figs1_mana_minus", 0.0),
+        Column("prob_plus", partial(_branch_probability, k=0)),
+        Column("prob_minus", partial(_branch_probability, k=1)),
+    )),
+}
+
+MEASURE_COLUMNS = {
+    experiment: tuple(column.name for column in columns)
+    for experiment, (_, columns) in MEASURE_TABLE.items()
+}
+
+
+def _threshold_value(experiment: str, column: Column, p: float) -> float:
+    """``column``'s value at ``p`` from a cold start; a degenerate branch
+    has no value and raises ``ValueError``."""
+    point = _Point(experiment, p, DEFAULT_TOL.lp_value, _RunState())
+    value, status = column.measure(point, column.name)
+    if status == "degenerate":
+        raise ValueError(f"measure {column.threshold} has a degenerate branch at p={p}")
+    return value
+
+
+# Threshold name -> (callable p -> value, faithfulness floor).
+MEASURES = {
+    column.threshold: (partial(_threshold_value, experiment, column), column.floor)
+    for experiment, (_, columns) in MEASURE_TABLE.items()
+    for column in columns
+    if column.threshold
+}
+
+
 # ---------------------------------------------------------------------------
-# Row workers (module level so process pools can pickle them)
+# Sweeps (module-level workers so process pools can pickle them)
 # ---------------------------------------------------------------------------
-
-def _fig2_row(p: float, lp_tol: float, state: _RunState) -> SweepRow:
-    row = SweepRow(p=p)
-    ch = noisy_th_channel(p)
-    row.values["channel_robustness"], row.status["channel_robustness"] = _robustness_value(
-        ch, lp_tol, state, "channel_robustness"
-    )
-    switched = build_switch(ch, ch)
-    rho_plus, rho_minus, prob_plus, prob_minus = conditional_outputs(
-        switched, DensityOperator.pure(plus_state(2))
-    )
-    for name, rho, prob in (("rom_plus", rho_plus, prob_plus), ("rom_minus", rho_minus, prob_minus)):
-        row.values[name], row.status[name] = _rom_value(rho, prob, lp_tol, state, name)
-    row.values["prob_plus"] = prob_plus
-    row.values["prob_minus"] = prob_minus
-    row.status["prob_plus"] = row.status["prob_minus"] = _prob_status(prob_plus, prob_minus)
-    return row
-
-
-def _fig3_row(p: float, lp_tol: float, state: _RunState) -> SweepRow:
-    row = SweepRow(p=p)
-    noise = depolarizing_channel(2, p)
-    sequential = compose_channels(noise, compose_channels(noise, unitary_channel(T_GATE)))
-    row.values["rob_sequential"], row.status["rob_sequential"] = _robustness_value(
-        sequential, lp_tol, state, "rob_sequential"
-    )
-    branch_plus, branch_minus = effective_t_channels(p)
-    row.values["rob_switch_plus"], row.status["rob_switch_plus"] = _robustness_value(
-        branch_plus.channel, lp_tol, state, "rob_switch_plus"
-    )
-    if state.switch_minus is None:
-        state.switch_minus = _robustness_value(branch_minus.channel, lp_tol, state, "rob_switch_minus")
-    row.values["rob_switch_minus"], row.status["rob_switch_minus"] = state.switch_minus
-    row.values["weight_plus"] = branch_plus.weight
-    row.values["weight_minus"] = branch_minus.weight
-    row.status["weight_plus"] = row.status["weight_minus"] = _prob_status(
-        branch_plus.weight, branch_minus.weight
-    )
-    return row
-
-
-def _figs1_row(p: float, lp_tol: float, state: _RunState) -> SweepRow:
-    row = SweepRow(p=p)
-    frame = build_frame(3)
-    ch = qutrit_noisy_th_channel(p)
-    mana_ch = mana_channel(ch, frame)
-    row.values["mana_channel"] = mana_ch
-    row.status["mana_channel"] = "ok" if mana_ch >= -1e-9 else "check_failed"
-    switched = build_switch(ch, ch)
-    rho_plus, rho_minus, prob_plus, prob_minus = conditional_outputs(
-        switched, DensityOperator.pure(plus_state(3))
-    )
-    for name, rho, prob in (("mana_plus", rho_plus, prob_plus), ("mana_minus", rho_minus, prob_minus)):
-        if prob <= _DEGENERATE_PROB:
-            row.values[name], row.status[name] = float("nan"), "degenerate"
-        else:
-            value = mana_state(rho, frame)
-            row.values[name] = value
-            row.status[name] = "ok" if value >= -1e-9 else "check_failed"
-    row.values["prob_plus"] = prob_plus
-    row.values["prob_minus"] = prob_minus
-    row.status["prob_plus"] = row.status["prob_minus"] = _prob_status(prob_plus, prob_minus)
-    return row
-
-
-_ROW_WORKERS = {"fig2": _fig2_row, "fig3": _fig3_row, "figs1": _figs1_row}
-
 
 def _dispatch_row(args) -> SweepRow:
     experiment, p, lp_tol, state = args
-    return _ROW_WORKERS[experiment](p, lp_tol, state)
+    point = _Point(experiment, p, lp_tol, state)
+    row = SweepRow(p=p)
+    for column in MEASURE_TABLE[experiment][1]:
+        row.values[column.name], row.status[column.name] = column.measure(point, column.name)
+    return row
 
 
 def _run_rows(experiment: str, grid: list[float], lp_tol: float) -> list[SweepRow]:
@@ -289,7 +365,13 @@ def _run_rows(experiment: str, grid: list[float], lp_tol: float) -> list[SweepRo
     return [_dispatch_row((experiment, p, lp_tol, state)) for p in grid]
 
 
-def _run_sweep(config: SweepConfig) -> list[SweepRow]:
+def run_experiment(config: SweepConfig) -> list[SweepRow]:
+    """The rows of ``config``'s sweep, split into at most ``config.jobs``
+    contiguous runs."""
+    if config.experiment not in MEASURE_TABLE:
+        raise ValueError(f"{config.experiment} produces a report, not sweep rows; call run_appendix_c")
+    if config.experiment == "figs1":
+        logger.info("figs1 uses the %r qutrit Kraus set", qutrit_k2_variant_report()["selected"])
     grid = config.grid()
     n_runs = min(config.jobs, len(grid))
     if n_runs == 1:
@@ -302,34 +384,23 @@ def _run_sweep(config: SweepConfig) -> list[SweepRow]:
         return [row for chunk in chunks for row in chunk]
 
 
+def _run_named(experiment: str, config: SweepConfig | None) -> list[SweepRow]:
+    config = config or default_config(experiment)
+    if config.experiment != experiment:
+        raise ValueError(f"config targets {config.experiment!r}, not {experiment}")
+    return run_experiment(config)
+
+
 def run_fig2(config: SweepConfig | None = None) -> list[SweepRow]:
-    config = config or default_config("fig2")
-    if config.experiment != "fig2":
-        raise ValueError(f"config targets {config.experiment!r}, not fig2")
-    return _run_sweep(config)
+    return _run_named("fig2", config)
 
 
 def run_fig3(config: SweepConfig | None = None) -> list[SweepRow]:
-    config = config or default_config("fig3")
-    if config.experiment != "fig3":
-        raise ValueError(f"config targets {config.experiment!r}, not fig3")
-    return _run_sweep(config)
+    return _run_named("fig3", config)
 
 
 def run_figs1(config: SweepConfig | None = None) -> list[SweepRow]:
-    config = config or default_config("figs1")
-    if config.experiment != "figs1":
-        raise ValueError(f"config targets {config.experiment!r}, not figs1")
-    report = qutrit_k2_variant_report()
-    logger.info("figs1 uses the %r qutrit Kraus set", report["selected"])
-    return _run_sweep(config)
-
-
-def run_experiment(config: SweepConfig) -> list[SweepRow]:
-    if config.experiment == "appendix_c":
-        raise ValueError("appendix_c produces a report, not sweep rows; call run_appendix_c")
-    runner = {"fig2": run_fig2, "fig3": run_fig3, "figs1": run_figs1}
-    return runner[config.experiment](config)
+    return _run_named("figs1", config)
 
 
 # ---------------------------------------------------------------------------
@@ -373,61 +444,6 @@ def run_appendix_c(d_values=(2, 3, 5, 10), n_points: int = 10_000) -> dict:
 # Threshold finder
 # ---------------------------------------------------------------------------
 
-def _measure_fig2_channel_robustness(p: float) -> float:
-    return channel_robustness(noisy_th_channel(p), _choi_atoms()).value
-
-
-def _measure_fig2_rom_plus(p: float) -> float:
-    ch = noisy_th_channel(p)
-    rho_plus, _, prob_plus, _ = conditional_outputs(
-        build_switch(ch, ch), DensityOperator.pure(plus_state(2))
-    )
-    if prob_plus <= _DEGENERATE_PROB:
-        raise ValueError(f"plus branch degenerate at p={p}")
-    return rom_state(rho_plus, _qubit_dictionary()).value
-
-
-def _measure_fig3_sequential(p: float) -> float:
-    noise = depolarizing_channel(2, p)
-    seq = compose_channels(noise, compose_channels(noise, unitary_channel(T_GATE)))
-    return channel_robustness(seq, _choi_atoms()).value
-
-
-def _measure_fig3_switch_plus(p: float) -> float:
-    return channel_robustness(effective_t_channels(p)[0].channel, _choi_atoms()).value
-
-
-def _measure_fig3_switch_minus(p: float) -> float:
-    return channel_robustness(effective_t_channels(p)[1].channel, _choi_atoms()).value
-
-
-def _measure_figs1_mana_channel(p: float) -> float:
-    return mana_channel(qutrit_noisy_th_channel(p), build_frame(3))
-
-
-def _switch_branch_mana(p: float, outcome: str) -> float:
-    ch = qutrit_noisy_th_channel(p)
-    rho_plus, rho_minus, prob_plus, prob_minus = conditional_outputs(
-        build_switch(ch, ch), DensityOperator.pure(plus_state(3))
-    )
-    rho, prob = (rho_plus, prob_plus) if outcome == "plus" else (rho_minus, prob_minus)
-    if prob <= _DEGENERATE_PROB:
-        raise ValueError(f"{outcome} branch degenerate at p={p}")
-    return mana_state(rho, build_frame(3))
-
-
-MEASURES = {
-    "fig2_channel_robustness": (_measure_fig2_channel_robustness, 1.0),
-    "fig2_rom_plus": (_measure_fig2_rom_plus, 1.0),
-    "fig3_sequential": (_measure_fig3_sequential, 1.0),
-    "fig3_switch_plus": (_measure_fig3_switch_plus, 1.0),
-    "fig3_switch_minus": (_measure_fig3_switch_minus, 1.0),
-    "figs1_mana_channel": (_measure_figs1_mana_channel, 0.0),
-    "figs1_mana_plus": (lambda p: _switch_branch_mana(p, "plus"), 0.0),
-    "figs1_mana_minus": (lambda p: _switch_branch_mana(p, "minus"), 0.0),
-}
-
-
 @dataclass(frozen=True)
 class ThresholdResult:
     measure: str
@@ -441,7 +457,7 @@ def find_threshold(
     measure,
     lo: float,
     hi: float,
-    lp_tol: float = 1e-6,
+    lp_tol: float = DEFAULT_TOL.lp_value,
     threshold_tol: float = 1e-3,
 ) -> ThresholdResult:
     """Bisect the crossing of a monotone measure onto its faithfulness floor.
@@ -535,18 +551,8 @@ def write_rows(rows: list[SweepRow], config: SweepConfig) -> str:
 # Key-value config files
 # ---------------------------------------------------------------------------
 
-_CONFIG_KEYS = {
-    "experiment": str,
-    "start": float,
-    "stop": float,
-    "step": float,
-    "lp_tol": float,
-    "threshold_tol": float,
-    "output_path": str,
-    "out": str,
-    "format": str,
-    "jobs": int,
-}
+# Config-file keys: the SweepConfig fields, and ``out`` for ``output_path``.
+_CONFIG_KEYS = {**get_type_hints(SweepConfig), "out": str}
 
 
 def parse_config_file(path: str) -> SweepConfig:

@@ -111,15 +111,11 @@ def test_appendix_c_command(tmp_path, capsys):
 
 
 def test_unknown_state_exits(capsys):
-    with pytest.raises(SystemExit):
-        main(["-q", "rom", "--state", "warp"])
-    capsys.readouterr()
+    assert_one_line_error(capsys, main(["-q", "rom", "--state", "warp"]))
 
 
 def test_unknown_channel_exits(capsys):
-    with pytest.raises(SystemExit):
-        main(["-q", "channel-robustness", "--channel", "teleporter:p=1"])
-    capsys.readouterr()
+    assert_one_line_error(capsys, main(["-q", "channel-robustness", "--channel", "teleporter:p=1"]))
 
 
 @pytest.mark.parametrize(
@@ -171,3 +167,38 @@ def test_jobs_above_row_count_runs_one_row_per_worker(tmp_path, capsys):
     serial = tmp_path / "serial.csv"
     assert run_cli(capsys, "fig3", "--grid", "0:0.01:0.01", "--out", str(serial))[0] == 0
     assert code == 0 and out.read_bytes() == serial.read_bytes()
+
+
+def _matrix(rows):
+    return {"matrix": [[[float(np.real(z)), float(np.imag(z))] for z in row] for row in rows]}
+
+
+STATE_FILES = {
+    "no-matrix-key": {"rows": [[[1, 0], [0, 0]], [[0, 0], [0, 0]]]},
+    "ragged": {"matrix": [[[1, 0], [0, 0]], [[0, 0]]]},
+    "non-hermitian": _matrix([[0.5, 0.5], [0.0, 0.5]]),
+    "non-psd": _matrix([[1.5, 0.0], [0.0, -0.5]]),
+}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["threshold", "--measure", "fig2_channel_robustness", "--bracket", "0.5:0.2"],
+        ["threshold", "--measure", "figs1_mana_minus", "--bracket", "0:0.5"],
+        ["channel-robustness", "--channel", "noisy-th"],
+        ["channel-robustness", "--channel", "noisy-th:p=abc"],
+        ["channel-robustness", "--channel", "t:p=0.3"],
+        ["channel-robustness", "--channel", "noisy-th:p=0.3,q=1"],
+        ["rom", "--state", "plus:p=0.3"],
+        ["mana", "--d", "4"],
+        ["rom", "--state-file", "no-such-file.json"],
+        *(["rom", "--state-file", name] for name in STATE_FILES),
+    ],
+    ids=lambda argv: " ".join(argv),
+)
+def test_bad_input_is_a_one_line_error(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    for name, payload in STATE_FILES.items():
+        (tmp_path / name).write_text(json.dumps(payload))
+    assert_one_line_error(capsys, main(["-q", *argv]))

@@ -49,8 +49,6 @@ class TestSweepConfig:
         with pytest.raises(ValueError):
             SweepConfig("fig2", start=0.0, stop=1.0, step=-0.1)
         with pytest.raises(ValueError):
-            SweepConfig("fig2", start=0.0, stop=1.0, step=0.1, threshold_tol=1e-5)
-        with pytest.raises(ValueError):
             SweepConfig("fig2", start=0.0, stop=1.0, step=0.1, format="yaml")
         with pytest.raises(ValueError):
             SweepConfig("nope", start=0.0, stop=1.0, step=0.1)
@@ -140,7 +138,7 @@ class TestDeterminism:
         assert serial == parallel
 
     @pytest.mark.parametrize("jobs", [1, 2])
-    @pytest.mark.parametrize("experiment", ["fig2", "fig3"])
+    @pytest.mark.parametrize("experiment", ["fig2", "fig3", "figs1"])
     def test_default_csv_matches_reference_hash(self, experiment, jobs):
         # With jobs=2 each half of the grid is its own warm-started run.
         from perfbench.workloads import EXPECTED_SHA256
@@ -267,6 +265,19 @@ class TestOutput:
         assert (tmp_path / "out.csv").read_text() == text
 
 
+# Each registered threshold measure and the sweep column it bisects.
+THRESHOLD_COLUMNS = {
+    "fig2_channel_robustness": ("fig2", "channel_robustness"),
+    "fig2_rom_plus": ("fig2", "rom_plus"),
+    "fig3_sequential": ("fig3", "rob_sequential"),
+    "fig3_switch_plus": ("fig3", "rob_switch_plus"),
+    "fig3_switch_minus": ("fig3", "rob_switch_minus"),
+    "figs1_mana_channel": ("figs1", "mana_channel"),
+    "figs1_mana_plus": ("figs1", "mana_plus"),
+    "figs1_mana_minus": ("figs1", "mana_minus"),
+}
+
+
 class TestThresholdFinder:
     def test_synthetic_crossing(self):
         measure = (lambda p: 1.0 + max(0.0, 0.37 - p), 1.0)
@@ -294,6 +305,25 @@ class TestThresholdFinder:
     def test_registry_names(self):
         assert "fig2_channel_robustness" in MEASURES
         assert "figs1_mana_plus" in MEASURES
+
+    def test_registry_names_floors_and_order(self):
+        assert list(MEASURES) == list(THRESHOLD_COLUMNS)
+        assert [floor for _, floor in MEASURES.values()] == [1.0] * 5 + [0.0] * 3
+
+    @pytest.mark.parametrize("name", list(THRESHOLD_COLUMNS))
+    def test_threshold_measure_equals_cold_sweep_column(self, name):
+        experiment, column = THRESHOLD_COLUMNS[name]
+        row = experiments._dispatch_row((experiment, 0.3, 1e-6, experiments._RunState()))
+        assert MEASURES[name][0](0.3) == row.values[column]
+
+    @pytest.mark.parametrize("name", ["fig2_channel_robustness", "fig3_sequential", "figs1_mana_channel"])
+    def test_channel_measures_build_no_switch(self, monkeypatch, name):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a channel measure built a switch")
+
+        monkeypatch.setattr(experiments, "build_switch", refuse)
+        monkeypatch.setattr(experiments, "effective_t_channels", refuse)
+        MEASURES[name][0](0.3)
 
 
 def scalar_appendix_c(d_values, n_points):
