@@ -71,8 +71,6 @@ from .stabilizers import (
     ChoiAtom,
     StabilizerDictionary,
     cspo_choi_atoms,
-    dictionary_from_json,
-    dictionary_to_json,
     enumerate_stabilizer_states,
     is_stabilizer_state,
 )
@@ -108,8 +106,6 @@ __all__ = [
     "default_config",
     "depolarizing_channel",
     "depolarizing_switch_closed_form",
-    "dictionary_from_json",
-    "dictionary_to_json",
     "effective_t_channels",
     "enumerate_stabilizer_states",
     "extend_with_reference",

@@ -333,6 +333,8 @@ def depolarizing_channel(d: int, p: float) -> KrausChannel:
     still defines a completely positive map and is what the minus branch of
     the switched depolarizing noise produces.
     """
+    if d < 2:
+        raise ValueError(f"depolarizing dimension d={d} must be at least 2")
     p_max = d * d / (d * d - 1)
     if not 0.0 <= p <= p_max + 1e-12:
         raise ValueError(f"depolarizing strength p={p} outside [0, {p_max:.6f}]")

@@ -48,9 +48,10 @@ logger = logging.getLogger(__name__)
 _JOBS_ENV = "MAGIC_SWITCH_JOBS"
 
 
-def _resolve_jobs(flag_value: int) -> int:
+def _resolve_jobs(flag_value: int | None) -> int | None:
     """Worker count: ``MAGIC_SWITCH_JOBS`` when set, else the flag (which
-    ``SweepConfig`` checks).  An environment value that is not a positive
+    ``SweepConfig`` checks), else None, which leaves the config file's value
+    or the default of 1.  An environment value that is not a positive
     integer raises ``ValueError``."""
     env = os.environ.get(_JOBS_ENV, "").strip()
     if env:
@@ -99,13 +100,16 @@ def _add_sweep_options(sub: argparse.ArgumentParser) -> None:
     grid = partial(_parse_floats, form="start:stop:step")
     sub.add_argument("--grid", type=grid, default=None, metavar="START:STOP:STEP")
     sub.add_argument("--tol", type=partial(_parse_tols, keys=("lp",)), default={}, metavar="lp=..")
-    sub.add_argument("--jobs", type=int, default=1)
+    sub.add_argument("--jobs", type=int, default=None)
     sub.add_argument("--config", default=None, help="key=value config file; flags override it")
 
 
 def _sweep_config(args) -> SweepConfig:
     base = parse_config_file(args.config) if args.config else default_config(args.experiment)
-    overrides = dict(args.tol, experiment=args.experiment, jobs=_resolve_jobs(args.jobs))
+    overrides = dict(args.tol, experiment=args.experiment)
+    jobs = _resolve_jobs(args.jobs)
+    if jobs is not None:
+        overrides["jobs"] = jobs
     if args.grid:
         overrides["start"], overrides["stop"], overrides["step"] = args.grid
     if args.out is not None:
@@ -188,6 +192,8 @@ def _named_channel(spec: str) -> KrausChannel:
     if name in CHANNELS:
         return CHANNELS[name](params["p"])
     if name == "depolarizing":
+        if not float(params["d"]).is_integer():
+            raise ValueError(f"depolarizing dimension d={params['d']:g} is not an integer")
         return depolarizing_channel(int(params["d"]), params["p"])
     return unitary_channel({"t": T_GATE, "h": HADAMARD, "qutrit-t": qutrit_t_gate()}[name])
 

@@ -38,7 +38,7 @@ import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache, partial
+from functools import cached_property, partial
 from typing import Callable, NamedTuple, get_type_hints
 
 import numpy as np
@@ -162,16 +162,6 @@ CHANNELS = {
 }
 
 
-@lru_cache(maxsize=None)
-def _qubit_dictionary():
-    return enumerate_stabilizer_states(1)
-
-
-@lru_cache(maxsize=None)
-def _choi_atoms():
-    return cspo_choi_atoms(enumerate_stabilizer_states(2))
-
-
 @dataclass
 class _RunState:
     """What one contiguous run of sweep rows carries from row to row: the
@@ -246,7 +236,8 @@ class _Point:
 # branch and 1 for the minus branch.
 
 def _channel_robustness(pt: _Point, column: str) -> tuple[float, str]:
-    return pt.solve(column, channel_robustness, pt.channel, _choi_atoms())
+    atoms = cspo_choi_atoms(enumerate_stabilizer_states(2))
+    return pt.solve(column, channel_robustness, pt.channel, atoms)
 
 
 def _channel_mana(pt: _Point, column: str) -> tuple[float, str]:
@@ -261,7 +252,7 @@ def _branch_probability(pt: _Point, column: str, k: int) -> tuple[float, str]:
 def _branch_robustness(pt: _Point, column: str, k: int) -> tuple[float, str]:
     if pt.switch_outputs[2 + k] <= _DEGENERATE_PROB:
         return float("nan"), "degenerate"
-    return pt.solve(column, rom_state, pt.switch_outputs[k], _qubit_dictionary())
+    return pt.solve(column, rom_state, pt.switch_outputs[k], enumerate_stabilizer_states(1))
 
 
 def _branch_mana(pt: _Point, column: str, k: int) -> tuple[float, str]:
@@ -271,7 +262,8 @@ def _branch_mana(pt: _Point, column: str, k: int) -> tuple[float, str]:
 
 
 def _t_branch_robustness(pt: _Point, column: str, k: int) -> tuple[float, str]:
-    return pt.solve(column, channel_robustness, pt.t_branches[k].channel, _choi_atoms())
+    atoms = cspo_choi_atoms(enumerate_stabilizer_states(2))
+    return pt.solve(column, channel_robustness, pt.t_branches[k].channel, atoms)
 
 
 def _t_minus_robustness(pt: _Point, column: str) -> tuple[float, str]:

@@ -45,16 +45,13 @@ class ExtraEquality:
 class AffineL1Problem:
     """min ||q||_1 subject to sum_i q_i atom_i = target plus extra equalities.
 
-    With ``sign_split`` the coefficients are free reals handled as
-    q_i = a_i - b_i with a, b >= 0; otherwise the q_i themselves are
-    constrained nonnegative.  ``atoms`` holds real vectorized operators,
-    one row per atom.
+    The coefficients are free reals handled as q_i = a_i - b_i with
+    a, b >= 0.  ``atoms`` holds real vectorized operators, one row per atom.
     """
 
     atoms: np.ndarray
     target: np.ndarray
     extra_equalities: tuple = ()
-    sign_split: bool = True
 
     def __post_init__(self):
         atoms = np.asarray(self.atoms, dtype=float)
@@ -105,16 +102,10 @@ class L1Solution:
 
 def _assemble_standard_form(problem: AffineL1Problem):
     A_atoms = problem.atoms.T  # (dim, n_atoms)
-    n = problem.n_atoms
-    if problem.sign_split:
-        A = np.hstack([A_atoms, -A_atoms])
-        extra_rows = [
-            np.concatenate([eq.plus_coeffs, eq.minus_coeffs])
-            for eq in problem.extra_equalities
-        ]
-    else:
-        A = A_atoms.copy()
-        extra_rows = [eq.plus_coeffs for eq in problem.extra_equalities]
+    A = np.hstack([A_atoms, -A_atoms])
+    extra_rows = [
+        np.concatenate([eq.plus_coeffs, eq.minus_coeffs]) for eq in problem.extra_equalities
+    ]
     if extra_rows:
         A = np.vstack([A, np.array(extra_rows)])
     b = np.concatenate(
@@ -148,10 +139,7 @@ def solve_l1(
         return L1Solution(
             np.nan, nanvec, status, np.nan, nanvec, nanvec, np.nan, np.nan, result.iterations
         )
-    if problem.sign_split:
-        plus, minus = result.x[:n], result.x[n:]
-    else:
-        plus, minus = result.x, np.zeros(n)
+    plus, minus = result.x[:n], result.x[n:]
     coeffs = plus - minus
     residual = float(np.abs(A @ result.x - b).max())
     dual_gap = float(abs(result.objective - result.dual @ b))

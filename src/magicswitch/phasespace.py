@@ -64,9 +64,6 @@ class PhaseSpaceFrame:
     """
 
     d: int
-    tau: complex
-    boost: np.ndarray
-    shift: np.ndarray
     points: tuple                 # ((a1, a2), ...) row-major
     heisenberg_weyl: np.ndarray   # (d^2, d, d)
     phase_points: np.ndarray      # (d^2, d, d)
@@ -98,22 +95,9 @@ def build_frame(d: int) -> PhaseSpaceFrame:
     if np.abs(gram - d * np.eye(d * d)).max() > 1e-10:
         raise RuntimeError("phase-point orthogonality failed")
 
-    omega = np.exp(2j * np.pi / d)
-    shift = np.zeros((d, d), dtype=complex)
-    for j in range(d):
-        shift[(j + 1) % d, j] = 1.0
-    boost = np.diag([omega**j for j in range(d)]).astype(complex)
     t_ops.setflags(write=False)
     a_ops.setflags(write=False)
-    return PhaseSpaceFrame(
-        d=d,
-        tau=complex(np.exp(1j * np.pi * (d + 1) / d)),
-        boost=boost,
-        shift=shift,
-        points=points,
-        heisenberg_weyl=t_ops,
-        phase_points=a_ops,
-    )
+    return PhaseSpaceFrame(d=d, points=points, heisenberg_weyl=t_ops, phase_points=a_ops)
 
 
 def wigner_of_operator(op: np.ndarray, frame: PhaseSpaceFrame) -> np.ndarray:

@@ -1,81 +1,51 @@
 """Enumeration of pure stabilizer states for one and two qubits.
 
 The dictionary of stabilizer projectors is the atom set for both robustness
-linear programs and for membership tests.  States are produced as the orbit
-of |0...0> under the generated Clifford group and stored phase-free as
-projectors, labeled by canonical stabilizer-group generators so the ordering
-is deterministic.
+linear programs and for membership tests.  A pure stabilizer state on n
+qubits is fixed by n signed, independent, commuting Pauli strings g_k: its
+projector is prod_k (I + s_k g_k) / 2 (Aaronson & Gottesman, PRA 70, 052328
+(2004)).  The states are therefore written down directly: every maximal
+commuting set of non-identity Pauli strings, generated by its n
+lexicographically smallest members, times every sign choice.  The label
+("+IX,-XI") is that signed generating set, so the ordering is deterministic,
+and the projector entries are exact dyadic numbers.
 """
 
 from __future__ import annotations
 
-import json
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .config import DEFAULT_TOL
-from .gates import CNOT_01, CNOT_10, HADAMARD, PHASE_S, basis_state
-from .linalg import DimensionMismatchError, dagger, partial_trace, pauli_strings, tensor
-
-_DEDUP_TOL = 1e-8
+from .linalg import DimensionMismatchError, partial_trace, pauli_strings
 
 
-def _clifford_generators(n_qubits: int) -> list[np.ndarray]:
-    if n_qubits == 1:
-        return [HADAMARD, PHASE_S]
-    eye = np.eye(2, dtype=complex)
-    return [
-        tensor(HADAMARD, eye),
-        tensor(eye, HADAMARD),
-        tensor(PHASE_S, eye),
-        tensor(eye, PHASE_S),
-        CNOT_01,
-        CNOT_10,
-    ]
+def _pauli_product(a: str, b: str) -> str:
+    """The Pauli string a b up to phase: numbering I, X, Y, Z as 0..3 makes
+    each one-qubit product the bitwise XOR of the two numbers."""
+    return "".join("IXYZ"["IXYZ".index(p) ^ "IXYZ".index(q)] for p, q in zip(a, b))
 
 
-def _orbit_of_zero(n_qubits: int) -> list[np.ndarray]:
-    """Breadth-first orbit of |0..0><0..0| under the Clifford generators."""
-    gens = _clifford_generators(n_qubits)
-    start = basis_state(2**n_qubits, 0)
-    seed = np.outer(start, start.conj())
-    found = [seed]
-    frontier = [seed]
-    while frontier:
-        fresh = []
-        for proj in frontier:
-            for g in gens:
-                cand = g @ proj @ dagger(g)
-                if not any(np.abs(cand - known).max() <= _DEDUP_TOL for known in found):
-                    found.append(cand)
-                    fresh.append(cand)
-        frontier = fresh
-    return found
+def _commute(a: str, b: str) -> bool:
+    # Letters that differ, neither of them I, anticommute; an even count commutes.
+    return sum(p != q and "I" not in (p, q) for p, q in zip(a, b)) % 2 == 0
 
 
-def _generator_label(proj: np.ndarray, n_qubits: int) -> str:
-    """Canonical label from the state's stabilizer-group generators.
-
-    A pure stabilizer projector is (1/d) sum over its group, so the signed
-    members are exactly the Pauli strings with overlap trace +-1.  Sorting
-    the non-identity members by Pauli label and greedily taking independent
-    ones yields a canonical generating set (for n <= 2 any distinct members
-    are independent).
-    """
-    members = []
-    for label, pauli in pauli_strings(n_qubits):
-        if label == "I" * n_qubits:
-            continue
-        coeff = np.trace(proj @ pauli).real
-        if abs(abs(coeff) - 1.0) <= 1e-8:
-            members.append(("+" if coeff > 0 else "-") + label)
-    members.sort(key=lambda s: s[1:] + s[0])
-    gens = members[:n_qubits]
-    if len(gens) != n_qubits:
-        raise RuntimeError(f"projector yields {len(gens)} generators, expected {n_qubits}")
-    return ",".join(gens)
+def _canonical_generators(n_qubits: int):
+    """Yield each maximal commuting set of non-identity Pauli strings as its
+    n lexicographically smallest members, which generate it."""
+    strings = ["".join(c) for c in itertools.product("IXYZ", repeat=n_qubits)]
+    for gens in itertools.combinations(strings[1:], n_qubits):
+        group = {strings[0]}
+        for g in gens:
+            group |= {_pauli_product(g, h) for h in group}
+        commuting = all(_commute(a, b) for a, b in itertools.combinations(gens, 2))
+        # The identity sorts first, so the next n members are the generators.
+        if commuting and len(group) == 2**n_qubits and sorted(group)[1 : n_qubits + 1] == list(gens):
+            yield gens
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,17 +77,22 @@ def enumerate_stabilizer_states(n_qubits: int) -> StabilizerDictionary:
     """
     if n_qubits not in (1, 2):
         raise ValueError(f"n_qubits={n_qubits} unsupported; only 1 and 2 are enumerated")
-    projs = _orbit_of_zero(n_qubits)
+    paulis = dict(pauli_strings(n_qubits))
+    eye = paulis["I" * n_qubits]
+    states = {}
+    for gens in _canonical_generators(n_qubits):
+        for signs in itertools.product("+-", repeat=n_qubits):
+            proj = eye
+            for sign, g in zip(signs, gens):
+                proj = proj @ (eye + paulis[g] if sign == "+" else eye - paulis[g]) / 2
+            states[",".join(s + g for s, g in zip(signs, gens))] = proj
     expected = 2**n_qubits
     for k in range(1, n_qubits + 1):
         expected *= 2**k + 1
-    if len(projs) != expected:
-        raise RuntimeError(f"enumerated {len(projs)} states, expected {expected}")
-    labeled = sorted(
-        ((_generator_label(P, n_qubits), P) for P in projs), key=lambda pair: pair[0]
-    )
-    labels = tuple(lbl for lbl, _ in labeled)
-    ordered = tuple(P for _, P in labeled)
+    if len(states) != expected:
+        raise RuntimeError(f"enumerated {len(states)} states, expected {expected}")
+    labels = tuple(sorted(states))
+    ordered = tuple(states[label] for label in labels)
     for P in ordered:
         P.setflags(write=False)
     return StabilizerDictionary(n_qubits=n_qubits, projectors=ordered, labels=labels)
@@ -159,25 +134,3 @@ def cspo_choi_atoms(dictionary: StabilizerDictionary) -> tuple:
         atoms.append(ChoiAtom(projector=proj, marginal=marginal, label=label))
     return tuple(atoms)
 
-
-def dictionary_to_json(dictionary: StabilizerDictionary) -> str:
-    """Serialize labels plus flattened complex entries for external checks."""
-    states = []
-    for label, proj in zip(dictionary.labels, dictionary.projectors):
-        flat = [[float(z.real), float(z.imag)] for z in proj.reshape(-1)]
-        states.append({"label": label, "entries": flat})
-    payload = {"n_qubits": dictionary.n_qubits, "count": len(dictionary), "states": states}
-    return json.dumps(payload, indent=2)
-
-
-def dictionary_from_json(text: str) -> StabilizerDictionary:
-    payload = json.loads(text)
-    n = int(payload["n_qubits"])
-    d = 2**n
-    projs = []
-    labels = []
-    for entry in payload["states"]:
-        flat = np.array([complex(re, im) for re, im in entry["entries"]])
-        projs.append(flat.reshape(d, d))
-        labels.append(entry["label"])
-    return StabilizerDictionary(n_qubits=n, projectors=tuple(projs), labels=tuple(labels))

@@ -39,6 +39,17 @@ def test_config_file_with_flag_override(tmp_path, capsys):
     assert len(rows) == 2
 
 
+@pytest.mark.parametrize("flag, jobs", [([], 2), (["--jobs", "3"], 3)], ids=["file", "flag"])
+def test_config_file_jobs_unless_flag_given(tmp_path, monkeypatch, flag, jobs):
+    from magicswitch.cli import _sweep_config, build_parser
+
+    monkeypatch.delenv("MAGIC_SWITCH_JOBS", raising=False)
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text("experiment = fig2\njobs = 2\n")
+    args = build_parser().parse_args(["fig2", "--config", str(cfg), *flag])
+    assert _sweep_config(args).jobs == jobs
+
+
 def test_jobs_env_override(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("MAGIC_SWITCH_JOBS", "2")
     out = tmp_path / "fig3.csv"
@@ -190,6 +201,9 @@ STATE_FILES = {
         ["channel-robustness", "--channel", "noisy-th:p=abc"],
         ["channel-robustness", "--channel", "t:p=0.3"],
         ["channel-robustness", "--channel", "noisy-th:p=0.3,q=1"],
+        ["channel-robustness", "--channel", "depolarizing:p=0.2,d=2.5"],
+        ["channel-robustness", "--channel", "depolarizing:p=0.2,d=1"],
+        ["channel-robustness", "--channel", "depolarizing:p=0.2,d=nan"],
         ["rom", "--state", "plus:p=0.3"],
         ["mana", "--d", "4"],
         ["rom", "--state-file", "no-such-file.json"],

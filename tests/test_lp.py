@@ -71,13 +71,6 @@ class TestSolveL1:
         sol = solve_l1(AffineL1Problem(atoms=atoms, target=atoms[0], extra_equalities=(bad,)))
         assert sol.status == "infeasible"
 
-    def test_nonnegative_variables_mode(self, rng):
-        atoms = np.eye(3)
-        target = np.array([0.2, 0.3, 0.5])
-        sol = solve_l1(AffineL1Problem(atoms=atoms, target=target, sign_split=False))
-        assert abs(sol.value - 1.0) < 1e-10
-        assert np.abs(sol.minus).max() == 0.0
-
     def test_deterministic(self, rng):
         atoms = rng.normal(size=(8, 4))
         target = rng.normal(size=4)

@@ -1,16 +1,85 @@
 import numpy as np
 import pytest
 
-from magicswitch import (
-    DensityOperator,
-    dictionary_from_json,
-    dictionary_to_json,
-    enumerate_stabilizer_states,
-    is_stabilizer_state,
+from magicswitch import DensityOperator, enumerate_stabilizer_states, is_stabilizer_state
+from magicswitch.gates import (
+    CNOT_01,
+    CNOT_10,
+    HADAMARD,
+    PAULI_X,
+    PAULI_Y,
+    PAULI_Z,
+    PHASE_S,
+    T_GATE,
+    basis_state,
+    plus_state,
 )
-from magicswitch.gates import CNOT_01, CNOT_10, HADAMARD, PAULI_X, PAULI_Y, PAULI_Z, PHASE_S, T_GATE, plus_state
-from magicswitch.linalg import DimensionMismatchError, operators_close, partial_trace, tensor
+from magicswitch.linalg import DimensionMismatchError, operators_close, partial_trace, pauli_strings, tensor
 from magicswitch.stabilizers import cspo_choi_atoms
+
+
+def clifford_generators(n_qubits):
+    if n_qubits == 1:
+        return [HADAMARD, PHASE_S]
+    eye = np.eye(2, dtype=complex)
+    return [
+        tensor(HADAMARD, eye),
+        tensor(eye, HADAMARD),
+        tensor(PHASE_S, eye),
+        tensor(eye, PHASE_S),
+        CNOT_01,
+        CNOT_10,
+    ]
+
+
+def reference_orbit_dictionary(n_qubits):
+    """Reference: the stabilizer states as the breadth-first orbit of
+    |0..0><0..0| under the Clifford generators, de-duplicated to 1e-8, each
+    labeled by its group members, found as the Pauli strings with overlap
+    trace +-1, of which the n smallest by Pauli label generate it.  Returns
+    (labels, projectors), sorted by label."""
+    start = basis_state(2**n_qubits, 0)
+    found = [np.outer(start, start.conj())]
+    frontier = list(found)
+    while frontier:
+        fresh = []
+        for proj in frontier:
+            for g in clifford_generators(n_qubits):
+                cand = g @ proj @ g.conj().T
+                if not any(np.abs(cand - known).max() <= 1e-8 for known in found):
+                    found.append(cand)
+                    fresh.append(cand)
+        frontier = fresh
+    labeled = []
+    for proj in found:
+        members = []
+        for label, pauli in pauli_strings(n_qubits)[1:]:
+            coeff = np.trace(proj @ pauli).real
+            if abs(abs(coeff) - 1.0) <= 1e-8:
+                members.append(("+" if coeff > 0 else "-") + label)
+        members.sort(key=lambda s: s[1:] + s[0])
+        labeled.append((",".join(members[:n_qubits]), proj))
+    labeled.sort(key=lambda pair: pair[0])
+    return tuple(lbl for lbl, _ in labeled), tuple(proj for _, proj in labeled)
+
+
+@pytest.mark.parametrize("n_qubits", [1, 2])
+def test_matches_reference_orbit(n_qubits):
+    labels, projectors = reference_orbit_dictionary(n_qubits)
+    dictionary = enumerate_stabilizer_states(n_qubits)
+    assert dictionary.labels == labels
+    for got, want in zip(dictionary.projectors, projectors):
+        assert np.abs(got - want).max() <= 1e-15
+
+
+@pytest.mark.parametrize("n_qubits", [1, 2])
+def test_projectors_are_exact(n_qubits):
+    # Built from Pauli matrices with dyadic arithmetic, so no rounding enters.
+    for proj in enumerate_stabilizer_states(n_qubits).projectors:
+        assert np.array_equal(proj @ proj, proj)
+        assert np.array_equal(proj, proj.conj().T)
+        assert np.trace(proj) == 1.0
+        assert not proj.flags.writeable
 
 
 def test_counts_match_closed_formula(qubit_dict, twoq_dict):
@@ -25,7 +94,7 @@ def test_single_qubit_states_are_pauli_eigenstates(qubit_dict):
         for sign in (1, -1):
             expected.append((np.eye(2) + sign * pauli) / 2)
     for exp in expected:
-        assert any(operators_close(exp, p, tol=1e-8) for p in qubit_dict.projectors)
+        assert any(np.array_equal(exp, p) for p in qubit_dict.projectors)
 
 
 def test_projectors_are_rank_one_and_distinct(twoq_dict):
@@ -47,17 +116,8 @@ def test_labels_are_sorted_and_unique(qubit_dict, twoq_dict):
 
 
 def test_dictionary_closed_under_clifford_generators(twoq_dict):
-    eye = np.eye(2, dtype=complex)
-    gens = [
-        tensor(HADAMARD, eye),
-        tensor(eye, HADAMARD),
-        tensor(PHASE_S, eye),
-        tensor(eye, PHASE_S),
-        CNOT_01,
-        CNOT_10,
-    ]
     for proj in twoq_dict.projectors:
-        for g in gens:
+        for g in clifford_generators(2):
             image = g @ proj @ g.conj().T
             assert any(np.abs(image - q).max() <= 1e-8 for q in twoq_dict.projectors)
 
@@ -106,11 +166,3 @@ class TestChoiAtoms:
     def test_requires_two_qubit_dictionary(self, qubit_dict):
         with pytest.raises(DimensionMismatchError):
             cspo_choi_atoms(qubit_dict)
-
-
-def test_json_roundtrip(qubit_dict):
-    text = dictionary_to_json(qubit_dict)
-    rebuilt = dictionary_from_json(text)
-    assert rebuilt.labels == qubit_dict.labels
-    for a, b in zip(rebuilt.projectors, qubit_dict.projectors):
-        assert operators_close(a, b, tol=1e-15)
