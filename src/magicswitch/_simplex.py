@@ -101,6 +101,13 @@ def _cost_row(tableau, basis, cost):
     return cost - cost[basis] @ tableau[:m]
 
 
+def _well_conditioned(B, B_inv, tol) -> bool:
+    """Whether round-off in B^-1 times data stays under ``tol``: it grows
+    with the 1-norm condition number of B, and past tol/eps it could carry
+    an entry across the pivot tolerance.  NaN fails this test too."""
+    return np.abs(B).sum(axis=0).max() * np.abs(B_inv).sum(axis=0).max() * np.finfo(np.float64).eps <= tol
+
+
 def _start_from_basis(A, b, basis, tol):
     """Phase-1 tableau body ``B^-1 [A | I | b]`` for a starting basis over the
     columns of ``[A | I]``, or None when the basis cannot start the solve:
@@ -116,11 +123,8 @@ def _start_from_basis(A, b, basis, tol):
         body = np.linalg.solve(B, body)
     except np.linalg.LinAlgError:
         return None
-    # Round-off in B^-1 [A | I | b] grows with the condition number of B
-    # (1-norm; B^-1 sits in the artificial columns).  Past tol/eps it could
-    # carry an entry across the pivot tolerance; NaN fails this test too.
-    condition = np.abs(B).sum(axis=0).max() * np.abs(body[:, n : n + m]).sum(axis=0).max()
-    if not condition * np.finfo(np.float64).eps <= tol:
+    # B^-1 sits in the artificial columns.
+    if not _well_conditioned(B, body[:, n : n + m], tol):
         return None
     if not np.all(body[:, -1] >= -tol):
         return None
@@ -218,3 +222,138 @@ def solve_standard_form(
     dual = -tableau[m, n : n + m].copy()
     dual[flip] *= -1.0
     return SimplexResult(status, x, objective, dual, it1 + it2, basis)
+
+
+# ---------------------------------------------------------------------------
+# Parametric right-hand side
+# ---------------------------------------------------------------------------
+
+# Polynomials are coefficient arrays along axis 0, lowest degree first, of
+# degree at most RHS_DEGREE; the walk finds their roots in closed form, so
+# the degree stays 2.
+RHS_DEGREE = 2
+
+# The most LP solves one walk may make before it gives up.
+_MAX_WALK_SOLVES = 8
+
+
+def polyval(coeffs, t):
+    """Value at ``t`` of the polynomials whose coefficients run along axis 0."""
+    value = coeffs[-1]
+    for coeff in coeffs[-2::-1]:
+        value = value * t + coeff
+    return value
+
+
+def fit_polynomial(points, values, tol):
+    """Coefficients of the polynomials of degree ``RHS_DEGREE`` through the
+    first ``RHS_DEGREE + 1`` of ``points`` (``values`` holds one row per
+    point), or None unless they also reproduce every further point to within
+    ``tol`` times the largest value there."""
+    points = np.asarray(points, dtype=np.float64)
+    values = np.asarray(values, dtype=np.float64)
+    k = RHS_DEGREE + 1
+    try:
+        coeffs = np.linalg.solve(np.vander(points[:k], k, increasing=True), values[:k])
+    except np.linalg.LinAlgError:
+        return None
+    check = np.vander(points[k:], k, increasing=True) @ coeffs - values[k:]
+    if not np.abs(check).max(initial=0.0) <= tol * max(1.0, np.abs(values[k:]).max(initial=0.0)):
+        return None
+    return coeffs
+
+
+def _quadratic_roots(coeffs):
+    """Real roots of the quadratics whose (3, k) ``coeffs`` run along axis 0,
+    as a (2, k) array (a pair for a single quadratic) with NaN where a root
+    does not exist.  The product form keeps the small root accurate when
+    the leading term vanishes."""
+    c0, c1, c2 = coeffs
+    with np.errstate(divide="ignore", invalid="ignore"):
+        q = -0.5 * (c1 + np.copysign(np.sqrt(c1 * c1 - 4.0 * c2 * c0), c1))
+        roots = np.array([q / c2, c0 / q])
+    return np.where(np.isfinite(roots), roots, np.nan)
+
+
+def _distance_ahead(roots, t, stop):
+    """Distance from ``t`` of each of ``roots`` on the closed stretch from
+    ``t`` to ``stop``; inf for the others and for NaN."""
+    distance = np.abs(roots - t)
+    return np.where(((roots - t) * (stop - t) >= 0) & (distance <= abs(stop - t)), distance, np.inf)
+
+
+def parametric_crossing(A, c, rhs, scale, level, basis, t, stop):
+    """Where the optimal value of min c.x s.t. A x = b(t), x >= 0 first
+    crosses ``level`` on the way from ``t`` to ``stop``.
+
+    The right-hand side is b(t) = rhs(t) / scale(t) for polynomials ``rhs``
+    (one column per row of A) and ``scale`` (positive on the way), and
+    ``basis`` is an optimal basis at ``t`` as ``solve_standard_form``
+    returns it.  Reduced costs do not depend on b, so the basis stays
+    optimal while B^-1 b(t) >= -_PIVOT_TOL, and there the optimal value crosses
+    ``level`` at a root of c_B B^-1 rhs(t) - level scale(t).  When that
+    root lies past the end of the interval, a dual ratio test on the row
+    that leaves proposes the next basis, a solve just past the end starts
+    from it, and the walk repeats from the basis that solve returns.
+
+    Returns (crossing or None, LP solves).  None means no crossing up to
+    ``stop``, or a failed walk: a singular or ill-conditioned basis, a
+    nonpositive scale, an LP that is not solved to optimality, or more than
+    ``_MAX_WALK_SOLVES`` solves.
+    """
+    m = A.shape[0]
+    cost = np.concatenate([c, np.zeros(m)])
+    start_free = None
+    for solves in range(_MAX_WALK_SOLVES + 1):
+        s = polyval(scale, t)
+        if not s > 0:
+            return None, solves
+        if solves:
+            result = solve_standard_form(A, polyval(rhs, t) / s, c, basis=basis)
+            if result.status != STATUS_OPTIMAL:
+                return None, solves
+            basis = result.basis
+        # solve_standard_form flips rows with b < 0, which changes the sign
+        # of an artificial column.  One stays basic only on a redundant row,
+        # which the drive-out could not pivot on, and its value stays zero
+        # there, so its sign does not matter.
+        B = np.hstack([A, np.eye(m)])[:, basis]
+        try:
+            B_inv = np.linalg.inv(B)
+        except np.linalg.LinAlgError:
+            return None, solves
+        if not _well_conditioned(B, B_inv, _PIVOT_TOL):
+            return None, solves
+        x = B_inv @ rhs.T  # row i: the coefficients of scale(t) x_B[i](t)
+        gap = cost[basis] @ x - level * scale  # scale(t) (value(t) - level)
+        free = polyval(gap, t) <= 0
+        if start_free is None:
+            start_free = free
+        elif free != start_free:
+            return float(t), solves  # the crossing lies in the step past the last interval
+        walls = _quadratic_roots(x.T + _PIVOT_TOL * scale[:, None])
+        ahead = _distance_ahead(walls, t, stop)
+        ahead[ahead == 0] = np.inf
+        wall = ahead.argmin()  # into the flattened (2, m) roots
+        end = stop if ahead.flat[wall] == np.inf else walls.flat[wall]
+        roots = _quadratic_roots(gap)
+        ahead = _distance_ahead(roots, t, end)
+        if ahead.min() < np.inf:
+            return float(roots[ahead.argmin()]), solves
+        if end == stop:
+            return None, solves
+        # Dual ratio test: the variable that reaches its bound leaves, and
+        # the entering column keeps every reduced cost nonnegative.
+        row = wall % m
+        pivot_row = B_inv[row] @ A
+        reduced = np.maximum(c - (cost[basis] @ B_inv) @ A, 0.0)
+        eligible = pivot_row < -_PIVOT_TOL
+        if not eligible.any():
+            return None, solves
+        basis = basis.copy()
+        basis[row] = np.where(eligible, reduced / np.where(eligible, -pivot_row, 1.0), np.inf).argmin()
+        # Past the end by the tolerance again, every variable that reached
+        # its bound there is infeasible for the old basis, so a breakpoint
+        # where several do at once is left to the solve.
+        t = min(end + _PIVOT_TOL, stop) if stop > t else max(end - _PIVOT_TOL, stop)
+    return None, _MAX_WALK_SOLVES

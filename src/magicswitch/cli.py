@@ -1,7 +1,7 @@
 """Command-line interface.
 
 One subcommand per canned experiment (fig2, fig3, figs1, appendix-c) plus
-generic monotone evaluators (rom, channel-robustness, mana) and a bisection
+generic monotone evaluators (rom, channel-robustness, mana) and a
 threshold finder.  Renormalization factors and LP statuses are logged to
 stderr at info level; data goes to --out (default stdout).
 """
@@ -303,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--out", default=None)
     sub.set_defaults(handler=_cmd_appendix_c)
 
-    sub = subs.add_parser("threshold", help="bisect a measure onto its faithfulness floor")
+    sub = subs.add_parser("threshold", help="find where a measure crosses its faithfulness floor")
     sub.add_argument("--measure", required=True, choices=sorted(MEASURES))
     sub.add_argument("--bracket", type=partial(_parse_floats, form="lo:hi"), required=True, metavar="LO:HI")
     sub.add_argument("--tol", type=_parse_tols, default={}, metavar="lp=..,threshold=..")

@@ -18,7 +18,11 @@ class Tolerances:
     completeness: float = 1e-9   # Kraus completeness residual
     lp_residual: float = 1e-7    # LP reconstruction residual
     lp_value: float = 1e-6       # "value equals 1" threshold for robustness
-    mana_zero: float = 1e-9      # mana below this counts as zero
+    mana_zero: float = 1e-9      # mana within this of zero counts as zero
+    probability: float = 1e-9    # slack of the branch probability and weight checks
+    degenerate_prob: float = 1e-9  # a branch this unlikely has no conditional state
+    grid: float = 1e-9           # slack in counting the points of a sweep grid
+    rhs_fit: float = 1e-10       # relative misfit that rejects a polynomial LP right-hand side
 
 
 DEFAULT_TOL = Tolerances()

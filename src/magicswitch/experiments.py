@@ -26,8 +26,13 @@ row depends on the rows before it in its run.  ``jobs`` splits the grid into
 at most that many contiguous runs, each on its own worker and each starting
 cold; identical configs therefore produce byte-identical CSV.  A warm-started
 value can differ from a lone cold solve at the same point in the last bits,
-never in the printed digits of the default grids.  A threshold evaluation
-always starts cold.
+never in the printed digits of the default grids.
+
+A threshold search checks both bracket ends cold.  For a robustness
+measure it then fits the LP's right-hand side as a polynomial in p and
+walks optimal bases to propose the crossing (``_propose_crossing``), which
+two more cold evaluations confirm; mana measures, bare callables and any
+failed proposal bisect.
 """
 
 from __future__ import annotations
@@ -53,6 +58,7 @@ from .channels import (
     qutrit_noisy_th_channel,
     unitary_channel,
 )
+from ._simplex import RHS_DEGREE, fit_polynomial, parametric_crossing
 from .config import DEFAULT_TOL
 from .gates import T_GATE, plus_state
 from .lp import L1Solution, channel_robustness, rom_state
@@ -77,11 +83,13 @@ _EXPERIMENT_ALIASES = {
     "appendix-c": "appendix_c",
 }
 
-_DEGENERATE_PROB = 1e-9
-
-
 class BracketError(RuntimeError):
     """The requested threshold bracket does not straddle a crossing."""
+
+
+def _check_lp_tol(lp_tol: float) -> None:
+    if not (math.isfinite(lp_tol) and lp_tol >= 0):
+        raise ValueError(f"lp_tol must be finite and >= 0, got {lp_tol}")
 
 
 def canonical_experiment(name: str) -> str:
@@ -115,9 +123,10 @@ class SweepConfig:
             raise ValueError(f"format must be csv or json, got {self.format!r}")
         if self.jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {self.jobs}")
+        _check_lp_tol(self.lp_tol)
 
     def grid(self) -> list[float]:
-        count = int(math.floor((self.stop - self.start) / self.step + 1e-9)) + 1
+        count = int(math.floor((self.stop - self.start) / self.step + DEFAULT_TOL.grid)) + 1
         return [self.start + k * self.step for k in range(count)]
 
 
@@ -166,10 +175,12 @@ CHANNELS = {
 class _RunState:
     """What one contiguous run of sweep rows carries from row to row: the
     last optimal basis of each LP column, and the value of fig3's minus
-    branch, whose channel does not depend on p."""
+    branch, whose channel does not depend on p.  When ``samples`` is a list,
+    each LP solve appends ``(p, solution, scale)`` to it (``_Point.solve``)."""
 
     bases: dict = field(default_factory=dict)
     switch_minus: tuple | None = None
+    samples: list | None = None
 
 
 def _certified_value(solution: L1Solution, lp_tol: float) -> tuple[float, str]:
@@ -187,16 +198,17 @@ def _certified_value(solution: L1Solution, lp_tol: float) -> tuple[float, str]:
 
 
 def _prob_status(prob_plus: float, prob_minus: float) -> str:
+    tol = DEFAULT_TOL.probability
     ok = (
-        -1e-9 <= prob_plus <= 1 + 1e-9
-        and -1e-9 <= prob_minus <= 1 + 1e-9
-        and abs(prob_plus + prob_minus - 1.0) <= 1e-9
+        -tol <= prob_plus <= 1 + tol
+        and -tol <= prob_minus <= 1 + tol
+        and abs(prob_plus + prob_minus - 1.0) <= tol
     )
     return "ok" if ok else "check_failed"
 
 
 def _mana_status(value: float) -> tuple[float, str]:
-    return value, "ok" if value >= -1e-9 else "check_failed"
+    return value, "ok" if value >= -DEFAULT_TOL.mana_zero else "check_failed"
 
 
 @dataclass
@@ -224,11 +236,16 @@ class _Point:
     def t_branches(self) -> tuple:
         return effective_t_channels(self.p)
 
-    def solve(self, column: str, program, *args) -> tuple[float, str]:
+    def solve(self, column: str, program, *args, scale: float = 1.0) -> tuple[float, str]:
         """Solve one robustness LP of ``column``, starting from the optimal
-        basis the column reached earlier in this run."""
+        basis the column reached earlier in this run.  ``scale`` is the
+        positive s(p) that makes s(p) times the LP's right-hand side a
+        polynomial in p: the probability or weight of a switch branch, whose
+        unnormalized output is quadratic in p."""
         solution = program(*args, basis=self.state.bases.get(column))
         self.state.bases[column] = solution.basis
+        if self.state.samples is not None:
+            self.state.samples.append((self.p, solution, scale))
         return _certified_value(solution, self.lp_tol)
 
 
@@ -250,20 +267,22 @@ def _branch_probability(pt: _Point, column: str, k: int) -> tuple[float, str]:
 
 
 def _branch_robustness(pt: _Point, column: str, k: int) -> tuple[float, str]:
-    if pt.switch_outputs[2 + k] <= _DEGENERATE_PROB:
+    prob = pt.switch_outputs[2 + k]
+    if prob <= DEFAULT_TOL.degenerate_prob:
         return float("nan"), "degenerate"
-    return pt.solve(column, rom_state, pt.switch_outputs[k], enumerate_stabilizer_states(1))
+    return pt.solve(column, rom_state, pt.switch_outputs[k], enumerate_stabilizer_states(1), scale=prob)
 
 
 def _branch_mana(pt: _Point, column: str, k: int) -> tuple[float, str]:
-    if pt.switch_outputs[2 + k] <= _DEGENERATE_PROB:
+    if pt.switch_outputs[2 + k] <= DEFAULT_TOL.degenerate_prob:
         return float("nan"), "degenerate"
     return _mana_status(mana_state(pt.switch_outputs[k], build_frame(3)))
 
 
 def _t_branch_robustness(pt: _Point, column: str, k: int) -> tuple[float, str]:
     atoms = cspo_choi_atoms(enumerate_stabilizer_states(2))
-    return pt.solve(column, channel_robustness, pt.t_branches[k].channel, atoms)
+    branch = pt.t_branches[k]
+    return pt.solve(column, channel_robustness, branch.channel, atoms, scale=branch.weight)
 
 
 def _t_minus_robustness(pt: _Point, column: str) -> tuple[float, str]:
@@ -319,22 +338,28 @@ MEASURE_COLUMNS = {
 }
 
 
-def _threshold_value(experiment: str, column: Column, p: float) -> float:
-    """``column``'s value at ``p`` from a cold start; a degenerate branch
-    has no value and raises ``ValueError``."""
-    point = _Point(experiment, p, DEFAULT_TOL.lp_value, _RunState())
+def _threshold_value(experiment: str, column: Column, p: float, state: _RunState | None = None) -> float:
+    """``column``'s value at ``p``, from a cold start unless ``state`` is
+    given; a degenerate branch has no value and raises ``ValueError``."""
+    point = _Point(experiment, p, DEFAULT_TOL.lp_value, state or _RunState())
     value, status = column.measure(point, column.name)
     if status == "degenerate":
         raise ValueError(f"measure {column.threshold} has a degenerate branch at p={p}")
     return value
 
 
-# Threshold name -> (callable p -> value, faithfulness floor).
-MEASURES = {
-    column.threshold: (partial(_threshold_value, experiment, column), column.floor)
+# Threshold name -> (experiment, column).
+_THRESHOLD_COLUMNS = {
+    column.threshold: (experiment, column)
     for experiment, (_, columns) in MEASURE_TABLE.items()
     for column in columns
     if column.threshold
+}
+
+# Threshold name -> (callable p -> value, faithfulness floor).
+MEASURES = {
+    name: (partial(_threshold_value, experiment, column), column.floor)
+    for name, (experiment, column) in _THRESHOLD_COLUMNS.items()
 }
 
 
@@ -452,49 +477,131 @@ def find_threshold(
     lp_tol: float = DEFAULT_TOL.lp_value,
     threshold_tol: float = 1e-3,
 ) -> ThresholdResult:
-    """Bisect the crossing of a monotone measure onto its faithfulness floor.
+    """Find the crossing of a monotone measure onto its faithfulness floor.
 
-    ``measure`` is a registered name or a callable p -> value.  The bracket
-    endpoints must disagree on the predicate value <= floor + lp_tol; when
-    they do not, the mismatch is reported rather than guessed around.  Only
-    the bracket feeds the bisection, so the answer is independent of any
-    sweep grid step.
+    ``measure`` is a registered name or a pair (callable p -> value, floor).
+    The bracket endpoints must disagree on the predicate value <= floor +
+    lp_tol; when they do not, the mismatch is reported rather than guessed
+    around.  The result is a bracket no wider than ``threshold_tol`` whose
+    ends disagree on the predicate, as the measure itself evaluates it, and
+    a threshold inside it.  Only the bracket feeds the search, so the answer
+    does not depend on any sweep grid step.
+
+    For a registered LP measure the first bisection step also starts a
+    parametric walk (``_propose_crossing``) that proposes the crossing r.
+    The measure is then evaluated just inside r - threshold_tol / 2 and
+    r + threshold_tol / 2; when the two disagree, they are the bracket and
+    r the threshold.  Any other outcome, and every other measure, bisects
+    from the narrowest bracket known, until the midpoint is no longer
+    strictly inside it.
+    ``iterations`` counts the measure evaluations and walk LP solves after
+    the two endpoint checks.
     """
+    if not (math.isfinite(threshold_tol) and threshold_tol > 0):
+        raise ValueError(f"threshold_tol must be finite and positive, got {threshold_tol}")
+    _check_lp_tol(lp_tol)
+    entry = None
     if isinstance(measure, str):
         if measure not in MEASURES:
             raise KeyError(f"unknown measure {measure!r}; known: {sorted(MEASURES)}")
         fn, floor = MEASURES[measure]
+        entry = _THRESHOLD_COLUMNS[measure]
         name = measure
     else:
         fn, floor = measure
         name = getattr(fn, "__name__", "callable")
     if not lo < hi:
         raise ValueError(f"bracket [{lo}, {hi}] is empty")
+    level = floor + lp_tol
 
-    def free(p: float) -> bool:
-        return fn(p) <= floor + lp_tol
-
-    free_lo, free_hi = free(lo), free(hi)
+    free_lo, free_hi = fn(lo) <= level, fn(hi) <= level
     if free_lo == free_hi:
         raise BracketError(
             f"measure {name} has no crossing on [{lo}, {hi}]: "
             f"predicate is {free_lo} at both endpoints"
         )
+    bracket = [lo, hi]
     iterations = 0
-    while hi - lo > threshold_tol:
+
+    def narrow(p: float, value: float) -> None:
+        nonlocal iterations
         iterations += 1
-        mid = 0.5 * (lo + hi)
-        if free(mid) == free_lo:
-            lo = mid
-        else:
-            hi = mid
-    return ThresholdResult(
-        measure=name,
-        threshold=0.5 * (lo + hi),
-        bracket=(lo, hi),
-        iterations=iterations,
-        floor=floor,
+        bracket[(value <= level) != free_lo] = p
+
+    if entry and hi - lo > threshold_tol:
+        root, solves = _propose_crossing(*entry, bracket, level, free_lo, narrow)
+        iterations += solves
+        # One ulp of the root inside r -+ threshold_tol / 2, so that the
+        # bracket's computed width stays within threshold_tol.
+        half = 0.5 * threshold_tol - math.ulp(root or 0.0)
+        if root is not None and half > 0:
+            probes = [root - half, root + half]
+            for p in probes:
+                if bracket[0] < p < bracket[1]:
+                    narrow(p, fn(p))
+            if bracket == probes:
+                return ThresholdResult(name, root, tuple(bracket), iterations, floor)
+    while bracket[1] - bracket[0] > threshold_tol:
+        mid = 0.5 * (bracket[0] + bracket[1])
+        if not bracket[0] < mid < bracket[1]:
+            break
+        narrow(mid, fn(mid))
+    lo, hi = bracket
+    return ThresholdResult(name, 0.5 * (lo + hi), (lo, hi), iterations, floor)
+
+
+def _propose_crossing(
+    experiment: str, column: Column, bracket: list, level: float, free_lo: bool, narrow
+) -> tuple:
+    """Propose where ``column``'s value crosses ``level`` inside ``bracket``
+    (whose low end has the predicate ``free_lo``); returns (the crossing or
+    None, the evaluations and LP solves it made after the first).
+
+    The first evaluation is the bisection step at the midpoint, cold and fed
+    to ``narrow``.  Its LP solve records the right-hand side b and the scale
+    s (``_Point.solve``); a measure that solves no LP records nothing and
+    is left to bisection.  ``RHS_DEGREE + 1`` more points inside the
+    narrowed bracket are solved warm.  s b and s are fitted as polynomials
+    through all but the last point and checked at the last, and
+    ``parametric_crossing`` walks optimal bases from the sample just below
+    the crossing, or just above it when no sample lies below.
+    """
+    state = _RunState(samples=[])
+    mid = 0.5 * (bracket[0] + bracket[1])
+    narrow(mid, _threshold_value(experiment, column, mid, state))
+    if not state.samples:
+        return None, 0
+    lo, hi = bracket
+    points = [lo + (hi - lo) * k / (RHS_DEGREE + 2) for k in range(1, RHS_DEGREE + 2)]
+    for evaluations, p in enumerate(points, 1):
+        try:
+            _threshold_value(experiment, column, p, state)
+        except ValueError:  # a degenerate branch inside the bracket
+            return None, evaluations
+    samples = state.samples
+    forms = [solution.standard_form for _, solution, _ in samples]
+    if len(forms) != len(points) + 1 or any(f is None or f[0] is not forms[0][0] for f in forms):
+        return None, evaluations
+    fit = fit_polynomial(
+        [p for p, _, _ in samples],
+        [np.append(scale * b, scale) for (_, _, scale), (_, b) in zip(samples, forms)],
+        DEFAULT_TOL.rhs_fit,
     )
+    if fit is None:
+        return None, evaluations
+    known = sorted(
+        [(lo, free_lo, None), (hi, not free_lo, None)]
+        + [(p, solution.value <= level, solution.basis) for p, solution, _ in samples],
+        key=lambda entry: entry[0],
+    )
+    for (p0, free0, basis0), (p1, free1, basis1) in zip(known, known[1:]):
+        if free0 != free1:
+            break
+    if basis0 is None:
+        p0, basis0, p1 = p1, basis1, p0
+    A = forms[0][0]
+    root, solves = parametric_crossing(A, np.ones(A.shape[1]), fit[:, :-1], fit[:, -1], level, basis0, p0, p1)
+    return root, evaluations + solves
 
 
 # ---------------------------------------------------------------------------

@@ -135,13 +135,3 @@ def pauli_vectorize(op: np.ndarray, paulis: list[tuple[str, np.ndarray]]) -> np.
     stacked = np.array([pauli for _, pauli in paulis])
     # tr(P_k op) = sum_ij (P_k)_ij op_ji, for every string k at once.
     return np.einsum("kij,ji->k", stacked, op).real * (1.0 / np.sqrt(op.shape[0]))
-
-
-def pauli_unvectorize(vec: np.ndarray, paulis: list[tuple[str, np.ndarray]]) -> np.ndarray:
-    """Inverse of :func:`pauli_vectorize`."""
-    d = paulis[0][1].shape[0]
-    out = np.zeros((d, d), dtype=complex)
-    scale = 1.0 / np.sqrt(d)
-    for coeff, (_, pauli) in zip(vec, paulis):
-        out += coeff * scale * pauli
-    return out

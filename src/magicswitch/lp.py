@@ -84,7 +84,8 @@ class L1Solution:
     ``residual``, ``dual_gap`` and ``dual_violation`` (the worst excess of
     A^T y over c) certify the value.  ``basis`` is the optimal simplex
     basis, which can start the solve of a neighbouring problem; it is None
-    when no optimum was found.
+    when no optimum was found.  ``standard_form`` is the pair ``(A, b)`` of
+    the equality constraints ``A x = b, x >= 0`` it solved, with unit costs.
     """
 
     value: float
@@ -98,6 +99,7 @@ class L1Solution:
     iterations: int
     basis: np.ndarray | None = None
     renorm_factor: float = 1.0
+    standard_form: tuple | None = None
 
 
 def _assemble_standard_form(problem: AffineL1Problem):
@@ -125,9 +127,16 @@ def solve_l1(
     gap and the dual feasibility of the returned basic solution are
     reported so callers can enforce their own floors.
     """
-    A, b, c = _assemble_standard_form(problem)
+    A, b, _ = _assemble_standard_form(problem)
+    return _solve_assembled(A, b, max_iter, basis)
+
+
+def _solve_assembled(A, b, max_iter, basis) -> L1Solution:
+    """``solve_l1`` on the assembled constraints ``A x = b``, whose columns
+    are the plus then the minus part of each atom's coefficient."""
+    c = np.ones(A.shape[1])
     result = solve_standard_form(A, b, c, max_iter=max_iter, basis=basis)
-    n = problem.n_atoms
+    n = A.shape[1] // 2
     if result.status == STATUS_INFEASIBLE:
         status = "infeasible"
     elif result.status == STATUS_OPTIMAL:
@@ -155,6 +164,7 @@ def solve_l1(
         dual_violation=dual_violation,
         iterations=result.iterations,
         basis=result.basis,
+        standard_form=(A, b),
     )
 
 
@@ -163,11 +173,20 @@ def _cached_paulis(n_qubits: int):
     return pauli_strings(n_qubits)
 
 
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
+# The constraint matrix of each program depends only on its atom set, so it
+# is assembled once per set and shared read-only; a solve builds only b.
+
 @lru_cache(maxsize=None)
-def _state_atom_matrix(dictionary_key):
-    dictionary = dictionary_key
+def _state_constraints(dictionary) -> np.ndarray:
     paulis = _cached_paulis(dictionary.n_qubits)
-    return np.array([pauli_vectorize(P, paulis) for P in dictionary.projectors])
+    atoms = np.array([pauli_vectorize(P, paulis) for P in dictionary.projectors])
+    problem = AffineL1Problem(atoms=atoms, target=np.zeros(atoms.shape[1]))
+    return _read_only(_assemble_standard_form(problem)[0])
 
 
 def rom_state(
@@ -189,10 +208,9 @@ def rom_state(
             f"state dim {rho.dim} != dictionary dim {dictionary.dim}"
         )
     paulis = _cached_paulis(dictionary.n_qubits)
-    atoms = _state_atom_matrix(dictionary)
     target = pauli_vectorize(rho.matrix, paulis)
-    problem = AffineL1Problem(atoms=atoms, target=target)
-    solution = solve_l1(problem, max_iter=max_iter, basis=basis)
+    A = _state_constraints(dictionary)
+    solution = _solve_assembled(A, target, max_iter, basis)
     logger.info("rom_state status=%s value=%.12g", solution.status, solution.value)
     if solution.status == "infeasible":
         raise ValueError("robustness LP infeasible: input is not a valid state")
@@ -200,16 +218,21 @@ def rom_state(
 
 
 @lru_cache(maxsize=None)
-def _channel_atom_data(atoms_key):
-    atoms = atoms_key
+def _channel_constraints(atoms) -> np.ndarray:
+    """Choi reconstruction rows, then for each of X, Y, Z one marginal row
+    over the plus side and one over the minus side."""
     paulis = _cached_paulis(2)
     atom_matrix = np.array([pauli_vectorize(a.projector, paulis) for a in atoms])
-    marg_rows = []
+    zeros = np.zeros(atom_matrix.shape[0])
+    extras = []
     for pauli in (PAULI_X, PAULI_Y, PAULI_Z):
-        marg_rows.append(
-            np.array([np.trace(pauli @ a.marginal).real for a in atoms])
-        )
-    return atom_matrix, marg_rows
+        row = np.array([np.trace(pauli @ a.marginal).real for a in atoms])
+        extras.append(ExtraEquality(plus_coeffs=row, minus_coeffs=zeros, rhs=0.0))
+        extras.append(ExtraEquality(plus_coeffs=zeros, minus_coeffs=row, rhs=0.0))
+    problem = AffineL1Problem(
+        atoms=atom_matrix, target=np.zeros(atom_matrix.shape[1]), extra_equalities=tuple(extras)
+    )
+    return _read_only(_assemble_standard_form(problem)[0])
 
 
 def channel_robustness(
@@ -229,15 +252,9 @@ def channel_robustness(
     choi = choi_of_channel(ch)
     paulis = _cached_paulis(2)
     target = pauli_vectorize(choi.matrix, paulis)
-    atom_matrix, marg_rows = _channel_atom_data(atoms)
-    n = atom_matrix.shape[0]
-    zeros = np.zeros(n)
-    extras = []
-    for row in marg_rows:
-        extras.append(ExtraEquality(plus_coeffs=row, minus_coeffs=zeros, rhs=0.0))
-        extras.append(ExtraEquality(plus_coeffs=zeros, minus_coeffs=row, rhs=0.0))
-    problem = AffineL1Problem(atoms=atom_matrix, target=target, extra_equalities=tuple(extras))
-    solution = solve_l1(problem, max_iter=max_iter, basis=basis)
+    A = _channel_constraints(atoms)
+    b = np.concatenate([target, np.zeros(A.shape[0] - target.size)])
+    solution = _solve_assembled(A, b, max_iter, basis)
     logger.info("channel_robustness status=%s value=%.12g", solution.status, solution.value)
     return solution
 

@@ -197,6 +197,12 @@ STATE_FILES = {
     [
         ["threshold", "--measure", "fig2_channel_robustness", "--bracket", "0.5:0.2"],
         ["threshold", "--measure", "figs1_mana_minus", "--bracket", "0:0.5"],
+        *(
+            ["threshold", "--measure", "fig2_channel_robustness", "--bracket", "0.2:0.4", "--tol", tol]
+            for tol in ("threshold=0", "threshold=-1", "threshold=nan", "threshold=inf", "lp=nan", "lp=-1")
+        ),
+        ["fig2", "--tol", "lp=-1"],
+        ["fig2", "--tol", "lp=nan"],
         ["channel-robustness", "--channel", "noisy-th"],
         ["channel-robustness", "--channel", "noisy-th:p=abc"],
         ["channel-robustness", "--channel", "t:p=0.3"],

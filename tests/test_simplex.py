@@ -1,6 +1,7 @@
 import itertools
 
 import numpy as np
+import pytest
 
 from magicswitch import _simplex, channel_robustness, noisy_th_channel
 from magicswitch._simplex import (
@@ -9,6 +10,8 @@ from magicswitch._simplex import (
     STATUS_OPTIMAL,
     STATUS_UNBOUNDED,
     bland_pivot_loop,
+    fit_polynomial,
+    parametric_crossing,
     solve_standard_form,
 )
 
@@ -384,3 +387,121 @@ def test_phase2_set_up_matches_row_loop(monkeypatch, rng):
         assert got[:m].tobytes() == want[:m].tobytes()
         assert np.allclose(got[m], want[m], rtol=1e-12, atol=1e-12)
     assert driven > 0
+
+
+# Parametric right-hand side: min x1 + x2 s.t. x1 - x2 = t - 0.3, whose value
+# is |t - 0.3|, written as rhs(t) / scale(t) with scale(t) = 1 + t.
+ABS_A = np.array([[1.0, -1.0]])
+ABS_C = np.ones(2)
+ABS_SCALE = np.array([1.0, 1.0, 0.0])
+ABS_RHS = np.array([[-0.3], [0.7], [1.0]])  # (1 + t)(t - 0.3)
+
+
+def abs_walk(t, stop, level):
+    start = solve_standard_form(ABS_A, np.array([t - 0.3]), ABS_C)
+    return parametric_crossing(ABS_A, ABS_C, ABS_RHS, ABS_SCALE, level, start.basis, t, stop)
+
+
+def test_parametric_crossing_inside_the_first_interval():
+    root, solves = abs_walk(0.0, 0.3, 0.1)
+    assert abs(root - 0.2) < 1e-15 and solves == 0
+
+
+@pytest.mark.parametrize("t, stop", [(0.25, 1.0), (0.35, 0.0)])
+def test_parametric_crossing_steps_to_the_next_basis(t, stop):
+    # Past t = 0.3 the other variable carries |t - 0.3|, and the rhs row
+    # changes sign, so the solve's row flip changes too.
+    root, solves = abs_walk(t, stop, 0.1)
+    assert solves == 1
+    assert abs(root - (0.4 if stop > t else 0.2)) < 1e-15
+
+
+def test_parametric_crossing_at_a_breakpoint():
+    # min x1 s.t. x1 - x2 = t - 0.3 has value max(0, t - 0.3): on the level
+    # 0 all along the first interval, above it right past the breakpoint.
+    c = np.array([1.0, 0.0])
+    start = solve_standard_form(ABS_A, np.array([-0.2]), c)
+    rhs = np.array([[-0.3], [1.0], [0.0]])
+    root, solves = parametric_crossing(ABS_A, c, rhs, np.array([1.0, 0.0, 0.0]), 0.0, start.basis, 0.1, 1.0)
+    assert abs(root - 0.3) < 1e-8 and solves == 1
+
+
+def test_parametric_crossing_reports_no_crossing():
+    assert abs_walk(0.25, 1.0, 0.9) == (None, 1)
+    assert abs_walk(0.0, 0.1, 0.1) == (None, 0)
+    # 0.3 - t reaches -0.05 at t = 0.35, past the end of its interval.
+    assert abs_walk(0.25, 1.0, -0.05) == (None, 1)
+
+
+def test_parametric_crossing_stops_on_a_nonpositive_scale():
+    start = solve_standard_form(ABS_A, np.array([-0.3]), ABS_C)
+    scale = np.array([-1.0, 0.0, 0.0])
+    assert parametric_crossing(ABS_A, ABS_C, -ABS_RHS, scale, 0.1, start.basis, 0.0, 1.0) == (None, 0)
+
+
+def crossing_by_scan(A, c, rhs_at, level, t, stop, step=4e-3):
+    """Oracle: the first grid cell from t toward stop where the optimal value
+    crosses level, narrowed by bisection on cold solves."""
+    def free(s):
+        return solve_standard_form(A, rhs_at(s), c).objective <= level
+
+    start = free(t)
+    grid = np.linspace(t, stop, int(round(abs(stop - t) / step)) + 1)
+    for a, b in zip(grid, grid[1:]):
+        if free(b) != start:
+            while abs(b - a) > 1e-12:
+                mid = 0.5 * (a + b)
+                a, b = (mid, b) if free(mid) == start else (a, mid)
+            return 0.5 * (a + b)
+    return None
+
+
+def test_parametric_crossing_matches_a_scan_on_random_lps(monkeypatch, rng):
+    # b(t) = A (x0 + t x1 + t^2 x2) with nonnegative x's is feasible on
+    # [0, 1]; the walk must find the scan's first crossing of a level
+    # between the values at the ends.  Each solve past an interval's end
+    # must start from the dual ratio test's basis and only confirm it.
+    steps = []
+
+    def recording(A, b, c, basis):
+        result = solve_standard_form(A, b, c, basis=basis)
+        steps.append((sorted(basis), sorted(result.basis), result.iterations))
+        return result
+
+    monkeypatch.setattr(_simplex, "solve_standard_form", recording)
+    crossings = stepped = solved = 0
+    for _ in range(12):
+        A = rng.normal(size=(3, 7))
+        c = rng.uniform(0.5, 2.0, size=7)
+        xs = rng.uniform(0.0, 1.0, size=(3, 7))
+        xs[1:] *= rng.choice([-1.0, 1.0], size=(2, 1))
+        xs[0] += 1.0
+        rhs = xs @ A.T  # (3, m): coefficients of b(t)
+
+        def rhs_at(t, rhs=rhs):
+            return rhs[0] + t * (rhs[1] + t * rhs[2])
+
+        ends = [solve_standard_form(A, rhs_at(t), c).objective for t in (0.0, 1.0)]
+        level = 0.5 * sum(ends)
+        start = solve_standard_form(A, rhs_at(0.0), c)
+        root, solves = parametric_crossing(A, c, rhs, np.array([1.0, 0.0, 0.0]), level, start.basis, 0.0, 1.0)
+        stepped += solves > 0
+        solved += solves
+        want = crossing_by_scan(A, c, rhs_at, level, 0.0, 1.0)
+        if want is None:
+            assert root is None
+        else:
+            crossings += 1
+            assert root is not None and abs(root - want) < 1e-9
+    assert crossings >= 6 and stepped >= 2
+    assert len(steps) == solved
+    assert all(proposed == returned and iterations == 2 for proposed, returned, iterations in steps)
+
+
+def test_fit_polynomial_checks_the_extra_point():
+    t = np.array([0.1, 0.2, 0.4, 0.5])
+    quadratic = np.column_stack([1 - 2 * t + 3 * t**2, np.full(4, 0.5)])
+    fit = fit_polynomial(t, quadratic, 1e-10)
+    assert np.allclose(fit, [[1.0, 0.5], [-2.0, 0.0], [3.0, 0.0]], atol=1e-12)
+    cubic = quadratic + (t**3)[:, None] * 1e-6
+    assert fit_polynomial(t, cubic, 1e-10) is None
