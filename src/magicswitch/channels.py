@@ -3,25 +3,27 @@
 Everything here is immutable after construction: matrices are stored as
 read-only copies and all operations are pure functions, so objects can be
 shared freely across sweep workers.
+
+A channel holds its Kraus operators as one ``(k, d_out, d_in)`` stack, so
+applying, composing and taking the Choi state are each one broadcast
+product summed over the operator axis, with no loop over operators.  The
+sum runs over that axis in operator order, which gives the same bits as
+accumulating the operators one by one.  Each object is checked once: a
+state or Choi state when it is built, a channel's completeness residual on
+first use, after which it is kept with the channel.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .config import DEFAULT_TOL
-from .gates import HADAMARD, T_GATE, fourier_gate, qutrit_t_gate
-from .linalg import (
-    DimensionMismatchError,
-    assert_psd,
-    dagger,
-    is_hermitian,
-    partial_trace,
-    tensor,
-)
+from .gates import HADAMARD, T_GATE, fourier_gate, plus_state, qutrit_t_gate
+from .linalg import DimensionMismatchError, assert_psd, is_hermitian, partial_trace
 
 logger = logging.getLogger(__name__)
 
@@ -107,37 +109,74 @@ class DensityOperator:
         )
 
 
+@lru_cache(maxsize=None)
+def plus_density(d: int) -> DensityOperator:
+    """|+><+| in dimension ``d``, the switch's control and target input.
+    Built and checked once per dimension; being immutable, it is shared."""
+    return DensityOperator.pure(plus_state(d))
+
+
+def _dagger_stack(ops: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of each operator in a stack (last two axes)."""
+    return ops.conj().swapaxes(-1, -2)
+
+
+def _completeness_residual(ops: np.ndarray) -> float:
+    """max |sum_i K_i^dag K_i - I| over a (k, d_out, d_in) Kraus stack."""
+    total = (_dagger_stack(ops) @ ops).sum(axis=0)
+    return float(np.abs(total - np.eye(ops.shape[2])).max())
+
+
 @dataclass(frozen=True, eq=False)
 class KrausChannel:
     """A linear map given by Kraus operators, each ``d_out x d_in``.
 
+    ``kraus_ops`` is one read-only ``(k, d_out, d_in)`` complex array, built
+    from any sequence of equal-shape matrices; iterating, indexing and
+    ``len`` walk the operators.  ``d_in`` and ``d_out`` are read off its
+    shape.
+
     Completeness (trace preservation) is *checkable*, not assumed: weighted
     branch maps are legitimately sub-unital here, so :meth:`validate` is the
     explicit gate used before any operation that requires a true channel.
+    The residual it compares is computed once per channel and kept, so a
+    channel that is switched, turned into a Choi state and scored is summed
+    over its operators once.
     """
 
-    kraus_ops: tuple
-    d_in: int = field(default=0)
-    d_out: int = field(default=0)
+    kraus_ops: np.ndarray
 
     def __post_init__(self):
-        ops = tuple(_readonly(K) for K in self.kraus_ops)
-        if not ops:
-            raise ValueError("a channel needs at least one Kraus operator")
-        d_out, d_in = ops[0].shape
-        for K in ops:
-            if K.shape != (d_out, d_in):
+        ops = self.kraus_ops
+        if not isinstance(ops, np.ndarray):
+            ops = [np.asarray(K) for K in ops]
+            if len({K.shape for K in ops}) > 1:
                 raise DimensionMismatchError("all Kraus operators must share one shape")
+        ops = np.array(ops, dtype=complex)
+        if not len(ops):
+            raise ValueError("a channel needs at least one Kraus operator")
+        if ops.ndim != 3:
+            raise DimensionMismatchError(f"Kraus stack must be (k, d_out, d_in), got {ops.shape}")
+        ops.setflags(write=False)
         object.__setattr__(self, "kraus_ops", ops)
-        object.__setattr__(self, "d_in", d_in)
-        object.__setattr__(self, "d_out", d_out)
+
+    @property
+    def d_out(self) -> int:
+        return self.kraus_ops.shape[1]
+
+    @property
+    def d_in(self) -> int:
+        return self.kraus_ops.shape[2]
+
+    @cached_property
+    def _residual(self) -> float:
+        return _completeness_residual(self.kraus_ops)
 
     def completeness_residual(self) -> float:
-        total = sum(dagger(K) @ K for K in self.kraus_ops)
-        return float(np.abs(total - np.eye(self.d_in)).max())
+        return self._residual
 
     def validate(self, tol: float = DEFAULT_TOL.completeness) -> "KrausChannel":
-        res = self.completeness_residual()
+        res = self._residual
         if res > tol:
             raise ChannelCompletenessError(
                 f"Kraus completeness residual {res:.3e} exceeds {tol:g}"
@@ -145,7 +184,7 @@ class KrausChannel:
         return self
 
     def is_complete(self, tol: float = DEFAULT_TOL.completeness) -> bool:
-        return self.completeness_residual() <= tol
+        return self._residual <= tol
 
 
 @dataclass(frozen=True, eq=False)
@@ -177,11 +216,13 @@ class ChoiState:
 # ---------------------------------------------------------------------------
 
 def apply_kraus(kraus_ops, matrix: np.ndarray) -> np.ndarray:
-    """Raw Kraus action sum_i K_i M K_i^dag on an arbitrary matrix."""
-    out = np.zeros((kraus_ops[0].shape[0], kraus_ops[0].shape[0]), dtype=complex)
-    for K in kraus_ops:
-        out += K @ matrix @ dagger(K)
-    return out
+    """Raw Kraus action sum_i K_i M K_i^dag on an arbitrary matrix.
+
+    The sum runs over the first axis of ``kraus_ops``; with operators shaped
+    (k, 1, d_out, d_in) and a stack of matrices (n, d_in, d_in), this maps
+    all n matrices at once."""
+    ops = np.asarray(kraus_ops, dtype=complex)
+    return (ops @ matrix @ _dagger_stack(ops)).sum(axis=0)
 
 
 def apply_channel(ch: KrausChannel, rho: DensityOperator) -> DensityOperator:
@@ -200,14 +241,11 @@ def apply_channel(ch: KrausChannel, rho: DensityOperator) -> DensityOperator:
 def choi_of_channel(ch: KrausChannel, tol: float = DEFAULT_TOL.completeness) -> ChoiState:
     """Choi state of a valid channel (completeness enforced first)."""
     ch.validate(tol)
-    d_in, d_out = ch.d_in, ch.d_out
-    J = np.zeros((d_in * d_out, d_in * d_out), dtype=complex)
-    for K in ch.kraus_ops:
-        # |v> = sum_i |i> (x) K|i>, so J = (1/d_in) sum_K |v><v|.
-        v = np.zeros(d_in * d_out, dtype=complex)
-        for i in range(d_in):
-            v[i * d_out : (i + 1) * d_out] = K[:, i]
-        J += np.outer(v, v.conj())
+    k, d_out, d_in = ch.kraus_ops.shape
+    # |v_K> = sum_i |i> (x) K|i>, the transposed K read row by row, so
+    # J = (1/d_in) sum_K |v_K><v_K|.
+    vecs = ch.kraus_ops.transpose(0, 2, 1).reshape(k, d_in * d_out)
+    J = (vecs[:, :, None] * vecs.conj()[:, None, :]).sum(axis=0)
     return ChoiState(J / d_in, d_in=d_in, d_out=d_out)
 
 
@@ -215,15 +253,11 @@ def channel_from_choi(choi: ChoiState, tol: float = DEFAULT_TOL.psd) -> KrausCha
     """Reconstruct Kraus operators from a Choi state via eigendecomposition."""
     d_in, d_out = choi.d_in, choi.d_out
     eigvals, eigvecs = np.linalg.eigh(choi.matrix * d_in)
-    ops = []
-    for lam, vec in zip(eigvals, eigvecs.T):
-        if lam < -tol:
-            raise StateValidationError(f"Choi eigenvalue {lam:.3e} below -{tol:g}")
-        if lam <= tol:
-            continue
-        K = np.sqrt(lam) * vec.reshape(d_in, d_out).T
-        ops.append(K)
-    return KrausChannel(tuple(ops))
+    if eigvals[0] < -tol:
+        raise StateValidationError(f"Choi eigenvalue {eigvals[0]:.3e} below -{tol:g}")
+    keep = eigvals > tol
+    vecs = eigvecs.T[keep].reshape(-1, d_in, d_out).transpose(0, 2, 1)
+    return KrausChannel(np.sqrt(eigvals[keep])[:, None, None] * vecs)
 
 
 def compose_channels(outer: KrausChannel, inner: KrausChannel) -> KrausChannel:
@@ -232,14 +266,16 @@ def compose_channels(outer: KrausChannel, inner: KrausChannel) -> KrausChannel:
         raise DimensionMismatchError(
             f"cannot compose: inner output dim {inner.d_out} != outer input dim {outer.d_in}"
         )
-    ops = tuple(O @ I for O in outer.kraus_ops for I in inner.kraus_ops)
-    return KrausChannel(ops)
+    ops = outer.kraus_ops[:, None] @ inner.kraus_ops[None]
+    return KrausChannel(ops.reshape(-1, outer.d_out, inner.d_in))
 
 
 def extend_with_reference(ch: KrausChannel, d_ref: int) -> KrausChannel:
     """Tensor an idle reference system onto the left: id_ref (x) channel."""
+    k, d_out, d_in = ch.kraus_ops.shape
     eye = np.eye(d_ref, dtype=complex)
-    return KrausChannel(tuple(tensor(eye, K) for K in ch.kraus_ops))
+    ops = eye[None, :, None, :, None] * ch.kraus_ops[:, None, :, None, :]
+    return KrausChannel(ops.reshape(k, d_ref * d_out, d_ref * d_in))
 
 
 def measure_control(
@@ -336,15 +372,14 @@ def depolarizing_channel(d: int, p: float) -> KrausChannel:
     if d < 2:
         raise ValueError(f"depolarizing dimension d={d} must be at least 2")
     p_max = d * d / (d * d - 1)
-    if not 0.0 <= p <= p_max + 1e-12:
+    if not 0.0 <= p <= p_max + DEFAULT_TOL.depolarizing_range:
         raise ValueError(f"depolarizing strength p={p} outside [0, {p_max:.6f}]")
-    basis = orthogonal_unitary_basis(d)
+    basis = np.stack(orthogonal_unitary_basis(d))
     # rho -> a rho + (p/d^2) sum_{non-identity U} U rho U^dag with
     # a = 1 - p (d^2-1)/d^2 >= 0 over the whole valid range.
     a = max(0.0, 1.0 - p * (d * d - 1) / (d * d))
-    ops = [np.sqrt(a) * np.eye(d, dtype=complex)]
-    ops += [np.sqrt(p) / d * U for U in basis[1:]]
-    return KrausChannel(tuple(ops))
+    ops = np.concatenate([[np.sqrt(a) * np.eye(d, dtype=complex)], np.sqrt(p) / d * basis[1:]])
+    return KrausChannel(ops)
 
 
 def noisy_th_channel(p: float) -> KrausChannel:

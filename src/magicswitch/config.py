@@ -23,6 +23,15 @@ class Tolerances:
     degenerate_prob: float = 1e-9  # a branch this unlikely has no conditional state
     grid: float = 1e-9           # slack in counting the points of a sweep grid
     rhs_fit: float = 1e-10       # relative misfit that rejects a polynomial LP right-hand side
+    frame: float = 1e-12         # phase-point frame checks: Hermitian, unit trace, resolution of I
+    wigner_imag: float = 1e-12   # imaginary part a Wigner value may carry from rounding
+    wigner_cross_check: float = 1e-10  # direct vs Choi-route channel Wigner gap
+    depolarizing_range: float = 1e-12  # slack above the largest valid depolarizing strength
+    # Rounding floor under lp_tol: 16 ulps of the robustness floor 1.  Free
+    # LPs of the default fig2/fig3 grids land up to 7 ulps off 1, and must
+    # still read free at lp_tol = 0.  Not user-settable; it only acts when
+    # lp_tol is below it.
+    rounding: float = 16 * 2.0**-52
 
 
 DEFAULT_TOL = Tolerances()

@@ -49,18 +49,18 @@ from typing import Callable, NamedTuple, get_type_hints
 import numpy as np
 
 from .channels import (
-    DensityOperator,
     KrausChannel,
     compose_channels,
     depolarizing_channel,
     noisy_th_channel,
+    plus_density,
     qutrit_k2_variant_report,
     qutrit_noisy_th_channel,
     unitary_channel,
 )
 from ._simplex import RHS_DEGREE, fit_polynomial, parametric_crossing
 from .config import DEFAULT_TOL
-from .gates import T_GATE, plus_state
+from .gates import T_GATE
 from .lp import L1Solution, channel_robustness, rom_state
 from .phasespace import build_frame, mana_channel, mana_state
 from .qswitch import (
@@ -183,6 +183,13 @@ class _RunState:
     samples: list | None = None
 
 
+def _floor_slack(lp_tol: float) -> float:
+    """How far a value may sit from its floor and still read as on it:
+    ``lp_tol``, but never less than the rounding floor, so that an lp_tol
+    of 0 does not turn a free LP's 1 +- a few ulps into a verdict."""
+    return max(lp_tol, DEFAULT_TOL.rounding)
+
+
 def _certified_value(solution: L1Solution, lp_tol: float) -> tuple[float, str]:
     """Value and status of a robustness LP, with its certificates enforced:
     a reconstruction residual, duality gap or dual infeasibility above
@@ -192,7 +199,7 @@ def _certified_value(solution: L1Solution, lp_tol: float) -> tuple[float, str]:
     worst = max(solution.residual, solution.dual_gap, solution.dual_violation)
     if worst > DEFAULT_TOL.lp_residual:
         return solution.value, "check_failed"
-    if solution.value < 1.0 - lp_tol:
+    if solution.value < 1.0 - _floor_slack(lp_tol):
         return solution.value, "below_floor"
     return solution.value, "ok"
 
@@ -230,7 +237,7 @@ class _Point:
         """(rho_plus, rho_minus, prob_plus, prob_minus) of the channel switched
         with itself, control and target both in |+>."""
         ch = self.channel
-        return conditional_outputs(build_switch(ch, ch), DensityOperator.pure(plus_state(ch.d_in)))
+        return conditional_outputs(build_switch(ch, ch), plus_density(ch.d_in))
 
     @cached_property
     def t_branches(self) -> tuple:
@@ -481,10 +488,11 @@ def find_threshold(
 
     ``measure`` is a registered name or a pair (callable p -> value, floor).
     The bracket endpoints must disagree on the predicate value <= floor +
-    lp_tol; when they do not, the mismatch is reported rather than guessed
-    around.  The result is a bracket no wider than ``threshold_tol`` whose
-    ends disagree on the predicate, as the measure itself evaluates it, and
-    a threshold inside it.  Only the bracket feeds the search, so the answer
+    lp_tol (an lp_tol below ``DEFAULT_TOL.rounding`` counts as that
+    rounding floor); when they do not, the mismatch is reported rather than
+    guessed around.  The result is a bracket no wider than
+    ``threshold_tol`` whose ends disagree on the predicate, as the measure
+    itself evaluates it, and a threshold inside it.  Only the bracket feeds the search, so the answer
     does not depend on any sweep grid step.
 
     For a registered LP measure the first bisection step also starts a
@@ -512,7 +520,7 @@ def find_threshold(
         name = getattr(fn, "__name__", "callable")
     if not lo < hi:
         raise ValueError(f"bracket [{lo}, {hi}] is empty")
-    level = floor + lp_tol
+    level = floor + _floor_slack(lp_tol)
 
     free_lo, free_hi = fn(lo) <= level, fn(hi) <= level
     if free_lo == free_hi:

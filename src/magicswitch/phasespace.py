@@ -23,8 +23,6 @@ from .linalg import DimensionMismatchError, dagger
 
 logger = logging.getLogger(__name__)
 
-_CROSS_CHECK_TOL = 1e-10
-
 
 def _require_odd_prime(d: int) -> None:
     if d < 3 or d % 2 == 0:
@@ -84,15 +82,16 @@ def build_frame(d: int) -> PhaseSpaceFrame:
     a_ops = np.stack([T @ a0 @ dagger(T) for T in t_ops])
 
     eye = np.eye(d)
+    tol = DEFAULT_TOL.frame
     for k, A in enumerate(a_ops):
-        if np.abs(A - A.conj().T).max() > 1e-12:
+        if np.abs(A - A.conj().T).max() > tol:
             raise RuntimeError(f"A_{points[k]} not Hermitian")
-        if abs(np.trace(A) - 1.0) > 1e-12:
+        if abs(np.trace(A) - 1.0) > tol:
             raise RuntimeError(f"A_{points[k]} trace != 1")
-    if np.abs(a_ops.sum(axis=0) / d - eye).max() > 1e-12:
+    if np.abs(a_ops.sum(axis=0) / d - eye).max() > tol:
         raise RuntimeError("phase-point resolution of identity failed")
     gram = np.einsum("uij,vji->uv", a_ops, a_ops)
-    if np.abs(gram - d * np.eye(d * d)).max() > 1e-10:
+    if np.abs(gram - d * np.eye(d * d)).max() > DEFAULT_TOL.eq:
         raise RuntimeError("phase-point orthogonality failed")
 
     t_ops.setflags(write=False)
@@ -109,7 +108,7 @@ def wigner_of_operator(op: np.ndarray, frame: PhaseSpaceFrame) -> np.ndarray:
     if op.shape != (frame.d, frame.d):
         raise DimensionMismatchError(f"operator shape {op.shape} != frame dim {frame.d}")
     vals = np.einsum("uij,ji->u", frame.phase_points, op) / frame.d
-    if np.abs(vals.imag).max() > 1e-12:
+    if np.abs(vals.imag).max() > DEFAULT_TOL.wigner_imag:
         raise ValueError("Wigner function has a non-real component; operator not Hermitian?")
     return vals.real.reshape(frame.d, frame.d)
 
@@ -162,29 +161,31 @@ def wigner_of_channel(
     """Conditional Wigner function W(v|u) = Tr[A_v N(A_u)] / d_out.
 
     Computed directly from the Kraus action, which gives the returned
-    values.  The Choi-state route (``_choi_route_wigner``) is an independent
-    contraction kept only as a check: the two must agree to 1e-10.  Returned
-    as a (d_out^2, d_in^2) array W[v, u] in row-major point order, so each
-    column sums to 1 for a trace-preserving channel.
+    values: the images N(A_u) of all d_in^2 phase points come from one
+    broadcast product over the Kraus stack, and each image is then read
+    against the output frame.  The Choi-state route (``_choi_route_wigner``)
+    is an independent contraction kept only as a check: the two must agree
+    to ``DEFAULT_TOL.wigner_cross_check``.  Returned as a (d_out^2, d_in^2)
+    array W[v, u] in row-major point order, so each column sums to 1 for a
+    trace-preserving channel.
     """
     frame_out = frame_out or frame_in
     if ch.d_in != frame_in.d or ch.d_out != frame_out.d:
         raise DimensionMismatchError(
             f"channel dims ({ch.d_in},{ch.d_out}) != frames ({frame_in.d},{frame_out.d})"
         )
-    n_in = frame_in.d**2
-    n_out = frame_out.d**2
-    direct = np.empty((n_out, n_in))
-    for u in range(n_in):
-        image = apply_kraus(ch.kraus_ops, frame_in.phase_points[u])
-        col = np.einsum("vij,ji->v", frame_out.phase_points, image) / frame_out.d
-        if np.abs(col.imag).max() > 1e-12:
-            raise ValueError("channel Wigner function has a non-real component")
-        direct[:, u] = col.real
+    images = apply_kraus(ch.kraus_ops[:, None], frame_in.phase_points)
+    # One contraction per column: a single einsum over all images sums in
+    # another order and moves the last bits.
+    cols = [np.einsum("vij,ji->v", frame_out.phase_points, image) for image in images]
+    direct = np.stack(cols, axis=1) / frame_out.d
+    if np.abs(direct.imag).max() > DEFAULT_TOL.wigner_imag:
+        raise ValueError("channel Wigner function has a non-real component")
+    direct = direct.real.copy()
 
     choi_route = _choi_route_wigner(choi_of_channel(ch), frame_in, frame_out)
     gap = np.abs(direct - choi_route).max()
-    if gap > _CROSS_CHECK_TOL:
+    if gap > DEFAULT_TOL.wigner_cross_check:
         raise RuntimeError(f"channel Wigner cross-check failed: |direct - choi| = {gap:.3e}")
     return direct
 

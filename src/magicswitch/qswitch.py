@@ -23,10 +23,11 @@ from .channels import (
     compose_channels,
     depolarizing_channel,
     measure_control,
+    plus_density,
     unitary_channel,
 )
 from .config import DEFAULT_TOL
-from .gates import T_GATE, plus_state
+from .gates import T_GATE
 from .linalg import DimensionMismatchError, tensor
 
 @dataclass(frozen=True, eq=False)
@@ -36,15 +37,21 @@ class SwitchedChannel:
     Each Kraus operator pairs one operator from each inner channel:
     |0><0|_c branch applies them as a-after-b, |1><1|_c branch as b-after-a
     (``swap_order`` exchanges the two branch assignments; for identical
-    inner channels the flag is irrelevant).
+    inner channels the flag is irrelevant).  ``channel`` is the composite
+    ``KrausChannel``, checked once when the switch is built.
     """
 
-    kraus: tuple
+    channel: KrausChannel
     dim: int
     swap_order: bool = False
 
+    @property
+    def kraus(self) -> np.ndarray:
+        """The composite (k_a k_b, 2 dim, 2 dim) Kraus stack."""
+        return self.channel.kraus_ops
+
     def as_channel(self) -> KrausChannel:
-        return KrausChannel(self.kraus)
+        return self.channel
 
 
 def build_switch(a: KrausChannel, b: KrausChannel, swap_order: bool = False) -> SwitchedChannel:
@@ -52,8 +59,8 @@ def build_switch(a: KrausChannel, b: KrausChannel, swap_order: bool = False) -> 
 
     Both inner channels must be complete; the composite Kraus set is built
     as |0><0|_c (x) E_i F_j + |1><1|_c (x) F_j E_i, that is the block
-    diagonal of E_i F_j and F_j E_i, and its completeness is verified before
-    returning.
+    diagonal of E_i F_j and F_j E_i for every pair (i, j) at once, and its
+    completeness is verified before returning.
     """
     if a.d_in != a.d_out or b.d_in != b.d_out:
         raise DimensionMismatchError("switch requires square inner channels")
@@ -64,16 +71,14 @@ def build_switch(a: KrausChannel, b: KrausChannel, swap_order: bool = False) -> 
     a.validate()
     b.validate()
     d = a.d_in
-    ops = []
-    for E in a.kraus_ops:
-        for F in b.kraus_ops:
-            first, second = (F @ E, E @ F) if swap_order else (E @ F, F @ E)
-            op = np.zeros((2 * d, 2 * d), dtype=complex)
-            op[:d, :d] = first
-            op[d:, d:] = second
-            ops.append(op)
-    switched = SwitchedChannel(kraus=tuple(ops), dim=d, swap_order=swap_order)
-    residual = switched.as_channel().completeness_residual()
+    E, F = a.kraus_ops[:, None], b.kraus_ops[None]
+    ef, fe = E @ F, F @ E  # (k_a, k_b, d, d): E_i F_j and F_j E_i
+    first, second = (fe, ef) if swap_order else (ef, fe)
+    ops = np.zeros((len(a.kraus_ops) * len(b.kraus_ops), 2 * d, 2 * d), dtype=complex)
+    ops[:, :d, :d] = first.reshape(-1, d, d)
+    ops[:, d:, d:] = second.reshape(-1, d, d)
+    switched = SwitchedChannel(channel=KrausChannel(ops), dim=d, swap_order=swap_order)
+    residual = switched.channel.completeness_residual()
     if residual > DEFAULT_TOL.completeness:
         raise RuntimeError(f"switched channel completeness residual {residual:.3e}")
     return switched
@@ -91,7 +96,7 @@ def conditional_outputs(
     which sum to the input trace.
     """
     if control_in is None:
-        control_in = DensityOperator.pure(plus_state(2))
+        control_in = plus_density(2)
     if control_in.dim != 2:
         raise DimensionMismatchError("control must be a qubit state")
     if target_in.dim != switched.dim:

@@ -479,6 +479,35 @@ class TestWalkedThresholds:
         assert oracle.bracket[0] <= root <= oracle.bracket[1]
 
 
+class TestRoundingFloor:
+    """An lp_tol of 0 must not read a free LP's 1 +- a few ulps as magic."""
+
+    def test_threshold_at_zero_lp_tol(self):
+        # A free LP at p = 0.35 returns 1 + 1 ulp: without the rounding floor
+        # both bracket ends read magic and the search raised BracketError.
+        (lo, hi), _, exact, _ = LP_CROSSINGS["fig3_sequential"]
+        res = find_threshold("fig3_sequential", lo, hi, lp_tol=0.0)
+        assert res.bracket[0] <= exact <= res.bracket[1]
+
+    @pytest.mark.parametrize("experiment", ["fig2", "fig3"])
+    def test_zero_lp_tol_tags_no_free_point(self, experiment):
+        rows = run_experiment(default_config(experiment, lp_tol=0.0))
+        below = [(row.p, m) for row in rows for m, status in row.status.items() if status == "below_floor"]
+        assert below == []
+
+    def test_floor_leaves_larger_lp_tol_alone(self):
+        # The default level is floor + lp_tol exactly, bit for bit.
+        assert experiments._floor_slack(DEFAULT_TOL.lp_value) == DEFAULT_TOL.lp_value
+        solution = lp_solution("fig2_channel_robustness", 0.5)
+        for value, lp_tol, status in [
+            (1.0 - 0.5 * DEFAULT_TOL.rounding, 0.0, "ok"),
+            (1.0 - 2 * DEFAULT_TOL.rounding, 0.0, "below_floor"),
+            (1.0 - 2e-6, DEFAULT_TOL.lp_value, "below_floor"),
+        ]:
+            got = experiments._certified_value(replace(solution, value=value), lp_tol)
+            assert got == (value, status)
+
+
 def lp_solution(name, p):
     """The LP solution of registered measure ``name`` at ``p``."""
     state = experiments._RunState(samples=[])
