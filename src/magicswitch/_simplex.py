@@ -16,10 +16,16 @@ starts from the tableau ``B^-1 [A | I | b]`` with its phase-1 cost row
 instead of from the all-artificial basis.  Phase 1 then ends at its first
 check, and since reduced costs do not depend on ``b``, a basis that was
 optimal for the neighbour is still optimal and phase 2 ends there too.
-Both phases, the infeasibility cut, the artificial drive-out and the dual
-read-off are the same code either way.  Any other basis falls back to the
-artificial start.  The optimal value does not depend on the start beyond
-rounding; where an LP has several optimal vertices, ``x`` may.
+When the basis is primal infeasible for the new ``b`` but still dual
+feasible for the real costs, as a neighbour's optimal basis is, dual
+simplex pivots (``dual_pivot_loop``) first repair its primal feasibility
+(Bertsimas & Tsitsiklis, *Introduction to Linear Optimization*, 1997,
+sec. 4.5).  Both phases, the infeasibility cut, the artificial drive-out
+and the dual read-off are the same code either way.  A basis that is
+neither primal nor dual feasible, and a repair that finds no entering
+column or runs past ``max_iter``, fall back to the artificial start.  The
+optimal value does not depend on the start beyond rounding; where an LP
+has several optimal vertices, ``x`` may.
 """
 
 from __future__ import annotations
@@ -36,6 +42,20 @@ STATUS_INFEASIBLE = 3
 _PIVOT_TOL = 1e-9
 
 
+def _pivot(tableau, basis, r, q):
+    """Pivot on entry (r, q) in place: scale row r to a unit pivot, clear
+    column q from every other row with one rank-1 subtraction, and make q
+    the basic variable of row r.  The subtraction skips row r and the rows
+    whose column-q entry is zero, so every entry gets the same
+    floating-point operations as a row-by-row elimination, bit for bit."""
+    tableau[r] /= tableau[r, q]
+    column = tableau[:, q]
+    update = column != 0.0
+    update[r] = False
+    np.subtract(tableau, np.multiply.outer(column, tableau[r]), out=tableau, where=update[:, None])
+    basis[r] = q
+
+
 def bland_pivot_loop(tableau, basis, n_enterable, tol, max_iter):
     """Pivot to optimality under Bland's rule.
 
@@ -48,10 +68,7 @@ def bland_pivot_loop(tableau, basis, n_enterable, tol, max_iter):
     Each pivot is a few whole-array operations: the entering column is the
     first reduced cost below -tol, the leaving row the minimum ratio over
     the rows with a positive pivot-column entry (exact ties go to the
-    smallest basic variable), and the update one rank-1 subtraction.  The
-    subtraction skips the pivot row and the rows whose pivot-column entry
-    is zero, so every entry gets the same floating-point operations as a
-    row-by-row elimination and the walk is identical to it bit for bit.
+    smallest basic variable), and the update one ``_pivot``.
     """
     m = tableau.shape[0] - 1
     reduced = tableau[m, :n_enterable]
@@ -73,15 +90,43 @@ def bland_pivot_loop(tableau, basis, n_enterable, tol, max_iter):
         if np.count_nonzero(ties) > 1:
             rows = rows[ties]
             k = basis[rows].argmin()
-        r = rows[k]
-        tableau[r] /= tableau[r, q]
-        update = column != 0.0
-        update[r] = False
-        np.subtract(
-            tableau, np.multiply.outer(column, tableau[r]), out=tableau, where=update[:, None]
-        )
-        basis[r] = q
+        _pivot(tableau, basis, rows[k], q)
     return STATUS_ITER_LIMIT, it
+
+
+def dual_pivot_loop(tableau, basis, n_enterable, tol, max_iter):
+    """Pivot a dual feasible tableau to primal feasibility (dual simplex).
+
+    Same layout as ``bland_pivot_loop``, with the reduced costs of the real
+    objective in the last row, all >= -tol.  Bland-type rules keep the walk
+    deterministic and cycle-free: the leaving row is the row with a
+    right-hand side below -tol that holds the smallest basic variable, and
+    the entering column, among columns < n_enterable with a row entry below
+    -tol, the one with the smallest ratio of reduced cost to minus that
+    entry (ties to the smallest index), which keeps every reduced cost
+    nonnegative.  Returns (status, pivots): STATUS_OPTIMAL once every
+    right-hand side is >= -tol, STATUS_INFEASIBLE when the leaving row has
+    no entering column (no x >= 0 with zero artificials solves that row),
+    STATUS_ITER_LIMIT after max_iter pivots.
+    """
+    m = tableau.shape[0] - 1
+    reduced = tableau[m, :n_enterable]
+    rhs = tableau[:m, -1]
+    pivots = 0
+    while True:
+        rows = (rhs < -tol).nonzero()[0]
+        if not rows.size:
+            return STATUS_OPTIMAL, pivots
+        if pivots == max_iter:
+            return STATUS_ITER_LIMIT, pivots
+        r = rows[basis[rows].argmin()]
+        row = tableau[r, :n_enterable]
+        cols = (row < -tol).nonzero()[0]
+        if not cols.size:
+            return STATUS_INFEASIBLE, pivots
+        ratios = np.maximum(reduced[cols], 0.0) / -row[cols]
+        _pivot(tableau, basis, r, cols[ratios.argmin()])
+        pivots += 1
 
 
 @dataclass(frozen=True)
@@ -108,11 +153,15 @@ def _well_conditioned(B, B_inv, tol) -> bool:
     return np.abs(B).sum(axis=0).max() * np.abs(B_inv).sum(axis=0).max() * np.finfo(np.float64).eps <= tol
 
 
-def _start_from_basis(A, b, basis, tol):
-    """Phase-1 tableau body ``B^-1 [A | I | b]`` for a starting basis over the
-    columns of ``[A | I]``, or None when the basis cannot start the solve:
-    wrong length, an index out of range, numerically singular, or primal
-    infeasible for this ``b``."""
+def _start_from_basis(A, b, cost, basis, tol, max_iter):
+    """Primal feasible tableau body ``B^-1 [A | I | b]`` for a starting basis
+    over the columns of ``[A | I]``, with the basis it ends on and the dual
+    pivots it took; or None when the basis cannot start the solve: wrong
+    length, an index out of range, numerically singular, or primal
+    infeasible for this ``b`` and not repaired.  The repair runs
+    ``dual_pivot_loop`` when every reduced cost of the real columns under
+    ``cost`` is >= -tol, and fails when the loop does not reach primal
+    feasibility."""
     m, n = A.shape
     basis = np.array(basis, dtype=np.int64)
     if basis.shape != (m,) or not np.all((0 <= basis) & (basis < n + m)):
@@ -126,9 +175,15 @@ def _start_from_basis(A, b, basis, tol):
     # B^-1 sits in the artificial columns.
     if not _well_conditioned(B, body[:, n : n + m], tol):
         return None
-    if not np.all(body[:, -1] >= -tol):
+    if np.all(body[:, -1] >= -tol):
+        return body, basis, 0
+    tableau = np.vstack([body, _cost_row(body, basis, cost)])
+    if np.any(tableau[m, :n] < -tol):
         return None
-    return body, basis
+    status, pivots = dual_pivot_loop(tableau, basis, n, tol, max_iter)
+    if status != STATUS_OPTIMAL:
+        return None
+    return tableau[:m], basis, pivots
 
 
 def solve_standard_form(
@@ -143,9 +198,11 @@ def solve_standard_form(
 
     Phase 1 starts from ``basis`` (column indices into ``[A | I]``, the
     artificial columns counted after the real ones) when that basis is
-    nonsingular and primal feasible for this ``b``, and from the all-
-    artificial basis otherwise.  The optimal basis of a neighbouring
+    nonsingular and primal feasible for this ``b``, or dual feasible and
+    repaired to primal feasibility by dual simplex pivots, and from the
+    all-artificial basis otherwise.  The optimal basis of a neighbouring
     problem usually passes, and then phase 1 ends at its first check.
+    ``iterations`` counts the dual pivots of a repair too.
 
     The dual vector is read off the final tableau (artificial columns stay
     in the tableau, barred from entering), so callers can verify a zero
@@ -166,8 +223,10 @@ def solve_standard_form(
     A[flip] *= -1.0
     b[flip] *= -1.0
 
+    real_cost = np.zeros(n + m + 1)
+    real_cost[:n] = c
     tableau = np.zeros((m + 1, n + m + 1), dtype=np.float64)
-    start = None if basis is None else _start_from_basis(A, b, basis, tol)
+    start = None if basis is None else _start_from_basis(A, b, real_cost, basis, tol, max_iter)
     if start is None:
         tableau[:m, :n] = A
         tableau[:m, n : n + m] = np.eye(m)
@@ -176,8 +235,9 @@ def solve_standard_form(
         tableau[m, :n] = -A.sum(axis=0)
         tableau[m, -1] = -b.sum()
         basis = np.arange(n, n + m, dtype=np.int64)
+        it0 = 0
     else:
-        tableau[:m], basis = start
+        tableau[:m], basis, it0 = start
         artificial_cost = np.zeros(n + m + 1)
         artificial_cost[n : n + m] = 1.0
         tableau[m] = _cost_row(tableau, basis, artificial_cost)
@@ -190,7 +250,7 @@ def solve_standard_form(
         status = STATUS_INFEASIBLE
     if status != STATUS_OPTIMAL:
         empty = np.zeros(n)
-        return SimplexResult(status, empty, np.nan, np.zeros(m), it1, basis)
+        return SimplexResult(status, empty, np.nan, np.zeros(m), it0 + it1, basis)
 
     # Pivot leftover artificials out where possible (first real column with
     # a usable entry); a row with no real pivot entry is a redundant
@@ -198,19 +258,9 @@ def solve_standard_form(
     for i in np.flatnonzero(basis >= n):
         nz = np.flatnonzero(np.abs(tableau[i, :n]) > tol)
         if nz.size:
-            q = nz[0]
-            tableau[i] /= tableau[i, q]
-            column = tableau[:, q]
-            update = column != 0.0
-            update[i] = False
-            np.subtract(
-                tableau, np.multiply.outer(column, tableau[i]), out=tableau, where=update[:, None]
-            )
-            basis[i] = q
+            _pivot(tableau, basis, i, nz[0])
 
     # Phase 2: rebuild the objective row for the real costs.
-    real_cost = np.zeros(n + m + 1)
-    real_cost[:n] = c
     tableau[m] = _cost_row(tableau, basis, real_cost)
 
     status, it2 = bland_pivot_loop(tableau, basis, n, tol, max_iter)
@@ -221,7 +271,7 @@ def solve_standard_form(
     # Reduced cost of artificial column e_i is -y_i; undo the rhs sign flips.
     dual = -tableau[m, n : n + m].copy()
     dual[flip] *= -1.0
-    return SimplexResult(status, x, objective, dual, it1 + it2, basis)
+    return SimplexResult(status, x, objective, dual, it0 + it1 + it2, basis)
 
 
 # ---------------------------------------------------------------------------
@@ -292,9 +342,10 @@ def parametric_crossing(A, c, rhs, scale, level, basis, t, stop):
     returns it.  Reduced costs do not depend on b, so the basis stays
     optimal while B^-1 b(t) >= -_PIVOT_TOL, and there the optimal value crosses
     ``level`` at a root of c_B B^-1 rhs(t) - level scale(t).  When that
-    root lies past the end of the interval, a dual ratio test on the row
-    that leaves proposes the next basis, a solve just past the end starts
-    from it, and the walk repeats from the basis that solve returns.
+    root lies past the end of the interval, a solve just past the end
+    starts from the basis, which is primal infeasible there but still dual
+    feasible, so the solve's dual simplex pivots repair it into the next
+    optimal basis; the walk repeats from the basis that solve returns.
 
     Returns (crossing or None, LP solves).  None means no crossing up to
     ``stop``, or a failed walk: a singular or ill-conditioned basis, a
@@ -342,18 +393,9 @@ def parametric_crossing(A, c, rhs, scale, level, basis, t, stop):
             return float(roots[ahead.argmin()]), solves
         if end == stop:
             return None, solves
-        # Dual ratio test: the variable that reaches its bound leaves, and
-        # the entering column keeps every reduced cost nonnegative.
-        row = wall % m
-        pivot_row = B_inv[row] @ A
-        reduced = np.maximum(c - (cost[basis] @ B_inv) @ A, 0.0)
-        eligible = pivot_row < -_PIVOT_TOL
-        if not eligible.any():
-            return None, solves
-        basis = basis.copy()
-        basis[row] = np.where(eligible, reduced / np.where(eligible, -pivot_row, 1.0), np.inf).argmin()
         # Past the end by the tolerance again, every variable that reached
-        # its bound there is infeasible for the old basis, so a breakpoint
-        # where several do at once is left to the solve.
+        # its bound there is infeasible for this basis, which stays dual
+        # feasible; the step solve starts from it and its dual simplex
+        # pivots make the basis change, several at a degenerate breakpoint.
         t = min(end + _PIVOT_TOL, stop) if stop > t else max(end - _PIVOT_TOL, stop)
     return None, _MAX_WALK_SOLVES

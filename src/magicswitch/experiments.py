@@ -28,11 +28,14 @@ cold; identical configs therefore produce byte-identical CSV.  A warm-started
 value can differ from a lone cold solve at the same point in the last bits,
 never in the printed digits of the default grids.
 
-A threshold search checks both bracket ends cold.  For a robustness
-measure it then fits the LP's right-hand side as a polynomial in p and
-walks optimal bases to propose the crossing (``_propose_crossing``), which
-two more cold evaluations confirm; mana measures, bare callables and any
-failed proposal bisect.
+A threshold search checks both bracket ends.  For a robustness measure it
+then fits the LP's right-hand side as a polynomial in p and walks optimal
+bases to propose the crossing (``_propose_crossing``), which two more
+evaluations confirm; mana measures, bare callables and any failed proposal
+bisect.  All evaluations of one search of a registered measure share one
+``_RunState``, so only its first LP starts cold: each later one starts from
+the optimal basis of the one before, repaired by dual simplex pivots where
+it is infeasible for the new p.
 """
 
 from __future__ import annotations
@@ -173,10 +176,11 @@ CHANNELS = {
 
 @dataclass
 class _RunState:
-    """What one contiguous run of sweep rows carries from row to row: the
-    last optimal basis of each LP column, and the value of fig3's minus
-    branch, whose channel does not depend on p.  When ``samples`` is a list,
-    each LP solve appends ``(p, solution, scale)`` to it (``_Point.solve``)."""
+    """What one contiguous run of sweep rows, or one threshold search,
+    carries from one evaluation to the next: the last optimal basis of each
+    LP column, and the value of fig3's minus branch, whose channel does not
+    depend on p.  When ``samples`` is a list, each LP solve appends
+    ``(p, solution, scale)`` to it (``_Point.solve``)."""
 
     bases: dict = field(default_factory=dict)
     switch_minus: tuple | None = None
@@ -503,7 +507,9 @@ def find_threshold(
     from the narrowest bracket known, until the midpoint is no longer
     strictly inside it.
     ``iterations`` counts the measure evaluations and walk LP solves after
-    the two endpoint checks.
+    the two endpoint checks.  A registered measure is called with one
+    ``_RunState`` for the whole search, so every LP after the first starts
+    from the optimal basis of the one before.
     """
     if not (math.isfinite(threshold_tol) and threshold_tol > 0):
         raise ValueError(f"threshold_tol must be finite and positive, got {threshold_tol}")
@@ -512,9 +518,11 @@ def find_threshold(
     if isinstance(measure, str):
         if measure not in MEASURES:
             raise KeyError(f"unknown measure {measure!r}; known: {sorted(MEASURES)}")
-        fn, floor = MEASURES[measure]
+        registered, floor = MEASURES[measure]
         entry = _THRESHOLD_COLUMNS[measure]
         name = measure
+        state = _RunState()
+        fn = partial(registered, state=state)
     else:
         fn, floor = measure
         name = getattr(fn, "__name__", "callable")
@@ -537,7 +545,9 @@ def find_threshold(
         bracket[(value <= level) != free_lo] = p
 
     if entry and hi - lo > threshold_tol:
-        root, solves = _propose_crossing(*entry, bracket, level, free_lo, narrow)
+        state.samples = []
+        root, solves = _propose_crossing(*entry, state, bracket, level, free_lo, narrow)
+        state.samples = None
         iterations += solves
         # One ulp of the root inside r -+ threshold_tol / 2, so that the
         # bracket's computed width stays within threshold_tol.
@@ -559,22 +569,22 @@ def find_threshold(
 
 
 def _propose_crossing(
-    experiment: str, column: Column, bracket: list, level: float, free_lo: bool, narrow
+    experiment: str, column: Column, state: _RunState, bracket: list, level: float, free_lo: bool, narrow
 ) -> tuple:
     """Propose where ``column``'s value crosses ``level`` inside ``bracket``
     (whose low end has the predicate ``free_lo``); returns (the crossing or
     None, the evaluations and LP solves it made after the first).
 
-    The first evaluation is the bisection step at the midpoint, cold and fed
-    to ``narrow``.  Its LP solve records the right-hand side b and the scale
-    s (``_Point.solve``); a measure that solves no LP records nothing and
-    is left to bisection.  ``RHS_DEGREE + 1`` more points inside the
-    narrowed bracket are solved warm.  s b and s are fitted as polynomials
-    through all but the last point and checked at the last, and
+    Every evaluation runs in the search's ``state``, warm from the LP before
+    it, and ``state.samples`` starts empty.  The first is the bisection step
+    at the midpoint, fed to ``narrow``.  Its LP solve records the right-hand
+    side b and the scale s (``_Point.solve``); a measure that solves no LP
+    records nothing and is left to bisection.  ``RHS_DEGREE + 1`` more
+    points inside the narrowed bracket are solved.  s b and s are fitted as
+    polynomials through all but the last point and checked at the last, and
     ``parametric_crossing`` walks optimal bases from the sample just below
     the crossing, or just above it when no sample lies below.
     """
-    state = _RunState(samples=[])
     mid = 0.5 * (bracket[0] + bracket[1])
     narrow(mid, _threshold_value(experiment, column, mid, state))
     if not state.samples:

@@ -13,6 +13,7 @@ The control qubit is always the first tensor factor.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -84,6 +85,16 @@ def build_switch(a: KrausChannel, b: KrausChannel, swap_order: bool = False) -> 
     return switched
 
 
+@lru_cache(maxsize=16)
+def _joint_input(control_in: DensityOperator, target_in: DensityOperator) -> np.ndarray:
+    """control (x) target, read-only.  States compare by identity, so a
+    sweep that feeds every row the shared ``plus_density`` inputs forms it
+    once per input pair."""
+    joint = tensor(control_in.matrix, target_in.matrix)
+    joint.flags.writeable = False
+    return joint
+
+
 def conditional_outputs(
     switched: SwitchedChannel,
     target_in: DensityOperator,
@@ -103,8 +114,7 @@ def conditional_outputs(
         raise DimensionMismatchError(
             f"target dim {target_in.dim} != switch dim {switched.dim}"
         )
-    joint = tensor(control_in.matrix, target_in.matrix)
-    out = apply_kraus(switched.kraus, joint)
+    out = apply_kraus(switched.kraus, _joint_input(control_in, target_in))
     out_state = DensityOperator(out, normalized=abs(np.trace(out).real - 1) <= DEFAULT_TOL.psd)
     rho_plus, prob_plus = measure_control(out_state, "plus", control_position=0)
     rho_minus, prob_minus = measure_control(out_state, "minus", control_position=0)

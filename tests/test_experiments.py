@@ -418,6 +418,27 @@ class TestWalkedThresholds:
             assert res.bracket[0] <= oracle.threshold <= res.bracket[1]
             assert res.iterations <= 10  # bisection takes 18 here
 
+    @pytest.mark.parametrize("wrong_proposal", [False, True], ids=["walked", "bisected"])
+    @pytest.mark.parametrize("name", list(LP_CROSSINGS))
+    def test_only_the_first_lp_of_a_search_starts_cold(self, monkeypatch, name, wrong_proposal):
+        # One run state serves the endpoints, midpoint, samples, walk and
+        # confirmations, and the bisection after a wrong proposal.
+        (lo, hi), _, exact, _ = LP_CROSSINGS[name]
+        cold = []
+        solve = lp.solve_standard_form
+
+        def spy(A, b, c, basis=None, **kwargs):
+            cold.append(basis is None)
+            return solve(A, b, c, basis=basis, **kwargs)
+
+        monkeypatch.setattr(lp, "solve_standard_form", spy)
+        if wrong_proposal:
+            monkeypatch.setattr(experiments, "parametric_crossing", lambda *args: (exact + 1e-3, 0))
+        find_threshold(name, lo, hi, threshold_tol=1e-6)
+        assert cold[0] and cold.count(True) == 1
+        # Ends, midpoint, three samples and two confirmations, then bisection.
+        assert len(cold) > 8 if wrong_proposal else len(cold) == 8
+
     def test_p_independent_measure_still_has_no_crossing(self):
         with pytest.raises(BracketError):
             find_threshold("fig3_switch_minus", 0.2, 0.35, threshold_tol=1e-6)

@@ -21,7 +21,7 @@ from magicswitch import (
     qutrit_noisy_th_channel,
     wigner_of_channel,
 )
-from magicswitch import channels, experiments
+from magicswitch import channels, experiments, qswitch
 from magicswitch.channels import ChannelCompletenessError, apply_kraus, plus_density
 from magicswitch.config import DEFAULT_TOL
 from magicswitch.linalg import DimensionMismatchError, tensor
@@ -252,3 +252,15 @@ class TestCheckedOnce:
         experiments.run_figs1(experiments.default_config("figs1", stop=0.05))
         assert calls == []
         assert plus_density(3) is plus_density(3)
+
+    def test_joint_input_formed_once_per_input_pair(self, monkeypatch):
+        calls = []
+
+        def counting(*ops):
+            calls.append(len(ops))
+            return tensor(*ops)
+
+        monkeypatch.setattr(qswitch, "tensor", counting)
+        qswitch._joint_input.cache_clear()
+        experiments.run_figs1(experiments.default_config("figs1", stop=0.05))
+        assert calls == [2]

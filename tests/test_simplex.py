@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from magicswitch import _simplex, channel_robustness, noisy_th_channel
 from magicswitch._simplex import (
@@ -16,6 +18,11 @@ from magicswitch._simplex import (
 )
 
 from conftest import fig2_fig3_channels, pivot_walks
+
+try:
+    from scipy.optimize import linprog as HIGHS
+except ImportError:  # the HiGHS cross-check needs scipy
+    HIGHS = None
 
 
 def brute_force_optimum(A, b, c, tol=1e-9):
@@ -300,15 +307,82 @@ def test_start_basis_holding_a_positive_artificial_runs_phase1(monkeypatch):
     assert np.array_equal(warm.x, [1.0, 0.0, 1.0])
 
 
-def test_infeasible_start_basis_falls_back_to_cold_start():
-    # x0 - x1 = b: the basis {x0} is feasible for b = 1 and not for b = -1.
+def solve_recording_start(A, b, c, basis):
+    """``solve_standard_form`` from ``basis``; returns the result and what
+    ``_start_from_basis`` gave it: None when the solve started cold."""
+    starts = []
+    start_from_basis = _simplex._start_from_basis
+
+    def spy(*args):
+        starts.append(start_from_basis(*args))
+        return starts[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_simplex, "_start_from_basis", spy)
+        result = solve_standard_form(A, b, c, basis=basis)
+    (start,) = starts
+    return result, start
+
+
+def test_primal_infeasible_optimal_basis_is_repaired_to_the_cold_optimum():
+    # x0 - x1 = b: the basis {x0} is optimal for b = 1 and primal infeasible
+    # for b = -1.  Its reduced costs do not depend on b, so it is still dual
+    # feasible, and one dual pivot brings x1 in.
     A = np.array([[1.0, -1.0]])
     c = np.array([1.0, 2.0])
     assert solve_standard_form(A, np.array([1.0]), c).basis.tolist() == [0]
     cold = solve_standard_form(A, np.array([-1.0]), c)
-    warm = solve_standard_form(A, np.array([-1.0]), c, basis=np.array([0]))
+    warm, start = solve_recording_start(A, np.array([-1.0]), c, np.array([0]))
+    _, basis, dual_pivots = start
+    assert basis.tolist() == [1] and dual_pivots == 1
+    assert (warm.status, warm.objective) == (cold.status, cold.objective) == (STATUS_OPTIMAL, 2.0)
+    assert warm.basis.tolist() == cold.basis.tolist() == [1]
+
+
+def test_start_neither_primal_nor_dual_feasible_starts_cold(monkeypatch):
+    # x0 - x1 + x2 = -1: the basis {x2} puts x2 at -1, and x0's reduced
+    # cost 1 - 5 is negative, so no dual pivot may run from it.
+    A = np.array([[1.0, -1.0, 1.0]])
+    b = np.array([-1.0])
+    c = np.array([1.0, 1.0, 5.0])
+    monkeypatch.setattr(_simplex, "dual_pivot_loop", None)  # never reached
+    cold = solve_standard_form(A, b, c)
+    warm, start = solve_recording_start(A, b, c, np.array([2]))
+    assert start is None
     assert_same_result(warm, cold)
-    assert warm.basis.tolist() == [1] and warm.objective == 2.0
+    assert cold.status == STATUS_OPTIMAL and cold.objective == 1.0
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), feasible=st.booleans())
+def test_warm_resolve_matches_a_cold_solve(seed, feasible):
+    # The optimal basis at b1 starts the solve at b2, which may be primal
+    # infeasible for b2 or make the whole LP infeasible.  Positive costs keep
+    # every LP bounded, so its optimal basis at b1 is dual feasible at b2.
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(1, 5))
+    n = int(rng.integers(m + 1, 10))
+    A = rng.normal(size=(m, n))
+    c = rng.uniform(0.1, 2.0, size=n)
+    b1 = A @ rng.uniform(0.0, 1.0, size=n)
+    b2 = A @ rng.uniform(0.0, 1.0, size=n) if feasible else rng.normal(size=m)
+    start = solve_standard_form(A, b1, c)
+    assert start.status == STATUS_OPTIMAL
+    warm, warm_start = solve_recording_start(A, b2, c, start.basis)
+    cold = solve_standard_form(A, b2, c)
+    assert warm.status == cold.status
+    if feasible:
+        assert warm_start is not None  # started warm, repaired where needed
+    if cold.status == STATUS_OPTIMAL:
+        assert abs(warm.objective - cold.objective) <= 1e-9 * max(1.0, abs(cold.objective))
+        assert np.abs(A @ warm.x - b2).max() <= 1e-8
+    else:
+        assert cold.status == STATUS_INFEASIBLE and not feasible
+    if HIGHS is not None:
+        highs = HIGHS(c, A_eq=A, b_eq=b2, bounds=(0, None), method="highs")
+        assert highs.status == {STATUS_OPTIMAL: 0, STATUS_INFEASIBLE: 2}[cold.status]
+        if highs.status == 0:
+            assert abs(highs.fun - warm.objective) <= 1e-7 * max(1.0, abs(warm.objective))
 
 
 def test_unusable_start_basis_falls_back_to_cold_start():
@@ -457,18 +531,29 @@ def crossing_by_scan(A, c, rhs_at, level, t, stop, step=4e-3):
 
 
 def test_parametric_crossing_matches_a_scan_on_random_lps(monkeypatch, rng):
-    # b(t) = A (x0 + t x1 + t^2 x2) with nonnegative x's is feasible on
-    # [0, 1]; the walk must find the scan's first crossing of a level
-    # between the values at the ends.  Each solve past an interval's end
-    # must start from the dual ratio test's basis and only confirm it.
-    steps = []
+    # b(t) = A (x0 + t x1 + t^2 x2) is feasible at t = 0; the walk must find
+    # the scan's first crossing of a level between the values at the ends.
+    # Each solve past an interval's end must start from the walk's basis,
+    # repaired by dual pivots, not cold.  The one exception is a step past
+    # the end of the LP's feasible range (x1 and x2 are signed, so b(t) can
+    # leave the cone of A): there the repair finds no entering column, which
+    # proves the LP infeasible, and the solve decides it from a cold start.
+    steps = []  # per step solve: whether it started warm, its repair status
+    start_from_basis, dual_pivot_loop = _simplex._start_from_basis, _simplex.dual_pivot_loop
 
-    def recording(A, b, c, basis):
-        result = solve_standard_form(A, b, c, basis=basis)
-        steps.append((sorted(basis), sorted(result.basis), result.iterations))
-        return result
+    def recording_start(*args):
+        steps.append({})
+        start = start_from_basis(*args)
+        steps[-1]["warm"] = start is not None
+        return start
 
-    monkeypatch.setattr(_simplex, "solve_standard_form", recording)
+    def recording_repair(*args):
+        status, pivots = dual_pivot_loop(*args)
+        steps[-1]["repair"] = status
+        return status, pivots
+
+    monkeypatch.setattr(_simplex, "_start_from_basis", recording_start)
+    monkeypatch.setattr(_simplex, "dual_pivot_loop", recording_repair)
     crossings = stepped = solved = 0
     for _ in range(12):
         A = rng.normal(size=(3, 7))
@@ -495,7 +580,8 @@ def test_parametric_crossing_matches_a_scan_on_random_lps(monkeypatch, rng):
             assert root is not None and abs(root - want) < 1e-9
     assert crossings >= 6 and stepped >= 2
     assert len(steps) == solved
-    assert all(proposed == returned and iterations == 2 for proposed, returned, iterations in steps)
+    assert all(step["warm"] or step.get("repair") == STATUS_INFEASIBLE for step in steps)
+    assert sum(step.get("repair") == STATUS_OPTIMAL for step in steps) >= 2
 
 
 def test_fit_polynomial_checks_the_extra_point():
