@@ -14,11 +14,9 @@ from .channels import (
     DensityOperator,
     KrausChannel,
     apply_channel,
-    channel_from_choi,
     choi_of_channel,
     compose_channels,
     depolarizing_channel,
-    extend_with_reference,
     identity_channel,
     measure_control,
     noisy_th_channel,
@@ -41,18 +39,13 @@ from .experiments import (
 )
 from .linalg import dagger, partial_trace, pauli_strings, tensor
 from .lp import (
-    AffineL1Problem,
-    ExtraEquality,
     L1Solution,
     channel_robustness,
-    problem_to_lp_text,
     rom_state,
-    solve_l1,
 )
 from .phasespace import (
     PhaseSpaceFrame,
     build_frame,
-    is_cpwp,
     mana_channel,
     mana_state,
     wigner_of_channel,
@@ -64,7 +57,6 @@ from .qswitch import (
     WeightedChannel,
     build_switch,
     conditional_outputs,
-    depolarizing_switch_closed_form,
     effective_t_channels,
 )
 from .stabilizers import (
@@ -72,17 +64,14 @@ from .stabilizers import (
     StabilizerDictionary,
     cspo_choi_atoms,
     enumerate_stabilizer_states,
-    is_stabilizer_state,
 )
 
 __all__ = [
-    "AffineL1Problem",
     "ChoiAtom",
     "ChoiState",
     "DEFAULT_TOL",
     "DensityOperator",
     "EffectiveDepolarizingSwitch",
-    "ExtraEquality",
     "KrausChannel",
     "L1Solution",
     "PhaseSpaceFrame",
@@ -96,7 +85,6 @@ __all__ = [
     "apply_channel",
     "build_frame",
     "build_switch",
-    "channel_from_choi",
     "channel_robustness",
     "choi_of_channel",
     "compose_channels",
@@ -105,14 +93,10 @@ __all__ = [
     "dagger",
     "default_config",
     "depolarizing_channel",
-    "depolarizing_switch_closed_form",
     "effective_t_channels",
     "enumerate_stabilizer_states",
-    "extend_with_reference",
     "find_threshold",
     "identity_channel",
-    "is_cpwp",
-    "is_stabilizer_state",
     "mana_channel",
     "mana_state",
     "measure_control",
@@ -120,7 +104,6 @@ __all__ = [
     "orthogonal_unitary_basis",
     "partial_trace",
     "pauli_strings",
-    "problem_to_lp_text",
     "qutrit_k2_variant_report",
     "qutrit_noisy_th_channel",
     "rom_state",
@@ -128,7 +111,6 @@ __all__ = [
     "run_fig2",
     "run_fig3",
     "run_figs1",
-    "solve_l1",
     "tensor",
     "unitary_channel",
     "wigner_of_state",

@@ -332,6 +332,14 @@ def _distance_ahead(roots, t, stop):
     return np.where(((roots - t) * (stop - t) >= 0) & (distance <= abs(stop - t)), distance, np.inf)
 
 
+def _primal_feasible(A, b, x) -> bool:
+    """Whether ``x`` meets A x = b and x >= 0 to within ``_PIVOT_TOL``.
+    Just past the end of an LP's feasible range the phase-1 cut (100 times
+    the tolerance) can accept the small infeasibility there as optimal; the
+    solution it then reports misses one of the two by more than that."""
+    return np.abs(A @ x - b).max() <= _PIVOT_TOL and x.min() >= -_PIVOT_TOL
+
+
 def parametric_crossing(A, c, rhs, scale, level, basis, t, stop):
     """Where the optimal value of min c.x s.t. A x = b(t), x >= 0 first
     crosses ``level`` on the way from ``t`` to ``stop``.
@@ -349,8 +357,9 @@ def parametric_crossing(A, c, rhs, scale, level, basis, t, stop):
 
     Returns (crossing or None, LP solves).  None means no crossing up to
     ``stop``, or a failed walk: a singular or ill-conditioned basis, a
-    nonpositive scale, an LP that is not solved to optimality, or more than
-    ``_MAX_WALK_SOLVES`` solves.
+    nonpositive scale, a step LP that is not solved to optimality or whose
+    solution is not primal feasible (the step went past the end of the LP's
+    feasible range), or more than ``_MAX_WALK_SOLVES`` solves.
     """
     m = A.shape[0]
     cost = np.concatenate([c, np.zeros(m)])
@@ -360,8 +369,9 @@ def parametric_crossing(A, c, rhs, scale, level, basis, t, stop):
         if not s > 0:
             return None, solves
         if solves:
-            result = solve_standard_form(A, polyval(rhs, t) / s, c, basis=basis)
-            if result.status != STATUS_OPTIMAL:
+            b = polyval(rhs, t) / s
+            result = solve_standard_form(A, b, c, basis=basis)
+            if result.status != STATUS_OPTIMAL or not _primal_feasible(A, b, result.x):
                 return None, solves
             basis = result.basis
         # solve_standard_form flips rows with b < 0, which changes the sign

@@ -103,11 +103,6 @@ class DensityOperator:
             return self, 1.0
         return DensityOperator(self.matrix / tr, normalized=True), tr
 
-    def isclose(self, other: "DensityOperator", tol: float = DEFAULT_TOL.eq) -> bool:
-        return self.matrix.shape == other.matrix.shape and bool(
-            np.abs(self.matrix - other.matrix).max() <= tol
-        )
-
 
 @lru_cache(maxsize=None)
 def plus_density(d: int) -> DensityOperator:
@@ -175,16 +170,13 @@ class KrausChannel:
     def completeness_residual(self) -> float:
         return self._residual
 
-    def validate(self, tol: float = DEFAULT_TOL.completeness) -> "KrausChannel":
-        res = self._residual
+    def validate(self) -> "KrausChannel":
+        res, tol = self._residual, DEFAULT_TOL.completeness
         if res > tol:
             raise ChannelCompletenessError(
                 f"Kraus completeness residual {res:.3e} exceeds {tol:g}"
             )
         return self
-
-    def is_complete(self, tol: float = DEFAULT_TOL.completeness) -> bool:
-        return self._residual <= tol
 
 
 @dataclass(frozen=True, eq=False)
@@ -238,26 +230,15 @@ def apply_channel(ch: KrausChannel, rho: DensityOperator) -> DensityOperator:
     return DensityOperator(out, normalized=abs(tr - 1.0) <= DEFAULT_TOL.psd)
 
 
-def choi_of_channel(ch: KrausChannel, tol: float = DEFAULT_TOL.completeness) -> ChoiState:
+def choi_of_channel(ch: KrausChannel) -> ChoiState:
     """Choi state of a valid channel (completeness enforced first)."""
-    ch.validate(tol)
+    ch.validate()
     k, d_out, d_in = ch.kraus_ops.shape
     # |v_K> = sum_i |i> (x) K|i>, the transposed K read row by row, so
     # J = (1/d_in) sum_K |v_K><v_K|.
     vecs = ch.kraus_ops.transpose(0, 2, 1).reshape(k, d_in * d_out)
     J = (vecs[:, :, None] * vecs.conj()[:, None, :]).sum(axis=0)
     return ChoiState(J / d_in, d_in=d_in, d_out=d_out)
-
-
-def channel_from_choi(choi: ChoiState, tol: float = DEFAULT_TOL.psd) -> KrausChannel:
-    """Reconstruct Kraus operators from a Choi state via eigendecomposition."""
-    d_in, d_out = choi.d_in, choi.d_out
-    eigvals, eigvecs = np.linalg.eigh(choi.matrix * d_in)
-    if eigvals[0] < -tol:
-        raise StateValidationError(f"Choi eigenvalue {eigvals[0]:.3e} below -{tol:g}")
-    keep = eigvals > tol
-    vecs = eigvecs.T[keep].reshape(-1, d_in, d_out).transpose(0, 2, 1)
-    return KrausChannel(np.sqrt(eigvals[keep])[:, None, None] * vecs)
 
 
 def compose_channels(outer: KrausChannel, inner: KrausChannel) -> KrausChannel:
@@ -270,60 +251,23 @@ def compose_channels(outer: KrausChannel, inner: KrausChannel) -> KrausChannel:
     return KrausChannel(ops.reshape(-1, outer.d_out, inner.d_in))
 
 
-def extend_with_reference(ch: KrausChannel, d_ref: int) -> KrausChannel:
-    """Tensor an idle reference system onto the left: id_ref (x) channel."""
-    k, d_out, d_in = ch.kraus_ops.shape
-    eye = np.eye(d_ref, dtype=complex)
-    ops = eye[None, :, None, :, None] * ch.kraus_ops[:, None, :, None, :]
-    return KrausChannel(ops.reshape(k, d_ref * d_out, d_ref * d_in))
+def measure_control(state: DensityOperator, outcome: str) -> tuple[DensityOperator, float]:
+    """Project the control qubit, the first tensor factor, onto |+> or |->
+    and return the target branch.
 
-
-def measure_control(
-    state: DensityOperator,
-    outcome: str,
-    control_position: int = 0,
-    control_dim: int = 2,
-) -> tuple[DensityOperator, float]:
-    """Project the control qubit onto |+> or |-> and return the target branch.
-
-    Parameters
-    ----------
-    state : DensityOperator
-        State on control (x) target (or target (x) control, see position).
-    outcome : str
-        "plus" or "minus".
-    control_position : int
-        0 if the control is the first tensor factor, 1 if the last.
-    control_dim : int
-        Only qubit controls (dim 2) are supported.
-
-    Returns
-    -------
-    (branch, probability)
-        The unnormalized conditional state <pm|state|pm> on the target and
-        its trace.  Probabilities over both outcomes sum to the input trace.
+    ``outcome`` is "plus" or "minus".  Returns the unnormalized conditional
+    state <pm|state|pm> on the target and its trace; the probabilities of
+    both outcomes sum to the input trace.
     """
-    if control_dim != 2:
-        raise DimensionMismatchError("only a qubit control is supported")
     if outcome not in ("plus", "minus"):
         raise ValueError(f"outcome must be 'plus' or 'minus', got {outcome!r}")
-    if control_position not in (0, 1):
-        raise DimensionMismatchError(f"invalid control position {control_position}")
-    d_total = state.dim
-    if d_total % control_dim != 0:
-        raise DimensionMismatchError(
-            f"state dim {d_total} does not factor over a dim-{control_dim} control"
-        )
-    d_target = d_total // control_dim
+    if state.dim % 2 != 0:
+        raise DimensionMismatchError(f"state dim {state.dim} does not factor over a qubit control")
+    d_target = state.dim // 2
     sign = 1.0 if outcome == "plus" else -1.0
     ctrl = np.array([1.0, sign], dtype=complex) / np.sqrt(2)
-
-    if control_position == 0:
-        block = state.matrix.reshape(control_dim, d_target, control_dim, d_target)
-        branch = np.einsum("a,ambn,b->mn", ctrl.conj(), block, ctrl)
-    else:
-        block = state.matrix.reshape(d_target, control_dim, d_target, control_dim)
-        branch = np.einsum("a,manb,b->mn", ctrl.conj(), block, ctrl)
+    block = state.matrix.reshape(2, d_target, 2, d_target)
+    branch = np.einsum("a,ambn,b->mn", ctrl.conj(), block, ctrl)
     prob = float(np.trace(branch).real)
     return DensityOperator(branch, normalized=False), prob
 

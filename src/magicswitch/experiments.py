@@ -44,7 +44,6 @@ import json
 import logging
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 from typing import Callable, NamedTuple, get_type_hints
@@ -404,6 +403,9 @@ def run_experiment(config: SweepConfig) -> list[SweepRow]:
     n_runs = min(config.jobs, len(grid))
     if n_runs == 1:
         return _run_rows(config.experiment, grid, config.lp_tol)
+    # Only a parallel run pays for importing multiprocessing.
+    from concurrent.futures import ProcessPoolExecutor
+
     size, extra = divmod(len(grid), n_runs)
     bounds = [k * size + min(k, extra) for k in range(n_runs + 1)]
     runs = [grid[lo:hi] for lo, hi in zip(bounds, bounds[1:])]

@@ -67,10 +67,6 @@ def partial_trace(op: np.ndarray, dims, keep) -> np.ndarray:
     return reshaped.reshape(d_keep, d_keep)
 
 
-def trace(op: np.ndarray) -> complex:
-    return complex(np.trace(op))
-
-
 def hermitian_eigenvalues(op: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of a Hermitian operator (Hermitian-specialized)."""
     return np.linalg.eigvalsh(op)
@@ -79,13 +75,6 @@ def hermitian_eigenvalues(op: np.ndarray) -> np.ndarray:
 def is_hermitian(op: np.ndarray, tol: float = DEFAULT_TOL.eq) -> bool:
     op = np.asarray(op)
     return op.shape[0] == op.shape[1] and bool(np.abs(op - op.conj().T).max() <= tol)
-
-
-def operators_close(a: np.ndarray, b: np.ndarray, tol: float = DEFAULT_TOL.eq) -> bool:
-    """Entrywise equality within an absolute tolerance."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    return a.shape == b.shape and bool(np.abs(a - b).max() <= tol)
 
 
 def assert_psd(op: np.ndarray, tol: float = DEFAULT_TOL.psd, what: str = "operator") -> np.ndarray:

@@ -66,10 +66,6 @@ class PhaseSpaceFrame:
     heisenberg_weyl: np.ndarray   # (d^2, d, d)
     phase_points: np.ndarray      # (d^2, d, d)
 
-    def point_index(self, u) -> int:
-        a1, a2 = u
-        return (a1 % self.d) * self.d + (a2 % self.d)
-
 
 @lru_cache(maxsize=None)
 def build_frame(d: int) -> PhaseSpaceFrame:
@@ -138,52 +134,44 @@ def mana_state(rho: DensityOperator, frame: PhaseSpaceFrame) -> float:
     return _clamp_mana(np.log2(np.abs(wig).sum()))
 
 
-def _choi_route_wigner(
-    choi: ChoiState, frame_in: PhaseSpaceFrame, frame_out: PhaseSpaceFrame
-) -> np.ndarray:
-    """W(v|u) = Tr[(A_u^T (x) A_v) J] d_in / d_out from a Choi state J.
+def _choi_route_wigner(choi: ChoiState, frame: PhaseSpaceFrame) -> np.ndarray:
+    """W(v|u) = Tr[(A_u^T (x) A_v) J] from the Choi state J of a channel on
+    the frame's dimension.
 
     One contraction over J reshaped to its (in, out, in, out) indices.  The
-    stored Choi state carries a 1/d_in normalization, so a compensating d_in
-    appears here to match the direct Kraus formula.
+    general form carries a factor d_in / d_out, which is 1 here: the 1/d_in
+    of the stored Choi state cancels the 1/d_out of the direct formula.
     """
-    d_in, d_out = frame_in.d, frame_out.d
-    j4 = choi.matrix.reshape(d_in, d_out, d_in, d_out)
-    vals = np.einsum("uji,vab,jbia->vu", frame_in.phase_points, frame_out.phase_points, j4)
-    return (vals * d_in / d_out).real
+    d = frame.d
+    j4 = choi.matrix.reshape(d, d, d, d)
+    return np.einsum("uji,vab,jbia->vu", frame.phase_points, frame.phase_points, j4).real
 
 
-def wigner_of_channel(
-    ch: KrausChannel,
-    frame_in: PhaseSpaceFrame,
-    frame_out: PhaseSpaceFrame | None = None,
-) -> np.ndarray:
-    """Conditional Wigner function W(v|u) = Tr[A_v N(A_u)] / d_out.
+def wigner_of_channel(ch: KrausChannel, frame: PhaseSpaceFrame) -> np.ndarray:
+    """Conditional Wigner function W(v|u) = Tr[A_v N(A_u)] / d of a channel
+    on the frame's dimension d.
 
     Computed directly from the Kraus action, which gives the returned
-    values: the images N(A_u) of all d_in^2 phase points come from one
+    values: the images N(A_u) of all d^2 phase points come from one
     broadcast product over the Kraus stack, and each image is then read
-    against the output frame.  The Choi-state route (``_choi_route_wigner``)
+    against the frame.  The Choi-state route (``_choi_route_wigner``)
     is an independent contraction kept only as a check: the two must agree
-    to ``DEFAULT_TOL.wigner_cross_check``.  Returned as a (d_out^2, d_in^2)
-    array W[v, u] in row-major point order, so each column sums to 1 for a
+    to ``DEFAULT_TOL.wigner_cross_check``.  Returned as a (d^2, d^2) array
+    W[v, u] in row-major point order, so each column sums to 1 for a
     trace-preserving channel.
     """
-    frame_out = frame_out or frame_in
-    if ch.d_in != frame_in.d or ch.d_out != frame_out.d:
-        raise DimensionMismatchError(
-            f"channel dims ({ch.d_in},{ch.d_out}) != frames ({frame_in.d},{frame_out.d})"
-        )
-    images = apply_kraus(ch.kraus_ops[:, None], frame_in.phase_points)
+    if ch.d_in != frame.d or ch.d_out != frame.d:
+        raise DimensionMismatchError(f"channel dims ({ch.d_in},{ch.d_out}) != frame dim {frame.d}")
+    images = apply_kraus(ch.kraus_ops[:, None], frame.phase_points)
     # One contraction per column: a single einsum over all images sums in
     # another order and moves the last bits.
-    cols = [np.einsum("vij,ji->v", frame_out.phase_points, image) for image in images]
-    direct = np.stack(cols, axis=1) / frame_out.d
+    cols = [np.einsum("vij,ji->v", frame.phase_points, image) for image in images]
+    direct = np.stack(cols, axis=1) / frame.d
     if np.abs(direct.imag).max() > DEFAULT_TOL.wigner_imag:
         raise ValueError("channel Wigner function has a non-real component")
     direct = direct.real.copy()
 
-    choi_route = _choi_route_wigner(choi_of_channel(ch), frame_in, frame_out)
+    choi_route = _choi_route_wigner(choi_of_channel(ch), frame)
     gap = np.abs(direct - choi_route).max()
     if gap > DEFAULT_TOL.wigner_cross_check:
         raise RuntimeError(f"channel Wigner cross-check failed: |direct - choi| = {gap:.3e}")
@@ -196,16 +184,3 @@ def mana_channel(ch: KrausChannel, frame: PhaseSpaceFrame) -> float:
     wig = wigner_of_channel(ch, frame)
     worst = np.abs(wig).sum(axis=0).max()
     return _clamp_mana(np.log2(worst))
-
-
-def is_cpwp(
-    ch: KrausChannel, frame: PhaseSpaceFrame, tol: float = DEFAULT_TOL.mana_zero
-) -> tuple[bool, float]:
-    """Whether the channel completely preserves Wigner positivity.
-
-    Returns the verdict together with the minimum conditional Wigner value,
-    which is what the verdict thresholds on.
-    """
-    wig = wigner_of_channel(ch, frame)
-    min_val = float(wig.min())
-    return min_val >= -tol, min_val

@@ -37,25 +37,21 @@ class SwitchedChannel:
 
     Each Kraus operator pairs one operator from each inner channel:
     |0><0|_c branch applies them as a-after-b, |1><1|_c branch as b-after-a
-    (``swap_order`` exchanges the two branch assignments; for identical
-    inner channels the flag is irrelevant).  ``channel`` is the composite
-    ``KrausChannel``, checked once when the switch is built.
+    (so the switch of (b, a) is the same channel, its Kraus operators in
+    another order).  ``channel`` is the composite ``KrausChannel``, checked
+    once when the switch is built.
     """
 
     channel: KrausChannel
     dim: int
-    swap_order: bool = False
 
     @property
     def kraus(self) -> np.ndarray:
         """The composite (k_a k_b, 2 dim, 2 dim) Kraus stack."""
         return self.channel.kraus_ops
 
-    def as_channel(self) -> KrausChannel:
-        return self.channel
 
-
-def build_switch(a: KrausChannel, b: KrausChannel, swap_order: bool = False) -> SwitchedChannel:
+def build_switch(a: KrausChannel, b: KrausChannel) -> SwitchedChannel:
     """Construct the switched channel of two equal-dimension channels.
 
     Both inner channels must be complete; the composite Kraus set is built
@@ -73,12 +69,10 @@ def build_switch(a: KrausChannel, b: KrausChannel, swap_order: bool = False) -> 
     b.validate()
     d = a.d_in
     E, F = a.kraus_ops[:, None], b.kraus_ops[None]
-    ef, fe = E @ F, F @ E  # (k_a, k_b, d, d): E_i F_j and F_j E_i
-    first, second = (fe, ef) if swap_order else (ef, fe)
     ops = np.zeros((len(a.kraus_ops) * len(b.kraus_ops), 2 * d, 2 * d), dtype=complex)
-    ops[:, :d, :d] = first.reshape(-1, d, d)
-    ops[:, d:, d:] = second.reshape(-1, d, d)
-    switched = SwitchedChannel(channel=KrausChannel(ops), dim=d, swap_order=swap_order)
+    ops[:, :d, :d] = (E @ F).reshape(-1, d, d)  # E_i F_j
+    ops[:, d:, d:] = (F @ E).reshape(-1, d, d)  # F_j E_i
+    switched = SwitchedChannel(channel=KrausChannel(ops), dim=d)
     residual = switched.channel.completeness_residual()
     if residual > DEFAULT_TOL.completeness:
         raise RuntimeError(f"switched channel completeness residual {residual:.3e}")
@@ -86,38 +80,33 @@ def build_switch(a: KrausChannel, b: KrausChannel, swap_order: bool = False) -> 
 
 
 @lru_cache(maxsize=16)
-def _joint_input(control_in: DensityOperator, target_in: DensityOperator) -> np.ndarray:
-    """control (x) target, read-only.  States compare by identity, so a
-    sweep that feeds every row the shared ``plus_density`` inputs forms it
-    once per input pair."""
-    joint = tensor(control_in.matrix, target_in.matrix)
+def _joint_input(target_in: DensityOperator) -> np.ndarray:
+    """|+><+|_c (x) target, read-only.  States compare by identity, so a
+    sweep that feeds every row the shared ``plus_density`` target forms it
+    once."""
+    joint = tensor(plus_density(2).matrix, target_in.matrix)
     joint.flags.writeable = False
     return joint
 
 
 def conditional_outputs(
-    switched: SwitchedChannel,
-    target_in: DensityOperator,
-    control_in: DensityOperator | None = None,
+    switched: SwitchedChannel, target_in: DensityOperator
 ) -> tuple[DensityOperator, DensityOperator, float, float]:
-    """Run the switch and measure the control in the |+>/|-> basis.
+    """Run the switch on a |+> control and ``target_in``, and measure the
+    control in the |+>/|-> basis.
 
     Returns (rho_plus, rho_minus, prob_plus, prob_minus); the branch states
     are unnormalized and carry the outcome probabilities as their traces,
     which sum to the input trace.
     """
-    if control_in is None:
-        control_in = plus_density(2)
-    if control_in.dim != 2:
-        raise DimensionMismatchError("control must be a qubit state")
     if target_in.dim != switched.dim:
         raise DimensionMismatchError(
             f"target dim {target_in.dim} != switch dim {switched.dim}"
         )
-    out = apply_kraus(switched.kraus, _joint_input(control_in, target_in))
+    out = apply_kraus(switched.kraus, _joint_input(target_in))
     out_state = DensityOperator(out, normalized=abs(np.trace(out).real - 1) <= DEFAULT_TOL.psd)
-    rho_plus, prob_plus = measure_control(out_state, "plus", control_position=0)
-    rho_minus, prob_minus = measure_control(out_state, "minus", control_position=0)
+    rho_plus, prob_plus = measure_control(out_state, "plus")
+    rho_minus, prob_minus = measure_control(out_state, "minus")
     return rho_plus, rho_minus, prob_plus, prob_minus
 
 
@@ -175,30 +164,6 @@ class EffectiveDepolarizingSwitch:
         lhs = (2 * d2 - (d2 - 1) * p * p) * (self.sequential_strength() - self.p_plus)
         rhs = p * p * (d2 - (d2 - 1) * p * (2 - p))
         return abs(lhs - rhs)
-
-
-def _depolarize_matrix(d: int, strength: float, matrix: np.ndarray) -> np.ndarray:
-    return strength * np.trace(matrix) * np.eye(d) / d + (1 - strength) * matrix
-
-
-def depolarizing_switch_closed_form(
-    d: int, p: float, rho: DensityOperator
-) -> tuple[DensityOperator, DensityOperator]:
-    """Closed-form conditional branches of switched depolarizing noise.
-
-    Returns the unnormalized (plus, minus) branch states
-    weight_pm * D_{p_pm}(rho); these agree entrywise with the generic Kraus
-    construction of the switch.
-    """
-    eff = EffectiveDepolarizingSwitch.from_noise(d, p)
-    if rho.dim != d:
-        raise DimensionMismatchError(f"state dim {rho.dim} != d={d}")
-    plus = eff.weight_plus * _depolarize_matrix(d, eff.p_plus, rho.matrix)
-    minus = eff.weight_minus * _depolarize_matrix(d, eff.p_minus, rho.matrix)
-    return (
-        DensityOperator(plus, normalized=abs(np.trace(plus).real - 1) <= DEFAULT_TOL.psd),
-        DensityOperator(minus, normalized=False),
-    )
 
 
 @dataclass(frozen=True, eq=False)

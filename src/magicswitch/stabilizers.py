@@ -1,14 +1,14 @@
 """Enumeration of pure stabilizer states for one and two qubits.
 
 The dictionary of stabilizer projectors is the atom set for both robustness
-linear programs and for membership tests.  A pure stabilizer state on n
-qubits is fixed by n signed, independent, commuting Pauli strings g_k: its
-projector is prod_k (I + s_k g_k) / 2 (Aaronson & Gottesman, PRA 70, 052328
-(2004)).  The states are therefore written down directly: every maximal
-commuting set of non-identity Pauli strings, generated by its n
-lexicographically smallest members, times every sign choice.  The label
-("+IX,-XI") is that signed generating set, so the ordering is deterministic,
-and the projector entries are exact dyadic numbers.
+linear programs.  A pure stabilizer state on n qubits is fixed by n signed,
+independent, commuting Pauli strings g_k: its projector is
+prod_k (I + s_k g_k) / 2 (Aaronson & Gottesman, PRA 70, 052328 (2004)).
+The states are therefore written down directly: every maximal commuting
+set of non-identity Pauli strings, generated by its n lexicographically
+smallest members, times every sign choice.  The label ("+IX,-XI") is that
+signed generating set, so the ordering is deterministic, and the
+projector entries are exact dyadic numbers.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from .config import DEFAULT_TOL
 from .linalg import DimensionMismatchError, partial_trace, pauli_strings
 
 
@@ -98,16 +97,6 @@ def enumerate_stabilizer_states(n_qubits: int) -> StabilizerDictionary:
     return StabilizerDictionary(n_qubits=n_qubits, projectors=ordered, labels=labels)
 
 
-def is_stabilizer_state(rho, dictionary: StabilizerDictionary, tol: float = DEFAULT_TOL.lp_value) -> bool:
-    """Membership test via the robustness LP: free iff the value is 1."""
-    from .lp import rom_state
-
-    solution = rom_state(rho, dictionary)
-    if solution.status != "optimal":
-        raise RuntimeError(f"robustness LP returned status {solution.status}")
-    return solution.value <= 1.0 + tol
-
-
 @dataclass(frozen=True, eq=False)
 class ChoiAtom:
     """A two-qubit stabilizer projector viewed as a Choi-space atom.
@@ -119,7 +108,6 @@ class ChoiAtom:
 
     projector: np.ndarray
     marginal: np.ndarray
-    label: str
 
 
 @lru_cache(maxsize=None)
@@ -128,9 +116,9 @@ def cspo_choi_atoms(dictionary: StabilizerDictionary) -> tuple:
     if dictionary.n_qubits != 2:
         raise DimensionMismatchError("Choi atoms need the two-qubit dictionary")
     atoms = []
-    for proj, label in zip(dictionary.projectors, dictionary.labels):
+    for proj in dictionary.projectors:
         marginal = partial_trace(proj, [2, 2], keep=0)
         marginal.setflags(write=False)
-        atoms.append(ChoiAtom(projector=proj, marginal=marginal, label=label))
+        atoms.append(ChoiAtom(projector=proj, marginal=marginal))
     return tuple(atoms)
 

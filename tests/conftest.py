@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from magicswitch import (
+    DensityOperator,
+    KrausChannel,
     build_frame,
     compose_channels,
     cspo_choi_atoms,
@@ -11,7 +13,10 @@ from magicswitch import (
     noisy_th_channel,
     unitary_channel,
 )
+from magicswitch.config import DEFAULT_TOL
 from magicswitch.gates import T_GATE
+from magicswitch.linalg import tensor
+from magicswitch.qswitch import EffectiveDepolarizingSwitch
 
 
 @pytest.fixture(scope="session")
@@ -54,8 +59,6 @@ def random_kraus_channel(d, n_ops, rng):
     total = sum(b.conj().T @ b for b in blocks)
     eigvals, eigvecs = np.linalg.eigh(total)
     inv_sqrt = eigvecs @ np.diag(eigvals**-0.5) @ eigvecs.conj().T
-    from magicswitch import KrausChannel
-
     return KrausChannel(tuple(b @ inv_sqrt for b in blocks))
 
 
@@ -89,3 +92,35 @@ def pivot_walks(monkeypatch, run):
         patch.setattr(_simplex, "bland_pivot_loop", recorder)
         result = run()
     return result, walks
+
+
+# ---------------------------------------------------------------------------
+# Oracles shared by several test modules
+# ---------------------------------------------------------------------------
+
+def operators_close(a, b, tol=DEFAULT_TOL.eq):
+    """Entrywise equality within an absolute tolerance."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and bool(np.abs(a - b).max() <= tol)
+
+
+def extend_with_reference(ch, d_ref):
+    """id_ref (x) channel: an idle reference system tensored on the left."""
+    return KrausChannel([tensor(np.eye(d_ref, dtype=complex), K) for K in ch.kraus_ops])
+
+
+def depolarizing_switch_closed_form(d, p, rho):
+    """Closed-form conditional branches of switched depolarizing noise: the
+    unnormalized (plus, minus) states weight_pm * D_{p_pm}(rho), which must
+    agree entrywise with the generic Kraus construction of the switch."""
+    eff = EffectiveDepolarizingSwitch.from_noise(d, p)
+
+    def depolarize(strength):
+        return strength * np.trace(rho.matrix) * np.eye(d) / d + (1 - strength) * rho.matrix
+
+    plus = eff.weight_plus * depolarize(eff.p_plus)
+    minus = eff.weight_minus * depolarize(eff.p_minus)
+    return (
+        DensityOperator(plus, normalized=abs(np.trace(plus).real - 1) <= DEFAULT_TOL.psd),
+        DensityOperator(minus, normalized=False),
+    )

@@ -17,8 +17,6 @@ from magicswitch import (
     channel_robustness,
     conditional_outputs,
     depolarizing_channel,
-    depolarizing_switch_closed_form,
-    extend_with_reference,
     find_threshold,
     mana_state,
     noisy_th_channel,
@@ -33,7 +31,7 @@ from magicswitch.experiments import default_config
 from magicswitch.gates import plus_state
 from magicswitch.phasespace import wigner_of_operator
 
-from conftest import random_density_matrix
+from conftest import depolarizing_switch_closed_form, extend_with_reference, random_density_matrix
 
 
 def _report(name: str, ok: bool, detail: str) -> None:

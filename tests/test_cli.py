@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 
 import numpy as np
@@ -156,19 +157,15 @@ class RefusedPool:
 
 @pytest.mark.parametrize("flag", ["0", "-2"])
 def test_bad_jobs_flag_is_a_one_line_error(capsys, monkeypatch, flag):
-    from magicswitch import experiments
-
     monkeypatch.delenv("MAGIC_SWITCH_JOBS", raising=False)
-    monkeypatch.setattr(experiments, "ProcessPoolExecutor", RefusedPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RefusedPool)
     assert_one_line_error(capsys, main(["-q", "fig2", "--grid", "0:0.02:0.01", "--jobs", flag]))
 
 
 @pytest.mark.parametrize("env", ["0", "-3", "two", "1.5"])
 def test_bad_jobs_env_is_a_one_line_error(capsys, monkeypatch, env):
-    from magicswitch import experiments
-
     monkeypatch.setenv("MAGIC_SWITCH_JOBS", env)
-    monkeypatch.setattr(experiments, "ProcessPoolExecutor", RefusedPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RefusedPool)
     assert_one_line_error(capsys, main(["-q", "fig3", "--grid", "0:0.02:0.01"]))
 
 

@@ -1,3 +1,4 @@
+import concurrent.futures
 import hashlib
 import json
 import math
@@ -238,7 +239,7 @@ class TestWarmStart:
         "jobs, rows, runs", [(2, 5, [3, 2]), (3, 7, [3, 2, 2]), (8, 3, [1, 1, 1])]
     )
     def test_jobs_split_the_grid_into_contiguous_runs(self, monkeypatch, jobs, rows, runs):
-        monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         RecordingPool.made.clear()
         config = _tiny("fig3", start=0.0, stop=0.01 * (rows - 1), step=0.01, jobs=jobs)
         got = run_fig3(config)

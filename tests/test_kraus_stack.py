@@ -14,16 +14,13 @@ from magicswitch import (
     KrausChannel,
     build_frame,
     build_switch,
-    channel_from_choi,
     choi_of_channel,
     compose_channels,
-    extend_with_reference,
     qutrit_noisy_th_channel,
     wigner_of_channel,
 )
 from magicswitch import channels, experiments, qswitch
 from magicswitch.channels import ChannelCompletenessError, apply_kraus, plus_density
-from magicswitch.config import DEFAULT_TOL
 from magicswitch.linalg import DimensionMismatchError, tensor
 
 PROPERTY = settings(derandomize=True, database=None, max_examples=60, deadline=None)
@@ -55,15 +52,14 @@ def loop_choi(ch):
     return J / d_in
 
 
-def loop_switch(a, b, swap_order):
+def loop_switch(a, b):
     d = a.d_in
     ops = []
     for E in a.kraus_ops:
         for F in b.kraus_ops:
-            first, second = (F @ E, E @ F) if swap_order else (E @ F, F @ E)
             op = np.zeros((2 * d, 2 * d), dtype=complex)
-            op[:d, :d] = first
-            op[d:, d:] = second
+            op[:d, :d] = E @ F
+            op[d:, d:] = F @ E
             ops.append(op)
     return ops
 
@@ -76,19 +72,6 @@ def loop_wigner(ch, frame):
         col = np.einsum("vij,ji->v", frame.phase_points, image) / frame.d
         direct[:, u] = col.real
     return direct
-
-
-def loop_extend(ch, d_ref):
-    return [tensor(np.eye(d_ref, dtype=complex), K) for K in ch.kraus_ops]
-
-
-def loop_from_choi(choi, tol=DEFAULT_TOL.psd):
-    eigvals, eigvecs = np.linalg.eigh(choi.matrix * choi.d_in)
-    ops = []
-    for lam, vec in zip(eigvals, eigvecs.T):
-        if lam > tol:
-            ops.append(np.sqrt(lam) * vec.reshape(choi.d_in, choi.d_out).T)
-    return ops
 
 
 def loop_residual(ch):
@@ -137,16 +120,6 @@ class TestKernelsMatchLoops:
         assert np.array_equal(choi_of_channel(ch).matrix, loop_choi(ch))
 
     @PROPERTY
-    @given(qubit_or_qutrit, kraus_counts, seeds, st.integers(1, 3))
-    def test_extend_and_from_choi(self, d, k, seed, d_ref):
-        ch = isometry_channel(d, k, seed)
-        got = extend_with_reference(ch, d_ref).kraus_ops
-        assert all(np.array_equal(g, w) for g, w in zip(got, loop_extend(ch, d_ref), strict=True))
-        choi = choi_of_channel(ch)
-        got = channel_from_choi(choi).kraus_ops
-        assert all(np.array_equal(g, w) for g, w in zip(got, loop_from_choi(choi), strict=True))
-
-    @PROPERTY
     @given(qubit_or_qutrit, kraus_counts, seeds)
     def test_completeness_residual(self, d, k, seed):
         ch = isometry_channel(d, k, seed)
@@ -156,12 +129,13 @@ class TestKernelsMatchLoops:
     @given(qubit_or_qutrit, kraus_counts, kraus_counts, seeds)
     def test_switch(self, d, k_a, k_b, seed):
         a, b = isometry_channel(d, k_a, seed), isometry_channel(d, k_b, seed + 1)
-        for swap_order in (False, True):
-            switched = build_switch(a, b, swap_order=swap_order)
-            want = loop_switch(a, b, swap_order)
+        # The switch of (b, a) is the other order of the same pairs.
+        for x, y in ((a, b), (b, a)):
+            switched = build_switch(x, y)
+            want = loop_switch(x, y)
             assert len(switched.kraus) == len(want)
             assert all(np.array_equal(g, w) for g, w in zip(switched.kraus, want))
-            assert switched.as_channel().completeness_residual() < 1e-9
+            assert switched.channel.completeness_residual() < 1e-9
 
     @PROPERTY
     @given(kraus_counts, seeds)
@@ -234,8 +208,8 @@ class TestCheckedOnce:
     def test_switch_holds_its_channel(self):
         ch = qutrit_noisy_th_channel(0.3)
         switched = build_switch(ch, ch)
-        assert switched.as_channel() is switched.as_channel()
-        assert switched.kraus is switched.as_channel().kraus_ops
+        assert switched.kraus is switched.channel.kraus_ops
+        assert switched.channel.validate() is switched.channel
 
     def test_plus_input_built_once_per_sweep(self, monkeypatch):
         # Control (qubit) and target (qutrit) inputs, each built once for
@@ -253,7 +227,7 @@ class TestCheckedOnce:
         assert calls == []
         assert plus_density(3) is plus_density(3)
 
-    def test_joint_input_formed_once_per_input_pair(self, monkeypatch):
+    def test_joint_input_formed_once_per_target(self, monkeypatch):
         calls = []
 
         def counting(*ops):

@@ -6,14 +6,13 @@ from magicswitch.linalg import (
     DimensionMismatchError,
     dagger,
     hermitian_eigenvalues,
-    operators_close,
     partial_trace,
     pauli_strings,
     pauli_vectorize,
     tensor,
 )
 
-from conftest import random_density_matrix
+from conftest import operators_close, random_density_matrix
 
 
 def test_tensor_identities():

@@ -4,25 +4,22 @@ import numpy as np
 import pytest
 
 from magicswitch import (
-    AffineL1Problem,
     DensityOperator,
-    ExtraEquality,
     apply_channel,
     channel_robustness,
     choi_of_channel,
     compose_channels,
     depolarizing_channel,
-    extend_with_reference,
     noisy_th_channel,
-    problem_to_lp_text,
     rom_state,
-    solve_l1,
     unitary_channel,
 )
+from magicswitch import lp
 from magicswitch.gates import HADAMARD, PAULI_X, PAULI_Y, PAULI_Z, PHASE_S, T_GATE, plus_state
 from magicswitch.linalg import partial_trace, pauli_strings, pauli_vectorize
+from magicswitch.lp import _assemble_standard_form, solve_l1
 
-from conftest import fig2_fig3_channels, random_density_matrix
+from conftest import extend_with_reference, fig2_fig3_channels, random_density_matrix
 
 SQRT2 = np.sqrt(2.0)
 
@@ -52,32 +49,31 @@ def exhaustive_rom(rho_matrix, dictionary, tol=1e-9):
 class TestSolveL1:
     def test_single_atom_target(self, rng):
         atoms = rng.normal(size=(5, 4))
-        problem = AffineL1Problem(atoms=atoms, target=atoms[2].copy())
-        sol = solve_l1(problem)
+        sol = solve_l1(_assemble_standard_form(atoms), atoms[2].copy())
         assert sol.status == "optimal"
         assert abs(sol.value - 1.0) < 1e-10
-        assert (np.abs(sol.coefficients) > 1e-9).sum() == 1
+        assert (np.abs(sol.plus - sol.minus) > 1e-9).sum() == 1
 
     def test_convex_combination(self, rng):
         atoms = rng.normal(size=(6, 5))
         target = 0.5 * atoms[0] + 0.5 * atoms[3]
-        sol = solve_l1(AffineL1Problem(atoms=atoms, target=target))
+        sol = solve_l1(_assemble_standard_form(atoms), target)
         assert abs(sol.value - 1.0) < 1e-9
 
-    def test_infeasible_extra_row(self, rng):
+    def test_infeasible_marginal_right_hand_side(self, rng):
+        # All-zero marginal rows cannot meet a nonzero right-hand side.
         atoms = rng.normal(size=(3, 2))
-        zeros = np.zeros(3)
-        bad = ExtraEquality(plus_coeffs=zeros, minus_coeffs=zeros, rhs=1.0)
-        sol = solve_l1(AffineL1Problem(atoms=atoms, target=atoms[0], extra_equalities=(bad,)))
+        A = _assemble_standard_form(atoms, np.zeros((1, 3)))
+        sol = solve_l1(A, np.concatenate([atoms[0], [1.0, 0.0]]))
         assert sol.status == "infeasible"
 
     def test_deterministic(self, rng):
         atoms = rng.normal(size=(8, 4))
         target = rng.normal(size=4)
-        a = solve_l1(AffineL1Problem(atoms=atoms, target=target))
-        b = solve_l1(AffineL1Problem(atoms=atoms, target=target))
+        a = solve_l1(_assemble_standard_form(atoms), target)
+        b = solve_l1(_assemble_standard_form(atoms), target)
         assert a.value == b.value
-        assert np.array_equal(a.coefficients, b.coefficients)
+        assert np.array_equal(a.plus, b.plus) and np.array_equal(a.minus, b.minus)
 
 
 class TestStateRobustness:
@@ -258,30 +254,28 @@ class TestChannelRobustness:
             assert sol.iterations > 2 and sol.basis.shape == (22,)
 
 
-def test_lp_text_export(qubit_dict):
-    paulis = pauli_strings(1)
-    atoms = np.array([pauli_vectorize(P, paulis) for P in qubit_dict.projectors])
-    target = pauli_vectorize(np.eye(2) / 2, paulis)
-    text = problem_to_lp_text(AffineL1Problem(atoms=atoms, target=target), name="qubit-rom")
-    assert text.startswith("\\ qubit-rom")
-    assert "Minimize" in text and "Subject To" in text and text.rstrip().endswith("End")
-    # One constraint line per vector component.
-    assert sum(line.startswith(" c") for line in text.splitlines()) == 4
+def reference_state_lp(rho, dictionary):
+    """Reference: the state program assembled per solve in plain numpy,
+    the way ``rom_state`` built it before its constraint matrix was cached.
+    Returns (A, b)."""
+    paulis = pauli_strings(dictionary.n_qubits)
+    atoms = np.array([pauli_vectorize(P, paulis) for P in dictionary.projectors])
+    return np.hstack([atoms.T, -atoms.T]), pauli_vectorize(rho.matrix, paulis)
 
 
-def per_problem_channel_lp(ch, choi_atoms):
-    """Reference: the channel program as one AffineL1Problem, assembled per
-    solve, the way ``channel_robustness`` built it before its constraint
-    matrix was cached."""
+def reference_channel_lp(ch, choi_atoms):
+    """Reference: the channel program assembled per solve in plain numpy:
+    the Choi reconstruction rows, then for each of X, Y, Z one marginal row
+    over the plus columns and one over the minus columns.  Returns (A, b)."""
     paulis = pauli_strings(2)
     atoms = np.array([pauli_vectorize(a.projector, paulis) for a in choi_atoms])
     zeros = np.zeros(len(choi_atoms))
-    extras = []
+    rows = [np.hstack([atoms.T, -atoms.T])]
     for pauli in (PAULI_X, PAULI_Y, PAULI_Z):
         row = np.array([np.trace(pauli @ a.marginal).real for a in choi_atoms])
-        extras += [ExtraEquality(row, zeros, 0.0), ExtraEquality(zeros, row, 0.0)]
+        rows += [np.concatenate([row, zeros])[None], np.concatenate([zeros, row])[None]]
     target = pauli_vectorize(choi_of_channel(ch).matrix, paulis)
-    return AffineL1Problem(atoms=atoms, target=target, extra_equalities=tuple(extras))
+    return np.vstack(rows), np.concatenate([target, np.zeros(6)])
 
 
 def assert_same_solution(got, want):
@@ -310,16 +304,20 @@ class TestConstraintCache:
         assert second.standard_form[0] is first.standard_form[0]
         assert not first.standard_form[0].flags.writeable
 
+    def test_matrices_match_reference_assembly(self, qubit_dict, twoq_dict, choi_atoms):
+        A, _ = reference_channel_lp(noisy_th_channel(0.2), choi_atoms)
+        assert np.array_equal(lp._channel_constraints(choi_atoms), A)
+        for dictionary in (qubit_dict, twoq_dict):
+            A, _ = reference_state_lp(DensityOperator.maximally_mixed(dictionary.dim), dictionary)
+            assert np.array_equal(lp._state_constraints(dictionary), A)
+
     @pytest.mark.parametrize("p", [0.0, 0.15, 0.3, 0.6])
     def test_channel_solve_matches_per_problem_assembly(self, choi_atoms, p):
         ch = noisy_th_channel(p)
         got = channel_robustness(ch, choi_atoms)
-        assert_same_solution(got, solve_l1(per_problem_channel_lp(ch, choi_atoms)))
+        assert_same_solution(got, solve_l1(*reference_channel_lp(ch, choi_atoms)))
 
     def test_state_solve_matches_per_problem_assembly(self, qubit_dict, rng):
-        paulis = pauli_strings(1)
-        atoms = np.array([pauli_vectorize(P, paulis) for P in qubit_dict.projectors])
         for _ in range(5):
             rho = DensityOperator(random_density_matrix(2, rng))
-            want = solve_l1(AffineL1Problem(atoms=atoms, target=pauli_vectorize(rho.matrix, paulis)))
-            assert_same_solution(rom_state(rho, qubit_dict), want)
+            assert_same_solution(rom_state(rho, qubit_dict), solve_l1(*reference_state_lp(rho, qubit_dict)))

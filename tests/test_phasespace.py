@@ -7,7 +7,6 @@ from magicswitch import (
     compose_channels,
     depolarizing_channel,
     identity_channel,
-    is_cpwp,
     mana_channel,
     mana_state,
     unitary_channel,
@@ -15,6 +14,7 @@ from magicswitch import (
     wigner_of_state,
 )
 from magicswitch import choi_of_channel, phasespace
+from magicswitch.config import DEFAULT_TOL
 from magicswitch.gates import fourier_gate, plus_state, qutrit_phase_s, qutrit_t_gate
 from magicswitch.linalg import tensor
 from magicswitch.phasespace import _choi_route_wigner, heisenberg_weyl_operators, wigner_of_operator
@@ -31,6 +31,13 @@ def wigner_of_choi(choi, frame_in, frame_out):
             val = np.trace(tensor(frame_in.phase_points[u], frame_out.phase_points[v]) @ choi.matrix)
             out[u, v] = (val / (d_in * d_out)).real
     return out
+
+
+def is_cpwp(ch, frame, tol=DEFAULT_TOL.mana_zero):
+    """Oracle: whether the channel completely preserves Wigner positivity,
+    with the minimum conditional Wigner value the verdict thresholds on."""
+    min_val = float(wigner_of_channel(ch, frame).min())
+    return min_val >= -tol, min_val
 
 
 def reference_choi_route(choi, frame_in, frame_out):
@@ -57,7 +64,8 @@ class TestFrame:
         # displacement operator is exactly the boost diag(omega^j).
         omega = np.exp(2j * np.pi / 3)
         boost = np.diag([omega**j for j in range(3)]).astype(complex)
-        idx = frame3.point_index((1, 0))
+        idx = frame3.points.index((1, 0))
+        assert idx == 1 * 3 + 0  # row-major point order: a1 d + a2
         assert np.abs(frame3.heisenberg_weyl[idx] - boost).max() == 0.0
 
     def test_phase_point_properties(self, frame3):
@@ -170,7 +178,7 @@ class TestChannelWigner:
     def test_choi_route_matches_kron_loop(self, frame3, rng):
         for n_ops in (1, 2, 3, 4, 5):
             choi = choi_of_channel(random_kraus_channel(3, n_ops, rng))
-            got = _choi_route_wigner(choi, frame3, frame3)
+            got = _choi_route_wigner(choi, frame3)
             want = reference_choi_route(choi, frame3, frame3)
             assert np.abs(got - want).max() < 1e-14
 

@@ -9,7 +9,6 @@ from magicswitch import (
     channel_robustness,
     conditional_outputs,
     depolarizing_channel,
-    depolarizing_switch_closed_form,
     effective_t_channels,
     identity_channel,
     noisy_th_channel,
@@ -21,7 +20,7 @@ from magicswitch.gates import HADAMARD, T_GATE, basis_state, plus_state
 from magicswitch.linalg import DimensionMismatchError, partial_trace, tensor
 from magicswitch.qswitch import EffectiveDepolarizingSwitch
 
-from conftest import random_density_matrix, random_kraus_channel
+from conftest import depolarizing_switch_closed_form, random_density_matrix, random_kraus_channel
 
 
 def both_order_average(a, b, rho):
@@ -51,16 +50,11 @@ def interference_branch(kraus_ops, psi):
     return out
 
 
-def kron_switch_kraus(a, b, swap_order):
+def kron_switch_kraus(a, b):
     """Reference: |0><0|_c (x) E F + |1><1|_c (x) F E, built with kron."""
     p0 = np.diag([1.0, 0.0]).astype(complex)
     p1 = np.diag([0.0, 1.0]).astype(complex)
-    ops = []
-    for E in a.kraus_ops:
-        for F in b.kraus_ops:
-            first, second = (F @ E, E @ F) if swap_order else (E @ F, F @ E)
-            ops.append(tensor(p0, first) + tensor(p1, second))
-    return ops
+    return [tensor(p0, E @ F) + tensor(p1, F @ E) for E in a.kraus_ops for F in b.kraus_ops]
 
 
 class TestBuildSwitch:
@@ -69,7 +63,7 @@ class TestBuildSwitch:
         joint = DensityOperator(
             tensor(random_density_matrix(2, rng), random_density_matrix(2, rng))
         )
-        out = apply_channel(switched.as_channel(), joint)
+        out = apply_channel(switched.channel, joint)
         assert np.abs(out.matrix - joint.matrix).max() < 1e-12
 
     def test_kraus_construction_equation(self, rng):
@@ -82,9 +76,9 @@ class TestBuildSwitch:
             (random_kraus_channel(3, 2, rng), random_kraus_channel(3, 3, rng)),
         ]
         for a, b in pairs:
-            for swap_order in (False, True):
-                switched = build_switch(a, b, swap_order=swap_order)
-                expected = kron_switch_kraus(a, b, swap_order)
+            for x, y in ((a, b), (b, a)):
+                switched = build_switch(x, y)
+                expected = kron_switch_kraus(x, y)
                 assert len(switched.kraus) == len(expected)
                 for got, want in zip(switched.kraus, expected):
                     assert got.dtype == want.dtype
@@ -95,30 +89,24 @@ class TestBuildSwitch:
             a = random_kraus_channel(d, 3, rng)
             b = random_kraus_channel(d, 2, rng)
             switched = build_switch(a, b)
-            assert switched.as_channel().completeness_residual() < 1e-9
+            assert switched.channel.completeness_residual() < 1e-9
 
     def test_definite_order_branches(self, rng):
-        a, b = unitary_channel(T_GATE), unitary_channel(HADAMARD)
-        switched = build_switch(a, b)
+        t, h = unitary_channel(T_GATE), unitary_channel(HADAMARD)
         rho = random_density_matrix(2, rng)
-        for ctrl_vec, first_then_second in (
-            (basis_state(2, 0), T_GATE @ HADAMARD),   # |0> branch: b then a
-            (basis_state(2, 1), HADAMARD @ T_GATE),   # |1> branch: a then b
+        # Swapping the arguments swaps the orders the two branches apply.
+        for switched, zero_branch, one_branch in (
+            (build_switch(t, h), T_GATE @ HADAMARD, HADAMARD @ T_GATE),
+            (build_switch(h, t), HADAMARD @ T_GATE, T_GATE @ HADAMARD),
         ):
-            joint = apply_kraus(switched.kraus, tensor(np.outer(ctrl_vec, ctrl_vec.conj()), rho))
-            target = partial_trace(joint, [2, 2], keep=1)
-            expected = first_then_second @ rho @ first_then_second.conj().T
-            assert np.abs(target - expected).max() < 1e-12
-
-    def test_swap_order_flag(self, rng):
-        a, b = unitary_channel(T_GATE), unitary_channel(HADAMARD)
-        switched = build_switch(a, b, swap_order=True)
-        rho = random_density_matrix(2, rng)
-        ctrl = np.outer(basis_state(2, 0), basis_state(2, 0).conj())
-        joint = apply_kraus(switched.kraus, tensor(ctrl, rho))
-        target = partial_trace(joint, [2, 2], keep=1)
-        expected = HADAMARD @ T_GATE @ rho @ (HADAMARD @ T_GATE).conj().T
-        assert np.abs(target - expected).max() < 1e-12
+            for ctrl_vec, first_then_second in (
+                (basis_state(2, 0), zero_branch),   # |0> branch: second argument first
+                (basis_state(2, 1), one_branch),    # |1> branch: first argument first
+            ):
+                joint = apply_kraus(switched.kraus, tensor(np.outer(ctrl_vec, ctrl_vec.conj()), rho))
+                target = partial_trace(joint, [2, 2], keep=1)
+                expected = first_then_second @ rho @ first_then_second.conj().T
+                assert np.abs(target - expected).max() < 1e-12
 
     def test_incoherent_control_marginal(self, rng):
         for d in (2, 3):
@@ -165,14 +153,8 @@ class TestConditionalOutputs:
         _, _, p_plus, p_minus = conditional_outputs(switched, target)
         assert abs(p_plus + p_minus - 1.0) < 1e-10
 
-    def test_control_validation(self, rng):
+    def test_target_validation(self):
         switched = build_switch(identity_channel(2), identity_channel(2))
-        with pytest.raises(DimensionMismatchError):
-            conditional_outputs(
-                switched,
-                DensityOperator.maximally_mixed(2),
-                control_in=DensityOperator.maximally_mixed(3),
-            )
         with pytest.raises(DimensionMismatchError):
             conditional_outputs(switched, DensityOperator.maximally_mixed(3))
 

@@ -507,6 +507,29 @@ def test_parametric_crossing_reports_no_crossing():
     assert abs_walk(0.25, 1.0, -0.05) == (None, 1)
 
 
+def test_parametric_crossing_stops_past_the_feasible_range(monkeypatch):
+    # min x1 + 2 x2 s.t. x1 + x2 = 10 (t - 0.3)(t - 0.6) is infeasible on
+    # (0.3, 0.6), so its value leaves the level 2 there, well before it
+    # comes back at 0.92.  The step just past 0.3 cannot be repaired: the
+    # walk ends there, although the cold fallback's phase-1 cut accepts
+    # the infeasibility of 3e-9 at that step as optimal.
+    A, c = np.array([[1.0, 1.0]]), np.array([1.0, 2.0])
+    rhs = np.array([[1.8], [-9.0], [10.0]])
+    assert solve_standard_form(A, np.array([-0.225]), c).status == STATUS_INFEASIBLE
+    repairs = []
+    dual_pivot_loop = _simplex.dual_pivot_loop
+
+    def recording_repair(*args):
+        status, pivots = dual_pivot_loop(*args)
+        repairs.append(status)
+        return status, pivots
+
+    monkeypatch.setattr(_simplex, "dual_pivot_loop", recording_repair)
+    start = solve_standard_form(A, rhs[0], c)
+    assert parametric_crossing(A, c, rhs, np.array([1.0, 0.0, 0.0]), 2.0, start.basis, 0.0, 1.0) == (None, 1)
+    assert repairs == [STATUS_INFEASIBLE]
+
+
 def test_parametric_crossing_stops_on_a_nonpositive_scale():
     start = solve_standard_form(ABS_A, np.array([-0.3]), ABS_C)
     scale = np.array([-1.0, 0.0, 0.0])
@@ -537,7 +560,8 @@ def test_parametric_crossing_matches_a_scan_on_random_lps(monkeypatch, rng):
     # repaired by dual pivots, not cold.  The one exception is a step past
     # the end of the LP's feasible range (x1 and x2 are signed, so b(t) can
     # leave the cone of A): there the repair finds no entering column, which
-    # proves the LP infeasible, and the solve decides it from a cold start.
+    # proves the LP infeasible, the solve decides it from a cold start, and
+    # the walk ends at that step with no crossing.
     steps = []  # per step solve: whether it started warm, its repair status
     start_from_basis, dual_pivot_loop = _simplex._start_from_basis, _simplex.dual_pivot_loop
 
@@ -554,7 +578,7 @@ def test_parametric_crossing_matches_a_scan_on_random_lps(monkeypatch, rng):
 
     monkeypatch.setattr(_simplex, "_start_from_basis", recording_start)
     monkeypatch.setattr(_simplex, "dual_pivot_loop", recording_repair)
-    crossings = stepped = solved = 0
+    crossings = stepped = solved = ended = 0
     for _ in range(12):
         A = rng.normal(size=(3, 7))
         c = rng.uniform(0.5, 2.0, size=7)
@@ -569,16 +593,21 @@ def test_parametric_crossing_matches_a_scan_on_random_lps(monkeypatch, rng):
         ends = [solve_standard_form(A, rhs_at(t), c).objective for t in (0.0, 1.0)]
         level = 0.5 * sum(ends)
         start = solve_standard_form(A, rhs_at(0.0), c)
+        first_step = len(steps)
         root, solves = parametric_crossing(A, c, rhs, np.array([1.0, 0.0, 0.0]), level, start.basis, 0.0, 1.0)
         stepped += solves > 0
         solved += solves
+        repairs = [step.get("repair") for step in steps[first_step:]]
+        if STATUS_INFEASIBLE in repairs:
+            assert repairs.index(STATUS_INFEASIBLE) == len(repairs) - 1 and root is None
+            ended += 1
         want = crossing_by_scan(A, c, rhs_at, level, 0.0, 1.0)
         if want is None:
             assert root is None
         else:
             crossings += 1
             assert root is not None and abs(root - want) < 1e-9
-    assert crossings >= 6 and stepped >= 2
+    assert crossings >= 6 and stepped >= 2 and ended >= 1
     assert len(steps) == solved
     assert all(step["warm"] or step.get("repair") == STATUS_INFEASIBLE for step in steps)
     assert sum(step.get("repair") == STATUS_OPTIMAL for step in steps) >= 2

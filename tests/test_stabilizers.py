@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from magicswitch import DensityOperator, enumerate_stabilizer_states, is_stabilizer_state
+from magicswitch import DensityOperator, enumerate_stabilizer_states, rom_state
+from magicswitch.config import DEFAULT_TOL
 from magicswitch.gates import (
     CNOT_01,
     CNOT_10,
@@ -14,8 +15,10 @@ from magicswitch.gates import (
     basis_state,
     plus_state,
 )
-from magicswitch.linalg import DimensionMismatchError, operators_close, partial_trace, pauli_strings, tensor
+from magicswitch.linalg import DimensionMismatchError, partial_trace, pauli_strings, tensor
 from magicswitch.stabilizers import cspo_choi_atoms
+
+from conftest import operators_close
 
 
 def clifford_generators(n_qubits):
@@ -131,6 +134,13 @@ def test_uniform_mixture_is_maximally_mixed(qubit_dict, twoq_dict):
 def test_enumeration_rejects_large_n():
     with pytest.raises(ValueError):
         enumerate_stabilizer_states(3)
+
+
+def is_stabilizer_state(rho, dictionary, tol=DEFAULT_TOL.lp_value):
+    """Membership through the robustness LP: free iff the value is 1."""
+    solution = rom_state(rho, dictionary)
+    assert solution.status == "optimal"
+    return solution.value <= 1.0 + tol
 
 
 def test_membership(qubit_dict):
