@@ -9,23 +9,23 @@ Bland's rule (smallest eligible index enters; ratio ties broken by smallest
 basic variable index) makes the walk deterministic and cycle-free, so
 repeated runs produce bit-identical solutions.
 
-A solve can start from a given basis, such as the optimal basis of the
-same LP at a neighbouring parameter value.  When that basis is nonsingular,
-well conditioned and primal feasible for the new right-hand side, phase 1
-starts from the tableau ``B^-1 [A | I | b]`` with its phase-1 cost row
-instead of from the all-artificial basis.  Phase 1 then ends at its first
-check, and since reduced costs do not depend on ``b``, a basis that was
-optimal for the neighbour is still optimal and phase 2 ends there too.
-When the basis is primal infeasible for the new ``b`` but still dual
-feasible for the real costs, as a neighbour's optimal basis is, dual
-simplex pivots (``dual_pivot_loop``) first repair its primal feasibility
-(Bertsimas & Tsitsiklis, *Introduction to Linear Optimization*, 1997,
-sec. 4.5).  Both phases, the infeasibility cut, the artificial drive-out
-and the dual read-off are the same code either way.  A basis that is
-neither primal nor dual feasible, and a repair that finds no entering
-column or runs past ``max_iter``, fall back to the artificial start.  The
-optimal value does not depend on the start beyond rounding; where an LP
-has several optimal vertices, ``x`` may.
+Every solve starts the same way: phase 1 runs from the tableau
+``B^-1 [A | I | b]`` of a starting basis, with its phase-1 cost row.  A
+cold solve starts from the all-artificial basis, B = I, which is the
+classic two-phase start (Bertsimas & Tsitsiklis, *Introduction to Linear
+Optimization*, 1997, sec. 3.5).  A warm solve starts from a given basis,
+such as the optimal basis of the same LP at a neighbouring parameter
+value.  When that basis is primal feasible for the new right-hand side,
+phase 1 ends at its first check, and since reduced costs do not depend on
+``b``, a basis that was optimal for the neighbour is still optimal and
+phase 2 ends there too.  When the basis is primal infeasible for the new
+``b`` but still dual feasible for the real costs, as a neighbour's optimal
+basis is, dual simplex pivots (``dual_pivot_loop``) first repair its
+primal feasibility (sec. 4.5).  A basis that cannot start the solve, and a
+repair that finds no entering column or runs past ``max_iter``, give way
+to the all-artificial basis.  The optimal value does not depend on the
+start beyond rounding; where an LP has several optimal vertices, ``x``
+may.  Only a primal feasible solution is reported optimal.
 """
 
 from __future__ import annotations
@@ -34,12 +34,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import DEFAULT_TOL
+
 STATUS_OPTIMAL = 0
 STATUS_UNBOUNDED = 1
 STATUS_ITER_LIMIT = 2
 STATUS_INFEASIBLE = 3
-
-_PIVOT_TOL = 1e-9
 
 
 def _pivot(tableau, basis, r, q):
@@ -146,36 +146,42 @@ def _cost_row(tableau, basis, cost):
     return cost - cost[basis] @ tableau[:m]
 
 
-def _well_conditioned(B, B_inv, tol) -> bool:
-    """Whether round-off in B^-1 times data stays under ``tol``: it grows
-    with the 1-norm condition number of B, and past tol/eps it could carry
-    an entry across the pivot tolerance.  NaN fails this test too."""
-    return np.abs(B).sum(axis=0).max() * np.abs(B_inv).sum(axis=0).max() * np.finfo(np.float64).eps <= tol
-
-
-def _start_from_basis(A, b, cost, basis, tol, max_iter):
-    """Primal feasible tableau body ``B^-1 [A | I | b]`` for a starting basis
-    over the columns of ``[A | I]``, with the basis it ends on and the dual
-    pivots it took; or None when the basis cannot start the solve: wrong
-    length, an index out of range, numerically singular, or primal
-    infeasible for this ``b`` and not repaired.  The repair runs
-    ``dual_pivot_loop`` when every reduced cost of the real columns under
-    ``cost`` is >= -tol, and fails when the loop does not reach primal
-    feasibility."""
+def _factor_basis(A, basis, rhs, tol):
+    """``B^-1 [A | I | rhs]`` for the basis columns B of ``[A | I]``, or None
+    when the basis has the wrong length, an index out of range, or is
+    numerically singular or ill conditioned."""
     m, n = A.shape
-    basis = np.array(basis, dtype=np.int64)
     if basis.shape != (m,) or not np.all((0 <= basis) & (basis < n + m)):
         return None
-    body = np.hstack([A, np.eye(m), b[:, None]])
+    body = np.concatenate([A, np.eye(m), rhs], axis=1)
     B = body[:, basis]
     try:
         body = np.linalg.solve(B, body)
     except np.linalg.LinAlgError:
         return None
-    # B^-1 sits in the artificial columns.
-    if not _well_conditioned(B, body[:, n : n + m], tol):
+    # Round-off in B^-1 times data grows with the 1-norm condition number
+    # of B (B^-1 sits in the artificial columns); past tol/eps it could
+    # carry an entry across the pivot tolerance.  NaN fails this test too.
+    condition = np.abs(B).sum(axis=0).max() * np.abs(body[:, n : n + m]).sum(axis=0).max()
+    if not condition * np.finfo(np.float64).eps <= tol:
         return None
-    if np.all(body[:, -1] >= -tol):
+    return body
+
+
+def _start_from_basis(A, b, cost, basis, tol, max_iter):
+    """Primal feasible tableau body ``B^-1 [A | I | b]`` for a starting basis
+    over the columns of ``[A | I]``, with the basis it ends on and the dual
+    pivots it took; or None when the basis cannot start the solve:
+    ``_factor_basis`` rejects it, or it is primal infeasible for this ``b``
+    and not repaired.  The repair runs ``dual_pivot_loop`` when every
+    reduced cost of the real columns under ``cost`` is >= -tol, and fails
+    when the loop does not reach primal feasibility."""
+    m, n = A.shape
+    basis = np.array(basis, dtype=np.int64)
+    body = _factor_basis(A, basis, b[:, None], tol)
+    if body is None:
+        return None
+    if (body[:, -1] >= -tol).all():
         return body, basis, 0
     tableau = np.vstack([body, _cost_row(body, basis, cost)])
     if np.any(tableau[m, :n] < -tol):
@@ -190,20 +196,21 @@ def solve_standard_form(
     A: np.ndarray,
     b: np.ndarray,
     c: np.ndarray,
-    tol: float = _PIVOT_TOL,
     max_iter: int | None = None,
     basis: np.ndarray | None = None,
 ) -> SimplexResult:
     """Minimize c.x subject to A x = b, x >= 0.
 
     Phase 1 starts from ``basis`` (column indices into ``[A | I]``, the
-    artificial columns counted after the real ones) when that basis is
-    nonsingular and primal feasible for this ``b``, or dual feasible and
-    repaired to primal feasibility by dual simplex pivots, and from the
-    all-artificial basis otherwise.  The optimal basis of a neighbouring
-    problem usually passes, and then phase 1 ends at its first check.
-    ``iterations`` counts the dual pivots of a repair too.
+    artificial columns counted after the real ones) when
+    ``_start_from_basis`` accepts it, and otherwise, through the same call,
+    from the all-artificial basis ``arange(n, n + m)``.  ``iterations``
+    counts the dual pivots of a repair too.
 
+    STATUS_OPTIMAL means a primal feasible solution: phase 1 left at most
+    ``100 * tol`` of artificial mass and x >= -tol, for the pivot tolerance
+    ``tol = DEFAULT_TOL.pivot``.  Failing either is STATUS_INFEASIBLE, with
+    zero ``x`` and dual and a NaN objective, as for every phase-1 failure.
     The dual vector is read off the final tableau (artificial columns stay
     in the tableau, barred from entering), so callers can verify a zero
     duality gap on every reported solution.
@@ -214,10 +221,14 @@ def solve_standard_form(
     m, n = A.shape
     if b.shape != (m,) or c.shape != (n,):
         raise ValueError(f"inconsistent LP shapes A={A.shape} b={b.shape} c={c.shape}")
+    if not np.isfinite(b).all():
+        raise ValueError("LP right-hand side is not finite")
+    tol = DEFAULT_TOL.pivot
     if max_iter is None:
         max_iter = 200 + 50 * (m + n)
 
-    # Phase 1 over [A | I | b] with every rhs made nonnegative first.
+    # Phase 1 over [A | I | b] with every rhs made nonnegative first, so
+    # the all-artificial basis is always a primal feasible start.
     flip = b < 0
     A = A.copy()
     A[flip] *= -1.0
@@ -225,22 +236,13 @@ def solve_standard_form(
 
     real_cost = np.zeros(n + m + 1)
     real_cost[:n] = c
-    tableau = np.zeros((m + 1, n + m + 1), dtype=np.float64)
     start = None if basis is None else _start_from_basis(A, b, real_cost, basis, tol, max_iter)
     if start is None:
-        tableau[:m, :n] = A
-        tableau[:m, n : n + m] = np.eye(m)
-        tableau[:m, -1] = b
-        # Reduced costs for the artificial objective with artificials basic.
-        tableau[m, :n] = -A.sum(axis=0)
-        tableau[m, -1] = -b.sum()
-        basis = np.arange(n, n + m, dtype=np.int64)
-        it0 = 0
-    else:
-        tableau[:m], basis, it0 = start
-        artificial_cost = np.zeros(n + m + 1)
-        artificial_cost[n : n + m] = 1.0
-        tableau[m] = _cost_row(tableau, basis, artificial_cost)
+        start = _start_from_basis(A, b, real_cost, np.arange(n, n + m), tol, max_iter)
+    body, basis, it0 = start
+    artificial_cost = np.zeros(n + m + 1)
+    artificial_cost[n : n + m] = 1.0
+    tableau = np.concatenate([body, _cost_row(body, basis, artificial_cost)[None]])
 
     status, it1 = bland_pivot_loop(tableau, basis, n, tol, max_iter)
     phase1_obj = -tableau[m, -1]
@@ -249,8 +251,7 @@ def solve_standard_form(
     if status == STATUS_OPTIMAL and phase1_obj > 100 * tol:
         status = STATUS_INFEASIBLE
     if status != STATUS_OPTIMAL:
-        empty = np.zeros(n)
-        return SimplexResult(status, empty, np.nan, np.zeros(m), it0 + it1, basis)
+        return SimplexResult(status, np.zeros(n), np.nan, np.zeros(m), it0 + it1, basis)
 
     # Pivot leftover artificials out where possible (first real column with
     # a usable entry); a row with no real pivot entry is a redundant
@@ -264,14 +265,19 @@ def solve_standard_form(
     tableau[m] = _cost_row(tableau, basis, real_cost)
 
     status, it2 = bland_pivot_loop(tableau, basis, n, tol, max_iter)
+    iterations = it0 + it1 + it2
     x = np.zeros(n)
     real = basis < n
     x[basis[real]] = tableau[:m, -1][real]
+    # A drive-out pivot on a negative entry turns leftover phase-1 mass into
+    # a negative x: the LP is infeasible by more than the tolerance.
+    if status == STATUS_OPTIMAL and x.min() < -tol:
+        return SimplexResult(STATUS_INFEASIBLE, np.zeros(n), np.nan, np.zeros(m), iterations, basis)
     objective = float(-tableau[m, -1])
     # Reduced cost of artificial column e_i is -y_i; undo the rhs sign flips.
     dual = -tableau[m, n : n + m].copy()
     dual[flip] *= -1.0
-    return SimplexResult(status, x, objective, dual, it0 + it1 + it2, basis)
+    return SimplexResult(status, x, objective, dual, iterations, basis)
 
 
 # ---------------------------------------------------------------------------
@@ -332,14 +338,6 @@ def _distance_ahead(roots, t, stop):
     return np.where(((roots - t) * (stop - t) >= 0) & (distance <= abs(stop - t)), distance, np.inf)
 
 
-def _primal_feasible(A, b, x) -> bool:
-    """Whether ``x`` meets A x = b and x >= 0 to within ``_PIVOT_TOL``.
-    Just past the end of an LP's feasible range the phase-1 cut (100 times
-    the tolerance) can accept the small infeasibility there as optimal; the
-    solution it then reports misses one of the two by more than that."""
-    return np.abs(A @ x - b).max() <= _PIVOT_TOL and x.min() >= -_PIVOT_TOL
-
-
 def parametric_crossing(A, c, rhs, scale, level, basis, t, stop):
     """Where the optimal value of min c.x s.t. A x = b(t), x >= 0 first
     crosses ``level`` on the way from ``t`` to ``stop``.
@@ -348,7 +346,8 @@ def parametric_crossing(A, c, rhs, scale, level, basis, t, stop):
     (one column per row of A) and ``scale`` (positive on the way), and
     ``basis`` is an optimal basis at ``t`` as ``solve_standard_form``
     returns it.  Reduced costs do not depend on b, so the basis stays
-    optimal while B^-1 b(t) >= -_PIVOT_TOL, and there the optimal value crosses
+    optimal while B^-1 b(t) >= -tol (the pivot tolerance
+    ``DEFAULT_TOL.pivot``), and there the optimal value crosses
     ``level`` at a root of c_B B^-1 rhs(t) - level scale(t).  When that
     root lies past the end of the interval, a solve just past the end
     starts from the basis, which is primal infeasible there but still dual
@@ -357,11 +356,12 @@ def parametric_crossing(A, c, rhs, scale, level, basis, t, stop):
 
     Returns (crossing or None, LP solves).  None means no crossing up to
     ``stop``, or a failed walk: a singular or ill-conditioned basis, a
-    nonpositive scale, a step LP that is not solved to optimality or whose
-    solution is not primal feasible (the step went past the end of the LP's
-    feasible range), or more than ``_MAX_WALK_SOLVES`` solves.
+    nonpositive scale, a step LP that is not solved to optimality (an
+    infeasible one went past the end of the LP's feasible range), or more
+    than ``_MAX_WALK_SOLVES`` solves.
     """
-    m = A.shape[0]
+    m, n = A.shape
+    tol = DEFAULT_TOL.pivot
     cost = np.concatenate([c, np.zeros(m)])
     start_free = None
     for solves in range(_MAX_WALK_SOLVES + 1):
@@ -369,30 +369,25 @@ def parametric_crossing(A, c, rhs, scale, level, basis, t, stop):
         if not s > 0:
             return None, solves
         if solves:
-            b = polyval(rhs, t) / s
-            result = solve_standard_form(A, b, c, basis=basis)
-            if result.status != STATUS_OPTIMAL or not _primal_feasible(A, b, result.x):
+            result = solve_standard_form(A, polyval(rhs, t) / s, c, basis=basis)
+            if result.status != STATUS_OPTIMAL:
                 return None, solves
             basis = result.basis
         # solve_standard_form flips rows with b < 0, which changes the sign
         # of an artificial column.  One stays basic only on a redundant row,
         # which the drive-out could not pivot on, and its value stays zero
         # there, so its sign does not matter.
-        B = np.hstack([A, np.eye(m)])[:, basis]
-        try:
-            B_inv = np.linalg.inv(B)
-        except np.linalg.LinAlgError:
+        body = _factor_basis(A, basis, rhs.T, tol)
+        if body is None:
             return None, solves
-        if not _well_conditioned(B, B_inv, _PIVOT_TOL):
-            return None, solves
-        x = B_inv @ rhs.T  # row i: the coefficients of scale(t) x_B[i](t)
+        x = body[:, n + m :]  # row i: the coefficients of scale(t) x_B[i](t)
         gap = cost[basis] @ x - level * scale  # scale(t) (value(t) - level)
         free = polyval(gap, t) <= 0
         if start_free is None:
             start_free = free
         elif free != start_free:
             return float(t), solves  # the crossing lies in the step past the last interval
-        walls = _quadratic_roots(x.T + _PIVOT_TOL * scale[:, None])
+        walls = _quadratic_roots(x.T + tol * scale[:, None])
         ahead = _distance_ahead(walls, t, stop)
         ahead[ahead == 0] = np.inf
         wall = ahead.argmin()  # into the flattened (2, m) roots
@@ -407,5 +402,5 @@ def parametric_crossing(A, c, rhs, scale, level, basis, t, stop):
         # its bound there is infeasible for this basis, which stays dual
         # feasible; the step solve starts from it and its dual simplex
         # pivots make the basis change, several at a degenerate breakpoint.
-        t = min(end + _PIVOT_TOL, stop) if stop > t else max(end - _PIVOT_TOL, stop)
+        t = min(end + tol, stop) if stop > t else max(end - tol, stop)
     return None, _MAX_WALK_SOLVES

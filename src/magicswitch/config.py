@@ -16,6 +16,7 @@ class Tolerances:
     eq: float = 1e-10            # operator equality / hermiticity
     psd: float = 1e-9            # eigenvalue floor for positivity checks
     completeness: float = 1e-9   # Kraus completeness residual
+    pivot: float = 1e-9          # simplex pivot, ratio-test and primal feasibility tolerance
     lp_residual: float = 1e-7    # LP reconstruction residual
     lp_value: float = 1e-6       # "value equals 1" threshold for robustness
     mana_zero: float = 1e-9      # mana within this of zero counts as zero
@@ -25,7 +26,6 @@ class Tolerances:
     rhs_fit: float = 1e-10       # relative misfit that rejects a polynomial LP right-hand side
     frame: float = 1e-12         # phase-point frame checks: Hermitian, unit trace, resolution of I
     wigner_imag: float = 1e-12   # imaginary part a Wigner value may carry from rounding
-    wigner_cross_check: float = 1e-10  # direct vs Choi-route channel Wigner gap
     depolarizing_range: float = 1e-12  # slack above the largest valid depolarizing strength
     # Rounding floor under lp_tol: 16 ulps of the robustness floor 1.  Free
     # LPs of the default fig2/fig3 grids land up to 7 ulps off 1, and must

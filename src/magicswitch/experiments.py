@@ -56,7 +56,6 @@ from .channels import (
     depolarizing_channel,
     noisy_th_channel,
     plus_density,
-    qutrit_k2_variant_report,
     qutrit_noisy_th_channel,
     unitary_channel,
 )
@@ -398,7 +397,7 @@ def run_experiment(config: SweepConfig) -> list[SweepRow]:
     if config.experiment not in MEASURE_TABLE:
         raise ValueError(f"{config.experiment} produces a report, not sweep rows; call run_appendix_c")
     if config.experiment == "figs1":
-        logger.info("figs1 uses the %r qutrit Kraus set", qutrit_k2_variant_report()["selected"])
+        logger.info("figs1 uses the 'aligned' qutrit Kraus set")
     grid = config.grid()
     n_runs = min(config.jobs, len(grid))
     if n_runs == 1:

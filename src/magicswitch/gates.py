@@ -9,15 +9,7 @@ PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
-PHASE_S = np.diag([1.0, 1.0j]).astype(complex)
 T_GATE = np.diag([1.0, np.exp(1j * np.pi / 4)]).astype(complex)
-
-CNOT_01 = np.array(
-    [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
-)
-CNOT_10 = np.array(
-    [[1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0]], dtype=complex
-)
 
 
 def basis_state(d: int, j: int) -> np.ndarray:
@@ -36,11 +28,6 @@ def fourier_gate(d: int) -> np.ndarray:
     omega = np.exp(2j * np.pi / d)
     j, k = np.meshgrid(np.arange(d), np.arange(d), indexing="ij")
     return omega ** (j * k) / np.sqrt(d)
-
-
-def qutrit_phase_s() -> np.ndarray:
-    omega = np.exp(2j * np.pi / 3)
-    return np.diag([1.0, 1.0, omega]).astype(complex)
 
 
 def qutrit_t_gate() -> np.ndarray:

@@ -87,9 +87,7 @@ def _assemble_standard_form(vectors: np.ndarray, marginal_rows: np.ndarray | Non
     return A
 
 
-def solve_l1(
-    A: np.ndarray, b: np.ndarray, max_iter: int | None = None, basis: np.ndarray | None = None
-) -> L1Solution:
+def solve_l1(A: np.ndarray, b: np.ndarray, basis: np.ndarray | None = None) -> L1Solution:
     """min sum(x) subject to A x = b, x >= 0, for a matrix from
     ``_assemble_standard_form``, with the embedded simplex.
 
@@ -99,7 +97,7 @@ def solve_l1(
     reported so callers can enforce their own floors.
     """
     c = np.ones(A.shape[1])
-    result = solve_standard_form(A, b, c, max_iter=max_iter, basis=basis)
+    result = solve_standard_form(A, b, c, basis=basis)
     n = A.shape[1] // 2
     if result.status == STATUS_INFEASIBLE:
         status = "infeasible"
@@ -135,9 +133,7 @@ def _state_constraints(dictionary) -> np.ndarray:
     return _assemble_standard_form(np.array([pauli_vectorize(P, paulis) for P in dictionary.projectors]))
 
 
-def rom_state(
-    rho: DensityOperator, dictionary, max_iter: int | None = None, basis: np.ndarray | None = None
-) -> L1Solution:
+def rom_state(rho: DensityOperator, dictionary, basis: np.ndarray | None = None) -> L1Solution:
     """Robustness of a state over a stabilizer dictionary.
 
     Unnormalized inputs are renormalized first and the factor is logged and
@@ -154,7 +150,7 @@ def rom_state(
             f"state dim {rho.dim} != dictionary dim {dictionary.dim}"
         )
     target = pauli_vectorize(rho.matrix, _cached_paulis(dictionary.n_qubits))
-    solution = solve_l1(_state_constraints(dictionary), target, max_iter, basis)
+    solution = solve_l1(_state_constraints(dictionary), target, basis)
     logger.info("rom_state status=%s value=%.12g", solution.status, solution.value)
     if solution.status == "infeasible":
         raise ValueError("robustness LP infeasible: input is not a valid state")
@@ -173,9 +169,7 @@ def _channel_constraints(atoms) -> np.ndarray:
     return _assemble_standard_form(vectors, marginal_rows)
 
 
-def channel_robustness(
-    ch: KrausChannel, atoms, max_iter: int | None = None, basis: np.ndarray | None = None
-) -> L1Solution:
+def channel_robustness(ch: KrausChannel, atoms, basis: np.ndarray | None = None) -> L1Solution:
     """Channel robustness of a single-qubit channel over Choi atoms.
 
     The two sides of the decomposition are conic combinations of stabilizer
@@ -190,6 +184,6 @@ def channel_robustness(
     target = pauli_vectorize(choi_of_channel(ch).matrix, _cached_paulis(2))
     A = _channel_constraints(atoms)
     b = np.concatenate([target, np.zeros(A.shape[0] - target.size)])
-    solution = solve_l1(A, b, max_iter, basis)
+    solution = solve_l1(A, b, basis)
     logger.info("channel_robustness status=%s value=%.12g", solution.status, solution.value)
     return solution

@@ -17,7 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .channels import ChoiState, DensityOperator, KrausChannel, apply_kraus, choi_of_channel
+from .channels import ChoiState, DensityOperator, KrausChannel, choi_of_channel
 from .config import DEFAULT_TOL
 from .linalg import DimensionMismatchError, dagger
 
@@ -141,41 +141,28 @@ def _choi_route_wigner(choi: ChoiState, frame: PhaseSpaceFrame) -> np.ndarray:
     One contraction over J reshaped to its (in, out, in, out) indices.  The
     general form carries a factor d_in / d_out, which is 1 here: the 1/d_in
     of the stored Choi state cancels the 1/d_out of the direct formula.
+    An imaginary part beyond rounding raises ValueError.
     """
     d = frame.d
     j4 = choi.matrix.reshape(d, d, d, d)
-    return np.einsum("uji,vab,jbia->vu", frame.phase_points, frame.phase_points, j4).real
+    wig = np.einsum("uji,vab,jbia->vu", frame.phase_points, frame.phase_points, j4)
+    if np.abs(wig.imag).max() > DEFAULT_TOL.wigner_imag:
+        raise ValueError("channel Wigner function has a non-real component")
+    return wig.real
 
 
 def wigner_of_channel(ch: KrausChannel, frame: PhaseSpaceFrame) -> np.ndarray:
     """Conditional Wigner function W(v|u) = Tr[A_v N(A_u)] / d of a channel
     on the frame's dimension d.
 
-    Computed directly from the Kraus action, which gives the returned
-    values: the images N(A_u) of all d^2 phase points come from one
-    broadcast product over the Kraus stack, and each image is then read
-    against the frame.  The Choi-state route (``_choi_route_wigner``)
-    is an independent contraction kept only as a check: the two must agree
-    to ``DEFAULT_TOL.wigner_cross_check``.  Returned as a (d^2, d^2) array
-    W[v, u] in row-major point order, so each column sums to 1 for a
-    trace-preserving channel.
+    Computed as one contraction of the channel's checked Choi state
+    (``_choi_route_wigner``).  Returned as a (d^2, d^2) array W[v, u] in
+    row-major point order, so each column sums to 1 for a trace-preserving
+    channel.
     """
     if ch.d_in != frame.d or ch.d_out != frame.d:
         raise DimensionMismatchError(f"channel dims ({ch.d_in},{ch.d_out}) != frame dim {frame.d}")
-    images = apply_kraus(ch.kraus_ops[:, None], frame.phase_points)
-    # One contraction per column: a single einsum over all images sums in
-    # another order and moves the last bits.
-    cols = [np.einsum("vij,ji->v", frame.phase_points, image) for image in images]
-    direct = np.stack(cols, axis=1) / frame.d
-    if np.abs(direct.imag).max() > DEFAULT_TOL.wigner_imag:
-        raise ValueError("channel Wigner function has a non-real component")
-    direct = direct.real.copy()
-
-    choi_route = _choi_route_wigner(choi_of_channel(ch), frame)
-    gap = np.abs(direct - choi_route).max()
-    if gap > DEFAULT_TOL.wigner_cross_check:
-        raise RuntimeError(f"channel Wigner cross-check failed: |direct - choi| = {gap:.3e}")
-    return direct
+    return _choi_route_wigner(choi_of_channel(ch), frame)
 
 
 def mana_channel(ch: KrausChannel, frame: PhaseSpaceFrame) -> float:

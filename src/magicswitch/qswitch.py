@@ -174,7 +174,7 @@ class WeightedChannel:
     channel: KrausChannel
 
 
-def effective_t_channels(p: float, d: int = 2) -> tuple[WeightedChannel, WeightedChannel]:
+def effective_t_channels(p: float) -> tuple[WeightedChannel, WeightedChannel]:
     """Effective maps seen by a T gate behind switched depolarizing noise.
 
     Each branch is the normalized channel D_{p_pm} after T, paired with its
@@ -182,12 +182,10 @@ def effective_t_channels(p: float, d: int = 2) -> tuple[WeightedChannel, Weighte
     minus branch has weight 0; the minus-branch channel itself never depends
     on p, only its weight does.
     """
-    if d != 2:
-        raise DimensionMismatchError("effective T-gate branches are qubit-only")
-    eff = EffectiveDepolarizingSwitch.from_noise(d, p)
+    eff = EffectiveDepolarizingSwitch.from_noise(2, p)
     t_channel = unitary_channel(T_GATE)
-    plus = compose_channels(depolarizing_channel(d, eff.p_plus), t_channel)
-    minus = compose_channels(depolarizing_channel(d, eff.p_minus), t_channel)
+    plus = compose_channels(depolarizing_channel(2, eff.p_plus), t_channel)
+    minus = compose_channels(depolarizing_channel(2, eff.p_minus), t_channel)
     return (
         WeightedChannel(weight=eff.weight_plus, channel=plus),
         WeightedChannel(weight=eff.weight_minus, channel=minus),

@@ -18,6 +18,12 @@ from magicswitch.gates import T_GATE
 from magicswitch.linalg import tensor
 from magicswitch.qswitch import EffectiveDepolarizingSwitch
 
+# Clifford generators the tests build stabilizer orbits and Clifford
+# conjugations from; the package itself needs none of them.
+PHASE_S = np.diag([1.0, 1.0j]).astype(complex)
+CNOT_01 = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex)
+CNOT_10 = np.array([[1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0]], dtype=complex)
+
 
 @pytest.fixture(scope="session")
 def qubit_dict():

@@ -65,13 +65,15 @@ def loop_switch(a, b):
 
 
 def loop_wigner(ch, frame):
-    n = frame.d**2
-    direct = np.empty((n, n))
+    """The Choi-route contraction, one (u, v) entry at a time."""
+    n, d = frame.d**2, frame.d
+    j4 = choi_of_channel(ch).matrix.reshape(d, d, d, d)
+    wig = np.empty((n, n))
     for u in range(n):
-        image = loop_apply(list(ch.kraus_ops), frame.phase_points[u])
-        col = np.einsum("vij,ji->v", frame.phase_points, image) / frame.d
-        direct[:, u] = col.real
-    return direct
+        for v in range(n):
+            entry = np.einsum("ji,ab,jbia->", frame.phase_points[u], frame.phase_points[v], j4)
+            wig[v, u] = entry.real
+    return wig
 
 
 def loop_residual(ch):

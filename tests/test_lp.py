@@ -15,11 +15,11 @@ from magicswitch import (
     unitary_channel,
 )
 from magicswitch import lp
-from magicswitch.gates import HADAMARD, PAULI_X, PAULI_Y, PAULI_Z, PHASE_S, T_GATE, plus_state
+from magicswitch.gates import HADAMARD, PAULI_X, PAULI_Y, PAULI_Z, T_GATE, plus_state
 from magicswitch.linalg import partial_trace, pauli_strings, pauli_vectorize
 from magicswitch.lp import _assemble_standard_form, solve_l1
 
-from conftest import extend_with_reference, fig2_fig3_channels, random_density_matrix
+from conftest import PHASE_S, extend_with_reference, fig2_fig3_channels, random_density_matrix
 
 SQRT2 = np.sqrt(2.0)
 

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from magicswitch import _simplex, channel_robustness, noisy_th_channel
+from magicswitch.config import DEFAULT_TOL
 from magicswitch._simplex import (
     STATUS_INFEASIBLE,
     STATUS_ITER_LIMIT,
@@ -79,6 +80,23 @@ def test_infeasible():
     assert res.status == STATUS_INFEASIBLE
 
 
+def test_slightly_infeasible_lp_is_infeasible():
+    # x1 + x2 = -3e-8 has no x >= 0.  Phase 1 leaves 3e-8 of artificial
+    # mass, under its cut, and the drive-out pivots x1 in at -3e-8; the
+    # x >= -tol verdict reports the LP infeasible instead.
+    res = solve_standard_form(np.array([[1.0, 1.0]]), np.array([-3e-8]), np.array([1.0, 2.0]))
+    assert res.status == STATUS_INFEASIBLE
+    assert np.isnan(res.objective) and not res.x.any() and not res.dual.any()
+
+
+def test_rejects_malformed_data():
+    A = np.array([[1.0, 1.0]])
+    with pytest.raises(ValueError, match="shapes"):
+        solve_standard_form(A, np.array([1.0, 2.0]), np.ones(2))
+    with pytest.raises(ValueError, match="not finite"):
+        solve_standard_form(A, np.array([np.nan]), np.ones(2))
+
+
 def test_unbounded():
     # x0 never appears in a constraint and has negative cost.
     A = np.array([[0.0, 1.0]])
@@ -133,6 +151,20 @@ def test_dual_certificate(rng):
         # Zero gap and dual feasibility c - A^T y >= 0.
         assert abs(res.objective - res.dual @ b) < 1e-8
         assert (c - A.T @ res.dual).min() > -1e-8
+
+
+def test_cold_solve_is_a_start_from_the_artificial_basis(rng):
+    # A cold solve starts from arange(n, n + m) through the same path as a
+    # warm one, so passing that basis changes nothing, bit for bit.
+    for _ in range(40):
+        m = rng.integers(1, 4)
+        n = rng.integers(m + 1, 8)
+        A = rng.normal(size=(m, n))
+        b = A @ np.abs(rng.normal(size=n))
+        c = np.abs(rng.normal(size=n))
+        cold = solve_standard_form(A, b, c)
+        assert cold.status == STATUS_OPTIMAL
+        assert_same_result(solve_standard_form(A, b, c, basis=np.arange(n, n + m)), cold)
 
 
 def test_deterministic(rng):
@@ -307,21 +339,21 @@ def test_start_basis_holding_a_positive_artificial_runs_phase1(monkeypatch):
     assert np.array_equal(warm.x, [1.0, 0.0, 1.0])
 
 
-def solve_recording_start(A, b, c, basis):
-    """``solve_standard_form`` from ``basis``; returns the result and what
-    ``_start_from_basis`` gave it: None when the solve started cold."""
+def solve_recording_starts(A, b, c, basis):
+    """``solve_standard_form`` from ``basis``; returns the result and, per
+    ``_start_from_basis`` call, the basis it was given and what it gave
+    back, None for a basis that cannot start the solve."""
     starts = []
     start_from_basis = _simplex._start_from_basis
 
-    def spy(*args):
-        starts.append(start_from_basis(*args))
-        return starts[-1]
+    def spy(A, b, cost, basis, *rest):
+        starts.append((np.array(basis), start_from_basis(A, b, cost, basis, *rest)))
+        return starts[-1][1]
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(_simplex, "_start_from_basis", spy)
         result = solve_standard_form(A, b, c, basis=basis)
-    (start,) = starts
-    return result, start
+    return result, starts
 
 
 def test_primal_infeasible_optimal_basis_is_repaired_to_the_cold_optimum():
@@ -332,8 +364,8 @@ def test_primal_infeasible_optimal_basis_is_repaired_to_the_cold_optimum():
     c = np.array([1.0, 2.0])
     assert solve_standard_form(A, np.array([1.0]), c).basis.tolist() == [0]
     cold = solve_standard_form(A, np.array([-1.0]), c)
-    warm, start = solve_recording_start(A, np.array([-1.0]), c, np.array([0]))
-    _, basis, dual_pivots = start
+    warm, starts = solve_recording_starts(A, np.array([-1.0]), c, np.array([0]))
+    ((_, (_, basis, dual_pivots)),) = starts
     assert basis.tolist() == [1] and dual_pivots == 1
     assert (warm.status, warm.objective) == (cold.status, cold.objective) == (STATUS_OPTIMAL, 2.0)
     assert warm.basis.tolist() == cold.basis.tolist() == [1]
@@ -347,8 +379,9 @@ def test_start_neither_primal_nor_dual_feasible_starts_cold(monkeypatch):
     c = np.array([1.0, 1.0, 5.0])
     monkeypatch.setattr(_simplex, "dual_pivot_loop", None)  # never reached
     cold = solve_standard_form(A, b, c)
-    warm, start = solve_recording_start(A, b, c, np.array([2]))
-    assert start is None
+    warm, starts = solve_recording_starts(A, b, c, np.array([2]))
+    # The rejected basis falls back to one more start, from the artificial basis.
+    assert [(given.tolist(), start is None) for given, start in starts] == [([2], True), ([3], False)]
     assert_same_result(warm, cold)
     assert cold.status == STATUS_OPTIMAL and cold.objective == 1.0
 
@@ -368,11 +401,15 @@ def test_warm_resolve_matches_a_cold_solve(seed, feasible):
     b2 = A @ rng.uniform(0.0, 1.0, size=n) if feasible else rng.normal(size=m)
     start = solve_standard_form(A, b1, c)
     assert start.status == STATUS_OPTIMAL
-    warm, warm_start = solve_recording_start(A, b2, c, start.basis)
+    warm, starts = solve_recording_starts(A, b2, c, start.basis)
     cold = solve_standard_form(A, b2, c)
     assert warm.status == cold.status
+    # A rejected start falls back to one start from the artificial basis.
+    assert len(starts) == 1 + (starts[0][1] is None)
+    if len(starts) == 2:
+        assert np.array_equal(starts[1][0], np.arange(n, n + m))
     if feasible:
-        assert warm_start is not None  # started warm, repaired where needed
+        assert starts[0][1] is not None  # started warm, repaired where needed
     if cold.status == STATUS_OPTIMAL:
         assert abs(warm.objective - cold.objective) <= 1e-9 * max(1.0, abs(cold.objective))
         assert np.abs(A @ warm.x - b2).max() <= 1e-8
@@ -454,7 +491,7 @@ def test_phase2_set_up_matches_row_loop(monkeypatch, rng):
         if result.status != STATUS_OPTIMAL:
             continue
         (_, (want, want_basis)), ((got, got_basis), _) = loops
-        driven += reference_phase2_start(want, want_basis, c, _simplex._PIVOT_TOL)
+        driven += reference_phase2_start(want, want_basis, c, DEFAULT_TOL.pivot)
         assert np.array_equal(got_basis, want_basis)
         # The drive-out does the same arithmetic as the loop; the objective
         # row is one matrix product now, so it agrees to rounding.
@@ -510,9 +547,9 @@ def test_parametric_crossing_reports_no_crossing():
 def test_parametric_crossing_stops_past_the_feasible_range(monkeypatch):
     # min x1 + 2 x2 s.t. x1 + x2 = 10 (t - 0.3)(t - 0.6) is infeasible on
     # (0.3, 0.6), so its value leaves the level 2 there, well before it
-    # comes back at 0.92.  The step just past 0.3 cannot be repaired: the
-    # walk ends there, although the cold fallback's phase-1 cut accepts
-    # the infeasibility of 3e-9 at that step as optimal.
+    # comes back at 0.92.  The step just past 0.3 cannot be repaired, and
+    # its cold fallback, whose phase-1 cut alone would accept the
+    # infeasibility of 3e-9 there, reports the LP infeasible: the walk ends.
     A, c = np.array([[1.0, 1.0]]), np.array([1.0, 2.0])
     rhs = np.array([[1.8], [-9.0], [10.0]])
     assert solve_standard_form(A, np.array([-0.225]), c).status == STATUS_INFEASIBLE
@@ -560,25 +597,28 @@ def test_parametric_crossing_matches_a_scan_on_random_lps(monkeypatch, rng):
     # repaired by dual pivots, not cold.  The one exception is a step past
     # the end of the LP's feasible range (x1 and x2 are signed, so b(t) can
     # leave the cone of A): there the repair finds no entering column, which
-    # proves the LP infeasible, the solve decides it from a cold start, and
-    # the walk ends at that step with no crossing.
-    steps = []  # per step solve: whether it started warm, its repair status
+    # proves the LP infeasible, the solve decides it from one more start,
+    # from the artificial basis, and the walk ends at that step with no
+    # crossing.
+    calls = []  # per _start_from_basis call: [artificial basis?, accepted?, repair status]
     start_from_basis, dual_pivot_loop = _simplex._start_from_basis, _simplex.dual_pivot_loop
 
-    def recording_start(*args):
-        steps.append({})
-        start = start_from_basis(*args)
-        steps[-1]["warm"] = start is not None
+    def recording_start(A, b, cost, basis, *rest):
+        m, n = A.shape
+        calls.append([np.array_equal(basis, np.arange(n, n + m)), None, None])
+        start = start_from_basis(A, b, cost, basis, *rest)
+        calls[-1][1] = start is not None
         return start
 
     def recording_repair(*args):
         status, pivots = dual_pivot_loop(*args)
-        steps[-1]["repair"] = status
+        calls[-1][2] = status
         return status, pivots
 
     monkeypatch.setattr(_simplex, "_start_from_basis", recording_start)
     monkeypatch.setattr(_simplex, "dual_pivot_loop", recording_repair)
-    crossings = stepped = solved = ended = 0
+    steps = []  # per step solve of a walk: its start from the walk's basis
+    crossings = stepped = ended = 0
     for _ in range(12):
         A = rng.normal(size=(3, 7))
         c = rng.uniform(0.5, 2.0, size=7)
@@ -593,11 +633,16 @@ def test_parametric_crossing_matches_a_scan_on_random_lps(monkeypatch, rng):
         ends = [solve_standard_form(A, rhs_at(t), c).objective for t in (0.0, 1.0)]
         level = 0.5 * sum(ends)
         start = solve_standard_form(A, rhs_at(0.0), c)
-        first_step = len(steps)
+        first_call = len(calls)
         root, solves = parametric_crossing(A, c, rhs, np.array([1.0, 0.0, 0.0]), level, start.basis, 0.0, 1.0)
+        walk = calls[first_call:]
+        walk_steps = [call for call in walk if not call[0]]
+        assert len(walk_steps) == solves
+        # Each rejected start falls back to exactly one artificial start.
+        assert len(walk) - len(walk_steps) == sum(not accepted for _, accepted, _ in walk_steps)
+        steps += walk_steps
         stepped += solves > 0
-        solved += solves
-        repairs = [step.get("repair") for step in steps[first_step:]]
+        repairs = [repair for _, _, repair in walk_steps]
         if STATUS_INFEASIBLE in repairs:
             assert repairs.index(STATUS_INFEASIBLE) == len(repairs) - 1 and root is None
             ended += 1
@@ -608,9 +653,8 @@ def test_parametric_crossing_matches_a_scan_on_random_lps(monkeypatch, rng):
             crossings += 1
             assert root is not None and abs(root - want) < 1e-9
     assert crossings >= 6 and stepped >= 2 and ended >= 1
-    assert len(steps) == solved
-    assert all(step["warm"] or step.get("repair") == STATUS_INFEASIBLE for step in steps)
-    assert sum(step.get("repair") == STATUS_OPTIMAL for step in steps) >= 2
+    assert all(accepted or repair == STATUS_INFEASIBLE for _, accepted, repair in steps)
+    assert sum(repair == STATUS_OPTIMAL for _, _, repair in steps) >= 2
 
 
 def test_fit_polynomial_checks_the_extra_point():

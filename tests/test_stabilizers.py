@@ -3,22 +3,11 @@ import pytest
 
 from magicswitch import DensityOperator, enumerate_stabilizer_states, rom_state
 from magicswitch.config import DEFAULT_TOL
-from magicswitch.gates import (
-    CNOT_01,
-    CNOT_10,
-    HADAMARD,
-    PAULI_X,
-    PAULI_Y,
-    PAULI_Z,
-    PHASE_S,
-    T_GATE,
-    basis_state,
-    plus_state,
-)
+from magicswitch.gates import HADAMARD, PAULI_X, PAULI_Y, PAULI_Z, T_GATE, basis_state, plus_state
 from magicswitch.linalg import DimensionMismatchError, partial_trace, pauli_strings, tensor
 from magicswitch.stabilizers import cspo_choi_atoms
 
-from conftest import operators_close
+from conftest import CNOT_01, CNOT_10, PHASE_S, operators_close
 
 
 def clifford_generators(n_qubits):
