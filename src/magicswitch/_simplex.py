@@ -9,20 +9,20 @@ Bland's rule (smallest eligible index enters; ratio ties broken by smallest
 basic variable index) makes the walk deterministic and cycle-free, so
 repeated runs produce bit-identical solutions.
 
-Every solve starts the same way: phase 1 runs from the tableau
+Every optimal solve returns its basis with the inverse B^-1 read off its
+final tableau, as one ``WarmStart``.  Reduced costs and the dual
+y = c_B B^-1 do not depend on ``b``, so an optimal basis stays optimal
+while it stays primal feasible (Bertsimas & Tsitsiklis, *Introduction to
+Linear Optimization*, 1997, secs. 3.3 and 5.1): a solve given a
+``WarmStart`` first computes x_B = B^-1 b, one mat-vec, and returns that
+solution when it is feasible.  Otherwise phase 1 runs from the tableau
 ``B^-1 [A | I | b]`` of a starting basis, with its phase-1 cost row.  A
-cold solve starts from the all-artificial basis, B = I, which is the
-classic two-phase start (Bertsimas & Tsitsiklis, *Introduction to Linear
-Optimization*, 1997, sec. 3.5).  A warm solve starts from a given basis,
-such as the optimal basis of the same LP at a neighbouring parameter
-value.  When that basis is primal feasible for the new right-hand side,
-phase 1 ends at its first check, and since reduced costs do not depend on
-``b``, a basis that was optimal for the neighbour is still optimal and
-phase 2 ends there too.  When the basis is primal infeasible for the new
-``b`` but still dual feasible for the real costs, as a neighbour's optimal
-basis is, dual simplex pivots (``dual_pivot_loop``) first repair its
-primal feasibility (sec. 4.5).  A basis that cannot start the solve, and a
-repair that finds no entering column or runs past ``max_iter``, give way
+cold solve starts from the all-artificial basis, B = I, the classic
+two-phase start (sec. 3.5).  A starting basis that is primal infeasible
+for ``b`` but still dual feasible for the real costs, as a neighbour's
+optimal basis is, is first repaired by dual simplex pivots
+(``dual_pivot_loop``, sec. 4.5).  A basis that cannot start the solve, and
+a repair that finds no entering column or runs past ``max_iter``, give way
 to the all-artificial basis.  The optimal value does not depend on the
 start beyond rounding; where an LP has several optimal vertices, ``x``
 may.  Only a primal feasible solution is reported optimal.
@@ -31,6 +31,7 @@ may.  Only a primal feasible solution is reported optimal.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -129,14 +130,29 @@ def dual_pivot_loop(tableau, basis, n_enterable, tol, max_iter):
         pivots += 1
 
 
+class WarmStart(NamedTuple):
+    """An optimal basis (indices into ``[A | I]``) with its read-only inverse,
+    to start a solve of the same A and c at another b.  The inverse is in the
+    unflipped frame, where the artificial column of a row that solve flipped
+    is -e_i, so B^-1 b holds whatever the signs of the new b."""
+
+    basis: np.ndarray
+    inverse: np.ndarray
+
+
 @dataclass(frozen=True)
 class SimplexResult:
+    """``warm_start`` carries an optimal ``basis`` with its inverse and is
+    None for any other status; ``iterations`` is 0 when a ``WarmStart``
+    gave the solution without a pivot loop."""
+
     status: int
     x: np.ndarray
     objective: float
     dual: np.ndarray
     iterations: int
     basis: np.ndarray
+    warm_start: WarmStart | None = None
 
 
 def _cost_row(tableau, basis, cost):
@@ -146,14 +162,20 @@ def _cost_row(tableau, basis, cost):
     return cost - cost[basis] @ tableau[:m]
 
 
-def _factor_basis(A, basis, rhs, tol):
-    """``B^-1 [A | I | rhs]`` for the basis columns B of ``[A | I]``, or None
-    when the basis has the wrong length, an index out of range, or is
-    numerically singular or ill conditioned."""
+def _start_from_basis(A, b, cost, basis, tol, max_iter):
+    """Primal feasible tableau body ``B^-1 [A | I | b]`` for a starting basis
+    over the columns of ``[A | I]``, with the basis it ends on and the dual
+    pivots it took; or None when the basis cannot start the solve: it has
+    the wrong length or an index out of range, it is numerically singular
+    or ill conditioned, or it is primal infeasible for this ``b`` and not
+    repaired.  The repair runs ``dual_pivot_loop`` when every reduced cost
+    of the real columns under ``cost`` is >= -tol, and fails when the loop
+    does not reach primal feasibility."""
     m, n = A.shape
+    basis = np.array(basis, dtype=np.int64)
     if basis.shape != (m,) or not np.all((0 <= basis) & (basis < n + m)):
         return None
-    body = np.concatenate([A, np.eye(m), rhs], axis=1)
+    body = np.concatenate([A, np.eye(m), b[:, None]], axis=1)
     B = body[:, basis]
     try:
         body = np.linalg.solve(B, body)
@@ -164,22 +186,6 @@ def _factor_basis(A, basis, rhs, tol):
     # carry an entry across the pivot tolerance.  NaN fails this test too.
     condition = np.abs(B).sum(axis=0).max() * np.abs(body[:, n : n + m]).sum(axis=0).max()
     if not condition * np.finfo(np.float64).eps <= tol:
-        return None
-    return body
-
-
-def _start_from_basis(A, b, cost, basis, tol, max_iter):
-    """Primal feasible tableau body ``B^-1 [A | I | b]`` for a starting basis
-    over the columns of ``[A | I]``, with the basis it ends on and the dual
-    pivots it took; or None when the basis cannot start the solve:
-    ``_factor_basis`` rejects it, or it is primal infeasible for this ``b``
-    and not repaired.  The repair runs ``dual_pivot_loop`` when every
-    reduced cost of the real columns under ``cost`` is >= -tol, and fails
-    when the loop does not reach primal feasibility."""
-    m, n = A.shape
-    basis = np.array(basis, dtype=np.int64)
-    body = _factor_basis(A, basis, b[:, None], tol)
-    if body is None:
         return None
     if (body[:, -1] >= -tol).all():
         return body, basis, 0
@@ -192,20 +198,37 @@ def _start_from_basis(A, b, cost, basis, tol, max_iter):
     return tableau[:m], basis, pivots
 
 
+def _reuse_basis(A, b, c, start, tol):
+    """The solution at ``start``'s basis when x_B = B^-1 b has every real
+    entry >= -tol and every artificial one, which sits only on a redundant
+    row, within tol of zero; else None."""
+    m, n = A.shape
+    x_B = start.inverse @ b
+    real = start.basis < n
+    if not ((x_B[real] >= -tol).all() and (np.abs(x_B[~real]) <= tol).all()):
+        return None
+    x = np.zeros(n)
+    x[start.basis[real]] = x_B[real]
+    cost_B = np.concatenate([c, np.zeros(m)])[start.basis]
+    return SimplexResult(STATUS_OPTIMAL, x, float(cost_B @ x_B), cost_B @ start.inverse, 0, start.basis, start)
+
+
 def solve_standard_form(
     A: np.ndarray,
     b: np.ndarray,
     c: np.ndarray,
     max_iter: int | None = None,
-    basis: np.ndarray | None = None,
+    basis: WarmStart | np.ndarray | None = None,
 ) -> SimplexResult:
     """Minimize c.x subject to A x = b, x >= 0.
 
-    Phase 1 starts from ``basis`` (column indices into ``[A | I]``, the
-    artificial columns counted after the real ones) when
-    ``_start_from_basis`` accepts it, and otherwise, through the same call,
-    from the all-artificial basis ``arange(n, n + m)``.  ``iterations``
-    counts the dual pivots of a repair too.
+    A ``WarmStart`` of an optimal solve of the same A and c gives the
+    solution at its basis, with no pivot loop, while that basis is primal
+    feasible for ``b`` (``_reuse_basis``).  Otherwise phase 1 starts from
+    ``basis`` (a ``WarmStart``'s, or bare column indices into ``[A | I]``)
+    when ``_start_from_basis`` accepts it, and otherwise, through the same
+    call, from the all-artificial basis ``arange(n, n + m)``.
+    ``iterations`` counts the dual pivots of a repair too.
 
     STATUS_OPTIMAL means a primal feasible solution: phase 1 left at most
     ``100 * tol`` of artificial mass and x >= -tol, for the pivot tolerance
@@ -224,6 +247,11 @@ def solve_standard_form(
     if not np.isfinite(b).all():
         raise ValueError("LP right-hand side is not finite")
     tol = DEFAULT_TOL.pivot
+    if isinstance(basis, WarmStart):
+        reused = _reuse_basis(A, b, c, basis, tol)
+        if reused is not None:
+            return reused
+        basis = basis.basis
     if max_iter is None:
         max_iter = 200 + 50 * (m + n)
 
@@ -274,10 +302,14 @@ def solve_standard_form(
     if status == STATUS_OPTIMAL and x.min() < -tol:
         return SimplexResult(STATUS_INFEASIBLE, np.zeros(n), np.nan, np.zeros(m), iterations, basis)
     objective = float(-tableau[m, -1])
-    # Reduced cost of artificial column e_i is -y_i; undo the rhs sign flips.
-    dual = -tableau[m, n : n + m].copy()
-    dual[flip] *= -1.0
-    return SimplexResult(status, x, objective, dual, iterations, basis)
+    # The artificial columns hold B^-1 and their reduced costs -y; undo the
+    # rhs sign flips in both.
+    signs = np.where(flip, -1.0, 1.0)
+    dual = -tableau[m, n : n + m] * signs
+    inverse = tableau[:m, n : n + m] * signs
+    basis.flags.writeable = inverse.flags.writeable = False
+    warm_start = WarmStart(basis, inverse) if status == STATUS_OPTIMAL else None
+    return SimplexResult(status, x, objective, dual, iterations, basis, warm_start)
 
 
 # ---------------------------------------------------------------------------
@@ -338,29 +370,28 @@ def _distance_ahead(roots, t, stop):
     return np.where(((roots - t) * (stop - t) >= 0) & (distance <= abs(stop - t)), distance, np.inf)
 
 
-def parametric_crossing(A, c, rhs, scale, level, basis, t, stop):
+def parametric_crossing(A, c, rhs, scale, level, start, t, stop):
     """Where the optimal value of min c.x s.t. A x = b(t), x >= 0 first
     crosses ``level`` on the way from ``t`` to ``stop``.
 
     The right-hand side is b(t) = rhs(t) / scale(t) for polynomials ``rhs``
     (one column per row of A) and ``scale`` (positive on the way), and
-    ``basis`` is an optimal basis at ``t`` as ``solve_standard_form``
-    returns it.  Reduced costs do not depend on b, so the basis stays
-    optimal while B^-1 b(t) >= -tol (the pivot tolerance
-    ``DEFAULT_TOL.pivot``), and there the optimal value crosses
-    ``level`` at a root of c_B B^-1 rhs(t) - level scale(t).  When that
-    root lies past the end of the interval, a solve just past the end
-    starts from the basis, which is primal infeasible there but still dual
-    feasible, so the solve's dual simplex pivots repair it into the next
-    optimal basis; the walk repeats from the basis that solve returns.
+    ``start`` is the ``WarmStart`` of an optimal solve at ``t``.  Reduced
+    costs do not depend on b, so its basis stays optimal while
+    B^-1 b(t) >= -tol (the pivot tolerance ``DEFAULT_TOL.pivot``), and
+    there the optimal value crosses ``level`` at a root of
+    c_B B^-1 rhs(t) - level scale(t).  When that root lies past the end of
+    the interval, a solve just past the end starts from the basis, which is
+    primal infeasible there but still dual feasible, so the solve's dual
+    simplex pivots repair it into the next optimal basis; the walk repeats
+    from the ``WarmStart`` that solve returns.
 
     Returns (crossing or None, LP solves).  None means no crossing up to
-    ``stop``, or a failed walk: a singular or ill-conditioned basis, a
-    nonpositive scale, a step LP that is not solved to optimality (an
-    infeasible one went past the end of the LP's feasible range), or more
-    than ``_MAX_WALK_SOLVES`` solves.
+    ``stop``, or a failed walk: a nonpositive scale, a step LP that is not
+    solved to optimality (an infeasible one went past the end of the LP's
+    feasible range), or more than ``_MAX_WALK_SOLVES`` solves.
     """
-    m, n = A.shape
+    m = A.shape[0]
     tol = DEFAULT_TOL.pivot
     cost = np.concatenate([c, np.zeros(m)])
     start_free = None
@@ -369,19 +400,14 @@ def parametric_crossing(A, c, rhs, scale, level, basis, t, stop):
         if not s > 0:
             return None, solves
         if solves:
-            result = solve_standard_form(A, polyval(rhs, t) / s, c, basis=basis)
+            result = solve_standard_form(A, polyval(rhs, t) / s, c, basis=start)
             if result.status != STATUS_OPTIMAL:
                 return None, solves
-            basis = result.basis
-        # solve_standard_form flips rows with b < 0, which changes the sign
-        # of an artificial column.  One stays basic only on a redundant row,
-        # which the drive-out could not pivot on, and its value stays zero
-        # there, so its sign does not matter.
-        body = _factor_basis(A, basis, rhs.T, tol)
-        if body is None:
-            return None, solves
-        x = body[:, n + m :]  # row i: the coefficients of scale(t) x_B[i](t)
-        gap = cost[basis] @ x - level * scale  # scale(t) (value(t) - level)
+            start = result.warm_start
+        # Row i: the coefficients of scale(t) x_B[i](t).  A basic artificial
+        # sits on a redundant row, at zero whatever the sign of its column.
+        x = start.inverse @ rhs.T
+        gap = cost[start.basis] @ x - level * scale  # scale(t) (value(t) - level)
         free = polyval(gap, t) <= 0
         if start_free is None:
             start_free = free

@@ -21,12 +21,14 @@ The CSV columns (``MEASURE_COLUMNS``) and the threshold registry
 (``MEASURES``) are derived from the table.
 
 A sweep walks its grid in order and starts each robustness LP from the
-optimal basis the same LP column reached at the previous grid point, so a
-row depends on the rows before it in its run.  ``jobs`` splits the grid into
-at most that many contiguous runs, each on its own worker and each starting
-cold; identical configs therefore produce byte-identical CSV.  A warm-started
-value can differ from a lone cold solve at the same point in the last bits,
-never in the printed digits of the default grids.
+optimal basis and inverse the same LP column reached at the previous grid
+point, kept in the run's ``_RunState``; while that basis stays feasible,
+as at nearly every default grid point, the LP is one mat-vec.  ``jobs``
+splits the grid into at most that many contiguous runs, each on its own
+worker and each starting cold; identical configs therefore produce
+byte-identical CSV.  A warm-started value can differ from a lone cold solve
+at the same point in the last bits, never in the printed digits of the
+default grids.
 
 A threshold search checks both bracket ends.  For a robustness measure it
 then fits the LP's right-hand side as a polynomial in p and walks optimal
@@ -34,8 +36,8 @@ bases to propose the crossing (``_propose_crossing``), which two more
 evaluations confirm; mana measures, bare callables and any failed proposal
 bisect.  All evaluations of one search of a registered measure share one
 ``_RunState``, so only its first LP starts cold: each later one starts from
-the optimal basis of the one before, repaired by dual simplex pivots where
-it is infeasible for the new p.
+the optimal basis and inverse of the one before, repaired by dual simplex
+pivots where it is infeasible for the new p.
 """
 
 from __future__ import annotations
@@ -176,9 +178,9 @@ CHANNELS = {
 class _RunState:
     """What one contiguous run of sweep rows, or one threshold search,
     carries from one evaluation to the next: the last optimal basis of each
-    LP column, and the value of fig3's minus branch, whose channel does not
-    depend on p.  When ``samples`` is a list, each LP solve appends
-    ``(p, solution, scale)`` to it (``_Point.solve``)."""
+    LP column with its inverse, and the value of fig3's minus branch, whose
+    channel does not depend on p.  When ``samples`` is a list, each LP
+    solve appends ``(p, solution, scale)`` to it (``_Point.solve``)."""
 
     bases: dict = field(default_factory=dict)
     switch_minus: tuple | None = None
@@ -247,12 +249,12 @@ class _Point:
 
     def solve(self, column: str, program, *args, scale: float = 1.0) -> tuple[float, str]:
         """Solve one robustness LP of ``column``, starting from the optimal
-        basis the column reached earlier in this run.  ``scale`` is the
-        positive s(p) that makes s(p) times the LP's right-hand side a
-        polynomial in p: the probability or weight of a switch branch, whose
-        unnormalized output is quadratic in p."""
+        basis and inverse the column reached earlier in this run.  ``scale``
+        is the positive s(p) that makes s(p) times the LP's right-hand side
+        a polynomial in p: the probability or weight of a switch branch,
+        whose unnormalized output is quadratic in p."""
         solution = program(*args, basis=self.state.bases.get(column))
-        self.state.bases[column] = solution.basis
+        self.state.bases[column] = solution.warm_start
         if self.state.samples is not None:
             self.state.samples.append((self.p, solution, scale))
         return _certified_value(solution, self.lp_tol)
@@ -610,16 +612,16 @@ def _propose_crossing(
         return None, evaluations
     known = sorted(
         [(lo, free_lo, None), (hi, not free_lo, None)]
-        + [(p, solution.value <= level, solution.basis) for p, solution, _ in samples],
+        + [(p, solution.value <= level, solution.warm_start) for p, solution, _ in samples],
         key=lambda entry: entry[0],
     )
-    for (p0, free0, basis0), (p1, free1, basis1) in zip(known, known[1:]):
+    for (p0, free0, start0), (p1, free1, start1) in zip(known, known[1:]):
         if free0 != free1:
             break
-    if basis0 is None:
-        p0, basis0, p1 = p1, basis1, p0
+    if start0 is None:
+        p0, start0, p1 = p1, start1, p0
     A = forms[0][0]
-    root, solves = parametric_crossing(A, np.ones(A.shape[1]), fit[:, :-1], fit[:, -1], level, basis0, p0, p1)
+    root, solves = parametric_crossing(A, np.ones(A.shape[1]), fit[:, :-1], fit[:, -1], level, start0, p0, p1)
     return root, evaluations + solves
 
 

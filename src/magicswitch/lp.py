@@ -30,6 +30,7 @@ import numpy as np
 from ._simplex import (
     STATUS_INFEASIBLE,
     STATUS_OPTIMAL,
+    WarmStart,
     solve_standard_form,
 )
 from .channels import DensityOperator, KrausChannel, choi_of_channel
@@ -49,8 +50,8 @@ class L1Solution:
     ``plus`` and ``minus`` are the two sides of the decomposition, one
     weight per atom.  ``residual``, ``dual_gap`` and ``dual_violation`` (the
     worst excess of A^T y over the unit costs) certify the value.
-    ``basis`` is the optimal simplex basis, which can start the solve of a
-    neighbouring problem; it is None when no optimum was found.
+    ``warm_start`` is the optimal basis with its inverse, which can start the
+    solve of a neighbouring problem; it is None when no optimum was found.
     ``standard_form`` is the pair ``(A, b)`` of the equality constraints
     ``A x = b, x >= 0`` it solved.
     """
@@ -63,7 +64,7 @@ class L1Solution:
     dual_gap: float
     dual_violation: float
     iterations: int
-    basis: np.ndarray | None = None
+    warm_start: WarmStart | None = None
     renorm_factor: float = 1.0
     standard_form: tuple | None = None
 
@@ -87,14 +88,15 @@ def _assemble_standard_form(vectors: np.ndarray, marginal_rows: np.ndarray | Non
     return A
 
 
-def solve_l1(A: np.ndarray, b: np.ndarray, basis: np.ndarray | None = None) -> L1Solution:
+def solve_l1(A: np.ndarray, b: np.ndarray, basis: WarmStart | np.ndarray | None = None) -> L1Solution:
     """min sum(x) subject to A x = b, x >= 0, for a matrix from
     ``_assemble_standard_form``, with the embedded simplex.
 
     Deterministic under the fixed atom ordering and the starting ``basis``
     (see ``solve_standard_form``); the reconstruction residual, the duality
-    gap and the dual feasibility of the returned basic solution are
-    reported so callers can enforce their own floors.
+    gap and the dual feasibility of every returned solution, a reused
+    ``WarmStart``'s too, are computed from A, x and y so callers can
+    enforce their own floors.
     """
     c = np.ones(A.shape[1])
     result = solve_standard_form(A, b, c, basis=basis)
@@ -117,7 +119,7 @@ def solve_l1(A: np.ndarray, b: np.ndarray, basis: np.ndarray | None = None) -> L
         dual_gap=float(abs(result.objective - result.dual @ b)),
         dual_violation=float(max(0.0, (A.T @ result.dual - c).max())),
         iterations=result.iterations,
-        basis=result.basis,
+        warm_start=result.warm_start,
         standard_form=(A, b),
     )
 
@@ -133,13 +135,13 @@ def _state_constraints(dictionary) -> np.ndarray:
     return _assemble_standard_form(np.array([pauli_vectorize(P, paulis) for P in dictionary.projectors]))
 
 
-def rom_state(rho: DensityOperator, dictionary, basis: np.ndarray | None = None) -> L1Solution:
+def rom_state(rho: DensityOperator, dictionary, basis: WarmStart | np.ndarray | None = None) -> L1Solution:
     """Robustness of a state over a stabilizer dictionary.
 
     Unnormalized inputs are renormalized first and the factor is logged and
     reported on the solution.  Faithful: the value is 1 exactly when the
-    state lies in the stabilizer polytope.  ``basis`` may carry the optimal
-    basis of a neighbouring state's solve as a starting point.
+    state lies in the stabilizer polytope.  ``basis`` may carry the
+    ``warm_start`` of a neighbouring state's solve as a starting point.
     """
     factor = 1.0
     if not rho.normalized or abs(rho.trace - 1.0) > DEFAULT_TOL.psd:
@@ -169,14 +171,14 @@ def _channel_constraints(atoms) -> np.ndarray:
     return _assemble_standard_form(vectors, marginal_rows)
 
 
-def channel_robustness(ch: KrausChannel, atoms, basis: np.ndarray | None = None) -> L1Solution:
+def channel_robustness(ch: KrausChannel, atoms, basis: WarmStart | np.ndarray | None = None) -> L1Solution:
     """Channel robustness of a single-qubit channel over Choi atoms.
 
     The two sides of the decomposition are conic combinations of stabilizer
     Choi projectors; each side separately satisfies the trace-preservation
     marginal (its X, Y, Z components vanish), which together with the Choi
     reconstruction rows makes the optimal l1 norm equal 1 + 2p.  ``basis``
-    may carry the optimal basis of a neighbouring channel's solve as a
+    may carry the ``warm_start`` of a neighbouring channel's solve as a
     starting point.
     """
     if ch.d_in != 2 or ch.d_out != 2:

@@ -100,6 +100,32 @@ def pivot_walks(monkeypatch, run):
     return result, walks
 
 
+def recorded_solves(monkeypatch, run):
+    """Run ``run()``; return its result and, per LP it solved through
+    ``lp.solve_l1``, [whether it was given a start basis, its
+    ``iterations``, the pivot loops it ran]."""
+    from magicswitch import _simplex, lp
+
+    solves = []
+    solve, pivot_loop = lp.solve_standard_form, _simplex.bland_pivot_loop
+
+    def recording_solve(*args, basis=None, **kwargs):
+        solves.append([basis is not None, None, 0])
+        result = solve(*args, basis=basis, **kwargs)
+        solves[-1][1] = result.iterations
+        return result
+
+    def recording_loop(*args):
+        solves[-1][2] += 1
+        return pivot_loop(*args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(lp, "solve_standard_form", recording_solve)
+        patch.setattr(_simplex, "bland_pivot_loop", recording_loop)
+        result = run()
+    return result, solves
+
+
 # ---------------------------------------------------------------------------
 # Oracles shared by several test modules
 # ---------------------------------------------------------------------------

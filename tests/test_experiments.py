@@ -30,7 +30,7 @@ from magicswitch.experiments import (
     write_rows,
 )
 
-from conftest import pivot_walks
+from conftest import recorded_solves
 
 
 class TestSweepConfig:
@@ -163,13 +163,6 @@ LP_COLUMNS = {
 }
 
 
-def phase1_iterations(monkeypatch, run):
-    """Run ``run()``; return its result and the phase-1 pivot count of every
-    LP it solved, in order."""
-    result, walks = pivot_walks(monkeypatch, run)
-    return result, [it for _, it in walks[::2]]
-
-
 class RecordingPool:
     """Stands in for ProcessPoolExecutor: runs the map in this process and
     records the worker count and the grid of each run."""
@@ -198,7 +191,7 @@ class TestWarmStart:
     def test_warm_values_match_cold_solves(self, monkeypatch, experiment):
         grid = default_config(experiment).grid()
         cold = [experiments._dispatch_row((experiment, p, 1e-6, experiments._RunState())) for p in grid]
-        forward, phase1 = phase1_iterations(
+        forward, solves = recorded_solves(
             monkeypatch, lambda: experiments._run_rows(experiment, grid, 1e-6)
         )
         backward = experiments._run_rows(experiment, grid[::-1], 1e-6)[::-1]
@@ -211,16 +204,30 @@ class TestWarmStart:
                         assert math.isnan(got.values[m])
                     else:
                         assert abs(got.values[m] - want.values[m]) <= 1e-12, (got.p, m)
-        # Nearly every LP after the first of its column starts from a basis
-        # that phase 1 only has to confirm.
-        assert sum(it == 1 for it in phase1) >= 0.9 * len(phase1)
+        # Only the first LP of each column starts cold, and it runs both
+        # phases.  A warm LP whose basis stays feasible runs no pivot loop
+        # (iterations 0); nearly every warm LP of the grid is one.
+        assert [(warm, loops) for warm, _, loops in solves if not warm] == [(False, 2)] * 3
+        assert all((iterations == 0) == (loops == 0) for _, iterations, loops in solves)
+        assert sum(iterations == 0 for _, iterations, _ in solves) >= 0.95 * len(solves)
 
     def test_each_run_starts_cold(self, monkeypatch):
         config = _tiny("fig3", stop=0.2, step=0.02)
-        first, walk = phase1_iterations(monkeypatch, lambda: run_fig3(config))
-        second, again = phase1_iterations(monkeypatch, lambda: run_fig3(config))
-        assert walk == again and walk[0] > 1
+        first, solves = recorded_solves(monkeypatch, lambda: run_fig3(config))
+        second, again = recorded_solves(monkeypatch, lambda: run_fig3(config))
+        # Nothing carries over from the first run: the second solves the
+        # same LPs the same way, the first LP of each column cold again.
+        assert solves == again
+        assert [warm for warm, _, _ in solves[:3]] == [False] * 3 and solves[0][2] == 2
+        assert all(warm for warm, _, _ in solves[3:])
         assert rows_to_csv(first, MEASURE_COLUMNS["fig3"]) == rows_to_csv(second, MEASURE_COLUMNS["fig3"])
+
+    def test_nearly_every_sweep_lp_reuses_its_basis(self, monkeypatch):
+        # fig2 and fig3 on their default grids solve 485 LPs: 6 start cold,
+        # and all but a few of the rest keep their column's last basis.
+        _, solves = recorded_solves(monkeypatch, lambda: (run_fig2(), run_fig3()))
+        assert len(solves) == 485
+        assert sum(iterations == 0 for _, iterations, _ in solves) >= 470
 
     def test_fig3_minus_branch_is_solved_once_per_run(self, monkeypatch):
         calls = []
@@ -489,7 +496,7 @@ class TestWalkedThresholds:
 
         def spy(A, c, rhs, scale, level, basis, t, stop):
             solution = lp_solution(name, start)
-            walks.append(parametric_crossing(A, c, rhs, scale, level, solution.basis, start, 0.0))
+            walks.append(parametric_crossing(A, c, rhs, scale, level, solution.warm_start, start, 0.0))
             return walks[-1]
 
         monkeypatch.setattr(experiments, "parametric_crossing", spy)

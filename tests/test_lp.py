@@ -2,9 +2,12 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from magicswitch import (
     DensityOperator,
+    KrausChannel,
     apply_channel,
     channel_robustness,
     choi_of_channel,
@@ -19,7 +22,13 @@ from magicswitch.gates import HADAMARD, PAULI_X, PAULI_Y, PAULI_Z, T_GATE, plus_
 from magicswitch.linalg import partial_trace, pauli_strings, pauli_vectorize
 from magicswitch.lp import _assemble_standard_form, solve_l1
 
-from conftest import PHASE_S, extend_with_reference, fig2_fig3_channels, random_density_matrix
+from conftest import (
+    PHASE_S,
+    extend_with_reference,
+    fig2_fig3_channels,
+    random_density_matrix,
+    random_kraus_channel,
+)
 
 SQRT2 = np.sqrt(2.0)
 
@@ -251,7 +260,8 @@ class TestChannelRobustness:
             sol = channel_robustness(noisy_th_channel(p), choi_atoms)
             assert sol.dual_gap < 1e-8
             assert 0.0 <= sol.dual_violation < 1e-8
-            assert sol.iterations > 2 and sol.basis.shape == (22,)
+            assert sol.iterations > 2 and sol.warm_start.basis.shape == (22,)
+            assert sol.warm_start.inverse.shape == (22, 22) and not sol.warm_start.inverse.flags.writeable
 
 
 def reference_state_lp(rho, dictionary):
@@ -280,8 +290,10 @@ def reference_channel_lp(ch, choi_atoms):
 
 def assert_same_solution(got, want):
     assert got.value == want.value and got.iterations == want.iterations
-    for field in ("plus", "minus", "basis"):
+    for field in ("plus", "minus"):
         assert np.array_equal(getattr(got, field), getattr(want, field))
+    for got_part, want_part in zip(got.warm_start, want.warm_start):
+        assert np.array_equal(got_part, want_part)
     assert (got.residual, got.dual_gap, got.dual_violation) == (
         want.residual, want.dual_gap, want.dual_violation
     )
@@ -321,3 +333,81 @@ class TestConstraintCache:
         for _ in range(5):
             rho = DensityOperator(random_density_matrix(2, rng))
             assert_same_solution(rom_state(rho, qubit_dict), solve_l1(*reference_state_lp(rho, qubit_dict)))
+
+
+# ---------------------------------------------------------------------------
+# Clifford covariance (Seddon & Campbell 2019): a Clifford permutes the
+# stabilizer atoms, so it cannot change a robustness.  The oracle shares no
+# code with the solver; each dressed LP starts from the WarmStart of a
+# neighbouring LP, so the reused-basis path is under the oracle too.
+# ---------------------------------------------------------------------------
+
+def single_qubit_cliffords():
+    """The 24 single-qubit Cliffords up to a global phase: the closure of
+    {H, S} under products, each scaled to a real positive first nonzero
+    entry."""
+    def phase_fixed(u):
+        lead = u.flat[np.flatnonzero(np.abs(u) > 1e-9)[0]]
+        return u * (abs(lead) / lead)
+
+    group, frontier = [np.eye(2, dtype=complex)], [np.eye(2, dtype=complex)]
+    while frontier:
+        grown = []
+        for u in frontier:
+            for g in (HADAMARD, PHASE_S):
+                v = phase_fixed(g @ u)
+                if not any(np.allclose(v, w, atol=1e-12) for w in group):
+                    group.append(v)
+                    grown.append(v)
+        frontier = grown
+    return group
+
+
+CLIFFORDS = single_qubit_cliffords()
+
+# How far a neighbouring problem is mixed toward the maximally mixed state
+# or the identity channel.
+NEIGHBOUR_MIX = 1e-3
+
+
+def test_there_are_24_cliffords():
+    assert len(CLIFFORDS) == 24
+    for u in CLIFFORDS:
+        assert np.allclose(u @ u.conj().T, np.eye(2), atol=1e-12)
+
+
+@settings(derandomize=True, database=None, max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_rom_state_is_clifford_invariant(qubit_dict, seed):
+    rng = np.random.default_rng(seed)
+    rho = random_density_matrix(2, rng, rank=int(rng.integers(1, 3)))
+    near = (1 - NEIGHBOUR_MIX) * rho + NEIGHBOUR_MIX * np.eye(2) / 2
+    base = rom_state(DensityOperator(rho), qubit_dict).value
+    reused = 0
+    for u in CLIFFORDS:
+        start = rom_state(DensityOperator(u @ near @ u.conj().T), qubit_dict).warm_start
+        sol = rom_state(DensityOperator(u @ rho @ u.conj().T), qubit_dict, basis=start)
+        assert sol.status == "optimal" and abs(sol.value - base) <= 1e-9
+        reused += sol.iterations == 0
+    assert reused >= len(CLIFFORDS) // 2
+
+
+@settings(derandomize=True, database=None, max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), pre=st.integers(0, 23), post=st.integers(0, 23))
+def test_channel_robustness_is_clifford_invariant(choi_atoms, seed, pre, post):
+    # Pre- and post-composing Clifford unitaries keeps the CSPO atom set.
+    rng = np.random.default_rng(seed)
+    ch = random_kraus_channel(2, int(rng.integers(1, 4)), rng)
+    near = KrausChannel(np.concatenate([
+        np.sqrt(1 - NEIGHBOUR_MIX) * ch.kraus_ops, [np.sqrt(NEIGHBOUR_MIX) * np.eye(2)]
+    ]))
+
+    def dressed(c):
+        inner = compose_channels(c, unitary_channel(CLIFFORDS[pre]))
+        return compose_channels(unitary_channel(CLIFFORDS[post]), inner)
+
+    base = channel_robustness(ch, choi_atoms)
+    start = channel_robustness(dressed(near), choi_atoms).warm_start
+    sol = channel_robustness(dressed(ch), choi_atoms, basis=start)
+    assert base.status == sol.status == "optimal"
+    assert abs(sol.value - base.value) <= 1e-9

@@ -2,6 +2,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from magicswitch import (
     DensityOperator,
@@ -232,3 +234,19 @@ class TestChannelMana:
         assert mana_channel(noisy_t, frame3) == 0.0
         light = compose_channels(depolarizing_channel(3, 0.1), unitary_channel(qutrit_t_gate()))
         assert mana_channel(light, frame3) > 0.1
+
+
+@settings(derandomize=True, database=None, max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), rank=st.integers(1, 3))
+def test_mana_is_weyl_covariant(frame3, seed, rank):
+    # A Weyl displacement X^a Z^b shifts the discrete Wigner function over
+    # phase space (Veitch et al. 2014), so it cannot change the mana.  The
+    # displacements are built here, not from the frame's code.
+    rho = random_density_matrix(3, np.random.default_rng(seed), rank=rank)
+    shift = np.roll(np.eye(3), 1, axis=0)
+    clock = np.diag(np.exp(2j * np.pi * np.arange(3) / 3))
+    base = mana_state(DensityOperator(rho), frame3)
+    for a in range(3):
+        for b in range(3):
+            d = np.linalg.matrix_power(shift, a) @ np.linalg.matrix_power(clock, b)
+            assert abs(mana_state(DensityOperator(d @ rho @ d.conj().T), frame3) - base) <= 1e-9

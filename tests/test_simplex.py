@@ -310,19 +310,25 @@ def assert_same_result(got, want):
         assert np.array_equal(getattr(got, field), getattr(want, field)), field
 
 
-def test_warm_start_takes_one_phase1_iteration(monkeypatch, choi_atoms):
-    # The optimal basis at one grid point is feasible at the next, so phase 1
-    # only confirms it; phase 2 then runs from there.
+def test_warm_start_runs_no_pivot_loop(monkeypatch, choi_atoms):
+    # The optimal basis at one grid point stays feasible at the next, so its
+    # WarmStart gives the solution from one mat-vec, with no pivot loop and
+    # the same inverse.  The bare basis still starts the tableau path, where
+    # phase 1 only confirms it and phase 2 runs from there.
     for p, step in ((0.1, 0.01), (0.5, 0.01), (0.9, -0.01)):
-        start = channel_robustness(noisy_th_channel(p), choi_atoms)
+        start = channel_robustness(noisy_th_channel(p), choi_atoms).warm_start
         ch = noisy_th_channel(p + step)
         cold, cold_walks = pivot_walks(monkeypatch, lambda: channel_robustness(ch, choi_atoms))
-        warm, walks = pivot_walks(
+        warm, walks = pivot_walks(monkeypatch, lambda: channel_robustness(ch, choi_atoms, basis=start))
+        bare, bare_walks = pivot_walks(
             monkeypatch, lambda: channel_robustness(ch, choi_atoms, basis=start.basis)
         )
-        assert len(walks) == 2 and walks[0] == (STATUS_OPTIMAL, 1)
+        assert walks == [] and warm.iterations == 0 and warm.warm_start is start
+        assert len(bare_walks) == 2 and bare_walks[0] == (STATUS_OPTIMAL, 1)
         assert cold_walks[0][1] > 1
-        assert warm.status == "optimal" and abs(warm.value - cold.value) < 1e-12
+        for solution in (warm, bare):
+            assert solution.status == "optimal" and abs(solution.value - cold.value) < 1e-12
+        assert np.array_equal(bare.warm_start.basis, start.basis)
 
 
 def test_start_basis_holding_a_positive_artificial_runs_phase1(monkeypatch):
@@ -386,12 +392,12 @@ def test_start_neither_primal_nor_dual_feasible_starts_cold(monkeypatch):
     assert cold.status == STATUS_OPTIMAL and cold.objective == 1.0
 
 
-@settings(derandomize=True, database=None, max_examples=150, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), feasible=st.booleans())
-def test_warm_resolve_matches_a_cold_solve(seed, feasible):
-    # The optimal basis at b1 starts the solve at b2, which may be primal
-    # infeasible for b2 or make the whole LP infeasible.  Positive costs keep
-    # every LP bounded, so its optimal basis at b1 is dual feasible at b2.
+def random_resolve(seed, feasible):
+    """A random bounded LP (A, c) with two right-hand sides: b1, which is
+    feasible, and b2, which is feasible too when ``feasible`` and otherwise
+    random, so that it can make the whole LP infeasible.  Positive costs
+    keep every LP bounded, so its optimal basis at b1 is dual feasible at
+    b2."""
     rng = np.random.default_rng(seed)
     m = int(rng.integers(1, 5))
     n = int(rng.integers(m + 1, 10))
@@ -399,17 +405,32 @@ def test_warm_resolve_matches_a_cold_solve(seed, feasible):
     c = rng.uniform(0.1, 2.0, size=n)
     b1 = A @ rng.uniform(0.0, 1.0, size=n)
     b2 = A @ rng.uniform(0.0, 1.0, size=n) if feasible else rng.normal(size=m)
+    return A, c, b1, b2
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), feasible=st.booleans())
+def test_warm_resolve_matches_a_cold_solve(seed, feasible):
+    # The WarmStart at b1 starts the solve at b2, which may be primal
+    # infeasible for b2 or make the whole LP infeasible.
+    A, c, b1, b2 = random_resolve(seed, feasible)
+    m, n = A.shape
     start = solve_standard_form(A, b1, c)
     assert start.status == STATUS_OPTIMAL
-    warm, starts = solve_recording_starts(A, b2, c, start.basis)
+    warm, starts = solve_recording_starts(A, b2, c, start.warm_start)
     cold = solve_standard_form(A, b2, c)
     assert warm.status == cold.status
-    # A rejected start falls back to one start from the artificial basis.
-    assert len(starts) == 1 + (starts[0][1] is None)
-    if len(starts) == 2:
-        assert np.array_equal(starts[1][0], np.arange(n, n + m))
-    if feasible:
-        assert starts[0][1] is not None  # started warm, repaired where needed
+    # A reused basis makes no start; otherwise its basis starts the solve,
+    # and a rejected start falls back to one start from the artificial basis.
+    if warm.iterations == 0:
+        assert starts == [] and warm.status == STATUS_OPTIMAL
+    else:
+        assert np.array_equal(starts[0][0], start.basis)
+        assert len(starts) == 1 + (starts[0][1] is None)
+        if len(starts) == 2:
+            assert np.array_equal(starts[1][0], np.arange(n, n + m))
+        if feasible:
+            assert starts[0][1] is not None  # started warm, repaired where needed
     if cold.status == STATUS_OPTIMAL:
         assert abs(warm.objective - cold.objective) <= 1e-9 * max(1.0, abs(cold.objective))
         assert np.abs(A @ warm.x - b2).max() <= 1e-8
@@ -420,6 +441,80 @@ def test_warm_resolve_matches_a_cold_solve(seed, feasible):
         assert highs.status == {STATUS_OPTIMAL: 0, STATUS_INFEASIBLE: 2}[cold.status]
         if highs.status == 0:
             assert abs(highs.fun - warm.objective) <= 1e-7 * max(1.0, abs(warm.objective))
+
+
+def assert_reuse_matches_the_bare_basis(A, b, c, start):
+    """Solve at ``b`` from the WarmStart ``start`` and from its bare basis.
+    When x_B = B^-1 b is feasible, the WarmStart must give the bare start's
+    answer with no start and no pivot: same status and basis, objective and
+    x within 1e-12.  Otherwise it must fall through to the bare start
+    itself (a repair, or the cold fallback), bit for bit.  Returns the
+    WarmStart's result."""
+    m, n = A.shape
+    tol = DEFAULT_TOL.pivot
+    got, starts = solve_recording_starts(A, b, c, start)
+    bare = solve_standard_form(A, b, c, basis=start.basis)
+    x_B = np.linalg.solve(np.hstack([A, np.eye(m)])[:, start.basis], b)
+    real = start.basis < n
+    reusable = (x_B[real] >= -tol).all() and (np.abs(x_B[~real]) <= tol).all()
+    if not reusable:
+        assert np.array_equal(starts[0][0], start.basis)
+        assert_same_result(got, bare)
+        return got
+    assert starts == [] and got.iterations == 0
+    assert got.status == bare.status == STATUS_OPTIMAL
+    assert np.array_equal(got.basis, bare.basis)
+    assert abs(got.objective - bare.objective) <= 1e-12 * max(1.0, abs(bare.objective))
+    assert np.abs(got.x - bare.x).max() <= 1e-12
+    return got
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), feasible=st.booleans())
+def test_warm_start_matches_a_start_from_its_bare_basis(seed, feasible):
+    A, c, b1, b2 = random_resolve(seed, feasible)
+    start = solve_standard_form(A, b1, c).warm_start
+    assert_reuse_matches_the_bare_basis(A, b2, c, start)
+
+
+def test_warm_start_holds_across_a_change_of_sign_pattern():
+    # min x0 + x1 + 5 x2 s.t. x0 - x1 + x2 = b0, x1 + x2 = b1: the basis
+    # {x0, x1} is optimal for b = (1, 1), where no row is flipped, and for
+    # b = (-0.5, 1), where row 0 is.  Each WarmStart serves the other b.
+    A = np.array([[1.0, -1.0, 1.0], [0.0, 1.0, 1.0]])
+    c = np.array([1.0, 1.0, 5.0])
+    for b1, b2 in [([1.0, 1.0], [-0.5, 1.0]), ([-0.5, 1.0], [1.0, 1.0])]:
+        start = solve_standard_form(A, np.array(b1), c).warm_start
+        assert sorted(start.basis) == [0, 1]
+        assert np.allclose(start.inverse, np.linalg.inv(A[:, start.basis]), rtol=0, atol=1e-15)
+        got = assert_reuse_matches_the_bare_basis(A, np.array(b2), c, start)
+        assert got.iterations == 0 and np.allclose(got.x, solve_standard_form(A, np.array(b2), c).x)
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_warm_start_with_a_basic_artificial_on_a_redundant_row(sign):
+    # Row 2 is +-(row 0 + row 1), so its artificial stays basic at zero, in
+    # a row that is flipped for sign -1; a consistent b reuses the basis,
+    # and an inconsistent one makes the LP infeasible.
+    A = np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 1.0], [sign, 2 * sign, sign]])
+    c = np.array([1.0, 3.0, 1.0])
+    start = solve_standard_form(A, A @ np.array([1.0, 0.0, 2.0]), c).warm_start
+    assert start.basis.tolist().count(5) == 1 and (start.basis >= 3).sum() == 1
+    b = A @ np.array([0.5, 0.0, 0.25])
+    got = assert_reuse_matches_the_bare_basis(A, b, c, start)
+    assert got.iterations == 0 and got.objective == 0.75
+    b[2] += 1e-3
+    assert assert_reuse_matches_the_bare_basis(A, b, c, start).status == STATUS_INFEASIBLE
+
+
+def test_warm_start_at_an_infeasible_rhs_is_infeasible():
+    # x1 + x2 = -1 has no x >= 0: the reused basis puts both at -1, the
+    # repair finds no entering column, and the cold fallback decides.
+    A = np.array([[1.0, -1.0, 1.0], [0.0, 1.0, 1.0]])
+    c = np.array([1.0, 1.0, 5.0])
+    start = solve_standard_form(A, np.array([1.0, 1.0]), c).warm_start
+    got = assert_reuse_matches_the_bare_basis(A, np.array([0.0, -1.0]), c, start)
+    assert got.status == STATUS_INFEASIBLE and got.warm_start is None
 
 
 def test_unusable_start_basis_falls_back_to_cold_start():
@@ -510,7 +605,7 @@ ABS_RHS = np.array([[-0.3], [0.7], [1.0]])  # (1 + t)(t - 0.3)
 
 def abs_walk(t, stop, level):
     start = solve_standard_form(ABS_A, np.array([t - 0.3]), ABS_C)
-    return parametric_crossing(ABS_A, ABS_C, ABS_RHS, ABS_SCALE, level, start.basis, t, stop)
+    return parametric_crossing(ABS_A, ABS_C, ABS_RHS, ABS_SCALE, level, start.warm_start, t, stop)
 
 
 def test_parametric_crossing_inside_the_first_interval():
@@ -533,7 +628,7 @@ def test_parametric_crossing_at_a_breakpoint():
     c = np.array([1.0, 0.0])
     start = solve_standard_form(ABS_A, np.array([-0.2]), c)
     rhs = np.array([[-0.3], [1.0], [0.0]])
-    root, solves = parametric_crossing(ABS_A, c, rhs, np.array([1.0, 0.0, 0.0]), 0.0, start.basis, 0.1, 1.0)
+    root, solves = parametric_crossing(ABS_A, c, rhs, np.array([1.0, 0.0, 0.0]), 0.0, start.warm_start, 0.1, 1.0)
     assert abs(root - 0.3) < 1e-8 and solves == 1
 
 
@@ -563,25 +658,29 @@ def test_parametric_crossing_stops_past_the_feasible_range(monkeypatch):
 
     monkeypatch.setattr(_simplex, "dual_pivot_loop", recording_repair)
     start = solve_standard_form(A, rhs[0], c)
-    assert parametric_crossing(A, c, rhs, np.array([1.0, 0.0, 0.0]), 2.0, start.basis, 0.0, 1.0) == (None, 1)
+    assert parametric_crossing(A, c, rhs, np.array([1.0, 0.0, 0.0]), 2.0, start.warm_start, 0.0, 1.0) == (None, 1)
     assert repairs == [STATUS_INFEASIBLE]
 
 
 def test_parametric_crossing_stops_on_a_nonpositive_scale():
     start = solve_standard_form(ABS_A, np.array([-0.3]), ABS_C)
     scale = np.array([-1.0, 0.0, 0.0])
-    assert parametric_crossing(ABS_A, ABS_C, -ABS_RHS, scale, 0.1, start.basis, 0.0, 1.0) == (None, 0)
+    assert parametric_crossing(ABS_A, ABS_C, -ABS_RHS, scale, 0.1, start.warm_start, 0.0, 1.0) == (None, 0)
 
 
 def crossing_by_scan(A, c, rhs_at, level, t, stop, step=4e-3):
     """Oracle: the first grid cell from t toward stop where the optimal value
-    crosses level, narrowed by bisection on cold solves."""
+    crosses level, narrowed by bisection on cold solves; None when there is
+    none, or when the LP turns infeasible first (the end of the stretch a
+    walk of optimal bases can cover)."""
     def free(s):
         return solve_standard_form(A, rhs_at(s), c).objective <= level
 
     start = free(t)
     grid = np.linspace(t, stop, int(round(abs(stop - t) / step)) + 1)
     for a, b in zip(grid, grid[1:]):
+        if solve_standard_form(A, rhs_at(b), c).status == STATUS_INFEASIBLE:
+            return None
         if free(b) != start:
             while abs(b - a) > 1e-12:
                 mid = 0.5 * (a + b)
@@ -590,70 +689,100 @@ def crossing_by_scan(A, c, rhs_at, level, t, stop, step=4e-3):
     return None
 
 
+def random_parametric_lp(rng, gap):
+    """A random LP min c.x s.t. A x = b(t), x >= 0, with quadratic b(t);
+    returns A, c and the (3, m) coefficients of b(t).
+
+    b(t) = A (x0 + t x1 + t^2 x2) is feasible at t = 0.  Without a ``gap``
+    x1 and x2 are signed, so b(t) may leave the cone of A and stay out.
+    With one, x(t) >= 0, row 0 has positive entries and column 0 is its
+    slack e_0, and b_0(t) gains K ((t - t_m)^2 - w^2): the LP is feasible at
+    both ends but infeasible where b_0(t) < 0, around t_m."""
+    A = rng.normal(size=(3, 7))
+    c = rng.uniform(0.5, 2.0, size=7)
+    xs = rng.uniform(0.0, 1.0, size=(3, 7))
+    xs[0] += 1.0
+    if not gap:
+        xs[1:] *= rng.choice([-1.0, 1.0], size=(2, 1))
+        return A, c, xs @ A.T
+    A[0] = rng.uniform(0.5, 1.5, size=7)
+    A[:, 0] = [1.0, 0.0, 0.0]
+    rhs = xs @ A.T
+    t_m, w = rng.uniform(0.35, 0.65), rng.uniform(0.05, 0.15)
+    K = 2.0 * rhs[:, 0].sum() / w**2  # b_0(t_m) <= -K w^2 / 2 < 0
+    rhs[:, 0] += K * np.array([t_m**2 - w**2, -2.0 * t_m, 1.0])
+    return A, c, rhs
+
+
 def test_parametric_crossing_matches_a_scan_on_random_lps(monkeypatch, rng):
-    # b(t) = A (x0 + t x1 + t^2 x2) is feasible at t = 0; the walk must find
-    # the scan's first crossing of a level between the values at the ends.
-    # Each solve past an interval's end must start from the walk's basis,
-    # repaired by dual pivots, not cold.  The one exception is a step past
-    # the end of the LP's feasible range (x1 and x2 are signed, so b(t) can
-    # leave the cone of A): there the repair finds no entering column, which
-    # proves the LP infeasible, the solve decides it from one more start,
-    # from the artificial basis, and the walk ends at that step with no
-    # crossing.
-    calls = []  # per _start_from_basis call: [artificial basis?, accepted?, repair status]
+    # The walk must find the scan's first crossing of a level between the
+    # values at the ends.  Each step solve past an interval's end keeps the
+    # walk's basis where it stays feasible, and is otherwise started from
+    # it, repaired by dual pivots, not cold.  The one exception is a step
+    # past the end of the LP's feasible range: there the repair finds no
+    # entering column, which proves the LP infeasible, the solve decides it
+    # from one more start, from the artificial basis, and the walk ends at
+    # that step with no crossing.  The gapped LPs have a finite level, so a
+    # walk that stepped across their infeasible stretch would report a
+    # crossing the scan does not.
+    steps = []  # per step solve of a walk: [reused?, start accepted?, repair status]
+    solve = _simplex.solve_standard_form
     start_from_basis, dual_pivot_loop = _simplex._start_from_basis, _simplex.dual_pivot_loop
 
+    def recording_solve(*args, **kwargs):
+        steps.append([None, None, None])
+        result = solve(*args, **kwargs)
+        steps[-1][0] = result.iterations == 0
+        return result
+
     def recording_start(A, b, cost, basis, *rest):
-        m, n = A.shape
-        calls.append([np.array_equal(basis, np.arange(n, n + m)), None, None])
         start = start_from_basis(A, b, cost, basis, *rest)
-        calls[-1][1] = start is not None
+        m, n = A.shape
+        if not np.array_equal(basis, np.arange(n, n + m)):
+            steps[-1][1] = start is not None
         return start
 
     def recording_repair(*args):
         status, pivots = dual_pivot_loop(*args)
-        calls[-1][2] = status
+        steps[-1][2] = status
         return status, pivots
 
+    monkeypatch.setattr(_simplex, "solve_standard_form", recording_solve)
     monkeypatch.setattr(_simplex, "_start_from_basis", recording_start)
     monkeypatch.setattr(_simplex, "dual_pivot_loop", recording_repair)
-    steps = []  # per step solve of a walk: its start from the walk's basis
-    crossings = stepped = ended = 0
-    for _ in range(12):
-        A = rng.normal(size=(3, 7))
-        c = rng.uniform(0.5, 2.0, size=7)
-        xs = rng.uniform(0.0, 1.0, size=(3, 7))
-        xs[1:] *= rng.choice([-1.0, 1.0], size=(2, 1))
-        xs[0] += 1.0
-        rhs = xs @ A.T  # (3, m): coefficients of b(t)
+    crossings = stepped = ended = gapped_ends = 0
+    for gap in [False] * 12 + [True] * 12:
+        A, c, rhs = random_parametric_lp(rng, gap)
 
         def rhs_at(t, rhs=rhs):
             return rhs[0] + t * (rhs[1] + t * rhs[2])
 
-        ends = [solve_standard_form(A, rhs_at(t), c).objective for t in (0.0, 1.0)]
+        ends = [solve(A, rhs_at(t), c).objective for t in (0.0, 1.0)]
         level = 0.5 * sum(ends)
-        start = solve_standard_form(A, rhs_at(0.0), c)
-        first_call = len(calls)
-        root, solves = parametric_crossing(A, c, rhs, np.array([1.0, 0.0, 0.0]), level, start.basis, 0.0, 1.0)
-        walk = calls[first_call:]
-        walk_steps = [call for call in walk if not call[0]]
-        assert len(walk_steps) == solves
-        # Each rejected start falls back to exactly one artificial start.
-        assert len(walk) - len(walk_steps) == sum(not accepted for _, accepted, _ in walk_steps)
-        steps += walk_steps
+        if gap:
+            assert np.isfinite(level)
+            assert solve(A, rhs_at(np.roots(rhs[::-1, 0]).real.mean()), c).status == STATUS_INFEASIBLE
+        start = solve(A, rhs_at(0.0), c)
+        first_step = len(steps)
+        root, solves = parametric_crossing(
+            A, c, rhs, np.array([1.0, 0.0, 0.0]), level, start.warm_start, 0.0, 1.0
+        )
+        walk = steps[first_step:]
+        assert len(walk) == solves
         stepped += solves > 0
-        repairs = [repair for _, _, repair in walk_steps]
+        repairs = [repair for _, _, repair in walk]
         if STATUS_INFEASIBLE in repairs:
             assert repairs.index(STATUS_INFEASIBLE) == len(repairs) - 1 and root is None
             ended += 1
+            gapped_ends += gap
         want = crossing_by_scan(A, c, rhs_at, level, 0.0, 1.0)
         if want is None:
             assert root is None
         else:
             crossings += 1
             assert root is not None and abs(root - want) < 1e-9
-    assert crossings >= 6 and stepped >= 2 and ended >= 1
-    assert all(accepted or repair == STATUS_INFEASIBLE for _, accepted, repair in steps)
+    assert crossings >= 6 and stepped >= 2 and ended >= 1 and gapped_ends >= 2
+    assert all(reused or accepted or repair == STATUS_INFEASIBLE for reused, accepted, repair in steps)
     assert sum(repair == STATUS_OPTIMAL for _, _, repair in steps) >= 2
 
 
