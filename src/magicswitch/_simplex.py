@@ -22,10 +22,11 @@ two-phase start (sec. 3.5).  A starting basis that is primal infeasible
 for ``b`` but still dual feasible for the real costs, as a neighbour's
 optimal basis is, is first repaired by dual simplex pivots
 (``dual_pivot_loop``, sec. 4.5).  A basis that cannot start the solve, and
-a repair that finds no entering column or runs past ``max_iter``, give way
-to the all-artificial basis.  The optimal value does not depend on the
-start beyond rounding; where an LP has several optimal vertices, ``x``
-may.  Only a primal feasible solution is reported optimal.
+a repair that finds no entering column or runs past the iteration limit,
+give way to the all-artificial basis.  A ``WarmStart`` is the only start a
+caller can pass.  The optimal value does not depend on the start beyond
+rounding; where an LP has several optimal vertices, ``x`` may.  Only a
+primal feasible solution is reported optimal.
 """
 
 from __future__ import annotations
@@ -142,16 +143,15 @@ class WarmStart(NamedTuple):
 
 @dataclass(frozen=True)
 class SimplexResult:
-    """``warm_start`` carries an optimal ``basis`` with its inverse and is
-    None for any other status; ``iterations`` is 0 when a ``WarmStart``
-    gave the solution without a pivot loop."""
+    """``warm_start`` carries the optimal basis with its inverse and is None
+    for any other status; ``iterations`` is 0 when a ``WarmStart`` gave the
+    solution without a pivot loop."""
 
     status: int
     x: np.ndarray
     objective: float
     dual: np.ndarray
     iterations: int
-    basis: np.ndarray
     warm_start: WarmStart | None = None
 
 
@@ -165,16 +165,13 @@ def _cost_row(tableau, basis, cost):
 def _start_from_basis(A, b, cost, basis, tol, max_iter):
     """Primal feasible tableau body ``B^-1 [A | I | b]`` for a starting basis
     over the columns of ``[A | I]``, with the basis it ends on and the dual
-    pivots it took; or None when the basis cannot start the solve: it has
-    the wrong length or an index out of range, it is numerically singular
-    or ill conditioned, or it is primal infeasible for this ``b`` and not
-    repaired.  The repair runs ``dual_pivot_loop`` when every reduced cost
-    of the real columns under ``cost`` is >= -tol, and fails when the loop
-    does not reach primal feasibility."""
+    pivots it took; or None when the basis cannot start the solve: it is
+    numerically singular or ill conditioned, or it is primal infeasible for
+    this ``b`` and not repaired.  The repair runs ``dual_pivot_loop`` when
+    every reduced cost of the real columns under ``cost`` is >= -tol, and
+    fails when the loop does not reach primal feasibility."""
     m, n = A.shape
     basis = np.array(basis, dtype=np.int64)
-    if basis.shape != (m,) or not np.all((0 <= basis) & (basis < n + m)):
-        return None
     body = np.concatenate([A, np.eye(m), b[:, None]], axis=1)
     B = body[:, basis]
     try:
@@ -210,25 +207,19 @@ def _reuse_basis(A, b, c, start, tol):
     x = np.zeros(n)
     x[start.basis[real]] = x_B[real]
     cost_B = np.concatenate([c, np.zeros(m)])[start.basis]
-    return SimplexResult(STATUS_OPTIMAL, x, float(cost_B @ x_B), cost_B @ start.inverse, 0, start.basis, start)
+    return SimplexResult(STATUS_OPTIMAL, x, float(cost_B @ x_B), cost_B @ start.inverse, 0, start)
 
 
-def solve_standard_form(
-    A: np.ndarray,
-    b: np.ndarray,
-    c: np.ndarray,
-    max_iter: int | None = None,
-    basis: WarmStart | np.ndarray | None = None,
-) -> SimplexResult:
+def solve_standard_form(A: np.ndarray, b: np.ndarray, c: np.ndarray, basis: WarmStart | None = None) -> SimplexResult:
     """Minimize c.x subject to A x = b, x >= 0.
 
-    A ``WarmStart`` of an optimal solve of the same A and c gives the
-    solution at its basis, with no pivot loop, while that basis is primal
-    feasible for ``b`` (``_reuse_basis``).  Otherwise phase 1 starts from
-    ``basis`` (a ``WarmStart``'s, or bare column indices into ``[A | I]``)
-    when ``_start_from_basis`` accepts it, and otherwise, through the same
-    call, from the all-artificial basis ``arange(n, n + m)``.
-    ``iterations`` counts the dual pivots of a repair too.
+    ``basis`` is None for a cold solve or the ``WarmStart`` of an optimal
+    solve of the same A and c.  A ``WarmStart`` gives the solution at its
+    basis, with no pivot loop, while that basis is primal feasible for
+    ``b`` (``_reuse_basis``).  Otherwise phase 1 starts from its basis when
+    ``_start_from_basis`` accepts it, and otherwise, through the same call,
+    from the all-artificial basis ``arange(n, n + m)``.  ``iterations``
+    counts the dual pivots of a repair too.
 
     STATUS_OPTIMAL means a primal feasible solution: phase 1 left at most
     ``100 * tol`` of artificial mass and x >= -tol, for the pivot tolerance
@@ -247,13 +238,11 @@ def solve_standard_form(
     if not np.isfinite(b).all():
         raise ValueError("LP right-hand side is not finite")
     tol = DEFAULT_TOL.pivot
-    if isinstance(basis, WarmStart):
+    if basis is not None:
         reused = _reuse_basis(A, b, c, basis, tol)
         if reused is not None:
             return reused
-        basis = basis.basis
-    if max_iter is None:
-        max_iter = 200 + 50 * (m + n)
+    max_iter = 200 + 50 * (m + n)
 
     # Phase 1 over [A | I | b] with every rhs made nonnegative first, so
     # the all-artificial basis is always a primal feasible start.
@@ -264,7 +253,7 @@ def solve_standard_form(
 
     real_cost = np.zeros(n + m + 1)
     real_cost[:n] = c
-    start = None if basis is None else _start_from_basis(A, b, real_cost, basis, tol, max_iter)
+    start = None if basis is None else _start_from_basis(A, b, real_cost, basis.basis, tol, max_iter)
     if start is None:
         start = _start_from_basis(A, b, real_cost, np.arange(n, n + m), tol, max_iter)
     body, basis, it0 = start
@@ -279,7 +268,7 @@ def solve_standard_form(
     if status == STATUS_OPTIMAL and phase1_obj > 100 * tol:
         status = STATUS_INFEASIBLE
     if status != STATUS_OPTIMAL:
-        return SimplexResult(status, np.zeros(n), np.nan, np.zeros(m), it0 + it1, basis)
+        return SimplexResult(status, np.zeros(n), np.nan, np.zeros(m), it0 + it1)
 
     # Pivot leftover artificials out where possible (first real column with
     # a usable entry); a row with no real pivot entry is a redundant
@@ -300,7 +289,7 @@ def solve_standard_form(
     # A drive-out pivot on a negative entry turns leftover phase-1 mass into
     # a negative x: the LP is infeasible by more than the tolerance.
     if status == STATUS_OPTIMAL and x.min() < -tol:
-        return SimplexResult(STATUS_INFEASIBLE, np.zeros(n), np.nan, np.zeros(m), iterations, basis)
+        return SimplexResult(STATUS_INFEASIBLE, np.zeros(n), np.nan, np.zeros(m), iterations)
     objective = float(-tableau[m, -1])
     # The artificial columns hold B^-1 and their reduced costs -y; undo the
     # rhs sign flips in both.
@@ -309,7 +298,7 @@ def solve_standard_form(
     inverse = tableau[:m, n : n + m] * signs
     basis.flags.writeable = inverse.flags.writeable = False
     warm_start = WarmStart(basis, inverse) if status == STATUS_OPTIMAL else None
-    return SimplexResult(status, x, objective, dual, iterations, basis, warm_start)
+    return SimplexResult(status, x, objective, dual, iterations, warm_start)
 
 
 # ---------------------------------------------------------------------------

@@ -106,7 +106,9 @@ def _add_sweep_options(sub: argparse.ArgumentParser) -> None:
 
 def _sweep_config(args) -> SweepConfig:
     base = parse_config_file(args.config) if args.config else default_config(args.experiment)
-    overrides = dict(args.tol, experiment=args.experiment)
+    if base.experiment != args.experiment:
+        raise ValueError(f"config targets {base.experiment!r}, not {args.experiment}")
+    overrides = dict(args.tol)
     jobs = _resolve_jobs(args.jobs)
     if jobs is not None:
         overrides["jobs"] = jobs

@@ -24,9 +24,9 @@ A sweep walks its grid in order and starts each robustness LP from the
 optimal basis and inverse the same LP column reached at the previous grid
 point, kept in the run's ``_RunState``; while that basis stays feasible,
 as at nearly every default grid point, the LP is one mat-vec.  ``jobs``
-splits the grid into at most that many contiguous runs, each on its own
-worker and each starting cold; identical configs therefore produce
-byte-identical CSV.  A warm-started value can differ from a lone cold solve
+splits the grid into at most that many contiguous runs, each starting cold
+and shared among at most one worker per CPU; identical configs therefore
+produce byte-identical CSV.  A warm-started value can differ from a lone cold solve
 at the same point in the last bits, never in the printed digits of the
 default grids.
 
@@ -34,10 +34,11 @@ A threshold search checks both bracket ends.  For a robustness measure it
 then fits the LP's right-hand side as a polynomial in p and walks optimal
 bases to propose the crossing (``_propose_crossing``), which two more
 evaluations confirm; mana measures, bare callables and any failed proposal
-bisect.  All evaluations of one search of a registered measure share one
-``_RunState``, so only its first LP starts cold: each later one starts from
-the optimal basis and inverse of the one before, repaired by dual simplex
-pivots where it is infeasible for the new p.
+bisect.  All evaluations of one search of a registered measure go through
+its ``MEASURES`` callable and share one ``_RunState``, so only its first LP
+starts cold: each later one starts from the optimal basis and inverse of
+the one before, repaired by dual simplex pivots where it is infeasible for
+the new p.
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ from __future__ import annotations
 import json
 import logging
 import math
+import os
 import sys
 from dataclasses import dataclass, field
 from functools import cached_property, partial
@@ -129,8 +131,10 @@ class SweepConfig:
         _check_lp_tol(self.lp_tol)
 
     def grid(self) -> list[float]:
+        """``start + k * step`` up to ``stop``, each point clamped to ``stop``:
+        the last one can round past it by an ulp."""
         count = int(math.floor((self.stop - self.start) / self.step + DEFAULT_TOL.grid)) + 1
-        return [self.start + k * self.step for k in range(count)]
+        return [min(self.start + k * self.step, self.stop) for k in range(count)]
 
 
 def default_config(experiment: str, **overrides) -> SweepConfig:
@@ -359,18 +363,12 @@ def _threshold_value(experiment: str, column: Column, p: float, state: _RunState
     return value
 
 
-# Threshold name -> (experiment, column).
-_THRESHOLD_COLUMNS = {
-    column.threshold: (experiment, column)
+# Threshold name -> (callable p -> value, faithfulness floor).
+MEASURES = {
+    column.threshold: (partial(_threshold_value, experiment, column), column.floor)
     for experiment, (_, columns) in MEASURE_TABLE.items()
     for column in columns
     if column.threshold
-}
-
-# Threshold name -> (callable p -> value, faithfulness floor).
-MEASURES = {
-    name: (partial(_threshold_value, experiment, column), column.floor)
-    for name, (experiment, column) in _THRESHOLD_COLUMNS.items()
 }
 
 
@@ -395,7 +393,7 @@ def _run_rows(experiment: str, grid: list[float], lp_tol: float) -> list[SweepRo
 
 def run_experiment(config: SweepConfig) -> list[SweepRow]:
     """The rows of ``config``'s sweep, split into at most ``config.jobs``
-    contiguous runs."""
+    contiguous runs, on no more worker processes than there are CPUs."""
     if config.experiment not in MEASURE_TABLE:
         raise ValueError(f"{config.experiment} produces a report, not sweep rows; call run_appendix_c")
     if config.experiment == "figs1":
@@ -410,7 +408,7 @@ def run_experiment(config: SweepConfig) -> list[SweepRow]:
     size, extra = divmod(len(grid), n_runs)
     bounds = [k * size + min(k, extra) for k in range(n_runs + 1)]
     runs = [grid[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
-    with ProcessPoolExecutor(max_workers=n_runs) as pool:
+    with ProcessPoolExecutor(max_workers=min(n_runs, os.cpu_count() or 1)) as pool:
         chunks = pool.map(_run_rows, [config.experiment] * n_runs, runs, [config.lp_tol] * n_runs)
         return [row for chunk in chunks for row in chunk]
 
@@ -517,12 +515,11 @@ def find_threshold(
     if not (math.isfinite(threshold_tol) and threshold_tol > 0):
         raise ValueError(f"threshold_tol must be finite and positive, got {threshold_tol}")
     _check_lp_tol(lp_tol)
-    entry = None
+    state = None
     if isinstance(measure, str):
         if measure not in MEASURES:
             raise KeyError(f"unknown measure {measure!r}; known: {sorted(MEASURES)}")
         registered, floor = MEASURES[measure]
-        entry = _THRESHOLD_COLUMNS[measure]
         name = measure
         state = _RunState()
         fn = partial(registered, state=state)
@@ -547,9 +544,9 @@ def find_threshold(
         iterations += 1
         bracket[(value <= level) != free_lo] = p
 
-    if entry and hi - lo > threshold_tol:
+    if state is not None and hi - lo > threshold_tol:
         state.samples = []
-        root, solves = _propose_crossing(*entry, state, bracket, level, free_lo, narrow)
+        root, solves = _propose_crossing(fn, state, bracket, level, free_lo, narrow)
         state.samples = None
         iterations += solves
         # One ulp of the root inside r -+ threshold_tol / 2, so that the
@@ -571,32 +568,32 @@ def find_threshold(
     return ThresholdResult(name, 0.5 * (lo + hi), (lo, hi), iterations, floor)
 
 
-def _propose_crossing(
-    experiment: str, column: Column, state: _RunState, bracket: list, level: float, free_lo: bool, narrow
-) -> tuple:
-    """Propose where ``column``'s value crosses ``level`` inside ``bracket``
+def _propose_crossing(fn, state: _RunState, bracket: list, level: float, free_lo: bool, narrow) -> tuple:
+    """Propose where the measure ``fn`` crosses ``level`` inside ``bracket``
     (whose low end has the predicate ``free_lo``); returns (the crossing or
     None, the evaluations and LP solves it made after the first).
 
-    Every evaluation runs in the search's ``state``, warm from the LP before
-    it, and ``state.samples`` starts empty.  The first is the bisection step
-    at the midpoint, fed to ``narrow``.  Its LP solve records the right-hand
-    side b and the scale s (``_Point.solve``); a measure that solves no LP
-    records nothing and is left to bisection.  ``RHS_DEGREE + 1`` more
-    points inside the narrowed bracket are solved.  s b and s are fitted as
-    polynomials through all but the last point and checked at the last, and
-    ``parametric_crossing`` walks optimal bases from the sample just below
-    the crossing, or just above it when no sample lies below.
+    ``fn`` is the search's own callable, which evaluates the registered
+    measure in the search's ``state``, so every evaluation is warm from the
+    LP before it; ``state.samples`` starts empty.  The first evaluation is
+    the bisection step at the midpoint, fed to ``narrow``.  Its LP solve
+    records the right-hand side b and the scale s (``_Point.solve``); a
+    measure that solves no LP records nothing and is left to bisection.
+    ``RHS_DEGREE + 1`` more points inside the narrowed bracket are solved.
+    s b and s are fitted as polynomials through all but the last point and
+    checked at the last, and ``parametric_crossing`` walks optimal bases
+    from the sample just below the crossing, or just above it when no
+    sample lies below.
     """
     mid = 0.5 * (bracket[0] + bracket[1])
-    narrow(mid, _threshold_value(experiment, column, mid, state))
+    narrow(mid, fn(mid))
     if not state.samples:
         return None, 0
     lo, hi = bracket
     points = [lo + (hi - lo) * k / (RHS_DEGREE + 2) for k in range(1, RHS_DEGREE + 2)]
     for evaluations, p in enumerate(points, 1):
         try:
-            _threshold_value(experiment, column, p, state)
+            fn(p)
         except ValueError:  # a degenerate branch inside the bracket
             return None, evaluations
     samples = state.samples

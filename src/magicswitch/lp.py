@@ -16,7 +16,9 @@ only on its atom set: ``_assemble_standard_form`` builds it once per set,
 with the plus parts of the coefficients in the first half of the columns
 and the minus parts in the second, and a solve builds only its right-hand
 side.  ``solve_l1(A, b)`` then runs the embedded simplex at unit costs and
-certifies the answer.
+certifies the answer.  Each solve starts cold, or from the one start form
+the simplex takes: ``basis``, the ``warm_start`` of a solve of the same
+program at a neighbouring right-hand side.
 """
 
 from __future__ import annotations
@@ -88,15 +90,15 @@ def _assemble_standard_form(vectors: np.ndarray, marginal_rows: np.ndarray | Non
     return A
 
 
-def solve_l1(A: np.ndarray, b: np.ndarray, basis: WarmStart | np.ndarray | None = None) -> L1Solution:
+def solve_l1(A: np.ndarray, b: np.ndarray, basis: WarmStart | None = None) -> L1Solution:
     """min sum(x) subject to A x = b, x >= 0, for a matrix from
     ``_assemble_standard_form``, with the embedded simplex.
 
-    Deterministic under the fixed atom ordering and the starting ``basis``
-    (see ``solve_standard_form``); the reconstruction residual, the duality
-    gap and the dual feasibility of every returned solution, a reused
-    ``WarmStart``'s too, are computed from A, x and y so callers can
-    enforce their own floors.
+    Deterministic under the fixed atom ordering and the ``WarmStart``
+    ``basis``, if any (see ``solve_standard_form``); the reconstruction
+    residual, the duality gap and the dual feasibility of every returned
+    solution, a reused ``WarmStart``'s too, are computed from A, x and y so
+    callers can enforce their own floors.
     """
     c = np.ones(A.shape[1])
     result = solve_standard_form(A, b, c, basis=basis)
@@ -135,7 +137,7 @@ def _state_constraints(dictionary) -> np.ndarray:
     return _assemble_standard_form(np.array([pauli_vectorize(P, paulis) for P in dictionary.projectors]))
 
 
-def rom_state(rho: DensityOperator, dictionary, basis: WarmStart | np.ndarray | None = None) -> L1Solution:
+def rom_state(rho: DensityOperator, dictionary, basis: WarmStart | None = None) -> L1Solution:
     """Robustness of a state over a stabilizer dictionary.
 
     Unnormalized inputs are renormalized first and the factor is logged and
@@ -171,7 +173,7 @@ def _channel_constraints(atoms) -> np.ndarray:
     return _assemble_standard_form(vectors, marginal_rows)
 
 
-def channel_robustness(ch: KrausChannel, atoms, basis: WarmStart | np.ndarray | None = None) -> L1Solution:
+def channel_robustness(ch: KrausChannel, atoms, basis: WarmStart | None = None) -> L1Solution:
     """Channel robustness of a single-qubit channel over Choi atoms.
 
     The two sides of the decomposition are conic combinations of stabilizer

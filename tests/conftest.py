@@ -109,9 +109,9 @@ def recorded_solves(monkeypatch, run):
     solves = []
     solve, pivot_loop = lp.solve_standard_form, _simplex.bland_pivot_loop
 
-    def recording_solve(*args, basis=None, **kwargs):
+    def recording_solve(A, b, c, basis=None):
         solves.append([basis is not None, None, 0])
-        result = solve(*args, basis=basis, **kwargs)
+        result = solve(A, b, c, basis=basis)
         solves[-1][1] = result.iterations
         return result
 

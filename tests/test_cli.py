@@ -32,12 +32,30 @@ def test_fig2_json_stdout(capsys):
 
 def test_config_file_with_flag_override(tmp_path, capsys):
     cfg = tmp_path / "sweep.cfg"
-    cfg.write_text("experiment = fig3\nstart = 0\nstop = 0.01\nstep = 0.01\nformat = json\n")
+    # The file may name the subcommand's experiment by an alias.
+    cfg.write_text("experiment = fig3_depolarized_t\nstart = 0\nstop = 0.01\nstep = 0.01\nformat = json\n")
     out = tmp_path / "rows.json"
     code, _ = run_cli(capsys, "fig3", "--config", str(cfg), "--out", str(out))
     assert code == 0
     rows = json.loads(out.read_text())
     assert len(rows) == 2
+
+
+@pytest.mark.parametrize("experiment", ["fig2", "fig3", "figs1"])
+def test_grid_whose_last_step_rounds_past_stop(tmp_path, capsys, experiment):
+    # 0.09 + 13 * 0.07 is one ulp above 1; the last row is p = 1.
+    out = tmp_path / "rows.csv"
+    code, _ = run_cli(capsys, experiment, "--grid", "0.09:1:0.07", "--out", str(out))
+    assert code == 0
+    lines = out.read_text().strip().splitlines()
+    assert len(lines) == 15 and lines[-1].split(",")[0] == "1"
+
+
+@pytest.mark.parametrize("experiment", ["fig3", "fig3_depolarized_t", "figs1"])
+def test_config_for_another_experiment_is_a_one_line_error(tmp_path, capsys, experiment):
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(f"experiment = {experiment}\n")
+    assert_one_line_error(capsys, main(["-q", "fig2", "--config", str(cfg)]))
 
 
 @pytest.mark.parametrize("flag, jobs", [([], 2), (["--jobs", "3"], 3)], ids=["file", "flag"])

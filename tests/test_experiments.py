@@ -2,7 +2,9 @@ import concurrent.futures
 import hashlib
 import json
 import math
+import os
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -243,15 +245,24 @@ class TestWarmStart:
         assert len(values) == 1
 
     @pytest.mark.parametrize(
-        "jobs, rows, runs", [(2, 5, [3, 2]), (3, 7, [3, 2, 2]), (8, 3, [1, 1, 1])]
+        "jobs, rows, runs, cpus, workers",
+        [
+            (2, 5, [3, 2], 64, 2),
+            (3, 7, [3, 2, 2], 64, 3),
+            (8, 3, [1, 1, 1], 64, 3),
+            # More runs than CPUs: the runs stay, the workers are capped.
+            (8, 10, [2, 2, 1, 1, 1, 1, 1, 1], 2, 2),
+            (8, 10, [2, 2, 1, 1, 1, 1, 1, 1], None, 1),
+        ],
     )
-    def test_jobs_split_the_grid_into_contiguous_runs(self, monkeypatch, jobs, rows, runs):
+    def test_jobs_split_the_grid_into_contiguous_runs(self, monkeypatch, jobs, rows, runs, cpus, workers):
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         RecordingPool.made.clear()
         config = _tiny("fig3", start=0.0, stop=0.01 * (rows - 1), step=0.01, jobs=jobs)
         got = run_fig3(config)
         (pool,) = RecordingPool.made
-        assert pool.max_workers == len(runs)
+        assert pool.max_workers == workers
         assert [len(run) for run in pool.runs] == runs
         assert [p for run in pool.runs for p in run] == config.grid() == [r.p for r in got]
         serial = run_fig3(replace(config, jobs=1))
@@ -435,9 +446,9 @@ class TestWalkedThresholds:
         cold = []
         solve = lp.solve_standard_form
 
-        def spy(A, b, c, basis=None, **kwargs):
+        def spy(A, b, c, basis=None):
             cold.append(basis is None)
-            return solve(A, b, c, basis=basis, **kwargs)
+            return solve(A, b, c, basis=basis)
 
         monkeypatch.setattr(lp, "solve_standard_form", spy)
         if wrong_proposal:
@@ -446,6 +457,34 @@ class TestWalkedThresholds:
         assert cold[0] and cold.count(True) == 1
         # Ends, midpoint, three samples and two confirmations, then bisection.
         assert len(cold) > 8 if wrong_proposal else len(cold) == 8
+
+    @pytest.mark.parametrize("name, lo, hi", [
+        *((name, *LP_CROSSINGS[name][0]) for name in LP_CROSSINGS), ("figs1_mana_channel", 0.3, 0.6)
+    ])
+    def test_every_evaluation_goes_through_the_registered_measure(self, monkeypatch, name, lo, hi):
+        # Wrap MEASURES[name] in place, as perfbench's tracer does, and
+        # count every _threshold_value call: the search, its proposal
+        # included, may reach the measure only through the wrapper.
+        calls = {"wrapper": 0, "value": 0}
+        threshold_value = experiments._threshold_value
+
+        def counted_value(*args, **kwargs):
+            calls["value"] += 1
+            return threshold_value(*args, **kwargs)
+
+        registered, floor = MEASURES[name]
+        routed = partial(counted_value, *registered.args, **registered.keywords)
+
+        def wrapper(*args, **kwargs):
+            calls["wrapper"] += 1
+            return routed(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "_threshold_value", counted_value)
+        monkeypatch.setitem(MEASURES, name, (wrapper, floor))
+        find_threshold(name, lo, hi, threshold_tol=1e-6)
+        assert calls["value"] == calls["wrapper"] > 2
+        if name in LP_CROSSINGS:  # ends, midpoint, three samples, two confirmations
+            assert calls["wrapper"] == 8
 
     def test_p_independent_measure_still_has_no_crossing(self):
         with pytest.raises(BracketError):
@@ -540,7 +579,7 @@ class TestRoundingFloor:
 def lp_solution(name, p):
     """The LP solution of registered measure ``name`` at ``p``."""
     state = experiments._RunState(samples=[])
-    experiments._threshold_value(*experiments._THRESHOLD_COLUMNS[name], p, state)
+    MEASURES[name][0](p, state=state)
     ((_, solution, _),) = state.samples
     return solution
 

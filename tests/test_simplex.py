@@ -12,6 +12,7 @@ from magicswitch._simplex import (
     STATUS_ITER_LIMIT,
     STATUS_OPTIMAL,
     STATUS_UNBOUNDED,
+    WarmStart,
     bland_pivot_loop,
     fit_polynomial,
     parametric_crossing,
@@ -153,20 +154,6 @@ def test_dual_certificate(rng):
         assert (c - A.T @ res.dual).min() > -1e-8
 
 
-def test_cold_solve_is_a_start_from_the_artificial_basis(rng):
-    # A cold solve starts from arange(n, n + m) through the same path as a
-    # warm one, so passing that basis changes nothing, bit for bit.
-    for _ in range(40):
-        m = rng.integers(1, 4)
-        n = rng.integers(m + 1, 8)
-        A = rng.normal(size=(m, n))
-        b = A @ np.abs(rng.normal(size=n))
-        c = np.abs(rng.normal(size=n))
-        cold = solve_standard_form(A, b, c)
-        assert cold.status == STATUS_OPTIMAL
-        assert_same_result(solve_standard_form(A, b, c, basis=np.arange(n, n + m)), cold)
-
-
 def test_deterministic(rng):
     A = rng.normal(size=(3, 9))
     b = A @ np.abs(rng.normal(size=9))
@@ -306,40 +293,45 @@ def test_kernel_matches_reference_at_iteration_limit(monkeypatch, choi_atoms):
 
 def assert_same_result(got, want):
     assert (got.status, got.iterations, got.objective) == (want.status, want.iterations, want.objective)
-    for field in ("x", "dual", "basis"):
+    for field in ("x", "dual"):
         assert np.array_equal(getattr(got, field), getattr(want, field)), field
+    assert (got.warm_start is None) == (want.warm_start is None)
+    if got.warm_start is not None:
+        assert np.array_equal(got.warm_start.basis, want.warm_start.basis)
+
+
+def hand_built_start(A, basis):
+    """A ``WarmStart`` of ``basis``, column indices into ``[A | I]``, with its
+    inverse from ``np.linalg.inv``."""
+    basis = np.array(basis)
+    return WarmStart(basis, np.linalg.inv(np.hstack([A, np.eye(A.shape[0])])[:, basis]))
 
 
 def test_warm_start_runs_no_pivot_loop(monkeypatch, choi_atoms):
     # The optimal basis at one grid point stays feasible at the next, so its
     # WarmStart gives the solution from one mat-vec, with no pivot loop and
-    # the same inverse.  The bare basis still starts the tableau path, where
-    # phase 1 only confirms it and phase 2 runs from there.
+    # the same inverse.
     for p, step in ((0.1, 0.01), (0.5, 0.01), (0.9, -0.01)):
         start = channel_robustness(noisy_th_channel(p), choi_atoms).warm_start
         ch = noisy_th_channel(p + step)
         cold, cold_walks = pivot_walks(monkeypatch, lambda: channel_robustness(ch, choi_atoms))
         warm, walks = pivot_walks(monkeypatch, lambda: channel_robustness(ch, choi_atoms, basis=start))
-        bare, bare_walks = pivot_walks(
-            monkeypatch, lambda: channel_robustness(ch, choi_atoms, basis=start.basis)
-        )
         assert walks == [] and warm.iterations == 0 and warm.warm_start is start
-        assert len(bare_walks) == 2 and bare_walks[0] == (STATUS_OPTIMAL, 1)
         assert cold_walks[0][1] > 1
-        for solution in (warm, bare):
-            assert solution.status == "optimal" and abs(solution.value - cold.value) < 1e-12
-        assert np.array_equal(bare.warm_start.basis, start.basis)
+        assert warm.status == "optimal" and abs(warm.value - cold.value) < 1e-12
 
 
 def test_start_basis_holding_a_positive_artificial_runs_phase1(monkeypatch):
     # x0 + x1 = 1, x1 + x2 = 1.  The basis {x0, artificial of row 1} is
     # nonsingular and feasible for [A | I] (the artificial sits at 1), so
-    # phase 1 starts there and must pivot the artificial out.
+    # the WarmStart is not reused: phase 1 starts there and must pivot the
+    # artificial out.
     A = np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 1.0]])
     b = np.array([1.0, 1.0])
     c = np.array([1.0, 3.0, 1.0])
     cold = solve_standard_form(A, b, c)
-    warm, walks = pivot_walks(monkeypatch, lambda: solve_standard_form(A, b, c, basis=np.array([0, 4])))
+    start = hand_built_start(A, [0, 4])
+    warm, walks = pivot_walks(monkeypatch, lambda: solve_standard_form(A, b, c, basis=start))
     assert walks[0][1] > 1
     assert warm.status == STATUS_OPTIMAL and warm.objective == cold.objective == 2.0
     assert np.array_equal(warm.x, [1.0, 0.0, 1.0])
@@ -368,13 +360,13 @@ def test_primal_infeasible_optimal_basis_is_repaired_to_the_cold_optimum():
     # feasible, and one dual pivot brings x1 in.
     A = np.array([[1.0, -1.0]])
     c = np.array([1.0, 2.0])
-    assert solve_standard_form(A, np.array([1.0]), c).basis.tolist() == [0]
+    assert solve_standard_form(A, np.array([1.0]), c).warm_start.basis.tolist() == [0]
     cold = solve_standard_form(A, np.array([-1.0]), c)
-    warm, starts = solve_recording_starts(A, np.array([-1.0]), c, np.array([0]))
+    warm, starts = solve_recording_starts(A, np.array([-1.0]), c, hand_built_start(A, [0]))
     ((_, (_, basis, dual_pivots)),) = starts
     assert basis.tolist() == [1] and dual_pivots == 1
     assert (warm.status, warm.objective) == (cold.status, cold.objective) == (STATUS_OPTIMAL, 2.0)
-    assert warm.basis.tolist() == cold.basis.tolist() == [1]
+    assert warm.warm_start.basis.tolist() == cold.warm_start.basis.tolist() == [1]
 
 
 def test_start_neither_primal_nor_dual_feasible_starts_cold(monkeypatch):
@@ -385,7 +377,7 @@ def test_start_neither_primal_nor_dual_feasible_starts_cold(monkeypatch):
     c = np.array([1.0, 1.0, 5.0])
     monkeypatch.setattr(_simplex, "dual_pivot_loop", None)  # never reached
     cold = solve_standard_form(A, b, c)
-    warm, starts = solve_recording_starts(A, b, c, np.array([2]))
+    warm, starts = solve_recording_starts(A, b, c, hand_built_start(A, [2]))
     # The rejected basis falls back to one more start, from the artificial basis.
     assert [(given.tolist(), start is None) for given, start in starts] == [([2], True), ([3], False)]
     assert_same_result(warm, cold)
@@ -425,7 +417,7 @@ def test_warm_resolve_matches_a_cold_solve(seed, feasible):
     if warm.iterations == 0:
         assert starts == [] and warm.status == STATUS_OPTIMAL
     else:
-        assert np.array_equal(starts[0][0], start.basis)
+        assert np.array_equal(starts[0][0], start.warm_start.basis)
         assert len(starts) == 1 + (starts[0][1] is None)
         if len(starts) == 2:
             assert np.array_equal(starts[1][0], np.arange(n, n + m))
@@ -443,38 +435,47 @@ def test_warm_resolve_matches_a_cold_solve(seed, feasible):
             assert abs(highs.fun - warm.objective) <= 1e-7 * max(1.0, abs(warm.objective))
 
 
-def assert_reuse_matches_the_bare_basis(A, b, c, start):
-    """Solve at ``b`` from the WarmStart ``start`` and from its bare basis.
-    When x_B = B^-1 b is feasible, the WarmStart must give the bare start's
-    answer with no start and no pivot: same status and basis, objective and
-    x within 1e-12.  Otherwise it must fall through to the bare start
-    itself (a repair, or the cold fallback), bit for bit.  Returns the
-    WarmStart's result."""
+def assert_warm_start_matches_the_oracle(A, b, c, start):
+    """Solve at ``b`` from the WarmStart ``start`` and check it against an
+    oracle that shares no code with the solver.  x_B comes from
+    ``np.linalg.solve`` of the basis columns of ``[A | I]``.  When it is
+    feasible, the solve must return that vertex with no start and no pivot:
+    the same WarmStart, x within 1e-12 of it and the objective c.x.
+    Otherwise the solve must start from the WarmStart's basis (a repair, or
+    the cold fallback).  Any optimal answer must satisfy A x = b with
+    x >= -tol, and where scipy is present its status and value must be
+    HiGHS's.  Returns the result."""
     m, n = A.shape
     tol = DEFAULT_TOL.pivot
     got, starts = solve_recording_starts(A, b, c, start)
-    bare = solve_standard_form(A, b, c, basis=start.basis)
     x_B = np.linalg.solve(np.hstack([A, np.eye(m)])[:, start.basis], b)
     real = start.basis < n
-    reusable = (x_B[real] >= -tol).all() and (np.abs(x_B[~real]) <= tol).all()
-    if not reusable:
+    if (x_B[real] >= -tol).all() and (np.abs(x_B[~real]) <= tol).all():
+        assert starts == [] and got.iterations == 0
+        assert got.status == STATUS_OPTIMAL and got.warm_start is start
+        x = np.zeros(n)
+        x[start.basis[real]] = x_B[real]
+        assert np.abs(got.x - x).max() <= 1e-12
+        assert abs(got.objective - c @ x) <= 1e-12 * max(1.0, abs(c @ x))
+    else:
         assert np.array_equal(starts[0][0], start.basis)
-        assert_same_result(got, bare)
-        return got
-    assert starts == [] and got.iterations == 0
-    assert got.status == bare.status == STATUS_OPTIMAL
-    assert np.array_equal(got.basis, bare.basis)
-    assert abs(got.objective - bare.objective) <= 1e-12 * max(1.0, abs(bare.objective))
-    assert np.abs(got.x - bare.x).max() <= 1e-12
+    if got.status == STATUS_OPTIMAL:
+        assert np.abs(A @ got.x - b).max() <= 1e-8 and got.x.min() >= -tol
+        assert abs(got.objective - c @ got.x) <= 1e-12 * max(1.0, abs(got.objective))
+    if HIGHS is not None:
+        highs = HIGHS(c, A_eq=A, b_eq=b, bounds=(0, None), method="highs")
+        assert highs.status == {STATUS_OPTIMAL: 0, STATUS_INFEASIBLE: 2}[got.status]
+        if highs.status == 0:
+            assert abs(highs.fun - got.objective) <= 1e-7 * max(1.0, abs(got.objective))
     return got
 
 
 @settings(derandomize=True, database=None, max_examples=150, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), feasible=st.booleans())
-def test_warm_start_matches_a_start_from_its_bare_basis(seed, feasible):
+def test_warm_start_matches_an_independent_oracle(seed, feasible):
     A, c, b1, b2 = random_resolve(seed, feasible)
     start = solve_standard_form(A, b1, c).warm_start
-    assert_reuse_matches_the_bare_basis(A, b2, c, start)
+    assert_warm_start_matches_the_oracle(A, b2, c, start)
 
 
 def test_warm_start_holds_across_a_change_of_sign_pattern():
@@ -487,7 +488,7 @@ def test_warm_start_holds_across_a_change_of_sign_pattern():
         start = solve_standard_form(A, np.array(b1), c).warm_start
         assert sorted(start.basis) == [0, 1]
         assert np.allclose(start.inverse, np.linalg.inv(A[:, start.basis]), rtol=0, atol=1e-15)
-        got = assert_reuse_matches_the_bare_basis(A, np.array(b2), c, start)
+        got = assert_warm_start_matches_the_oracle(A, np.array(b2), c, start)
         assert got.iterations == 0 and np.allclose(got.x, solve_standard_form(A, np.array(b2), c).x)
 
 
@@ -501,10 +502,10 @@ def test_warm_start_with_a_basic_artificial_on_a_redundant_row(sign):
     start = solve_standard_form(A, A @ np.array([1.0, 0.0, 2.0]), c).warm_start
     assert start.basis.tolist().count(5) == 1 and (start.basis >= 3).sum() == 1
     b = A @ np.array([0.5, 0.0, 0.25])
-    got = assert_reuse_matches_the_bare_basis(A, b, c, start)
+    got = assert_warm_start_matches_the_oracle(A, b, c, start)
     assert got.iterations == 0 and got.objective == 0.75
     b[2] += 1e-3
-    assert assert_reuse_matches_the_bare_basis(A, b, c, start).status == STATUS_INFEASIBLE
+    assert assert_warm_start_matches_the_oracle(A, b, c, start).status == STATUS_INFEASIBLE
 
 
 def test_warm_start_at_an_infeasible_rhs_is_infeasible():
@@ -513,25 +514,31 @@ def test_warm_start_at_an_infeasible_rhs_is_infeasible():
     A = np.array([[1.0, -1.0, 1.0], [0.0, 1.0, 1.0]])
     c = np.array([1.0, 1.0, 5.0])
     start = solve_standard_form(A, np.array([1.0, 1.0]), c).warm_start
-    got = assert_reuse_matches_the_bare_basis(A, np.array([0.0, -1.0]), c, start)
+    got = assert_warm_start_matches_the_oracle(A, np.array([0.0, -1.0]), c, start)
     assert got.status == STATUS_INFEASIBLE and got.warm_start is None
 
 
-def test_unusable_start_basis_falls_back_to_cold_start():
+def test_unusable_start_basis_is_rejected():
     # Columns 0 and 1 are parallel up to 1e-13: the basis {0, 1, 2, 3} is
     # feasible but so ill-conditioned that starting from it gives a wrong
-    # optimum.  A repeated column is exactly singular.
+    # optimum.  A repeated column is exactly singular.  Both are rejected
+    # as starts; the all-artificial basis is accepted.
     c0 = np.array([1.0, 2.0, 3.0, 4.0])
     c1 = c0 + 1e-13 * np.array([1.0, -1.0, 2.0, 0.5])
     A = np.column_stack([c0, c1, [0, 1, 0, 2], [3, 0, 1, 1], [1, 1, 1, 1], [2, 0, 0, 1]])
     b = A[:, :4] @ np.ones(4)
     c = np.ones(6)
+    cost = np.concatenate([c, np.zeros(5)])
+
+    def start(basis):
+        return _simplex._start_from_basis(A, b, cost, np.array(basis), DEFAULT_TOL.pivot, 100)
+
+    assert start([0, 1, 2, 3]) is None and start([0, 0, 2, 3]) is None
+    assert start(np.arange(6, 10)) is not None
     cold = solve_standard_form(A, b, c)
     assert cold.status == STATUS_OPTIMAL
-    for basis in ([0, 1, 2, 3], [0, 0, 2, 3], [0, 2, 3], [0, 2, 3, 10], [-1, 2, 3, 4]):
-        assert_same_result(solve_standard_form(A, b, c, basis=np.array(basis)), cold)
     # The optimal basis itself is a valid start and gives the same optimum.
-    warm = solve_standard_form(A, b, c, basis=cold.basis)
+    warm = solve_standard_form(A, b, c, basis=cold.warm_start)
     assert warm.status == STATUS_OPTIMAL and abs(warm.objective - cold.objective) < 1e-12
 
 
