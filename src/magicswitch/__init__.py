@@ -53,7 +53,6 @@ from .phasespace import (
 )
 from .qswitch import (
     EffectiveDepolarizingSwitch,
-    SwitchedChannel,
     WeightedChannel,
     build_switch,
     conditional_outputs,
@@ -78,7 +77,6 @@ __all__ = [
     "StabilizerDictionary",
     "SweepConfig",
     "SweepRow",
-    "SwitchedChannel",
     "ThresholdResult",
     "Tolerances",
     "WeightedChannel",

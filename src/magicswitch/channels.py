@@ -44,21 +44,18 @@ def _readonly(matrix: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class DensityOperator:
-    """Positive Hermitian matrix with a flag separating trace-1 states from
-    unnormalized conditional states (post-selected branches carry their
-    outcome probability as the trace).
+    """Positive Hermitian matrix: a state, or an unnormalized conditional
+    state (a post-selected branch carries its outcome probability as its
+    trace).  Whether it is normalized is read off the trace.
 
     Parameters
     ----------
     matrix : ndarray
         Square complex matrix; must be Hermitian and positive semidefinite
-        within the package tolerances.
-    normalized : bool
-        True asserts trace 1; False admits any nonnegative trace.
+        within the package tolerances, with a nonnegative trace.
     """
 
     matrix: np.ndarray
-    normalized: bool = True
 
     def __post_init__(self):
         mat = np.asarray(self.matrix, dtype=complex)
@@ -70,10 +67,8 @@ class DensityOperator:
         # [-1e-10, 0) is rounding residue, anything lower is a real error.
         assert_psd(mat, DEFAULT_TOL.eq * max(1.0, abs(np.trace(mat))), "density operator")
         tr = np.trace(mat).real
-        if self.normalized and abs(tr - 1.0) > DEFAULT_TOL.psd:
-            raise StateValidationError(f"normalized state has trace {tr!r}")
-        if not self.normalized and tr < -DEFAULT_TOL.psd:
-            raise StateValidationError(f"unnormalized state has negative trace {tr!r}")
+        if tr < -DEFAULT_TOL.psd:
+            raise StateValidationError(f"density operator has negative trace {tr!r}")
         object.__setattr__(self, "matrix", _readonly(mat))
 
     @property
@@ -83,6 +78,11 @@ class DensityOperator:
     @property
     def trace(self) -> float:
         return float(np.trace(self.matrix).real)
+
+    @property
+    def normalized(self) -> bool:
+        """Whether the trace is 1 within the positivity tolerance."""
+        return abs(self.trace - 1.0) <= DEFAULT_TOL.psd
 
     @classmethod
     def pure(cls, vec) -> "DensityOperator":
@@ -95,13 +95,15 @@ class DensityOperator:
         return cls(np.eye(d, dtype=complex) / d)
 
     def renormalized(self) -> tuple["DensityOperator", float]:
-        """Scale to unit trace; returns (state, factor) with factor the old trace."""
+        """Scale to unit trace; returns (state, factor) with factor the old
+        trace, or (self, 1.0) when the trace is 1 within the equality
+        tolerance."""
         tr = self.trace
         if tr <= DEFAULT_TOL.psd:
             raise StateValidationError(f"cannot renormalize state with trace {tr:.3e}")
-        if self.normalized and abs(tr - 1.0) <= DEFAULT_TOL.eq:
+        if abs(tr - 1.0) <= DEFAULT_TOL.eq:
             return self, 1.0
-        return DensityOperator(self.matrix / tr, normalized=True), tr
+        return DensityOperator(self.matrix / tr), tr
 
 
 @lru_cache(maxsize=None)
@@ -131,9 +133,9 @@ class KrausChannel:
     ``len`` walk the operators.  ``d_in`` and ``d_out`` are read off its
     shape.
 
-    Completeness (trace preservation) is *checkable*, not assumed: weighted
-    branch maps are legitimately sub-unital here, so :meth:`validate` is the
-    explicit gate used before any operation that requires a true channel.
+    Completeness (trace preservation) is *checkable*, not assumed:
+    :meth:`validate` is the explicit gate used before any operation that
+    requires a true channel.
     The residual it compares is computed once per channel and kept, so a
     channel that is switched, turned into a Choi state and scored is summed
     over its operators once.
@@ -218,16 +220,10 @@ def apply_kraus(kraus_ops, matrix: np.ndarray) -> np.ndarray:
 
 
 def apply_channel(ch: KrausChannel, rho: DensityOperator) -> DensityOperator:
-    """Apply a channel to a state.
-
-    The output is flagged normalized only when its trace lands on 1, so
-    weighted (sub-unital) branch maps flow through unchanged.
-    """
+    """Apply a channel to a state."""
     if rho.dim != ch.d_in:
         raise DimensionMismatchError(f"state dim {rho.dim} != channel input dim {ch.d_in}")
-    out = apply_kraus(ch.kraus_ops, rho.matrix)
-    tr = np.trace(out).real
-    return DensityOperator(out, normalized=abs(tr - 1.0) <= DEFAULT_TOL.psd)
+    return DensityOperator(apply_kraus(ch.kraus_ops, rho.matrix))
 
 
 def choi_of_channel(ch: KrausChannel) -> ChoiState:
@@ -257,7 +253,9 @@ def measure_control(state: DensityOperator, outcome: str) -> tuple[DensityOperat
 
     ``outcome`` is "plus" or "minus".  Returns the unnormalized conditional
     state <pm|state|pm> on the target and its trace; the probabilities of
-    both outcomes sum to the input trace.
+    both outcomes sum to the input trace.  The branch is the exactly
+    Hermitian part of the contraction, whose rounding would otherwise be
+    magnified when a branch of tiny probability is renormalized.
     """
     if outcome not in ("plus", "minus"):
         raise ValueError(f"outcome must be 'plus' or 'minus', got {outcome!r}")
@@ -268,8 +266,9 @@ def measure_control(state: DensityOperator, outcome: str) -> tuple[DensityOperat
     ctrl = np.array([1.0, sign], dtype=complex) / np.sqrt(2)
     block = state.matrix.reshape(2, d_target, 2, d_target)
     branch = np.einsum("a,ambn,b->mn", ctrl.conj(), block, ctrl)
+    branch = 0.5 * (branch + branch.conj().T)
     prob = float(np.trace(branch).real)
-    return DensityOperator(branch, normalized=False), prob
+    return DensityOperator(branch), prob
 
 
 # ---------------------------------------------------------------------------

@@ -176,8 +176,12 @@ def _named_state(spec: str) -> DensityOperator:
 
 
 def _state_from_file(path: str) -> DensityOperator:
+    """The state in a JSON file; its ``normalized`` claim (default true) is checked."""
     with open(path) as fh:
-        payload = json.load(fh)
+        try:
+            payload = json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise ValueError(f"{path}: not valid JSON: {exc}") from None
     if not isinstance(payload, dict) or "matrix" not in payload:
         raise ValueError(f"{path}: expected a JSON object with a 'matrix' key")
     try:
@@ -186,7 +190,13 @@ def _state_from_file(path: str) -> DensityOperator:
         raise ValueError(f"{path}: 'matrix' must be a list of rows of [re, im] pairs") from None
     if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
         raise ValueError(f"{path}: 'matrix' must be square, got shape {entries.shape}")
-    return DensityOperator(entries, normalized=bool(payload.get("normalized", True)))
+    normalized = payload.get("normalized", True)
+    if not isinstance(normalized, bool):
+        raise ValueError(f"{path}: 'normalized' must be true or false, got {normalized!r}")
+    rho = DensityOperator(entries)
+    if normalized and not rho.normalized:
+        raise ValueError(f"{path}: 'normalized' state has trace {rho.trace!r}")
+    return rho
 
 
 def _named_channel(spec: str) -> KrausChannel:

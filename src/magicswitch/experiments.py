@@ -88,6 +88,11 @@ _EXPERIMENT_ALIASES = {
     "appendix-c": "appendix_c",
 }
 
+# Most points a sweep grid or the appendix-c grid may hold; a larger one is
+# refused before anything is built.
+MAX_GRID_POINTS = 10**6
+
+
 class BracketError(RuntimeError):
     """The requested threshold bracket does not straddle a crossing."""
 
@@ -122,18 +127,27 @@ class SweepConfig:
         object.__setattr__(self, "experiment", canonical_experiment(self.experiment))
         if not (0.0 <= self.start < self.stop <= 1.0):
             raise ValueError(f"grid must satisfy 0 <= start < stop <= 1, got [{self.start}, {self.stop}]")
-        if self.step <= 0:
-            raise ValueError(f"step must be positive, got {self.step}")
+        if not (math.isfinite(self.step) and self.step > 0):
+            raise ValueError(f"step must be positive and finite, got {self.step}")
+        if self._steps() >= MAX_GRID_POINTS:
+            raise ValueError(
+                f"step {self.step} over [{self.start}, {self.stop}] makes more than {MAX_GRID_POINTS} grid points"
+            )
         if self.format not in ("csv", "json"):
             raise ValueError(f"format must be csv or json, got {self.format!r}")
         if self.jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {self.jobs}")
         _check_lp_tol(self.lp_tol)
 
+    def _steps(self) -> float:
+        """Steps from start to stop, with the counting slack; a float, so an
+        oversized grid is measured without building it."""
+        return (self.stop - self.start) / self.step + DEFAULT_TOL.grid
+
     def grid(self) -> list[float]:
         """``start + k * step`` up to ``stop``, each point clamped to ``stop``:
         the last one can round past it by an ulp."""
-        count = int(math.floor((self.stop - self.start) / self.step + DEFAULT_TOL.grid)) + 1
+        count = int(math.floor(self._steps())) + 1
         return [min(self.start + k * self.step, self.stop) for k in range(count)]
 
 
@@ -442,10 +456,11 @@ def run_appendix_c(d_values=(2, 3, 5, 10), n_points: int = 10_000) -> dict:
     Also evaluates the factored algebraic identity behind the inequality;
     its residual stays at rounding level (< 1e-12).  The grid is p = k / n
     for k = 1..n; an empty grid or dimension list, or any d < 2 (through
-    ``from_noise``), raises ``ValueError`` rather than passing vacuously.
+    ``from_noise``), raises ``ValueError`` rather than passing vacuously, as
+    does a grid above ``MAX_GRID_POINTS``.
     """
-    if n_points < 1:
-        raise ValueError(f"n_points={n_points} must be at least 1")
+    if not 1 <= n_points <= MAX_GRID_POINTS:
+        raise ValueError(f"n_points={n_points} must be in [1, {MAX_GRID_POINTS}]")
     if not d_values:
         raise ValueError("at least one dimension is required")
     p = np.arange(1, n_points + 1) / n_points

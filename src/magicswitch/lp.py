@@ -36,7 +36,6 @@ from ._simplex import (
     solve_standard_form,
 )
 from .channels import DensityOperator, KrausChannel, choi_of_channel
-from .config import DEFAULT_TOL
 from .gates import PAULI_X, PAULI_Y, PAULI_Z
 from .linalg import DimensionMismatchError, pauli_strings, pauli_vectorize
 
@@ -140,14 +139,13 @@ def _state_constraints(dictionary) -> np.ndarray:
 def rom_state(rho: DensityOperator, dictionary, basis: WarmStart | None = None) -> L1Solution:
     """Robustness of a state over a stabilizer dictionary.
 
-    Unnormalized inputs are renormalized first and the factor is logged and
-    reported on the solution.  Faithful: the value is 1 exactly when the
+    Every input is renormalized first; the factor is reported on the
+    solution and logged when it is not 1.  Faithful: the value is 1 exactly when the
     state lies in the stabilizer polytope.  ``basis`` may carry the
     ``warm_start`` of a neighbouring state's solve as a starting point.
     """
-    factor = 1.0
-    if not rho.normalized or abs(rho.trace - 1.0) > DEFAULT_TOL.psd:
-        rho, factor = rho.renormalized()
+    rho, factor = rho.renormalized()
+    if factor != 1.0:
         logger.info("rom_state renormalized input by factor %.12g", factor)
     if rho.dim != dictionary.dim:
         raise DimensionMismatchError(

@@ -127,8 +127,8 @@ def _clamp_mana(value: float) -> float:
 def mana_state(rho: DensityOperator, frame: PhaseSpaceFrame) -> float:
     """Mana of a state: log2 of the Wigner l1 norm, zero exactly on the
     nonnegative-Wigner set.  Unnormalized inputs are renormalized first."""
-    if not rho.normalized:
-        rho, factor = rho.renormalized()
+    rho, factor = rho.renormalized()
+    if factor != 1.0:
         logger.info("mana_state renormalized input by factor %.12g", factor)
     wig = wigner_of_state(rho, frame)
     return _clamp_mana(np.log2(np.abs(wig).sum()))

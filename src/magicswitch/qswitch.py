@@ -20,44 +20,25 @@ import numpy as np
 from .channels import (
     DensityOperator,
     KrausChannel,
-    apply_kraus,
+    apply_channel,
     compose_channels,
     depolarizing_channel,
     measure_control,
     plus_density,
     unitary_channel,
 )
-from .config import DEFAULT_TOL
 from .gates import T_GATE
 from .linalg import DimensionMismatchError, tensor
 
-@dataclass(frozen=True, eq=False)
-class SwitchedChannel:
-    """The composite channel on control (x) target.
-
-    Each Kraus operator pairs one operator from each inner channel:
-    |0><0|_c branch applies them as a-after-b, |1><1|_c branch as b-after-a
-    (so the switch of (b, a) is the same channel, its Kraus operators in
-    another order).  ``channel`` is the composite ``KrausChannel``, checked
-    once when the switch is built.
-    """
-
-    channel: KrausChannel
-    dim: int
-
-    @property
-    def kraus(self) -> np.ndarray:
-        """The composite (k_a k_b, 2 dim, 2 dim) Kraus stack."""
-        return self.channel.kraus_ops
-
-
-def build_switch(a: KrausChannel, b: KrausChannel) -> SwitchedChannel:
-    """Construct the switched channel of two equal-dimension channels.
+def build_switch(a: KrausChannel, b: KrausChannel) -> KrausChannel:
+    """Construct the switched channel, on control (x) target, of two
+    equal-dimension channels.
 
     Both inner channels must be complete; the composite Kraus set is built
     as |0><0|_c (x) E_i F_j + |1><1|_c (x) F_j E_i, that is the block
-    diagonal of E_i F_j and F_j E_i for every pair (i, j) at once, and its
-    completeness is verified before returning.
+    diagonal of E_i F_j and F_j E_i for every pair (i, j) at once (the
+    switch of (b, a) is the same channel, its Kraus operators in another
+    order), and its completeness is verified before returning.
     """
     if a.d_in != a.d_out or b.d_in != b.d_out:
         raise DimensionMismatchError("switch requires square inner channels")
@@ -72,41 +53,33 @@ def build_switch(a: KrausChannel, b: KrausChannel) -> SwitchedChannel:
     ops = np.zeros((len(a.kraus_ops) * len(b.kraus_ops), 2 * d, 2 * d), dtype=complex)
     ops[:, :d, :d] = (E @ F).reshape(-1, d, d)  # E_i F_j
     ops[:, d:, d:] = (F @ E).reshape(-1, d, d)  # F_j E_i
-    switched = SwitchedChannel(channel=KrausChannel(ops), dim=d)
-    residual = switched.channel.completeness_residual()
-    if residual > DEFAULT_TOL.completeness:
-        raise RuntimeError(f"switched channel completeness residual {residual:.3e}")
-    return switched
+    return KrausChannel(ops).validate()
 
 
 @lru_cache(maxsize=16)
-def _joint_input(target_in: DensityOperator) -> np.ndarray:
-    """|+><+|_c (x) target, read-only.  States compare by identity, so a
-    sweep that feeds every row the shared ``plus_density`` target forms it
-    once."""
-    joint = tensor(plus_density(2).matrix, target_in.matrix)
-    joint.flags.writeable = False
-    return joint
+def _joint_input(target_in: DensityOperator) -> DensityOperator:
+    """|+><+|_c (x) target.  States compare by identity, so a sweep that
+    feeds every row the shared ``plus_density`` target forms it once."""
+    return DensityOperator(tensor(plus_density(2).matrix, target_in.matrix))
 
 
 def conditional_outputs(
-    switched: SwitchedChannel, target_in: DensityOperator
+    switch: KrausChannel, target_in: DensityOperator
 ) -> tuple[DensityOperator, DensityOperator, float, float]:
-    """Run the switch on a |+> control and ``target_in``, and measure the
-    control in the |+>/|-> basis.
+    """Run ``switch``, a channel from ``build_switch``, on a |+> control and
+    ``target_in``, and measure the control in the |+>/|-> basis.
 
     Returns (rho_plus, rho_minus, prob_plus, prob_minus); the branch states
     are unnormalized and carry the outcome probabilities as their traces,
     which sum to the input trace.
     """
-    if target_in.dim != switched.dim:
+    if target_in.dim != switch.d_in // 2:
         raise DimensionMismatchError(
-            f"target dim {target_in.dim} != switch dim {switched.dim}"
+            f"target dim {target_in.dim} != switch target dim {switch.d_in // 2}"
         )
-    out = apply_kraus(switched.kraus, _joint_input(target_in))
-    out_state = DensityOperator(out, normalized=abs(np.trace(out).real - 1) <= DEFAULT_TOL.psd)
-    rho_plus, prob_plus = measure_control(out_state, "plus")
-    rho_minus, prob_minus = measure_control(out_state, "minus")
+    out = apply_channel(switch, _joint_input(target_in))
+    rho_plus, prob_plus = measure_control(out, "plus")
+    rho_minus, prob_minus = measure_control(out, "minus")
     return rho_plus, rho_minus, prob_plus, prob_minus
 
 

@@ -152,7 +152,4 @@ def depolarizing_switch_closed_form(d, p, rho):
 
     plus = eff.weight_plus * depolarize(eff.p_plus)
     minus = eff.weight_minus * depolarize(eff.p_minus)
-    return (
-        DensityOperator(plus, normalized=abs(np.trace(plus).real - 1) <= DEFAULT_TOL.psd),
-        DensityOperator(minus, normalized=False),
-    )
+    return DensityOperator(plus), DensityOperator(minus)

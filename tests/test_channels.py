@@ -50,13 +50,24 @@ class TestDensityOperator:
             DensityOperator(np.diag([1.5, -0.5]).astype(complex))
 
     def test_unnormalized_flagged(self):
-        rho = DensityOperator(0.25 * np.eye(2), normalized=False)
+        rho = DensityOperator(0.25 * np.eye(2))
+        assert not rho.normalized
         renorm, factor = rho.renormalized()
         assert abs(factor - 0.5) < 1e-12
         assert renorm.normalized
 
+    def test_unit_trace_renormalizes_to_itself(self):
+        # Within the equality tolerance of trace 1 the state is kept as is;
+        # beyond it, it is divided by its trace.
+        rho = DensityOperator(np.diag([0.5 + 4e-11, 0.5]))
+        assert rho.normalized and rho.renormalized() == (rho, 1.0)
+        off = DensityOperator(np.diag([0.5 + 4e-10, 0.5]))
+        renorm, factor = off.renormalized()
+        assert off.normalized and factor == off.trace and abs(renorm.trace - 1.0) < 1e-15
+
     def test_zero_state_allowed_unnormalized(self):
-        zero = DensityOperator(np.zeros((2, 2)), normalized=False)
+        zero = DensityOperator(np.zeros((2, 2)))
+        assert not zero.normalized
         with pytest.raises(StateValidationError):
             zero.renormalized()
 

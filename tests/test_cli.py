@@ -149,7 +149,8 @@ def test_unknown_channel_exits(capsys):
 
 
 @pytest.mark.parametrize(
-    "flag, value", [("--points", "0"), ("--points", "-5"), ("--dims", "1"), ("--dims", "2,x")]
+    "flag, value",
+    [("--points", "0"), ("--points", "-5"), ("--points", "1000000000000"), ("--dims", "1"), ("--dims", "2,x")],
 )
 def test_appendix_c_bad_input_is_a_one_line_error(capsys, flag, value):
     code = main(["-q", "appendix-c", flag, value])
@@ -204,6 +205,8 @@ STATE_FILES = {
     "ragged": {"matrix": [[[1, 0], [0, 0]], [[0, 0]]]},
     "non-hermitian": _matrix([[0.5, 0.5], [0.0, 0.5]]),
     "non-psd": _matrix([[1.5, 0.0], [0.0, -0.5]]),
+    "normalized-string": {**_matrix([[0.5, 0.0], [0.0, 0.5]]), "normalized": "no"},
+    "trace-not-one": _matrix([[0.25, 0.0], [0.0, 0.25]]),
 }
 
 
@@ -218,6 +221,8 @@ STATE_FILES = {
         ),
         ["fig2", "--tol", "lp=-1"],
         ["fig2", "--tol", "lp=nan"],
+        ["fig2", "--grid", "0:1:nan"],
+        ["fig2", "--grid", "0:1:1e-300"],
         ["channel-robustness", "--channel", "noisy-th"],
         ["channel-robustness", "--channel", "noisy-th:p=abc"],
         ["channel-robustness", "--channel", "t:p=0.3"],
@@ -229,6 +234,8 @@ STATE_FILES = {
         ["mana", "--d", "4"],
         ["rom", "--state-file", "no-such-file.json"],
         *(["rom", "--state-file", name] for name in STATE_FILES),
+        ["rom", "--state-file", "not-json"],
+        ["mana", "--state-file", "not-json"],
     ],
     ids=lambda argv: " ".join(argv),
 )
@@ -236,4 +243,20 @@ def test_bad_input_is_a_one_line_error(tmp_path, monkeypatch, capsys, argv):
     monkeypatch.chdir(tmp_path)
     for name, payload in STATE_FILES.items():
         (tmp_path / name).write_text(json.dumps(payload))
+    (tmp_path / "not-json").write_text("matrix: [[1, 0], [0, 0]]\n")
     assert_one_line_error(capsys, main(["-q", *argv]))
+
+
+def test_state_file_errors_name_the_file(tmp_path, capsys):
+    for name, text in (("not-json", "matrix:"), ("flag", json.dumps({**_matrix([[1, 0], [0, 0]]), "normalized": 1}))):
+        path = tmp_path / name
+        path.write_text(text)
+        assert main(["-q", "rom", "--state-file", str(path)]) == 2
+        assert str(path) in capsys.readouterr().err
+
+
+def test_unnormalized_state_file_is_renormalized(tmp_path, capsys):
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps({**_matrix([[0.25, 0.0], [0.0, 0.25]]), "normalized": False}))
+    code, text = run_cli(capsys, "rom", "--state-file", str(path))
+    assert code == 0 and json.loads(text)["renorm_factor"] == 0.5

@@ -15,6 +15,7 @@ from magicswitch.channels import noisy_th_channel
 from magicswitch.config import DEFAULT_TOL
 from magicswitch.qswitch import EffectiveDepolarizingSwitch
 from magicswitch.experiments import (
+    MAX_GRID_POINTS,
     MEASURE_COLUMNS,
     MEASURES,
     BracketError,
@@ -54,6 +55,15 @@ class TestSweepConfig:
         with pytest.raises(ValueError, match="lp_tol"):
             SweepConfig("fig2", start=0.0, stop=1.0, step=0.1, lp_tol=lp_tol)
 
+    @pytest.mark.parametrize("step", [math.nan, math.inf, 5e-324, 1e-300, 1e-6])
+    def test_bad_or_oversized_step_is_rejected_before_the_grid_is_built(self, step):
+        # 1e-6 on [0, 1] is MAX_GRID_POINTS + 1 points, one too many.
+        with pytest.raises(ValueError, match="step"):
+            SweepConfig("fig2", start=0.0, stop=1.0, step=step)
+
+    def test_grid_at_the_point_cap_is_accepted(self):
+        SweepConfig("fig2", start=0.0, stop=1.0, step=1 / (MAX_GRID_POINTS - 1))
+
     def test_validation(self):
         with pytest.raises(ValueError):
             SweepConfig("fig2", start=0.5, stop=0.4, step=0.01)
@@ -72,6 +82,14 @@ def _tiny(experiment, **overrides):
 
 
 class TestSweeps:
+    @pytest.mark.parametrize("experiment", ["fig2", "figs1"])
+    def test_tiny_noise_rows_are_scored(self, experiment):
+        # Below p ~ 3e-6 the minus branch's probability is of order p^2 or
+        # less, and renormalizing it must not turn rounding into an error.
+        for p in np.logspace(-9, -2, 15):
+            rows = run_experiment(default_config(experiment, start=p, stop=2 * p, step=p))
+            assert {s for row in rows for s in row.status.values()} <= {"ok", "degenerate"}
+
     def test_fig2_rows(self):
         rows = run_fig2(_tiny("fig2"))
         assert [round(r.p, 6) for r in rows] == [0.1, 0.2, 0.3]
@@ -628,6 +646,8 @@ class TestAppendixC:
         [
             ((2, 3), 0, "n_points"),
             ((2, 3), -5, "n_points"),
+            ((2, 3), MAX_GRID_POINTS + 1, "n_points"),
+            ((2, 3), 10**12, "n_points"),
             ((1,), 10, "dimension"),
             ((2, 1), 10, "dimension"),
             ((), 10, "dimension"),

@@ -11,17 +11,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from magicswitch import (
+    DensityOperator,
     KrausChannel,
     build_frame,
     build_switch,
     choi_of_channel,
     compose_channels,
+    conditional_outputs,
     qutrit_noisy_th_channel,
     wigner_of_channel,
 )
 from magicswitch import channels, experiments, qswitch
 from magicswitch.channels import ChannelCompletenessError, apply_kraus, plus_density
+from magicswitch.gates import plus_state
 from magicswitch.linalg import DimensionMismatchError, tensor
+
+from conftest import random_density_matrix
 
 PROPERTY = settings(derandomize=True, database=None, max_examples=60, deadline=None)
 
@@ -135,9 +140,9 @@ class TestKernelsMatchLoops:
         for x, y in ((a, b), (b, a)):
             switched = build_switch(x, y)
             want = loop_switch(x, y)
-            assert len(switched.kraus) == len(want)
-            assert all(np.array_equal(g, w) for g, w in zip(switched.kraus, want))
-            assert switched.channel.completeness_residual() < 1e-9
+            assert len(switched.kraus_ops) == len(want)
+            assert all(np.array_equal(g, w) for g, w in zip(switched.kraus_ops, want))
+            assert switched.completeness_residual() < 1e-9
 
     @PROPERTY
     @given(kraus_counts, seeds)
@@ -146,6 +151,26 @@ class TestKernelsMatchLoops:
         wig = wigner_of_channel(isometry_channel(3, k, seed), frame)
         assert np.array_equal(wig, loop_wigner(isometry_channel(3, k, seed), frame))
         assert np.abs(wig.sum(axis=0) - 1.0).max() < 1e-10
+
+
+class TestSwitchBranches:
+    @PROPERTY
+    @given(qubit_or_qutrit, kraus_counts, kraus_counts, seeds, st.floats(0.01, 1.0))
+    def test_branches_match_the_sliced_output(self, d, k_a, k_b, seed, scale):
+        # The switch output R on |+><+| (x) rho, built by the loops, sliced
+        # into its control blocks: the branches are (R00 +- R01 +- R10 + R11)/2.
+        a, b = isometry_channel(d, k_a, seed), isometry_channel(d, k_b, seed + 1)
+        rho = DensityOperator(scale * random_density_matrix(d, np.random.default_rng(seed)))
+        plus = np.outer(plus_state(2), plus_state(2).conj())
+        R = loop_apply(loop_switch(a, b), tensor(plus, rho.matrix))
+        blocks = [[R[i * d : (i + 1) * d, j * d : (j + 1) * d] for j in (0, 1)] for i in (0, 1)]
+        rho_plus, rho_minus, p_plus, p_minus = conditional_outputs(build_switch(a, b), rho)
+        for branch, prob, sign in ((rho_plus, p_plus, 1), (rho_minus, p_minus, -1)):
+            assert np.array_equal(branch.matrix, branch.matrix.conj().T)
+            assert prob == branch.trace
+            want = (blocks[0][0] + sign * (blocks[0][1] + blocks[1][0]) + blocks[1][1]) / 2
+            assert np.abs(branch.matrix - want).max() <= 1e-14
+        assert abs(p_plus + p_minus - rho.trace) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -207,11 +232,14 @@ class TestCheckedOnce:
         with pytest.raises(ValueError, match="at least one"):
             KrausChannel(np.zeros((0, 2, 2)))
 
-    def test_switch_holds_its_channel(self):
+    def test_switch_is_a_checked_channel(self, monkeypatch):
+        # The switch is checked when it is built, and keeps its residual.
         ch = qutrit_noisy_th_channel(0.3)
         switched = build_switch(ch, ch)
-        assert switched.kraus is switched.channel.kraus_ops
-        assert switched.channel.validate() is switched.channel
+        assert isinstance(switched, KrausChannel)
+        seen = residual_spy(monkeypatch)
+        assert switched.validate() is switched
+        assert seen == []
 
     def test_plus_input_built_once_per_sweep(self, monkeypatch):
         # Control (qubit) and target (qutrit) inputs, each built once for

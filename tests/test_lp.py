@@ -130,7 +130,7 @@ class TestStateRobustness:
 
     def test_renormalization_reported(self, qubit_dict, rng):
         mat = random_density_matrix(2, rng)
-        scaled = DensityOperator(0.37 * mat, normalized=False)
+        scaled = DensityOperator(0.37 * mat)
         sol = rom_state(scaled, qubit_dict)
         ref = rom_state(DensityOperator(mat), qubit_dict)
         assert abs(sol.value - ref.value) < 1e-9

@@ -158,8 +158,8 @@ class TestStateWigner:
 
     def test_mana_renormalizes_unnormalized_input(self, frame3, rng):
         mat = random_density_matrix(3, rng)
-        rho = DensityOperator(mat, normalized=True)
-        scaled = DensityOperator(0.3 * mat, normalized=False)
+        rho = DensityOperator(mat)
+        scaled = DensityOperator(0.3 * mat)
         assert abs(mana_state(rho, frame3) - mana_state(scaled, frame3)) < 1e-12
 
     def test_mana_invariant_under_clifford(self, frame3, rng):

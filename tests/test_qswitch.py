@@ -63,7 +63,7 @@ class TestBuildSwitch:
         joint = DensityOperator(
             tensor(random_density_matrix(2, rng), random_density_matrix(2, rng))
         )
-        out = apply_channel(switched.channel, joint)
+        out = apply_channel(switched, joint)
         assert np.abs(out.matrix - joint.matrix).max() < 1e-12
 
     def test_kraus_construction_equation(self, rng):
@@ -79,8 +79,8 @@ class TestBuildSwitch:
             for x, y in ((a, b), (b, a)):
                 switched = build_switch(x, y)
                 expected = kron_switch_kraus(x, y)
-                assert len(switched.kraus) == len(expected)
-                for got, want in zip(switched.kraus, expected):
+                assert len(switched.kraus_ops) == len(expected)
+                for got, want in zip(switched.kraus_ops, expected):
                     assert got.dtype == want.dtype
                     assert np.array_equal(got, want)
 
@@ -89,7 +89,7 @@ class TestBuildSwitch:
             a = random_kraus_channel(d, 3, rng)
             b = random_kraus_channel(d, 2, rng)
             switched = build_switch(a, b)
-            assert switched.channel.completeness_residual() < 1e-9
+            assert switched.completeness_residual() < 1e-9
 
     def test_definite_order_branches(self, rng):
         t, h = unitary_channel(T_GATE), unitary_channel(HADAMARD)
@@ -103,7 +103,7 @@ class TestBuildSwitch:
                 (basis_state(2, 0), zero_branch),   # |0> branch: second argument first
                 (basis_state(2, 1), one_branch),    # |1> branch: first argument first
             ):
-                joint = apply_kraus(switched.kraus, tensor(np.outer(ctrl_vec, ctrl_vec.conj()), rho))
+                joint = apply_kraus(switched.kraus_ops, tensor(np.outer(ctrl_vec, ctrl_vec.conj()), rho))
                 target = partial_trace(joint, [2, 2], keep=1)
                 expected = first_then_second @ rho @ first_then_second.conj().T
                 assert np.abs(target - expected).max() < 1e-12
@@ -115,7 +115,7 @@ class TestBuildSwitch:
             switched = build_switch(a, b)
             rho = random_density_matrix(d, rng)
             plus = np.outer(plus_state(2), plus_state(2).conj())
-            out = apply_kraus(switched.kraus, tensor(plus, rho))
+            out = apply_kraus(switched.kraus_ops, tensor(plus, rho))
             marginal = partial_trace(out, [2, d], keep=1)
             assert np.abs(marginal - both_order_average(a, b, rho)).max() < 1e-10
 
