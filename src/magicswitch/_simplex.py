@@ -169,21 +169,24 @@ def _start_from_basis(A, b, cost, basis, tol, max_iter):
     numerically singular or ill conditioned, or it is primal infeasible for
     this ``b`` and not repaired.  The repair runs ``dual_pivot_loop`` when
     every reduced cost of the real columns under ``cost`` is >= -tol, and
-    fails when the loop does not reach primal feasibility."""
+    fails when the loop does not reach primal feasibility.  The
+    all-artificial basis has B = I, its own inverse, so it skips the solve
+    and the condition test: the body is the data itself."""
     m, n = A.shape
     basis = np.array(basis, dtype=np.int64)
     body = np.concatenate([A, np.eye(m), b[:, None]], axis=1)
-    B = body[:, basis]
-    try:
-        body = np.linalg.solve(B, body)
-    except np.linalg.LinAlgError:
-        return None
-    # Round-off in B^-1 times data grows with the 1-norm condition number
-    # of B (B^-1 sits in the artificial columns); past tol/eps it could
-    # carry an entry across the pivot tolerance.  NaN fails this test too.
-    condition = np.abs(B).sum(axis=0).max() * np.abs(body[:, n : n + m]).sum(axis=0).max()
-    if not condition * np.finfo(np.float64).eps <= tol:
-        return None
+    if not np.array_equal(basis, np.arange(n, n + m)):
+        B = body[:, basis]
+        try:
+            body = np.linalg.solve(B, body)
+        except np.linalg.LinAlgError:
+            return None
+        # Round-off in B^-1 times data grows with the 1-norm condition number
+        # of B (B^-1 sits in the artificial columns); past tol/eps it could
+        # carry an entry across the pivot tolerance.  NaN fails this test too.
+        condition = np.abs(B).sum(axis=0).max() * np.abs(body[:, n : n + m]).sum(axis=0).max()
+        if not condition * np.finfo(np.float64).eps <= tol:
+            return None
     if (body[:, -1] >= -tol).all():
         return body, basis, 0
     tableau = np.vstack([body, _cost_row(body, basis, cost)])
@@ -340,7 +343,7 @@ def fit_polynomial(points, values, tol):
     return coeffs
 
 
-def _quadratic_roots(coeffs):
+def quadratic_roots(coeffs):
     """Real roots of the quadratics whose (3, k) ``coeffs`` run along axis 0,
     as a (2, k) array (a pair for a single quadratic) with NaN where a root
     does not exist.  The product form keeps the small root accurate when
@@ -402,12 +405,12 @@ def parametric_crossing(A, c, rhs, scale, level, start, t, stop):
             start_free = free
         elif free != start_free:
             return float(t), solves  # the crossing lies in the step past the last interval
-        walls = _quadratic_roots(x.T + tol * scale[:, None])
+        walls = quadratic_roots(x.T + tol * scale[:, None])
         ahead = _distance_ahead(walls, t, stop)
         ahead[ahead == 0] = np.inf
         wall = ahead.argmin()  # into the flattened (2, m) roots
         end = stop if ahead.flat[wall] == np.inf else walls.flat[wall]
-        roots = _quadratic_roots(gap)
+        roots = quadratic_roots(gap)
         ahead = _distance_ahead(roots, t, end)
         if ahead.min() < np.inf:
             return float(roots[ahead.argmin()]), solves

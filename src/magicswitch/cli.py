@@ -2,8 +2,8 @@
 
 One subcommand per canned experiment (fig2, fig3, figs1, appendix-c) plus
 generic monotone evaluators (rom, channel-robustness, mana) and a
-threshold finder.  Renormalization factors and LP statuses are logged to
-stderr at info level; data goes to --out (default stdout).
+threshold finder.  Renormalization factors are logged to stderr at info
+level, each LP's status at debug level; data goes to --out (default stdout).
 """
 
 from __future__ import annotations

@@ -30,11 +30,16 @@ produce byte-identical CSV.  A warm-started value can differ from a lone cold so
 at the same point in the last bits, never in the printed digits of the
 default grids.
 
-A threshold search checks both bracket ends.  For a robustness measure it
-then fits the LP's right-hand side as a polynomial in p and walks optimal
-bases to propose the crossing (``_propose_crossing``), which two more
-evaluations confirm; mana measures, bare callables and any failed proposal
-bisect.  All evaluations of one search of a registered measure go through
+A threshold search of a registered measure takes six evaluations: the two
+bracket ends, the first two bisection steps, and two probes that confirm a
+proposed crossing.  The first four record samples that are polynomial in p:
+an LP's right-hand side times its scale, or mana's Wigner values.  Three
+fit them and the fourth checks the fit (``_propose_crossing``); an LP then
+walks optimal bases to its crossing, and mana's crossing is where its
+smallest Wigner value changes sign.  A failed fit leaves the search where
+plain bisection would be; it, a failed proposal and a bare callable bisect
+on.  Mana reads free only at 0 (``DEFAULT_TOL.mana_zero``), whatever
+``lp_tol``.  All evaluations of one search of a registered measure go through
 its ``MEASURES`` callable and share one ``_RunState``, so only its first LP
 starts cold: each later one starts from the optimal basis and inverse of
 the one before, repaired by dual simplex pivots where it is infeasible for
@@ -63,11 +68,11 @@ from .channels import (
     qutrit_noisy_th_channel,
     unitary_channel,
 )
-from ._simplex import RHS_DEGREE, fit_polynomial, parametric_crossing
+from ._simplex import RHS_DEGREE, fit_polynomial, parametric_crossing, polyval, quadratic_roots
 from .config import DEFAULT_TOL
 from .gates import T_GATE
 from .lp import L1Solution, channel_robustness, rom_state
-from .phasespace import build_frame, mana_channel, mana_state
+from .phasespace import build_frame, mana_channel, mana_state, wigner_of_channel, wigner_of_operator
 from .qswitch import (
     EffectiveDepolarizingSwitch,
     build_switch,
@@ -198,7 +203,9 @@ class _RunState:
     carries from one evaluation to the next: the last optimal basis of each
     LP column with its inverse, and the value of fig3's minus branch, whose
     channel does not depend on p.  When ``samples`` is a list, each LP
-    solve appends ``(p, solution, scale)`` to it (``_Point.solve``)."""
+    solve appends ``(p, solution, values)`` to it, with ``values``
+    polynomial in p (``_Point.solve``), and each mana evaluation
+    ``(p, None, Wigner values)``."""
 
     bases: dict = field(default_factory=dict)
     switch_minus: tuple | None = None
@@ -273,8 +280,9 @@ class _Point:
         whose unnormalized output is quadratic in p."""
         solution = program(*args, basis=self.state.bases.get(column))
         self.state.bases[column] = solution.warm_start
-        if self.state.samples is not None:
-            self.state.samples.append((self.p, solution, scale))
+        if self.state.samples is not None and solution.standard_form is not None:
+            b = solution.standard_form[1]
+            self.state.samples.append((self.p, solution, np.append(scale * b, scale)))
         return _certified_value(solution, self.lp_tol)
 
 
@@ -287,6 +295,8 @@ def _channel_robustness(pt: _Point, column: str) -> tuple[float, str]:
 
 
 def _channel_mana(pt: _Point, column: str) -> tuple[float, str]:
+    if pt.state.samples is not None:  # W(v|u), affine in p
+        pt.state.samples.append((pt.p, None, wigner_of_channel(pt.channel, build_frame(3)).ravel()))
     return _mana_status(mana_channel(pt.channel, build_frame(3)))
 
 
@@ -305,7 +315,10 @@ def _branch_robustness(pt: _Point, column: str, k: int) -> tuple[float, str]:
 def _branch_mana(pt: _Point, column: str, k: int) -> tuple[float, str]:
     if pt.switch_outputs[2 + k] <= DEFAULT_TOL.degenerate_prob:
         return float("nan"), "degenerate"
-    return _mana_status(mana_state(pt.switch_outputs[k], build_frame(3)))
+    branch = pt.switch_outputs[k]
+    if pt.state.samples is not None:  # the unnormalized branch's W(u), quadratic in p
+        pt.state.samples.append((pt.p, None, wigner_of_operator(branch.matrix, build_frame(3)).ravel()))
+    return _mana_status(mana_state(branch, build_frame(3)))
 
 
 def _t_branch_robustness(pt: _Point, column: str, k: int) -> tuple[float, str]:
@@ -384,6 +397,8 @@ MEASURES = {
     for column in columns
     if column.threshold
 }
+# The figs1 measures score mana, which reads free only at 0.
+_MANA_MEASURES = frozenset(column.threshold for column in MEASURE_TABLE["figs1"][1] if column.threshold)
 
 
 # ---------------------------------------------------------------------------
@@ -509,19 +524,22 @@ def find_threshold(
     ``measure`` is a registered name or a pair (callable p -> value, floor).
     The bracket endpoints must disagree on the predicate value <= floor +
     lp_tol (an lp_tol below ``DEFAULT_TOL.rounding`` counts as that
-    rounding floor); when they do not, the mismatch is reported rather than
+    rounding floor); a registered mana measure reads free where its mana
+    reads 0, value <= floor + ``DEFAULT_TOL.mana_zero``, whatever lp_tol.
+    When the ends do not disagree, the mismatch is reported rather than
     guessed around.  The result is a bracket no wider than
     ``threshold_tol`` whose ends disagree on the predicate, as the measure
     itself evaluates it, and a threshold inside it.  Only the bracket feeds the search, so the answer
     does not depend on any sweep grid step.
 
-    For a registered LP measure the first bisection step also starts a
-    parametric walk (``_propose_crossing``) that proposes the crossing r.
-    The measure is then evaluated just inside r - threshold_tol / 2 and
-    r + threshold_tol / 2; when the two disagree, they are the bracket and
-    r the threshold.  Any other outcome, and every other measure, bisects
-    from the narrowest bracket known, until the midpoint is no longer
-    strictly inside it.
+    A registered measure records fit samples at the two ends and at the
+    first two bisection steps, and ``_propose_crossing`` proposes the
+    crossing r from them.  The measure is then evaluated just inside
+    r - threshold_tol / 2 and r + threshold_tol / 2; when the two disagree,
+    they are the bracket and r the threshold.  Any other outcome, and every
+    bare callable, bisects on from the narrowest bracket known, until the
+    midpoint is no longer strictly inside it; a failed fit leaves the search
+    exactly where plain bisection would be.
     ``iterations`` counts the measure evaluations and walk LP solves after
     the two endpoint checks.  A registered measure is called with one
     ``_RunState`` for the whole search, so every LP after the first starts
@@ -531,19 +549,22 @@ def find_threshold(
         raise ValueError(f"threshold_tol must be finite and positive, got {threshold_tol}")
     _check_lp_tol(lp_tol)
     state = None
+    slack = _floor_slack(lp_tol)
     if isinstance(measure, str):
         if measure not in MEASURES:
             raise KeyError(f"unknown measure {measure!r}; known: {sorted(MEASURES)}")
         registered, floor = MEASURES[measure]
         name = measure
-        state = _RunState()
+        state = _RunState(samples=[])
         fn = partial(registered, state=state)
+        if measure in _MANA_MEASURES:
+            slack = DEFAULT_TOL.mana_zero
     else:
         fn, floor = measure
         name = getattr(fn, "__name__", "callable")
     if not lo < hi:
         raise ValueError(f"bracket [{lo}, {hi}] is empty")
-    level = floor + _floor_slack(lp_tol)
+    level = floor + slack
 
     free_lo, free_hi = fn(lo) <= level, fn(hi) <= level
     if free_lo == free_hi:
@@ -559,10 +580,16 @@ def find_threshold(
         iterations += 1
         bracket[(value <= level) != free_lo] = p
 
-    if state is not None and hi - lo > threshold_tol:
-        state.samples = []
-        root, solves = _propose_crossing(fn, state, bracket, level, free_lo, narrow)
-        state.samples = None
+    def bisect() -> bool:
+        mid = 0.5 * (bracket[0] + bracket[1])
+        if bracket[1] - bracket[0] <= threshold_tol or not bracket[0] < mid < bracket[1]:
+            return False
+        narrow(mid, fn(mid))
+        return True
+
+    if state is not None and bisect() and bisect():
+        samples, state.samples = state.samples, None
+        root, solves = _propose_crossing(samples, bracket, level)
         iterations += solves
         # One ulp of the root inside r -+ threshold_tol / 2, so that the
         # bracket's computed width stays within threshold_tol.
@@ -574,67 +601,51 @@ def find_threshold(
                     narrow(p, fn(p))
             if bracket == probes:
                 return ThresholdResult(name, root, tuple(bracket), iterations, floor)
-    while bracket[1] - bracket[0] > threshold_tol:
-        mid = 0.5 * (bracket[0] + bracket[1])
-        if not bracket[0] < mid < bracket[1]:
-            break
-        narrow(mid, fn(mid))
+    while bisect():
+        pass
     lo, hi = bracket
     return ThresholdResult(name, 0.5 * (lo + hi), (lo, hi), iterations, floor)
 
 
-def _propose_crossing(fn, state: _RunState, bracket: list, level: float, free_lo: bool, narrow) -> tuple:
-    """Propose where the measure ``fn`` crosses ``level`` inside ``bracket``
-    (whose low end has the predicate ``free_lo``); returns (the crossing or
-    None, the evaluations and LP solves it made after the first).
+def _propose_crossing(samples: list, bracket: list, level: float) -> tuple:
+    """Propose where a registered measure crosses ``level`` inside
+    ``bracket`` from its fit ``samples``; returns (the crossing or None, the
+    walk's LP solves).
 
-    ``fn`` is the search's own callable, which evaluates the registered
-    measure in the search's ``state``, so every evaluation is warm from the
-    LP before it; ``state.samples`` starts empty.  The first evaluation is
-    the bisection step at the midpoint, fed to ``narrow``.  Its LP solve
-    records the right-hand side b and the scale s (``_Point.solve``); a
-    measure that solves no LP records nothing and is left to bisection.
-    ``RHS_DEGREE + 1`` more points inside the narrowed bracket are solved.
-    s b and s are fitted as polynomials through all but the last point and
-    checked at the last, and ``parametric_crossing`` walks optimal bases
-    from the sample just below the crossing, or just above it when no
-    sample lies below.
+    ``samples`` holds one ``(p, solution, values)`` per evaluation: the two
+    ends of the search and its first two bisection steps, whose later
+    bracket is ``bracket``.  ``values`` are fitted as polynomials of degree
+    ``RHS_DEGREE`` through three samples and checked at the fourth.  For a
+    mana measure they are Wigner values and the crossing is where the
+    smallest changes sign (``_sign_change_root``).  For an LP they are s b
+    and s, the scaled right-hand side and the scale, and
+    ``parametric_crossing`` walks optimal bases from the solution at the
+    bracket's low end.
     """
-    mid = 0.5 * (bracket[0] + bracket[1])
-    narrow(mid, fn(mid))
-    if not state.samples:
+    if len(samples) != RHS_DEGREE + 2:
         return None, 0
-    lo, hi = bracket
-    points = [lo + (hi - lo) * k / (RHS_DEGREE + 2) for k in range(1, RHS_DEGREE + 2)]
-    for evaluations, p in enumerate(points, 1):
-        try:
-            fn(p)
-        except ValueError:  # a degenerate branch inside the bracket
-            return None, evaluations
-    samples = state.samples
-    forms = [solution.standard_form for _, solution, _ in samples]
-    if len(forms) != len(points) + 1 or any(f is None or f[0] is not forms[0][0] for f in forms):
-        return None, evaluations
-    fit = fit_polynomial(
-        [p for p, _, _ in samples],
-        [np.append(scale * b, scale) for (_, _, scale), (_, b) in zip(samples, forms)],
-        DEFAULT_TOL.rhs_fit,
-    )
+    fit = fit_polynomial([p for p, _, _ in samples], [values for _, _, values in samples], DEFAULT_TOL.rhs_fit)
     if fit is None:
-        return None, evaluations
-    known = sorted(
-        [(lo, free_lo, None), (hi, not free_lo, None)]
-        + [(p, solution.value <= level, solution.warm_start) for p, solution, _ in samples],
-        key=lambda entry: entry[0],
-    )
-    for (p0, free0, start0), (p1, free1, start1) in zip(known, known[1:]):
-        if free0 != free1:
-            break
-    if start0 is None:
-        p0, start0, p1 = p1, start1, p0
-    A = forms[0][0]
-    root, solves = parametric_crossing(A, np.ones(A.shape[1]), fit[:, :-1], fit[:, -1], level, start0, p0, p1)
-    return root, evaluations + solves
+        return None, 0
+    if samples[0][1] is None:
+        return _sign_change_root(fit, *bracket), 0
+    start = next(solution for p, solution, _ in samples if p == bracket[0])
+    A = start.standard_form[0]
+    return parametric_crossing(A, np.ones(A.shape[1]), fit[:, :-1], fit[:, -1], level, start.warm_start, *bracket)
+
+
+def _sign_change_root(fit: np.ndarray, lo: float, hi: float) -> float | None:
+    """The first root in (lo, hi) at which the smallest of the polynomials
+    ``fit`` changes sign, or None.  Polynomials whose coefficients are all
+    at rounding level are dropped: 54 of the qutrit channel's 81 Wigner
+    entries are 0 up to +-3e-16, and their roots would land anywhere."""
+    fit = fit[:, np.abs(fit).max(axis=0) > DEFAULT_TOL.wigner_imag]
+    roots = quadratic_roots(fit).ravel()
+    roots = np.sort(roots[(lo < roots) & (roots < hi)])
+    edges = np.concatenate([[lo], roots, [hi]])
+    nonnegative = polyval(fit, 0.5 * (edges[:-1] + edges[1:])[:, None]).min(axis=1, initial=0.0) >= 0
+    changes = np.flatnonzero(nonnegative[1:] != nonnegative[:-1])
+    return float(roots[changes[0]]) if changes.size else None
 
 
 # ---------------------------------------------------------------------------

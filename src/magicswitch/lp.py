@@ -153,7 +153,7 @@ def rom_state(rho: DensityOperator, dictionary, basis: WarmStart | None = None) 
         )
     target = pauli_vectorize(rho.matrix, _cached_paulis(dictionary.n_qubits))
     solution = solve_l1(_state_constraints(dictionary), target, basis)
-    logger.info("rom_state status=%s value=%.12g", solution.status, solution.value)
+    logger.debug("rom_state status=%s value=%.12g", solution.status, solution.value)
     if solution.status == "infeasible":
         raise ValueError("robustness LP infeasible: input is not a valid state")
     return replace(solution, renorm_factor=factor)
@@ -187,5 +187,5 @@ def channel_robustness(ch: KrausChannel, atoms, basis: WarmStart | None = None) 
     A = _channel_constraints(atoms)
     b = np.concatenate([target, np.zeros(A.shape[0] - target.size)])
     solution = solve_l1(A, b, basis)
-    logger.info("channel_robustness status=%s value=%.12g", solution.status, solution.value)
+    logger.debug("channel_robustness status=%s value=%.12g", solution.status, solution.value)
     return solution

@@ -110,11 +110,12 @@ def wigner_of_operator(op: np.ndarray, frame: PhaseSpaceFrame) -> np.ndarray:
 
 
 def wigner_of_state(rho: DensityOperator, frame: PhaseSpaceFrame) -> np.ndarray:
-    """Wigner function of a normalized state; values sum to 1."""
+    """Wigner function of a normalized state; values sum to its trace,
+    which is 1 within ``DEFAULT_TOL.psd``."""
     if not rho.normalized:
         raise ValueError("wigner_of_state expects a normalized state")
     wig = wigner_of_operator(rho.matrix, frame)
-    if abs(wig.sum() - 1.0) > DEFAULT_TOL.eq:
+    if abs(wig.sum() - rho.trace) > DEFAULT_TOL.eq:
         raise RuntimeError(f"Wigner normalization drifted: sum = {wig.sum()!r}")
     return wig
 

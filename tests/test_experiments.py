@@ -11,7 +11,7 @@ import pytest
 
 from magicswitch import experiments, lp
 from magicswitch._simplex import parametric_crossing
-from magicswitch.channels import noisy_th_channel
+from magicswitch.channels import noisy_th_channel, qutrit_noisy_th_channel
 from magicswitch.config import DEFAULT_TOL
 from magicswitch.qswitch import EffectiveDepolarizingSwitch
 from magicswitch.experiments import (
@@ -424,9 +424,25 @@ LP_CROSSINGS = {
 }
 
 
+# Mana crossings: bracket, half-width of its seeded shift and closed form.
+_C = 2 * (2 * math.cos(math.pi / 9) - 1)
+MANA_CROSSINGS = {
+    "figs1_mana_channel": ((0.3, 0.6), 0.05, 2 - 2 * math.cos(2 * math.pi / 9)),
+    # The root in (0, 1) of p^2 + c (p - 1), c = 2 (2 cos(pi/9) - 1).
+    "figs1_mana_plus": ((0.5, 0.9), 0.05, (math.sqrt(_C * _C + 4 * _C) - _C) / 2),
+}
+
+
+def free_slack(name):
+    """How far above its floor registered measure ``name`` still reads free:
+    a mana measure only where its mana reads 0."""
+    return DEFAULT_TOL.mana_zero if name in MANA_CROSSINGS else DEFAULT_TOL.lp_value
+
+
 def bisection_oracle(name, lo, hi, tol):
-    """Plain bisection: the registered callable passed as a bare measure."""
-    return find_threshold(MEASURES[name], lo, hi, threshold_tol=tol)
+    """Plain bisection: the registered callable passed as a bare measure, at
+    the level the registered search uses."""
+    return find_threshold(MEASURES[name], lo, hi, lp_tol=free_slack(name), threshold_tol=tol)
 
 
 class TestWalkedThresholds:
@@ -458,8 +474,8 @@ class TestWalkedThresholds:
     @pytest.mark.parametrize("wrong_proposal", [False, True], ids=["walked", "bisected"])
     @pytest.mark.parametrize("name", list(LP_CROSSINGS))
     def test_only_the_first_lp_of_a_search_starts_cold(self, monkeypatch, name, wrong_proposal):
-        # One run state serves the endpoints, midpoint, samples, walk and
-        # confirmations, and the bisection after a wrong proposal.
+        # One run state serves the endpoints, the two bisection steps, the
+        # walk and confirmations, and the bisection after a wrong proposal.
         (lo, hi), _, exact, _ = LP_CROSSINGS[name]
         cold = []
         solve = lp.solve_standard_form
@@ -473,8 +489,8 @@ class TestWalkedThresholds:
             monkeypatch.setattr(experiments, "parametric_crossing", lambda *args: (exact + 1e-3, 0))
         find_threshold(name, lo, hi, threshold_tol=1e-6)
         assert cold[0] and cold.count(True) == 1
-        # Ends, midpoint, three samples and two confirmations, then bisection.
-        assert len(cold) > 8 if wrong_proposal else len(cold) == 8
+        # Ends, two bisection steps and two confirmations, then bisection.
+        assert len(cold) > 6 if wrong_proposal else len(cold) == 6
 
     @pytest.mark.parametrize("name, lo, hi", [
         *((name, *LP_CROSSINGS[name][0]) for name in LP_CROSSINGS), ("figs1_mana_channel", 0.3, 0.6)
@@ -501,19 +517,65 @@ class TestWalkedThresholds:
         monkeypatch.setitem(MEASURES, name, (wrapper, floor))
         find_threshold(name, lo, hi, threshold_tol=1e-6)
         assert calls["value"] == calls["wrapper"] > 2
-        if name in LP_CROSSINGS:  # ends, midpoint, three samples, two confirmations
-            assert calls["wrapper"] == 8
+        # Ends, two bisection steps and two confirmations.
+        assert calls["wrapper"] == 6
 
     def test_p_independent_measure_still_has_no_crossing(self):
         with pytest.raises(BracketError):
             find_threshold("fig3_switch_minus", 0.2, 0.35, threshold_tol=1e-6)
 
-    @pytest.mark.parametrize("name, lo, hi", [("figs1_mana_channel", 0.3, 0.6), ("figs1_mana_plus", 0.5, 0.9)])
-    def test_mana_measures_bisect(self, monkeypatch, name, lo, hi):
-        monkeypatch.setattr(experiments, "parametric_crossing", None)  # never reached
-        assert find_threshold(name, lo, hi, threshold_tol=1e-6) == replace(
-            bisection_oracle(name, lo, hi, 1e-6), measure=name
-        )
+    @pytest.mark.parametrize("name", list(MANA_CROSSINGS))
+    def test_figs1_thresholds_match_closed_forms(self, name):
+        (lo, hi), _, exact = MANA_CROSSINGS[name]
+        res = find_threshold(name, lo, hi, threshold_tol=1e-6)
+        assert abs(res.threshold - exact) <= 1e-12
+        assert res.iterations == 4
+        assert res.bracket[0] < exact < res.bracket[1]
+
+    def test_mana_minus_has_no_crossing(self):
+        # Its Wigner entries are c p (1 - p) with one c < 0: mana never
+        # reads 0 inside (0, 1), however small it gets near p = 1.
+        assert "figs1_mana_minus" in MEASURES
+        with pytest.raises(BracketError):
+            find_threshold("figs1_mana_minus", 0.5, 0.999999, threshold_tol=1e-6)
+
+    @pytest.mark.parametrize("cause", ["no_fit", "cubic_channel"])
+    @pytest.mark.parametrize("name", list(MANA_CROSSINGS))
+    def test_failed_mana_fit_is_plain_bisection(self, monkeypatch, name, cause):
+        # The interior samples are the first two bisection steps, so a
+        # search whose fit fails is plain bisection, down to its iterations.
+        (lo, hi), _, exact = MANA_CROSSINGS[name]
+        fits = []
+
+        def spy(*args, fit=experiments.fit_polynomial):
+            fits.append(None if cause == "no_fit" else fit(*args))
+            return fits[-1]
+
+        monkeypatch.setattr(experiments, "fit_polynomial", spy)
+        monkeypatch.setattr(experiments, "_sign_change_root", None)  # never reached
+        if cause == "cubic_channel":
+            # Strength p^3: the Wigner values are polynomials of degree 3 and 6.
+            monkeypatch.setitem(experiments.CHANNELS, "qutrit-noisy-th", lambda p: qutrit_noisy_th_channel(p**3))
+            lo, hi, exact = lo ** (1 / 3), hi ** (1 / 3), exact ** (1 / 3)
+        res = find_threshold(name, lo, hi, threshold_tol=1e-6)
+        assert fits == [None]
+        assert res == replace(bisection_oracle(name, lo, hi, 1e-6), measure=name)
+        # Mana reads 0 up to mana_zero, a few 1e-10 in p past the root.
+        assert res.bracket[0] - 1e-9 <= exact <= res.bracket[1] + 1e-9
+
+    @pytest.mark.parametrize("name", [*LP_CROSSINGS, *MANA_CROSSINGS])
+    def test_every_seeded_search_takes_four_iterations(self, name):
+        (lo, hi), shift = {**LP_CROSSINGS, **MANA_CROSSINGS}[name][:2]
+        fn, floor = MEASURES[name]
+        level = floor + free_slack(name)
+        rng = np.random.default_rng([*LP_CROSSINGS, *MANA_CROSSINGS].index(name))
+        for s in rng.uniform(-shift, shift, size=25):
+            res = find_threshold(name, lo + s, hi + s, threshold_tol=1e-6)
+            assert res.iterations == 4
+            a, b = res.bracket
+            assert a < res.threshold < b and b - a <= 1e-6
+            assert (fn(a) <= level) != (fn(b) <= level)
+            assert abs(res.threshold - bisection_oracle(name, lo + s, hi + s, 1e-6).threshold) <= 1e-6
 
     def test_non_polynomial_rhs_fails_the_fit_and_bisects(self, monkeypatch):
         # noisy-th at strength p^3: its Choi state is cubic in p.

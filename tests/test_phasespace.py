@@ -134,6 +134,15 @@ class TestStateWigner:
         assert wig.min() >= -1e-12
         assert abs(wig.sum() - 1.0) < 1e-10
 
+    def test_sum_matches_a_normalized_trace_off_one(self, frame3):
+        # The trace is 1 + 5e-10: normalized within the positivity tolerance,
+        # but past the equality tolerance from 1, so the sum is read against
+        # the trace.
+        rho = DensityOperator(np.diag([1 / 3 + 5e-10, 1 / 3, 1 / 3]))
+        assert rho.normalized
+        wig = wigner_of_state(rho, frame3)
+        assert abs(wig.sum() - rho.trace) < 1e-15
+
     def test_double_th_pass_goes_negative(self, frame3):
         # One TH pass maps |+> to a computational basis state (free); the
         # second pass lands on T|+>, which carries negative Wigner mass.

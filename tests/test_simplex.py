@@ -384,6 +384,34 @@ def test_start_neither_primal_nor_dual_feasible_starts_cold(monkeypatch):
     assert cold.status == STATUS_OPTIMAL and cold.objective == 1.0
 
 
+def test_cold_start_tableau_is_the_identity_solve(monkeypatch, choi_atoms, rng):
+    # The all-artificial start skips the LU solve against B = I.  That solve
+    # returns its input, up to the sign of some zeros (it turns some -0.0
+    # of the minus columns into 0.0, which no comparison, ratio or sum can
+    # see), so every entry must have the same value and every nonzero entry
+    # the same bits, on the fig2/fig3 channel LPs and on random LPs.
+    problems = [channel_robustness(ch, choi_atoms).standard_form for ch in fig2_fig3_channels()]
+    problems += [(rng.normal(size=(5, 9)), rng.normal(size=5)) for _ in range(5)]
+    solve = np.linalg.solve
+    wants = []
+    for A, b in problems:
+        flip = b < 0  # solve_standard_form makes every rhs nonnegative first
+        A, b = np.where(flip[:, None], -A, A), np.abs(b)
+        m, n = A.shape
+        body = solve(np.eye(m), np.concatenate([A, np.eye(m), b[:, None]], axis=1))
+        wants.append((A, b, body, np.arange(n, n + m)))
+
+    def refuse(*args):
+        raise AssertionError("the all-artificial start solved against B = I")
+
+    monkeypatch.setattr(np.linalg, "solve", refuse)
+    for A, b, body, basis in wants:
+        cost = np.zeros(A.shape[0] + A.shape[1] + 1)
+        got_body, got_basis, pivots = _simplex._start_from_basis(A, b, cost, basis, DEFAULT_TOL.pivot, 100)
+        assert np.array_equal(got_body, body)
+        assert got_basis.tolist() == basis.tolist() and pivots == 0
+
+
 def random_resolve(seed, feasible):
     """A random bounded LP (A, c) with two right-hand sides: b1, which is
     feasible, and b2, which is feasible too when ``feasible`` and otherwise
