@@ -8,9 +8,11 @@ A channel holds its Kraus operators as one ``(k, d_out, d_in)`` stack, so
 applying, composing and taking the Choi state are each one broadcast
 product summed over the operator axis, with no loop over operators.  The
 sum runs over that axis in operator order, which gives the same bits as
-accumulating the operators one by one.  Each object is checked once: a
-state or Choi state when it is built, a channel's completeness residual on
-first use, after which it is kept with the channel.
+accumulating the operators one by one.  Each object is checked once, where
+its matrix enters the package: a state or Choi state in its constructor, a
+channel's completeness residual on first use, after which the channel keeps
+it.  What an operation derives from checked inputs holds the checks by
+construction and is built by ``_derived`` without them.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import numpy as np
 
 from .config import DEFAULT_TOL
 from .gates import HADAMARD, T_GATE, fourier_gate, plus_state, qutrit_t_gate
-from .linalg import DimensionMismatchError, assert_psd, is_hermitian, partial_trace
+from .linalg import DimensionMismatchError, assert_psd, partial_trace
 
 logger = logging.getLogger(__name__)
 
@@ -42,6 +44,13 @@ def _readonly(matrix: np.ndarray) -> np.ndarray:
     return out
 
 
+def _derived(cls, matrix: np.ndarray, **fields):
+    """``cls(matrix, **fields)`` without its checks; the matrix is stored read-only."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(matrix=_readonly(matrix), **fields)
+    return obj
+
+
 @dataclass(frozen=True, eq=False)
 class DensityOperator:
     """Positive Hermitian matrix: a state, or an unnormalized conditional
@@ -52,7 +61,8 @@ class DensityOperator:
     ----------
     matrix : ndarray
         Square complex matrix; must be Hermitian and positive semidefinite
-        within the package tolerances, with a nonnegative trace.
+        within the package tolerances, with a nonnegative trace.  Its exactly
+        Hermitian part is stored, so no residue reaches a Wigner value.
     """
 
     matrix: np.ndarray
@@ -61,8 +71,9 @@ class DensityOperator:
         mat = np.asarray(self.matrix, dtype=complex)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise StateValidationError(f"density operator must be square, got {mat.shape}")
-        if not is_hermitian(mat, DEFAULT_TOL.eq):
+        if not np.abs(mat - mat.conj().T).max() <= DEFAULT_TOL.eq:
             raise StateValidationError("density operator is not Hermitian within tolerance")
+        mat = 0.5 * (mat + mat.conj().T)
         # Eigenvalue floor sits at the equality tolerance: anything in
         # [-1e-10, 0) is rounding residue, anything lower is a real error.
         assert_psd(mat, DEFAULT_TOL.eq * max(1.0, abs(np.trace(mat))), "density operator")
@@ -103,7 +114,7 @@ class DensityOperator:
             raise StateValidationError(f"cannot renormalize state with trace {tr:.3e}")
         if abs(tr - 1.0) <= DEFAULT_TOL.eq:
             return self, 1.0
-        return DensityOperator(self.matrix / tr), tr
+        return _derived(DensityOperator, self.matrix / tr), tr  # positive / positive
 
 
 @lru_cache(maxsize=None)
@@ -220,10 +231,10 @@ def apply_kraus(kraus_ops, matrix: np.ndarray) -> np.ndarray:
 
 
 def apply_channel(ch: KrausChannel, rho: DensityOperator) -> DensityOperator:
-    """Apply a channel to a state."""
+    """Apply a channel to a state: sum K rho K^dag, positive for any Kraus operators."""
     if rho.dim != ch.d_in:
         raise DimensionMismatchError(f"state dim {rho.dim} != channel input dim {ch.d_in}")
-    return DensityOperator(apply_kraus(ch.kraus_ops, rho.matrix))
+    return _derived(DensityOperator, apply_kraus(ch.kraus_ops, rho.matrix))
 
 
 def choi_of_channel(ch: KrausChannel) -> ChoiState:
@@ -231,10 +242,11 @@ def choi_of_channel(ch: KrausChannel) -> ChoiState:
     ch.validate()
     k, d_out, d_in = ch.kraus_ops.shape
     # |v_K> = sum_i |i> (x) K|i>, the transposed K read row by row, so
-    # J = (1/d_in) sum_K |v_K><v_K|.
+    # J = (1/d_in) sum_K |v_K><v_K|, a Gram sum: positive and exactly
+    # Hermitian, with a marginal off I/d_in by at most residual / d_in.
     vecs = ch.kraus_ops.transpose(0, 2, 1).reshape(k, d_in * d_out)
     J = (vecs[:, :, None] * vecs.conj()[:, None, :]).sum(axis=0)
-    return ChoiState(J / d_in, d_in=d_in, d_out=d_out)
+    return _derived(ChoiState, J / d_in, d_in=d_in, d_out=d_out)
 
 
 def compose_channels(outer: KrausChannel, inner: KrausChannel) -> KrausChannel:
@@ -268,7 +280,7 @@ def measure_control(state: DensityOperator, outcome: str) -> tuple[DensityOperat
     branch = np.einsum("a,ambn,b->mn", ctrl.conj(), block, ctrl)
     branch = 0.5 * (branch + branch.conj().T)
     prob = float(np.trace(branch).real)
-    return DensityOperator(branch), prob
+    return _derived(DensityOperator, branch), prob  # a compression of a positive state
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,6 @@ import itertools
 
 import numpy as np
 
-from .config import DEFAULT_TOL
-
 
 class DimensionMismatchError(ValueError):
     """Operator shapes are incompatible with the requested operation."""
@@ -67,25 +65,12 @@ def partial_trace(op: np.ndarray, dims, keep) -> np.ndarray:
     return reshaped.reshape(d_keep, d_keep)
 
 
-def hermitian_eigenvalues(op: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of a Hermitian operator (Hermitian-specialized)."""
-    return np.linalg.eigvalsh(op)
-
-
-def is_hermitian(op: np.ndarray, tol: float = DEFAULT_TOL.eq) -> bool:
-    op = np.asarray(op)
-    return op.shape[0] == op.shape[1] and bool(np.abs(op - op.conj().T).max() <= tol)
-
-
-def assert_psd(op: np.ndarray, tol: float = DEFAULT_TOL.psd, what: str = "operator") -> np.ndarray:
-    """Check positive semidefiniteness; clamp eigenvalues in [-tol, 0) to 0.
-
-    Returns the (clamped) eigenvalues; raises on negativity below ``-tol``.
-    """
-    eigs = hermitian_eigenvalues(op)
-    if eigs.min(initial=0.0) < -tol:
-        raise ValueError(f"{what} has negative eigenvalue {eigs.min():.3e} below -{tol:g}")
-    return np.clip(eigs, 0.0, None)
+def assert_psd(op: np.ndarray, tol: float, what: str) -> None:
+    """Raise unless every eigenvalue of the Hermitian ``op`` is at least
+    ``-tol``; eigenvalues in [-tol, 0) count as rounding residue."""
+    low = np.linalg.eigvalsh(op).min(initial=0.0)
+    if low < -tol:
+        raise ValueError(f"{what} has negative eigenvalue {low:.3e} below -{tol:g}")
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ import numpy as np
 from .channels import (
     DensityOperator,
     KrausChannel,
+    _derived,
     apply_channel,
     compose_channels,
     depolarizing_channel,
@@ -32,13 +33,13 @@ from .linalg import DimensionMismatchError, tensor
 
 def build_switch(a: KrausChannel, b: KrausChannel) -> KrausChannel:
     """Construct the switched channel, on control (x) target, of two
-    equal-dimension channels.
+    equal-dimension complete channels.
 
-    Both inner channels must be complete; the composite Kraus set is built
-    as |0><0|_c (x) E_i F_j + |1><1|_c (x) F_j E_i, that is the block
-    diagonal of E_i F_j and F_j E_i for every pair (i, j) at once (the
-    switch of (b, a) is the same channel, its Kraus operators in another
-    order), and its completeness is verified before returning.
+    The Kraus set |0><0|_c (x) E_i F_j + |1><1|_c (x) F_j E_i is the block
+    diagonal of E_i F_j and F_j E_i, for every pair (i, j) at once (the
+    switch of (b, a) is the same channel, its operators in another order).
+    Only the factors are checked, since the switch is complete whenever
+    they are: sum (E F)^dag (E F) = sum F^dag (sum E^dag E) F.
     """
     if a.d_in != a.d_out or b.d_in != b.d_out:
         raise DimensionMismatchError("switch requires square inner channels")
@@ -53,14 +54,15 @@ def build_switch(a: KrausChannel, b: KrausChannel) -> KrausChannel:
     ops = np.zeros((len(a.kraus_ops) * len(b.kraus_ops), 2 * d, 2 * d), dtype=complex)
     ops[:, :d, :d] = (E @ F).reshape(-1, d, d)  # E_i F_j
     ops[:, d:, d:] = (F @ E).reshape(-1, d, d)  # F_j E_i
-    return KrausChannel(ops).validate()
+    return KrausChannel(ops)
 
 
 @lru_cache(maxsize=16)
 def _joint_input(target_in: DensityOperator) -> DensityOperator:
-    """|+><+|_c (x) target.  States compare by identity, so a sweep that
-    feeds every row the shared ``plus_density`` target forms it once."""
-    return DensityOperator(tensor(plus_density(2).matrix, target_in.matrix))
+    """|+><+|_c (x) target, a product of checked states, so not checked
+    again.  States compare by identity, so a sweep that feeds every row the
+    shared ``plus_density`` target forms it once."""
+    return _derived(DensityOperator, tensor(plus_density(2).matrix, target_in.matrix))
 
 
 def conditional_outputs(

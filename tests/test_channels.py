@@ -6,10 +6,12 @@ from magicswitch import (
     DensityOperator,
     KrausChannel,
     apply_channel,
+    build_frame,
     choi_of_channel,
     compose_channels,
     depolarizing_channel,
     identity_channel,
+    mana_state,
     measure_control,
     noisy_th_channel,
     qutrit_k2_variant_report,
@@ -70,6 +72,16 @@ class TestDensityOperator:
         assert not zero.normalized
         with pytest.raises(StateValidationError):
             zero.renormalized()
+
+    def test_stores_exact_hermitian_part(self):
+        # An anti-Hermitian residue within tolerance is dropped, so it does
+        # not reach the Wigner function as an imaginary part.
+        near = np.eye(3, dtype=complex) / 3
+        near[0, 1] = 5e-11j
+        rho = DensityOperator(near)
+        assert np.array_equal(rho.matrix, rho.matrix.conj().T)
+        assert np.array_equal(rho.matrix, 0.5 * (near + near.conj().T))
+        assert mana_state(rho, build_frame(3)) == 0.0
 
     def test_matrix_is_readonly(self):
         rho = DensityOperator.maximally_mixed(2)

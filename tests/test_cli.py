@@ -255,6 +255,22 @@ def test_state_file_errors_name_the_file(tmp_path, capsys):
         assert str(path) in capsys.readouterr().err
 
 
+def test_near_hermitian_state_file(tmp_path, capsys):
+    # An anti-Hermitian part within the Hermiticity tolerance is accepted,
+    # by mana (qutrit) and by rom (qubit).
+    payloads = {}
+    for name, d in (("mana", 3), ("rom", 2)):
+        rows = np.eye(d, dtype=complex) / d
+        rows[0, 1] = 5e-11j
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(_matrix(rows)))
+        code, text = run_cli(capsys, name, "--state-file", str(path))
+        assert code == 0
+        payloads[name] = json.loads(text)
+    assert payloads["mana"]["mana"] == 0.0
+    assert abs(payloads["rom"]["value"] - 1.0) < 1e-7
+
+
 def test_unnormalized_state_file_is_renormalized(tmp_path, capsys):
     path = tmp_path / "state.json"
     path.write_text(json.dumps({**_matrix([[0.25, 0.0], [0.0, 0.25]]), "normalized": False}))

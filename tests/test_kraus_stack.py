@@ -11,18 +11,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from magicswitch import (
+    ChoiState,
     DensityOperator,
     KrausChannel,
+    apply_channel,
     build_frame,
     build_switch,
     choi_of_channel,
     compose_channels,
     conditional_outputs,
+    measure_control,
     qutrit_noisy_th_channel,
     wigner_of_channel,
 )
 from magicswitch import channels, experiments, qswitch
 from magicswitch.channels import ChannelCompletenessError, apply_kraus, plus_density
+from magicswitch.config import DEFAULT_TOL
 from magicswitch.gates import plus_state
 from magicswitch.linalg import DimensionMismatchError, tensor
 
@@ -173,6 +177,44 @@ class TestSwitchBranches:
         assert abs(p_plus + p_minus - rho.trace) <= 1e-12
 
 
+class TestDerivedStates:
+    """Derived states and Choi states skip the constructors' checks; these
+    properties stand in for them."""
+
+    @staticmethod
+    def assert_fresh(derived, source):
+        assert not derived.matrix.flags.writeable
+        assert not np.shares_memory(derived.matrix, source)
+
+    @PROPERTY
+    @given(qubit_or_qutrit, kraus_counts, kraus_counts, seeds, st.floats(0.01, 1.0))
+    def test_derived_objects_pass_the_public_checks(self, d, k_a, k_b, seed, scale):
+        a, b = isometry_channel(d, k_a, seed), isometry_channel(d, k_b, seed + 1)
+        rho = DensityOperator(scale * random_density_matrix(d, np.random.default_rng(seed)))
+        states = []
+        out = apply_channel(a, rho)
+        self.assert_fresh(out, rho.matrix)
+        states.append(out)
+        joint = qswitch._joint_input(rho)
+        self.assert_fresh(joint, rho.matrix)
+        states.append(joint)
+        switched = apply_channel(build_switch(a, b), joint)
+        for outcome in ("plus", "minus"):
+            branch, _ = measure_control(switched, outcome)
+            self.assert_fresh(branch, switched.matrix)
+            states.append(branch)
+        for state in list(states):
+            renorm, factor = state.renormalized()
+            if factor != 1.0:
+                self.assert_fresh(renorm, state.matrix)
+                states.append(renorm)
+        for state in states:
+            DensityOperator(state.matrix)
+        J = choi_of_channel(a)
+        assert not J.matrix.flags.writeable
+        ChoiState(J.matrix, J.d_in, J.d_out)
+
+
 # ---------------------------------------------------------------------------
 # One stack per channel, checked once
 # ---------------------------------------------------------------------------
@@ -233,13 +275,46 @@ class TestCheckedOnce:
             KrausChannel(np.zeros((0, 2, 2)))
 
     def test_switch_is_a_checked_channel(self, monkeypatch):
-        # The switch is checked when it is built, and keeps its residual.
-        ch = qutrit_noisy_th_channel(0.3)
-        switched = build_switch(ch, ch)
-        assert isinstance(switched, KrausChannel)
+        # sum (EF)^dag (EF) = sum F^dag (sum E^dag E) F: the switch is
+        # complete whenever its factors are, so build_switch computes the
+        # residuals of its two factors and no other.
+        a, b = qutrit_noisy_th_channel(0.3), qutrit_noisy_th_channel(0.6)
         seen = residual_spy(monkeypatch)
-        assert switched.validate() is switched
-        assert seen == []
+        switched = build_switch(a, b)
+        assert isinstance(switched, KrausChannel)
+        assert len(seen) == 2 and seen[0] is a.kraus_ops and seen[1] is b.kraus_ops
+
+    def test_switch_of_channels_at_the_completeness_bound(self):
+        # Each factor's residual, 6e-10, passes validate(); the composite's
+        # is their sum, 1.2e-9, which is not a reason to refuse the switch.
+        a = KrausChannel([np.sqrt(1 + 0.6e-9) * np.eye(2)])
+        assert a.validate() is a
+        switched = build_switch(a, a)
+        assert switched.completeness_residual() > DEFAULT_TOL.completeness
+        _, _, p_plus, p_minus = conditional_outputs(switched, plus_density(2))
+        assert abs(p_plus + p_minus - 1.0) < 1e-8
+
+    def test_warm_sweeps_run_no_eigenvalue_check(self, monkeypatch):
+        # Every state and Choi state of a sweep is derived from checked
+        # inputs; only the cached |+> inputs are checked, on first use.
+        runs = [
+            (experiments.run_fig2, experiments.default_config("fig2", stop=0.05)),
+            (experiments.run_fig3, experiments.default_config("fig3", stop=0.05)),
+            (experiments.run_figs1, experiments.default_config("figs1", stop=0.05)),
+        ]
+        for run, config in runs:
+            run(config)
+        calls = []
+        check = channels.assert_psd
+
+        def counting(*args):
+            calls.append(args[2])
+            return check(*args)
+
+        monkeypatch.setattr(channels, "assert_psd", counting)
+        for run, config in runs:
+            assert run(config)
+        assert calls == []
 
     def test_plus_input_built_once_per_sweep(self, monkeypatch):
         # Control (qubit) and target (qutrit) inputs, each built once for

@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
 
-from magicswitch.gates import HADAMARD, PAULI_X, PAULI_Z, plus_state
+from magicswitch.gates import PAULI_X, PAULI_Z, plus_state
 from magicswitch.linalg import (
     DimensionMismatchError,
     dagger,
-    hermitian_eigenvalues,
     partial_trace,
     pauli_strings,
     pauli_vectorize,
@@ -52,11 +51,6 @@ def test_partial_trace_keep_both_and_none(rng):
 def test_partial_trace_dimension_mismatch():
     with pytest.raises(DimensionMismatchError):
         partial_trace(np.eye(6), [2, 2], keep=0)
-
-
-def test_hadamard_eigenvalues():
-    eigs = hermitian_eigenvalues(HADAMARD)
-    assert np.allclose(sorted(eigs), [-1.0, 1.0])
 
 
 def test_dagger():
