@@ -15,12 +15,13 @@ y = c_B B^-1 do not depend on ``b``, so an optimal basis stays optimal
 while it stays primal feasible (Bertsimas & Tsitsiklis, *Introduction to
 Linear Optimization*, 1997, secs. 3.3 and 5.1): a solve given a
 ``WarmStart`` first computes x_B = B^-1 b, one mat-vec, and returns that
-solution when it is feasible.  Otherwise phase 1 runs from the tableau
-``B^-1 [A | I | b]`` of a starting basis, with its phase-1 cost row.  A
-cold solve starts from the all-artificial basis, B = I, the classic
-two-phase start (sec. 3.5).  A starting basis that is primal infeasible
-for ``b`` but still dual feasible for the real costs, as a neighbour's
-optimal basis is, is first repaired by dual simplex pivots
+solution when it is feasible.  A threshold search reads its crossing off
+the same B^-1 (``experiments._basis_root``).  Otherwise phase 1 runs from
+the tableau ``B^-1 [A | I | b]`` of a starting basis, with its phase-1
+cost row.  A cold solve starts from the all-artificial basis, B = I, the
+classic two-phase start (sec. 3.5).  A starting basis that is primal
+infeasible for ``b`` but still dual feasible for the real costs, as a
+neighbour's optimal basis is, is first repaired by dual simplex pivots
 (``dual_pivot_loop``, sec. 4.5).  A basis that cannot start the solve, and
 a repair that finds no entering column or runs past the iteration limit,
 give way to the all-artificial basis.  A ``WarmStart`` is the only start a
@@ -302,123 +303,3 @@ def solve_standard_form(A: np.ndarray, b: np.ndarray, c: np.ndarray, basis: Warm
     basis.flags.writeable = inverse.flags.writeable = False
     warm_start = WarmStart(basis, inverse) if status == STATUS_OPTIMAL else None
     return SimplexResult(status, x, objective, dual, iterations, warm_start)
-
-
-# ---------------------------------------------------------------------------
-# Parametric right-hand side
-# ---------------------------------------------------------------------------
-
-# Polynomials are coefficient arrays along axis 0, lowest degree first, of
-# degree at most RHS_DEGREE; the walk finds their roots in closed form, so
-# the degree stays 2.
-RHS_DEGREE = 2
-
-# The most LP solves one walk may make before it gives up.
-_MAX_WALK_SOLVES = 8
-
-
-def polyval(coeffs, t):
-    """Value at ``t`` of the polynomials whose coefficients run along axis 0."""
-    value = coeffs[-1]
-    for coeff in coeffs[-2::-1]:
-        value = value * t + coeff
-    return value
-
-
-def fit_polynomial(points, values, tol):
-    """Coefficients of the polynomials of degree ``RHS_DEGREE`` through the
-    first ``RHS_DEGREE + 1`` of ``points`` (``values`` holds one row per
-    point), or None unless they also reproduce every further point to within
-    ``tol`` times the largest value there."""
-    points = np.asarray(points, dtype=np.float64)
-    values = np.asarray(values, dtype=np.float64)
-    k = RHS_DEGREE + 1
-    try:
-        coeffs = np.linalg.solve(np.vander(points[:k], k, increasing=True), values[:k])
-    except np.linalg.LinAlgError:
-        return None
-    check = np.vander(points[k:], k, increasing=True) @ coeffs - values[k:]
-    if not np.abs(check).max(initial=0.0) <= tol * max(1.0, np.abs(values[k:]).max(initial=0.0)):
-        return None
-    return coeffs
-
-
-def quadratic_roots(coeffs):
-    """Real roots of the quadratics whose (3, k) ``coeffs`` run along axis 0,
-    as a (2, k) array (a pair for a single quadratic) with NaN where a root
-    does not exist.  The product form keeps the small root accurate when
-    the leading term vanishes."""
-    c0, c1, c2 = coeffs
-    with np.errstate(divide="ignore", invalid="ignore"):
-        q = -0.5 * (c1 + np.copysign(np.sqrt(c1 * c1 - 4.0 * c2 * c0), c1))
-        roots = np.array([q / c2, c0 / q])
-    return np.where(np.isfinite(roots), roots, np.nan)
-
-
-def _distance_ahead(roots, t, stop):
-    """Distance from ``t`` of each of ``roots`` on the closed stretch from
-    ``t`` to ``stop``; inf for the others and for NaN."""
-    distance = np.abs(roots - t)
-    return np.where(((roots - t) * (stop - t) >= 0) & (distance <= abs(stop - t)), distance, np.inf)
-
-
-def parametric_crossing(A, c, rhs, scale, level, start, t, stop):
-    """Where the optimal value of min c.x s.t. A x = b(t), x >= 0 first
-    crosses ``level`` on the way from ``t`` to ``stop``.
-
-    The right-hand side is b(t) = rhs(t) / scale(t) for polynomials ``rhs``
-    (one column per row of A) and ``scale`` (positive on the way), and
-    ``start`` is the ``WarmStart`` of an optimal solve at ``t``.  Reduced
-    costs do not depend on b, so its basis stays optimal while
-    B^-1 b(t) >= -tol (the pivot tolerance ``DEFAULT_TOL.pivot``), and
-    there the optimal value crosses ``level`` at a root of
-    c_B B^-1 rhs(t) - level scale(t).  When that root lies past the end of
-    the interval, a solve just past the end starts from the basis, which is
-    primal infeasible there but still dual feasible, so the solve's dual
-    simplex pivots repair it into the next optimal basis; the walk repeats
-    from the ``WarmStart`` that solve returns.
-
-    Returns (crossing or None, LP solves).  None means no crossing up to
-    ``stop``, or a failed walk: a nonpositive scale, a step LP that is not
-    solved to optimality (an infeasible one went past the end of the LP's
-    feasible range), or more than ``_MAX_WALK_SOLVES`` solves.
-    """
-    m = A.shape[0]
-    tol = DEFAULT_TOL.pivot
-    cost = np.concatenate([c, np.zeros(m)])
-    start_free = None
-    for solves in range(_MAX_WALK_SOLVES + 1):
-        s = polyval(scale, t)
-        if not s > 0:
-            return None, solves
-        if solves:
-            result = solve_standard_form(A, polyval(rhs, t) / s, c, basis=start)
-            if result.status != STATUS_OPTIMAL:
-                return None, solves
-            start = result.warm_start
-        # Row i: the coefficients of scale(t) x_B[i](t).  A basic artificial
-        # sits on a redundant row, at zero whatever the sign of its column.
-        x = start.inverse @ rhs.T
-        gap = cost[start.basis] @ x - level * scale  # scale(t) (value(t) - level)
-        free = polyval(gap, t) <= 0
-        if start_free is None:
-            start_free = free
-        elif free != start_free:
-            return float(t), solves  # the crossing lies in the step past the last interval
-        walls = quadratic_roots(x.T + tol * scale[:, None])
-        ahead = _distance_ahead(walls, t, stop)
-        ahead[ahead == 0] = np.inf
-        wall = ahead.argmin()  # into the flattened (2, m) roots
-        end = stop if ahead.flat[wall] == np.inf else walls.flat[wall]
-        roots = quadratic_roots(gap)
-        ahead = _distance_ahead(roots, t, end)
-        if ahead.min() < np.inf:
-            return float(roots[ahead.argmin()]), solves
-        if end == stop:
-            return None, solves
-        # Past the end by the tolerance again, every variable that reached
-        # its bound there is infeasible for this basis, which stays dual
-        # feasible; the step solve starts from it and its dual simplex
-        # pivots make the basis change, several at a degenerate breakpoint.
-        t = min(end + tol, stop) if stop > t else max(end - tol, stop)
-    return None, _MAX_WALK_SOLVES

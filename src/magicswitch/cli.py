@@ -260,20 +260,18 @@ def _cmd_rom(args) -> int:
         raise ValueError(f"rom supports 1- and 2-qubit states, got dimension {rho.dim}")
     n = 1 if rho.dim == 2 else 2
     solution = rom_state(rho, enumerate_stabilizer_states(n))
-    _emit(
-        {"value": solution.value, "status": solution.status,
-         "renorm_factor": solution.renorm_factor},
-        args.out,
-    )
-    return 0 if solution.status == "optimal" else 1
+    status = solution.checked_status
+    _emit({"value": solution.value, "status": status, "renorm_factor": solution.renorm_factor}, args.out)
+    return 0 if status == "optimal" else 1
 
 
 def _cmd_channel_robustness(args) -> int:
     ch = _named_channel(args.channel)
     atoms = cspo_choi_atoms(enumerate_stabilizer_states(2))
     solution = channel_robustness(ch, atoms)
-    _emit({"value": solution.value, "status": solution.status}, args.out)
-    return 0 if solution.status == "optimal" else 1
+    status = solution.checked_status
+    _emit({"value": solution.value, "status": status}, args.out)
+    return 0 if status == "optimal" else 1
 
 
 def _cmd_mana(args) -> int:

@@ -34,16 +34,16 @@ A threshold search of a registered measure takes six evaluations: the two
 bracket ends, the first two bisection steps, and two probes that confirm a
 proposed crossing.  The first four record samples that are polynomial in p:
 an LP's right-hand side times its scale, or mana's Wigner values.  Three
-fit them and the fourth checks the fit (``_propose_crossing``); an LP then
-walks optimal bases to its crossing, and mana's crossing is where its
-smallest Wigner value changes sign.  A failed fit leaves the search where
-plain bisection would be; it, a failed proposal and a bare callable bisect
-on.  Mana reads free only at 0 (``DEFAULT_TOL.mana_zero``), whatever
-``lp_tol``.  All evaluations of one search of a registered measure go through
-its ``MEASURES`` callable and share one ``_RunState``, so only its first LP
-starts cold: each later one starts from the optimal basis and inverse of
-the one before, repaired by dual simplex pivots where it is infeasible for
-the new p.
+fit them and the fourth checks the fit (``_propose_crossing``); an LP's
+crossing is read off the optimal basis at the narrowed bracket's low end,
+and mana's is where its smallest Wigner value changes sign.  A failed fit
+leaves the search where plain bisection would be; it, a failed proposal
+and a bare callable bisect on.  Mana reads free only at 0
+(``DEFAULT_TOL.mana_zero``), whatever ``lp_tol``.  All evaluations of one
+search of a registered measure go through its ``MEASURES`` callable and
+share one ``_RunState``, so only its first LP starts cold: each later one
+starts from the optimal basis and inverse of the one before, repaired by
+dual simplex pivots where it is infeasible for the new p.
 """
 
 from __future__ import annotations
@@ -68,7 +68,6 @@ from .channels import (
     qutrit_noisy_th_channel,
     unitary_channel,
 )
-from ._simplex import RHS_DEGREE, fit_polynomial, parametric_crossing, polyval, quadratic_roots
 from .config import DEFAULT_TOL
 from .gates import T_GATE
 from .lp import L1Solution, channel_robustness, rom_state
@@ -220,14 +219,11 @@ def _floor_slack(lp_tol: float) -> float:
 
 
 def _certified_value(solution: L1Solution, lp_tol: float) -> tuple[float, str]:
-    """Value and status of a robustness LP, with its certificates enforced:
-    a reconstruction residual, duality gap or dual infeasibility above
-    ``DEFAULT_TOL.lp_residual`` tags the value ``check_failed``."""
-    if solution.status != "optimal":
-        return float("nan"), solution.status
-    worst = max(solution.residual, solution.dual_gap, solution.dual_violation)
-    if worst > DEFAULT_TOL.lp_residual:
-        return solution.value, "check_failed"
+    """Value and status of a robustness LP, with its certificates enforced
+    (``L1Solution.checked_status``); a value that is not optimal is NaN."""
+    status = solution.checked_status
+    if status != "optimal":
+        return solution.value, status
     if solution.value < 1.0 - _floor_slack(lp_tol):
         return solution.value, "below_floor"
     return solution.value, "ok"
@@ -503,6 +499,49 @@ def run_appendix_c(d_values=(2, 3, 5, 10), n_points: int = 10_000) -> dict:
 # Threshold finder
 # ---------------------------------------------------------------------------
 
+# Fit samples are polynomials in p, coefficients along axis 0, lowest degree
+# first; their roots come in closed form, so the degree stays 2.
+RHS_DEGREE = 2
+
+
+def polyval(coeffs, t):
+    """Value at ``t`` of the polynomials whose coefficients run along axis 0."""
+    value = coeffs[-1]
+    for coeff in coeffs[-2::-1]:
+        value = value * t + coeff
+    return value
+
+
+def fit_polynomial(points, values, tol):
+    """Coefficients of the polynomials of degree ``RHS_DEGREE`` through the
+    first ``RHS_DEGREE + 1`` of ``points`` (``values`` holds one row per
+    point), or None unless they also reproduce every further point to within
+    ``tol`` times the largest value there."""
+    points = np.asarray(points, dtype=np.float64)
+    values = np.asarray(values, dtype=np.float64)
+    k = RHS_DEGREE + 1
+    try:
+        coeffs = np.linalg.solve(np.vander(points[:k], k, increasing=True), values[:k])
+    except np.linalg.LinAlgError:
+        return None
+    check = np.vander(points[k:], k, increasing=True) @ coeffs - values[k:]
+    if not np.abs(check).max(initial=0.0) <= tol * max(1.0, np.abs(values[k:]).max(initial=0.0)):
+        return None
+    return coeffs
+
+
+def quadratic_roots(coeffs):
+    """Real roots of the quadratics whose (3, k) ``coeffs`` run along axis 0,
+    as a (2, k) array (a pair for a single quadratic) with NaN where a root
+    does not exist.  The product form keeps the small root accurate when
+    the leading term vanishes."""
+    c0, c1, c2 = coeffs
+    with np.errstate(divide="ignore", invalid="ignore"):
+        q = -0.5 * (c1 + np.copysign(np.sqrt(c1 * c1 - 4.0 * c2 * c0), c1))
+        roots = np.array([q / c2, c0 / q])
+    return np.where(np.isfinite(roots), roots, np.nan)
+
+
 @dataclass(frozen=True)
 class ThresholdResult:
     measure: str
@@ -529,8 +568,8 @@ def find_threshold(
     When the ends do not disagree, the mismatch is reported rather than
     guessed around.  The result is a bracket no wider than
     ``threshold_tol`` whose ends disagree on the predicate, as the measure
-    itself evaluates it, and a threshold inside it.  Only the bracket feeds the search, so the answer
-    does not depend on any sweep grid step.
+    itself evaluates it, and a threshold inside it.  Only the bracket feeds
+    the search, so the answer does not depend on any sweep grid step.
 
     A registered measure records fit samples at the two ends and at the
     first two bisection steps, and ``_propose_crossing`` proposes the
@@ -540,10 +579,12 @@ def find_threshold(
     bare callable, bisects on from the narrowest bracket known, until the
     midpoint is no longer strictly inside it; a failed fit leaves the search
     exactly where plain bisection would be.
-    ``iterations`` counts the measure evaluations and walk LP solves after
-    the two endpoint checks.  A registered measure is called with one
-    ``_RunState`` for the whole search, so every LP after the first starts
-    from the optimal basis of the one before.
+    ``iterations`` counts the measure evaluations after the two endpoint
+    checks.  A registered measure is called with one ``_RunState`` for the
+    whole search, so every LP after the first starts from the optimal basis
+    of the one before.  Each search logs one INFO line: the measure, the
+    threshold, the bracket, the evaluations and whether the proposed root
+    was confirmed or the search bisected.
     """
     if not (math.isfinite(threshold_tol) and threshold_tol > 0):
         raise ValueError(f"threshold_tol must be finite and positive, got {threshold_tol}")
@@ -587,10 +628,10 @@ def find_threshold(
         narrow(mid, fn(mid))
         return True
 
+    proposed = False
     if state is not None and bisect() and bisect():
         samples, state.samples = state.samples, None
-        root, solves = _propose_crossing(samples, bracket, level)
-        iterations += solves
+        root = _propose_crossing(samples, bracket, level)
         # One ulp of the root inside r -+ threshold_tol / 2, so that the
         # bracket's computed width stays within threshold_tol.
         half = 0.5 * threshold_tol - math.ulp(root or 0.0)
@@ -599,18 +640,20 @@ def find_threshold(
             for p in probes:
                 if bracket[0] < p < bracket[1]:
                     narrow(p, fn(p))
-            if bracket == probes:
-                return ThresholdResult(name, root, tuple(bracket), iterations, floor)
-    while bisect():
+            proposed = bracket == probes
+    while not proposed and bisect():
         pass
-    lo, hi = bracket
-    return ThresholdResult(name, 0.5 * (lo + hi), (lo, hi), iterations, floor)
+    threshold = root if proposed else 0.5 * (bracket[0] + bracket[1])
+    logger.info(
+        "threshold %s: %.12g in [%.12g, %.12g] after %d evaluations, %s",
+        name, threshold, *bracket, iterations + 2, "root proposed" if proposed else "bisected",
+    )
+    return ThresholdResult(name, threshold, tuple(bracket), iterations, floor)
 
 
-def _propose_crossing(samples: list, bracket: list, level: float) -> tuple:
+def _propose_crossing(samples: list, bracket: list, level: float) -> float | None:
     """Propose where a registered measure crosses ``level`` inside
-    ``bracket`` from its fit ``samples``; returns (the crossing or None, the
-    walk's LP solves).
+    ``bracket`` from its fit ``samples``, or None.
 
     ``samples`` holds one ``(p, solution, values)`` per evaluation: the two
     ends of the search and its first two bisection steps, whose later
@@ -618,20 +661,41 @@ def _propose_crossing(samples: list, bracket: list, level: float) -> tuple:
     ``RHS_DEGREE`` through three samples and checked at the fourth.  For a
     mana measure they are Wigner values and the crossing is where the
     smallest changes sign (``_sign_change_root``).  For an LP they are s b
-    and s, the scaled right-hand side and the scale, and
-    ``parametric_crossing`` walks optimal bases from the solution at the
-    bracket's low end.
+    and s, the scaled right-hand side and the scale, and the crossing is
+    read off the optimal basis of the solution at the bracket's low end
+    (``_basis_root``).
     """
     if len(samples) != RHS_DEGREE + 2:
-        return None, 0
+        return None
     fit = fit_polynomial([p for p, _, _ in samples], [values for _, _, values in samples], DEFAULT_TOL.rhs_fit)
     if fit is None:
-        return None, 0
+        return None
     if samples[0][1] is None:
-        return _sign_change_root(fit, *bracket), 0
+        return _sign_change_root(fit, *bracket)
     start = next(solution for p, solution, _ in samples if p == bracket[0])
-    A = start.standard_form[0]
-    return parametric_crossing(A, np.ones(A.shape[1]), fit[:, :-1], fit[:, -1], level, start.warm_start, *bracket)
+    return _basis_root(start, fit, level, *bracket)
+
+
+def _basis_root(solution: L1Solution, fit: np.ndarray, level: float, lo: float, hi: float) -> float | None:
+    """The first p in [lo, hi] at which the optimal basis of ``solution``
+    is optimal with the value ``level``, or None.
+
+    ``fit`` holds the polynomials s(p) b(p), one per row of the LP's A, then
+    s(p).  Reduced costs do not depend on b, so the basis is optimal
+    wherever s > 0 and x_B = B^-1 b >= -tol (the pivot tolerance), and there
+    the value sum(x) equals ``level`` at a root of c_B B^-1 s b - level s.
+    A crossing that only another basis reaches gives None."""
+    start, n = solution.warm_start, solution.standard_form[0].shape[1]
+    # Row i: the coefficients of s(p) x_B[i](p).  A basic artificial sits
+    # on a redundant row, at zero whatever the sign of its column.
+    x = start.inverse @ fit[:, :-1].T
+    scale = fit[:, -1]
+    gap = (start.basis < n).astype(np.float64) @ x - level * scale  # s(p) (value(p) - level)
+    roots = quadratic_roots(gap)
+    s = polyval(scale, roots)
+    feasible = (polyval(x.T, roots[:, None]) >= -DEFAULT_TOL.pivot * s[:, None]).all(axis=1)
+    roots = roots[(lo <= roots) & (roots <= hi) & (s > 0) & feasible]
+    return float(roots.min()) if roots.size else None
 
 
 def _sign_change_root(fit: np.ndarray, lo: float, hi: float) -> float | None:

@@ -36,6 +36,7 @@ from ._simplex import (
     solve_standard_form,
 )
 from .channels import DensityOperator, KrausChannel, choi_of_channel
+from .config import DEFAULT_TOL
 from .gates import PAULI_X, PAULI_Y, PAULI_Z
 from .linalg import DimensionMismatchError, pauli_strings, pauli_vectorize
 
@@ -69,6 +70,14 @@ class L1Solution:
     renorm_factor: float = 1.0
     standard_form: tuple | None = None
 
+    @property
+    def checked_status(self) -> str:
+        """``status``, except that an optimal solution whose residual, duality
+        gap or dual infeasibility exceeds ``DEFAULT_TOL.lp_residual`` is
+        ``check_failed``."""
+        worst = max(self.residual, self.dual_gap, self.dual_violation)
+        return "check_failed" if self.status == "optimal" and worst > DEFAULT_TOL.lp_residual else self.status
+
 
 def _assemble_standard_form(vectors: np.ndarray, marginal_rows: np.ndarray | None = None) -> np.ndarray:
     """The read-only constraint matrix over columns ``[plus | minus]``.
@@ -96,18 +105,13 @@ def solve_l1(A: np.ndarray, b: np.ndarray, basis: WarmStart | None = None) -> L1
     Deterministic under the fixed atom ordering and the ``WarmStart``
     ``basis``, if any (see ``solve_standard_form``); the reconstruction
     residual, the duality gap and the dual feasibility of every returned
-    solution, a reused ``WarmStart``'s too, are computed from A, x and y so
-    callers can enforce their own floors.
+    solution, a reused ``WarmStart``'s too, are computed from A, x and y,
+    and ``L1Solution.checked_status`` holds them to one tolerance.
     """
     c = np.ones(A.shape[1])
     result = solve_standard_form(A, b, c, basis=basis)
     n = A.shape[1] // 2
-    if result.status == STATUS_INFEASIBLE:
-        status = "infeasible"
-    elif result.status == STATUS_OPTIMAL:
-        status = "optimal"
-    else:
-        status = "numerical_failure"
+    status = {STATUS_OPTIMAL: "optimal", STATUS_INFEASIBLE: "infeasible"}.get(result.status, "numerical_failure")
     if status != "optimal":
         nanvec = np.full(n, np.nan)
         return L1Solution(np.nan, status, np.nan, nanvec, nanvec, np.nan, np.nan, result.iterations)

@@ -1,10 +1,17 @@
 import concurrent.futures
 import json
+import os
+import subprocess
+import sys
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from magicswitch import cli
 from magicswitch.cli import main
+from magicswitch.config import DEFAULT_TOL
 
 
 def run_cli(capsys, *argv):
@@ -276,3 +283,33 @@ def test_unnormalized_state_file_is_renormalized(tmp_path, capsys):
     path.write_text(json.dumps({**_matrix([[0.25, 0.0], [0.0, 0.25]]), "normalized": False}))
     code, text = run_cli(capsys, "rom", "--state-file", str(path))
     assert code == 0 and json.loads(text)["renorm_factor"] == 0.5
+
+
+@pytest.mark.parametrize("argv, solver", [
+    (("rom", "--state", "t-plus"), "rom_state"),
+    (("channel-robustness", "--channel", "noisy-th:p=0.1"), "channel_robustness"),
+])
+def test_failed_certificate_exits_one(capsys, monkeypatch, argv, solver):
+    # The value prints as computed; the status names the failed check.
+    code, text = run_cli(capsys, *argv)
+    good = json.loads(text)
+    assert code == 0 and good["status"] == "optimal"
+    solve = getattr(cli, solver)
+    monkeypatch.setattr(cli, solver, lambda *args: replace(solve(*args), residual=10 * DEFAULT_TOL.lp_residual))
+    code, text = run_cli(capsys, *argv)
+    assert code == 1 and json.loads(text) == {**good, "status": "check_failed"}
+
+
+def test_threshold_logs_one_info_line_unless_quiet():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    command = ["threshold", "--measure", "fig2_channel_robustness", "--bracket", "0.2:0.4"]
+    loud, quiet = (
+        subprocess.run([sys.executable, "-m", "magicswitch.cli", *flags, *command],
+                       env=env, capture_output=True, text=True, check=True)
+        for flags in ([], ["-q"])
+    )
+    (line,) = loud.stderr.splitlines()
+    assert line.startswith("INFO magicswitch.experiments: threshold fig2_channel_robustness: ")
+    assert line.endswith("after 6 evaluations, root proposed")
+    assert quiet.stderr == "" and quiet.stdout == loud.stdout

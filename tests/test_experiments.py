@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from magicswitch import experiments, lp
-from magicswitch._simplex import parametric_crossing
 from magicswitch.channels import noisy_th_channel, qutrit_noisy_th_channel
 from magicswitch.config import DEFAULT_TOL
 from magicswitch.qswitch import EffectiveDepolarizingSwitch
@@ -415,7 +414,7 @@ def _switch_plus_closed_form():
 
 
 # Crossing LP measures: benchmark bracket, half-width of its seeded shift,
-# closed-form threshold and the agreement the walk must reach at lp_tol=1e-12.
+# closed-form threshold and the agreement the proposal must reach at lp_tol=1e-12.
 LP_CROSSINGS = {
     "fig2_channel_robustness": ((0.2, 0.4), 0.05, 1 - 1 / math.sqrt(2), 1e-12),
     "fig2_rom_plus": ((0.5, 0.7), 0.05, 2 - math.sqrt(2), 1e-12),
@@ -445,16 +444,24 @@ def bisection_oracle(name, lo, hi, tol):
     return find_threshold(MEASURES[name], lo, hi, lp_tol=free_slack(name), threshold_tol=tol)
 
 
+# min x1 + x2 s.t. x1 - x2 = p - 0.3, whose value is |p - 0.3|, and the fit
+# of its samples at scale s(p) = 1 + p: the polynomials s b = (1 + p)(p - 0.3)
+# and s, coefficients along axis 0.
+ABS_A = np.array([[1.0, -1.0]])
+ABS_FIT = np.array([[-0.3, 1.0], [0.7, 1.0], [1.0, 0.0]])
+
+
 class TestWalkedThresholds:
-    """Registered LP measures propose their crossing from the optimal basis's
-    validity interval; the measure itself confirms it."""
+    """Registered measures propose their crossing from their fit samples, an
+    LP measure from the optimal basis at the narrowed bracket's low end; the
+    measure itself confirms it."""
 
     @pytest.mark.parametrize("name", list(LP_CROSSINGS))
     def test_matches_closed_form(self, name):
         (lo, hi), _, exact, within = LP_CROSSINGS[name]
         res = find_threshold(name, lo, hi, lp_tol=1e-12)
         # Bisection at the default threshold_tol (1e-3) would be off by up
-        # to 5e-4; only the walked root is this close.
+        # to 5e-4; only the proposed root is this close.
         assert abs(res.threshold - exact) <= within
         assert res.bracket[0] < res.threshold < res.bracket[1]
         assert res.bracket[1] - res.bracket[0] <= 1e-3
@@ -475,7 +482,7 @@ class TestWalkedThresholds:
     @pytest.mark.parametrize("name", list(LP_CROSSINGS))
     def test_only_the_first_lp_of_a_search_starts_cold(self, monkeypatch, name, wrong_proposal):
         # One run state serves the endpoints, the two bisection steps, the
-        # walk and confirmations, and the bisection after a wrong proposal.
+        # confirmations, and the bisection after a wrong proposal.
         (lo, hi), _, exact, _ = LP_CROSSINGS[name]
         cold = []
         solve = lp.solve_standard_form
@@ -485,12 +492,19 @@ class TestWalkedThresholds:
             return solve(A, b, c, basis=basis)
 
         monkeypatch.setattr(lp, "solve_standard_form", spy)
-        if wrong_proposal:
-            monkeypatch.setattr(experiments, "parametric_crossing", lambda *args: (exact + 1e-3, 0))
+        proposals = spy_on_basis_root(monkeypatch, exact + 1e-3 if wrong_proposal else ...)
+        evaluated = recorded_evaluations(monkeypatch, name)
         find_threshold(name, lo, hi, threshold_tol=1e-6)
         assert cold[0] and cold.count(True) == 1
         # Ends, two bisection steps and two confirmations, then bisection.
         assert len(cold) > 6 if wrong_proposal else len(cold) == 6
+        # The confirmations probe the proposed root.  The injected one lies
+        # on the free side, where the first probe already moves the bracket
+        # past the second.
+        ((_, root),) = proposals
+        half = 0.5e-6 - math.ulp(root)
+        probes = [root - half] if wrong_proposal else [root - half, root + half]
+        assert evaluated[4 : 4 + len(probes)] == probes
 
     @pytest.mark.parametrize("name, lo, hi", [
         *((name, *LP_CROSSINGS[name][0]) for name in LP_CROSSINGS), ("figs1_mana_channel", 0.3, 0.6)
@@ -565,17 +579,21 @@ class TestWalkedThresholds:
 
     @pytest.mark.parametrize("name", [*LP_CROSSINGS, *MANA_CROSSINGS])
     def test_every_seeded_search_takes_four_iterations(self, name):
-        (lo, hi), shift = {**LP_CROSSINGS, **MANA_CROSSINGS}[name][:2]
+        (lo, hi), shift, exact = {**LP_CROSSINGS, **MANA_CROSSINGS}[name][:3]
         fn, floor = MEASURES[name]
         level = floor + free_slack(name)
         rng = np.random.default_rng([*LP_CROSSINGS, *MANA_CROSSINGS].index(name))
-        for s in rng.uniform(-shift, shift, size=25):
-            res = find_threshold(name, lo + s, hi + s, threshold_tol=1e-6)
+        brackets = [(lo + s, hi + s) for s in rng.uniform(-shift, shift, size=25)]
+        # Wide brackets, anywhere from the edge of the noise range to the
+        # crossing on each side: the low end's basis still reaches the root.
+        edge = 0.45 if name.startswith("fig3") else 0.99
+        brackets += zip(rng.uniform(0.01, exact - 0.01, size=5), rng.uniform(exact + 0.01, edge, size=5))
+        for a, b in brackets:
+            res = find_threshold(name, a, b, threshold_tol=1e-6)
             assert res.iterations == 4
-            a, b = res.bracket
-            assert a < res.threshold < b and b - a <= 1e-6
-            assert (fn(a) <= level) != (fn(b) <= level)
-            assert abs(res.threshold - bisection_oracle(name, lo + s, hi + s, 1e-6).threshold) <= 1e-6
+            assert res.bracket[0] < res.threshold < res.bracket[1] and res.bracket[1] - res.bracket[0] <= 1e-6
+            assert (fn(res.bracket[0]) <= level) != (fn(res.bracket[1]) <= level)
+            assert abs(res.threshold - bisection_oracle(name, a, b, 1e-6).threshold) <= 1e-6
 
     def test_non_polynomial_rhs_fails_the_fit_and_bisects(self, monkeypatch):
         # noisy-th at strength p^3: its Choi state is cubic in p.
@@ -596,35 +614,84 @@ class TestWalkedThresholds:
     @pytest.mark.parametrize("offset", [1e-3, -2e-7, 5.0])
     def test_wrong_proposal_still_gives_a_correct_bracket(self, monkeypatch, offset):
         oracle = bisection_oracle("fig2_rom_plus", 0.5, 0.7, 1e-10)
-        monkeypatch.setattr(
-            experiments, "parametric_crossing", lambda *args, **kwargs: (oracle.threshold + offset, 0)
-        )
+        injected = oracle.threshold + offset
+        proposals = spy_on_basis_root(monkeypatch, injected)
+        evaluated = recorded_evaluations(monkeypatch, "fig2_rom_plus")
         res = find_threshold("fig2_rom_plus", 0.5, 0.7, threshold_tol=1e-6)
         fn, floor = MEASURES["fig2_rom_plus"]
         lo, hi = res.bracket
         assert hi - lo <= 1e-6
         assert fn(lo) > floor + DEFAULT_TOL.lp_value >= fn(hi)
         assert lo <= oracle.threshold <= hi
+        # The search probes the injected root while a probe lies inside its
+        # bracket: at 1e-3 the first probe reads free and moves the bracket
+        # past the second; at -2e-7 the two straddle the crossing and
+        # confirm the root; at 5 neither lies in the bracket.
+        assert len(proposals) == 1
+        half = 0.5e-6 - math.ulp(injected)
+        probed = {1e-3: 1, -2e-7: 2, 5.0: 0}[offset]
+        assert evaluated[4 : 4 + probed] == [injected - half, injected + half][:probed]
+        assert (res.threshold == injected) == (offset == -2e-7)
 
-    @pytest.mark.parametrize("name, start", [("fig2_channel_robustness", 0.9), ("fig3_switch_plus", 0.3)])
-    def test_walk_steps_across_bases(self, monkeypatch, name, start):
-        # Start the walk on the free side: it has to leave the first basis
-        # and solve past its interval.  For fig3_switch_plus three variables
-        # reach their bound at the same breakpoint.
-        walks = []
+    @pytest.mark.parametrize("lo, hi, floor, first_basis", [(0.0, 0.25, 0.1, True), (0.29, 0.4, 0.01, False)])
+    def test_proposal_on_a_toy_lp(self, monkeypatch, lo, hi, floor, first_basis):
+        # |p - 0.3| reaches the level 0.3 -+ level on one side of its kink.
+        # From (0, 0.25) the search narrows to (0.1875, 0.25): the basis of
+        # x2 = 0.3 - p there reaches the root.  From (0.29, 0.4) it narrows
+        # to (0.29, 0.3175), whose low end's basis stops at the kink; only
+        # the basis of x1 = p - 0.3 reaches the root, so the search bisects.
+        def toy(p, state):
+            point = experiments._Point("fig2", p, DEFAULT_TOL.lp_value, state)
+            return point.solve("toy", lp.solve_l1, ABS_A, np.array([p - 0.3]), scale=1.0 + p)[0]
 
-        def spy(A, c, rhs, scale, level, basis, t, stop):
-            solution = lp_solution(name, start)
-            walks.append(parametric_crossing(A, c, rhs, scale, level, solution.warm_start, start, 0.0))
-            return walks[-1]
+        monkeypatch.setitem(MEASURES, "toy", (toy, floor))
+        proposals = spy_on_basis_root(monkeypatch)
+        level = floor + DEFAULT_TOL.lp_value
+        root = 0.3 - level if first_basis else 0.3 + level
+        res = find_threshold("toy", lo, hi, threshold_tol=1e-6)
+        ((bracket, proposed),) = proposals
+        assert res.bracket[0] < root < res.bracket[1] and res.bracket[1] - res.bracket[0] <= 1e-6
+        assert (toy(res.bracket[0], experiments._RunState()) <= level) != (
+            toy(res.bracket[1], experiments._RunState()) <= level
+        )
+        if first_basis:
+            assert bracket == (0.1875, 0.25)
+            assert abs(proposed - root) < 1e-15 and res.threshold == proposed and res.iterations == 4
+        else:
+            assert bracket == (0.29, 0.3175)
+            assert proposed is None and res.iterations > 4
 
-        monkeypatch.setattr(experiments, "parametric_crossing", spy)
-        (lo, hi), _, _, _ = LP_CROSSINGS[name]
-        res = find_threshold(name, lo, hi, threshold_tol=1e-6)
-        ((root, solves),) = walks
-        assert solves >= 1 and res.threshold == root
-        oracle = bisection_oracle(name, lo, hi, 1e-10)
-        assert oracle.bracket[0] <= root <= oracle.bracket[1]
+
+@pytest.mark.parametrize("p, lo, hi, level, want", [
+    (0.0, 0.0, 0.3, 0.1, 0.2),  # the root lies where the basis of x2 is optimal
+    (0.25, 0.25, 1.0, 0.1, None),  # only the basis of x1 reaches 0.4
+    (0.25, 0.25, 1.0, -0.05, None),  # the basis's root 0.35 has x2 < 0
+    (0.0, 0.0, 0.1, 0.1, None),  # the root 0.2 lies past the bracket
+])
+def test_basis_root(p, lo, hi, level, want):
+    root = experiments._basis_root(lp.solve_l1(ABS_A, np.array([p - 0.3])), ABS_FIT, level, lo, hi)
+    assert root == want if want is None else abs(root - want) < 1e-15
+
+
+def test_fit_polynomial_checks_the_extra_point():
+    t = np.array([0.1, 0.2, 0.4, 0.5])
+    quadratic = np.column_stack([1 - 2 * t + 3 * t**2, np.full(4, 0.5)])
+    fit = experiments.fit_polynomial(t, quadratic, 1e-10)
+    assert np.allclose(fit, [[1.0, 0.5], [-2.0, 0.0], [3.0, 0.0]], atol=1e-12)
+    cubic = quadratic + (t**3)[:, None] * 1e-6
+    assert experiments.fit_polynomial(t, cubic, 1e-10) is None
+
+
+def test_search_logs_one_info_line(caplog):
+    with caplog.at_level("INFO", logger="magicswitch.experiments"):
+        res = find_threshold("fig2_rom_plus", 0.5, 0.7, threshold_tol=1e-6)
+        find_threshold(MEASURES["fig2_rom_plus"], 0.5, 0.7, threshold_tol=1e-2)
+    proposed, bisected = [record.getMessage() for record in caplog.records]
+    lo, hi = res.bracket
+    assert proposed == (
+        f"threshold fig2_rom_plus: {res.threshold:.12g} in [{lo:.12g}, {hi:.12g}] after 6 evaluations, root proposed"
+    )
+    assert bisected.endswith("after 7 evaluations, bisected")
 
 
 class TestRoundingFloor:
@@ -654,6 +721,33 @@ class TestRoundingFloor:
         ]:
             got = experiments._certified_value(replace(solution, value=value), lp_tol)
             assert got == (value, status)
+
+
+def spy_on_basis_root(monkeypatch, injected=...):
+    """Record ((lo, hi), root) for each LP proposal of a search, with the
+    root ``_basis_root`` gives, or ``injected`` in its place."""
+    proposals = []
+    basis_root = experiments._basis_root
+
+    def spy(*args):
+        proposals.append((args[-2:], basis_root(*args) if injected is ... else injected))
+        return proposals[-1][1]
+
+    monkeypatch.setattr(experiments, "_basis_root", spy)
+    return proposals
+
+
+def recorded_evaluations(monkeypatch, name):
+    """The noise values at which a search evaluates registered ``name``, in order."""
+    registered, floor = MEASURES[name]
+    evaluated = []
+
+    def recorded(p, **kwargs):
+        evaluated.append(p)
+        return registered(p, **kwargs)
+
+    monkeypatch.setitem(MEASURES, name, (recorded, floor))
+    return evaluated
 
 
 def lp_solution(name, p):

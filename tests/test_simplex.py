@@ -14,8 +14,6 @@ from magicswitch._simplex import (
     STATUS_UNBOUNDED,
     WarmStart,
     bland_pivot_loop,
-    fit_polynomial,
-    parametric_crossing,
     solve_standard_form,
 )
 
@@ -628,203 +626,3 @@ def test_phase2_set_up_matches_row_loop(monkeypatch, rng):
         assert got[:m].tobytes() == want[:m].tobytes()
         assert np.allclose(got[m], want[m], rtol=1e-12, atol=1e-12)
     assert driven > 0
-
-
-# Parametric right-hand side: min x1 + x2 s.t. x1 - x2 = t - 0.3, whose value
-# is |t - 0.3|, written as rhs(t) / scale(t) with scale(t) = 1 + t.
-ABS_A = np.array([[1.0, -1.0]])
-ABS_C = np.ones(2)
-ABS_SCALE = np.array([1.0, 1.0, 0.0])
-ABS_RHS = np.array([[-0.3], [0.7], [1.0]])  # (1 + t)(t - 0.3)
-
-
-def abs_walk(t, stop, level):
-    start = solve_standard_form(ABS_A, np.array([t - 0.3]), ABS_C)
-    return parametric_crossing(ABS_A, ABS_C, ABS_RHS, ABS_SCALE, level, start.warm_start, t, stop)
-
-
-def test_parametric_crossing_inside_the_first_interval():
-    root, solves = abs_walk(0.0, 0.3, 0.1)
-    assert abs(root - 0.2) < 1e-15 and solves == 0
-
-
-@pytest.mark.parametrize("t, stop", [(0.25, 1.0), (0.35, 0.0)])
-def test_parametric_crossing_steps_to_the_next_basis(t, stop):
-    # Past t = 0.3 the other variable carries |t - 0.3|, and the rhs row
-    # changes sign, so the solve's row flip changes too.
-    root, solves = abs_walk(t, stop, 0.1)
-    assert solves == 1
-    assert abs(root - (0.4 if stop > t else 0.2)) < 1e-15
-
-
-def test_parametric_crossing_at_a_breakpoint():
-    # min x1 s.t. x1 - x2 = t - 0.3 has value max(0, t - 0.3): on the level
-    # 0 all along the first interval, above it right past the breakpoint.
-    c = np.array([1.0, 0.0])
-    start = solve_standard_form(ABS_A, np.array([-0.2]), c)
-    rhs = np.array([[-0.3], [1.0], [0.0]])
-    root, solves = parametric_crossing(ABS_A, c, rhs, np.array([1.0, 0.0, 0.0]), 0.0, start.warm_start, 0.1, 1.0)
-    assert abs(root - 0.3) < 1e-8 and solves == 1
-
-
-def test_parametric_crossing_reports_no_crossing():
-    assert abs_walk(0.25, 1.0, 0.9) == (None, 1)
-    assert abs_walk(0.0, 0.1, 0.1) == (None, 0)
-    # 0.3 - t reaches -0.05 at t = 0.35, past the end of its interval.
-    assert abs_walk(0.25, 1.0, -0.05) == (None, 1)
-
-
-def test_parametric_crossing_stops_past_the_feasible_range(monkeypatch):
-    # min x1 + 2 x2 s.t. x1 + x2 = 10 (t - 0.3)(t - 0.6) is infeasible on
-    # (0.3, 0.6), so its value leaves the level 2 there, well before it
-    # comes back at 0.92.  The step just past 0.3 cannot be repaired, and
-    # its cold fallback, whose phase-1 cut alone would accept the
-    # infeasibility of 3e-9 there, reports the LP infeasible: the walk ends.
-    A, c = np.array([[1.0, 1.0]]), np.array([1.0, 2.0])
-    rhs = np.array([[1.8], [-9.0], [10.0]])
-    assert solve_standard_form(A, np.array([-0.225]), c).status == STATUS_INFEASIBLE
-    repairs = []
-    dual_pivot_loop = _simplex.dual_pivot_loop
-
-    def recording_repair(*args):
-        status, pivots = dual_pivot_loop(*args)
-        repairs.append(status)
-        return status, pivots
-
-    monkeypatch.setattr(_simplex, "dual_pivot_loop", recording_repair)
-    start = solve_standard_form(A, rhs[0], c)
-    assert parametric_crossing(A, c, rhs, np.array([1.0, 0.0, 0.0]), 2.0, start.warm_start, 0.0, 1.0) == (None, 1)
-    assert repairs == [STATUS_INFEASIBLE]
-
-
-def test_parametric_crossing_stops_on_a_nonpositive_scale():
-    start = solve_standard_form(ABS_A, np.array([-0.3]), ABS_C)
-    scale = np.array([-1.0, 0.0, 0.0])
-    assert parametric_crossing(ABS_A, ABS_C, -ABS_RHS, scale, 0.1, start.warm_start, 0.0, 1.0) == (None, 0)
-
-
-def crossing_by_scan(A, c, rhs_at, level, t, stop, step=4e-3):
-    """Oracle: the first grid cell from t toward stop where the optimal value
-    crosses level, narrowed by bisection on cold solves; None when there is
-    none, or when the LP turns infeasible first (the end of the stretch a
-    walk of optimal bases can cover)."""
-    def free(s):
-        return solve_standard_form(A, rhs_at(s), c).objective <= level
-
-    start = free(t)
-    grid = np.linspace(t, stop, int(round(abs(stop - t) / step)) + 1)
-    for a, b in zip(grid, grid[1:]):
-        if solve_standard_form(A, rhs_at(b), c).status == STATUS_INFEASIBLE:
-            return None
-        if free(b) != start:
-            while abs(b - a) > 1e-12:
-                mid = 0.5 * (a + b)
-                a, b = (mid, b) if free(mid) == start else (a, mid)
-            return 0.5 * (a + b)
-    return None
-
-
-def random_parametric_lp(rng, gap):
-    """A random LP min c.x s.t. A x = b(t), x >= 0, with quadratic b(t);
-    returns A, c and the (3, m) coefficients of b(t).
-
-    b(t) = A (x0 + t x1 + t^2 x2) is feasible at t = 0.  Without a ``gap``
-    x1 and x2 are signed, so b(t) may leave the cone of A and stay out.
-    With one, x(t) >= 0, row 0 has positive entries and column 0 is its
-    slack e_0, and b_0(t) gains K ((t - t_m)^2 - w^2): the LP is feasible at
-    both ends but infeasible where b_0(t) < 0, around t_m."""
-    A = rng.normal(size=(3, 7))
-    c = rng.uniform(0.5, 2.0, size=7)
-    xs = rng.uniform(0.0, 1.0, size=(3, 7))
-    xs[0] += 1.0
-    if not gap:
-        xs[1:] *= rng.choice([-1.0, 1.0], size=(2, 1))
-        return A, c, xs @ A.T
-    A[0] = rng.uniform(0.5, 1.5, size=7)
-    A[:, 0] = [1.0, 0.0, 0.0]
-    rhs = xs @ A.T
-    t_m, w = rng.uniform(0.35, 0.65), rng.uniform(0.05, 0.15)
-    K = 2.0 * rhs[:, 0].sum() / w**2  # b_0(t_m) <= -K w^2 / 2 < 0
-    rhs[:, 0] += K * np.array([t_m**2 - w**2, -2.0 * t_m, 1.0])
-    return A, c, rhs
-
-
-def test_parametric_crossing_matches_a_scan_on_random_lps(monkeypatch, rng):
-    # The walk must find the scan's first crossing of a level between the
-    # values at the ends.  Each step solve past an interval's end keeps the
-    # walk's basis where it stays feasible, and is otherwise started from
-    # it, repaired by dual pivots, not cold.  The one exception is a step
-    # past the end of the LP's feasible range: there the repair finds no
-    # entering column, which proves the LP infeasible, the solve decides it
-    # from one more start, from the artificial basis, and the walk ends at
-    # that step with no crossing.  The gapped LPs have a finite level, so a
-    # walk that stepped across their infeasible stretch would report a
-    # crossing the scan does not.
-    steps = []  # per step solve of a walk: [reused?, start accepted?, repair status]
-    solve = _simplex.solve_standard_form
-    start_from_basis, dual_pivot_loop = _simplex._start_from_basis, _simplex.dual_pivot_loop
-
-    def recording_solve(*args, **kwargs):
-        steps.append([None, None, None])
-        result = solve(*args, **kwargs)
-        steps[-1][0] = result.iterations == 0
-        return result
-
-    def recording_start(A, b, cost, basis, *rest):
-        start = start_from_basis(A, b, cost, basis, *rest)
-        m, n = A.shape
-        if not np.array_equal(basis, np.arange(n, n + m)):
-            steps[-1][1] = start is not None
-        return start
-
-    def recording_repair(*args):
-        status, pivots = dual_pivot_loop(*args)
-        steps[-1][2] = status
-        return status, pivots
-
-    monkeypatch.setattr(_simplex, "solve_standard_form", recording_solve)
-    monkeypatch.setattr(_simplex, "_start_from_basis", recording_start)
-    monkeypatch.setattr(_simplex, "dual_pivot_loop", recording_repair)
-    crossings = stepped = ended = gapped_ends = 0
-    for gap in [False] * 12 + [True] * 12:
-        A, c, rhs = random_parametric_lp(rng, gap)
-
-        def rhs_at(t, rhs=rhs):
-            return rhs[0] + t * (rhs[1] + t * rhs[2])
-
-        ends = [solve(A, rhs_at(t), c).objective for t in (0.0, 1.0)]
-        level = 0.5 * sum(ends)
-        if gap:
-            assert np.isfinite(level)
-            assert solve(A, rhs_at(np.roots(rhs[::-1, 0]).real.mean()), c).status == STATUS_INFEASIBLE
-        start = solve(A, rhs_at(0.0), c)
-        first_step = len(steps)
-        root, solves = parametric_crossing(
-            A, c, rhs, np.array([1.0, 0.0, 0.0]), level, start.warm_start, 0.0, 1.0
-        )
-        walk = steps[first_step:]
-        assert len(walk) == solves
-        stepped += solves > 0
-        repairs = [repair for _, _, repair in walk]
-        if STATUS_INFEASIBLE in repairs:
-            assert repairs.index(STATUS_INFEASIBLE) == len(repairs) - 1 and root is None
-            ended += 1
-            gapped_ends += gap
-        want = crossing_by_scan(A, c, rhs_at, level, 0.0, 1.0)
-        if want is None:
-            assert root is None
-        else:
-            crossings += 1
-            assert root is not None and abs(root - want) < 1e-9
-    assert crossings >= 6 and stepped >= 2 and ended >= 1 and gapped_ends >= 2
-    assert all(reused or accepted or repair == STATUS_INFEASIBLE for reused, accepted, repair in steps)
-    assert sum(repair == STATUS_OPTIMAL for _, _, repair in steps) >= 2
-
-
-def test_fit_polynomial_checks_the_extra_point():
-    t = np.array([0.1, 0.2, 0.4, 0.5])
-    quadratic = np.column_stack([1 - 2 * t + 3 * t**2, np.full(4, 0.5)])
-    fit = fit_polynomial(t, quadratic, 1e-10)
-    assert np.allclose(fit, [[1.0, 0.5], [-2.0, 0.0], [3.0, 0.0]], atol=1e-12)
-    cubic = quadratic + (t**3)[:, None] * 1e-6
-    assert fit_polynomial(t, cubic, 1e-10) is None
