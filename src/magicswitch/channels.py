@@ -24,8 +24,8 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .config import DEFAULT_TOL
-from .gates import HADAMARD, T_GATE, fourier_gate, plus_state, qutrit_t_gate
-from .linalg import DimensionMismatchError, assert_psd, partial_trace
+from .gates import HADAMARD, T_GATE, fourier_gate, heisenberg_weyl_operators, plus_state, qutrit_t_gate
+from .linalg import DimensionMismatchError, assert_psd, partial_trace, pauli_strings
 
 logger = logging.getLogger(__name__)
 
@@ -301,20 +301,11 @@ def orthogonal_unitary_basis(d: int) -> list[np.ndarray]:
     Pauli strings for d = 2; boost/shift products for odd prime d.
     """
     if d == 2:
-        from .gates import PAULI_X, PAULI_Y, PAULI_Z
-
-        return [np.eye(2, dtype=complex), PAULI_X, PAULI_Y, PAULI_Z]
-    if d % 2 == 1 and _is_prime(d):
-        from .phasespace import heisenberg_weyl_operators
-
+        return [op for _, op in pauli_strings(1)]
+    try:
         return [op for _, op in heisenberg_weyl_operators(d)]
-    raise DimensionMismatchError(f"no orthogonal unitary basis implemented for d={d}")
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    return all(n % k for k in range(2, int(n**0.5) + 1))
+    except ValueError:
+        raise DimensionMismatchError(f"no orthogonal unitary basis implemented for d={d}") from None
 
 
 def depolarizing_channel(d: int, p: float) -> KrausChannel:
@@ -352,52 +343,39 @@ def noisy_th_channel(p: float) -> KrausChannel:
     return KrausChannel((k0, k1, k2))
 
 
-def _qutrit_reset_rows(p: float, k2_variant: str) -> tuple:
+def qutrit_noisy_th_channel(p: float) -> KrausChannel:
+    """Qutrit analog of :func:`noisy_th_channel`.
+
+    Weight ``p`` measures in the Fourier basis and records the outcome in the
+    computational basis (three rank-1 Kraus rows, each aligned with the row
+    it writes, so the set is complete for every p in [0, 1]); weight
+    ``1 - p`` applies the qutrit T H unitary.
+    """
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"p={p} outside [0, 1]")
     omega = np.exp(2j * np.pi / 3)
     zeta = np.exp(2j * np.pi / 9)
     sq = np.sqrt(p / 3)
     k0 = sq * zeta * np.array([[1, 1, 1], [0, 0, 0], [0, 0, 0]], dtype=complex)
     k1 = sq * np.array([[0, 0, 0], [1, omega, omega**2], [0, 0, 0]], dtype=complex)
-    if k2_variant == "aligned":
-        k2 = sq * zeta * np.array([[0, 0, 0], [0, 0, 0], [1, omega**2, omega]], dtype=complex)
-    elif k2_variant == "cross":
-        # Row-misaligned variant: the last two entries land in row 1 instead
-        # of row 2, which breaks completeness for every p > 0.
-        k2 = sq * zeta * np.array(
-            [[0, 0, 0], [0, omega**2, omega], [1, 0, 0]], dtype=complex
-        )
-    else:
-        raise ValueError(f"unknown k2_variant {k2_variant!r}")
-    return k0, k1, k2
-
-
-def qutrit_noisy_th_channel(p: float, k2_variant: str = "aligned") -> KrausChannel:
-    """Qutrit analog of :func:`noisy_th_channel`.
-
-    Weight ``p`` measures in the Fourier basis and records the outcome in the
-    computational basis (three rank-1 Kraus rows); weight ``1 - p`` applies
-    the qutrit T H unitary.  ``k2_variant`` selects the third reset row:
-    "aligned" is the completeness-consistent set used everywhere, "cross" is
-    the row-misaligned variant kept only so its failure is checkable (see
-    :func:`qutrit_k2_variant_report`).
-    """
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p={p} outside [0, 1]")
-    k0, k1, k2 = _qutrit_reset_rows(p, k2_variant)
+    k2 = sq * zeta * np.array([[0, 0, 0], [0, 0, 0], [1, omega**2, omega]], dtype=complex)
     k3 = np.sqrt(1 - p) * (qutrit_t_gate() @ fourier_gate(3))
     return KrausChannel((k0, k1, k2, k3))
 
 
 def qutrit_k2_variant_report(p: float = 0.5) -> dict:
-    """Completeness residuals of both third-row variants at noise level ``p``.
-
-    The "cross" variant fails completeness by O(p); "aligned" is exact and is
-    the set every computation in this package uses.
+    """Completeness residuals at noise level ``p`` of the paper's qutrit set
+    ("aligned", :func:`qutrit_noisy_th_channel`) and of a "cross" set whose
+    third reset row is misaligned: its last two entries land in row 1
+    instead of row 2, which breaks completeness by O(p) for every p > 0.
+    "aligned" is exact and is the set every computation in this package uses.
     """
-    report = {}
-    for variant in ("aligned", "cross"):
-        ch = qutrit_noisy_th_channel(p, k2_variant=variant)
-        report[variant] = ch.completeness_residual()
+    aligned = qutrit_noisy_th_channel(p)
+    k0, k1, k2, k3 = aligned.kraus_ops
+    k2_cross = np.zeros_like(k2)
+    k2_cross[1, 1:], k2_cross[2, 0] = k2[2, 1:], k2[2, 0]
+    cross = KrausChannel((k0, k1, k2_cross, k3))
+    report = {"aligned": aligned.completeness_residual(), "cross": cross.completeness_residual()}
     report["selected"] = "aligned"
     logger.info(
         "qutrit reset-row check at p=%g: aligned residual %.3e, cross residual %.3e",

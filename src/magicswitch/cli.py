@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import logging
-import os
 import sys
 from dataclasses import replace
 from functools import partial
@@ -42,27 +41,6 @@ from .gates import HADAMARD, T_GATE, basis_state, plus_state, qutrit_t_gate
 from .lp import channel_robustness, rom_state
 from .phasespace import build_frame, mana_channel, mana_state
 from .stabilizers import cspo_choi_atoms, enumerate_stabilizer_states
-
-logger = logging.getLogger(__name__)
-
-_JOBS_ENV = "MAGIC_SWITCH_JOBS"
-
-
-def _resolve_jobs(flag_value: int | None) -> int | None:
-    """Worker count: ``MAGIC_SWITCH_JOBS`` when set, else the flag (which
-    ``SweepConfig`` checks), else None, which leaves the config file's value
-    or the default of 1.  An environment value that is not a positive
-    integer raises ``ValueError``."""
-    env = os.environ.get(_JOBS_ENV, "").strip()
-    if env:
-        try:
-            jobs = int(env)
-        except ValueError:
-            raise ValueError(f"{_JOBS_ENV}={env!r} is not an integer") from None
-        if jobs < 1:
-            raise ValueError(f"{_JOBS_ENV}={env!r} must be at least 1")
-        return jobs
-    return flag_value
 
 
 def _parse_floats(text: str, form: str) -> tuple:
@@ -109,9 +87,8 @@ def _sweep_config(args) -> SweepConfig:
     if base.experiment != args.experiment:
         raise ValueError(f"config targets {base.experiment!r}, not {args.experiment}")
     overrides = dict(args.tol)
-    jobs = _resolve_jobs(args.jobs)
-    if jobs is not None:
-        overrides["jobs"] = jobs
+    if args.jobs is not None:
+        overrides["jobs"] = args.jobs
     if args.grid:
         overrides["start"], overrides["stop"], overrides["step"] = args.grid
     if args.out is not None:

@@ -1,6 +1,6 @@
 """Parameter sweeps, threshold finders, and dataset writers.
 
-Four canned experiments mirror the reference datasets this package
+Three canned sweeps mirror the reference datasets this package
 reproduces:
 
 * ``fig2``  - robustness of the noisy qubit TH channel and of the two
@@ -8,8 +8,10 @@ reproduces:
 * ``fig3``  - robustness of a T gate behind two sequential depolarizing
   passes versus behind the switched passes (both conditional branches).
 * ``figs1`` - the qutrit analog of fig2 scored with channel/state mana.
-* ``appendix_c`` - grid verification that the plus branch of switched
-  depolarizing noise is strictly weaker than two sequential passes.
+
+``run_appendix_c`` is a report, not a sweep: it verifies on a dense grid
+that the plus branch of switched depolarizing noise is strictly weaker than
+two sequential passes.
 
 Each measure is written once, in ``MEASURE_TABLE``: an experiment names its
 channel and its ordered columns, and a column holds one measure
@@ -82,14 +84,10 @@ from .stabilizers import cspo_choi_atoms, enumerate_stabilizer_states
 
 logger = logging.getLogger(__name__)
 
-EXPERIMENTS = ("fig2", "fig3", "figs1", "appendix_c")
-
 _EXPERIMENT_ALIASES = {
     "fig2_qubit_example": "fig2",
     "fig3_depolarized_t": "fig3",
     "figs1_qutrit_example": "figs1",
-    "appendixc_inequality": "appendix_c",
-    "appendix-c": "appendix_c",
 }
 
 # Most points a sweep grid or the appendix-c grid may hold; a larger one is
@@ -107,10 +105,12 @@ def _check_lp_tol(lp_tol: float) -> None:
 
 
 def canonical_experiment(name: str) -> str:
+    """The sweep experiment, a key of ``MEASURE_TABLE``, that ``name`` or
+    its alias names."""
     key = name.strip().lower()
     key = _EXPERIMENT_ALIASES.get(key, key)
-    if key not in EXPERIMENTS:
-        raise ValueError(f"unknown experiment {name!r}; expected one of {EXPERIMENTS}")
+    if key not in MEASURE_TABLE:
+        raise ValueError(f"unknown experiment {name!r}; expected one of {tuple(MEASURE_TABLE)}")
     return key
 
 
@@ -163,7 +163,6 @@ def default_config(experiment: str, **overrides) -> SweepConfig:
         "fig2": dict(start=0.0, stop=1.0, step=0.01),
         "fig3": dict(start=0.0, stop=0.45, step=0.005),
         "figs1": dict(start=0.01, stop=1.0, step=0.01),
-        "appendix_c": dict(start=0.0, stop=1.0, step=0.01),
     }[experiment]
     base.update(overrides)
     return SweepConfig(experiment=experiment, **base)
@@ -419,10 +418,6 @@ def _run_rows(experiment: str, grid: list[float], lp_tol: float) -> list[SweepRo
 def run_experiment(config: SweepConfig) -> list[SweepRow]:
     """The rows of ``config``'s sweep, split into at most ``config.jobs``
     contiguous runs, on no more worker processes than there are CPUs."""
-    if config.experiment not in MEASURE_TABLE:
-        raise ValueError(f"{config.experiment} produces a report, not sweep rows; call run_appendix_c")
-    if config.experiment == "figs1":
-        logger.info("figs1 uses the 'aligned' qutrit Kraus set")
     grid = config.grid()
     n_runs = min(config.jobs, len(grid))
     if n_runs == 1:
@@ -603,6 +598,8 @@ def find_threshold(
     else:
         fn, floor = measure
         name = getattr(fn, "__name__", "callable")
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError(f"bracket [{lo}, {hi}] has an end that is not a finite number")
     if not lo < hi:
         raise ValueError(f"bracket [{lo}, {hi}] is empty")
     level = floor + slack

@@ -1,6 +1,9 @@
-"""Named gates and fiducial state vectors used throughout the package."""
+"""Named gates and fiducial state vectors used throughout the package,
+and the Heisenberg-Weyl displacement operators of odd prime dimensions."""
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 
@@ -34,3 +37,30 @@ def qutrit_t_gate() -> np.ndarray:
     """Non-Clifford diagonal qutrit gate diag(zeta, 1, 1/zeta), zeta = e^{2 pi i/9}."""
     zeta = np.exp(2j * np.pi / 9)
     return np.diag([zeta, 1.0, 1.0 / zeta]).astype(complex)
+
+
+@lru_cache(maxsize=None)
+def heisenberg_weyl_operators(d: int) -> tuple:
+    """Displacement operators T_u = tau^(-a1 a2) Z^a1 X^a2 over Z_d x Z_d.
+
+    Returned as ((a1, a2), operator) pairs in row-major point order.  A
+    ``d`` that is not an odd prime raises ``ValueError``: this is the
+    package's one primality check.
+    """
+    if d < 3 or d % 2 == 0:
+        raise ValueError(f"dimension d={d} must be an odd prime")
+    if any(d % k == 0 for k in range(2, int(d**0.5) + 1)):
+        raise ValueError(f"dimension d={d} must be prime")
+    omega = np.exp(2j * np.pi / d)
+    tau = np.exp(1j * np.pi * (d + 1) / d)
+    shift = np.zeros((d, d), dtype=complex)
+    for j in range(d):
+        shift[(j + 1) % d, j] = 1.0
+    boost = np.diag([omega**j for j in range(d)]).astype(complex)
+    out = []
+    for a1 in range(d):
+        for a2 in range(d):
+            op = tau ** (-a1 * a2) * np.linalg.matrix_power(boost, a1) @ np.linalg.matrix_power(shift, a2)
+            op.setflags(write=False)
+            out.append(((a1, a2), op))
+    return tuple(out)

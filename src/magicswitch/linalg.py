@@ -12,6 +12,8 @@ import itertools
 
 import numpy as np
 
+from .gates import PAULI_X, PAULI_Y, PAULI_Z
+
 
 class DimensionMismatchError(ValueError):
     """Operator shapes are incompatible with the requested operation."""
@@ -77,12 +79,7 @@ def assert_psd(op: np.ndarray, tol: float, what: str) -> None:
 # Pauli-string basis and real vectorization of Hermitian operators
 # ---------------------------------------------------------------------------
 
-_PAULI_1Q = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
+_PAULI_1Q = {"I": np.eye(2, dtype=complex), "X": PAULI_X, "Y": PAULI_Y, "Z": PAULI_Z}
 
 
 def pauli_strings(n_qubits: int) -> list[tuple[str, np.ndarray]]:

@@ -1,9 +1,10 @@
 """Discrete phase space for odd prime dimensions.
 
-Builds the boost/shift displacement operators and the phase-point operator
-frame, and evaluates Wigner functions and mana for states and channels.
-These are the non-stabilizerness monotones used in odd dimension, where the
-free states are exactly those with a nonnegative Wigner function.
+Builds the phase-point operator frame from the boost/shift displacement
+operators (``gates.heisenberg_weyl_operators``), and evaluates Wigner
+functions and mana for states and channels.  These are the
+non-stabilizerness monotones used in odd dimension, where the free states
+are exactly those with a nonnegative Wigner function.
 
 Mana is reported with log base 2; only its zero set matters for any
 threshold in this package, so the base is a pure convention.
@@ -19,38 +20,10 @@ import numpy as np
 
 from .channels import ChoiState, DensityOperator, KrausChannel, choi_of_channel
 from .config import DEFAULT_TOL
+from .gates import heisenberg_weyl_operators
 from .linalg import DimensionMismatchError, dagger
 
 logger = logging.getLogger(__name__)
-
-
-def _require_odd_prime(d: int) -> None:
-    if d < 3 or d % 2 == 0:
-        raise ValueError(f"dimension d={d} must be an odd prime")
-    if any(d % k == 0 for k in range(2, int(d**0.5) + 1)):
-        raise ValueError(f"dimension d={d} must be prime")
-
-
-@lru_cache(maxsize=None)
-def heisenberg_weyl_operators(d: int) -> tuple:
-    """Displacement operators T_u = tau^(-a1 a2) Z^a1 X^a2 over Z_d x Z_d.
-
-    Returned as ((a1, a2), operator) pairs in row-major point order.
-    """
-    _require_odd_prime(d)
-    omega = np.exp(2j * np.pi / d)
-    tau = np.exp(1j * np.pi * (d + 1) / d)
-    shift = np.zeros((d, d), dtype=complex)
-    for j in range(d):
-        shift[(j + 1) % d, j] = 1.0
-    boost = np.diag([omega**j for j in range(d)]).astype(complex)
-    out = []
-    for a1 in range(d):
-        for a2 in range(d):
-            op = tau ** (-a1 * a2) * np.linalg.matrix_power(boost, a1) @ np.linalg.matrix_power(shift, a2)
-            op.setflags(write=False)
-            out.append(((a1, a2), op))
-    return tuple(out)
 
 
 @dataclass(frozen=True, eq=False)
@@ -69,8 +42,8 @@ class PhaseSpaceFrame:
 
 @lru_cache(maxsize=None)
 def build_frame(d: int) -> PhaseSpaceFrame:
-    """Construct and verify the phase-point frame for odd prime ``d``."""
-    _require_odd_prime(d)
+    """Construct and verify the phase-point frame for odd prime ``d``; any
+    other ``d`` raises ``ValueError``."""
     hw = heisenberg_weyl_operators(d)
     points = tuple(u for u, _ in hw)
     t_ops = np.stack([op for _, op in hw])

@@ -20,7 +20,7 @@ from magicswitch import (
 )
 from magicswitch.channels import ChannelCompletenessError, StateValidationError
 from magicswitch.config import DEFAULT_TOL
-from magicswitch.gates import HADAMARD, T_GATE, basis_state, plus_state
+from magicswitch.gates import HADAMARD, T_GATE, basis_state, fourier_gate, plus_state, qutrit_t_gate
 from magicswitch.linalg import DimensionMismatchError, tensor
 
 from conftest import extend_with_reference, operators_close, random_density_matrix, random_kraus_channel
@@ -237,8 +237,22 @@ class TestChannelZoo:
         assert report["aligned"] < 1e-12
         assert report["cross"] > 1e-3
         qutrit_noisy_th_channel(0.4).validate()
-        with pytest.raises(ChannelCompletenessError):
-            qutrit_noisy_th_channel(0.4, k2_variant="cross").validate()
+
+    @pytest.mark.parametrize("p", [0.0, 0.4, 0.5, 1.0])
+    def test_qutrit_variant_report_matches_the_two_row_sets(self, p):
+        # Oracle: both reset-row sets written out entry by entry; the report
+        # must give their residuals to the bit.
+        omega, zeta, sq = np.exp(2j * np.pi / 3), np.exp(2j * np.pi / 9), np.sqrt(p / 3)
+        k0 = sq * zeta * np.array([[1, 1, 1], [0, 0, 0], [0, 0, 0]], dtype=complex)
+        k1 = sq * np.array([[0, 0, 0], [1, omega, omega**2], [0, 0, 0]], dtype=complex)
+        k3 = np.sqrt(1 - p) * (qutrit_t_gate() @ fourier_gate(3))
+        third_rows = {
+            "aligned": sq * zeta * np.array([[0, 0, 0], [0, 0, 0], [1, omega**2, omega]], dtype=complex),
+            "cross": sq * zeta * np.array([[0, 0, 0], [0, omega**2, omega], [1, 0, 0]], dtype=complex),
+        }
+        want = {name: KrausChannel((k0, k1, k2, k3)).completeness_residual() for name, k2 in third_rows.items()}
+        assert qutrit_k2_variant_report(p) == {**want, "selected": "aligned"}
+        assert np.array_equal(qutrit_noisy_th_channel(p).kraus_ops, np.stack([k0, k1, third_rows["aligned"], k3]))
 
     def test_compose_and_extend(self, rng):
         seq = compose_channels(unitary_channel(HADAMARD), unitary_channel(T_GATE))

@@ -66,22 +66,30 @@ def test_config_for_another_experiment_is_a_one_line_error(tmp_path, capsys, exp
 
 
 @pytest.mark.parametrize("flag, jobs", [([], 2), (["--jobs", "3"], 3)], ids=["file", "flag"])
-def test_config_file_jobs_unless_flag_given(tmp_path, monkeypatch, flag, jobs):
+def test_config_file_jobs_unless_flag_given(tmp_path, flag, jobs):
     from magicswitch.cli import _sweep_config, build_parser
 
-    monkeypatch.delenv("MAGIC_SWITCH_JOBS", raising=False)
     cfg = tmp_path / "sweep.cfg"
     cfg.write_text("experiment = fig2\njobs = 2\n")
     args = build_parser().parse_args(["fig2", "--config", str(cfg), *flag])
     assert _sweep_config(args).jobs == jobs
 
 
-def test_jobs_env_override(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("MAGIC_SWITCH_JOBS", "2")
+def test_jobs_environment_variable_is_not_read(tmp_path, capsys, monkeypatch):
+    # The worker count comes from --jobs, else the config file, else 1.
+    monkeypatch.setenv("MAGIC_SWITCH_JOBS", "two")
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RefusedPool)
     out = tmp_path / "fig3.csv"
-    code, _ = run_cli(capsys, "fig3", "--grid", "0:0.01:0.01", "--jobs", "1", "--out", str(out))
+    code, _ = run_cli(capsys, "fig3", "--grid", "0:0.02:0.01", "--out", str(out))
     assert code == 0
-    assert len(out.read_text().strip().splitlines()) == 3
+    assert len(out.read_text().strip().splitlines()) == 4
+
+
+def test_config_naming_the_appendix_c_report_is_a_one_line_error(tmp_path, capsys):
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text("experiment = appendixc_inequality\n")
+    line = assert_one_line_error(capsys, main(["-q", "fig2", "--config", str(cfg)]))
+    assert all(repr(name) in line for name in ("fig2", "fig3", "figs1"))
 
 
 def test_threshold_command(capsys):
@@ -169,11 +177,13 @@ def test_appendix_c_bad_input_is_a_one_line_error(capsys, flag, value):
 
 
 def assert_one_line_error(capsys, code):
+    """Check for exit code 2 and one ``error:`` line on stderr; return it."""
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
     lines = captured.err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:")
+    return lines[0]
 
 
 class RefusedPool:
@@ -183,16 +193,8 @@ class RefusedPool:
 
 @pytest.mark.parametrize("flag", ["0", "-2"])
 def test_bad_jobs_flag_is_a_one_line_error(capsys, monkeypatch, flag):
-    monkeypatch.delenv("MAGIC_SWITCH_JOBS", raising=False)
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RefusedPool)
     assert_one_line_error(capsys, main(["-q", "fig2", "--grid", "0:0.02:0.01", "--jobs", flag]))
-
-
-@pytest.mark.parametrize("env", ["0", "-3", "two", "1.5"])
-def test_bad_jobs_env_is_a_one_line_error(capsys, monkeypatch, env):
-    monkeypatch.setenv("MAGIC_SWITCH_JOBS", env)
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RefusedPool)
-    assert_one_line_error(capsys, main(["-q", "fig3", "--grid", "0:0.02:0.01"]))
 
 
 def test_jobs_above_row_count_runs_one_row_per_worker(tmp_path, capsys):
@@ -222,6 +224,10 @@ STATE_FILES = {
     [
         ["threshold", "--measure", "fig2_channel_robustness", "--bracket", "0.5:0.2"],
         ["threshold", "--measure", "figs1_mana_minus", "--bracket", "0:0.5"],
+        *(
+            ["threshold", "--measure", "fig2_channel_robustness", "--bracket", bracket]
+            for bracket in ("nan:0.4", "0.2:nan", "0.2:inf")
+        ),
         *(
             ["threshold", "--measure", "fig2_channel_robustness", "--bracket", "0.2:0.4", "--tol", tol]
             for tol in ("threshold=0", "threshold=-1", "threshold=nan", "threshold=inf", "lp=nan", "lp=-1")

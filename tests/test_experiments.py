@@ -47,7 +47,21 @@ class TestSweepConfig:
 
     def test_aliases(self):
         assert default_config("fig2_qubit_example").experiment == "fig2"
-        assert default_config("appendixC_inequality").experiment == "appendix_c"
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: default_config("appendix_c"),
+            lambda: default_config("appendixC_inequality"),
+            lambda: SweepConfig("appendix-c", start=0.0, stop=1.0, step=0.01),
+            lambda: experiments.canonical_experiment("appendix_c"),
+        ],
+        ids=["default_config", "alias", "SweepConfig", "canonical_experiment"],
+    )
+    def test_the_appendix_c_report_is_not_a_sweep(self, make):
+        # Every accepted experiment is a MEASURE_TABLE sweep that runs.
+        with pytest.raises(ValueError, match=r"\('fig2', 'fig3', 'figs1'\)"):
+            make()
 
     @pytest.mark.parametrize("lp_tol", [-1.0, -1e-12, math.nan, math.inf])
     def test_bad_lp_tol_is_rejected(self, lp_tol):
@@ -123,8 +137,6 @@ class TestSweeps:
     def test_run_experiment_dispatch(self):
         rows = run_experiment(_tiny("fig3"))
         assert len(rows) == 3
-        with pytest.raises(ValueError):
-            run_experiment(default_config("appendix_c"))
 
     def test_wrong_config_experiment_rejected(self):
         with pytest.raises(ValueError):
@@ -373,6 +385,14 @@ class TestThresholdFinder:
         res = find_threshold(measure, lo=lo, hi=hi, threshold_tol=1e-300)
         assert math.nextafter(res.bracket[0], 1.0) == res.bracket[1]
         assert res.iterations < 70
+
+    @pytest.mark.parametrize("lo, hi", [(math.nan, 0.4), (0.2, math.nan), (0.2, math.inf)])
+    def test_non_finite_bracket_is_rejected_before_any_evaluation(self, lo, hi):
+        calls = []
+        measure = (lambda p: calls.append(p) or 1.0 + max(0.0, 0.37 - p), 1.0)
+        with pytest.raises(ValueError, match="not a finite number"):
+            find_threshold(measure, lo=lo, hi=hi)
+        assert calls == []
 
     def test_unknown_measure_name(self):
         with pytest.raises(KeyError):
