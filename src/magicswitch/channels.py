@@ -10,16 +10,17 @@ product summed over the operator axis, with no loop over operators.  The
 sum runs over that axis in operator order, which gives the same bits as
 accumulating the operators one by one.  Each object is checked once, where
 its matrix enters the package: a state or Choi state in its constructor, a
-channel's completeness residual on first use, after which the channel keeps
-it.  What an operation derives from checked inputs holds the checks by
-construction and is built by ``_derived`` without them.
+channel's Kraus operators (finite, and complete within tolerance) in
+``KrausChannel(...)``.  What an operation derives from checked inputs, or
+what a zoo formula writes down complete for every valid parameter, holds
+the checks by construction and is built by ``_derived`` without them.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -35,7 +36,7 @@ class StateValidationError(ValueError):
 
 
 class ChannelCompletenessError(ValueError):
-    """Kraus operators do not sum to the identity within tolerance."""
+    """Kraus operators are not finite, or not complete within tolerance."""
 
 
 def _readonly(matrix: np.ndarray) -> np.ndarray:
@@ -44,10 +45,11 @@ def _readonly(matrix: np.ndarray) -> np.ndarray:
     return out
 
 
-def _derived(cls, matrix: np.ndarray, **fields):
-    """``cls(matrix, **fields)`` without its checks; the matrix is stored read-only."""
+def _derived(cls, array: np.ndarray, **fields):
+    """``cls(array, **fields)`` without its checks; ``array``, the first field
+    (a state's matrix or a channel's Kraus stack), is stored read-only."""
     obj = object.__new__(cls)
-    obj.__dict__.update(matrix=_readonly(matrix), **fields)
+    obj.__dict__.update({next(iter(cls.__dataclass_fields__)): _readonly(array)}, **fields)
     return obj
 
 
@@ -144,12 +146,11 @@ class KrausChannel:
     ``len`` walk the operators.  ``d_in`` and ``d_out`` are read off its
     shape.
 
-    Completeness (trace preservation) is *checkable*, not assumed:
-    :meth:`validate` is the explicit gate used before any operation that
-    requires a true channel.
-    The residual it compares is computed once per channel and kept, so a
-    channel that is switched, turned into a Choi state and scored is summed
-    over its operators once.
+    A channel is complete (trace preserving) by construction: the
+    constructor refuses entries that are not finite, then a completeness
+    residual above ``Tolerances.completeness``, both with
+    :class:`ChannelCompletenessError`.  Channels the package derives from
+    checked channels, or writes down complete by formula, skip that check.
     """
 
     kraus_ops: np.ndarray
@@ -165,6 +166,12 @@ class KrausChannel:
             raise ValueError("a channel needs at least one Kraus operator")
         if ops.ndim != 3:
             raise DimensionMismatchError(f"Kraus stack must be (k, d_out, d_in), got {ops.shape}")
+        # Finiteness first: a NaN residual would pass any bound.
+        if not np.isfinite(ops).all():
+            raise ChannelCompletenessError("Kraus operators have entries that are not finite")
+        res, tol = _completeness_residual(ops), DEFAULT_TOL.completeness
+        if res > tol:
+            raise ChannelCompletenessError(f"Kraus completeness residual {res:.3e} exceeds {tol:g}")
         ops.setflags(write=False)
         object.__setattr__(self, "kraus_ops", ops)
 
@@ -176,20 +183,8 @@ class KrausChannel:
     def d_in(self) -> int:
         return self.kraus_ops.shape[2]
 
-    @cached_property
-    def _residual(self) -> float:
-        return _completeness_residual(self.kraus_ops)
-
     def completeness_residual(self) -> float:
-        return self._residual
-
-    def validate(self) -> "KrausChannel":
-        res, tol = self._residual, DEFAULT_TOL.completeness
-        if res > tol:
-            raise ChannelCompletenessError(
-                f"Kraus completeness residual {res:.3e} exceeds {tol:g}"
-            )
-        return self
+        return _completeness_residual(self.kraus_ops)
 
 
 @dataclass(frozen=True, eq=False)
@@ -197,7 +192,8 @@ class ChoiState:
     """Choi state of a channel: (1/d_in) sum_ij |i><j| (x) N(|i><j|).
 
     The reference copy is the first tensor factor; tracing out the output
-    factor of a trace-preserving channel leaves I/d_in.
+    factor of a trace-preserving channel leaves I/d_in.  ``choi_of_channel``
+    skips this check: its marginal is off I/d_in by the residual / d_in.
     """
 
     matrix: np.ndarray
@@ -238,25 +234,25 @@ def apply_channel(ch: KrausChannel, rho: DensityOperator) -> DensityOperator:
 
 
 def choi_of_channel(ch: KrausChannel) -> ChoiState:
-    """Choi state of a valid channel (completeness enforced first)."""
-    ch.validate()
+    """Choi state of a channel, which is complete by construction."""
     k, d_out, d_in = ch.kraus_ops.shape
     # |v_K> = sum_i |i> (x) K|i>, the transposed K read row by row, so
     # J = (1/d_in) sum_K |v_K><v_K|, a Gram sum: positive and exactly
-    # Hermitian, with a marginal off I/d_in by at most residual / d_in.
+    # Hermitian, with a marginal off I/d_in by the residual / d_in.
     vecs = ch.kraus_ops.transpose(0, 2, 1).reshape(k, d_in * d_out)
     J = (vecs[:, :, None] * vecs.conj()[:, None, :]).sum(axis=0)
     return _derived(ChoiState, J / d_in, d_in=d_in, d_out=d_out)
 
 
 def compose_channels(outer: KrausChannel, inner: KrausChannel) -> KrausChannel:
-    """Channel composition outer after inner (Kraus products O_i I_j)."""
+    """Channel composition outer after inner (Kraus products O_i I_j),
+    complete whenever both factors are, so built without a check."""
     if inner.d_out != outer.d_in:
         raise DimensionMismatchError(
             f"cannot compose: inner output dim {inner.d_out} != outer input dim {outer.d_in}"
         )
     ops = outer.kraus_ops[:, None] @ inner.kraus_ops[None]
-    return KrausChannel(ops.reshape(-1, outer.d_out, inner.d_in))
+    return _derived(KrausChannel, ops.reshape(-1, outer.d_out, inner.d_in))
 
 
 def measure_control(state: DensityOperator, outcome: str) -> tuple[DensityOperator, float]:
@@ -325,7 +321,7 @@ def depolarizing_channel(d: int, p: float) -> KrausChannel:
     # a = 1 - p (d^2-1)/d^2 >= 0 over the whole valid range.
     a = max(0.0, 1.0 - p * (d * d - 1) / (d * d))
     ops = np.concatenate([[np.sqrt(a) * np.eye(d, dtype=complex)], np.sqrt(p) / d * basis[1:]])
-    return KrausChannel(ops)
+    return _derived(KrausChannel, ops)
 
 
 def noisy_th_channel(p: float) -> KrausChannel:
@@ -340,7 +336,7 @@ def noisy_th_channel(p: float) -> KrausChannel:
     k0 = np.sqrt(p / 2) * np.array([[1, 1], [0, 0]], dtype=complex)
     k1 = np.sqrt(p / 2) * np.array([[0, 0], [-1, 1]], dtype=complex)
     k2 = np.sqrt(1 - p) * (T_GATE @ HADAMARD)
-    return KrausChannel((k0, k1, k2))
+    return _derived(KrausChannel, (k0, k1, k2))
 
 
 def qutrit_noisy_th_channel(p: float) -> KrausChannel:
@@ -360,7 +356,7 @@ def qutrit_noisy_th_channel(p: float) -> KrausChannel:
     k1 = sq * np.array([[0, 0, 0], [1, omega, omega**2], [0, 0, 0]], dtype=complex)
     k2 = sq * zeta * np.array([[0, 0, 0], [0, 0, 0], [1, omega**2, omega]], dtype=complex)
     k3 = np.sqrt(1 - p) * (qutrit_t_gate() @ fourier_gate(3))
-    return KrausChannel((k0, k1, k2, k3))
+    return _derived(KrausChannel, (k0, k1, k2, k3))
 
 
 def qutrit_k2_variant_report(p: float = 0.5) -> dict:
@@ -369,13 +365,14 @@ def qutrit_k2_variant_report(p: float = 0.5) -> dict:
     third reset row is misaligned: its last two entries land in row 1
     instead of row 2, which breaks completeness by O(p) for every p > 0.
     "aligned" is exact and is the set every computation in this package uses.
+    The cross set is no channel, so its residual is read off the raw stack.
     """
     aligned = qutrit_noisy_th_channel(p)
     k0, k1, k2, k3 = aligned.kraus_ops
     k2_cross = np.zeros_like(k2)
     k2_cross[1, 1:], k2_cross[2, 0] = k2[2, 1:], k2[2, 0]
-    cross = KrausChannel((k0, k1, k2_cross, k3))
-    report = {"aligned": aligned.completeness_residual(), "cross": cross.completeness_residual()}
+    cross = np.stack((k0, k1, k2_cross, k3))
+    report = {"aligned": aligned.completeness_residual(), "cross": _completeness_residual(cross)}
     report["selected"] = "aligned"
     logger.info(
         "qutrit reset-row check at p=%g: aligned residual %.3e, cross residual %.3e",

@@ -773,7 +773,11 @@ def parse_config_file(path: str) -> SweepConfig:
             key = key.strip().lower()
             if key not in _CONFIG_KEYS:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-            values[key] = _CONFIG_KEYS[key](val.strip())
+            kind, val = _CONFIG_KEYS[key], val.strip()
+            try:
+                values[key] = kind(val)
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: {key} must be {kind.__name__}, got {val!r}") from None
     if "out" in values:
         values["output_path"] = values.pop("out")
     if "experiment" not in values:

@@ -38,8 +38,8 @@ def build_switch(a: KrausChannel, b: KrausChannel) -> KrausChannel:
     The Kraus set |0><0|_c (x) E_i F_j + |1><1|_c (x) F_j E_i is the block
     diagonal of E_i F_j and F_j E_i, for every pair (i, j) at once (the
     switch of (b, a) is the same channel, its operators in another order).
-    Only the factors are checked, since the switch is complete whenever
-    they are: sum (E F)^dag (E F) = sum F^dag (sum E^dag E) F.
+    The switch is complete whenever its factors are, sum (E F)^dag (E F) =
+    sum F^dag (sum E^dag E) F, so it is built without a check.
     """
     if a.d_in != a.d_out or b.d_in != b.d_out:
         raise DimensionMismatchError("switch requires square inner channels")
@@ -47,14 +47,12 @@ def build_switch(a: KrausChannel, b: KrausChannel) -> KrausChannel:
         raise DimensionMismatchError(
             f"inner channels act on different dimensions {a.d_in} != {b.d_in}"
         )
-    a.validate()
-    b.validate()
     d = a.d_in
     E, F = a.kraus_ops[:, None], b.kraus_ops[None]
     ops = np.zeros((len(a.kraus_ops) * len(b.kraus_ops), 2 * d, 2 * d), dtype=complex)
     ops[:, :d, :d] = (E @ F).reshape(-1, d, d)  # E_i F_j
     ops[:, d:, d:] = (F @ E).reshape(-1, d, d)  # F_j E_i
-    return KrausChannel(ops)
+    return _derived(KrausChannel, ops)
 
 
 @lru_cache(maxsize=16)

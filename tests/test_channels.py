@@ -18,6 +18,7 @@ from magicswitch import (
     qutrit_noisy_th_channel,
     unitary_channel,
 )
+from magicswitch import channels
 from magicswitch.channels import ChannelCompletenessError, StateValidationError
 from magicswitch.config import DEFAULT_TOL
 from magicswitch.gates import HADAMARD, T_GATE, basis_state, fourier_gate, plus_state, qutrit_t_gate
@@ -91,12 +92,21 @@ class TestDensityOperator:
 
 class TestKrausChannel:
     def test_completeness_validation(self):
-        ch = noisy_th_channel(0.3)
-        assert ch.validate() is ch
-        bad = KrausChannel((0.5 * np.eye(2),))
-        assert bad.completeness_residual() > DEFAULT_TOL.completeness
-        with pytest.raises(ChannelCompletenessError):
-            bad.validate()
+        ch = KrausChannel(noisy_th_channel(0.3).kraus_ops)
+        assert ch.completeness_residual() <= DEFAULT_TOL.completeness
+        with pytest.raises(ChannelCompletenessError, match="residual 7.500e-01 exceeds"):
+            KrausChannel((0.5 * np.eye(2),))
+
+    @pytest.mark.parametrize(
+        "ops",
+        [np.full((1, 2, 2), np.nan), np.array([[[1, np.inf], [0, 1]], [[0, 0], [0, 0]]])],
+        ids=["nan-stack", "inf-entry"],
+    )
+    def test_non_finite_operators_are_refused(self, ops):
+        # Refused before the residual is summed: a NaN residual would pass
+        # any bound, and the sum itself would warn.
+        with pytest.raises(ChannelCompletenessError, match="not finite"):
+            KrausChannel(ops)
 
     def test_shape_consistency(self):
         with pytest.raises(DimensionMismatchError):
@@ -217,7 +227,7 @@ class TestChannelZoo:
             p_max = d * d / (d * d - 1)
             for p in (0.0, 0.4, 1.0, p_max):
                 ch = depolarizing_channel(d, p)
-                ch.validate()
+                assert ch.completeness_residual() <= DEFAULT_TOL.completeness
                 rho = random_density_matrix(d, rng)
                 out = apply_channel(ch, DensityOperator(rho))
                 expected = p * np.eye(d) / d + (1 - p) * rho
@@ -236,12 +246,12 @@ class TestChannelZoo:
         assert report["selected"] == "aligned"
         assert report["aligned"] < 1e-12
         assert report["cross"] > 1e-3
-        qutrit_noisy_th_channel(0.4).validate()
+        KrausChannel(qutrit_noisy_th_channel(0.4).kraus_ops)
 
     @pytest.mark.parametrize("p", [0.0, 0.4, 0.5, 1.0])
     def test_qutrit_variant_report_matches_the_two_row_sets(self, p):
         # Oracle: both reset-row sets written out entry by entry; the report
-        # must give their residuals to the bit.
+        # must give their residuals, summed over each raw stack, to the bit.
         omega, zeta, sq = np.exp(2j * np.pi / 3), np.exp(2j * np.pi / 9), np.sqrt(p / 3)
         k0 = sq * zeta * np.array([[1, 1, 1], [0, 0, 0], [0, 0, 0]], dtype=complex)
         k1 = sq * np.array([[0, 0, 0], [1, omega, omega**2], [0, 0, 0]], dtype=complex)
@@ -250,7 +260,7 @@ class TestChannelZoo:
             "aligned": sq * zeta * np.array([[0, 0, 0], [0, 0, 0], [1, omega**2, omega]], dtype=complex),
             "cross": sq * zeta * np.array([[0, 0, 0], [0, omega**2, omega], [1, 0, 0]], dtype=complex),
         }
-        want = {name: KrausChannel((k0, k1, k2, k3)).completeness_residual() for name, k2 in third_rows.items()}
+        want = {name: channels._completeness_residual(np.stack([k0, k1, k2, k3])) for name, k2 in third_rows.items()}
         assert qutrit_k2_variant_report(p) == {**want, "selected": "aligned"}
         assert np.array_equal(qutrit_noisy_th_channel(p).kraus_ops, np.stack([k0, k1, third_rows["aligned"], k3]))
 
@@ -263,7 +273,7 @@ class TestChannelZoo:
         )
         ext = extend_with_reference(unitary_channel(T_GATE), 2)
         assert ext.d_in == 4
-        ext.validate()
+        assert ext.completeness_residual() <= DEFAULT_TOL.completeness
 
     def test_two_depolarizing_passes_compose_strengths(self, rng):
         # D_q after D_p acts like a single pass with strength p + q - p q.

@@ -85,6 +85,15 @@ def test_jobs_environment_variable_is_not_read(tmp_path, capsys, monkeypatch):
     assert len(out.read_text().strip().splitlines()) == 4
 
 
+@pytest.mark.parametrize("line", ["lp_tol = abc", "jobs = 1.5", "start = x"])
+def test_config_value_of_the_wrong_type_is_a_one_line_error(tmp_path, capsys, line):
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(f"experiment = fig2\n{line}\n")
+    message = assert_one_line_error(capsys, main(["-q", "fig2", "--config", str(cfg)]))
+    key, _, value = line.partition(" = ")
+    assert message.startswith(f"error: {cfg}:2: {key} ") and repr(value) in message
+
+
 def test_config_naming_the_appendix_c_report_is_a_one_line_error(tmp_path, capsys):
     cfg = tmp_path / "sweep.cfg"
     cfg.write_text("experiment = appendixc_inequality\n")

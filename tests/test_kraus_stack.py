@@ -17,17 +17,21 @@ from magicswitch import (
     apply_channel,
     build_frame,
     build_switch,
+    channel_robustness,
     choi_of_channel,
     compose_channels,
     conditional_outputs,
+    depolarizing_channel,
     measure_control,
+    noisy_th_channel,
     qutrit_noisy_th_channel,
+    unitary_channel,
     wigner_of_channel,
 )
-from magicswitch import channels, experiments, qswitch
+from magicswitch import channels, cli, experiments, qswitch
 from magicswitch.channels import ChannelCompletenessError, apply_kraus, plus_density
 from magicswitch.config import DEFAULT_TOL
-from magicswitch.gates import plus_state
+from magicswitch.gates import T_GATE, plus_state
 from magicswitch.linalg import DimensionMismatchError, tensor
 
 from conftest import random_density_matrix
@@ -178,13 +182,14 @@ class TestSwitchBranches:
 
 
 class TestDerivedStates:
-    """Derived states and Choi states skip the constructors' checks; these
-    properties stand in for them."""
+    """Derived states, Choi states and channels skip the constructors'
+    checks; these properties stand in for them."""
 
     @staticmethod
     def assert_fresh(derived, source):
-        assert not derived.matrix.flags.writeable
-        assert not np.shares_memory(derived.matrix, source)
+        array = derived.kraus_ops if isinstance(derived, KrausChannel) else derived.matrix
+        assert not array.flags.writeable
+        assert not np.shares_memory(array, source)
 
     @PROPERTY
     @given(qubit_or_qutrit, kraus_counts, kraus_counts, seeds, st.floats(0.01, 1.0))
@@ -214,6 +219,22 @@ class TestDerivedStates:
         assert not J.matrix.flags.writeable
         ChoiState(J.matrix, J.d_in, J.d_out)
 
+    @PROPERTY
+    @given(qubit_or_qutrit, kraus_counts, kraus_counts, seeds, st.floats(0.0, 1.0))
+    def test_derived_channels_pass_the_public_check(self, d, k_a, k_b, seed, p):
+        a, b = isometry_channel(d, k_a, seed), isometry_channel(d, k_b, seed + 1)
+        zoo = qutrit_noisy_th_channel(p) if d == 3 else noisy_th_channel(p)
+        p_max = d * d / (d * d - 1)
+        for ch in (
+            compose_channels(a, b),
+            build_switch(a, b),
+            depolarizing_channel(d, p * p_max),
+            zoo,
+            build_switch(zoo, depolarizing_channel(d, p)),
+        ):
+            self.assert_fresh(ch, a.kraus_ops)
+            KrausChannel(ch.kraus_ops)
+
 
 # ---------------------------------------------------------------------------
 # One stack per channel, checked once
@@ -233,26 +254,31 @@ def residual_spy(monkeypatch):
 
 
 class TestCheckedOnce:
-    def test_residual_computed_once_per_channel(self, monkeypatch):
+    def test_residual_computed_once_per_public_channel(self, monkeypatch, tmp_path):
+        # A channel derived from checked channels, or written down complete
+        # by a zoo formula, is complete by construction: only the public
+        # constructor sums the operators, once per channel it builds.
         seen = residual_spy(monkeypatch)
-        ch = qutrit_noisy_th_channel(0.3)
-        build_switch(ch, ch)
-        choi_of_channel(ch)
-        wigner_of_channel(ch, build_frame(3))
-        assert sum(ops is ch.kraus_ops for ops in seen) == 1
+        a, b = qutrit_noisy_th_channel(0.3), noisy_th_channel(0.6)
+        noise = depolarizing_channel(2, 0.4)
+        derived = [compose_channels(noise, b), build_switch(b, noise), build_switch(a, a)]
+        choi_of_channel(derived[-1])
+        wigner_of_channel(a, build_frame(3))
+        assert seen == []
+        public = [KrausChannel(a.kraus_ops), unitary_channel(T_GATE), KrausChannel(tuple(b.kraus_ops))]
+        assert len(seen) == len(public) and all(ops is ch.kraus_ops for ops, ch in zip(seen, public))
+        seen.clear()
+        out = tmp_path / "fig2.csv"
+        assert cli.main(["-q", "fig2", "--grid", "0:0.1:0.01", "--out", str(out)]) == 0
+        assert len(out.read_text().splitlines()) == 12
+        assert seen == []
 
     def test_incomplete_channel_raises_everywhere(self):
-        good = qutrit_noisy_th_channel(0.3)
-        choi_of_channel(good)  # its residual is now known
-        bad = KrausChannel(0.5 * good.kraus_ops)
-        for use in (
-            lambda: build_switch(bad, bad),
-            lambda: build_switch(good, bad),
-            lambda: choi_of_channel(bad),
-            lambda: wigner_of_channel(bad, build_frame(3)),
-        ):
-            with pytest.raises(ChannelCompletenessError):
-                use()
+        # Refused where it enters the package, in any form it comes in.
+        bad = 0.5 * qutrit_noisy_th_channel(0.3).kraus_ops
+        for ops in (bad, tuple(bad), list(bad)):
+            with pytest.raises(ChannelCompletenessError, match="exceeds"):
+                KrausChannel(ops)
 
     def test_stack_is_read_only_copy(self):
         ops = np.stack([np.eye(2, dtype=complex)])
@@ -267,32 +293,27 @@ class TestCheckedOnce:
         assert ch.kraus_ops.shape == (2, 3, 3) and ch.kraus_ops.dtype == complex
         assert (ch.d_out, ch.d_in) == (3, 3) and len(ch.kraus_ops) == 2
         assert [K.shape for K in ch.kraus_ops] == [(3, 3), (3, 3)]
-        rect = KrausChannel((np.ones((2, 3)),))
-        assert (rect.d_out, rect.d_in) == (2, 3)
+        rect = KrausChannel((np.eye(3, 2),))  # an isometry from C^2 into C^3
+        assert (rect.d_out, rect.d_in) == (3, 2)
         with pytest.raises(DimensionMismatchError):
             KrausChannel(np.eye(2))  # one matrix, not a stack of them
         with pytest.raises(ValueError, match="at least one"):
             KrausChannel(np.zeros((0, 2, 2)))
 
-    def test_switch_is_a_checked_channel(self, monkeypatch):
-        # sum (EF)^dag (EF) = sum F^dag (sum E^dag E) F: the switch is
-        # complete whenever its factors are, so build_switch computes the
-        # residuals of its two factors and no other.
-        a, b = qutrit_noisy_th_channel(0.3), qutrit_noisy_th_channel(0.6)
-        seen = residual_spy(monkeypatch)
-        switched = build_switch(a, b)
-        assert isinstance(switched, KrausChannel)
-        assert len(seen) == 2 and seen[0] is a.kraus_ops and seen[1] is b.kraus_ops
-
-    def test_switch_of_channels_at_the_completeness_bound(self):
-        # Each factor's residual, 6e-10, passes validate(); the composite's
-        # is their sum, 1.2e-9, which is not a reason to refuse the switch.
+    def test_switch_of_channels_at_the_completeness_bound(self, choi_atoms):
+        # Each factor's residual, 6e-10, passes the constructor; a channel
+        # built from two of them has their sum, 1.2e-9, which is not a
+        # reason to refuse it, its Choi state or its robustness.
         a = KrausChannel([np.sqrt(1 + 0.6e-9) * np.eye(2)])
-        assert a.validate() is a
         switched = build_switch(a, a)
         assert switched.completeness_residual() > DEFAULT_TOL.completeness
+        choi_of_channel(switched)
         _, _, p_plus, p_minus = conditional_outputs(switched, plus_density(2))
         assert abs(p_plus + p_minus - 1.0) < 1e-8
+        twice = compose_channels(a, a)
+        assert twice.completeness_residual() > DEFAULT_TOL.completeness
+        sol = channel_robustness(twice, choi_atoms)
+        assert sol.status == "optimal" and abs(sol.value - 1.0) < 1e-8
 
     def test_warm_sweeps_run_no_eigenvalue_check(self, monkeypatch):
         # Every state and Choi state of a sweep is derived from checked
