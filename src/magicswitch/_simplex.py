@@ -13,21 +13,29 @@ Every optimal solve returns its basis with the inverse B^-1 read off its
 final tableau, as one ``WarmStart``.  Reduced costs and the dual
 y = c_B B^-1 do not depend on ``b``, so an optimal basis stays optimal
 while it stays primal feasible (Bertsimas & Tsitsiklis, *Introduction to
-Linear Optimization*, 1997, secs. 3.3 and 5.1): a solve given a
-``WarmStart`` first computes x_B = B^-1 b, one mat-vec, and returns that
-solution when it is feasible.  A threshold search reads its crossing off
-the same B^-1 (``experiments._basis_root``).  Otherwise phase 1 runs from
-the tableau ``B^-1 [A | I | b]`` of a starting basis, with its phase-1
-cost row.  A cold solve starts from the all-artificial basis, B = I, the
-classic two-phase start (sec. 3.5).  A starting basis that is primal
-infeasible for ``b`` but still dual feasible for the real costs, as a
-neighbour's optimal basis is, is first repaired by dual simplex pivots
-(``dual_pivot_loop``, sec. 4.5).  A basis that cannot start the solve, and
-a repair that finds no entering column or runs past the iteration limit,
-give way to the all-artificial basis.  A ``WarmStart`` is the only start a
-caller can pass.  The optimal value does not depend on the start beyond
-rounding; where an LP has several optimal vertices, ``x`` may.  Only a
-primal feasible solution is reported optimal.
+Linear Optimization*, 1997, secs. 3.3 and 5.1).  ``reuse_basis`` tests a
+whole block of right-hand sides against one ``WarmStart``: x_B = B^-1 b for
+every column, one stacked mat-vec, gives the solutions of the leading
+columns that stay feasible, down to ``Tolerances.primal``.  A solve given a
+``WarmStart`` returns that solution when its one column is served.  A
+threshold search reads its crossing off the same B^-1
+(``experiments._basis_root``).  Otherwise phase 1 runs from the tableau
+``B^-1 [A | I | b]`` of a starting basis, with its phase-1 cost row.  A
+cold solve starts from the all-artificial basis, B = I, the classic
+two-phase start (sec. 3.5).  A starting basis that is primal infeasible for
+``b`` but still dual feasible for the real costs, as a neighbour's optimal
+basis is, is first repaired by dual simplex pivots (``dual_pivot_loop``,
+sec. 4.5).  A basis that cannot start the solve, and a repair that finds no
+entering column or runs past the iteration limit, give way to the
+all-artificial basis.  A ``WarmStart`` is the only start a caller can pass.
+The optimal value does not depend on the start beyond rounding; where an LP
+has several optimal vertices, ``x`` may.  Only a primal feasible solution
+is reported optimal.
+
+Primal feasibility (the reuse test, a starting basis's feasible test and
+the dual simplex's leaving rows) is judged at ``Tolerances.primal``, far
+below the pivot tolerance: a basic variable a pivot tolerance below 0 reads
+the value of an infeasible vertex, up to that tolerance below the optimum.
 """
 
 from __future__ import annotations
@@ -103,21 +111,21 @@ def dual_pivot_loop(tableau, basis, n_enterable, tol, max_iter):
     Same layout as ``bland_pivot_loop``, with the reduced costs of the real
     objective in the last row, all >= -tol.  Bland-type rules keep the walk
     deterministic and cycle-free: the leaving row is the row with a
-    right-hand side below -tol that holds the smallest basic variable, and
-    the entering column, among columns < n_enterable with a row entry below
-    -tol, the one with the smallest ratio of reduced cost to minus that
-    entry (ties to the smallest index), which keeps every reduced cost
-    nonnegative.  Returns (status, pivots): STATUS_OPTIMAL once every
-    right-hand side is >= -tol, STATUS_INFEASIBLE when the leaving row has
-    no entering column (no x >= 0 with zero artificials solves that row),
-    STATUS_ITER_LIMIT after max_iter pivots.
+    right-hand side below -``Tolerances.primal`` that holds the smallest
+    basic variable, and the entering column, among columns < n_enterable
+    with a row entry below -tol, the one with the smallest ratio of reduced
+    cost to minus that entry (ties to the smallest index), which keeps every
+    reduced cost nonnegative.  Returns (status, pivots): STATUS_OPTIMAL once
+    every right-hand side is >= -primal, STATUS_INFEASIBLE when the leaving
+    row has no entering column (no x >= 0 with zero artificials solves that
+    row), STATUS_ITER_LIMIT after max_iter pivots.
     """
     m = tableau.shape[0] - 1
     reduced = tableau[m, :n_enterable]
     rhs = tableau[:m, -1]
     pivots = 0
     while True:
-        rows = (rhs < -tol).nonzero()[0]
+        rows = (rhs < -DEFAULT_TOL.primal).nonzero()[0]
         if not rows.size:
             return STATUS_OPTIMAL, pivots
         if pivots == max_iter:
@@ -167,10 +175,11 @@ def _start_from_basis(A, b, cost, basis, tol, max_iter):
     """Primal feasible tableau body ``B^-1 [A | I | b]`` for a starting basis
     over the columns of ``[A | I]``, with the basis it ends on and the dual
     pivots it took; or None when the basis cannot start the solve: it is
-    numerically singular or ill conditioned, or it is primal infeasible for
-    this ``b`` and not repaired.  The repair runs ``dual_pivot_loop`` when
-    every reduced cost of the real columns under ``cost`` is >= -tol, and
-    fails when the loop does not reach primal feasibility.  The
+    numerically singular or ill conditioned, or it is primal infeasible
+    (below -``Tolerances.primal``) for this ``b`` and not repaired.  The
+    repair runs ``dual_pivot_loop`` when every reduced cost of the real
+    columns under ``cost`` is >= -tol, and fails when the loop does not
+    reach primal feasibility.  The
     all-artificial basis has B = I, its own inverse, so it skips the solve
     and the condition test: the body is the data itself."""
     m, n = A.shape
@@ -188,7 +197,7 @@ def _start_from_basis(A, b, cost, basis, tol, max_iter):
         condition = np.abs(B).sum(axis=0).max() * np.abs(body[:, n : n + m]).sum(axis=0).max()
         if not condition * np.finfo(np.float64).eps <= tol:
             return None
-    if (body[:, -1] >= -tol).all():
+    if (body[:, -1] >= -DEFAULT_TOL.primal).all():
         return body, basis, 0
     tableau = np.vstack([body, _cost_row(body, basis, cost)])
     if np.any(tableau[m, :n] < -tol):
@@ -199,19 +208,30 @@ def _start_from_basis(A, b, cost, basis, tol, max_iter):
     return tableau[:m], basis, pivots
 
 
-def _reuse_basis(A, b, c, start, tol):
-    """The solution at ``start``'s basis when x_B = B^-1 b has every real
-    entry >= -tol and every artificial one, which sits only on a redundant
-    row, within tol of zero; else None."""
+def reuse_basis(A, b, c, start):
+    """The solutions at ``start``'s basis of the leading right-hand sides it
+    serves in the block ``b``, one per row: ``(served, x, objective, dual)``.
+
+    x_B = B^-1 b_j is one stacked mat-vec over the block, with the bits of
+    ``start.inverse @ b_j`` for each row alone.  Row j is served when every
+    real entry of its x_B is >= -``Tolerances.primal`` and every artificial
+    one, which sits only on a redundant row, within that of zero; ``served``
+    counts the rows before the first that is not, and ``x`` (served, n) and
+    ``objective`` (served,) hold their solutions.  The dual y = c_B B^-1 is
+    the same for every row.  When no row is served, all three are None."""
     m, n = A.shape
-    x_B = start.inverse @ b
+    tol = DEFAULT_TOL.primal
+    x_B = (start.inverse @ b[:, :, None])[:, :, 0]
     real = start.basis < n
-    if not ((x_B[real] >= -tol).all() and (np.abs(x_B[~real]) <= tol).all()):
-        return None
-    x = np.zeros(n)
-    x[start.basis[real]] = x_B[real]
+    feasible = ((x_B >= -tol) & ((x_B <= tol) | real)).all(axis=1)
+    served = len(b) if feasible.all() else int(feasible.argmin())
+    if not served:
+        return 0, None, None, None
+    x = np.zeros((served, n))
+    x[:, start.basis[real]] = x_B[:served, real]
     cost_B = np.concatenate([c, np.zeros(m)])[start.basis]
-    return SimplexResult(STATUS_OPTIMAL, x, float(cost_B @ x_B), cost_B @ start.inverse, 0, start)
+    objective = (x_B[:served, None, :] @ cost_B[:, None])[:, 0, 0]
+    return served, x, objective, cost_B @ start.inverse
 
 
 def solve_standard_form(A: np.ndarray, b: np.ndarray, c: np.ndarray, basis: WarmStart | None = None) -> SimplexResult:
@@ -220,7 +240,7 @@ def solve_standard_form(A: np.ndarray, b: np.ndarray, c: np.ndarray, basis: Warm
     ``basis`` is None for a cold solve or the ``WarmStart`` of an optimal
     solve of the same A and c.  A ``WarmStart`` gives the solution at its
     basis, with no pivot loop, while that basis is primal feasible for
-    ``b`` (``_reuse_basis``).  Otherwise phase 1 starts from its basis when
+    ``b`` (``reuse_basis``).  Otherwise phase 1 starts from its basis when
     ``_start_from_basis`` accepts it, and otherwise, through the same call,
     from the all-artificial basis ``arange(n, n + m)``.  ``iterations``
     counts the dual pivots of a repair too.
@@ -243,9 +263,9 @@ def solve_standard_form(A: np.ndarray, b: np.ndarray, c: np.ndarray, basis: Warm
         raise ValueError("LP right-hand side is not finite")
     tol = DEFAULT_TOL.pivot
     if basis is not None:
-        reused = _reuse_basis(A, b, c, basis, tol)
-        if reused is not None:
-            return reused
+        served, x, objective, dual = reuse_basis(A, b[None], c, basis)
+        if served:
+            return SimplexResult(STATUS_OPTIMAL, x[0], float(objective[0]), dual, 0, basis)
     max_iter = 200 + 50 * (m + n)
 
     # Phase 1 over [A | I | b] with every rhs made nonnegative first, so

@@ -14,6 +14,12 @@ channel's Kraus operators (finite, and complete within tolerance) in
 ``KrausChannel(...)``.  What an operation derives from checked inputs, or
 what a zoo formula writes down complete for every valid parameter, holds
 the checks by construction and is built by ``_derived`` without them.
+
+A derived object may carry a leading grid axis: a zoo channel given an
+array of noise values is one ``(N, k, d_out, d_in)`` stack, and every
+operation here maps such a grid entry by entry, with the bits each entry
+gets alone.  Dimensions are read off the last axes.  The public
+constructors take one object.
 """
 
 from __future__ import annotations
@@ -47,9 +53,13 @@ def _readonly(matrix: np.ndarray) -> np.ndarray:
 
 def _derived(cls, array: np.ndarray, **fields):
     """``cls(array, **fields)`` without its checks; ``array``, the first field
-    (a state's matrix or a channel's Kraus stack), is stored read-only."""
+    (a state's matrix or a channel's Kraus stack, with any leading grid
+    axes), is stored read-only.  Every caller passes an array it has just
+    computed and holds nowhere else, so it is stored without a copy."""
+    array = np.asarray(array, dtype=complex)
+    array.setflags(write=False)
     obj = object.__new__(cls)
-    obj.__dict__.update({next(iter(cls.__dataclass_fields__)): _readonly(array)}, **fields)
+    obj.__dict__.update({next(iter(cls.__dataclass_fields__)): array}, **fields)
     return obj
 
 
@@ -86,15 +96,17 @@ class DensityOperator:
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
+        return self.matrix.shape[-1]
 
     @property
-    def trace(self) -> float:
-        return float(np.trace(self.matrix).real)
+    def trace(self):
+        """The trace, a float, or one per entry of a grid."""
+        return _real_trace(self.matrix)
 
     @property
-    def normalized(self) -> bool:
-        """Whether the trace is 1 within the positivity tolerance."""
+    def normalized(self):
+        """Whether the trace is 1 within the positivity tolerance (per entry
+        of a grid)."""
         return abs(self.trace - 1.0) <= DEFAULT_TOL.psd
 
     @classmethod
@@ -110,13 +122,26 @@ class DensityOperator:
     def renormalized(self) -> tuple["DensityOperator", float]:
         """Scale to unit trace; returns (state, factor) with factor the old
         trace, or (self, 1.0) when the trace is 1 within the equality
-        tolerance."""
+        tolerance.  A grid is scaled entry by entry, with one factor per
+        entry; a trace at or below the positivity tolerance is refused."""
         tr = self.trace
-        if tr <= DEFAULT_TOL.psd:
-            raise StateValidationError(f"cannot renormalize state with trace {tr:.3e}")
+        if not np.all(tr > DEFAULT_TOL.psd):
+            raise StateValidationError(f"cannot renormalize state with trace {np.min(tr):.3e}")
+        if np.ndim(tr):  # a grid entry whose trace is already 1 keeps its matrix: x / 1.0 == x
+            factor = np.where(abs(tr - 1.0) <= DEFAULT_TOL.eq, 1.0, tr)
+            return _derived(DensityOperator, self.matrix / factor[:, None, None]), factor
         if abs(tr - 1.0) <= DEFAULT_TOL.eq:
             return self, 1.0
         return _derived(DensityOperator, self.matrix / tr), tr  # positive / positive
+
+
+def log_renormalized(log: logging.Logger, who: str, factor) -> None:
+    """One INFO line on ``log`` per renormalization factor (a number, or one
+    per grid entry) that is not 1."""
+    if log.isEnabledFor(logging.INFO):
+        for f in np.atleast_1d(factor):
+            if f != 1.0:
+                log.info("%s renormalized input by factor %.12g", who, f)
 
 
 @lru_cache(maxsize=None)
@@ -126,15 +151,44 @@ def plus_density(d: int) -> DensityOperator:
     return DensityOperator.pure(plus_state(d))
 
 
+def _real_trace(matrices: np.ndarray):
+    """Real part of the trace over the last two axes: a float for one
+    matrix, an array for a stack."""
+    tr = np.trace(matrices, axis1=-2, axis2=-1).real
+    return float(tr) if tr.ndim == 0 else tr
+
+
 def _dagger_stack(ops: np.ndarray) -> np.ndarray:
     """Conjugate transpose of each operator in a stack (last two axes)."""
     return ops.conj().swapaxes(-1, -2)
 
 
 def _completeness_residual(ops: np.ndarray) -> float:
-    """max |sum_i K_i^dag K_i - I| over a (k, d_out, d_in) Kraus stack."""
-    total = (_dagger_stack(ops) @ ops).sum(axis=0)
-    return float(np.abs(total - np.eye(ops.shape[2])).max())
+    """max |sum_i K_i^dag K_i - I| over a (..., k, d_out, d_in) Kraus stack."""
+    total = (_dagger_stack(ops) @ ops).sum(axis=-3)
+    return float(np.abs(total - np.eye(ops.shape[-1])).max())
+
+
+def _check_range(p, lo: float, hi: float, message: str) -> None:
+    """Raise ``ValueError(message.format(bad))`` for the first entry ``bad``
+    of ``p`` (a number or an array) outside [lo, hi], NaN included."""
+    inside = (lo <= p) & (p <= hi)
+    if inside is not True and not np.all(inside):
+        raise ValueError(message.format(np.asarray(p)[~np.asarray(inside)].flat[0]))
+
+
+def _zoo_channel(weights: list, ops: np.ndarray) -> KrausChannel:
+    """The channel whose Kraus operators are ``weights[j] * ops[j]``, the
+    weights all numbers or all 1-D arrays of one length; arrays give one
+    channel per entry, as a grid."""
+    return _derived(KrausChannel, np.array(weights).T[..., None, None] * ops)
+
+
+def _constant_stack(*ops) -> np.ndarray:
+    """The constant matrices ``ops`` as one read-only complex stack."""
+    stack = np.array(ops, dtype=complex)
+    stack.flags.writeable = False
+    return stack
 
 
 @dataclass(frozen=True, eq=False)
@@ -177,11 +231,11 @@ class KrausChannel:
 
     @property
     def d_out(self) -> int:
-        return self.kraus_ops.shape[1]
+        return self.kraus_ops.shape[-2]
 
     @property
     def d_in(self) -> int:
-        return self.kraus_ops.shape[2]
+        return self.kraus_ops.shape[-1]
 
     def completeness_residual(self) -> float:
         return _completeness_residual(self.kraus_ops)
@@ -219,11 +273,12 @@ class ChoiState:
 def apply_kraus(kraus_ops, matrix: np.ndarray) -> np.ndarray:
     """Raw Kraus action sum_i K_i M K_i^dag on an arbitrary matrix.
 
-    The sum runs over the first axis of ``kraus_ops``; with operators shaped
-    (k, 1, d_out, d_in) and a stack of matrices (n, d_in, d_in), this maps
-    all n matrices at once."""
+    The sum runs over the operator axis, the third from last, of
+    ``kraus_ops``; leading grid axes of the operators and of ``matrix``
+    broadcast, so a grid of channels maps one matrix, or a grid of them,
+    entry by entry."""
     ops = np.asarray(kraus_ops, dtype=complex)
-    return (ops @ matrix @ _dagger_stack(ops)).sum(axis=0)
+    return (ops @ np.asarray(matrix)[..., None, :, :] @ _dagger_stack(ops)).sum(axis=-3)
 
 
 def apply_channel(ch: KrausChannel, rho: DensityOperator) -> DensityOperator:
@@ -234,25 +289,27 @@ def apply_channel(ch: KrausChannel, rho: DensityOperator) -> DensityOperator:
 
 
 def choi_of_channel(ch: KrausChannel) -> ChoiState:
-    """Choi state of a channel, which is complete by construction."""
-    k, d_out, d_in = ch.kraus_ops.shape
+    """Choi state of a channel, which is complete by construction (one per
+    entry of a grid of channels)."""
+    *lead, k, d_out, d_in = ch.kraus_ops.shape
     # |v_K> = sum_i |i> (x) K|i>, the transposed K read row by row, so
     # J = (1/d_in) sum_K |v_K><v_K|, a Gram sum: positive and exactly
     # Hermitian, with a marginal off I/d_in by the residual / d_in.
-    vecs = ch.kraus_ops.transpose(0, 2, 1).reshape(k, d_in * d_out)
-    J = (vecs[:, :, None] * vecs.conj()[:, None, :]).sum(axis=0)
+    vecs = ch.kraus_ops.swapaxes(-1, -2).reshape(*lead, k, d_in * d_out)
+    J = (vecs[..., :, None] * vecs.conj()[..., None, :]).sum(axis=-3)
     return _derived(ChoiState, J / d_in, d_in=d_in, d_out=d_out)
 
 
 def compose_channels(outer: KrausChannel, inner: KrausChannel) -> KrausChannel:
     """Channel composition outer after inner (Kraus products O_i I_j),
-    complete whenever both factors are, so built without a check."""
+    complete whenever both factors are, so built without a check.  Grid
+    axes broadcast: a grid composed with one channel is a grid."""
     if inner.d_out != outer.d_in:
         raise DimensionMismatchError(
             f"cannot compose: inner output dim {inner.d_out} != outer input dim {outer.d_in}"
         )
-    ops = outer.kraus_ops[:, None] @ inner.kraus_ops[None]
-    return _derived(KrausChannel, ops.reshape(-1, outer.d_out, inner.d_in))
+    ops = outer.kraus_ops[..., :, None, :, :] @ inner.kraus_ops[..., None, :, :, :]
+    return _derived(KrausChannel, ops.reshape(*ops.shape[:-4], -1, outer.d_out, inner.d_in))
 
 
 def measure_control(state: DensityOperator, outcome: str) -> tuple[DensityOperator, float]:
@@ -263,7 +320,8 @@ def measure_control(state: DensityOperator, outcome: str) -> tuple[DensityOperat
     state <pm|state|pm> on the target and its trace; the probabilities of
     both outcomes sum to the input trace.  The branch is the exactly
     Hermitian part of the contraction, whose rounding would otherwise be
-    magnified when a branch of tiny probability is renormalized.
+    magnified when a branch of tiny probability is renormalized.  A grid of
+    states gives a grid of branches and an array of probabilities.
     """
     if outcome not in ("plus", "minus"):
         raise ValueError(f"outcome must be 'plus' or 'minus', got {outcome!r}")
@@ -272,11 +330,10 @@ def measure_control(state: DensityOperator, outcome: str) -> tuple[DensityOperat
     d_target = state.dim // 2
     sign = 1.0 if outcome == "plus" else -1.0
     ctrl = np.array([1.0, sign], dtype=complex) / np.sqrt(2)
-    block = state.matrix.reshape(2, d_target, 2, d_target)
-    branch = np.einsum("a,ambn,b->mn", ctrl.conj(), block, ctrl)
-    branch = 0.5 * (branch + branch.conj().T)
-    prob = float(np.trace(branch).real)
-    return _derived(DensityOperator, branch), prob  # a compression of a positive state
+    block = state.matrix.reshape(*state.matrix.shape[:-2], 2, d_target, 2, d_target)
+    branch = np.einsum("a,...ambn,b->...mn", ctrl.conj(), block, ctrl)
+    branch = 0.5 * (branch + _dagger_stack(branch))
+    return _derived(DensityOperator, branch), _real_trace(branch)  # a compression of a positive state
 
 
 # ---------------------------------------------------------------------------
@@ -304,24 +361,35 @@ def orthogonal_unitary_basis(d: int) -> list[np.ndarray]:
         raise DimensionMismatchError(f"no orthogonal unitary basis implemented for d={d}") from None
 
 
+@lru_cache(maxsize=None)
+def _depolarizing_ops(d: int) -> np.ndarray:
+    """The identity, then the non-identity unitaries of the orthogonal basis."""
+    return _constant_stack(np.eye(d), *orthogonal_unitary_basis(d)[1:])
+
+
 def depolarizing_channel(d: int, p: float) -> KrausChannel:
     """Mix a state with the maximally mixed state: rho -> p I/d + (1-p) rho.
 
     Valid for p in [0, d^2/(d^2-1)]; the upper part of that range (p > 1)
     still defines a completely positive map and is what the minus branch of
-    the switched depolarizing noise produces.
+    the switched depolarizing noise produces.  An array of strengths gives
+    one channel per entry, as a grid.
     """
     if d < 2:
         raise ValueError(f"depolarizing dimension d={d} must be at least 2")
     p_max = d * d / (d * d - 1)
-    if not 0.0 <= p <= p_max + DEFAULT_TOL.depolarizing_range:
-        raise ValueError(f"depolarizing strength p={p} outside [0, {p_max:.6f}]")
-    basis = np.stack(orthogonal_unitary_basis(d))
+    _check_range(p, 0.0, p_max + DEFAULT_TOL.depolarizing_range,
+                 "depolarizing strength p={} outside [0, %.6f]" % p_max)
     # rho -> a rho + (p/d^2) sum_{non-identity U} U rho U^dag with
     # a = 1 - p (d^2-1)/d^2 >= 0 over the whole valid range.
-    a = max(0.0, 1.0 - p * (d * d - 1) / (d * d))
-    ops = np.concatenate([[np.sqrt(a) * np.eye(d, dtype=complex)], np.sqrt(p) / d * basis[1:]])
-    return _derived(KrausChannel, ops)
+    a = np.maximum(0.0, 1.0 - p * (d * d - 1) / (d * d))
+    return _zoo_channel([np.sqrt(a)] + [np.sqrt(p) / d] * (d * d - 1), _depolarizing_ops(d))
+
+
+@lru_cache(maxsize=None)
+def _noisy_th_ops() -> np.ndarray:
+    """The two reset rows, then T H."""
+    return _constant_stack([[1, 1], [0, 0]], [[0, 0], [-1, 1]], T_GATE @ HADAMARD)
 
 
 def noisy_th_channel(p: float) -> KrausChannel:
@@ -329,14 +397,23 @@ def noisy_th_channel(p: float) -> KrausChannel:
 
     With weight ``p`` the input is measured in the |+>/|-> basis and the
     outcome is written into the computational basis; with weight ``1 - p``
-    the unitary T H is applied.  Complete for every p in [0, 1].
+    the unitary T H is applied.  Complete for every p in [0, 1].  An array
+    of noise values gives one channel per entry, as a grid.
     """
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p={p} outside [0, 1]")
-    k0 = np.sqrt(p / 2) * np.array([[1, 1], [0, 0]], dtype=complex)
-    k1 = np.sqrt(p / 2) * np.array([[0, 0], [-1, 1]], dtype=complex)
-    k2 = np.sqrt(1 - p) * (T_GATE @ HADAMARD)
-    return _derived(KrausChannel, (k0, k1, k2))
+    _check_range(p, 0.0, 1.0, "p={} outside [0, 1]")
+    return _zoo_channel([np.sqrt(p / 2), np.sqrt(p / 2), np.sqrt(1 - p)], _noisy_th_ops())
+
+
+@lru_cache(maxsize=None)
+def _qutrit_noisy_th_ops() -> np.ndarray:
+    """The three reset rows, then the qutrit T H."""
+    omega = np.exp(2j * np.pi / 3)
+    return _constant_stack(
+        [[1, 1, 1], [0, 0, 0], [0, 0, 0]],
+        [[0, 0, 0], [1, omega, omega**2], [0, 0, 0]],
+        [[0, 0, 0], [0, 0, 0], [1, omega**2, omega]],
+        qutrit_t_gate() @ fourier_gate(3),
+    )
 
 
 def qutrit_noisy_th_channel(p: float) -> KrausChannel:
@@ -345,18 +422,13 @@ def qutrit_noisy_th_channel(p: float) -> KrausChannel:
     Weight ``p`` measures in the Fourier basis and records the outcome in the
     computational basis (three rank-1 Kraus rows, each aligned with the row
     it writes, so the set is complete for every p in [0, 1]); weight
-    ``1 - p`` applies the qutrit T H unitary.
+    ``1 - p`` applies the qutrit T H unitary.  An array of noise values
+    gives one channel per entry, as a grid.
     """
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p={p} outside [0, 1]")
-    omega = np.exp(2j * np.pi / 3)
+    _check_range(p, 0.0, 1.0, "p={} outside [0, 1]")
     zeta = np.exp(2j * np.pi / 9)
     sq = np.sqrt(p / 3)
-    k0 = sq * zeta * np.array([[1, 1, 1], [0, 0, 0], [0, 0, 0]], dtype=complex)
-    k1 = sq * np.array([[0, 0, 0], [1, omega, omega**2], [0, 0, 0]], dtype=complex)
-    k2 = sq * zeta * np.array([[0, 0, 0], [0, 0, 0], [1, omega**2, omega]], dtype=complex)
-    k3 = np.sqrt(1 - p) * (qutrit_t_gate() @ fourier_gate(3))
-    return _derived(KrausChannel, (k0, k1, k2, k3))
+    return _zoo_channel([sq * zeta, sq, sq * zeta, np.sqrt(1 - p)], _qutrit_noisy_th_ops())
 
 
 def qutrit_k2_variant_report(p: float = 0.5) -> dict:

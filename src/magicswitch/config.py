@@ -16,7 +16,8 @@ class Tolerances:
     eq: float = 1e-10            # operator equality / hermiticity
     psd: float = 1e-9            # eigenvalue floor for positivity checks
     completeness: float = 1e-9   # Kraus completeness residual
-    pivot: float = 1e-9          # simplex pivot, ratio-test and primal feasibility tolerance
+    pivot: float = 1e-9          # simplex pivot and ratio-test tolerance
+    primal: float = 1e-12        # how far below 0 a basic variable may sit and still read feasible
     lp_residual: float = 1e-7    # LP reconstruction residual
     lp_value: float = 1e-6       # "value equals 1" threshold for robustness
     mana_zero: float = 1e-9      # mana within this of zero counts as zero

@@ -15,20 +15,26 @@ two sequential passes.
 
 Each measure is written once, in ``MEASURE_TABLE``: an experiment names its
 channel and its ordered columns, and a column holds one measure
-``(point, column name) -> (value, status)`` and, when it is bisected, its
-threshold name and floor.  A ``_Point`` builds the intermediates of one noise
-value (channel, switch outputs, T-gate branches) on first use, so a sweep
-row builds each once and a threshold evaluation only what its measure reads.
-The CSV columns (``MEASURE_COLUMNS``) and the threshold registry
-(``MEASURES``) are derived from the table.
+``(grid, column name) -> (values, statuses)`` and, when it is bisected, its
+threshold name and floor.  A ``_Grid`` holds the noise values of one block
+of a sweep run and builds the intermediates of all of them (channel, switch
+outputs, T-gate branches) as arrays with a leading grid axis, each on
+first use, so a block builds each once.  A threshold evaluation is the
+same program at one noise value, with no grid axis, and builds only what
+its measure reads.  The CSV columns (``MEASURE_COLUMNS``) and the threshold
+registry (``MEASURES``) are derived from the table.
 
-A sweep walks its grid in order and starts each robustness LP from the
-optimal basis and inverse the same LP column reached at the previous grid
-point, kept in the run's ``_RunState``; while that basis stays feasible,
-as at nearly every default grid point, the LP is one mat-vec.  ``jobs``
-splits the grid into at most that many contiguous runs, each starting cold
-and shared among at most one worker per CPU; identical configs therefore
-produce byte-identical CSV.  A warm-started value can differ from a lone cold solve
+A sweep run is evaluated in blocks of at most ``_BLOCK_POINTS`` grid
+points, column by column, and then cut into rows: ``_dispatch_row`` is
+called once per grid row, in order, and assembles that row's ``SweepRow``.
+Each robustness column is one warm LP walk down the block (``lp.solve_l1``):
+it starts from the optimal basis and inverse the same column reached at
+the previous grid point, kept in the run's ``_RunState`` from block to
+block; while that basis stays feasible, as at nearly every default grid
+point, a row is read off one stacked mat-vec.  ``jobs`` splits the grid
+into at most that many contiguous runs, each starting cold and shared among
+at most one worker per CPU; identical configs therefore produce
+byte-identical CSV.  A warm-started value can differ from a lone cold solve
 at the same point in the last bits, never in the printed digits of the
 default grids.
 
@@ -56,13 +62,16 @@ import math
 import os
 import sys
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cached_property, lru_cache, partial
 from typing import Callable, NamedTuple, get_type_hints
 
 import numpy as np
 
+from . import phasespace
 from .channels import (
+    DensityOperator,
     KrausChannel,
+    _derived,
     compose_channels,
     depolarizing_channel,
     noisy_th_channel,
@@ -73,7 +82,7 @@ from .channels import (
 from .config import DEFAULT_TOL
 from .gates import T_GATE
 from .lp import L1Solution, channel_robustness, rom_state
-from .phasespace import build_frame, mana_channel, mana_state, wigner_of_channel, wigner_of_operator
+from .phasespace import build_frame, mana_channel, mana_of_wigner, mana_state, wigner_of_operator
 from .qswitch import (
     EffectiveDepolarizingSwitch,
     build_switch,
@@ -177,14 +186,20 @@ class SweepRow:
     status: dict = field(default_factory=dict)
 
 
+@lru_cache(maxsize=None)
+def _t_channel() -> KrausChannel:
+    return unitary_channel(T_GATE)
+
+
 def sequential_t_channel(p: float) -> KrausChannel:
     """Fig. 3's sequential channel: a T gate behind two passes of qubit
-    depolarizing noise of strength ``p``."""
+    depolarizing noise of strength ``p`` (a grid for an array of p)."""
     noise = depolarizing_channel(2, p)
-    return compose_channels(noise, compose_channels(noise, unitary_channel(T_GATE)))
+    return compose_channels(noise, compose_channels(noise, _t_channel()))
 
 
-# Noise-parameterized channels by CLI name.  Each builder is looked up at call
+# Noise-parameterized channels by CLI name; each builder maps an array of
+# noise values to a grid of channels.  Each builder is looked up at call
 # time, so a rebound module global reaches sweeps, thresholds and the CLI alike.
 CHANNELS = {
     "noisy-th": lambda p: noisy_th_channel(p),
@@ -202,7 +217,7 @@ class _RunState:
     LP column with its inverse, and the value of fig3's minus branch, whose
     channel does not depend on p.  When ``samples`` is a list, each LP
     solve appends ``(p, solution, values)`` to it, with ``values``
-    polynomial in p (``_Point.solve``), and each mana evaluation
+    polynomial in p (``_Grid.solve``), and each mana evaluation
     ``(p, None, Wigner values)``."""
 
     bases: dict = field(default_factory=dict)
@@ -228,27 +243,29 @@ def _certified_value(solution: L1Solution, lp_tol: float) -> tuple[float, str]:
     return solution.value, "ok"
 
 
-def _prob_status(prob_plus: float, prob_minus: float) -> str:
+def _prob_status(prob_plus: np.ndarray, prob_minus: np.ndarray) -> np.ndarray:
     tol = DEFAULT_TOL.probability
     ok = (
-        -tol <= prob_plus <= 1 + tol
-        and -tol <= prob_minus <= 1 + tol
-        and abs(prob_plus + prob_minus - 1.0) <= tol
+        (-tol <= prob_plus) & (prob_plus <= 1 + tol)
+        & (-tol <= prob_minus) & (prob_minus <= 1 + tol)
+        & (abs(prob_plus + prob_minus - 1.0) <= tol)
     )
-    return "ok" if ok else "check_failed"
+    return np.where(ok, "ok", "check_failed")
 
 
-def _mana_status(value: float) -> tuple[float, str]:
-    return value, "ok" if value >= -DEFAULT_TOL.mana_zero else "check_failed"
+def _mana_status(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    return values, np.where(values >= -DEFAULT_TOL.mana_zero, "ok", "check_failed")
 
 
 @dataclass
-class _Point:
-    """One noise value ``p`` of one experiment.  Each intermediate is built on
-    first use and kept for the other columns of the same row."""
+class _Grid:
+    """The noise values ``p`` of one experiment: a 1-D array, one block of a
+    sweep run, or a number, one threshold evaluation, which the kernels map
+    to single objects with no grid axis.  Each intermediate is built for all
+    of them on first use and kept for the other columns of the block."""
 
     experiment: str
-    p: float
+    p: np.ndarray | float
     lp_tol: float
     state: _RunState
 
@@ -267,70 +284,103 @@ class _Point:
     def t_branches(self) -> tuple:
         return effective_t_channels(self.p)
 
-    def solve(self, column: str, program, *args, scale: float = 1.0) -> tuple[float, str]:
-        """Solve one robustness LP of ``column``, starting from the optimal
-        basis and inverse the column reached earlier in this run.  ``scale``
-        is the positive s(p) that makes s(p) times the LP's right-hand side
-        a polynomial in p: the probability or weight of a switch branch,
+    def solve(self, column: str, program, *args, scale=1.0) -> tuple[np.ndarray, np.ndarray]:
+        """Values and statuses of the robustness LPs of ``column``, one per
+        entry of ``program(*args)``, walked from the optimal basis and
+        inverse the column reached earlier in this run.  ``scale`` is the
+        positive s(p) that makes s(p) times the LP's right-hand side a
+        polynomial in p: the probability or weight of a switch branch,
         whose unnormalized output is quadratic in p."""
-        solution = program(*args, basis=self.state.bases.get(column))
-        self.state.bases[column] = solution.warm_start
-        if self.state.samples is not None and solution.standard_form is not None:
-            b = solution.standard_form[1]
-            self.state.samples.append((self.p, solution, np.append(scale * b, scale)))
-        return _certified_value(solution, self.lp_tol)
+        solutions = program(*args, basis=self.state.bases.get(column))
+        if isinstance(solutions, L1Solution):
+            solutions = [solutions]
+        self.state.bases[column] = solutions[-1].warm_start
+        if self.state.samples is not None:
+            for p, solution, s in zip(np.atleast_1d(self.p), solutions, scale * np.ones(len(solutions))):
+                if solution.standard_form is not None:
+                    b = solution.standard_form[1]
+                    self.state.samples.append((p, solution, np.append(s * b, s)))
+        certified = [_certified_value(solution, self.lp_tol) for solution in solutions]
+        return np.array([value for value, _ in certified]), [status for _, status in certified]
 
 
-# Measures: (point, column name) -> (value, status); k is 0 for the plus
-# branch and 1 for the minus branch.
+# Measures: (grid, column name) -> (values, statuses), one per grid entry;
+# k is 0 for the plus branch and 1 for the minus branch.
 
-def _channel_robustness(pt: _Point, column: str) -> tuple[float, str]:
+def _channel_robustness(g: _Grid, column: str) -> tuple:
     atoms = cspo_choi_atoms(enumerate_stabilizer_states(2))
-    return pt.solve(column, channel_robustness, pt.channel, atoms)
+    return g.solve(column, channel_robustness, g.channel, atoms)
 
 
-def _channel_mana(pt: _Point, column: str) -> tuple[float, str]:
-    if pt.state.samples is not None:  # W(v|u), affine in p
-        pt.state.samples.append((pt.p, None, wigner_of_channel(pt.channel, build_frame(3)).ravel()))
-    return _mana_status(mana_channel(pt.channel, build_frame(3)))
+def _channel_mana(g: _Grid, column: str) -> tuple:
+    if g.state.samples is None:
+        return _mana_status(mana_channel(g.channel, build_frame(3)))
+    # One Wigner function per entry, W(v|u), affine in p: sampled and scored.
+    wig = phasespace.wigner_of_channel(g.channel, build_frame(3))
+    g.state.samples += _wigner_samples(g.p, wig)
+    return _mana_status(mana_of_wigner(wig, channel=True))
 
 
-def _branch_probability(pt: _Point, column: str, k: int) -> tuple[float, str]:
-    probs = pt.switch_outputs[2:]
+def _branch_probability(g: _Grid, column: str, k: int) -> tuple:
+    probs = g.switch_outputs[2:]
     return probs[k], _prob_status(*probs)
 
 
-def _branch_robustness(pt: _Point, column: str, k: int) -> tuple[float, str]:
-    prob = pt.switch_outputs[2 + k]
-    if prob <= DEFAULT_TOL.degenerate_prob:
-        return float("nan"), "degenerate"
-    return pt.solve(column, rom_state, pt.switch_outputs[k], enumerate_stabilizer_states(1), scale=prob)
+def _live_branches(g: _Grid, k: int, score) -> tuple:
+    """Values and statuses of switch branch ``k``: ``score(p, branch,
+    probability)`` on the entries likely enough to have a conditional state,
+    and the degenerate status, with a NaN value, on the others, which are
+    never divided by."""
+    branch, prob, p = g.switch_outputs[k], g.switch_outputs[2 + k], g.p
+    live = prob > DEFAULT_TOL.degenerate_prob
+    if np.all(live):
+        return score(p, branch, prob)
+    values, statuses = np.full(np.shape(p), np.nan), np.full(np.shape(p), "degenerate", dtype=object)
+    if np.any(live):  # a grid, some of whose entries are live
+        branch = _derived(DensityOperator, branch.matrix[live])
+        values[live], statuses[live] = score(p[live], branch, prob[live])
+    return values, statuses
 
 
-def _branch_mana(pt: _Point, column: str, k: int) -> tuple[float, str]:
-    if pt.switch_outputs[2 + k] <= DEFAULT_TOL.degenerate_prob:
-        return float("nan"), "degenerate"
-    branch = pt.switch_outputs[k]
-    if pt.state.samples is not None:  # the unnormalized branch's W(u), quadratic in p
-        pt.state.samples.append((pt.p, None, wigner_of_operator(branch.matrix, build_frame(3)).ravel()))
-    return _mana_status(mana_state(branch, build_frame(3)))
+def _branch_robustness(g: _Grid, column: str, k: int) -> tuple:
+    def score(p, branch, prob):
+        return g.solve(column, rom_state, branch, enumerate_stabilizer_states(1), scale=prob)
+
+    return _live_branches(g, k, score)
 
 
-def _t_branch_robustness(pt: _Point, column: str, k: int) -> tuple[float, str]:
+def _branch_mana(g: _Grid, column: str, k: int) -> tuple:
+    def score(p, branch, prob):
+        if g.state.samples is not None:  # the unnormalized branch's W(u), quadratic in p
+            g.state.samples += _wigner_samples(p, wigner_of_operator(branch.matrix, build_frame(3)))
+        return _mana_status(mana_state(branch, build_frame(3)))
+
+    return _live_branches(g, k, score)
+
+
+def _wigner_samples(p, wig: np.ndarray) -> list:
+    """One fit sample ``(p, None, Wigner values)`` per entry of ``p``."""
+    p = np.atleast_1d(p)
+    return [(q, None, w) for q, w in zip(p, wig.reshape(len(p), -1))]
+
+
+def _t_branch_robustness(g: _Grid, column: str, k: int) -> tuple:
     atoms = cspo_choi_atoms(enumerate_stabilizer_states(2))
-    branch = pt.t_branches[k]
-    return pt.solve(column, channel_robustness, branch.channel, atoms, scale=branch.weight)
+    branch = g.t_branches[k]
+    return g.solve(column, channel_robustness, branch.channel, atoms, scale=branch.weight)
 
 
-def _t_minus_robustness(pt: _Point, column: str) -> tuple[float, str]:
+def _t_minus_robustness(g: _Grid, column: str) -> tuple:
     # The minus-branch channel does not depend on p: solve it once per run.
-    if pt.state.switch_minus is None:
-        pt.state.switch_minus = _t_branch_robustness(pt, column, 1)
-    return pt.state.switch_minus
+    if g.state.switch_minus is None:
+        (value,), (status,) = _t_branch_robustness(g, column, 1)
+        g.state.switch_minus = value, status
+    value, status = g.state.switch_minus
+    return np.full(np.shape(g.p), value), np.full(np.shape(g.p), status)
 
 
-def _t_branch_weight(pt: _Point, column: str, k: int) -> tuple[float, str]:
-    weights = [branch.weight for branch in pt.t_branches]
+def _t_branch_weight(g: _Grid, column: str, k: int) -> tuple:
+    weights = [branch.weight for branch in g.t_branches]
     return weights[k], _prob_status(*weights)
 
 
@@ -376,13 +426,15 @@ MEASURE_COLUMNS = {
 
 
 def _threshold_value(experiment: str, column: Column, p: float, state: _RunState | None = None) -> float:
-    """``column``'s value at ``p``, from a cold start unless ``state`` is
-    given; a degenerate branch has no value and raises ``ValueError``."""
-    point = _Point(experiment, p, DEFAULT_TOL.lp_value, state or _RunState())
-    value, status = column.measure(point, column.name)
+    """``column``'s value at ``p``, the column's program at one noise value,
+    from a cold start unless ``state`` is given; a degenerate branch has no
+    value and raises ``ValueError``."""
+    grid = _Grid(experiment, p, DEFAULT_TOL.lp_value, state or _RunState())
+    values, statuses = column.measure(grid, column.name)
+    value, status = np.ravel(values)[0], np.ravel(statuses)[0]
     if status == "degenerate":
         raise ValueError(f"measure {column.threshold} has a degenerate branch at p={p}")
-    return value
+    return float(value)
 
 
 # Threshold name -> (callable p -> value, faithfulness floor).
@@ -400,19 +452,34 @@ _MANA_MEASURES = frozenset(column.threshold for column in MEASURE_TABLE["figs1"]
 # Sweeps (module-level workers so process pools can pickle them)
 # ---------------------------------------------------------------------------
 
+# Most grid points one block of a sweep run holds; a longer run is scored
+# block after block, its _RunState carried across, so memory stays bounded.
+_BLOCK_POINTS = 64
+
+
 def _dispatch_row(args) -> SweepRow:
-    experiment, p, lp_tol, state = args
-    point = _Point(experiment, p, lp_tol, state)
-    row = SweepRow(p=p)
-    for column in MEASURE_TABLE[experiment][1]:
-        row.values[column.name], row.status[column.name] = column.measure(point, column.name)
+    """Row ``i`` of a scored block ``(p, columns, i)``, where ``columns``
+    maps each column name to its values and statuses, one per point."""
+    p, columns, i = args
+    row = SweepRow(p=p[i])
+    for name, (values, statuses) in columns.items():
+        row.values[name], row.status[name] = values[i], statuses[i]
     return row
 
 
 def _run_rows(experiment: str, grid: list[float], lp_tol: float) -> list[SweepRow]:
     """One contiguous run of grid rows, in order, from a cold start."""
     state = _RunState()
-    return [_dispatch_row((experiment, p, lp_tol, state)) for p in grid]
+    rows = []
+    for lo in range(0, len(grid), _BLOCK_POINTS):
+        p = grid[lo : lo + _BLOCK_POINTS]
+        block = _Grid(experiment, np.array(p), lp_tol, state)
+        columns = {}
+        for column in MEASURE_TABLE[experiment][1]:
+            values, statuses = column.measure(block, column.name)
+            columns[column.name] = np.asarray(values, dtype=float).tolist(), np.asarray(statuses).tolist()
+        rows += [_dispatch_row((p, columns, i)) for i in range(len(p))]
+    return rows
 
 
 def run_experiment(config: SweepConfig) -> list[SweepRow]:

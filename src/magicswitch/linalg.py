@@ -9,6 +9,7 @@ plus the orthonormal Pauli-string basis used for real vectorization.
 from __future__ import annotations
 
 import itertools
+from functools import lru_cache
 
 import numpy as np
 
@@ -95,14 +96,25 @@ def pauli_strings(n_qubits: int) -> list[tuple[str, np.ndarray]]:
     return out
 
 
-def pauli_vectorize(op: np.ndarray, paulis: list[tuple[str, np.ndarray]]) -> np.ndarray:
-    """Expand a Hermitian operator over the orthonormal Pauli basis.
+@lru_cache(maxsize=None)
+def pauli_basis(n_qubits: int) -> np.ndarray:
+    """The operators of ``pauli_strings(n_qubits)`` stacked once, in the same
+    order, as one read-only ``(4**n, 2**n, 2**n)`` array."""
+    stacked = np.array([pauli for _, pauli in pauli_strings(n_qubits)])
+    stacked.flags.writeable = False
+    return stacked
 
-    The basis elements are Pauli strings divided by sqrt(d), so the map is an
+
+def pauli_vectorize(op: np.ndarray, paulis) -> np.ndarray:
+    """Expand a Hermitian operator, or a stack of them along leading axes,
+    over the orthonormal Pauli basis.
+
+    ``paulis`` is a ``pauli_basis`` stack or a ``pauli_strings`` list.  The
+    basis elements are Pauli strings divided by sqrt(d), so the map is an
     isometry: Hilbert-Schmidt inner products equal Euclidean dot products of
-    the returned real vectors.
+    the returned real vectors, one along the last axis per operator.
     """
     op = np.asarray(op, dtype=complex)
-    stacked = np.array([pauli for _, pauli in paulis])
+    stacked = paulis if isinstance(paulis, np.ndarray) else np.array([pauli for _, pauli in paulis])
     # tr(P_k op) = sum_ij (P_k)_ij op_ji, for every string k at once.
-    return np.einsum("kij,ji->k", stacked, op).real * (1.0 / np.sqrt(op.shape[0]))
+    return np.einsum("kij,...ji->...k", stacked, op).real * (1.0 / np.sqrt(op.shape[-1]))

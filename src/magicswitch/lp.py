@@ -19,6 +19,18 @@ side.  ``solve_l1(A, b)`` then runs the embedded simplex at unit costs and
 certifies the answer.  Each solve starts cold, or from the one start form
 the simplex takes: ``basis``, the ``warm_start`` of a solve of the same
 program at a neighbouring right-hand side.
+
+Both programs also take a grid (a channel or state with a leading axis)
+and return one solution per entry, in order: one warm walk down the
+column of right-hand sides.  The first entry is solved through
+``solve_standard_form`` from the start basis (reused, repaired by dual
+pivots, or cold); ``B^-1 [b_j ... b_N]`` at the basis it reaches, one
+stacked mat-vec, then reads off every following entry that basis serves
+(``_simplex.reuse_basis``).  The first entry it does not serve is solved
+from that basis through ``solve_standard_form`` again, and the walk goes on
+from there.  Each entry gets the solution, and the certificates, that a
+solve of it alone from the same basis gives; a single object is the grid
+of one, one call of ``solve_standard_form``.
 """
 
 from __future__ import annotations
@@ -33,12 +45,13 @@ from ._simplex import (
     STATUS_INFEASIBLE,
     STATUS_OPTIMAL,
     WarmStart,
+    reuse_basis,
     solve_standard_form,
 )
-from .channels import DensityOperator, KrausChannel, choi_of_channel
+from .channels import DensityOperator, KrausChannel, choi_of_channel, log_renormalized
 from .config import DEFAULT_TOL
 from .gates import PAULI_X, PAULI_Y, PAULI_Z
-from .linalg import DimensionMismatchError, pauli_strings, pauli_vectorize
+from .linalg import DimensionMismatchError, pauli_basis, pauli_vectorize
 
 logger = logging.getLogger(__name__)
 
@@ -98,84 +111,122 @@ def _assemble_standard_form(vectors: np.ndarray, marginal_rows: np.ndarray | Non
     return A
 
 
-def solve_l1(A: np.ndarray, b: np.ndarray, basis: WarmStart | None = None) -> L1Solution:
+def solve_l1(A: np.ndarray, b: np.ndarray, basis: WarmStart | None = None):
     """min sum(x) subject to A x = b, x >= 0, for a matrix from
     ``_assemble_standard_form``, with the embedded simplex.
 
-    Deterministic under the fixed atom ordering and the ``WarmStart``
-    ``basis``, if any (see ``solve_standard_form``); the reconstruction
-    residual, the duality gap and the dual feasibility of every returned
-    solution, a reused ``WarmStart``'s too, are computed from A, x and y,
-    and ``L1Solution.checked_status`` holds them to one tolerance.
+    ``b`` is one right-hand side, which gives one ``L1Solution``, or a block
+    of them, one per row, which gives a list: the warm walk of the module
+    docstring, from ``basis``.  Deterministic under the fixed atom ordering
+    and the ``WarmStart`` ``basis``, if any (see ``solve_standard_form``);
+    the reconstruction residual, the duality gap and the dual feasibility of
+    every returned solution, a reused ``WarmStart``'s too, are computed from
+    A, x and y, and ``L1Solution.checked_status`` holds them to one
+    tolerance.
     """
+    single = np.ndim(b) == 1
+    b = np.asarray(b, dtype=np.float64).reshape(-1, A.shape[0])
+    if not np.isfinite(b).all():
+        raise ValueError("LP right-hand side is not finite")
     c = np.ones(A.shape[1])
-    result = solve_standard_form(A, b, c, basis=basis)
+    solutions = []
+    j = 0
+    while j < len(b):
+        result = solve_standard_form(A, b[j], c, basis=basis)
+        basis = result.warm_start
+        if result.status == STATUS_OPTIMAL:
+            x, objective = result.x[None], np.array([result.objective])
+            solutions += _certified(A, b[j : j + 1], c, x, objective, result.dual, result.iterations, basis)
+        else:
+            status = "infeasible" if result.status == STATUS_INFEASIBLE else "numerical_failure"
+            nan = np.full(A.shape[1] // 2, np.nan)
+            solutions.append(L1Solution(np.nan, status, np.nan, nan, nan, np.nan, np.nan, result.iterations))
+        j += 1
+        if basis is not None and j < len(b):
+            served, x, objective, dual = reuse_basis(A, b[j:], c, basis)
+            if served:
+                solutions += _certified(A, b[j : j + served], c, x, objective, dual, 0, basis)
+                j += served
+    return solutions[0] if single else solutions
+
+
+def _certified(A, b, c, x, objective, dual, iterations, warm_start) -> list[L1Solution]:
+    """Optimal solutions, one per row of ``b``, ``x`` and ``objective``,
+    that share the dual ``dual`` and the basis ``warm_start``, with their
+    certificates: each row's residual and gap take the bits of its mat-vec
+    and dot product alone."""
     n = A.shape[1] // 2
-    status = {STATUS_OPTIMAL: "optimal", STATUS_INFEASIBLE: "infeasible"}.get(result.status, "numerical_failure")
-    if status != "optimal":
-        nanvec = np.full(n, np.nan)
-        return L1Solution(np.nan, status, np.nan, nanvec, nanvec, np.nan, np.nan, result.iterations)
-    return L1Solution(
-        value=float(result.objective),
-        status=status,
-        residual=float(np.abs(A @ result.x - b).max()),
-        plus=result.x[:n],
-        minus=result.x[n:],
-        dual_gap=float(abs(result.objective - result.dual @ b)),
-        dual_violation=float(max(0.0, (A.T @ result.dual - c).max())),
-        iterations=result.iterations,
-        warm_start=result.warm_start,
-        standard_form=(A, b),
-    )
-
-
-@lru_cache(maxsize=None)
-def _cached_paulis(n_qubits: int):
-    return pauli_strings(n_qubits)
+    residual = np.abs((A @ x[:, :, None])[:, :, 0] - b).max(axis=1, initial=0.0)
+    gap = np.abs(objective - (b[:, None, :] @ dual[:, None])[:, 0, 0])
+    violation = float(max(0.0, (A.T @ dual - c).max()))
+    return [
+        L1Solution(
+            value=float(objective[k]),
+            status="optimal",
+            residual=float(residual[k]),
+            plus=x[k, :n],
+            minus=x[k, n:],
+            dual_gap=float(gap[k]),
+            dual_violation=violation,
+            iterations=iterations,
+            warm_start=warm_start,
+            standard_form=(A, b[k]),
+        )
+        for k in range(len(b))
+    ]
 
 
 @lru_cache(maxsize=None)
 def _state_constraints(dictionary) -> np.ndarray:
-    paulis = _cached_paulis(dictionary.n_qubits)
-    return _assemble_standard_form(np.array([pauli_vectorize(P, paulis) for P in dictionary.projectors]))
+    vectors = pauli_vectorize(np.array(dictionary.projectors), pauli_basis(dictionary.n_qubits))
+    return _assemble_standard_form(vectors)
 
 
-def rom_state(rho: DensityOperator, dictionary, basis: WarmStart | None = None) -> L1Solution:
+def rom_state(rho: DensityOperator, dictionary, basis: WarmStart | None = None):
     """Robustness of a state over a stabilizer dictionary.
 
     Every input is renormalized first; the factor is reported on the
     solution and logged when it is not 1.  Faithful: the value is 1 exactly when the
     state lies in the stabilizer polytope.  ``basis`` may carry the
-    ``warm_start`` of a neighbouring state's solve as a starting point.
+    ``warm_start`` of a neighbouring state's solve as a starting point.  A
+    grid of states gives one solution per entry, in order, from one warm
+    walk (``solve_l1``).  An infeasible LP, for any entry, raises.
     """
     rho, factor = rho.renormalized()
-    if factor != 1.0:
-        logger.info("rom_state renormalized input by factor %.12g", factor)
+    log_renormalized(logger, "rom_state", factor)
     if rho.dim != dictionary.dim:
         raise DimensionMismatchError(
             f"state dim {rho.dim} != dictionary dim {dictionary.dim}"
         )
-    target = pauli_vectorize(rho.matrix, _cached_paulis(dictionary.n_qubits))
-    solution = solve_l1(_state_constraints(dictionary), target, basis)
-    logger.debug("rom_state status=%s value=%.12g", solution.status, solution.value)
-    if solution.status == "infeasible":
+    target = pauli_vectorize(rho.matrix, pauli_basis(dictionary.n_qubits))
+    solutions = solve_l1(_state_constraints(dictionary), target, basis)
+    walk = solutions if isinstance(solutions, list) else [solutions]
+    _log_solutions("rom_state", walk)
+    if any(solution.status == "infeasible" for solution in walk):
         raise ValueError("robustness LP infeasible: input is not a valid state")
-    return replace(solution, renorm_factor=factor)
+    factors = np.atleast_1d(factor)
+    walk = [s if f == 1.0 else replace(s, renorm_factor=float(f)) for s, f in zip(walk, factors)]
+    return walk if isinstance(solutions, list) else walk[0]
+
+
+def _log_solutions(who: str, solutions: list) -> None:
+    if logger.isEnabledFor(logging.DEBUG):
+        for solution in solutions:
+            logger.debug("%s status=%s value=%.12g", who, solution.status, solution.value)
 
 
 @lru_cache(maxsize=None)
 def _channel_constraints(atoms) -> np.ndarray:
     """Choi reconstruction rows, then for each of X, Y, Z one marginal row
     over the plus side and one over the minus side."""
-    paulis = _cached_paulis(2)
-    vectors = np.array([pauli_vectorize(a.projector, paulis) for a in atoms])
+    vectors = pauli_vectorize(np.array([a.projector for a in atoms]), pauli_basis(2))
     marginals = np.array([a.marginal for a in atoms])
     # tr(P m) for each Pauli P and each atom marginal m.
     marginal_rows = np.einsum("pij,aji->pa", np.array([PAULI_X, PAULI_Y, PAULI_Z]), marginals).real
     return _assemble_standard_form(vectors, marginal_rows)
 
 
-def channel_robustness(ch: KrausChannel, atoms, basis: WarmStart | None = None) -> L1Solution:
+def channel_robustness(ch: KrausChannel, atoms, basis: WarmStart | None = None):
     """Channel robustness of a single-qubit channel over Choi atoms.
 
     The two sides of the decomposition are conic combinations of stabilizer
@@ -183,13 +234,14 @@ def channel_robustness(ch: KrausChannel, atoms, basis: WarmStart | None = None) 
     marginal (its X, Y, Z components vanish), which together with the Choi
     reconstruction rows makes the optimal l1 norm equal 1 + 2p.  ``basis``
     may carry the ``warm_start`` of a neighbouring channel's solve as a
-    starting point.
+    starting point.  A grid of channels gives one solution per entry, in
+    order, from one warm walk (``solve_l1``).
     """
     if ch.d_in != 2 or ch.d_out != 2:
         raise DimensionMismatchError("channel robustness is implemented for qubit channels")
-    target = pauli_vectorize(choi_of_channel(ch).matrix, _cached_paulis(2))
+    target = pauli_vectorize(choi_of_channel(ch).matrix, pauli_basis(2))
     A = _channel_constraints(atoms)
-    b = np.concatenate([target, np.zeros(A.shape[0] - target.size)])
-    solution = solve_l1(A, b, basis)
-    logger.debug("channel_robustness status=%s value=%.12g", solution.status, solution.value)
-    return solution
+    b = np.concatenate([target, np.zeros(target.shape[:-1] + (A.shape[0] - target.shape[-1],))], axis=-1)
+    solutions = solve_l1(A, b, basis)
+    _log_solutions("channel_robustness", solutions if isinstance(solutions, list) else [solutions])
+    return solutions

@@ -18,7 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .channels import ChoiState, DensityOperator, KrausChannel, choi_of_channel
+from .channels import ChoiState, DensityOperator, KrausChannel, choi_of_channel, log_renormalized
 from .config import DEFAULT_TOL
 from .gates import heisenberg_weyl_operators
 from .linalg import DimensionMismatchError, dagger
@@ -71,46 +71,58 @@ def build_frame(d: int) -> PhaseSpaceFrame:
 def wigner_of_operator(op: np.ndarray, frame: PhaseSpaceFrame) -> np.ndarray:
     """Wigner coefficients W(u) = Tr[A_u op] / d of a Hermitian operator.
 
-    Returned as a (d, d) real array indexed [a1, a2].
+    Returned as a (d, d) real array indexed [a1, a2], after any leading grid
+    axes of ``op``.  An imaginary part beyond rounding raises ValueError.
     """
     op = np.asarray(op, dtype=complex)
-    if op.shape != (frame.d, frame.d):
+    if op.shape[-2:] != (frame.d, frame.d):
         raise DimensionMismatchError(f"operator shape {op.shape} != frame dim {frame.d}")
-    vals = np.einsum("uij,ji->u", frame.phase_points, op) / frame.d
+    vals = np.einsum("uij,...ji->...u", frame.phase_points, op) / frame.d
     if np.abs(vals.imag).max() > DEFAULT_TOL.wigner_imag:
         raise ValueError("Wigner function has a non-real component; operator not Hermitian?")
-    return vals.real.reshape(frame.d, frame.d)
+    return vals.real.reshape(*op.shape[:-2], frame.d, frame.d)
 
 
 def wigner_of_state(rho: DensityOperator, frame: PhaseSpaceFrame) -> np.ndarray:
-    """Wigner function of a normalized state; values sum to its trace,
-    which is 1 within ``DEFAULT_TOL.psd``."""
-    if not rho.normalized:
+    """Wigner function of a normalized state, or of each entry of a grid;
+    values sum to its trace, which is 1 within ``DEFAULT_TOL.psd``."""
+    if not np.all(rho.normalized):
         raise ValueError("wigner_of_state expects a normalized state")
     wig = wigner_of_operator(rho.matrix, frame)
-    if abs(wig.sum() - rho.trace) > DEFAULT_TOL.eq:
-        raise RuntimeError(f"Wigner normalization drifted: sum = {wig.sum()!r}")
+    sums = wig.sum(axis=(-2, -1))
+    drift = np.abs(sums - rho.trace)
+    if drift.max() > DEFAULT_TOL.eq:
+        raise RuntimeError(f"Wigner normalization drifted: sum = {sums.flat[drift.argmax()]!r}")
     return wig
 
 
-def _clamp_mana(value: float) -> float:
-    # Values inside the zero band are rounding residue of log2(1 + eps).
-    return 0.0 if value < DEFAULT_TOL.mana_zero else float(value)
+def mana_of_wigner(wig: np.ndarray, channel: bool = False):
+    """Mana, log2 of a Wigner l1 norm, with values inside the zero band
+    ``DEFAULT_TOL.mana_zero`` read as the rounding residue of log2(1 + eps).
+
+    ``wig`` holds a state's W(u) in its last two axes, or with ``channel``
+    a channel's W(v|u) as ``W[v, u]``, whose norm is the largest column sum
+    max_u sum_v |W(v|u)|.  Leading grid axes give one mana per entry, a
+    float for a single W."""
+    l1 = np.abs(wig).sum(axis=-2).max(axis=-1) if channel else np.abs(wig).sum(axis=(-2, -1))
+    value = np.log2(l1)
+    value = np.where(value < DEFAULT_TOL.mana_zero, 0.0, value)
+    return float(value) if value.ndim == 0 else value
 
 
-def mana_state(rho: DensityOperator, frame: PhaseSpaceFrame) -> float:
+def mana_state(rho: DensityOperator, frame: PhaseSpaceFrame):
     """Mana of a state: log2 of the Wigner l1 norm, zero exactly on the
-    nonnegative-Wigner set.  Unnormalized inputs are renormalized first."""
+    nonnegative-Wigner set.  Unnormalized inputs are renormalized first,
+    with one INFO line per renormalized state; a grid of states gives one
+    mana per entry."""
     rho, factor = rho.renormalized()
-    if factor != 1.0:
-        logger.info("mana_state renormalized input by factor %.12g", factor)
-    wig = wigner_of_state(rho, frame)
-    return _clamp_mana(np.log2(np.abs(wig).sum()))
+    log_renormalized(logger, "mana_state", factor)
+    return mana_of_wigner(wigner_of_state(rho, frame))
 
 
 def _choi_route_wigner(choi: ChoiState, frame: PhaseSpaceFrame) -> np.ndarray:
     """W(v|u) = Tr[(A_u^T (x) A_v) J] from the Choi state J of a channel on
-    the frame's dimension.
+    the frame's dimension, one per entry of a grid.
 
     One contraction over J reshaped to its (in, out, in, out) indices.  The
     general form carries a factor d_in / d_out, which is 1 here: the 1/d_in
@@ -118,8 +130,8 @@ def _choi_route_wigner(choi: ChoiState, frame: PhaseSpaceFrame) -> np.ndarray:
     An imaginary part beyond rounding raises ValueError.
     """
     d = frame.d
-    j4 = choi.matrix.reshape(d, d, d, d)
-    wig = np.einsum("uji,vab,jbia->vu", frame.phase_points, frame.phase_points, j4)
+    j4 = choi.matrix.reshape(*choi.matrix.shape[:-2], d, d, d, d)
+    wig = np.einsum("uji,vab,...jbia->...vu", frame.phase_points, frame.phase_points, j4)
     if np.abs(wig.imag).max() > DEFAULT_TOL.wigner_imag:
         raise ValueError("channel Wigner function has a non-real component")
     return wig.real
@@ -131,17 +143,16 @@ def wigner_of_channel(ch: KrausChannel, frame: PhaseSpaceFrame) -> np.ndarray:
 
     Computed as one contraction of the channel's checked Choi state
     (``_choi_route_wigner``).  Returned as a (d^2, d^2) array W[v, u] in
-    row-major point order, so each column sums to 1 for a trace-preserving
-    channel.
+    row-major point order, after any leading grid axes, so each column sums
+    to 1 for a trace-preserving channel.
     """
     if ch.d_in != frame.d or ch.d_out != frame.d:
         raise DimensionMismatchError(f"channel dims ({ch.d_in},{ch.d_out}) != frame dim {frame.d}")
     return _choi_route_wigner(choi_of_channel(ch), frame)
 
 
-def mana_channel(ch: KrausChannel, frame: PhaseSpaceFrame) -> float:
+def mana_channel(ch: KrausChannel, frame: PhaseSpaceFrame):
     """Mana of a channel: log2 max_u sum_v |W(v|u)|; zero exactly when the
-    channel preserves Wigner nonnegativity completely."""
-    wig = wigner_of_channel(ch, frame)
-    worst = np.abs(wig).sum(axis=0).max()
-    return _clamp_mana(np.log2(worst))
+    channel preserves Wigner nonnegativity completely.  A grid of channels
+    gives one mana per entry."""
+    return mana_of_wigner(wigner_of_channel(ch, frame), channel=True)

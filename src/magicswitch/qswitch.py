@@ -7,7 +7,9 @@ the conditional branches after a Fourier-basis control measurement, and
 provides the closed form those branches take when both inner channels are
 depolarizing.
 
-The control qubit is always the first tensor factor.
+The control qubit is always the first tensor factor.  Each function maps
+a grid of channels (a leading axis on their Kraus stacks) or an array of
+noise values entry by entry.
 """
 
 from __future__ import annotations
@@ -48,10 +50,15 @@ def build_switch(a: KrausChannel, b: KrausChannel) -> KrausChannel:
             f"inner channels act on different dimensions {a.d_in} != {b.d_in}"
         )
     d = a.d_in
-    E, F = a.kraus_ops[:, None], b.kraus_ops[None]
-    ops = np.zeros((len(a.kraus_ops) * len(b.kraus_ops), 2 * d, 2 * d), dtype=complex)
-    ops[:, :d, :d] = (E @ F).reshape(-1, d, d)  # E_i F_j
-    ops[:, d:, d:] = (F @ E).reshape(-1, d, d)  # F_j E_i
+    E, F = a.kraus_ops[..., :, None, :, :], b.kraus_ops[..., None, :, :, :]
+    lead = np.broadcast_shapes(a.kraus_ops.shape[:-3], b.kraus_ops.shape[:-3])
+    ops = np.zeros((*lead, a.kraus_ops.shape[-3] * b.kraus_ops.shape[-3], 2 * d, 2 * d), dtype=complex)
+    EF = E @ F
+    # A channel switched with itself has F_j E_i = E_j E_i, its EF products
+    # with i and j swapped.
+    FE = EF.swapaxes(-4, -3) if a is b else F @ E
+    ops[..., :d, :d] = EF.reshape(*lead, -1, d, d)  # E_i F_j
+    ops[..., d:, d:] = FE.reshape(*lead, -1, d, d)  # F_j E_i
     return _derived(KrausChannel, ops)
 
 
@@ -71,7 +78,8 @@ def conditional_outputs(
 
     Returns (rho_plus, rho_minus, prob_plus, prob_minus); the branch states
     are unnormalized and carry the outcome probabilities as their traces,
-    which sum to the input trace.
+    which sum to the input trace.  A grid of switches gives grids of
+    branches and arrays of probabilities.
     """
     if target_in.dim != switch.d_in // 2:
         raise DimensionMismatchError(
@@ -139,6 +147,11 @@ class EffectiveDepolarizingSwitch:
         return abs(lhs - rhs)
 
 
+@lru_cache(maxsize=None)
+def _t_channel() -> KrausChannel:
+    return unitary_channel(T_GATE)
+
+
 @dataclass(frozen=True, eq=False)
 class WeightedChannel:
     """A trace-preserving channel together with its branch probability."""
@@ -153,12 +166,12 @@ def effective_t_channels(p: float) -> tuple[WeightedChannel, WeightedChannel]:
     Each branch is the normalized channel D_{p_pm} after T, paired with its
     branch weight.  At p = 0 the plus branch is exactly the T gate and the
     minus branch has weight 0; the minus-branch channel itself never depends
-    on p, only its weight does.
+    on p, only its weight does.  For an array of p, the plus channel and both
+    weights are grids, and the minus channel stays one channel.
     """
     eff = EffectiveDepolarizingSwitch.from_noise(2, p)
-    t_channel = unitary_channel(T_GATE)
-    plus = compose_channels(depolarizing_channel(2, eff.p_plus), t_channel)
-    minus = compose_channels(depolarizing_channel(2, eff.p_minus), t_channel)
+    plus = compose_channels(depolarizing_channel(2, eff.p_plus), _t_channel())
+    minus = compose_channels(depolarizing_channel(2, eff.p_minus), _t_channel())
     return (
         WeightedChannel(weight=eff.weight_plus, channel=plus),
         WeightedChannel(weight=eff.weight_minus, channel=minus),

@@ -1,3 +1,5 @@
+from functools import cached_property, partial
+
 import numpy as np
 import pytest
 
@@ -5,14 +7,21 @@ from magicswitch import (
     DensityOperator,
     KrausChannel,
     build_frame,
+    build_switch,
+    channel_robustness,
     compose_channels,
+    conditional_outputs,
     cspo_choi_atoms,
     depolarizing_channel,
     effective_t_channels,
     enumerate_stabilizer_states,
+    mana_channel,
+    mana_state,
     noisy_th_channel,
+    rom_state,
     unitary_channel,
 )
+from magicswitch.channels import plus_density
 from magicswitch.config import DEFAULT_TOL
 from magicswitch.gates import T_GATE
 from magicswitch.linalg import tensor
@@ -101,29 +110,174 @@ def pivot_walks(monkeypatch, run):
 
 
 def recorded_solves(monkeypatch, run):
-    """Run ``run()``; return its result and, per LP it solved through
-    ``lp.solve_l1``, [whether it was given a start basis, its
-    ``iterations``, the pivot loops it ran]."""
-    from magicswitch import _simplex, lp
+    """Run ``run()``; return its result and, per LP solution a sweep or a
+    search got back from ``channel_robustness`` or ``rom_state`` (looked up
+    in ``experiments``), in order: [whether its solve had a start basis,
+    its ``iterations``].  The first solution of a call starts from the
+    basis the call was given; each later one is walked from the one before."""
+    from magicswitch import experiments
 
     solves = []
-    solve, pivot_loop = lp.solve_standard_form, _simplex.bland_pivot_loop
 
-    def recording_solve(A, b, c, basis=None):
-        solves.append([basis is not None, None, 0])
-        result = solve(A, b, c, basis=basis)
-        solves[-1][1] = result.iterations
-        return result
+    def recording(program):
+        def solve(*args, basis=None):
+            solutions = program(*args, basis=basis)
+            walk = solutions if isinstance(solutions, list) else [solutions]
+            for k, solution in enumerate(walk):
+                solves.append([basis is not None or k > 0, solution.iterations])
+            return solutions
 
-    def recording_loop(*args):
-        solves[-1][2] += 1
-        return pivot_loop(*args)
+        return solve
 
     with monkeypatch.context() as patch:
-        patch.setattr(lp, "solve_standard_form", recording_solve)
-        patch.setattr(_simplex, "bland_pivot_loop", recording_loop)
+        patch.setattr(experiments, "channel_robustness", recording(experiments.channel_robustness))
+        patch.setattr(experiments, "rom_state", recording(experiments.rom_state))
         result = run()
     return result, solves
+
+
+# ---------------------------------------------------------------------------
+# The sweep one grid point at a time: the oracle of the array program
+# ---------------------------------------------------------------------------
+
+class PointOracle:
+    """One noise value ``p`` of one sweep experiment: the per-point sweep the
+    array program replaced, kept as its reference.  Each intermediate is
+    built by the package's single-object functions on first use, and each
+    LP is solved alone, from the basis its column reached at the previous
+    point of the run (``run["bases"]``)."""
+
+    def __init__(self, experiment, p, lp_tol, run):
+        self.experiment, self.p, self.lp_tol, self.run = experiment, p, lp_tol, run
+
+    @cached_property
+    def channel(self):
+        from magicswitch import experiments
+
+        return experiments.CHANNELS[experiments.MEASURE_TABLE[self.experiment][0]](self.p)
+
+    @cached_property
+    def switch_outputs(self):
+        ch = self.channel
+        return conditional_outputs(build_switch(ch, ch), plus_density(ch.d_in))
+
+    @cached_property
+    def t_branches(self):
+        return effective_t_channels(self.p)
+
+    def solve(self, column, program, *args):
+        from magicswitch import experiments
+
+        solution = program(*args, basis=self.run["bases"].get(column))
+        self.run["bases"][column] = solution.warm_start
+        return experiments._certified_value(solution, self.lp_tol)
+
+
+def _prob_status(a, b):
+    tol = DEFAULT_TOL.probability
+    ok = -tol <= a <= 1 + tol and -tol <= b <= 1 + tol and abs(a + b - 1.0) <= tol
+    return "ok" if ok else "check_failed"
+
+
+def _mana_status(value):
+    return value, "ok" if value >= -DEFAULT_TOL.mana_zero else "check_failed"
+
+
+def _oracle_channel_robustness(pt, column):
+    return pt.solve(column, channel_robustness, pt.channel, cspo_choi_atoms(enumerate_stabilizer_states(2)))
+
+
+def _oracle_channel_mana(pt, column):
+    return _mana_status(mana_channel(pt.channel, build_frame(3)))
+
+
+def _oracle_probability(pt, column, k):
+    probs = pt.switch_outputs[2:]
+    return probs[k], _prob_status(*probs)
+
+
+def _oracle_branch_robustness(pt, column, k):
+    if pt.switch_outputs[2 + k] <= DEFAULT_TOL.degenerate_prob:
+        return float("nan"), "degenerate"
+    return pt.solve(column, rom_state, pt.switch_outputs[k], enumerate_stabilizer_states(1))
+
+
+def _oracle_branch_mana(pt, column, k):
+    if pt.switch_outputs[2 + k] <= DEFAULT_TOL.degenerate_prob:
+        return float("nan"), "degenerate"
+    return _mana_status(mana_state(pt.switch_outputs[k], build_frame(3)))
+
+
+def _oracle_t_robustness(pt, column, k):
+    atoms = cspo_choi_atoms(enumerate_stabilizer_states(2))
+    if k == 0:
+        return pt.solve(column, channel_robustness, pt.t_branches[0].channel, atoms)
+    # The minus-branch channel does not depend on p: solved once per run.
+    if "switch_minus" not in pt.run:
+        pt.run["switch_minus"] = pt.solve(column, channel_robustness, pt.t_branches[1].channel, atoms)
+    return pt.run["switch_minus"]
+
+
+def _oracle_t_weight(pt, column, k):
+    weights = [branch.weight for branch in pt.t_branches]
+    return weights[k], _prob_status(*weights)
+
+
+# Sweep column -> its per-point measure (point, column) -> (value, status).
+ORACLE_MEASURES = {
+    "channel_robustness": _oracle_channel_robustness,
+    "rom_plus": partial(_oracle_branch_robustness, k=0),
+    "rom_minus": partial(_oracle_branch_robustness, k=1),
+    "prob_plus": partial(_oracle_probability, k=0),
+    "prob_minus": partial(_oracle_probability, k=1),
+    "rob_sequential": _oracle_channel_robustness,
+    "rob_switch_plus": partial(_oracle_t_robustness, k=0),
+    "rob_switch_minus": partial(_oracle_t_robustness, k=1),
+    "weight_plus": partial(_oracle_t_weight, k=0),
+    "weight_minus": partial(_oracle_t_weight, k=1),
+    "mana_channel": _oracle_channel_mana,
+    "mana_plus": partial(_oracle_branch_mana, k=0),
+    "mana_minus": partial(_oracle_branch_mana, k=1),
+}
+
+
+def oracle_rows(experiment, grid, lp_tol=DEFAULT_TOL.lp_value, cold=False):
+    """The rows of one contiguous run over ``grid``, one point at a time, in
+    order, each LP warm-started from its column's last basis (from cold at
+    every point when ``cold``)."""
+    from magicswitch.experiments import MEASURE_COLUMNS, SweepRow
+
+    run = {"bases": {}}
+    rows = []
+    for p in grid:
+        if cold:
+            run = {"bases": {}}
+        point = PointOracle(experiment, p, lp_tol, run)
+        row = SweepRow(p=p)
+        for column in MEASURE_COLUMNS[experiment]:
+            row.values[column], row.status[column] = ORACLE_MEASURES[column](point, column)
+        rows.append(row)
+    return rows
+
+
+def compare_rows(got, want, tol=1e-12):
+    """Assert equal p and statuses and values within ``tol`` (NaN where the
+    oracle has NaN); return how many values are bit-equal and how many
+    there are."""
+    assert len(got) == len(want)
+    equal = total = 0
+    for g, w in zip(got, want):
+        assert g.p == w.p
+        assert g.status == w.status, g.p
+        for column, value in w.values.items():
+            total += 1
+            if np.isnan(value):
+                assert np.isnan(g.values[column]), (g.p, column)
+                equal += 1
+                continue
+            assert abs(g.values[column] - value) <= tol, (g.p, column, g.values[column], value)
+            equal += g.values[column] == value
+    return equal, total
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,7 @@ from magicswitch.experiments import (
     write_rows,
 )
 
-from conftest import recorded_solves
+from conftest import oracle_rows, recorded_solves
 
 
 class TestSweepConfig:
@@ -150,8 +150,11 @@ class TestCertificates:
     def test_failed_certificate_is_tagged(self, monkeypatch, certificate):
         def doctored(solver):
             def solve(*args, **kwargs):
-                solution = solver(*args, **kwargs)
-                return replace(solution, **{certificate: 10 * DEFAULT_TOL.lp_residual})
+                solutions = solver(*args, **kwargs)
+                bad = {certificate: 10 * DEFAULT_TOL.lp_residual}
+                if isinstance(solutions, list):  # a grid: one solution per entry
+                    return [replace(solution, **bad) for solution in solutions]
+                return replace(solutions, **bad)
 
             return solve
 
@@ -221,7 +224,7 @@ class TestWarmStart:
     @pytest.mark.parametrize("experiment", ["fig2", "fig3"])
     def test_warm_values_match_cold_solves(self, monkeypatch, experiment):
         grid = default_config(experiment).grid()
-        cold = [experiments._dispatch_row((experiment, p, 1e-6, experiments._RunState())) for p in grid]
+        cold = oracle_rows(experiment, grid, 1e-6, cold=True)
         forward, solves = recorded_solves(
             monkeypatch, lambda: experiments._run_rows(experiment, grid, 1e-6)
         )
@@ -235,12 +238,12 @@ class TestWarmStart:
                         assert math.isnan(got.values[m])
                     else:
                         assert abs(got.values[m] - want.values[m]) <= 1e-12, (got.p, m)
-        # Only the first LP of each column starts cold, and it runs both
-        # phases.  A warm LP whose basis stays feasible runs no pivot loop
-        # (iterations 0); nearly every warm LP of the grid is one.
-        assert [(warm, loops) for warm, _, loops in solves if not warm] == [(False, 2)] * 3
-        assert all((iterations == 0) == (loops == 0) for _, iterations, loops in solves)
-        assert sum(iterations == 0 for _, iterations, _ in solves) >= 0.95 * len(solves)
+        # Only the first LP of each column starts cold, and it pivots.  A
+        # warm LP whose basis stays feasible is read off it (iterations 0);
+        # nearly every warm LP of the grid is one.
+        assert [warm for warm, _ in solves].count(False) == 3
+        assert all(iterations > 0 for warm, iterations in solves if not warm)
+        assert sum(iterations == 0 for _, iterations in solves) >= 0.95 * len(solves)
 
     def test_each_run_starts_cold(self, monkeypatch):
         config = _tiny("fig3", stop=0.2, step=0.02)
@@ -249,8 +252,8 @@ class TestWarmStart:
         # Nothing carries over from the first run: the second solves the
         # same LPs the same way, the first LP of each column cold again.
         assert solves == again
-        assert [warm for warm, _, _ in solves[:3]] == [False] * 3 and solves[0][2] == 2
-        assert all(warm for warm, _, _ in solves[3:])
+        cold = [k for k, (warm, _) in enumerate(solves) if not warm]
+        assert len(cold) == 3 and all(solves[k][1] > 0 for k in cold)
         assert rows_to_csv(first, MEASURE_COLUMNS["fig3"]) == rows_to_csv(second, MEASURE_COLUMNS["fig3"])
 
     def test_nearly_every_sweep_lp_reuses_its_basis(self, monkeypatch):
@@ -258,18 +261,20 @@ class TestWarmStart:
         # and all but a few of the rest keep their column's last basis.
         _, solves = recorded_solves(monkeypatch, lambda: (run_fig2(), run_fig3()))
         assert len(solves) == 485
-        assert sum(iterations == 0 for _, iterations, _ in solves) >= 470
+        assert sum(iterations == 0 for _, iterations in solves) >= 470
 
     def test_fig3_minus_branch_is_solved_once_per_run(self, monkeypatch):
         calls = []
 
         def counting(ch, atoms, **kwargs):
-            calls.append(ch)
+            calls.append(ch.kraus_ops.shape[:-3])
             return lp.channel_robustness(ch, atoms, **kwargs)
 
         monkeypatch.setattr(experiments, "channel_robustness", counting)
         rows = run_fig3(_tiny("fig3", start=0.0, stop=0.4))
-        assert len(rows) == 5 and len(calls) == 2 * 5 + 1
+        # The sequential and plus columns are grids of the 5 rows; the
+        # minus branch is one channel, solved once.
+        assert len(rows) == 5 and sorted(calls) == [(), (5,), (5,)]
         values = {(r.values["rob_switch_minus"], r.status["rob_switch_minus"]) for r in rows}
         assert len(values) == 1
 
@@ -409,7 +414,7 @@ class TestThresholdFinder:
     @pytest.mark.parametrize("name", list(THRESHOLD_COLUMNS))
     def test_threshold_measure_equals_cold_sweep_column(self, name):
         experiment, column = THRESHOLD_COLUMNS[name]
-        row = experiments._dispatch_row((experiment, 0.3, 1e-6, experiments._RunState()))
+        (row,) = experiments._run_rows(experiment, [0.3], 1e-6)
         assert MEASURES[name][0](0.3) == row.values[column]
 
     @pytest.mark.parametrize("name", ["fig2_channel_robustness", "fig3_sequential", "figs1_mana_channel"])
@@ -661,8 +666,9 @@ class TestWalkedThresholds:
         # to (0.29, 0.3175), whose low end's basis stops at the kink; only
         # the basis of x1 = p - 0.3 reaches the root, so the search bisects.
         def toy(p, state):
-            point = experiments._Point("fig2", p, DEFAULT_TOL.lp_value, state)
-            return point.solve("toy", lp.solve_l1, ABS_A, np.array([p - 0.3]), scale=1.0 + p)[0]
+            grid = experiments._Grid("fig2", np.array([p]), DEFAULT_TOL.lp_value, state)
+            (value,), _ = grid.solve("toy", lp.solve_l1, ABS_A, np.array([p - 0.3]), scale=1.0 + p)
+            return float(value)
 
         monkeypatch.setitem(MEASURES, "toy", (toy, floor))
         proposals = spy_on_basis_root(monkeypatch)

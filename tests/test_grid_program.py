@@ -1,0 +1,214 @@
+"""The sweep as one array program per block, against the point-by-point
+sweep it replaced (``conftest.oracle_rows``), and the grid kernels against
+their single-object calls."""
+
+import logging
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from magicswitch import (
+    DensityOperator,
+    build_frame,
+    build_switch,
+    choi_of_channel,
+    conditional_outputs,
+    cspo_choi_atoms,
+    enumerate_stabilizer_states,
+    find_threshold,
+    noisy_th_channel,
+    qutrit_noisy_th_channel,
+    wigner_of_channel,
+)
+from magicswitch import _simplex, channels, experiments, lp, phasespace
+from magicswitch.channels import plus_density
+from magicswitch.experiments import MEASURES, default_config, run_experiment
+
+from conftest import compare_rows, oracle_rows
+
+FINE = {"fig2": dict(step=0.0005), "fig3": dict(step=0.0002)}
+
+
+class TestAgainstThePointOracle:
+    @pytest.mark.parametrize("backward", [False, True], ids=["forward", "backward"])
+    @pytest.mark.parametrize("experiment", ["fig2", "fig3", "figs1"])
+    def test_default_grids(self, experiment, backward):
+        grid = default_config(experiment).grid()
+        grid = grid[::-1] if backward else grid
+        equal, total = compare_rows(experiments._run_rows(experiment, grid, 1e-6), oracle_rows(experiment, grid))
+        # The LP columns take the oracle's bits; mana may differ in the last
+        # bits, where a grid's Wigner contraction sums in another order.
+        assert equal >= (total if experiment != "figs1" else 0.9 * total)
+
+    @pytest.mark.parametrize("experiment", list(FINE))
+    def test_fine_grids(self, experiment):
+        grid = default_config(experiment, **FINE[experiment]).grid()
+        assert len(grid) == {"fig2": 2001, "fig3": 2251}[experiment]
+        equal, total = compare_rows(experiments._run_rows(experiment, grid, 1e-6), oracle_rows(experiment, grid))
+        assert equal == total
+
+    @settings(derandomize=True, database=None, max_examples=30, deadline=None)
+    @given(
+        experiment=st.sampled_from(["fig2", "fig3", "figs1"]),
+        start=st.floats(0.0, 0.6),
+        step=st.floats(1e-3, 0.04),
+        length=st.integers(1, 11),
+        backward=st.booleans(),
+    )
+    def test_random_sub_grids_across_blocks(self, experiment, start, step, length, backward):
+        grid = [min(start + k * step, 1.0) for k in range(length)]
+        grid = grid[::-1] if backward else grid
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(experiments, "_BLOCK_POINTS", 3)
+            got = experiments._run_rows(experiment, grid, 1e-6)
+        compare_rows(got, oracle_rows(experiment, grid))
+
+
+class TestRowBoundary:
+    @pytest.mark.parametrize("experiment", ["fig2", "fig3", "figs1"])
+    def test_dispatch_row_once_per_row_in_grid_order(self, monkeypatch, experiment):
+        # perfbench times rows by rebinding the module global: every row
+        # must still come out of one call of it, in grid order.
+        monkeypatch.setattr(experiments, "_BLOCK_POINTS", 4)
+        dispatch, calls = experiments._dispatch_row, []
+
+        def spy(args):
+            calls.append(dispatch(args))
+            return calls[-1]
+
+        monkeypatch.setattr(experiments, "_dispatch_row", spy)
+        config = default_config(experiment, start=0.1, stop=0.2, step=0.01)
+        rows = run_experiment(config)
+        assert len(rows) == len(config.grid()) == 11
+        assert [row.p for row in calls] == config.grid()
+        assert all(row is call for row, call in zip(rows, calls))
+
+
+def test_fig3_builds_its_t_gate_once_per_channel_family(monkeypatch):
+    # A default fig3 run measures the completeness of T_GATE's unitary
+    # channel once for the sequential channel and once for the switch
+    # branches, not once or twice per row.
+    residual, calls = channels._completeness_residual, []
+
+    def counting(ops):
+        calls.append(ops.shape)
+        return residual(ops)
+
+    monkeypatch.setattr(channels, "_completeness_residual", counting)
+    run_experiment(default_config("fig3"))
+    assert len(calls) <= 2
+
+
+def test_sampled_mana_evaluation_builds_one_wigner_function(monkeypatch):
+    route, calls = phasespace._choi_route_wigner, []
+
+    def counting(*args):
+        calls.append(args)
+        return route(*args)
+
+    monkeypatch.setattr(phasespace, "_choi_route_wigner", counting)
+    state = experiments._RunState(samples=[])
+    value = MEASURES["figs1_mana_channel"][0](0.4, state=state)
+    assert len(calls) == 1 and len(state.samples) == 1
+    (_, _, wigner), = state.samples
+    assert value == phasespace.mana_of_wigner(wigner.reshape(9, 9), channel=True)
+
+
+class TestTightToleranceThresholds:
+    """A basis is reused only while x_B >= -Tolerances.primal, so a value
+    read off a basis is never one a pivot tolerance below the optimum."""
+
+    def test_fig2_channel_search_at_zero_lp_tol_holds_its_closed_form(self):
+        res = find_threshold(
+            "fig2_channel_robustness", 0.1676575941556429, 0.3676575941556429,
+            lp_tol=0.0, threshold_tol=1.2940944123604168e-09,
+        )
+        assert res.bracket[0] <= 1 - 1 / math.sqrt(2) <= res.bracket[1]
+        assert res.iterations == 4
+
+    @pytest.mark.parametrize("name, exact", [
+        ("fig2_channel_robustness", 1 - 1 / math.sqrt(2)), ("fig2_rom_plus", 2 - math.sqrt(2)),
+    ])
+    def test_seeded_searches_at_zero_lp_tol(self, name, exact):
+        rng = np.random.default_rng(22)
+        for shift, tol in zip(rng.uniform(-0.05, 0.05, size=6), 10 ** rng.uniform(-10, -8, size=6)):
+            res = find_threshold(name, exact - 0.1 + shift, exact + 0.1 + shift, lp_tol=0.0, threshold_tol=tol)
+            assert res.bracket[0] <= exact <= res.bracket[1] and res.iterations == 4
+
+
+class TestGridKernels:
+    """Each grid entry gets the bits of the single-object call."""
+
+    P = np.array([0.0, 0.05, 0.3, 0.71, 1.0])
+
+    @pytest.mark.parametrize("family", [noisy_th_channel, qutrit_noisy_th_channel])
+    def test_channel_switch_and_branches(self, family):
+        grid = family(self.P)
+        outputs = conditional_outputs(build_switch(grid, grid), plus_density(grid.d_in))
+        for i, p in enumerate(self.P):
+            single = family(p)
+            assert np.array_equal(grid.kraus_ops[i], single.kraus_ops)
+            assert np.array_equal(choi_of_channel(grid).matrix[i], choi_of_channel(single).matrix)
+            want = conditional_outputs(build_switch(single, single), plus_density(single.d_in))
+            for got_branch, want_branch in zip(outputs[:2], want[:2]):
+                assert np.array_equal(got_branch.matrix[i], want_branch.matrix)
+            assert (outputs[2][i], outputs[3][i]) == want[2:]
+
+    def test_wigner_values(self):
+        frame = build_frame(3)
+        wig = wigner_of_channel(qutrit_noisy_th_channel(self.P), frame)
+        for i, p in enumerate(self.P):
+            assert np.abs(wig[i] - wigner_of_channel(qutrit_noisy_th_channel(p), frame)).max() <= 1e-15
+
+    def test_channel_robustness_walks_the_grid_in_order(self):
+        atoms = cspo_choi_atoms(enumerate_stabilizer_states(2))
+        walk = lp.channel_robustness(noisy_th_channel(self.P), atoms)
+        assert len(walk) == len(self.P)
+        start = None
+        for solution, p in zip(walk, self.P):
+            alone = lp.channel_robustness(noisy_th_channel(p), atoms, basis=start)
+            start = alone.warm_start
+            assert (solution.value, solution.status, solution.iterations) == (alone.value, alone.status, alone.iterations)
+            assert (solution.residual, solution.dual_gap) == (alone.residual, alone.dual_gap)
+
+    def test_rom_state_logs_each_renormalized_entry(self, caplog):
+        rho = channels._derived(DensityOperator, np.array([np.eye(2) / 2, np.eye(2) / 4, np.diag([0.3, 0.1])]))
+        with caplog.at_level(logging.INFO, logger="magicswitch.lp"):
+            walk = lp.rom_state(rho, enumerate_stabilizer_states(1))
+        assert [s.renorm_factor for s in walk] == [1.0, 0.5, 0.4]
+        assert [r.getMessage() for r in caplog.records] == [
+            "rom_state renormalized input by factor 0.5", "rom_state renormalized input by factor 0.4",
+        ]
+
+    def test_grid_checks_name_the_entry(self):
+        with pytest.raises(ValueError, match="p=1.5 outside"):
+            noisy_th_channel(np.array([0.2, 1.5, 0.3]))
+        with pytest.raises(ValueError, match="p=nan outside"):
+            qutrit_noisy_th_channel(np.array([0.2, np.nan]))
+        with pytest.raises(channels.StateValidationError, match="renormalize"):
+            channels._derived(DensityOperator, np.array([np.eye(2) / 2, np.zeros((2, 2))])).renormalized()
+        bad = np.array([np.eye(3) / 3, np.eye(3) / 3 + 1e-3j * np.diag([1, 0, -1])])
+        with pytest.raises(ValueError, match="non-real"):
+            phasespace.wigner_of_operator(bad, build_frame(3))
+
+
+def test_block_reuse_matches_single_solves():
+    # reuse_basis reads each served row of a block off one stacked mat-vec,
+    # with the bits a solve of that row alone gets from the same basis.
+    rng = np.random.default_rng(5)
+    A = np.hstack([rng.normal(size=(4, 6)), np.eye(4)])
+    c = rng.uniform(1.0, 2.0, size=A.shape[1])
+    b0 = rng.uniform(1, 2, size=4)
+    start = _simplex.solve_standard_form(A, b0, c).warm_start
+    block = b0 + np.outer(np.linspace(0.0, 4.0, 40), rng.normal(size=4))
+    served, x, objective, dual = _simplex.reuse_basis(A, block, c, start)
+    assert 0 < served < 40  # the block runs past the basis's feasible region
+    for j in range(served):
+        alone = _simplex.solve_standard_form(A, block[j], c, basis=start)
+        assert alone.iterations == 0 and alone.warm_start is start
+        assert np.array_equal(alone.x, x[j]) and alone.objective == objective[j]
+        assert np.array_equal(alone.dual, dual)
+    assert _simplex.solve_standard_form(A, block[served], c, basis=start).iterations > 0
