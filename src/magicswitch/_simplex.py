@@ -1,41 +1,38 @@
-"""Dense two-phase tableau simplex with Bland's rule.
+"""Dense two-phase tableau simplex, with dual simplex starts.
 
-This is the embedded LP engine behind every robustness value.  Problems are
-small (at most a few hundred columns and a few dozen rows) but are solved
-thousands of times per parameter sweep, so the pivot loop is the package's
-hot kernel: each pivot is a handful of whole-array numpy operations.
-
-Bland's rule (smallest eligible index enters; ratio ties broken by smallest
-basic variable index) makes the walk deterministic and cycle-free, so
-repeated runs produce bit-identical solutions.
+The embedded LP engine behind every robustness value.  Problems are small
+(a few hundred columns, a few dozen rows) but solved thousands of times per
+sweep, so the pivot loops, a handful of whole-array numpy operations per
+pivot, are the package's hot kernel.  Bland-type rules (smallest eligible
+index, ties to the smallest basic variable) keep every walk deterministic.
 
 Every optimal solve returns its basis with the inverse B^-1 read off its
-final tableau, as one ``WarmStart``.  Reduced costs and the dual
-y = c_B B^-1 do not depend on ``b``, so an optimal basis stays optimal
-while it stays primal feasible (Bertsimas & Tsitsiklis, *Introduction to
-Linear Optimization*, 1997, secs. 3.3 and 5.1).  ``reuse_basis`` tests a
-whole block of right-hand sides against one ``WarmStart``: x_B = B^-1 b for
-every column, one stacked mat-vec, gives the solutions of the leading
-columns that stay feasible, down to ``Tolerances.primal``.  A solve given a
-``WarmStart`` returns that solution when its one column is served.  A
-threshold search reads its crossing off the same B^-1
-(``experiments._basis_root``).  Otherwise phase 1 runs from the tableau
-``B^-1 [A | I | b]`` of a starting basis, with its phase-1 cost row.  A
-cold solve starts from the all-artificial basis, B = I, the classic
-two-phase start (sec. 3.5).  A starting basis that is primal infeasible for
-``b`` but still dual feasible for the real costs, as a neighbour's optimal
-basis is, is first repaired by dual simplex pivots (``dual_pivot_loop``,
-sec. 4.5).  A basis that cannot start the solve, and a repair that finds no
-entering column or runs past the iteration limit, give way to the
-all-artificial basis.  A ``WarmStart`` is the only start a caller can pass.
-The optimal value does not depend on the start beyond rounding; where an LP
-has several optimal vertices, ``x`` may.  Only a primal feasible solution
-is reported optimal.
+final tableau, as one ``WarmStart``.  Reduced costs and y = c_B B^-1 do not
+depend on ``b``, so an optimal basis stays optimal while it stays primal
+feasible (Bertsimas & Tsitsiklis, *Introduction to Linear Optimization*,
+1997, secs. 3.3 and 5.1).  ``reuse_basis`` reads a block of right-hand
+sides off one ``WarmStart``, x_B = B^-1 b, while it serves them, down to
+``Tolerances.primal``; of several held bases, ``least_infeasible`` picks
+the one to start from, one that serves ``b`` where any does.
 
-Primal feasibility (the reuse test, a starting basis's feasible test and
-the dual simplex's leaving rows) is judged at ``Tolerances.primal``, far
-below the pivot tolerance: a basic variable a pivot tolerance below 0 reads
-the value of an infeasible vertex, up to that tolerance below the optimum.
+Every other solve pivots by dual simplex (sec. 4.5) from a dual feasible
+start, with no phase-1 walk.  For c >= 0 the all-artificial basis, B = I,
+is one: artificials cost 0 in the real objective, so y = 0 and each real
+reduced cost is c_j.  ``dual_pivot_loop`` counts a basic artificial as
+fixed at 0, so it drives out every artificial off 0, and every one at 0
+that can leave (Koberstein, *The dual simplex method*, PhD thesis,
+Paderborn, 2005); one on a redundant row, which no pivot moves, is left to
+phase 1's cut.  A ``WarmStart`` starts from B^-1 [A | I | b], one product
+with its carried inverse, never refactored.  A drifted inverse (B B^-1 off
+I by more than ``_INVERSE_DRIFT``), a start that is not dual feasible (some
+c_j < 0) and a failed repair give way: a warm start to the cold one, a
+cold one to the classic start, B = I with phase 1 from b >= 0 (sec. 3.5).
+Phase 1, the drive-out of leftover artificials and phase 2 follow either
+way, each Bland loop one iteration after a repair.  The optimal value does
+not depend on the start beyond rounding; where an LP has several optimal
+vertices, ``x`` may.  A repair judges feasibility at ``Tolerances.primal``,
+far below the pivot tolerance: a basic variable a pivot tolerance below 0
+reads an infeasible vertex's value.
 """
 
 from __future__ import annotations
@@ -109,42 +106,58 @@ def dual_pivot_loop(tableau, basis, n_enterable, tol, max_iter):
     """Pivot a dual feasible tableau to primal feasibility (dual simplex).
 
     Same layout as ``bland_pivot_loop``, with the reduced costs of the real
-    objective in the last row, all >= -tol.  Bland-type rules keep the walk
-    deterministic and cycle-free: the leaving row is the row with a
-    right-hand side below -``Tolerances.primal`` that holds the smallest
-    basic variable, and the entering column, among columns < n_enterable
-    with a row entry below -tol, the one with the smallest ratio of reduced
-    cost to minus that entry (ties to the smallest index), which keeps every
-    reduced cost nonnegative.  Returns (status, pivots): STATUS_OPTIMAL once
-    every right-hand side is >= -primal, STATUS_INFEASIBLE when the leaving
-    row has no entering column (no x >= 0 with zero artificials solves that
-    row), STATUS_ITER_LIMIT after max_iter pivots.
+    objective in the last row, all >= -tol.  A basic artificial (index >=
+    n_enterable) is fixed at 0.  A row is infeasible below
+    -``Tolerances.primal``, or above it for an artificial.  The infeasible
+    row holding the smallest basic variable leaves; the entering column,
+    among columns < n_enterable whose row entry exceeds tol in the
+    direction that moves the leaving variable to its bound (negative below
+    0, positive above), has the smallest ratio of reduced cost to the
+    entry's size, ties to the smallest index, which keeps every reduced cost
+    nonnegative.  Once no row is infeasible, each artificial at 0 on a row
+    with a positive real entry leaves by the same rule: a degenerate pivot.
+    An artificial on a redundant row (no real entry above tol) stays, for
+    phase 1's cut to judge.  Returns (status, pivots): STATUS_OPTIMAL when
+    no row is infeasible and no artificial can leave, STATUS_INFEASIBLE when
+    another infeasible row has no entering column (no x >= 0 with zero
+    artificials solves it), STATUS_ITER_LIMIT after max_iter pivots.
     """
     m = tableau.shape[0] - 1
     reduced = tableau[m, :n_enterable]
     rhs = tableau[:m, -1]
+    primal = DEFAULT_TOL.primal
+    artificial = basis >= n_enterable
+    redundant = np.zeros(m, dtype=bool)
     pivots = 0
     while True:
-        rows = (rhs < -DEFAULT_TOL.primal).nonzero()[0]
+        rows = ((np.where(artificial, np.abs(rhs), -rhs) > primal) & ~redundant).nonzero()[0]
         if not rows.size:
-            return STATUS_OPTIMAL, pivots
+            # An artificial at 0 leaves too, by the same rule, where it can.
+            rows = artificial.nonzero()[0]
+            rows = rows[(tableau[rows, :n_enterable] > tol).any(axis=1)]
+            if not rows.size:
+                return STATUS_OPTIMAL, pivots
         if pivots == max_iter:
             return STATUS_ITER_LIMIT, pivots
         r = rows[basis[rows].argmin()]
         row = tableau[r, :n_enterable]
-        cols = (row < -tol).nonzero()[0]
+        size = -row if rhs[r] < -primal else row
+        cols = (size > tol).nonzero()[0]
         if not cols.size:
+            if artificial[r] and not (np.abs(row) > tol).any():
+                redundant[r] = True
+                continue
             return STATUS_INFEASIBLE, pivots
-        ratios = np.maximum(reduced[cols], 0.0) / -row[cols]
+        ratios = np.maximum(reduced[cols], 0.0) / size[cols]
         _pivot(tableau, basis, r, cols[ratios.argmin()])
+        artificial[r] = False
         pivots += 1
 
 
 class WarmStart(NamedTuple):
     """An optimal basis (indices into ``[A | I]``) with its read-only inverse,
-    to start a solve of the same A and c at another b.  The inverse is in the
-    unflipped frame, where the artificial column of a row that solve flipped
-    is -e_i, so B^-1 b holds whatever the signs of the new b."""
+    for a solve of the same A and c at another b.  The inverse is unflipped (a
+    flipped row's artificial column is -e_i), so B^-1 b holds for any signs."""
 
     basis: np.ndarray
     inverse: np.ndarray
@@ -152,9 +165,8 @@ class WarmStart(NamedTuple):
 
 @dataclass(frozen=True)
 class SimplexResult:
-    """``warm_start`` carries the optimal basis with its inverse and is None
-    for any other status; ``iterations`` is 0 when a ``WarmStart`` gave the
-    solution without a pivot loop."""
+    """``warm_start`` carries the optimal basis with its inverse (None for any
+    other status); ``iterations`` is 0 for a solution read off a ``WarmStart``."""
 
     status: int
     x: np.ndarray
@@ -164,6 +176,9 @@ class SimplexResult:
     warm_start: WarmStart | None = None
 
 
+_INVERSE_DRIFT = 1e-12  # largest max|B B^-1 - I| at which a carried B^-1 is used
+
+
 def _cost_row(tableau, basis, cost):
     """Reduced costs and minus the objective, ``cost - cost_B B^-1 [A | I | b]``,
     for the basis of a tableau whose body is already ``B^-1 [A | I | b]``."""
@@ -171,41 +186,47 @@ def _cost_row(tableau, basis, cost):
     return cost - cost[basis] @ tableau[:m]
 
 
-def _start_from_basis(A, b, cost, basis, tol, max_iter):
+def _start_from_basis(A, b, cost, basis, tol, max_iter, inverse=None):
     """Primal feasible tableau body ``B^-1 [A | I | b]`` for a starting basis
     over the columns of ``[A | I]``, with the basis it ends on and the dual
-    pivots it took; or None when the basis cannot start the solve: it is
-    numerically singular or ill conditioned, or it is primal infeasible
-    (below -``Tolerances.primal``) for this ``b`` and not repaired.  The
-    repair runs ``dual_pivot_loop`` when every reduced cost of the real
-    columns under ``cost`` is >= -tol, and fails when the loop does not
-    reach primal feasibility.  The
-    all-artificial basis has B = I, its own inverse, so it skips the solve
-    and the condition test: the body is the data itself."""
+    pivots it took; or None when the basis cannot start the solve.
+
+    B^-1 [A | I | b] is one product with ``inverse``, the carried B^-1,
+    which must pass max|B inverse - I| <= ``_INVERSE_DRIFT``, for a well
+    conditioned B.  A start must be dual feasible, every real reduced cost
+    under ``cost`` >= -tol, and is repaired by ``dual_pivot_loop``.  The
+    all-artificial basis (B = I) that is not repaired starts as it is: the
+    classic start, primal feasible for ``b >= 0``."""
     m, n = A.shape
     basis = np.array(basis, dtype=np.int64)
     body = np.concatenate([A, np.eye(m), b[:, None]], axis=1)
-    if not np.array_equal(basis, np.arange(n, n + m)):
+    cold = np.array_equal(basis, np.arange(n, n + m))
+    if not cold:
         B = body[:, basis]
-        try:
-            body = np.linalg.solve(B, body)
-        except np.linalg.LinAlgError:
+        if inverse is None or not np.abs(B @ inverse - np.eye(m)).max() <= _INVERSE_DRIFT:
             return None
-        # Round-off in B^-1 times data grows with the 1-norm condition number
-        # of B (B^-1 sits in the artificial columns); past tol/eps it could
-        # carry an entry across the pivot tolerance.  NaN fails this test too.
+        body = inverse @ body
+        # Round-off in B^-1 times data grows with the 1-norm condition number of B
+        # (B^-1 sits in the artificial columns); past tol/eps it could carry an
+        # entry across the pivot tolerance.  NaN fails this test too.
         condition = np.abs(B).sum(axis=0).max() * np.abs(body[:, n : n + m]).sum(axis=0).max()
         if not condition * np.finfo(np.float64).eps <= tol:
             return None
-    if (body[:, -1] >= -DEFAULT_TOL.primal).all():
-        return body, basis, 0
     tableau = np.vstack([body, _cost_row(body, basis, cost)])
-    if np.any(tableau[m, :n] < -tol):
-        return None
-    status, pivots = dual_pivot_loop(tableau, basis, n, tol, max_iter)
-    if status != STATUS_OPTIMAL:
-        return None
-    return tableau[:m], basis, pivots
+    if not np.any(tableau[m, :n] < -tol):
+        repaired = basis.copy()
+        status, pivots = dual_pivot_loop(tableau, repaired, n, tol, max_iter)
+        if status == STATUS_OPTIMAL:
+            return tableau[:m], repaired, pivots
+    return (body, basis, 0) if cold else None
+
+
+def _excess(x_B, real):
+    """Sum over the basis (last axis) of how far x_B lies past
+    ``Tolerances.primal`` below 0 for a ``real`` variable, or off 0 for an
+    artificial (which sits only on a redundant row): 0 where feasible."""
+    off = np.where(real, -x_B, np.abs(x_B)) - DEFAULT_TOL.primal
+    return np.maximum(off, 0.0).sum(axis=-1)
 
 
 def reuse_basis(A, b, c, start):
@@ -213,17 +234,15 @@ def reuse_basis(A, b, c, start):
     serves in the block ``b``, one per row: ``(served, x, objective, dual)``.
 
     x_B = B^-1 b_j is one stacked mat-vec over the block, with the bits of
-    ``start.inverse @ b_j`` for each row alone.  Row j is served when every
-    real entry of its x_B is >= -``Tolerances.primal`` and every artificial
-    one, which sits only on a redundant row, within that of zero; ``served``
-    counts the rows before the first that is not, and ``x`` (served, n) and
-    ``objective`` (served,) hold their solutions.  The dual y = c_B B^-1 is
-    the same for every row.  When no row is served, all three are None."""
+    ``start.inverse @ b_j`` for each row alone.  Row j is served when its
+    ``_excess`` is 0; ``served`` counts the rows before the first that is
+    not, and ``x`` (served, n) and ``objective`` (served,) hold their
+    solutions.  The dual y = c_B B^-1 is the same for every row.  When no
+    row is served, all three are None."""
     m, n = A.shape
-    tol = DEFAULT_TOL.primal
     x_B = (start.inverse @ b[:, :, None])[:, :, 0]
     real = start.basis < n
-    feasible = ((x_B >= -tol) & ((x_B <= tol) | real)).all(axis=1)
+    feasible = _excess(x_B, real) == 0.0
     served = len(b) if feasible.all() else int(feasible.argmin())
     if not served:
         return 0, None, None, None
@@ -234,13 +253,20 @@ def reuse_basis(A, b, c, start):
     return served, x, objective, cost_B @ start.inverse
 
 
+def least_infeasible(A, b, held):
+    """Of the ``WarmStart``s ``held``, most recent last, the one with the least
+    ``_excess`` at ``b`` (one that serves it where any does), ties to the latest."""
+    excess = [_excess(start.inverse @ b, start.basis < A.shape[1]) for start in reversed(held)]
+    return held[-1 - int(np.argmin(excess))]
+
+
 def solve_standard_form(A: np.ndarray, b: np.ndarray, c: np.ndarray, basis: WarmStart | None = None) -> SimplexResult:
     """Minimize c.x subject to A x = b, x >= 0.
 
     ``basis`` is None for a cold solve or the ``WarmStart`` of an optimal
     solve of the same A and c.  A ``WarmStart`` gives the solution at its
     basis, with no pivot loop, while that basis is primal feasible for
-    ``b`` (``reuse_basis``).  Otherwise phase 1 starts from its basis when
+    ``b`` (``reuse_basis``).  Otherwise the solve starts from its basis when
     ``_start_from_basis`` accepts it, and otherwise, through the same call,
     from the all-artificial basis ``arange(n, n + m)``.  ``iterations``
     counts the dual pivots of a repair too.
@@ -277,19 +303,19 @@ def solve_standard_form(A: np.ndarray, b: np.ndarray, c: np.ndarray, basis: Warm
 
     real_cost = np.zeros(n + m + 1)
     real_cost[:n] = c
-    start = None if basis is None else _start_from_basis(A, b, real_cost, basis.basis, tol, max_iter)
-    if start is None:
-        start = _start_from_basis(A, b, real_cost, np.arange(n, n + m), tol, max_iter)
-    body, basis, it0 = start
+    signs = np.where(flip, -1.0, 1.0)
+    # In this frame, B^-1 is the carried (unflipped) inverse times the flips.
+    warm = basis and _start_from_basis(A, b, real_cost, basis.basis, tol, max_iter, basis.inverse * signs)
+    body, basis, it0 = warm or _start_from_basis(A, b, real_cost, np.arange(n, n + m), tol, max_iter)
     artificial_cost = np.zeros(n + m + 1)
     artificial_cost[n : n + m] = 1.0
     tableau = np.concatenate([body, _cost_row(body, basis, artificial_cost)[None]])
 
     status, it1 = bland_pivot_loop(tableau, basis, n, tol, max_iter)
-    phase1_obj = -tableau[m, -1]
-    # Leftover phase-1 mass bounds the constraint residual of any reported
-    # solution, so the feasibility cut sits well under the 1e-7 contract.
-    if status == STATUS_OPTIMAL and phase1_obj > 100 * tol:
+    # Leftover phase-1 mass, |x_B| summed (a repair may leave an artificial below
+    # 0 on a redundant row), bounds the residual: cut well under the 1e-7 contract.
+    phase1_mass = np.abs(tableau[:m, -1][basis >= n]).sum()
+    if status == STATUS_OPTIMAL and phase1_mass > 100 * tol:
         status = STATUS_INFEASIBLE
     if status != STATUS_OPTIMAL:
         return SimplexResult(status, np.zeros(n), np.nan, np.zeros(m), it0 + it1)
@@ -317,7 +343,6 @@ def solve_standard_form(A: np.ndarray, b: np.ndarray, c: np.ndarray, basis: Warm
     objective = float(-tableau[m, -1])
     # The artificial columns hold B^-1 and their reduced costs -y; undo the
     # rhs sign flips in both.
-    signs = np.where(flip, -1.0, 1.0)
     dual = -tableau[m, n : n + m] * signs
     inverse = tableau[:m, n : n + m] * signs
     basis.flags.writeable = inverse.flags.writeable = False

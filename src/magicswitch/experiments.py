@@ -28,10 +28,10 @@ A sweep run is evaluated in blocks of at most ``_BLOCK_POINTS`` grid
 points, column by column, and then cut into rows: ``_dispatch_row`` is
 called once per grid row, in order, and assembles that row's ``SweepRow``.
 Each robustness column is one warm LP walk down the block (``lp.solve_l1``):
-it starts from the optimal basis and inverse the same column reached at
-the previous grid point, kept in the run's ``_RunState`` from block to
-block; while that basis stays feasible, as at nearly every default grid
-point, a row is read off one stacked mat-vec.  ``jobs`` splits the grid
+it starts from the least infeasible of the optimal bases and inverses the
+same column reached earlier in the run, held in the run's ``_RunState``
+from block to block; while that basis stays feasible, as at nearly every
+default grid point, a row is read off one stacked mat-vec.  ``jobs`` splits the grid
 into at most that many contiguous runs, each starting cold and shared among
 at most one worker per CPU; identical configs therefore produce
 byte-identical CSV.  A warm-started value can differ from a lone cold solve
@@ -50,8 +50,9 @@ and a bare callable bisect on.  Mana reads free only at 0
 (``DEFAULT_TOL.mana_zero``), whatever ``lp_tol``.  All evaluations of one
 search of a registered measure go through its ``MEASURES`` callable and
 share one ``_RunState``, so only its first LP starts cold: each later one
-starts from the optimal basis and inverse of the one before, repaired by
-dual simplex pivots where it is infeasible for the new p.
+starts from the least infeasible of the last ``_HELD_BASES`` optimal bases
+and inverses the search reached, read off one that serves its p where any
+does, and otherwise repaired by dual simplex pivots.
 """
 
 from __future__ import annotations
@@ -210,19 +211,35 @@ CHANNELS = {
 }
 
 
+# Most distinct optimal bases a run or a search holds for one LP column.
+_HELD_BASES = 4
+
+
 @dataclass
 class _RunState:
     """What one contiguous run of sweep rows, or one threshold search,
-    carries from one evaluation to the next: the last optimal basis of each
-    LP column with its inverse, and the value of fig3's minus branch, whose
-    channel does not depend on p.  When ``samples`` is a list, each LP
-    solve appends ``(p, solution, values)`` to it, with ``values``
-    polynomial in p (``_Grid.solve``), and each mana evaluation
-    ``(p, None, Wigner values)``."""
+    carries from one evaluation to the next: for each LP column, the last
+    ``_HELD_BASES`` distinct optimal bases with their inverses, most recent
+    last (``_hold``), and the value of fig3's minus branch, whose channel
+    does not depend on p.  When ``samples`` is a list, each LP solve
+    appends ``(p, solution, values)`` to it, with ``values`` polynomial in p
+    (``_Grid.solve``), and each mana evaluation ``(p, None, Wigner
+    values)``."""
 
     bases: dict = field(default_factory=dict)
     switch_minus: tuple | None = None
     samples: list | None = None
+
+
+def _hold(held: tuple, warm_start) -> tuple:
+    """``held`` with ``warm_start``, if any, as its most recent basis: an
+    older entry with the same basic columns gives way, and only the last
+    ``_HELD_BASES`` stay."""
+    if warm_start is None or (held and held[-1] is warm_start):
+        return held
+    columns = np.sort(warm_start.basis)
+    kept = tuple(start for start in held if not np.array_equal(np.sort(start.basis), columns))
+    return (kept + (warm_start,))[-_HELD_BASES:]
 
 
 def _floor_slack(lp_tol: float) -> float:
@@ -286,15 +303,19 @@ class _Grid:
 
     def solve(self, column: str, program, *args, scale=1.0) -> tuple[np.ndarray, np.ndarray]:
         """Values and statuses of the robustness LPs of ``column``, one per
-        entry of ``program(*args)``, walked from the optimal basis and
-        inverse the column reached earlier in this run.  ``scale`` is the
-        positive s(p) that makes s(p) times the LP's right-hand side a
-        polynomial in p: the probability or weight of a switch branch,
-        whose unnormalized output is quadratic in p."""
-        solutions = program(*args, basis=self.state.bases.get(column))
+        entry of ``program(*args)``, walked from the least infeasible of the
+        optimal bases the column holds in this run (``lp.solve_l1``), which
+        then holds the bases the walk reached.  ``scale`` is the positive
+        s(p) that makes s(p) times the LP's right-hand side a polynomial in
+        p: the probability or weight of a switch branch, whose unnormalized
+        output is quadratic in p."""
+        held = self.state.bases.get(column, ())
+        solutions = program(*args, basis=held or None)
         if isinstance(solutions, L1Solution):
             solutions = [solutions]
-        self.state.bases[column] = solutions[-1].warm_start
+        for solution in solutions:
+            held = _hold(held, solution.warm_start)
+        self.state.bases[column] = held
         if self.state.samples is not None:
             for p, solution, s in zip(np.atleast_1d(self.p), solutions, scale * np.ones(len(solutions))):
                 if solution.standard_form is not None:
@@ -643,8 +664,8 @@ def find_threshold(
     exactly where plain bisection would be.
     ``iterations`` counts the measure evaluations after the two endpoint
     checks.  A registered measure is called with one ``_RunState`` for the
-    whole search, so every LP after the first starts from the optimal basis
-    of the one before.  Each search logs one INFO line: the measure, the
+    whole search, so every LP after the first starts from an optimal basis
+    the search holds.  Each search logs one INFO line: the measure, the
     threshold, the bracket, the evaluations and whether the proposed root
     was confirmed or the search bisected.
     """
@@ -671,7 +692,9 @@ def find_threshold(
         raise ValueError(f"bracket [{lo}, {hi}] is empty")
     level = floor + slack
 
-    free_lo, free_hi = fn(lo) <= level, fn(hi) <= level
+    # Plain bools: a measure's NumPy scalar would make a NumPy bool, which
+    # cannot index the bracket.
+    free_lo, free_hi = bool(fn(lo) <= level), bool(fn(hi) <= level)
     if free_lo == free_hi:
         raise BracketError(
             f"measure {name} has no crossing on [{lo}, {hi}]: "
@@ -683,7 +706,7 @@ def find_threshold(
     def narrow(p: float, value: float) -> None:
         nonlocal iterations
         iterations += 1
-        bracket[(value <= level) != free_lo] = p
+        bracket[bool(value <= level) != free_lo] = p
 
     def bisect() -> bool:
         mid = 0.5 * (bracket[0] + bracket[1])

@@ -18,7 +18,10 @@ and the minus parts in the second, and a solve builds only its right-hand
 side.  ``solve_l1(A, b)`` then runs the embedded simplex at unit costs and
 certifies the answer.  Each solve starts cold, or from the one start form
 the simplex takes: ``basis``, the ``warm_start`` of a solve of the same
-program at a neighbouring right-hand side.
+program at a neighbouring right-hand side.  A caller that holds several
+such bases, as a sweep run or a threshold search does, passes them all,
+and the solve starts from the one least infeasible for its right-hand
+side (``_simplex.least_infeasible``): one that serves it, where any does.
 
 Both programs also take a grid (a channel or state with a leading axis)
 and return one solution per entry, in order: one warm walk down the
@@ -36,7 +39,7 @@ of one, one call of ``solve_standard_form``.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -45,6 +48,7 @@ from ._simplex import (
     STATUS_INFEASIBLE,
     STATUS_OPTIMAL,
     WarmStart,
+    least_infeasible,
     reuse_basis,
     solve_standard_form,
 )
@@ -111,24 +115,32 @@ def _assemble_standard_form(vectors: np.ndarray, marginal_rows: np.ndarray | Non
     return A
 
 
-def solve_l1(A: np.ndarray, b: np.ndarray, basis: WarmStart | None = None):
+def solve_l1(A: np.ndarray, b: np.ndarray, basis=None, renorm_factor=1.0):
     """min sum(x) subject to A x = b, x >= 0, for a matrix from
     ``_assemble_standard_form``, with the embedded simplex.
 
     ``b`` is one right-hand side, which gives one ``L1Solution``, or a block
     of them, one per row, which gives a list: the warm walk of the module
-    docstring, from ``basis``.  Deterministic under the fixed atom ordering
-    and the ``WarmStart`` ``basis``, if any (see ``solve_standard_form``);
-    the reconstruction residual, the duality gap and the dual feasibility of
-    every returned solution, a reused ``WarmStart``'s too, are computed from
-    A, x and y, and ``L1Solution.checked_status`` holds them to one
-    tolerance.
+    docstring, from ``basis``.  ``basis`` is None, the ``WarmStart`` of a
+    solve of the same program, or a sequence of them, the bases a run
+    holds, most recent last; the walk then starts from the one that is
+    least infeasible for the first right-hand side (``least_infeasible``),
+    which is one that serves it when any does.  ``renorm_factor`` (a
+    number, or one per right-hand side) is reported on each solution.
+    Deterministic under the fixed atom ordering and ``basis`` (see
+    ``solve_standard_form``); the reconstruction residual, the duality gap
+    and the dual feasibility of every returned solution, a reused
+    ``WarmStart``'s too, are computed from A, x and y, and
+    ``L1Solution.checked_status`` holds them to one tolerance.
     """
     single = np.ndim(b) == 1
     b = np.asarray(b, dtype=np.float64).reshape(-1, A.shape[0])
     if not np.isfinite(b).all():
         raise ValueError("LP right-hand side is not finite")
+    if basis is not None and not isinstance(basis, WarmStart):
+        basis = least_infeasible(A, b[0], basis)
     c = np.ones(A.shape[1])
+    factors = np.broadcast_to(np.asarray(renorm_factor, dtype=np.float64), len(b))
     solutions = []
     j = 0
     while j < len(b):
@@ -136,25 +148,28 @@ def solve_l1(A: np.ndarray, b: np.ndarray, basis: WarmStart | None = None):
         basis = result.warm_start
         if result.status == STATUS_OPTIMAL:
             x, objective = result.x[None], np.array([result.objective])
-            solutions += _certified(A, b[j : j + 1], c, x, objective, result.dual, result.iterations, basis)
+            rows = slice(j, j + 1)
+            solutions += _certified(A, b[rows], c, x, objective, result.dual, result.iterations, basis, factors[rows])
         else:
             status = "infeasible" if result.status == STATUS_INFEASIBLE else "numerical_failure"
             nan = np.full(A.shape[1] // 2, np.nan)
-            solutions.append(L1Solution(np.nan, status, np.nan, nan, nan, np.nan, np.nan, result.iterations))
+            solutions.append(L1Solution(np.nan, status, np.nan, nan, nan, np.nan, np.nan, result.iterations,
+                                        renorm_factor=float(factors[j])))
         j += 1
         if basis is not None and j < len(b):
             served, x, objective, dual = reuse_basis(A, b[j:], c, basis)
             if served:
-                solutions += _certified(A, b[j : j + served], c, x, objective, dual, 0, basis)
+                rows = slice(j, j + served)
+                solutions += _certified(A, b[rows], c, x, objective, dual, 0, basis, factors[rows])
                 j += served
     return solutions[0] if single else solutions
 
 
-def _certified(A, b, c, x, objective, dual, iterations, warm_start) -> list[L1Solution]:
-    """Optimal solutions, one per row of ``b``, ``x`` and ``objective``,
-    that share the dual ``dual`` and the basis ``warm_start``, with their
-    certificates: each row's residual and gap take the bits of its mat-vec
-    and dot product alone."""
+def _certified(A, b, c, x, objective, dual, iterations, warm_start, factors) -> list[L1Solution]:
+    """Optimal solutions, one per row of ``b``, ``x``, ``objective`` and
+    renormalization ``factors``, that share the dual ``dual`` and the basis
+    ``warm_start``, with their certificates: each row's residual and gap
+    take the bits of its mat-vec and dot product alone."""
     n = A.shape[1] // 2
     residual = np.abs((A @ x[:, :, None])[:, :, 0] - b).max(axis=1, initial=0.0)
     gap = np.abs(objective - (b[:, None, :] @ dual[:, None])[:, 0, 0])
@@ -170,6 +185,7 @@ def _certified(A, b, c, x, objective, dual, iterations, warm_start) -> list[L1So
             dual_violation=violation,
             iterations=iterations,
             warm_start=warm_start,
+            renorm_factor=float(factors[k]),
             standard_form=(A, b[k]),
         )
         for k in range(len(b))
@@ -182,15 +198,16 @@ def _state_constraints(dictionary) -> np.ndarray:
     return _assemble_standard_form(vectors)
 
 
-def rom_state(rho: DensityOperator, dictionary, basis: WarmStart | None = None):
+def rom_state(rho: DensityOperator, dictionary, basis=None):
     """Robustness of a state over a stabilizer dictionary.
 
     Every input is renormalized first; the factor is reported on the
     solution and logged when it is not 1.  Faithful: the value is 1 exactly when the
     state lies in the stabilizer polytope.  ``basis`` may carry the
-    ``warm_start`` of a neighbouring state's solve as a starting point.  A
-    grid of states gives one solution per entry, in order, from one warm
-    walk (``solve_l1``).  An infeasible LP, for any entry, raises.
+    ``warm_start`` of a neighbouring state's solve, or several held bases,
+    as a starting point.  A grid of states gives one solution per entry, in
+    order, from one warm walk (``solve_l1``).  An infeasible LP, for any
+    entry, raises.
     """
     rho, factor = rho.renormalized()
     log_renormalized(logger, "rom_state", factor)
@@ -199,14 +216,12 @@ def rom_state(rho: DensityOperator, dictionary, basis: WarmStart | None = None):
             f"state dim {rho.dim} != dictionary dim {dictionary.dim}"
         )
     target = pauli_vectorize(rho.matrix, pauli_basis(dictionary.n_qubits))
-    solutions = solve_l1(_state_constraints(dictionary), target, basis)
+    solutions = solve_l1(_state_constraints(dictionary), target, basis, factor)
     walk = solutions if isinstance(solutions, list) else [solutions]
     _log_solutions("rom_state", walk)
     if any(solution.status == "infeasible" for solution in walk):
         raise ValueError("robustness LP infeasible: input is not a valid state")
-    factors = np.atleast_1d(factor)
-    walk = [s if f == 1.0 else replace(s, renorm_factor=float(f)) for s, f in zip(walk, factors)]
-    return walk if isinstance(solutions, list) else walk[0]
+    return solutions
 
 
 def _log_solutions(who: str, solutions: list) -> None:
@@ -226,16 +241,16 @@ def _channel_constraints(atoms) -> np.ndarray:
     return _assemble_standard_form(vectors, marginal_rows)
 
 
-def channel_robustness(ch: KrausChannel, atoms, basis: WarmStart | None = None):
+def channel_robustness(ch: KrausChannel, atoms, basis=None):
     """Channel robustness of a single-qubit channel over Choi atoms.
 
     The two sides of the decomposition are conic combinations of stabilizer
     Choi projectors; each side separately satisfies the trace-preservation
     marginal (its X, Y, Z components vanish), which together with the Choi
     reconstruction rows makes the optimal l1 norm equal 1 + 2p.  ``basis``
-    may carry the ``warm_start`` of a neighbouring channel's solve as a
-    starting point.  A grid of channels gives one solution per entry, in
-    order, from one warm walk (``solve_l1``).
+    may carry the ``warm_start`` of a neighbouring channel's solve, or
+    several held bases, as a starting point.  A grid of channels gives one
+    solution per entry, in order, from one warm walk (``solve_l1``).
     """
     if ch.d_in != 2 or ch.d_out != 2:
         raise DimensionMismatchError("channel robustness is implemented for qubit channels")

@@ -1,4 +1,5 @@
 import concurrent.futures
+import dataclasses
 import hashlib
 import json
 import math
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 
 from magicswitch import experiments, lp
+from magicswitch._simplex import WarmStart
 from magicswitch.channels import noisy_th_channel, qutrit_noisy_th_channel
 from magicswitch.config import DEFAULT_TOL
 from magicswitch.qswitch import EffectiveDepolarizingSwitch
@@ -263,6 +265,29 @@ class TestWarmStart:
         assert len(solves) == 485
         assert sum(iterations == 0 for _, iterations in solves) >= 470
 
+    def test_default_fig2_builds_each_renormalized_solution_once(self, monkeypatch):
+        # Each switch branch is renormalized, and its factor is reported on
+        # the solution as it is first built, not through a copy.
+        copies, copy = [], dataclasses.replace
+
+        def spy(obj, **changes):
+            copies.append(changes)
+            return copy(obj, **changes)
+
+        monkeypatch.setattr(dataclasses, "replace", spy)
+        monkeypatch.setattr(lp, "replace", spy, raising=False)
+        built, solve = [], experiments.rom_state
+
+        def recording(*args, **kwargs):
+            solutions = solve(*args, **kwargs)
+            built.extend(solutions)  # a sweep scores each branch as a grid
+            return solutions
+
+        monkeypatch.setattr(experiments, "rom_state", recording)
+        run_fig2()
+        assert copies == []
+        assert sum(solution.renorm_factor != 1.0 for solution in built) >= 150
+
     def test_fig3_minus_branch_is_solved_once_per_run(self, monkeypatch):
         calls = []
 
@@ -353,6 +378,12 @@ class TestThresholdFinder:
         a = find_threshold(measure, lo=0.0, hi=1.0, threshold_tol=1e-4)
         b = find_threshold(measure, lo=0.3, hi=0.4, threshold_tol=1e-4)
         assert abs(a.threshold - b.threshold) < 2e-4
+
+    def test_bare_measure_may_return_a_numpy_scalar(self):
+        # Its comparisons give NumPy bools, which cannot index the bracket.
+        res = find_threshold((lambda p: np.float64(1 + max(0, 0.3 - p)), 1.0), 0.1, 0.5)
+        assert res.bracket[0] <= 0.3 <= res.bracket[1]
+        assert res.bracket[1] - res.bracket[0] <= 1e-3
 
     def test_no_crossing_is_reported(self):
         measure = (lambda p: 2.0, 1.0)
@@ -530,6 +561,30 @@ class TestWalkedThresholds:
         half = 0.5e-6 - math.ulp(root)
         probes = [root - half] if wrong_proposal else [root - half, root + half]
         assert evaluated[4 : 4 + len(probes)] == probes
+
+    def test_fig2_channel_search_reads_most_lps_off_held_bases(self, monkeypatch):
+        # The run state holds the last few optimal bases of the search: the
+        # midpoint, the quarter point and both probes lie inside the region
+        # of the basis at one bracket end, and are read off it with no pivot.
+        (lo, hi), shift, _, _ = LP_CROSSINGS["fig2_channel_robustness"]
+        for s in np.random.default_rng(23).uniform(-shift, shift, size=4):
+            res, solves = recorded_solves(
+                monkeypatch, lambda: find_threshold("fig2_channel_robustness", lo + s, hi + s, threshold_tol=1e-6)
+            )
+            assert res.iterations == 4 and len(solves) == 6
+            assert sum(warm and iterations == 0 for warm, iterations in solves) >= 4
+
+    def test_held_bases_are_distinct_and_bounded(self):
+        starts = [WarmStart(np.array([k, 9]), np.eye(2)) for k in range(6)]
+        held = ()
+        for start in starts:
+            held = experiments._hold(held, start)
+        assert held == tuple(starts[-experiments._HELD_BASES :])
+        # The same basic columns in another order replace the older entry.
+        again = WarmStart(np.array([9, starts[3].basis[0]]), np.eye(2))
+        held = experiments._hold(held, again)
+        assert [start.basis[0] for start in held] == [2, 4, 5, 9] and held[-1] is again
+        assert experiments._hold(held, None) is held and experiments._hold(held, again) is held
 
     @pytest.mark.parametrize("name, lo, hi", [
         *((name, *LP_CROSSINGS[name][0]) for name in LP_CROSSINGS), ("figs1_mana_channel", 0.3, 0.6)

@@ -315,6 +315,22 @@ class TestCheckedOnce:
         sol = channel_robustness(twice, choi_atoms)
         assert sol.status == "optimal" and abs(sol.value - 1.0) < 1e-8
 
+    @pytest.mark.parametrize("eps", [1e-10, 4e-10])
+    def test_traceless_completeness_defect_keeps_the_robustness(self, choi_atoms, eps):
+        # Amplitude damping with K1 off by eps: sum K^dag K - I is
+        # diag(0, 2 eps sqrt(gamma)), which passes the constructor and has a
+        # traceless part.  That part lands on the Choi rows P (x) I, which
+        # duplicate the marginal rows, so the LP keeps an artificial of about
+        # eps on a redundant row: a tolerated defect, not an infeasible LP.
+        gamma = 0.3
+        k0 = np.array([[1.0, 0.0], [0.0, np.sqrt(1 - gamma)]])
+        exact = channel_robustness(KrausChannel([k0, [[0.0, np.sqrt(gamma)], [0.0, 0.0]]]), choi_atoms)
+        defective = KrausChannel([k0, [[0.0, np.sqrt(gamma) + eps], [0.0, 0.0]]])
+        assert 10 * DEFAULT_TOL.primal < defective.completeness_residual() <= DEFAULT_TOL.completeness
+        sol = channel_robustness(defective, choi_atoms)
+        assert sol.status == exact.status == "optimal"
+        assert abs(sol.value - exact.value) < 1e-8
+
     def test_warm_sweeps_run_no_eigenvalue_check(self, monkeypatch):
         # Every state and Choi state of a sweep is derived from checked
         # inputs; only the cached |+> inputs are checked, on first use.

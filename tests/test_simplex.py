@@ -113,6 +113,19 @@ def test_redundant_row():
     assert abs(res.objective - 1.0) < 1e-10
 
 
+@pytest.mark.parametrize("defect, status", [(1e-10, STATUS_OPTIMAL), (-1e-10, STATUS_OPTIMAL),
+                                            (1e-3, STATUS_INFEASIBLE), (-1e-3, STATUS_INFEASIBLE)])
+def test_redundant_row_off_by_a_defect_is_judged_by_the_phase1_cut(defect, status):
+    # Once row 0 is pivoted, row 1's artificial sits at its defect, on a row
+    # with no real entry, which no dual pivot moves, above or below 0.  The
+    # phase-1 cut (100 times the pivot tolerance) judges it either way.
+    A = np.array([[1.0, 1.0], [2.0, 2.0]])
+    res = solve_standard_form(A, np.array([1.0, 2.0 + defect]), np.array([1.0, 3.0]))
+    assert res.status == status
+    if status == STATUS_OPTIMAL:
+        assert abs(res.objective - 1.0) < 1e-9 and np.array_equal(res.warm_start.basis < 2, [True, False])
+
+
 def test_degenerate_vertex():
     # b = 0 forces zero-ratio pivots; Bland's rule must still terminate.
     A = np.array([[1.0, -1.0, 0.0], [1.0, 0.0, -1.0]])
@@ -281,10 +294,14 @@ def test_kernel_matches_reference_on_channel_lps(monkeypatch, choi_atoms):
 
 
 def test_kernel_matches_reference_at_iteration_limit(monkeypatch, choi_atoms):
+    # A dual repair leaves phase 1 nothing to pivot, so the recorded loop is
+    # the phase 1 of the classic start, which a failed repair falls back to.
     ch = noisy_th_channel(0.2)
+    monkeypatch.setattr(_simplex, "dual_pivot_loop", lambda *args: (STATUS_ITER_LIMIT, 0))
     tableau, basis, n, tol, _ = recorded_pivot_inputs(
         monkeypatch, lambda: channel_robustness(ch, choi_atoms)
     )[0]
+    assert basis.tolist() == list(range(n, n + tableau.shape[0] - 1))
     assert assert_same_walk(tableau, basis, n, tol, 3) == (STATUS_ITER_LIMIT, 3)
 
 
@@ -315,22 +332,25 @@ def test_warm_start_runs_no_pivot_loop(monkeypatch, choi_atoms):
         cold, cold_walks = pivot_walks(monkeypatch, lambda: channel_robustness(ch, choi_atoms))
         warm, walks = pivot_walks(monkeypatch, lambda: channel_robustness(ch, choi_atoms, basis=start))
         assert walks == [] and warm.iterations == 0 and warm.warm_start is start
-        assert cold_walks[0][1] > 1
+        # The cold solve pivots, by dual simplex, before its two Bland loops.
+        assert len(cold_walks) == 2 and cold.iterations > 2
         assert warm.status == "optimal" and abs(warm.value - cold.value) < 1e-12
 
 
-def test_start_basis_holding_a_positive_artificial_runs_phase1(monkeypatch):
+def test_start_basis_holding_a_positive_artificial_is_repaired(monkeypatch):
     # x0 + x1 = 1, x1 + x2 = 1.  The basis {x0, artificial of row 1} is
-    # nonsingular and feasible for [A | I] (the artificial sits at 1), so
-    # the WarmStart is not reused: phase 1 starts there and must pivot the
-    # artificial out.
+    # nonsingular and dual feasible, and its artificial sits at 1, so the
+    # WarmStart is not reused: the dual repair pivots the artificial out
+    # (x2 enters, at ratio 1 against x1's 2), and phase 1 has nothing left.
     A = np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 1.0]])
     b = np.array([1.0, 1.0])
     c = np.array([1.0, 3.0, 1.0])
     cold = solve_standard_form(A, b, c)
     start = hand_built_start(A, [0, 4])
-    warm, walks = pivot_walks(monkeypatch, lambda: solve_standard_form(A, b, c, basis=start))
-    assert walks[0][1] > 1
+    (warm, starts), walks = pivot_walks(monkeypatch, lambda: solve_recording_starts(A, b, c, start))
+    ((given, (_, repaired, dual_pivots)),) = starts
+    assert given.tolist() == [0, 4] and repaired.tolist() == [0, 2] and dual_pivots == 1
+    assert [iterations for _, iterations in walks] == [1, 1]
     assert warm.status == STATUS_OPTIMAL and warm.objective == cold.objective == 2.0
     assert np.array_equal(warm.x, [1.0, 0.0, 1.0])
 
@@ -373,11 +393,19 @@ def test_start_neither_primal_nor_dual_feasible_starts_cold(monkeypatch):
     A = np.array([[1.0, -1.0, 1.0]])
     b = np.array([-1.0])
     c = np.array([1.0, 1.0, 5.0])
-    monkeypatch.setattr(_simplex, "dual_pivot_loop", None)  # never reached
     cold = solve_standard_form(A, b, c)
+    repairs, dual_pivot_loop = [], _simplex.dual_pivot_loop
+
+    def spy(tableau, basis, *rest):
+        repairs.append(basis.tolist())
+        return dual_pivot_loop(tableau, basis, *rest)
+
+    monkeypatch.setattr(_simplex, "dual_pivot_loop", spy)
     warm, starts = solve_recording_starts(A, b, c, hand_built_start(A, [2]))
-    # The rejected basis falls back to one more start, from the artificial basis.
+    # The rejected basis falls back to one more start, from the artificial
+    # basis, and only that one is repaired.
     assert [(given.tolist(), start is None) for given, start in starts] == [([2], True), ([3], False)]
+    assert repairs == [[3]]
     assert_same_result(warm, cold)
     assert cold.status == STATUS_OPTIMAL and cold.objective == 1.0
 
@@ -387,7 +415,10 @@ def test_cold_start_tableau_is_the_identity_solve(monkeypatch, choi_atoms, rng):
     # returns its input, up to the sign of some zeros (it turns some -0.0
     # of the minus columns into 0.0, which no comparison, ratio or sum can
     # see), so every entry must have the same value and every nonzero entry
-    # the same bits, on the fig2/fig3 channel LPs and on random LPs.
+    # the same bits, on the fig2/fig3 channel LPs and on random LPs.  A
+    # negative cost keeps the dual repair out, so the classic start is
+    # returned as it is; with nonnegative costs the repair runs, still with
+    # no solve.
     problems = [channel_robustness(ch, choi_atoms).standard_form for ch in fig2_fig3_channels()]
     problems += [(rng.normal(size=(5, 9)), rng.normal(size=5)) for _ in range(5)]
     solve = np.linalg.solve
@@ -405,6 +436,8 @@ def test_cold_start_tableau_is_the_identity_solve(monkeypatch, choi_atoms, rng):
     monkeypatch.setattr(np.linalg, "solve", refuse)
     for A, b, body, basis in wants:
         cost = np.zeros(A.shape[0] + A.shape[1] + 1)
+        assert _simplex._start_from_basis(A, b, cost, basis, DEFAULT_TOL.pivot, 100) is not None
+        cost[0] = -1.0
         got_body, got_basis, pivots = _simplex._start_from_basis(A, b, cost, basis, DEFAULT_TOL.pivot, 100)
         assert np.array_equal(got_body, body)
         assert got_basis.tolist() == basis.tolist() and pivots == 0
@@ -557,7 +590,9 @@ def test_unusable_start_basis_is_rejected():
     cost = np.concatenate([c, np.zeros(5)])
 
     def start(basis):
-        return _simplex._start_from_basis(A, b, cost, np.array(basis), DEFAULT_TOL.pivot, 100)
+        # The carried inverse of a singular B is read as its pseudo-inverse.
+        inverse = np.linalg.pinv(np.hstack([A, np.eye(4)])[:, basis])
+        return _simplex._start_from_basis(A, b, cost, np.array(basis), DEFAULT_TOL.pivot, 100, inverse)
 
     assert start([0, 1, 2, 3]) is None and start([0, 0, 2, 3]) is None
     assert start(np.arange(6, 10)) is not None
@@ -566,6 +601,17 @@ def test_unusable_start_basis_is_rejected():
     # The optimal basis itself is a valid start and gives the same optimum.
     warm = solve_standard_form(A, b, c, basis=cold.warm_start)
     assert warm.status == STATUS_OPTIMAL and abs(warm.objective - cold.objective) < 1e-12
+
+
+def test_ill_conditioned_basis_with_an_exact_inverse_is_rejected():
+    # B = diag(1e-8, 1) and its inverse multiply to I exactly, so the drift
+    # check passes; its condition number, 1e8, is past tol / eps.
+    A = np.array([[1e-8, 1.0], [0.0, 1.0]])
+    b = np.array([1e-8, 1.0])
+    cost = np.array([1.0, 1.0, 0.0, 0.0, 0.0])
+    basis, inverse = np.array([0, 3]), np.diag([1e8, 1.0])
+    assert np.array_equal(np.hstack([A, np.eye(2)])[:, basis] @ inverse, np.eye(2))
+    assert _simplex._start_from_basis(A, b, cost, basis, DEFAULT_TOL.pivot, 100, inverse) is None
 
 
 def reference_phase2_start(tableau, basis, c, tol):
@@ -626,3 +672,93 @@ def test_phase2_set_up_matches_row_loop(monkeypatch, rng):
         assert got[:m].tobytes() == want[:m].tobytes()
         assert np.allclose(got[m], want[m], rtol=1e-12, atol=1e-12)
     assert driven > 0
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    feasible=st.booleans(),
+    redundant=st.integers(0, 2),
+    integer=st.booleans(),
+)
+def test_dual_cold_start_matches_the_classic_start(seed, feasible, redundant, integer):
+    # Nonnegative costs make the all-artificial basis dual feasible.  Small
+    # integers make degenerate vertices and zero costs common; redundant
+    # rows are sums of earlier rows, with their b summed too.
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(1, 5))
+    n = int(rng.integers(m + 1, 10))
+    if integer:
+        A = rng.integers(-3, 4, size=(m, n)).astype(float)
+        c = rng.integers(0, 3, size=n).astype(float)
+        x = rng.integers(0, 3, size=n) * (rng.random(n) < 0.5)
+    else:
+        A = rng.normal(size=(m, n))
+        c = rng.uniform(0.0, 2.0, size=n)
+        x = rng.uniform(0.0, 1.0, size=n)
+    b = A @ x if feasible else rng.normal(size=m)
+    for _ in range(redundant):
+        weights = rng.integers(-2, 3, size=len(A)).astype(float)
+        A, b = np.vstack([A, weights @ A]), np.append(b, weights @ b)
+    dual = solve_standard_form(A, b, c)
+    with pytest.MonkeyPatch.context() as patch:  # every repair fails: the classic start
+        patch.setattr(_simplex, "dual_pivot_loop", lambda *args: (STATUS_ITER_LIMIT, 0))
+        classic = solve_standard_form(A, b, c)
+    assert dual.status == classic.status
+    if feasible:
+        assert dual.status == STATUS_OPTIMAL
+    if dual.status == STATUS_OPTIMAL:
+        scale = max(1.0, abs(classic.objective))
+        assert abs(dual.objective - classic.objective) <= 1e-9 * scale
+        assert np.abs(A @ dual.x - b).max() <= 1e-9 * max(1.0, np.abs(b).max())
+        assert (A.T @ dual.dual - c).max() <= 1e-9 * max(1.0, c.max())
+        assert abs(dual.objective - dual.dual @ b) <= 1e-9 * scale
+        assert dual.x.min() >= -DEFAULT_TOL.pivot
+    if HIGHS is not None:
+        highs = HIGHS(c, A_eq=A, b_eq=b, bounds=(0, None), method="highs")
+        assert highs.status == {STATUS_OPTIMAL: 0, STATUS_INFEASIBLE: 2}[dual.status]
+        if highs.status == 0:
+            assert abs(highs.fun - dual.objective) <= 1e-9 * max(1.0, abs(dual.objective))
+
+
+def test_repair_leaves_a_zero_artificial_for_the_drive_out(monkeypatch):
+    # Row 0, -x0 - x1 = 0, forces x0 = x1 = 0, so it is not redundant; its
+    # artificial sits at 0 with no positive entry to leave on, and the dual
+    # repair ends with it basic.  Row 1's artificial, at 1, leaves for x2.
+    # The drive-out then pivots it out, so the WarmStart holds none.
+    A = np.array([[-1.0, -1.0, 0.0], [0.0, 0.0, 1.0]])
+    b = np.array([0.0, 1.0])
+    c = np.array([1.0, 1.0, 1.0])
+    repairs, dual_pivot_loop = [], _simplex.dual_pivot_loop
+
+    def spy(tableau, basis, *rest):
+        repairs.append((dual_pivot_loop(tableau, basis, *rest), basis.tolist()))
+        return repairs[-1][0]
+
+    monkeypatch.setattr(_simplex, "dual_pivot_loop", spy)
+    got = solve_standard_form(A, b, c)
+    assert repairs == [((STATUS_OPTIMAL, 1), [3, 2])]
+    assert got.status == STATUS_OPTIMAL and got.objective == 1.0
+    assert np.array_equal(got.x, [0.0, 0.0, 1.0])
+    assert (got.warm_start.basis < 3).all()
+    # The WarmStart serves a neighbouring b with no pivot.
+    again = solve_standard_form(A, np.array([0.0, 2.0]), c, basis=got.warm_start)
+    assert again.iterations == 0 and again.objective == 2.0
+
+
+def test_drifted_inverse_gives_way_to_the_cold_start():
+    # A WarmStart whose basis needs a dual repair at the new b.  Its true
+    # inverse forms the start by one product; one perturbed by 1e-9 fails
+    # the drift check, so the solve starts cold instead, to the same value.
+    A, c, b1, b2 = random_resolve(7, True)
+    true = solve_standard_form(A, b1, c).warm_start
+    drifted = WarmStart(true.basis, true.inverse + 1e-9)
+    want, starts = solve_recording_starts(A, b2, c, true)
+    assert [start is None for _, start in starts] == [False]
+    got, starts = solve_recording_starts(A, b2, c, drifted)
+    assert [start is None for _, start in starts] == [True, False]
+    m, n = A.shape
+    assert starts[1][0].tolist() == list(range(n, n + m))
+    assert_same_result(got, solve_standard_form(A, b2, c))
+    assert got.status == want.status == STATUS_OPTIMAL
+    assert abs(got.objective - want.objective) <= 1e-12 * max(1.0, abs(want.objective))
