@@ -1,4 +1,4 @@
-"""Dense two-phase tableau simplex, with dual simplex starts.
+"""Dense two-phase tableau simplex, started by dual simplex.
 
 The embedded LP engine behind every robustness value.  Problems are small
 (a few hundred columns, a few dozen rows) but solved thousands of times per
@@ -11,28 +11,27 @@ final tableau, as one ``WarmStart``.  Reduced costs and y = c_B B^-1 do not
 depend on ``b``, so an optimal basis stays optimal while it stays primal
 feasible (Bertsimas & Tsitsiklis, *Introduction to Linear Optimization*,
 1997, secs. 3.3 and 5.1).  ``reuse_basis`` reads a block of right-hand
-sides off one ``WarmStart``, x_B = B^-1 b, while it serves them, down to
-``Tolerances.primal``; of several held bases, ``least_infeasible`` picks
-the one to start from, one that serves ``b`` where any does.
+sides off one ``WarmStart``, x_B = B^-1 b, while it serves them, with no
+pivot; of several held bases, ``least_infeasible`` picks the one to start
+from, one that serves ``b`` where any does.
 
-Every other solve pivots by dual simplex (sec. 4.5) from a dual feasible
-start, with no phase-1 walk.  For c >= 0 the all-artificial basis, B = I,
-is one: artificials cost 0 in the real objective, so y = 0 and each real
-reduced cost is c_j.  ``dual_pivot_loop`` counts a basic artificial as
-fixed at 0, so it drives out every artificial off 0, and every one at 0
-that can leave (Koberstein, *The dual simplex method*, PhD thesis,
-Paderborn, 2005); one on a redundant row, which no pivot moves, is left to
-phase 1's cut.  A ``WarmStart`` starts from B^-1 [A | I | b], one product
-with its carried inverse, never refactored.  A drifted inverse (B B^-1 off
-I by more than ``_INVERSE_DRIFT``), a start that is not dual feasible (some
-c_j < 0) and a failed repair give way: a warm start to the cold one, a
-cold one to the classic start, B = I with phase 1 from b >= 0 (sec. 3.5).
-Phase 1, the drive-out of leftover artificials and phase 2 follow either
-way, each Bland loop one iteration after a repair.  The optimal value does
-not depend on the start beyond rounding; where an LP has several optimal
-vertices, ``x`` may.  A repair judges feasibility at ``Tolerances.primal``,
-far below the pivot tolerance: a basic variable a pivot tolerance below 0
-reads an infeasible vertex's value.
+``solve_standard_form`` solves an LP that must pivot by dual simplex (sec.
+4.5), with no phase-1 walk.  Costs are nonnegative, so the all-artificial
+basis, B = I, is dual feasible: artificials cost 0 in the real objective,
+so y = 0 and each real reduced cost is c_j.  This cold start and a
+``WarmStart`` start alike: B^-1 [A | I | b] is one product with the
+inverse they carry, never refactored, and ``dual_pivot_loop`` repairs it.
+That loop counts a basic artificial as fixed at 0, so it drives out every
+artificial off 0, and every one at 0 that can leave (Koberstein, *The dual
+simplex method*, PhD thesis, Paderborn, 2005); one on a redundant row,
+which no pivot moves, is left to phase 1's cut.  A warm start that cannot
+be repaired gives way to the cold start, whose failed repair is the
+solve's verdict.  Phase 1, the drive-out of leftover artificials and
+phase 2 follow, each Bland loop confirming the repaired tableau.  The
+optimal value does not depend on the start beyond rounding; where an LP
+has several optimal vertices, ``x`` may.  A repair judges feasibility at
+``Tolerances.primal``, far below the pivot tolerance: a basic variable a
+pivot tolerance below 0 reads an infeasible vertex's value.
 """
 
 from __future__ import annotations
@@ -108,8 +107,9 @@ def dual_pivot_loop(tableau, basis, n_enterable, tol, max_iter):
     Same layout as ``bland_pivot_loop``, with the reduced costs of the real
     objective in the last row, all >= -tol.  A basic artificial (index >=
     n_enterable) is fixed at 0.  A row is infeasible below
-    -``Tolerances.primal``, or above it for an artificial.  The infeasible
-    row holding the smallest basic variable leaves; the entering column,
+    -``Tolerances.primal``, or off 0 by more than that for an artificial.
+    The infeasible row holding the smallest basic variable leaves; the
+    entering column,
     among columns < n_enterable whose row entry exceeds tol in the
     direction that moves the leaving variable to its bound (negative below
     0, positive above), has the smallest ratio of reduced cost to the
@@ -156,8 +156,7 @@ def dual_pivot_loop(tableau, basis, n_enterable, tol, max_iter):
 
 class WarmStart(NamedTuple):
     """An optimal basis (indices into ``[A | I]``) with its read-only inverse,
-    for a solve of the same A and c at another b.  The inverse is unflipped (a
-    flipped row's artificial column is -e_i), so B^-1 b holds for any signs."""
+    for a solve of the same A and c at another b."""
 
     basis: np.ndarray
     inverse: np.ndarray
@@ -166,7 +165,8 @@ class WarmStart(NamedTuple):
 @dataclass(frozen=True)
 class SimplexResult:
     """``warm_start`` carries the optimal basis with its inverse (None for any
-    other status); ``iterations`` is 0 for a solution read off a ``WarmStart``."""
+    other status); ``iterations`` counts the dual pivots of the repair and
+    the iterations of both Bland loops."""
 
     status: int
     x: np.ndarray
@@ -177,6 +177,9 @@ class SimplexResult:
 
 
 _INVERSE_DRIFT = 1e-12  # largest max|B B^-1 - I| at which a carried B^-1 is used
+# The most leftover artificial mass phase 1 reads as feasible.  The mass
+# bounds the solution's residual, which is held to ``Tolerances.lp_residual``.
+_PHASE1_CUT = 100 * DEFAULT_TOL.pivot
 
 
 def _cost_row(tableau, basis, cost):
@@ -186,46 +189,38 @@ def _cost_row(tableau, basis, cost):
     return cost - cost[basis] @ tableau[:m]
 
 
-def _start_from_basis(A, b, cost, basis, tol, max_iter, inverse=None):
-    """Primal feasible tableau body ``B^-1 [A | I | b]`` for a starting basis
-    over the columns of ``[A | I]``, with the basis it ends on and the dual
-    pivots it took; or None when the basis cannot start the solve.
-
-    B^-1 [A | I | b] is one product with ``inverse``, the carried B^-1,
-    which must pass max|B inverse - I| <= ``_INVERSE_DRIFT``, for a well
-    conditioned B.  A start must be dual feasible, every real reduced cost
-    under ``cost`` >= -tol, and is repaired by ``dual_pivot_loop``.  The
-    all-artificial basis (B = I) that is not repaired starts as it is: the
-    classic start, primal feasible for ``b >= 0``."""
+def _start_from_basis(A, b, cost, start, tol, max_iter):
+    """``(status, tableau, basis, pivots)`` of ``dual_pivot_loop`` run on
+    ``B^-1 [A | I | b]`` over the reduced costs under ``cost``, for the
+    ``WarmStart`` ``start``; or None when ``start`` cannot start the solve:
+    max|B B^-1 - I| > ``_INVERSE_DRIFT``, B ill conditioned, or a real
+    reduced cost below -tol (not dual feasible)."""
     m, n = A.shape
-    basis = np.array(basis, dtype=np.int64)
     body = np.concatenate([A, np.eye(m), b[:, None]], axis=1)
-    cold = np.array_equal(basis, np.arange(n, n + m))
-    if not cold:
-        B = body[:, basis]
-        if inverse is None or not np.abs(B @ inverse - np.eye(m)).max() <= _INVERSE_DRIFT:
-            return None
-        body = inverse @ body
-        # Round-off in B^-1 times data grows with the 1-norm condition number of B
-        # (B^-1 sits in the artificial columns); past tol/eps it could carry an
-        # entry across the pivot tolerance.  NaN fails this test too.
-        condition = np.abs(B).sum(axis=0).max() * np.abs(body[:, n : n + m]).sum(axis=0).max()
-        if not condition * np.finfo(np.float64).eps <= tol:
-            return None
-    tableau = np.vstack([body, _cost_row(body, basis, cost)])
-    if not np.any(tableau[m, :n] < -tol):
-        repaired = basis.copy()
-        status, pivots = dual_pivot_loop(tableau, repaired, n, tol, max_iter)
-        if status == STATUS_OPTIMAL:
-            return tableau[:m], repaired, pivots
-    return (body, basis, 0) if cold else None
+    B = body[:, start.basis]
+    if not np.abs(B @ start.inverse - np.eye(m)).max() <= _INVERSE_DRIFT:
+        return None
+    body = start.inverse @ body
+    # Round-off in B^-1 times data grows with the 1-norm condition number of B
+    # (B^-1 sits in the artificial columns); past tol/eps it could carry an
+    # entry across the pivot tolerance.  NaN fails this test too.
+    condition = np.abs(B).sum(axis=0).max() * np.abs(body[:, n : n + m]).sum(axis=0).max()
+    if not condition * np.finfo(np.float64).eps <= tol:
+        return None
+    tableau = np.vstack([body, _cost_row(body, start.basis, cost)])
+    if np.any(tableau[m, :n] < -tol):
+        return None
+    basis = np.array(start.basis, dtype=np.int64)
+    status, pivots = dual_pivot_loop(tableau, basis, n, tol, max_iter)
+    return status, tableau, basis, pivots
 
 
 def _excess(x_B, real):
-    """Sum over the basis (last axis) of how far x_B lies past
-    ``Tolerances.primal`` below 0 for a ``real`` variable, or off 0 for an
-    artificial (which sits only on a redundant row): 0 where feasible."""
-    off = np.where(real, -x_B, np.abs(x_B)) - DEFAULT_TOL.primal
+    """Sum over the basis (last axis) of how far x_B lies past its bound: below
+    -``Tolerances.primal`` for a ``real`` variable, or off 0 by more than
+    ``_PHASE1_CUT`` for an artificial, which sits only on a redundant row,
+    where a tolerated defect of the data lands.  0 where feasible."""
+    off = np.where(real, -x_B - DEFAULT_TOL.primal, np.abs(x_B) - _PHASE1_CUT)
     return np.maximum(off, 0.0).sum(axis=-1)
 
 
@@ -261,61 +256,55 @@ def least_infeasible(A, b, held):
 
 
 def solve_standard_form(A: np.ndarray, b: np.ndarray, c: np.ndarray, basis: WarmStart | None = None) -> SimplexResult:
-    """Minimize c.x subject to A x = b, x >= 0.
+    """Minimize c.x subject to A x = b, x >= 0, for costs c >= 0.
 
     ``basis`` is None for a cold solve or the ``WarmStart`` of an optimal
-    solve of the same A and c.  A ``WarmStart`` gives the solution at its
-    basis, with no pivot loop, while that basis is primal feasible for
-    ``b`` (``reuse_basis``).  Otherwise the solve starts from its basis when
-    ``_start_from_basis`` accepts it, and otherwise, through the same call,
-    from the all-artificial basis ``arange(n, n + m)``.  ``iterations``
-    counts the dual pivots of a repair too.
+    solve of the same A and c.  The solve starts from its basis when
+    ``_start_from_basis`` repairs it, and otherwise from the all-artificial
+    basis ``arange(n, n + m)``, whose failed repair (STATUS_INFEASIBLE or
+    STATUS_ITER_LIMIT) is returned as it is.  A solution that a
+    ``WarmStart`` serves with no pivot is read off it by ``reuse_basis``,
+    not here.
 
     STATUS_OPTIMAL means a primal feasible solution: phase 1 left at most
-    ``100 * tol`` of artificial mass and x >= -tol, for the pivot tolerance
-    ``tol = DEFAULT_TOL.pivot``.  Failing either is STATUS_INFEASIBLE, with
-    zero ``x`` and dual and a NaN objective, as for every phase-1 failure.
-    The dual vector is read off the final tableau (artificial columns stay
-    in the tableau, barred from entering), so callers can verify a zero
-    duality gap on every reported solution.
+    ``_PHASE1_CUT`` of artificial mass and x >= -tol, for the pivot
+    tolerance ``tol = DEFAULT_TOL.pivot``.  Failing either is
+    STATUS_INFEASIBLE, with zero ``x`` and dual and a NaN objective, as for
+    every failed start.  The dual vector is read off the final tableau
+    (artificial columns stay in the tableau, barred from entering), so
+    callers can verify a zero duality gap on every reported solution.
     """
     A = np.ascontiguousarray(A, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64).copy()
+    b = np.asarray(b, dtype=np.float64)
     c = np.asarray(c, dtype=np.float64)
     m, n = A.shape
     if b.shape != (m,) or c.shape != (n,):
         raise ValueError(f"inconsistent LP shapes A={A.shape} b={b.shape} c={c.shape}")
     if not np.isfinite(b).all():
         raise ValueError("LP right-hand side is not finite")
+    if not (c >= 0.0).all():
+        raise ValueError("LP costs must be nonnegative")
     tol = DEFAULT_TOL.pivot
-    if basis is not None:
-        served, x, objective, dual = reuse_basis(A, b[None], c, basis)
-        if served:
-            return SimplexResult(STATUS_OPTIMAL, x[0], float(objective[0]), dual, 0, basis)
     max_iter = 200 + 50 * (m + n)
-
-    # Phase 1 over [A | I | b] with every rhs made nonnegative first, so
-    # the all-artificial basis is always a primal feasible start.
-    flip = b < 0
-    A = A.copy()
-    A[flip] *= -1.0
-    b[flip] *= -1.0
-
     real_cost = np.zeros(n + m + 1)
     real_cost[:n] = c
-    signs = np.where(flip, -1.0, 1.0)
-    # In this frame, B^-1 is the carried (unflipped) inverse times the flips.
-    warm = basis and _start_from_basis(A, b, real_cost, basis.basis, tol, max_iter, basis.inverse * signs)
-    body, basis, it0 = warm or _start_from_basis(A, b, real_cost, np.arange(n, n + m), tol, max_iter)
+    start = basis and _start_from_basis(A, b, real_cost, basis, tol, max_iter)
+    if not start or start[0] != STATUS_OPTIMAL:
+        cold = WarmStart(np.arange(n, n + m), np.eye(m))
+        start = _start_from_basis(A, b, real_cost, cold, tol, max_iter)
+    status, tableau, basis, it0 = start
+    if status != STATUS_OPTIMAL:
+        return SimplexResult(status, np.zeros(n), np.nan, np.zeros(m), it0)
+
+    # Phase 1 over the repaired tableau, which confirms it.
     artificial_cost = np.zeros(n + m + 1)
     artificial_cost[n : n + m] = 1.0
-    tableau = np.concatenate([body, _cost_row(body, basis, artificial_cost)[None]])
-
+    tableau[m] = _cost_row(tableau, basis, artificial_cost)
     status, it1 = bland_pivot_loop(tableau, basis, n, tol, max_iter)
-    # Leftover phase-1 mass, |x_B| summed (a repair may leave an artificial below
-    # 0 on a redundant row), bounds the residual: cut well under the 1e-7 contract.
+    # Leftover phase-1 mass, |x_B| summed (an artificial may sit below 0 on
+    # a redundant row), bounds the residual.
     phase1_mass = np.abs(tableau[:m, -1][basis >= n]).sum()
-    if status == STATUS_OPTIMAL and phase1_mass > 100 * tol:
+    if status == STATUS_OPTIMAL and phase1_mass > _PHASE1_CUT:
         status = STATUS_INFEASIBLE
     if status != STATUS_OPTIMAL:
         return SimplexResult(status, np.zeros(n), np.nan, np.zeros(m), it0 + it1)
@@ -341,10 +330,9 @@ def solve_standard_form(A: np.ndarray, b: np.ndarray, c: np.ndarray, basis: Warm
     if status == STATUS_OPTIMAL and x.min() < -tol:
         return SimplexResult(STATUS_INFEASIBLE, np.zeros(n), np.nan, np.zeros(m), iterations)
     objective = float(-tableau[m, -1])
-    # The artificial columns hold B^-1 and their reduced costs -y; undo the
-    # rhs sign flips in both.
-    dual = -tableau[m, n : n + m] * signs
-    inverse = tableau[:m, n : n + m] * signs
+    # The artificial columns hold B^-1 and their reduced costs -y.
+    dual = -tableau[m, n : n + m]
+    inverse = tableau[:m, n : n + m].copy()
     basis.flags.writeable = inverse.flags.writeable = False
     warm_start = WarmStart(basis, inverse) if status == STATUS_OPTIMAL else None
     return SimplexResult(status, x, objective, dual, iterations, warm_start)

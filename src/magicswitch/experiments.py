@@ -774,7 +774,8 @@ def _basis_root(solution: L1Solution, fit: np.ndarray, level: float, lo: float, 
     A crossing that only another basis reaches gives None."""
     start, n = solution.warm_start, solution.standard_form[0].shape[1]
     # Row i: the coefficients of s(p) x_B[i](p).  A basic artificial sits
-    # on a redundant row, at zero whatever the sign of its column.
+    # on a redundant row, at zero up to a tolerated defect of the data, and
+    # adds nothing to the value.
     x = start.inverse @ fit[:, :-1].T
     scale = fit[:, -1]
     gap = (start.basis < n).astype(np.float64) @ x - level * scale  # s(p) (value(p) - level)

@@ -25,15 +25,15 @@ side (``_simplex.least_infeasible``): one that serves it, where any does.
 
 Both programs also take a grid (a channel or state with a leading axis)
 and return one solution per entry, in order: one warm walk down the
-column of right-hand sides.  The first entry is solved through
-``solve_standard_form`` from the start basis (reused, repaired by dual
-pivots, or cold); ``B^-1 [b_j ... b_N]`` at the basis it reaches, one
-stacked mat-vec, then reads off every following entry that basis serves
-(``_simplex.reuse_basis``).  The first entry it does not serve is solved
-from that basis through ``solve_standard_form`` again, and the walk goes on
-from there.  Each entry gets the solution, and the certificates, that a
-solve of it alone from the same basis gives; a single object is the grid
-of one, one call of ``solve_standard_form``.
+column of right-hand sides.  ``B^-1 [b_j ... b_N]`` at the current basis,
+one stacked mat-vec, reads off every entry from j on that the basis
+serves, with no pivot (``_simplex.reuse_basis``), the first entry
+included.  The first entry it does not serve, or the first of all when
+there is no basis, must pivot: ``solve_standard_form`` solves it from that
+basis (repaired by dual pivots, or cold), and the walk goes on from the
+basis it reaches.  Each entry gets the solution, and the certificates,
+that a walk of it alone from the same basis gives; a single object is the
+grid of one.
 """
 
 from __future__ import annotations
@@ -121,8 +121,9 @@ def solve_l1(A: np.ndarray, b: np.ndarray, basis=None, renorm_factor=1.0):
 
     ``b`` is one right-hand side, which gives one ``L1Solution``, or a block
     of them, one per row, which gives a list: the warm walk of the module
-    docstring, from ``basis``.  ``basis`` is None, the ``WarmStart`` of a
-    solve of the same program, or a sequence of them, the bases a run
+    docstring, from ``basis``: only an entry the basis does not serve
+    reaches ``solve_standard_form``.  ``basis`` is None, the ``WarmStart``
+    of a solve of the same program, or a sequence of them, the bases a run
     holds, most recent last; the walk then starts from the one that is
     least infeasible for the first right-hand side (``least_infeasible``),
     which is one that serves it when any does.  ``renorm_factor`` (a
@@ -144,6 +145,14 @@ def solve_l1(A: np.ndarray, b: np.ndarray, basis=None, renorm_factor=1.0):
     solutions = []
     j = 0
     while j < len(b):
+        if basis is not None:
+            served, x, objective, dual = reuse_basis(A, b[j:], c, basis)
+            if served:
+                rows = slice(j, j + served)
+                solutions += _certified(A, b[rows], c, x, objective, dual, 0, basis, factors[rows])
+                j += served
+            if j == len(b):
+                break
         result = solve_standard_form(A, b[j], c, basis=basis)
         basis = result.warm_start
         if result.status == STATUS_OPTIMAL:
@@ -156,12 +165,6 @@ def solve_l1(A: np.ndarray, b: np.ndarray, basis=None, renorm_factor=1.0):
             solutions.append(L1Solution(np.nan, status, np.nan, nan, nan, np.nan, np.nan, result.iterations,
                                         renorm_factor=float(factors[j])))
         j += 1
-        if basis is not None and j < len(b):
-            served, x, objective, dual = reuse_basis(A, b[j:], c, basis)
-            if served:
-                rows = slice(j, j + served)
-                solutions += _certified(A, b[rows], c, x, objective, dual, 0, basis, factors[rows])
-                j += served
     return solutions[0] if single else solutions
 
 

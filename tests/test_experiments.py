@@ -4,13 +4,15 @@ import hashlib
 import json
 import math
 import os
+import sys
+from collections import Counter
 from dataclasses import replace
 from functools import partial
 
 import numpy as np
 import pytest
 
-from magicswitch import experiments, lp
+from magicswitch import _simplex, experiments, lp
 from magicswitch._simplex import WarmStart
 from magicswitch.channels import noisy_th_channel, qutrit_noisy_th_channel
 from magicswitch.config import DEFAULT_TOL
@@ -264,6 +266,17 @@ class TestWarmStart:
         _, solves = recorded_solves(monkeypatch, lambda: (run_fig2(), run_fig3()))
         assert len(solves) == 485
         assert sum(iterations == 0 for _, iterations in solves) >= 470
+
+    def test_every_pivot_is_a_dual_pivot(self, monkeypatch):
+        # Each LP of the default fig2 and fig3 sweeps, and of a seeded channel
+        # search, that is not read off a basis reaches its optimum in the
+        # dual repair: neither Bland loop nor the drive-out pivots.
+        (lo, hi), shift, _, _ = LP_CROSSINGS["fig2_channel_robustness"]
+        s = np.random.default_rng(7).uniform(-shift, shift)
+        runs = (lambda: (run_fig2(), run_fig3()),
+                lambda: find_threshold("fig2_channel_robustness", lo + s, hi + s, threshold_tol=1e-6))
+        for run in runs:
+            assert set(pivots_by_caller(monkeypatch, run)) == {"dual_pivot_loop"}
 
     def test_default_fig2_builds_each_renormalized_solution_once(self, monkeypatch):
         # Each switch branch is renormalized, and its factor is reported on
@@ -540,20 +553,12 @@ class TestWalkedThresholds:
         # One run state serves the endpoints, the two bisection steps, the
         # confirmations, and the bisection after a wrong proposal.
         (lo, hi), _, exact, _ = LP_CROSSINGS[name]
-        cold = []
-        solve = lp.solve_standard_form
-
-        def spy(A, b, c, basis=None):
-            cold.append(basis is None)
-            return solve(A, b, c, basis=basis)
-
-        monkeypatch.setattr(lp, "solve_standard_form", spy)
         proposals = spy_on_basis_root(monkeypatch, exact + 1e-3 if wrong_proposal else ...)
         evaluated = recorded_evaluations(monkeypatch, name)
-        find_threshold(name, lo, hi, threshold_tol=1e-6)
-        assert cold[0] and cold.count(True) == 1
+        _, solves = recorded_solves(monkeypatch, lambda: find_threshold(name, lo, hi, threshold_tol=1e-6))
+        assert [warm for warm, _ in solves] == [False] + [True] * (len(solves) - 1)
         # Ends, two bisection steps and two confirmations, then bisection.
-        assert len(cold) > 6 if wrong_proposal else len(cold) == 6
+        assert len(solves) > 6 if wrong_proposal else len(solves) == 6
         # The confirmations probe the proposed root.  The injected one lies
         # on the free side, where the first probe already moves the bracket
         # past the second.
@@ -816,6 +821,22 @@ def spy_on_basis_root(monkeypatch, injected=...):
 
     monkeypatch.setattr(experiments, "_basis_root", spy)
     return proposals
+
+
+def pivots_by_caller(monkeypatch, run):
+    """Run ``run()``; return how many ``_simplex._pivot`` calls each function
+    of ``_simplex`` made, by name."""
+    pivots = Counter()
+    pivot = _simplex._pivot
+
+    def spy(*args):
+        pivots[sys._getframe(1).f_code.co_name] += 1
+        return pivot(*args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(_simplex, "_pivot", spy)
+        run()
+    return pivots
 
 
 def recorded_evaluations(monkeypatch, name):

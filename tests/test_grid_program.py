@@ -207,8 +207,7 @@ def test_block_reuse_matches_single_solves():
     served, x, objective, dual = _simplex.reuse_basis(A, block, c, start)
     assert 0 < served < 40  # the block runs past the basis's feasible region
     for j in range(served):
-        alone = _simplex.solve_standard_form(A, block[j], c, basis=start)
-        assert alone.iterations == 0 and alone.warm_start is start
-        assert np.array_equal(alone.x, x[j]) and alone.objective == objective[j]
-        assert np.array_equal(alone.dual, dual)
-    assert _simplex.solve_standard_form(A, block[served], c, basis=start).iterations > 0
+        alone = _simplex.reuse_basis(A, block[j : j + 1], c, start)
+        assert alone[0] == 1 and np.array_equal(alone[1][0], x[j]) and alone[2][0] == objective[j]
+        assert np.array_equal(alone[3], dual)
+    assert _simplex.reuse_basis(A, block[served : served + 1], c, start)[0] == 0

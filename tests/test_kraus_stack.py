@@ -331,6 +331,20 @@ class TestCheckedOnce:
         assert sol.status == exact.status == "optimal"
         assert abs(sol.value - exact.value) < 1e-8
 
+    def test_traceless_completeness_defect_keeps_the_basis(self, choi_atoms):
+        # The artificial that such a defect leaves on a redundant row is
+        # judged by phase 1's cut, so a walk over gamma reads every LP but
+        # the first, which starts cold, off the basis before it.
+        start, reused = None, 0
+        for gamma in np.linspace(0.1, 0.5, 41):
+            k0 = np.array([[1.0, 0.0], [0.0, np.sqrt(1 - gamma)]])
+            sol = channel_robustness(KrausChannel([k0, [[0.0, np.sqrt(gamma) + 1e-10], [0.0, 0.0]]]), choi_atoms,
+                                     basis=start)
+            assert sol.status == "optimal"
+            reused += sol.iterations == 0
+            start = sol.warm_start
+        assert reused >= 40
+
     def test_warm_sweeps_run_no_eigenvalue_check(self, monkeypatch):
         # Every state and Choi state of a sweep is derived from checked
         # inputs; only the cached |+> inputs are checked, on first use.

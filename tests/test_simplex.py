@@ -80,9 +80,9 @@ def test_infeasible():
 
 
 def test_slightly_infeasible_lp_is_infeasible():
-    # x1 + x2 = -3e-8 has no x >= 0.  Phase 1 leaves 3e-8 of artificial
-    # mass, under its cut, and the drive-out pivots x1 in at -3e-8; the
-    # x >= -tol verdict reports the LP infeasible instead.
+    # x1 + x2 = -3e-8 has no x >= 0.  Its artificial starts at -3e-8,
+    # under phase 1's cut but past Tolerances.primal, and the cold repair
+    # finds no negative entry to drive it out on: the LP is infeasible.
     res = solve_standard_form(np.array([[1.0, 1.0]]), np.array([-3e-8]), np.array([1.0, 2.0]))
     assert res.status == STATUS_INFEASIBLE
     assert np.isnan(res.objective) and not res.x.any() and not res.dual.any()
@@ -96,13 +96,14 @@ def test_rejects_malformed_data():
         solve_standard_form(A, np.array([np.nan]), np.ones(2))
 
 
-def test_unbounded():
-    # x0 never appears in a constraint and has negative cost.
-    A = np.array([[0.0, 1.0]])
-    b = np.array([1.0])
-    c = np.array([-1.0, 0.0])
-    res = solve_standard_form(A, b, c)
-    assert res.status == STATUS_UNBOUNDED
+def test_refuses_a_negative_cost():
+    # Costs c >= 0 keep the all-artificial basis dual feasible; a zero cost
+    # is one of them.
+    A = np.array([[1.0, 1.0]])
+    assert solve_standard_form(A, np.array([1.0]), np.array([0.0, 1.0])).objective == 0.0
+    for c in ([-1.0, 0.0], [np.nan, 1.0]):
+        with pytest.raises(ValueError, match="nonnegative"):
+            solve_standard_form(A, np.array([1.0]), np.array(c))
 
 
 def test_redundant_row():
@@ -216,29 +217,35 @@ def reference_pivot_loop(tableau, basis, n_enterable, tol, max_iter):
     return 2, it
 
 
-def recorded_pivot_inputs(monkeypatch, solve):
-    """Run ``solve()`` and return a copy of every pivot-loop input it made
-    (the phase-1 and phase-2 tableaux of each LP)."""
-    inputs = []
+def phase1_tableau(A, b):
+    """The classic phase-1 start, in the layout of ``bland_pivot_loop``: the
+    rows with b < 0 negated, B = I over the artificial columns, and the
+    reduced costs of the sum of the artificials last.  A long Bland walk for
+    the kernel tests.  Returns (tableau, basis)."""
+    m, n = A.shape
+    signs = np.where(b < 0, -1.0, 1.0)[:, None]
+    body = np.hstack([signs * A, np.eye(m), signs * b[:, None]])
+    cost = np.concatenate([np.zeros(n), np.ones(m), [0.0]])
+    return np.vstack([body, cost - body.sum(axis=0)]), np.arange(n, n + m)
 
-    def recorder(tableau, basis, n_enterable, tol, max_iter):
-        inputs.append((tableau.copy(), basis.copy(), n_enterable, tol, max_iter))
-        return bland_pivot_loop(tableau, basis, n_enterable, tol, max_iter)
 
-    with monkeypatch.context() as patch:
-        patch.setattr(_simplex, "bland_pivot_loop", recorder)
-        solve()
-    return inputs
+def set_costs(tableau, basis, c):
+    """Put the reduced costs of the real costs ``c`` in the last row, in
+    place: the phase-2 objective of a walked phase-1 tableau."""
+    m = len(basis)
+    cost = np.concatenate([c, np.zeros(tableau.shape[1] - len(c))])
+    tableau[m] = cost - cost[basis] @ tableau[:m]
 
 
 def assert_same_walk(tableau, basis, n_enterable, tol, max_iter):
+    """Walk ``tableau`` and ``basis`` in place with the kernel, and check the
+    reference gets the same walk from a copy.  Returns (status, iterations)."""
     t_ref, b_ref = tableau.copy(), basis.copy()
-    t_new, b_new = tableau.copy(), basis.copy()
     expected = reference_pivot_loop(t_ref, b_ref, n_enterable, tol, max_iter)
-    assert bland_pivot_loop(t_new, b_new, n_enterable, tol, max_iter) == expected
-    assert np.array_equal(b_new, b_ref)
+    assert bland_pivot_loop(tableau, basis, n_enterable, tol, max_iter) == expected
+    assert np.array_equal(basis, b_ref)
     # Bit for bit, signed zeros included.
-    assert t_new.tobytes() == t_ref.tobytes()
+    assert tableau.tobytes() == t_ref.tobytes()
     return expected
 
 
@@ -252,12 +259,12 @@ def test_ratio_tie_goes_to_smallest_basic_variable():
     ])
     basis = np.array([2, 1], dtype=np.int64)
     assert_same_walk(tableau, basis, 1, 1e-9, 10)
-    bland_pivot_loop(tableau, basis, 1, 1e-9, 10)
     assert basis.tolist() == [2, 0]
 
 
-def test_kernel_matches_reference_on_integer_lps(monkeypatch, rng):
-    # Small integers make exact ratio ties, and so the smallest-basic-index
+def test_kernel_matches_reference_on_integer_lps(rng):
+    # Phase 1, then phase 2 under costs that may be negative.  Small
+    # integers make exact ratio ties, and so the smallest-basic-index
     # tie-break, common; negative costs make some programs unbounded.
     statuses = set()
     for _ in range(60):
@@ -266,17 +273,19 @@ def test_kernel_matches_reference_on_integer_lps(monkeypatch, rng):
         A = rng.integers(-3, 4, size=(m, n)).astype(float)
         b = A @ rng.integers(0, 3, size=n)
         c = rng.integers(-1, 4, size=n).astype(float)
-        for inputs in recorded_pivot_inputs(monkeypatch, lambda: solve_standard_form(A, b, c)):
-            statuses.add(assert_same_walk(*inputs)[0])
-    assert {STATUS_OPTIMAL, STATUS_UNBOUNDED} <= statuses
+        tableau, basis = phase1_tableau(A, b)
+        assert assert_same_walk(tableau, basis, n, DEFAULT_TOL.pivot, 100)[0] == STATUS_OPTIMAL
+        set_costs(tableau, basis, c)
+        statuses.add(assert_same_walk(tableau, basis, n, DEFAULT_TOL.pivot, 100)[0])
+    assert statuses == {STATUS_OPTIMAL, STATUS_UNBOUNDED}
 
 
-def test_kernel_matches_reference_when_unbounded(monkeypatch):
-    A = np.array([[0.0, 1.0]])
-    inputs = recorded_pivot_inputs(
-        monkeypatch, lambda: solve_standard_form(A, np.array([1.0]), np.array([-1.0, 0.0]))
-    )
-    assert assert_same_walk(*inputs[-1])[0] == STATUS_UNBOUNDED
+def test_kernel_matches_reference_when_unbounded():
+    # x0 never appears in a constraint and has negative cost.
+    tableau, basis = phase1_tableau(np.array([[0.0, 1.0]]), np.array([1.0]))
+    assert assert_same_walk(tableau, basis, 2, DEFAULT_TOL.pivot, 10) == (STATUS_OPTIMAL, 2)
+    set_costs(tableau, basis, np.array([-1.0, 0.0]))
+    assert assert_same_walk(tableau, basis, 2, DEFAULT_TOL.pivot, 10) == (STATUS_UNBOUNDED, 1)
 
 
 def test_kernel_matches_reference_with_no_enterable_column():
@@ -285,25 +294,23 @@ def test_kernel_matches_reference_with_no_enterable_column():
     assert assert_same_walk(tableau, basis, 0, 1e-9, 10) == (STATUS_OPTIMAL, 1)
 
 
-def test_kernel_matches_reference_on_channel_lps(monkeypatch, choi_atoms):
+def test_kernel_matches_reference_on_channel_lps(choi_atoms):
+    # The fig2/fig3 channel LPs from the classic start: phase 1 walks tens
+    # of pivots over the exact stabilizer atoms, then phase 2 at unit costs.
     for ch in fig2_fig3_channels():
-        inputs = recorded_pivot_inputs(monkeypatch, lambda: channel_robustness(ch, choi_atoms))
-        assert len(inputs) == 2  # phase 1 and phase 2
-        for recorded in inputs:
-            assert assert_same_walk(*recorded)[0] == STATUS_OPTIMAL
+        A, b = channel_robustness(ch, choi_atoms).standard_form
+        m, n = A.shape
+        tableau, basis = phase1_tableau(A, b)
+        status, iterations = assert_same_walk(tableau, basis, n, DEFAULT_TOL.pivot, 10_000)
+        assert status == STATUS_OPTIMAL and iterations > m
+        set_costs(tableau, basis, np.ones(n))
+        assert assert_same_walk(tableau, basis, n, DEFAULT_TOL.pivot, 10_000)[0] == STATUS_OPTIMAL
 
 
-def test_kernel_matches_reference_at_iteration_limit(monkeypatch, choi_atoms):
-    # A dual repair leaves phase 1 nothing to pivot, so the recorded loop is
-    # the phase 1 of the classic start, which a failed repair falls back to.
-    ch = noisy_th_channel(0.2)
-    monkeypatch.setattr(_simplex, "dual_pivot_loop", lambda *args: (STATUS_ITER_LIMIT, 0))
-    tableau, basis, n, tol, _ = recorded_pivot_inputs(
-        monkeypatch, lambda: channel_robustness(ch, choi_atoms)
-    )[0]
-    assert basis.tolist() == list(range(n, n + tableau.shape[0] - 1))
-    assert assert_same_walk(tableau, basis, n, tol, 3) == (STATUS_ITER_LIMIT, 3)
-
+def test_kernel_matches_reference_at_iteration_limit(choi_atoms):
+    A, b = channel_robustness(noisy_th_channel(0.2), choi_atoms).standard_form
+    tableau, basis = phase1_tableau(A, b)
+    assert assert_same_walk(tableau, basis, A.shape[1], DEFAULT_TOL.pivot, 3) == (STATUS_ITER_LIMIT, 3)
 
 
 def assert_same_result(got, want):
@@ -348,8 +355,8 @@ def test_start_basis_holding_a_positive_artificial_is_repaired(monkeypatch):
     cold = solve_standard_form(A, b, c)
     start = hand_built_start(A, [0, 4])
     (warm, starts), walks = pivot_walks(monkeypatch, lambda: solve_recording_starts(A, b, c, start))
-    ((given, (_, repaired, dual_pivots)),) = starts
-    assert given.tolist() == [0, 4] and repaired.tolist() == [0, 2] and dual_pivots == 1
+    ((given, (status, _, repaired, dual_pivots)),) = starts
+    assert given.tolist() == [0, 4] and repaired.tolist() == [0, 2] and (status, dual_pivots) == (STATUS_OPTIMAL, 1)
     assert [iterations for _, iterations in walks] == [1, 1]
     assert warm.status == STATUS_OPTIMAL and warm.objective == cold.objective == 2.0
     assert np.array_equal(warm.x, [1.0, 0.0, 1.0])
@@ -358,12 +365,13 @@ def test_start_basis_holding_a_positive_artificial_is_repaired(monkeypatch):
 def solve_recording_starts(A, b, c, basis):
     """``solve_standard_form`` from ``basis``; returns the result and, per
     ``_start_from_basis`` call, the basis it was given and what it gave
-    back, None for a basis that cannot start the solve."""
+    back: (status, tableau, basis, dual pivots) of its repair, or None for a
+    basis that cannot start the solve."""
     starts = []
     start_from_basis = _simplex._start_from_basis
 
-    def spy(A, b, cost, basis, *rest):
-        starts.append((np.array(basis), start_from_basis(A, b, cost, basis, *rest)))
+    def spy(A, b, cost, start, *rest):
+        starts.append((np.array(start.basis), start_from_basis(A, b, cost, start, *rest)))
         return starts[-1][1]
 
     with pytest.MonkeyPatch.context() as patch:
@@ -381,7 +389,7 @@ def test_primal_infeasible_optimal_basis_is_repaired_to_the_cold_optimum():
     assert solve_standard_form(A, np.array([1.0]), c).warm_start.basis.tolist() == [0]
     cold = solve_standard_form(A, np.array([-1.0]), c)
     warm, starts = solve_recording_starts(A, np.array([-1.0]), c, hand_built_start(A, [0]))
-    ((_, (_, basis, dual_pivots)),) = starts
+    ((_, (_, _, basis, dual_pivots)),) = starts
     assert basis.tolist() == [1] and dual_pivots == 1
     assert (warm.status, warm.objective) == (cold.status, cold.objective) == (STATUS_OPTIMAL, 2.0)
     assert warm.warm_start.basis.tolist() == cold.warm_start.basis.tolist() == [1]
@@ -408,39 +416,6 @@ def test_start_neither_primal_nor_dual_feasible_starts_cold(monkeypatch):
     assert repairs == [[3]]
     assert_same_result(warm, cold)
     assert cold.status == STATUS_OPTIMAL and cold.objective == 1.0
-
-
-def test_cold_start_tableau_is_the_identity_solve(monkeypatch, choi_atoms, rng):
-    # The all-artificial start skips the LU solve against B = I.  That solve
-    # returns its input, up to the sign of some zeros (it turns some -0.0
-    # of the minus columns into 0.0, which no comparison, ratio or sum can
-    # see), so every entry must have the same value and every nonzero entry
-    # the same bits, on the fig2/fig3 channel LPs and on random LPs.  A
-    # negative cost keeps the dual repair out, so the classic start is
-    # returned as it is; with nonnegative costs the repair runs, still with
-    # no solve.
-    problems = [channel_robustness(ch, choi_atoms).standard_form for ch in fig2_fig3_channels()]
-    problems += [(rng.normal(size=(5, 9)), rng.normal(size=5)) for _ in range(5)]
-    solve = np.linalg.solve
-    wants = []
-    for A, b in problems:
-        flip = b < 0  # solve_standard_form makes every rhs nonnegative first
-        A, b = np.where(flip[:, None], -A, A), np.abs(b)
-        m, n = A.shape
-        body = solve(np.eye(m), np.concatenate([A, np.eye(m), b[:, None]], axis=1))
-        wants.append((A, b, body, np.arange(n, n + m)))
-
-    def refuse(*args):
-        raise AssertionError("the all-artificial start solved against B = I")
-
-    monkeypatch.setattr(np.linalg, "solve", refuse)
-    for A, b, body, basis in wants:
-        cost = np.zeros(A.shape[0] + A.shape[1] + 1)
-        assert _simplex._start_from_basis(A, b, cost, basis, DEFAULT_TOL.pivot, 100) is not None
-        cost[0] = -1.0
-        got_body, got_basis, pivots = _simplex._start_from_basis(A, b, cost, basis, DEFAULT_TOL.pivot, 100)
-        assert np.array_equal(got_body, body)
-        assert got_basis.tolist() == basis.tolist() and pivots == 0
 
 
 def random_resolve(seed, feasible):
@@ -471,17 +446,15 @@ def test_warm_resolve_matches_a_cold_solve(seed, feasible):
     warm, starts = solve_recording_starts(A, b2, c, start.warm_start)
     cold = solve_standard_form(A, b2, c)
     assert warm.status == cold.status
-    # A reused basis makes no start; otherwise its basis starts the solve,
-    # and a rejected start falls back to one start from the artificial basis.
-    if warm.iterations == 0:
-        assert starts == [] and warm.status == STATUS_OPTIMAL
-    else:
-        assert np.array_equal(starts[0][0], start.warm_start.basis)
-        assert len(starts) == 1 + (starts[0][1] is None)
-        if len(starts) == 2:
-            assert np.array_equal(starts[1][0], np.arange(n, n + m))
-        if feasible:
-            assert starts[0][1] is not None  # started warm, repaired where needed
+    # The basis starts the solve; one that cannot start it, or whose repair
+    # fails, gives way to one start from the artificial basis.
+    assert np.array_equal(starts[0][0], start.warm_start.basis)
+    repaired = starts[0][1] is not None and starts[0][1][0] == STATUS_OPTIMAL
+    assert len(starts) == 2 - repaired
+    if len(starts) == 2:
+        assert np.array_equal(starts[1][0], np.arange(n, n + m))
+    if feasible:
+        assert repaired  # started warm, repaired where needed
     if cold.status == STATUS_OPTIMAL:
         assert abs(warm.objective - cold.objective) <= 1e-9 * max(1.0, abs(cold.objective))
         assert np.abs(A @ warm.x - b2).max() <= 1e-8
@@ -495,29 +468,32 @@ def test_warm_resolve_matches_a_cold_solve(seed, feasible):
 
 
 def assert_warm_start_matches_the_oracle(A, b, c, start):
-    """Solve at ``b`` from the WarmStart ``start`` and check it against an
-    oracle that shares no code with the solver.  x_B comes from
-    ``np.linalg.solve`` of the basis columns of ``[A | I]``.  When it is
-    feasible, the solve must return that vertex with no start and no pivot:
-    the same WarmStart, x within 1e-12 of it and the objective c.x.
-    Otherwise the solve must start from the WarmStart's basis (a repair, or
-    the cold fallback).  Any optimal answer must satisfy A x = b with
-    x >= -tol, and where scipy is present its status and value must be
-    HiGHS's.  Returns the result."""
+    """Read ``b`` off the WarmStart ``start`` and solve at ``b`` from it, and
+    check both against an oracle that shares no code with the solver.  x_B
+    comes from ``np.linalg.solve`` of the basis columns of ``[A | I]``.
+    When it is feasible (each artificial within phase 1's cut),
+    ``reuse_basis`` must serve ``b`` with that vertex, x within 1e-12 of it
+    and the objective c.x, and the solve must end on the same basis with no
+    dual pivot; otherwise ``reuse_basis`` serves nothing.  The solve must
+    start from the WarmStart's basis.  Any optimal answer must satisfy
+    A x = b with x >= -tol, and where scipy is present its status and value
+    must be HiGHS's.  Returns (served, result)."""
     m, n = A.shape
     tol = DEFAULT_TOL.pivot
+    served, reused, objective, _ = _simplex.reuse_basis(A, b[None], c, start)
     got, starts = solve_recording_starts(A, b, c, start)
+    assert np.array_equal(starts[0][0], start.basis)
     x_B = np.linalg.solve(np.hstack([A, np.eye(m)])[:, start.basis], b)
     real = start.basis < n
-    if (x_B[real] >= -tol).all() and (np.abs(x_B[~real]) <= tol).all():
-        assert starts == [] and got.iterations == 0
-        assert got.status == STATUS_OPTIMAL and got.warm_start is start
+    if (x_B[real] >= -tol).all() and (np.abs(x_B[~real]) <= 100 * tol).all():
+        assert served == 1 and starts[0][1][3] == 0
         x = np.zeros(n)
         x[start.basis[real]] = x_B[real]
-        assert np.abs(got.x - x).max() <= 1e-12
-        assert abs(got.objective - c @ x) <= 1e-12 * max(1.0, abs(c @ x))
+        assert np.abs(reused[0] - x).max() <= 1e-12 and np.abs(got.x - x).max() <= 1e-12
+        assert abs(objective[0] - c @ x) <= 1e-12 * max(1.0, abs(c @ x))
+        assert got.status == STATUS_OPTIMAL and np.array_equal(got.warm_start.basis, start.basis)
     else:
-        assert np.array_equal(starts[0][0], start.basis)
+        assert served == 0
     if got.status == STATUS_OPTIMAL:
         assert np.abs(A @ got.x - b).max() <= 1e-8 and got.x.min() >= -tol
         assert abs(got.objective - c @ got.x) <= 1e-12 * max(1.0, abs(got.objective))
@@ -526,7 +502,7 @@ def assert_warm_start_matches_the_oracle(A, b, c, start):
         assert highs.status == {STATUS_OPTIMAL: 0, STATUS_INFEASIBLE: 2}[got.status]
         if highs.status == 0:
             assert abs(highs.fun - got.objective) <= 1e-7 * max(1.0, abs(got.objective))
-    return got
+    return served, got
 
 
 @settings(derandomize=True, database=None, max_examples=150, deadline=None)
@@ -539,42 +515,46 @@ def test_warm_start_matches_an_independent_oracle(seed, feasible):
 
 def test_warm_start_holds_across_a_change_of_sign_pattern():
     # min x0 + x1 + 5 x2 s.t. x0 - x1 + x2 = b0, x1 + x2 = b1: the basis
-    # {x0, x1} is optimal for b = (1, 1), where no row is flipped, and for
-    # b = (-0.5, 1), where row 0 is.  Each WarmStart serves the other b.
+    # {x0, x1} is optimal for b = (1, 1) and for b = (-0.5, 1), where b0
+    # changes sign.  Each WarmStart serves the other b.
     A = np.array([[1.0, -1.0, 1.0], [0.0, 1.0, 1.0]])
     c = np.array([1.0, 1.0, 5.0])
     for b1, b2 in [([1.0, 1.0], [-0.5, 1.0]), ([-0.5, 1.0], [1.0, 1.0])]:
         start = solve_standard_form(A, np.array(b1), c).warm_start
         assert sorted(start.basis) == [0, 1]
         assert np.allclose(start.inverse, np.linalg.inv(A[:, start.basis]), rtol=0, atol=1e-15)
-        got = assert_warm_start_matches_the_oracle(A, np.array(b2), c, start)
-        assert got.iterations == 0 and np.allclose(got.x, solve_standard_form(A, np.array(b2), c).x)
+        served, got = assert_warm_start_matches_the_oracle(A, np.array(b2), c, start)
+        assert served == 1 and np.allclose(got.x, solve_standard_form(A, np.array(b2), c).x)
 
 
 @pytest.mark.parametrize("sign", [1.0, -1.0])
 def test_warm_start_with_a_basic_artificial_on_a_redundant_row(sign):
-    # Row 2 is +-(row 0 + row 1), so its artificial stays basic at zero, in
-    # a row that is flipped for sign -1; a consistent b reuses the basis,
-    # and an inconsistent one makes the LP infeasible.
+    # Row 2 is +-(row 0 + row 1), so its artificial stays basic at zero; a
+    # consistent b reuses the basis, and an inconsistent one makes the LP
+    # infeasible.
     A = np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 1.0], [sign, 2 * sign, sign]])
     c = np.array([1.0, 3.0, 1.0])
     start = solve_standard_form(A, A @ np.array([1.0, 0.0, 2.0]), c).warm_start
     assert start.basis.tolist().count(5) == 1 and (start.basis >= 3).sum() == 1
     b = A @ np.array([0.5, 0.0, 0.25])
-    got = assert_warm_start_matches_the_oracle(A, b, c, start)
-    assert got.iterations == 0 and got.objective == 0.75
+    served, got = assert_warm_start_matches_the_oracle(A, b, c, start)
+    assert served == 1 and got.objective == 0.75
     b[2] += 1e-3
-    assert assert_warm_start_matches_the_oracle(A, b, c, start).status == STATUS_INFEASIBLE
+    served, got = assert_warm_start_matches_the_oracle(A, b, c, start)
+    assert served == 0 and got.status == STATUS_INFEASIBLE
 
 
 def test_warm_start_at_an_infeasible_rhs_is_infeasible():
-    # x1 + x2 = -1 has no x >= 0: the reused basis puts both at -1, the
-    # repair finds no entering column, and the cold fallback decides.
+    # x1 + x2 = -1 has no x >= 0: the basis puts both at -1, its repair
+    # finds no entering column, and so does the cold repair after it, whose
+    # verdict the solve returns.
     A = np.array([[1.0, -1.0, 1.0], [0.0, 1.0, 1.0]])
     c = np.array([1.0, 1.0, 5.0])
     start = solve_standard_form(A, np.array([1.0, 1.0]), c).warm_start
-    got = assert_warm_start_matches_the_oracle(A, np.array([0.0, -1.0]), c, start)
-    assert got.status == STATUS_INFEASIBLE and got.warm_start is None
+    served, got = assert_warm_start_matches_the_oracle(A, np.array([0.0, -1.0]), c, start)
+    assert served == 0 and got.status == STATUS_INFEASIBLE and got.warm_start is None
+    _, starts = solve_recording_starts(A, np.array([0.0, -1.0]), c, start)
+    assert [result[0] for _, result in starts] == [STATUS_INFEASIBLE, STATUS_INFEASIBLE]
 
 
 def test_unusable_start_basis_is_rejected():
@@ -592,7 +572,7 @@ def test_unusable_start_basis_is_rejected():
     def start(basis):
         # The carried inverse of a singular B is read as its pseudo-inverse.
         inverse = np.linalg.pinv(np.hstack([A, np.eye(4)])[:, basis])
-        return _simplex._start_from_basis(A, b, cost, np.array(basis), DEFAULT_TOL.pivot, 100, inverse)
+        return _simplex._start_from_basis(A, b, cost, WarmStart(np.array(basis), inverse), DEFAULT_TOL.pivot, 100)
 
     assert start([0, 1, 2, 3]) is None and start([0, 0, 2, 3]) is None
     assert start(np.arange(6, 10)) is not None
@@ -611,7 +591,7 @@ def test_ill_conditioned_basis_with_an_exact_inverse_is_rejected():
     cost = np.array([1.0, 1.0, 0.0, 0.0, 0.0])
     basis, inverse = np.array([0, 3]), np.diag([1e8, 1.0])
     assert np.array_equal(np.hstack([A, np.eye(2)])[:, basis] @ inverse, np.eye(2))
-    assert _simplex._start_from_basis(A, b, cost, basis, DEFAULT_TOL.pivot, 100, inverse) is None
+    assert _simplex._start_from_basis(A, b, cost, WarmStart(basis, inverse), DEFAULT_TOL.pivot, 100) is None
 
 
 def reference_phase2_start(tableau, basis, c, tol):
@@ -674,6 +654,7 @@ def test_phase2_set_up_matches_row_loop(monkeypatch, rng):
     assert driven > 0
 
 
+@pytest.mark.skipif(HIGHS is None, reason="the HiGHS oracle needs scipy")
 @settings(derandomize=True, database=None, max_examples=200, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
@@ -681,7 +662,7 @@ def test_phase2_set_up_matches_row_loop(monkeypatch, rng):
     redundant=st.integers(0, 2),
     integer=st.booleans(),
 )
-def test_dual_cold_start_matches_the_classic_start(seed, feasible, redundant, integer):
+def test_dual_cold_start_matches_highs(seed, feasible, redundant, integer):
     # Nonnegative costs make the all-artificial basis dual feasible.  Small
     # integers make degenerate vertices and zero costs common; redundant
     # rows are sums of earlier rows, with their b summed too.
@@ -701,24 +682,17 @@ def test_dual_cold_start_matches_the_classic_start(seed, feasible, redundant, in
         weights = rng.integers(-2, 3, size=len(A)).astype(float)
         A, b = np.vstack([A, weights @ A]), np.append(b, weights @ b)
     dual = solve_standard_form(A, b, c)
-    with pytest.MonkeyPatch.context() as patch:  # every repair fails: the classic start
-        patch.setattr(_simplex, "dual_pivot_loop", lambda *args: (STATUS_ITER_LIMIT, 0))
-        classic = solve_standard_form(A, b, c)
-    assert dual.status == classic.status
+    highs = HIGHS(c, A_eq=A, b_eq=b, bounds=(0, None), method="highs")
+    assert highs.status == {STATUS_OPTIMAL: 0, STATUS_INFEASIBLE: 2}[dual.status]
     if feasible:
         assert dual.status == STATUS_OPTIMAL
     if dual.status == STATUS_OPTIMAL:
-        scale = max(1.0, abs(classic.objective))
-        assert abs(dual.objective - classic.objective) <= 1e-9 * scale
+        scale = max(1.0, abs(dual.objective))
+        assert abs(highs.fun - dual.objective) <= 1e-9 * scale
         assert np.abs(A @ dual.x - b).max() <= 1e-9 * max(1.0, np.abs(b).max())
         assert (A.T @ dual.dual - c).max() <= 1e-9 * max(1.0, c.max())
         assert abs(dual.objective - dual.dual @ b) <= 1e-9 * scale
         assert dual.x.min() >= -DEFAULT_TOL.pivot
-    if HIGHS is not None:
-        highs = HIGHS(c, A_eq=A, b_eq=b, bounds=(0, None), method="highs")
-        assert highs.status == {STATUS_OPTIMAL: 0, STATUS_INFEASIBLE: 2}[dual.status]
-        if highs.status == 0:
-            assert abs(highs.fun - dual.objective) <= 1e-9 * max(1.0, abs(dual.objective))
 
 
 def test_repair_leaves_a_zero_artificial_for_the_drive_out(monkeypatch):
@@ -742,8 +716,8 @@ def test_repair_leaves_a_zero_artificial_for_the_drive_out(monkeypatch):
     assert np.array_equal(got.x, [0.0, 0.0, 1.0])
     assert (got.warm_start.basis < 3).all()
     # The WarmStart serves a neighbouring b with no pivot.
-    again = solve_standard_form(A, np.array([0.0, 2.0]), c, basis=got.warm_start)
-    assert again.iterations == 0 and again.objective == 2.0
+    served, _, objective, _ = _simplex.reuse_basis(A, np.array([[0.0, 2.0]]), c, got.warm_start)
+    assert served == 1 and objective.tolist() == [2.0]
 
 
 def test_drifted_inverse_gives_way_to_the_cold_start():
