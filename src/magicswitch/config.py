@@ -24,7 +24,6 @@ class Tolerances:
     probability: float = 1e-9    # slack of the branch probability and weight checks
     degenerate_prob: float = 1e-9  # a branch this unlikely has no conditional state
     grid: float = 1e-9           # slack in counting the points of a sweep grid
-    rhs_fit: float = 1e-10       # relative misfit that rejects a polynomial LP right-hand side
     frame: float = 1e-12         # phase-point frame checks: Hermitian, unit trace, resolution of I
     wigner_imag: float = 1e-12   # imaginary part a Wigner value may carry from rounding
     depolarizing_range: float = 1e-12  # slack above the largest valid depolarizing strength

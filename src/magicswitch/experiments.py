@@ -38,15 +38,15 @@ byte-identical CSV.  A warm-started value can differ from a lone cold solve
 at the same point in the last bits, never in the printed digits of the
 default grids.
 
-A threshold search of a registered measure takes six evaluations: the two
-bracket ends, the first two bisection steps, and two probes that confirm a
-proposed crossing.  The first four record samples that are polynomial in p:
-an LP's right-hand side times its scale, or mana's Wigner values.  Three
-fit them and the fourth checks the fit (``_propose_crossing``); an LP's
-crossing is read off the optimal basis at the narrowed bracket's low end,
-and mana's is where its smallest Wigner value changes sign.  A failed fit
-leaves the search where plain bisection would be; it, a failed proposal
-and a bare callable bisect on.  Mana reads free only at 0
+A threshold search of a registered measure takes five evaluations: the two
+bracket ends, the first bisection step, and two probes that confirm a
+proposed crossing.  The first three record samples that are quadratic in
+p: an LP's right-hand side times its scale, or mana's Wigner values.
+``_propose_crossing`` interpolates them exactly; an LP's crossing is read
+off the optimal basis at the narrowed bracket's low end, and mana's is
+where its l1 test against the level flips (``_mana_root``).  The probes are
+the only check on a proposal: a fit that fails, a refuted proposal and a
+bare callable bisect on.  Mana reads free only at 0
 (``DEFAULT_TOL.mana_zero``), whatever ``lp_tol``.  All evaluations of one
 search of a registered measure go through its ``MEASURES`` callable and
 share one ``_RunState``, so only its first LP starts cold: each later one
@@ -223,8 +223,8 @@ class _RunState:
     last (``_hold``), and the value of fig3's minus branch, whose channel
     does not depend on p.  When ``samples`` is a list, each LP solve
     appends ``(p, solution, values)`` to it, with ``values`` polynomial in p
-    (``_Grid.solve``), and each mana evaluation ``(p, None, Wigner
-    values)``."""
+    (``_Grid.solve``), and each mana evaluation ``(p, None, W)``, its
+    Wigner values as columns ``W[v, u]``."""
 
     bases: dict = field(default_factory=dict)
     switch_minus: tuple | None = None
@@ -338,7 +338,7 @@ def _channel_mana(g: _Grid, column: str) -> tuple:
         return _mana_status(mana_channel(g.channel, build_frame(3)))
     # One Wigner function per entry, W(v|u), affine in p: sampled and scored.
     wig = phasespace.wigner_of_channel(g.channel, build_frame(3))
-    g.state.samples += _wigner_samples(g.p, wig)
+    g.state.samples.append((g.p, None, wig))
     return _mana_status(mana_of_wigner(wig, channel=True))
 
 
@@ -372,17 +372,11 @@ def _branch_robustness(g: _Grid, column: str, k: int) -> tuple:
 
 def _branch_mana(g: _Grid, column: str, k: int) -> tuple:
     def score(p, branch, prob):
-        if g.state.samples is not None:  # the unnormalized branch's W(u), quadratic in p
-            g.state.samples += _wigner_samples(p, wigner_of_operator(branch.matrix, build_frame(3)))
+        if g.state.samples is not None:  # the unnormalized branch's W(u), quadratic in p, as one column
+            g.state.samples.append((p, None, wigner_of_operator(branch.matrix, build_frame(3)).reshape(-1, 1)))
         return _mana_status(mana_state(branch, build_frame(3)))
 
     return _live_branches(g, k, score)
-
-
-def _wigner_samples(p, wig: np.ndarray) -> list:
-    """One fit sample ``(p, None, Wigner values)`` per entry of ``p``."""
-    p = np.atleast_1d(p)
-    return [(q, None, w) for q, w in zip(p, wig.reshape(len(p), -1))]
 
 
 def _t_branch_robustness(g: _Grid, column: str, k: int) -> tuple:
@@ -595,22 +589,17 @@ def polyval(coeffs, t):
     return value
 
 
-def fit_polynomial(points, values, tol):
+def fit_polynomial(points, values):
     """Coefficients of the polynomials of degree ``RHS_DEGREE`` through the
-    first ``RHS_DEGREE + 1`` of ``points`` (``values`` holds one row per
-    point), or None unless they also reproduce every further point to within
-    ``tol`` times the largest value there."""
-    points = np.asarray(points, dtype=np.float64)
+    ``RHS_DEGREE + 1`` ``points``, where ``values`` holds one array per
+    point, or None when no unique such polynomials exist."""
     values = np.asarray(values, dtype=np.float64)
-    k = RHS_DEGREE + 1
+    vander = np.vander(np.asarray(points, dtype=np.float64), RHS_DEGREE + 1, increasing=True)
     try:
-        coeffs = np.linalg.solve(np.vander(points[:k], k, increasing=True), values[:k])
+        coeffs = np.linalg.solve(vander, values.reshape(len(values), -1))
     except np.linalg.LinAlgError:
         return None
-    check = np.vander(points[k:], k, increasing=True) @ coeffs - values[k:]
-    if not np.abs(check).max(initial=0.0) <= tol * max(1.0, np.abs(values[k:]).max(initial=0.0)):
-        return None
-    return coeffs
+    return coeffs.reshape(values.shape)
 
 
 def quadratic_roots(coeffs):
@@ -654,14 +643,14 @@ def find_threshold(
     itself evaluates it, and a threshold inside it.  Only the bracket feeds
     the search, so the answer does not depend on any sweep grid step.
 
-    A registered measure records fit samples at the two ends and at the
-    first two bisection steps, and ``_propose_crossing`` proposes the
-    crossing r from them.  The measure is then evaluated just inside
+    A registered measure records a sample at the two ends and at the first
+    bisection step, and ``_propose_crossing`` proposes the crossing r from
+    the quadratics through them.  The measure is then evaluated just inside
     r - threshold_tol / 2 and r + threshold_tol / 2; when the two disagree,
-    they are the bracket and r the threshold.  Any other outcome, and every
-    bare callable, bisects on from the narrowest bracket known, until the
-    midpoint is no longer strictly inside it; a failed fit leaves the search
-    exactly where plain bisection would be.
+    they are the bracket and r the threshold.  These probes are the only
+    check on r.  Any other outcome, a fit that fails included, and every
+    bare callable bisect on from the narrowest bracket known, until the
+    midpoint is no longer strictly inside it.
     ``iterations`` counts the measure evaluations after the two endpoint
     checks.  A registered measure is called with one ``_RunState`` for the
     whole search, so every LP after the first starts from an optimal basis
@@ -672,7 +661,7 @@ def find_threshold(
     if not (math.isfinite(threshold_tol) and threshold_tol > 0):
         raise ValueError(f"threshold_tol must be finite and positive, got {threshold_tol}")
     _check_lp_tol(lp_tol)
-    state = None
+    state, mana = None, False
     slack = _floor_slack(lp_tol)
     if isinstance(measure, str):
         if measure not in MEASURES:
@@ -681,7 +670,8 @@ def find_threshold(
         name = measure
         state = _RunState(samples=[])
         fn = partial(registered, state=state)
-        if measure in _MANA_MEASURES:
+        mana = measure in _MANA_MEASURES
+        if mana:
             slack = DEFAULT_TOL.mana_zero
     else:
         fn, floor = measure
@@ -716,9 +706,9 @@ def find_threshold(
         return True
 
     proposed = False
-    if state is not None and bisect() and bisect():
+    if state is not None and bisect():
         samples, state.samples = state.samples, None
-        root = _propose_crossing(samples, bracket, level)
+        root = _propose_crossing(samples, bracket, level, mana)
         # One ulp of the root inside r -+ threshold_tol / 2, so that the
         # bracket's computed width stays within threshold_tol.
         half = 0.5 * threshold_tol - math.ulp(root or 0.0)
@@ -738,27 +728,24 @@ def find_threshold(
     return ThresholdResult(name, threshold, tuple(bracket), iterations, floor)
 
 
-def _propose_crossing(samples: list, bracket: list, level: float) -> float | None:
+def _propose_crossing(samples: list, bracket: list, level: float, mana: bool) -> float | None:
     """Propose where a registered measure crosses ``level`` inside
     ``bracket`` from its fit ``samples``, or None.
 
     ``samples`` holds one ``(p, solution, values)`` per evaluation: the two
-    ends of the search and its first two bisection steps, whose later
-    bracket is ``bracket``.  ``values`` are fitted as polynomials of degree
-    ``RHS_DEGREE`` through three samples and checked at the fourth.  For a
-    mana measure they are Wigner values and the crossing is where the
-    smallest changes sign (``_sign_change_root``).  For an LP they are s b
-    and s, the scaled right-hand side and the scale, and the crossing is
-    read off the optimal basis of the solution at the bracket's low end
-    (``_basis_root``).
+    ends of the search and its first bisection step, whose later bracket is
+    ``bracket``.  ``values`` are interpolated by the polynomials of degree
+    ``RHS_DEGREE`` through the three samples, which holds exactly since
+    they are quadratic in p.  For a ``mana`` measure they are Wigner values
+    (``_mana_root``).  For an LP they are s b and s, the scaled right-hand
+    side and the scale, and the crossing is read off the optimal basis of
+    the solution at the bracket's low end (``_basis_root``).
     """
-    if len(samples) != RHS_DEGREE + 2:
-        return None
-    fit = fit_polynomial([p for p, _, _ in samples], [values for _, _, values in samples], DEFAULT_TOL.rhs_fit)
+    fit = fit_polynomial([p for p, _, _ in samples], [values for _, _, values in samples])
     if fit is None:
         return None
-    if samples[0][1] is None:
-        return _sign_change_root(fit, *bracket)
+    if mana:
+        return _mana_root(fit, level, *bracket)
     start = next(solution for p, solution, _ in samples if p == bracket[0])
     return _basis_root(start, fit, level, *bracket)
 
@@ -786,18 +773,27 @@ def _basis_root(solution: L1Solution, fit: np.ndarray, level: float, lo: float, 
     return float(roots.min()) if roots.size else None
 
 
-def _sign_change_root(fit: np.ndarray, lo: float, hi: float) -> float | None:
-    """The first root in (lo, hi) at which the smallest of the polynomials
-    ``fit`` changes sign, or None.  Polynomials whose coefficients are all
-    at rounding level are dropped: 54 of the qutrit channel's 81 Wigner
-    entries are 0 up to +-3e-16, and their roots would land anywhere."""
-    fit = fit[:, np.abs(fit).max(axis=0) > DEFAULT_TOL.wigner_imag]
-    roots = quadratic_roots(fit).ravel()
-    roots = np.sort(roots[(lo < roots) & (roots < hi)])
-    edges = np.concatenate([[lo], roots, [hi]])
-    nonnegative = polyval(fit, 0.5 * (edges[:-1] + edges[1:])[:, None]).min(axis=1, initial=0.0) >= 0
-    changes = np.flatnonzero(nonnegative[1:] != nonnegative[:-1])
-    return float(roots[changes[0]]) if changes.size else None
+def _mana_root(fit: np.ndarray, level: float, lo: float, hi: float) -> float | None:
+    """The first p in (lo, hi) at which mana <= ``level`` starts or stops
+    holding, or None.  ``fit`` holds the polynomials ``W[v, u]``, a
+    channel's W(v|u) or an unnormalized state's W as one column; mana is at
+    most ``level`` where every column's l1 norm is at most 2^level times
+    its sum (the trace, or 1).  On a stretch where no entry changes sign,
+    with signs sigma, that is one quadratic per column,
+    sum_v (sigma_vu - 2^level) W_vu(p) <= 0, and the flips lie among their
+    roots on their stretch."""
+    bound = 2.0**level
+    roots = quadratic_roots(fit.reshape(len(fit), -1)).ravel()
+    edges = np.sort(np.concatenate([[lo, hi], roots[(lo < roots) & (roots < hi)]]))
+    sigma = np.sign(polyval(fit, 0.5 * (edges[:-1] + edges[1:])[:, None, None]))
+    tests = np.einsum("svu,kvu->ksu", sigma - bound, fit)  # one quadratic per stretch and column
+    cuts = quadratic_roots(tests.reshape(len(fit), -1)).reshape(2, *tests.shape[1:])
+    cuts = np.sort(cuts[(edges[:-1, None] <= cuts) & (cuts <= edges[1:, None])])
+    ends = np.concatenate([[lo], cuts, [hi]])
+    w = polyval(fit, 0.5 * (ends[:-1] + ends[1:])[:, None, None])
+    free = (np.abs(w).sum(axis=1) <= bound * w.sum(axis=1)).all(axis=1)
+    changes = np.flatnonzero(free[1:] != free[:-1])
+    return float(cuts[changes[0]]) if changes.size else None
 
 
 # ---------------------------------------------------------------------------

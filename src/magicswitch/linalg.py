@@ -105,16 +105,15 @@ def pauli_basis(n_qubits: int) -> np.ndarray:
     return stacked
 
 
-def pauli_vectorize(op: np.ndarray, paulis) -> np.ndarray:
+def pauli_vectorize(op: np.ndarray, paulis: np.ndarray) -> np.ndarray:
     """Expand a Hermitian operator, or a stack of them along leading axes,
     over the orthonormal Pauli basis.
 
-    ``paulis`` is a ``pauli_basis`` stack or a ``pauli_strings`` list.  The
-    basis elements are Pauli strings divided by sqrt(d), so the map is an
-    isometry: Hilbert-Schmidt inner products equal Euclidean dot products of
-    the returned real vectors, one along the last axis per operator.
+    ``paulis`` is the ``pauli_basis`` stack.  The basis elements are Pauli
+    strings divided by sqrt(d), so the map is an isometry: Hilbert-Schmidt
+    inner products equal Euclidean dot products of the returned real
+    vectors, one along the last axis per operator.
     """
     op = np.asarray(op, dtype=complex)
-    stacked = paulis if isinstance(paulis, np.ndarray) else np.array([pauli for _, pauli in paulis])
     # tr(P_k op) = sum_ij (P_k)_ij op_ji, for every string k at once.
-    return np.einsum("kij,...ji->...k", stacked, op).real * (1.0 / np.sqrt(op.shape[-1]))
+    return np.einsum("kij,...ji->...k", paulis, op).real * (1.0 / np.sqrt(op.shape[-1]))

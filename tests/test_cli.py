@@ -326,5 +326,5 @@ def test_threshold_logs_one_info_line_unless_quiet():
     )
     (line,) = loud.stderr.splitlines()
     assert line.startswith("INFO magicswitch.experiments: threshold fig2_channel_robustness: ")
-    assert line.endswith("after 6 evaluations, root proposed")
+    assert line.endswith("after 5 evaluations, root proposed")
     assert quiet.stderr == "" and quiet.stdout == loud.stdout

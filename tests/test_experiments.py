@@ -550,34 +550,34 @@ class TestWalkedThresholds:
     @pytest.mark.parametrize("wrong_proposal", [False, True], ids=["walked", "bisected"])
     @pytest.mark.parametrize("name", list(LP_CROSSINGS))
     def test_only_the_first_lp_of_a_search_starts_cold(self, monkeypatch, name, wrong_proposal):
-        # One run state serves the endpoints, the two bisection steps, the
+        # One run state serves the endpoints, the bisection step, the
         # confirmations, and the bisection after a wrong proposal.
         (lo, hi), _, exact, _ = LP_CROSSINGS[name]
         proposals = spy_on_basis_root(monkeypatch, exact + 1e-3 if wrong_proposal else ...)
         evaluated = recorded_evaluations(monkeypatch, name)
         _, solves = recorded_solves(monkeypatch, lambda: find_threshold(name, lo, hi, threshold_tol=1e-6))
         assert [warm for warm, _ in solves] == [False] + [True] * (len(solves) - 1)
-        # Ends, two bisection steps and two confirmations, then bisection.
-        assert len(solves) > 6 if wrong_proposal else len(solves) == 6
+        # Ends, one bisection step and two confirmations, then bisection.
+        assert len(solves) > 5 if wrong_proposal else len(solves) == 5
         # The confirmations probe the proposed root.  The injected one lies
         # on the free side, where the first probe already moves the bracket
         # past the second.
         ((_, root),) = proposals
         half = 0.5e-6 - math.ulp(root)
         probes = [root - half] if wrong_proposal else [root - half, root + half]
-        assert evaluated[4 : 4 + len(probes)] == probes
+        assert evaluated[3 : 3 + len(probes)] == probes
 
     def test_fig2_channel_search_reads_most_lps_off_held_bases(self, monkeypatch):
         # The run state holds the last few optimal bases of the search: the
-        # midpoint, the quarter point and both probes lie inside the region
-        # of the basis at one bracket end, and are read off it with no pivot.
+        # midpoint and both probes lie inside the region of the basis at one
+        # bracket end, and are read off it with no pivot.
         (lo, hi), shift, _, _ = LP_CROSSINGS["fig2_channel_robustness"]
         for s in np.random.default_rng(23).uniform(-shift, shift, size=4):
             res, solves = recorded_solves(
                 monkeypatch, lambda: find_threshold("fig2_channel_robustness", lo + s, hi + s, threshold_tol=1e-6)
             )
-            assert res.iterations == 4 and len(solves) == 6
-            assert sum(warm and iterations == 0 for warm, iterations in solves) >= 4
+            assert res.iterations == 3 and len(solves) == 5
+            assert sum(warm and iterations == 0 for warm, iterations in solves) >= 3
 
     def test_held_bases_are_distinct_and_bounded(self):
         starts = [WarmStart(np.array([k, 9]), np.eye(2)) for k in range(6)]
@@ -616,20 +616,28 @@ class TestWalkedThresholds:
         monkeypatch.setitem(MEASURES, name, (wrapper, floor))
         find_threshold(name, lo, hi, threshold_tol=1e-6)
         assert calls["value"] == calls["wrapper"] > 2
-        # Ends, two bisection steps and two confirmations.
-        assert calls["wrapper"] == 6
+        # Ends, one bisection step and two confirmations.
+        assert calls["wrapper"] == 5
 
     def test_p_independent_measure_still_has_no_crossing(self):
         with pytest.raises(BracketError):
             find_threshold("fig3_switch_minus", 0.2, 0.35, threshold_tol=1e-6)
 
+    @pytest.mark.parametrize("tol", [1e-6, 1e-9, 1e-10])
     @pytest.mark.parametrize("name", list(MANA_CROSSINGS))
-    def test_figs1_thresholds_match_closed_forms(self, name):
+    def test_figs1_thresholds_match_closed_forms(self, name, tol):
+        # Mana reads 0 up to mana_zero, which it reaches 5.5e-10 (channel)
+        # and 6.8e-10 (plus branch) in p before its Wigner entries turn
+        # nonnegative at the closed form.  The proposal aims there, so the
+        # probes straddle it at every tolerance; aimed at the closed form,
+        # both fell inside that band at 1e-9 and 1e-10, and the search
+        # bisected 27-31 times.
         (lo, hi), _, exact = MANA_CROSSINGS[name]
-        res = find_threshold(name, lo, hi, threshold_tol=1e-6)
-        assert abs(res.threshold - exact) <= 1e-12
-        assert res.iterations == 4
-        assert res.bracket[0] < exact < res.bracket[1]
+        res = find_threshold(name, lo, hi, threshold_tol=tol)
+        assert 0 < exact - res.threshold <= 1e-9
+        assert res.iterations == 3
+        oracle = bisection_oracle(name, lo, hi, 1e-13)
+        assert res.bracket[0] <= oracle.bracket[0] < oracle.bracket[1] <= res.bracket[1]
 
     def test_mana_minus_has_no_crossing(self):
         # Its Wigner entries are c p (1 - p) with one c < 0: mana never
@@ -638,32 +646,55 @@ class TestWalkedThresholds:
         with pytest.raises(BracketError):
             find_threshold("figs1_mana_minus", 0.5, 0.999999, threshold_tol=1e-6)
 
-    @pytest.mark.parametrize("cause", ["no_fit", "cubic_channel"])
     @pytest.mark.parametrize("name", list(MANA_CROSSINGS))
-    def test_failed_mana_fit_is_plain_bisection(self, monkeypatch, name, cause):
-        # The interior samples are the first two bisection steps, so a
-        # search whose fit fails is plain bisection, down to its iterations.
+    def test_failed_mana_fit_is_plain_bisection(self, monkeypatch, name):
+        # The interior sample is the first bisection step, so a search whose
+        # fit fails is plain bisection, down to its iterations.
         (lo, hi), _, exact = MANA_CROSSINGS[name]
         fits = []
 
-        def spy(*args, fit=experiments.fit_polynomial):
-            fits.append(None if cause == "no_fit" else fit(*args))
-            return fits[-1]
+        def spy(*args):
+            fits.append(args)
 
         monkeypatch.setattr(experiments, "fit_polynomial", spy)
-        monkeypatch.setattr(experiments, "_sign_change_root", None)  # never reached
-        if cause == "cubic_channel":
-            # Strength p^3: the Wigner values are polynomials of degree 3 and 6.
-            monkeypatch.setitem(experiments.CHANNELS, "qutrit-noisy-th", lambda p: qutrit_noisy_th_channel(p**3))
-            lo, hi, exact = lo ** (1 / 3), hi ** (1 / 3), exact ** (1 / 3)
+        monkeypatch.setattr(experiments, "_mana_root", None)  # never reached
         res = find_threshold(name, lo, hi, threshold_tol=1e-6)
-        assert fits == [None]
+        assert len(fits) == 1
         assert res == replace(bisection_oracle(name, lo, hi, 1e-6), measure=name)
         # Mana reads 0 up to mana_zero, a few 1e-10 in p past the root.
         assert res.bracket[0] - 1e-9 <= exact <= res.bracket[1] + 1e-9
 
+    @pytest.mark.parametrize("name, lo, hi, exact", [
+        ("fig2_channel_robustness", 0.5, 0.8, 1 - 1 / math.sqrt(2)),
+        ("fig2_rom_plus", 0.7, 0.95, 2 - math.sqrt(2)),
+        *((name, *(end ** (1 / 3) for end in MANA_CROSSINGS[name][0]), MANA_CROSSINGS[name][2])
+          for name in MANA_CROSSINGS),
+    ])
+    def test_probes_refute_a_proposal_from_samples_that_are_not_quadratic(self, monkeypatch, name, lo, hi, exact):
+        # Noise of strength p^3: the samples are polynomials of degree 3 and
+        # more, so the quadratic through three of them proposes a wrong
+        # root.  The probes read it, and the search bisects on to a bracket
+        # whose ends the measure itself reads on opposite sides of the level.
+        builders = {"fig2": ("noisy-th", noisy_th_channel), "figs1": ("qutrit-noisy-th", qutrit_noisy_th_channel)}
+        key, build = builders[name.split("_")[0]]
+        monkeypatch.setitem(experiments.CHANNELS, key, lambda p: build(p**3))
+        proposals = []
+        root_finder = "_mana_root" if name in MANA_CROSSINGS else "_basis_root"
+        propose = getattr(experiments, root_finder)
+        monkeypatch.setattr(experiments, root_finder, lambda *args: proposals.append(propose(*args)) or proposals[-1])
+        evaluated = recorded_evaluations(monkeypatch, name)
+        res = find_threshold(name, lo, hi, threshold_tol=1e-6)
+        (root,) = proposals
+        half = 0.5e-6 - math.ulp(root)
+        assert abs(root - exact ** (1 / 3)) > 1e-5 and evaluated[3] in (root - half, root + half)
+        assert res.iterations > 3 and res.threshold != root
+        fn, floor = MEASURES[name]
+        level = floor + free_slack(name)
+        assert (fn(res.bracket[0]) <= level) != (fn(res.bracket[1]) <= level)
+        assert res.bracket[1] - res.bracket[0] <= 1e-6 and abs(res.threshold - exact ** (1 / 3)) < 1e-6
+
     @pytest.mark.parametrize("name", [*LP_CROSSINGS, *MANA_CROSSINGS])
-    def test_every_seeded_search_takes_four_iterations(self, name):
+    def test_every_seeded_search_takes_three_iterations(self, name):
         (lo, hi), shift, exact = {**LP_CROSSINGS, **MANA_CROSSINGS}[name][:3]
         fn, floor = MEASURES[name]
         level = floor + free_slack(name)
@@ -675,26 +706,10 @@ class TestWalkedThresholds:
         brackets += zip(rng.uniform(0.01, exact - 0.01, size=5), rng.uniform(exact + 0.01, edge, size=5))
         for a, b in brackets:
             res = find_threshold(name, a, b, threshold_tol=1e-6)
-            assert res.iterations == 4
+            assert res.iterations == 3
             assert res.bracket[0] < res.threshold < res.bracket[1] and res.bracket[1] - res.bracket[0] <= 1e-6
             assert (fn(res.bracket[0]) <= level) != (fn(res.bracket[1]) <= level)
             assert abs(res.threshold - bisection_oracle(name, a, b, 1e-6).threshold) <= 1e-6
-
-    def test_non_polynomial_rhs_fails_the_fit_and_bisects(self, monkeypatch):
-        # noisy-th at strength p^3: its Choi state is cubic in p.
-        fits = []
-
-        def spy(*args, fit=experiments.fit_polynomial):
-            fits.append(fit(*args))
-            return fits[-1]
-
-        monkeypatch.setitem(experiments.CHANNELS, "noisy-th", lambda p: noisy_th_channel(p**3))
-        monkeypatch.setattr(experiments, "fit_polynomial", spy)
-        res = find_threshold("fig2_channel_robustness", 0.5, 0.8, threshold_tol=1e-6)
-        assert fits == [None]
-        oracle = bisection_oracle("fig2_channel_robustness", 0.5, 0.8, 1e-6)
-        assert (res.threshold, res.bracket) == (oracle.threshold, oracle.bracket)
-        assert abs(res.threshold - (1 - 1 / math.sqrt(2)) ** (1 / 3)) < 1e-6
 
     @pytest.mark.parametrize("offset", [1e-3, -2e-7, 5.0])
     def test_wrong_proposal_still_gives_a_correct_bracket(self, monkeypatch, offset):
@@ -715,15 +730,15 @@ class TestWalkedThresholds:
         assert len(proposals) == 1
         half = 0.5e-6 - math.ulp(injected)
         probed = {1e-3: 1, -2e-7: 2, 5.0: 0}[offset]
-        assert evaluated[4 : 4 + probed] == [injected - half, injected + half][:probed]
+        assert evaluated[3 : 3 + probed] == [injected - half, injected + half][:probed]
         assert (res.threshold == injected) == (offset == -2e-7)
 
     @pytest.mark.parametrize("lo, hi, floor, first_basis", [(0.0, 0.25, 0.1, True), (0.29, 0.4, 0.01, False)])
     def test_proposal_on_a_toy_lp(self, monkeypatch, lo, hi, floor, first_basis):
         # |p - 0.3| reaches the level 0.3 -+ level on one side of its kink.
-        # From (0, 0.25) the search narrows to (0.1875, 0.25): the basis of
+        # From (0, 0.25) the search narrows to (0.125, 0.25): the basis of
         # x2 = 0.3 - p there reaches the root.  From (0.29, 0.4) it narrows
-        # to (0.29, 0.3175), whose low end's basis stops at the kink; only
+        # to (0.29, 0.345), whose low end's basis stops at the kink; only
         # the basis of x1 = p - 0.3 reaches the root, so the search bisects.
         def toy(p, state):
             grid = experiments._Grid("fig2", np.array([p]), DEFAULT_TOL.lp_value, state)
@@ -741,11 +756,11 @@ class TestWalkedThresholds:
             toy(res.bracket[1], experiments._RunState()) <= level
         )
         if first_basis:
-            assert bracket == (0.1875, 0.25)
-            assert abs(proposed - root) < 1e-15 and res.threshold == proposed and res.iterations == 4
+            assert bracket == (0.125, 0.25)
+            assert abs(proposed - root) < 1e-15 and res.threshold == proposed and res.iterations == 3
         else:
-            assert bracket == (0.29, 0.3175)
-            assert proposed is None and res.iterations > 4
+            assert bracket == (0.29, 0.345)
+            assert proposed is None and res.iterations > 3
 
 
 @pytest.mark.parametrize("p, lo, hi, level, want", [
@@ -759,13 +774,17 @@ def test_basis_root(p, lo, hi, level, want):
     assert root == want if want is None else abs(root - want) < 1e-15
 
 
-def test_fit_polynomial_checks_the_extra_point():
-    t = np.array([0.1, 0.2, 0.4, 0.5])
-    quadratic = np.column_stack([1 - 2 * t + 3 * t**2, np.full(4, 0.5)])
-    fit = experiments.fit_polynomial(t, quadratic, 1e-10)
+def test_fit_polynomial_interpolates_three_points():
+    t = np.array([0.1, 0.4, 0.2])
+    quadratic = np.column_stack([1 - 2 * t + 3 * t**2, np.full(3, 0.5)])
+    fit = experiments.fit_polynomial(t, quadratic)
     assert np.allclose(fit, [[1.0, 0.5], [-2.0, 0.0], [3.0, 0.0]], atol=1e-12)
-    cubic = quadratic + (t**3)[:, None] * 1e-6
-    assert experiments.fit_polynomial(t, cubic, 1e-10) is None
+    # Wigner columns W[v, u] keep their shape, one coefficient per axis-0 entry.
+    columns = quadratic[:, :, None] * np.ones((1, 1, 3))
+    assert np.array_equal(experiments.fit_polynomial(t, columns), fit[:, :, None] * np.ones((1, 1, 3)))
+    # A repeated point leaves no unique quadratic, and so does a fourth point.
+    assert experiments.fit_polynomial(t[[0, 1, 1]], quadratic) is None
+    assert experiments.fit_polynomial([*t, 0.5], [*quadratic, quadratic[0]]) is None
 
 
 def test_search_logs_one_info_line(caplog):
@@ -775,7 +794,7 @@ def test_search_logs_one_info_line(caplog):
     proposed, bisected = [record.getMessage() for record in caplog.records]
     lo, hi = res.bracket
     assert proposed == (
-        f"threshold fig2_rom_plus: {res.threshold:.12g} in [{lo:.12g}, {hi:.12g}] after 6 evaluations, root proposed"
+        f"threshold fig2_rom_plus: {res.threshold:.12g} in [{lo:.12g}, {hi:.12g}] after 5 evaluations, root proposed"
     )
     assert bisected.endswith("after 7 evaluations, bisected")
 

@@ -127,7 +127,7 @@ class TestTightToleranceThresholds:
             lp_tol=0.0, threshold_tol=1.2940944123604168e-09,
         )
         assert res.bracket[0] <= 1 - 1 / math.sqrt(2) <= res.bracket[1]
-        assert res.iterations == 4
+        assert res.iterations == 3
 
     @pytest.mark.parametrize("name, exact", [
         ("fig2_channel_robustness", 1 - 1 / math.sqrt(2)), ("fig2_rom_plus", 2 - math.sqrt(2)),
@@ -136,7 +136,7 @@ class TestTightToleranceThresholds:
         rng = np.random.default_rng(22)
         for shift, tol in zip(rng.uniform(-0.05, 0.05, size=6), 10 ** rng.uniform(-10, -8, size=6)):
             res = find_threshold(name, exact - 0.1 + shift, exact + 0.1 + shift, lp_tol=0.0, threshold_tol=tol)
-            assert res.bracket[0] <= exact <= res.bracket[1] and res.iterations == 4
+            assert res.bracket[0] <= exact <= res.bracket[1] and res.iterations == 3
 
 
 class TestGridKernels:

@@ -6,6 +6,7 @@ from magicswitch.linalg import (
     DimensionMismatchError,
     dagger,
     partial_trace,
+    pauli_basis,
     pauli_strings,
     pauli_vectorize,
     tensor,
@@ -68,7 +69,7 @@ def test_pauli_strings_counts_and_order():
 
 def test_pauli_vectorization_is_isometry(rng):
     # Hilbert-Schmidt inner products must equal dot products of the vectors.
-    paulis = pauli_strings(2)
+    paulis = pauli_basis(2)
     for _ in range(20):
         a = random_density_matrix(4, rng) - np.eye(4) / 3
         b = random_density_matrix(4, rng)
@@ -88,9 +89,8 @@ def pauli_unvectorize(vec, paulis):
 
 
 def test_pauli_vectorization_roundtrip(rng):
-    paulis = pauli_strings(1)
     m = random_density_matrix(2, rng)
-    assert np.abs(pauli_unvectorize(pauli_vectorize(m, paulis), paulis) - m).max() < 1e-12
+    assert np.abs(pauli_unvectorize(pauli_vectorize(m, pauli_basis(1)), pauli_strings(1)) - m).max() < 1e-12
 
 
 def trace_loop_vectorize(op, paulis):
@@ -103,11 +103,10 @@ def trace_loop_vectorize(op, paulis):
 def test_pauli_vectorize_matches_trace_loop(rng):
     # The contraction sums in another order, so agreement is to rounding.
     for n_qubits in (1, 2):
-        paulis = pauli_strings(n_qubits)
         d = 2**n_qubits
         for _ in range(10):
             g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
             op = g + g.conj().T
-            got = pauli_vectorize(op, paulis)
+            got = pauli_vectorize(op, pauli_basis(n_qubits))
             assert got.shape == (4**n_qubits,) and got.dtype == np.float64
-            assert np.abs(got - trace_loop_vectorize(op, paulis)).max() < 1e-14
+            assert np.abs(got - trace_loop_vectorize(op, pauli_strings(n_qubits))).max() < 1e-14

@@ -19,7 +19,7 @@ from magicswitch import (
 )
 from magicswitch import lp
 from magicswitch.gates import HADAMARD, PAULI_X, PAULI_Y, PAULI_Z, T_GATE, plus_state
-from magicswitch.linalg import partial_trace, pauli_strings, pauli_vectorize
+from magicswitch.linalg import partial_trace, pauli_basis, pauli_vectorize
 from magicswitch.lp import _assemble_standard_form, solve_l1
 
 from conftest import (
@@ -37,7 +37,7 @@ def exhaustive_rom(rho_matrix, dictionary, tol=1e-9):
     """Independent oracle for qubit robustness: an optimal basic solution
     uses at most dim(=4) signed atoms, so enumerate all 4-column bases of
     the signed atom matrix and keep the best feasible one."""
-    paulis = pauli_strings(dictionary.n_qubits)
+    paulis = pauli_basis(dictionary.n_qubits)
     atom_vecs = np.array([pauli_vectorize(P, paulis) for P in dictionary.projectors])
     columns = np.vstack([atom_vecs, -atom_vecs]).T  # (4, 12)
     target = pauli_vectorize(rho_matrix, paulis)
@@ -268,7 +268,7 @@ def reference_state_lp(rho, dictionary):
     """Reference: the state program assembled per solve in plain numpy,
     the way ``rom_state`` built it before its constraint matrix was cached.
     Returns (A, b)."""
-    paulis = pauli_strings(dictionary.n_qubits)
+    paulis = pauli_basis(dictionary.n_qubits)
     atoms = np.array([pauli_vectorize(P, paulis) for P in dictionary.projectors])
     return np.hstack([atoms.T, -atoms.T]), pauli_vectorize(rho.matrix, paulis)
 
@@ -277,7 +277,7 @@ def reference_channel_lp(ch, choi_atoms):
     """Reference: the channel program assembled per solve in plain numpy:
     the Choi reconstruction rows, then for each of X, Y, Z one marginal row
     over the plus columns and one over the minus columns.  Returns (A, b)."""
-    paulis = pauli_strings(2)
+    paulis = pauli_basis(2)
     atoms = np.array([pauli_vectorize(a.projector, paulis) for a in choi_atoms])
     zeros = np.zeros(len(choi_atoms))
     rows = [np.hstack([atoms.T, -atoms.T])]
