@@ -39,7 +39,7 @@ from .experiments import (
 )
 from .gates import HADAMARD, T_GATE, basis_state, plus_state, qutrit_t_gate
 from .lp import channel_robustness, rom_state
-from .phasespace import build_frame, mana_channel, mana_state
+from .phasespace import build_frame, check_frame_dim, mana_channel, mana_state
 from .stabilizers import cspo_choi_atoms, enumerate_stabilizer_states
 
 
@@ -252,17 +252,16 @@ def _cmd_channel_robustness(args) -> int:
 
 
 def _cmd_mana(args) -> int:
-    frame = build_frame(args.d)
+    # The frame's own checks grow as about d^6, so a state or channel of
+    # another dimension is refused before the frame is built.
     if args.channel:
-        value = mana_channel(_named_channel(args.channel), frame)
-        kind = "channel"
-    elif args.state_file:
-        value = mana_state(_state_from_file(args.state_file), frame)
-        kind = "state"
+        kind, target, mana = "channel", _named_channel(args.channel), mana_channel
+        check_frame_dim(target, args.d)
     else:
-        value = mana_state(_named_state(args.state), frame)
-        kind = "state"
-    _emit({"kind": kind, "d": args.d, "mana": value}, args.out)
+        kind, mana = "state", mana_state
+        target = _state_from_file(args.state_file) if args.state_file else _named_state(args.state)
+        check_frame_dim(target.matrix, args.d)
+    _emit({"kind": kind, "d": args.d, "mana": mana(target, build_frame(args.d))}, args.out)
     return 0
 
 

@@ -27,13 +27,14 @@ registry (``MEASURES``) are derived from the table.
 A sweep run is evaluated in blocks of at most ``_BLOCK_POINTS`` grid
 points, column by column, and then cut into rows: ``_dispatch_row`` is
 called once per grid row, in order, and assembles that row's ``SweepRow``.
-Each robustness column is one warm LP walk down the block (``lp.solve_l1``):
-it starts from the least infeasible of the optimal bases and inverses the
-same column reached earlier in the run, held in the run's ``_RunState``
-from block to block; while that basis stays feasible, as at nearly every
-default grid point, a row is read off one stacked mat-vec.  ``jobs`` splits the grid
-into at most that many contiguous runs, each starting cold and shared among
-at most one worker per CPU; identical configs therefore produce
+Each robustness column is one warm LP walk down the block and one
+``L1Solution`` with the block's axis (``lp.solve_l1``): it starts from the
+least infeasible of the optimal bases and inverses the same column
+reached earlier in the run, held in the run's ``_RunState`` from block to
+block; while that basis stays feasible, as at nearly every default grid
+point, a row is read off one stacked mat-vec.  ``jobs`` splits the grid
+into at most that many contiguous runs, each starting cold and shared
+among at most one worker per CPU; identical configs therefore produce
 byte-identical CSV.  A warm-started value can differ from a lone cold solve
 at the same point in the last bits, never in the printed digits of the
 default grids.
@@ -249,15 +250,19 @@ def _floor_slack(lp_tol: float) -> float:
     return max(lp_tol, DEFAULT_TOL.rounding)
 
 
-def _certified_value(solution: L1Solution, lp_tol: float) -> tuple[float, str]:
-    """Value and status of a robustness LP, with its certificates enforced
-    (``L1Solution.checked_status``); a value that is not optimal is NaN."""
+def _certified_value(solution: L1Solution, lp_tol: float) -> tuple:
+    """Value and status of a robustness LP, or a block's values and list of
+    statuses: ``L1Solution.checked_status``, with an optimal value below the
+    floor ``below_floor`` and any other ``ok``."""
+    floor = 1.0 - _floor_slack(lp_tol)
+
+    def rule(value: float, status: str) -> str:
+        return status if status != "optimal" else "below_floor" if value < floor else "ok"
+
     status = solution.checked_status
-    if status != "optimal":
-        return solution.value, status
-    if solution.value < 1.0 - _floor_slack(lp_tol):
-        return solution.value, "below_floor"
-    return solution.value, "ok"
+    if isinstance(status, str):
+        return solution.value, rule(solution.value, status)
+    return solution.value, list(map(rule, solution.value.tolist(), status))
 
 
 def _prob_status(prob_plus: np.ndarray, prob_minus: np.ndarray) -> np.ndarray:
@@ -301,28 +306,24 @@ class _Grid:
     def t_branches(self) -> tuple:
         return effective_t_channels(self.p)
 
-    def solve(self, column: str, program, *args, scale=1.0) -> tuple[np.ndarray, np.ndarray]:
-        """Values and statuses of the robustness LPs of ``column``, one per
-        entry of ``program(*args)``, walked from the least infeasible of the
-        optimal bases the column holds in this run (``lp.solve_l1``), which
-        then holds the bases the walk reached.  ``scale`` is the positive
-        s(p) that makes s(p) times the LP's right-hand side a polynomial in
-        p: the probability or weight of a switch branch, whose unnormalized
-        output is quadratic in p."""
+    def solve(self, column: str, program, *args, scale=1.0) -> tuple:
+        """``_certified_value`` of the one ``L1Solution`` of ``program(*args)``,
+        walked from the least infeasible of the optimal bases ``column``
+        holds in this run (``lp.solve_l1``), which then holds the bases the
+        walk reached.  A search's evaluation, one LP, records its sample:
+        ``scale`` is the positive s(p) that makes s(p) times the LP's
+        right-hand side a polynomial in p, the probability or weight of a
+        switch branch, whose unnormalized output is quadratic in p."""
         held = self.state.bases.get(column, ())
-        solutions = program(*args, basis=held or None)
-        if isinstance(solutions, L1Solution):
-            solutions = [solutions]
-        for solution in solutions:
-            held = _hold(held, solution.warm_start)
+        solution = program(*args, basis=held or None)
+        values, statuses = _certified_value(solution, self.lp_tol)
+        starts = solution.warm_start  # a block's list, or one basis
+        for start in starts if isinstance(starts, list) else [starts]:
+            held = _hold(held, start)
         self.state.bases[column] = held
         if self.state.samples is not None:
-            for p, solution, s in zip(np.atleast_1d(self.p), solutions, scale * np.ones(len(solutions))):
-                if solution.standard_form is not None:
-                    b = solution.standard_form[1]
-                    self.state.samples.append((p, solution, np.append(s * b, s)))
-        certified = [_certified_value(solution, self.lp_tol) for solution in solutions]
-        return np.array([value for value, _ in certified]), [status for _, status in certified]
+            self.state.samples.append((self.p, solution, np.append(scale * solution.standard_form[1], scale)))
+        return values, statuses
 
 
 # Measures: (grid, column name) -> (values, statuses), one per grid entry;
@@ -388,8 +389,7 @@ def _t_branch_robustness(g: _Grid, column: str, k: int) -> tuple:
 def _t_minus_robustness(g: _Grid, column: str) -> tuple:
     # The minus-branch channel does not depend on p: solve it once per run.
     if g.state.switch_minus is None:
-        (value,), (status,) = _t_branch_robustness(g, column, 1)
-        g.state.switch_minus = value, status
+        g.state.switch_minus = _t_branch_robustness(g, column, 1)
     value, status = g.state.switch_minus
     return np.full(np.shape(g.p), value), np.full(np.shape(g.p), status)
 
@@ -442,13 +442,15 @@ MEASURE_COLUMNS = {
 
 def _threshold_value(experiment: str, column: Column, p: float, state: _RunState | None = None) -> float:
     """``column``'s value at ``p``, the column's program at one noise value,
-    from a cold start unless ``state`` is given; a degenerate branch has no
-    value and raises ``ValueError``."""
+    from a cold start unless ``state`` is given.  A status other than ``ok``
+    (a degenerate branch, or an LP that failed or missed its certificate)
+    leaves no number to bisect on and raises ``ValueError``."""
     grid = _Grid(experiment, p, DEFAULT_TOL.lp_value, state or _RunState())
     values, statuses = column.measure(grid, column.name)
     value, status = np.ravel(values)[0], np.ravel(statuses)[0]
-    if status == "degenerate":
-        raise ValueError(f"measure {column.threshold} has a degenerate branch at p={p}")
+    if status != "ok":
+        reason = "a degenerate branch" if status == "degenerate" else f"status {status}"
+        raise ValueError(f"measure {column.threshold} has {reason} at p={p}")
     return float(value)
 
 

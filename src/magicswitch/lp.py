@@ -24,16 +24,17 @@ and the solve starts from the one least infeasible for its right-hand
 side (``_simplex.least_infeasible``): one that serves it, where any does.
 
 Both programs also take a grid (a channel or state with a leading axis)
-and return one solution per entry, in order: one warm walk down the
-column of right-hand sides.  ``B^-1 [b_j ... b_N]`` at the current basis,
-one stacked mat-vec, reads off every entry from j on that the basis
-serves, with no pivot (``_simplex.reuse_basis``), the first entry
-included.  The first entry it does not serve, or the first of all when
-there is no basis, must pivot: ``solve_standard_form`` solves it from that
-basis (repaired by dual pivots, or cold), and the walk goes on from the
-basis it reaches.  Each entry gets the solution, and the certificates,
-that a walk of it alone from the same basis gives; a single object is the
-grid of one.
+and return one ``L1Solution`` for it, whose fields carry one entry per
+grid entry, in order: one warm walk down the column of right-hand sides.
+``B^-1 [b_j ... b_N]`` at the current basis, one stacked mat-vec, reads
+off every entry from j on that the basis serves, with no pivot
+(``_simplex.reuse_basis``), the first entry included.  The first entry it
+does not serve, or the first of all when there is no basis, must pivot:
+``solve_standard_form`` solves it from that basis (repaired by dual
+pivots, or cold), and the walk goes on from the basis it reaches.  Each
+entry gets the solution, and the certificates, that a walk of it alone
+from the same basis gives; a single right-hand side is the walk of one,
+with scalar fields.
 """
 
 from __future__ import annotations
@@ -62,7 +63,7 @@ logger = logging.getLogger(__name__)
 
 @dataclass(frozen=True, eq=False)
 class L1Solution:
-    """Solver output.
+    """Solver output, for one right-hand side or a block of them.
 
     ``value`` is the optimal l1 norm (for the channel program this equals
     2p + 1 automatically, since the trace row forces sum a - sum b = 1).
@@ -72,28 +73,37 @@ class L1Solution:
     ``warm_start`` is the optimal basis with its inverse, which can start the
     solve of a neighbouring problem; it is None when no optimum was found.
     ``standard_form`` is the pair ``(A, b)`` of the equality constraints
-    ``A x = b, x >= 0`` it solved.
+    ``A x = b, x >= 0`` it solved.  For one right-hand side the numbers are
+    Python floats and ints and ``status`` is a str; for a block ``b`` of N
+    rows every other field has a leading axis of N, ``status`` and
+    ``warm_start`` as lists.  An entry that is not optimal is NaN.
     """
 
-    value: float
-    status: str
-    residual: float
+    value: float | np.ndarray
+    status: str | list
+    residual: float | np.ndarray
     plus: np.ndarray
     minus: np.ndarray
-    dual_gap: float
-    dual_violation: float
-    iterations: int
-    warm_start: WarmStart | None = None
-    renorm_factor: float = 1.0
+    dual_gap: float | np.ndarray
+    dual_violation: float | np.ndarray
+    iterations: int | np.ndarray
+    warm_start: WarmStart | list | None = None
+    renorm_factor: float | np.ndarray = 1.0
     standard_form: tuple | None = None
 
     @property
-    def checked_status(self) -> str:
-        """``status``, except that an optimal solution whose residual, duality
+    def checked_status(self) -> str | list:
+        """``status``, except that an optimal entry whose residual, duality
         gap or dual infeasibility exceeds ``DEFAULT_TOL.lp_residual`` is
-        ``check_failed``."""
-        worst = max(self.residual, self.dual_gap, self.dual_violation)
-        return "check_failed" if self.status == "optimal" and worst > DEFAULT_TOL.lp_residual else self.status
+        ``check_failed``: a str, or a block's list of them."""
+        if isinstance(self.status, str):
+            return _checked(self.status, self.residual, self.dual_gap, self.dual_violation)
+        certificates = (self.residual.tolist(), self.dual_gap.tolist(), self.dual_violation.tolist())
+        return list(map(_checked, self.status, *certificates))
+
+
+def _checked(status: str, *certificates: float) -> str:
+    return "check_failed" if status == "optimal" and max(certificates) > DEFAULT_TOL.lp_residual else status
 
 
 def _assemble_standard_form(vectors: np.ndarray, marginal_rows: np.ndarray | None = None) -> np.ndarray:
@@ -115,23 +125,24 @@ def _assemble_standard_form(vectors: np.ndarray, marginal_rows: np.ndarray | Non
     return A
 
 
-def solve_l1(A: np.ndarray, b: np.ndarray, basis=None, renorm_factor=1.0):
+def solve_l1(A: np.ndarray, b: np.ndarray, basis=None, renorm_factor=1.0) -> L1Solution:
     """min sum(x) subject to A x = b, x >= 0, for a matrix from
     ``_assemble_standard_form``, with the embedded simplex.
 
-    ``b`` is one right-hand side, which gives one ``L1Solution``, or a block
-    of them, one per row, which gives a list: the warm walk of the module
-    docstring, from ``basis``: only an entry the basis does not serve
-    reaches ``solve_standard_form``.  ``basis`` is None, the ``WarmStart``
-    of a solve of the same program, or a sequence of them, the bases a run
-    holds, most recent last; the walk then starts from the one that is
-    least infeasible for the first right-hand side (``least_infeasible``),
-    which is one that serves it when any does.  ``renorm_factor`` (a
-    number, or one per right-hand side) is reported on each solution.
-    Deterministic under the fixed atom ordering and ``basis`` (see
-    ``solve_standard_form``); the reconstruction residual, the duality gap
-    and the dual feasibility of every returned solution, a reused
-    ``WarmStart``'s too, are computed from A, x and y, and
+    ``b`` is one right-hand side or a block of them, one per row; either
+    gives one ``L1Solution``, a block's with one entry per row.  A block is
+    the warm walk of the module docstring, from ``basis``: only an entry
+    the basis does not serve reaches ``solve_standard_form``.  ``basis`` is
+    None, the ``WarmStart`` of a solve of the same program, or a sequence
+    of them, the bases a run holds, most recent last; the walk then starts
+    from the one that is least infeasible for the first right-hand side
+    (``least_infeasible``), which is one that serves it when any does.
+    ``renorm_factor`` (a number, or one per right-hand side) is reported on
+    the solution.  Deterministic under the fixed atom ordering and
+    ``basis`` (see ``solve_standard_form``); the reconstruction residual,
+    the duality gap and the dual feasibility of every entry, a reused
+    ``WarmStart``'s too, are computed once per call from A, x and y, each
+    entry with the bits of its own mat-vecs, and
     ``L1Solution.checked_status`` holds them to one tolerance.
     """
     single = np.ndim(b) == 1
@@ -140,59 +151,39 @@ def solve_l1(A: np.ndarray, b: np.ndarray, basis=None, renorm_factor=1.0):
         raise ValueError("LP right-hand side is not finite")
     if basis is not None and not isinstance(basis, WarmStart):
         basis = least_infeasible(A, b[0], basis)
-    c = np.ones(A.shape[1])
-    factors = np.broadcast_to(np.asarray(renorm_factor, dtype=np.float64), len(b))
-    solutions = []
+    (m, n), rows = A.shape, len(b)
+    c = np.ones(n)
+    x, dual = np.empty((rows, n)), np.empty((rows, m))
+    objective, iterations = np.empty(rows), np.zeros(rows, dtype=int)
+    status, starts = ["optimal"] * rows, [None] * rows
     j = 0
-    while j < len(b):
+    while j < rows:
         if basis is not None:
-            served, x, objective, dual = reuse_basis(A, b[j:], c, basis)
+            served, *read = reuse_basis(A, b[j:], c, basis)
             if served:
-                rows = slice(j, j + served)
-                solutions += _certified(A, b[rows], c, x, objective, dual, 0, basis, factors[rows])
+                x[j : j + served], objective[j : j + served], dual[j : j + served] = read
+                starts[j : j + served] = [basis] * served
                 j += served
-            if j == len(b):
+            if j == rows:
                 break
         result = solve_standard_form(A, b[j], c, basis=basis)
-        basis = result.warm_start
+        basis, iterations[j] = result.warm_start, result.iterations
         if result.status == STATUS_OPTIMAL:
-            x, objective = result.x[None], np.array([result.objective])
-            rows = slice(j, j + 1)
-            solutions += _certified(A, b[rows], c, x, objective, result.dual, result.iterations, basis, factors[rows])
+            x[j], objective[j], dual[j], starts[j] = result.x, result.objective, result.dual, basis
         else:
-            status = "infeasible" if result.status == STATUS_INFEASIBLE else "numerical_failure"
-            nan = np.full(A.shape[1] // 2, np.nan)
-            solutions.append(L1Solution(np.nan, status, np.nan, nan, nan, np.nan, np.nan, result.iterations,
-                                        renorm_factor=float(factors[j])))
+            x[j], objective[j], dual[j] = np.nan, np.nan, np.nan
+            status[j] = "infeasible" if result.status == STATUS_INFEASIBLE else "numerical_failure"
         j += 1
-    return solutions[0] if single else solutions
-
-
-def _certified(A, b, c, x, objective, dual, iterations, warm_start, factors) -> list[L1Solution]:
-    """Optimal solutions, one per row of ``b``, ``x``, ``objective`` and
-    renormalization ``factors``, that share the dual ``dual`` and the basis
-    ``warm_start``, with their certificates: each row's residual and gap
-    take the bits of its mat-vec and dot product alone."""
-    n = A.shape[1] // 2
     residual = np.abs((A @ x[:, :, None])[:, :, 0] - b).max(axis=1, initial=0.0)
-    gap = np.abs(objective - (b[:, None, :] @ dual[:, None])[:, 0, 0])
-    violation = float(max(0.0, (A.T @ dual - c).max()))
-    return [
-        L1Solution(
-            value=float(objective[k]),
-            status="optimal",
-            residual=float(residual[k]),
-            plus=x[k, :n],
-            minus=x[k, n:],
-            dual_gap=float(gap[k]),
-            dual_violation=violation,
-            iterations=iterations,
-            warm_start=warm_start,
-            renorm_factor=float(factors[k]),
-            standard_form=(A, b[k]),
-        )
-        for k in range(len(b))
-    ]
+    gap = np.abs(objective - (b[:, None, :] @ dual[:, :, None])[:, 0, 0])
+    violation = np.maximum(0.0, ((A.T @ dual[:, :, None])[:, :, 0] - c).max(axis=1))
+    factors = np.broadcast_to(np.asarray(renorm_factor, dtype=np.float64), rows)
+    half = n // 2
+    if single:
+        return L1Solution(float(objective[0]), status[0], float(residual[0]), x[0, :half], x[0, half:], float(gap[0]),
+                          float(violation[0]), int(iterations[0]), starts[0], float(factors[0]), (A, b[0]))
+    return L1Solution(objective, status, residual, x[:, :half], x[:, half:], gap, violation, iterations, starts,
+                      factors, (A, b))
 
 
 @lru_cache(maxsize=None)
@@ -201,16 +192,16 @@ def _state_constraints(dictionary) -> np.ndarray:
     return _assemble_standard_form(vectors)
 
 
-def rom_state(rho: DensityOperator, dictionary, basis=None):
+def rom_state(rho: DensityOperator, dictionary, basis=None) -> L1Solution:
     """Robustness of a state over a stabilizer dictionary.
 
     Every input is renormalized first; the factor is reported on the
     solution and logged when it is not 1.  Faithful: the value is 1 exactly when the
     state lies in the stabilizer polytope.  ``basis`` may carry the
     ``warm_start`` of a neighbouring state's solve, or several held bases,
-    as a starting point.  A grid of states gives one solution per entry, in
-    order, from one warm walk (``solve_l1``).  An infeasible LP, for any
-    entry, raises.
+    as a starting point.  A grid of states gives one solution with an entry
+    per state, in order, from one warm walk (``solve_l1``).  An infeasible
+    LP, for any entry, raises.
     """
     rho, factor = rho.renormalized()
     log_renormalized(logger, "rom_state", factor)
@@ -219,18 +210,13 @@ def rom_state(rho: DensityOperator, dictionary, basis=None):
             f"state dim {rho.dim} != dictionary dim {dictionary.dim}"
         )
     target = pauli_vectorize(rho.matrix, pauli_basis(dictionary.n_qubits))
-    solutions = solve_l1(_state_constraints(dictionary), target, basis, factor)
-    walk = solutions if isinstance(solutions, list) else [solutions]
-    _log_solutions("rom_state", walk)
-    if any(solution.status == "infeasible" for solution in walk):
+    solution = solve_l1(_state_constraints(dictionary), target, basis, factor)
+    logger.debug("rom_state status=%s value=%s", solution.status, solution.value)
+    # ``in`` finds "infeasible" in a block's list of statuses, or as the
+    # one status, which is no other status's substring.
+    if "infeasible" in solution.status:
         raise ValueError("robustness LP infeasible: input is not a valid state")
-    return solutions
-
-
-def _log_solutions(who: str, solutions: list) -> None:
-    if logger.isEnabledFor(logging.DEBUG):
-        for solution in solutions:
-            logger.debug("%s status=%s value=%.12g", who, solution.status, solution.value)
+    return solution
 
 
 @lru_cache(maxsize=None)
@@ -244,7 +230,7 @@ def _channel_constraints(atoms) -> np.ndarray:
     return _assemble_standard_form(vectors, marginal_rows)
 
 
-def channel_robustness(ch: KrausChannel, atoms, basis=None):
+def channel_robustness(ch: KrausChannel, atoms, basis=None) -> L1Solution:
     """Channel robustness of a single-qubit channel over Choi atoms.
 
     The two sides of the decomposition are conic combinations of stabilizer
@@ -253,13 +239,14 @@ def channel_robustness(ch: KrausChannel, atoms, basis=None):
     reconstruction rows makes the optimal l1 norm equal 1 + 2p.  ``basis``
     may carry the ``warm_start`` of a neighbouring channel's solve, or
     several held bases, as a starting point.  A grid of channels gives one
-    solution per entry, in order, from one warm walk (``solve_l1``).
+    solution with an entry per channel, in order, from one warm walk
+    (``solve_l1``).
     """
     if ch.d_in != 2 or ch.d_out != 2:
         raise DimensionMismatchError("channel robustness is implemented for qubit channels")
     target = pauli_vectorize(choi_of_channel(ch).matrix, pauli_basis(2))
     A = _channel_constraints(atoms)
     b = np.concatenate([target, np.zeros(target.shape[:-1] + (A.shape[0] - target.shape[-1],))], axis=-1)
-    solutions = solve_l1(A, b, basis)
-    _log_solutions("channel_robustness", solutions if isinstance(solutions, list) else [solutions])
-    return solutions
+    solution = solve_l1(A, b, basis)
+    logger.debug("channel_robustness status=%s value=%s", solution.status, solution.value)
+    return solution

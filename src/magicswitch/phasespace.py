@@ -68,6 +68,16 @@ def build_frame(d: int) -> PhaseSpaceFrame:
     return PhaseSpaceFrame(d=d, points=points, heisenberg_weyl=t_ops, phase_points=a_ops)
 
 
+def check_frame_dim(target: np.ndarray | KrausChannel, d: int) -> None:
+    """Refuse an operator (or a grid of them) or a channel that does not act
+    on dimension ``d``, as a frame's Wigner functions do, without a frame."""
+    if isinstance(target, KrausChannel):
+        if target.d_in != d or target.d_out != d:
+            raise DimensionMismatchError(f"channel dims ({target.d_in},{target.d_out}) != frame dim {d}")
+    elif target.shape[-2:] != (d, d):
+        raise DimensionMismatchError(f"operator shape {target.shape} != frame dim {d}")
+
+
 def wigner_of_operator(op: np.ndarray, frame: PhaseSpaceFrame) -> np.ndarray:
     """Wigner coefficients W(u) = Tr[A_u op] / d of a Hermitian operator.
 
@@ -75,8 +85,7 @@ def wigner_of_operator(op: np.ndarray, frame: PhaseSpaceFrame) -> np.ndarray:
     axes of ``op``.  An imaginary part beyond rounding raises ValueError.
     """
     op = np.asarray(op, dtype=complex)
-    if op.shape[-2:] != (frame.d, frame.d):
-        raise DimensionMismatchError(f"operator shape {op.shape} != frame dim {frame.d}")
+    check_frame_dim(op, frame.d)
     vals = np.einsum("uij,...ji->...u", frame.phase_points, op) / frame.d
     if np.abs(vals.imag).max() > DEFAULT_TOL.wigner_imag:
         raise ValueError("Wigner function has a non-real component; operator not Hermitian?")
@@ -146,8 +155,7 @@ def wigner_of_channel(ch: KrausChannel, frame: PhaseSpaceFrame) -> np.ndarray:
     row-major point order, after any leading grid axes, so each column sums
     to 1 for a trace-preserving channel.
     """
-    if ch.d_in != frame.d or ch.d_out != frame.d:
-        raise DimensionMismatchError(f"channel dims ({ch.d_in},{ch.d_out}) != frame dim {frame.d}")
+    check_frame_dim(ch, frame.d)
     return _choi_route_wigner(choi_of_channel(ch), frame)
 
 

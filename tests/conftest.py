@@ -110,22 +110,22 @@ def pivot_walks(monkeypatch, run):
 
 
 def recorded_solves(monkeypatch, run):
-    """Run ``run()``; return its result and, per LP solution a sweep or a
-    search got back from ``channel_robustness`` or ``rom_state`` (looked up
-    in ``experiments``), in order: [whether its solve had a start basis,
-    its ``iterations``].  The first solution of a call starts from the
-    basis the call was given; each later one is walked from the one before."""
+    """Run ``run()``; return its result and, per LP a sweep or a search got
+    solved by ``channel_robustness`` or ``rom_state`` (looked up in
+    ``experiments``), in order: [whether its solve had a start basis, its
+    ``iterations``].  A call returns one solution, with an entry per LP of
+    a block: the first entry starts from the basis the call was given, and
+    each later one is walked from the one before."""
     from magicswitch import experiments
 
     solves = []
 
     def recording(program):
         def solve(*args, basis=None):
-            solutions = program(*args, basis=basis)
-            walk = solutions if isinstance(solutions, list) else [solutions]
-            for k, solution in enumerate(walk):
-                solves.append([basis is not None or k > 0, solution.iterations])
-            return solutions
+            solution = program(*args, basis=basis)
+            for k, iterations in enumerate(np.atleast_1d(solution.iterations).tolist()):
+                solves.append([basis is not None or k > 0, iterations])
+            return solution
 
         return solve
 

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from magicswitch import cli
+from magicswitch import cli, experiments
 from magicswitch.cli import main
 from magicswitch.config import DEFAULT_TOL
 
@@ -254,6 +254,8 @@ STATE_FILES = {
         ["channel-robustness", "--channel", "depolarizing:p=0.2,d=nan"],
         ["rom", "--state", "plus:p=0.3"],
         ["mana", "--d", "4"],
+        ["mana", "--d", "41"],
+        ["mana", "--d", "41", "--channel", "qutrit-noisy-th:p=0.3"],
         ["rom", "--state-file", "no-such-file.json"],
         *(["rom", "--state-file", name] for name in STATE_FILES),
         ["rom", "--state-file", "not-json"],
@@ -267,6 +269,31 @@ def test_bad_input_is_a_one_line_error(tmp_path, monkeypatch, capsys, argv):
         (tmp_path / name).write_text(json.dumps(payload))
     (tmp_path / "not-json").write_text("matrix: [[1, 0], [0, 0]]\n")
     assert_one_line_error(capsys, main(["-q", *argv]))
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["mana", "--d", "41"], "operator shape (3, 3) != frame dim 41"),
+    (["mana", "--d", "5", "--channel", "qutrit-noisy-th:p=0.3"], "channel dims (3,3) != frame dim 5"),
+    (["mana", "--d", "5", "--state-file", "qubit.json"], "operator shape (2, 2) != frame dim 5"),
+])
+def test_mana_refuses_a_dimension_mismatch_before_building_the_frame(tmp_path, monkeypatch, capsys, argv, message):
+    # Building a frame checks its d^2 phase points against each other, about
+    # d^6 work: tens of seconds at d = 41, for a state it can never score.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "qubit.json").write_text(json.dumps(_matrix([[1, 0], [0, 0]])))
+    built = []
+    monkeypatch.setattr(cli, "build_frame", lambda d: built.append(d))
+    assert assert_one_line_error(capsys, main(["-q", *argv])) == f"error: {message}"
+    assert built == []
+
+
+def test_threshold_refuses_an_uncertified_value(monkeypatch, capsys):
+    # The search stops at its first LP that fails its certificate.
+    solve = experiments.channel_robustness
+    monkeypatch.setattr(experiments, "channel_robustness", lambda *a, **k: replace(solve(*a, **k), residual=1.0))
+    argv = ["-q", "threshold", "--measure", "fig2_channel_robustness", "--bracket", "0.2:0.4"]
+    line = assert_one_line_error(capsys, main(argv))
+    assert line == "error: measure fig2_channel_robustness has status check_failed at p=0.2"
 
 
 def test_state_file_errors_name_the_file(tmp_path, capsys):

@@ -154,11 +154,10 @@ class TestCertificates:
     def test_failed_certificate_is_tagged(self, monkeypatch, certificate):
         def doctored(solver):
             def solve(*args, **kwargs):
-                solutions = solver(*args, **kwargs)
-                bad = {certificate: 10 * DEFAULT_TOL.lp_residual}
-                if isinstance(solutions, list):  # a grid: one solution per entry
-                    return [replace(solution, **bad) for solution in solutions]
-                return replace(solutions, **bad)
+                solution = solver(*args, **kwargs)
+                # One certificate, or a block's array of them, one per entry.
+                bad = np.full(np.shape(solution.value), 10 * DEFAULT_TOL.lp_residual)
+                return replace(solution, **{certificate: bad})
 
             return solve
 
@@ -292,14 +291,35 @@ class TestWarmStart:
         built, solve = [], experiments.rom_state
 
         def recording(*args, **kwargs):
-            solutions = solve(*args, **kwargs)
-            built.extend(solutions)  # a sweep scores each branch as a grid
-            return solutions
+            built.append(solve(*args, **kwargs))  # a sweep scores each branch as a grid
+            return built[-1]
 
         monkeypatch.setattr(experiments, "rom_state", recording)
         run_fig2()
         assert copies == []
-        assert sum(solution.renorm_factor != 1.0 for solution in built) >= 150
+        assert sum(int((solution.renorm_factor != 1.0).sum()) for solution in built) >= 150
+
+    def test_one_solution_object_per_lp_call(self, monkeypatch):
+        # A block's values, certificates and bases ride its grid axis: the
+        # default fig2 and fig3 build one L1Solution per solve_l1 call (3
+        # LP columns of fig2 and 2 of fig3 in two blocks each, and fig3's
+        # minus branch once), not one per row of their 485 LPs.
+        calls, built, init, solve = [], [], lp.L1Solution.__init__, lp.solve_l1
+
+        def spy(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        def counting(*args, **kwargs):
+            calls.append(args[1].shape)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(lp.L1Solution, "__init__", spy)
+        monkeypatch.setattr(lp, "solve_l1", counting)
+        run_fig2()
+        run_fig3()
+        assert len(built) == len(calls) == 11
+        assert sum(shape[0] if len(shape) == 2 else 1 for shape in calls) == 485
 
     def test_fig3_minus_branch_is_solved_once_per_run(self, monkeypatch):
         calls = []
@@ -397,6 +417,24 @@ class TestThresholdFinder:
         res = find_threshold((lambda p: np.float64(1 + max(0, 0.3 - p)), 1.0), 0.1, 0.5)
         assert res.bracket[0] <= 0.3 <= res.bracket[1]
         assert res.bracket[1] - res.bracket[0] <= 1e-3
+
+    @pytest.mark.parametrize("changes, status", [
+        ({"residual": 1.0}, "check_failed"),
+        ({"value": 0.5}, "below_floor"),
+        ({"status": "infeasible", "value": math.nan}, "infeasible"),
+        ({"status": "numerical_failure", "value": math.nan}, "numerical_failure"),
+    ], ids=["check_failed", "below_floor", "infeasible", "numerical_failure"])
+    def test_uncertified_value_is_refused(self, monkeypatch, changes, status):
+        # A value whose LP failed its certificate, or failed outright, is
+        # not bisected on: NaN would read as magic.
+        solve = experiments.channel_robustness
+        monkeypatch.setattr(experiments, "channel_robustness", lambda *a, **k: replace(solve(*a, **k), **changes))
+        with pytest.raises(ValueError, match=rf"^measure fig2_channel_robustness has status {status} at p=0.2$"):
+            find_threshold("fig2_channel_robustness", 0.2, 0.4, threshold_tol=1e-6)
+
+    def test_degenerate_branch_is_refused(self):
+        with pytest.raises(ValueError, match=r"^measure figs1_mana_minus has a degenerate branch at p=0.0$"):
+            find_threshold("figs1_mana_minus", 0.0, 0.5)
 
     def test_no_crossing_is_reported(self):
         measure = (lambda p: 2.0, 1.0)
@@ -741,9 +779,9 @@ class TestWalkedThresholds:
         # to (0.29, 0.345), whose low end's basis stops at the kink; only
         # the basis of x1 = p - 0.3 reaches the root, so the search bisects.
         def toy(p, state):
-            grid = experiments._Grid("fig2", np.array([p]), DEFAULT_TOL.lp_value, state)
-            (value,), _ = grid.solve("toy", lp.solve_l1, ABS_A, np.array([p - 0.3]), scale=1.0 + p)
-            return float(value)
+            grid = experiments._Grid("fig2", p, DEFAULT_TOL.lp_value, state)
+            value, _ = grid.solve("toy", lp.solve_l1, ABS_A, np.array([p - 0.3]), scale=1.0 + p)
+            return value
 
         monkeypatch.setitem(MEASURES, "toy", (toy, floor))
         proposals = spy_on_basis_root(monkeypatch)
@@ -819,13 +857,21 @@ class TestRoundingFloor:
         # The default level is floor + lp_tol exactly, bit for bit.
         assert experiments._floor_slack(DEFAULT_TOL.lp_value) == DEFAULT_TOL.lp_value
         solution = lp_solution("fig2_channel_robustness", 0.5)
-        for value, lp_tol, status in [
+        cases = [
             (1.0 - 0.5 * DEFAULT_TOL.rounding, 0.0, "ok"),
             (1.0 - 2 * DEFAULT_TOL.rounding, 0.0, "below_floor"),
             (1.0 - 2e-6, DEFAULT_TOL.lp_value, "below_floor"),
-        ]:
+            (1.0 - 2e-6, 0.0, "below_floor"),
+        ]
+        for value, lp_tol, status in cases:
             got = experiments._certified_value(replace(solution, value=value), lp_tol)
             assert got == (value, status)
+        # A block applies the same rule to each entry.
+        at_zero = [(value, status) for value, lp_tol, status in cases if lp_tol == 0.0]
+        values = np.array([value for value, _ in at_zero])
+        block = lp.solve_l1(solution.standard_form[0], np.tile(solution.standard_form[1], (len(values), 1)))
+        got_values, got_statuses = experiments._certified_value(replace(block, value=values), 0.0)
+        assert got_values is values and got_statuses == [status for _, status in at_zero]
 
 
 def spy_on_basis_root(monkeypatch, injected=...):

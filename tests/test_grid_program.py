@@ -166,19 +166,25 @@ class TestGridKernels:
     def test_channel_robustness_walks_the_grid_in_order(self):
         atoms = cspo_choi_atoms(enumerate_stabilizer_states(2))
         walk = lp.channel_robustness(noisy_th_channel(self.P), atoms)
-        assert len(walk) == len(self.P)
+        assert isinstance(walk, lp.L1Solution) and len(walk.status) == len(walk.warm_start) == len(self.P)
         start = None
-        for solution, p in zip(walk, self.P):
+        for k, p in enumerate(self.P):
             alone = lp.channel_robustness(noisy_th_channel(p), atoms, basis=start)
             start = alone.warm_start
-            assert (solution.value, solution.status, solution.iterations) == (alone.value, alone.status, alone.iterations)
-            assert (solution.residual, solution.dual_gap) == (alone.residual, alone.dual_gap)
+            assert (walk.value[k], walk.status[k], walk.iterations[k]) == (alone.value, alone.status, alone.iterations)
+            assert (walk.residual[k], walk.dual_gap[k], walk.dual_violation[k]) == (
+                alone.residual, alone.dual_gap, alone.dual_violation,
+            )
+            assert np.array_equal(walk.plus[k], alone.plus) and np.array_equal(walk.minus[k], alone.minus)
+            assert np.array_equal(walk.warm_start[k].basis, start.basis)
+            assert np.array_equal(walk.warm_start[k].inverse, start.inverse)
+        assert walk.standard_form[1].shape == (len(self.P), walk.standard_form[0].shape[0])
 
     def test_rom_state_logs_each_renormalized_entry(self, caplog):
         rho = channels._derived(DensityOperator, np.array([np.eye(2) / 2, np.eye(2) / 4, np.diag([0.3, 0.1])]))
         with caplog.at_level(logging.INFO, logger="magicswitch.lp"):
             walk = lp.rom_state(rho, enumerate_stabilizer_states(1))
-        assert [s.renorm_factor for s in walk] == [1.0, 0.5, 0.4]
+        assert walk.renorm_factor.tolist() == [1.0, 0.5, 0.4]
         assert [r.getMessage() for r in caplog.records] == [
             "rom_state renormalized input by factor 0.5", "rom_state renormalized input by factor 0.4",
         ]

@@ -76,6 +76,31 @@ class TestSolveL1:
         sol = solve_l1(A, np.concatenate([atoms[0], [1.0, 0.0]]))
         assert sol.status == "infeasible"
 
+    def test_infeasible_entry_mid_walk(self, rng):
+        # The same infeasible right-hand side between feasible ones in one
+        # block: it reads NaN with no basis, and the walk goes on cold.
+        atoms = rng.normal(size=(3, 2))
+        A = _assemble_standard_form(atoms, np.zeros((1, 3)))
+        feasible = [np.concatenate([atoms[0] + shift, [0.0, 0.0]]) for shift in (0.0, 0.01, 0.02, 0.03)]
+        bad = np.concatenate([atoms[0], [1.0, 0.0]])
+        walk = solve_l1(A, np.array([*feasible[:2], bad, *feasible[2:]]))
+        assert walk.status == ["optimal", "optimal", "infeasible", "optimal", "optimal"]
+        assert np.isnan([walk.value[2], walk.residual[2], walk.dual_gap[2], walk.dual_violation[2]]).all()
+        assert np.isnan(walk.plus[2]).all() and np.isnan(walk.minus[2]).all()
+        assert walk.warm_start[2] is None
+        cold = solve_l1(A, feasible[2])
+        assert (walk.value[3], walk.iterations[3]) == (cold.value, cold.iterations) and cold.iterations > 0
+        # The entries around it walk as their own blocks do.
+        for entries, rhs in (((0, 1), feasible[:2]), ((3, 4), feasible[2:])):
+            alone = solve_l1(A, np.array(rhs))
+            for k, entry in enumerate(entries):
+                assert (walk.value[entry], walk.iterations[entry], walk.status[entry]) == (
+                    alone.value[k], alone.iterations[k], alone.status[k]
+                )
+                assert (walk.residual[entry], walk.dual_gap[entry]) == (alone.residual[k], alone.dual_gap[k])
+                assert walk.warm_start[entry] is not None
+                assert np.array_equal(walk.warm_start[entry].basis, alone.warm_start[k].basis)
+
     def test_deterministic(self, rng):
         atoms = rng.normal(size=(8, 4))
         target = rng.normal(size=4)
