@@ -10,10 +10,10 @@ Every optimal solve returns its basis with the inverse B^-1 read off its
 final tableau, as one ``WarmStart``.  Reduced costs and y = c_B B^-1 do not
 depend on ``b``, so an optimal basis stays optimal while it stays primal
 feasible (Bertsimas & Tsitsiklis, *Introduction to Linear Optimization*,
-1997, secs. 3.3 and 5.1).  ``reuse_basis`` reads a block of right-hand
-sides off one ``WarmStart``, x_B = B^-1 b, while it serves them, with no
-pivot; of several held bases, ``least_infeasible`` picks the one to start
-from, one that serves ``b`` where any does.
+1997, secs. 3.3 and 5.1).  ``reuse_basis`` picks, of several held bases,
+the one to start from at the first right-hand side of a block, one that
+serves it where any does, and reads the block off it, x_B = B^-1 b, while
+it serves it, with no pivot.
 
 ``solve_standard_form`` solves an LP that must pivot by dual simplex (sec.
 4.5), with no phase-1 walk.  Costs are nonnegative, so the all-artificial
@@ -22,16 +22,16 @@ so y = 0 and each real reduced cost is c_j.  This cold start and a
 ``WarmStart`` start alike: B^-1 [A | I | b] is one product with the
 inverse they carry, never refactored, and ``dual_pivot_loop`` repairs it.
 That loop counts a basic artificial as fixed at 0, so it drives out every
-artificial off 0, and every one at 0 that can leave (Koberstein, *The dual
-simplex method*, PhD thesis, Paderborn, 2005); one on a redundant row,
-which no pivot moves, is left to phase 1's cut.  A warm start that cannot
-be repaired gives way to the cold start, whose failed repair is the
-solve's verdict.  Phase 1, the drive-out of leftover artificials and
-phase 2 follow, each Bland loop confirming the repaired tableau.  The
-optimal value does not depend on the start beyond rounding; where an LP
-has several optimal vertices, ``x`` may.  A repair judges feasibility at
-``Tolerances.primal``, far below the pivot tolerance: a basic variable a
-pivot tolerance below 0 reads an infeasible vertex's value.
+artificial off 0, and then every one at 0 on a real entry of either sign
+(Koberstein, *The dual simplex method*, PhD thesis, Paderborn, 2005); only
+an exactly redundant row keeps one, and the package's programs have none.
+A warm start that cannot be repaired gives way to the cold start, whose
+failed repair is the solve's verdict.  Phase 1 and phase 2 follow, each
+Bland loop confirming the repaired tableau.  The optimal value does not depend on the start beyond
+rounding; where an LP has several optimal vertices, ``x`` may.  A repair
+judges feasibility at ``Tolerances.primal``, far below the pivot
+tolerance: a basic variable a pivot tolerance below 0 reads an infeasible
+vertex's value.
 """
 
 from __future__ import annotations
@@ -106,47 +106,45 @@ def dual_pivot_loop(tableau, basis, n_enterable, tol, max_iter):
 
     Same layout as ``bland_pivot_loop``, with the reduced costs of the real
     objective in the last row, all >= -tol.  A basic artificial (index >=
-    n_enterable) is fixed at 0.  A row is infeasible below
-    -``Tolerances.primal``, or off 0 by more than that for an artificial.
-    The infeasible row holding the smallest basic variable leaves; the
-    entering column,
-    among columns < n_enterable whose row entry exceeds tol in the
-    direction that moves the leaving variable to its bound (negative below
-    0, positive above), has the smallest ratio of reduced cost to the
-    entry's size, ties to the smallest index, which keeps every reduced cost
-    nonnegative.  Once no row is infeasible, each artificial at 0 on a row
-    with a positive real entry leaves by the same rule: a degenerate pivot.
-    An artificial on a redundant row (no real entry above tol) stays, for
-    phase 1's cut to judge.  Returns (status, pivots): STATUS_OPTIMAL when
-    no row is infeasible and no artificial can leave, STATUS_INFEASIBLE when
-    another infeasible row has no entering column (no x >= 0 with zero
-    artificials solves it), STATUS_ITER_LIMIT after max_iter pivots.
+    n_enterable) is fixed at 0.  A row is infeasible when its basic variable
+    is past a bound by more than ``Tolerances.primal``: below 0, or off 0
+    for an artificial.  The infeasible row holding the smallest basic
+    variable leaves; the entering column, among columns < n_enterable whose
+    row entry exceeds tol in the direction that moves the leaving variable
+    to its bound (negative below 0, positive above), has the smallest ratio
+    of reduced cost to the entry's size, ties to the smallest index, which
+    keeps every reduced cost nonnegative.  Once no row is infeasible, each
+    artificial at 0 leaves by the same rule on a real entry of either sign,
+    by size: a degenerate pivot, which keeps dual feasibility either way,
+    since a variable fixed at 0 never enters again.  An artificial whose row
+    has no real entry above tol, an exactly redundant row, stays.  Returns
+    (status, pivots): STATUS_OPTIMAL when no row is infeasible and no
+    artificial can leave, STATUS_INFEASIBLE when an infeasible row has no
+    entering column (no x >= 0 with zero artificials solves it),
+    STATUS_ITER_LIMIT after max_iter pivots.
     """
     m = tableau.shape[0] - 1
     reduced = tableau[m, :n_enterable]
     rhs = tableau[:m, -1]
     primal = DEFAULT_TOL.primal
     artificial = basis >= n_enterable
-    redundant = np.zeros(m, dtype=bool)
     pivots = 0
     while True:
-        rows = ((np.where(artificial, np.abs(rhs), -rhs) > primal) & ~redundant).nonzero()[0]
+        infeasible = np.where(artificial, np.abs(rhs), -rhs) > primal
+        rows = infeasible.nonzero()[0]
         if not rows.size:
             # An artificial at 0 leaves too, by the same rule, where it can.
             rows = artificial.nonzero()[0]
-            rows = rows[(tableau[rows, :n_enterable] > tol).any(axis=1)]
+            rows = rows[(np.abs(tableau[rows, :n_enterable]) > tol).any(axis=1)]
             if not rows.size:
                 return STATUS_OPTIMAL, pivots
         if pivots == max_iter:
             return STATUS_ITER_LIMIT, pivots
         r = rows[basis[rows].argmin()]
         row = tableau[r, :n_enterable]
-        size = -row if rhs[r] < -primal else row
+        size = np.sign(rhs[r]) * row if infeasible[r] else np.abs(row)
         cols = (size > tol).nonzero()[0]
         if not cols.size:
-            if artificial[r] and not (np.abs(row) > tol).any():
-                redundant[r] = True
-                continue
             return STATUS_INFEASIBLE, pivots
         ratios = np.maximum(reduced[cols], 0.0) / size[cols]
         _pivot(tableau, basis, r, cols[ratios.argmin()])
@@ -177,9 +175,6 @@ class SimplexResult:
 
 
 _INVERSE_DRIFT = 1e-12  # largest max|B B^-1 - I| at which a carried B^-1 is used
-# The most leftover artificial mass phase 1 reads as feasible.  The mass
-# bounds the solution's residual, which is held to ``Tolerances.lp_residual``.
-_PHASE1_CUT = 100 * DEFAULT_TOL.pivot
 
 
 def _cost_row(tableau, basis, cost):
@@ -216,43 +211,44 @@ def _start_from_basis(A, b, cost, start, tol, max_iter):
 
 
 def _excess(x_B, real):
-    """Sum over the basis (last axis) of how far x_B lies past its bound: below
-    -``Tolerances.primal`` for a ``real`` variable, or off 0 by more than
-    ``_PHASE1_CUT`` for an artificial, which sits only on a redundant row,
-    where a tolerated defect of the data lands.  0 where feasible."""
-    off = np.where(real, -x_B - DEFAULT_TOL.primal, np.abs(x_B) - _PHASE1_CUT)
+    """Sum over the basis (last axis) of how far x_B lies past its bound by
+    more than ``Tolerances.primal``: below 0 for a ``real`` variable, off 0
+    for an artificial.  0 where feasible."""
+    off = np.where(real, -x_B, np.abs(x_B)) - DEFAULT_TOL.primal
     return np.maximum(off, 0.0).sum(axis=-1)
 
 
-def reuse_basis(A, b, c, start):
-    """The solutions at ``start``'s basis of the leading right-hand sides it
-    serves in the block ``b``, one per row: ``(served, x, objective, dual)``.
+def reuse_basis(A, b, c, held):
+    """The basis to start from, of the ``WarmStart``s ``held`` (most recent
+    last), and its solutions of the leading right-hand sides it serves in
+    the block ``b``, one per row: ``(start, served, x, objective, dual)``.
 
-    x_B = B^-1 b_j is one stacked mat-vec over the block, with the bits of
-    ``start.inverse @ b_j`` for each row alone.  Row j is served when its
-    ``_excess`` is 0; ``served`` counts the rows before the first that is
-    not, and ``x`` (served, n) and ``objective`` (served,) hold their
+    x_B = B^-1 b is one stacked mat-vec, with the bits of ``inverse @ b_j``
+    for each row alone.  The held bases are compared at ``b[0]``, one
+    product per basis: ``start`` has the least ``_excess`` there (one that
+    serves ``b[0]`` where any does), ties to the latest, and its product
+    opens the block.  Row j is served when its ``_excess`` is 0; ``served``
+    counts the rows before the first that is not, which must pivot from
+    ``start``, and ``x`` (served, n) and ``objective`` (served,) hold their
     solutions.  The dual y = c_B B^-1 is the same for every row.  When no
     row is served, all three are None."""
     m, n = A.shape
-    x_B = (start.inverse @ b[:, :, None])[:, :, 0]
+    held = held[::-1]  # latest first, so that argmin's ties go to it
+    inverses = np.stack([start.inverse for start in held])
+    first = (inverses @ b[0][:, None])[:, :, 0]
+    k = int(_excess(first, np.stack([start.basis for start in held]) < n).argmin())
+    start = held[k]
+    x_B = np.concatenate([first[k, None], (inverses[k] @ b[1:, :, None])[:, :, 0]])
     real = start.basis < n
     feasible = _excess(x_B, real) == 0.0
     served = len(b) if feasible.all() else int(feasible.argmin())
     if not served:
-        return 0, None, None, None
+        return start, 0, None, None, None
     x = np.zeros((served, n))
     x[:, start.basis[real]] = x_B[:served, real]
     cost_B = np.concatenate([c, np.zeros(m)])[start.basis]
     objective = (x_B[:served, None, :] @ cost_B[:, None])[:, 0, 0]
-    return served, x, objective, cost_B @ start.inverse
-
-
-def least_infeasible(A, b, held):
-    """Of the ``WarmStart``s ``held``, most recent last, the one with the least
-    ``_excess`` at ``b`` (one that serves it where any does), ties to the latest."""
-    excess = [_excess(start.inverse @ b, start.basis < A.shape[1]) for start in reversed(held)]
-    return held[-1 - int(np.argmin(excess))]
+    return start, served, x, objective, cost_B @ start.inverse
 
 
 def solve_standard_form(A: np.ndarray, b: np.ndarray, c: np.ndarray, basis: WarmStart | None = None) -> SimplexResult:
@@ -266,13 +262,13 @@ def solve_standard_form(A: np.ndarray, b: np.ndarray, c: np.ndarray, basis: Warm
     ``WarmStart`` serves with no pivot is read off it by ``reuse_basis``,
     not here.
 
-    STATUS_OPTIMAL means a primal feasible solution: phase 1 left at most
-    ``_PHASE1_CUT`` of artificial mass and x >= -tol, for the pivot
-    tolerance ``tol = DEFAULT_TOL.pivot``.  Failing either is
-    STATUS_INFEASIBLE, with zero ``x`` and dual and a NaN objective, as for
-    every failed start.  The dual vector is read off the final tableau
-    (artificial columns stay in the tableau, barred from entering), so
-    callers can verify a zero duality gap on every reported solution.
+    STATUS_OPTIMAL means a primal feasible solution: the dual repair left
+    no basic variable past its bound by more than ``Tolerances.primal``.
+    Failing that is STATUS_INFEASIBLE, with zero ``x`` and dual and a NaN
+    objective, as for every failed start.  The dual vector is read off the
+    final tableau (artificial columns stay in the tableau, barred from
+    entering), so callers can verify a zero duality gap on every reported
+    solution.
     """
     A = np.ascontiguousarray(A, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
@@ -296,43 +292,22 @@ def solve_standard_form(A: np.ndarray, b: np.ndarray, c: np.ndarray, basis: Warm
     if status != STATUS_OPTIMAL:
         return SimplexResult(status, np.zeros(n), np.nan, np.zeros(m), it0)
 
-    # Phase 1 over the repaired tableau, which confirms it.
+    # Phase 1, then phase 2, each over the repaired tableau, confirm it.
     artificial_cost = np.zeros(n + m + 1)
     artificial_cost[n : n + m] = 1.0
     tableau[m] = _cost_row(tableau, basis, artificial_cost)
     status, it1 = bland_pivot_loop(tableau, basis, n, tol, max_iter)
-    # Leftover phase-1 mass, |x_B| summed (an artificial may sit below 0 on
-    # a redundant row), bounds the residual.
-    phase1_mass = np.abs(tableau[:m, -1][basis >= n]).sum()
-    if status == STATUS_OPTIMAL and phase1_mass > _PHASE1_CUT:
-        status = STATUS_INFEASIBLE
     if status != STATUS_OPTIMAL:
         return SimplexResult(status, np.zeros(n), np.nan, np.zeros(m), it0 + it1)
-
-    # Pivot leftover artificials out where possible (first real column with
-    # a usable entry); a row with no real pivot entry is a redundant
-    # constraint and stays inert at zero.
-    for i in np.flatnonzero(basis >= n):
-        nz = np.flatnonzero(np.abs(tableau[i, :n]) > tol)
-        if nz.size:
-            _pivot(tableau, basis, i, nz[0])
-
-    # Phase 2: rebuild the objective row for the real costs.
     tableau[m] = _cost_row(tableau, basis, real_cost)
-
     status, it2 = bland_pivot_loop(tableau, basis, n, tol, max_iter)
-    iterations = it0 + it1 + it2
     x = np.zeros(n)
     real = basis < n
     x[basis[real]] = tableau[:m, -1][real]
-    # A drive-out pivot on a negative entry turns leftover phase-1 mass into
-    # a negative x: the LP is infeasible by more than the tolerance.
-    if status == STATUS_OPTIMAL and x.min() < -tol:
-        return SimplexResult(STATUS_INFEASIBLE, np.zeros(n), np.nan, np.zeros(m), iterations)
     objective = float(-tableau[m, -1])
     # The artificial columns hold B^-1 and their reduced costs -y.
     dual = -tableau[m, n : n + m]
     inverse = tableau[:m, n : n + m].copy()
     basis.flags.writeable = inverse.flags.writeable = False
     warm_start = WarmStart(basis, inverse) if status == STATUS_OPTIMAL else None
-    return SimplexResult(status, x, objective, dual, iterations, warm_start)
+    return SimplexResult(status, x, objective, dual, it0 + it1 + it2, warm_start)

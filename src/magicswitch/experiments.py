@@ -315,7 +315,7 @@ class _Grid:
         right-hand side a polynomial in p, the probability or weight of a
         switch branch, whose unnormalized output is quadratic in p."""
         held = self.state.bases.get(column, ())
-        solution = program(*args, basis=held or None)
+        solution = program(*args, basis=held)
         values, statuses = _certified_value(solution, self.lp_tol)
         starts = solution.warm_start  # a block's list, or one basis
         for start in starts if isinstance(starts, list) else [starts]:
@@ -762,9 +762,9 @@ def _basis_root(solution: L1Solution, fit: np.ndarray, level: float, lo: float, 
     the value sum(x) equals ``level`` at a root of c_B B^-1 s b - level s.
     A crossing that only another basis reaches gives None."""
     start, n = solution.warm_start, solution.standard_form[0].shape[1]
-    # Row i: the coefficients of s(p) x_B[i](p).  A basic artificial sits
-    # on a redundant row, at zero up to a tolerated defect of the data, and
-    # adds nothing to the value.
+    # Row i: the coefficients of s(p) x_B[i](p).  Both programs have full
+    # row rank, so an optimal basis holds no artificial; one on an exactly
+    # redundant row of another LP would sit at 0 and add nothing to the value.
     x = start.inverse @ fit[:, :-1].T
     scale = fit[:, -1]
     gap = (start.basis < n).astype(np.float64) @ x - level * scale  # s(p) (value(p) - level)

@@ -10,6 +10,13 @@ Campbell, Proc. R. Soc. A 475, 20190251 (2019)):
   held proportional to the identity (its X, Y, Z components vanish), which
   makes the optimal value 1 + 2p.
 
+Both constraint matrices have full row rank.  The channel program has 19
+rows, not 22: the Choi rows X (x) I, Y (x) I and Z (x) I are each half a
+plus-side marginal row minus half a minus-side one, so it drops them.  A
+channel's components there are the traceless part of its completeness
+defect, which ``KrausChannel(...)`` bounds at ``Tolerances.completeness``,
+100 times below ``lp_residual``; they do not reach the LP.
+
 Hermitian data is expanded over the orthonormal Pauli basis, so the
 solver sees exact real inputs.  Each program's constraint matrix depends
 only on its atom set: ``_assemble_standard_form`` builds it once per set,
@@ -21,7 +28,7 @@ the simplex takes: ``basis``, the ``warm_start`` of a solve of the same
 program at a neighbouring right-hand side.  A caller that holds several
 such bases, as a sweep run or a threshold search does, passes them all,
 and the solve starts from the one least infeasible for its right-hand
-side (``_simplex.least_infeasible``): one that serves it, where any does.
+side (``_simplex.reuse_basis``): one that serves it, where any does.
 
 Both programs also take a grid (a channel or state with a leading axis)
 and return one ``L1Solution`` for it, whose fields carry one entry per
@@ -49,7 +56,6 @@ from ._simplex import (
     STATUS_INFEASIBLE,
     STATUS_OPTIMAL,
     WarmStart,
-    least_infeasible,
     reuse_basis,
     solve_standard_form,
 )
@@ -136,7 +142,8 @@ def solve_l1(A: np.ndarray, b: np.ndarray, basis=None, renorm_factor=1.0) -> L1S
     None, the ``WarmStart`` of a solve of the same program, or a sequence
     of them, the bases a run holds, most recent last; the walk then starts
     from the one that is least infeasible for the first right-hand side
-    (``least_infeasible``), which is one that serves it when any does.
+    (``reuse_basis``), which is one that serves it when any does.  An
+    empty sequence is a cold start.
     ``renorm_factor`` (a number, or one per right-hand side) is reported on
     the solution.  Deterministic under the fixed atom ordering and
     ``basis`` (see ``solve_standard_form``); the reconstruction residual,
@@ -149,8 +156,7 @@ def solve_l1(A: np.ndarray, b: np.ndarray, basis=None, renorm_factor=1.0) -> L1S
     b = np.asarray(b, dtype=np.float64).reshape(-1, A.shape[0])
     if not np.isfinite(b).all():
         raise ValueError("LP right-hand side is not finite")
-    if basis is not None and not isinstance(basis, WarmStart):
-        basis = least_infeasible(A, b[0], basis)
+    held = () if basis is None else (basis,) if isinstance(basis, WarmStart) else tuple(basis)
     (m, n), rows = A.shape, len(b)
     c = np.ones(n)
     x, dual = np.empty((rows, n)), np.empty((rows, m))
@@ -158,8 +164,9 @@ def solve_l1(A: np.ndarray, b: np.ndarray, basis=None, renorm_factor=1.0) -> L1S
     status, starts = ["optimal"] * rows, [None] * rows
     j = 0
     while j < rows:
-        if basis is not None:
-            served, *read = reuse_basis(A, b[j:], c, basis)
+        basis = None
+        if held:
+            basis, served, *read = reuse_basis(A, b[j:], c, held)
             if served:
                 x[j : j + served], objective[j : j + served], dual[j : j + served] = read
                 starts[j : j + served] = [basis] * served
@@ -168,6 +175,7 @@ def solve_l1(A: np.ndarray, b: np.ndarray, basis=None, renorm_factor=1.0) -> L1S
                 break
         result = solve_standard_form(A, b[j], c, basis=basis)
         basis, iterations[j] = result.warm_start, result.iterations
+        held = () if basis is None else (basis,)
         if result.status == STATUS_OPTIMAL:
             x[j], objective[j], dual[j], starts[j] = result.x, result.objective, result.dual, basis
         else:
@@ -219,11 +227,14 @@ def rom_state(rho: DensityOperator, dictionary, basis=None) -> L1Solution:
     return solution
 
 
+_CHOI_ROWS = np.delete(np.arange(16), [4, 8, 12])  # all of pauli_basis(2) but X, Y, Z (x) I
+
+
 @lru_cache(maxsize=None)
 def _channel_constraints(atoms) -> np.ndarray:
-    """Choi reconstruction rows, then for each of X, Y, Z one marginal row
-    over the plus side and one over the minus side."""
-    vectors = pauli_vectorize(np.array([a.projector for a in atoms]), pauli_basis(2))
+    """The 13 kept Choi reconstruction rows, then for each of X, Y, Z one
+    marginal row over the plus side and one over the minus side."""
+    vectors = pauli_vectorize(np.array([a.projector for a in atoms]), pauli_basis(2))[:, _CHOI_ROWS]
     marginals = np.array([a.marginal for a in atoms])
     # tr(P m) for each Pauli P and each atom marginal m.
     marginal_rows = np.einsum("pij,aji->pa", np.array([PAULI_X, PAULI_Y, PAULI_Z]), marginals).real
@@ -244,7 +255,7 @@ def channel_robustness(ch: KrausChannel, atoms, basis=None) -> L1Solution:
     """
     if ch.d_in != 2 or ch.d_out != 2:
         raise DimensionMismatchError("channel robustness is implemented for qubit channels")
-    target = pauli_vectorize(choi_of_channel(ch).matrix, pauli_basis(2))
+    target = pauli_vectorize(choi_of_channel(ch).matrix, pauli_basis(2))[..., _CHOI_ROWS]
     A = _channel_constraints(atoms)
     b = np.concatenate([target, np.zeros(target.shape[:-1] + (A.shape[0] - target.shape[-1],))], axis=-1)
     solution = solve_l1(A, b, basis)

@@ -124,7 +124,7 @@ def recorded_solves(monkeypatch, run):
         def solve(*args, basis=None):
             solution = program(*args, basis=basis)
             for k, iterations in enumerate(np.atleast_1d(solution.iterations).tolist()):
-                solves.append([basis is not None or k > 0, iterations])
+                solves.append([bool(basis) or k > 0, iterations])
             return solution
 
         return solve

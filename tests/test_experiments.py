@@ -269,13 +269,28 @@ class TestWarmStart:
     def test_every_pivot_is_a_dual_pivot(self, monkeypatch):
         # Each LP of the default fig2 and fig3 sweeps, and of a seeded channel
         # search, that is not read off a basis reaches its optimum in the
-        # dual repair: neither Bland loop nor the drive-out pivots.
+        # dual repair: neither Bland loop pivots.
         (lo, hi), shift, _, _ = LP_CROSSINGS["fig2_channel_robustness"]
         s = np.random.default_rng(7).uniform(-shift, shift)
         runs = (lambda: (run_fig2(), run_fig3()),
                 lambda: find_threshold("fig2_channel_robustness", lo + s, hi + s, threshold_tol=1e-6))
         for run in runs:
             assert set(pivots_by_caller(monkeypatch, run)) == {"dual_pivot_loop"}
+
+    def test_no_optimal_basis_holds_an_artificial(self, monkeypatch):
+        # Both programs have full row rank, so the dual repair drives every
+        # artificial out of each optimal basis of the default sweeps.
+        bases, solve = [], lp.solve_standard_form
+
+        def spy(A, *args, **kwargs):
+            result = solve(A, *args, **kwargs)
+            bases.append((result.warm_start, A.shape[1]))
+            return result
+
+        monkeypatch.setattr(lp, "solve_standard_form", spy)
+        run_fig2(), run_fig3()
+        assert len(bases) > 0 and all(start is not None for start, _ in bases)
+        assert all((start.basis < n).all() for start, n in bases)
 
     def test_default_fig2_builds_each_renormalized_solution_once(self, monkeypatch):
         # Each switch branch is renormalized, and its factor is reported on

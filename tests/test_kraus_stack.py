@@ -319,9 +319,9 @@ class TestCheckedOnce:
     def test_traceless_completeness_defect_keeps_the_robustness(self, choi_atoms, eps):
         # Amplitude damping with K1 off by eps: sum K^dag K - I is
         # diag(0, 2 eps sqrt(gamma)), which passes the constructor and has a
-        # traceless part.  That part lands on the Choi rows P (x) I, which
-        # duplicate the marginal rows, so the LP keeps an artificial of about
-        # eps on a redundant row: a tolerated defect, not an infeasible LP.
+        # traceless part.  That part is the Choi components P (x) I, whose
+        # rows the marginal rows imply and the program leaves out, so it
+        # does not reach the LP: a tolerated defect, not an infeasible LP.
         gamma = 0.3
         k0 = np.array([[1.0, 0.0], [0.0, np.sqrt(1 - gamma)]])
         exact = channel_robustness(KrausChannel([k0, [[0.0, np.sqrt(gamma)], [0.0, 0.0]]]), choi_atoms)
@@ -332,9 +332,9 @@ class TestCheckedOnce:
         assert abs(sol.value - exact.value) < 1e-8
 
     def test_traceless_completeness_defect_keeps_the_basis(self, choi_atoms):
-        # The artificial that such a defect leaves on a redundant row is
-        # judged by phase 1's cut, so a walk over gamma reads every LP but
-        # the first, which starts cold, off the basis before it.
+        # Such a defect does not reach the LP, so a walk over gamma reads
+        # every LP but the first, which starts cold, off the basis before
+        # it.
         start, reused = None, 0
         for gamma in np.linspace(0.1, 0.5, 41):
             k0 = np.array([[1.0, 0.0], [0.0, np.sqrt(1 - gamma)]])

@@ -285,8 +285,8 @@ class TestChannelRobustness:
             sol = channel_robustness(noisy_th_channel(p), choi_atoms)
             assert sol.dual_gap < 1e-8
             assert 0.0 <= sol.dual_violation < 1e-8
-            assert sol.iterations > 2 and sol.warm_start.basis.shape == (22,)
-            assert sol.warm_start.inverse.shape == (22, 22) and not sol.warm_start.inverse.flags.writeable
+            assert sol.iterations > 2 and sol.warm_start.basis.shape == (19,)
+            assert sol.warm_start.inverse.shape == (19, 19) and not sol.warm_start.inverse.flags.writeable
 
 
 def reference_state_lp(rho, dictionary):
@@ -298,18 +298,25 @@ def reference_state_lp(rho, dictionary):
     return np.hstack([atoms.T, -atoms.T]), pauli_vectorize(rho.matrix, paulis)
 
 
+# The reconstruction rows X (x) I, Y (x) I and Z (x) I of the channel program,
+# which its marginal rows imply.
+IMPLIED_CHOI_ROWS = [4, 8, 12]
+
+
 def reference_channel_lp(ch, choi_atoms):
     """Reference: the channel program assembled per solve in plain numpy:
-    the Choi reconstruction rows, then for each of X, Y, Z one marginal row
-    over the plus columns and one over the minus columns.  Returns (A, b)."""
+    the Choi reconstruction rows but ``IMPLIED_CHOI_ROWS``, then for each
+    of X, Y, Z one marginal row over the plus columns and one over the
+    minus columns.  Returns (A, b)."""
     paulis = pauli_basis(2)
     atoms = np.array([pauli_vectorize(a.projector, paulis) for a in choi_atoms])
+    atoms = np.delete(atoms, IMPLIED_CHOI_ROWS, axis=1)
     zeros = np.zeros(len(choi_atoms))
     rows = [np.hstack([atoms.T, -atoms.T])]
     for pauli in (PAULI_X, PAULI_Y, PAULI_Z):
         row = np.array([np.trace(pauli @ a.marginal).real for a in choi_atoms])
         rows += [np.concatenate([row, zeros])[None], np.concatenate([zeros, row])[None]]
-    target = pauli_vectorize(choi_of_channel(ch).matrix, paulis)
+    target = np.delete(pauli_vectorize(choi_of_channel(ch).matrix, paulis), IMPLIED_CHOI_ROWS)
     return np.vstack(rows), np.concatenate([target, np.zeros(6)])
 
 
@@ -358,6 +365,40 @@ class TestConstraintCache:
         for _ in range(5):
             rho = DensityOperator(random_density_matrix(2, rng))
             assert_same_solution(rom_state(rho, qubit_dict), solve_l1(*reference_state_lp(rho, qubit_dict)))
+
+
+class TestFullRowRank:
+    """Both programs have full row rank: the channel program leaves out the
+    three reconstruction rows its marginal rows imply."""
+
+    def test_constraint_matrices_have_full_row_rank(self, qubit_dict, twoq_dict, choi_atoms):
+        for A in (lp._state_constraints(qubit_dict), lp._state_constraints(twoq_dict),
+                  lp._channel_constraints(choi_atoms)):
+            assert np.linalg.matrix_rank(A) == A.shape[0]
+        assert lp._channel_constraints(choi_atoms).shape == (19, 120)
+
+    def test_left_out_rows_are_half_the_marginal_difference(self, choi_atoms):
+        # Rebuilt in full, the program has 22 rows of rank 19: the Choi row
+        # of P (x) I is half the plus side's P marginal row minus half the
+        # minus side's, for each of X, Y, Z.
+        paulis = pauli_basis(2)
+        atoms = np.array([pauli_vectorize(a.projector, paulis) for a in choi_atoms])
+        choi_rows = np.hstack([atoms.T, -atoms.T])
+        zeros = np.zeros(len(choi_atoms))
+        for k, pauli in zip(IMPLIED_CHOI_ROWS, (PAULI_X, PAULI_Y, PAULI_Z)):
+            marginal = np.array([np.trace(pauli @ a.marginal).real for a in choi_atoms])
+            half_difference = 0.5 * (np.concatenate([marginal, zeros]) - np.concatenate([zeros, marginal]))
+            assert np.abs(choi_rows[k] - half_difference).max() <= 1e-15
+        full = np.vstack([choi_rows, np.delete(lp._channel_constraints(choi_atoms), np.arange(13), axis=0)])
+        assert full.shape == (22, 120) and np.linalg.matrix_rank(full) == 19
+
+    def test_an_empty_sequence_of_bases_starts_cold(self, qubit_dict, choi_atoms):
+        rho = DensityOperator.pure(T_GATE @ plus_state(2))
+        assert_same_solution(rom_state(rho, qubit_dict, basis=()), rom_state(rho, qubit_dict))
+        ch = noisy_th_channel(0.2)
+        assert_same_solution(channel_robustness(ch, choi_atoms, basis=()), channel_robustness(ch, choi_atoms))
+        A, b = reference_channel_lp(ch, choi_atoms)
+        assert_same_solution(solve_l1(A, b, basis=[]), solve_l1(A, b))
 
 
 # ---------------------------------------------------------------------------

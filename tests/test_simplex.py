@@ -80,9 +80,9 @@ def test_infeasible():
 
 
 def test_slightly_infeasible_lp_is_infeasible():
-    # x1 + x2 = -3e-8 has no x >= 0.  Its artificial starts at -3e-8,
-    # under phase 1's cut but past Tolerances.primal, and the cold repair
-    # finds no negative entry to drive it out on: the LP is infeasible.
+    # x1 + x2 = -3e-8 has no x >= 0.  Its artificial starts at -3e-8, past
+    # Tolerances.primal, and the cold repair finds no negative entry to
+    # drive it out on: the LP is infeasible.
     res = solve_standard_form(np.array([[1.0, 1.0]]), np.array([-3e-8]), np.array([1.0, 2.0]))
     assert res.status == STATUS_INFEASIBLE
     assert np.isnan(res.objective) and not res.x.any() and not res.dual.any()
@@ -114,12 +114,13 @@ def test_redundant_row():
     assert abs(res.objective - 1.0) < 1e-10
 
 
-@pytest.mark.parametrize("defect, status", [(1e-10, STATUS_OPTIMAL), (-1e-10, STATUS_OPTIMAL),
+@pytest.mark.parametrize("defect, status", [(1e-13, STATUS_OPTIMAL), (-1e-13, STATUS_OPTIMAL),
+                                            (1e-10, STATUS_INFEASIBLE), (-1e-10, STATUS_INFEASIBLE),
                                             (1e-3, STATUS_INFEASIBLE), (-1e-3, STATUS_INFEASIBLE)])
-def test_redundant_row_off_by_a_defect_is_judged_by_the_phase1_cut(defect, status):
+def test_redundant_row_off_by_a_defect_is_judged_at_primal(defect, status):
     # Once row 0 is pivoted, row 1's artificial sits at its defect, on a row
     # with no real entry, which no dual pivot moves, above or below 0.  The
-    # phase-1 cut (100 times the pivot tolerance) judges it either way.
+    # dual repair judges it like any basic variable, at Tolerances.primal.
     A = np.array([[1.0, 1.0], [2.0, 2.0]])
     res = solve_standard_form(A, np.array([1.0, 2.0 + defect]), np.array([1.0, 3.0]))
     assert res.status == status
@@ -471,7 +472,7 @@ def assert_warm_start_matches_the_oracle(A, b, c, start):
     """Read ``b`` off the WarmStart ``start`` and solve at ``b`` from it, and
     check both against an oracle that shares no code with the solver.  x_B
     comes from ``np.linalg.solve`` of the basis columns of ``[A | I]``.
-    When it is feasible (each artificial within phase 1's cut),
+    When it is feasible (each artificial within ``Tolerances.primal`` of 0),
     ``reuse_basis`` must serve ``b`` with that vertex, x within 1e-12 of it
     and the objective c.x, and the solve must end on the same basis with no
     dual pivot; otherwise ``reuse_basis`` serves nothing.  The solve must
@@ -480,12 +481,12 @@ def assert_warm_start_matches_the_oracle(A, b, c, start):
     must be HiGHS's.  Returns (served, result)."""
     m, n = A.shape
     tol = DEFAULT_TOL.pivot
-    served, reused, objective, _ = _simplex.reuse_basis(A, b[None], c, start)
+    _, served, reused, objective, _ = _simplex.reuse_basis(A, b[None], c, (start,))
     got, starts = solve_recording_starts(A, b, c, start)
     assert np.array_equal(starts[0][0], start.basis)
     x_B = np.linalg.solve(np.hstack([A, np.eye(m)])[:, start.basis], b)
     real = start.basis < n
-    if (x_B[real] >= -tol).all() and (np.abs(x_B[~real]) <= 100 * tol).all():
+    if (x_B[real] >= -tol).all() and (np.abs(x_B[~real]) <= DEFAULT_TOL.primal).all():
         assert served == 1 and starts[0][1][3] == 0
         x = np.zeros(n)
         x[start.basis[real]] = x_B[real]
@@ -622,8 +623,9 @@ def reference_phase2_start(tableau, basis, c, tol):
 
 
 def test_phase2_set_up_matches_row_loop(monkeypatch, rng):
-    # Sparse integer solutions make degenerate LPs, which leave artificials
-    # basic at zero after phase 1 for the drive-out to remove.
+    # Sparse integer solutions make degenerate LPs, whose artificials at
+    # zero the dual repair drives out on entries of either sign: after it,
+    # the row loop finds none to drive out, and the phase-2 row matches.
     driven = 0
     for _ in range(60):
         m = int(rng.integers(2, 6))
@@ -647,11 +649,10 @@ def test_phase2_set_up_matches_row_loop(monkeypatch, rng):
         (_, (want, want_basis)), ((got, got_basis), _) = loops
         driven += reference_phase2_start(want, want_basis, c, DEFAULT_TOL.pivot)
         assert np.array_equal(got_basis, want_basis)
-        # The drive-out does the same arithmetic as the loop; the objective
-        # row is one matrix product now, so it agrees to rounding.
+        # The objective row is one matrix product, so it agrees to rounding.
         assert got[:m].tobytes() == want[:m].tobytes()
         assert np.allclose(got[m], want[m], rtol=1e-12, atol=1e-12)
-    assert driven > 0
+    assert driven == 0
 
 
 @pytest.mark.skipif(HIGHS is None, reason="the HiGHS oracle needs scipy")
@@ -695,11 +696,11 @@ def test_dual_cold_start_matches_highs(seed, feasible, redundant, integer):
         assert dual.x.min() >= -DEFAULT_TOL.pivot
 
 
-def test_repair_leaves_a_zero_artificial_for_the_drive_out(monkeypatch):
+def test_repair_drives_a_zero_artificial_out_on_a_negative_entry(monkeypatch):
     # Row 0, -x0 - x1 = 0, forces x0 = x1 = 0, so it is not redundant; its
-    # artificial sits at 0 with no positive entry to leave on, and the dual
-    # repair ends with it basic.  Row 1's artificial, at 1, leaves for x2.
-    # The drive-out then pivots it out, so the WarmStart holds none.
+    # artificial sits at 0 with only negative entries.  Row 1's artificial,
+    # at 1, leaves for x2; then row 0's, fixed at 0, leaves for x0 on its
+    # negative entry, so the WarmStart holds none.
     A = np.array([[-1.0, -1.0, 0.0], [0.0, 0.0, 1.0]])
     b = np.array([0.0, 1.0])
     c = np.array([1.0, 1.0, 1.0])
@@ -711,12 +712,12 @@ def test_repair_leaves_a_zero_artificial_for_the_drive_out(monkeypatch):
 
     monkeypatch.setattr(_simplex, "dual_pivot_loop", spy)
     got = solve_standard_form(A, b, c)
-    assert repairs == [((STATUS_OPTIMAL, 1), [3, 2])]
+    assert repairs == [((STATUS_OPTIMAL, 2), [0, 2])]
     assert got.status == STATUS_OPTIMAL and got.objective == 1.0
     assert np.array_equal(got.x, [0.0, 0.0, 1.0])
     assert (got.warm_start.basis < 3).all()
     # The WarmStart serves a neighbouring b with no pivot.
-    served, _, objective, _ = _simplex.reuse_basis(A, np.array([[0.0, 2.0]]), c, got.warm_start)
+    _, served, _, objective, _ = _simplex.reuse_basis(A, np.array([[0.0, 2.0]]), c, (got.warm_start,))
     assert served == 1 and objective.tolist() == [2.0]
 
 
