@@ -5,112 +5,82 @@ a target system through two channels in a superposition of both orders,
 and quantifies the non-stabilizerness of the resulting states and channels:
 robustness monotones via exact linear programs over stabilizer atoms for
 qubits, and discrete-Wigner mana for odd prime dimensions.
+
+``import magicswitch`` loads no submodule.  Each public name binds on first
+use (PEP 562): reading ``magicswitch.rom_state`` imports ``lp`` and what it
+imports, and never the sweep layer (``experiments``, ``qswitch``) or the
+CLI, so a process pays to compile only the layers it calls.  A submodule
+name such as ``magicswitch.lp`` resolves the same way.
 """
+
+import importlib.util
 
 __version__ = "0.1.0"
 
-from .channels import (
-    ChoiState,
-    DensityOperator,
-    KrausChannel,
-    apply_channel,
-    choi_of_channel,
-    compose_channels,
-    depolarizing_channel,
-    identity_channel,
-    measure_control,
-    noisy_th_channel,
-    orthogonal_unitary_basis,
-    qutrit_k2_variant_report,
-    qutrit_noisy_th_channel,
-    unitary_channel,
-)
-from .config import DEFAULT_TOL, Tolerances
-from .experiments import (
-    SweepConfig,
-    SweepRow,
-    ThresholdResult,
-    default_config,
-    find_threshold,
-    run_appendix_c,
-    run_fig2,
-    run_fig3,
-    run_figs1,
-)
-from .linalg import dagger, partial_trace, pauli_strings, tensor
-from .lp import (
-    L1Solution,
-    channel_robustness,
-    rom_state,
-)
-from .phasespace import (
-    PhaseSpaceFrame,
-    build_frame,
-    mana_channel,
-    mana_state,
-    wigner_of_channel,
-    wigner_of_state,
-)
-from .qswitch import (
-    EffectiveDepolarizingSwitch,
-    WeightedChannel,
-    build_switch,
-    conditional_outputs,
-    effective_t_channels,
-)
-from .stabilizers import (
-    ChoiAtom,
-    StabilizerDictionary,
-    cspo_choi_atoms,
-    enumerate_stabilizer_states,
-)
+# Public name -> the submodule that defines it; the one list of the API.
+_HOMES = {
+    "ChoiState": "channels",
+    "DensityOperator": "channels",
+    "KrausChannel": "channels",
+    "apply_channel": "channels",
+    "choi_of_channel": "channels",
+    "compose_channels": "channels",
+    "depolarizing_channel": "channels",
+    "identity_channel": "channels",
+    "measure_control": "channels",
+    "noisy_th_channel": "channels",
+    "orthogonal_unitary_basis": "channels",
+    "qutrit_k2_variant_report": "channels",
+    "qutrit_noisy_th_channel": "channels",
+    "unitary_channel": "channels",
+    "DEFAULT_TOL": "config",
+    "Tolerances": "config",
+    "SweepConfig": "experiments",
+    "SweepRow": "experiments",
+    "ThresholdResult": "experiments",
+    "default_config": "experiments",
+    "find_threshold": "experiments",
+    "run_appendix_c": "experiments",
+    "run_fig2": "experiments",
+    "run_fig3": "experiments",
+    "run_figs1": "experiments",
+    "dagger": "linalg",
+    "partial_trace": "linalg",
+    "pauli_strings": "linalg",
+    "tensor": "linalg",
+    "L1Solution": "lp",
+    "channel_robustness": "lp",
+    "rom_state": "lp",
+    "PhaseSpaceFrame": "phasespace",
+    "build_frame": "phasespace",
+    "mana_channel": "phasespace",
+    "mana_state": "phasespace",
+    "wigner_of_channel": "phasespace",
+    "wigner_of_state": "phasespace",
+    "EffectiveDepolarizingSwitch": "qswitch",
+    "WeightedChannel": "qswitch",
+    "build_switch": "qswitch",
+    "conditional_outputs": "qswitch",
+    "effective_t_channels": "qswitch",
+    "ChoiAtom": "stabilizers",
+    "StabilizerDictionary": "stabilizers",
+    "cspo_choi_atoms": "stabilizers",
+    "enumerate_stabilizer_states": "stabilizers",
+}
 
-__all__ = [
-    "ChoiAtom",
-    "ChoiState",
-    "DEFAULT_TOL",
-    "DensityOperator",
-    "EffectiveDepolarizingSwitch",
-    "KrausChannel",
-    "L1Solution",
-    "PhaseSpaceFrame",
-    "StabilizerDictionary",
-    "SweepConfig",
-    "SweepRow",
-    "ThresholdResult",
-    "Tolerances",
-    "WeightedChannel",
-    "apply_channel",
-    "build_frame",
-    "build_switch",
-    "channel_robustness",
-    "choi_of_channel",
-    "compose_channels",
-    "conditional_outputs",
-    "cspo_choi_atoms",
-    "dagger",
-    "default_config",
-    "depolarizing_channel",
-    "effective_t_channels",
-    "enumerate_stabilizer_states",
-    "find_threshold",
-    "identity_channel",
-    "mana_channel",
-    "mana_state",
-    "measure_control",
-    "noisy_th_channel",
-    "orthogonal_unitary_basis",
-    "partial_trace",
-    "pauli_strings",
-    "qutrit_k2_variant_report",
-    "qutrit_noisy_th_channel",
-    "rom_state",
-    "run_appendix_c",
-    "run_fig2",
-    "run_fig3",
-    "run_figs1",
-    "tensor",
-    "unitary_channel",
-    "wigner_of_state",
-    "wigner_of_channel",
-]
+__all__ = list(_HOMES)
+
+
+def __getattr__(name):
+    if name in _HOMES:
+        value = getattr(importlib.import_module(f".{_HOMES[name]}", __name__), name)
+    elif name.isidentifier() and importlib.util.find_spec(f"{__name__}.{name}"):
+        value = importlib.import_module(f".{name}", __name__)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

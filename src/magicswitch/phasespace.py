@@ -50,22 +50,28 @@ def build_frame(d: int) -> PhaseSpaceFrame:
     a0 = t_ops.sum(axis=0) / d
     a_ops = np.stack([T @ a0 @ dagger(T) for T in t_ops])
 
-    eye = np.eye(d)
     tol = DEFAULT_TOL.frame
-    for k, A in enumerate(a_ops):
-        if np.abs(A - A.conj().T).max() > tol:
-            raise RuntimeError(f"A_{points[k]} not Hermitian")
-        if abs(np.trace(A) - 1.0) > tol:
-            raise RuntimeError(f"A_{points[k]} trace != 1")
-    if np.abs(a_ops.sum(axis=0) / d - eye).max() > tol:
+    not_hermitian = np.abs(a_ops - a_ops.conj().transpose(0, 2, 1)).max(axis=(1, 2)) > tol
+    bad = not_hermitian | (np.abs(np.trace(a_ops, axis1=1, axis2=2) - 1.0) > tol)
+    if bad.any():
+        k = int(bad.argmax())
+        raise RuntimeError(f"A_{points[k]} " + ("not Hermitian" if not_hermitian[k] else "trace != 1"))
+    if np.abs(a_ops.sum(axis=0) / d - np.eye(d)).max() > tol:
         raise RuntimeError("phase-point resolution of identity failed")
-    gram = np.einsum("uij,vji->uv", a_ops, a_ops)
-    if np.abs(gram - d * np.eye(d * d)).max() > DEFAULT_TOL.eq:
+    if np.abs(_gram(a_ops) - d * np.eye(d * d)).max() > DEFAULT_TOL.eq:
         raise RuntimeError("phase-point orthogonality failed")
 
     t_ops.setflags(write=False)
     a_ops.setflags(write=False)
     return PhaseSpaceFrame(d=d, points=points, heisenberg_weyl=t_ops, phase_points=a_ops)
+
+
+def _gram(a_ops: np.ndarray) -> np.ndarray:
+    """Tr[A_u A_v] over a stack of Hermitian operators, as one BLAS product:
+    for Hermitian A_v the trace is the inner product of the flattened A_u
+    with the conjugate of the flattened A_v."""
+    flat = a_ops.reshape(len(a_ops), -1)
+    return flat @ flat.conj().T
 
 
 def check_frame_dim(target: np.ndarray | KrausChannel, d: int) -> None:

@@ -21,7 +21,8 @@ from magicswitch import choi_of_channel
 from magicswitch.config import DEFAULT_TOL
 from magicswitch.gates import fourier_gate, plus_state, qutrit_t_gate
 from magicswitch.linalg import tensor
-from magicswitch.phasespace import _choi_route_wigner, heisenberg_weyl_operators, wigner_of_operator
+from magicswitch import phasespace
+from magicswitch.phasespace import _choi_route_wigner, _gram, heisenberg_weyl_operators, wigner_of_operator
 
 from conftest import random_density_matrix, random_kraus_channel
 
@@ -114,6 +115,34 @@ class TestFrame:
     def test_d5_frame_builds(self):
         frame = build_frame(5)
         assert np.abs(frame.phase_points.sum(axis=0) / 5 - np.eye(5)).max() < 1e-12
+
+    @pytest.mark.parametrize("d", [3, 5, 7])
+    def test_gram_matches_the_trace_einsum(self, d):
+        a_ops = build_frame(d).phase_points
+        reference = np.einsum("uij,vji->uv", a_ops, a_ops)
+        assert np.abs(_gram(a_ops) - reference).max() <= DEFAULT_TOL.eq
+
+    @pytest.mark.parametrize(
+        "scales, message",
+        [
+            # A complex identity makes A_0 = sum_u T_u / d non-Hermitian.
+            ({(0, 0): 1 + 1e-6j}, r"A_\(0, 0\) not Hermitian"),
+            # X and X^2 = X^dagger scaled alike keep A_0 Hermitian with unit
+            # trace, and the first of them is the first point whose A_u is off.
+            ({(0, 1): 1 + 1e-6, (0, 2): 1 + 1e-6}, r"A_\(0, 1\) trace != 1"),
+            ({(1, 1): 1 + 1e-6, (2, 2): 1 + 1e-6}, r"A_\(1, 1\) trace != 1"),
+        ],
+    )
+    def test_perturbed_displacements_are_refused(self, monkeypatch, scales, message):
+        exact = phasespace.heisenberg_weyl_operators
+        perturbed = lambda d: tuple((u, op * scales.get(u, 1)) for u, op in exact(d))
+        monkeypatch.setattr(phasespace, "heisenberg_weyl_operators", perturbed)
+        phasespace.build_frame.cache_clear()
+        try:
+            with pytest.raises(RuntimeError, match=message):
+                build_frame(3)
+        finally:
+            phasespace.build_frame.cache_clear()
 
     def test_hw_operators_are_orthogonal_unitaries(self):
         ops = [op for _, op in heisenberg_weyl_operators(3)]
