@@ -19,10 +19,10 @@ channel and its ordered columns, and a column holds one measure
 threshold name and floor.  A ``_Grid`` holds the noise values of one block
 of a sweep run and builds the intermediates of all of them (channel, switch
 outputs, T-gate branches) as arrays with a leading grid axis, each on
-first use, so a block builds each once.  A threshold evaluation is the
-same program at one noise value, with no grid axis, and builds only what
-its measure reads.  The CSV columns (``MEASURE_COLUMNS``) and the threshold
-registry (``MEASURES``) are derived from the table.
+first use, so a block builds each once.  A threshold search scores its
+points as blocks of the same program, each building only what its measure
+reads.  The CSV columns (``MEASURE_COLUMNS``) and the threshold registry
+(``MEASURES``) are derived from the table.
 
 A sweep run is evaluated in blocks of at most ``_BLOCK_POINTS`` grid
 points, column by column, and then cut into rows: ``_dispatch_row`` is
@@ -39,21 +39,22 @@ byte-identical CSV.  A warm-started value can differ from a lone cold solve
 at the same point in the last bits, never in the printed digits of the
 default grids.
 
-A threshold search of a registered measure takes five evaluations: the two
-bracket ends, the first bisection step, and two probes that confirm a
-proposed crossing.  The first three record samples that are quadratic in
-p: an LP's right-hand side times its scale, or mana's Wigner values.
+A threshold search of a registered measure scores five points in two
+blocks: the opening block ``[lo, mid, hi]``, the bracket ends and the
+first bisection step in p order, and then the two probes that confirm a
+proposed crossing.  The opening block records samples that are quadratic
+in p: an LP's right-hand side times its scale, or mana's Wigner values.
 ``_propose_crossing`` interpolates them exactly; an LP's crossing is read
 off the optimal basis at the narrowed bracket's low end, and mana's is
 where its l1 test against the level flips (``_mana_root``).  The probes are
 the only check on a proposal: a fit that fails, a refuted proposal and a
-bare callable bisect on.  Mana reads free only at 0
-(``DEFAULT_TOL.mana_zero``), whatever ``lp_tol``.  All evaluations of one
-search of a registered measure go through its ``MEASURES`` callable and
-share one ``_RunState``, so only its first LP starts cold: each later one
-starts from the least infeasible of the last ``_HELD_BASES`` optimal bases
-and inverses the search reached, read off one that serves its p where any
-does, and otherwise repaired by dual simplex pivots.
+bare callable bisect on, one point per block.  Mana reads free only at 0
+(``DEFAULT_TOL.mana_zero``), whatever ``lp_tol``.  Every block of one
+search of a registered measure goes through its ``MEASURES`` callable and
+shares one ``_RunState``, so only its first LP starts cold: each block is
+one warm walk from the least infeasible of the last ``_HELD_BASES``
+optimal bases and inverses the search reached, read off one that serves
+its p where any does, and otherwise repaired by dual simplex pivots.
 """
 
 from __future__ import annotations
@@ -219,13 +220,15 @@ _HELD_BASES = 4
 @dataclass
 class _RunState:
     """What one contiguous run of sweep rows, or one threshold search,
-    carries from one evaluation to the next: for each LP column, the last
+    carries from one block to the next: for each LP column, the last
     ``_HELD_BASES`` distinct optimal bases with their inverses, most recent
     last (``_hold``), and the value of fig3's minus branch, whose channel
-    does not depend on p.  When ``samples`` is a list, each LP solve
-    appends ``(p, solution, values)`` to it, with ``values`` polynomial in p
-    (``_Grid.solve``), and each mana evaluation ``(p, None, W)``, its
-    Wigner values as columns ``W[v, u]``."""
+    does not depend on p.  When ``samples`` is a list, each block of a
+    measure appends one record ``(p, solution, values)`` to it: the block's
+    noise values, its ``L1Solution`` and, one row per entry, the fit
+    values s b and s, polynomial in p (``_Grid.solve``); or for mana
+    ``(p, None, W)``, the block's Wigner values as columns ``W[entry, v,
+    u]``."""
 
     bases: dict = field(default_factory=dict)
     switch_minus: tuple | None = None
@@ -281,13 +284,12 @@ def _mana_status(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass
 class _Grid:
-    """The noise values ``p`` of one experiment: a 1-D array, one block of a
-    sweep run, or a number, one threshold evaluation, which the kernels map
-    to single objects with no grid axis.  Each intermediate is built for all
+    """The noise values ``p`` of one experiment, a 1-D array: one block of a
+    sweep run or of a threshold search.  Each intermediate is built for all
     of them on first use and kept for the other columns of the block."""
 
     experiment: str
-    p: np.ndarray | float
+    p: np.ndarray
     lp_tol: float
     state: _RunState
 
@@ -307,22 +309,24 @@ class _Grid:
         return effective_t_channels(self.p)
 
     def solve(self, column: str, program, *args, scale=1.0) -> tuple:
-        """``_certified_value`` of the one ``L1Solution`` of ``program(*args)``,
-        walked from the least infeasible of the optimal bases ``column``
-        holds in this run (``lp.solve_l1``), which then holds the bases the
-        walk reached.  A search's evaluation, one LP, records its sample:
-        ``scale`` is the positive s(p) that makes s(p) times the LP's
-        right-hand side a polynomial in p, the probability or weight of a
-        switch branch, whose unnormalized output is quadratic in p."""
+        """``_certified_value`` of the one block ``L1Solution`` of
+        ``program(*args)``, walked from the least infeasible of the optimal
+        bases ``column`` holds in this run (``lp.solve_l1``), which then
+        holds the bases the walk reached.  A search's block records its
+        sample, with s b and s per entry: ``scale`` is the positive s(p)
+        that makes s(p) times the LP's right-hand side b a polynomial in p,
+        the probability or weight of a switch branch, whose unnormalized
+        output is quadratic in p."""
         held = self.state.bases.get(column, ())
         solution = program(*args, basis=held)
         values, statuses = _certified_value(solution, self.lp_tol)
-        starts = solution.warm_start  # a block's list, or one basis
-        for start in starts if isinstance(starts, list) else [starts]:
+        for start in solution.warm_start:
             held = _hold(held, start)
         self.state.bases[column] = held
         if self.state.samples is not None:
-            self.state.samples.append((self.p, solution, np.append(scale * solution.standard_form[1], scale)))
+            b = solution.standard_form[1]
+            s = np.broadcast_to(np.reshape(scale, (-1, 1)), (len(b), 1))
+            self.state.samples.append((self.p, solution, np.hstack([s * b, s])))
         return values, statuses
 
 
@@ -373,8 +377,8 @@ def _branch_robustness(g: _Grid, column: str, k: int) -> tuple:
 
 def _branch_mana(g: _Grid, column: str, k: int) -> tuple:
     def score(p, branch, prob):
-        if g.state.samples is not None:  # the unnormalized branch's W(u), quadratic in p, as one column
-            g.state.samples.append((p, None, wigner_of_operator(branch.matrix, build_frame(3)).reshape(-1, 1)))
+        if g.state.samples is not None:  # each unnormalized branch's W(u), quadratic in p, as one column
+            g.state.samples.append((p, None, wigner_of_operator(branch.matrix, build_frame(3)).reshape(len(p), -1, 1)))
         return _mana_status(mana_state(branch, build_frame(3)))
 
     return _live_branches(g, k, score)
@@ -387,9 +391,10 @@ def _t_branch_robustness(g: _Grid, column: str, k: int) -> tuple:
 
 
 def _t_minus_robustness(g: _Grid, column: str) -> tuple:
-    # The minus-branch channel does not depend on p: solve it once per run.
+    # The minus-branch channel does not depend on p: one LP, solved once per run.
     if g.state.switch_minus is None:
-        g.state.switch_minus = _t_branch_robustness(g, column, 1)
+        atoms = cspo_choi_atoms(enumerate_stabilizer_states(2))
+        g.state.switch_minus = _certified_value(channel_robustness(g.t_branches[1].channel, atoms), g.lp_tol)
     value, status = g.state.switch_minus
     return np.full(np.shape(g.p), value), np.full(np.shape(g.p), status)
 
@@ -440,21 +445,18 @@ MEASURE_COLUMNS = {
 }
 
 
-def _threshold_value(experiment: str, column: Column, p: float, state: _RunState | None = None) -> float:
-    """``column``'s value at ``p``, the column's program at one noise value,
-    from a cold start unless ``state`` is given.  A status other than ``ok``
-    (a degenerate branch, or an LP that failed or missed its certificate)
-    leaves no number to bisect on and raises ``ValueError``."""
-    grid = _Grid(experiment, p, DEFAULT_TOL.lp_value, state or _RunState())
-    values, statuses = column.measure(grid, column.name)
-    value, status = np.ravel(values)[0], np.ravel(statuses)[0]
-    if status != "ok":
-        reason = "a degenerate branch" if status == "degenerate" else f"status {status}"
-        raise ValueError(f"measure {column.threshold} has {reason} at p={p}")
-    return float(value)
+def _threshold_value(experiment: str, column: Column, p, state: _RunState | None = None) -> tuple:
+    """``column``'s values and statuses at the 1-D array of noise values
+    ``p``, one of each per entry: the column's program on one block, from a
+    cold start unless ``state`` is given."""
+    p = np.asarray(p, dtype=np.float64)
+    if p.ndim != 1:
+        raise ValueError(f"a threshold measure scores a 1-D array of noise values, got shape {p.shape}")
+    return column.measure(_Grid(experiment, p, DEFAULT_TOL.lp_value, state or _RunState()), column.name)
 
 
-# Threshold name -> (callable p -> value, faithfulness floor).
+# Threshold name -> (callable p -> (values, statuses), faithfulness floor):
+# the callable scores a 1-D array of noise values ``p`` as one block.
 MEASURES = {
     column.threshold: (partial(_threshold_value, experiment, column), column.floor)
     for experiment, (_, columns) in MEASURE_TABLE.items()
@@ -645,20 +647,31 @@ def find_threshold(
     itself evaluates it, and a threshold inside it.  Only the bracket feeds
     the search, so the answer does not depend on any sweep grid step.
 
-    A registered measure records a sample at the two ends and at the first
-    bisection step, and ``_propose_crossing`` proposes the crossing r from
-    the quadratics through them.  The measure is then evaluated just inside
-    r - threshold_tol / 2 and r + threshold_tol / 2; when the two disagree,
-    they are the bracket and r the threshold.  These probes are the only
-    check on r.  Any other outcome, a fit that fails included, and every
-    bare callable bisect on from the narrowest bracket known, until the
-    midpoint is no longer strictly inside it.
-    ``iterations`` counts the measure evaluations after the two endpoint
-    checks.  A registered measure is called with one ``_RunState`` for the
-    whole search, so every LP after the first starts from an optimal basis
-    the search holds.  Each search logs one INFO line: the measure, the
-    threshold, the bracket, the evaluations and whether the proposed root
-    was confirmed or the search bisected.
+    The points are scored in blocks.  The opening block is ``[lo, mid,
+    hi]`` in p order, with the first bisection step ``mid`` only where the
+    bracket is wider than ``threshold_tol`` and ``mid`` lies strictly
+    inside it.  A status other than ``ok`` (a degenerate branch, or an LP
+    that failed or missed its certificate) leaves no number to bisect on
+    and raises ``ValueError``: at an end first, then the ends' agreement
+    raises ``BracketError``, then the midpoint's status is read.  A
+    registered measure's opening block records its samples, and
+    ``_propose_crossing`` proposes the crossing r from the quadratics
+    through them.  The probes just inside r - threshold_tol / 2 and r +
+    threshold_tol / 2 that lie inside the bracket are the second block;
+    when the two disagree, they are the bracket and r the threshold.  A
+    second probe that the first moves outside the bracket is discarded.
+    These probes are the only check on r.  Any other outcome, a fit that
+    fails included, and every bare callable bisect on from the narrowest
+    bracket known, one point per block, until the midpoint is no longer
+    strictly inside it.  A registered measure's callable takes each block
+    as a 1-D array of p with one ``_RunState`` for the whole search, so
+    every LP after the first starts from an optimal basis the search
+    holds; a bare callable is called once per point.
+    ``iterations`` counts the points that narrowed the bracket: the
+    midpoint, the probes not discarded and each later bisection step.
+    Each search logs one INFO line: the measure, the threshold, the
+    bracket, the points scored and whether the proposed root was confirmed
+    or the search bisected.
     """
     if not (math.isfinite(threshold_tol) and threshold_tol > 0):
         raise ValueError(f"threshold_tol must be finite and positive, got {threshold_tol}")
@@ -671,97 +684,120 @@ def find_threshold(
         registered, floor = MEASURES[measure]
         name = measure
         state = _RunState(samples=[])
-        fn = partial(registered, state=state)
+
+        def evaluate(points: list) -> tuple:
+            return registered(np.array(points), state=state)
+
         mana = measure in _MANA_MEASURES
         if mana:
             slack = DEFAULT_TOL.mana_zero
     else:
         fn, floor = measure
         name = getattr(fn, "__name__", "callable")
+
+        def evaluate(points: list) -> tuple:
+            return [fn(p) for p in points], ["ok"] * len(points)
+
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError(f"bracket [{lo}, {hi}] has an end that is not a finite number")
     if not lo < hi:
         raise ValueError(f"bracket [{lo}, {hi}] is empty")
     level = floor + slack
+    bracket = [lo, hi]
+    iterations = scored = 0
 
-    # Plain bools: a measure's NumPy scalar would make a NumPy bool, which
-    # cannot index the bracket.
-    free_lo, free_hi = bool(fn(lo) <= level), bool(fn(hi) <= level)
+    def score(points: list) -> list:
+        """One block: (p, value, status) per point."""
+        nonlocal scored
+        scored += len(points)
+        return list(zip(points, *evaluate(points)))
+
+    def reads_free(p: float, value, status: str) -> bool:
+        if status != "ok":
+            reason = "a degenerate branch" if status == "degenerate" else f"status {status}"
+            raise ValueError(f"measure {name} has {reason} at p={p}")
+        # A plain bool: a measure's NumPy scalar would make a NumPy bool,
+        # which cannot index the bracket.
+        return bool(value <= level)
+
+    def midpoint() -> float | None:
+        mid = 0.5 * (bracket[0] + bracket[1])
+        return mid if bracket[1] - bracket[0] > threshold_tol and bracket[0] < mid < bracket[1] else None
+
+    def narrow(read: tuple) -> None:
+        nonlocal iterations
+        iterations += 1
+        bracket[reads_free(*read) != free_lo] = read[0]
+
+    mid = midpoint()
+    opening = score([lo, hi] if mid is None else [lo, mid, hi])
+    free_lo, free_hi = reads_free(*opening[0]), reads_free(*opening[-1])
     if free_lo == free_hi:
         raise BracketError(
             f"measure {name} has no crossing on [{lo}, {hi}]: "
             f"predicate is {free_lo} at both endpoints"
         )
-    bracket = [lo, hi]
-    iterations = 0
-
-    def narrow(p: float, value: float) -> None:
-        nonlocal iterations
-        iterations += 1
-        bracket[bool(value <= level) != free_lo] = p
-
-    def bisect() -> bool:
-        mid = 0.5 * (bracket[0] + bracket[1])
-        if bracket[1] - bracket[0] <= threshold_tol or not bracket[0] < mid < bracket[1]:
-            return False
-        narrow(mid, fn(mid))
-        return True
-
     proposed = False
-    if state is not None and bisect():
-        samples, state.samples = state.samples, None
-        root = _propose_crossing(samples, bracket, level, mana)
-        # One ulp of the root inside r -+ threshold_tol / 2, so that the
-        # bracket's computed width stays within threshold_tol.
-        half = 0.5 * threshold_tol - math.ulp(root or 0.0)
-        if root is not None and half > 0:
-            probes = [root - half, root + half]
-            for p in probes:
-                if bracket[0] < p < bracket[1]:
-                    narrow(p, fn(p))
-            proposed = bracket == probes
-    while not proposed and bisect():
-        pass
+    if mid is not None:
+        narrow(opening[1])
+        if state is not None:
+            root = _propose_crossing(state.samples[0], bracket, level, mana)
+            state.samples = None
+            # One ulp of the root inside r -+ threshold_tol / 2, so that the
+            # bracket's computed width stays within threshold_tol.
+            half = 0.5 * threshold_tol - math.ulp(root or 0.0)
+            if root is not None and half > 0:
+                probes = [root - half, root + half]
+                inside = [p for p in probes if bracket[0] < p < bracket[1]]
+                # The second probe is discarded once the first moves it outside.
+                for read in score(inside) if inside else ():
+                    if bracket[0] < read[0] < bracket[1]:
+                        narrow(read)
+                proposed = bracket == probes
+    while not proposed and (mid := midpoint()) is not None:
+        narrow(*score([mid]))
     threshold = root if proposed else 0.5 * (bracket[0] + bracket[1])
     logger.info(
         "threshold %s: %.12g in [%.12g, %.12g] after %d evaluations, %s",
-        name, threshold, *bracket, iterations + 2, "root proposed" if proposed else "bisected",
+        name, threshold, *bracket, scored, "root proposed" if proposed else "bisected",
     )
     return ThresholdResult(name, threshold, tuple(bracket), iterations, floor)
 
 
-def _propose_crossing(samples: list, bracket: list, level: float, mana: bool) -> float | None:
+def _propose_crossing(sample: tuple, bracket: list, level: float, mana: bool) -> float | None:
     """Propose where a registered measure crosses ``level`` inside
-    ``bracket`` from its fit ``samples``, or None.
+    ``bracket`` from the fit ``sample`` of its opening block, or None.
 
-    ``samples`` holds one ``(p, solution, values)`` per evaluation: the two
-    ends of the search and its first bisection step, whose later bracket is
-    ``bracket``.  ``values`` are interpolated by the polynomials of degree
-    ``RHS_DEGREE`` through the three samples, which holds exactly since
+    ``sample`` is the opening block's record ``(p, solution, values)``: the
+    two ends of the search and its first bisection step, whose later
+    bracket is ``bracket``, in p order, with one row of ``values`` per
+    point.  ``values`` are interpolated by the polynomials of degree
+    ``RHS_DEGREE`` through the three points, which holds exactly since
     they are quadratic in p.  For a ``mana`` measure they are Wigner values
     (``_mana_root``).  For an LP they are s b and s, the scaled right-hand
     side and the scale, and the crossing is read off the optimal basis of
-    the solution at the bracket's low end (``_basis_root``).
+    the block's entry at the bracket's low end (``_basis_root``).
     """
-    fit = fit_polynomial([p for p, _, _ in samples], [values for _, _, values in samples])
+    p, solution, values = sample
+    fit = fit_polynomial(p, values)
     if fit is None:
         return None
     if mana:
         return _mana_root(fit, level, *bracket)
-    start = next(solution for p, solution, _ in samples if p == bracket[0])
-    return _basis_root(start, fit, level, *bracket)
+    return _basis_root(solution, p.tolist().index(bracket[0]), fit, level, *bracket)
 
 
-def _basis_root(solution: L1Solution, fit: np.ndarray, level: float, lo: float, hi: float) -> float | None:
-    """The first p in [lo, hi] at which the optimal basis of ``solution``
-    is optimal with the value ``level``, or None.
+def _basis_root(solution: L1Solution, entry: int, fit: np.ndarray, level: float, lo: float, hi: float) -> float | None:
+    """The first p in [lo, hi] at which the optimal basis of entry
+    ``entry`` of the block ``solution`` is optimal with the value
+    ``level``, or None.
 
     ``fit`` holds the polynomials s(p) b(p), one per row of the LP's A, then
     s(p).  Reduced costs do not depend on b, so the basis is optimal
     wherever s > 0 and x_B = B^-1 b >= -tol (the pivot tolerance), and there
     the value sum(x) equals ``level`` at a root of c_B B^-1 s b - level s.
     A crossing that only another basis reaches gives None."""
-    start, n = solution.warm_start, solution.standard_form[0].shape[1]
+    start, n = solution.warm_start[entry], solution.standard_form[0].shape[1]
     # Row i: the coefficients of s(p) x_B[i](p).  Both programs have full
     # row rank, so an optimal basis holds no artificial; one on an exactly
     # redundant row of another LP would sit at 0 and add nothing to the value.

@@ -288,9 +288,15 @@ def test_mana_refuses_a_dimension_mismatch_before_building_the_frame(tmp_path, m
 
 
 def test_threshold_refuses_an_uncertified_value(monkeypatch, capsys):
-    # The search stops at its first LP that fails its certificate.
+    # The search stops at its first LP that fails its certificate: here
+    # every entry of its opening block, the low end first.
     solve = experiments.channel_robustness
-    monkeypatch.setattr(experiments, "channel_robustness", lambda *a, **k: replace(solve(*a, **k), residual=1.0))
+
+    def uncertified(*args, **kwargs):
+        solution = solve(*args, **kwargs)
+        return replace(solution, residual=np.ones_like(solution.residual))
+
+    monkeypatch.setattr(experiments, "channel_robustness", uncertified)
     argv = ["-q", "threshold", "--measure", "fig2_channel_robustness", "--bracket", "0.2:0.4"]
     line = assert_one_line_error(capsys, main(argv))
     assert line == "error: measure fig2_channel_robustness has status check_failed at p=0.2"

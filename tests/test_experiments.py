@@ -17,6 +17,7 @@ from magicswitch._simplex import WarmStart
 from magicswitch.channels import noisy_th_channel, qutrit_noisy_th_channel
 from magicswitch.config import DEFAULT_TOL
 from magicswitch.qswitch import EffectiveDepolarizingSwitch
+from magicswitch.stabilizers import cspo_choi_atoms, enumerate_stabilizer_states
 from magicswitch.experiments import (
     MAX_GRID_POINTS,
     MEASURE_COLUMNS,
@@ -441,11 +442,34 @@ class TestThresholdFinder:
     ], ids=["check_failed", "below_floor", "infeasible", "numerical_failure"])
     def test_uncertified_value_is_refused(self, monkeypatch, changes, status):
         # A value whose LP failed its certificate, or failed outright, is
-        # not bisected on: NaN would read as magic.
+        # not bisected on: NaN would read as magic.  The search scores its
+        # points as blocks, so every entry of each block gets the change.
         solve = experiments.channel_robustness
-        monkeypatch.setattr(experiments, "channel_robustness", lambda *a, **k: replace(solve(*a, **k), **changes))
+        monkeypatch.setattr(
+            experiments, "channel_robustness", lambda *a, **k: block_replace(solve(*a, **k), **changes)
+        )
         with pytest.raises(ValueError, match=rf"^measure fig2_channel_robustness has status {status} at p=0.2$"):
             find_threshold("fig2_channel_robustness", 0.2, 0.4, threshold_tol=1e-6)
+
+    @pytest.mark.parametrize("bad, crossing, error", [
+        ({0.5, 0.9}, True, "status check_failed at p=0.9"),
+        ({0.1, 0.5, 0.9}, True, "status check_failed at p=0.1"),
+        ({0.5}, False, None),
+        ({0.5}, True, "status check_failed at p=0.5"),
+    ], ids=["high-end", "low-end-first", "no-crossing-before-midpoint", "midpoint"])
+    def test_opening_block_reads_the_ends_then_the_crossing_then_the_midpoint(
+        self, monkeypatch, bad, crossing, error
+    ):
+        # The opening block [0.1, 0.5, 0.9] is scored at once, but its
+        # statuses are read in the order of one point at a time: a bad end,
+        # then a bracket with no crossing, then a bad midpoint.
+        def toy(p, state=None):
+            values = 1.0 + np.maximum(0.0, 0.37 - p) if crossing else np.full(len(p), 2.0)
+            return values, ["check_failed" if x in bad else "ok" for x in p.tolist()]
+
+        monkeypatch.setitem(MEASURES, "toy", (toy, 1.0))
+        with pytest.raises(ValueError, match=f"^measure toy has {error}$") if error else pytest.raises(BracketError):
+            find_threshold("toy", 0.1, 0.9)
 
     def test_degenerate_branch_is_refused(self):
         with pytest.raises(ValueError, match=r"^measure figs1_mana_minus has a degenerate branch at p=0.0$"):
@@ -510,9 +534,18 @@ class TestThresholdFinder:
 
     @pytest.mark.parametrize("name", list(THRESHOLD_COLUMNS))
     def test_threshold_measure_equals_cold_sweep_column(self, name):
+        # A registered measure scores a block as a sweep run's first block.
         experiment, column = THRESHOLD_COLUMNS[name]
-        (row,) = experiments._run_rows(experiment, [0.3], 1e-6)
-        assert MEASURES[name][0](0.3) == row.values[column]
+        block = [0.2, 0.3, 0.5]
+        rows = experiments._run_rows(experiment, block, 1e-6)
+        values, statuses = MEASURES[name][0](np.array(block))
+        assert list(values) == [row.values[column] for row in rows]
+        assert list(statuses) == [row.status[column] for row in rows] == ["ok"] * 3
+
+    @pytest.mark.parametrize("p", [0.3, np.array([[0.3, 0.4]])], ids=["number", "2-D"])
+    def test_registered_measure_scores_only_a_1d_block(self, p):
+        with pytest.raises(ValueError, match="1-D array"):
+            MEASURES["fig2_rom_plus"][0](p)
 
     @pytest.mark.parametrize("name", ["fig2_channel_robustness", "fig3_sequential", "figs1_mana_channel"])
     def test_channel_measures_build_no_switch(self, monkeypatch, name):
@@ -521,7 +554,7 @@ class TestThresholdFinder:
 
         monkeypatch.setattr(experiments, "build_switch", refuse)
         monkeypatch.setattr(experiments, "effective_t_channels", refuse)
-        MEASURES[name][0](0.3)
+        MEASURES[name][0](np.array([0.3]))
 
 
 Q_STAR = (6 - 2 * math.sqrt(2)) / 7  # D_q o T turns free at q = q*
@@ -560,10 +593,31 @@ def free_slack(name):
     return DEFAULT_TOL.mana_zero if name in MANA_CROSSINGS else DEFAULT_TOL.lp_value
 
 
+def one_point(name):
+    """Registered ``name`` as a bare measure ``(callable p -> value, floor)``:
+    each call scores a block of one from a cold start, and refuses a status
+    other than ``ok``."""
+    registered, floor = MEASURES[name]
+
+    def value(p):
+        (value,), (status,) = registered(np.array([p]))
+        if status != "ok":
+            raise ValueError(f"{name} has status {status} at p={p}")
+        return value
+
+    return value, floor
+
+
+def reads_free(name, p):
+    """Whether registered ``name`` reads free at ``p``, scored alone."""
+    fn, floor = one_point(name)
+    return bool(fn(p) <= floor + free_slack(name))
+
+
 def bisection_oracle(name, lo, hi, tol):
-    """Plain bisection: the registered callable passed as a bare measure, at
-    the level the registered search uses."""
-    return find_threshold(MEASURES[name], lo, hi, lp_tol=free_slack(name), threshold_tol=tol)
+    """Plain bisection: the registered measure passed as a bare one, one
+    point at a time, at the level the registered search uses."""
+    return find_threshold(one_point(name), lo, hi, lp_tol=free_slack(name), threshold_tol=tol)
 
 
 # min x1 + x2 s.t. x1 - x2 = p - 0.3, whose value is |p - 0.3|, and the fit
@@ -603,22 +657,25 @@ class TestWalkedThresholds:
     @pytest.mark.parametrize("wrong_proposal", [False, True], ids=["walked", "bisected"])
     @pytest.mark.parametrize("name", list(LP_CROSSINGS))
     def test_only_the_first_lp_of_a_search_starts_cold(self, monkeypatch, name, wrong_proposal):
-        # One run state serves the endpoints, the bisection step, the
-        # confirmations, and the bisection after a wrong proposal.
+        # One run state serves the opening block (the ends and the bisection
+        # step), the probe block, and the bisection after a wrong proposal.
         (lo, hi), _, exact, _ = LP_CROSSINGS[name]
         proposals = spy_on_basis_root(monkeypatch, exact + 1e-3 if wrong_proposal else ...)
         evaluated = recorded_evaluations(monkeypatch, name)
         _, solves = recorded_solves(monkeypatch, lambda: find_threshold(name, lo, hi, threshold_tol=1e-6))
         assert [warm for warm, _ in solves] == [False] + [True] * (len(solves) - 1)
-        # Ends, one bisection step and two confirmations, then bisection.
+        # Ends, one bisection step and two probes, then bisection, one
+        # point per block.
         assert len(solves) > 5 if wrong_proposal else len(solves) == 5
-        # The confirmations probe the proposed root.  The injected one lies
-        # on the free side, where the first probe already moves the bracket
-        # past the second.
+        assert evaluated[0] == [lo, 0.5 * (lo + hi), hi]
+        assert all(len(block) == 1 for block in evaluated[2:])
+        # The probe block holds both probes of the proposed root.  The
+        # injected one lies on the free side, where the first probe moves
+        # the bracket past the second, which is discarded.
         ((_, root),) = proposals
         half = 0.5e-6 - math.ulp(root)
-        probes = [root - half] if wrong_proposal else [root - half, root + half]
-        assert evaluated[3 : 3 + len(probes)] == probes
+        assert evaluated[1] == [root - half, root + half]
+        assert len(evaluated) > 2 if wrong_proposal else len(evaluated) == 2
 
     def test_fig2_channel_search_reads_most_lps_off_held_bases(self, monkeypatch):
         # The run state holds the last few optimal bases of the search: the
@@ -650,7 +707,8 @@ class TestWalkedThresholds:
     def test_every_evaluation_goes_through_the_registered_measure(self, monkeypatch, name, lo, hi):
         # Wrap MEASURES[name] in place, as perfbench's tracer does, and
         # count every _threshold_value call: the search, its proposal
-        # included, may reach the measure only through the wrapper.
+        # included, may reach the measure only through the wrapper, one
+        # call per block.
         calls = {"wrapper": 0, "value": 0}
         threshold_value = experiments._threshold_value
 
@@ -668,9 +726,9 @@ class TestWalkedThresholds:
         monkeypatch.setattr(experiments, "_threshold_value", counted_value)
         monkeypatch.setitem(MEASURES, name, (wrapper, floor))
         find_threshold(name, lo, hi, threshold_tol=1e-6)
-        assert calls["value"] == calls["wrapper"] > 2
-        # Ends, one bisection step and two confirmations.
-        assert calls["wrapper"] == 5
+        assert calls["value"] == calls["wrapper"] > 1
+        # The opening block (ends and one bisection step), then the probes.
+        assert calls["wrapper"] == 2
 
     def test_p_independent_measure_still_has_no_crossing(self):
         with pytest.raises(BracketError):
@@ -739,18 +797,15 @@ class TestWalkedThresholds:
         res = find_threshold(name, lo, hi, threshold_tol=1e-6)
         (root,) = proposals
         half = 0.5e-6 - math.ulp(root)
-        assert abs(root - exact ** (1 / 3)) > 1e-5 and evaluated[3] in (root - half, root + half)
+        assert abs(root - exact ** (1 / 3)) > 1e-5
+        assert evaluated[1] and set(evaluated[1]) <= {root - half, root + half}
         assert res.iterations > 3 and res.threshold != root
-        fn, floor = MEASURES[name]
-        level = floor + free_slack(name)
-        assert (fn(res.bracket[0]) <= level) != (fn(res.bracket[1]) <= level)
+        assert reads_free(name, res.bracket[0]) != reads_free(name, res.bracket[1])
         assert res.bracket[1] - res.bracket[0] <= 1e-6 and abs(res.threshold - exact ** (1 / 3)) < 1e-6
 
     @pytest.mark.parametrize("name", [*LP_CROSSINGS, *MANA_CROSSINGS])
     def test_every_seeded_search_takes_three_iterations(self, name):
         (lo, hi), shift, exact = {**LP_CROSSINGS, **MANA_CROSSINGS}[name][:3]
-        fn, floor = MEASURES[name]
-        level = floor + free_slack(name)
         rng = np.random.default_rng([*LP_CROSSINGS, *MANA_CROSSINGS].index(name))
         brackets = [(lo + s, hi + s) for s in rng.uniform(-shift, shift, size=25)]
         # Wide brackets, anywhere from the edge of the noise range to the
@@ -761,7 +816,7 @@ class TestWalkedThresholds:
             res = find_threshold(name, a, b, threshold_tol=1e-6)
             assert res.iterations == 3
             assert res.bracket[0] < res.threshold < res.bracket[1] and res.bracket[1] - res.bracket[0] <= 1e-6
-            assert (fn(res.bracket[0]) <= level) != (fn(res.bracket[1]) <= level)
+            assert reads_free(name, res.bracket[0]) != reads_free(name, res.bracket[1])
             assert abs(res.threshold - bisection_oracle(name, a, b, 1e-6).threshold) <= 1e-6
 
     @pytest.mark.parametrize("offset", [1e-3, -2e-7, 5.0])
@@ -771,19 +826,21 @@ class TestWalkedThresholds:
         proposals = spy_on_basis_root(monkeypatch, injected)
         evaluated = recorded_evaluations(monkeypatch, "fig2_rom_plus")
         res = find_threshold("fig2_rom_plus", 0.5, 0.7, threshold_tol=1e-6)
-        fn, floor = MEASURES["fig2_rom_plus"]
+        fn, floor = one_point("fig2_rom_plus")
         lo, hi = res.bracket
         assert hi - lo <= 1e-6
         assert fn(lo) > floor + DEFAULT_TOL.lp_value >= fn(hi)
         assert lo <= oracle.threshold <= hi
-        # The search probes the injected root while a probe lies inside its
-        # bracket: at 1e-3 the first probe reads free and moves the bracket
-        # past the second; at -2e-7 the two straddle the crossing and
-        # confirm the root; at 5 neither lies in the bracket.
+        # The search scores the injected root's probes as one block while
+        # they lie inside its bracket: at 1e-3 the first probe reads free
+        # and moves the bracket past the second, which is discarded; at
+        # -2e-7 the two straddle the crossing and confirm the root; at 5
+        # neither lies in the bracket, and no probe block is scored.
         assert len(proposals) == 1
         half = 0.5e-6 - math.ulp(injected)
-        probed = {1e-3: 1, -2e-7: 2, 5.0: 0}[offset]
-        assert evaluated[3 : 3 + probed] == [injected - half, injected + half][:probed]
+        probes = [injected - half, injected + half]
+        assert (evaluated[1] == probes) == (offset != 5.0)
+        assert all(len(block) == 1 for block in evaluated[2 if offset != 5.0 else 1 :])
         assert (res.threshold == injected) == (offset == -2e-7)
 
     @pytest.mark.parametrize("lo, hi, floor, first_basis", [(0.0, 0.25, 0.1, True), (0.29, 0.4, 0.01, False)])
@@ -793,10 +850,10 @@ class TestWalkedThresholds:
         # x2 = 0.3 - p there reaches the root.  From (0.29, 0.4) it narrows
         # to (0.29, 0.345), whose low end's basis stops at the kink; only
         # the basis of x1 = p - 0.3 reaches the root, so the search bisects.
-        def toy(p, state):
-            grid = experiments._Grid("fig2", p, DEFAULT_TOL.lp_value, state)
-            value, _ = grid.solve("toy", lp.solve_l1, ABS_A, np.array([p - 0.3]), scale=1.0 + p)
-            return value
+        def toy(p, state=None):
+            grid = experiments._Grid("fig2", p, DEFAULT_TOL.lp_value, state or experiments._RunState())
+            values, _ = grid.solve("toy", lp.solve_l1, ABS_A, (p - 0.3)[:, None], scale=1.0 + p)
+            return values, ["ok"] * len(p)  # |p - 0.3| < 1 reads below the robustness floor
 
         monkeypatch.setitem(MEASURES, "toy", (toy, floor))
         proposals = spy_on_basis_root(monkeypatch)
@@ -805,9 +862,8 @@ class TestWalkedThresholds:
         res = find_threshold("toy", lo, hi, threshold_tol=1e-6)
         ((bracket, proposed),) = proposals
         assert res.bracket[0] < root < res.bracket[1] and res.bracket[1] - res.bracket[0] <= 1e-6
-        assert (toy(res.bracket[0], experiments._RunState()) <= level) != (
-            toy(res.bracket[1], experiments._RunState()) <= level
-        )
+        values, _ = toy(np.array(res.bracket))
+        assert (values[0] <= level) != (values[1] <= level)
         if first_basis:
             assert bracket == (0.125, 0.25)
             assert abs(proposed - root) < 1e-15 and res.threshold == proposed and res.iterations == 3
@@ -823,7 +879,8 @@ class TestWalkedThresholds:
     (0.0, 0.0, 0.1, 0.1, None),  # the root 0.2 lies past the bracket
 ])
 def test_basis_root(p, lo, hi, level, want):
-    root = experiments._basis_root(lp.solve_l1(ABS_A, np.array([p - 0.3])), ABS_FIT, level, lo, hi)
+    # The optimal basis of the one entry of a block.
+    root = experiments._basis_root(lp.solve_l1(ABS_A, np.array([[p - 0.3]])), 0, ABS_FIT, level, lo, hi)
     assert root == want if want is None else abs(root - want) < 1e-15
 
 
@@ -843,13 +900,66 @@ def test_fit_polynomial_interpolates_three_points():
 def test_search_logs_one_info_line(caplog):
     with caplog.at_level("INFO", logger="magicswitch.experiments"):
         res = find_threshold("fig2_rom_plus", 0.5, 0.7, threshold_tol=1e-6)
-        find_threshold(MEASURES["fig2_rom_plus"], 0.5, 0.7, threshold_tol=1e-2)
+        find_threshold(one_point("fig2_rom_plus"), 0.5, 0.7, threshold_tol=1e-2)
     proposed, bisected = [record.getMessage() for record in caplog.records]
     lo, hi = res.bracket
     assert proposed == (
         f"threshold fig2_rom_plus: {res.threshold:.12g} in [{lo:.12g}, {hi:.12g}] after 5 evaluations, root proposed"
     )
     assert bisected.endswith("after 7 evaluations, bisected")
+
+
+# Every registered measure with a crossing and its benchmark bracket.
+SEARCH_BRACKETS = {name: crossing[0] for name, crossing in {**LP_CROSSINGS, **MANA_CROSSINGS}.items()}
+
+
+@pytest.mark.parametrize("name", list(SEARCH_BRACKETS))
+def test_a_confirmed_search_calls_its_measure_twice(monkeypatch, caplog, name):
+    # Once with the opening block [lo, mid, hi], in p order, and once with
+    # both probes of the confirmed root; the INFO line counts the points.
+    lo, hi = SEARCH_BRACKETS[name]
+    evaluated = recorded_evaluations(monkeypatch, name)
+    with caplog.at_level("INFO", logger="magicswitch.experiments"):
+        res = find_threshold(name, lo, hi, threshold_tol=1e-6)
+    half = 0.5e-6 - math.ulp(res.threshold)
+    assert evaluated == [[lo, 0.5 * (lo + hi), hi], [res.threshold - half, res.threshold + half]]
+    assert res.iterations == 3 and list(res.bracket) == evaluated[1]
+    (record,) = caplog.records
+    assert record.getMessage().endswith("after 5 evaluations, root proposed")
+
+
+def test_a_discarded_probe_is_scored_but_narrows_nothing(monkeypatch, caplog):
+    # A proposal 1e-3 past the crossing, on the free side: the first probe
+    # moves the bracket past the second, which is discarded.  The INFO line
+    # counts every point scored; iterations leaves out the two ends and the
+    # discarded probe.
+    oracle = bisection_oracle("fig2_rom_plus", 0.5, 0.7, 1e-10)
+    injected = oracle.threshold + 1e-3
+    spy_on_basis_root(monkeypatch, injected)
+    evaluated = recorded_evaluations(monkeypatch, "fig2_rom_plus")
+    with caplog.at_level("INFO", logger="magicswitch.experiments"):
+        res = find_threshold("fig2_rom_plus", 0.5, 0.7, threshold_tol=1e-6)
+    half = 0.5e-6 - math.ulp(injected)
+    assert evaluated[1] == [injected - half, injected + half]
+    assert injected + half > res.bracket[1]
+    scored = sum(map(len, evaluated))
+    assert scored > 5 and res.iterations == scored - 3
+    (record,) = caplog.records
+    assert record.getMessage().endswith(f"after {scored} evaluations, bisected")
+
+
+@pytest.mark.parametrize("tol", [1e-6, 1e-9])
+@pytest.mark.parametrize("name", list(SEARCH_BRACKETS))
+def test_seeded_block_searches_contain_the_bisection_oracle(name, tol):
+    # Ten seeded shifts of the benchmark bracket: each search confirms its
+    # proposal (3 iterations), and its bracket holds the threshold plain
+    # bisection finds one point at a time, 16 times finer.
+    (lo, hi), shift = {**LP_CROSSINGS, **MANA_CROSSINGS}[name][:2]
+    for s in np.random.default_rng(7).uniform(-shift, shift, size=10):
+        res = find_threshold(name, lo + s, hi + s, threshold_tol=tol)
+        oracle = bisection_oracle(name, lo + s, hi + s, tol / 16)
+        assert res.iterations == 3
+        assert res.bracket[0] <= oracle.threshold <= res.bracket[1]
 
 
 class TestRoundingFloor:
@@ -871,7 +981,7 @@ class TestRoundingFloor:
     def test_floor_leaves_larger_lp_tol_alone(self):
         # The default level is floor + lp_tol exactly, bit for bit.
         assert experiments._floor_slack(DEFAULT_TOL.lp_value) == DEFAULT_TOL.lp_value
-        solution = lp_solution("fig2_channel_robustness", 0.5)
+        solution = lp.channel_robustness(noisy_th_channel(0.5), cspo_choi_atoms(enumerate_stabilizer_states(2)))
         cases = [
             (1.0 - 0.5 * DEFAULT_TOL.rounding, 0.0, "ok"),
             (1.0 - 2 * DEFAULT_TOL.rounding, 0.0, "below_floor"),
@@ -919,25 +1029,27 @@ def pivots_by_caller(monkeypatch, run):
     return pivots
 
 
+def block_replace(solution, **changes):
+    """``solution``, a block, with each change given to every entry: the
+    status as a list, any other field as an array."""
+    n = len(solution.status)
+    return replace(solution, **{
+        key: [value] * n if key == "status" else np.full(n, value) for key, value in changes.items()
+    })
+
+
 def recorded_evaluations(monkeypatch, name):
-    """The noise values at which a search evaluates registered ``name``, in order."""
+    """The blocks of noise values a search scores with registered ``name``,
+    in order, each a list."""
     registered, floor = MEASURES[name]
     evaluated = []
 
     def recorded(p, **kwargs):
-        evaluated.append(p)
+        evaluated.append(p.tolist())
         return registered(p, **kwargs)
 
     monkeypatch.setitem(MEASURES, name, (recorded, floor))
     return evaluated
-
-
-def lp_solution(name, p):
-    """The LP solution of registered measure ``name`` at ``p``."""
-    state = experiments._RunState(samples=[])
-    MEASURES[name][0](p, state=state)
-    ((_, solution, _),) = state.samples
-    return solution
 
 
 def scalar_appendix_c(d_values, n_points):

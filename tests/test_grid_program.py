@@ -110,11 +110,13 @@ def test_sampled_mana_evaluation_builds_one_wigner_function(monkeypatch):
         return route(*args)
 
     monkeypatch.setattr(phasespace, "_choi_route_wigner", counting)
+    # A search's opening block: one Wigner build for its three points.
     state = experiments._RunState(samples=[])
-    value = MEASURES["figs1_mana_channel"][0](0.4, state=state)
+    values, _ = MEASURES["figs1_mana_channel"][0](np.array([0.3, 0.4, 0.5]), state=state)
     assert len(calls) == 1 and len(state.samples) == 1
-    (_, _, wigner), = state.samples
-    assert value == phasespace.mana_of_wigner(wigner.reshape(9, 9), channel=True)
+    (p, _, wigner), = state.samples
+    assert p.tolist() == [0.3, 0.4, 0.5] and wigner.shape == (3, 9, 9)
+    assert np.array_equal(values, phasespace.mana_of_wigner(wigner, channel=True))
 
 
 class TestTightToleranceThresholds:
