@@ -27,8 +27,10 @@ artificial off 0, and then every one at 0 on a real entry of either sign
 an exactly redundant row keeps one, and the package's programs have none.
 A warm start that cannot be repaired gives way to the cold start, whose
 failed repair is the solve's verdict.  Phase 1 and phase 2 follow, each
-Bland loop confirming the repaired tableau.  The optimal value does not depend on the start beyond
-rounding; where an LP has several optimal vertices, ``x`` may.  A repair
+Bland loop confirming the repaired tableau.  ``optimal_start`` runs the
+cold repair alone, for a basis kept only to start other solves from.  The
+optimal value does not depend on the start beyond rounding; where an LP
+has several optimal vertices, ``x`` may.  A repair
 judges feasibility at ``Tolerances.primal``, far below the pivot
 tolerance: a basic variable a pivot tolerance below 0 reads an infeasible
 vertex's value.
@@ -210,6 +212,43 @@ def _start_from_basis(A, b, cost, start, tol, max_iter):
     return status, tableau, basis, pivots
 
 
+def _max_iter(m, n):
+    """The pivot cap of each loop of a solve of an m x n program."""
+    return 200 + 50 * (m + n)
+
+
+def _repair(A, b, cost, start):
+    """``(status, tableau, basis, pivots)`` of the dual repair that opens a
+    solve under the cost row ``cost``: from the ``WarmStart`` ``start`` when
+    ``_start_from_basis`` repairs it to optimality, and otherwise from the
+    all-artificial basis ``arange(n, n + m)``, whose outcome stands."""
+    m, n = A.shape
+    tol, max_iter = DEFAULT_TOL.pivot, _max_iter(m, n)
+    repaired = start and _start_from_basis(A, b, cost, start, tol, max_iter)
+    if not repaired or repaired[0] != STATUS_OPTIMAL:
+        cold = WarmStart(np.arange(n, n + m), np.eye(m))
+        repaired = _start_from_basis(A, b, cost, cold, tol, max_iter)
+    return repaired
+
+
+def _warm_start(tableau, basis, n):
+    """The read-only ``WarmStart`` of an optimal tableau, B^-1 read off its artificial columns."""
+    inverse = tableau[: basis.size, n : n + basis.size].copy()
+    basis.flags.writeable = inverse.flags.writeable = False
+    return WarmStart(basis, inverse)
+
+
+def optimal_start(A, b, c):
+    """The ``WarmStart`` that the dual repair from the all-artificial basis
+    reaches at ``b``, under costs c >= 0, or None when that repair does not
+    end optimal.  It is a start for solves of the same A and c at other
+    right-hand sides, each of which checks it again and is certified, so
+    no Bland loop confirms it here: its pivots are dual pivots only."""
+    m, n = A.shape
+    status, tableau, basis, _ = _repair(A, b, np.concatenate([c, np.zeros(m + 1)]), None)
+    return _warm_start(tableau, basis, n) if status == STATUS_OPTIMAL else None
+
+
 def _excess(x_B, real):
     """Sum over the basis (last axis) of how far x_B lies past its bound by
     more than ``Tolerances.primal``: below 0 for a ``real`` variable, off 0
@@ -280,15 +319,10 @@ def solve_standard_form(A: np.ndarray, b: np.ndarray, c: np.ndarray, basis: Warm
         raise ValueError("LP right-hand side is not finite")
     if not (c >= 0.0).all():
         raise ValueError("LP costs must be nonnegative")
-    tol = DEFAULT_TOL.pivot
-    max_iter = 200 + 50 * (m + n)
+    tol, max_iter = DEFAULT_TOL.pivot, _max_iter(m, n)
     real_cost = np.zeros(n + m + 1)
     real_cost[:n] = c
-    start = basis and _start_from_basis(A, b, real_cost, basis, tol, max_iter)
-    if not start or start[0] != STATUS_OPTIMAL:
-        cold = WarmStart(np.arange(n, n + m), np.eye(m))
-        start = _start_from_basis(A, b, real_cost, cold, tol, max_iter)
-    status, tableau, basis, it0 = start
+    status, tableau, basis, it0 = _repair(A, b, real_cost, basis)
     if status != STATUS_OPTIMAL:
         return SimplexResult(status, np.zeros(n), np.nan, np.zeros(m), it0)
 
@@ -307,7 +341,5 @@ def solve_standard_form(A: np.ndarray, b: np.ndarray, c: np.ndarray, basis: Warm
     objective = float(-tableau[m, -1])
     # The artificial columns hold B^-1 and their reduced costs -y.
     dual = -tableau[m, n : n + m]
-    inverse = tableau[:m, n : n + m].copy()
-    basis.flags.writeable = inverse.flags.writeable = False
-    warm_start = WarmStart(basis, inverse) if status == STATUS_OPTIMAL else None
+    warm_start = _warm_start(tableau, basis, n) if status == STATUS_OPTIMAL else None
     return SimplexResult(status, x, objective, dual, it0 + it1 + it2, warm_start)

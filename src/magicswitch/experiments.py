@@ -33,10 +33,11 @@ least infeasible of the optimal bases and inverses the same column
 reached earlier in the run, held in the run's ``_RunState`` from block to
 block; while that basis stays feasible, as at nearly every default grid
 point, a row is read off one stacked mat-vec.  ``jobs`` splits the grid
-into at most that many contiguous runs, each starting cold and shared
+into at most that many contiguous runs, each starting from its programs'
+reference starts (``lp``), which hold no earlier run's bases, and shared
 among at most one worker per CPU; identical configs therefore produce
-byte-identical CSV.  A warm-started value can differ from a lone cold solve
-at the same point in the last bits, never in the printed digits of the
+byte-identical CSV.  A warm-started value can differ from a lone solve at
+the same point in the last bits, never in the printed digits of the
 default grids.
 
 A threshold search of a registered measure scores five points in two
@@ -51,10 +52,11 @@ the only check on a proposal: a fit that fails, a refuted proposal and a
 bare callable bisect on, one point per block.  Mana reads free only at 0
 (``DEFAULT_TOL.mana_zero``), whatever ``lp_tol``.  Every block of one
 search of a registered measure goes through its ``MEASURES`` callable and
-shares one ``_RunState``, so only its first LP starts cold: each block is
-one warm walk from the least infeasible of the last ``_HELD_BASES``
-optimal bases and inverses the search reached, read off one that serves
-its p where any does, and otherwise repaired by dual simplex pivots.
+shares one ``_RunState``, so only its first LP holds no basis and starts
+from its program's reference starts: each block is one warm walk from the
+least infeasible of the last ``_HELD_BASES`` optimal bases and inverses
+the search reached, read off one that serves its p where any does, and
+otherwise repaired by dual simplex pivots.
 """
 
 from __future__ import annotations
@@ -447,8 +449,8 @@ MEASURE_COLUMNS = {
 
 def _threshold_value(experiment: str, column: Column, p, state: _RunState | None = None) -> tuple:
     """``column``'s values and statuses at the 1-D array of noise values
-    ``p``, one of each per entry: the column's program on one block, from a
-    cold start unless ``state`` is given."""
+    ``p``, one of each per entry: the column's program on one block, from
+    its program's reference starts unless ``state`` is given."""
     p = np.asarray(p, dtype=np.float64)
     if p.ndim != 1:
         raise ValueError(f"a threshold measure scores a 1-D array of noise values, got shape {p.shape}")
@@ -487,7 +489,8 @@ def _dispatch_row(args) -> SweepRow:
 
 
 def _run_rows(experiment: str, grid: list[float], lp_tol: float) -> list[SweepRow]:
-    """One contiguous run of grid rows, in order, from a cold start."""
+    """One contiguous run of grid rows, in order, from the programs'
+    reference starts."""
     state = _RunState()
     rows = []
     for lo in range(0, len(grid), _BLOCK_POINTS):

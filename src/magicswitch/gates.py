@@ -53,14 +53,16 @@ def heisenberg_weyl_operators(d: int) -> tuple:
         raise ValueError(f"dimension d={d} must be prime")
     omega = np.exp(2j * np.pi / d)
     tau = np.exp(1j * np.pi * (d + 1) / d)
-    shift = np.zeros((d, d), dtype=complex)
-    for j in range(d):
-        shift[(j + 1) % d, j] = 1.0
     boost = np.diag([omega**j for j in range(d)]).astype(complex)
+    rows = np.arange(d)
     out = []
     for a1 in range(d):
+        # Z^a1 is diagonal, and X^a2 moves column j to row j + a2 mod d, so
+        # Z^a1 X^a2 holds row i's phase of Z^a1 at column i - a2 mod d.
+        phases = np.linalg.matrix_power(boost, a1).diagonal()
         for a2 in range(d):
-            op = tau ** (-a1 * a2) * np.linalg.matrix_power(boost, a1) @ np.linalg.matrix_power(shift, a2)
+            op = np.zeros((d, d), dtype=complex)
+            op[rows, (rows - a2) % d] = tau ** (-a1 * a2) * phases
             op.setflags(write=False)
             out.append(((a1, a2), op))
     return tuple(out)

@@ -23,12 +23,28 @@ only on its atom set: ``_assemble_standard_form`` builds it once per set,
 with the plus parts of the coefficients in the first half of the columns
 and the minus parts in the second, and a solve builds only its right-hand
 side.  ``solve_l1(A, b)`` then runs the embedded simplex at unit costs and
-certifies the answer.  Each solve starts cold, or from the one start form
-the simplex takes: ``basis``, the ``warm_start`` of a solve of the same
-program at a neighbouring right-hand side.  A caller that holds several
-such bases, as a sweep run or a threshold search does, passes them all,
-and the solve starts from the one least infeasible for its right-hand
-side (``_simplex.reuse_basis``): one that serves it, where any does.
+certifies the answer.  A solve starts from the one start form the simplex
+takes, a ``WarmStart``: the ``basis`` its caller holds, the
+``warm_start`` of a solve of the same program at a neighbouring
+right-hand side.  A caller that holds several such bases, as a sweep run
+or a threshold search does, passes them all, and the solve starts from
+the one least infeasible for its right-hand side
+(``_simplex.reuse_basis``): one that serves it, where any does.
+
+A caller of ``rom_state`` or ``channel_robustness`` that holds no basis
+starts from its program's reference starts, built with the constraint
+matrix and cached with it: the optimal bases at a few fixed right-hand
+sides, the maximally mixed state, and both ends of the two qubit channel
+families the sweeps score (``_channel_constraints``).  Reduced costs do
+not depend on ``b``, so an optimal basis is dual feasible at every
+right-hand side of its program, and a dual simplex can start from it (a
+crash basis; Bixby, ORSA J. Comput. 4, 267 (1992)).  They save pivots for
+a channel near those families; from a channel far from all of them, a
+random unitary say, the repair takes more pivots than from B = I.  They
+depend on the atom set alone, never on an earlier call, so no result
+depends on call order.  An atom set whose program has no optimum at a
+reference leaves that reference out; one with none starts cold, from the
+all-artificial basis, as ``solve_l1`` with no basis does.
 
 Both programs also take a grid (a channel or state with a leading axis)
 and return one ``L1Solution`` for it, whose fields carry one entry per
@@ -38,10 +54,10 @@ off every entry from j on that the basis serves, with no pivot
 (``_simplex.reuse_basis``), the first entry included.  The first entry it
 does not serve, or the first of all when there is no basis, must pivot:
 ``solve_standard_form`` solves it from that basis (repaired by dual
-pivots, or cold), and the walk goes on from the basis it reaches.  Each
-entry gets the solution, and the certificates, that a walk of it alone
-from the same basis gives; a single right-hand side is the walk of one,
-with scalar fields.
+pivots, or from the all-artificial basis), and the walk goes on from the
+basis it reaches.  Each entry gets the solution, and the certificates,
+that a walk of it alone from the same basis gives; a single right-hand
+side is the walk of one, with scalar fields.
 """
 
 from __future__ import annotations
@@ -56,12 +72,20 @@ from ._simplex import (
     STATUS_INFEASIBLE,
     STATUS_OPTIMAL,
     WarmStart,
+    optimal_start,
     reuse_basis,
     solve_standard_form,
 )
-from .channels import DensityOperator, KrausChannel, choi_of_channel, log_renormalized
+from .channels import (
+    DensityOperator,
+    KrausChannel,
+    choi_of_channel,
+    log_renormalized,
+    noisy_th_channel,
+    unitary_channel,
+)
 from .config import DEFAULT_TOL
-from .gates import PAULI_X, PAULI_Y, PAULI_Z
+from .gates import PAULI_X, PAULI_Y, PAULI_Z, T_GATE
 from .linalg import DimensionMismatchError, pauli_basis, pauli_vectorize
 
 logger = logging.getLogger(__name__)
@@ -142,8 +166,10 @@ def solve_l1(A: np.ndarray, b: np.ndarray, basis=None, renorm_factor=1.0) -> L1S
     None, the ``WarmStart`` of a solve of the same program, or a sequence
     of them, the bases a run holds, most recent last; the walk then starts
     from the one that is least infeasible for the first right-hand side
-    (``reuse_basis``), which is one that serves it when any does.  An
-    empty sequence is a cold start.
+    (``reuse_basis``), which is one that serves it when any does.  None or
+    an empty sequence is a cold start, from the all-artificial basis:
+    ``solve_l1`` knows no program's reference starts, and ``rom_state`` and
+    ``channel_robustness`` pass those in place of an empty ``basis``.
     ``renorm_factor`` (a number, or one per right-hand side) is reported on
     the solution.  Deterministic under the fixed atom ordering and
     ``basis`` (see ``solve_standard_form``); the reconstruction residual,
@@ -194,10 +220,23 @@ def solve_l1(A: np.ndarray, b: np.ndarray, basis=None, renorm_factor=1.0) -> L1S
                       factors, (A, b))
 
 
+def _reference_starts(A: np.ndarray, references) -> tuple:
+    """The optimal ``WarmStart``s of the program ``A`` at the right-hand
+    sides ``references``, each from the all-artificial basis
+    (``_simplex.optimal_start``).  A reference is only ever a start: every
+    solve it starts checks it again and is certified.  A reference with no
+    optimum, as for an atom set it lies outside of, is left out."""
+    c = np.ones(A.shape[1])
+    return tuple(start for start in (optimal_start(A, b, c) for b in references) if start is not None)
+
+
 @lru_cache(maxsize=None)
-def _state_constraints(dictionary) -> np.ndarray:
-    vectors = pauli_vectorize(np.array(dictionary.projectors), pauli_basis(dictionary.n_qubits))
-    return _assemble_standard_form(vectors)
+def _state_constraints(dictionary) -> tuple:
+    """The state program's constraint matrix and its reference starts: the
+    optimal basis at the maximally mixed state."""
+    paulis = pauli_basis(dictionary.n_qubits)
+    A = _assemble_standard_form(pauli_vectorize(np.array(dictionary.projectors), paulis))
+    return A, _reference_starts(A, [pauli_vectorize(np.eye(dictionary.dim) / dictionary.dim, paulis)])
 
 
 def rom_state(rho: DensityOperator, dictionary, basis=None) -> L1Solution:
@@ -207,7 +246,8 @@ def rom_state(rho: DensityOperator, dictionary, basis=None) -> L1Solution:
     solution and logged when it is not 1.  Faithful: the value is 1 exactly when the
     state lies in the stabilizer polytope.  ``basis`` may carry the
     ``warm_start`` of a neighbouring state's solve, or several held bases,
-    as a starting point.  A grid of states gives one solution with an entry
+    as a starting point; with none, the solve starts from the program's
+    reference start.  A grid of states gives one solution with an entry
     per state, in order, from one warm walk (``solve_l1``).  An infeasible
     LP, for any entry, raises.
     """
@@ -217,8 +257,9 @@ def rom_state(rho: DensityOperator, dictionary, basis=None) -> L1Solution:
         raise DimensionMismatchError(
             f"state dim {rho.dim} != dictionary dim {dictionary.dim}"
         )
+    A, starts = _state_constraints(dictionary)
     target = pauli_vectorize(rho.matrix, pauli_basis(dictionary.n_qubits))
-    solution = solve_l1(_state_constraints(dictionary), target, basis, factor)
+    solution = solve_l1(A, target, basis or starts, factor)
     logger.debug("rom_state status=%s value=%s", solution.status, solution.value)
     # ``in`` finds "infeasible" in a block's list of statuses, or as the
     # one status, which is no other status's substring.
@@ -230,15 +271,32 @@ def rom_state(rho: DensityOperator, dictionary, basis=None) -> L1Solution:
 _CHOI_ROWS = np.delete(np.arange(16), [4, 8, 12])  # all of pauli_basis(2) but X, Y, Z (x) I
 
 
+def _channel_rhs(choi: np.ndarray) -> np.ndarray:
+    """The channel program's right-hand side for a Choi matrix, or for a
+    stack of them: its kept reconstruction rows, then the six marginal
+    rows at 0."""
+    target = pauli_vectorize(choi, pauli_basis(2))[..., _CHOI_ROWS]
+    return np.concatenate([target, np.zeros(target.shape[:-1] + (6,))], axis=-1)
+
+
 @lru_cache(maxsize=None)
-def _channel_constraints(atoms) -> np.ndarray:
-    """The 13 kept Choi reconstruction rows, then for each of X, Y, Z one
-    marginal row over the plus side and one over the minus side."""
+def _channel_constraints(atoms) -> tuple:
+    """The channel program's constraint matrix and its reference starts.
+
+    The matrix holds the 13 kept Choi reconstruction rows, then for each
+    of X, Y, Z one marginal row over the plus side and one over the minus
+    side.  The starts are the optimal bases at both ends, p = 0 and p = 1,
+    of the two qubit channel families the sweeps score: noisy TH (the T H
+    gate; measure and prepare) and the T gate behind two depolarizing
+    passes (the T gate; the completely depolarizing channel, Choi I/4)."""
     vectors = pauli_vectorize(np.array([a.projector for a in atoms]), pauli_basis(2))[:, _CHOI_ROWS]
     marginals = np.array([a.marginal for a in atoms])
     # tr(P m) for each Pauli P and each atom marginal m.
     marginal_rows = np.einsum("pij,aji->pa", np.array([PAULI_X, PAULI_Y, PAULI_Z]), marginals).real
-    return _assemble_standard_form(vectors, marginal_rows)
+    A = _assemble_standard_form(vectors, marginal_rows)
+    ends = (noisy_th_channel(0.0), noisy_th_channel(1.0), unitary_channel(T_GATE))
+    chois = np.array([choi_of_channel(ch).matrix for ch in ends] + [np.eye(4) / 4])
+    return A, _reference_starts(A, _channel_rhs(chois))
 
 
 def channel_robustness(ch: KrausChannel, atoms, basis=None) -> L1Solution:
@@ -249,15 +307,14 @@ def channel_robustness(ch: KrausChannel, atoms, basis=None) -> L1Solution:
     marginal (its X, Y, Z components vanish), which together with the Choi
     reconstruction rows makes the optimal l1 norm equal 1 + 2p.  ``basis``
     may carry the ``warm_start`` of a neighbouring channel's solve, or
-    several held bases, as a starting point.  A grid of channels gives one
+    several held bases, as a starting point; with none, the solve starts
+    from the program's reference starts.  A grid of channels gives one
     solution with an entry per channel, in order, from one warm walk
     (``solve_l1``).
     """
     if ch.d_in != 2 or ch.d_out != 2:
         raise DimensionMismatchError("channel robustness is implemented for qubit channels")
-    target = pauli_vectorize(choi_of_channel(ch).matrix, pauli_basis(2))[..., _CHOI_ROWS]
-    A = _channel_constraints(atoms)
-    b = np.concatenate([target, np.zeros(target.shape[:-1] + (A.shape[0] - target.shape[-1],))], axis=-1)
-    solution = solve_l1(A, b, basis)
+    A, starts = _channel_constraints(atoms)
+    solution = solve_l1(A, _channel_rhs(choi_of_channel(ch).matrix), basis or starts)
     logger.debug("channel_robustness status=%s value=%s", solution.status, solution.value)
     return solution

@@ -1,3 +1,5 @@
+import sys
+from collections import Counter
 from functools import cached_property, partial
 
 import numpy as np
@@ -109,6 +111,24 @@ def pivot_walks(monkeypatch, run):
     return result, walks
 
 
+def pivots_by_caller(monkeypatch, run):
+    """Run ``run()``; return its result and how many ``_simplex._pivot``
+    calls each function of ``_simplex`` made, by name."""
+    from magicswitch import _simplex
+
+    pivots = Counter()
+    pivot = _simplex._pivot
+
+    def spy(*args):
+        pivots[sys._getframe(1).f_code.co_name] += 1
+        return pivot(*args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(_simplex, "_pivot", spy)
+        result = run()
+    return result, pivots
+
+
 def recorded_solves(monkeypatch, run):
     """Run ``run()``; return its result and, per LP a sweep or a search got
     solved by ``channel_robustness`` or ``rom_state`` (looked up in
@@ -145,7 +165,7 @@ class PointOracle:
     array program replaced, kept as its reference.  Each intermediate is
     built by the package's single-object functions on first use, and each
     LP is solved alone, from the basis its column reached at the previous
-    point of the run (``run["bases"]``)."""
+    point of the run (``run["bases"]``), or cold when ``run["cold"]``."""
 
     def __init__(self, experiment, p, lp_tol, run):
         self.experiment, self.p, self.lp_tol, self.run = experiment, p, lp_tol, run
@@ -166,9 +186,11 @@ class PointOracle:
         return effective_t_channels(self.p)
 
     def solve(self, column, program, *args):
-        from magicswitch import experiments
+        from magicswitch import experiments, lp
 
         solution = program(*args, basis=self.run["bases"].get(column))
+        if self.run.get("cold"):
+            solution = lp.solve_l1(*solution.standard_form, (), solution.renorm_factor)
         self.run["bases"][column] = solution.warm_start
         return experiments._certified_value(solution, self.lp_tol)
 
@@ -243,15 +265,15 @@ ORACLE_MEASURES = {
 
 def oracle_rows(experiment, grid, lp_tol=DEFAULT_TOL.lp_value, cold=False):
     """The rows of one contiguous run over ``grid``, one point at a time, in
-    order, each LP warm-started from its column's last basis (from cold at
-    every point when ``cold``)."""
+    order, each LP warm-started from its column's last basis (from the
+    all-artificial basis at every point when ``cold``)."""
     from magicswitch.experiments import MEASURE_COLUMNS, SweepRow
 
     run = {"bases": {}}
     rows = []
     for p in grid:
         if cold:
-            run = {"bases": {}}
+            run = {"bases": {}, "cold": True}
         point = PointOracle(experiment, p, lp_tol, run)
         row = SweepRow(p=p)
         for column in MEASURE_COLUMNS[experiment]:

@@ -13,11 +13,14 @@ from magicswitch import (
     choi_of_channel,
     compose_channels,
     depolarizing_channel,
+    identity_channel,
     noisy_th_channel,
     rom_state,
     unitary_channel,
 )
-from magicswitch import lp
+from magicswitch import experiments, lp
+from magicswitch._simplex import solve_standard_form
+from magicswitch.config import DEFAULT_TOL
 from magicswitch.gates import HADAMARD, PAULI_X, PAULI_Y, PAULI_Z, T_GATE, plus_state
 from magicswitch.linalg import partial_trace, pauli_basis, pauli_vectorize
 from magicswitch.lp import _assemble_standard_form, solve_l1
@@ -26,6 +29,7 @@ from conftest import (
     PHASE_S,
     extend_with_reference,
     fig2_fig3_channels,
+    pivots_by_caller,
     random_density_matrix,
     random_kraus_channel,
 )
@@ -281,12 +285,22 @@ class TestChannelRobustness:
             assert abs(sol.value - 1.0) < 1e-7
 
     def test_dual_gap_small(self, choi_atoms):
+        # Noisy TH at 0, 0.2 and 0.4 is read off a reference start with no
+        # pivot.  The same right-hand sides solved cold, and H T, which no
+        # reference serves, are solved by pivots.
         for p in (0.0, 0.2, 0.4):
             sol = channel_robustness(noisy_th_channel(p), choi_atoms)
-            assert sol.dual_gap < 1e-8
-            assert 0.0 <= sol.dual_violation < 1e-8
-            assert sol.iterations > 2 and sol.warm_start.basis.shape == (19,)
-            assert sol.warm_start.inverse.shape == (19, 19) and not sol.warm_start.inverse.flags.writeable
+            cold = solve_l1(*sol.standard_form, ())
+            assert sol.iterations == 0 and cold.iterations > 2
+            for s in (sol, cold):
+                assert s.dual_gap < 1e-8
+                assert 0.0 <= s.dual_violation < 1e-8
+                assert s.warm_start.basis.shape == (19,)
+                assert s.warm_start.inverse.shape == (19, 19) and not s.warm_start.inverse.flags.writeable
+        sol = channel_robustness(unitary_channel(HADAMARD @ T_GATE), choi_atoms)
+        assert sol.iterations > 2 and sol.dual_gap < 1e-8 and 0.0 <= sol.dual_violation < 1e-8
+        assert sol.warm_start.basis.shape == (19,)
+        assert sol.warm_start.inverse.shape == (19, 19) and not sol.warm_start.inverse.flags.writeable
 
 
 def reference_state_lp(rho, dictionary):
@@ -350,21 +364,23 @@ class TestConstraintCache:
 
     def test_matrices_match_reference_assembly(self, qubit_dict, twoq_dict, choi_atoms):
         A, _ = reference_channel_lp(noisy_th_channel(0.2), choi_atoms)
-        assert np.array_equal(lp._channel_constraints(choi_atoms), A)
+        assert np.array_equal(lp._channel_constraints(choi_atoms)[0], A)
         for dictionary in (qubit_dict, twoq_dict):
             A, _ = reference_state_lp(DensityOperator.maximally_mixed(dictionary.dim), dictionary)
-            assert np.array_equal(lp._state_constraints(dictionary), A)
+            assert np.array_equal(lp._state_constraints(dictionary)[0], A)
 
     @pytest.mark.parametrize("p", [0.0, 0.15, 0.3, 0.6])
     def test_channel_solve_matches_per_problem_assembly(self, choi_atoms, p):
         ch = noisy_th_channel(p)
         got = channel_robustness(ch, choi_atoms)
-        assert_same_solution(got, solve_l1(*reference_channel_lp(ch, choi_atoms)))
+        starts = lp._channel_constraints(choi_atoms)[1]
+        assert_same_solution(got, solve_l1(*reference_channel_lp(ch, choi_atoms), starts))
 
     def test_state_solve_matches_per_problem_assembly(self, qubit_dict, rng):
+        starts = lp._state_constraints(qubit_dict)[1]
         for _ in range(5):
             rho = DensityOperator(random_density_matrix(2, rng))
-            assert_same_solution(rom_state(rho, qubit_dict), solve_l1(*reference_state_lp(rho, qubit_dict)))
+            assert_same_solution(rom_state(rho, qubit_dict), solve_l1(*reference_state_lp(rho, qubit_dict), starts))
 
 
 class TestFullRowRank:
@@ -372,10 +388,10 @@ class TestFullRowRank:
     three reconstruction rows its marginal rows imply."""
 
     def test_constraint_matrices_have_full_row_rank(self, qubit_dict, twoq_dict, choi_atoms):
-        for A in (lp._state_constraints(qubit_dict), lp._state_constraints(twoq_dict),
-                  lp._channel_constraints(choi_atoms)):
+        for A, _ in (lp._state_constraints(qubit_dict), lp._state_constraints(twoq_dict),
+                     lp._channel_constraints(choi_atoms)):
             assert np.linalg.matrix_rank(A) == A.shape[0]
-        assert lp._channel_constraints(choi_atoms).shape == (19, 120)
+        assert lp._channel_constraints(choi_atoms)[0].shape == (19, 120)
 
     def test_left_out_rows_are_half_the_marginal_difference(self, choi_atoms):
         # Rebuilt in full, the program has 22 rows of rank 19: the Choi row
@@ -389,16 +405,140 @@ class TestFullRowRank:
             marginal = np.array([np.trace(pauli @ a.marginal).real for a in choi_atoms])
             half_difference = 0.5 * (np.concatenate([marginal, zeros]) - np.concatenate([zeros, marginal]))
             assert np.abs(choi_rows[k] - half_difference).max() <= 1e-15
-        full = np.vstack([choi_rows, np.delete(lp._channel_constraints(choi_atoms), np.arange(13), axis=0)])
+        full = np.vstack([choi_rows, np.delete(lp._channel_constraints(choi_atoms)[0], np.arange(13), axis=0)])
         assert full.shape == (22, 120) and np.linalg.matrix_rank(full) == 19
 
-    def test_an_empty_sequence_of_bases_starts_cold(self, qubit_dict, choi_atoms):
+
+def same_outcome(got, want):
+    """Equal status, iterations and value (NaN where neither is optimal)."""
+    return (got.status, got.iterations) == (want.status, want.iterations) and np.array_equal(
+        got.value, want.value, equal_nan=True)
+
+
+class TestReferenceStarts:
+    """A caller that holds no basis starts from its program's reference
+    starts: the optimal bases at fixed right-hand sides of the same program,
+    which stay dual feasible at every right-hand side."""
+
+    def test_starts_are_the_cold_optima_at_the_references(self, qubit_dict, twoq_dict, choi_atoms):
+        # Both ends of noisy TH, the T gate and the completely depolarizing
+        # channel, whose Choi state is I/4.  The state program's reference is
+        # I/d.
+        ends = (noisy_th_channel(0.0), noisy_th_channel(1.0), unitary_channel(T_GATE), depolarizing_channel(2, 1.0))
+        programs = [(lp._channel_constraints(choi_atoms), [reference_channel_lp(ch, choi_atoms)[1] for ch in ends])]
+        for dictionary in (qubit_dict, twoq_dict):
+            mixed = DensityOperator.maximally_mixed(dictionary.dim)
+            programs.append((lp._state_constraints(dictionary), [reference_state_lp(mixed, dictionary)[1]]))
+        for (A, starts), references in programs:
+            assert len(starts) == len(references)
+            for b, start in zip(references, starts):
+                cold = solve_l1(A, b, ())
+                assert np.array_equal(cold.warm_start.basis, start.basis)
+                assert np.array_equal(cold.warm_start.inverse, start.inverse)
+                assert not (start.basis.flags.writeable or start.inverse.flags.writeable)
+
+    def test_an_empty_sequence_of_bases_starts_from_the_references(self, qubit_dict, choi_atoms):
+        # rom_state and channel_robustness read basis=() as no basis held;
+        # solve_l1 knows no program, and basis=() is a cold start there.
         rho = DensityOperator.pure(T_GATE @ plus_state(2))
-        assert_same_solution(rom_state(rho, qubit_dict, basis=()), rom_state(rho, qubit_dict))
+        no_basis = rom_state(rho, qubit_dict)
+        assert_same_solution(rom_state(rho, qubit_dict, basis=()), no_basis)
+        A, starts = lp._state_constraints(qubit_dict)
+        assert_same_solution(no_basis, solve_l1(A, no_basis.standard_form[1], starts))
         ch = noisy_th_channel(0.2)
-        assert_same_solution(channel_robustness(ch, choi_atoms, basis=()), channel_robustness(ch, choi_atoms))
-        A, b = reference_channel_lp(ch, choi_atoms)
-        assert_same_solution(solve_l1(A, b, basis=[]), solve_l1(A, b))
+        no_basis = channel_robustness(ch, choi_atoms)
+        assert_same_solution(channel_robustness(ch, choi_atoms, basis=()), no_basis)
+        A, starts = lp._channel_constraints(choi_atoms)
+        assert_same_solution(no_basis, solve_l1(A, no_basis.standard_form[1], starts))
+        b = no_basis.standard_form[1]
+        cold = solve_l1(A, b, basis=[])
+        assert_same_solution(cold, solve_l1(A, b))
+        assert cold.iterations > no_basis.iterations
+
+    @settings(derandomize=True, database=None, max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_ops=st.integers(1, 4), th_weight=st.sampled_from([0.0, 0.5, 1.0]))
+    def test_channel_matches_the_cold_solve(self, choi_atoms, seed, n_ops, th_weight):
+        # A random channel mixed with a noisy TH channel: at weight 1 a
+        # channel the references mostly serve, at weight 0 one they mostly
+        # do not.
+        rng = np.random.default_rng(seed)
+        th = noisy_th_channel(rng.uniform(0.0, 1.0)).kraus_ops
+        ops = np.concatenate([np.sqrt(1 - th_weight) * random_kraus_channel(2, n_ops, rng).kraus_ops,
+                              np.sqrt(th_weight) * th])
+        sol = channel_robustness(KrausChannel(ops), choi_atoms)
+        A, b = sol.standard_form
+        cold = solve_standard_form(A, b, np.ones(A.shape[1]))
+        assert sol.checked_status == "optimal" and abs(sol.value - cold.objective) <= 1e-12
+        assert max(sol.residual, sol.dual_gap, sol.dual_violation) <= DEFAULT_TOL.lp_residual
+
+    @settings(derandomize=True, database=None, max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), rank=st.integers(1, 2), mixed_weight=st.sampled_from([0.0, 0.5, 0.9]))
+    def test_state_matches_the_cold_solve(self, qubit_dict, seed, rank, mixed_weight):
+        rng = np.random.default_rng(seed)
+        rho = (1 - mixed_weight) * random_density_matrix(2, rng, rank=rank) + mixed_weight * np.eye(2) / 2
+        sol = rom_state(DensityOperator(rho), qubit_dict)
+        A, b = sol.standard_form
+        cold = solve_standard_form(A, b, np.ones(A.shape[1]))
+        assert sol.checked_status == "optimal" and abs(sol.value - cold.objective) <= 1e-12
+        assert max(sol.residual, sol.dual_gap, sol.dual_violation) <= DEFAULT_TOL.lp_residual
+
+    def test_served_and_unserved_channels(self, choi_atoms):
+        # Noisy TH at 0.5 is read off the measure-and-prepare reference with
+        # no pivot, and the T gate off its own; H T is served by none of the
+        # references and pivots.
+        starts = lp._channel_constraints(choi_atoms)[1]
+        served = channel_robustness(noisy_th_channel(0.5), choi_atoms)
+        assert served.iterations == 0 and served.warm_start is starts[1]
+        served = channel_robustness(unitary_channel(T_GATE), choi_atoms)
+        assert served.iterations == 0 and served.warm_start is starts[2]
+        unserved = channel_robustness(unitary_channel(HADAMARD @ T_GATE), choi_atoms)
+        assert unserved.iterations > 0 and all(unserved.warm_start is not s for s in starts)
+        assert abs(unserved.value - SQRT2) <= 1e-12
+
+    def test_fewer_dual_pivots_than_cold_on_the_sweep_channels(self, monkeypatch, choi_atoms):
+        # 23 noisy TH channels on [0.05, 0.6] and 23 T gates behind two
+        # depolarizing passes on [0.05, 0.45]: each takes fewer dual pivots
+        # from the references than from the all-artificial basis.
+        channels = ([noisy_th_channel(p) for p in np.linspace(0.05, 0.6, 23)]
+                    + [experiments.CHANNELS["depol-squared-t"](p) for p in np.linspace(0.05, 0.45, 23)])
+        lp._channel_constraints(choi_atoms)  # the references' own pivots are not counted
+        totals = [0, 0]
+        for ch in channels:
+            sol, pivots = pivots_by_caller(monkeypatch, lambda: channel_robustness(ch, choi_atoms))
+            cold, cold_pivots = pivots_by_caller(monkeypatch, lambda: solve_l1(*sol.standard_form, ()))
+            assert pivots["dual_pivot_loop"] < cold_pivots["dual_pivot_loop"]
+            assert abs(sol.value - cold.value) <= 1e-12
+            totals[0] += pivots["dual_pivot_loop"]
+            totals[1] += cold_pivots["dual_pivot_loop"]
+        assert 5 * totals[0] < totals[1]
+
+    def test_two_calls_in_either_order_are_bit_identical(self, qubit_dict, choi_atoms):
+        # The references depend on the atom set alone, not on which call
+        # builds them, so neither call's solution depends on the other: a
+        # channel read off a reference or one that pivots, in either order.
+        channels = (noisy_th_channel(0.2), unitary_channel(HADAMARD @ T_GATE))
+        states = (DensityOperator.pure(T_GATE @ plus_state(2)), DensityOperator.maximally_mixed(2))
+        runs = []
+        for order in (slice(None), slice(None, None, -1)):
+            lp._channel_constraints.cache_clear()
+            lp._state_constraints.cache_clear()
+            runs.append(([channel_robustness(ch, choi_atoms) for ch in channels[order]][order],
+                         [rom_state(rho, qubit_dict) for rho in states[order]][order]))
+        for got, want in zip(sum(runs[0], []), sum(runs[1], [])):
+            assert_same_solution(got, want)
+
+    def test_a_foreign_atom_set_keeps_only_the_references_it_solves(self, choi_atoms):
+        # The first half of the atoms solve two of the four references; the
+        # second half solve none, so a solve over them starts cold, as
+        # solve_l1 with no basis does.
+        for atoms, kept in ((choi_atoms[:30], 2), (choi_atoms[30:], 0)):
+            A, starts = lp._channel_constraints(atoms)
+            assert len(starts) == kept
+            for ch in (unitary_channel(T_GATE), identity_channel(2)):
+                got = channel_robustness(ch, atoms)
+                assert same_outcome(got, solve_l1(A, got.standard_form[1], starts))
+                if not starts:
+                    assert same_outcome(got, solve_l1(A, got.standard_form[1]))
 
 
 # ---------------------------------------------------------------------------

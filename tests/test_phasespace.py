@@ -152,6 +152,20 @@ class TestFrame:
                 overlap = np.trace(a.conj().T @ b)
                 assert abs(overlap - (3.0 if i == j else 0.0)) < 1e-10
 
+    @pytest.mark.parametrize("d", [3, 5, 7, 11, 23])
+    def test_hw_operators_equal_the_dense_power_products(self, d):
+        # The oracle: tau^(-a1 a2) times the dense products of matrix powers
+        # Z^a1 X^a2, with X the cyclic shift |j> -> |j + 1>.  Equal entry for
+        # entry; only the signs of some zeros may differ.
+        omega, tau = np.exp(2j * np.pi / d), np.exp(1j * np.pi * (d + 1) / d)
+        boost = np.diag([omega**j for j in range(d)]).astype(complex)
+        shift = np.roll(np.eye(d, dtype=complex), 1, axis=0)
+        got = heisenberg_weyl_operators(d)
+        assert [u for u, _ in got] == [(a1, a2) for a1 in range(d) for a2 in range(d)]
+        for (a1, a2), op in got:
+            want = tau ** (-a1 * a2) * np.linalg.matrix_power(boost, a1) @ np.linalg.matrix_power(shift, a2)
+            assert np.array_equal(op, want) and not op.flags.writeable
+
 
 class TestStateWigner:
     def test_maximally_mixed_is_flat(self, frame3):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from magicswitch import _simplex, channel_robustness, noisy_th_channel
 from magicswitch.config import DEFAULT_TOL
+from magicswitch.lp import solve_l1
 from magicswitch._simplex import (
     STATUS_INFEASIBLE,
     STATUS_ITER_LIMIT,
@@ -14,6 +15,7 @@ from magicswitch._simplex import (
     STATUS_UNBOUNDED,
     WarmStart,
     bland_pivot_loop,
+    optimal_start,
     solve_standard_form,
 )
 
@@ -165,6 +167,28 @@ def test_dual_certificate(rng):
         # Zero gap and dual feasibility c - A^T y >= 0.
         assert abs(res.objective - res.dual @ b) < 1e-8
         assert (c - A.T @ res.dual).min() > -1e-8
+
+
+def test_optimal_start_is_an_optimal_basis_with_no_bland_loop(monkeypatch, rng):
+    # The cold dual repair alone: no Bland loop runs, and the basis it ends
+    # on is primal and dual feasible, at the optimal value, with its exact
+    # inverse, read-only.  An infeasible program has none.
+    monkeypatch.setattr(_simplex, "bland_pivot_loop", None)
+    for _ in range(20):
+        m, n = 3, 7
+        A = rng.normal(size=(m, n))
+        b = A @ np.abs(rng.normal(size=n))
+        c = np.abs(rng.normal(size=n))
+        start = optimal_start(A, b, c)
+        body = np.hstack([A, np.eye(m)])[:, start.basis]
+        assert np.abs(start.inverse @ body - np.eye(m)).max() < 1e-9
+        x_B = start.inverse @ b
+        c_B = np.concatenate([c, np.zeros(m)])[start.basis]
+        assert np.where(start.basis < n, -x_B, np.abs(x_B)).max() <= DEFAULT_TOL.primal
+        assert (c - c_B @ start.inverse @ A).min() >= -DEFAULT_TOL.pivot
+        assert abs(c_B @ x_B - brute_force_optimum(A, b, c)) < 1e-7
+        assert not (start.basis.flags.writeable or start.inverse.flags.writeable)
+    assert optimal_start(np.array([[1.0, 1.0], [1.0, 1.0]]), np.array([1.0, 2.0]), np.ones(2)) is None
 
 
 def test_deterministic(rng):
@@ -337,8 +361,8 @@ def test_warm_start_runs_no_pivot_loop(monkeypatch, choi_atoms):
     for p, step in ((0.1, 0.01), (0.5, 0.01), (0.9, -0.01)):
         start = channel_robustness(noisy_th_channel(p), choi_atoms).warm_start
         ch = noisy_th_channel(p + step)
-        cold, cold_walks = pivot_walks(monkeypatch, lambda: channel_robustness(ch, choi_atoms))
         warm, walks = pivot_walks(monkeypatch, lambda: channel_robustness(ch, choi_atoms, basis=start))
+        cold, cold_walks = pivot_walks(monkeypatch, lambda: solve_l1(*warm.standard_form, ()))
         assert walks == [] and warm.iterations == 0 and warm.warm_start is start
         # The cold solve pivots, by dual simplex, before its two Bland loops.
         assert len(cold_walks) == 2 and cold.iterations > 2
