@@ -196,9 +196,9 @@ class KrausChannel:
     """A linear map given by Kraus operators, each ``d_out x d_in``.
 
     ``kraus_ops`` is one read-only ``(k, d_out, d_in)`` complex array, built
-    from any sequence of equal-shape matrices; iterating, indexing and
-    ``len`` walk the operators.  ``d_in`` and ``d_out`` are read off its
-    shape.
+    from any sequence of equal-shape matrices; it is the stack to iterate,
+    index or take the ``len`` of, as the channel itself is not iterable.
+    ``d_in`` and ``d_out`` are read off its shape.
 
     A channel is complete (trace preserving) by construction: the
     constructor refuses entries that are not finite, then a completeness

@@ -176,14 +176,20 @@ def _state_from_file(path: str) -> DensityOperator:
     return rho
 
 
-def _named_channel(spec: str) -> KrausChannel:
+def _named_channel(spec: str, d: int, mismatch: str) -> KrausChannel:
+    """The channel ``spec`` names, for a command that scores channels on
+    dimension ``d``.  A ``depolarizing`` channel of another dimension, whose
+    stack would hold its d^2 operators of d x d, is refused before it is
+    built, with ``mismatch`` formatted with its dimension."""
     name, params = _parse_spec(spec, _CHANNEL_PARAMS, "channel")
     if name in CHANNELS:
         return CHANNELS[name](params["p"])
     if name == "depolarizing":
         if not float(params["d"]).is_integer():
             raise ValueError(f"depolarizing dimension d={params['d']:g} is not an integer")
-        return depolarizing_channel(int(params["d"]), params["p"])
+        if int(params["d"]) != d:
+            raise ValueError(mismatch.format(int(params["d"])))
+        return depolarizing_channel(d, params["p"])
     return unitary_channel({"t": T_GATE, "h": HADAMARD, "qutrit-t": qutrit_t_gate()}[name])
 
 
@@ -243,9 +249,8 @@ def _cmd_rom(args) -> int:
 
 
 def _cmd_channel_robustness(args) -> int:
-    ch = _named_channel(args.channel)
-    atoms = cspo_choi_atoms(enumerate_stabilizer_states(2))
-    solution = channel_robustness(ch, atoms)
+    ch = _named_channel(args.channel, 2, "channel robustness is implemented for qubit channels")
+    solution = channel_robustness(ch, cspo_choi_atoms(enumerate_stabilizer_states(2)))
     status = solution.checked_status
     _emit({"value": solution.value, "status": status}, args.out)
     return 0 if status == "optimal" else 1
@@ -255,7 +260,8 @@ def _cmd_mana(args) -> int:
     # The frame's own checks grow as about d^6, so a state or channel of
     # another dimension is refused before the frame is built.
     if args.channel:
-        kind, target, mana = "channel", _named_channel(args.channel), mana_channel
+        kind, mana = "channel", mana_channel
+        target = _named_channel(args.channel, args.d, f"channel dims ({{0}},{{0}}) != frame dim {args.d}")
         check_frame_dim(target, args.d)
     else:
         kind, mana = "state", mana_state

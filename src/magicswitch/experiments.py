@@ -30,13 +30,13 @@ called once per grid row, in order, and assembles that row's ``SweepRow``.
 Each robustness column is one warm LP walk down the block and one
 ``L1Solution`` with the block's axis (``lp.solve_l1``): it starts from the
 least infeasible of the optimal bases and inverses the same column
-reached earlier in the run, held in the run's ``_RunState`` from block to
-block; while that basis stays feasible, as at nearly every default grid
-point, a row is read off one stacked mat-vec.  ``jobs`` splits the grid
-into at most that many contiguous runs, each starting from its programs'
-reference starts (``lp``), which hold no earlier run's bases, and shared
-among at most one worker per CPU; identical configs therefore produce
-byte-identical CSV.  A warm-started value can differ from a lone solve at
+reached earlier in the run and ``lp._hold`` keeps, held in the run's
+``_RunState`` from block to block; while that basis stays feasible, as at
+nearly every default grid point, a row is read off one stacked mat-vec.
+``jobs`` splits the grid into at most that many contiguous runs, each
+starting from its programs' reference starts (``lp``), which hold no
+earlier run's bases, and shared among at most one worker per CPU;
+identical configs therefore produce byte-identical CSV.  A warm-started value can differ from a lone solve at
 the same point in the last bits, never in the printed digits of the
 default grids.
 
@@ -54,8 +54,8 @@ bare callable bisect on, one point per block.  Mana reads free only at 0
 search of a registered measure goes through its ``MEASURES`` callable and
 shares one ``_RunState``, so only its first LP holds no basis and starts
 from its program's reference starts: each block is one warm walk from the
-least infeasible of the last ``_HELD_BASES`` optimal bases and inverses
-the search reached, read off one that serves its p where any does, and
+least infeasible of the optimal bases and inverses the search reached and
+``lp._hold`` keeps, read off one that serves its p where any does, and
 otherwise repaired by dual simplex pivots.
 """
 
@@ -86,7 +86,7 @@ from .channels import (
 )
 from .config import DEFAULT_TOL
 from .gates import T_GATE
-from .lp import L1Solution, channel_robustness, rom_state
+from .lp import L1Solution, _hold, channel_robustness, rom_state
 from .phasespace import build_frame, mana_channel, mana_of_wigner, mana_state, wigner_of_operator
 from .qswitch import (
     EffectiveDepolarizingSwitch,
@@ -215,18 +215,14 @@ CHANNELS = {
 }
 
 
-# Most distinct optimal bases a run or a search holds for one LP column.
-_HELD_BASES = 4
-
-
 @dataclass
 class _RunState:
     """What one contiguous run of sweep rows, or one threshold search,
-    carries from one block to the next: for each LP column, the last
-    ``_HELD_BASES`` distinct optimal bases with their inverses, most recent
-    last (``_hold``), and the value of fig3's minus branch, whose channel
-    does not depend on p.  When ``samples`` is a list, each block of a
-    measure appends one record ``(p, solution, values)`` to it: the block's
+    carries from one block to the next: for each LP column, the optimal
+    bases ``lp._hold`` keeps of those the column reached, passed back as
+    they are, and the value of fig3's minus branch, whose channel does not
+    depend on p.  When ``samples`` is a list, each block of a measure
+    appends one record ``(p, solution, values)`` to it: the block's
     noise values, its ``L1Solution`` and, one row per entry, the fit
     values s b and s, polynomial in p (``_Grid.solve``); or for mana
     ``(p, None, W)``, the block's Wigner values as columns ``W[entry, v,
@@ -235,17 +231,6 @@ class _RunState:
     bases: dict = field(default_factory=dict)
     switch_minus: tuple | None = None
     samples: list | None = None
-
-
-def _hold(held: tuple, warm_start) -> tuple:
-    """``held`` with ``warm_start``, if any, as its most recent basis: an
-    older entry with the same basic columns gives way, and only the last
-    ``_HELD_BASES`` stay."""
-    if warm_start is None or (held and held[-1] is warm_start):
-        return held
-    columns = np.sort(warm_start.basis)
-    kept = tuple(start for start in held if not np.array_equal(np.sort(start.basis), columns))
-    return (kept + (warm_start,))[-_HELD_BASES:]
 
 
 def _floor_slack(lp_tol: float) -> float:
@@ -314,17 +299,15 @@ class _Grid:
         """``_certified_value`` of the one block ``L1Solution`` of
         ``program(*args)``, walked from the least infeasible of the optimal
         bases ``column`` holds in this run (``lp.solve_l1``), which then
-        holds the bases the walk reached.  A search's block records its
-        sample, with s b and s per entry: ``scale`` is the positive s(p)
-        that makes s(p) times the LP's right-hand side b a polynomial in p,
-        the probability or weight of a switch branch, whose unnormalized
-        output is quadratic in p."""
+        holds ``lp._hold`` of the bases the walk reached.  A search's block
+        records its sample, with s b and s per entry: ``scale`` is the
+        positive s(p) that makes s(p) times the LP's right-hand side b a
+        polynomial in p, the probability or weight of a switch branch,
+        whose unnormalized output is quadratic in p."""
         held = self.state.bases.get(column, ())
         solution = program(*args, basis=held)
         values, statuses = _certified_value(solution, self.lp_tol)
-        for start in solution.warm_start:
-            held = _hold(held, start)
-        self.state.bases[column] = held
+        self.state.bases[column] = _hold(held, solution.warm_start)
         if self.state.samples is not None:
             b = solution.standard_form[1]
             s = np.broadcast_to(np.reshape(scale, (-1, 1)), (len(b), 1))

@@ -27,15 +27,17 @@ certifies the answer.  A solve starts from the one start form the simplex
 takes, a ``WarmStart``: the ``basis`` its caller holds, the
 ``warm_start`` of a solve of the same program at a neighbouring
 right-hand side.  A caller that holds several such bases, as a sweep run
-or a threshold search does, passes them all, and the solve starts from
-the one least infeasible for its right-hand side
-(``_simplex.reuse_basis``): one that serves it, where any does.
+or a threshold search does for each LP column, passes them all, and the
+solve starts from the one least infeasible for its right-hand side
+(``_simplex.reuse_basis``): one that serves it, where any does.  Which
+bases it holds is this module's rule too: ``_hold`` keeps the last few
+distinct ones a column reached, and the caller stores them as they are.
 
 A caller of ``rom_state`` or ``channel_robustness`` that holds no basis
 starts from its program's reference starts, built with the constraint
 matrix and cached with it: the optimal bases at a few fixed right-hand
 sides, the maximally mixed state, and both ends of the two qubit channel
-families the sweeps score (``_channel_constraints``).  Reduced costs do
+families the sweeps score (``_CHANNEL_REFERENCES``).  Reduced costs do
 not depend on ``b``, so an optimal basis is dual feasible at every
 right-hand side of its program, and a dual simplex can start from it (a
 crash basis; Bixby, ORSA J. Comput. 4, 267 (1992)).  They save pivots for
@@ -79,10 +81,10 @@ from ._simplex import (
 from .channels import (
     DensityOperator,
     KrausChannel,
+    _derived,
     choi_of_channel,
     log_renormalized,
     noisy_th_channel,
-    unitary_channel,
 )
 from .config import DEFAULT_TOL
 from .gates import PAULI_X, PAULI_Y, PAULI_Z, T_GATE
@@ -220,6 +222,26 @@ def solve_l1(A: np.ndarray, b: np.ndarray, basis=None, renorm_factor=1.0) -> L1S
                       factors, (A, b))
 
 
+# Most distinct optimal bases a caller holds for one program.
+_HELD_BASES = 4
+
+
+def _hold(held: tuple, warm_starts) -> tuple:
+    """The bases to pass ``solve_l1`` next: ``held`` with each of
+    ``warm_starts`` (a block solution's ``warm_start`` list) in turn as its
+    most recent basis.  A None, or the basis already most recent, adds
+    nothing; an older entry with the same basic columns gives way; only the
+    last ``_HELD_BASES`` stay, most recent last, the order in which
+    ``reuse_basis`` breaks ties.  What a sweep run or a threshold search
+    holds for each LP column between blocks."""
+    for start in warm_starts:
+        if start is not None and not (held and held[-1] is start):
+            columns = np.sort(start.basis)
+            kept = tuple(other for other in held if not np.array_equal(np.sort(other.basis), columns))
+            held = (kept + (start,))[-_HELD_BASES:]
+    return held
+
+
 def _reference_starts(A: np.ndarray, references) -> tuple:
     """The optimal ``WarmStart``s of the program ``A`` at the right-hand
     sides ``references``, each from the all-artificial basis
@@ -279,24 +301,32 @@ def _channel_rhs(choi: np.ndarray) -> np.ndarray:
     return np.concatenate([target, np.zeros(target.shape[:-1] + (6,))], axis=-1)
 
 
+# The channel program's references: the Choi matrices at both ends, p = 0
+# and p = 1, of the two qubit channel families the sweeps score.  Each
+# channel is written down complete, as the zoo writes noisy TH, so building
+# them runs no completeness check.
+_CHANNEL_REFERENCES = {
+    "noisy TH, p = 0: the T H gate": lambda: choi_of_channel(noisy_th_channel(0.0)).matrix,
+    "noisy TH, p = 1: measure and prepare": lambda: choi_of_channel(noisy_th_channel(1.0)).matrix,
+    "depolarized T, p = 0: the T gate": lambda: choi_of_channel(_derived(KrausChannel, np.array([T_GATE]))).matrix,
+    "depolarized T, p = 1: completely depolarizing, Choi I/4": lambda: np.eye(4) / 4,
+}
+
+
 @lru_cache(maxsize=None)
 def _channel_constraints(atoms) -> tuple:
     """The channel program's constraint matrix and its reference starts.
 
     The matrix holds the 13 kept Choi reconstruction rows, then for each
     of X, Y, Z one marginal row over the plus side and one over the minus
-    side.  The starts are the optimal bases at both ends, p = 0 and p = 1,
-    of the two qubit channel families the sweeps score: noisy TH (the T H
-    gate; measure and prepare) and the T gate behind two depolarizing
-    passes (the T gate; the completely depolarizing channel, Choi I/4)."""
+    side.  The starts are the optimal bases at the Choi matrices of
+    ``_CHANNEL_REFERENCES``."""
     vectors = pauli_vectorize(np.array([a.projector for a in atoms]), pauli_basis(2))[:, _CHOI_ROWS]
     marginals = np.array([a.marginal for a in atoms])
     # tr(P m) for each Pauli P and each atom marginal m.
     marginal_rows = np.einsum("pij,aji->pa", np.array([PAULI_X, PAULI_Y, PAULI_Z]), marginals).real
     A = _assemble_standard_form(vectors, marginal_rows)
-    ends = (noisy_th_channel(0.0), noisy_th_channel(1.0), unitary_channel(T_GATE))
-    chois = np.array([choi_of_channel(ch).matrix for ch in ends] + [np.eye(4) / 4])
-    return A, _reference_starts(A, _channel_rhs(chois))
+    return A, _reference_starts(A, _channel_rhs(np.array([choi() for choi in _CHANNEL_REFERENCES.values()])))
 
 
 def channel_robustness(ch: KrausChannel, atoms, basis=None) -> L1Solution:

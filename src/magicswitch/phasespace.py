@@ -35,18 +35,14 @@ class PhaseSpaceFrame:
     """
 
     d: int
-    points: tuple                 # ((a1, a2), ...) row-major
-    heisenberg_weyl: np.ndarray   # (d^2, d, d)
-    phase_points: np.ndarray      # (d^2, d, d)
+    phase_points: np.ndarray      # (d^2, d, d), A_(a1, a2) at row-major a1 d + a2
 
 
 @lru_cache(maxsize=None)
 def build_frame(d: int) -> PhaseSpaceFrame:
     """Construct and verify the phase-point frame for odd prime ``d``; any
     other ``d`` raises ``ValueError``."""
-    hw = heisenberg_weyl_operators(d)
-    points = tuple(u for u, _ in hw)
-    t_ops = np.stack([op for _, op in hw])
+    t_ops = np.stack([op for _, op in heisenberg_weyl_operators(d)])
     a0 = t_ops.sum(axis=0) / d
     a_ops = np.stack([T @ a0 @ dagger(T) for T in t_ops])
 
@@ -55,15 +51,14 @@ def build_frame(d: int) -> PhaseSpaceFrame:
     bad = not_hermitian | (np.abs(np.trace(a_ops, axis1=1, axis2=2) - 1.0) > tol)
     if bad.any():
         k = int(bad.argmax())
-        raise RuntimeError(f"A_{points[k]} " + ("not Hermitian" if not_hermitian[k] else "trace != 1"))
+        raise RuntimeError(f"A_{divmod(k, d)} " + ("not Hermitian" if not_hermitian[k] else "trace != 1"))
     if np.abs(a_ops.sum(axis=0) / d - np.eye(d)).max() > tol:
         raise RuntimeError("phase-point resolution of identity failed")
     if np.abs(_gram(a_ops) - d * np.eye(d * d)).max() > DEFAULT_TOL.eq:
         raise RuntimeError("phase-point orthogonality failed")
 
-    t_ops.setflags(write=False)
     a_ops.setflags(write=False)
-    return PhaseSpaceFrame(d=d, points=points, heisenberg_weyl=t_ops, phase_points=a_ops)
+    return PhaseSpaceFrame(d=d, phase_points=a_ops)
 
 
 def _gram(a_ops: np.ndarray) -> np.ndarray:

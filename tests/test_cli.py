@@ -1,4 +1,5 @@
 import concurrent.futures
+import hashlib
 import json
 import os
 import subprocess
@@ -164,6 +165,17 @@ def test_appendix_c_command(tmp_path, capsys):
     assert report["strictly_negative"]
 
 
+def test_default_appendix_c_report_matches_reference_hash(tmp_path, capsys):
+    # The default report's bytes are pinned, as the default sweep CSVs are;
+    # stdout carries the same bytes as --out.
+    reference = "c5463cead248875f4d9e567dc396ca18b6bb8aa4354c2ecb2a5b234373235bea"
+    out = tmp_path / "appendix-c.json"
+    assert run_cli(capsys, "appendix-c", "--out", str(out))[0] == 0
+    code, text = run_cli(capsys, "appendix-c")
+    assert code == 0 and text.encode() == out.read_bytes()
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == reference
+
+
 def test_unknown_state_exits(capsys):
     assert_one_line_error(capsys, main(["-q", "rom", "--state", "warp"]))
 
@@ -285,6 +297,31 @@ def test_mana_refuses_a_dimension_mismatch_before_building_the_frame(tmp_path, m
     monkeypatch.setattr(cli, "build_frame", lambda d: built.append(d))
     assert assert_one_line_error(capsys, main(["-q", *argv])) == f"error: {message}"
     assert built == []
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["channel-robustness"], "channel robustness is implemented for qubit channels"),
+    (["mana", "--d", "3"], "channel dims (101,101) != frame dim 3"),
+])
+def test_named_channel_of_another_dimension_is_refused_before_it_is_built(monkeypatch, capsys, argv, message):
+    # A d = 101 depolarizing stack holds 101^2 operators of 101 x 101: about
+    # 1.6 GB, for a channel the command can never score.
+    built = []
+    monkeypatch.setattr(cli, "depolarizing_channel", lambda *args: built.append(args))
+    line = assert_one_line_error(capsys, main(["-q", *argv, "--channel", "depolarizing:p=0.1,d=101"]))
+    assert line == f"error: {message}" and built == []
+
+
+@pytest.mark.parametrize("argv, mismatched, dim", [
+    (["channel-robustness"], "qutrit-noisy-th:p=0.1", 3),
+    (["mana", "--d", "3"], "t", 2),
+])
+def test_refused_depolarizing_dimension_reads_as_any_other_mismatch(capsys, argv, mismatched, dim):
+    # The message is the one the scoring code gives a built channel of that
+    # dimension.
+    built = assert_one_line_error(capsys, main(["-q", *argv, "--channel", mismatched]))
+    refused = assert_one_line_error(capsys, main(["-q", *argv, "--channel", f"depolarizing:p=0.1,d={dim}"]))
+    assert refused == built
 
 
 def test_threshold_refuses_an_uncertified_value(monkeypatch, capsys):

@@ -700,16 +700,19 @@ class TestWalkedThresholds:
             assert sum(warm and iterations == 0 for warm, iterations in solves) >= 3
 
     def test_held_bases_are_distinct_and_bounded(self):
+        # lp owns the rule: a block's whole warm_start list goes in at once,
+        # entries served by one basis repeat it, and a failed entry is None.
         starts = [WarmStart(np.array([k, 9]), np.eye(2)) for k in range(6)]
-        held = ()
-        for start in starts:
-            held = experiments._hold(held, start)
-        assert held == tuple(starts[-experiments._HELD_BASES :])
+        block = [starts[0], starts[0], None, *starts[1:], starts[5]]
+        held = lp._hold((), block)
+        assert held == tuple(starts[-lp._HELD_BASES :])
+        assert lp._hold(lp._hold((), block[:3]), block[3:]) == held
         # The same basic columns in another order replace the older entry.
         again = WarmStart(np.array([9, starts[3].basis[0]]), np.eye(2))
-        held = experiments._hold(held, again)
+        held = lp._hold(held, [again])
         assert [start.basis[0] for start in held] == [2, 4, 5, 9] and held[-1] is again
-        assert experiments._hold(held, None) is held and experiments._hold(held, again) is held
+        assert lp._hold(held, [None]) is held and lp._hold(held, [again, again]) is held
+        assert experiments._hold is lp._hold and not hasattr(experiments, "_HELD_BASES")
 
     @pytest.mark.parametrize("name, lo, hi", [
         *((name, *LP_CROSSINGS[name][0]) for name in LP_CROSSINGS), ("figs1_mana_channel", 0.3, 0.6)
