@@ -3,8 +3,13 @@
 The embedded LP engine behind every robustness value.  Problems are small
 (a few hundred columns, a few dozen rows) but solved thousands of times per
 sweep, so the pivot loops, a handful of whole-array numpy operations per
-pivot, are the package's hot kernel.  Bland-type rules (smallest eligible
-index, ties to the smallest basic variable) keep every walk deterministic.
+pivot, are the package's hot kernel.  Every rule is deterministic, so is
+every walk.  The Bland loops take the smallest eligible index, ties to the
+smallest basic variable.  The dual repair leaves by dual steepest edge
+(Forrest & Goldfarb, Math. Program. 57, 341 (1992)), whose weights
+||e_r B^-1||^2 are exact in a dense tableau, which carries B^-1 in its
+artificial columns; it falls back on the smallest basic index after a run
+of dual-degenerate pivots, which steepest edge alone might repeat for ever.
 
 Every optimal solve returns its basis with the inverse B^-1 read off its
 final tableau, as one ``WarmStart``.  Reduced costs and y = c_B B^-1 do not
@@ -49,6 +54,13 @@ STATUS_OPTIMAL = 0
 STATUS_UNBOUNDED = 1
 STATUS_ITER_LIMIT = 2
 STATUS_INFEASIBLE = 3
+
+# Dual-degenerate pivots in a row (a dual step of at most the pivot
+# tolerance) after which ``dual_pivot_loop`` leaves by the smallest basic
+# index again, until a pivot moves the dual objective: Bland's rule cannot
+# cycle, so no degenerate run lasts for ever.  The longest run seen on the
+# package's programs is 46.
+_DEGENERATE_RUN = 100
 
 
 def _pivot(tableau, basis, r, q):
@@ -110,32 +122,47 @@ def dual_pivot_loop(tableau, basis, n_enterable, tol, max_iter):
     objective in the last row, all >= -tol.  A basic artificial (index >=
     n_enterable) is fixed at 0.  A row is infeasible when its basic variable
     is past a bound by more than ``Tolerances.primal``: below 0, or off 0
-    for an artificial.  The infeasible row holding the smallest basic
-    variable leaves; the entering column, among columns < n_enterable whose
+    for an artificial.  Of several infeasible rows, the one with the largest
+    (distance past its bound)^2 / ||e_r B^-1||^2 leaves (dual steepest
+    edge), ties to the smallest basic variable; each weight is the squared
+    norm of row r of the artificial columns, exact, with no update formula.
+    A lone infeasible row leaves with no weight formed.  After
+    ``_DEGENERATE_RUN`` dual-degenerate pivots in a row, the infeasible row
+    holding the smallest basic variable leaves, until a pivot moves the
+    dual objective.  The entering column, among columns < n_enterable whose
     row entry exceeds tol in the direction that moves the leaving variable
     to its bound (negative below 0, positive above), has the smallest ratio
     of reduced cost to the entry's size, ties to the smallest index, which
     keeps every reduced cost nonnegative.  Once no row is infeasible, each
-    artificial at 0 leaves by the same rule on a real entry of either sign,
-    by size: a degenerate pivot, which keeps dual feasibility either way,
-    since a variable fixed at 0 never enters again.  An artificial whose row
-    has no real entry above tol, an exactly redundant row, stays.  Returns
-    (status, pivots): STATUS_OPTIMAL when no row is infeasible and no
-    artificial can leave, STATUS_INFEASIBLE when an infeasible row has no
-    entering column (no x >= 0 with zero artificials solves it),
-    STATUS_ITER_LIMIT after max_iter pivots.
+    artificial at 0 leaves, smallest basic variable first, by the same
+    entering rule on a real entry of either sign, by size: a degenerate
+    pivot, which keeps dual feasibility either way, since a variable fixed
+    at 0 never enters again.  An artificial whose row has no real entry
+    above tol, an exactly redundant row, stays.  Returns (status, pivots):
+    STATUS_OPTIMAL when no row is infeasible and no artificial can leave,
+    STATUS_INFEASIBLE when an infeasible row has no entering column (no x
+    >= 0 with zero artificials solves it), STATUS_ITER_LIMIT after max_iter
+    pivots.
     """
     m = tableau.shape[0] - 1
     reduced = tableau[m, :n_enterable]
     rhs = tableau[:m, -1]
+    inverse = tableau[:m, n_enterable:-1]
     primal = DEFAULT_TOL.primal
     artificial = basis >= n_enterable
-    pivots = 0
+    pivots = degenerate = 0
     while True:
-        infeasible = np.where(artificial, np.abs(rhs), -rhs) > primal
+        past = np.where(artificial, np.abs(rhs), -rhs)
+        infeasible = past > primal
         rows = infeasible.nonzero()[0]
-        if not rows.size:
-            # An artificial at 0 leaves too, by the same rule, where it can.
+        if rows.size > 1 and degenerate < _DEGENERATE_RUN:
+            # Dual steepest edge: distance past the bound, squared, over the
+            # squared norm of row r of B^-1 (never 0), for every row at once;
+            # a feasible row scores 0.
+            score = np.where(infeasible, past, 0.0) ** 2 / np.einsum("ij,ij->i", inverse, inverse)
+            rows = (score == score.max()).nonzero()[0]
+        elif not rows.size:
+            # An artificial at 0 leaves too, by the smallest index, where it can.
             rows = artificial.nonzero()[0]
             rows = rows[(np.abs(tableau[rows, :n_enterable]) > tol).any(axis=1)]
             if not rows.size:
@@ -149,7 +176,9 @@ def dual_pivot_loop(tableau, basis, n_enterable, tol, max_iter):
         if not cols.size:
             return STATUS_INFEASIBLE, pivots
         ratios = np.maximum(reduced[cols], 0.0) / size[cols]
-        _pivot(tableau, basis, r, cols[ratios.argmin()])
+        k = ratios.argmin()
+        degenerate = degenerate + 1 if ratios[k] <= tol else 0
+        _pivot(tableau, basis, r, cols[k])
         artificial[r] = False
         pivots += 1
 
@@ -257,13 +286,32 @@ def _excess(x_B, real):
     return np.maximum(off, 0.0).sum(axis=-1)
 
 
-def reuse_basis(A, b, c, held):
-    """The basis to start from, of the ``WarmStart``s ``held`` (most recent
-    last), and its solutions of the leading right-hand sides it serves in
-    the block ``b``, one per row: ``(start, served, x, objective, dual)``.
+class HeldBases(NamedTuple):
+    """Optimal ``WarmStart``s of one program, latest first, with what
+    ``reuse_basis`` reads of each stacked once, one row per start: the
+    inverses, the masks of real basic columns and the costs c_B."""
+
+    starts: tuple
+    inverses: np.ndarray
+    real: np.ndarray
+    cost_B: np.ndarray
+
+
+def stack_bases(starts, c) -> HeldBases:
+    """The ``HeldBases`` of the ``WarmStart``s ``starts`` (latest first, at
+    least one) of a program with costs ``c``."""
+    bases = np.array([start.basis for start in starts])
+    cost = np.concatenate([c, np.zeros(bases.shape[1])])
+    return HeldBases(tuple(starts), np.array([start.inverse for start in starts]), bases < c.size, cost[bases])
+
+
+def reuse_basis(A, b, held):
+    """The basis to start from, of the ``HeldBases`` ``held``, and its
+    solutions of the leading right-hand sides it serves in the block ``b``,
+    one per row: ``(start, served, x, objective, dual)``.
 
     x_B = B^-1 b is one stacked mat-vec, with the bits of ``inverse @ b_j``
-    for each row alone.  The held bases are compared at ``b[0]``, one
+    for each row alone.  Several held bases are compared at ``b[0]``, one
     product per basis: ``start`` has the least ``_excess`` there (one that
     serves ``b[0]`` where any does), ties to the latest, and its product
     opens the block.  Row j is served when its ``_excess`` is 0; ``served``
@@ -271,21 +319,18 @@ def reuse_basis(A, b, c, held):
     ``start``, and ``x`` (served, n) and ``objective`` (served,) hold their
     solutions.  The dual y = c_B B^-1 is the same for every row.  When no
     row is served, all three are None."""
-    m, n = A.shape
-    held = held[::-1]  # latest first, so that argmin's ties go to it
-    inverses = np.stack([start.inverse for start in held])
-    first = (inverses @ b[0][:, None])[:, :, 0]
-    k = int(_excess(first, np.stack([start.basis for start in held]) < n).argmin())
-    start = held[k]
-    x_B = np.concatenate([first[k, None], (inverses[k] @ b[1:, :, None])[:, :, 0]])
-    real = start.basis < n
+    n = A.shape[1]
+    first = (held.inverses @ b[0][:, None])[:, :, 0]
+    k = int(_excess(first, held.real).argmin()) if len(held.starts) > 1 else 0
+    start, real = held.starts[k], held.real[k]
+    x_B = np.concatenate([first[k, None], (held.inverses[k] @ b[1:, :, None])[:, :, 0]])
     feasible = _excess(x_B, real) == 0.0
     served = len(b) if feasible.all() else int(feasible.argmin())
     if not served:
         return start, 0, None, None, None
     x = np.zeros((served, n))
     x[:, start.basis[real]] = x_B[:served, real]
-    cost_B = np.concatenate([c, np.zeros(m)])[start.basis]
+    cost_B = held.cost_B[k]
     objective = (x_B[:served, None, :] @ cost_B[:, None])[:, 0, 0]
     return start, served, x, objective, cost_B @ start.inverse
 

@@ -176,6 +176,18 @@ def test_default_appendix_c_report_matches_reference_hash(tmp_path, capsys):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == reference
 
 
+@pytest.mark.parametrize("experiment, grid, reference", [
+    ("fig2", "0:1:0.0005", "76655881e04e68ff71be96e68c39cf9e25bb8dd85884796574a36d0c87e1d271"),
+    ("fig3", "0:0.45:0.0002", "661e89bce74c15e540b39f9ebf7dd17ec291f1bad53df358caa13f2e05a78309"),
+], ids=["fig2", "fig3"])
+def test_fine_grid_csv_matches_reference_hash(tmp_path, capsys, experiment, grid, reference):
+    # The fine grids run as many blocks of one warm-started run; their bytes
+    # are pinned, as the default grids' are.
+    out = tmp_path / f"{experiment}.csv"
+    assert run_cli(capsys, experiment, "--grid", grid, "--out", str(out))[0] == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == reference
+
+
 def test_unknown_state_exits(capsys):
     assert_one_line_error(capsys, main(["-q", "rom", "--state", "warp"]))
 

@@ -6,6 +6,7 @@ import math
 import os
 from dataclasses import replace
 from functools import partial
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -257,10 +258,12 @@ class TestWarmStart:
         second, again = recorded_solves(monkeypatch, lambda: run_fig3(config))
         # Nothing carries over from the first run: the second solves the
         # same LPs the same way, the first LP of each column from its
-        # program's reference starts again.
+        # program's reference starts again.  At p = 0.1 the sequential and
+        # plus-branch channels are read off a reference with no pivot; the
+        # minus branch's first LP pivots.
         assert solves == again
         cold = [k for k, (warm, _) in enumerate(solves) if not warm]
-        assert len(cold) == 3 and all(solves[k][1] > 0 for k in cold)
+        assert len(cold) == 3 and [solves[k][1] > 0 for k in cold] == [False, False, True]
         assert rows_to_csv(first, MEASURE_COLUMNS["fig3"]) == rows_to_csv(second, MEASURE_COLUMNS["fig3"])
 
     def test_nearly_every_sweep_lp_reuses_its_basis(self, monkeypatch):
@@ -702,16 +705,25 @@ class TestWalkedThresholds:
     def test_held_bases_are_distinct_and_bounded(self):
         # lp owns the rule: a block's whole warm_start list goes in at once,
         # entries served by one basis repeat it, and a failed entry is None.
-        starts = [WarmStart(np.array([k, 9]), np.eye(2)) for k in range(6)]
+        # The bases are held latest first, stacked once per change; columns 8
+        # and 9 are the artificials of a program with 8 real columns.
+        def block_of(*warm_starts):
+            return SimpleNamespace(warm_start=list(warm_starts), standard_form=(np.zeros((2, 8)), None))
+
+        starts = [WarmStart(np.array([k, 9]), np.eye(2) * (k + 1)) for k in range(6)]
         block = [starts[0], starts[0], None, *starts[1:], starts[5]]
-        held = lp._hold((), block)
-        assert held == tuple(starts[-lp._HELD_BASES :])
-        assert lp._hold(lp._hold((), block[:3]), block[3:]) == held
+        held = lp._hold((), block_of(*block))
+        assert held.starts == tuple(starts[::-1][: lp._HELD_BASES])
+        assert np.array_equal(held.inverses, [start.inverse for start in held.starts])
+        assert np.array_equal(held.real, [[True, False]] * 4) and np.array_equal(held.cost_B, [[1.0, 0.0]] * 4)
+        assert lp._hold(lp._hold((), block_of(*block[:3])), block_of(*block[3:])).starts == held.starts
         # The same basic columns in another order replace the older entry.
         again = WarmStart(np.array([9, starts[3].basis[0]]), np.eye(2))
-        held = lp._hold(held, [again])
-        assert [start.basis[0] for start in held] == [2, 4, 5, 9] and held[-1] is again
-        assert lp._hold(held, [None]) is held and lp._hold(held, [again, again]) is held
+        held = lp._hold(held, block_of(again))
+        assert [start.basis[0] for start in held.starts] == [9, 5, 4, 2]
+        assert held.starts[0] is again and np.array_equal(held.cost_B[0], [0.0, 1.0])
+        assert lp._hold(held, block_of(None)) is held and lp._hold(held, block_of(again, again)) is held
+        assert lp._hold((), block_of(None)) == ()
         assert experiments._hold is lp._hold and not hasattr(experiments, "_HELD_BASES")
 
     @pytest.mark.parametrize("name, lo, hi", [

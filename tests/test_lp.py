@@ -429,7 +429,8 @@ class TestReferenceStarts:
         for dictionary in (qubit_dict, twoq_dict):
             mixed = DensityOperator.maximally_mixed(dictionary.dim)
             programs.append((lp._state_constraints(dictionary), [reference_state_lp(mixed, dictionary)[1]]))
-        for (A, starts), references in programs:
+        for (A, held), references in programs:
+            starts = held.starts[::-1]  # in the order of the references
             assert len(starts) == len(references)
             for b, start in zip(references, starts):
                 cold = solve_l1(A, b, ())
@@ -486,7 +487,7 @@ class TestReferenceStarts:
         # Noisy TH at 0.5 is read off the measure-and-prepare reference with
         # no pivot, and the T gate off its own; H T is served by none of the
         # references and pivots.
-        starts = lp._channel_constraints(choi_atoms)[1]
+        starts = lp._channel_constraints(choi_atoms)[1].starts[::-1]  # in the table's order
         served = channel_robustness(noisy_th_channel(0.5), choi_atoms)
         assert served.iterations == 0 and served.warm_start is starts[1]
         served = channel_robustness(unitary_channel(T_GATE), choi_atoms)
@@ -512,6 +513,27 @@ class TestReferenceStarts:
             totals[1] += cold_pivots["dual_pivot_loop"]
         assert 5 * totals[0] < totals[1]
 
+    def test_fewer_dual_pivots_than_cold_off_the_families(self, monkeypatch, choi_atoms):
+        # 100 random Kraus channels (25 each with 1-4 operators) and 50
+        # Haar-random unitaries, near none of the reference channels: from
+        # the references they take fewer dual pivots in all than from the
+        # all-artificial basis, to the cold values.
+        rng = np.random.default_rng(11)
+        channels = [random_kraus_channel(2, n_ops, rng) for n_ops in (1, 2, 3, 4) for _ in range(25)]
+        for _ in range(50):
+            q, r = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+            channels.append(unitary_channel(q * (np.diag(r) / np.abs(np.diag(r)))))
+        lp._channel_constraints(choi_atoms)  # the references' own pivots are not counted
+        totals = [0, 0]
+        for ch in channels:
+            sol, pivots = pivots_by_caller(monkeypatch, lambda: channel_robustness(ch, choi_atoms))
+            cold, cold_pivots = pivots_by_caller(monkeypatch, lambda: solve_l1(*sol.standard_form, ()))
+            assert sol.checked_status == cold.checked_status == "optimal"
+            assert abs(sol.value - cold.value) <= 1e-12
+            totals[0] += pivots["dual_pivot_loop"]
+            totals[1] += cold_pivots["dual_pivot_loop"]
+        assert totals[0] < totals[1]
+
     def test_two_calls_in_either_order_are_bit_identical(self, qubit_dict, choi_atoms):
         # The references depend on the atom set alone, not on which call
         # builds them, so neither call's solution depends on the other: a
@@ -533,7 +555,7 @@ class TestReferenceStarts:
         # solve_l1 with no basis does.
         for atoms, kept in ((choi_atoms[:30], 2), (choi_atoms[30:], 0)):
             A, starts = lp._channel_constraints(atoms)
-            assert len(starts) == kept
+            assert len(starts.starts if starts else ()) == kept
             for ch in (unitary_channel(T_GATE), identity_channel(2)):
                 got = channel_robustness(ch, atoms)
                 assert same_outcome(got, solve_l1(A, got.standard_form[1], starts))

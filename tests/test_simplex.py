@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from magicswitch import _simplex, channel_robustness, noisy_th_channel
+from magicswitch import _simplex, channel_robustness, noisy_th_channel, unitary_channel
 from magicswitch.config import DEFAULT_TOL
+from magicswitch.gates import HADAMARD, T_GATE
 from magicswitch.lp import solve_l1
 from magicswitch._simplex import (
     STATUS_INFEASIBLE,
@@ -15,6 +16,7 @@ from magicswitch._simplex import (
     STATUS_UNBOUNDED,
     WarmStart,
     bland_pivot_loop,
+    dual_pivot_loop,
     optimal_start,
     solve_standard_form,
 )
@@ -120,14 +122,15 @@ def test_redundant_row():
                                             (1e-10, STATUS_INFEASIBLE), (-1e-10, STATUS_INFEASIBLE),
                                             (1e-3, STATUS_INFEASIBLE), (-1e-3, STATUS_INFEASIBLE)])
 def test_redundant_row_off_by_a_defect_is_judged_at_primal(defect, status):
-    # Once row 0 is pivoted, row 1's artificial sits at its defect, on a row
+    # Row 1 is the farther past its bound at equal weights, so it leaves
+    # first; then row 0's artificial sits at minus half the defect, on a row
     # with no real entry, which no dual pivot moves, above or below 0.  The
     # dual repair judges it like any basic variable, at Tolerances.primal.
     A = np.array([[1.0, 1.0], [2.0, 2.0]])
     res = solve_standard_form(A, np.array([1.0, 2.0 + defect]), np.array([1.0, 3.0]))
     assert res.status == status
     if status == STATUS_OPTIMAL:
-        assert abs(res.objective - 1.0) < 1e-9 and np.array_equal(res.warm_start.basis < 2, [True, False])
+        assert abs(res.objective - 1.0) < 1e-9 and np.array_equal(res.warm_start.basis < 2, [False, True])
 
 
 def test_degenerate_vertex():
@@ -505,7 +508,7 @@ def assert_warm_start_matches_the_oracle(A, b, c, start):
     must be HiGHS's.  Returns (served, result)."""
     m, n = A.shape
     tol = DEFAULT_TOL.pivot
-    _, served, reused, objective, _ = _simplex.reuse_basis(A, b[None], c, (start,))
+    _, served, reused, objective, _ = _simplex.reuse_basis(A, b[None], _simplex.stack_bases((start,), c))
     got, starts = solve_recording_starts(A, b, c, start)
     assert np.array_equal(starts[0][0], start.basis)
     x_B = np.linalg.solve(np.hstack([A, np.eye(m)])[:, start.basis], b)
@@ -554,13 +557,14 @@ def test_warm_start_holds_across_a_change_of_sign_pattern():
 
 @pytest.mark.parametrize("sign", [1.0, -1.0])
 def test_warm_start_with_a_basic_artificial_on_a_redundant_row(sign):
-    # Row 2 is +-(row 0 + row 1), so its artificial stays basic at zero; a
+    # Row 2 is +-(row 0 + row 1), so one row is redundant: the repair pivots
+    # rows 2 and 1, and row 0's artificial (column 3) stays basic at zero; a
     # consistent b reuses the basis, and an inconsistent one makes the LP
     # infeasible.
     A = np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 1.0], [sign, 2 * sign, sign]])
     c = np.array([1.0, 3.0, 1.0])
     start = solve_standard_form(A, A @ np.array([1.0, 0.0, 2.0]), c).warm_start
-    assert start.basis.tolist().count(5) == 1 and (start.basis >= 3).sum() == 1
+    assert start.basis.tolist().count(3) == 1 and (start.basis >= 3).sum() == 1
     b = A @ np.array([0.5, 0.0, 0.25])
     served, got = assert_warm_start_matches_the_oracle(A, b, c, start)
     assert served == 1 and got.objective == 0.75
@@ -741,7 +745,8 @@ def test_repair_drives_a_zero_artificial_out_on_a_negative_entry(monkeypatch):
     assert np.array_equal(got.x, [0.0, 0.0, 1.0])
     assert (got.warm_start.basis < 3).all()
     # The WarmStart serves a neighbouring b with no pivot.
-    _, served, _, objective, _ = _simplex.reuse_basis(A, np.array([[0.0, 2.0]]), c, (got.warm_start,))
+    held = _simplex.stack_bases((got.warm_start,), c)
+    _, served, _, objective, _ = _simplex.reuse_basis(A, np.array([[0.0, 2.0]]), held)
     assert served == 1 and objective.tolist() == [2.0]
 
 
@@ -761,3 +766,95 @@ def test_drifted_inverse_gives_way_to_the_cold_start():
     assert_same_result(got, solve_standard_form(A, b2, c))
     assert got.status == want.status == STATUS_OPTIMAL
     assert abs(got.objective - want.objective) <= 1e-12 * max(1.0, abs(want.objective))
+
+
+# ---------------------------------------------------------------------------
+# The dual repair's leaving row: dual steepest edge where several rows are
+# infeasible, the smallest basic index where one is and after a run of
+# dual-degenerate pivots.
+# ---------------------------------------------------------------------------
+
+def leaving_tableau(basis, rhs, inverse):
+    """A dual feasible tableau over four real columns and two artificials:
+    row i holds the basic column basis[i] at rhs[i], columns 2 and 3 enter
+    on negative entries at reduced cost 1, and ``inverse`` fills the
+    artificial columns, whose rows give the steepest-edge weights."""
+    tableau = np.zeros((3, 7))
+    tableau[[0, 1], basis] = 1.0
+    tableau[:2, 2:4] = [[-1.0, -2.0], [-2.0, -1.0]]
+    tableau[:2, 4:6] = inverse
+    tableau[:2, 6] = rhs
+    tableau[2, 2:4] = 1.0
+    return tableau, np.array(basis, dtype=np.int64)
+
+
+def first_pivot(tableau, basis):
+    """The basis after one pivot of ``dual_pivot_loop``."""
+    dual_pivot_loop(tableau, basis, 4, DEFAULT_TOL.pivot, 1)
+    return basis.tolist()
+
+
+def test_leaving_row_is_the_steepest_edge(monkeypatch):
+    # x0 is 2 below 0 with a B^-1 row of norm 5, score 4/25; x1 is 1 below
+    # with norm 1, score 1.  x1 leaves (x2 enters at ratio 1/2); the
+    # smallest basic index would have sent x0 out, for x3.
+    assert first_pivot(*leaving_tableau([0, 1], [-2.0, -1.0], [[3.0, 4.0], [1.0, 0.0]])) == [0, 2]
+    # After a run of _DEGENERATE_RUN dual-degenerate pivots, none here, the
+    # smallest basic index leaves instead.
+    monkeypatch.setattr(_simplex, "_DEGENERATE_RUN", 0)
+    assert first_pivot(*leaving_tableau([0, 1], [-2.0, -1.0], [[3.0, 4.0], [1.0, 0.0]])) == [3, 1]
+
+
+def test_steepest_edge_tie_goes_to_the_smallest_basic_index():
+    # Both rows score exactly 1 (4/4 and 1/1).  Row 1 holds x0, the smaller
+    # basic index, so it leaves, though it is the later row.
+    assert first_pivot(*leaving_tableau([1, 0], [-2.0, -1.0], [[2.0, 0.0], [0.0, 1.0]])) == [1, 2]
+
+
+def test_one_infeasible_row_computes_no_weight(monkeypatch):
+    # Only x0 is infeasible: it leaves, for x3 at ratio 1/2, which leaves
+    # every row feasible, and no row norm of B^-1 is formed.
+    weights = []
+    einsum = np.einsum
+    monkeypatch.setattr(np, "einsum", lambda *args: weights.append(args) or einsum(*args))
+    tableau, basis = leaving_tableau([0, 1], [-2.0, 1.0], [[3.0, 4.0], [1.0, 0.0]])
+    assert dual_pivot_loop(tableau, basis, 4, DEFAULT_TOL.pivot, 10) == (STATUS_OPTIMAL, 1)
+    assert basis.tolist() == [3, 1] and tableau[:2, 6].tolist() == [1.0, 2.0] and weights == []
+
+
+@pytest.mark.parametrize("run", [0, 1, None])
+def test_each_repair_pivot_leaves_by_the_rule(monkeypatch, choi_atoms, run):
+    # Replays every leaving row of the cold repair of a channel LP: where
+    # several rows are infeasible, the largest (distance past bound)^2 /
+    # |e_r B^-1|^2, ties to the smallest basic index, until `run`
+    # dual-degenerate pivots in a row (a dual step of at most the pivot
+    # tolerance) hand the choice to the smallest basic index.  Run 0 is the
+    # smallest-index rule throughout; None keeps the package's run.
+    if run is not None:
+        monkeypatch.setattr(_simplex, "_DEGENERATE_RUN", run)
+    A, b = channel_robustness(unitary_channel(HADAMARD @ T_GATE), choi_atoms).standard_form
+    (m, n), tol = A.shape, DEFAULT_TOL.pivot
+    pivot, pivots = _simplex._pivot, []
+
+    def spy(tableau, basis, r, q):
+        rhs = tableau[:m, -1]
+        past = np.where(basis >= n, np.abs(rhs), -rhs)
+        step = max(tableau[m, q], 0.0) / abs(tableau[r, q])
+        pivots.append((past, tableau[:m, n : n + m].copy(), basis.copy(), r, step))
+        pivot(tableau, basis, r, q)
+
+    monkeypatch.setattr(_simplex, "_pivot", spy)
+    assert solve_standard_form(A, b, np.ones(n)).status == STATUS_OPTIMAL
+    degenerate, steepest, smallest = 0, 0, 0
+    for past, inverse, basis, r, step in pivots:
+        rows = (past > DEFAULT_TOL.primal).nonzero()[0]
+        if rows.size > 1:
+            if degenerate < _simplex._DEGENERATE_RUN:
+                score = past[rows] ** 2 / (inverse[rows] ** 2).sum(axis=1)
+                rows, steepest = rows[score == score.max()], steepest + 1
+            else:
+                smallest += 1
+            assert basis[r] == basis[rows].min()
+        degenerate = degenerate + 1 if step <= tol else 0
+    assert steepest > 0 if run != 0 else steepest == 0
+    assert smallest > 0 if run is not None else smallest == 0
