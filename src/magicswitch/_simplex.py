@@ -287,25 +287,24 @@ def _excess(x_B, real):
 
 
 class HeldBases(NamedTuple):
-    """Optimal ``WarmStart``s of one program, latest first, with what
-    ``reuse_basis`` reads of each stacked once, one row per start: the
-    inverses, the masks of real basic columns and the costs c_B."""
+    """Optimal ``WarmStart``s of one program, latest first, with their bases
+    and inverses stacked once, one row per start: what ``reuse_basis``
+    compares of each on every call.  Read-only, as each ``WarmStart`` is."""
 
     starts: tuple
+    bases: np.ndarray
     inverses: np.ndarray
-    real: np.ndarray
-    cost_B: np.ndarray
 
 
-def stack_bases(starts, c) -> HeldBases:
+def stack_bases(starts) -> HeldBases:
     """The ``HeldBases`` of the ``WarmStart``s ``starts`` (latest first, at
-    least one) of a program with costs ``c``."""
-    bases = np.array([start.basis for start in starts])
-    cost = np.concatenate([c, np.zeros(bases.shape[1])])
-    return HeldBases(tuple(starts), np.array([start.inverse for start in starts]), bases < c.size, cost[bases])
+    least one), its stacks read-only."""
+    bases, inverses = np.array([start.basis for start in starts]), np.array([start.inverse for start in starts])
+    bases.flags.writeable = inverses.flags.writeable = False
+    return HeldBases(tuple(starts), bases, inverses)
 
 
-def reuse_basis(A, b, held):
+def reuse_basis(A, b, c, held):
     """The basis to start from, of the ``HeldBases`` ``held``, and its
     solutions of the leading right-hand sides it serves in the block ``b``,
     one per row: ``(start, served, x, objective, dual)``.
@@ -319,18 +318,19 @@ def reuse_basis(A, b, held):
     ``start``, and ``x`` (served, n) and ``objective`` (served,) hold their
     solutions.  The dual y = c_B B^-1 is the same for every row.  When no
     row is served, all three are None."""
-    n = A.shape[1]
+    m, n = A.shape
     first = (held.inverses @ b[0][:, None])[:, :, 0]
-    k = int(_excess(first, held.real).argmin()) if len(held.starts) > 1 else 0
-    start, real = held.starts[k], held.real[k]
+    k = int(_excess(first, held.bases < n).argmin()) if len(held.starts) > 1 else 0
+    start = held.starts[k]
     x_B = np.concatenate([first[k, None], (held.inverses[k] @ b[1:, :, None])[:, :, 0]])
+    real = start.basis < n
     feasible = _excess(x_B, real) == 0.0
     served = len(b) if feasible.all() else int(feasible.argmin())
     if not served:
         return start, 0, None, None, None
     x = np.zeros((served, n))
     x[:, start.basis[real]] = x_B[:served, real]
-    cost_B = held.cost_B[k]
+    cost_B = np.concatenate([c, np.zeros(m)])[start.basis]
     objective = (x_B[:served, None, :] @ cost_B[:, None])[:, 0, 0]
     return start, served, x, objective, cost_B @ start.inverse
 

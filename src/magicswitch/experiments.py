@@ -307,7 +307,7 @@ class _Grid:
         held = self.state.bases.get(column, ())
         solution = program(*args, basis=held)
         values, statuses = _certified_value(solution, self.lp_tol)
-        self.state.bases[column] = _hold(held, solution)
+        self.state.bases[column] = _hold(held, solution.warm_start)
         if self.state.samples is not None:
             b = solution.standard_form[1]
             s = np.broadcast_to(np.reshape(scale, (-1, 1)), (len(b), 1))

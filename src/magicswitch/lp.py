@@ -75,7 +75,6 @@ import numpy as np
 from ._simplex import (
     STATUS_INFEASIBLE,
     STATUS_OPTIMAL,
-    HeldBases,
     WarmStart,
     optimal_start,
     reuse_basis,
@@ -170,14 +169,13 @@ def solve_l1(A: np.ndarray, b: np.ndarray, basis=None, renorm_factor=1.0) -> L1S
     the warm walk of the module docstring, from ``basis``: only an entry
     the basis does not serve reaches ``solve_standard_form``.  ``basis`` is
     None, the ``WarmStart`` of a solve of the same program, or several
-    bases a run holds: a sequence of them, most recent last, or the
-    ``HeldBases`` of ``_hold`` or of the reference starts, already stacked;
-    the walk then starts from the one that is least infeasible for the
-    first right-hand side (``reuse_basis``), which is one that serves it
-    when any does.  None or an empty sequence is a cold start, from the
-    all-artificial basis: ``solve_l1`` knows no program's reference starts,
-    and ``rom_state`` and ``channel_robustness`` pass those in place of an
-    empty ``basis``.
+    bases a run holds, as the ``HeldBases`` of ``_hold`` or of the
+    reference starts; the walk then starts from the one that is least
+    infeasible for the first right-hand side (``reuse_basis``), which is
+    one that serves it when any does.  None or an empty sequence is a cold
+    start, from the all-artificial basis: ``solve_l1`` knows no program's
+    reference starts, and ``rom_state`` and ``channel_robustness`` pass
+    those in place of an empty ``basis``.
     ``renorm_factor`` (a number, or one per right-hand side) is reported on
     the solution.  Deterministic under the fixed atom ordering and
     ``basis`` (see ``solve_standard_form``); the reconstruction residual,
@@ -192,9 +190,7 @@ def solve_l1(A: np.ndarray, b: np.ndarray, basis=None, renorm_factor=1.0) -> L1S
         raise ValueError("LP right-hand side is not finite")
     (m, n), rows = A.shape, len(b)
     c = np.ones(n)
-    if isinstance(basis, WarmStart):
-        basis = (basis,)
-    held = basis if isinstance(basis, HeldBases) or not basis else stack_bases(tuple(basis)[::-1], c)
+    held = stack_bases((basis,)) if isinstance(basis, WarmStart) else basis or None
     x, dual = np.empty((rows, n)), np.empty((rows, m))
     objective, iterations = np.empty(rows), np.zeros(rows, dtype=int)
     status, starts = ["optimal"] * rows, [None] * rows
@@ -202,7 +198,7 @@ def solve_l1(A: np.ndarray, b: np.ndarray, basis=None, renorm_factor=1.0) -> L1S
     while j < rows:
         basis = None
         if held:
-            basis, served, *read = reuse_basis(A, b[j:], held)
+            basis, served, *read = reuse_basis(A, b[j:], c, held)
             if served:
                 x[j : j + served], objective[j : j + served], dual[j : j + served] = read
                 starts[j : j + served] = [basis] * served
@@ -211,7 +207,7 @@ def solve_l1(A: np.ndarray, b: np.ndarray, basis=None, renorm_factor=1.0) -> L1S
                 break
         result = solve_standard_form(A, b[j], c, basis=basis)
         basis, iterations[j] = result.warm_start, result.iterations
-        held = None if basis is None else stack_bases((basis,), c)
+        held = None if basis is None or j + 1 == rows else stack_bases((basis,))
         if result.status == STATUS_OPTIMAL:
             x[j], objective[j], dual[j], starts[j] = result.x, result.objective, result.dual, basis
         else:
@@ -234,22 +230,22 @@ def solve_l1(A: np.ndarray, b: np.ndarray, basis=None, renorm_factor=1.0) -> L1S
 _HELD_BASES = 4
 
 
-def _hold(held, solution: L1Solution):
+def _hold(held, warm_starts):
     """The bases to pass ``solve_l1`` next: ``held`` (a ``HeldBases``, or
-    () for none) with each ``warm_start`` of the block ``solution`` in turn
-    as its latest basis.  A None, or the basis already latest, adds
-    nothing; an older entry with the same basic columns gives way; only the
-    last ``_HELD_BASES`` stay, latest first, the order in which
-    ``reuse_basis`` breaks ties.  What a sweep run or a threshold search
+    () for none) with each of ``warm_starts`` (a block solution's
+    ``warm_start`` list) in turn as its latest basis.  A None, or the basis
+    already latest, adds nothing; an older entry with the same basic
+    columns gives way; only the last ``_HELD_BASES`` stay, latest first,
+    the order in which ``reuse_basis`` breaks ties.  What a sweep run or a threshold search
     holds for each LP column between blocks, stacked once per change, not
     once per solve; ``held`` itself when nothing changes."""
     starts = unchanged = held.starts if held else ()
-    for start in solution.warm_start:
+    for start in warm_starts:
         if start is not None and not (starts and starts[0] is start):
             columns = np.sort(start.basis)
             kept = tuple(other for other in starts if not np.array_equal(np.sort(other.basis), columns))
             starts = ((start,) + kept)[:_HELD_BASES]
-    return held if starts is unchanged else stack_bases(starts, np.ones(solution.standard_form[0].shape[1]))
+    return held if starts is unchanged else stack_bases(starts)
 
 
 def _reference_starts(A: np.ndarray, references):
@@ -261,7 +257,7 @@ def _reference_starts(A: np.ndarray, references):
     as for an atom set it lies outside of, is left out."""
     c = np.ones(A.shape[1])
     starts = tuple(start for start in (optimal_start(A, b, c) for b in references) if start is not None)
-    return stack_bases(starts[::-1], c) if starts else ()
+    return stack_bases(starts[::-1]) if starts else ()
 
 
 @lru_cache(maxsize=None)
@@ -279,11 +275,11 @@ def rom_state(rho: DensityOperator, dictionary, basis=None) -> L1Solution:
     Every input is renormalized first; the factor is reported on the
     solution and logged when it is not 1.  Faithful: the value is 1 exactly when the
     state lies in the stabilizer polytope.  ``basis`` may carry the
-    ``warm_start`` of a neighbouring state's solve, or several held bases,
-    as a starting point; with none, the solve starts from the program's
-    reference start.  A grid of states gives one solution with an entry
-    per state, in order, from one warm walk (``solve_l1``).  An infeasible
-    LP, for any entry, raises.
+    ``warm_start`` of a neighbouring state's solve, or several held bases
+    (a ``HeldBases``), as a starting point; with none, the solve starts
+    from the program's reference start.  A grid of states gives one
+    solution with an entry per state, in order, from one warm walk
+    (``solve_l1``).  An infeasible LP, for any entry, raises.
     """
     rho, factor = rho.renormalized()
     log_renormalized(logger, "rom_state", factor)
@@ -349,10 +345,10 @@ def channel_robustness(ch: KrausChannel, atoms, basis=None) -> L1Solution:
     marginal (its X, Y, Z components vanish), which together with the Choi
     reconstruction rows makes the optimal l1 norm equal 1 + 2p.  ``basis``
     may carry the ``warm_start`` of a neighbouring channel's solve, or
-    several held bases, as a starting point; with none, the solve starts
-    from the program's reference starts.  A grid of channels gives one
-    solution with an entry per channel, in order, from one warm walk
-    (``solve_l1``).
+    several held bases (a ``HeldBases``), as a starting point; with none,
+    the solve starts from the program's reference starts.  A grid of
+    channels gives one solution with an entry per channel, in order, from
+    one warm walk (``solve_l1``).
     """
     if ch.d_in != 2 or ch.d_out != 2:
         raise DimensionMismatchError("channel robustness is implemented for qubit channels")

@@ -6,7 +6,6 @@ import math
 import os
 from dataclasses import replace
 from functools import partial
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -705,25 +704,22 @@ class TestWalkedThresholds:
     def test_held_bases_are_distinct_and_bounded(self):
         # lp owns the rule: a block's whole warm_start list goes in at once,
         # entries served by one basis repeat it, and a failed entry is None.
-        # The bases are held latest first, stacked once per change; columns 8
-        # and 9 are the artificials of a program with 8 real columns.
-        def block_of(*warm_starts):
-            return SimpleNamespace(warm_start=list(warm_starts), standard_form=(np.zeros((2, 8)), None))
-
+        # The bases are held latest first, stacked once per change, read-only.
         starts = [WarmStart(np.array([k, 9]), np.eye(2) * (k + 1)) for k in range(6)]
         block = [starts[0], starts[0], None, *starts[1:], starts[5]]
-        held = lp._hold((), block_of(*block))
+        held = lp._hold((), block)
         assert held.starts == tuple(starts[::-1][: lp._HELD_BASES])
         assert np.array_equal(held.inverses, [start.inverse for start in held.starts])
-        assert np.array_equal(held.real, [[True, False]] * 4) and np.array_equal(held.cost_B, [[1.0, 0.0]] * 4)
-        assert lp._hold(lp._hold((), block_of(*block[:3])), block_of(*block[3:])).starts == held.starts
+        assert np.array_equal(held.bases, [start.basis for start in held.starts])
+        assert not (held.bases.flags.writeable or held.inverses.flags.writeable)
+        assert lp._hold(lp._hold((), block[:3]), block[3:]).starts == held.starts
         # The same basic columns in another order replace the older entry.
         again = WarmStart(np.array([9, starts[3].basis[0]]), np.eye(2))
-        held = lp._hold(held, block_of(again))
+        held = lp._hold(held, [again])
         assert [start.basis[0] for start in held.starts] == [9, 5, 4, 2]
-        assert held.starts[0] is again and np.array_equal(held.cost_B[0], [0.0, 1.0])
-        assert lp._hold(held, block_of(None)) is held and lp._hold(held, block_of(again, again)) is held
-        assert lp._hold((), block_of(None)) == ()
+        assert held.starts[0] is again and np.array_equal(held.bases[0], again.basis)
+        assert lp._hold(held, [None]) is held and lp._hold(held, [again, again]) is held
+        assert lp._hold((), [None]) == ()
         assert experiments._hold is lp._hold and not hasattr(experiments, "_HELD_BASES")
 
     @pytest.mark.parametrize("name, lo, hi", [

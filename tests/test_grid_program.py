@@ -212,11 +212,11 @@ def test_block_reuse_matches_single_solves():
     b0 = rng.uniform(1, 2, size=4)
     start = _simplex.solve_standard_form(A, b0, c).warm_start
     block = b0 + np.outer(np.linspace(0.0, 4.0, 40), rng.normal(size=4))
-    held = _simplex.stack_bases((start,), c)
-    _, served, x, objective, dual = _simplex.reuse_basis(A, block, held)
+    held = _simplex.stack_bases((start,))
+    _, served, x, objective, dual = _simplex.reuse_basis(A, block, c, held)
     assert 0 < served < 40  # the block runs past the basis's feasible region
     for j in range(served):
-        _, one, x_j, objective_j, dual_j = _simplex.reuse_basis(A, block[j : j + 1], held)
+        _, one, x_j, objective_j, dual_j = _simplex.reuse_basis(A, block[j : j + 1], c, held)
         assert one == 1 and np.array_equal(x_j[0], x[j]) and objective_j[0] == objective[j]
         assert np.array_equal(dual_j, dual)
-    assert _simplex.reuse_basis(A, block[served : served + 1], held)[1] == 0
+    assert _simplex.reuse_basis(A, block[served : served + 1], c, held)[1] == 0

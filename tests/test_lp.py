@@ -437,6 +437,7 @@ class TestReferenceStarts:
                 assert np.array_equal(cold.warm_start.basis, start.basis)
                 assert np.array_equal(cold.warm_start.inverse, start.inverse)
                 assert not (start.basis.flags.writeable or start.inverse.flags.writeable)
+            assert not (held.bases.flags.writeable or held.inverses.flags.writeable)
 
     def test_an_empty_sequence_of_bases_starts_from_the_references(self, qubit_dict, choi_atoms):
         # rom_state and channel_robustness read basis=() as no basis held;
