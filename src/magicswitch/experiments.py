@@ -28,11 +28,12 @@ A sweep run is evaluated in blocks of at most ``_BLOCK_POINTS`` grid
 points, column by column, and then cut into rows: ``_dispatch_row`` is
 called once per grid row, in order, and assembles that row's ``SweepRow``.
 Each robustness column is one warm LP walk down the block and one
-``L1Solution`` with the block's axis (``lp.solve_l1``): it starts from the
-least infeasible of the optimal bases and inverses the same column
-reached earlier in the run and ``lp._hold`` keeps, held in the run's
-``_RunState`` from block to block; while that basis stays feasible, as at
-nearly every default grid point, a row is read off one stacked mat-vec.
+``L1Solution`` with the block's axis (``lp.solve_l1``): each entry starts
+from the least infeasible of the optimal bases and inverses the column
+holds, those the walk reached and those ``lp`` kept of the run's earlier
+blocks, and the run's ``_RunState`` stores the solution's ``held`` set as
+it is for the next block; while a held basis stays feasible, as at nearly
+every default grid point, a row is read off one stacked mat-vec.
 ``jobs`` splits the grid into at most that many contiguous runs, each
 starting from its programs' reference starts (``lp``), which hold no
 earlier run's bases, and shared among at most one worker per CPU;
@@ -54,9 +55,9 @@ bare callable bisect on, one point per block.  Mana reads free only at 0
 search of a registered measure goes through its ``MEASURES`` callable and
 shares one ``_RunState``, so only its first LP holds no basis and starts
 from its program's reference starts: each block is one warm walk from the
-least infeasible of the optimal bases and inverses the search reached and
-``lp._hold`` keeps, read off one that serves its p where any does, and
-otherwise repaired by dual simplex pivots.
+bases the search holds, which ``lp`` keeps, each entry read off one that
+serves its p where any does, and otherwise repaired by dual simplex
+pivots.
 """
 
 from __future__ import annotations
@@ -86,7 +87,7 @@ from .channels import (
 )
 from .config import DEFAULT_TOL
 from .gates import T_GATE
-from .lp import L1Solution, _hold, channel_robustness, rom_state
+from .lp import L1Solution, channel_robustness, rom_state
 from .phasespace import build_frame, mana_channel, mana_of_wigner, mana_state, wigner_of_operator
 from .qswitch import (
     EffectiveDepolarizingSwitch,
@@ -218,9 +219,10 @@ CHANNELS = {
 @dataclass
 class _RunState:
     """What one contiguous run of sweep rows, or one threshold search,
-    carries from one block to the next: for each LP column, the optimal
-    bases ``lp._hold`` keeps of those the column reached, passed back as
-    they are, and the value of fig3's minus branch, whose channel does not
+    carries from one block to the next: for each LP column, the ``held``
+    set of its last block's ``L1Solution``, the optimal bases ``lp`` keeps
+    of those the column reached, stored and passed back as it is, and the
+    value of fig3's minus branch, whose channel does not
     depend on p.  When ``samples`` is a list, each block of a measure
     appends one record ``(p, solution, values)`` to it: the block's
     noise values, its ``L1Solution`` and, one row per entry, the fit
@@ -297,17 +299,17 @@ class _Grid:
 
     def solve(self, column: str, program, *args, scale=1.0) -> tuple:
         """``_certified_value`` of the one block ``L1Solution`` of
-        ``program(*args)``, walked from the least infeasible of the optimal
-        bases ``column`` holds in this run (``lp.solve_l1``), which then
-        holds ``lp._hold`` of the bases the walk reached.  A search's block
-        records its sample, with s b and s per entry: ``scale`` is the
-        positive s(p) that makes s(p) times the LP's right-hand side b a
-        polynomial in p, the probability or weight of a switch branch,
+        ``program(*args)``, walked from the optimal bases ``column`` holds
+        in this run (``lp.solve_l1``).  The column then holds the
+        solution's ``held`` set as it is: ``lp`` folds in the bases the
+        walk reached, and this run keeps no rule of its own.  A search's
+        block records its sample, with s b and s per entry: ``scale`` is
+        the positive s(p) that makes s(p) times the LP's right-hand side b
+        a polynomial in p, the probability or weight of a switch branch,
         whose unnormalized output is quadratic in p."""
-        held = self.state.bases.get(column, ())
-        solution = program(*args, basis=held)
+        solution = program(*args, basis=self.state.bases.get(column, ()))
         values, statuses = _certified_value(solution, self.lp_tol)
-        self.state.bases[column] = _hold(held, solution.warm_start)
+        self.state.bases[column] = solution.held
         if self.state.samples is not None:
             b = solution.standard_form[1]
             s = np.broadcast_to(np.reshape(scale, (-1, 1)), (len(b), 1))

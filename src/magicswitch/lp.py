@@ -27,54 +27,61 @@ certifies the answer.  A solve starts from the one start form the simplex
 takes, a ``WarmStart``: the ``basis`` its caller holds, the
 ``warm_start`` of a solve of the same program at a neighbouring
 right-hand side.  A caller that holds several such bases, as a sweep run
-or a threshold search does for each LP column, passes them all, and the
-solve starts from the one least infeasible for its right-hand side
-(``_simplex.reuse_basis``): one that serves it, where any does.  Which
-bases it holds is this module's rule too: ``_hold`` keeps the last few
-distinct ones a column reached, stacked once as a ``HeldBases``, and the
-caller stores that value as it is.
+or a threshold search does for each LP column, passes them all, stacked
+once as a ``HeldBases``, and the solve starts from the one least
+infeasible for its right-hand side (``_simplex.reuse_basis``): one that
+serves it, where any does.  Which bases are held is this module's rule
+too: a walk folds each basis it reaches into what it holds by ``_hold``,
+which keeps the last few distinct ones, and hands back the set it ends
+with as ``L1Solution.held``, which the caller stores as it is.
 
 A caller of ``rom_state`` or ``channel_robustness`` that holds no basis
 starts from its program's reference starts, built with the constraint
 matrix and cached with it: the optimal bases at a few fixed right-hand
-sides, the maximally mixed state, and both ends of the two qubit channel
-families the sweeps score (``_CHANNEL_REFERENCES``).  Reduced costs do
-not depend on ``b``, so an optimal basis is dual feasible at every
-right-hand side of its program, and a dual simplex can start from it (a
-crash basis; Bixby, ORSA J. Comput. 4, 267 (1992)), stacked once as a
-``HeldBases``.  They save most pivots for a channel near those families,
-and some for one far from all of them: over 100 random Kraus channels and
-50 Haar-random unitaries the repairs take 4,258 dual pivots where B = I
-takes 5,988.  They depend on the atom set alone, never on an earlier
-call, so no result depends on call order.  An atom set whose program has
-no optimum at a reference leaves that reference out; one with none starts
-cold, from the all-artificial basis, as ``solve_l1`` with no basis does.
+sides, the maximally mixed state, and the two ends of the range the
+package scores of each of the two qubit channel families
+(``_CHANNEL_REFERENCES``).  Reduced costs do not depend on ``b``, so an
+optimal basis is dual feasible at every right-hand side of its program,
+and a dual simplex can start from it (a crash basis; Bixby, ORSA J.
+Comput. 4, 267 (1992)), stacked once as a ``HeldBases``.  A channel of
+either family anywhere in its scored range is read off one of them with
+no pivot.  They also save pivots for a channel far from both families:
+over 100 random Kraus channels and 50 Haar-random unitaries the repairs
+take 4,461 dual pivots where B = I takes 5,988.  They depend on the atom
+set alone, never on an earlier call, so no result depends on call order.
+An atom set whose program has no optimum at a reference leaves that
+reference out; one with none starts cold, from the all-artificial basis,
+as ``solve_l1`` with no basis does.
 
 Both programs also take a grid (a channel or state with a leading axis)
 and return one ``L1Solution`` for it, whose fields carry one entry per
-grid entry, in order: one warm walk down the column of right-hand sides.
-``B^-1 [b_j ... b_N]`` at the current basis, one stacked mat-vec, reads
-off every entry from j on that the basis serves, with no pivot
-(``_simplex.reuse_basis``), the first entry included.  The first entry it
-does not serve, or the first of all when there is no basis, must pivot:
-``solve_standard_form`` solves it from that basis (repaired by dual
-pivots, or from the all-artificial basis), and the walk goes on from the
-basis it reaches.  Each entry gets the solution, and the certificates,
-that a walk of it alone from the same basis gives; a single right-hand
-side is the walk of one, with scalar fields.
+grid entry, in order: one warm walk down the column of right-hand sides,
+with one start rule for every entry.  At entry j the walk compares every
+basis it holds at ``b_j`` and takes the least infeasible
+(``_simplex.reuse_basis``); ``B^-1 [b_j ... b_N]``, one stacked mat-vec,
+reads off every entry from j on that this basis serves, with no pivot.
+An entry that no held basis serves must pivot: ``solve_standard_form``
+solves it from the least infeasible one (repaired by dual pivots), or
+from the all-artificial basis when none is held.  Before each later
+entry, the walk folds the basis the last entry reached into what it holds
+(``_hold``); an entry with no optimum adds nothing.  Each entry gets the
+solution, and the certificates, that a lone solve of it from the bases
+the walk held before it gives; a single right-hand side is the walk of
+one, with scalar fields.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from ._simplex import (
     STATUS_INFEASIBLE,
     STATUS_OPTIMAL,
+    HeldBases,
     WarmStart,
     optimal_start,
     reuse_basis,
@@ -112,6 +119,8 @@ class L1Solution:
     Python floats and ints and ``status`` is a str; for a block ``b`` of N
     rows every other field has a leading axis of N, ``status`` and
     ``warm_start`` as lists.  An entry that is not optimal is NaN.
+    ``walk_held`` is the ``HeldBases`` the walk held when it came to its
+    last entry, or () for none; ``held`` folds that entry in.
     """
 
     value: float | np.ndarray
@@ -125,6 +134,16 @@ class L1Solution:
     warm_start: WarmStart | list | None = None
     renorm_factor: float | np.ndarray = 1.0
     standard_form: tuple | None = None
+    walk_held: HeldBases | tuple = ()
+
+    @cached_property
+    def held(self) -> HeldBases | tuple:
+        """The bases the walk held after its last entry, ``_hold`` of
+        ``walk_held`` with that entry's ``warm_start``: what a caller that
+        walks on from here passes back as ``basis``, as it is.  Folded on
+        first read, so a lone call that never reads it stacks nothing."""
+        last = self.warm_start[-1] if isinstance(self.warm_start, list) else self.warm_start
+        return _hold(self.walk_held, last)
 
     @property
     def checked_status(self) -> str | list:
@@ -166,16 +185,18 @@ def solve_l1(A: np.ndarray, b: np.ndarray, basis=None, renorm_factor=1.0) -> L1S
 
     ``b`` is one right-hand side or a block of them, one per row; either
     gives one ``L1Solution``, a block's with one entry per row.  A block is
-    the warm walk of the module docstring, from ``basis``: only an entry
-    the basis does not serve reaches ``solve_standard_form``.  ``basis`` is
-    None, the ``WarmStart`` of a solve of the same program, or several
-    bases a run holds, as the ``HeldBases`` of ``_hold`` or of the
-    reference starts; the walk then starts from the one that is least
-    infeasible for the first right-hand side (``reuse_basis``), which is
-    one that serves it when any does.  None or an empty sequence is a cold
-    start, from the all-artificial basis: ``solve_l1`` knows no program's
-    reference starts, and ``rom_state`` and ``channel_robustness`` pass
-    those in place of an empty ``basis``.
+    the warm walk of the module docstring, from ``basis``: each entry starts
+    from the least infeasible of the bases the walk holds
+    (``reuse_basis``), and only an entry none of them serves reaches
+    ``solve_standard_form``.  ``basis`` is None, the ``WarmStart`` of a
+    solve of the same program, or several bases a run holds, as the
+    ``HeldBases`` of an earlier solution's ``held`` or of the reference
+    starts; the walk folds each basis it reaches into them by ``_hold`` and
+    ends with ``L1Solution.held``.  An entry with no optimum leaves them as
+    they are.  None or an empty sequence is a cold start, from the
+    all-artificial basis: ``solve_l1`` knows no program's reference starts,
+    and ``rom_state`` and ``channel_robustness`` pass those in place of an
+    empty ``basis``.
     ``renorm_factor`` (a number, or one per right-hand side) is reported on
     the solution.  Deterministic under the fixed atom ordering and
     ``basis`` (see ``solve_standard_form``); the reconstruction residual,
@@ -190,26 +211,26 @@ def solve_l1(A: np.ndarray, b: np.ndarray, basis=None, renorm_factor=1.0) -> L1S
         raise ValueError("LP right-hand side is not finite")
     (m, n), rows = A.shape, len(b)
     c = np.ones(n)
-    held = stack_bases((basis,)) if isinstance(basis, WarmStart) else basis or None
+    held = stack_bases((basis,)) if isinstance(basis, WarmStart) else basis or ()
     x, dual = np.empty((rows, n)), np.empty((rows, m))
     objective, iterations = np.empty(rows), np.zeros(rows, dtype=int)
     status, starts = ["optimal"] * rows, [None] * rows
     j = 0
     while j < rows:
-        basis = None
+        if j:
+            held = _hold(held, starts[j - 1])
+        start = None
         if held:
-            basis, served, *read = reuse_basis(A, b[j:], c, held)
+            start, served, *read = reuse_basis(A, b[j:], c, held)
             if served:
                 x[j : j + served], objective[j : j + served], dual[j : j + served] = read
-                starts[j : j + served] = [basis] * served
+                starts[j : j + served] = [start] * served
                 j += served
-            if j == rows:
-                break
-        result = solve_standard_form(A, b[j], c, basis=basis)
-        basis, iterations[j] = result.warm_start, result.iterations
-        held = None if basis is None or j + 1 == rows else stack_bases((basis,))
+                continue
+        result = solve_standard_form(A, b[j], c, basis=start)
+        iterations[j] = result.iterations
         if result.status == STATUS_OPTIMAL:
-            x[j], objective[j], dual[j], starts[j] = result.x, result.objective, result.dual, basis
+            x[j], objective[j], dual[j], starts[j] = result.x, result.objective, result.dual, result.warm_start
         else:
             x[j], objective[j], dual[j] = np.nan, np.nan, np.nan
             status[j] = "infeasible" if result.status == STATUS_INFEASIBLE else "numerical_failure"
@@ -221,31 +242,33 @@ def solve_l1(A: np.ndarray, b: np.ndarray, basis=None, renorm_factor=1.0) -> L1S
     half = n // 2
     if single:
         return L1Solution(float(objective[0]), status[0], float(residual[0]), x[0, :half], x[0, half:], float(gap[0]),
-                          float(violation[0]), int(iterations[0]), starts[0], float(factors[0]), (A, b[0]))
+                          float(violation[0]), int(iterations[0]), starts[0], float(factors[0]), (A, b[0]), held)
     return L1Solution(objective, status, residual, x[:, :half], x[:, half:], gap, violation, iterations, starts,
-                      factors, (A, b))
+                      factors, (A, b), held)
 
 
 # Most distinct optimal bases a caller holds for one program.
 _HELD_BASES = 4
 
 
-def _hold(held, warm_starts):
-    """The bases to pass ``solve_l1`` next: ``held`` (a ``HeldBases``, or
-    () for none) with each of ``warm_starts`` (a block solution's
-    ``warm_start`` list) in turn as its latest basis.  A None, or the basis
-    already latest, adds nothing; an older entry with the same basic
-    columns gives way; only the last ``_HELD_BASES`` stay, latest first,
-    the order in which ``reuse_basis`` breaks ties.  What a sweep run or a threshold search
-    holds for each LP column between blocks, stacked once per change, not
-    once per solve; ``held`` itself when nothing changes."""
-    starts = unchanged = held.starts if held else ()
-    for start in warm_starts:
-        if start is not None and not (starts and starts[0] is start):
-            columns = np.sort(start.basis)
-            kept = tuple(other for other in starts if not np.array_equal(np.sort(other.basis), columns))
-            starts = ((start,) + kept)[:_HELD_BASES]
-    return held if starts is unchanged else stack_bases(starts)
+def _hold(held, start):
+    """The bases a walk holds next: ``held`` (a ``HeldBases``, or () for
+    none) with the ``WarmStart`` ``start`` as its latest basis.  A None, or
+    the basis already latest, adds nothing; an older entry with the same
+    basic columns gives way; only the last ``_HELD_BASES`` stay, latest
+    first, the order in which ``reuse_basis`` breaks ties.  ``solve_l1``
+    folds in each entry of a walk but the last, and ``L1Solution.held``
+    the last, so a sweep run or a threshold search that passes that set
+    back holds, block after block, what one walk of all its points would.
+    Stacked once per change, not once per solve; ``held`` itself when
+    nothing changes."""
+    if start is None or (held and held.starts[0] is start):
+        return held
+    starts = (start,)
+    if held:
+        same = (np.sort(held.bases, axis=1) == np.sort(start.basis)).all(axis=1)
+        starts += tuple(other for other, drop in zip(held.starts, same.tolist()) if not drop)
+    return stack_bases(starts[:_HELD_BASES])
 
 
 def _reference_starts(A: np.ndarray, references):
@@ -309,15 +332,23 @@ def _channel_rhs(choi: np.ndarray) -> np.ndarray:
     return np.concatenate([target, np.zeros(target.shape[:-1] + (6,))], axis=-1)
 
 
-# The channel program's references: the Choi matrices at both ends, p = 0
-# and p = 1, of the two qubit channel families the sweeps score.  Each
-# channel is written down complete, as the zoo writes noisy TH, so building
-# them runs no completeness check.
+def _depolarized_t_choi(p: float) -> np.ndarray:
+    """The Choi matrix of the T gate behind two depolarizing passes of
+    strength p, in closed form: (1 - q) J_T + q I/4, with q = 2p - p^2."""
+    q = 2 * p - p * p
+    return (1 - q) * choi_of_channel(_derived(KrausChannel, np.array([T_GATE]))).matrix + q * np.eye(4) / 4
+
+
+# The channel program's references: the Choi matrices at the two ends of
+# the range the package scores of each qubit channel family, noisy TH on
+# [0, 1] (fig2) and the depolarized T gate on [0, 0.45] (fig3).  Each is
+# written down complete, as the zoo writes noisy TH, so building them runs
+# no completeness check.
 _CHANNEL_REFERENCES = {
     "noisy TH, p = 0: the T H gate": lambda: choi_of_channel(noisy_th_channel(0.0)).matrix,
     "noisy TH, p = 1: measure and prepare": lambda: choi_of_channel(noisy_th_channel(1.0)).matrix,
-    "depolarized T, p = 0: the T gate": lambda: choi_of_channel(_derived(KrausChannel, np.array([T_GATE]))).matrix,
-    "depolarized T, p = 1: completely depolarizing, Choi I/4": lambda: np.eye(4) / 4,
+    "depolarized T, p = 0: the T gate": lambda: _depolarized_t_choi(0.0),
+    "depolarized T, p = 0.45: the end of fig3's grid": lambda: _depolarized_t_choi(0.45),
 }
 
 

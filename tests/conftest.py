@@ -134,8 +134,8 @@ def recorded_solves(monkeypatch, run):
     solved by ``channel_robustness`` or ``rom_state`` (looked up in
     ``experiments``), in order: [whether its solve had a start basis, its
     ``iterations``].  A call returns one solution, with an entry per LP of
-    a block: the first entry starts from the basis the call was given, and
-    each later one is walked from the one before."""
+    a block: the first entry starts from the bases the call was given, and
+    each later one from those the walk holds by then."""
     from magicswitch import experiments
 
     solves = []
@@ -164,8 +164,9 @@ class PointOracle:
     """One noise value ``p`` of one sweep experiment: the per-point sweep the
     array program replaced, kept as its reference.  Each intermediate is
     built by the package's single-object functions on first use, and each
-    LP is solved alone, from the basis its column reached at the previous
-    point of the run (``run["bases"]``), or cold when ``run["cold"]``."""
+    LP is solved alone, from the bases its column held after the previous
+    point of the run (``run["bases"]``, that solution's ``held``), or cold
+    when ``run["cold"]``."""
 
     def __init__(self, experiment, p, lp_tol, run):
         self.experiment, self.p, self.lp_tol, self.run = experiment, p, lp_tol, run
@@ -191,7 +192,7 @@ class PointOracle:
         solution = program(*args, basis=self.run["bases"].get(column))
         if self.run.get("cold"):
             solution = lp.solve_l1(*solution.standard_form, (), solution.renorm_factor)
-        self.run["bases"][column] = solution.warm_start
+        self.run["bases"][column] = solution.held
         return experiments._certified_value(solution, self.lp_tol)
 
 
@@ -265,7 +266,7 @@ ORACLE_MEASURES = {
 
 def oracle_rows(experiment, grid, lp_tol=DEFAULT_TOL.lp_value, cold=False):
     """The rows of one contiguous run over ``grid``, one point at a time, in
-    order, each LP warm-started from its column's last basis (from the
+    order, each LP warm-started from the bases its column holds (from the
     all-artificial basis at every point when ``cold``)."""
     from magicswitch.experiments import MEASURE_COLUMNS, SweepRow
 

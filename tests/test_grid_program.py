@@ -169,10 +169,12 @@ class TestGridKernels:
         atoms = cspo_choi_atoms(enumerate_stabilizer_states(2))
         walk = lp.channel_robustness(noisy_th_channel(self.P), atoms)
         assert isinstance(walk, lp.L1Solution) and len(walk.status) == len(walk.warm_start) == len(self.P)
-        start = None
+        # Each entry walks as a lone solve from the bases the walk held
+        # before it, and holds what that solve holds after it.
+        held = ()
         for k, p in enumerate(self.P):
-            alone = lp.channel_robustness(noisy_th_channel(p), atoms, basis=start)
-            start = alone.warm_start
+            alone = lp.channel_robustness(noisy_th_channel(p), atoms, basis=held)
+            start, held = alone.warm_start, alone.held
             assert (walk.value[k], walk.status[k], walk.iterations[k]) == (alone.value, alone.status, alone.iterations)
             assert (walk.residual[k], walk.dual_gap[k], walk.dual_violation[k]) == (
                 alone.residual, alone.dual_gap, alone.dual_violation,
@@ -180,6 +182,7 @@ class TestGridKernels:
             assert np.array_equal(walk.plus[k], alone.plus) and np.array_equal(walk.minus[k], alone.minus)
             assert np.array_equal(walk.warm_start[k].basis, start.basis)
             assert np.array_equal(walk.warm_start[k].inverse, start.inverse)
+        assert np.array_equal(walk.held.bases, held.bases) and np.array_equal(walk.held.inverses, held.inverses)
         assert walk.standard_form[1].shape == (len(self.P), walk.standard_form[0].shape[0])
 
     def test_rom_state_logs_each_renormalized_entry(self, caplog):

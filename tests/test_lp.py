@@ -82,7 +82,8 @@ class TestSolveL1:
 
     def test_infeasible_entry_mid_walk(self, rng):
         # The same infeasible right-hand side between feasible ones in one
-        # block: it reads NaN with no basis, and the walk goes on cold.
+        # block: it reads NaN with no basis and leaves the held bases as they
+        # were, so the walk goes on from the bases it held before it.
         atoms = rng.normal(size=(3, 2))
         A = _assemble_standard_form(atoms, np.zeros((1, 3)))
         feasible = [np.concatenate([atoms[0] + shift, [0.0, 0.0]]) for shift in (0.0, 0.01, 0.02, 0.03)]
@@ -92,11 +93,11 @@ class TestSolveL1:
         assert np.isnan([walk.value[2], walk.residual[2], walk.dual_gap[2], walk.dual_violation[2]]).all()
         assert np.isnan(walk.plus[2]).all() and np.isnan(walk.minus[2]).all()
         assert walk.warm_start[2] is None
-        cold = solve_l1(A, feasible[2])
-        assert (walk.value[3], walk.iterations[3]) == (cold.value, cold.iterations) and cold.iterations > 0
+        before = solve_l1(A, np.array(feasible[:2]))
+        assert solve_l1(A, bad, before.held).held is before.held
+        after = solve_l1(A, np.array(feasible[2:]), before.held)
         # The entries around it walk as their own blocks do.
-        for entries, rhs in (((0, 1), feasible[:2]), ((3, 4), feasible[2:])):
-            alone = solve_l1(A, np.array(rhs))
+        for entries, alone in (((0, 1), before), ((3, 4), after)):
             for k, entry in enumerate(entries):
                 assert (walk.value[entry], walk.iterations[entry], walk.status[entry]) == (
                     alone.value[k], alone.iterations[k], alone.status[k]
@@ -421,10 +422,12 @@ class TestReferenceStarts:
     which stay dual feasible at every right-hand side."""
 
     def test_starts_are_the_cold_optima_at_the_references(self, qubit_dict, twoq_dict, choi_atoms):
-        # Both ends of noisy TH, the T gate and the completely depolarizing
-        # channel, whose Choi state is I/4.  The state program's reference is
-        # I/d.
-        ends = (noisy_th_channel(0.0), noisy_th_channel(1.0), unitary_channel(T_GATE), depolarizing_channel(2, 1.0))
+        # Both ends of noisy TH, and of the T gate behind two depolarizing
+        # passes on fig3's grid, composed as the sweep composes it: the
+        # closed-form Choi matrix in the table reaches the same start, bit
+        # for bit.  The state program's reference is I/d.
+        ends = (noisy_th_channel(0.0), noisy_th_channel(1.0), unitary_channel(T_GATE),
+                experiments.CHANNELS["depol-squared-t"](0.45))
         programs = [(lp._channel_constraints(choi_atoms), [reference_channel_lp(ch, choi_atoms)[1] for ch in ends])]
         for dictionary in (qubit_dict, twoq_dict):
             mixed = DensityOperator.maximally_mixed(dictionary.dim)
@@ -496,6 +499,30 @@ class TestReferenceStarts:
         unserved = channel_robustness(unitary_channel(HADAMARD @ T_GATE), choi_atoms)
         assert unserved.iterations > 0 and all(unserved.warm_start is not s for s in starts)
         assert abs(unserved.value - SQRT2) <= 1e-12
+
+    def test_lone_calls_on_the_families_make_no_pivot(self, monkeypatch, choi_atoms):
+        # The references sit at both ends of each family's scored range: a
+        # lone call anywhere on fig2's grid of noisy TH, or on fig3's grid of
+        # the T gate behind sequential or switched (plus branch) depolarizing
+        # noise, is read off one of them.
+        lp._channel_constraints(choi_atoms)  # the references' own pivots are not counted
+        fig3 = experiments.default_config("fig3").grid()
+        families = ((noisy_th_channel, experiments.default_config("fig2").grid()),
+                    (experiments.CHANNELS["depol-squared-t"], fig3), (experiments.CHANNELS["switch-plus-t"], fig3))
+        for family, grid in families:
+            for p in grid:
+                sol, pivots = pivots_by_caller(monkeypatch, lambda: channel_robustness(family(p), choi_atoms))
+                assert not pivots and sol.iterations == 0 and sol.checked_status == "optimal", p
+
+    def test_each_entry_of_a_block_starts_from_the_least_infeasible_held_basis(self, choi_atoms):
+        # Noisy TH at 0.2 is read off the T H reference.  At 0.4, past the
+        # crossing, that basis no longer serves, but the measure-and-prepare
+        # reference, still held, does: neither entry pivots.
+        starts = lp._channel_constraints(choi_atoms)[1].starts[::-1]  # in the table's order
+        walk = channel_robustness(noisy_th_channel(np.array([0.2, 0.4])), choi_atoms)
+        assert walk.iterations.tolist() == [0, 0]
+        assert walk.warm_start[0] is starts[0] and walk.warm_start[1] is starts[1]
+        assert abs(walk.value[0] - 1.6 * SQRT2 / 2) <= 1e-12 and abs(walk.value[1] - 1.0) <= 1e-12
 
     def test_fewer_dual_pivots_than_cold_on_the_sweep_channels(self, monkeypatch, choi_atoms):
         # 23 noisy TH channels on [0.05, 0.6] and 23 T gates behind two
