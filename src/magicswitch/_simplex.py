@@ -286,43 +286,27 @@ def _excess(x_B, real):
     return np.maximum(off, 0.0).sum(axis=-1)
 
 
-class HeldBases(NamedTuple):
-    """Optimal ``WarmStart``s of one program, latest first, with their bases
-    and inverses stacked once, one row per start: what ``reuse_basis``
-    compares of each on every call.  Read-only, as each ``WarmStart`` is."""
-
-    starts: tuple
-    bases: np.ndarray
-    inverses: np.ndarray
-
-
-def stack_bases(starts) -> HeldBases:
-    """The ``HeldBases`` of the ``WarmStart``s ``starts`` (latest first, at
-    least one), its stacks read-only."""
-    bases, inverses = np.array([start.basis for start in starts]), np.array([start.inverse for start in starts])
-    bases.flags.writeable = inverses.flags.writeable = False
-    return HeldBases(tuple(starts), bases, inverses)
-
-
 def reuse_basis(A, b, c, held):
-    """The basis to start from, of the ``HeldBases`` ``held``, and its
-    solutions of the leading right-hand sides it serves in the block ``b``,
-    one per row: ``(start, served, x, objective, dual)``.
+    """The basis to start from, of the ``WarmStart``s ``held`` (latest
+    first, at least one), and its solutions of the leading right-hand sides
+    it serves in the block ``b``, one per row: ``(start, served, x,
+    objective, dual)``.
 
     x_B = B^-1 b is one stacked mat-vec, with the bits of ``inverse @ b_j``
-    for each row alone.  Several held bases are compared at ``b[0]``, one
-    product per basis: ``start`` has the least ``_excess`` there (one that
-    serves ``b[0]`` where any does), ties to the latest, and its product
-    opens the block.  Row j is served when its ``_excess`` is 0; ``served``
-    counts the rows before the first that is not, which must pivot from
-    ``start``, and ``x`` (served, n) and ``objective`` (served,) hold their
-    solutions.  The dual y = c_B B^-1 is the same for every row.  When no
-    row is served, all three are None."""
+    for each row alone.  The held bases are compared at ``b[0]``, their
+    inverses stacked for one product: ``start`` has the least ``_excess``
+    there (one that serves ``b[0]`` where any does), ties to the latest,
+    and its product opens the block.  Row j is served when its ``_excess``
+    is 0; ``served`` counts the rows before the first that is not, which
+    must pivot from ``start``, and ``x`` (served, n) and ``objective``
+    (served,) hold their solutions.  The dual y = c_B B^-1 is the same for
+    every row.  When no row is served, all three are None."""
     m, n = A.shape
-    first = (held.inverses @ b[0][:, None])[:, :, 0]
-    k = int(_excess(first, held.bases < n).argmin()) if len(held.starts) > 1 else 0
-    start = held.starts[k]
-    x_B = np.concatenate([first[k, None], (held.inverses[k] @ b[1:, :, None])[:, :, 0]])
+    inverses = np.array([start.inverse for start in held])
+    first = (inverses @ b[0][:, None])[:, :, 0]
+    k = int(_excess(first, np.array([start.basis for start in held]) < n).argmin()) if len(held) > 1 else 0
+    start = held[k]
+    x_B = np.concatenate([first[k, None], (inverses[k] @ b[1:, :, None])[:, :, 0]])
     real = start.basis < n
     feasible = _excess(x_B, real) == 0.0
     served = len(b) if feasible.all() else int(feasible.argmin())

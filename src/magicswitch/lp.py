@@ -27,8 +27,8 @@ certifies the answer.  A solve starts from the one start form the simplex
 takes, a ``WarmStart``: the ``basis`` its caller holds, the
 ``warm_start`` of a solve of the same program at a neighbouring
 right-hand side.  A caller that holds several such bases, as a sweep run
-or a threshold search does for each LP column, passes them all, stacked
-once as a ``HeldBases``, and the solve starts from the one least
+or a threshold search does for each LP column, passes them all, a tuple
+of ``WarmStart``s, latest first, and the solve starts from the one least
 infeasible for its right-hand side (``_simplex.reuse_basis``): one that
 serves it, where any does.  Which bases are held is this module's rule
 too: a walk folds each basis it reaches into what it holds by ``_hold``,
@@ -43,9 +43,9 @@ package scores of each of the two qubit channel families
 (``_CHANNEL_REFERENCES``).  Reduced costs do not depend on ``b``, so an
 optimal basis is dual feasible at every right-hand side of its program,
 and a dual simplex can start from it (a crash basis; Bixby, ORSA J.
-Comput. 4, 267 (1992)), stacked once as a ``HeldBases``.  A channel of
-either family anywhere in its scored range is read off one of them with
-no pivot.  They also save pivots for a channel far from both families:
+Comput. 4, 267 (1992)), held as one such tuple.  A channel of either
+family anywhere in its scored range is read off one of them with no
+pivot.  They also save pivots for a channel far from both families:
 over 100 random Kraus channels and 50 Haar-random unitaries the repairs
 take 4,461 dual pivots where B = I takes 5,988.  They depend on the atom
 set alone, never on an earlier call, so no result depends on call order.
@@ -62,31 +62,29 @@ basis it holds at ``b_j`` and takes the least infeasible
 reads off every entry from j on that this basis serves, with no pivot.
 An entry that no held basis serves must pivot: ``solve_standard_form``
 solves it from the least infeasible one (repaired by dual pivots), or
-from the all-artificial basis when none is held.  Before each later
-entry, the walk folds the basis the last entry reached into what it holds
-(``_hold``); an entry with no optimum adds nothing.  Each entry gets the
-solution, and the certificates, that a lone solve of it from the bases
-the walk held before it gives; a single right-hand side is the walk of
-one, with scalar fields.
+from the all-artificial basis when none is held.  After each entry, the
+walk folds the basis it reached into what it holds (``_hold``); an entry
+with no optimum adds nothing.  Each entry gets the solution, and the
+certificates, that a lone solve of it from the bases the walk held before
+it gives; a single right-hand side is the walk of one, with scalar
+fields.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
 from ._simplex import (
     STATUS_INFEASIBLE,
     STATUS_OPTIMAL,
-    HeldBases,
     WarmStart,
     optimal_start,
     reuse_basis,
     solve_standard_form,
-    stack_bases,
 )
 from .channels import (
     DensityOperator,
@@ -119,8 +117,9 @@ class L1Solution:
     Python floats and ints and ``status`` is a str; for a block ``b`` of N
     rows every other field has a leading axis of N, ``status`` and
     ``warm_start`` as lists.  An entry that is not optimal is NaN.
-    ``walk_held`` is the ``HeldBases`` the walk held when it came to its
-    last entry, or () for none; ``held`` folds that entry in.
+    ``held`` is the tuple of ``WarmStart``s the walk held after its last
+    entry, latest first, or () for none: what a caller that walks on from
+    here passes back as ``basis``, as it is.
     """
 
     value: float | np.ndarray
@@ -134,16 +133,7 @@ class L1Solution:
     warm_start: WarmStart | list | None = None
     renorm_factor: float | np.ndarray = 1.0
     standard_form: tuple | None = None
-    walk_held: HeldBases | tuple = ()
-
-    @cached_property
-    def held(self) -> HeldBases | tuple:
-        """The bases the walk held after its last entry, ``_hold`` of
-        ``walk_held`` with that entry's ``warm_start``: what a caller that
-        walks on from here passes back as ``basis``, as it is.  Folded on
-        first read, so a lone call that never reads it stacks nothing."""
-        last = self.warm_start[-1] if isinstance(self.warm_start, list) else self.warm_start
-        return _hold(self.walk_held, last)
+    held: tuple = ()
 
     @property
     def checked_status(self) -> str | list:
@@ -189,14 +179,14 @@ def solve_l1(A: np.ndarray, b: np.ndarray, basis=None, renorm_factor=1.0) -> L1S
     from the least infeasible of the bases the walk holds
     (``reuse_basis``), and only an entry none of them serves reaches
     ``solve_standard_form``.  ``basis`` is None, the ``WarmStart`` of a
-    solve of the same program, or several bases a run holds, as the
-    ``HeldBases`` of an earlier solution's ``held`` or of the reference
-    starts; the walk folds each basis it reaches into them by ``_hold`` and
-    ends with ``L1Solution.held``.  An entry with no optimum leaves them as
-    they are.  None or an empty sequence is a cold start, from the
-    all-artificial basis: ``solve_l1`` knows no program's reference starts,
-    and ``rom_state`` and ``channel_robustness`` pass those in place of an
-    empty ``basis``.
+    solve of the same program, or several bases a run holds, a sequence of
+    ``WarmStart``s, latest first, as an earlier solution's ``held`` or the
+    reference starts are; the walk folds each basis it reaches into them by
+    ``_hold`` and ends with ``L1Solution.held``.  An entry with no optimum
+    leaves them as they are.  None or an empty sequence is a cold start,
+    from the all-artificial basis: ``solve_l1`` knows no program's
+    reference starts, and ``rom_state`` and ``channel_robustness`` pass
+    those in place of an empty ``basis``.
     ``renorm_factor`` (a number, or one per right-hand side) is reported on
     the solution.  Deterministic under the fixed atom ordering and
     ``basis`` (see ``solve_standard_form``); the reconstruction residual,
@@ -211,14 +201,12 @@ def solve_l1(A: np.ndarray, b: np.ndarray, basis=None, renorm_factor=1.0) -> L1S
         raise ValueError("LP right-hand side is not finite")
     (m, n), rows = A.shape, len(b)
     c = np.ones(n)
-    held = stack_bases((basis,)) if isinstance(basis, WarmStart) else basis or ()
+    held = (basis,) if isinstance(basis, WarmStart) else tuple(basis or ())
     x, dual = np.empty((rows, n)), np.empty((rows, m))
     objective, iterations = np.empty(rows), np.zeros(rows, dtype=int)
     status, starts = ["optimal"] * rows, [None] * rows
     j = 0
     while j < rows:
-        if j:
-            held = _hold(held, starts[j - 1])
         start = None
         if held:
             start, served, *read = reuse_basis(A, b[j:], c, held)
@@ -226,6 +214,7 @@ def solve_l1(A: np.ndarray, b: np.ndarray, basis=None, renorm_factor=1.0) -> L1S
                 x[j : j + served], objective[j : j + served], dual[j : j + served] = read
                 starts[j : j + served] = [start] * served
                 j += served
+                held = _hold(held, start)
                 continue
         result = solve_standard_form(A, b[j], c, basis=start)
         iterations[j] = result.iterations
@@ -234,6 +223,7 @@ def solve_l1(A: np.ndarray, b: np.ndarray, basis=None, renorm_factor=1.0) -> L1S
         else:
             x[j], objective[j], dual[j] = np.nan, np.nan, np.nan
             status[j] = "infeasible" if result.status == STATUS_INFEASIBLE else "numerical_failure"
+        held = _hold(held, starts[j])
         j += 1
     residual = np.abs((A @ x[:, :, None])[:, :, 0] - b).max(axis=1, initial=0.0)
     gap = np.abs(objective - (b[:, None, :] @ dual[:, :, None])[:, 0, 0])
@@ -252,35 +242,32 @@ _HELD_BASES = 4
 
 
 def _hold(held, start):
-    """The bases a walk holds next: ``held`` (a ``HeldBases``, or () for
-    none) with the ``WarmStart`` ``start`` as its latest basis.  A None, or
-    the basis already latest, adds nothing; an older entry with the same
-    basic columns gives way; only the last ``_HELD_BASES`` stay, latest
-    first, the order in which ``reuse_basis`` breaks ties.  ``solve_l1``
-    folds in each entry of a walk but the last, and ``L1Solution.held``
-    the last, so a sweep run or a threshold search that passes that set
-    back holds, block after block, what one walk of all its points would.
-    Stacked once per change, not once per solve; ``held`` itself when
-    nothing changes."""
-    if start is None or (held and held.starts[0] is start):
+    """The bases a walk holds next: the tuple of ``WarmStart``s ``held``,
+    latest first, with ``start`` as its latest basis.  A None, or the basis
+    already latest, adds nothing: ``held`` itself.  A start ``held`` holds
+    elsewhere (the same object) moves to the front.  A new one drops an
+    older entry with the same basic columns, and only the last
+    ``_HELD_BASES`` stay, latest first, the order in which ``reuse_basis``
+    breaks ties.  ``solve_l1`` folds in each entry of a walk, so a sweep
+    run or a threshold search that passes its ``held`` back holds, block
+    after block, what one walk of all its points would."""
+    if start is None or (held and held[0] is start):
         return held
-    starts = (start,)
-    if held:
-        same = (np.sort(held.bases, axis=1) == np.sort(start.basis)).all(axis=1)
-        starts += tuple(other for other, drop in zip(held.starts, same.tolist()) if not drop)
-    return stack_bases(starts[:_HELD_BASES])
+    if any(other is start for other in held):
+        return (start, *(other for other in held if other is not start))
+    columns = set(start.basis.tolist())
+    return (start, *(other for other in held if set(other.basis.tolist()) != columns))[:_HELD_BASES]
 
 
 def _reference_starts(A: np.ndarray, references):
-    """The ``HeldBases`` of the optimal ``WarmStart``s of the program ``A``
-    at the right-hand sides ``references``, each from the all-artificial
-    basis (``_simplex.optimal_start``), the last reference latest; () when
-    there are none.  A reference is only ever a start: every solve it
-    starts checks it again and is certified.  A reference with no optimum,
-    as for an atom set it lies outside of, is left out."""
+    """The optimal ``WarmStart``s of the program ``A`` at the right-hand
+    sides ``references``, each from the all-artificial basis
+    (``_simplex.optimal_start``), as a tuple with the last reference
+    latest; () when there are none.  A reference is only ever a start:
+    every solve it starts checks it again and is certified.  A reference
+    with no optimum, as for an atom set it lies outside of, is left out."""
     c = np.ones(A.shape[1])
-    starts = tuple(start for start in (optimal_start(A, b, c) for b in references) if start is not None)
-    return stack_bases(starts[::-1]) if starts else ()
+    return tuple(start for start in (optimal_start(A, b, c) for b in references) if start is not None)[::-1]
 
 
 @lru_cache(maxsize=None)
@@ -299,8 +286,8 @@ def rom_state(rho: DensityOperator, dictionary, basis=None) -> L1Solution:
     solution and logged when it is not 1.  Faithful: the value is 1 exactly when the
     state lies in the stabilizer polytope.  ``basis`` may carry the
     ``warm_start`` of a neighbouring state's solve, or several held bases
-    (a ``HeldBases``), as a starting point; with none, the solve starts
-    from the program's reference start.  A grid of states gives one
+    (a tuple of ``WarmStart``s), as a starting point; with none, the solve
+    starts from the program's reference start.  A grid of states gives one
     solution with an entry per state, in order, from one warm walk
     (``solve_l1``).  An infeasible LP, for any entry, raises.
     """
@@ -376,8 +363,8 @@ def channel_robustness(ch: KrausChannel, atoms, basis=None) -> L1Solution:
     marginal (its X, Y, Z components vanish), which together with the Choi
     reconstruction rows makes the optimal l1 norm equal 1 + 2p.  ``basis``
     may carry the ``warm_start`` of a neighbouring channel's solve, or
-    several held bases (a ``HeldBases``), as a starting point; with none,
-    the solve starts from the program's reference starts.  A grid of
+    several held bases (a tuple of ``WarmStart``s), as a starting point;
+    with none, the solve starts from the program's reference starts.  A grid of
     channels gives one solution with an entry per channel, in order, from
     one warm walk (``solve_l1``).
     """

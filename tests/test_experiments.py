@@ -667,6 +667,27 @@ class TestWalkedThresholds:
             assert res.bracket[0] <= oracle.threshold <= res.bracket[1]
             assert res.iterations <= 10  # bisection takes 18 here
 
+    def test_seeded_searches_keep_their_path(self):
+        # 600 searches, as the benchmark draws them: seeds 0-99, each
+        # shifting the bracket of every registered measure in turn.  Each
+        # confirms its proposed root in 3 iterations, and the roots and
+        # brackets keep their digest, at 12 significant digits as the CSV
+        # pins are, so that BLAS last bits do not matter.
+        from perfbench.workloads import THRESHOLDS
+
+        assert len(THRESHOLDS) == 6 and set(THRESHOLDS) <= set(MEASURES)
+        lines = []
+        for seed in range(100):
+            rng = np.random.default_rng(seed)
+            for name, ((lo, hi), shift, _, _) in THRESHOLDS.items():
+                s = rng.uniform(-shift, shift)
+                res = find_threshold(name, lo + s, hi + s, threshold_tol=1e-6)
+                assert res.iterations == 3, (seed, name)
+                low, high = res.bracket
+                lines.append(f"{name},{res.threshold:.12g},{low:.12g},{high:.12g},{res.iterations}\n")
+        digest = hashlib.sha256("".join(lines).encode()).hexdigest()
+        assert digest == "038520116b50c5a737673f5b85fbe2c0c82922f5fdc81ca85145b6962d71bcf3"
+
     @pytest.mark.parametrize("wrong_proposal", [False, True], ids=["walked", "bisected"])
     @pytest.mark.parametrize("name", list(LP_CROSSINGS))
     def test_only_the_first_lp_of_a_search_starts_cold(self, monkeypatch, name, wrong_proposal):
@@ -716,20 +737,22 @@ class TestWalkedThresholds:
     def test_held_bases_are_distinct_and_bounded(self):
         # lp owns the rule and folds one basis at a time, as a walk does its
         # entries: entries served by one basis repeat it, and a failed entry
-        # is None.  The bases are held latest first, stacked once per change,
-        # read-only.
+        # is None.  The held set is a plain tuple of the very starts, latest
+        # first.
         starts = [WarmStart(np.array([k, 9]), np.eye(2) * (k + 1)) for k in range(6)]
         block = [starts[0], starts[0], None, *starts[1:], starts[5]]
         held = reduce(lp._hold, block, ())
-        assert held.starts == tuple(starts[::-1][: lp._HELD_BASES])
-        assert np.array_equal(held.inverses, [start.inverse for start in held.starts])
-        assert np.array_equal(held.bases, [start.basis for start in held.starts])
-        assert not (held.bases.flags.writeable or held.inverses.flags.writeable)
+        assert type(held) is tuple and len(held) == lp._HELD_BASES
+        assert all(got is want for got, want in zip(held, starts[::-1][: lp._HELD_BASES]))
+        # A start already held moves to the front, and nothing is copied.
+        reordered = lp._hold(held, held[2])
+        assert type(reordered) is tuple
+        assert [id(start) for start in reordered] == [id(start) for start in (held[2], held[0], held[1], held[3])]
         # The same basic columns in another order replace the older entry.
         again = WarmStart(np.array([9, starts[3].basis[0]]), np.eye(2))
         held = lp._hold(held, again)
-        assert [start.basis[0] for start in held.starts] == [9, 5, 4, 2]
-        assert held.starts[0] is again and np.array_equal(held.bases[0], again.basis)
+        assert [start.basis[0] for start in held] == [9, 5, 4, 2]
+        assert held[0] is again
         assert lp._hold(held, None) is held and lp._hold(held, again) is held
         assert lp._hold((), None) == ()
         assert not (hasattr(experiments, "_hold") or hasattr(experiments, "_HELD_BASES"))

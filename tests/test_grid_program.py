@@ -182,7 +182,13 @@ class TestGridKernels:
             assert np.array_equal(walk.plus[k], alone.plus) and np.array_equal(walk.minus[k], alone.minus)
             assert np.array_equal(walk.warm_start[k].basis, start.basis)
             assert np.array_equal(walk.warm_start[k].inverse, start.inverse)
-        assert np.array_equal(walk.held.bases, held.bases) and np.array_equal(walk.held.inverses, held.inverses)
+        assert len(walk.held) == len(held)
+        for got, want in zip(walk.held, held):
+            assert np.array_equal(got.basis, want.basis) and np.array_equal(got.inverse, want.inverse)
+        # The walk holds the very starts its entries reached, the last one
+        # latest: reference starts it read entries off, or bases it pivoted to.
+        reached = {id(start) for start in (*walk.warm_start, *lp._channel_constraints(atoms)[1])}
+        assert walk.held[0] is walk.warm_start[-1] and all(id(start) in reached for start in walk.held)
         assert walk.standard_form[1].shape == (len(self.P), walk.standard_form[0].shape[0])
 
     def test_rom_state_logs_each_renormalized_entry(self, caplog):
@@ -215,7 +221,7 @@ def test_block_reuse_matches_single_solves():
     b0 = rng.uniform(1, 2, size=4)
     start = _simplex.solve_standard_form(A, b0, c).warm_start
     block = b0 + np.outer(np.linspace(0.0, 4.0, 40), rng.normal(size=4))
-    held = _simplex.stack_bases((start,))
+    held = (start,)
     _, served, x, objective, dual = _simplex.reuse_basis(A, block, c, held)
     assert 0 < served < 40  # the block runs past the basis's feasible region
     for j in range(served):

@@ -433,14 +433,14 @@ class TestReferenceStarts:
             mixed = DensityOperator.maximally_mixed(dictionary.dim)
             programs.append((lp._state_constraints(dictionary), [reference_state_lp(mixed, dictionary)[1]]))
         for (A, held), references in programs:
-            starts = held.starts[::-1]  # in the order of the references
+            assert type(held) is tuple
+            starts = held[::-1]  # in the order of the references
             assert len(starts) == len(references)
             for b, start in zip(references, starts):
                 cold = solve_l1(A, b, ())
                 assert np.array_equal(cold.warm_start.basis, start.basis)
                 assert np.array_equal(cold.warm_start.inverse, start.inverse)
                 assert not (start.basis.flags.writeable or start.inverse.flags.writeable)
-            assert not (held.bases.flags.writeable or held.inverses.flags.writeable)
 
     def test_an_empty_sequence_of_bases_starts_from_the_references(self, qubit_dict, choi_atoms):
         # rom_state and channel_robustness read basis=() as no basis held;
@@ -491,7 +491,7 @@ class TestReferenceStarts:
         # Noisy TH at 0.5 is read off the measure-and-prepare reference with
         # no pivot, and the T gate off its own; H T is served by none of the
         # references and pivots.
-        starts = lp._channel_constraints(choi_atoms)[1].starts[::-1]  # in the table's order
+        starts = lp._channel_constraints(choi_atoms)[1][::-1]  # in the table's order
         served = channel_robustness(noisy_th_channel(0.5), choi_atoms)
         assert served.iterations == 0 and served.warm_start is starts[1]
         served = channel_robustness(unitary_channel(T_GATE), choi_atoms)
@@ -518,7 +518,7 @@ class TestReferenceStarts:
         # Noisy TH at 0.2 is read off the T H reference.  At 0.4, past the
         # crossing, that basis no longer serves, but the measure-and-prepare
         # reference, still held, does: neither entry pivots.
-        starts = lp._channel_constraints(choi_atoms)[1].starts[::-1]  # in the table's order
+        starts = lp._channel_constraints(choi_atoms)[1][::-1]  # in the table's order
         walk = channel_robustness(noisy_th_channel(np.array([0.2, 0.4])), choi_atoms)
         assert walk.iterations.tolist() == [0, 0]
         assert walk.warm_start[0] is starts[0] and walk.warm_start[1] is starts[1]
@@ -583,7 +583,7 @@ class TestReferenceStarts:
         # solve_l1 with no basis does.
         for atoms, kept in ((choi_atoms[:30], 2), (choi_atoms[30:], 0)):
             A, starts = lp._channel_constraints(atoms)
-            assert len(starts.starts if starts else ()) == kept
+            assert len(starts) == kept
             for ch in (unitary_channel(T_GATE), identity_channel(2)):
                 got = channel_robustness(ch, atoms)
                 assert same_outcome(got, solve_l1(A, got.standard_form[1], starts))

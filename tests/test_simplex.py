@@ -508,7 +508,7 @@ def assert_warm_start_matches_the_oracle(A, b, c, start):
     must be HiGHS's.  Returns (served, result)."""
     m, n = A.shape
     tol = DEFAULT_TOL.pivot
-    _, served, reused, objective, _ = _simplex.reuse_basis(A, b[None], c, _simplex.stack_bases((start,)))
+    _, served, reused, objective, _ = _simplex.reuse_basis(A, b[None], c, (start,))
     got, starts = solve_recording_starts(A, b, c, start)
     assert np.array_equal(starts[0][0], start.basis)
     x_B = np.linalg.solve(np.hstack([A, np.eye(m)])[:, start.basis], b)
@@ -745,7 +745,7 @@ def test_repair_drives_a_zero_artificial_out_on_a_negative_entry(monkeypatch):
     assert np.array_equal(got.x, [0.0, 0.0, 1.0])
     assert (got.warm_start.basis < 3).all()
     # The WarmStart serves a neighbouring b with no pivot.
-    held = _simplex.stack_bases((got.warm_start,))
+    held = (got.warm_start,)
     _, served, _, objective, _ = _simplex.reuse_basis(A, np.array([[0.0, 2.0]]), c, held)
     assert served == 1 and objective.tolist() == [2.0]
 
