@@ -1,10 +1,9 @@
 """Dense two-phase tableau simplex, started by dual simplex.
 
 The embedded LP engine behind every robustness value.  Problems are small
-(a few hundred columns, a few dozen rows) but solved thousands of times per
-sweep, so the pivot loops, a handful of whole-array numpy operations per
-pivot, are the package's hot kernel.  Every rule is deterministic, so is
-every walk.  The Bland loops take the smallest eligible index, ties to the
+(a few hundred columns, a few dozen rows), and each pivot is a handful of
+whole-array numpy operations.  Every rule is deterministic, so is every
+walk.  The Bland loops take the smallest eligible index, ties to the
 smallest basic variable.  The dual repair leaves by dual steepest edge
 (Forrest & Goldfarb, Math. Program. 57, 341 (1992)), whose weights
 ||e_r B^-1||^2 are exact in a dense tableau, which carries B^-1 in its

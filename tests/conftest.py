@@ -1,3 +1,4 @@
+import math
 import sys
 from collections import Counter
 from functools import cached_property, partial
@@ -90,25 +91,6 @@ def fig2_fig3_channels():
         yield compose_channels(noise, compose_channels(noise, unitary_channel(T_GATE)))
         for branch in effective_t_channels(p):
             yield branch.channel
-
-
-def pivot_walks(monkeypatch, run):
-    """Run ``run()``; return its result and the (status, iterations) of every
-    simplex pivot loop it ran, in order: each solve runs phase 1, then
-    phase 2."""
-    from magicswitch import _simplex
-
-    walks = []
-    pivot_loop = _simplex.bland_pivot_loop
-
-    def recorder(*args):
-        walks.append(pivot_loop(*args))
-        return walks[-1]
-
-    with monkeypatch.context() as patch:
-        patch.setattr(_simplex, "bland_pivot_loop", recorder)
-        result = run()
-    return result, walks
 
 
 def pivots_by_caller(monkeypatch, run):
@@ -306,6 +288,35 @@ def compare_rows(got, want, tol=1e-12):
 # ---------------------------------------------------------------------------
 # Oracles shared by several test modules
 # ---------------------------------------------------------------------------
+
+# Each LP threshold's closed form, and the bracket the benchmark searches
+# it in.
+#  - fig2: the noisy TH channel turns free at 1 - 1/sqrt(2), and its plus
+#    output at 2 - sqrt(2).
+#  - fig3_sequential: two depolarizing passes are one of strength
+#    q = 2p - p^2, and D_q o T has robustness sqrt(2) (1 - q) + q/2 on the
+#    magic side.  It reaches 1 at q* = (6 - 2 sqrt(2))/7, so
+#    p* = 1 - sqrt(1 - q*) = 1 - sqrt(7 + 14 sqrt(2))/7.
+#  - fig3_switch_plus: the branch weight s(p) = 1 - 3p^2/8 times its
+#    robustness is a quadratic in p over Q(sqrt(2)).  It meets s(p) at the
+#    root in (0, 1) of a p^2 + b p + c, with a = 9 sqrt(2) - 3,
+#    b = -8 (2 sqrt(2) - 1) and c = 8 (sqrt(2) - 1): the smaller root,
+#    2c / (-b + sqrt(b^2 - 4ac)) without cancellation.
+_R2 = math.sqrt(2)
+_A, _B, _C = 9 * _R2 - 3, -8 * (2 * _R2 - 1), 8 * (_R2 - 1)
+LP_THRESHOLDS = {
+    "fig2_channel_robustness": 1 - 1 / _R2,
+    "fig2_rom_plus": 2 - _R2,
+    "fig3_sequential": 1 - math.sqrt(7 + 14 * _R2) / 7,
+    "fig3_switch_plus": 2 * _C / (math.sqrt(_B * _B - 4 * _A * _C) - _B),
+}
+LP_BRACKETS = {
+    "fig2_channel_robustness": (0.2, 0.4),
+    "fig2_rom_plus": (0.5, 0.7),
+    "fig3_sequential": (0.2, 0.35),
+    "fig3_switch_plus": (0.2, 0.35),
+}
+
 
 def operators_close(a, b, tol=DEFAULT_TOL.eq):
     """Entrywise equality within an absolute tolerance."""

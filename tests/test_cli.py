@@ -1,9 +1,13 @@
+import argparse
 import concurrent.futures
+import csv
 import hashlib
 import json
 import os
+import resource
 import subprocess
 import sys
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -13,6 +17,8 @@ import pytest
 from magicswitch import cli, experiments
 from magicswitch.cli import main
 from magicswitch.config import DEFAULT_TOL
+
+from conftest import LP_BRACKETS, LP_THRESHOLDS
 
 
 def run_cli(capsys, *argv):
@@ -103,12 +109,14 @@ def test_config_naming_the_appendix_c_report_is_a_one_line_error(tmp_path, capsy
 
 
 def test_threshold_command(capsys):
-    code, text = run_cli(
-        capsys, "threshold", "--measure", "fig2_channel_robustness", "--bracket", "0.2:0.4"
-    )
-    assert code == 0
-    payload = json.loads(text)
-    assert abs(payload["threshold"] - 0.29) < 0.01
+    # Each LP search reads its root off the optimal basis at the narrowed
+    # bracket's low end: 3 iterations, on its closed form.
+    for measure, exact in LP_THRESHOLDS.items():
+        bracket = "{}:{}".format(*LP_BRACKETS[measure])
+        code, text = run_cli(capsys, "threshold", "--measure", measure, "--bracket", bracket,
+                             "--tol", "lp=1e-12,threshold=1e-6")
+        payload = json.loads(text)
+        assert code == 0 and payload["iterations"] == 3 and abs(payload["threshold"] - exact) <= 1e-11, measure
 
 
 def test_threshold_without_crossing_fails(capsys):
@@ -119,10 +127,14 @@ def test_threshold_without_crossing_fails(capsys):
 
 
 def test_rom_named_state(capsys):
+    # One state's robustness is one LP, whose solution has scalar fields: a
+    # plain JSON float within 1e-12 of sqrt(2), a status string and the
+    # factor 1.
     code, text = run_cli(capsys, "rom", "--state", "t-plus")
     assert code == 0
     payload = json.loads(text)
-    assert abs(payload["value"] - np.sqrt(2)) < 1e-9
+    assert type(payload["value"]) is float and abs(payload["value"] - np.sqrt(2)) <= 1e-12
+    assert payload["status"] == "optimal" and payload["renorm_factor"] == 1.0
 
 
 def test_rom_state_file(tmp_path, capsys):
@@ -136,9 +148,18 @@ def test_rom_state_file(tmp_path, capsys):
 
 
 def test_channel_robustness_command(capsys):
-    code, text = run_cli(capsys, "channel-robustness", "--channel", "noisy-th:p=0.5")
-    assert code == 0
-    assert abs(json.loads(text)["value"] - 1.0) < 1e-6
+    # The T gate's robustness, sqrt(2), through the 19-row channel program,
+    # which leaves out the three Choi rows its marginal rows imply.  The T
+    # gate behind two depolarizing passes, and behind the plus branch of the
+    # switched passes, reads free at p = 0.4, off the reference start at the
+    # end of fig3's grid; at p = 0.1 the sequential channel is still magic.
+    for channel, value in (("noisy-th:p=0.5", 1.0), ("t", np.sqrt(2)),
+                           ("depol-squared-t:p=0.4", 1.0), ("switch-plus-t:p=0.4", 1.0)):
+        code, text = run_cli(capsys, "channel-robustness", "--channel", channel)
+        payload = json.loads(text)
+        assert code == 0 and payload["status"] == "optimal" and abs(payload["value"] - value) <= 1e-12, channel
+    code, text = run_cli(capsys, "channel-robustness", "--channel", "depol-squared-t:p=0.1")
+    assert code == 0 and json.loads(text)["value"] > 1 + 1e-6
 
 
 def test_mana_command(capsys):
@@ -182,10 +203,25 @@ def test_default_appendix_c_report_matches_reference_hash(tmp_path, capsys):
 ], ids=["fig2", "fig3"])
 def test_fine_grid_csv_matches_reference_hash(tmp_path, capsys, experiment, grid, reference):
     # The fine grids run as many blocks of one warm-started run; their bytes
-    # are pinned, as the default grids' are.
-    out = tmp_path / f"{experiment}.csv"
-    assert run_cli(capsys, experiment, "--grid", grid, "--out", str(out))[0] == 0
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == reference
+    # are pinned, as the default grids' are.  --jobs 3 cuts each into three
+    # runs that start from their programs' reference starts: every row must
+    # be there, with the statuses of the single run.
+    tables = []
+    for jobs in ("1", "3"):
+        out = tmp_path / f"{experiment}_{jobs}.csv"
+        assert run_cli(capsys, experiment, "--grid", grid, "--jobs", jobs, "--out", str(out))[0] == 0
+        with out.open(newline="") as f:
+            tables.append([{k: v for k, v in row.items() if k.endswith("_status")} for row in csv.DictReader(f)])
+    assert hashlib.sha256((tmp_path / f"{experiment}_1.csv").read_bytes()).hexdigest() == reference
+    assert len(tables[0]) == {"fig2": 2001, "fig3": 2251}[experiment] and tables[1] == tables[0]
+
+
+def test_figs1_grid_whose_minus_branch_has_probability_near_p_squared(tmp_path, capsys):
+    # The minus branch is renormalized from a probability of about 1e-12
+    # without magnifying rounding into a non-Hermitian state.
+    out = tmp_path / "figs1.csv"
+    assert run_cli(capsys, "figs1", "--grid", "0.000001:0.000002:0.000001", "--out", str(out))[0] == 0
+    assert len(out.read_text().strip().splitlines()) == 3
 
 
 def test_unknown_state_exits(capsys):
@@ -397,16 +433,75 @@ def test_failed_certificate_exits_one(capsys, monkeypatch, argv, solver):
     assert code == 1 and json.loads(text) == {**good, "status": "check_failed"}
 
 
-def test_threshold_logs_one_info_line_unless_quiet():
+def run_module(*argv, memory_kib=None):
+    """Run ``python -m magicswitch.cli`` on ``argv`` from this checkout's
+    ``src``, with the child's address space capped at ``memory_kib`` KiB
+    when given (the cap acts on that child only)."""
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    cap = memory_kib and (lambda: resource.setrlimit(resource.RLIMIT_AS, (memory_kib * 1024,) * 2))
+    return subprocess.run([sys.executable, "-m", "magicswitch.cli", *argv], env=env, capture_output=True,
+                          text=True, timeout=60, preexec_fn=cap)
+
+
+def test_threshold_logs_one_info_line_unless_quiet():
     command = ["threshold", "--measure", "fig2_channel_robustness", "--bracket", "0.2:0.4"]
-    loud, quiet = (
-        subprocess.run([sys.executable, "-m", "magicswitch.cli", *flags, *command],
-                       env=env, capture_output=True, text=True, check=True)
-        for flags in ([], ["-q"])
-    )
+    loud, quiet = (run_module(*flags, *command) for flags in ([], ["-q"]))
+    assert loud.returncode == quiet.returncode == 0
     (line,) = loud.stderr.splitlines()
     assert line.startswith("INFO magicswitch.experiments: threshold fig2_channel_robustness: ")
     assert line.endswith("after 5 evaluations, root proposed")
     assert quiet.stderr == "" and quiet.stdout == loud.stdout
+
+
+@pytest.mark.parametrize("argv, memory_kib", [
+    (["fig2", "--grid", "0:1:1e-300", "--out", os.devnull], 2_000_000),
+    (["appendix-c", "--points", "1000000000000", "--out", os.devnull], 2_000_000),
+    (["channel-robustness", "--channel", "depolarizing:p=0.1,d=101"], 1_500_000),
+    (["mana", "--d", "3", "--channel", "depolarizing:p=0.1,d=101"], 1_500_000),
+], ids=["fig2-grid", "appendix-c-points", "channel-robustness-d101", "mana-d101"])
+def test_oversized_input_is_refused_under_a_memory_cap(argv, memory_kib):
+    # An oversized grid, and a named depolarizing channel of another
+    # dimension than the command scores, are refused before they are built:
+    # exit code 2 and one error line, in a process that could not build them.
+    run = run_module("-q", *argv, memory_kib=memory_kib)
+    assert run.returncode == 2 and run.stdout == ""
+    lines = run.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+
+
+def test_mana_of_a_23_dimensional_mixed_state(tmp_path, capsys):
+    # A 23-dimensional frame builds and checks in well under a second (its
+    # Gram matrix is one BLAS product), and the maximally mixed state has
+    # mana 0.
+    path = tmp_path / "mixed23.json"
+    path.write_text(json.dumps(_matrix(np.eye(23) / 23)))
+    start = time.perf_counter()
+    code, text = run_cli(capsys, "mana", "--d", "23", "--state-file", str(path))
+    assert time.perf_counter() - start < 20
+    assert code == 0 and json.loads(text)["mana"] == 0.0
+
+
+def cli_surface(parser):
+    """What ``parser`` accepts and documents: per action its option strings,
+    dest, default, choices, metavar, ``required`` and help, and per
+    subcommand its name, help and surface."""
+    record = []
+    for action in parser._actions:
+        choices = action.choices
+        if isinstance(action, argparse._SubParsersAction):
+            helps = {sub.dest: sub.help for sub in action._choices_actions}
+            choices = [{"name": name, "help": helps[name], "surface": cli_surface(sub)}
+                       for name, sub in action.choices.items()]
+        record.append({"option_strings": action.option_strings, "dest": action.dest, "default": action.default,
+                       "choices": choices, "metavar": action.metavar, "required": action.required,
+                       "help": action.help})
+    return record
+
+
+def test_cli_surface_is_unchanged():
+    # Every subcommand, option, default, choice and help text, hashed as
+    # canonical JSON rather than as --help output, which wraps to the
+    # terminal and differs between Python versions.
+    text = json.dumps(cli_surface(cli.build_parser()), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == "fa00a8c4527cc6fbc00d47df8b1beb0513298025426780fa8372135209461aba"

@@ -27,7 +27,7 @@ from magicswitch import _simplex, channels, experiments, lp, phasespace
 from magicswitch.channels import plus_density
 from magicswitch.experiments import MEASURES, default_config, run_experiment
 
-from conftest import compare_rows, oracle_rows
+from conftest import LP_BRACKETS, LP_THRESHOLDS, compare_rows, oracle_rows
 
 FINE = {"fig2": dict(step=0.0005), "fig3": dict(step=0.0002)}
 
@@ -131,14 +131,15 @@ class TestTightToleranceThresholds:
         assert res.bracket[0] <= 1 - 1 / math.sqrt(2) <= res.bracket[1]
         assert res.iterations == 3
 
-    @pytest.mark.parametrize("name, exact", [
-        ("fig2_channel_robustness", 1 - 1 / math.sqrt(2)), ("fig2_rom_plus", 2 - math.sqrt(2)),
-    ])
+    @pytest.mark.parametrize("name, exact", LP_THRESHOLDS.items())
     def test_seeded_searches_at_zero_lp_tol(self, name, exact):
         rng = np.random.default_rng(22)
         for shift, tol in zip(rng.uniform(-0.05, 0.05, size=6), 10 ** rng.uniform(-10, -8, size=6)):
             res = find_threshold(name, exact - 0.1 + shift, exact + 0.1 + shift, lp_tol=0.0, threshold_tol=tol)
             assert res.bracket[0] <= exact <= res.bracket[1] and res.iterations == 3
+        # The root is read off the optimal basis, not bisected: a few ulps off.
+        res = find_threshold(name, *LP_BRACKETS[name], lp_tol=0.0, threshold_tol=1e-10)
+        assert abs(res.threshold - exact) <= 1e-12 and res.iterations == 3
 
 
 class TestGridKernels:

@@ -94,7 +94,8 @@ class TestSolveL1:
         assert np.isnan(walk.plus[2]).all() and np.isnan(walk.minus[2]).all()
         assert walk.warm_start[2] is None
         before = solve_l1(A, np.array(feasible[:2]))
-        assert solve_l1(A, bad, before.held).held is before.held
+        kept = solve_l1(A, bad, before.held).held
+        assert len(kept) == len(before.held) and all(a is b for a, b in zip(kept, before.held))
         after = solve_l1(A, np.array(feasible[2:]), before.held)
         # The entries around it walk as their own blocks do.
         for entries, alone in (((0, 1), before), ((3, 4), after)):

@@ -21,7 +21,7 @@ from magicswitch._simplex import (
     solve_standard_form,
 )
 
-from conftest import fig2_fig3_channels, pivot_walks
+from conftest import fig2_fig3_channels, pivots_by_caller
 
 try:
     from scipy.optimize import linprog as HIGHS
@@ -359,16 +359,17 @@ def hand_built_start(A, basis):
 
 def test_warm_start_runs_no_pivot_loop(monkeypatch, choi_atoms):
     # The optimal basis at one grid point stays feasible at the next, so its
-    # WarmStart gives the solution from one mat-vec, with no pivot loop and
-    # the same inverse.
+    # WarmStart gives the solution from one mat-vec, with no pivot and the
+    # same inverse.
     for p, step in ((0.1, 0.01), (0.5, 0.01), (0.9, -0.01)):
         start = channel_robustness(noisy_th_channel(p), choi_atoms).warm_start
         ch = noisy_th_channel(p + step)
-        warm, walks = pivot_walks(monkeypatch, lambda: channel_robustness(ch, choi_atoms, basis=start))
-        cold, cold_walks = pivot_walks(monkeypatch, lambda: solve_l1(*warm.standard_form, ()))
-        assert walks == [] and warm.iterations == 0 and warm.warm_start is start
-        # The cold solve pivots, by dual simplex, before its two Bland loops.
-        assert len(cold_walks) == 2 and cold.iterations > 2
+        warm, pivots = pivots_by_caller(monkeypatch, lambda: channel_robustness(ch, choi_atoms, basis=start))
+        cold, cold_pivots = pivots_by_caller(monkeypatch, lambda: solve_l1(*warm.standard_form, ()))
+        assert not pivots and warm.iterations == 0 and warm.warm_start is start
+        # The cold solve pivots by dual simplex only; its two Bland loops
+        # confirm the repaired tableau in one iteration each.
+        assert set(cold_pivots) == {"dual_pivot_loop"} and cold.iterations == cold_pivots["dual_pivot_loop"] + 2
         assert warm.status == "optimal" and abs(warm.value - cold.value) < 1e-12
 
 
@@ -382,10 +383,11 @@ def test_start_basis_holding_a_positive_artificial_is_repaired(monkeypatch):
     c = np.array([1.0, 3.0, 1.0])
     cold = solve_standard_form(A, b, c)
     start = hand_built_start(A, [0, 4])
-    (warm, starts), walks = pivot_walks(monkeypatch, lambda: solve_recording_starts(A, b, c, start))
+    (warm, starts), pivots = pivots_by_caller(monkeypatch, lambda: solve_recording_starts(A, b, c, start))
     ((given, (status, _, repaired, dual_pivots)),) = starts
     assert given.tolist() == [0, 4] and repaired.tolist() == [0, 2] and (status, dual_pivots) == (STATUS_OPTIMAL, 1)
-    assert [iterations for _, iterations in walks] == [1, 1]
+    # One dual pivot, and no Bland-loop pivot: each loop confirms in one iteration.
+    assert pivots == {"dual_pivot_loop": 1} and warm.iterations == 3
     assert warm.status == STATUS_OPTIMAL and warm.objective == cold.objective == 2.0
     assert np.array_equal(warm.x, [1.0, 0.0, 1.0])
 
