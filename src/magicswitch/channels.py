@@ -5,9 +5,14 @@ read-only copies and all operations are pure functions, so objects can be
 shared freely across sweep workers.
 
 A channel holds its Kraus operators as one ``(k, d_out, d_in)`` stack, so
-applying, composing and taking the Choi state are each one broadcast
-product summed over the operator axis, with no loop over operators.  The
-sum runs over that axis in operator order, which gives the same bits as
+every product of operators is a whole-stack one.  An operand that several
+products share is the right factor of one BLAS product with the others
+stacked above it: applying a channel forms every K_i M as one ``(k d, d)
+@ (d, d)`` product, and composing or switching two channels forms every
+L_i R_j as one product per R_j (``_pair_products``).  Each entry still
+sums the same d terms in the same order, so it has the bits of its own
+``L_i @ R_j``.  The sums over operators (applying a channel, taking its
+Choi state) run in operator order, which gives the same bits as
 accumulating the operators one by one.  Each object is checked once, where
 its matrix enters the package: a state or Choi state in its constructor, a
 channel's Kraus operators (finite, and complete within tolerance) in
@@ -270,15 +275,51 @@ class ChoiState:
 # Channel actions
 # ---------------------------------------------------------------------------
 
-def apply_kraus(kraus_ops, matrix: np.ndarray) -> np.ndarray:
-    """Raw Kraus action sum_i K_i M K_i^dag on an arbitrary matrix.
+def _pair_products(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """Every product L_i R_j of the Kraus stacks ``left`` (..., k_L, a, b)
+    and ``right`` (..., k_R, b, c), as a (..., k_L, k_R, a, c) array.
 
-    The sum runs over the operator axis, the third from last, of
-    ``kraus_ops``; leading grid axes of the operators and of ``matrix``
-    broadcast, so a grid of channels maps one matrix, or a grid of them,
-    entry by entry."""
-    ops = np.asarray(kraus_ops, dtype=complex)
-    return (ops @ np.asarray(matrix)[..., None, :, :] @ _dagger_stack(ops)).sum(axis=-3)
+    Each R_j is the right factor of one product with every L_i stacked
+    above it, a (k_L a, b) matrix, and with every grid entry of ``left``
+    too when ``right`` has no grid axis.  An entry of L_i R_j sums the same
+    b terms in the same order as ``L_i @ R_j`` alone, so it has its bits."""
+    *lead_l, k_l, a, b = left.shape
+    *lead_r, k_r, _, c = right.shape
+    if lead_r:  # (..., 1, k_L a, b) @ (..., k_R, b, c): one product per grid entry and R_j
+        prod = left.reshape(*lead_l, 1, k_l * a, b) @ right
+        return prod.reshape(*prod.shape[:-3], k_r, k_l, a, c).swapaxes(-4, -3)
+    prod = left.reshape(1, -1, b) @ right  # (1, N k_L a, b) @ (k_R, b, c): one product per R_j
+    return prod.reshape(k_r, -1, a, c).swapaxes(0, 1).reshape(*lead_l, k_l, k_r, a, c)
+
+
+# Most bytes of (K_i M) K_i^dag products that ``apply_kraus`` forms at once:
+# below glibc's default 128 KiB threshold, above which freed memory goes back
+# to the system, so a sweep block's products reuse freed memory.  Formed all
+# at once, fig2's 101-point block took 82 fresh page faults a call.
+_APPLY_CHUNK_BYTES = 1 << 16
+
+
+def apply_kraus(kraus_ops, matrix: np.ndarray) -> np.ndarray:
+    """Raw Kraus action sum_i K_i M K_i^dag on one matrix M.
+
+    ``kraus_ops`` is one Kraus stack or a grid of them (leading axes), and
+    M maps through each, entry by entry.  Every K_i M, over the whole grid,
+    is one ``(N k d, d) @ (d, d)`` product, each entry summing the same d
+    terms in the same order as ``K_i @ M`` alone.  Each (K_i M) K_i^dag is
+    then its own product, and each entry's sum runs over its operators in
+    order; the grid entries are taken a chunk at a time, at most
+    ``_APPLY_CHUNK_BYTES`` of products each."""
+    ops, matrix = np.asarray(kraus_ops, dtype=complex), np.asarray(matrix)
+    if matrix.ndim != 2:
+        raise DimensionMismatchError(f"apply_kraus maps one matrix, got shape {matrix.shape}")
+    *lead, k, d_out, d_in = ops.shape
+    ops = ops.reshape(-1, k, d_out, d_in)
+    left = (ops.reshape(-1, d_in) @ matrix).reshape(len(ops), k, d_out, d_in)
+    out = np.empty((len(ops), d_out, d_out), dtype=complex)
+    step = max(1, _APPLY_CHUNK_BYTES // (left.itemsize * k * d_out * d_in))
+    for lo in range(0, len(ops), step):
+        out[lo : lo + step] = (left[lo : lo + step] @ _dagger_stack(ops[lo : lo + step])).sum(axis=-3)
+    return out.reshape(*lead, d_out, d_out)
 
 
 def apply_channel(ch: KrausChannel, rho: DensityOperator) -> DensityOperator:
@@ -308,7 +349,7 @@ def compose_channels(outer: KrausChannel, inner: KrausChannel) -> KrausChannel:
         raise DimensionMismatchError(
             f"cannot compose: inner output dim {inner.d_out} != outer input dim {outer.d_in}"
         )
-    ops = outer.kraus_ops[..., :, None, :, :] @ inner.kraus_ops[..., None, :, :, :]
+    ops = _pair_products(outer.kraus_ops, inner.kraus_ops)
     return _derived(KrausChannel, ops.reshape(*ops.shape[:-4], -1, outer.d_out, inner.d_in))
 
 

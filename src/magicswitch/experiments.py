@@ -246,15 +246,13 @@ def _certified_value(solution: L1Solution, lp_tol: float) -> tuple:
     """Value and status of a robustness LP, or a block's values and list of
     statuses: ``L1Solution.checked_status``, with an optimal value below the
     floor ``below_floor`` and any other ``ok``."""
-    floor = 1.0 - _floor_slack(lp_tol)
+    def rule(status: str, below: bool) -> str:
+        return status if status != "optimal" else "below_floor" if below else "ok"
 
-    def rule(value: float, status: str) -> str:
-        return status if status != "optimal" else "below_floor" if value < floor else "ok"
-
-    status = solution.checked_status
+    status, below = solution.checked_status, solution.value < 1.0 - _floor_slack(lp_tol)
     if isinstance(status, str):
-        return solution.value, rule(solution.value, status)
-    return solution.value, list(map(rule, solution.value.tolist(), status))
+        return solution.value, rule(status, below)
+    return solution.value, list(map(rule, status, below.tolist()))
 
 
 def _prob_status(prob_plus: np.ndarray, prob_minus: np.ndarray) -> np.ndarray:
@@ -460,7 +458,12 @@ _MANA_MEASURES = frozenset(column.threshold for column in MEASURE_TABLE["figs1"]
 
 # Most grid points one block of a sweep run holds; a longer run is scored
 # block after block, its _RunState carried across, so memory stays bounded.
-_BLOCK_POINTS = 64
+# 128 is the smallest power of two that holds every default grid (101, 91
+# and 100 points), so a default sweep is one block and pays each column's
+# per-call LP, kernel and status work once.  The held bases ride the
+# _RunState, so a walk reaches the same bases whatever the block size, and
+# the rows keep their bits.
+_BLOCK_POINTS = 128
 
 
 def _dispatch_row(args) -> SweepRow:
@@ -832,12 +835,13 @@ def _fmt(x: float) -> str:
 
 def rows_to_csv(rows: list[SweepRow], measures) -> str:
     header = ["p"] + list(measures) + [f"{m}_status" for m in measures]
+    # One format string per row: the cells of _fmt, then the statuses.
+    line = ",".join(["%.12g"] * (1 + len(measures)) + ["%s"] * len(measures))
+    nan = float("nan")
     lines = [",".join(header)]
     for row in rows:
-        cells = [_fmt(row.p)]
-        cells += [_fmt(row.values.get(m, float("nan"))) for m in measures]
-        cells += [row.status.get(m, "ok") for m in measures]
-        lines.append(",".join(cells))
+        values, status = row.values, row.status
+        lines.append(line % (row.p, *[values.get(m, nan) for m in measures], *[status.get(m, "ok") for m in measures]))
     return "\n".join(lines) + "\n"
 
 

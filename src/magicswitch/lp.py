@@ -140,14 +140,11 @@ class L1Solution:
         """``status``, except that an optimal entry whose residual, duality
         gap or dual infeasibility exceeds ``DEFAULT_TOL.lp_residual`` is
         ``check_failed``: a str, or a block's list of them."""
+        failed = np.maximum(np.maximum(self.residual, self.dual_gap), self.dual_violation) > DEFAULT_TOL.lp_residual
         if isinstance(self.status, str):
-            return _checked(self.status, self.residual, self.dual_gap, self.dual_violation)
-        certificates = (self.residual.tolist(), self.dual_gap.tolist(), self.dual_violation.tolist())
-        return list(map(_checked, self.status, *certificates))
-
-
-def _checked(status: str, *certificates: float) -> str:
-    return "check_failed" if status == "optimal" and max(certificates) > DEFAULT_TOL.lp_residual else status
+            return "check_failed" if failed and self.status == "optimal" else self.status
+        return ["check_failed" if fail and entry == "optimal" else entry
+                for entry, fail in zip(self.status, failed.tolist())]
 
 
 def _assemble_standard_form(vectors: np.ndarray, marginal_rows: np.ndarray | None = None) -> np.ndarray:

@@ -23,6 +23,7 @@ from .channels import (
     DensityOperator,
     KrausChannel,
     _derived,
+    _pair_products,
     apply_channel,
     compose_channels,
     depolarizing_channel,
@@ -40,8 +41,11 @@ def build_switch(a: KrausChannel, b: KrausChannel) -> KrausChannel:
     The Kraus set |0><0|_c (x) E_i F_j + |1><1|_c (x) F_j E_i is the block
     diagonal of E_i F_j and F_j E_i, for every pair (i, j) at once (the
     switch of (b, a) is the same channel, its operators in another order).
-    The switch is complete whenever its factors are, sum (E F)^dag (E F) =
-    sum F^dag (sum E^dag E) F, so it is built without a check.
+    Every E_i F_j is formed as one product per F_j of the stacked E, and
+    every F_j E_i as one per E_i of the stacked F (``_pair_products``),
+    each with the bits of its own product.  The switch is complete whenever
+    its factors are, sum (E F)^dag (E F) = sum F^dag (sum E^dag E) F, so it
+    is built without a check.
     """
     if a.d_in != a.d_out or b.d_in != b.d_out:
         raise DimensionMismatchError("switch requires square inner channels")
@@ -50,16 +54,15 @@ def build_switch(a: KrausChannel, b: KrausChannel) -> KrausChannel:
             f"inner channels act on different dimensions {a.d_in} != {b.d_in}"
         )
     d = a.d_in
-    E, F = a.kraus_ops[..., :, None, :, :], b.kraus_ops[..., None, :, :, :]
-    lead = np.broadcast_shapes(a.kraus_ops.shape[:-3], b.kraus_ops.shape[:-3])
-    ops = np.zeros((*lead, a.kraus_ops.shape[-3] * b.kraus_ops.shape[-3], 2 * d, 2 * d), dtype=complex)
-    EF = E @ F
+    EF = _pair_products(a.kraus_ops, b.kraus_ops)  # [..., i, j] = E_i F_j
     # A channel switched with itself has F_j E_i = E_j E_i, its EF products
     # with i and j swapped.
-    FE = EF.swapaxes(-4, -3) if a is b else F @ E
-    ops[..., :d, :d] = EF.reshape(*lead, -1, d, d)  # E_i F_j
-    ops[..., d:, d:] = FE.reshape(*lead, -1, d, d)  # F_j E_i
-    return _derived(KrausChannel, ops)
+    FE = EF if a is b else _pair_products(b.kraus_ops, a.kraus_ops)  # [..., j, i] = F_j E_i
+    *lead, k_a, k_b = EF.shape[:-2]
+    ops = np.zeros((*lead, k_a, k_b, 2 * d, 2 * d), dtype=complex)
+    ops[..., :d, :d] = EF  # E_i F_j
+    ops[..., d:, d:] = FE.swapaxes(-4, -3)  # F_j E_i
+    return _derived(KrausChannel, ops.reshape(*lead, k_a * k_b, 2 * d, 2 * d))
 
 
 @lru_cache(maxsize=16)

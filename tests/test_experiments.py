@@ -193,6 +193,19 @@ class TestDeterminism:
         text = rows_to_csv(rows, MEASURE_COLUMNS[experiment])
         assert hashlib.sha256(text.encode()).hexdigest() == EXPECTED_SHA256[experiment]
 
+    @pytest.mark.parametrize("block_points", [3, 64, 128])
+    @pytest.mark.parametrize("experiment", ["fig2", "fig3", "figs1"])
+    def test_default_csv_hash_does_not_depend_on_block_size(self, monkeypatch, experiment, block_points):
+        # A run carries its held bases from block to block, so its walk, and
+        # every byte of its CSV, is the same in blocks of any size: 34 blocks
+        # of 3, two of 64 or one of 128.
+        from perfbench.workloads import EXPECTED_SHA256
+
+        monkeypatch.setattr(experiments, "_BLOCK_POINTS", block_points)
+        rows = run_experiment(default_config(experiment))
+        text = rows_to_csv(rows, MEASURE_COLUMNS[experiment])
+        assert hashlib.sha256(text.encode()).hexdigest() == EXPECTED_SHA256[experiment]
+
 
 LP_COLUMNS = {
     "fig2": ("channel_robustness", "rom_plus", "rom_minus"),
@@ -330,10 +343,10 @@ class TestWarmStart:
         assert sum(int((solution.renorm_factor != 1.0).sum()) for solution in built) >= 150
 
     def test_one_solution_object_per_lp_call(self, monkeypatch):
-        # A block's values, certificates and bases ride its grid axis: the
-        # default fig2 and fig3 build one L1Solution per solve_l1 call (3
-        # LP columns of fig2 and 2 of fig3 in two blocks each, and fig3's
-        # minus branch once), not one per row of their 485 LPs.
+        # A block's values, certificates and bases ride its grid axis, and
+        # each default grid is one block: the default fig2 and fig3 build
+        # one L1Solution per solve_l1 call (3 LP columns of fig2, 2 of fig3
+        # and fig3's minus branch once), not one per row of their 485 LPs.
         calls, built, init, solve = [], [], lp.L1Solution.__init__, lp.solve_l1
 
         def spy(self, *args, **kwargs):
@@ -348,7 +361,7 @@ class TestWarmStart:
         monkeypatch.setattr(lp, "solve_l1", counting)
         run_fig2()
         run_fig3()
-        assert len(built) == len(calls) == 11
+        assert len(built) == len(calls) == 6
         assert sum(shape[0] if len(shape) == 2 else 1 for shape in calls) == 485
 
     def test_fig3_minus_branch_is_solved_once_per_run(self, monkeypatch):

@@ -112,12 +112,35 @@ qubit_or_qutrit = st.sampled_from([2, 3])
 
 class TestKernelsMatchLoops:
     @PROPERTY
-    @given(qubit_or_qutrit, kraus_counts, seeds)
-    def test_apply(self, d, k, seed):
+    @given(qubit_or_qutrit, kraus_counts, kraus_counts, seeds)
+    def test_apply(self, d, k, k_other, seed):
         ch = isometry_channel(d, k, seed)
         rng = np.random.default_rng(seed)
         m = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
         assert np.array_equal(apply_kraus(ch.kraus_ops, m), loop_apply(list(ch.kraus_ops), m))
+        # The switch's (2d x 2d) stacks on a (2d x 2d) matrix, as
+        # conditional_outputs applies them, alone and as a grid of three.
+        m = rng.normal(size=(2 * d, 2 * d)) + 1j * rng.normal(size=(2 * d, 2 * d))
+        switched = build_switch(ch, isometry_channel(d, k_other, seed + 1)).kraus_ops
+        assert np.array_equal(apply_kraus(switched, m), loop_apply(list(switched), m))
+        grid = build_switch(depolarizing_channel(d, rng.uniform(0.0, 1.0, 3)), ch).kraus_ops
+        got = apply_kraus(grid, m)
+        assert got.shape == (3, 2 * d, 2 * d)
+        assert all(np.array_equal(g, loop_apply(list(ops), m)) for g, ops in zip(got, grid))
+        # One matrix maps through the channels; a stack of them is refused.
+        with pytest.raises(DimensionMismatchError, match="one matrix"):
+            apply_kraus(grid, np.stack([m] * 3))
+
+    @pytest.mark.parametrize("zoo, d", [(noisy_th_channel, 2), (qutrit_noisy_th_channel, 3)])
+    def test_apply_on_a_sweep_block(self, zoo, d):
+        # A default sweep's switch block is applied a chunk of grid entries
+        # at a time: every entry keeps the loop's bits.
+        ch = zoo(np.linspace(0.0, 1.0, 101))
+        grid = build_switch(ch, ch).kraus_ops
+        m = qswitch._joint_input(plus_density(d)).matrix
+        assert grid.nbytes > 2 * channels._APPLY_CHUNK_BYTES
+        got = apply_kraus(grid, m)
+        assert all(np.array_equal(g, loop_apply(list(ops), m)) for g, ops in zip(got, grid))
 
     @PROPERTY
     @given(qubit_or_qutrit, kraus_counts, kraus_counts, seeds)
@@ -127,6 +150,22 @@ class TestKernelsMatchLoops:
         want = loop_compose(outer, inner)
         assert len(got) == len(want)
         assert all(np.array_equal(g, w) for g, w in zip(got, want))
+        # A grid composed with one channel, one channel with a grid, and two
+        # grids, as sequential_t_channel and effective_t_channels compose:
+        # each entry has the bits the loop gives it alone.
+        rng = np.random.default_rng(seed)
+        grid, other = (depolarizing_channel(d, rng.uniform(0.0, 1.0, 3)) for _ in range(2))
+        entries = [KrausChannel(ops) for ops in grid.kraus_ops]
+        others = [KrausChannel(ops) for ops in other.kraus_ops]
+        for composed, pairs in (
+            (compose_channels(grid, inner), [(e, inner) for e in entries]),
+            (compose_channels(outer, grid), [(outer, e) for e in entries]),
+            (compose_channels(grid, other), list(zip(entries, others))),
+        ):
+            assert composed.kraus_ops.shape[0] == 3
+            for ops, (o, i) in zip(composed.kraus_ops, pairs):
+                want = loop_compose(o, i)
+                assert len(ops) == len(want) and all(np.array_equal(g, w) for g, w in zip(ops, want))
 
     @PROPERTY
     @given(qubit_or_qutrit, kraus_counts, seeds)
