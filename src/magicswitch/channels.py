@@ -359,20 +359,26 @@ def measure_control(state: DensityOperator, outcome: str) -> tuple[DensityOperat
 
     ``outcome`` is "plus" or "minus".  Returns the unnormalized conditional
     state <pm|state|pm> on the target and its trace; the probabilities of
-    both outcomes sum to the input trace.  The branch is the exactly
-    Hermitian part of the contraction, whose rounding would otherwise be
-    magnified when a branch of tiny probability is renormalized.  A grid of
-    states gives a grid of branches and an array of probabilities.
+    both outcomes sum to the input trace.  The compression sums the four
+    (d, d) blocks X_ab of the state from zero, in the order (0, 0), (0, 1),
+    (1, 0), (1, 1), each scaled as (c_a* X_ab) c_b.  The amplitudes are c_0
+    = 1/sqrt(2) and c_1 = +-c_0, so every block takes the same two real
+    products and the sign of c_1 picks adding or subtracting the
+    off-diagonal blocks.  All of it is elementwise, so a grid entry gets the
+    bits of a lone call.  The branch is its exactly Hermitian part,
+    whose rounding would otherwise be magnified when a branch of tiny
+    probability is renormalized.  A grid of states gives a grid of branches
+    and an array of probabilities.
     """
     if outcome not in ("plus", "minus"):
         raise ValueError(f"outcome must be 'plus' or 'minus', got {outcome!r}")
     if state.dim % 2 != 0:
         raise DimensionMismatchError(f"state dim {state.dim} does not factor over a qubit control")
     d_target = state.dim // 2
-    sign = 1.0 if outcome == "plus" else -1.0
-    ctrl = np.array([1.0, sign], dtype=complex) / np.sqrt(2)
-    block = state.matrix.reshape(*state.matrix.shape[:-2], 2, d_target, 2, d_target)
-    branch = np.einsum("a,...ambn,b->...mn", ctrl.conj(), block, ctrl)
+    c = 1 / np.sqrt(2)
+    x = state.matrix.reshape(*state.matrix.shape[:-2], 2, d_target, 2, d_target) * c * c  # each (c X_ab) c
+    cross = np.add if outcome == "plus" else np.subtract  # the sign of c_0* c_1 and of c_1* c_0
+    branch = cross(cross(0.0 + x[..., 0, :, 0, :], x[..., 0, :, 1, :]), x[..., 1, :, 0, :]) + x[..., 1, :, 1, :]
     branch = 0.5 * (branch + _dagger_stack(branch))
     return _derived(DensityOperator, branch), _real_trace(branch)  # a compression of a positive state
 

@@ -82,15 +82,20 @@ def check_frame_dim(target: np.ndarray | KrausChannel, d: int) -> None:
 def wigner_of_operator(op: np.ndarray, frame: PhaseSpaceFrame) -> np.ndarray:
     """Wigner coefficients W(u) = Tr[A_u op] / d of a Hermitian operator.
 
-    Returned as a (d, d) real array indexed [a1, a2], after any leading grid
-    axes of ``op``.  An imaginary part beyond rounding raises ValueError.
+    One vector-matrix product per grid entry, of the flattened op^T with
+    the transposed flattened frame, which numpy reads without a copy; a grid
+    entry gets the bits of a lone call.  Returned as a (d, d) real array
+    indexed [a1, a2], after any leading grid axes of ``op``.  An imaginary
+    part beyond rounding raises ValueError.
     """
     op = np.asarray(op, dtype=complex)
     check_frame_dim(op, frame.d)
-    vals = np.einsum("uij,...ji->...u", frame.phase_points, op) / frame.d
+    d = frame.d
+    flat_t = op.swapaxes(-1, -2).reshape(*op.shape[:-2], 1, d * d)  # op^T, a copy of the operator only
+    vals = (flat_t @ frame.phase_points.reshape(d * d, d * d).T)[..., 0, :] / d
     if np.abs(vals.imag).max() > DEFAULT_TOL.wigner_imag:
         raise ValueError("Wigner function has a non-real component; operator not Hermitian?")
-    return vals.real.reshape(*op.shape[:-2], frame.d, frame.d)
+    return vals.real.reshape(*op.shape[:-2], d, d)
 
 
 def wigner_of_state(rho: DensityOperator, frame: PhaseSpaceFrame) -> np.ndarray:
@@ -134,14 +139,20 @@ def _choi_route_wigner(choi: ChoiState, frame: PhaseSpaceFrame) -> np.ndarray:
     """W(v|u) = Tr[(A_u^T (x) A_v) J] from the Choi state J of a channel on
     the frame's dimension, one per entry of a grid.
 
-    One contraction over J reshaped to its (in, out, in, out) indices.  The
-    general form carries a factor d_in / d_out, which is 1 here: the 1/d_in
-    of the stored Choi state cancels the 1/d_out of the direct formula.
-    An imaginary part beyond rounding raises ValueError.
+    Two matrix products per grid entry, O(d^6) where the contraction of
+    both frames with J in one sum is O(d^8): the images M_u = N(A_u) / d =
+    sum_ji A_u[j, i] J[j, :, i, :], one row of d^2 values per u, and then
+    W[v, u] = Tr[A_v M_u].  Numpy runs each product entry by entry, so a
+    grid entry gets the bits of a lone call.  The general form carries a
+    factor d_in / d_out, which is 1 here: the 1/d_in of the stored Choi
+    state cancels the 1/d_out of the direct formula.  An imaginary part
+    beyond rounding raises ValueError.
     """
-    d = frame.d
-    j4 = choi.matrix.reshape(*choi.matrix.shape[:-2], d, d, d, d)
-    wig = np.einsum("uji,vab,...jbia->...vu", frame.phase_points, frame.phase_points, j4)
+    d, lead = frame.d, choi.matrix.shape[:-2]
+    points = frame.phase_points.reshape(d * d, d * d)  # [u, (j, i)]
+    j4 = choi.matrix.reshape(*lead, d, d, d, d)  # [j, b, i, a]: input j, i and output b, a
+    m = points @ j4.swapaxes(-3, -2).swapaxes(-2, -1).reshape(*lead, d * d, d * d)  # [u, (a, b)] = M_u[b, a]
+    wig = points @ m.swapaxes(-1, -2)  # [v, u] = sum_ab A_v[a, b] M_u[b, a]
     if np.abs(wig.imag).max() > DEFAULT_TOL.wigner_imag:
         raise ValueError("channel Wigner function has a non-real component")
     return wig.real
@@ -151,10 +162,11 @@ def wigner_of_channel(ch: KrausChannel, frame: PhaseSpaceFrame) -> np.ndarray:
     """Conditional Wigner function W(v|u) = Tr[A_v N(A_u)] / d of a channel
     on the frame's dimension d.
 
-    Computed as one contraction of the channel's checked Choi state
-    (``_choi_route_wigner``).  Returned as a (d^2, d^2) array W[v, u] in
-    row-major point order, after any leading grid axes, so each column sums
-    to 1 for a trace-preserving channel.
+    Computed from the channel's checked Choi state by two matrix products
+    per grid entry (``_choi_route_wigner``), so an entry of a grid of
+    channels has the bits of its lone call.  Returned as a (d^2, d^2) array
+    W[v, u] in row-major point order, after any leading grid axes, so each
+    column sums to 1 for a trace-preserving channel.
     """
     check_frame_dim(ch, frame.d)
     return _choi_route_wigner(choi_of_channel(ch), frame)

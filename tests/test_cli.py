@@ -200,12 +200,14 @@ def test_default_appendix_c_report_matches_reference_hash(tmp_path, capsys):
 @pytest.mark.parametrize("experiment, grid, reference", [
     ("fig2", "0:1:0.0005", "76655881e04e68ff71be96e68c39cf9e25bb8dd85884796574a36d0c87e1d271"),
     ("fig3", "0:0.45:0.0002", "661e89bce74c15e540b39f9ebf7dd17ec291f1bad53df358caa13f2e05a78309"),
-], ids=["fig2", "fig3"])
+    ("figs1", "0.01:1:0.0005", "7be76b85876b0cebea17145fdc58d5083a84b4f25a7294a4d2c205cad1d92edd"),
+], ids=["fig2", "fig3", "figs1"])
 def test_fine_grid_csv_matches_reference_hash(tmp_path, capsys, experiment, grid, reference):
     # The fine grids run as many blocks of one warm-started run; their bytes
     # are pinned, as the default grids' are.  --jobs 3 cuts each into three
     # runs that start from their programs' reference starts: every row must
-    # be there, with the statuses of the single run.
+    # be there, with the statuses of the single run.  figs1 has no LP column
+    # to warm-start, so its three runs give the single run's bytes.
     tables = []
     for jobs in ("1", "3"):
         out = tmp_path / f"{experiment}_{jobs}.csv"
@@ -213,7 +215,9 @@ def test_fine_grid_csv_matches_reference_hash(tmp_path, capsys, experiment, grid
         with out.open(newline="") as f:
             tables.append([{k: v for k, v in row.items() if k.endswith("_status")} for row in csv.DictReader(f)])
     assert hashlib.sha256((tmp_path / f"{experiment}_1.csv").read_bytes()).hexdigest() == reference
-    assert len(tables[0]) == {"fig2": 2001, "fig3": 2251}[experiment] and tables[1] == tables[0]
+    assert len(tables[0]) == {"fig2": 2001, "fig3": 2251, "figs1": 1981}[experiment] and tables[1] == tables[0]
+    if experiment == "figs1":
+        assert (tmp_path / "figs1_3.csv").read_bytes() == (tmp_path / "figs1_1.csv").read_bytes()
 
 
 def test_figs1_grid_whose_minus_branch_has_probability_near_p_squared(tmp_path, capsys):

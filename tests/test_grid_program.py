@@ -39,9 +39,7 @@ class TestAgainstThePointOracle:
         grid = default_config(experiment).grid()
         grid = grid[::-1] if backward else grid
         equal, total = compare_rows(experiments._run_rows(experiment, grid, 1e-6), oracle_rows(experiment, grid))
-        # The LP columns take the oracle's bits; mana may differ in the last
-        # bits, where a grid's Wigner contraction sums in another order.
-        assert equal >= (total if experiment != "figs1" else 0.9 * total)
+        assert equal == total
 
     @pytest.mark.parametrize("experiment", list(FINE))
     def test_fine_grids(self, experiment):
@@ -64,7 +62,8 @@ class TestAgainstThePointOracle:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(experiments, "_BLOCK_POINTS", 3)
             got = experiments._run_rows(experiment, grid, 1e-6)
-        compare_rows(got, oracle_rows(experiment, grid))
+        equal, total = compare_rows(got, oracle_rows(experiment, grid))
+        assert equal == total
 
 
 class TestRowBoundary:
@@ -164,7 +163,7 @@ class TestGridKernels:
         frame = build_frame(3)
         wig = wigner_of_channel(qutrit_noisy_th_channel(self.P), frame)
         for i, p in enumerate(self.P):
-            assert np.abs(wig[i] - wigner_of_channel(qutrit_noisy_th_channel(p), frame)).max() <= 1e-15
+            assert np.array_equal(wig[i], wigner_of_channel(qutrit_noisy_th_channel(p), frame))
 
     def test_channel_robustness_walks_the_grid_in_order(self):
         atoms = cspo_choi_atoms(enumerate_stabilizer_states(2))

@@ -33,6 +33,7 @@ from magicswitch.channels import ChannelCompletenessError, apply_kraus, plus_den
 from magicswitch.config import DEFAULT_TOL
 from magicswitch.gates import T_GATE, plus_state
 from magicswitch.linalg import DimensionMismatchError, tensor
+from magicswitch.phasespace import wigner_of_operator
 
 from conftest import random_density_matrix
 
@@ -75,6 +76,18 @@ def loop_switch(a, b):
             op[d:, d:] = F @ E
             ops.append(op)
     return ops
+
+
+def loop_measure(matrix, sign):
+    """The control projection, block by block from zero: (c_a* X_ab) c_b in
+    the order (0, 0), (0, 1), (1, 0), (1, 1)."""
+    d = matrix.shape[0] // 2
+    ctrl = np.array([1.0, sign], dtype=complex) / np.sqrt(2)
+    out = np.zeros((d, d), dtype=complex)
+    for a in (0, 1):
+        for b in (0, 1):
+            out += ctrl[a].conj() * matrix[a * d : (a + 1) * d, b * d : (b + 1) * d] * ctrl[b]
+    return 0.5 * (out + out.conj().T)
 
 
 def loop_wigner(ch, frame):
@@ -194,10 +207,34 @@ class TestKernelsMatchLoops:
     @PROPERTY
     @given(kraus_counts, seeds)
     def test_channel_wigner(self, k, seed):
+        # The loop sums the one contraction the two matrix products replaced,
+        # in another order, so the two agree to rounding, not to the bit.
         frame = build_frame(3)
         wig = wigner_of_channel(isometry_channel(3, k, seed), frame)
-        assert np.array_equal(wig, loop_wigner(isometry_channel(3, k, seed), frame))
+        assert np.abs(wig - loop_wigner(isometry_channel(3, k, seed), frame)).max() <= 1e-15
         assert np.abs(wig.sum(axis=0) - 1.0).max() < 1e-10
+
+    @PROPERTY
+    @given(st.sampled_from([3, 5, 7]), kraus_counts, seeds)
+    def test_wigner_grid_entries_match_lone_calls(self, d, k, seed):
+        frame = build_frame(d)
+        lone = [isometry_channel(d, k, seed + i) for i in range(4)]
+        grid = channels._derived(KrausChannel, np.stack([ch.kraus_ops for ch in lone]))
+        hermitian = grid.kraus_ops + grid.kraus_ops.conj().swapaxes(-1, -2)  # a (4, k) grid of operators
+        wig, wig_ops = wigner_of_channel(grid, frame), wigner_of_operator(hermitian, frame)
+        for i, ch in enumerate(lone):
+            assert np.array_equal(wig[i], wigner_of_channel(ch, frame))
+            for j in range(k):
+                assert np.array_equal(wig_ops[i, j], wigner_of_operator(hermitian[i, j], frame))
+
+    @PROPERTY
+    @given(qubit_or_qutrit, kraus_counts, kraus_counts, seeds)
+    def test_measure_control(self, d, k_a, k_b, seed):
+        a, b = isometry_channel(d, k_a, seed), isometry_channel(d, k_b, seed + 1)
+        rho = DensityOperator(random_density_matrix(d, np.random.default_rng(seed)))
+        out = apply_channel(build_switch(a, b), qswitch._joint_input(rho))
+        for outcome, sign in (("plus", 1.0), ("minus", -1.0)):
+            assert np.array_equal(measure_control(out, outcome)[0].matrix, loop_measure(out.matrix, sign))
 
 
 class TestSwitchBranches:

@@ -8,16 +8,20 @@ from hypothesis import strategies as st
 from magicswitch import (
     DensityOperator,
     build_frame,
+    build_switch,
     compose_channels,
+    conditional_outputs,
     depolarizing_channel,
     identity_channel,
     mana_channel,
     mana_state,
+    qutrit_noisy_th_channel,
     unitary_channel,
     wigner_of_channel,
     wigner_of_state,
 )
 from magicswitch import choi_of_channel
+from magicswitch.channels import plus_density
 from magicswitch.config import DEFAULT_TOL
 from magicswitch.gates import fourier_gate, plus_state, qutrit_t_gate
 from magicswitch.linalg import tensor
@@ -215,6 +219,24 @@ class TestStateWigner:
         scaled = DensityOperator(0.3 * mat)
         assert abs(mana_state(rho, frame3) - mana_state(scaled, frame3)) < 1e-12
 
+    @pytest.mark.parametrize("d", [3, 5, 7])
+    def test_mana_against_displaced_parities(self, d, rng):
+        # The phase-point operators as D P D^dag, P the parity |j> -> |-j>
+        # and D each Weyl displacement, built here without the frame's code.
+        # Mana reads the set of values, so the order of the points is free.
+        shift = np.roll(np.eye(d), 1, axis=0)
+        clock = np.diag(np.exp(2j * np.pi * np.arange(d) / d))
+        parity = np.eye(d)[(-np.arange(d)) % d]
+        points = []
+        for a in range(d):
+            for b in range(d):
+                disp = np.linalg.matrix_power(clock, a) @ np.linalg.matrix_power(shift, b)
+                points.append(disp @ parity @ disp.conj().T)
+        for rank in (1, 2, d):
+            rho = random_density_matrix(d, rng, rank=rank)
+            want = np.log2(sum(abs(np.trace(A @ rho).real) for A in points) / d)
+            assert want > 1e-3 and abs(mana_state(DensityOperator(rho), build_frame(d)) - want) < 1e-12
+
     def test_mana_invariant_under_clifford(self, frame3, rng):
         cliffords = [fourier_gate(3), qutrit_phase_s()]
         for _ in range(5):
@@ -243,17 +265,21 @@ class TestChannelWigner:
         wig = wigner_of_channel(unitary_channel(qutrit_t_gate()), frame3)
         assert wig.min() < -0.05
 
-    def test_matches_the_direct_kraus_formula_on_random_channels(self, frame3, rng):
+    @pytest.mark.parametrize("d", [3, 5, 7])
+    def test_matches_the_direct_kraus_formula_on_random_channels(self, d, rng):
+        frame = build_frame(d)
         for _ in range(5):
-            ch = random_kraus_channel(3, 2, rng)
-            want = direct_channel_wigner(ch, frame3)
-            assert np.abs(wigner_of_channel(ch, frame3) - want).max() < 1e-10
+            ch = random_kraus_channel(d, 2, rng)
+            want = direct_channel_wigner(ch, frame)
+            assert np.abs(wigner_of_channel(ch, frame) - want).max() < 1e-10
 
-    def test_choi_route_matches_kron_loop(self, frame3, rng):
-        for n_ops in (1, 2, 3, 4, 5):
-            choi = choi_of_channel(random_kraus_channel(3, n_ops, rng))
-            got = _choi_route_wigner(choi, frame3)
-            want = reference_choi_route(choi, frame3, frame3)
+    @pytest.mark.parametrize("d, kraus_counts", [(3, (1, 2, 3, 4, 5)), (5, (1, 3)), (7, (2,))], ids=["3", "5", "7"])
+    def test_choi_route_matches_kron_loop(self, d, kraus_counts, rng):
+        frame = build_frame(d)  # the loop's d^4 krons cost d^6 each, so fewer channels at larger d
+        for n_ops in kraus_counts:
+            choi = choi_of_channel(random_kraus_channel(d, n_ops, rng))
+            got = _choi_route_wigner(choi, frame)
+            want = reference_choi_route(choi, frame, frame)
             assert np.abs(got - want).max() < 1e-14
 
     def test_non_real_values_raise(self, frame3):
@@ -287,6 +313,31 @@ class TestChannelMana:
         assert mana_channel(noisy_t, frame3) == 0.0
         light = compose_channels(depolarizing_channel(3, 0.1), unitary_channel(qutrit_t_gate()))
         assert mana_channel(light, frame3) > 0.1
+
+
+class TestExtendedPrecision:
+    """Fine figs1 rows (steps 0.0005 and 0.0002 from 0.01) whose 12th
+    printed digit depends on the order of the Wigner sums: each mana lies
+    within rounding of its np.clongdouble value, from the same double Choi
+    state or branch.  A mana near 0 is log2 of an l1 norm near 1, so its
+    rounding is about eps / ln 2."""
+
+    @pytest.mark.parametrize("p", [0.30720000000000003, 0.4625, 0.467])
+    def test_channel_mana(self, frame3, p):
+        ch = qutrit_noisy_th_channel(p)
+        points = frame3.phase_points.astype(np.clongdouble)
+        j4 = choi_of_channel(ch).matrix.astype(np.clongdouble).reshape(3, 3, 3, 3)
+        wig = np.einsum("uji,vab,jbia->vu", points, points, j4).real
+        want = np.log2(np.abs(wig).sum(axis=0).max())
+        assert abs(mana_channel(ch, frame3) - want) <= 2 * np.finfo(float).eps
+
+    @pytest.mark.parametrize("p", [0.4625, 0.5640000000000001])
+    def test_branch_mana(self, frame3, p):
+        ch = qutrit_noisy_th_channel(p)
+        branch = conditional_outputs(build_switch(ch, ch), plus_density(3))[0]
+        rho = branch.matrix.astype(np.clongdouble)
+        wig = np.einsum("uij,ji->u", frame3.phase_points.astype(np.clongdouble), rho / np.trace(rho).real).real / 3
+        assert abs(mana_state(branch, frame3) - np.log2(np.abs(wig).sum())) <= 2 * np.finfo(float).eps
 
 
 @settings(derandomize=True, database=None, max_examples=25, deadline=None)
