@@ -1,6 +1,6 @@
 import math
 import sys
-from collections import Counter
+from collections import Counter, namedtuple
 from functools import cached_property, partial
 
 import numpy as np
@@ -24,6 +24,7 @@ from magicswitch import (
     rom_state,
     unitary_channel,
 )
+from magicswitch import _simplex, channels, experiments, lp, phasespace, qswitch
 from magicswitch.channels import plus_density
 from magicswitch.config import DEFAULT_TOL
 from magicswitch.gates import T_GATE
@@ -93,49 +94,165 @@ def fig2_fig3_channels():
             yield branch.channel
 
 
+# ---------------------------------------------------------------------------
+# Seams: the one home of each private package name a test reaches, named in
+# the module that defines it, so that a rename or a move is an edit here.
+# ---------------------------------------------------------------------------
+
+Call = namedtuple("Call", "args kwargs result caller")  # caller: the calling function's name
+
+
+def spy(monkeypatch, module, name, calls=None):
+    """Record each call of ``module.name`` while ``monkeypatch`` holds, as a
+    ``Call`` in ``calls`` (a new list if None), and let it through; return
+    ``calls``.  ``module`` is where callers look the name up: for a private
+    function, the module that defines it, never a stale re-export."""
+    original = getattr(module, name)
+    home = getattr(original, "__module__", module.__name__)
+    assert not name.startswith("_") or name.endswith("__") or home == module.__name__, f"{name} is in {home}"
+    calls = [] if calls is None else calls
+
+    def recording(*args, **kwargs):
+        result = original(*args, **kwargs)
+        calls.append(Call(args, kwargs, result, sys._getframe(1).f_code.co_name))
+        return result
+
+    monkeypatch.setattr(module, name, recording)
+    return calls
+
+
 def pivots_by_caller(monkeypatch, run):
-    """Run ``run()``; return its result and how many ``_simplex._pivot``
-    calls each function of ``_simplex`` made, by name."""
-    from magicswitch import _simplex
-
-    pivots = Counter()
-    pivot = _simplex._pivot
-
-    def spy(*args):
-        pivots[sys._getframe(1).f_code.co_name] += 1
-        return pivot(*args)
-
+    """Run ``run()``; return its result and how many simplex pivots each
+    function of ``_simplex`` made, by name."""
     with monkeypatch.context() as patch:
-        patch.setattr(_simplex, "_pivot", spy)
+        pivots = spy(patch, _simplex, "_pivot")
         result = run()
-    return result, pivots
+    return result, Counter(call.caller for call in pivots)
 
 
 def recorded_solves(monkeypatch, run):
-    """Run ``run()``; return its result and, per LP a sweep or a search got
-    solved by ``channel_robustness`` or ``rom_state`` (looked up in
-    ``experiments``), in order: [whether its solve had a start basis, its
-    ``iterations``].  A call returns one solution, with an entry per LP of
-    a block: the first entry starts from the bases the call was given, and
-    each later one from those the walk holds by then."""
-    from magicswitch import experiments
-
-    solves = []
-
-    def recording(program):
-        def solve(*args, basis=None):
-            solution = program(*args, basis=basis)
-            for k, iterations in enumerate(np.atleast_1d(solution.iterations).tolist()):
-                solves.append([bool(basis) or k > 0, iterations])
-            return solution
-
-        return solve
-
+    """Run ``run()``; return its result and, per LP a sweep or a search
+    solved by ``channel_robustness`` or ``rom_state``, in order: [whether it
+    started from a held basis, its ``iterations``].  The first entry of a
+    block starts from the bases its call was given, each later one from
+    those the walk holds by then."""
     with monkeypatch.context() as patch:
-        patch.setattr(experiments, "channel_robustness", recording(experiments.channel_robustness))
-        patch.setattr(experiments, "rom_state", recording(experiments.rom_state))
+        calls = spy(patch, experiments, "channel_robustness")
+        spy(patch, experiments, "rom_state", calls)
         result = run()
-    return result, solves
+    entries = [(call.kwargs.get("basis"), np.atleast_1d(call.result.iterations).tolist()) for call in calls]
+    return result, [[bool(basis) or k > 0, n] for basis, block in entries for k, n in enumerate(block)]
+
+
+def sweep_rows(experiment, grid, lp_tol, block_points=None):
+    """The rows of a sweep run over the list ``grid``, in its order, as
+    ``run_experiment`` scores each run, in blocks of ``block_points`` if given."""
+    with pytest.MonkeyPatch.context() as patch:
+        if block_points is not None:
+            patch.setattr(experiments, "_BLOCK_POINTS", block_points)
+        return experiments._run_rows(experiment, grid, lp_tol)
+
+
+def dispatched_rows(monkeypatch):
+    """Spy on the row boundary perfbench times: one call per sweep row."""
+    return spy(monkeypatch, experiments, "_dispatch_row")
+
+
+def run_state(sampling=False):
+    """A fresh ``state`` for a registered measure, to carry across blocks;
+    if ``sampling``, its ``samples`` records each block's fit, as in a search."""
+    return experiments._RunState(samples=[] if sampling else None)
+
+
+def scored_block(p, state, column, program, *args, scale=1.0):
+    """(values, statuses) of ``program(*args)`` as column ``column`` of one
+    fig2 block at noise values ``p``, walked from the bases the column holds
+    in ``state``; its fit sample has scale s(p) = ``scale``."""
+    return experiments._Grid("fig2", p, DEFAULT_TOL.lp_value, state).solve(column, program, *args, scale=scale)
+
+
+def threshold_value_calls(monkeypatch):
+    """Spy on the function behind every registered measure, by the name the
+    package looks it up by: these calls did not go through ``MEASURES``."""
+    return spy(monkeypatch, experiments, "_threshold_value")
+
+
+def _root_finders():
+    """A search's crossing proposals: an LP measure's, then a mana measure's."""
+    return experiments._basis_root, experiments._mana_root
+
+
+def basis_root(*args):
+    """Where the optimal basis of one block entry reaches a level, or None."""
+    return _root_finders()[0](*args)
+
+
+def proposed_roots(monkeypatch, mana=False, injected=...):
+    """Record ``((lo, hi), root)`` for each crossing a search proposes, from
+    an LP's basis or, if ``mana``, a Wigner fit; ``injected`` replaces the root."""
+    propose, proposals = _root_finders()[mana], []
+
+    def proposing(*args):
+        proposals.append((args[-2:], propose(*args) if injected is ... else injected))
+        return proposals[-1][1]
+
+    monkeypatch.setattr(sys.modules[propose.__module__], propose.__name__, proposing)
+    return proposals
+
+
+def _program_builders():
+    """lp's channel and state programs: atoms -> (A, reference starts latest first)."""
+    return lp._channel_constraints, lp._state_constraints
+
+
+def channel_program(atoms):
+    return _program_builders()[0](atoms)
+
+
+def state_program(dictionary):
+    return _program_builders()[1](dictionary)
+
+
+def clear_program_caches():
+    for build in _program_builders():
+        build.cache_clear()
+
+
+@pytest.fixture
+def reference_starts(choi_atoms, qubit_dict):
+    """The channel program's reference starts in its table's order, the qubit
+    state program's built too, so a pivot count leaves out their own pivots."""
+    state_program(qubit_dict)
+    return channel_program(choi_atoms)[1][::-1]
+
+
+def grid_of(cls, array):
+    """A ``cls`` holding ``array``, grid axes included, derived unchecked."""
+    return channels._derived(cls, array)
+
+
+def completeness_checks(monkeypatch):
+    """Spy on each completeness-residual sum of a Kraus stack, its one argument."""
+    return spy(monkeypatch, channels, "_completeness_residual")
+
+
+def apply_chunk_bytes():
+    """The most bytes of products ``apply_kraus`` forms at once."""
+    return channels._APPLY_CHUNK_BYTES
+
+
+def joint_input(rho):
+    """|+><+| (x) rho, the switch input, cached per target."""
+    return qswitch._joint_input(rho)
+
+
+def clear_joint_inputs():
+    qswitch._joint_input.cache_clear()
+
+
+def channel_wigner_builds(monkeypatch):
+    """Spy on each Wigner function of a channel (or a grid) built from its Choi state."""
+    return spy(monkeypatch, phasespace, "_choi_route_wigner")
 
 
 # ---------------------------------------------------------------------------
@@ -155,8 +272,6 @@ class PointOracle:
 
     @cached_property
     def channel(self):
-        from magicswitch import experiments
-
         return experiments.CHANNELS[experiments.MEASURE_TABLE[self.experiment][0]](self.p)
 
     @cached_property
@@ -169,13 +284,18 @@ class PointOracle:
         return effective_t_channels(self.p)
 
     def solve(self, column, program, *args):
-        from magicswitch import experiments, lp
-
+        """The value and status of one LP: its checked status, with an
+        optimal value below 1 - max(lp_tol, the rounding floor) read as
+        ``below_floor`` and any other optimal one as ``ok``."""
         solution = program(*args, basis=self.run["bases"].get(column))
         if self.run.get("cold"):
             solution = lp.solve_l1(*solution.standard_form, (), solution.renorm_factor)
         self.run["bases"][column] = solution.held
-        return experiments._certified_value(solution, self.lp_tol)
+        status = solution.checked_status
+        if status == "optimal":
+            floor = 1.0 - max(self.lp_tol, DEFAULT_TOL.rounding)
+            status = "below_floor" if solution.value < floor else "ok"
+        return solution.value, status
 
 
 def _prob_status(a, b):
@@ -250,16 +370,14 @@ def oracle_rows(experiment, grid, lp_tol=DEFAULT_TOL.lp_value, cold=False):
     """The rows of one contiguous run over ``grid``, one point at a time, in
     order, each LP warm-started from the bases its column holds (from the
     all-artificial basis at every point when ``cold``)."""
-    from magicswitch.experiments import MEASURE_COLUMNS, SweepRow
-
     run = {"bases": {}}
     rows = []
     for p in grid:
         if cold:
             run = {"bases": {}, "cold": True}
         point = PointOracle(experiment, p, lp_tol, run)
-        row = SweepRow(p=p)
-        for column in MEASURE_COLUMNS[experiment]:
+        row = experiments.SweepRow(p=p)
+        for column in experiments.MEASURE_COLUMNS[experiment]:
             row.values[column], row.status[column] = ORACLE_MEASURES[column](point, column)
         rows.append(row)
     return rows

@@ -18,8 +18,7 @@ from magicswitch import (
     qutrit_noisy_th_channel,
     unitary_channel,
 )
-from magicswitch import channels
-from magicswitch.channels import ChannelCompletenessError, StateValidationError
+from magicswitch.channels import ChannelCompletenessError, StateValidationError, _completeness_residual
 from magicswitch.config import DEFAULT_TOL
 from magicswitch.gates import HADAMARD, T_GATE, basis_state, fourier_gate, plus_state, qutrit_t_gate
 from magicswitch.linalg import DimensionMismatchError, tensor
@@ -260,7 +259,7 @@ class TestChannelZoo:
             "aligned": sq * zeta * np.array([[0, 0, 0], [0, 0, 0], [1, omega**2, omega]], dtype=complex),
             "cross": sq * zeta * np.array([[0, 0, 0], [0, omega**2, omega], [1, 0, 0]], dtype=complex),
         }
-        want = {name: channels._completeness_residual(np.stack([k0, k1, k2, k3])) for name, k2 in third_rows.items()}
+        want = {name: _completeness_residual(np.stack([k0, k1, k2, k3])) for name, k2 in third_rows.items()}
         assert qutrit_k2_variant_report(p) == {**want, "selected": "aligned"}
         assert np.array_equal(qutrit_noisy_th_channel(p).kraus_ops, np.stack([k0, k1, third_rows["aligned"], k3]))
 

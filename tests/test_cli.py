@@ -228,27 +228,6 @@ def test_figs1_grid_whose_minus_branch_has_probability_near_p_squared(tmp_path, 
     assert len(out.read_text().strip().splitlines()) == 3
 
 
-def test_unknown_state_exits(capsys):
-    assert_one_line_error(capsys, main(["-q", "rom", "--state", "warp"]))
-
-
-def test_unknown_channel_exits(capsys):
-    assert_one_line_error(capsys, main(["-q", "channel-robustness", "--channel", "teleporter:p=1"]))
-
-
-@pytest.mark.parametrize(
-    "flag, value",
-    [("--points", "0"), ("--points", "-5"), ("--points", "1000000000000"), ("--dims", "1"), ("--dims", "2,x")],
-)
-def test_appendix_c_bad_input_is_a_one_line_error(capsys, flag, value):
-    code = main(["-q", "appendix-c", flag, value])
-    captured = capsys.readouterr()
-    assert code != 0
-    assert captured.out == ""
-    lines = captured.err.strip().splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error:")
-
-
 def assert_one_line_error(capsys, code):
     """Check for exit code 2 and one ``error:`` line on stderr; return it."""
     captured = capsys.readouterr()
@@ -317,6 +296,10 @@ STATE_FILES = {
         ["channel-robustness", "--channel", "depolarizing:p=0.2,d=1"],
         ["channel-robustness", "--channel", "depolarizing:p=0.2,d=nan"],
         ["rom", "--state", "plus:p=0.3"],
+        ["rom", "--state", "warp"],
+        ["channel-robustness", "--channel", "teleporter:p=1"],
+        *(["appendix-c", "--points", points] for points in ("0", "-5", "1000000000000")),
+        *(["appendix-c", "--dims", dims] for dims in ("1", "2,x")),
         ["mana", "--d", "4"],
         ["mana", "--d", "41"],
         ["mana", "--d", "41", "--channel", "qutrit-noisy-th:p=0.3"],

@@ -1,19 +1,19 @@
 import concurrent.futures
+import contextlib
 import dataclasses
 import hashlib
 import json
 import math
 import os
 from dataclasses import replace
-from functools import partial, reduce
 
 import numpy as np
 import pytest
 
 from magicswitch import experiments, lp
-from magicswitch._simplex import WarmStart
 from magicswitch.channels import noisy_th_channel, qutrit_noisy_th_channel
 from magicswitch.config import DEFAULT_TOL
+from magicswitch.phasespace import mana_of_wigner
 from magicswitch.qswitch import EffectiveDepolarizingSwitch
 from magicswitch.stabilizers import cspo_choi_atoms, enumerate_stabilizer_states
 from magicswitch.experiments import (
@@ -34,8 +34,11 @@ from magicswitch.experiments import (
     run_figs1,
     write_rows,
 )
+from magicswitch.experiments import _certified_value, _floor_slack
 
-from conftest import LP_BRACKETS, LP_THRESHOLDS, oracle_rows, pivots_by_caller, recorded_solves
+from conftest import (LP_BRACKETS, LP_THRESHOLDS, basis_root, channel_wigner_builds, dispatched_rows, oracle_rows,
+                      pivots_by_caller, proposed_roots, recorded_solves, run_state, scored_block, spy, sweep_rows,
+                      threshold_value_calls)
 
 
 class TestSweepConfig:
@@ -92,9 +95,7 @@ class TestSweepConfig:
 
 
 def _tiny(experiment, **overrides):
-    base = dict(start=0.1, stop=0.3, step=0.1)
-    base.update(overrides)
-    return default_config(experiment, **base)
+    return default_config(experiment, **{"start": 0.1, "stop": 0.3, "step": 0.1, **overrides})
 
 
 class TestSweeps:
@@ -195,16 +196,29 @@ class TestDeterminism:
 
     @pytest.mark.parametrize("block_points", [3, 64, 128])
     @pytest.mark.parametrize("experiment", ["fig2", "fig3", "figs1"])
-    def test_default_csv_hash_does_not_depend_on_block_size(self, monkeypatch, experiment, block_points):
+    def test_default_csv_hash_does_not_depend_on_block_size(self, experiment, block_points):
         # A run carries its held bases from block to block, so its walk, and
         # every byte of its CSV, is the same in blocks of any size: 34 blocks
         # of 3, two of 64 or one of 128.
         from perfbench.workloads import EXPECTED_SHA256
 
-        monkeypatch.setattr(experiments, "_BLOCK_POINTS", block_points)
-        rows = run_experiment(default_config(experiment))
+        config = default_config(experiment)
+        rows = sweep_rows(experiment, config.grid(), config.lp_tol, block_points=block_points)
         text = rows_to_csv(rows, MEASURE_COLUMNS[experiment])
         assert hashlib.sha256(text.encode()).hexdigest() == EXPECTED_SHA256[experiment]
+
+
+class TestRowBoundary:
+    @pytest.mark.parametrize("experiment", ["fig2", "fig3", "figs1"])
+    def test_dispatch_row_once_per_row_in_grid_order(self, monkeypatch, experiment):
+        # perfbench times rows by rebinding the module global: every row must
+        # still come out of one call of it, in grid order, blocks of 4 here.
+        calls = dispatched_rows(monkeypatch)
+        config = default_config(experiment, start=0.1, stop=0.2, step=0.01)
+        rows = sweep_rows(experiment, config.grid(), config.lp_tol, block_points=4)
+        assert len(rows) == len(config.grid()) == 11
+        assert [call.result.p for call in calls] == config.grid()
+        assert all(row is call.result for row, call in zip(rows, calls))
 
 
 LP_COLUMNS = {
@@ -213,7 +227,7 @@ LP_COLUMNS = {
 }
 
 
-class RecordingPool:
+class RecordingPool(contextlib.AbstractContextManager):
     """Stands in for ProcessPoolExecutor: runs the map in this process and
     records the worker count and the grid of each run."""
 
@@ -223,9 +237,6 @@ class RecordingPool:
         self.max_workers = max_workers
         self.runs = []
         RecordingPool.made.append(self)
-
-    def __enter__(self):
-        return self
 
     def __exit__(self, *exc):
         return False
@@ -241,10 +252,8 @@ class TestWarmStart:
     def test_warm_values_match_cold_solves(self, monkeypatch, experiment):
         grid = default_config(experiment).grid()
         cold = oracle_rows(experiment, grid, 1e-6, cold=True)
-        forward, solves = recorded_solves(
-            monkeypatch, lambda: experiments._run_rows(experiment, grid, 1e-6)
-        )
-        backward = experiments._run_rows(experiment, grid[::-1], 1e-6)[::-1]
+        forward, solves = recorded_solves(monkeypatch, lambda: sweep_rows(experiment, grid, 1e-6))
+        backward = sweep_rows(experiment, grid[::-1], 1e-6)[::-1]
         for warm in (forward, backward):
             for got, want in zip(warm, cold):
                 assert got.p == want.p
@@ -279,15 +288,13 @@ class TestWarmStart:
         assert len(cold) == 3 and [solves[k][1] > 0 for k in cold] == [False, False, True]
         assert rows_to_csv(first, MEASURE_COLUMNS["fig3"]) == rows_to_csv(second, MEASURE_COLUMNS["fig3"])
 
-    def test_nearly_every_sweep_lp_reuses_its_basis(self, monkeypatch):
+    def test_nearly_every_sweep_lp_reuses_its_basis(self, monkeypatch, reference_starts):
         # fig2 and fig3 on their default grids solve 485 LPs: 6 start from
         # their program's reference starts, and all but a few of the rest
         # are read off a basis their column holds.  The few that pivot take
         # at most 30 dual pivots in all; from cold first LPs they took 173.
         # The references are built first, so their own pivots are not
         # counted.
-        lp._channel_constraints(cspo_choi_atoms(enumerate_stabilizer_states(2)))
-        lp._state_constraints(enumerate_stabilizer_states(1))
         (_, solves), pivots = pivots_by_caller(
             monkeypatch, lambda: recorded_solves(monkeypatch, lambda: (run_fig2(), run_fig3())))
         assert len(solves) == 485
@@ -308,74 +315,40 @@ class TestWarmStart:
     def test_no_optimal_basis_holds_an_artificial(self, monkeypatch):
         # Both programs have full row rank, so the dual repair drives every
         # artificial out of each optimal basis of the default sweeps.
-        bases, solve = [], lp.solve_standard_form
-
-        def spy(A, *args, **kwargs):
-            result = solve(A, *args, **kwargs)
-            bases.append((result.warm_start, A.shape[1]))
-            return result
-
-        monkeypatch.setattr(lp, "solve_standard_form", spy)
+        solves = spy(monkeypatch, lp, "solve_standard_form")
         run_fig2(), run_fig3()
-        assert len(bases) > 0 and all(start is not None for start, _ in bases)
-        assert all((start.basis < n).all() for start, n in bases)
+        assert len(solves) > 0 and all(call.result.warm_start is not None for call in solves)
+        assert all((call.result.warm_start.basis < call.args[0].shape[1]).all() for call in solves)
 
     def test_default_fig2_builds_each_renormalized_solution_once(self, monkeypatch):
         # Each switch branch is renormalized, and its factor is reported on
         # the solution as it is first built, not through a copy.
-        copies, copy = [], dataclasses.replace
-
-        def spy(obj, **changes):
-            copies.append(changes)
-            return copy(obj, **changes)
-
-        monkeypatch.setattr(dataclasses, "replace", spy)
-        monkeypatch.setattr(lp, "replace", spy, raising=False)
-        built, solve = [], experiments.rom_state
-
-        def recording(*args, **kwargs):
-            built.append(solve(*args, **kwargs))  # a sweep scores each branch as a grid
-            return built[-1]
-
-        monkeypatch.setattr(experiments, "rom_state", recording)
+        copies = spy(monkeypatch, dataclasses, "replace")
+        if hasattr(lp, "replace"):
+            spy(monkeypatch, lp, "replace", copies)
+        built = spy(monkeypatch, experiments, "rom_state")  # a sweep scores each branch as a grid
         run_fig2()
         assert copies == []
-        assert sum(int((solution.renorm_factor != 1.0).sum()) for solution in built) >= 150
+        assert sum(int((call.result.renorm_factor != 1.0).sum()) for call in built) >= 150
 
     def test_one_solution_object_per_lp_call(self, monkeypatch):
         # A block's values, certificates and bases ride its grid axis, and
         # each default grid is one block: the default fig2 and fig3 build
         # one L1Solution per solve_l1 call (3 LP columns of fig2, 2 of fig3
         # and fig3's minus branch once), not one per row of their 485 LPs.
-        calls, built, init, solve = [], [], lp.L1Solution.__init__, lp.solve_l1
-
-        def spy(self, *args, **kwargs):
-            built.append(self)
-            init(self, *args, **kwargs)
-
-        def counting(*args, **kwargs):
-            calls.append(args[1].shape)
-            return solve(*args, **kwargs)
-
-        monkeypatch.setattr(lp.L1Solution, "__init__", spy)
-        monkeypatch.setattr(lp, "solve_l1", counting)
+        built = spy(monkeypatch, lp.L1Solution, "__init__")
+        calls = spy(monkeypatch, lp, "solve_l1")
         run_fig2()
         run_fig3()
         assert len(built) == len(calls) == 6
-        assert sum(shape[0] if len(shape) == 2 else 1 for shape in calls) == 485
+        assert sum(len(call.args[1]) if call.args[1].ndim == 2 else 1 for call in calls) == 485
 
     def test_fig3_minus_branch_is_solved_once_per_run(self, monkeypatch):
-        calls = []
-
-        def counting(ch, atoms, **kwargs):
-            calls.append(ch.kraus_ops.shape[:-3])
-            return lp.channel_robustness(ch, atoms, **kwargs)
-
-        monkeypatch.setattr(experiments, "channel_robustness", counting)
+        calls = spy(monkeypatch, experiments, "channel_robustness")
         rows = run_fig3(_tiny("fig3", start=0.0, stop=0.4))
         # The sequential and plus columns are grids of the 5 rows; the
         # minus branch is one channel, solved once.
-        assert len(rows) == 5 and sorted(calls) == [(), (5,), (5,)]
+        assert len(rows) == 5 and sorted(call.args[0].kraus_ops.shape[:-3] for call in calls) == [(), (5,), (5,)]
         values = {(r.values["rob_switch_minus"], r.status["rob_switch_minus"]) for r in rows}
         assert len(values) == 1
 
@@ -564,7 +537,7 @@ class TestThresholdFinder:
         # A registered measure scores a block as a sweep run's first block.
         experiment, column = THRESHOLD_COLUMNS[name]
         block = [0.2, 0.3, 0.5]
-        rows = experiments._run_rows(experiment, block, 1e-6)
+        rows = sweep_rows(experiment, block, 1e-6)
         values, statuses = MEASURES[name][0](np.array(block))
         assert list(values) == [row.values[column] for row in rows]
         assert list(statuses) == [row.status[column] for row in rows] == ["ok"] * 3
@@ -696,7 +669,7 @@ class TestWalkedThresholds:
         # One run state serves the opening block (the ends and the bisection
         # step), the probe block, and the bisection after a wrong proposal.
         (lo, hi), _, exact, _ = LP_CROSSINGS[name]
-        proposals = spy_on_basis_root(monkeypatch, exact + 1e-3 if wrong_proposal else ...)
+        proposals = proposed_roots(monkeypatch, injected=exact + 1e-3 if wrong_proposal else ...)
         evaluated = recorded_evaluations(monkeypatch, name)
         _, solves = recorded_solves(monkeypatch, lambda: find_threshold(name, lo, hi, threshold_tol=1e-6))
         assert [warm for warm, _ in solves] == [False] + [True] * (len(solves) - 1)
@@ -726,67 +699,28 @@ class TestWalkedThresholds:
             assert sum(warm and iterations == 0 for warm, iterations in solves) >= 3
 
     @pytest.mark.parametrize("name", ["fig2_channel_robustness", "fig3_sequential", "fig3_switch_plus"])
-    def test_channel_searches_make_no_pivot(self, monkeypatch, name):
+    def test_channel_searches_make_no_pivot(self, monkeypatch, reference_starts, name):
         # The channel references serve each family over its scored range, so
         # a seeded channel search reads every LP off a reference or a basis
         # it holds, and still confirms its proposed root in 3 iterations.
         (lo, hi), shift, _, _ = LP_CROSSINGS[name]
         s = np.random.default_rng(5).uniform(-shift, shift)
-        lp._channel_constraints(cspo_choi_atoms(enumerate_stabilizer_states(2)))  # their own pivots are not counted
         res, pivots = pivots_by_caller(monkeypatch, lambda: find_threshold(name, lo + s, hi + s, threshold_tol=1e-6))
         assert res.iterations == 3 and sum(pivots.values()) == 0
-
-    def test_held_bases_are_distinct_and_bounded(self):
-        # lp owns the rule and folds one basis at a time, as a walk does its
-        # entries: entries served by one basis repeat it, and a failed entry
-        # is None.  The held set is a plain tuple of the very starts, latest
-        # first.
-        starts = [WarmStart(np.array([k, 9]), np.eye(2) * (k + 1)) for k in range(6)]
-        block = [starts[0], starts[0], None, *starts[1:], starts[5]]
-        held = reduce(lp._hold, block, ())
-        assert type(held) is tuple and len(held) == lp._HELD_BASES
-        assert all(got is want for got, want in zip(held, starts[::-1][: lp._HELD_BASES]))
-        # A start already held moves to the front, and nothing is copied.
-        reordered = lp._hold(held, held[2])
-        assert type(reordered) is tuple
-        assert [id(start) for start in reordered] == [id(start) for start in (held[2], held[0], held[1], held[3])]
-        # The same basic columns in another order replace the older entry.
-        again = WarmStart(np.array([9, starts[3].basis[0]]), np.eye(2))
-        held = lp._hold(held, again)
-        assert [start.basis[0] for start in held] == [9, 5, 4, 2]
-        assert held[0] is again
-        assert lp._hold(held, None) is held and lp._hold(held, again) is held
-        assert lp._hold((), None) == ()
-        assert not (hasattr(experiments, "_hold") or hasattr(experiments, "_HELD_BASES"))
 
     @pytest.mark.parametrize("name, lo, hi", [
         *((name, *LP_CROSSINGS[name][0]) for name in LP_CROSSINGS), ("figs1_mana_channel", 0.3, 0.6)
     ])
     def test_every_evaluation_goes_through_the_registered_measure(self, monkeypatch, name, lo, hi):
-        # Wrap MEASURES[name] in place, as perfbench's tracer does, and
-        # count every _threshold_value call: the search, its proposal
-        # included, may reach the measure only through the wrapper, one
-        # call per block.
-        calls = {"wrapper": 0, "value": 0}
-        threshold_value = experiments._threshold_value
-
-        def counted_value(*args, **kwargs):
-            calls["value"] += 1
-            return threshold_value(*args, **kwargs)
-
-        registered, floor = MEASURES[name]
-        routed = partial(counted_value, *registered.args, **registered.keywords)
-
-        def wrapper(*args, **kwargs):
-            calls["wrapper"] += 1
-            return routed(*args, **kwargs)
-
-        monkeypatch.setattr(experiments, "_threshold_value", counted_value)
-        monkeypatch.setitem(MEASURES, name, (wrapper, floor))
+        # Wrap MEASURES[name] in place, as perfbench's tracer does: the
+        # search, its proposal included, may reach the measure only through
+        # the wrapper, one call per block, never the function behind it by
+        # the name the package looks it up by.
+        evaluated = recorded_evaluations(monkeypatch, name)
+        bypassing = threshold_value_calls(monkeypatch)
         find_threshold(name, lo, hi, threshold_tol=1e-6)
-        assert calls["value"] == calls["wrapper"] > 1
         # The opening block (ends and one bisection step), then the probes.
-        assert calls["wrapper"] == 2
+        assert bypassing == [] and len(evaluated) == 2
 
     def test_p_independent_measure_still_has_no_crossing(self):
         with pytest.raises(BracketError):
@@ -821,14 +755,10 @@ class TestWalkedThresholds:
         # fit fails is plain bisection, down to its iterations.
         (lo, hi), _, exact = MANA_CROSSINGS[name]
         fits = []
-
-        def spy(*args):
-            fits.append(args)
-
-        monkeypatch.setattr(experiments, "fit_polynomial", spy)
-        monkeypatch.setattr(experiments, "_mana_root", None)  # never reached
+        monkeypatch.setattr(experiments, "fit_polynomial", lambda *args: fits.append(args))  # returns None: no fit
+        proposals = proposed_roots(monkeypatch, mana=True)
         res = find_threshold(name, lo, hi, threshold_tol=1e-6)
-        assert len(fits) == 1
+        assert len(fits) == 1 and proposals == []
         assert res == replace(bisection_oracle(name, lo, hi, 1e-6), measure=name)
         # Mana reads 0 up to mana_zero, a few 1e-10 in p past the root.
         assert res.bracket[0] - 1e-9 <= exact <= res.bracket[1] + 1e-9
@@ -847,13 +777,10 @@ class TestWalkedThresholds:
         builders = {"fig2": ("noisy-th", noisy_th_channel), "figs1": ("qutrit-noisy-th", qutrit_noisy_th_channel)}
         key, build = builders[name.split("_")[0]]
         monkeypatch.setitem(experiments.CHANNELS, key, lambda p: build(p**3))
-        proposals = []
-        root_finder = "_mana_root" if name in MANA_CROSSINGS else "_basis_root"
-        propose = getattr(experiments, root_finder)
-        monkeypatch.setattr(experiments, root_finder, lambda *args: proposals.append(propose(*args)) or proposals[-1])
+        proposals = proposed_roots(monkeypatch, mana=name in MANA_CROSSINGS)
         evaluated = recorded_evaluations(monkeypatch, name)
         res = find_threshold(name, lo, hi, threshold_tol=1e-6)
-        (root,) = proposals
+        ((_, root),) = proposals
         half = 0.5e-6 - math.ulp(root)
         assert abs(root - exact ** (1 / 3)) > 1e-5
         assert evaluated[1] and set(evaluated[1]) <= {root - half, root + half}
@@ -881,7 +808,7 @@ class TestWalkedThresholds:
     def test_wrong_proposal_still_gives_a_correct_bracket(self, monkeypatch, offset):
         oracle = bisection_oracle("fig2_rom_plus", 0.5, 0.7, 1e-10)
         injected = oracle.threshold + offset
-        proposals = spy_on_basis_root(monkeypatch, injected)
+        proposals = proposed_roots(monkeypatch, injected=injected)
         evaluated = recorded_evaluations(monkeypatch, "fig2_rom_plus")
         res = find_threshold("fig2_rom_plus", 0.5, 0.7, threshold_tol=1e-6)
         fn, floor = one_point("fig2_rom_plus")
@@ -909,12 +836,12 @@ class TestWalkedThresholds:
         # to (0.29, 0.345), whose low end's basis stops at the kink; only
         # the basis of x1 = p - 0.3 reaches the root, so the search bisects.
         def toy(p, state=None):
-            grid = experiments._Grid("fig2", p, DEFAULT_TOL.lp_value, state or experiments._RunState())
-            values, _ = grid.solve("toy", lp.solve_l1, ABS_A, (p - 0.3)[:, None], scale=1.0 + p)
+            b = (p - 0.3)[:, None]
+            values, _ = scored_block(p, state or run_state(), "toy", lp.solve_l1, ABS_A, b, scale=1.0 + p)
             return values, ["ok"] * len(p)  # |p - 0.3| < 1 reads below the robustness floor
 
         monkeypatch.setitem(MEASURES, "toy", (toy, floor))
-        proposals = spy_on_basis_root(monkeypatch)
+        proposals = proposed_roots(monkeypatch)
         level = floor + DEFAULT_TOL.lp_value
         root = 0.3 - level if first_basis else 0.3 + level
         res = find_threshold("toy", lo, hi, threshold_tol=1e-6)
@@ -938,7 +865,7 @@ class TestWalkedThresholds:
 ])
 def test_basis_root(p, lo, hi, level, want):
     # The optimal basis of the one entry of a block.
-    root = experiments._basis_root(lp.solve_l1(ABS_A, np.array([[p - 0.3]])), 0, ABS_FIT, level, lo, hi)
+    root = basis_root(lp.solve_l1(ABS_A, np.array([[p - 0.3]])), 0, ABS_FIT, level, lo, hi)
     assert root == want if want is None else abs(root - want) < 1e-15
 
 
@@ -953,6 +880,17 @@ def test_fit_polynomial_interpolates_three_points():
     # A repeated point leaves no unique quadratic, and so does a fourth point.
     assert experiments.fit_polynomial(t[[0, 1, 1]], quadratic) is None
     assert experiments.fit_polynomial([*t, 0.5], [*quadratic, quadratic[0]]) is None
+
+
+def test_sampled_mana_evaluation_builds_one_wigner_function(monkeypatch):
+    calls = channel_wigner_builds(monkeypatch)
+    # A search's opening block: one Wigner build for its three points.
+    state = run_state(sampling=True)
+    values, _ = MEASURES["figs1_mana_channel"][0](np.array([0.3, 0.4, 0.5]), state=state)
+    assert len(calls) == 1 and len(state.samples) == 1
+    (p, _, wigner), = state.samples
+    assert p.tolist() == [0.3, 0.4, 0.5] and wigner.shape == (3, 9, 9)
+    assert np.array_equal(values, mana_of_wigner(wigner, channel=True))
 
 
 def test_search_logs_one_info_line(caplog):
@@ -993,7 +931,7 @@ def test_a_discarded_probe_is_scored_but_narrows_nothing(monkeypatch, caplog):
     # discarded probe.
     oracle = bisection_oracle("fig2_rom_plus", 0.5, 0.7, 1e-10)
     injected = oracle.threshold + 1e-3
-    spy_on_basis_root(monkeypatch, injected)
+    proposed_roots(monkeypatch, injected=injected)
     evaluated = recorded_evaluations(monkeypatch, "fig2_rom_plus")
     with caplog.at_level("INFO", logger="magicswitch.experiments"):
         res = find_threshold("fig2_rom_plus", 0.5, 0.7, threshold_tol=1e-6)
@@ -1038,7 +976,7 @@ class TestRoundingFloor:
 
     def test_floor_leaves_larger_lp_tol_alone(self):
         # The default level is floor + lp_tol exactly, bit for bit.
-        assert experiments._floor_slack(DEFAULT_TOL.lp_value) == DEFAULT_TOL.lp_value
+        assert _floor_slack(DEFAULT_TOL.lp_value) == DEFAULT_TOL.lp_value
         solution = lp.channel_robustness(noisy_th_channel(0.5), cspo_choi_atoms(enumerate_stabilizer_states(2)))
         cases = [
             (1.0 - 0.5 * DEFAULT_TOL.rounding, 0.0, "ok"),
@@ -1047,28 +985,14 @@ class TestRoundingFloor:
             (1.0 - 2e-6, 0.0, "below_floor"),
         ]
         for value, lp_tol, status in cases:
-            got = experiments._certified_value(replace(solution, value=value), lp_tol)
+            got = _certified_value(replace(solution, value=value), lp_tol)
             assert got == (value, status)
         # A block applies the same rule to each entry.
         at_zero = [(value, status) for value, lp_tol, status in cases if lp_tol == 0.0]
         values = np.array([value for value, _ in at_zero])
         block = lp.solve_l1(solution.standard_form[0], np.tile(solution.standard_form[1], (len(values), 1)))
-        got_values, got_statuses = experiments._certified_value(replace(block, value=values), 0.0)
+        got_values, got_statuses = _certified_value(replace(block, value=values), 0.0)
         assert got_values is values and got_statuses == [status for _, status in at_zero]
-
-
-def spy_on_basis_root(monkeypatch, injected=...):
-    """Record ((lo, hi), root) for each LP proposal of a search, with the
-    root ``_basis_root`` gives, or ``injected`` in its place."""
-    proposals = []
-    basis_root = experiments._basis_root
-
-    def spy(*args):
-        proposals.append((args[-2:], basis_root(*args) if injected is ... else injected))
-        return proposals[-1][1]
-
-    monkeypatch.setattr(experiments, "_basis_root", spy)
-    return proposals
 
 
 def block_replace(solution, **changes):
@@ -1097,26 +1021,15 @@ def recorded_evaluations(monkeypatch, name):
 def scalar_appendix_c(d_values, n_points):
     """Reference: the appendix-C report built one grid point at a time."""
     report = {"n_points": n_points, "dimensions": {}}
-    overall_gap = -math.inf
-    overall_identity = 0.0
     for d in d_values:
-        worst_gap = -math.inf
-        worst_identity = 0.0
-        for k in range(1, n_points + 1):
-            eff = EffectiveDepolarizingSwitch.from_noise(d, k / n_points)
-            worst_gap = max(worst_gap, eff.p_plus - eff.sequential_strength())
-            worst_identity = max(worst_identity, eff.factored_identity_residual())
-        report["dimensions"][d] = {
-            "max_gap": worst_gap,
-            "max_identity_residual": worst_identity,
-            "strictly_negative": worst_gap < 0.0,
-        }
-        overall_gap = max(overall_gap, worst_gap)
-        overall_identity = max(overall_identity, worst_identity)
-    report["max_gap"] = overall_gap
-    report["max_identity_residual"] = overall_identity
-    report["strictly_negative"] = overall_gap < 0.0
-    return report
+        switches = [EffectiveDepolarizingSwitch.from_noise(d, k / n_points) for k in range(1, n_points + 1)]
+        gap = max([-math.inf, *(eff.p_plus - eff.sequential_strength() for eff in switches)])
+        identity = max([0.0, *(eff.factored_identity_residual() for eff in switches)])
+        report["dimensions"][d] = {"max_gap": gap, "max_identity_residual": identity, "strictly_negative": gap < 0.0}
+    dimensions = report["dimensions"].values()
+    gap = max([-math.inf, *(entry["max_gap"] for entry in dimensions)])
+    identity = max([0.0, *(entry["max_identity_residual"] for entry in dimensions)])
+    return {**report, "max_gap": gap, "max_identity_residual": identity, "strictly_negative": gap < 0.0}
 
 
 class TestAppendixC:

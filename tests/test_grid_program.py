@@ -23,11 +23,13 @@ from magicswitch import (
     qutrit_noisy_th_channel,
     wigner_of_channel,
 )
-from magicswitch import _simplex, channels, experiments, lp, phasespace
-from magicswitch.channels import plus_density
-from magicswitch.experiments import MEASURES, default_config, run_experiment
+from magicswitch import lp
+from magicswitch.channels import StateValidationError, plus_density
+from magicswitch.experiments import default_config, run_experiment
+from magicswitch.phasespace import wigner_of_operator
 
-from conftest import LP_BRACKETS, LP_THRESHOLDS, compare_rows, oracle_rows
+from conftest import (LP_BRACKETS, LP_THRESHOLDS, channel_program, compare_rows, completeness_checks, grid_of,
+                      oracle_rows, sweep_rows)
 
 FINE = {"fig2": dict(step=0.0005), "fig3": dict(step=0.0002)}
 
@@ -38,14 +40,14 @@ class TestAgainstThePointOracle:
     def test_default_grids(self, experiment, backward):
         grid = default_config(experiment).grid()
         grid = grid[::-1] if backward else grid
-        equal, total = compare_rows(experiments._run_rows(experiment, grid, 1e-6), oracle_rows(experiment, grid))
+        equal, total = compare_rows(sweep_rows(experiment, grid, 1e-6), oracle_rows(experiment, grid))
         assert equal == total
 
     @pytest.mark.parametrize("experiment", list(FINE))
     def test_fine_grids(self, experiment):
         grid = default_config(experiment, **FINE[experiment]).grid()
         assert len(grid) == {"fig2": 2001, "fig3": 2251}[experiment]
-        equal, total = compare_rows(experiments._run_rows(experiment, grid, 1e-6), oracle_rows(experiment, grid))
+        equal, total = compare_rows(sweep_rows(experiment, grid, 1e-6), oracle_rows(experiment, grid))
         assert equal == total
 
     @settings(derandomize=True, database=None, max_examples=30, deadline=None)
@@ -59,63 +61,17 @@ class TestAgainstThePointOracle:
     def test_random_sub_grids_across_blocks(self, experiment, start, step, length, backward):
         grid = [min(start + k * step, 1.0) for k in range(length)]
         grid = grid[::-1] if backward else grid
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(experiments, "_BLOCK_POINTS", 3)
-            got = experiments._run_rows(experiment, grid, 1e-6)
-        equal, total = compare_rows(got, oracle_rows(experiment, grid))
+        equal, total = compare_rows(sweep_rows(experiment, grid, 1e-6, block_points=3), oracle_rows(experiment, grid))
         assert equal == total
-
-
-class TestRowBoundary:
-    @pytest.mark.parametrize("experiment", ["fig2", "fig3", "figs1"])
-    def test_dispatch_row_once_per_row_in_grid_order(self, monkeypatch, experiment):
-        # perfbench times rows by rebinding the module global: every row
-        # must still come out of one call of it, in grid order.
-        monkeypatch.setattr(experiments, "_BLOCK_POINTS", 4)
-        dispatch, calls = experiments._dispatch_row, []
-
-        def spy(args):
-            calls.append(dispatch(args))
-            return calls[-1]
-
-        monkeypatch.setattr(experiments, "_dispatch_row", spy)
-        config = default_config(experiment, start=0.1, stop=0.2, step=0.01)
-        rows = run_experiment(config)
-        assert len(rows) == len(config.grid()) == 11
-        assert [row.p for row in calls] == config.grid()
-        assert all(row is call for row, call in zip(rows, calls))
 
 
 def test_fig3_builds_its_t_gate_once_per_channel_family(monkeypatch):
     # A default fig3 run measures the completeness of T_GATE's unitary
     # channel once for the sequential channel and once for the switch
     # branches, not once or twice per row.
-    residual, calls = channels._completeness_residual, []
-
-    def counting(ops):
-        calls.append(ops.shape)
-        return residual(ops)
-
-    monkeypatch.setattr(channels, "_completeness_residual", counting)
+    calls = completeness_checks(monkeypatch)
     run_experiment(default_config("fig3"))
     assert len(calls) <= 2
-
-
-def test_sampled_mana_evaluation_builds_one_wigner_function(monkeypatch):
-    route, calls = phasespace._choi_route_wigner, []
-
-    def counting(*args):
-        calls.append(args)
-        return route(*args)
-
-    monkeypatch.setattr(phasespace, "_choi_route_wigner", counting)
-    # A search's opening block: one Wigner build for its three points.
-    state = experiments._RunState(samples=[])
-    values, _ = MEASURES["figs1_mana_channel"][0](np.array([0.3, 0.4, 0.5]), state=state)
-    assert len(calls) == 1 and len(state.samples) == 1
-    (p, _, wigner), = state.samples
-    assert p.tolist() == [0.3, 0.4, 0.5] and wigner.shape == (3, 9, 9)
-    assert np.array_equal(values, phasespace.mana_of_wigner(wigner, channel=True))
 
 
 class TestTightToleranceThresholds:
@@ -175,11 +131,8 @@ class TestGridKernels:
         for k, p in enumerate(self.P):
             alone = lp.channel_robustness(noisy_th_channel(p), atoms, basis=held)
             start, held = alone.warm_start, alone.held
-            assert (walk.value[k], walk.status[k], walk.iterations[k]) == (alone.value, alone.status, alone.iterations)
-            assert (walk.residual[k], walk.dual_gap[k], walk.dual_violation[k]) == (
-                alone.residual, alone.dual_gap, alone.dual_violation,
-            )
-            assert np.array_equal(walk.plus[k], alone.plus) and np.array_equal(walk.minus[k], alone.minus)
+            for field in ("value", "status", "iterations", "residual", "dual_gap", "dual_violation", "plus", "minus"):
+                assert np.array_equal(getattr(walk, field)[k], getattr(alone, field)), (p, field)
             assert np.array_equal(walk.warm_start[k].basis, start.basis)
             assert np.array_equal(walk.warm_start[k].inverse, start.inverse)
         assert len(walk.held) == len(held)
@@ -187,12 +140,12 @@ class TestGridKernels:
             assert np.array_equal(got.basis, want.basis) and np.array_equal(got.inverse, want.inverse)
         # The walk holds the very starts its entries reached, the last one
         # latest: reference starts it read entries off, or bases it pivoted to.
-        reached = {id(start) for start in (*walk.warm_start, *lp._channel_constraints(atoms)[1])}
+        reached = {id(start) for start in (*walk.warm_start, *channel_program(atoms)[1])}
         assert walk.held[0] is walk.warm_start[-1] and all(id(start) in reached for start in walk.held)
         assert walk.standard_form[1].shape == (len(self.P), walk.standard_form[0].shape[0])
 
     def test_rom_state_logs_each_renormalized_entry(self, caplog):
-        rho = channels._derived(DensityOperator, np.array([np.eye(2) / 2, np.eye(2) / 4, np.diag([0.3, 0.1])]))
+        rho = grid_of(DensityOperator, np.array([np.eye(2) / 2, np.eye(2) / 4, np.diag([0.3, 0.1])]))
         with caplog.at_level(logging.INFO, logger="magicswitch.lp"):
             walk = lp.rom_state(rho, enumerate_stabilizer_states(1))
         assert walk.renorm_factor.tolist() == [1.0, 0.5, 0.4]
@@ -205,27 +158,8 @@ class TestGridKernels:
             noisy_th_channel(np.array([0.2, 1.5, 0.3]))
         with pytest.raises(ValueError, match="p=nan outside"):
             qutrit_noisy_th_channel(np.array([0.2, np.nan]))
-        with pytest.raises(channels.StateValidationError, match="renormalize"):
-            channels._derived(DensityOperator, np.array([np.eye(2) / 2, np.zeros((2, 2))])).renormalized()
+        with pytest.raises(StateValidationError, match="renormalize"):
+            grid_of(DensityOperator, np.array([np.eye(2) / 2, np.zeros((2, 2))])).renormalized()
         bad = np.array([np.eye(3) / 3, np.eye(3) / 3 + 1e-3j * np.diag([1, 0, -1])])
         with pytest.raises(ValueError, match="non-real"):
-            phasespace.wigner_of_operator(bad, build_frame(3))
-
-
-def test_block_reuse_matches_single_solves():
-    # reuse_basis reads each served row of a block off one stacked mat-vec,
-    # with the bits a solve of that row alone gets from the same basis.
-    rng = np.random.default_rng(5)
-    A = np.hstack([rng.normal(size=(4, 6)), np.eye(4)])
-    c = rng.uniform(1.0, 2.0, size=A.shape[1])
-    b0 = rng.uniform(1, 2, size=4)
-    start = _simplex.solve_standard_form(A, b0, c).warm_start
-    block = b0 + np.outer(np.linspace(0.0, 4.0, 40), rng.normal(size=4))
-    held = (start,)
-    _, served, x, objective, dual = _simplex.reuse_basis(A, block, c, held)
-    assert 0 < served < 40  # the block runs past the basis's feasible region
-    for j in range(served):
-        _, one, x_j, objective_j, dual_j = _simplex.reuse_basis(A, block[j : j + 1], c, held)
-        assert one == 1 and np.array_equal(x_j[0], x[j]) and objective_j[0] == objective[j]
-        assert np.array_equal(dual_j, dual)
-    assert _simplex.reuse_basis(A, block[served : served + 1], c, held)[1] == 0
+            wigner_of_operator(bad, build_frame(3))

@@ -28,14 +28,14 @@ from magicswitch import (
     unitary_channel,
     wigner_of_channel,
 )
-from magicswitch import channels, cli, experiments, qswitch
+from magicswitch import channels, cli, experiments
 from magicswitch.channels import ChannelCompletenessError, apply_kraus, plus_density
 from magicswitch.config import DEFAULT_TOL
 from magicswitch.gates import T_GATE, plus_state
 from magicswitch.linalg import DimensionMismatchError, tensor
 from magicswitch.phasespace import wigner_of_operator
 
-from conftest import random_density_matrix
+from conftest import apply_chunk_bytes, completeness_checks, grid_of, joint_input, random_density_matrix, spy
 
 PROPERTY = settings(derandomize=True, database=None, max_examples=60, deadline=None)
 
@@ -150,8 +150,8 @@ class TestKernelsMatchLoops:
         # at a time: every entry keeps the loop's bits.
         ch = zoo(np.linspace(0.0, 1.0, 101))
         grid = build_switch(ch, ch).kraus_ops
-        m = qswitch._joint_input(plus_density(d)).matrix
-        assert grid.nbytes > 2 * channels._APPLY_CHUNK_BYTES
+        m = joint_input(plus_density(d)).matrix
+        assert grid.nbytes > 2 * apply_chunk_bytes()
         got = apply_kraus(grid, m)
         assert all(np.array_equal(g, loop_apply(list(ops), m)) for g, ops in zip(got, grid))
 
@@ -219,7 +219,7 @@ class TestKernelsMatchLoops:
     def test_wigner_grid_entries_match_lone_calls(self, d, k, seed):
         frame = build_frame(d)
         lone = [isometry_channel(d, k, seed + i) for i in range(4)]
-        grid = channels._derived(KrausChannel, np.stack([ch.kraus_ops for ch in lone]))
+        grid = grid_of(KrausChannel, np.stack([ch.kraus_ops for ch in lone]))
         hermitian = grid.kraus_ops + grid.kraus_ops.conj().swapaxes(-1, -2)  # a (4, k) grid of operators
         wig, wig_ops = wigner_of_channel(grid, frame), wigner_of_operator(hermitian, frame)
         for i, ch in enumerate(lone):
@@ -232,7 +232,7 @@ class TestKernelsMatchLoops:
     def test_measure_control(self, d, k_a, k_b, seed):
         a, b = isometry_channel(d, k_a, seed), isometry_channel(d, k_b, seed + 1)
         rho = DensityOperator(random_density_matrix(d, np.random.default_rng(seed)))
-        out = apply_channel(build_switch(a, b), qswitch._joint_input(rho))
+        out = apply_channel(build_switch(a, b), joint_input(rho))
         for outcome, sign in (("plus", 1.0), ("minus", -1.0)):
             assert np.array_equal(measure_control(out, outcome)[0].matrix, loop_measure(out.matrix, sign))
 
@@ -276,7 +276,7 @@ class TestDerivedStates:
         out = apply_channel(a, rho)
         self.assert_fresh(out, rho.matrix)
         states.append(out)
-        joint = qswitch._joint_input(rho)
+        joint = joint_input(rho)
         self.assert_fresh(joint, rho.matrix)
         states.append(joint)
         switched = apply_channel(build_switch(a, b), joint)
@@ -316,25 +316,12 @@ class TestDerivedStates:
 # One stack per channel, checked once
 # ---------------------------------------------------------------------------
 
-def residual_spy(monkeypatch):
-    """Record the Kraus stack of every completeness-residual computation."""
-    seen = []
-    compute = channels._completeness_residual
-
-    def spy(ops):
-        seen.append(ops)
-        return compute(ops)
-
-    monkeypatch.setattr(channels, "_completeness_residual", spy)
-    return seen
-
-
 class TestCheckedOnce:
     def test_residual_computed_once_per_public_channel(self, monkeypatch, tmp_path):
         # A channel derived from checked channels, or written down complete
         # by a zoo formula, is complete by construction: only the public
         # constructor sums the operators, once per channel it builds.
-        seen = residual_spy(monkeypatch)
+        seen = completeness_checks(monkeypatch)
         a, b = qutrit_noisy_th_channel(0.3), noisy_th_channel(0.6)
         noise = depolarizing_channel(2, 0.4)
         derived = [compose_channels(noise, b), build_switch(b, noise), build_switch(a, a)]
@@ -342,7 +329,7 @@ class TestCheckedOnce:
         wigner_of_channel(a, build_frame(3))
         assert seen == []
         public = [KrausChannel(a.kraus_ops), unitary_channel(T_GATE), KrausChannel(tuple(b.kraus_ops))]
-        assert len(seen) == len(public) and all(ops is ch.kraus_ops for ops, ch in zip(seen, public))
+        assert len(seen) == len(public) and all(call.args[0] is ch.kraus_ops for call, ch in zip(seen, public))
         seen.clear()
         out = tmp_path / "fig2.csv"
         assert cli.main(["-q", "fig2", "--grid", "0:0.1:0.01", "--out", str(out)]) == 0
@@ -424,49 +411,19 @@ class TestCheckedOnce:
     def test_warm_sweeps_run_no_eigenvalue_check(self, monkeypatch):
         # Every state and Choi state of a sweep is derived from checked
         # inputs; only the cached |+> inputs are checked, on first use.
-        runs = [
-            (experiments.run_fig2, experiments.default_config("fig2", stop=0.05)),
-            (experiments.run_fig3, experiments.default_config("fig3", stop=0.05)),
-            (experiments.run_figs1, experiments.default_config("figs1", stop=0.05)),
-        ]
-        for run, config in runs:
-            run(config)
-        calls = []
-        check = channels.assert_psd
-
-        def counting(*args):
-            calls.append(args[2])
-            return check(*args)
-
-        monkeypatch.setattr(channels, "assert_psd", counting)
-        for run, config in runs:
-            assert run(config)
+        configs = [experiments.default_config(name, stop=0.05) for name in ("fig2", "fig3", "figs1")]
+        for config in configs:
+            experiments.run_experiment(config)
+        calls = spy(monkeypatch, channels, "assert_psd")
+        for config in configs:
+            assert experiments.run_experiment(config)
         assert calls == []
 
     def test_plus_input_built_once_per_sweep(self, monkeypatch):
         # Control (qubit) and target (qutrit) inputs, each built once for
         # the process; a sweep then builds no |+> state at all.
         plus_density(2), plus_density(3)
-        calls = []
-        pure = channels.DensityOperator.pure.__func__
-
-        def counting(cls, vec):
-            calls.append(vec)
-            return pure(cls, vec)
-
-        monkeypatch.setattr(channels.DensityOperator, "pure", classmethod(counting))
+        calls = spy(monkeypatch, channels.DensityOperator, "pure")
         experiments.run_figs1(experiments.default_config("figs1", stop=0.05))
         assert calls == []
         assert plus_density(3) is plus_density(3)
-
-    def test_joint_input_formed_once_per_target(self, monkeypatch):
-        calls = []
-
-        def counting(*ops):
-            calls.append(len(ops))
-            return tensor(*ops)
-
-        monkeypatch.setattr(qswitch, "tensor", counting)
-        qswitch._joint_input.cache_clear()
-        experiments.run_figs1(experiments.default_config("figs1", stop=0.05))
-        assert calls == [2]

@@ -1,4 +1,5 @@
 import itertools
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -18,21 +19,15 @@ from magicswitch import (
     rom_state,
     unitary_channel,
 )
-from magicswitch import experiments, lp
-from magicswitch._simplex import solve_standard_form
+from magicswitch import experiments
+from magicswitch._simplex import WarmStart, solve_standard_form
 from magicswitch.config import DEFAULT_TOL
 from magicswitch.gates import HADAMARD, PAULI_X, PAULI_Y, PAULI_Z, T_GATE, plus_state
 from magicswitch.linalg import partial_trace, pauli_basis, pauli_vectorize
-from magicswitch.lp import _assemble_standard_form, solve_l1
+from magicswitch.lp import _HELD_BASES, _assemble_standard_form, _hold, solve_l1
 
-from conftest import (
-    PHASE_S,
-    extend_with_reference,
-    fig2_fig3_channels,
-    pivots_by_caller,
-    random_density_matrix,
-    random_kraus_channel,
-)
+from conftest import (PHASE_S, channel_program, clear_program_caches, extend_with_reference, fig2_fig3_channels,
+                      pivots_by_caller, random_density_matrix, random_kraus_channel, state_program)
 
 SQRT2 = np.sqrt(2.0)
 
@@ -319,20 +314,20 @@ def reference_state_lp(rho, dictionary):
 IMPLIED_CHOI_ROWS = [4, 8, 12]
 
 
-def reference_channel_lp(ch, choi_atoms):
+def reference_channel_lp(ch, choi_atoms, left_out=IMPLIED_CHOI_ROWS):
     """Reference: the channel program assembled per solve in plain numpy:
-    the Choi reconstruction rows but ``IMPLIED_CHOI_ROWS``, then for each
-    of X, Y, Z one marginal row over the plus columns and one over the
-    minus columns.  Returns (A, b)."""
+    the Choi reconstruction rows but ``left_out``, then for each of X, Y, Z
+    one marginal row over the plus columns and one over the minus columns.
+    Returns (A, b)."""
     paulis = pauli_basis(2)
     atoms = np.array([pauli_vectorize(a.projector, paulis) for a in choi_atoms])
-    atoms = np.delete(atoms, IMPLIED_CHOI_ROWS, axis=1)
+    atoms = np.delete(atoms, left_out, axis=1)
     zeros = np.zeros(len(choi_atoms))
     rows = [np.hstack([atoms.T, -atoms.T])]
     for pauli in (PAULI_X, PAULI_Y, PAULI_Z):
         row = np.array([np.trace(pauli @ a.marginal).real for a in choi_atoms])
         rows += [np.concatenate([row, zeros])[None], np.concatenate([zeros, row])[None]]
-    target = np.delete(pauli_vectorize(choi_of_channel(ch).matrix, paulis), IMPLIED_CHOI_ROWS)
+    target = np.delete(pauli_vectorize(choi_of_channel(ch).matrix, paulis), left_out)
     return np.vstack(rows), np.concatenate([target, np.zeros(6)])
 
 
@@ -366,20 +361,20 @@ class TestConstraintCache:
 
     def test_matrices_match_reference_assembly(self, qubit_dict, twoq_dict, choi_atoms):
         A, _ = reference_channel_lp(noisy_th_channel(0.2), choi_atoms)
-        assert np.array_equal(lp._channel_constraints(choi_atoms)[0], A)
+        assert np.array_equal(channel_program(choi_atoms)[0], A)
         for dictionary in (qubit_dict, twoq_dict):
             A, _ = reference_state_lp(DensityOperator.maximally_mixed(dictionary.dim), dictionary)
-            assert np.array_equal(lp._state_constraints(dictionary)[0], A)
+            assert np.array_equal(state_program(dictionary)[0], A)
 
     @pytest.mark.parametrize("p", [0.0, 0.15, 0.3, 0.6])
     def test_channel_solve_matches_per_problem_assembly(self, choi_atoms, p):
         ch = noisy_th_channel(p)
         got = channel_robustness(ch, choi_atoms)
-        starts = lp._channel_constraints(choi_atoms)[1]
+        starts = channel_program(choi_atoms)[1]
         assert_same_solution(got, solve_l1(*reference_channel_lp(ch, choi_atoms), starts))
 
     def test_state_solve_matches_per_problem_assembly(self, qubit_dict, rng):
-        starts = lp._state_constraints(qubit_dict)[1]
+        starts = state_program(qubit_dict)[1]
         for _ in range(5):
             rho = DensityOperator(random_density_matrix(2, rng))
             assert_same_solution(rom_state(rho, qubit_dict), solve_l1(*reference_state_lp(rho, qubit_dict), starts))
@@ -390,24 +385,17 @@ class TestFullRowRank:
     three reconstruction rows its marginal rows imply."""
 
     def test_constraint_matrices_have_full_row_rank(self, qubit_dict, twoq_dict, choi_atoms):
-        for A, _ in (lp._state_constraints(qubit_dict), lp._state_constraints(twoq_dict),
-                     lp._channel_constraints(choi_atoms)):
+        for A, _ in (state_program(qubit_dict), state_program(twoq_dict), channel_program(choi_atoms)):
             assert np.linalg.matrix_rank(A) == A.shape[0]
-        assert lp._channel_constraints(choi_atoms)[0].shape == (19, 120)
+        assert channel_program(choi_atoms)[0].shape == (19, 120)
 
     def test_left_out_rows_are_half_the_marginal_difference(self, choi_atoms):
         # Rebuilt in full, the program has 22 rows of rank 19: the Choi row
         # of P (x) I is half the plus side's P marginal row minus half the
         # minus side's, for each of X, Y, Z.
-        paulis = pauli_basis(2)
-        atoms = np.array([pauli_vectorize(a.projector, paulis) for a in choi_atoms])
-        choi_rows = np.hstack([atoms.T, -atoms.T])
-        zeros = np.zeros(len(choi_atoms))
-        for k, pauli in zip(IMPLIED_CHOI_ROWS, (PAULI_X, PAULI_Y, PAULI_Z)):
-            marginal = np.array([np.trace(pauli @ a.marginal).real for a in choi_atoms])
-            half_difference = 0.5 * (np.concatenate([marginal, zeros]) - np.concatenate([zeros, marginal]))
-            assert np.abs(choi_rows[k] - half_difference).max() <= 1e-15
-        full = np.vstack([choi_rows, np.delete(lp._channel_constraints(choi_atoms)[0], np.arange(13), axis=0)])
+        full, _ = reference_channel_lp(identity_channel(2), choi_atoms, left_out=[])
+        for i, k in enumerate(IMPLIED_CHOI_ROWS):
+            assert np.abs(full[k] - 0.5 * (full[16 + 2 * i] - full[17 + 2 * i])).max() <= 1e-15
         assert full.shape == (22, 120) and np.linalg.matrix_rank(full) == 19
 
 
@@ -429,10 +417,10 @@ class TestReferenceStarts:
         # for bit.  The state program's reference is I/d.
         ends = (noisy_th_channel(0.0), noisy_th_channel(1.0), unitary_channel(T_GATE),
                 experiments.CHANNELS["depol-squared-t"](0.45))
-        programs = [(lp._channel_constraints(choi_atoms), [reference_channel_lp(ch, choi_atoms)[1] for ch in ends])]
+        programs = [(channel_program(choi_atoms), [reference_channel_lp(ch, choi_atoms)[1] for ch in ends])]
         for dictionary in (qubit_dict, twoq_dict):
             mixed = DensityOperator.maximally_mixed(dictionary.dim)
-            programs.append((lp._state_constraints(dictionary), [reference_state_lp(mixed, dictionary)[1]]))
+            programs.append((state_program(dictionary), [reference_state_lp(mixed, dictionary)[1]]))
         for (A, held), references in programs:
             assert type(held) is tuple
             starts = held[::-1]  # in the order of the references
@@ -449,12 +437,12 @@ class TestReferenceStarts:
         rho = DensityOperator.pure(T_GATE @ plus_state(2))
         no_basis = rom_state(rho, qubit_dict)
         assert_same_solution(rom_state(rho, qubit_dict, basis=()), no_basis)
-        A, starts = lp._state_constraints(qubit_dict)
+        A, starts = state_program(qubit_dict)
         assert_same_solution(no_basis, solve_l1(A, no_basis.standard_form[1], starts))
         ch = noisy_th_channel(0.2)
         no_basis = channel_robustness(ch, choi_atoms)
         assert_same_solution(channel_robustness(ch, choi_atoms, basis=()), no_basis)
-        A, starts = lp._channel_constraints(choi_atoms)
+        A, starts = channel_program(choi_atoms)
         assert_same_solution(no_basis, solve_l1(A, no_basis.standard_form[1], starts))
         b = no_basis.standard_form[1]
         cold = solve_l1(A, b, basis=[])
@@ -488,25 +476,23 @@ class TestReferenceStarts:
         assert sol.checked_status == "optimal" and abs(sol.value - cold.objective) <= 1e-12
         assert max(sol.residual, sol.dual_gap, sol.dual_violation) <= DEFAULT_TOL.lp_residual
 
-    def test_served_and_unserved_channels(self, choi_atoms):
+    def test_served_and_unserved_channels(self, choi_atoms, reference_starts):
         # Noisy TH at 0.5 is read off the measure-and-prepare reference with
         # no pivot, and the T gate off its own; H T is served by none of the
         # references and pivots.
-        starts = lp._channel_constraints(choi_atoms)[1][::-1]  # in the table's order
         served = channel_robustness(noisy_th_channel(0.5), choi_atoms)
-        assert served.iterations == 0 and served.warm_start is starts[1]
+        assert served.iterations == 0 and served.warm_start is reference_starts[1]
         served = channel_robustness(unitary_channel(T_GATE), choi_atoms)
-        assert served.iterations == 0 and served.warm_start is starts[2]
+        assert served.iterations == 0 and served.warm_start is reference_starts[2]
         unserved = channel_robustness(unitary_channel(HADAMARD @ T_GATE), choi_atoms)
-        assert unserved.iterations > 0 and all(unserved.warm_start is not s for s in starts)
+        assert unserved.iterations > 0 and all(unserved.warm_start is not s for s in reference_starts)
         assert abs(unserved.value - SQRT2) <= 1e-12
 
-    def test_lone_calls_on_the_families_make_no_pivot(self, monkeypatch, choi_atoms):
+    def test_lone_calls_on_the_families_make_no_pivot(self, monkeypatch, choi_atoms, reference_starts):
         # The references sit at both ends of each family's scored range: a
         # lone call anywhere on fig2's grid of noisy TH, or on fig3's grid of
         # the T gate behind sequential or switched (plus branch) depolarizing
         # noise, is read off one of them.
-        lp._channel_constraints(choi_atoms)  # the references' own pivots are not counted
         fig3 = experiments.default_config("fig3").grid()
         families = ((noisy_th_channel, experiments.default_config("fig2").grid()),
                     (experiments.CHANNELS["depol-squared-t"], fig3), (experiments.CHANNELS["switch-plus-t"], fig3))
@@ -515,23 +501,21 @@ class TestReferenceStarts:
                 sol, pivots = pivots_by_caller(monkeypatch, lambda: channel_robustness(family(p), choi_atoms))
                 assert not pivots and sol.iterations == 0 and sol.checked_status == "optimal", p
 
-    def test_each_entry_of_a_block_starts_from_the_least_infeasible_held_basis(self, choi_atoms):
+    def test_each_entry_of_a_block_starts_from_the_least_infeasible_held_basis(self, choi_atoms, reference_starts):
         # Noisy TH at 0.2 is read off the T H reference.  At 0.4, past the
         # crossing, that basis no longer serves, but the measure-and-prepare
         # reference, still held, does: neither entry pivots.
-        starts = lp._channel_constraints(choi_atoms)[1][::-1]  # in the table's order
         walk = channel_robustness(noisy_th_channel(np.array([0.2, 0.4])), choi_atoms)
         assert walk.iterations.tolist() == [0, 0]
-        assert walk.warm_start[0] is starts[0] and walk.warm_start[1] is starts[1]
+        assert walk.warm_start[0] is reference_starts[0] and walk.warm_start[1] is reference_starts[1]
         assert abs(walk.value[0] - 1.6 * SQRT2 / 2) <= 1e-12 and abs(walk.value[1] - 1.0) <= 1e-12
 
-    def test_fewer_dual_pivots_than_cold_on_the_sweep_channels(self, monkeypatch, choi_atoms):
+    def test_fewer_dual_pivots_than_cold_on_the_sweep_channels(self, monkeypatch, choi_atoms, reference_starts):
         # 23 noisy TH channels on [0.05, 0.6] and 23 T gates behind two
         # depolarizing passes on [0.05, 0.45]: each takes fewer dual pivots
         # from the references than from the all-artificial basis.
         channels = ([noisy_th_channel(p) for p in np.linspace(0.05, 0.6, 23)]
                     + [experiments.CHANNELS["depol-squared-t"](p) for p in np.linspace(0.05, 0.45, 23)])
-        lp._channel_constraints(choi_atoms)  # the references' own pivots are not counted
         totals = [0, 0]
         for ch in channels:
             sol, pivots = pivots_by_caller(monkeypatch, lambda: channel_robustness(ch, choi_atoms))
@@ -542,7 +526,7 @@ class TestReferenceStarts:
             totals[1] += cold_pivots["dual_pivot_loop"]
         assert 5 * totals[0] < totals[1]
 
-    def test_fewer_dual_pivots_than_cold_off_the_families(self, monkeypatch, choi_atoms):
+    def test_fewer_dual_pivots_than_cold_off_the_families(self, monkeypatch, choi_atoms, reference_starts):
         # 100 random Kraus channels (25 each with 1-4 operators) and 50
         # Haar-random unitaries, near none of the reference channels: from
         # the references they take fewer dual pivots in all than from the
@@ -552,7 +536,6 @@ class TestReferenceStarts:
         for _ in range(50):
             q, r = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
             channels.append(unitary_channel(q * (np.diag(r) / np.abs(np.diag(r)))))
-        lp._channel_constraints(choi_atoms)  # the references' own pivots are not counted
         totals = [0, 0]
         for ch in channels:
             sol, pivots = pivots_by_caller(monkeypatch, lambda: channel_robustness(ch, choi_atoms))
@@ -571,8 +554,7 @@ class TestReferenceStarts:
         states = (DensityOperator.pure(T_GATE @ plus_state(2)), DensityOperator.maximally_mixed(2))
         runs = []
         for order in (slice(None), slice(None, None, -1)):
-            lp._channel_constraints.cache_clear()
-            lp._state_constraints.cache_clear()
+            clear_program_caches()
             runs.append(([channel_robustness(ch, choi_atoms) for ch in channels[order]][order],
                          [rom_state(rho, qubit_dict) for rho in states[order]][order]))
         for got, want in zip(sum(runs[0], []), sum(runs[1], [])):
@@ -583,13 +565,37 @@ class TestReferenceStarts:
         # second half solve none, so a solve over them starts cold, as
         # solve_l1 with no basis does.
         for atoms, kept in ((choi_atoms[:30], 2), (choi_atoms[30:], 0)):
-            A, starts = lp._channel_constraints(atoms)
+            A, starts = channel_program(atoms)
             assert len(starts) == kept
             for ch in (unitary_channel(T_GATE), identity_channel(2)):
                 got = channel_robustness(ch, atoms)
                 assert same_outcome(got, solve_l1(A, got.standard_form[1], starts))
                 if not starts:
                     assert same_outcome(got, solve_l1(A, got.standard_form[1]))
+
+
+def test_held_bases_are_distinct_and_bounded():
+    # lp owns the rule and folds one basis at a time, as a walk does its
+    # entries: entries served by one basis repeat it, and a failed entry
+    # is None.  The held set is a plain tuple of the very starts, latest
+    # first.
+    starts = [WarmStart(np.array([k, 9]), np.eye(2) * (k + 1)) for k in range(6)]
+    block = [starts[0], starts[0], None, *starts[1:], starts[5]]
+    held = reduce(_hold, block, ())
+    assert type(held) is tuple and len(held) == _HELD_BASES
+    assert all(got is want for got, want in zip(held, starts[::-1][: _HELD_BASES]))
+    # A start already held moves to the front, and nothing is copied.
+    reordered = _hold(held, held[2])
+    assert type(reordered) is tuple
+    assert [id(start) for start in reordered] == [id(start) for start in (held[2], held[0], held[1], held[3])]
+    # The same basic columns in another order replace the older entry.
+    again = WarmStart(np.array([9, starts[3].basis[0]]), np.eye(2))
+    held = _hold(held, again)
+    assert [start.basis[0] for start in held] == [9, 5, 4, 2]
+    assert held[0] is again
+    assert _hold(held, None) is held and _hold(held, again) is held
+    assert _hold((), None) == ()
+    assert not (hasattr(experiments, "_hold") or hasattr(experiments, "_HELD_BASES"))
 
 
 # ---------------------------------------------------------------------------

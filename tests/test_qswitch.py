@@ -15,13 +15,16 @@ from magicswitch import (
     qutrit_noisy_th_channel,
     unitary_channel,
 )
+from magicswitch import qswitch
 from magicswitch.channels import ChannelCompletenessError, apply_kraus
 from magicswitch.config import DEFAULT_TOL
+from magicswitch.experiments import default_config, run_figs1
 from magicswitch.gates import HADAMARD, T_GATE, basis_state, plus_state
 from magicswitch.linalg import DimensionMismatchError, partial_trace, tensor
 from magicswitch.qswitch import EffectiveDepolarizingSwitch
 
-from conftest import depolarizing_switch_closed_form, random_density_matrix, random_kraus_channel
+from conftest import (clear_joint_inputs, depolarizing_switch_closed_form, random_density_matrix, random_kraus_channel,
+                      spy)
 
 
 def both_order_average(a, b, rho):
@@ -158,6 +161,12 @@ class TestConditionalOutputs:
         switched = build_switch(identity_channel(2), identity_channel(2))
         with pytest.raises(DimensionMismatchError):
             conditional_outputs(switched, DensityOperator.maximally_mixed(3))
+
+    def test_joint_input_formed_once_per_target(self, monkeypatch):
+        calls = spy(monkeypatch, qswitch, "tensor")
+        clear_joint_inputs()
+        run_figs1(default_config("figs1", stop=0.05))
+        assert [len(call.args) for call in calls] == [2]
 
 
 class TestClosedForm:

@@ -21,7 +21,7 @@ from magicswitch._simplex import (
     solve_standard_form,
 )
 
-from conftest import fig2_fig3_channels, pivots_by_caller
+from conftest import fig2_fig3_channels, pivots_by_caller, spy
 
 try:
     from scipy.optimize import linprog as HIGHS
@@ -397,17 +397,10 @@ def solve_recording_starts(A, b, c, basis):
     ``_start_from_basis`` call, the basis it was given and what it gave
     back: (status, tableau, basis, dual pivots) of its repair, or None for a
     basis that cannot start the solve."""
-    starts = []
-    start_from_basis = _simplex._start_from_basis
-
-    def spy(A, b, cost, start, *rest):
-        starts.append((np.array(start.basis), start_from_basis(A, b, cost, start, *rest)))
-        return starts[-1][1]
-
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(_simplex, "_start_from_basis", spy)
+        calls = spy(patch, _simplex, "_start_from_basis")
         result = solve_standard_form(A, b, c, basis=basis)
-    return result, starts
+    return result, [(np.array(call.args[3].basis), call.result) for call in calls]
 
 
 def test_primal_infeasible_optimal_basis_is_repaired_to_the_cold_optimum():
@@ -734,15 +727,9 @@ def test_repair_drives_a_zero_artificial_out_on_a_negative_entry(monkeypatch):
     A = np.array([[-1.0, -1.0, 0.0], [0.0, 0.0, 1.0]])
     b = np.array([0.0, 1.0])
     c = np.array([1.0, 1.0, 1.0])
-    repairs, dual_pivot_loop = [], _simplex.dual_pivot_loop
-
-    def spy(tableau, basis, *rest):
-        repairs.append((dual_pivot_loop(tableau, basis, *rest), basis.tolist()))
-        return repairs[-1][0]
-
-    monkeypatch.setattr(_simplex, "dual_pivot_loop", spy)
+    repairs = spy(monkeypatch, _simplex, "dual_pivot_loop")
     got = solve_standard_form(A, b, c)
-    assert repairs == [((STATUS_OPTIMAL, 2), [0, 2])]
+    assert [(call.result, call.args[1].tolist()) for call in repairs] == [((STATUS_OPTIMAL, 2), [0, 2])]
     assert got.status == STATUS_OPTIMAL and got.objective == 1.0
     assert np.array_equal(got.x, [0.0, 0.0, 1.0])
     assert (got.warm_start.basis < 3).all()
@@ -750,6 +737,25 @@ def test_repair_drives_a_zero_artificial_out_on_a_negative_entry(monkeypatch):
     held = (got.warm_start,)
     _, served, _, objective, _ = _simplex.reuse_basis(A, np.array([[0.0, 2.0]]), c, held)
     assert served == 1 and objective.tolist() == [2.0]
+
+
+def test_block_reuse_matches_single_solves():
+    # reuse_basis reads each served row of a block off one stacked mat-vec,
+    # with the bits a solve of that row alone gets from the same basis.
+    rng = np.random.default_rng(5)
+    A = np.hstack([rng.normal(size=(4, 6)), np.eye(4)])
+    c = rng.uniform(1.0, 2.0, size=A.shape[1])
+    b0 = rng.uniform(1, 2, size=4)
+    start = _simplex.solve_standard_form(A, b0, c).warm_start
+    block = b0 + np.outer(np.linspace(0.0, 4.0, 40), rng.normal(size=4))
+    held = (start,)
+    _, served, x, objective, dual = _simplex.reuse_basis(A, block, c, held)
+    assert 0 < served < 40  # the block runs past the basis's feasible region
+    for j in range(served):
+        _, one, x_j, objective_j, dual_j = _simplex.reuse_basis(A, block[j : j + 1], c, held)
+        assert one == 1 and np.array_equal(x_j[0], x[j]) and objective_j[0] == objective[j]
+        assert np.array_equal(dual_j, dual)
+    assert _simplex.reuse_basis(A, block[served : served + 1], c, held)[1] == 0
 
 
 def test_drifted_inverse_gives_way_to_the_cold_start():
