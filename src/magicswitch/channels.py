@@ -37,7 +37,7 @@ import numpy as np
 
 from .config import DEFAULT_TOL
 from .gates import HADAMARD, T_GATE, fourier_gate, heisenberg_weyl_operators, plus_state, qutrit_t_gate
-from .linalg import DimensionMismatchError, assert_psd, partial_trace, pauli_strings
+from .linalg import DimensionMismatchError, assert_psd, dagger, partial_trace, pauli_strings
 
 logger = logging.getLogger(__name__)
 
@@ -50,7 +50,8 @@ class ChannelCompletenessError(ValueError):
     """Kraus operators are not finite, or not complete within tolerance."""
 
 
-def _readonly(matrix: np.ndarray) -> np.ndarray:
+def _readonly(matrix) -> np.ndarray:
+    """A read-only complex copy of ``matrix``, or of a sequence of them as one stack."""
     out = np.array(matrix, dtype=complex, copy=True)
     out.setflags(write=False)
     return out
@@ -88,9 +89,9 @@ class DensityOperator:
         mat = np.asarray(self.matrix, dtype=complex)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise StateValidationError(f"density operator must be square, got {mat.shape}")
-        if not np.abs(mat - mat.conj().T).max() <= DEFAULT_TOL.eq:
+        if not np.abs(mat - dagger(mat)).max() <= DEFAULT_TOL.eq:
             raise StateValidationError("density operator is not Hermitian within tolerance")
-        mat = 0.5 * (mat + mat.conj().T)
+        mat = 0.5 * (mat + dagger(mat))
         # Eigenvalue floor sits at the equality tolerance: anything in
         # [-1e-10, 0) is rounding residue, anything lower is a real error.
         assert_psd(mat, DEFAULT_TOL.eq * max(1.0, abs(np.trace(mat))), "density operator")
@@ -163,14 +164,9 @@ def _real_trace(matrices: np.ndarray):
     return float(tr) if tr.ndim == 0 else tr
 
 
-def _dagger_stack(ops: np.ndarray) -> np.ndarray:
-    """Conjugate transpose of each operator in a stack (last two axes)."""
-    return ops.conj().swapaxes(-1, -2)
-
-
 def _completeness_residual(ops: np.ndarray) -> float:
     """max |sum_i K_i^dag K_i - I| over a (..., k, d_out, d_in) Kraus stack."""
-    total = (_dagger_stack(ops) @ ops).sum(axis=-3)
+    total = (dagger(ops) @ ops).sum(axis=-3)
     return float(np.abs(total - np.eye(ops.shape[-1])).max())
 
 
@@ -187,13 +183,6 @@ def _zoo_channel(weights: list, ops: np.ndarray) -> KrausChannel:
     weights all numbers or all 1-D arrays of one length; arrays give one
     channel per entry, as a grid."""
     return _derived(KrausChannel, np.array(weights).T[..., None, None] * ops)
-
-
-def _constant_stack(*ops) -> np.ndarray:
-    """The constant matrices ``ops`` as one read-only complex stack."""
-    stack = np.array(ops, dtype=complex)
-    stack.flags.writeable = False
-    return stack
 
 
 @dataclass(frozen=True, eq=False)
@@ -318,7 +307,7 @@ def apply_kraus(kraus_ops, matrix: np.ndarray) -> np.ndarray:
     out = np.empty((len(ops), d_out, d_out), dtype=complex)
     step = max(1, _APPLY_CHUNK_BYTES // (left.itemsize * k * d_out * d_in))
     for lo in range(0, len(ops), step):
-        out[lo : lo + step] = (left[lo : lo + step] @ _dagger_stack(ops[lo : lo + step])).sum(axis=-3)
+        out[lo : lo + step] = (left[lo : lo + step] @ dagger(ops[lo : lo + step])).sum(axis=-3)
     return out.reshape(*lead, d_out, d_out)
 
 
@@ -379,7 +368,7 @@ def measure_control(state: DensityOperator, outcome: str) -> tuple[DensityOperat
     x = state.matrix.reshape(*state.matrix.shape[:-2], 2, d_target, 2, d_target) * c * c  # each (c X_ab) c
     cross = np.add if outcome == "plus" else np.subtract  # the sign of c_0* c_1 and of c_1* c_0
     branch = cross(cross(0.0 + x[..., 0, :, 0, :], x[..., 0, :, 1, :]), x[..., 1, :, 0, :]) + x[..., 1, :, 1, :]
-    branch = 0.5 * (branch + _dagger_stack(branch))
+    branch = 0.5 * (branch + dagger(branch))
     return _derived(DensityOperator, branch), _real_trace(branch)  # a compression of a positive state
 
 
@@ -411,7 +400,7 @@ def orthogonal_unitary_basis(d: int) -> list[np.ndarray]:
 @lru_cache(maxsize=None)
 def _depolarizing_ops(d: int) -> np.ndarray:
     """The identity, then the non-identity unitaries of the orthogonal basis."""
-    return _constant_stack(np.eye(d), *orthogonal_unitary_basis(d)[1:])
+    return _readonly([np.eye(d), *orthogonal_unitary_basis(d)[1:]])
 
 
 def depolarizing_channel(d: int, p: float) -> KrausChannel:
@@ -436,7 +425,7 @@ def depolarizing_channel(d: int, p: float) -> KrausChannel:
 @lru_cache(maxsize=None)
 def _noisy_th_ops() -> np.ndarray:
     """The two reset rows, then T H."""
-    return _constant_stack([[1, 1], [0, 0]], [[0, 0], [-1, 1]], T_GATE @ HADAMARD)
+    return _readonly([[[1, 1], [0, 0]], [[0, 0], [-1, 1]], T_GATE @ HADAMARD])
 
 
 def noisy_th_channel(p: float) -> KrausChannel:
@@ -455,12 +444,12 @@ def noisy_th_channel(p: float) -> KrausChannel:
 def _qutrit_noisy_th_ops() -> np.ndarray:
     """The three reset rows, then the qutrit T H."""
     omega = np.exp(2j * np.pi / 3)
-    return _constant_stack(
+    return _readonly([
         [[1, 1, 1], [0, 0, 0], [0, 0, 0]],
         [[0, 0, 0], [1, omega, omega**2], [0, 0, 0]],
         [[0, 0, 0], [0, 0, 0], [1, omega**2, omega]],
         qutrit_t_gate() @ fourier_gate(3),
-    )
+    ])
 
 
 def qutrit_noisy_th_channel(p: float) -> KrausChannel:

@@ -36,6 +36,7 @@ from .experiments import (
     run_appendix_c,
     run_experiment,
     write_rows,
+    write_text,
 )
 from .gates import HADAMARD, T_GATE, basis_state, plus_state, qutrit_t_gate
 from .lp import channel_robustness, rom_state
@@ -198,12 +199,7 @@ def _named_channel(spec: str, d: int, mismatch: str) -> KrausChannel:
 # ---------------------------------------------------------------------------
 
 def _emit(payload: dict, out: str | None) -> None:
-    text = json.dumps(payload, indent=2) + "\n"
-    if out in (None, "-"):
-        sys.stdout.write(text)
-    else:
-        with open(out, "w") as fh:
-            fh.write(text)
+    write_text(json.dumps(payload, indent=2) + "\n", out)
 
 
 def _cmd_sweep(args) -> int:

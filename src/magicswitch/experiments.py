@@ -221,17 +221,14 @@ class _RunState:
     """What one contiguous run of sweep rows, or one threshold search,
     carries from one block to the next: for each LP column, the ``held``
     set of its last block's ``L1Solution``, the optimal bases ``lp`` keeps
-    of those the column reached, stored and passed back as it is, and the
-    value of fig3's minus branch, whose channel does not
-    depend on p.  When ``samples`` is a list, each block of a measure
-    appends one record ``(p, solution, values)`` to it: the block's
-    noise values, its ``L1Solution`` and, one row per entry, the fit
-    values s b and s, polynomial in p (``_Grid.solve``); or for mana
-    ``(p, None, W)``, the block's Wigner values as columns ``W[entry, v,
-    u]``."""
+    of those the column reached, stored and passed back as it is.  When
+    ``samples`` is a list, each block of a measure appends one record
+    ``(p, solution, values)`` to it: the block's noise values, its
+    ``L1Solution`` and, one row per entry, the fit values s b and s,
+    polynomial in p (``_Grid.solve``); or for mana ``(p, None, W)``, the
+    block's Wigner values as columns ``W[entry, v, u]``."""
 
     bases: dict = field(default_factory=dict)
-    switch_minus: tuple | None = None
     samples: list | None = None
 
 
@@ -243,16 +240,14 @@ def _floor_slack(lp_tol: float) -> float:
 
 
 def _certified_value(solution: L1Solution, lp_tol: float) -> tuple:
-    """Value and status of a robustness LP, or a block's values and list of
-    statuses: ``L1Solution.checked_status``, with an optimal value below the
-    floor ``below_floor`` and any other ``ok``."""
+    """A block LP solution's values and list of statuses:
+    ``L1Solution.checked_status``, with an optimal value below the floor
+    ``below_floor`` and any other ``ok``."""
     def rule(status: str, below: bool) -> str:
         return status if status != "optimal" else "below_floor" if below else "ok"
 
-    status, below = solution.checked_status, solution.value < 1.0 - _floor_slack(lp_tol)
-    if isinstance(status, str):
-        return solution.value, rule(status, below)
-    return solution.value, list(map(rule, status, below.tolist()))
+    below = solution.value < 1.0 - _floor_slack(lp_tol)
+    return solution.value, list(map(rule, solution.checked_status, below.tolist()))
 
 
 def _prob_status(prob_plus: np.ndarray, prob_minus: np.ndarray) -> np.ndarray:
@@ -376,11 +371,11 @@ def _t_branch_robustness(g: _Grid, column: str, k: int) -> tuple:
 
 
 def _t_minus_robustness(g: _Grid, column: str) -> tuple:
-    # The minus-branch channel does not depend on p: one LP, solved once per run.
-    if g.state.switch_minus is None:
-        atoms = cspo_choi_atoms(enumerate_stabilizer_states(2))
-        g.state.switch_minus = _certified_value(channel_robustness(g.t_branches[1].channel, atoms), g.lp_tol)
-    value, status = g.state.switch_minus
+    # The minus-branch channel does not depend on p: one LP, a grid of one,
+    # which a later block of the run reads off the basis its column holds.
+    atoms = cspo_choi_atoms(enumerate_stabilizer_states(2))
+    channel = _derived(KrausChannel, g.t_branches[1].channel.kraus_ops[None])
+    (value,), (status,) = g.solve(column, channel_robustness, channel, atoms)
     return np.full(np.shape(g.p), value), np.full(np.shape(g.p), status)
 
 
@@ -837,11 +832,10 @@ def rows_to_csv(rows: list[SweepRow], measures) -> str:
     header = ["p"] + list(measures) + [f"{m}_status" for m in measures]
     # One format string per row: the cells of _fmt, then the statuses.
     line = ",".join(["%.12g"] * (1 + len(measures)) + ["%s"] * len(measures))
-    nan = float("nan")
     lines = [",".join(header)]
     for row in rows:
         values, status = row.values, row.status
-        lines.append(line % (row.p, *[values.get(m, nan) for m in measures], *[status.get(m, "ok") for m in measures]))
+        lines.append(line % (row.p, *[values[m] for m in measures], *[status[m] for m in measures]))
     return "\n".join(lines) + "\n"
 
 
@@ -850,21 +844,26 @@ def rows_to_json(rows: list[SweepRow], measures) -> str:
     for row in rows:
         entry = {"p": float(_fmt(row.p))}
         for m in measures:
-            value = row.values.get(m, float("nan"))
+            value = row.values[m]
             entry[m] = None if math.isnan(value) else float(_fmt(value))
-            entry[f"{m}_status"] = row.status.get(m, "ok")
+            entry[f"{m}_status"] = row.status[m]
         payload.append(entry)
     return json.dumps(payload, indent=2) + "\n"
+
+
+def write_text(text: str, path: str | None) -> None:
+    """Write ``text`` to the file ``path``, or to stdout for None or "-"."""
+    if path in (None, "-"):
+        sys.stdout.write(text)
+    else:
+        with open(path, "w") as fh:
+            fh.write(text)
 
 
 def write_rows(rows: list[SweepRow], config: SweepConfig) -> str:
     measures = MEASURE_COLUMNS[config.experiment]
     text = rows_to_csv(rows, measures) if config.format == "csv" else rows_to_json(rows, measures)
-    if config.output_path == "-":
-        sys.stdout.write(text)
-    else:
-        with open(config.output_path, "w") as fh:
-            fh.write(text)
+    write_text(text, config.output_path)
     return text
 
 

@@ -21,7 +21,9 @@ class DimensionMismatchError(ValueError):
 
 
 def dagger(op: np.ndarray) -> np.ndarray:
-    return np.asarray(op).conj().T
+    """Conjugate transpose of an operator, or of each operator of a stack
+    (the last two axes)."""
+    return np.asarray(op).conj().swapaxes(-1, -2)
 
 
 def tensor(*ops: np.ndarray) -> np.ndarray:

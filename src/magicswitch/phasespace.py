@@ -47,7 +47,7 @@ def build_frame(d: int) -> PhaseSpaceFrame:
     a_ops = np.stack([T @ a0 @ dagger(T) for T in t_ops])
 
     tol = DEFAULT_TOL.frame
-    not_hermitian = np.abs(a_ops - a_ops.conj().transpose(0, 2, 1)).max(axis=(1, 2)) > tol
+    not_hermitian = np.abs(a_ops - dagger(a_ops)).max(axis=(1, 2)) > tol
     bad = not_hermitian | (np.abs(np.trace(a_ops, axis1=1, axis2=2) - 1.0) > tol)
     if bad.any():
         k = int(bad.argmax())
@@ -66,7 +66,7 @@ def _gram(a_ops: np.ndarray) -> np.ndarray:
     for Hermitian A_v the trace is the inner product of the flattened A_u
     with the conjugate of the flattened A_v."""
     flat = a_ops.reshape(len(a_ops), -1)
-    return flat @ flat.conj().T
+    return flat @ dagger(flat)
 
 
 def check_frame_dim(target: np.ndarray | KrausChannel, d: int) -> None:

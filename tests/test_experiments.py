@@ -344,12 +344,30 @@ class TestWarmStart:
         assert sum(len(call.args[1]) if call.args[1].ndim == 2 else 1 for call in calls) == 485
 
     def test_fig3_minus_branch_is_solved_once_per_run(self, monkeypatch):
+        # The minus-branch channel does not depend on p: each block scores
+        # it as a grid of one, and only a run's first block pivots for it.
+        original, minus = experiments.channel_robustness, []
+
+        def solve(ch, atoms, basis=None):
+            if ch.kraus_ops.shape[:-3] != (1,):
+                return original(ch, atoms, basis=basis)
+            solution, pivots = pivots_by_caller(monkeypatch, lambda: original(ch, atoms, basis=basis))
+            minus.append(sum(pivots.values()))
+            return solution
+
+        monkeypatch.setattr(experiments, "channel_robustness", solve)
         calls = spy(monkeypatch, experiments, "channel_robustness")
+        # One block: the sequential and plus columns are grids of the 5
+        # rows, and the minus branch one pivoting solve of a grid of one.
         rows = run_fig3(_tiny("fig3", start=0.0, stop=0.4))
-        # The sequential and plus columns are grids of the 5 rows; the
-        # minus branch is one channel, solved once.
-        assert len(rows) == 5 and sorted(call.args[0].kraus_ops.shape[:-3] for call in calls) == [(), (5,), (5,)]
-        values = {(r.values["rob_switch_minus"], r.status["rob_switch_minus"]) for r in rows}
+        assert len(rows) == 5 and sorted(call.args[0].kraus_ops.shape[:-3] for call in calls) == [(1,), (5,), (5,)]
+        assert len(minus) == 1 and minus[0] > 0
+        # Blocks of 2: each later block reads the minus branch off the basis
+        # its column holds, with no pivot, and every row gets the same value.
+        minus.clear()
+        blocks = sweep_rows("fig3", default_config("fig3", stop=0.35, step=0.05).grid(), 1e-6, block_points=2)
+        assert len(minus) == 4 and minus[0] > 0 and minus[1:] == [0, 0, 0]
+        values = {(r.values["rob_switch_minus"], r.status["rob_switch_minus"]) for r in rows + blocks}
         assert len(values) == 1
 
     @pytest.mark.parametrize(
@@ -392,6 +410,16 @@ class TestOutput:
         payload = json.loads(rows_to_json(rows, MEASURE_COLUMNS["fig3"]))
         assert len(payload) == 3
         assert payload[0]["rob_sequential_status"] == "ok"
+
+    @pytest.mark.parametrize("writer", [rows_to_csv, rows_to_json])
+    @pytest.mark.parametrize("part", ["values", "status"])
+    def test_a_row_missing_a_column_is_refused(self, writer, part):
+        # A writer indexes each column of a row: a missing value or status
+        # raises, and never prints as NaN or an invented "ok".
+        row = run_fig3(_tiny("fig3"))[0]
+        del getattr(row, part)["rob_sequential"]
+        with pytest.raises(KeyError, match="rob_sequential"):
+            writer([row], MEASURE_COLUMNS["fig3"])
 
     def test_write_rows_to_file(self, tmp_path):
         config = _tiny("fig3", output_path=str(tmp_path / "out.csv"))
@@ -984,13 +1012,16 @@ class TestRoundingFloor:
             (1.0 - 2e-6, DEFAULT_TOL.lp_value, "below_floor"),
             (1.0 - 2e-6, 0.0, "below_floor"),
         ]
+        A, b = solution.standard_form
+        one = lp.solve_l1(A, b[None])  # a block of one
         for value, lp_tol, status in cases:
-            got = _certified_value(replace(solution, value=value), lp_tol)
-            assert got == (value, status)
-        # A block applies the same rule to each entry.
+            values = np.array([value])
+            got_values, got_statuses = _certified_value(replace(one, value=values), lp_tol)
+            assert got_values is values and got_statuses == [status]
+        # A longer block applies the same rule to each entry.
         at_zero = [(value, status) for value, lp_tol, status in cases if lp_tol == 0.0]
         values = np.array([value for value, _ in at_zero])
-        block = lp.solve_l1(solution.standard_form[0], np.tile(solution.standard_form[1], (len(values), 1)))
+        block = lp.solve_l1(A, np.tile(b, (len(values), 1)))
         got_values, got_statuses = _certified_value(replace(block, value=values), 0.0)
         assert got_values is values and got_statuses == [status for _, status in at_zero]
 

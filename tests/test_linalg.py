@@ -59,6 +59,16 @@ def test_dagger():
     assert np.array_equal(dagger(m), m.conj().T)
 
 
+def test_dagger_of_a_stack_is_the_dagger_of_each_operator(rng):
+    # Only the last two axes swap: a stack, or a grid of stacks, keeps its
+    # leading axes in order.
+    ops = rng.normal(size=(3, 2, 4, 5)) + 1j * rng.normal(size=(3, 2, 4, 5))
+    got = dagger(ops)
+    assert got.shape == (3, 2, 5, 4)
+    for index in np.ndindex(3, 2):
+        assert np.array_equal(got[index], ops[index].conj().T)
+
+
 def test_pauli_strings_counts_and_order():
     one = pauli_strings(1)
     two = pauli_strings(2)
