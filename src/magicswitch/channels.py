@@ -1,8 +1,8 @@
 """States, Kraus channels and Choi states, plus the channel zoo.
 
 Everything here is immutable after construction: matrices are stored as
-read-only copies and all operations are pure functions, so objects can be
-shared freely across sweep workers.
+read-only copies and all operations are pure functions, so a cached object
+can be handed to every caller that asks for it, none able to alter it.
 
 A channel holds its Kraus operators as one ``(k, d_out, d_in)`` stack, so
 every product of operators is a whole-stack one.  An operand that several

@@ -79,7 +79,6 @@ def _add_sweep_options(sub: argparse.ArgumentParser) -> None:
     grid = partial(_parse_floats, form="start:stop:step")
     sub.add_argument("--grid", type=grid, default=None, metavar="START:STOP:STEP")
     sub.add_argument("--tol", type=partial(_parse_tols, keys=("lp",)), default={}, metavar="lp=..")
-    sub.add_argument("--jobs", type=int, default=None)
     sub.add_argument("--config", default=None, help="key=value config file; flags override it")
 
 
@@ -88,8 +87,6 @@ def _sweep_config(args) -> SweepConfig:
     if base.experiment != args.experiment:
         raise ValueError(f"config targets {base.experiment!r}, not {args.experiment}")
     overrides = dict(args.tol)
-    if args.jobs is not None:
-        overrides["jobs"] = args.jobs
     if args.grid:
         overrides["start"], overrides["stop"], overrides["step"] = args.grid
     if args.out is not None:

@@ -33,13 +33,11 @@ from the least infeasible of the optimal bases and inverses the column
 holds, those the walk reached and those ``lp`` kept of the run's earlier
 blocks, and the run's ``_RunState`` stores the solution's ``held`` set as
 it is for the next block; while a held basis stays feasible, as at nearly
-every default grid point, a row is read off one stacked mat-vec.
-``jobs`` splits the grid into at most that many contiguous runs, each
-starting from its programs' reference starts (``lp``), which hold no
-earlier run's bases, and shared among at most one worker per CPU;
-identical configs therefore produce byte-identical CSV.  A warm-started value can differ from a lone solve at
-the same point in the last bits, never in the printed digits of the
-default grids.
+every default grid point, a row is read off one stacked mat-vec.  A run
+walks its whole grid in one process from the programs' reference starts
+(``lp``), so identical configs produce byte-identical CSV.  A warm-started
+value can differ from a lone solve at the same point in the last bits,
+never in the printed digits of the default grids.
 
 A threshold search of a registered measure scores five points in two
 blocks: the opening block ``[lo, mid, hi]``, the bracket ends and the
@@ -65,7 +63,6 @@ from __future__ import annotations
 import json
 import logging
 import math
-import os
 import sys
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, partial
@@ -140,7 +137,6 @@ class SweepConfig:
     lp_tol: float = DEFAULT_TOL.lp_value
     output_path: str = "-"
     format: str = "csv"
-    jobs: int = 1
 
     def __post_init__(self):
         object.__setattr__(self, "experiment", canonical_experiment(self.experiment))
@@ -154,8 +150,6 @@ class SweepConfig:
             )
         if self.format not in ("csv", "json"):
             raise ValueError(f"format must be csv or json, got {self.format!r}")
-        if self.jobs < 1:
-            raise ValueError(f"jobs must be >= 1, got {self.jobs}")
         _check_lp_tol(self.lp_tol)
 
     def _steps(self) -> float:
@@ -218,10 +212,10 @@ CHANNELS = {
 
 @dataclass
 class _RunState:
-    """What one contiguous run of sweep rows, or one threshold search,
-    carries from one block to the next: for each LP column, the ``held``
-    set of its last block's ``L1Solution``, the optimal bases ``lp`` keeps
-    of those the column reached, stored and passed back as it is.  When
+    """What one sweep run, or one threshold search, carries from one block
+    to the next: for each LP column, the ``held`` set of its last block's
+    ``L1Solution``, the optimal bases ``lp`` keeps of those the column
+    reached, stored and passed back as it is.  When
     ``samples`` is a list, each block of a measure appends one record
     ``(p, solution, values)`` to it: the block's noise values, its
     ``L1Solution`` and, one row per entry, the fit values s b and s,
@@ -448,7 +442,7 @@ _MANA_MEASURES = frozenset(column.threshold for column in MEASURE_TABLE["figs1"]
 
 
 # ---------------------------------------------------------------------------
-# Sweeps (module-level workers so process pools can pickle them)
+# Sweeps
 # ---------------------------------------------------------------------------
 
 # Most grid points one block of a sweep run holds; a longer run is scored
@@ -472,8 +466,8 @@ def _dispatch_row(args) -> SweepRow:
 
 
 def _run_rows(experiment: str, grid: list[float], lp_tol: float) -> list[SweepRow]:
-    """One contiguous run of grid rows, in order, from the programs'
-    reference starts."""
+    """The rows of a sweep run over ``grid``, in its order, from the
+    programs' reference starts."""
     state = _RunState()
     rows = []
     for lo in range(0, len(grid), _BLOCK_POINTS):
@@ -488,21 +482,8 @@ def _run_rows(experiment: str, grid: list[float], lp_tol: float) -> list[SweepRo
 
 
 def run_experiment(config: SweepConfig) -> list[SweepRow]:
-    """The rows of ``config``'s sweep, split into at most ``config.jobs``
-    contiguous runs, on no more worker processes than there are CPUs."""
-    grid = config.grid()
-    n_runs = min(config.jobs, len(grid))
-    if n_runs == 1:
-        return _run_rows(config.experiment, grid, config.lp_tol)
-    # Only a parallel run pays for importing multiprocessing.
-    from concurrent.futures import ProcessPoolExecutor
-
-    size, extra = divmod(len(grid), n_runs)
-    bounds = [k * size + min(k, extra) for k in range(n_runs + 1)]
-    runs = [grid[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
-    with ProcessPoolExecutor(max_workers=min(n_runs, os.cpu_count() or 1)) as pool:
-        chunks = pool.map(_run_rows, [config.experiment] * n_runs, runs, [config.lp_tol] * n_runs)
-        return [row for chunk in chunks for row in chunk]
+    """The rows of ``config``'s sweep, in grid order."""
+    return _run_rows(config.experiment, config.grid(), config.lp_tol)
 
 
 def _run_named(experiment: str, config: SweepConfig | None) -> list[SweepRow]:
@@ -876,8 +857,10 @@ _CONFIG_KEYS = {**get_type_hints(SweepConfig), "out": str}
 
 
 def parse_config_file(path: str) -> SweepConfig:
-    """Read ``key = value`` lines ('#' comments allowed) into a SweepConfig."""
-    values = {}
+    """Read ``key = value`` lines ('#' comments allowed) into a SweepConfig.
+    Each setting may be given once: a second line for it, under either
+    name of ``output_path``, is an error that names both lines."""
+    values, lines = {}, {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
@@ -889,13 +872,15 @@ def parse_config_file(path: str) -> SweepConfig:
             key = key.strip().lower()
             if key not in _CONFIG_KEYS:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
+            setting = "output_path" if key == "out" else key
+            if setting in lines:
+                raise ValueError(f"{path}:{lineno}: {setting} is already set on line {lines[setting]}")
             kind, val = _CONFIG_KEYS[key], val.strip()
             try:
-                values[key] = kind(val)
+                values[setting] = kind(val)
             except ValueError:
                 raise ValueError(f"{path}:{lineno}: {key} must be {kind.__name__}, got {val!r}") from None
-    if "out" in values:
-        values["output_path"] = values.pop("out")
+            lines[setting] = lineno
     if "experiment" not in values:
         raise ValueError(f"{path}: missing required key 'experiment'")
     experiment = values.pop("experiment")

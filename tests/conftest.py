@@ -146,7 +146,7 @@ def recorded_solves(monkeypatch, run):
 
 def sweep_rows(experiment, grid, lp_tol, block_points=None):
     """The rows of a sweep run over the list ``grid``, in its order, as
-    ``run_experiment`` scores each run, in blocks of ``block_points`` if given."""
+    ``run_experiment`` scores its grid, in blocks of ``block_points`` if given."""
     with pytest.MonkeyPatch.context() as patch:
         if block_points is not None:
             patch.setattr(experiments, "_BLOCK_POINTS", block_points)

@@ -1,5 +1,4 @@
 import argparse
-import concurrent.futures
 import csv
 import hashlib
 import json
@@ -72,27 +71,7 @@ def test_config_for_another_experiment_is_a_one_line_error(tmp_path, capsys, exp
     assert_one_line_error(capsys, main(["-q", "fig2", "--config", str(cfg)]))
 
 
-@pytest.mark.parametrize("flag, jobs", [([], 2), (["--jobs", "3"], 3)], ids=["file", "flag"])
-def test_config_file_jobs_unless_flag_given(tmp_path, flag, jobs):
-    from magicswitch.cli import _sweep_config, build_parser
-
-    cfg = tmp_path / "sweep.cfg"
-    cfg.write_text("experiment = fig2\njobs = 2\n")
-    args = build_parser().parse_args(["fig2", "--config", str(cfg), *flag])
-    assert _sweep_config(args).jobs == jobs
-
-
-def test_jobs_environment_variable_is_not_read(tmp_path, capsys, monkeypatch):
-    # The worker count comes from --jobs, else the config file, else 1.
-    monkeypatch.setenv("MAGIC_SWITCH_JOBS", "two")
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RefusedPool)
-    out = tmp_path / "fig3.csv"
-    code, _ = run_cli(capsys, "fig3", "--grid", "0:0.02:0.01", "--out", str(out))
-    assert code == 0
-    assert len(out.read_text().strip().splitlines()) == 4
-
-
-@pytest.mark.parametrize("line", ["lp_tol = abc", "jobs = 1.5", "start = x"])
+@pytest.mark.parametrize("line", ["lp_tol = abc", "start = x"])
 def test_config_value_of_the_wrong_type_is_a_one_line_error(tmp_path, capsys, line):
     cfg = tmp_path / "sweep.cfg"
     cfg.write_text(f"experiment = fig2\n{line}\n")
@@ -204,20 +183,12 @@ def test_default_appendix_c_report_matches_reference_hash(tmp_path, capsys):
 ], ids=["fig2", "fig3", "figs1"])
 def test_fine_grid_csv_matches_reference_hash(tmp_path, capsys, experiment, grid, reference):
     # The fine grids run as many blocks of one warm-started run; their bytes
-    # are pinned, as the default grids' are.  --jobs 3 cuts each into three
-    # runs that start from their programs' reference starts: every row must
-    # be there, with the statuses of the single run.  figs1 has no LP column
-    # to warm-start, so its three runs give the single run's bytes.
-    tables = []
-    for jobs in ("1", "3"):
-        out = tmp_path / f"{experiment}_{jobs}.csv"
-        assert run_cli(capsys, experiment, "--grid", grid, "--jobs", jobs, "--out", str(out))[0] == 0
-        with out.open(newline="") as f:
-            tables.append([{k: v for k, v in row.items() if k.endswith("_status")} for row in csv.DictReader(f)])
-    assert hashlib.sha256((tmp_path / f"{experiment}_1.csv").read_bytes()).hexdigest() == reference
-    assert len(tables[0]) == {"fig2": 2001, "fig3": 2251, "figs1": 1981}[experiment] and tables[1] == tables[0]
-    if experiment == "figs1":
-        assert (tmp_path / "figs1_3.csv").read_bytes() == (tmp_path / "figs1_1.csv").read_bytes()
+    # are pinned, as the default grids' are.
+    out = tmp_path / f"{experiment}.csv"
+    assert run_cli(capsys, experiment, "--grid", grid, "--out", str(out))[0] == 0
+    with out.open(newline="") as f:
+        assert len(list(csv.DictReader(f))) == {"fig2": 2001, "fig3": 2251, "figs1": 1981}[experiment]
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == reference
 
 
 def test_figs1_grid_whose_minus_branch_has_probability_near_p_squared(tmp_path, capsys):
@@ -238,23 +209,14 @@ def assert_one_line_error(capsys, code):
     return lines[0]
 
 
-class RefusedPool:
-    def __init__(self, *args, **kwargs):
-        raise AssertionError("a worker pool was started for an invalid --jobs value")
-
-
-@pytest.mark.parametrize("flag", ["0", "-2"])
-def test_bad_jobs_flag_is_a_one_line_error(capsys, monkeypatch, flag):
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RefusedPool)
-    assert_one_line_error(capsys, main(["-q", "fig2", "--grid", "0:0.02:0.01", "--jobs", flag]))
-
-
-def test_jobs_above_row_count_runs_one_row_per_worker(tmp_path, capsys):
-    out = tmp_path / "fig3.csv"
-    code, _ = run_cli(capsys, "fig3", "--grid", "0:0.01:0.01", "--jobs", "5", "--out", str(out))
-    serial = tmp_path / "serial.csv"
-    assert run_cli(capsys, "fig3", "--grid", "0:0.01:0.01", "--out", str(serial))[0] == 0
-    assert code == 0 and out.read_bytes() == serial.read_bytes()
+def test_jobs_flag_is_an_unrecognized_argument(capsys):
+    # A sweep runs in one process, and the parser defines no worker count:
+    # argparse exits 2 and names the arguments it does not know.
+    with pytest.raises(SystemExit) as exit_:
+        main(["-q", "fig2", "--jobs", "2"])
+    captured = capsys.readouterr()
+    assert exit_.value.code == 2 and captured.out == ""
+    assert captured.err.splitlines()[-1].endswith("error: unrecognized arguments: --jobs 2")
 
 
 def _matrix(rows):
@@ -268,6 +230,13 @@ STATE_FILES = {
     "non-psd": _matrix([[1.5, 0.0], [0.0, -0.5]]),
     "normalized-string": {**_matrix([[0.5, 0.0], [0.0, 0.5]]), "normalized": "no"},
     "trace-not-one": _matrix([[0.25, 0.0], [0.0, 0.25]]),
+}
+
+# Config files that fail on their last line, each with one line of error.
+CONFIG_FILES = {
+    "repeated-key": "experiment = fig2\nstep = 0.5\nstep = 0.25\n",
+    "out-and-output-path": "experiment = fig2\nout = a.csv\noutput_path = b.csv\n",
+    "jobs-key": "experiment = fig2\njobs = 2\n",
 }
 
 
@@ -307,6 +276,7 @@ STATE_FILES = {
         *(["rom", "--state-file", name] for name in STATE_FILES),
         ["rom", "--state-file", "not-json"],
         ["mana", "--state-file", "not-json"],
+        *(["fig2", "--config", name] for name in CONFIG_FILES),
     ],
     ids=lambda argv: " ".join(argv),
 )
@@ -314,6 +284,8 @@ def test_bad_input_is_a_one_line_error(tmp_path, monkeypatch, capsys, argv):
     monkeypatch.chdir(tmp_path)
     for name, payload in STATE_FILES.items():
         (tmp_path / name).write_text(json.dumps(payload))
+    for name, text in CONFIG_FILES.items():
+        (tmp_path / name).write_text(text)
     (tmp_path / "not-json").write_text("matrix: [[1, 0], [0, 0]]\n")
     assert_one_line_error(capsys, main(["-q", *argv]))
 
@@ -491,4 +463,4 @@ def test_cli_surface_is_unchanged():
     # canonical JSON rather than as --help output, which wraps to the
     # terminal and differs between Python versions.
     text = json.dumps(cli_surface(cli.build_parser()), sort_keys=True)
-    assert hashlib.sha256(text.encode()).hexdigest() == "fa00a8c4527cc6fbc00d47df8b1beb0513298025426780fa8372135209461aba"
+    assert hashlib.sha256(text.encode()).hexdigest() == "68b2e65cc2faf8d57fe57ec5a72e3c5c24cb8dfcb4f813d1d5c431e4415e45d0"

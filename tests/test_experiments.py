@@ -1,10 +1,8 @@
-import concurrent.futures
-import contextlib
 import dataclasses
 import hashlib
 import json
 import math
-import os
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -178,19 +176,11 @@ class TestDeterminism:
         second = rows_to_csv(run_fig2(config), MEASURE_COLUMNS["fig2"])
         assert first == second
 
-    def test_parallel_rows_match_serial(self):
-        serial = rows_to_csv(run_fig2(_tiny("fig2", jobs=1)), MEASURE_COLUMNS["fig2"])
-        parallel = rows_to_csv(run_fig2(_tiny("fig2", jobs=2)), MEASURE_COLUMNS["fig2"])
-        assert serial == parallel
-
-    @pytest.mark.parametrize("jobs", [1, 2, 8])
     @pytest.mark.parametrize("experiment", ["fig2", "fig3", "figs1"])
-    def test_default_csv_matches_reference_hash(self, experiment, jobs):
-        # With jobs=2 each half of the grid is its own warm-started run; with
-        # jobs=8 there are more runs than CPUs, which share a capped pool.
+    def test_default_csv_matches_reference_hash(self, experiment):
         from perfbench.workloads import EXPECTED_SHA256
 
-        rows = run_experiment(default_config(experiment, jobs=jobs))
+        rows = run_experiment(default_config(experiment))
         text = rows_to_csv(rows, MEASURE_COLUMNS[experiment])
         assert hashlib.sha256(text.encode()).hexdigest() == EXPECTED_SHA256[experiment]
 
@@ -225,26 +215,6 @@ LP_COLUMNS = {
     "fig2": ("channel_robustness", "rom_plus", "rom_minus"),
     "fig3": ("rob_sequential", "rob_switch_plus", "rob_switch_minus"),
 }
-
-
-class RecordingPool(contextlib.AbstractContextManager):
-    """Stands in for ProcessPoolExecutor: runs the map in this process and
-    records the worker count and the grid of each run."""
-
-    made = []
-
-    def __init__(self, max_workers):
-        self.max_workers = max_workers
-        self.runs = []
-        RecordingPool.made.append(self)
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, *iterables):
-        for args in zip(*iterables):
-            self.runs.append(list(args[1]))
-            yield fn(*args)
 
 
 class TestWarmStart:
@@ -369,30 +339,6 @@ class TestWarmStart:
         assert len(minus) == 4 and minus[0] > 0 and minus[1:] == [0, 0, 0]
         values = {(r.values["rob_switch_minus"], r.status["rob_switch_minus"]) for r in rows + blocks}
         assert len(values) == 1
-
-    @pytest.mark.parametrize(
-        "jobs, rows, runs, cpus, workers",
-        [
-            (2, 5, [3, 2], 64, 2),
-            (3, 7, [3, 2, 2], 64, 3),
-            (8, 3, [1, 1, 1], 64, 3),
-            # More runs than CPUs: the runs stay, the workers are capped.
-            (8, 10, [2, 2, 1, 1, 1, 1, 1, 1], 2, 2),
-            (8, 10, [2, 2, 1, 1, 1, 1, 1, 1], None, 1),
-        ],
-    )
-    def test_jobs_split_the_grid_into_contiguous_runs(self, monkeypatch, jobs, rows, runs, cpus, workers):
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-        RecordingPool.made.clear()
-        config = _tiny("fig3", start=0.0, stop=0.01 * (rows - 1), step=0.01, jobs=jobs)
-        got = run_fig3(config)
-        (pool,) = RecordingPool.made
-        assert pool.max_workers == workers
-        assert [len(run) for run in pool.runs] == runs
-        assert [p for run in pool.runs for p in run] == config.grid() == [r.p for r in got]
-        serial = run_fig3(replace(config, jobs=1))
-        assert rows_to_csv(got, MEASURE_COLUMNS["fig3"]) == rows_to_csv(serial, MEASURE_COLUMNS["fig3"])
 
 
 class TestOutput:
@@ -1106,7 +1052,6 @@ class TestConfigFile:
             "lp_tol = 1e-7\n"
             "out = data.csv\n"
             "format = json\n"
-            "jobs = 2\n"
         )
         config = parse_config_file(str(path))
         assert config.experiment == "fig3"
@@ -1114,12 +1059,22 @@ class TestConfigFile:
         assert config.lp_tol == 1e-7
         assert config.output_path == "data.csv"
         assert config.format == "json"
-        assert config.jobs == 2
 
-    def test_unknown_key(self, tmp_path):
+    @pytest.mark.parametrize("key", ["color", "jobs"])
+    def test_unknown_key(self, tmp_path, key):
         path = tmp_path / "bad.cfg"
-        path.write_text("experiment = fig2\ncolor = red\n")
-        with pytest.raises(ValueError):
+        path.write_text(f"experiment = fig2\n{key} = 2\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:2: unknown key '{key}'$"):
+            parse_config_file(str(path))
+
+    @pytest.mark.parametrize("first, second", [("step = 0.5", "step = 0.25"), ("out = a.csv", "output_path = b.csv")])
+    def test_setting_given_twice(self, tmp_path, first, second):
+        # The second line is refused, whichever of the two names of
+        # output_path each line uses, rather than one of them silently winning.
+        path = tmp_path / "bad.cfg"
+        path.write_text(f"experiment = fig2\n{first}\n{second}\n")
+        setting = "output_path" if first.startswith("out") else "step"
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:3: {setting} is already set on line 2$"):
             parse_config_file(str(path))
 
     def test_missing_experiment(self, tmp_path):

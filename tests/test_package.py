@@ -27,12 +27,23 @@ def fresh_modules(code):
 
 
 def test_import_does_not_load_multiprocessing():
-    # Only a parallel sweep needs the process pool, and it imports it then.
+    # A sweep runs in one process: neither importing the package nor running
+    # a sweep or a threshold search through the CLI loads a process pool.
     src = str(Path(magicswitch.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = "import sys, magicswitch; print(sorted(m for m in sys.modules if m.startswith('multiprocessing')))"
+    code = f"""
+import sys, magicswitch
+def pools():
+    return sorted(m for m in sys.modules if m.split(".")[0] in ("multiprocessing", "concurrent"))
+print(pools())
+from magicswitch import cli
+for argv in (["fig2", "--grid", "0:0.02:0.01"], ["figs1", "--grid", "0.01:0.03:0.01"],
+             ["threshold", "--measure", "fig2_channel_robustness", "--bracket", "0.2:0.4"]):
+    assert cli.main(["-q", *argv, "--out", {os.devnull!r}]) == 0, argv
+print(pools())
+"""
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    assert out.stdout.splitlines() == ["[]", "[]"]
 
 
 def test_public_api_matches_readme():
