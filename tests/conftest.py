@@ -24,7 +24,7 @@ from magicswitch import (
     rom_state,
     unitary_channel,
 )
-from magicswitch import _simplex, channels, experiments, lp, phasespace, qswitch
+from magicswitch import _simplex, channels, cli, experiments, lp, phasespace, qswitch
 from magicswitch.channels import plus_density
 from magicswitch.config import DEFAULT_TOL
 from magicswitch.gates import T_GATE
@@ -156,6 +156,12 @@ def sweep_rows(experiment, grid, lp_tol, block_points=None):
 def dispatched_rows(monkeypatch):
     """Spy on the row boundary perfbench times: one call per sweep row."""
     return spy(monkeypatch, experiments, "_dispatch_row")
+
+
+def sweep_config(argv):
+    """The SweepConfig a sweep subcommand's ``argv`` runs: its --config file,
+    if any, with the flags given laid over it."""
+    return cli._sweep_config(cli.build_parser().parse_args(argv))
 
 
 def run_state(sampling=False):

@@ -17,7 +17,7 @@ from magicswitch import cli, experiments
 from magicswitch.cli import main
 from magicswitch.config import DEFAULT_TOL
 
-from conftest import LP_BRACKETS, LP_THRESHOLDS
+from conftest import LP_BRACKETS, LP_THRESHOLDS, sweep_config
 
 
 def run_cli(capsys, *argv):
@@ -54,6 +54,24 @@ def test_config_file_with_flag_override(tmp_path, capsys):
     assert len(rows) == 2
 
 
+@pytest.mark.parametrize("line, flag, setting, from_file, from_flag", [
+    ("stop = 0.5", ["--grid", "0:0.25:0.05"], "stop", 0.5, 0.25),
+    ("lp_tol = 1e-7", ["--tol", "lp=1e-9"], "lp_tol", 1e-7, 1e-9),
+    ("out = a.csv", ["--out", "b.csv"], "output_path", "a.csv", "b.csv"),
+    ("format = json", ["--format", "csv"], "format", "json", "csv"),
+], ids=["grid", "tol", "out", "format"])
+@pytest.mark.parametrize("given", ["file", "flag"])
+def test_config_file_setting_unless_flag_given(tmp_path, line, flag, setting, from_file, from_flag, given):
+    # Each sweep flag overrides the config file's setting; without it the
+    # file's value stands, not the experiment's default.
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(f"experiment = fig2\n{line}\n")
+    argv = ["fig2", "--config", str(cfg), *(flag if given == "flag" else [])]
+    config = sweep_config(argv)
+    assert getattr(config, setting) == (from_flag if given == "flag" else from_file)
+    assert getattr(experiments.default_config("fig2"), setting) != from_file
+
+
 @pytest.mark.parametrize("experiment", ["fig2", "fig3", "figs1"])
 def test_grid_whose_last_step_rounds_past_stop(tmp_path, capsys, experiment):
     # 0.09 + 13 * 0.07 is one ulp above 1; the last row is p = 1.
@@ -71,7 +89,7 @@ def test_config_for_another_experiment_is_a_one_line_error(tmp_path, capsys, exp
     assert_one_line_error(capsys, main(["-q", "fig2", "--config", str(cfg)]))
 
 
-@pytest.mark.parametrize("line", ["lp_tol = abc", "start = x"])
+@pytest.mark.parametrize("line", ["lp_tol = abc", "start = x", "stop = 1..0", "step = half"])
 def test_config_value_of_the_wrong_type_is_a_one_line_error(tmp_path, capsys, line):
     cfg = tmp_path / "sweep.cfg"
     cfg.write_text(f"experiment = fig2\n{line}\n")
@@ -174,6 +192,19 @@ def test_default_appendix_c_report_matches_reference_hash(tmp_path, capsys):
     code, text = run_cli(capsys, "appendix-c")
     assert code == 0 and text.encode() == out.read_bytes()
     assert hashlib.sha256(out.read_bytes()).hexdigest() == reference
+
+
+@pytest.mark.parametrize("experiment", ["fig2", "fig3", "figs1"])
+def test_default_csv_matches_reference_hash(tmp_path, capsys, experiment):
+    # A sweep with no --grid writes the pinned default CSV; stdout carries
+    # the same bytes as --out.
+    from perfbench.workloads import EXPECTED_SHA256
+
+    out = tmp_path / f"{experiment}.csv"
+    assert run_cli(capsys, experiment, "--out", str(out))[0] == 0
+    code, text = run_cli(capsys, experiment)
+    assert code == 0 and text.encode() == out.read_bytes()
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == EXPECTED_SHA256[experiment]
 
 
 @pytest.mark.parametrize("experiment, grid, reference", [

@@ -1060,7 +1060,9 @@ class TestConfigFile:
         assert config.output_path == "data.csv"
         assert config.format == "json"
 
-    @pytest.mark.parametrize("key", ["color", "jobs"])
+    # grid and tol are command-line flags; a file gives start, stop, step
+    # and lp_tol instead.
+    @pytest.mark.parametrize("key", ["color", "jobs", "grid", "tol"])
     def test_unknown_key(self, tmp_path, key):
         path = tmp_path / "bad.cfg"
         path.write_text(f"experiment = fig2\n{key} = 2\n")
