@@ -12,7 +12,6 @@ import argparse
 import json
 import logging
 import sys
-from dataclasses import replace
 from functools import partial
 
 import numpy as np
@@ -83,17 +82,17 @@ def _add_sweep_options(sub: argparse.ArgumentParser) -> None:
 
 
 def _sweep_config(args) -> SweepConfig:
-    base = parse_config_file(args.config) if args.config else default_config(args.experiment)
-    if base.experiment != args.experiment:
-        raise ValueError(f"config targets {base.experiment!r}, not {args.experiment}")
-    overrides = dict(args.tol)
+    flags = dict(args.tol)
     if args.grid:
-        overrides["start"], overrides["stop"], overrides["step"] = args.grid
+        flags["start"], flags["stop"], flags["step"] = args.grid
     if args.out is not None:
-        overrides["output_path"] = args.out
+        flags["output_path"] = args.out
     if args.format is not None:
-        overrides["format"] = args.format
-    return replace(base, **overrides)
+        flags["format"] = args.format
+    config = parse_config_file(args.config, **flags) if args.config else default_config(args.experiment, **flags)
+    if config.experiment != args.experiment:
+        raise ValueError(f"config targets {config.experiment!r}, not {args.experiment}")
+    return config
 
 
 # ---------------------------------------------------------------------------

@@ -47,11 +47,11 @@ in p: an LP's right-hand side times its scale, or mana's Wigner values.
 ``_propose_crossing`` interpolates them exactly; an LP's crossing is read
 off the optimal basis at the narrowed bracket's low end, and mana's is
 where its l1 test against the level flips (``_mana_root``).  The probes are
-the only check on a proposal: a fit that fails, a refuted proposal and a
-bare callable bisect on, one point per block.  Mana reads free only at 0
+the only check on a proposal: a fit that fails or a refuted proposal
+bisects on, one point per block.  Mana reads free only at 0
 (``DEFAULT_TOL.mana_zero``), whatever ``lp_tol``.  Every block of one
-search of a registered measure goes through its ``MEASURES`` callable and
-shares one ``_RunState``, so only its first LP holds no basis and starts
+search goes through its measure's ``MEASURES`` callable and shares one
+``_RunState``, so only its first LP holds no basis and starts
 from its program's reference starts: each block is one warm walk from the
 bases the search holds, which ``lp`` keeps, each entry read off one that
 serves its p where any does, and otherwise repaired by dual simplex
@@ -111,9 +111,17 @@ class BracketError(RuntimeError):
     """The requested threshold bracket does not straddle a crossing."""
 
 
+class _SettingError(ValueError):
+    """A failed check of a sweep setting; ``fields`` names the settings it read."""
+
+    def __init__(self, message: str, *fields: str):
+        super().__init__(message)
+        self.fields = fields
+
+
 def _check_lp_tol(lp_tol: float) -> None:
     if not (math.isfinite(lp_tol) and lp_tol >= 0):
-        raise ValueError(f"lp_tol must be finite and >= 0, got {lp_tol}")
+        raise _SettingError(f"lp_tol must be finite and >= 0, got {lp_tol}", "lp_tol")
 
 
 def canonical_experiment(name: str) -> str:
@@ -122,7 +130,7 @@ def canonical_experiment(name: str) -> str:
     key = name.strip().lower()
     key = _EXPERIMENT_ALIASES.get(key, key)
     if key not in MEASURE_TABLE:
-        raise ValueError(f"unknown experiment {name!r}; expected one of {tuple(MEASURE_TABLE)}")
+        raise _SettingError(f"unknown experiment {name!r}; expected one of {tuple(MEASURE_TABLE)}", "experiment")
     return key
 
 
@@ -141,15 +149,18 @@ class SweepConfig:
     def __post_init__(self):
         object.__setattr__(self, "experiment", canonical_experiment(self.experiment))
         if not (0.0 <= self.start < self.stop <= 1.0):
-            raise ValueError(f"grid must satisfy 0 <= start < stop <= 1, got [{self.start}, {self.stop}]")
+            raise _SettingError(
+                f"grid must satisfy 0 <= start < stop <= 1, got [{self.start}, {self.stop}]", "start", "stop"
+            )
         if not (math.isfinite(self.step) and self.step > 0):
-            raise ValueError(f"step must be positive and finite, got {self.step}")
+            raise _SettingError(f"step must be positive and finite, got {self.step}", "step")
         if self._steps() >= MAX_GRID_POINTS:
-            raise ValueError(
-                f"step {self.step} over [{self.start}, {self.stop}] makes more than {MAX_GRID_POINTS} grid points"
+            raise _SettingError(
+                f"step {self.step} over [{self.start}, {self.stop}] makes more than {MAX_GRID_POINTS} grid points",
+                "start", "stop", "step",
             )
         if self.format not in ("csv", "json"):
-            raise ValueError(f"format must be csv or json, got {self.format!r}")
+            raise _SettingError(f"format must be csv or json, got {self.format!r}", "format")
         _check_lp_tol(self.lp_tol)
 
     def _steps(self) -> float:
@@ -595,15 +606,15 @@ class ThresholdResult:
 
 
 def find_threshold(
-    measure,
+    measure: str,
     lo: float,
     hi: float,
     lp_tol: float = DEFAULT_TOL.lp_value,
     threshold_tol: float = 1e-3,
 ) -> ThresholdResult:
-    """Find the crossing of a monotone measure onto its faithfulness floor.
+    """Find the crossing of a registered measure onto its faithfulness floor.
 
-    ``measure`` is a registered name or a pair (callable p -> value, floor).
+    ``measure`` is a name in ``MEASURES``, looked up when the search starts.
     The bracket endpoints must disagree on the predicate value <= floor +
     lp_tol (an lp_tol below ``DEFAULT_TOL.rounding`` counts as that
     rounding floor); a registered mana measure reads free where its mana
@@ -628,12 +639,11 @@ def find_threshold(
     when the two disagree, they are the bracket and r the threshold.  A
     second probe that the first moves outside the bracket is discarded.
     These probes are the only check on r.  Any other outcome, a fit that
-    fails included, and every bare callable bisect on from the narrowest
-    bracket known, one point per block, until the midpoint is no longer
-    strictly inside it.  A registered measure's callable takes each block
-    as a 1-D array of p with one ``_RunState`` for the whole search, so
-    every LP after the first starts from an optimal basis the search
-    holds; a bare callable is called once per point.
+    fails included, bisects on from the narrowest bracket known, one point
+    per block, until the midpoint is no longer strictly inside it.  The
+    measure's callable takes each block as a 1-D array of p with one
+    ``_RunState`` for the whole search, so every LP after the first starts
+    from an optimal basis the search holds.
     ``iterations`` counts the points that narrowed the bracket: the
     midpoint, the probes not discarded and each later bisection step.
     Each search logs one INFO line: the measure, the threshold, the
@@ -643,33 +653,16 @@ def find_threshold(
     if not (math.isfinite(threshold_tol) and threshold_tol > 0):
         raise ValueError(f"threshold_tol must be finite and positive, got {threshold_tol}")
     _check_lp_tol(lp_tol)
-    state, mana = None, False
-    slack = _floor_slack(lp_tol)
-    if isinstance(measure, str):
-        if measure not in MEASURES:
-            raise KeyError(f"unknown measure {measure!r}; known: {sorted(MEASURES)}")
-        registered, floor = MEASURES[measure]
-        name = measure
-        state = _RunState(samples=[])
-
-        def evaluate(points: list) -> tuple:
-            return registered(np.array(points), state=state)
-
-        mana = measure in _MANA_MEASURES
-        if mana:
-            slack = DEFAULT_TOL.mana_zero
-    else:
-        fn, floor = measure
-        name = getattr(fn, "__name__", "callable")
-
-        def evaluate(points: list) -> tuple:
-            return [fn(p) for p in points], ["ok"] * len(points)
-
+    if measure not in MEASURES:
+        raise KeyError(f"unknown measure {measure!r}; known: {sorted(MEASURES)}")
+    registered, floor = MEASURES[measure]
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError(f"bracket [{lo}, {hi}] has an end that is not a finite number")
     if not lo < hi:
         raise ValueError(f"bracket [{lo}, {hi}] is empty")
-    level = floor + slack
+    mana = measure in _MANA_MEASURES
+    level = floor + (DEFAULT_TOL.mana_zero if mana else _floor_slack(lp_tol))
+    state = _RunState(samples=[])
     bracket = [lo, hi]
     iterations = scored = 0
 
@@ -677,12 +670,12 @@ def find_threshold(
         """One block: (p, value, status) per point."""
         nonlocal scored
         scored += len(points)
-        return list(zip(points, *evaluate(points)))
+        return list(zip(points, *registered(np.array(points), state=state)))
 
     def reads_free(p: float, value, status: str) -> bool:
         if status != "ok":
             reason = "a degenerate branch" if status == "degenerate" else f"status {status}"
-            raise ValueError(f"measure {name} has {reason} at p={p}")
+            raise ValueError(f"measure {measure} has {reason} at p={p}")
         # A plain bool: a measure's NumPy scalar would make a NumPy bool,
         # which cannot index the bracket.
         return bool(value <= level)
@@ -701,34 +694,33 @@ def find_threshold(
     free_lo, free_hi = reads_free(*opening[0]), reads_free(*opening[-1])
     if free_lo == free_hi:
         raise BracketError(
-            f"measure {name} has no crossing on [{lo}, {hi}]: "
+            f"measure {measure} has no crossing on [{lo}, {hi}]: "
             f"predicate is {free_lo} at both endpoints"
         )
     proposed = False
     if mid is not None:
         narrow(opening[1])
-        if state is not None:
-            root = _propose_crossing(state.samples[0], bracket, level, mana)
-            state.samples = None
-            # One ulp of the root inside r -+ threshold_tol / 2, so that the
-            # bracket's computed width stays within threshold_tol.
-            half = 0.5 * threshold_tol - math.ulp(root or 0.0)
-            if root is not None and half > 0:
-                probes = [root - half, root + half]
-                inside = [p for p in probes if bracket[0] < p < bracket[1]]
-                # The second probe is discarded once the first moves it outside.
-                for read in score(inside) if inside else ():
-                    if bracket[0] < read[0] < bracket[1]:
-                        narrow(read)
-                proposed = bracket == probes
+        root = _propose_crossing(state.samples[0], bracket, level, mana)
+        state.samples = None
+        # One ulp of the root inside r -+ threshold_tol / 2, so that the
+        # bracket's computed width stays within threshold_tol.
+        half = 0.5 * threshold_tol - math.ulp(root or 0.0)
+        if root is not None and half > 0:
+            probes = [root - half, root + half]
+            inside = [p for p in probes if bracket[0] < p < bracket[1]]
+            # The second probe is discarded once the first moves it outside.
+            for read in score(inside) if inside else ():
+                if bracket[0] < read[0] < bracket[1]:
+                    narrow(read)
+            proposed = bracket == probes
     while not proposed and (mid := midpoint()) is not None:
         narrow(*score([mid]))
     threshold = root if proposed else 0.5 * (bracket[0] + bracket[1])
     logger.info(
         "threshold %s: %.12g in [%.12g, %.12g] after %d evaluations, %s",
-        name, threshold, *bracket, scored, "root proposed" if proposed else "bisected",
+        measure, threshold, *bracket, scored, "root proposed" if proposed else "bisected",
     )
-    return ThresholdResult(name, threshold, tuple(bracket), iterations, floor)
+    return ThresholdResult(measure, threshold, tuple(bracket), iterations, floor)
 
 
 def _propose_crossing(sample: tuple, bracket: list, level: float, mana: bool) -> float | None:
@@ -856,10 +848,13 @@ def write_rows(rows: list[SweepRow], config: SweepConfig) -> str:
 _CONFIG_KEYS = {**get_type_hints(SweepConfig), "out": str}
 
 
-def parse_config_file(path: str) -> SweepConfig:
-    """Read ``key = value`` lines ('#' comments allowed) into a SweepConfig.
+def parse_config_file(path: str, **flags) -> SweepConfig:
+    """Read ``key = value`` lines ('#' comments allowed) into a SweepConfig,
+    with ``flags``, SweepConfig fields, laid over the file's settings.
     Each setting may be given once: a second line for it, under either
-    name of ``output_path``, is an error that names both lines."""
+    name of ``output_path``, is an error that names both lines.  A check
+    that fails on a setting the file gave and no flag overrode is reported
+    at the earliest such line, as ``path:line: <message>``."""
     values, lines = {}, {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
@@ -883,5 +878,10 @@ def parse_config_file(path: str) -> SweepConfig:
             lines[setting] = lineno
     if "experiment" not in values:
         raise ValueError(f"{path}: missing required key 'experiment'")
-    experiment = values.pop("experiment")
-    return default_config(experiment, **values)
+    try:
+        return default_config(**{**values, **flags})
+    except _SettingError as exc:
+        given = [lines[name] for name in exc.fields if name in lines and name not in flags]
+        if not given:
+            raise
+        raise ValueError(f"{path}:{min(given)}: {exc}") from None

@@ -22,6 +22,7 @@ import numpy as np
 from .channels import (
     DensityOperator,
     KrausChannel,
+    _check_range,
     _derived,
     _pair_products,
     apply_channel,
@@ -123,8 +124,7 @@ class EffectiveDepolarizingSwitch:
     def from_noise(cls, d: int, p: float) -> "EffectiveDepolarizingSwitch":
         if d < 2:
             raise ValueError(f"dimension d={d} must be at least 2")
-        if not np.all((0.0 <= p) & (p <= 1.0)):
-            raise ValueError(f"noise strength p={p} outside [0, 1]")
+        _check_range(p, 0.0, 1.0, "noise strength p={} outside [0, 1]")
         d2 = float(d * d)
         denom = 2 * d2 - (d2 - 1) * p * p
         return cls(

@@ -43,12 +43,18 @@ def test_fig2_json_stdout(capsys):
     assert abs(rows[0]["channel_robustness"] - 1.0) < 1e-6
 
 
-def test_config_file_with_flag_override(tmp_path, capsys):
+@pytest.mark.parametrize("settings, flags", [
+    ("start = 0\nstop = 0.01\nstep = 0.01\nformat = json", []),
+    # A flag overrides a bad file value as well, which alone is refused.
+    ("start = 0\nstop = 0.01\nstep = 0.01\nformat = xml", ["--format", "json"]),
+    ("start = 0.5\nstop = 0.2\nformat = json", ["--grid", "0:0.01:0.01"]),
+], ids=["good-file", "bad-format", "bad-grid"])
+def test_config_file_with_flag_override(tmp_path, capsys, settings, flags):
     cfg = tmp_path / "sweep.cfg"
     # The file may name the subcommand's experiment by an alias.
-    cfg.write_text("experiment = fig3_depolarized_t\nstart = 0\nstop = 0.01\nstep = 0.01\nformat = json\n")
+    cfg.write_text(f"experiment = fig3_depolarized_t\n{settings}\n")
     out = tmp_path / "rows.json"
-    code, _ = run_cli(capsys, "fig3", "--config", str(cfg), "--out", str(out))
+    code, _ = run_cli(capsys, "fig3", "--config", str(cfg), "--out", str(out), *flags)
     assert code == 0
     rows = json.loads(out.read_text())
     assert len(rows) == 2
@@ -89,13 +95,20 @@ def test_config_for_another_experiment_is_a_one_line_error(tmp_path, capsys, exp
     assert_one_line_error(capsys, main(["-q", "fig2", "--config", str(cfg)]))
 
 
-@pytest.mark.parametrize("line", ["lp_tol = abc", "start = x", "stop = 1..0", "step = half"])
-def test_config_value_of_the_wrong_type_is_a_one_line_error(tmp_path, capsys, line):
+@pytest.mark.parametrize("line, want", [
+    ("lp_tol = abc", "lp_tol must be float, got 'abc'"),
+    ("start = x", "start must be float, got 'x'"),
+    ("stop = 1..0", "stop must be float, got '1..0'"),
+    ("step = half", "step must be float, got 'half'"),
+    ("format = xml", "format must be csv or json, got 'xml'"),
+    ("step = -1", "step must be positive and finite, got -1.0"),
+], ids=["lp_tol = abc", "start = x", "stop = 1..0", "step = half", "format = xml", "step = -1"])
+def test_bad_config_value_is_a_one_line_error_at_its_line(tmp_path, capsys, line, want):
+    # A value of the wrong type, or one the sweep's checks refuse.
     cfg = tmp_path / "sweep.cfg"
     cfg.write_text(f"experiment = fig2\n{line}\n")
     message = assert_one_line_error(capsys, main(["-q", "fig2", "--config", str(cfg)]))
-    key, _, value = line.partition(" = ")
-    assert message.startswith(f"error: {cfg}:2: {key} ") and repr(value) in message
+    assert message == f"error: {cfg}:2: {want}"
 
 
 def test_config_naming_the_appendix_c_report_is_a_one_line_error(tmp_path, capsys):

@@ -20,6 +20,7 @@ from magicswitch.experiments import (
     MEASURES,
     BracketError,
     SweepConfig,
+    ThresholdResult,
     default_config,
     find_threshold,
     parse_config_file,
@@ -388,25 +389,15 @@ THRESHOLD_COLUMNS = {
 
 
 class TestThresholdFinder:
-    def test_synthetic_crossing(self):
-        measure = (lambda p: 1.0 + max(0.0, 0.37 - p), 1.0)
-        res = find_threshold(measure, lo=0.1, hi=0.9, threshold_tol=1e-4)
-        assert abs(res.threshold - 0.37) < 1e-4
-        assert res.bracket[0] <= 0.37 <= res.bracket[1] + 1e-4
-
-    def test_result_is_grid_independent(self):
-        # Bisection consumes only the bracket, so any two brackets around
-        # the same crossing agree to tolerance.
-        measure = (lambda p: 1.0 + max(0.0, 0.37 - p), 1.0)
-        a = find_threshold(measure, lo=0.0, hi=1.0, threshold_tol=1e-4)
-        b = find_threshold(measure, lo=0.3, hi=0.4, threshold_tol=1e-4)
-        assert abs(a.threshold - b.threshold) < 2e-4
-
-    def test_bare_measure_may_return_a_numpy_scalar(self):
-        # Its comparisons give NumPy bools, which cannot index the bracket.
-        res = find_threshold((lambda p: np.float64(1 + max(0, 0.3 - p)), 1.0), 0.1, 0.5)
-        assert res.bracket[0] <= 0.3 <= res.bracket[1]
-        assert res.bracket[1] - res.bracket[0] <= 1e-3
+    @pytest.mark.parametrize("lo, hi", [(0.0, 1.0), LP_BRACKETS["fig2_channel_robustness"]], ids=["wide", "narrow"])
+    def test_bisection_alone_finds_the_crossing(self, monkeypatch, lo, hi):
+        # With no proposal the search bisects, and it consumes only the
+        # bracket: any bracket around the crossing gives it to tolerance.
+        proposed_roots(monkeypatch, injected=None)
+        exact = LP_THRESHOLDS["fig2_channel_robustness"]
+        res = find_threshold("fig2_channel_robustness", lo, hi, threshold_tol=1e-4)
+        assert abs(res.threshold - exact) < 1e-4 and res.iterations > 3
+        assert res.bracket[0] <= exact <= res.bracket[1] and res.bracket[1] - res.bracket[0] <= 1e-4
 
     @pytest.mark.parametrize("changes, status", [
         ({"residual": 1.0}, "check_failed"),
@@ -449,11 +440,6 @@ class TestThresholdFinder:
         with pytest.raises(ValueError, match=r"^measure figs1_mana_minus has a degenerate branch at p=0.0$"):
             find_threshold("figs1_mana_minus", 0.0, 0.5)
 
-    def test_no_crossing_is_reported(self):
-        measure = (lambda p: 2.0, 1.0)
-        with pytest.raises(BracketError):
-            find_threshold(measure, lo=0.1, hi=0.9)
-
     @pytest.mark.parametrize(
         "tols",
         [
@@ -467,36 +453,38 @@ class TestThresholdFinder:
         ],
         ids=repr,
     )
-    def test_bad_tolerance_is_rejected(self, tols):
-        calls = []
-        measure = (lambda p: calls.append(p) or 1.0 + max(0.0, 0.37 - p), 1.0)
+    def test_bad_tolerance_is_rejected(self, monkeypatch, tols):
+        evaluated = recorded_evaluations(monkeypatch, "fig2_rom_plus")
         with pytest.raises(ValueError, match=next(iter(tols))):
-            find_threshold(measure, lo=0.1, hi=0.9, **tols)
-        assert calls == []
+            find_threshold("fig2_rom_plus", lo=0.5, hi=0.7, **tols)
+        assert evaluated == []
 
-    @pytest.mark.parametrize(
-        "measure, lo, hi",
-        [((lambda p: 1.0 + max(0.0, 0.37 - p), 1.0), 0.1, 0.9), ("fig2_rom_plus", 0.5, 0.7)],
-        ids=["bare", "fig2_rom_plus"],
-    )
-    def test_tiny_tolerance_terminates(self, measure, lo, hi):
+    @pytest.mark.parametrize("bisected", [True, False], ids=["bisected", "fig2_rom_plus"])
+    def test_tiny_tolerance_terminates(self, monkeypatch, bisected):
         # No float lies strictly between two neighbours, so the search stops
-        # there instead of bisecting forever.
-        res = find_threshold(measure, lo=lo, hi=hi, threshold_tol=1e-300)
+        # there instead of bisecting forever, with or without a proposal.
+        if bisected:
+            proposed_roots(monkeypatch, injected=None)
+        res = find_threshold("fig2_rom_plus", lo=0.5, hi=0.7, threshold_tol=1e-300)
         assert math.nextafter(res.bracket[0], 1.0) == res.bracket[1]
         assert res.iterations < 70
 
     @pytest.mark.parametrize("lo, hi", [(math.nan, 0.4), (0.2, math.nan), (0.2, math.inf)])
-    def test_non_finite_bracket_is_rejected_before_any_evaluation(self, lo, hi):
-        calls = []
-        measure = (lambda p: calls.append(p) or 1.0 + max(0.0, 0.37 - p), 1.0)
+    def test_non_finite_bracket_is_rejected_before_any_evaluation(self, monkeypatch, lo, hi):
+        evaluated = recorded_evaluations(monkeypatch, "fig2_channel_robustness")
         with pytest.raises(ValueError, match="not a finite number"):
-            find_threshold(measure, lo=lo, hi=hi)
-        assert calls == []
+            find_threshold("fig2_channel_robustness", lo=lo, hi=hi)
+        assert evaluated == []
 
-    def test_unknown_measure_name(self):
-        with pytest.raises(KeyError):
-            find_threshold("no_such_measure", lo=0.1, hi=0.9)
+    @pytest.mark.parametrize("measure", ["no_such_measure", "pair"])
+    def test_unknown_measure_name(self, measure):
+        # Only a registered name is searched: a (callable, floor) pair is an
+        # unknown measure, refused before its callable is called.
+        def refuse(p):
+            raise AssertionError("the pair's callable was called")
+
+        with pytest.raises(KeyError, match=r"unknown measure .*; known: " + re.escape(str(sorted(MEASURES)))):
+            find_threshold((refuse, 1.0) if measure == "pair" else measure, lo=0.1, hi=0.9)
 
     def test_registry_names(self):
         assert "fig2_channel_robustness" in MEASURES
@@ -556,8 +544,8 @@ def free_slack(name):
 
 
 def one_point(name):
-    """Registered ``name`` as a bare measure ``(callable p -> value, floor)``:
-    each call scores a block of one from a cold start, and refuses a status
+    """Registered ``name`` scored alone, and its floor: the callable p ->
+    value scores a block of one from a cold start, and refuses a status
     other than ``ok``."""
     registered, floor = MEASURES[name]
 
@@ -577,9 +565,20 @@ def reads_free(name, p):
 
 
 def bisection_oracle(name, lo, hi, tol):
-    """Plain bisection: the registered measure passed as a bare one, one
-    point at a time, at the level the registered search uses."""
-    return find_threshold(one_point(name), lo, hi, lp_tol=free_slack(name), threshold_tol=tol)
+    """Plain bisection, sharing no code with the search: registered ``name``
+    scored cold, one point at a time, at the level a search uses, until the
+    bracket is no wider than ``tol`` or no float lies strictly inside it.
+    The threshold is the final bracket's midpoint, and ``iterations`` counts
+    the midpoints scored."""
+    fn, floor = one_point(name)
+    level = floor + free_slack(name)
+    bracket, iterations = [lo, hi], 0
+    free_lo = bool(fn(lo) <= level)
+    assert free_lo != bool(fn(hi) <= level), f"{name} has no crossing on [{lo}, {hi}]"
+    while bracket[1] - bracket[0] > tol and bracket[0] < (mid := 0.5 * (bracket[0] + bracket[1])) < bracket[1]:
+        bracket[bool(fn(mid) <= level) != free_lo] = mid
+        iterations += 1
+    return ThresholdResult(name, 0.5 * (bracket[0] + bracket[1]), tuple(bracket), iterations, floor)
 
 
 # min x1 + x2 s.t. x1 - x2 = p - 0.3, whose value is |p - 0.3|, and the fit
@@ -733,7 +732,7 @@ class TestWalkedThresholds:
         proposals = proposed_roots(monkeypatch, mana=True)
         res = find_threshold(name, lo, hi, threshold_tol=1e-6)
         assert len(fits) == 1 and proposals == []
-        assert res == replace(bisection_oracle(name, lo, hi, 1e-6), measure=name)
+        assert res == bisection_oracle(name, lo, hi, 1e-6)
         # Mana reads 0 up to mana_zero, a few 1e-10 in p past the root.
         assert res.bracket[0] - 1e-9 <= exact <= res.bracket[1] + 1e-9
 
@@ -867,16 +866,17 @@ def test_sampled_mana_evaluation_builds_one_wigner_function(monkeypatch):
     assert np.array_equal(values, mana_of_wigner(wigner, channel=True))
 
 
-def test_search_logs_one_info_line(caplog):
+def test_search_logs_one_info_line(monkeypatch, caplog):
     with caplog.at_level("INFO", logger="magicswitch.experiments"):
         res = find_threshold("fig2_rom_plus", 0.5, 0.7, threshold_tol=1e-6)
-        find_threshold(one_point("fig2_rom_plus"), 0.5, 0.7, threshold_tol=1e-2)
-    proposed, bisected = [record.getMessage() for record in caplog.records]
-    lo, hi = res.bracket
-    assert proposed == (
-        f"threshold fig2_rom_plus: {res.threshold:.12g} in [{lo:.12g}, {hi:.12g}] after 5 evaluations, root proposed"
-    )
-    assert bisected.endswith("after 7 evaluations, bisected")
+        proposed_roots(monkeypatch, injected=None)
+        plain = find_threshold("fig2_rom_plus", 0.5, 0.7, threshold_tol=1e-2)
+    messages = [record.getMessage() for record in caplog.records]
+    assert messages == [
+        f"threshold fig2_rom_plus: {found.threshold:.12g} in [{found.bracket[0]:.12g}, {found.bracket[1]:.12g}] "
+        f"after {count} evaluations, {how}"
+        for found, count, how in ((res, 5, "root proposed"), (plain, 7, "bisected"))
+    ]
 
 
 # Every registered measure with a crossing and its benchmark bracket.
@@ -1060,14 +1060,24 @@ class TestConfigFile:
         assert config.output_path == "data.csv"
         assert config.format == "json"
 
-    # grid and tol are command-line flags; a file gives start, stop, step
-    # and lp_tol instead.
-    @pytest.mark.parametrize("key", ["color", "jobs", "grid", "tol"])
-    def test_unknown_key(self, tmp_path, key):
+    @pytest.mark.parametrize("lines, flags, line, message", [
+        # grid and tol are command-line flags; a file gives start, stop,
+        # step and lp_tol instead.
+        *((f"{key} = 2", {}, 2, f"unknown key '{key}'") for key in ("color", "jobs", "grid", "tol")),
+        ("format = xml", {}, 2, "format must be csv or json, got 'xml'"),
+        ("step = -1", {}, 2, "step must be positive and finite, got -1.0"),
+        # A check that reads several settings names the earliest line that
+        # gave one and that no flag overrode; a flag's value has no line.
+        ("format = json\nstop = 0.2\nstart = 0.5", {}, 3, "grid must satisfy 0 <= start < stop <= 1, got [0.5, 0.2]"),
+        ("stop = 0.2\nstart = 0.5", {"stop": 0.4}, 3, "grid must satisfy 0 <= start < stop <= 1, got [0.5, 0.4]"),
+        ("format = json", {"step": -1.0}, None, "step must be positive and finite, got -1.0"),
+    ], ids=["color", "jobs", "grid", "tol", "format", "step", "earliest-line", "flag-overrides-one", "flag-value"])
+    def test_bad_setting_names_its_line(self, tmp_path, lines, flags, line, message):
         path = tmp_path / "bad.cfg"
-        path.write_text(f"experiment = fig2\n{key} = 2\n")
-        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:2: unknown key '{key}'$"):
-            parse_config_file(str(path))
+        path.write_text(f"experiment = fig2\n{lines}\n")
+        where = "" if line is None else f"{re.escape(str(path))}:{line}: "
+        with pytest.raises(ValueError, match=f"^{where}{re.escape(message)}$"):
+            parse_config_file(str(path), **flags)
 
     @pytest.mark.parametrize("first, second", [("step = 0.5", "step = 0.25"), ("out = a.csv", "output_path = b.csv")])
     def test_setting_given_twice(self, tmp_path, first, second):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -195,6 +197,14 @@ class TestClosedForm:
     def test_minus_strength_independent_of_p(self):
         vals = {EffectiveDepolarizingSwitch.from_noise(3, p).p_minus for p in (0.1, 0.5, 0.9)}
         assert vals == {9 / 8}
+
+    @pytest.mark.parametrize("bad", [1.5, math.nan], ids=["above-1", "nan"])
+    def test_noise_out_of_range_names_the_first_bad_entry(self, bad):
+        # One line naming the bad entry, not the whole array.
+        p = np.linspace(0.0, 1.0, 40)
+        p[17] = bad
+        with pytest.raises(ValueError, match=rf"^noise strength p={bad} outside \[0, 1\]$"):
+            EffectiveDepolarizingSwitch.from_noise(3, p)
 
     def test_huge_dimension_endpoint(self):
         eff = EffectiveDepolarizingSwitch.from_noise(1000, 1.0)
