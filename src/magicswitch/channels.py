@@ -30,6 +30,7 @@ constructors take one object.
 from __future__ import annotations
 
 import logging
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -78,17 +79,20 @@ class DensityOperator:
     Parameters
     ----------
     matrix : ndarray
-        Square complex matrix; must be Hermitian and positive semidefinite
-        within the package tolerances, with a nonnegative trace.  Its exactly
-        Hermitian part is stored, so no residue reaches a Wigner value.
+        Nonempty square complex matrix of finite entries; must be Hermitian
+        and positive semidefinite within the package tolerances, with a
+        nonnegative trace.  Its exactly Hermitian part is stored, so no
+        residue reaches a Wigner value.
     """
 
     matrix: np.ndarray
 
     def __post_init__(self):
         mat = np.asarray(self.matrix, dtype=complex)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise StateValidationError(f"density operator must be square, got {mat.shape}")
+        if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or not mat.size:
+            raise StateValidationError(f"density operator must be square and nonempty, got {mat.shape}")
+        if not np.isfinite(mat).all():
+            raise StateValidationError("density operator has entries that are not finite")
         if not np.abs(mat - dagger(mat)).max() <= DEFAULT_TOL.eq:
             raise StateValidationError("density operator is not Hermitian within tolerance")
         mat = 0.5 * (mat + dagger(mat))
@@ -118,7 +122,10 @@ class DensityOperator:
     @classmethod
     def pure(cls, vec) -> "DensityOperator":
         vec = np.asarray(vec, dtype=complex)
-        vec = vec / np.linalg.norm(vec)
+        norm = np.linalg.norm(vec)
+        if not 0 < norm < np.inf:
+            raise StateValidationError(f"a pure state needs a nonzero finite vector, got norm {norm}")
+        vec = vec / norm
         return cls(np.outer(vec, vec.conj()))
 
     @classmethod
@@ -176,6 +183,12 @@ def _check_range(p, lo: float, hi: float, message: str) -> None:
     inside = (lo <= p) & (p <= hi)
     if inside is not True and not np.all(inside):
         raise ValueError(message.format(np.asarray(p)[~np.asarray(inside)].flat[0]))
+
+
+def _check_dimension(d) -> None:
+    """Refuse a system dimension ``d`` that is not an integer of at least 2."""
+    if not (isinstance(d, numbers.Integral) and d >= 2):
+        raise ValueError(f"dimension d={d} must be an integer of at least 2")
 
 
 def _zoo_channel(weights: list, ops: np.ndarray) -> KrausChannel:
@@ -411,8 +424,7 @@ def depolarizing_channel(d: int, p: float) -> KrausChannel:
     the switched depolarizing noise produces.  An array of strengths gives
     one channel per entry, as a grid.
     """
-    if d < 2:
-        raise ValueError(f"depolarizing dimension d={d} must be at least 2")
+    _check_dimension(d)
     p_max = d * d / (d * d - 1)
     _check_range(p, 0.0, p_max + DEFAULT_TOL.depolarizing_range,
                  "depolarizing strength p={} outside [0, %.6f]" % p_max)

@@ -1,9 +1,10 @@
 """Command-line interface.
 
-One subcommand per canned experiment (fig2, fig3, figs1, appendix-c) plus
-generic monotone evaluators (rom, channel-robustness, mana) and a
-threshold finder.  Renormalization factors are logged to stderr at info
-level, each LP's status at debug level; data goes to --out (default stdout).
+One subcommand per canned experiment (the sweeps of ``MEASURE_TABLE``,
+then appendix-c) plus generic monotone evaluators (rom,
+channel-robustness, mana) and a threshold finder.  Renormalization factors
+are logged to stderr at info level, each LP's status at debug level; data
+goes to --out (default stdout).
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from .channels import (
 )
 from .experiments import (
     CHANNELS,
+    MEASURE_TABLE,
     MEASURES,
     BracketError,
     SweepConfig,
@@ -272,12 +274,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("-q", "--quiet", action="store_true", help="suppress info logging")
     subs = parser.add_subparsers(dest="command", required=True)
 
-    for exp, blurb in (
-        ("fig2", "robustness sweep of the noisy TH channel and its switch outputs"),
-        ("fig3", "robustness sweep of a T gate behind sequential vs switched noise"),
-        ("figs1", "mana sweep of the qutrit channel and its switch outputs"),
-    ):
-        sub = subs.add_parser(exp, help=blurb)
+    for exp, entry in MEASURE_TABLE.items():
+        sub = subs.add_parser(exp, help=entry.help)
         _add_sweep_options(sub)
         sub.set_defaults(handler=_cmd_sweep, experiment=exp)
 

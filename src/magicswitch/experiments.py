@@ -1,61 +1,41 @@
 """Parameter sweeps, threshold finders, and dataset writers.
 
 Three canned sweeps mirror the reference datasets this package
-reproduces:
-
-* ``fig2``  - robustness of the noisy qubit TH channel and of the two
-  conditional switch outputs, over the full noise range.
-* ``fig3``  - robustness of a T gate behind two sequential depolarizing
-  passes versus behind the switched passes (both conditional branches).
-* ``figs1`` - the qutrit analog of fig2 scored with channel/state mana.
+reproduces: ``fig2`` and ``fig3`` score robustness over qubit noise, and
+``figs1`` the qutrit analog of fig2 with mana.  Each is declared once, as
+an ``Experiment`` in ``MEASURE_TABLE``: its CLI help and alias, its default
+grid, its channel in ``CHANNELS``, its monotone and its columns in CSV
+order.  A column holds one measure ``(grid, column name) -> (values,
+statuses)`` and, when it is bisected, its threshold name.  The default
+configs, the experiment aliases, the CLI's sweep subcommands, the CSV
+columns (``MEASURE_COLUMNS``) and the threshold registry (``MEASURES``,
+each name with its monotone's floor) are all read off the table.
 
 ``run_appendix_c`` is a report, not a sweep: it verifies on a dense grid
 that the plus branch of switched depolarizing noise is strictly weaker than
 two sequential passes.
 
-Each measure is written once, in ``MEASURE_TABLE``: an experiment names its
-channel and its ordered columns, and a column holds one measure
-``(grid, column name) -> (values, statuses)`` and, when it is bisected, its
-threshold name and floor.  A ``_Grid`` holds the noise values of one block
-of a sweep run and builds the intermediates of all of them (channel, switch
-outputs, T-gate branches) as arrays with a leading grid axis, each on
-first use, so a block builds each once.  A threshold search scores its
-points as blocks of the same program, each building only what its measure
-reads.  The CSV columns (``MEASURE_COLUMNS``) and the threshold registry
-(``MEASURES``) are derived from the table.
+A sweep run is evaluated in blocks (``_Grid``) of at most
+``_BLOCK_POINTS`` grid points, column by column, and then cut into rows:
+``_dispatch_row`` is called once per grid row, in order, and assembles
+that row's ``SweepRow``.  Each robustness column is one warm LP walk down
+the block and one ``L1Solution`` with the block's axis (``lp.solve_l1``):
+each entry starts from the least infeasible of the optimal bases and
+inverses the column holds, those the walk reached and those ``lp`` kept of
+the run's earlier blocks, and the run's ``_RunState`` stores the
+solution's ``held`` set as it is for the next block; while a held basis
+stays feasible, as at nearly every default grid point, a row is read off
+one stacked mat-vec.  A run walks its whole grid in one process from the
+programs' reference starts (``lp``), so identical configs produce
+byte-identical CSV.  A warm-started value can differ from a lone solve at
+the same point in the last bits, never in the printed digits of the
+default grids.
 
-A sweep run is evaluated in blocks of at most ``_BLOCK_POINTS`` grid
-points, column by column, and then cut into rows: ``_dispatch_row`` is
-called once per grid row, in order, and assembles that row's ``SweepRow``.
-Each robustness column is one warm LP walk down the block and one
-``L1Solution`` with the block's axis (``lp.solve_l1``): each entry starts
-from the least infeasible of the optimal bases and inverses the column
-holds, those the walk reached and those ``lp`` kept of the run's earlier
-blocks, and the run's ``_RunState`` stores the solution's ``held`` set as
-it is for the next block; while a held basis stays feasible, as at nearly
-every default grid point, a row is read off one stacked mat-vec.  A run
-walks its whole grid in one process from the programs' reference starts
-(``lp``), so identical configs produce byte-identical CSV.  A warm-started
-value can differ from a lone solve at the same point in the last bits,
-never in the printed digits of the default grids.
-
-A threshold search of a registered measure scores five points in two
-blocks: the opening block ``[lo, mid, hi]``, the bracket ends and the
-first bisection step in p order, and then the two probes that confirm a
-proposed crossing.  The opening block records samples that are quadratic
-in p: an LP's right-hand side times its scale, or mana's Wigner values.
-``_propose_crossing`` interpolates them exactly; an LP's crossing is read
-off the optimal basis at the narrowed bracket's low end, and mana's is
-where its l1 test against the level flips (``_mana_root``).  The probes are
-the only check on a proposal: a fit that fails or a refuted proposal
-bisects on, one point per block.  Mana reads free only at 0
-(``DEFAULT_TOL.mana_zero``), whatever ``lp_tol``.  Every block of one
-search goes through its measure's ``MEASURES`` callable and shares one
-``_RunState``, so only its first LP holds no basis and starts
-from its program's reference starts: each block is one warm walk from the
-bases the search holds, which ``lp`` keeps, each entry read off one that
-serves its p where any does, and otherwise repaired by dual simplex
-pivots.
+A threshold search (``find_threshold``) scores a registered measure in
+blocks of the same program, each building only what its measure reads,
+through its ``MEASURES`` callable, with one ``_RunState`` for the whole
+search; its experiment's monotone decides whether the measure reads free
+as an LP or as mana.
 """
 
 from __future__ import annotations
@@ -63,6 +43,7 @@ from __future__ import annotations
 import json
 import logging
 import math
+import numbers
 import sys
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, partial
@@ -96,12 +77,6 @@ from .stabilizers import cspo_choi_atoms, enumerate_stabilizer_states
 
 logger = logging.getLogger(__name__)
 
-_EXPERIMENT_ALIASES = {
-    "fig2_qubit_example": "fig2",
-    "fig3_depolarized_t": "fig3",
-    "figs1_qutrit_example": "figs1",
-}
-
 # Most points a sweep grid or the appendix-c grid may hold; a larger one is
 # refused before anything is built.
 MAX_GRID_POINTS = 10**6
@@ -128,7 +103,7 @@ def canonical_experiment(name: str) -> str:
     """The sweep experiment, a key of ``MEASURE_TABLE``, that ``name`` or
     its alias names."""
     key = name.strip().lower()
-    key = _EXPERIMENT_ALIASES.get(key, key)
+    key = next((exp for exp, entry in MEASURE_TABLE.items() if entry.alias == key), key)
     if key not in MEASURE_TABLE:
         raise _SettingError(f"unknown experiment {name!r}; expected one of {tuple(MEASURE_TABLE)}", "experiment")
     return key
@@ -176,16 +151,11 @@ class SweepConfig:
 
 
 def default_config(experiment: str, **overrides) -> SweepConfig:
-    """Default grids: fig2 on [0,1] step 0.01, fig3 on [0,0.45] step 0.005,
-    figs1 on (0,1] step 0.01."""
+    """``experiment``'s sweep on its ``MEASURE_TABLE`` grid, with the
+    SweepConfig fields ``overrides`` laid over it."""
     experiment = canonical_experiment(experiment)
-    base = {
-        "fig2": dict(start=0.0, stop=1.0, step=0.01),
-        "fig3": dict(start=0.0, stop=0.45, step=0.005),
-        "figs1": dict(start=0.01, stop=1.0, step=0.01),
-    }[experiment]
-    base.update(overrides)
-    return SweepConfig(experiment=experiment, **base)
+    grid = dict(zip(("start", "stop", "step"), MEASURE_TABLE[experiment].grid))
+    return SweepConfig(experiment=experiment, **{**grid, **overrides})
 
 
 @dataclass
@@ -282,7 +252,7 @@ class _Grid:
 
     @cached_property
     def channel(self) -> KrausChannel:
-        return CHANNELS[MEASURE_TABLE[self.experiment][0]](self.p)
+        return CHANNELS[MEASURE_TABLE[self.experiment].channel](self.p)
 
     @cached_property
     def switch_outputs(self) -> tuple:
@@ -391,42 +361,64 @@ def _t_branch_weight(g: _Grid, column: str, k: int) -> tuple:
 
 class Column(NamedTuple):
     """One sweep output column: its measure and, when the measure has a
-    crossing worth bisecting, its ``MEASURES`` name and faithfulness floor."""
+    crossing worth bisecting, its ``MEASURES`` name."""
 
     name: str
     measure: Callable
     threshold: str | None = None
-    floor: float = 0.0
 
 
-# Sweep experiment -> (its channel in ``CHANNELS``, its columns in CSV order).
+# Faithfulness floor of each monotone: the value it takes on every free object.
+_FLOORS = {"robustness": 1.0, "mana": 0.0}
+
+
+class Experiment(NamedTuple):
+    """One sweep: its CLI help, the alias a config may name it by, its
+    default grid ``(start, stop, step)``, its channel in ``CHANNELS``, the
+    monotone (a key of ``_FLOORS``) its threshold columns score, and its
+    columns in CSV order."""
+
+    help: str
+    alias: str
+    grid: tuple
+    channel: str
+    monotone: str
+    columns: tuple
+
+
 MEASURE_TABLE = {
-    "fig2": ("noisy-th", (
-        Column("channel_robustness", _channel_robustness, "fig2_channel_robustness", 1.0),
-        Column("rom_plus", partial(_branch_robustness, k=0), "fig2_rom_plus", 1.0),
-        Column("rom_minus", partial(_branch_robustness, k=1)),
-        Column("prob_plus", partial(_branch_probability, k=0)),
-        Column("prob_minus", partial(_branch_probability, k=1)),
-    )),
-    "fig3": ("depol-squared-t", (
-        Column("rob_sequential", _channel_robustness, "fig3_sequential", 1.0),
-        Column("rob_switch_plus", partial(_t_branch_robustness, k=0), "fig3_switch_plus", 1.0),
-        Column("rob_switch_minus", _t_minus_robustness, "fig3_switch_minus", 1.0),
-        Column("weight_plus", partial(_t_branch_weight, k=0)),
-        Column("weight_minus", partial(_t_branch_weight, k=1)),
-    )),
-    "figs1": ("qutrit-noisy-th", (
-        Column("mana_channel", _channel_mana, "figs1_mana_channel", 0.0),
-        Column("mana_plus", partial(_branch_mana, k=0), "figs1_mana_plus", 0.0),
-        Column("mana_minus", partial(_branch_mana, k=1), "figs1_mana_minus", 0.0),
-        Column("prob_plus", partial(_branch_probability, k=0)),
-        Column("prob_minus", partial(_branch_probability, k=1)),
-    )),
+    "fig2": Experiment(
+        "robustness sweep of the noisy TH channel and its switch outputs",
+        "fig2_qubit_example", (0.0, 1.0, 0.01), "noisy-th", "robustness", (
+            Column("channel_robustness", _channel_robustness, "fig2_channel_robustness"),
+            Column("rom_plus", partial(_branch_robustness, k=0), "fig2_rom_plus"),
+            Column("rom_minus", partial(_branch_robustness, k=1)),
+            Column("prob_plus", partial(_branch_probability, k=0)),
+            Column("prob_minus", partial(_branch_probability, k=1)),
+        )),
+    "fig3": Experiment(
+        "robustness sweep of a T gate behind sequential vs switched noise",
+        "fig3_depolarized_t", (0.0, 0.45, 0.005), "depol-squared-t", "robustness", (
+            Column("rob_sequential", _channel_robustness, "fig3_sequential"),
+            Column("rob_switch_plus", partial(_t_branch_robustness, k=0), "fig3_switch_plus"),
+            Column("rob_switch_minus", _t_minus_robustness, "fig3_switch_minus"),
+            Column("weight_plus", partial(_t_branch_weight, k=0)),
+            Column("weight_minus", partial(_t_branch_weight, k=1)),
+        )),
+    "figs1": Experiment(
+        "mana sweep of the qutrit channel and its switch outputs",
+        "figs1_qutrit_example", (0.01, 1.0, 0.01), "qutrit-noisy-th", "mana", (
+            Column("mana_channel", _channel_mana, "figs1_mana_channel"),
+            Column("mana_plus", partial(_branch_mana, k=0), "figs1_mana_plus"),
+            Column("mana_minus", partial(_branch_mana, k=1), "figs1_mana_minus"),
+            Column("prob_plus", partial(_branch_probability, k=0)),
+            Column("prob_minus", partial(_branch_probability, k=1)),
+        )),
 }
 
 MEASURE_COLUMNS = {
-    experiment: tuple(column.name for column in columns)
-    for experiment, (_, columns) in MEASURE_TABLE.items()
+    experiment: tuple(column.name for column in entry.columns)
+    for experiment, entry in MEASURE_TABLE.items()
 }
 
 
@@ -443,13 +435,11 @@ def _threshold_value(experiment: str, column: Column, p, state: _RunState | None
 # Threshold name -> (callable p -> (values, statuses), faithfulness floor):
 # the callable scores a 1-D array of noise values ``p`` as one block.
 MEASURES = {
-    column.threshold: (partial(_threshold_value, experiment, column), column.floor)
-    for experiment, (_, columns) in MEASURE_TABLE.items()
-    for column in columns
+    column.threshold: (partial(_threshold_value, experiment, column), _FLOORS[entry.monotone])
+    for experiment, entry in MEASURE_TABLE.items()
+    for column in entry.columns
     if column.threshold
 }
-# The figs1 measures score mana, which reads free only at 0.
-_MANA_MEASURES = frozenset(column.threshold for column in MEASURE_TABLE["figs1"][1] if column.threshold)
 
 
 # ---------------------------------------------------------------------------
@@ -485,7 +475,7 @@ def _run_rows(experiment: str, grid: list[float], lp_tol: float) -> list[SweepRo
         p = grid[lo : lo + _BLOCK_POINTS]
         block = _Grid(experiment, np.array(p), lp_tol, state)
         columns = {}
-        for column in MEASURE_TABLE[experiment][1]:
+        for column in MEASURE_TABLE[experiment].columns:
             values, statuses = column.measure(block, column.name)
             columns[column.name] = np.asarray(values, dtype=float).tolist(), np.asarray(statuses).tolist()
         rows += [_dispatch_row((p, columns, i)) for i in range(len(p))]
@@ -525,32 +515,29 @@ def run_appendix_c(d_values=(2, 3, 5, 10), n_points: int = 10_000) -> dict:
 
     Also evaluates the factored algebraic identity behind the inequality;
     its residual stays at rounding level (< 1e-12).  The grid is p = k / n
-    for k = 1..n; an empty grid or dimension list, or any d < 2 (through
-    ``from_noise``), raises ``ValueError`` rather than passing vacuously, as
-    does a grid above ``MAX_GRID_POINTS``.
+    for k = 1..n; a non-integer or empty grid, an empty dimension list, or
+    any d that is not an integer of at least 2 (through ``from_noise``),
+    raises ``ValueError`` rather than passing vacuously, as does a grid
+    above ``MAX_GRID_POINTS``.
     """
-    if not 1 <= n_points <= MAX_GRID_POINTS:
-        raise ValueError(f"n_points={n_points} must be in [1, {MAX_GRID_POINTS}]")
+    if not (isinstance(n_points, numbers.Integral) and 1 <= n_points <= MAX_GRID_POINTS):
+        raise ValueError(f"n_points={n_points} must be an integer in [1, {MAX_GRID_POINTS}]")
     if not d_values:
         raise ValueError("at least one dimension is required")
     p = np.arange(1, n_points + 1) / n_points
-    report = {"n_points": n_points, "dimensions": {}}
-    overall_gap = -np.inf
-    overall_identity = 0.0
+    dims = {}
     for d in d_values:
         eff = EffectiveDepolarizingSwitch.from_noise(d, p)
         worst_gap = float((eff.p_plus - eff.sequential_strength()).max())
-        worst_identity = float(eff.factored_identity_residual().max())
-        report["dimensions"][d] = {
+        dims[int(d)] = {
             "max_gap": worst_gap,
-            "max_identity_residual": worst_identity,
+            "max_identity_residual": float(eff.factored_identity_residual().max()),
             "strictly_negative": worst_gap < 0.0,
         }
-        overall_gap = max(overall_gap, worst_gap)
-        overall_identity = max(overall_identity, worst_identity)
-    report["max_gap"] = overall_gap
-    report["max_identity_residual"] = overall_identity
-    report["strictly_negative"] = overall_gap < 0.0
+    report = {"n_points": n_points, "dimensions": dims}
+    for key in ("max_gap", "max_identity_residual"):
+        report[key] = max(entry[key] for entry in dims.values())
+    report["strictly_negative"] = report["max_gap"] < 0.0
     return report
 
 
@@ -660,7 +647,8 @@ def find_threshold(
         raise ValueError(f"bracket [{lo}, {hi}] has an end that is not a finite number")
     if not lo < hi:
         raise ValueError(f"bracket [{lo}, {hi}] is empty")
-    mana = measure in _MANA_MEASURES
+    mana_columns = [column for entry in MEASURE_TABLE.values() if entry.monotone == "mana" for column in entry.columns]
+    mana = measure in (column.threshold for column in mana_columns)
     level = floor + (DEFAULT_TOL.mana_zero if mana else _floor_slack(lp_tol))
     state = _RunState(samples=[])
     bracket = [lo, hi]
@@ -797,14 +785,14 @@ def _mana_root(fit: np.ndarray, level: float, lo: float, hi: float) -> float | N
 # Output formatting
 # ---------------------------------------------------------------------------
 
-def _fmt(x: float) -> str:
-    return "%.12g" % x
+# How both writers print a number: 12 significant digits.
+_NUMBER = "%.12g"
 
 
 def rows_to_csv(rows: list[SweepRow], measures) -> str:
     header = ["p"] + list(measures) + [f"{m}_status" for m in measures]
-    # One format string per row: the cells of _fmt, then the statuses.
-    line = ",".join(["%.12g"] * (1 + len(measures)) + ["%s"] * len(measures))
+    # One format string per row: the numbers, then the statuses.
+    line = ",".join([_NUMBER] * (1 + len(measures)) + ["%s"] * len(measures))
     lines = [",".join(header)]
     for row in rows:
         values, status = row.values, row.status
@@ -815,10 +803,10 @@ def rows_to_csv(rows: list[SweepRow], measures) -> str:
 def rows_to_json(rows: list[SweepRow], measures) -> str:
     payload = []
     for row in rows:
-        entry = {"p": float(_fmt(row.p))}
+        entry = {"p": float(_NUMBER % row.p)}
         for m in measures:
             value = row.values[m]
-            entry[m] = None if math.isnan(value) else float(_fmt(value))
+            entry[m] = None if math.isnan(value) else float(_NUMBER % value)
             entry[f"{m}_status"] = row.status[m]
         payload.append(entry)
     return json.dumps(payload, indent=2) + "\n"

@@ -22,6 +22,7 @@ import numpy as np
 from .channels import (
     DensityOperator,
     KrausChannel,
+    _check_dimension,
     _check_range,
     _derived,
     _pair_products,
@@ -122,8 +123,7 @@ class EffectiveDepolarizingSwitch:
 
     @classmethod
     def from_noise(cls, d: int, p: float) -> "EffectiveDepolarizingSwitch":
-        if d < 2:
-            raise ValueError(f"dimension d={d} must be at least 2")
+        _check_dimension(d)
         _check_range(p, 0.0, 1.0, "noise strength p={} outside [0, 1]")
         d2 = float(d * d)
         denom = 2 * d2 - (d2 - 1) * p * p

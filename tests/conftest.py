@@ -278,7 +278,7 @@ class PointOracle:
 
     @cached_property
     def channel(self):
-        return experiments.CHANNELS[experiments.MEASURE_TABLE[self.experiment][0]](self.p)
+        return experiments.CHANNELS[experiments.MEASURE_TABLE[self.experiment].channel](self.p)
 
     @cached_property
     def switch_outputs(self):

@@ -83,6 +83,22 @@ class TestDensityOperator:
         assert np.array_equal(rho.matrix, 0.5 * (near + near.conj().T))
         assert mana_state(rho, build_frame(3)) == 0.0
 
+    @pytest.mark.parametrize("bad", [np.inf, np.nan, -np.inf])
+    def test_rejects_entries_that_are_not_finite(self, bad):
+        # Refused before the Hermitian check, whose inf - inf would warn and
+        # then misreport the state as not Hermitian.
+        with pytest.raises(StateValidationError, match="^density operator has entries that are not finite$"):
+            DensityOperator(np.array([[bad, 0.0], [0.0, 0.0]]))
+
+    @pytest.mark.parametrize("vec", [[0.0, 0.0], [np.inf, 0.0], [np.nan, 1.0], []])
+    def test_pure_needs_a_nonzero_finite_vector(self, vec):
+        with pytest.raises(StateValidationError, match="^a pure state needs a nonzero finite vector"):
+            DensityOperator.pure(vec)
+
+    def test_maximally_mixed_of_no_dimension_is_refused(self):
+        with pytest.raises(StateValidationError, match=r"^density operator must be square and nonempty, got \(0, 0\)$"):
+            DensityOperator.maximally_mixed(0)
+
     def test_matrix_is_readonly(self):
         rho = DensityOperator.maximally_mixed(2)
         with pytest.raises(ValueError):
@@ -235,6 +251,12 @@ class TestChannelZoo:
     def test_depolarizing_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             depolarizing_channel(2, 1.5)
+
+    @pytest.mark.parametrize("d", [2.5, 3.0, 1])
+    def test_depolarizing_dimension_must_be_an_integer_of_at_least_2(self, d):
+        with pytest.raises(ValueError, match=rf"^dimension d={d} must be an integer of at least 2$"):
+            depolarizing_channel(d, 0.2)
+        assert np.array_equal(depolarizing_channel(np.int64(3), 0.2).kraus_ops, depolarizing_channel(3, 0.2).kraus_ops)
 
     def test_noisy_th_complete_for_all_p(self):
         for p in np.linspace(0, 1, 11):

@@ -274,6 +274,8 @@ STATE_FILES = {
     "non-psd": _matrix([[1.5, 0.0], [0.0, -0.5]]),
     "normalized-string": {**_matrix([[0.5, 0.0], [0.0, 0.5]]), "normalized": "no"},
     "trace-not-one": _matrix([[0.25, 0.0], [0.0, 0.25]]),
+    # Written as JSON's Infinity, which json reads as a float, as it reads 1e400.
+    "infinity": _matrix([[np.inf, 0.0], [0.0, 0.0]]),
 }
 
 # Config files that fail on their last line, each with one line of error.

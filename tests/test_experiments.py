@@ -1023,6 +1023,10 @@ class TestAppendixC:
         assert got == want
         assert json.dumps(got) == json.dumps(want)
 
+    def test_numpy_integer_dimensions_give_the_same_json(self):
+        dims = tuple(np.arange(2, 4))
+        assert json.dumps(run_appendix_c(d_values=dims, n_points=50)) == json.dumps(run_appendix_c((2, 3), 50))
+
     @pytest.mark.parametrize(
         "d_values, n_points, message",
         [
@@ -1033,6 +1037,8 @@ class TestAppendixC:
             ((1,), 10, "dimension"),
             ((2, 1), 10, "dimension"),
             ((), 10, "dimension"),
+            ((2, 3), 2.5, "n_points"),
+            ((2.5,), 10, "dimension"),
         ],
     )
     def test_rejects_empty_or_degenerate_input(self, d_values, n_points, message):

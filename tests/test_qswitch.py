@@ -206,6 +206,14 @@ class TestClosedForm:
         with pytest.raises(ValueError, match=rf"^noise strength p={bad} outside \[0, 1\]$"):
             EffectiveDepolarizingSwitch.from_noise(3, p)
 
+    @pytest.mark.parametrize("d", [2.5, 3.0, 1, np.int64(1)], ids=["2.5", "3.0", "1", "int64-1"])
+    def test_dimension_must_be_an_integer_of_at_least_2(self, d):
+        # A 2.5-dimensional system would otherwise report the strict inequality.
+        with pytest.raises(ValueError, match=rf"^dimension d={d} must be an integer of at least 2$"):
+            EffectiveDepolarizingSwitch.from_noise(d, 0.3)
+        three = EffectiveDepolarizingSwitch.from_noise(np.int64(3), 0.3)
+        assert three == EffectiveDepolarizingSwitch.from_noise(3, 0.3)
+
     def test_huge_dimension_endpoint(self):
         eff = EffectiveDepolarizingSwitch.from_noise(1000, 1.0)
         assert eff.p_plus - 1.0 < 0.0
