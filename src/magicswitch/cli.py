@@ -4,7 +4,8 @@ One subcommand per canned experiment (the sweeps of ``MEASURE_TABLE``,
 then appendix-c) plus generic monotone evaluators (rom,
 channel-robustness, mana) and a threshold finder.  Renormalization factors
 are logged to stderr at info level, each LP's status at debug level; data
-goes to --out (default stdout).
+goes to --out (default stdout).  A run builds the parser of its own
+subcommand only.
 """
 
 from __future__ import annotations
@@ -177,18 +178,20 @@ def _state_from_file(path: str) -> DensityOperator:
 
 def _named_channel(spec: str, d: int, mismatch: str) -> KrausChannel:
     """The channel ``spec`` names, for a command that scores channels on
-    dimension ``d``.  A ``depolarizing`` channel of another dimension, whose
-    stack would hold its d^2 operators of d x d, is refused before it is
-    built, with ``mismatch`` formatted with its dimension."""
+    dimension ``d``.  A ``depolarizing`` channel of another integral
+    dimension, whose stack would hold its d^2 operators of d x d, is refused
+    before it is built, with ``mismatch`` formatted with its dimension; a
+    non-integral one is refused by ``depolarizing_channel``."""
     name, params = _parse_spec(spec, _CHANNEL_PARAMS, "channel")
     if name in CHANNELS:
         return CHANNELS[name](params["p"])
     if name == "depolarizing":
-        if not float(params["d"]).is_integer():
-            raise ValueError(f"depolarizing dimension d={params['d']:g} is not an integer")
-        if int(params["d"]) != d:
-            raise ValueError(mismatch.format(int(params["d"])))
-        return depolarizing_channel(d, params["p"])
+        dim = params["d"]
+        if float(dim).is_integer():
+            dim = int(dim)
+            if dim != d:
+                raise ValueError(mismatch.format(dim))
+        return depolarizing_channel(dim, params["p"])
     return unitary_channel({"t": T_GATE, "h": HADAMARD, "qutrit-t": qutrit_t_gate()}[name])
 
 
@@ -265,68 +268,108 @@ def _cmd_mana(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _cmd_k2_check(args) -> int:
+    _emit(qutrit_k2_variant_report(args.p), args.out)
+    return 0
+
+
+# ---------------------------------------------------------------------------
+# The parser: one declaration per subcommand
+# ---------------------------------------------------------------------------
+
+def _add_appendix_c_options(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--dims", default="2,3,5,10", help="comma-separated dimensions")
+    sub.add_argument("--points", type=int, default=10_000, help="grid points in (0, 1]")
+    sub.add_argument("--out", default=None)
+
+
+def _add_threshold_options(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--measure", required=True, choices=sorted(MEASURES))
+    sub.add_argument("--bracket", type=partial(_parse_floats, form="lo:hi"), required=True, metavar="LO:HI")
+    sub.add_argument("--tol", type=_parse_tols, default={}, metavar="lp=..,threshold=..")
+    sub.add_argument("--out", default=None)
+
+
+def _add_rom_options(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--state", default="t-plus")
+    sub.add_argument("--state-file", default=None, help="JSON with 'matrix': [[ [re,im], ...], ...]")
+    sub.add_argument("--out", default=None)
+
+
+def _add_channel_robustness_options(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--channel", required=True, help="e.g. noisy-th:p=0.3, t, depol-squared-t:p=0.2")
+    sub.add_argument("--out", default=None)
+
+
+def _add_mana_options(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--d", type=int, default=3)
+    sub.add_argument("--channel", default=None)
+    sub.add_argument("--state", default="qutrit-t-plus")
+    sub.add_argument("--state-file", default=None)
+    sub.add_argument("--out", default=None)
+
+
+def _add_k2_check_options(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--p", type=float, default=0.5)
+    sub.add_argument("--out", default=None)
+
+
+# Each subcommand in the order --help lists them: name -> (help, options
+# builder, handler defaults).
+_COMMANDS = {
+    **{exp: (entry.help, _add_sweep_options, {"handler": _cmd_sweep, "experiment": exp})
+       for exp, entry in MEASURE_TABLE.items()},
+    "appendix-c": ("strict inequality report for switched depolarizing noise", _add_appendix_c_options,
+                   {"handler": _cmd_appendix_c}),
+    "threshold": ("find where a measure crosses its faithfulness floor", _add_threshold_options,
+                  {"handler": _cmd_threshold}),
+    "rom": ("robustness of a state over the stabilizer dictionary", _add_rom_options, {"handler": _cmd_rom}),
+    "channel-robustness": ("channel robustness of a named channel", _add_channel_robustness_options,
+                           {"handler": _cmd_channel_robustness}),
+    "mana": ("mana of a state or channel in odd prime dimension", _add_mana_options, {"handler": _cmd_mana}),
+    "k2-check": ("completeness residuals of both qutrit reset-row variants", _add_k2_check_options,
+                 {"handler": _cmd_k2_check}),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The command line's parser.  For a ``command`` of ``_COMMANDS`` it
+    holds that subcommand alone, and its usage line and errors read as the
+    full parser's; otherwise it holds every subcommand."""
     parser = argparse.ArgumentParser(
         prog="magicswitch",
         description="Coherent-order channel composition and non-stabilizerness monotones",
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     parser.add_argument("-q", "--quiet", action="store_true", help="suppress info logging")
-    subs = parser.add_subparsers(dest="command", required=True)
-
-    for exp, entry in MEASURE_TABLE.items():
-        sub = subs.add_parser(exp, help=entry.help)
-        _add_sweep_options(sub)
-        sub.set_defaults(handler=_cmd_sweep, experiment=exp)
-
-    sub = subs.add_parser("appendix-c", help="strict inequality report for switched depolarizing noise")
-    sub.add_argument("--dims", default="2,3,5,10", help="comma-separated dimensions")
-    sub.add_argument("--points", type=int, default=10_000, help="grid points in (0, 1]")
-    sub.add_argument("--out", default=None)
-    sub.set_defaults(handler=_cmd_appendix_c)
-
-    sub = subs.add_parser("threshold", help="find where a measure crosses its faithfulness floor")
-    sub.add_argument("--measure", required=True, choices=sorted(MEASURES))
-    sub.add_argument("--bracket", type=partial(_parse_floats, form="lo:hi"), required=True, metavar="LO:HI")
-    sub.add_argument("--tol", type=_parse_tols, default={}, metavar="lp=..,threshold=..")
-    sub.add_argument("--out", default=None)
-    sub.set_defaults(handler=_cmd_threshold)
-
-    sub = subs.add_parser("rom", help="robustness of a state over the stabilizer dictionary")
-    sub.add_argument("--state", default="t-plus")
-    sub.add_argument("--state-file", default=None, help="JSON with 'matrix': [[ [re,im], ...], ...]")
-    sub.add_argument("--out", default=None)
-    sub.set_defaults(handler=_cmd_rom)
-
-    sub = subs.add_parser("channel-robustness", help="channel robustness of a named channel")
-    sub.add_argument("--channel", required=True, help="e.g. noisy-th:p=0.3, t, depol-squared-t:p=0.2")
-    sub.add_argument("--out", default=None)
-    sub.set_defaults(handler=_cmd_channel_robustness)
-
-    sub = subs.add_parser("mana", help="mana of a state or channel in odd prime dimension")
-    sub.add_argument("--d", type=int, default=3)
-    sub.add_argument("--channel", default=None)
-    sub.add_argument("--state", default="qutrit-t-plus")
-    sub.add_argument("--state-file", default=None)
-    sub.add_argument("--out", default=None)
-    sub.set_defaults(handler=_cmd_mana)
-
-    sub = subs.add_parser("k2-check", help="completeness residuals of both qutrit reset-row variants")
-    sub.add_argument("--p", type=float, default=0.5)
-    sub.add_argument("--out", default=None)
-    sub.set_defaults(handler=_cmd_k2_check)
-
+    lone = command in _COMMANDS
+    # argparse spells the full parser's metavar from its choices.
+    subs = parser.add_subparsers(dest="command", required=True,
+                                 metavar="{" + ",".join(_COMMANDS) + "}" if lone else None)
+    for name in [command] if lone else _COMMANDS:
+        help_text, add_options, defaults = _COMMANDS[name]
+        sub = subs.add_parser(name, help=help_text)
+        add_options(sub)
+        sub.set_defaults(**defaults)
     return parser
 
 
-def _cmd_k2_check(args) -> int:
-    _emit(qutrit_k2_variant_report(args.p), args.out)
-    return 0
+def _command_of(argv) -> str | None:
+    """The subcommand ``argv`` names: its first token that does not start
+    with '-', if every token before it is -q or --quiet, which take no
+    value; else None.  Any other leading token (-h, --version, an
+    abbreviation, a bundle such as -qh) may print the full parser's help."""
+    for token in argv:
+        if not token.startswith("-"):
+            return token
+        if token not in ("-q", "--quiet"):
+            return None
+    return None
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(_command_of(argv)).parse_args(argv)
     logging.basicConfig(
         stream=sys.stderr,
         level=logging.WARNING if args.quiet else logging.INFO,

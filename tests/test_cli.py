@@ -17,7 +17,7 @@ from magicswitch import cli, experiments
 from magicswitch.cli import main
 from magicswitch.config import DEFAULT_TOL
 
-from conftest import LP_BRACKETS, LP_THRESHOLDS, sweep_config
+from conftest import LP_BRACKETS, LP_THRESHOLDS, spy, sweep_config
 
 
 def run_cli(capsys, *argv):
@@ -286,6 +286,15 @@ CONFIG_FILES = {
 }
 
 
+# The error line of some of the cases below: a named depolarizing channel of
+# a non-integral dimension is refused by the channel's own dimension check.
+BAD_INPUT_MESSAGES = {
+    f"channel-robustness --channel depolarizing:p=0.2,d={d}":
+        f"error: dimension d={d} must be an integer of at least 2"
+    for d in ("2.5", "nan")
+}
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -333,7 +342,8 @@ def test_bad_input_is_a_one_line_error(tmp_path, monkeypatch, capsys, argv):
     for name, text in CONFIG_FILES.items():
         (tmp_path / name).write_text(text)
     (tmp_path / "not-json").write_text("matrix: [[1, 0], [0, 0]]\n")
-    assert_one_line_error(capsys, main(["-q", *argv]))
+    line = assert_one_line_error(capsys, main(["-q", *argv]))
+    assert line == BAD_INPUT_MESSAGES.get(" ".join(argv), line)
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -510,3 +520,54 @@ def test_cli_surface_is_unchanged():
     # terminal and differs between Python versions.
     text = json.dumps(cli_surface(cli.build_parser()), sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == "68b2e65cc2faf8d57fe57ec5a72e3c5c24cb8dfcb4f813d1d5c431e4415e45d0"
+
+
+# Each path below ends in argparse: an error, a help text or the version.
+PARSE_ONLY_ARGV = [
+    ["fig2", "--bogus"],
+    ["rom", "extra"],
+    ["nosuch"],
+    [],
+    ["--help"],
+    ["--version"],
+    ["fig2", "--help"],
+    ["mana", "--d", "x"],
+    ["threshold"],
+    # -h before the command prints the top-level help, which lists every command.
+    ["-h", "fig2"],
+    ["-qh", "fig2"],
+]
+
+
+def parse_output(capsys, run, argv):
+    """(stdout, stderr, exit code) of ``run(argv)``, which exits."""
+    with pytest.raises(SystemExit) as exit_:
+        run(argv)
+    return (*capsys.readouterr(), exit_.value.code)
+
+
+@pytest.mark.parametrize("argv", PARSE_ONLY_ARGV, ids=lambda argv: " ".join(argv) or "no-arguments")
+def test_main_prints_what_the_full_parser_prints(capsys, argv):
+    # main builds only the parser of the command argv names; its usage line
+    # still lists every command, so each of these paths reads byte for byte
+    # as the full parser's.
+    assert parse_output(capsys, main, argv) == parse_output(capsys, cli.build_parser().parse_args, argv)
+
+
+def test_a_lone_command_parser_has_the_full_parsers_surface():
+    # The parser built for ["-q", name] holds that subcommand alone, as the
+    # full parser declares it.
+    def subcommands(parser):
+        (entry,) = (entry for entry in cli_surface(parser) if entry["dest"] == "command")
+        return entry["choices"]
+
+    for choice in subcommands(cli.build_parser()):
+        assert subcommands(cli.build_parser(cli._command_of(["-q", choice["name"]]))) == [choice]
+
+
+def test_a_command_builds_two_parsers(monkeypatch, tmp_path):
+    # The top-level parser and the one subcommand argv names; the full tree
+    # is ten.
+    built = spy(monkeypatch, argparse.ArgumentParser, "__init__")
+    assert main(["-q", "k2-check", "--out", str(tmp_path / "k2.json")]) == 0
+    assert len(built) == 2
