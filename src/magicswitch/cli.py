@@ -14,6 +14,7 @@ import argparse
 import json
 import logging
 import sys
+from dataclasses import asdict
 from functools import partial
 
 import numpy as np
@@ -57,31 +58,38 @@ def _parse_floats(text: str, form: str) -> tuple:
         raise argparse.ArgumentTypeError(str(exc))
 
 
-def _parse_tols(text: str, keys=("lp", "threshold")) -> dict:
-    """``lp=1e-7,threshold=1e-4`` -> ``{"lp_tol": 1e-7, "threshold_tol": 1e-4}``."""
-    out = {}
-    for piece in text.split(","):
-        piece = piece.strip()
-        if not piece:
-            continue
+class _RepeatedKey(Exception):
+    """A key given twice in a ``key=value,...`` list.  Not a ValueError, so
+    that argparse passes it on from a ``type`` function rather than
+    restating it: wherever a key is repeated, as in a config file, ``main``
+    reports it as one error line."""
+
+
+def _read_pairs(text: str, keys, owner: str) -> dict:
+    """The numbers of the ``key=value,...`` list ``text`` by key, each key
+    one of ``keys`` and given at most once; ``owner`` names the list in
+    errors."""
+    pairs = {}
+    for piece in filter(None, text.split(",")):
         key, _, val = piece.partition("=")
         key = key.strip()
         if key not in keys:
-            raise argparse.ArgumentTypeError(f"unknown tolerance {key!r} (use {'=, '.join(keys)}=)")
+            raise ValueError(f"{owner} takes no parameter {key!r} (takes: {', '.join(keys) or 'none'})")
+        if key in pairs:
+            raise _RepeatedKey(f"parameter {key} of {owner} is given twice")
         try:
-            out[f"{key}_tol"] = float(val)
+            pairs[key] = float(val)
         except ValueError:
-            raise argparse.ArgumentTypeError(f"tolerance {piece!r} is not a number") from None
-    return out
+            raise ValueError(f"parameter {key}={val.strip()!r} of {owner} is not a number") from None
+    return pairs
 
 
-def _add_sweep_options(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--out", default=None, help="output path ('-' for stdout)")
-    sub.add_argument("--format", choices=("csv", "json"), default=None)
-    grid = partial(_parse_floats, form="start:stop:step")
-    sub.add_argument("--grid", type=grid, default=None, metavar="START:STOP:STEP")
-    sub.add_argument("--tol", type=partial(_parse_tols, keys=("lp",)), default={}, metavar="lp=..")
-    sub.add_argument("--config", default=None, help="key=value config file; flags override it")
+def _parse_tols(text: str, keys=("lp", "threshold")) -> dict:
+    """``lp=1e-7,threshold=1e-4`` -> ``{"lp_tol": 1e-7, "threshold_tol": 1e-4}``."""
+    try:
+        return {f"{key}_tol": value for key, value in _read_pairs(text, keys, "--tol").items()}
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _sweep_config(args) -> SweepConfig:
@@ -111,16 +119,7 @@ def _parse_spec(spec: str, known: dict, kind: str) -> tuple[str, dict]:
     if name not in known:
         raise ValueError(f"unknown {kind} {name!r}; choices: {', '.join(known)}")
     params = known[name]
-    kwargs = {}
-    for piece in filter(None, tail.split(",")):
-        key, _, val = piece.partition("=")
-        key = key.strip()
-        if key not in params:
-            raise ValueError(f"{name!r} takes no parameter {key!r} (takes: {', '.join(params) or 'none'})")
-        try:
-            kwargs[key] = float(val)
-        except ValueError:
-            raise ValueError(f"parameter {key}={val.strip()!r} of {name!r} is not a number") from None
+    kwargs = _read_pairs(tail, params, repr(name))
     for key, default in params.items():
         if key not in kwargs and default is None:
             raise ValueError(f"{name!r} needs {key}=, as in {name}:{key}=0.3")
@@ -147,11 +146,6 @@ _CHANNEL_PARAMS = {
 }
 
 
-def _named_state(spec: str) -> DensityOperator:
-    name, _ = _parse_spec(spec, dict.fromkeys(_STATES, {}), "state")
-    return _STATES[name]()
-
-
 def _state_from_file(path: str) -> DensityOperator:
     """The state in a JSON file; its ``normalized`` claim (default true) is checked."""
     with open(path) as fh:
@@ -174,6 +168,14 @@ def _state_from_file(path: str) -> DensityOperator:
     if normalized and not rho.normalized:
         raise ValueError(f"{path}: 'normalized' state has trace {rho.trace!r}")
     return rho
+
+
+def _state_of(args) -> DensityOperator:
+    """The state in ``--state-file`` if given, else the one ``--state`` names."""
+    if args.state_file:
+        return _state_from_file(args.state_file)
+    name, _ = _parse_spec(args.state, dict.fromkeys(_STATES, {}), "state")
+    return _STATES[name]()
 
 
 def _named_channel(spec: str, d: int, mismatch: str) -> KrausChannel:
@@ -221,21 +223,12 @@ def _cmd_appendix_c(args) -> int:
 
 
 def _cmd_threshold(args) -> int:
-    result = find_threshold(args.measure, *args.bracket, **args.tol)
-    _emit(
-        {
-            "measure": result.measure,
-            "threshold": result.threshold,
-            "bracket": list(result.bracket),
-            "iterations": result.iterations,
-        },
-        args.out,
-    )
+    _emit(asdict(find_threshold(args.measure, *args.bracket, **args.tol)), args.out)
     return 0
 
 
 def _cmd_rom(args) -> int:
-    rho = _state_from_file(args.state_file) if args.state_file else _named_state(args.state)
+    rho = _state_of(args)
     if rho.dim not in (2, 4):
         raise ValueError(f"rom supports 1- and 2-qubit states, got dimension {rho.dim}")
     n = 1 if rho.dim == 2 else 2
@@ -262,7 +255,7 @@ def _cmd_mana(args) -> int:
         check_frame_dim(target, args.d)
     else:
         kind, mana = "state", mana_state
-        target = _state_from_file(args.state_file) if args.state_file else _named_state(args.state)
+        target = _state_of(args)
         check_frame_dim(target.matrix, args.d)
     _emit({"kind": kind, "d": args.d, "mana": mana(target, build_frame(args.d))}, args.out)
     return 0
@@ -277,58 +270,41 @@ def _cmd_k2_check(args) -> int:
 # The parser: one declaration per subcommand
 # ---------------------------------------------------------------------------
 
-def _add_appendix_c_options(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--dims", default="2,3,5,10", help="comma-separated dimensions")
-    sub.add_argument("--points", type=int, default=10_000, help="grid points in (0, 1]")
-    sub.add_argument("--out", default=None)
+_OUT = {"--out": dict(default=None)}
 
-
-def _add_threshold_options(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--measure", required=True, choices=sorted(MEASURES))
-    sub.add_argument("--bracket", type=partial(_parse_floats, form="lo:hi"), required=True, metavar="LO:HI")
-    sub.add_argument("--tol", type=_parse_tols, default={}, metavar="lp=..,threshold=..")
-    sub.add_argument("--out", default=None)
-
-
-def _add_rom_options(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--state", default="t-plus")
-    sub.add_argument("--state-file", default=None, help="JSON with 'matrix': [[ [re,im], ...], ...]")
-    sub.add_argument("--out", default=None)
-
-
-def _add_channel_robustness_options(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--channel", required=True, help="e.g. noisy-th:p=0.3, t, depol-squared-t:p=0.2")
-    sub.add_argument("--out", default=None)
-
-
-def _add_mana_options(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--d", type=int, default=3)
-    sub.add_argument("--channel", default=None)
-    sub.add_argument("--state", default="qutrit-t-plus")
-    sub.add_argument("--state-file", default=None)
-    sub.add_argument("--out", default=None)
-
-
-def _add_k2_check_options(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--p", type=float, default=0.5)
-    sub.add_argument("--out", default=None)
-
-
-# Each subcommand in the order --help lists them: name -> (help, options
-# builder, handler defaults).
+# Each subcommand in the order --help lists them: name -> (help, options as
+# flag -> add_argument keywords, handler defaults).
 _COMMANDS = {
-    **{exp: (entry.help, _add_sweep_options, {"handler": _cmd_sweep, "experiment": exp})
-       for exp, entry in MEASURE_TABLE.items()},
-    "appendix-c": ("strict inequality report for switched depolarizing noise", _add_appendix_c_options,
-                   {"handler": _cmd_appendix_c}),
-    "threshold": ("find where a measure crosses its faithfulness floor", _add_threshold_options,
-                  {"handler": _cmd_threshold}),
-    "rom": ("robustness of a state over the stabilizer dictionary", _add_rom_options, {"handler": _cmd_rom}),
-    "channel-robustness": ("channel robustness of a named channel", _add_channel_robustness_options,
-                           {"handler": _cmd_channel_robustness}),
-    "mana": ("mana of a state or channel in odd prime dimension", _add_mana_options, {"handler": _cmd_mana}),
-    "k2-check": ("completeness residuals of both qutrit reset-row variants", _add_k2_check_options,
-                 {"handler": _cmd_k2_check}),
+    **{exp: (entry.help, {
+        "--out": dict(default=None, help="output path ('-' for stdout)"),
+        "--format": dict(choices=("csv", "json"), default=None),
+        "--grid": dict(type=partial(_parse_floats, form="start:stop:step"), default=None, metavar="START:STOP:STEP"),
+        "--tol": dict(type=partial(_parse_tols, keys=("lp",)), default={}, metavar="lp=.."),
+        "--config": dict(default=None, help="key=value config file; flags override it"),
+    }, {"handler": _cmd_sweep, "experiment": exp}) for exp, entry in MEASURE_TABLE.items()},
+    "appendix-c": ("strict inequality report for switched depolarizing noise", {
+        "--dims": dict(default="2,3,5,10", help="comma-separated dimensions"),
+        "--points": dict(type=int, default=10_000, help="grid points in (0, 1]"), **_OUT,
+    }, {"handler": _cmd_appendix_c}),
+    "threshold": ("find where a measure crosses its faithfulness floor", {
+        "--measure": dict(required=True, choices=sorted(MEASURES)),
+        "--bracket": dict(type=partial(_parse_floats, form="lo:hi"), required=True, metavar="LO:HI"),
+        "--tol": dict(type=_parse_tols, default={}, metavar="lp=..,threshold=.."), **_OUT,
+    }, {"handler": _cmd_threshold}),
+    "rom": ("robustness of a state over the stabilizer dictionary", {
+        "--state": dict(default="t-plus"),
+        "--state-file": dict(default=None, help="JSON with 'matrix': [[ [re,im], ...], ...]"), **_OUT,
+    }, {"handler": _cmd_rom}),
+    "channel-robustness": ("channel robustness of a named channel", {
+        "--channel": dict(required=True, help="e.g. noisy-th:p=0.3, t, depol-squared-t:p=0.2"), **_OUT,
+    }, {"handler": _cmd_channel_robustness}),
+    "mana": ("mana of a state or channel in odd prime dimension", {
+        "--d": dict(type=int, default=3), "--channel": dict(default=None),
+        "--state": dict(default="qutrit-t-plus"), "--state-file": dict(default=None), **_OUT,
+    }, {"handler": _cmd_mana}),
+    "k2-check": ("completeness residuals of both qutrit reset-row variants", {
+        "--p": dict(type=float, default=0.5), **_OUT,
+    }, {"handler": _cmd_k2_check}),
 }
 
 
@@ -347,9 +323,10 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True,
                                  metavar="{" + ",".join(_COMMANDS) + "}" if lone else None)
     for name in [command] if lone else _COMMANDS:
-        help_text, add_options, defaults = _COMMANDS[name]
+        help_text, options, defaults = _COMMANDS[name]
         sub = subs.add_parser(name, help=help_text)
-        add_options(sub)
+        for flag, keywords in options.items():
+            sub.add_argument(flag, **keywords)
         sub.set_defaults(**defaults)
     return parser
 
@@ -369,15 +346,15 @@ def _command_of(argv) -> str | None:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    args = build_parser(_command_of(argv)).parse_args(argv)
-    logging.basicConfig(
-        stream=sys.stderr,
-        level=logging.WARNING if args.quiet else logging.INFO,
-        format="%(levelname)s %(name)s: %(message)s",
-    )
     try:
+        args = build_parser(_command_of(argv)).parse_args(argv)
+        logging.basicConfig(
+            stream=sys.stderr,
+            level=logging.WARNING if args.quiet else logging.INFO,
+            format="%(levelname)s %(name)s: %(message)s",
+        )
         return args.handler(args)
-    except (BracketError, ValueError, OSError) as exc:
+    except (BracketError, ValueError, OSError, _RepeatedKey) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1 if isinstance(exc, BracketError) else 2
 

@@ -545,13 +545,9 @@ def run_appendix_c(d_values=(2, 3, 5, 10), n_points: int = 10_000) -> dict:
 # Threshold finder
 # ---------------------------------------------------------------------------
 
-# Fit samples are polynomials in p, coefficients along axis 0, lowest degree
-# first; their roots come in closed form, so the degree stays 2.
-RHS_DEGREE = 2
-
-
 def polyval(coeffs, t):
-    """Value at ``t`` of the polynomials whose coefficients run along axis 0."""
+    """Value at ``t`` of the quadratics in p that ``fit_polynomial`` fits,
+    coefficients along axis 0, lowest degree first."""
     value = coeffs[-1]
     for coeff in coeffs[-2::-1]:
         value = value * t + coeff
@@ -559,11 +555,11 @@ def polyval(coeffs, t):
 
 
 def fit_polynomial(points, values):
-    """Coefficients of the polynomials of degree ``RHS_DEGREE`` through the
-    ``RHS_DEGREE + 1`` ``points``, where ``values`` holds one array per
-    point, or None when no unique such polynomials exist."""
+    """Coefficients of the quadratics through three ``points``, where
+    ``values`` holds one array per point, or None when no unique such
+    quadratics exist."""
     values = np.asarray(values, dtype=np.float64)
-    vander = np.vander(np.asarray(points, dtype=np.float64), RHS_DEGREE + 1, increasing=True)
+    vander = np.vander(np.asarray(points, dtype=np.float64), 3, increasing=True)
     try:
         coeffs = np.linalg.solve(vander, values.reshape(len(values), -1))
     except np.linalg.LinAlgError:
@@ -589,7 +585,6 @@ class ThresholdResult:
     threshold: float
     bracket: tuple
     iterations: int
-    floor: float
 
 
 def find_threshold(
@@ -602,10 +597,12 @@ def find_threshold(
     """Find the crossing of a registered measure onto its faithfulness floor.
 
     ``measure`` is a name in ``MEASURES``, looked up when the search starts.
-    The bracket endpoints must disagree on the predicate value <= floor +
-    lp_tol (an lp_tol below ``DEFAULT_TOL.rounding`` counts as that
-    rounding floor); a registered mana measure reads free where its mana
-    reads 0, value <= floor + ``DEFAULT_TOL.mana_zero``, whatever lp_tol.
+    The bracket is a nonempty part of [0, 1], the sweeps' range of p, and
+    one that is not is refused before any point is scored.  Its endpoints
+    must disagree on the predicate value <= floor + lp_tol (an lp_tol below
+    ``DEFAULT_TOL.rounding`` counts as that rounding floor); a registered
+    mana measure reads free where its mana reads 0, value <= floor +
+    ``DEFAULT_TOL.mana_zero``, whatever lp_tol.
     When the ends do not disagree, the mismatch is reported rather than
     guessed around.  The result is a bracket no wider than
     ``threshold_tol`` whose ends disagree on the predicate, as the measure
@@ -647,6 +644,8 @@ def find_threshold(
         raise ValueError(f"bracket [{lo}, {hi}] has an end that is not a finite number")
     if not lo < hi:
         raise ValueError(f"bracket [{lo}, {hi}] is empty")
+    if not 0 <= lo < hi <= 1:
+        raise ValueError(f"bracket [{lo}, {hi}] leaves [0, 1], the range of p")
     mana_columns = [column for entry in MEASURE_TABLE.values() if entry.monotone == "mana" for column in entry.columns]
     mana = measure in (column.threshold for column in mana_columns)
     level = floor + (DEFAULT_TOL.mana_zero if mana else _floor_slack(lp_tol))
@@ -708,7 +707,7 @@ def find_threshold(
         "threshold %s: %.12g in [%.12g, %.12g] after %d evaluations, %s",
         measure, threshold, *bracket, scored, "root proposed" if proposed else "bisected",
     )
-    return ThresholdResult(measure, threshold, tuple(bracket), iterations, floor)
+    return ThresholdResult(measure, threshold, tuple(bracket), iterations)
 
 
 def _propose_crossing(sample: tuple, bracket: list, level: float, mana: bool) -> float | None:
@@ -718,9 +717,9 @@ def _propose_crossing(sample: tuple, bracket: list, level: float, mana: bool) ->
     ``sample`` is the opening block's record ``(p, solution, values)``: the
     two ends of the search and its first bisection step, whose later
     bracket is ``bracket``, in p order, with one row of ``values`` per
-    point.  ``values`` are interpolated by the polynomials of degree
-    ``RHS_DEGREE`` through the three points, which holds exactly since
-    they are quadratic in p.  For a ``mana`` measure they are Wigner values
+    point.  ``values`` are interpolated by the quadratics through the three
+    points, which holds exactly since they are quadratic in p; their roots
+    come in closed form.  For a ``mana`` measure they are Wigner values
     (``_mana_root``).  For an LP they are s b and s, the scaled right-hand
     side and the scale, and the crossing is read off the optimal basis of
     the block's entry at the bracket's low end (``_basis_root``).

@@ -7,7 +7,7 @@ import resource
 import subprocess
 import sys
 import time
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -127,6 +127,30 @@ def test_threshold_command(capsys):
                              "--tol", "lp=1e-12,threshold=1e-6")
         payload = json.loads(text)
         assert code == 0 and payload["iterations"] == 3 and abs(payload["threshold"] - exact) <= 1e-11, measure
+
+
+def test_threshold_prints_its_result(capsys):
+    # The printed record is the ThresholdResult's fields, in order, the
+    # bracket as a JSON list.
+    code, text = run_cli(capsys, "threshold", "--measure", "fig3_switch_plus", "--bracket", "0.2:0.35")
+    result = experiments.find_threshold("fig3_switch_plus", 0.2, 0.35)
+    assert code == 0 and list(json.loads(text)) == ["measure", "threshold", "bracket", "iterations"]
+    assert json.loads(text) == {**asdict(result), "bracket": list(result.bracket)}
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["fig2", "--tol", "foo=1"], "--tol takes no parameter 'foo' (takes: lp)"),
+    (["fig2", "--tol", "threshold=1e-4"], "--tol takes no parameter 'threshold' (takes: lp)"),
+    (["threshold", "--measure", "fig2_rom_plus", "--bracket", "0.2:0.4", "--tol", "lp=x"],
+     "parameter lp='x' of --tol is not a number"),
+], ids=["unknown", "threshold-on-a-sweep", "not-a-number"])
+def test_bad_tolerance_is_an_argument_error(capsys, argv, message):
+    # argparse exits 2 with its usage and names the argument.
+    with pytest.raises(SystemExit) as exit_:
+        main(["-q", *argv])
+    captured = capsys.readouterr()
+    assert exit_.value.code == 2 and captured.out == ""
+    assert captured.err.splitlines()[-1] == f"magicswitch {argv[0]}: error: argument --tol: {message}"
 
 
 def test_threshold_without_crossing_fails(capsys):
@@ -287,11 +311,20 @@ CONFIG_FILES = {
 
 
 # The error line of some of the cases below: a named depolarizing channel of
-# a non-integral dimension is refused by the channel's own dimension check.
+# a non-integral dimension is refused by the channel's own dimension check; a
+# key given twice in a channel spec or in --tol is refused by the one reader
+# of key=value lists; a bracket that leaves [0, 1] is named as given.
 BAD_INPUT_MESSAGES = {
-    f"channel-robustness --channel depolarizing:p=0.2,d={d}":
-        f"error: dimension d={d} must be an integer of at least 2"
-    for d in ("2.5", "nan")
+    **{
+        f"channel-robustness --channel depolarizing:p=0.2,d={d}":
+            f"error: dimension d={d} must be an integer of at least 2"
+        for d in ("2.5", "nan")
+    },
+    "channel-robustness --channel noisy-th:p=0.3,p=0.4": "error: parameter p of 'noisy-th' is given twice",
+    "fig2 --tol lp=0,lp=1": "error: parameter lp of --tol is given twice",
+    "threshold --measure fig2_channel_robustness --bracket 0.2:0.4 --tol threshold=1e-3,threshold=1e-4":
+        "error: parameter threshold of --tol is given twice",
+    "threshold --measure fig2_rom_plus --bracket 0.1:2": "error: bracket [0.1, 2.0] leaves [0, 1], the range of p",
 }
 
 
@@ -332,6 +365,11 @@ BAD_INPUT_MESSAGES = {
         ["rom", "--state-file", "not-json"],
         ["mana", "--state-file", "not-json"],
         *(["fig2", "--config", name] for name in CONFIG_FILES),
+        ["channel-robustness", "--channel", "noisy-th:p=0.3,p=0.4"],
+        ["fig2", "--tol", "lp=0,lp=1"],
+        ["threshold", "--measure", "fig2_channel_robustness", "--bracket", "0.2:0.4",
+         "--tol", "threshold=1e-3,threshold=1e-4"],
+        ["threshold", "--measure", "fig2_rom_plus", "--bracket", "0.1:2"],
     ],
     ids=lambda argv: " ".join(argv),
 )

@@ -476,6 +476,19 @@ class TestThresholdFinder:
             find_threshold("fig2_channel_robustness", lo=lo, hi=hi)
         assert evaluated == []
 
+    @pytest.mark.parametrize("measure, lo, hi", [
+        ("fig2_channel_robustness", 0.1, 2.0),
+        ("fig2_channel_robustness", -0.1, 0.4),
+        # Its channel accepts p = 1.2, which no sweep grid reaches.
+        ("fig3_sequential", 0.1, 1.2),
+    ])
+    def test_bracket_outside_the_unit_interval_is_rejected_before_any_evaluation(self, monkeypatch, measure, lo, hi):
+        # The message names the bracket given, not a midpoint of it.
+        evaluated = recorded_evaluations(monkeypatch, measure)
+        with pytest.raises(ValueError, match=rf"^bracket \[{lo}, {hi}\] leaves \[0, 1\], the range of p$"):
+            find_threshold(measure, lo=lo, hi=hi)
+        assert evaluated == []
+
     @pytest.mark.parametrize("measure", ["no_such_measure", "pair"])
     def test_unknown_measure_name(self, measure):
         # Only a registered name is searched: a (callable, floor) pair is an
@@ -578,7 +591,7 @@ def bisection_oracle(name, lo, hi, tol):
     while bracket[1] - bracket[0] > tol and bracket[0] < (mid := 0.5 * (bracket[0] + bracket[1])) < bracket[1]:
         bracket[bool(fn(mid) <= level) != free_lo] = mid
         iterations += 1
-    return ThresholdResult(name, 0.5 * (bracket[0] + bracket[1]), tuple(bracket), iterations, floor)
+    return ThresholdResult(name, 0.5 * (bracket[0] + bracket[1]), tuple(bracket), iterations)
 
 
 # min x1 + x2 s.t. x1 - x2 = p - 0.3, whose value is |p - 0.3|, and the fit
