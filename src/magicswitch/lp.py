@@ -32,22 +32,27 @@ of ``WarmStart``s, latest first, and the solve starts from the one least
 infeasible for its right-hand side (``_simplex.reuse_basis``): one that
 serves it, where any does.  Which bases are held is this module's rule
 too: a walk folds each basis it reaches into what it holds by ``_hold``,
-which keeps the last few distinct ones, and hands back the set it ends
-with as ``L1Solution.held``, which the caller stores as it is.
+which keeps the last four distinct ones once it reaches a basis it did
+not hold (a walk that reaches none still holds all of its program's
+reference starts, up to nine), and hands back the set it ends with as
+``L1Solution.held``, which the caller stores as it is.
 
 A caller of ``rom_state`` or ``channel_robustness`` that holds no basis
 starts from its program's reference starts, built with the constraint
 matrix and cached with it: the optimal bases at a few fixed right-hand
-sides, the maximally mixed state, and the two ends of the range the
-package scores of each of the two qubit channel families
-(``_CHANNEL_REFERENCES``).  Reduced costs do not depend on ``b``, so an
-optimal basis is dual feasible at every right-hand side of its program,
-and a dual simplex can start from it (a crash basis; Bixby, ORSA J.
-Comput. 4, 267 (1992)), held as one such tuple.  A channel of either
-family anywhere in its scored range is read off one of them with no
-pivot.  They also save pivots for a channel far from both families:
-over 100 random Kraus channels and 50 Haar-random unitaries the repairs
-take 4,461 dual pivots where B = I takes 5,988.  They depend on the atom
+sides, held as one such tuple.  The state program's are the maximally
+mixed state, and for one qubit also the eight T-type magic states
+(``_T_TYPE_STATES``).  The channel program's are the two ends of the
+range the package scores of each of the two qubit channel families, and
+fig3's minus branch (``_CHANNEL_REFERENCES``).  Reduced costs do not
+depend on ``b``, so an optimal basis is dual feasible at every right-hand
+side of its program, and a dual simplex can start from it (a crash basis;
+Bixby, ORSA J. Comput. 4, 267 (1992)).  A channel of either family
+anywhere in its scored range, fig3's minus branch, and each state of
+fig2's sweep are read off one of them with no pivot.  They also save
+pivots for a channel far from both families: over 100 random Kraus
+channels and 50 Haar-random unitaries the repairs take 4,407 dual pivots
+where B = I takes 5,988.  They depend on the atom
 set alone, never on an earlier call, so no result depends on call order.
 An atom set whose program has no optimum at a reference leaves that
 reference out; one with none starts cold, from the all-artificial basis,
@@ -72,6 +77,7 @@ fields.
 
 from __future__ import annotations
 
+import itertools
 import logging
 from dataclasses import dataclass
 from functools import lru_cache
@@ -267,13 +273,22 @@ def _reference_starts(A: np.ndarray, references):
     return tuple(start for start in (optimal_start(A, b, c) for b in references) if start is not None)[::-1]
 
 
+# The eight T-type magic states (I + (+-X +- Y +- Z)/sqrt(3))/2 of one qubit
+# (Bravyi & Kitaev, PRA 71, 022316 (2005)): each the pure state over the
+# centre of one face of the stabilizer octahedron.
+_T_TYPE_STATES = [(np.eye(2) + (x * PAULI_X + y * PAULI_Y + z * PAULI_Z) / np.sqrt(3)) / 2
+                  for x, y, z in itertools.product((1, -1), repeat=3)]
+
+
 @lru_cache(maxsize=None)
 def _state_constraints(dictionary) -> tuple:
     """The state program's constraint matrix and its reference starts: the
-    optimal basis at the maximally mixed state."""
+    optimal bases at the eight T-type states for one qubit, then at the
+    maximally mixed state, the latest."""
     paulis = pauli_basis(dictionary.n_qubits)
     A = _assemble_standard_form(pauli_vectorize(np.array(dictionary.projectors), paulis))
-    return A, _reference_starts(A, [pauli_vectorize(np.eye(dictionary.dim) / dictionary.dim, paulis)])
+    magic = _T_TYPE_STATES if dictionary.n_qubits == 1 else []
+    return A, _reference_starts(A, pauli_vectorize(np.array([*magic, np.eye(dictionary.dim) / dictionary.dim]), paulis))
 
 
 def rom_state(rho: DensityOperator, dictionary, basis=None) -> L1Solution:
@@ -284,7 +299,7 @@ def rom_state(rho: DensityOperator, dictionary, basis=None) -> L1Solution:
     state lies in the stabilizer polytope.  ``basis`` may carry the
     ``warm_start`` of a neighbouring state's solve, or several held bases
     (a tuple of ``WarmStart``s), as a starting point; with none, the solve
-    starts from the program's reference start.  A grid of states gives one
+    starts from the program's reference starts.  A grid of states gives one
     solution with an entry per state, in order, from one warm walk
     (``solve_l1``).  An infeasible LP, for any entry, raises.
     """
@@ -316,23 +331,27 @@ def _channel_rhs(choi: np.ndarray) -> np.ndarray:
     return np.concatenate([target, np.zeros(target.shape[:-1] + (6,))], axis=-1)
 
 
-def _depolarized_t_choi(p: float) -> np.ndarray:
-    """The Choi matrix of the T gate behind two depolarizing passes of
-    strength p, in closed form: (1 - q) J_T + q I/4, with q = 2p - p^2."""
-    q = 2 * p - p * p
+def _depolarized_t_choi(q: float) -> np.ndarray:
+    """The Choi matrix of the T gate behind depolarizing noise of strength
+    q, in closed form: (1 - q) J_T + q I/4.  Two passes of strength p are
+    one of strength q = 2p - p^2."""
     return (1 - q) * choi_of_channel(_derived(KrausChannel, np.array([T_GATE]))).matrix + q * np.eye(4) / 4
 
 
 # The channel program's references: the Choi matrices at the two ends of
 # the range the package scores of each qubit channel family, noisy TH on
-# [0, 1] (fig2) and the depolarized T gate on [0, 0.45] (fig3).  Each is
-# written down complete, as the zoo writes noisy TH, so building them runs
-# no completeness check.
+# [0, 1] (fig2) and the T gate behind two depolarizing passes on
+# [0, 0.45] (fig3), and fig3's minus branch, the T gate behind depolarizing
+# noise of the p-independent strength 4/3.  The minus branch comes first,
+# so that it loses every tie and is the first that ``_hold`` drops.  Each
+# is written down complete, as the zoo writes noisy TH, so building them
+# runs no completeness check.
 _CHANNEL_REFERENCES = {
+    "depolarized T, q = 4/3: fig3's minus branch": lambda: _depolarized_t_choi(4 / 3),
     "noisy TH, p = 0: the T H gate": lambda: choi_of_channel(noisy_th_channel(0.0)).matrix,
     "noisy TH, p = 1: measure and prepare": lambda: choi_of_channel(noisy_th_channel(1.0)).matrix,
     "depolarized T, p = 0: the T gate": lambda: _depolarized_t_choi(0.0),
-    "depolarized T, p = 0.45: the end of fig3's grid": lambda: _depolarized_t_choi(0.45),
+    "depolarized T, p = 0.45: the end of fig3's grid": lambda: _depolarized_t_choi(2 * 0.45 - 0.45 * 0.45),
 }
 
 

@@ -98,7 +98,7 @@ class TestDensityOperator:
     def test_maximally_mixed_of_no_dimension_is_refused(self):
         with pytest.raises(StateValidationError, match=r"^density operator must be square and nonempty, got \(0, 0\)$"):
             DensityOperator.maximally_mixed(0)
-        for d in (-1, 2.5):
+        for d in (-1, 2.5, True):
             message = rf"^a maximally mixed state needs an integer dimension d >= 1, got d={d}$"
             with pytest.raises(StateValidationError, match=message):
                 DensityOperator.maximally_mixed(d)

@@ -153,6 +153,22 @@ def test_bad_tolerance_is_an_argument_error(capsys, argv, message):
     assert captured.err.splitlines()[-1] == f"magicswitch {argv[0]}: error: argument --tol: {message}"
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["fig2", "--grid", "0:1"], "argument --grid: expected start:stop:step, got '0:1'"),
+    (["fig3", "--grid", "0:0.1:0.01:2"], "argument --grid: expected start:stop:step, got '0:0.1:0.01:2'"),
+    (["threshold", "--measure", "fig2_rom_plus", "--bracket", "0.2"], "argument --bracket: expected lo:hi, got '0.2'"),
+    (["threshold", "--measure", "fig2_rom_plus", "--bracket", "0.1:0.2:0.3"],
+     "argument --bracket: expected lo:hi, got '0.1:0.2:0.3'"),
+], ids=["grid-too-few", "grid-too-many", "bracket-too-few", "bracket-too-many"])
+def test_wrong_number_of_fields_is_an_argument_error(capsys, argv, message):
+    # argparse exits 2 with its usage, and the message gives the form.
+    with pytest.raises(SystemExit) as exit_:
+        main(["-q", *argv])
+    captured = capsys.readouterr()
+    assert exit_.value.code == 2 and captured.out == ""
+    assert captured.err.splitlines()[-1] == f"magicswitch {argv[0]}: error: {message}"
+
+
 def test_threshold_without_crossing_fails(capsys):
     code = main(["-q", "threshold", "--measure", "fig2_channel_robustness",
                  "--bracket", "0.5:0.9"])

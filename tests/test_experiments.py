@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 
 from magicswitch import experiments, lp
-from magicswitch.channels import noisy_th_channel, qutrit_noisy_th_channel
+from magicswitch.channels import DensityOperator, noisy_th_channel, qutrit_noisy_th_channel, unitary_channel
+from magicswitch.gates import HADAMARD, PAULI_X, PAULI_Y, PAULI_Z, T_GATE
+from magicswitch.lp import channel_robustness, rom_state
 from magicswitch.config import DEFAULT_TOL
 from magicswitch.phasespace import mana_of_wigner
 from magicswitch.qswitch import EffectiveDepolarizingSwitch
@@ -35,9 +37,9 @@ from magicswitch.experiments import (
 )
 from magicswitch.experiments import _certified_value, _floor_slack
 
-from conftest import (LP_BRACKETS, LP_THRESHOLDS, basis_root, channel_wigner_builds, dispatched_rows, oracle_rows,
-                      pivots_by_caller, proposed_roots, recorded_solves, run_state, scored_block, spy, sweep_rows,
-                      threshold_value_calls)
+from conftest import (LP_BRACKETS, LP_THRESHOLDS, basis_root, channel_program, channel_wigner_builds,
+                      clear_program_caches, dispatched_rows, oracle_rows, pivots_by_caller, proposed_roots,
+                      recorded_solves, run_state, scored_block, spy, state_program, sweep_rows, threshold_value_calls)
 
 
 class TestSweepConfig:
@@ -212,6 +214,19 @@ class TestRowBoundary:
         assert all(row is call.result for row, call in zip(rows, calls))
 
 
+def pivoting_lps(qubit_dict, twoq_dict, choi_atoms):
+    """The LPs that still pivot: both programs' reference builds, H T, which
+    no channel reference serves, and 20 seeded mixed qubit states inside the
+    stabilizer octahedron (Bloch l1 norm below 1), from the references."""
+    clear_program_caches()
+    channel_program(choi_atoms), state_program(qubit_dict), state_program(twoq_dict)
+    channel_robustness(unitary_channel(HADAMARD @ T_GATE), choi_atoms)
+    rng = np.random.default_rng(3)
+    for v, scale in zip(rng.normal(size=(20, 3)), rng.uniform(0.1, 0.95, size=20)):
+        r = scale * v / np.abs(v).sum()
+        rom_state(DensityOperator((np.eye(2) + r[0] * PAULI_X + r[1] * PAULI_Y + r[2] * PAULI_Z) / 2), qubit_dict)
+
+
 LP_COLUMNS = {
     "fig2": ("channel_robustness", "rom_plus", "rom_minus"),
     "fig3": ("rob_sequential", "rob_switch_plus", "rob_switch_minus"),
@@ -235,28 +250,35 @@ class TestWarmStart:
                     else:
                         assert abs(got.values[m] - want.values[m]) <= 1e-12, (got.p, m)
         # Only the first LP of each column holds no basis; it starts from its
-        # program's reference starts.  The channel columns open at p = 0 on
-        # the noise-free end of their family (fig2's first column, fig3's
-        # first two), which a reference serves with no pivot; the others
-        # pivot.  A warm LP whose basis stays feasible is read off it
-        # (iterations 0); nearly every warm LP of the grid is one.
+        # program's reference starts, which serve it with no pivot: the
+        # channel columns open at p = 0 on the noise-free end of their
+        # family, fig3's minus branch on its own reference, and fig2's
+        # branch states on a T-type state or I/2.  Every later LP is read
+        # off a basis its column holds (iterations 0).
         first = [iterations for warm, iterations in solves if not warm]
-        read_off = {"fig2": 1, "fig3": 2}[experiment]
-        assert len(first) == 3 and first[:read_off] == [0] * read_off and all(first[read_off:])
-        assert sum(iterations == 0 for _, iterations in solves) >= 0.95 * len(solves)
+        assert first == [0, 0, 0]
+        assert all(iterations == 0 for _, iterations in solves)
 
-    def test_each_run_starts_cold(self, monkeypatch):
+    def test_each_run_starts_cold(self, monkeypatch, reference_starts):
         config = _tiny("fig3", stop=0.2, step=0.02)
-        first, solves = recorded_solves(monkeypatch, lambda: run_fig3(config))
-        second, again = recorded_solves(monkeypatch, lambda: run_fig3(config))
+        runs = []
+        for _ in range(2):
+            with monkeypatch.context() as patch:
+                calls = spy(patch, experiments, "channel_robustness")
+                runs.append((*recorded_solves(patch, lambda: run_fig3(config)), calls))
+        (first, solves, calls), (second, again, calls_again) = runs
         # Nothing carries over from the first run: the second solves the
         # same LPs the same way, the first LP of each column from its
-        # program's reference starts again.  At p = 0.1 the sequential and
-        # plus-branch channels are read off a reference with no pivot; the
-        # minus branch's first LP pivots.
+        # program's reference starts again, each read off one with no
+        # pivot.  Both runs read the minus branch off its own reference,
+        # not off a basis the first run left behind.
         assert solves == again
         cold = [k for k, (warm, _) in enumerate(solves) if not warm]
-        assert len(cold) == 3 and [solves[k][1] > 0 for k in cold] == [False, False, True]
+        assert len(cold) == 3 and [solves[k][1] for k in cold] == [0, 0, 0]
+        for recorded in (calls, calls_again):
+            # The minus branch is the one grid of one entry.
+            [solution] = [c.result for c in recorded if c.args[0].kraus_ops.shape[:-3] == (1,)]
+            assert solution.iterations.tolist() == [0] and solution.warm_start[0] is reference_starts[0]
         assert rows_to_csv(first, MEASURE_COLUMNS["fig3"]) == rows_to_csv(second, MEASURE_COLUMNS["fig3"])
 
     def test_nearly_every_sweep_lp_reuses_its_basis(self, monkeypatch, reference_starts):
@@ -272,24 +294,41 @@ class TestWarmStart:
         assert sum(iterations == 0 for _, iterations in solves) >= 480
         assert pivots["dual_pivot_loop"] <= 30
 
-    def test_every_pivot_is_a_dual_pivot(self, monkeypatch):
-        # Each LP of the default fig2 and fig3 sweeps that is not read off a
-        # basis reaches its optimum in the dual repair: neither Bland loop
-        # pivots.  A seeded channel search reads every LP off a reference
+    def test_every_pivot_is_a_dual_pivot(self, monkeypatch, qubit_dict, twoq_dict, choi_atoms):
+        # Each LP that is not read off a basis reaches its optimum in the dual
+        # repair: neither Bland loop pivots.  The LPs that still pivot are
+        # the reference builds, a channel no reference serves (H T) and
+        # mixed qubit states inside the octahedron, and there is at least
+        # one pivot.  A seeded channel search reads every LP off a reference
         # start or a basis it reached, and pivots not at all.
         (lo, hi), shift, _, _ = LP_CROSSINGS["fig2_channel_robustness"]
         s = np.random.default_rng(7).uniform(-shift, shift)
-        assert set(pivots_by_caller(monkeypatch, lambda: (run_fig2(), run_fig3()))[1]) == {"dual_pivot_loop"}
+        pivots = pivots_by_caller(monkeypatch, lambda: pivoting_lps(qubit_dict, twoq_dict, choi_atoms))[1]
+        assert pivots["dual_pivot_loop"] > 0 and set(pivots) == {"dual_pivot_loop"}
         search = lambda: find_threshold("fig2_channel_robustness", lo + s, hi + s, threshold_tol=1e-6)
         assert sum(pivots_by_caller(monkeypatch, search)[1].values()) == 0
 
-    def test_no_optimal_basis_holds_an_artificial(self, monkeypatch):
-        # Both programs have full row rank, so the dual repair drives every
-        # artificial out of each optimal basis of the default sweeps.
+    @pytest.mark.parametrize("experiment, fine_step", [("fig2", 0.0005), ("fig3", 0.0002)])
+    def test_default_and_fine_sweeps_make_no_pivot(self, monkeypatch, reference_starts, experiment, fine_step):
+        # Every LP of the default and the fine grid, 2,001 and 2,251 rows,
+        # is read off a reference start or a basis its column holds: no
+        # simplex pivot, and no LP reaches solve_standard_form.
         solves = spy(monkeypatch, lp, "solve_standard_form")
-        run_fig2(), run_fig3()
-        assert len(solves) > 0 and all(call.result.warm_start is not None for call in solves)
-        assert all((call.result.warm_start.basis < call.args[0].shape[1]).all() for call in solves)
+        for config in (default_config(experiment), default_config(experiment, step=fine_step)):
+            rows, pivots = pivots_by_caller(monkeypatch, lambda: sweep_rows(experiment, config.grid(), config.lp_tol))
+            assert len(rows) == len(config.grid()) and not pivots and solves == []
+
+    def test_no_optimal_basis_holds_an_artificial(self, monkeypatch, qubit_dict, twoq_dict, choi_atoms):
+        # Both programs have full row rank, so the dual repair drives every
+        # artificial out of each optimal basis it reaches: the references'
+        # and those of the LPs that pivot from them.
+        references = spy(monkeypatch, lp, "optimal_start")
+        solves = spy(monkeypatch, lp, "solve_standard_form")
+        pivots = pivots_by_caller(monkeypatch, lambda: pivoting_lps(qubit_dict, twoq_dict, choi_atoms))[1]
+        assert pivots["dual_pivot_loop"] > 0 and len(references) == 15 and len(solves) > 0
+        bases = [(call.args[0], call.result) for call in references]
+        bases += [(call.args[0], call.result.warm_start) for call in solves]
+        assert all(start is not None and (start.basis < A.shape[1]).all() for A, start in bases)
 
     def test_default_fig2_builds_each_renormalized_solution_once(self, monkeypatch):
         # Each switch branch is renormalized, and its factor is reported on
@@ -314,30 +353,31 @@ class TestWarmStart:
         assert len(built) == len(calls) == 6
         assert sum(len(call.args[1]) if call.args[1].ndim == 2 else 1 for call in calls) == 485
 
-    def test_fig3_minus_branch_is_solved_once_per_run(self, monkeypatch):
+    def test_fig3_minus_branch_is_solved_once_per_run(self, monkeypatch, reference_starts):
         # The minus-branch channel does not depend on p: each block scores
-        # it as a grid of one, and only a run's first block pivots for it.
+        # it as a grid of one, and a run's first block reads it off its own
+        # reference start, with no pivot.
         original, minus = experiments.channel_robustness, []
 
         def solve(ch, atoms, basis=None):
             if ch.kraus_ops.shape[:-3] != (1,):
                 return original(ch, atoms, basis=basis)
             solution, pivots = pivots_by_caller(monkeypatch, lambda: original(ch, atoms, basis=basis))
-            minus.append(sum(pivots.values()))
+            minus.append((sum(pivots.values()), solution.warm_start[0]))
             return solution
 
         monkeypatch.setattr(experiments, "channel_robustness", solve)
         calls = spy(monkeypatch, experiments, "channel_robustness")
         # One block: the sequential and plus columns are grids of the 5
-        # rows, and the minus branch one pivoting solve of a grid of one.
+        # rows, and the minus branch one solve of a grid of one.
         rows = run_fig3(_tiny("fig3", start=0.0, stop=0.4))
         assert len(rows) == 5 and sorted(call.args[0].kraus_ops.shape[:-3] for call in calls) == [(1,), (5,), (5,)]
-        assert len(minus) == 1 and minus[0] > 0
+        assert minus == [(0, reference_starts[0])]
         # Blocks of 2: each later block reads the minus branch off the basis
         # its column holds, with no pivot, and every row gets the same value.
         minus.clear()
         blocks = sweep_rows("fig3", default_config("fig3", stop=0.35, step=0.05).grid(), 1e-6, block_points=2)
-        assert len(minus) == 4 and minus[0] > 0 and minus[1:] == [0, 0, 0]
+        assert minus == [(0, reference_starts[0])] * 4
         values = {(r.values["rob_switch_minus"], r.status["rob_switch_minus"]) for r in rows + blocks}
         assert len(values) == 1
 
@@ -684,11 +724,14 @@ class TestWalkedThresholds:
             assert res.iterations == 3 and len(solves) == 5
             assert sum(warm and iterations == 0 for warm, iterations in solves) >= 3
 
-    @pytest.mark.parametrize("name", ["fig2_channel_robustness", "fig3_sequential", "fig3_switch_plus"])
+    @pytest.mark.parametrize("name", [
+        "fig2_channel_robustness", "fig3_sequential", "fig3_switch_plus", "fig2_rom_plus"])
     def test_channel_searches_make_no_pivot(self, monkeypatch, reference_starts, name):
-        # The channel references serve each family over its scored range, so
-        # a seeded channel search reads every LP off a reference or a basis
-        # it holds, and still confirms its proposed root in 3 iterations.
+        # The channel references serve each family over its scored range,
+        # and the T-type and maximally mixed state references fig2's plus
+        # branch, so a seeded search reads every LP off a reference or a
+        # basis it holds, and still confirms its proposed root in 3
+        # iterations.
         (lo, hi), shift, _, _ = LP_CROSSINGS[name]
         s = np.random.default_rng(5).uniform(-shift, shift)
         res, pivots = pivots_by_caller(monkeypatch, lambda: find_threshold(name, lo + s, hi + s, threshold_tol=1e-6))

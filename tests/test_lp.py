@@ -102,6 +102,17 @@ class TestSolveL1:
                 assert walk.warm_start[entry] is not None
                 assert np.array_equal(walk.warm_start[entry].basis, alone.warm_start[k].basis)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_right_hand_side_is_refused(self, rng, bad):
+        # Checked before any solve, in a lone right-hand side or in any
+        # entry of a block.
+        atoms = rng.normal(size=(5, 4))
+        A, b = _assemble_standard_form(atoms), atoms[2].copy()
+        b[1] = bad
+        for rhs in (b, np.array([atoms[0], b])):
+            with pytest.raises(ValueError, match="^LP right-hand side is not finite$"):
+                solve_l1(A, rhs)
+
     def test_deterministic(self, rng):
         atoms = rng.normal(size=(8, 4))
         target = rng.normal(size=4)
@@ -411,16 +422,19 @@ class TestReferenceStarts:
     which stay dual feasible at every right-hand side."""
 
     def test_starts_are_the_cold_optima_at_the_references(self, qubit_dict, twoq_dict, choi_atoms):
-        # Both ends of noisy TH, and of the T gate behind two depolarizing
-        # passes on fig3's grid, composed as the sweep composes it: the
-        # closed-form Choi matrix in the table reaches the same start, bit
-        # for bit.  The state program's reference is I/d.
-        ends = (noisy_th_channel(0.0), noisy_th_channel(1.0), unitary_channel(T_GATE),
-                experiments.CHANNELS["depol-squared-t"](0.45))
+        # fig3's minus branch, both ends of noisy TH, and of the T gate behind
+        # two depolarizing passes on fig3's grid, composed as the sweep
+        # composes them: the closed-form Choi matrix in the table reaches
+        # the same start, bit for bit.  The qubit state program's references
+        # are the eight T-type states, then I/2; the two-qubit one's is I/4.
+        ends = (experiments.CHANNELS["switch-minus-t"](0.3), noisy_th_channel(0.0), noisy_th_channel(1.0),
+                unitary_channel(T_GATE), experiments.CHANNELS["depol-squared-t"](0.45))
         programs = [(channel_program(choi_atoms), [reference_channel_lp(ch, choi_atoms)[1] for ch in ends])]
-        for dictionary in (qubit_dict, twoq_dict):
-            mixed = DensityOperator.maximally_mixed(dictionary.dim)
-            programs.append((state_program(dictionary), [reference_state_lp(mixed, dictionary)[1]]))
+        t_type = [DensityOperator((np.eye(2) + (x * PAULI_X + y * PAULI_Y + z * PAULI_Z) / np.sqrt(3)) / 2)
+                  for x, y, z in itertools.product((1, -1), repeat=3)]
+        for dictionary, magic in ((qubit_dict, t_type), (twoq_dict, [])):
+            states = [*magic, DensityOperator.maximally_mixed(dictionary.dim)]
+            programs.append((state_program(dictionary), [reference_state_lp(rho, dictionary)[1] for rho in states]))
         for (A, held), references in programs:
             assert type(held) is tuple
             starts = held[::-1]  # in the order of the references
@@ -478,12 +492,14 @@ class TestReferenceStarts:
 
     def test_served_and_unserved_channels(self, choi_atoms, reference_starts):
         # Noisy TH at 0.5 is read off the measure-and-prepare reference with
-        # no pivot, and the T gate off its own; H T is served by none of the
-        # references and pivots.
+        # no pivot, the T gate and fig3's minus branch each off its own; H T
+        # is served by none of the references and pivots.
         served = channel_robustness(noisy_th_channel(0.5), choi_atoms)
-        assert served.iterations == 0 and served.warm_start is reference_starts[1]
-        served = channel_robustness(unitary_channel(T_GATE), choi_atoms)
         assert served.iterations == 0 and served.warm_start is reference_starts[2]
+        served = channel_robustness(unitary_channel(T_GATE), choi_atoms)
+        assert served.iterations == 0 and served.warm_start is reference_starts[3]
+        served = channel_robustness(experiments.CHANNELS["switch-minus-t"](0.3), choi_atoms)
+        assert served.iterations == 0 and served.warm_start is reference_starts[0]
         unserved = channel_robustness(unitary_channel(HADAMARD @ T_GATE), choi_atoms)
         assert unserved.iterations > 0 and all(unserved.warm_start is not s for s in reference_starts)
         assert abs(unserved.value - SQRT2) <= 1e-12
@@ -504,10 +520,12 @@ class TestReferenceStarts:
     def test_each_entry_of_a_block_starts_from_the_least_infeasible_held_basis(self, choi_atoms, reference_starts):
         # Noisy TH at 0.2 is read off the T H reference.  At 0.4, past the
         # crossing, that basis no longer serves, but the measure-and-prepare
-        # reference, still held, does: neither entry pivots.
+        # reference, still held, does: neither entry pivots.  Folding in
+        # references drops none, so the walk ends holding all five.
         walk = channel_robustness(noisy_th_channel(np.array([0.2, 0.4])), choi_atoms)
         assert walk.iterations.tolist() == [0, 0]
-        assert walk.warm_start[0] is reference_starts[0] and walk.warm_start[1] is reference_starts[1]
+        assert walk.warm_start[0] is reference_starts[1] and walk.warm_start[1] is reference_starts[2]
+        assert sorted(map(id, walk.held)) == sorted(map(id, reference_starts)) and len(walk.held) == 5
         assert abs(walk.value[0] - 1.6 * SQRT2 / 2) <= 1e-12 and abs(walk.value[1] - 1.0) <= 1e-12
 
     def test_fewer_dual_pivots_than_cold_on_the_sweep_channels(self, monkeypatch, choi_atoms, reference_starts):
