@@ -7,18 +7,19 @@ can be handed to every caller that asks for it, none able to alter it.
 A channel holds its Kraus operators as one ``(k, d_out, d_in)`` stack, so
 every product of operators is a whole-stack one.  An operand that several
 products share is the right factor of one BLAS product with the others
-stacked above it: applying a channel forms every K_i M as one ``(k d, d)
-@ (d, d)`` product, and composing or switching two channels forms every
-L_i R_j as one product per R_j (``_pair_products``).  Each entry still
-sums the same d terms in the same order, so it has the bits of its own
-``L_i @ R_j``.  The sums over operators (applying a channel, taking its
-Choi state) run in operator order, which gives the same bits as
-accumulating the operators one by one.  Each object is checked once, where
-its matrix enters the package: a state or Choi state in its constructor, a
-channel's Kraus operators (finite, and complete within tolerance) in
-``KrausChannel(...)``.  What an operation derives from checked inputs, or
-what a zoo formula writes down complete for every valid parameter, holds
-the checks by construction and is built by ``_derived`` without them.
+stacked above it: applying a channel forms every K_i M of a chunk of grid
+entries as one ``(chunk k d, d) @ (d, d)`` product, and composing or
+switching two channels forms every L_i R_j as one product per R_j
+(``_pair_products``).  Each entry still sums the same d terms in the same
+order, so it has the bits of its own ``L_i @ R_j``.  The sums over
+operators (applying a channel, taking its Choi state) run in operator
+order, which gives the same bits as accumulating the operators one by one.
+Each object is checked once, where its matrix enters the package: a state
+or Choi state in its constructor, a channel's Kraus operators (finite, and
+complete within tolerance) in ``KrausChannel(...)``.  What an operation
+derives from checked inputs, or what a zoo formula writes down complete
+for every valid parameter, holds the checks by construction and is built
+by ``_derived`` without them.
 
 A derived object may carry a leading grid axis: a zoo channel given an
 array of noise values is one ``(N, k, d_out, d_in)`` stack, and every
@@ -297,10 +298,12 @@ def _pair_products(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     return prod.reshape(k_r, -1, a, c).swapaxes(0, 1).reshape(*lead_l, k_l, k_r, a, c)
 
 
-# Most bytes of (K_i M) K_i^dag products that ``apply_kraus`` forms at once:
-# below glibc's default 128 KiB threshold, above which freed memory goes back
-# to the system, so a sweep block's products reuse freed memory.  Formed all
-# at once, fig2's 101-point block took 82 fresh page faults a call.
+# Most bytes of K_i M, or of (K_i M) K_i^dag, products that ``apply_kraus``
+# forms at once: below glibc's default 128 KiB threshold, above which freed
+# memory goes back to the system, so a sweep block's products reuse freed
+# memory.  Formed all at once, fig2's 101-point block took 82 fresh page
+# faults a call, and every K_i M of figs1's 100-point switch block, 921 KB,
+# about 229 a pass.
 _APPLY_CHUNK_BYTES = 1 << 16
 
 
@@ -308,22 +311,23 @@ def apply_kraus(kraus_ops, matrix: np.ndarray) -> np.ndarray:
     """Raw Kraus action sum_i K_i M K_i^dag on one matrix M.
 
     ``kraus_ops`` is one Kraus stack or a grid of them (leading axes), and
-    M maps through each, entry by entry.  Every K_i M, over the whole grid,
-    is one ``(N k d, d) @ (d, d)`` product, each entry summing the same d
-    terms in the same order as ``K_i @ M`` alone.  Each (K_i M) K_i^dag is
-    then its own product, and each entry's sum runs over its operators in
-    order; the grid entries are taken a chunk at a time, at most
-    ``_APPLY_CHUNK_BYTES`` of products each."""
+    M maps through each, entry by entry.  The grid entries are taken a chunk
+    at a time, at most ``_APPLY_CHUNK_BYTES`` of products each.  Every K_i M
+    of a chunk is one ``(chunk k d, d) @ (d, d)`` product, each entry summing
+    the same d terms in the same order as ``K_i @ M`` alone.  Each (K_i M)
+    K_i^dag is then its own product, and each entry's sum runs over its
+    operators in order."""
     ops, matrix = np.asarray(kraus_ops, dtype=complex), np.asarray(matrix)
     if matrix.ndim != 2:
         raise DimensionMismatchError(f"apply_kraus maps one matrix, got shape {matrix.shape}")
     *lead, k, d_out, d_in = ops.shape
     ops = ops.reshape(-1, k, d_out, d_in)
-    left = (ops.reshape(-1, d_in) @ matrix).reshape(len(ops), k, d_out, d_in)
     out = np.empty((len(ops), d_out, d_out), dtype=complex)
-    step = max(1, _APPLY_CHUNK_BYTES // (left.itemsize * k * d_out * d_in))
+    step = max(1, _APPLY_CHUNK_BYTES // (ops.itemsize * k * d_out * d_in))
     for lo in range(0, len(ops), step):
-        out[lo : lo + step] = (left[lo : lo + step] @ dagger(ops[lo : lo + step])).sum(axis=-3)
+        chunk = ops[lo : lo + step]
+        left = (chunk.reshape(-1, d_in) @ matrix).reshape(chunk.shape)
+        out[lo : lo + step] = (left @ dagger(chunk)).sum(axis=-3)
     return out.reshape(*lead, d_out, d_out)
 
 

@@ -41,7 +41,7 @@ from .experiments import (
     write_rows,
     write_text,
 )
-from .gates import HADAMARD, T_GATE, basis_state, plus_state, qutrit_t_gate
+from .gates import HADAMARD, T_GATE, basis_state, check_odd_prime, plus_state, qutrit_t_gate
 from .lp import channel_robustness, rom_state
 from .phasespace import build_frame, check_frame_dim, mana_channel, mana_state
 from .stabilizers import cspo_choi_atoms, enumerate_stabilizer_states
@@ -247,8 +247,10 @@ def _cmd_channel_robustness(args) -> int:
 
 
 def _cmd_mana(args) -> int:
-    # The frame's own checks grow as about d^6, so a state or channel of
-    # another dimension is refused before the frame is built.
+    # A frame exists for odd prime d alone, so any other d is refused before
+    # anything is built.  The frame's own checks grow as about d^6, so a
+    # state or channel of another dimension is refused before it is built.
+    check_odd_prime(args.d)
     if args.channel:
         kind, mana = "channel", mana_channel
         target = _named_channel(args.channel, args.d, f"channel dims ({{0}},{{0}}) != frame dim {args.d}")

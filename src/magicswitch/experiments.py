@@ -515,10 +515,10 @@ def run_appendix_c(d_values=(2, 3, 5, 10), n_points: int = 10_000) -> dict:
 
     Also evaluates the factored algebraic identity behind the inequality;
     its residual stays at rounding level (< 1e-12).  The grid is p = k / n
-    for k = 1..n; a non-integer or empty grid, an empty dimension list, or
-    any d that is not an integer of at least 2 (through ``from_noise``),
-    raises ``ValueError`` rather than passing vacuously, as does a grid
-    above ``MAX_GRID_POINTS``.
+    for k = 1..n; a non-integer or empty grid, an empty dimension list, any
+    d that is not an integer of at least 2 (through ``from_noise``), or a d
+    given twice, which the report would show once, raises ``ValueError``
+    rather than passing vacuously, as does a grid above ``MAX_GRID_POINTS``.
     """
     if not (isinstance(n_points, numbers.Integral) and 1 <= n_points <= MAX_GRID_POINTS):
         raise ValueError(f"n_points={n_points} must be an integer in [1, {MAX_GRID_POINTS}]")
@@ -528,6 +528,8 @@ def run_appendix_c(d_values=(2, 3, 5, 10), n_points: int = 10_000) -> dict:
     dims = {}
     for d in d_values:
         eff = EffectiveDepolarizingSwitch.from_noise(d, p)
+        if int(d) in dims:
+            raise ValueError(f"dimension d={d} is given twice")
         worst_gap = float((eff.p_plus - eff.sequential_strength()).max())
         dims[int(d)] = {
             "max_gap": worst_gap,

@@ -39,18 +39,23 @@ def qutrit_t_gate() -> np.ndarray:
     return np.diag([zeta, 1.0, 1.0 / zeta]).astype(complex)
 
 
+def check_odd_prime(d: int) -> None:
+    """Refuse, with ``ValueError``, a ``d`` that is not an odd prime: the
+    package's one primality check."""
+    if d < 3 or d % 2 == 0:
+        raise ValueError(f"dimension d={d} must be an odd prime")
+    if any(d % k == 0 for k in range(2, int(d**0.5) + 1)):
+        raise ValueError(f"dimension d={d} must be prime")
+
+
 @lru_cache(maxsize=None)
 def heisenberg_weyl_operators(d: int) -> tuple:
     """Displacement operators T_u = tau^(-a1 a2) Z^a1 X^a2 over Z_d x Z_d.
 
     Returned as ((a1, a2), operator) pairs in row-major point order.  A
-    ``d`` that is not an odd prime raises ``ValueError``: this is the
-    package's one primality check.
+    ``d`` that is not an odd prime raises ``ValueError`` (``check_odd_prime``).
     """
-    if d < 3 or d % 2 == 0:
-        raise ValueError(f"dimension d={d} must be an odd prime")
-    if any(d % k == 0 for k in range(2, int(d**0.5) + 1)):
-        raise ValueError(f"dimension d={d} must be prime")
+    check_odd_prime(d)
     omega = np.exp(2j * np.pi / d)
     tau = np.exp(1j * np.pi * (d + 1) / d)
     boost = np.diag([omega**j for j in range(d)]).astype(complex)

@@ -243,7 +243,8 @@ def completeness_checks(monkeypatch):
 
 
 def apply_chunk_bytes():
-    """The most bytes of products ``apply_kraus`` forms at once."""
+    """The most bytes of products ``apply_kraus`` forms at once: it forms
+    K_i M, then (K_i M) K_i^dag, a chunk of grid entries at a time."""
     return channels._APPLY_CHUNK_BYTES
 
 

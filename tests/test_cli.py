@@ -341,6 +341,7 @@ BAD_INPUT_MESSAGES = {
     "threshold --measure fig2_channel_robustness --bracket 0.2:0.4 --tol threshold=1e-3,threshold=1e-4":
         "error: parameter threshold of --tol is given twice",
     "threshold --measure fig2_rom_plus --bracket 0.1:2": "error: bracket [0.1, 2.0] leaves [0, 1], the range of p",
+    "appendix-c --dims 2,3,2": "error: dimension d=2 is given twice",
 }
 
 
@@ -372,7 +373,7 @@ BAD_INPUT_MESSAGES = {
         ["rom", "--state", "warp"],
         ["channel-robustness", "--channel", "teleporter:p=1"],
         *(["appendix-c", "--points", points] for points in ("0", "-5", "1000000000000")),
-        *(["appendix-c", "--dims", dims] for dims in ("1", "2,x")),
+        *(["appendix-c", "--dims", dims] for dims in ("1", "2,x", "2,3,2")),
         ["mana", "--d", "4"],
         ["mana", "--d", "41"],
         ["mana", "--d", "41", "--channel", "qutrit-noisy-th:p=0.3"],
@@ -404,6 +405,12 @@ def test_bad_input_is_a_one_line_error(tmp_path, monkeypatch, capsys, argv):
     (["mana", "--d", "41"], "operator shape (3, 3) != frame dim 41"),
     (["mana", "--d", "5", "--channel", "qutrit-noisy-th:p=0.3"], "channel dims (3,3) != frame dim 5"),
     (["mana", "--d", "5", "--state-file", "qubit.json"], "operator shape (2, 2) != frame dim 5"),
+    # No frame exists for a d that is not an odd prime: it is refused first,
+    # before any dimension match and before any channel is built.
+    (["mana", "--d", "4"], "dimension d=4 must be an odd prime"),
+    (["mana", "--d", "0"], "dimension d=0 must be an odd prime"),
+    (["mana", "--d", "-3"], "dimension d=-3 must be an odd prime"),
+    (["mana", "--d", "9", "--channel", "depolarizing:p=0.1,d=9"], "dimension d=9 must be prime"),
 ])
 def test_mana_refuses_a_dimension_mismatch_before_building_the_frame(tmp_path, monkeypatch, capsys, argv, message):
     # Building a frame checks its d^2 phase points against each other, about
@@ -412,6 +419,7 @@ def test_mana_refuses_a_dimension_mismatch_before_building_the_frame(tmp_path, m
     (tmp_path / "qubit.json").write_text(json.dumps(_matrix([[1, 0], [0, 0]])))
     built = []
     monkeypatch.setattr(cli, "build_frame", lambda d: built.append(d))
+    monkeypatch.setattr(cli, "depolarizing_channel", lambda *args: built.append(args))
     assert assert_one_line_error(capsys, main(["-q", *argv])) == f"error: {message}"
     assert built == []
 

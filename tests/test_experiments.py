@@ -1095,6 +1095,7 @@ class TestAppendixC:
             ((), 10, "dimension"),
             ((2, 3), 2.5, "n_points"),
             ((2.5,), 10, "dimension"),
+            ((2, 3, 2), 10, "dimension d=2 is given twice"),
         ],
     )
     def test_rejects_empty_or_degenerate_input(self, d_values, n_points, message):

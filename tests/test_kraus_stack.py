@@ -5,6 +5,8 @@ Each kernel must give the same bits as its loop: the reference loops below
 are the earlier implementations, kept here as oracles.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -235,6 +237,40 @@ class TestKernelsMatchLoops:
         out = apply_channel(build_switch(a, b), joint_input(rho))
         for outcome, sign in (("plus", 1.0), ("minus", -1.0)):
             assert np.array_equal(measure_control(out, outcome)[0].matrix, loop_measure(out.matrix, sign))
+
+
+class TestApplyMemory:
+    """``apply_kraus`` forms its products a chunk of grid entries at a time,
+    so what it holds at once is its output and a few chunks, whatever the
+    grid's length.  numpy reports its array memory to tracemalloc."""
+
+    @staticmethod
+    def traced_apply(n):
+        """The output of ``apply_kraus`` on figs1's switch block of ``n``
+        noise values, and the most traced bytes the call held at once."""
+        ch = qutrit_noisy_th_channel(np.linspace(0.01, 1.0, n))
+        grid, m = build_switch(ch, ch).kraus_ops, joint_input(plus_density(3)).matrix
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            out = apply_kraus(grid, m)
+            return out, tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+
+    def test_peak_on_the_default_figs1_block(self):
+        # figs1's default grid has 100 points; the block's K_i M alone is
+        # 921,600 bytes, which forming them all at once would hold.
+        out, peak = self.traced_apply(100)
+        assert peak <= out.nbytes + 4 * apply_chunk_bytes()
+
+    def test_peak_grows_by_the_output_alone(self):
+        small, small_peak = self.traced_apply(100)
+        large, large_peak = self.traced_apply(1000)
+        # The slack is for the loop's chunk offsets: ints above 256 are
+        # fresh objects, a few dozen bytes each, where 100 entries' are cached.
+        assert large_peak - small_peak <= large.nbytes - small.nbytes + 1024
 
 
 class TestSwitchBranches:
