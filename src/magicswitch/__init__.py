@@ -26,7 +26,6 @@ _HOMES = {
     "choi_of_channel": "channels",
     "compose_channels": "channels",
     "depolarizing_channel": "channels",
-    "identity_channel": "channels",
     "measure_control": "channels",
     "noisy_th_channel": "channels",
     "orthogonal_unitary_basis": "channels",
@@ -41,9 +40,7 @@ _HOMES = {
     "default_config": "experiments",
     "find_threshold": "experiments",
     "run_appendix_c": "experiments",
-    "run_fig2": "experiments",
-    "run_fig3": "experiments",
-    "run_figs1": "experiments",
+    "run_experiment": "experiments",
     "dagger": "linalg",
     "partial_trace": "linalg",
     "pauli_strings": "linalg",

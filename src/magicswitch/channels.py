@@ -102,7 +102,7 @@ class DensityOperator:
         assert_psd(mat, DEFAULT_TOL.eq * max(1.0, abs(np.trace(mat))), "density operator")
         tr = np.trace(mat).real
         if tr < -DEFAULT_TOL.psd:
-            raise StateValidationError(f"density operator has negative trace {tr!r}")
+            raise StateValidationError(f"density operator has negative trace {tr:.3e}")
         object.__setattr__(self, "matrix", _readonly(mat))
 
     @property
@@ -398,10 +398,6 @@ def measure_control(state: DensityOperator, outcome: str) -> tuple[DensityOperat
 
 def unitary_channel(U) -> KrausChannel:
     return KrausChannel((np.asarray(U, dtype=complex),))
-
-
-def identity_channel(d: int) -> KrausChannel:
-    return unitary_channel(np.eye(d, dtype=complex))
 
 
 def orthogonal_unitary_basis(d: int) -> list[np.ndarray]:

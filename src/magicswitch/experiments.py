@@ -34,8 +34,8 @@ default grids.
 A threshold search (``find_threshold``) scores a registered measure in
 blocks of the same program, each building only what its measure reads,
 through its ``MEASURES`` callable, with one ``_RunState`` for the whole
-search; its experiment's monotone decides whether the measure reads free
-as an LP or as mana.
+search; the floor the measure is registered with, its monotone's, decides
+whether it reads free as an LP or as mana.
 """
 
 from __future__ import annotations
@@ -487,25 +487,6 @@ def run_experiment(config: SweepConfig) -> list[SweepRow]:
     return _run_rows(config.experiment, config.grid(), config.lp_tol)
 
 
-def _run_named(experiment: str, config: SweepConfig | None) -> list[SweepRow]:
-    config = config or default_config(experiment)
-    if config.experiment != experiment:
-        raise ValueError(f"config targets {config.experiment!r}, not {experiment}")
-    return run_experiment(config)
-
-
-def run_fig2(config: SweepConfig | None = None) -> list[SweepRow]:
-    return _run_named("fig2", config)
-
-
-def run_fig3(config: SweepConfig | None = None) -> list[SweepRow]:
-    return _run_named("fig3", config)
-
-
-def run_figs1(config: SweepConfig | None = None) -> list[SweepRow]:
-    return _run_named("figs1", config)
-
-
 # ---------------------------------------------------------------------------
 # Strict-inequality grid report
 # ---------------------------------------------------------------------------
@@ -602,9 +583,9 @@ def find_threshold(
     The bracket is a nonempty part of [0, 1], the sweeps' range of p, and
     one that is not is refused before any point is scored.  Its endpoints
     must disagree on the predicate value <= floor + lp_tol (an lp_tol below
-    ``DEFAULT_TOL.rounding`` counts as that rounding floor); a registered
-    mana measure reads free where its mana reads 0, value <= floor +
-    ``DEFAULT_TOL.mana_zero``, whatever lp_tol.
+    ``DEFAULT_TOL.rounding`` counts as that rounding floor); a measure
+    registered with mana's floor reads free where its mana reads 0, value
+    <= floor + ``DEFAULT_TOL.mana_zero``, whatever lp_tol.
     When the ends do not disagree, the mismatch is reported rather than
     guessed around.  The result is a bracket no wider than
     ``threshold_tol`` whose ends disagree on the predicate, as the measure
@@ -648,8 +629,7 @@ def find_threshold(
         raise ValueError(f"bracket [{lo}, {hi}] is empty")
     if not 0 <= lo < hi <= 1:
         raise ValueError(f"bracket [{lo}, {hi}] leaves [0, 1], the range of p")
-    mana_columns = [column for entry in MEASURE_TABLE.values() if entry.monotone == "mana" for column in entry.columns]
-    mana = measure in (column.threshold for column in mana_columns)
+    mana = floor == _FLOORS["mana"]
     level = floor + (DEFAULT_TOL.mana_zero if mana else _floor_slack(lp_tol))
     state = _RunState(samples=[])
     bracket = [lo, hi]

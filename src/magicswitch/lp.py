@@ -316,7 +316,9 @@ def rom_state(rho: DensityOperator, dictionary, basis=None) -> L1Solution:
     # ``in`` finds "infeasible" in a block's list of statuses, or as the
     # one status, which is no other status's substring.
     if "infeasible" in solution.status:
-        raise ValueError("robustness LP infeasible: input is not a valid state")
+        raise ValueError(
+            "robustness LP infeasible: the state lies outside the linear span of the dictionary's projectors"
+        )
     return solution
 
 

@@ -107,7 +107,7 @@ def wigner_of_state(rho: DensityOperator, frame: PhaseSpaceFrame) -> np.ndarray:
     sums = wig.sum(axis=(-2, -1))
     drift = np.abs(sums - rho.trace)
     if drift.max() > DEFAULT_TOL.eq:
-        raise RuntimeError(f"Wigner normalization drifted: sum = {sums.flat[drift.argmax()]!r}")
+        raise RuntimeError(f"Wigner normalization drifted: sum = {sums.flat[drift.argmax()]:.12g}")
     return wig
 
 

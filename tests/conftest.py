@@ -24,7 +24,7 @@ from magicswitch import (
     rom_state,
     unitary_channel,
 )
-from magicswitch import _simplex, channels, cli, experiments, lp, phasespace, qswitch
+from magicswitch import _simplex, channels, cli, experiments, lp, phasespace, qswitch, stabilizers
 from magicswitch.channels import plus_density
 from magicswitch.config import DEFAULT_TOL
 from magicswitch.gates import T_GATE
@@ -255,6 +255,13 @@ def joint_input(rho):
 
 def clear_joint_inputs():
     qswitch._joint_input.cache_clear()
+
+
+def drop_a_generating_set(monkeypatch):
+    """Have the stabilizer enumeration read every generating set but the
+    first, so it comes up one set of sign choices short."""
+    exact = stabilizers._canonical_generators
+    monkeypatch.setattr(stabilizers, "_canonical_generators", lambda n_qubits: list(exact(n_qubits))[1:])
 
 
 def channel_wigner_builds(monkeypatch):

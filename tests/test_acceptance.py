@@ -24,10 +24,8 @@ from magicswitch import (
     qutrit_noisy_th_channel,
     rom_state,
     run_appendix_c,
-    run_fig2,
-    run_fig3,
 )
-from magicswitch.experiments import default_config
+from magicswitch.experiments import default_config, run_experiment
 from magicswitch.gates import plus_state
 from magicswitch.phasespace import wigner_of_operator
 
@@ -73,7 +71,7 @@ def test_criterion_2_magic_generation_window(qubit_dict, choi_atoms):
 
 
 def test_criterion_3_minus_branch_always_free():
-    rows = run_fig2(default_config("fig2"))
+    rows = run_experiment(default_config("fig2"))
     checked = 0
     worst = 0.0
     degenerate = []
@@ -95,7 +93,7 @@ def test_criterion_3_minus_branch_always_free():
 def test_criterion_4_t_gate_thresholds():
     seq = find_threshold("fig3_sequential", lo=0.2, hi=0.35, threshold_tol=1e-3)
     plus = find_threshold("fig3_switch_plus", lo=0.2, hi=0.35, threshold_tol=1e-3)
-    rows = run_fig3(default_config("fig3"))
+    rows = run_experiment(default_config("fig3"))
     minus_vals = [row.values["rob_switch_minus"] for row in rows]
     minus_spread = max(minus_vals) - min(minus_vals)
     ok = (

@@ -10,10 +10,10 @@ from magicswitch import (
     choi_of_channel,
     compose_channels,
     depolarizing_channel,
-    identity_channel,
     mana_state,
     measure_control,
     noisy_th_channel,
+    orthogonal_unitary_basis,
     qutrit_k2_variant_report,
     qutrit_noisy_th_channel,
     unitary_channel,
@@ -47,9 +47,15 @@ class TestDensityOperator:
         with pytest.raises(StateValidationError):
             DensityOperator(np.array([[0, 1], [0, 0]], dtype=complex))
 
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            DensityOperator(np.diag([1.5, -0.5]).astype(complex))
+    @pytest.mark.parametrize("diagonal, message", [
+        ([1.5, -0.5], "density operator has negative eigenvalue -5.000e-01 below -1e-10"),
+        # Each eigenvalue sits on the rounding floor, but their sum is past it.
+        ([-1e-10] * 11, "density operator has negative trace -1.100e-09"),
+    ], ids=["eigenvalue", "trace"])
+    def test_rejects_negative(self, diagonal, message):
+        with pytest.raises(ValueError) as refused:
+            DensityOperator(np.diag(diagonal).astype(complex))
+        assert str(refused.value) == message
 
     def test_unnormalized_flagged(self):
         rho = DensityOperator(0.25 * np.eye(2))
@@ -135,7 +141,7 @@ class TestKrausChannel:
 class TestApplyChannel:
     def test_identity(self, rng):
         rho = DensityOperator(random_density_matrix(3, rng))
-        out = apply_channel(identity_channel(3), rho)
+        out = apply_channel(unitary_channel(np.eye(3)), rho)
         assert operators_close(out.matrix, rho.matrix)
 
     def test_full_depolarizing_sends_to_mixed(self):
@@ -161,12 +167,12 @@ class TestApplyChannel:
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
-            apply_channel(identity_channel(3), DensityOperator.maximally_mixed(2))
+            apply_channel(unitary_channel(np.eye(3)), DensityOperator.maximally_mixed(2))
 
 
 class TestChoi:
     def test_identity_choi_is_maximally_entangled(self):
-        choi = choi_of_channel(identity_channel(2))
+        choi = choi_of_channel(unitary_channel(np.eye(2)))
         bell = (basis_state(4, 0) + basis_state(4, 3)) / np.sqrt(2)
         assert operators_close(choi.matrix, np.outer(bell, bell.conj()), tol=1e-12)
 
@@ -206,6 +212,10 @@ class TestChoi:
     def test_choistate_validates_marginal(self):
         with pytest.raises(StateValidationError):
             ChoiState(np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex), d_in=2, d_out=2)
+
+    def test_choistate_validates_shape(self):
+        with pytest.raises(DimensionMismatchError, match=r"^Choi matrix shape \(3, 3\) != \(4, 4\)$"):
+            ChoiState(np.eye(3) / 3, d_in=2, d_out=2)
 
 
 class TestMeasureControl:
@@ -299,6 +309,15 @@ class TestChannelZoo:
         ext = extend_with_reference(unitary_channel(T_GATE), 2)
         assert ext.d_in == 4
         assert ext.completeness_residual() <= DEFAULT_TOL.completeness
+
+    def test_compose_refuses_mismatched_dimensions(self):
+        # A qubit channel cannot act on a qutrit channel's output.
+        with pytest.raises(DimensionMismatchError, match=r"^cannot compose: inner output dim 3 != outer input dim 2$"):
+            compose_channels(unitary_channel(np.eye(2)), unitary_channel(np.eye(3)))
+
+    def test_orthogonal_unitary_basis_needs_d_2_or_an_odd_prime(self):
+        with pytest.raises(DimensionMismatchError, match=r"^no orthogonal unitary basis implemented for d=4$"):
+            orthogonal_unitary_basis(4)
 
     def test_two_depolarizing_passes_compose_strengths(self, rng):
         # D_q after D_p acts like a single pass with strength p + q - p q.

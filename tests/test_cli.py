@@ -4,6 +4,7 @@ import hashlib
 import json
 import os
 import resource
+import runpy
 import subprocess
 import sys
 import time
@@ -88,11 +89,18 @@ def test_grid_whose_last_step_rounds_past_stop(tmp_path, capsys, experiment):
     assert len(lines) == 15 and lines[-1].split(",")[0] == "1"
 
 
-@pytest.mark.parametrize("experiment", ["fig3", "fig3_depolarized_t", "figs1"])
-def test_config_for_another_experiment_is_a_one_line_error(tmp_path, capsys, experiment):
+@pytest.mark.parametrize("command, experiment, target", [
+    ("fig2", "fig3", "fig3"),
+    ("fig2", "fig3_depolarized_t", "fig3"),
+    ("fig2", "figs1", "figs1"),
+    ("fig3", "fig2", "fig2"),
+], ids=["fig2-fig3", "fig2-fig3-alias", "fig2-figs1", "fig3-fig2"])
+def test_config_for_another_experiment_is_a_one_line_error(tmp_path, capsys, command, experiment, target):
+    # The file's experiment, by name or alias, must be the command's own.
     cfg = tmp_path / "sweep.cfg"
     cfg.write_text(f"experiment = {experiment}\n")
-    assert_one_line_error(capsys, main(["-q", "fig2", "--config", str(cfg)]))
+    line = assert_one_line_error(capsys, main(["-q", command, "--config", str(cfg)]))
+    assert line == f"error: config targets {target!r}, not {command}"
 
 
 @pytest.mark.parametrize("line, want", [
@@ -155,13 +163,15 @@ def test_bad_tolerance_is_an_argument_error(capsys, argv, message):
 
 @pytest.mark.parametrize("argv, message", [
     (["fig2", "--grid", "0:1"], "argument --grid: expected start:stop:step, got '0:1'"),
+    (["fig2", "--grid", "a:b:c"], "argument --grid: could not convert string to float: 'a'"),
     (["fig3", "--grid", "0:0.1:0.01:2"], "argument --grid: expected start:stop:step, got '0:0.1:0.01:2'"),
     (["threshold", "--measure", "fig2_rom_plus", "--bracket", "0.2"], "argument --bracket: expected lo:hi, got '0.2'"),
     (["threshold", "--measure", "fig2_rom_plus", "--bracket", "0.1:0.2:0.3"],
      "argument --bracket: expected lo:hi, got '0.1:0.2:0.3'"),
-], ids=["grid-too-few", "grid-too-many", "bracket-too-few", "bracket-too-many"])
-def test_wrong_number_of_fields_is_an_argument_error(capsys, argv, message):
-    # argparse exits 2 with its usage, and the message gives the form.
+], ids=["grid-too-few", "grid-not-numbers", "grid-too-many", "bracket-too-few", "bracket-too-many"])
+def test_malformed_colon_list_is_an_argument_error(capsys, argv, message):
+    # argparse exits 2 with its usage, and the message gives the form or
+    # the field that is not a number.
     with pytest.raises(SystemExit) as exit_:
         main(["-q", *argv])
     captured = capsys.readouterr()
@@ -316,6 +326,7 @@ STATE_FILES = {
     "trace-not-one": _matrix([[0.25, 0.0], [0.0, 0.25]]),
     # Written as JSON's Infinity, which json reads as a float, as it reads 1e400.
     "infinity": _matrix([[np.inf, 0.0], [0.0, 0.0]]),
+    "one-row": {"matrix": [[[1, 0], [0, 0]]]},
 }
 
 # Config files that fail on their last line, each with one line of error.
@@ -323,6 +334,7 @@ CONFIG_FILES = {
     "repeated-key": "experiment = fig2\nstep = 0.5\nstep = 0.25\n",
     "out-and-output-path": "experiment = fig2\nout = a.csv\noutput_path = b.csv\n",
     "jobs-key": "experiment = fig2\njobs = 2\n",
+    "no-equals-sign": "experiment fig2\n",
 }
 
 
@@ -342,6 +354,9 @@ BAD_INPUT_MESSAGES = {
         "error: parameter threshold of --tol is given twice",
     "threshold --measure fig2_rom_plus --bracket 0.1:2": "error: bracket [0.1, 2.0] leaves [0, 1], the range of p",
     "appendix-c --dims 2,3,2": "error: dimension d=2 is given twice",
+    "rom --state qutrit-plus": "error: rom supports 1- and 2-qubit states, got dimension 3",
+    "rom --state-file one-row": "error: one-row: 'matrix' must be square, got shape (1, 2)",
+    "fig2 --config no-equals-sign": "error: no-equals-sign:1: expected 'key = value', got 'experiment fig2\\n'",
 }
 
 
@@ -371,6 +386,7 @@ BAD_INPUT_MESSAGES = {
         ["channel-robustness", "--channel", "depolarizing:p=0.2,d=nan"],
         ["rom", "--state", "plus:p=0.3"],
         ["rom", "--state", "warp"],
+        ["rom", "--state", "qutrit-plus"],
         ["channel-robustness", "--channel", "teleporter:p=1"],
         *(["appendix-c", "--points", points] for points in ("0", "-5", "1000000000000")),
         *(["appendix-c", "--dims", dims] for dims in ("1", "2,x", "2,3,2")),
@@ -519,6 +535,18 @@ def run_module(*argv, memory_kib=None):
     cap = memory_kib and (lambda: resource.setrlimit(resource.RLIMIT_AS, (memory_kib * 1024,) * 2))
     return subprocess.run([sys.executable, "-m", "magicswitch.cli", *argv], env=env, capture_output=True,
                           text=True, timeout=60, preexec_fn=cap)
+
+
+def test_module_run_as_a_script_exits_with_the_code_main_returns(monkeypatch, capsys):
+    # ``python -m magicswitch.cli`` in this process, unlike run_module's
+    # children: runpy runs the module body again as __main__.  It warns on a
+    # module already loaded, so the loaded one is set aside.
+    monkeypatch.setattr(sys, "argv", ["magicswitch", "-q", "rom"])
+    monkeypatch.delitem(sys.modules, "magicswitch.cli")
+    with pytest.raises(SystemExit) as exit_:
+        runpy.run_module("magicswitch.cli", run_name="__main__")
+    assert exit_.value.code == 0
+    assert json.loads(capsys.readouterr().out)["status"] == "optimal"
 
 
 def test_threshold_logs_one_info_line_unless_quiet():

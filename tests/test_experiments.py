@@ -30,9 +30,6 @@ from magicswitch.experiments import (
     rows_to_json,
     run_appendix_c,
     run_experiment,
-    run_fig2,
-    run_fig3,
-    run_figs1,
     write_rows,
 )
 from magicswitch.experiments import _certified_value, _floor_slack
@@ -109,7 +106,7 @@ class TestSweeps:
             assert {s for row in rows for s in row.status.values()} <= {"ok", "degenerate"}
 
     def test_fig2_rows(self):
-        rows = run_fig2(_tiny("fig2"))
+        rows = run_experiment(_tiny("fig2"))
         assert [round(r.p, 6) for r in rows] == [0.1, 0.2, 0.3]
         for row in rows:
             for measure in MEASURE_COLUMNS["fig2"]:
@@ -120,20 +117,20 @@ class TestSweeps:
             assert abs(row.values["rom_minus"] - 1.0) < 1e-6
 
     def test_fig2_degenerate_minus_branch_at_zero_noise(self):
-        rows = run_fig2(default_config("fig2", start=0.0, stop=0.01, step=0.01))
+        rows = run_experiment(default_config("fig2", start=0.0, stop=0.01, step=0.01))
         assert rows[0].status["rom_minus"] == "degenerate"
         assert math.isnan(rows[0].values["rom_minus"])
         assert rows[1].status["rom_minus"] == "ok"
 
     def test_fig3_rows(self):
-        rows = run_fig3(_tiny("fig3"))
+        rows = run_experiment(_tiny("fig3"))
         for row in rows:
             assert row.values["rob_sequential"] >= 1.0 - 1e-6
             assert row.values["rob_switch_minus"] >= 1.0 - 1e-6
             assert abs(row.values["weight_plus"] + row.values["weight_minus"] - 1.0) < 1e-12
 
     def test_figs1_rows(self):
-        rows = run_figs1(_tiny("figs1"))
+        rows = run_experiment(_tiny("figs1"))
         for row in rows:
             assert row.values["mana_channel"] >= 0.0
             assert row.values["mana_plus"] >= 0.0
@@ -142,10 +139,6 @@ class TestSweeps:
     def test_run_experiment_dispatch(self):
         rows = run_experiment(_tiny("fig3"))
         assert len(rows) == 3
-
-    def test_wrong_config_experiment_rejected(self):
-        with pytest.raises(ValueError):
-            run_fig2(_tiny("fig3"))
 
 
 class TestCertificates:
@@ -164,10 +157,10 @@ class TestCertificates:
 
         monkeypatch.setattr(experiments, "channel_robustness", doctored(experiments.channel_robustness))
         monkeypatch.setattr(experiments, "rom_state", doctored(experiments.rom_state))
-        fig2 = run_fig2(_tiny("fig2", stop=0.15))[0]
+        fig2 = run_experiment(_tiny("fig2", stop=0.15))[0]
         assert fig2.status["channel_robustness"] == "check_failed"
         assert fig2.status["rom_plus"] == fig2.status["rom_minus"] == "check_failed"
-        fig3 = run_fig3(_tiny("fig3", stop=0.15))[0]
+        fig3 = run_experiment(_tiny("fig3", stop=0.15))[0]
         for measure in ("rob_sequential", "rob_switch_plus", "rob_switch_minus"):
             assert fig3.status[measure] == "check_failed"
 
@@ -175,8 +168,8 @@ class TestCertificates:
 class TestDeterminism:
     def test_csv_is_byte_identical_across_runs(self):
         config = _tiny("fig2")
-        first = rows_to_csv(run_fig2(config), MEASURE_COLUMNS["fig2"])
-        second = rows_to_csv(run_fig2(config), MEASURE_COLUMNS["fig2"])
+        first = rows_to_csv(run_experiment(config), MEASURE_COLUMNS["fig2"])
+        second = rows_to_csv(run_experiment(config), MEASURE_COLUMNS["fig2"])
         assert first == second
 
     @pytest.mark.parametrize("experiment", ["fig2", "fig3", "figs1"])
@@ -265,7 +258,7 @@ class TestWarmStart:
         for _ in range(2):
             with monkeypatch.context() as patch:
                 calls = spy(patch, experiments, "channel_robustness")
-                runs.append((*recorded_solves(patch, lambda: run_fig3(config)), calls))
+                runs.append((*recorded_solves(patch, lambda: run_experiment(config)), calls))
         (first, solves, calls), (second, again, calls_again) = runs
         # Nothing carries over from the first run: the second solves the
         # same LPs the same way, the first LP of each column from its
@@ -289,7 +282,8 @@ class TestWarmStart:
         # The references are built first, so their own pivots are not
         # counted.
         (_, solves), pivots = pivots_by_caller(
-            monkeypatch, lambda: recorded_solves(monkeypatch, lambda: (run_fig2(), run_fig3())))
+            monkeypatch, lambda: recorded_solves(
+                monkeypatch, lambda: [run_experiment(default_config(exp)) for exp in ("fig2", "fig3")]))
         assert len(solves) == 485
         assert sum(iterations == 0 for _, iterations in solves) >= 480
         assert pivots["dual_pivot_loop"] <= 30
@@ -337,7 +331,7 @@ class TestWarmStart:
         if hasattr(lp, "replace"):
             spy(monkeypatch, lp, "replace", copies)
         built = spy(monkeypatch, experiments, "rom_state")  # a sweep scores each branch as a grid
-        run_fig2()
+        run_experiment(default_config("fig2"))
         assert copies == []
         assert sum(int((call.result.renorm_factor != 1.0).sum()) for call in built) >= 150
 
@@ -348,8 +342,8 @@ class TestWarmStart:
         # and fig3's minus branch once), not one per row of their 485 LPs.
         built = spy(monkeypatch, lp.L1Solution, "__init__")
         calls = spy(monkeypatch, lp, "solve_l1")
-        run_fig2()
-        run_fig3()
+        run_experiment(default_config("fig2"))
+        run_experiment(default_config("fig3"))
         assert len(built) == len(calls) == 6
         assert sum(len(call.args[1]) if call.args[1].ndim == 2 else 1 for call in calls) == 485
 
@@ -370,7 +364,7 @@ class TestWarmStart:
         calls = spy(monkeypatch, experiments, "channel_robustness")
         # One block: the sequential and plus columns are grids of the 5
         # rows, and the minus branch one solve of a grid of one.
-        rows = run_fig3(_tiny("fig3", start=0.0, stop=0.4))
+        rows = run_experiment(_tiny("fig3", start=0.0, stop=0.4))
         assert len(rows) == 5 and sorted(call.args[0].kraus_ops.shape[:-3] for call in calls) == [(1,), (5,), (5,)]
         assert minus == [(0, reference_starts[0])]
         # Blocks of 2: each later block reads the minus branch off the basis
@@ -384,7 +378,7 @@ class TestWarmStart:
 
 class TestOutput:
     def test_csv_shape(self):
-        rows = run_fig3(_tiny("fig3"))
+        rows = run_experiment(_tiny("fig3"))
         text = rows_to_csv(rows, MEASURE_COLUMNS["fig3"])
         lines = text.strip().splitlines()
         assert len(lines) == 4
@@ -393,7 +387,7 @@ class TestOutput:
         assert "rob_sequential" in header and "rob_sequential_status" in header
 
     def test_json_round_trips(self):
-        rows = run_fig3(_tiny("fig3"))
+        rows = run_experiment(_tiny("fig3"))
         payload = json.loads(rows_to_json(rows, MEASURE_COLUMNS["fig3"]))
         assert len(payload) == 3
         assert payload[0]["rob_sequential_status"] == "ok"
@@ -403,14 +397,14 @@ class TestOutput:
     def test_a_row_missing_a_column_is_refused(self, writer, part):
         # A writer indexes each column of a row: a missing value or status
         # raises, and never prints as NaN or an invented "ok".
-        row = run_fig3(_tiny("fig3"))[0]
+        row = run_experiment(_tiny("fig3"))[0]
         del getattr(row, part)["rob_sequential"]
         with pytest.raises(KeyError, match="rob_sequential"):
             writer([row], MEASURE_COLUMNS["fig3"])
 
     def test_write_rows_to_file(self, tmp_path):
         config = _tiny("fig3", output_path=str(tmp_path / "out.csv"))
-        rows = run_fig3(config)
+        rows = run_experiment(config)
         text = write_rows(rows, config)
         assert (tmp_path / "out.csv").read_text() == text
 

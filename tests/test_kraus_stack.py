@@ -460,6 +460,6 @@ class TestCheckedOnce:
         # the process; a sweep then builds no |+> state at all.
         plus_density(2), plus_density(3)
         calls = spy(monkeypatch, channels.DensityOperator, "pure")
-        experiments.run_figs1(experiments.default_config("figs1", stop=0.05))
+        experiments.run_experiment(experiments.default_config("figs1", stop=0.05))
         assert calls == []
         assert plus_density(3) is plus_density(3)

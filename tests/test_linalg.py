@@ -19,6 +19,11 @@ def test_tensor_identities():
     assert np.array_equal(tensor(np.eye(2), np.eye(3)), np.eye(6))
 
 
+def test_tensor_of_no_operator_is_refused():
+    with pytest.raises(ValueError, match=r"^tensor\(\) needs at least one operator$"):
+        tensor()
+
+
 def test_tensor_three_factors():
     out = tensor(PAULI_X, np.eye(2), PAULI_Z)
     assert out.shape == (8, 8)
@@ -49,9 +54,14 @@ def test_partial_trace_keep_both_and_none(rng):
     assert abs(full[0, 0] - np.trace(joint)) < 1e-12
 
 
-def test_partial_trace_dimension_mismatch():
-    with pytest.raises(DimensionMismatchError):
-        partial_trace(np.eye(6), [2, 2], keep=0)
+@pytest.mark.parametrize("size, keep, message", [
+    (6, 0, "operator shape (6, 6) != product of dims [2, 2]"),
+    (4, 2, "keep indices [2] out of range for 2 factors"),
+], ids=["shape", "keep"])
+def test_partial_trace_dimension_mismatch(size, keep, message):
+    with pytest.raises(DimensionMismatchError) as refused:
+        partial_trace(np.eye(size), [2, 2], keep=keep)
+    assert str(refused.value) == message
 
 
 def test_dagger():

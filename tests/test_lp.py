@@ -14,7 +14,6 @@ from magicswitch import (
     choi_of_channel,
     compose_channels,
     depolarizing_channel,
-    identity_channel,
     noisy_th_channel,
     rom_state,
     unitary_channel,
@@ -23,8 +22,9 @@ from magicswitch import experiments
 from magicswitch._simplex import WarmStart, solve_standard_form
 from magicswitch.config import DEFAULT_TOL
 from magicswitch.gates import HADAMARD, PAULI_X, PAULI_Y, PAULI_Z, T_GATE, plus_state
-from magicswitch.linalg import partial_trace, pauli_basis, pauli_vectorize
+from magicswitch.linalg import DimensionMismatchError, partial_trace, pauli_basis, pauli_vectorize
 from magicswitch.lp import _HELD_BASES, _assemble_standard_form, _hold, solve_l1
+from magicswitch.stabilizers import StabilizerDictionary
 
 from conftest import (PHASE_S, channel_program, clear_program_caches, extend_with_reference, fig2_fig3_channels,
                       pivots_by_caller, random_density_matrix, random_kraus_channel, state_program)
@@ -172,6 +172,20 @@ class TestStateRobustness:
         ref = rom_state(DensityOperator(mat), qubit_dict)
         assert abs(sol.value - ref.value) < 1e-9
         assert abs(sol.renorm_factor - 0.37) < 1e-9
+
+    def test_state_of_another_dimension_is_refused(self, qubit_dict):
+        with pytest.raises(DimensionMismatchError, match=r"^state dim 4 != dictionary dim 2$"):
+            rom_state(DensityOperator.maximally_mixed(4), qubit_dict)
+
+    def test_state_outside_the_span_of_the_dictionary_is_refused(self):
+        # |0><0| and |1><1| span the diagonal operators alone, so no
+        # combination of them is the valid state |+><+|.
+        diagonal = StabilizerDictionary(1, tuple(np.diag(row).astype(complex) for row in np.eye(2)), ("+Z", "-Z"))
+        with pytest.raises(ValueError) as refused:
+            rom_state(DensityOperator.pure(plus_state(2)), diagonal)
+        assert str(refused.value) == (
+            "robustness LP infeasible: the state lies outside the linear span of the dictionary's projectors"
+        )
 
     def test_dual_gap_small(self, qubit_dict, rng):
         for _ in range(10):
@@ -404,7 +418,7 @@ class TestFullRowRank:
         # Rebuilt in full, the program has 22 rows of rank 19: the Choi row
         # of P (x) I is half the plus side's P marginal row minus half the
         # minus side's, for each of X, Y, Z.
-        full, _ = reference_channel_lp(identity_channel(2), choi_atoms, left_out=[])
+        full, _ = reference_channel_lp(unitary_channel(np.eye(2)), choi_atoms, left_out=[])
         for i, k in enumerate(IMPLIED_CHOI_ROWS):
             assert np.abs(full[k] - 0.5 * (full[16 + 2 * i] - full[17 + 2 * i])).max() <= 1e-15
         assert full.shape == (22, 120) and np.linalg.matrix_rank(full) == 19
@@ -585,7 +599,7 @@ class TestReferenceStarts:
         for atoms, kept in ((choi_atoms[:30], 2), (choi_atoms[30:], 0)):
             A, starts = channel_program(atoms)
             assert len(starts) == kept
-            for ch in (unitary_channel(T_GATE), identity_channel(2)):
+            for ch in (unitary_channel(T_GATE), unitary_channel(np.eye(2))):
                 got = channel_robustness(ch, atoms)
                 assert same_outcome(got, solve_l1(A, got.standard_form[1], starts))
                 if not starts:

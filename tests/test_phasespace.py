@@ -7,12 +7,12 @@ from hypothesis import strategies as st
 
 from magicswitch import (
     DensityOperator,
+    PhaseSpaceFrame,
     build_frame,
     build_switch,
     compose_channels,
     conditional_outputs,
     depolarizing_channel,
-    identity_channel,
     mana_channel,
     mana_state,
     qutrit_noisy_th_channel,
@@ -79,6 +79,11 @@ def reference_choi_route(choi, frame_in, frame_out):
     return out
 
 
+def _scaled(scales):
+    """The d = 3 displacement operators, each times its entry of ``scales`` (1 if none)."""
+    return [op * scales.get(u, 1) for u, op in heisenberg_weyl_operators(3)]
+
+
 class TestFrame:
     def test_rejects_even_and_composite(self):
         for d in (2, 4, 9, 15):
@@ -128,26 +133,31 @@ class TestFrame:
         assert np.abs(_gram(a_ops) - reference).max() <= DEFAULT_TOL.eq
 
     @pytest.mark.parametrize(
-        "scales, message",
+        "ops, message",
         [
             # A complex identity makes A_0 = sum_u T_u / d non-Hermitian.
-            ({(0, 0): 1 + 1e-6j}, r"A_\(0, 0\) not Hermitian"),
+            (_scaled({(0, 0): 1 + 1e-6j}), r"^A_\(0, 0\) not Hermitian$"),
             # X and X^2 = X^dagger scaled alike keep A_0 Hermitian with unit
             # trace, and the first of them is the first point whose A_u is off.
-            ({(0, 1): 1 + 1e-6, (0, 2): 1 + 1e-6}, r"A_\(0, 1\) trace != 1"),
-            ({(1, 1): 1 + 1e-6, (2, 2): 1 + 1e-6}, r"A_\(1, 1\) trace != 1"),
+            (_scaled({(0, 1): 1 + 1e-6, (0, 2): 1 + 1e-6}), r"^A_\(0, 1\) trace != 1$"),
+            (_scaled({(1, 1): 1 + 1e-6, (2, 2): 1 + 1e-6}), r"^A_\(1, 1\) trace != 1$"),
+            # diag(1, 1, -1), then eight phases e^(+-i theta) times I with
+            # 8 cos(theta) = 2/3: A_0 = diag(5, 5, -1) / 9 is Hermitian with
+            # unit trace, and every A_u is A_0, so sum_u A_u / d is 3 A_0, not I.
+            ([np.diag([1.0, 1.0, -1.0]), *(np.exp(1j * sign * np.arccos(1 / 12)) * np.eye(3) for sign in [1, -1] * 4)],
+             "^phase-point resolution of identity failed$"),
+            # Nine phases times I that sum to 1: every A_u is I/3, which
+            # resolves the identity, but Tr[A_u A_v] = 1/3 for every pair.
+            ([phase * np.eye(3) for phase in (1, 1j, -1j, 1j, -1j, 1j, -1j, 1j, -1j)],
+             "^phase-point orthogonality failed$"),
         ],
+        ids=["hermitian", "trace-A01", "trace-A11", "resolution", "orthogonality"],
     )
-    def test_perturbed_displacements_are_refused(self, monkeypatch, scales, message):
-        exact = phasespace.heisenberg_weyl_operators
-        perturbed = lambda d: tuple((u, op * scales.get(u, 1)) for u, op in exact(d))
-        monkeypatch.setattr(phasespace, "heisenberg_weyl_operators", perturbed)
-        phasespace.build_frame.cache_clear()
-        try:
-            with pytest.raises(RuntimeError, match=message):
-                build_frame(3)
-        finally:
-            phasespace.build_frame.cache_clear()
+    def test_perturbed_displacements_are_refused(self, monkeypatch, ops, message):
+        labels = [u for u, _ in heisenberg_weyl_operators(3)]
+        monkeypatch.setattr(phasespace, "heisenberg_weyl_operators", lambda d: tuple(zip(labels, ops)))
+        with pytest.raises(RuntimeError, match=message):
+            build_frame.__wrapped__(3)  # past the cache, which keeps the exact frame
 
     def test_hw_operators_are_orthogonal_unitaries(self):
         ops = [op for _, op in heisenberg_weyl_operators(3)]
@@ -190,6 +200,16 @@ class TestStateWigner:
         assert rho.normalized
         wig = wigner_of_state(rho, frame3)
         assert abs(wig.sum() - rho.trace) < 1e-15
+
+    def test_unnormalized_state_is_refused(self, frame3):
+        with pytest.raises(ValueError, match="^wigner_of_state expects a normalized state$"):
+            wigner_of_state(DensityOperator(np.eye(3) / 2), frame3)
+
+    def test_frame_whose_values_miss_the_trace_is_caught(self, frame3):
+        doubled = PhaseSpaceFrame(3, 2 * frame3.phase_points)
+        with pytest.raises(RuntimeError) as caught:
+            wigner_of_state(DensityOperator.maximally_mixed(3), doubled)
+        assert str(caught.value) == "Wigner normalization drifted: sum = 2"
 
     def test_double_th_pass_goes_negative(self, frame3):
         # One TH pass maps |+> to a computational basis state (free); the
@@ -249,7 +269,7 @@ class TestStateWigner:
 
 class TestChannelWigner:
     def test_identity_channel_is_delta(self, frame3):
-        wig = wigner_of_channel(identity_channel(3), frame3)
+        wig = wigner_of_channel(unitary_channel(np.eye(3)), frame3)
         assert np.abs(wig - np.eye(9)).max() < 1e-12
 
     def test_columns_sum_to_one(self, frame3, rng):
@@ -300,7 +320,7 @@ class TestChannelWigner:
 
 class TestChannelMana:
     def test_identity_mana_zero(self, frame3):
-        assert mana_channel(identity_channel(3), frame3) == 0.0
+        assert mana_channel(unitary_channel(np.eye(3)), frame3) == 0.0
 
     def test_cpwp_classification(self, frame3):
         assert is_cpwp(unitary_channel(fourier_gate(3)), frame3)[0]

@@ -12,7 +12,6 @@ from magicswitch import (
     conditional_outputs,
     depolarizing_channel,
     effective_t_channels,
-    identity_channel,
     noisy_th_channel,
     qutrit_noisy_th_channel,
     unitary_channel,
@@ -20,7 +19,7 @@ from magicswitch import (
 from magicswitch import qswitch
 from magicswitch.channels import ChannelCompletenessError, apply_kraus
 from magicswitch.config import DEFAULT_TOL
-from magicswitch.experiments import default_config, run_figs1
+from magicswitch.experiments import default_config, run_experiment
 from magicswitch.gates import HADAMARD, T_GATE, basis_state, plus_state
 from magicswitch.linalg import DimensionMismatchError, partial_trace, tensor
 from magicswitch.qswitch import EffectiveDepolarizingSwitch
@@ -65,7 +64,7 @@ def kron_switch_kraus(a, b):
 
 class TestBuildSwitch:
     def test_identity_inner_channels(self, rng):
-        switched = build_switch(identity_channel(2), identity_channel(2))
+        switched = build_switch(unitary_channel(np.eye(2)), unitary_channel(np.eye(2)))
         joint = DensityOperator(
             tensor(random_density_matrix(2, rng), random_density_matrix(2, rng))
         )
@@ -127,14 +126,18 @@ class TestBuildSwitch:
 
     def test_rejects_mismatched_and_incomplete(self):
         with pytest.raises(DimensionMismatchError):
-            build_switch(identity_channel(2), identity_channel(3))
+            build_switch(unitary_channel(np.eye(2)), unitary_channel(np.eye(3)))
         with pytest.raises(ChannelCompletenessError):
-            build_switch(KrausChannel((0.5 * np.eye(2),)), identity_channel(2))
+            build_switch(KrausChannel((0.5 * np.eye(2),)), unitary_channel(np.eye(2)))
+        # Complete, from a qubit to a one-dimensional output.
+        rectangular = KrausChannel(([[1, 0]], [[0, 1]]))
+        with pytest.raises(DimensionMismatchError, match="^switch requires square inner channels$"):
+            build_switch(rectangular, rectangular)
 
 
 class TestConditionalOutputs:
     def test_identity_channels_pass_plus_through(self):
-        switched = build_switch(identity_channel(2), identity_channel(2))
+        switched = build_switch(unitary_channel(np.eye(2)), unitary_channel(np.eye(2)))
         target = DensityOperator.pure(plus_state(2))
         rho_plus, rho_minus, p_plus, p_minus = conditional_outputs(switched, target)
         assert abs(p_plus - 1.0) < 1e-12
@@ -160,14 +163,14 @@ class TestConditionalOutputs:
         assert abs(p_plus + p_minus - 1.0) < 1e-10
 
     def test_target_validation(self):
-        switched = build_switch(identity_channel(2), identity_channel(2))
+        switched = build_switch(unitary_channel(np.eye(2)), unitary_channel(np.eye(2)))
         with pytest.raises(DimensionMismatchError):
             conditional_outputs(switched, DensityOperator.maximally_mixed(3))
 
     def test_joint_input_formed_once_per_target(self, monkeypatch):
         calls = spy(monkeypatch, qswitch, "tensor")
         clear_joint_inputs()
-        run_figs1(default_config("figs1", stop=0.05))
+        run_experiment(default_config("figs1", stop=0.05))
         assert [len(call.args) for call in calls] == [2]
 
 

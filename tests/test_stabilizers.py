@@ -7,7 +7,7 @@ from magicswitch.gates import HADAMARD, PAULI_X, PAULI_Y, PAULI_Z, T_GATE, basis
 from magicswitch.linalg import DimensionMismatchError, partial_trace, pauli_strings, tensor
 from magicswitch.stabilizers import cspo_choi_atoms
 
-from conftest import CNOT_01, CNOT_10, PHASE_S, operators_close
+from conftest import CNOT_01, CNOT_10, PHASE_S, drop_a_generating_set, operators_close
 
 
 def clifford_generators(n_qubits):
@@ -123,6 +123,13 @@ def test_uniform_mixture_is_maximally_mixed(qubit_dict, twoq_dict):
 def test_enumeration_rejects_large_n():
     with pytest.raises(ValueError):
         enumerate_stabilizer_states(3)
+
+
+def test_enumeration_counts_its_states(monkeypatch):
+    # One generating set short, the enumeration lacks its two sign choices.
+    drop_a_generating_set(monkeypatch)
+    with pytest.raises(RuntimeError, match="^enumerated 4 states, expected 6$"):
+        enumerate_stabilizer_states.__wrapped__(1)  # past the cache, which keeps the full dictionary
 
 
 def is_stabilizer_state(rho, dictionary, tol=DEFAULT_TOL.lp_value):
