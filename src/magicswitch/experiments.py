@@ -5,8 +5,8 @@ reproduces: ``fig2`` and ``fig3`` score robustness over qubit noise, and
 ``figs1`` the qutrit analog of fig2 with mana.  Each is declared once, as
 an ``Experiment`` in ``MEASURE_TABLE``: its CLI help and alias, its default
 grid, its channel in ``CHANNELS``, its monotone and its columns in CSV
-order.  A column holds one measure ``(grid, column name) -> (values,
-statuses)`` and, when it is bisected, its threshold name.  The default
+order.  A column holds one measure ``grid -> (values, statuses)`` and,
+when it is bisected, its threshold name.  The default
 configs, the experiment aliases, the CLI's sweep subcommands, the CSV
 columns (``MEASURE_COLUMNS``) and the threshold registry (``MEASURES``,
 each name with its monotone's floor) are all read off the table.
@@ -18,24 +18,22 @@ two sequential passes.
 A sweep run is evaluated in blocks (``_Grid``) of at most
 ``_BLOCK_POINTS`` grid points, column by column, and then cut into rows:
 ``_dispatch_row`` is called once per grid row, in order, and assembles
-that row's ``SweepRow``.  Each robustness column is one warm LP walk down
-the block and one ``L1Solution`` with the block's axis (``lp.solve_l1``):
-each entry starts from the least infeasible of the optimal bases and
-inverses the column holds, those the walk reached and those ``lp`` kept of
-the run's earlier blocks, and the run's ``_RunState`` stores the
-solution's ``held`` set as it is for the next block; while a held basis
-stays feasible, as at nearly every default grid point, a row is read off
-one stacked mat-vec.  A run walks its whole grid in one process from the
-programs' reference starts (``lp``), so identical configs produce
-byte-identical CSV.  A warm-started value can differ from a lone solve at
-the same point in the last bits, never in the printed digits of the
-default grids.
+that row's ``SweepRow``.  Each robustness column of a block is one call
+of its program on the block's grid and one ``L1Solution`` with the
+block's axis: one warm LP walk down the block (``lp.solve_l1``) from the
+program's reference starts, where every LP call starts (``lp``).  No
+basis passes from one block, or one run, to the next, so identical
+configs produce byte-identical CSV.  Every LP of the default grids is read
+off a reference start with no pivot, a block's off one stacked mat-vec.
+A value read off a basis can differ from a cold solve at the same point
+in the last bits, never in the printed digits of the default grids.
 
 A threshold search (``find_threshold``) scores a registered measure in
 blocks of the same program, each building only what its measure reads,
-through its ``MEASURES`` callable, with one ``_RunState`` for the whole
-search; the floor the measure is registered with, its monotone's, decides
-whether it reads free as an LP or as mana.
+through its ``MEASURES`` callable; each block's LPs start from their
+program's reference starts, as a sweep's do.  The floor the measure is
+registered with, its monotone's, decides whether it reads free as an LP
+or as mana.
 """
 
 from __future__ import annotations
@@ -191,22 +189,6 @@ CHANNELS = {
 }
 
 
-@dataclass
-class _RunState:
-    """What one sweep run, or one threshold search, carries from one block
-    to the next: for each LP column, the ``held`` set of its last block's
-    ``L1Solution``, the optimal bases ``lp`` keeps of those the column
-    reached, stored and passed back as it is.  When
-    ``samples`` is a list, each block of a measure appends one record
-    ``(p, solution, values)`` to it: the block's noise values, its
-    ``L1Solution`` and, one row per entry, the fit values s b and s,
-    polynomial in p (``_Grid.solve``); or for mana ``(p, None, W)``, the
-    block's Wigner values as columns ``W[entry, v, u]``."""
-
-    bases: dict = field(default_factory=dict)
-    samples: list | None = None
-
-
 def _floor_slack(lp_tol: float) -> float:
     """How far a value may sit from its floor and still read as on it:
     ``lp_tol``, but never less than the rounding floor, so that an lp_tol
@@ -243,12 +225,17 @@ def _mana_status(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 class _Grid:
     """The noise values ``p`` of one experiment, a 1-D array: one block of a
     sweep run or of a threshold search.  Each intermediate is built for all
-    of them on first use and kept for the other columns of the block."""
+    of them on first use and kept for the other columns of the block.
+    When ``samples`` is a list, as for a search's opening block, each
+    measure appends one record ``(p, solution, values)`` to it: the block's
+    noise values, its ``L1Solution`` and, one row per entry, the fit values
+    s b and s, polynomial in p (``solve``); or for mana ``(p, None, W)``,
+    the block's Wigner values as columns ``W[entry, v, u]``."""
 
     experiment: str
     p: np.ndarray
     lp_tol: float
-    state: _RunState
+    samples: list | None = None
 
     @cached_property
     def channel(self) -> KrausChannel:
@@ -265,44 +252,40 @@ class _Grid:
     def t_branches(self) -> tuple:
         return effective_t_channels(self.p)
 
-    def solve(self, column: str, program, *args, scale=1.0) -> tuple:
+    def solve(self, program, *args, scale=1.0) -> tuple:
         """``_certified_value`` of the one block ``L1Solution`` of
-        ``program(*args)``, walked from the optimal bases ``column`` holds
-        in this run (``lp.solve_l1``).  The column then holds the
-        solution's ``held`` set as it is: ``lp`` folds in the bases the
-        walk reached, and this run keeps no rule of its own.  A search's
-        block records its sample, with s b and s per entry: ``scale`` is
-        the positive s(p) that makes s(p) times the LP's right-hand side b
-        a polynomial in p, the probability or weight of a switch branch,
-        whose unnormalized output is quadratic in p."""
-        solution = program(*args, basis=self.state.bases.get(column, ()))
-        values, statuses = _certified_value(solution, self.lp_tol)
-        self.state.bases[column] = solution.held
-        if self.state.samples is not None:
+        ``program(*args)``, walked from its program's reference starts
+        (``lp``).  A search's opening block records its sample, with s b
+        and s per entry: ``scale`` is the positive s(p) that makes s(p)
+        times the LP's right-hand side b a polynomial in p, the probability
+        or weight of a switch branch, whose unnormalized output is
+        quadratic in p."""
+        solution = program(*args)
+        if self.samples is not None:
             b = solution.standard_form[1]
             s = np.broadcast_to(np.reshape(scale, (-1, 1)), (len(b), 1))
-            self.state.samples.append((self.p, solution, np.hstack([s * b, s])))
-        return values, statuses
+            self.samples.append((self.p, solution, np.hstack([s * b, s])))
+        return _certified_value(solution, self.lp_tol)
 
 
-# Measures: (grid, column name) -> (values, statuses), one per grid entry;
-# k is 0 for the plus branch and 1 for the minus branch.
+# Measures: grid -> (values, statuses), one per grid entry; k is 0 for the
+# plus branch and 1 for the minus branch.
 
-def _channel_robustness(g: _Grid, column: str) -> tuple:
+def _channel_robustness(g: _Grid) -> tuple:
     atoms = cspo_choi_atoms(enumerate_stabilizer_states(2))
-    return g.solve(column, channel_robustness, g.channel, atoms)
+    return g.solve(channel_robustness, g.channel, atoms)
 
 
-def _channel_mana(g: _Grid, column: str) -> tuple:
-    if g.state.samples is None:
+def _channel_mana(g: _Grid) -> tuple:
+    if g.samples is None:
         return _mana_status(mana_channel(g.channel, build_frame(3)))
     # One Wigner function per entry, W(v|u), affine in p: sampled and scored.
     wig = phasespace.wigner_of_channel(g.channel, build_frame(3))
-    g.state.samples.append((g.p, None, wig))
+    g.samples.append((g.p, None, wig))
     return _mana_status(mana_of_wigner(wig, channel=True))
 
 
-def _branch_probability(g: _Grid, column: str, k: int) -> tuple:
+def _branch_probability(g: _Grid, k: int) -> tuple:
     probs = g.switch_outputs[2:]
     return probs[k], _prob_status(*probs)
 
@@ -323,38 +306,39 @@ def _live_branches(g: _Grid, k: int, score) -> tuple:
     return values, statuses
 
 
-def _branch_robustness(g: _Grid, column: str, k: int) -> tuple:
+def _branch_robustness(g: _Grid, k: int) -> tuple:
     def score(p, branch, prob):
-        return g.solve(column, rom_state, branch, enumerate_stabilizer_states(1), scale=prob)
+        return g.solve(rom_state, branch, enumerate_stabilizer_states(1), scale=prob)
 
     return _live_branches(g, k, score)
 
 
-def _branch_mana(g: _Grid, column: str, k: int) -> tuple:
+def _branch_mana(g: _Grid, k: int) -> tuple:
     def score(p, branch, prob):
-        if g.state.samples is not None:  # each unnormalized branch's W(u), quadratic in p, as one column
-            g.state.samples.append((p, None, wigner_of_operator(branch.matrix, build_frame(3)).reshape(len(p), -1, 1)))
+        if g.samples is not None:  # each unnormalized branch's W(u), quadratic in p, as one column
+            g.samples.append((p, None, wigner_of_operator(branch.matrix, build_frame(3)).reshape(len(p), -1, 1)))
         return _mana_status(mana_state(branch, build_frame(3)))
 
     return _live_branches(g, k, score)
 
 
-def _t_branch_robustness(g: _Grid, column: str, k: int) -> tuple:
+def _t_branch_robustness(g: _Grid, k: int) -> tuple:
     atoms = cspo_choi_atoms(enumerate_stabilizer_states(2))
     branch = g.t_branches[k]
-    return g.solve(column, channel_robustness, branch.channel, atoms, scale=branch.weight)
+    return g.solve(channel_robustness, branch.channel, atoms, scale=branch.weight)
 
 
-def _t_minus_robustness(g: _Grid, column: str) -> tuple:
-    # The minus-branch channel does not depend on p: one LP, a grid of one,
-    # which a later block of the run reads off the basis its column holds.
+def _t_minus_robustness(g: _Grid) -> tuple:
+    # The minus-branch channel does not depend on p: one LP per block, a
+    # grid of one, which every block reads off its own reference start
+    # (lp's _CHANNEL_REFERENCES) with no pivot.
     atoms = cspo_choi_atoms(enumerate_stabilizer_states(2))
     channel = _derived(KrausChannel, g.t_branches[1].channel.kraus_ops[None])
-    (value,), (status,) = g.solve(column, channel_robustness, channel, atoms)
+    (value,), (status,) = g.solve(channel_robustness, channel, atoms)
     return np.full(np.shape(g.p), value), np.full(np.shape(g.p), status)
 
 
-def _t_branch_weight(g: _Grid, column: str, k: int) -> tuple:
+def _t_branch_weight(g: _Grid, k: int) -> tuple:
     weights = [branch.weight for branch in g.t_branches]
     return weights[k], _prob_status(*weights)
 
@@ -422,14 +406,14 @@ MEASURE_COLUMNS = {
 }
 
 
-def _threshold_value(experiment: str, column: Column, p, state: _RunState | None = None) -> tuple:
+def _threshold_value(experiment: str, column: Column, p, samples: list | None = None) -> tuple:
     """``column``'s values and statuses at the 1-D array of noise values
-    ``p``, one of each per entry: the column's program on one block, from
-    its program's reference starts unless ``state`` is given."""
+    ``p``, one of each per entry: the column's program on one block, whose
+    fit samples are appended to ``samples`` when it is a list."""
     p = np.asarray(p, dtype=np.float64)
     if p.ndim != 1:
         raise ValueError(f"a threshold measure scores a 1-D array of noise values, got shape {p.shape}")
-    return column.measure(_Grid(experiment, p, DEFAULT_TOL.lp_value, state or _RunState()), column.name)
+    return column.measure(_Grid(experiment, p, DEFAULT_TOL.lp_value, samples))
 
 
 # Threshold name -> (callable p -> (values, statuses), faithfulness floor):
@@ -447,12 +431,12 @@ MEASURES = {
 # ---------------------------------------------------------------------------
 
 # Most grid points one block of a sweep run holds; a longer run is scored
-# block after block, its _RunState carried across, so memory stays bounded.
-# 128 is the smallest power of two that holds every default grid (101, 91
-# and 100 points), so a default sweep is one block and pays each column's
-# per-call LP, kernel and status work once.  The held bases ride the
-# _RunState, so a walk reaches the same bases whatever the block size, and
-# the rows keep their bits.
+# block after block, so memory stays bounded.  128 is the smallest power of
+# two that holds every default grid (101, 91 and 100 points), so a default
+# sweep is one block and pays each column's per-call LP, kernel and status
+# work once.  Each block's LPs start from their programs' reference starts,
+# which serve every LP of the default and fine grids with no pivot, so
+# those rows keep their bits whatever the block size.
 _BLOCK_POINTS = 128
 
 
@@ -469,14 +453,13 @@ def _dispatch_row(args) -> SweepRow:
 def _run_rows(experiment: str, grid: list[float], lp_tol: float) -> list[SweepRow]:
     """The rows of a sweep run over ``grid``, in its order, from the
     programs' reference starts."""
-    state = _RunState()
     rows = []
     for lo in range(0, len(grid), _BLOCK_POINTS):
         p = grid[lo : lo + _BLOCK_POINTS]
-        block = _Grid(experiment, np.array(p), lp_tol, state)
+        block = _Grid(experiment, np.array(p), lp_tol)
         columns = {}
         for column in MEASURE_TABLE[experiment].columns:
-            values, statuses = column.measure(block, column.name)
+            values, statuses = column.measure(block)
             columns[column.name] = np.asarray(values, dtype=float).tolist(), np.asarray(statuses).tolist()
         rows += [_dispatch_row((p, columns, i)) for i in range(len(p))]
     return rows
@@ -608,9 +591,10 @@ def find_threshold(
     These probes are the only check on r.  Any other outcome, a fit that
     fails included, bisects on from the narrowest bracket known, one point
     per block, until the midpoint is no longer strictly inside it.  The
-    measure's callable takes each block as a 1-D array of p with one
-    ``_RunState`` for the whole search, so every LP after the first starts
-    from an optimal basis the search holds.
+    measure's callable takes each block as a 1-D array of p, the opening
+    block with a ``samples`` list.  Every LP of a search starts from its
+    program's reference starts, as every LP call does, so no block depends
+    on an earlier one.
     ``iterations`` counts the points that narrowed the bracket: the
     midpoint, the probes not discarded and each later bisection step.
     Each search logs one INFO line: the measure, the threshold, the
@@ -631,15 +615,16 @@ def find_threshold(
         raise ValueError(f"bracket [{lo}, {hi}] leaves [0, 1], the range of p")
     mana = floor == _FLOORS["mana"]
     level = floor + (DEFAULT_TOL.mana_zero if mana else _floor_slack(lp_tol))
-    state = _RunState(samples=[])
+    samples = []
     bracket = [lo, hi]
     iterations = scored = 0
 
-    def score(points: list) -> list:
-        """One block: (p, value, status) per point."""
+    def score(points: list, record: list | None = None) -> list:
+        """One block: (p, value, status) per point; its fit samples go to
+        ``record`` when it is a list."""
         nonlocal scored
         scored += len(points)
-        return list(zip(points, *registered(np.array(points), state=state)))
+        return list(zip(points, *registered(np.array(points), samples=record)))
 
     def reads_free(p: float, value, status: str) -> bool:
         if status != "ok":
@@ -659,7 +644,7 @@ def find_threshold(
         bracket[reads_free(*read) != free_lo] = read[0]
 
     mid = midpoint()
-    opening = score([lo, hi] if mid is None else [lo, mid, hi])
+    opening = score([lo, hi] if mid is None else [lo, mid, hi], samples)
     free_lo, free_hi = reads_free(*opening[0]), reads_free(*opening[-1])
     if free_lo == free_hi:
         raise BracketError(
@@ -669,8 +654,7 @@ def find_threshold(
     proposed = False
     if mid is not None:
         narrow(opening[1])
-        root = _propose_crossing(state.samples[0], bracket, level, mana)
-        state.samples = None
+        root = _propose_crossing(samples[0], bracket, level, mana)
         # One ulp of the root inside r -+ threshold_tol / 2, so that the
         # bracket's computed width stays within threshold_tol.
         half = 0.5 * threshold_tol - math.ulp(root or 0.0)
@@ -831,7 +815,7 @@ def parse_config_file(path: str, **flags) -> SweepConfig:
             if not line:
                 continue
             if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
+                raise ValueError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
             key, _, val = line.partition("=")
             key = key.strip().lower()
             if key not in _CONFIG_KEYS:

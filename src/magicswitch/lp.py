@@ -22,46 +22,37 @@ solver sees exact real inputs.  Each program's constraint matrix depends
 only on its atom set: ``_assemble_standard_form`` builds it once per set,
 with the plus parts of the coefficients in the first half of the columns
 and the minus parts in the second, and a solve builds only its right-hand
-side.  ``solve_l1(A, b)`` then runs the embedded simplex at unit costs and
-certifies the answer.  A solve starts from the one start form the simplex
-takes, a ``WarmStart``: the ``basis`` its caller holds, the
-``warm_start`` of a solve of the same program at a neighbouring
-right-hand side.  A caller that holds several such bases, as a sweep run
-or a threshold search does for each LP column, passes them all, a tuple
-of ``WarmStart``s, latest first, and the solve starts from the one least
-infeasible for its right-hand side (``_simplex.reuse_basis``): one that
-serves it, where any does.  Which bases are held is this module's rule
-too: a walk folds each basis it reaches into what it holds by ``_hold``,
-which keeps the last four distinct ones once it reaches a basis it did
-not hold (a walk that reaches none still holds all of its program's
-reference starts, up to nine), and hands back the set it ends with as
-``L1Solution.held``, which the caller stores as it is.
+side.  ``solve_l1(A, b, basis)`` then runs the embedded simplex at unit
+costs and certifies the answer.  ``basis`` is the one start form the
+simplex takes, a ``WarmStart``, or several, a tuple of them latest first,
+and the solve starts from the one least infeasible for its right-hand
+side (``_simplex.reuse_basis``): one that serves it, where any does.
 
-A caller of ``rom_state`` or ``channel_robustness`` that holds no basis
-starts from its program's reference starts, built with the constraint
-matrix and cached with it: the optimal bases at a few fixed right-hand
-sides, held as one such tuple.  The state program's are the maximally
-mixed state, and for one qubit also the eight T-type magic states
-(``_T_TYPE_STATES``).  The channel program's are the two ends of the
-range the package scores of each of the two qubit channel families, and
-fig3's minus branch (``_CHANNEL_REFERENCES``).  Reduced costs do not
-depend on ``b``, so an optimal basis is dual feasible at every right-hand
-side of its program, and a dual simplex can start from it (a crash basis;
-Bixby, ORSA J. Comput. 4, 267 (1992)).  A channel of either family
-anywhere in its scored range, fig3's minus branch, and each state of
-fig2's sweep are read off one of them with no pivot.  They also save
-pivots for a channel far from both families: over 100 random Kraus
-channels and 50 Haar-random unitaries the repairs take 4,407 dual pivots
-where B = I takes 5,988.  They depend on the atom
-set alone, never on an earlier call, so no result depends on call order.
-An atom set whose program has no optimum at a reference leaves that
-reference out; one with none starts cold, from the all-artificial basis,
-as ``solve_l1`` with no basis does.
+Every call of ``rom_state`` or ``channel_robustness`` starts from its
+program's reference starts, built with the constraint matrix and cached
+with it: the optimal bases at a few fixed right-hand sides, held as one
+such tuple.  The state program's are the maximally mixed state, and for
+one qubit also the eight T-type magic states (``_T_TYPE_STATES``).  The
+channel program's are the two ends of the range the package scores of
+each of the two qubit channel families, and fig3's minus branch
+(``_CHANNEL_REFERENCES``).  Reduced costs do not depend on ``b``, so an
+optimal basis is dual feasible at every right-hand side of its program,
+and a dual simplex can start from it (a crash basis; Bixby, ORSA J.
+Comput. 4, 267 (1992)).  A channel of either family anywhere in its
+scored range, fig3's minus branch, and each state of fig2's sweep are
+read off one of them with no pivot.  They also save pivots for a channel
+far from both families: over 100 random Kraus channels and 50
+Haar-random unitaries the repairs take 4,407 dual pivots where B = I
+takes 5,988.  They depend on the atom set alone, and no basis passes from
+one call to the next, so a call's result depends on its own inputs alone,
+never on call order.  An atom set whose program has no optimum at a
+reference leaves that reference out; one with none starts cold, from the
+all-artificial basis, as ``solve_l1`` with no basis does.
 
 Both programs also take a grid (a channel or state with a leading axis)
 and return one ``L1Solution`` for it, whose fields carry one entry per
 grid entry, in order: one warm walk down the column of right-hand sides,
-with one start rule for every entry.  At entry j the walk compares every
+from the reference starts.  At entry j the walk compares every
 basis it holds at ``b_j`` and takes the least infeasible
 (``_simplex.reuse_basis``); ``B^-1 [b_j ... b_N]``, one stacked mat-vec,
 reads off every entry from j on that this basis serves, with no pivot.
@@ -69,10 +60,12 @@ An entry that no held basis serves must pivot: ``solve_standard_form``
 solves it from the least infeasible one (repaired by dual pivots), or
 from the all-artificial basis when none is held.  After each entry, the
 walk folds the basis it reached into what it holds (``_hold``); an entry
-with no optimum adds nothing.  Each entry gets the solution, and the
-certificates, that a lone solve of it from the bases the walk held before
-it gives; a single right-hand side is the walk of one, with scalar
-fields.
+with no optimum adds nothing.  So a basis one entry pivots to serves the
+entries after it: the 51 channels (cos t I - i sin t X) T, t in [0, 0.5],
+far from both families, take 59 dual pivots as one block and 1,279 as
+lone calls.  Each entry gets the solution, and the certificates, that a
+lone solve of it from the bases the walk held before it gives; a single
+right-hand side is the walk of one, with scalar fields.
 """
 
 from __future__ import annotations
@@ -123,9 +116,6 @@ class L1Solution:
     Python floats and ints and ``status`` is a str; for a block ``b`` of N
     rows every other field has a leading axis of N, ``status`` and
     ``warm_start`` as lists.  An entry that is not optimal is NaN.
-    ``held`` is the tuple of ``WarmStart``s the walk held after its last
-    entry, latest first, or () for none: what a caller that walks on from
-    here passes back as ``basis``, as it is.
     """
 
     value: float | np.ndarray
@@ -139,7 +129,6 @@ class L1Solution:
     warm_start: WarmStart | list | None = None
     renorm_factor: float | np.ndarray = 1.0
     standard_form: tuple | None = None
-    held: tuple = ()
 
     @property
     def checked_status(self) -> str | list:
@@ -182,14 +171,12 @@ def solve_l1(A: np.ndarray, b: np.ndarray, basis=None, renorm_factor=1.0) -> L1S
     from the least infeasible of the bases the walk holds
     (``reuse_basis``), and only an entry none of them serves reaches
     ``solve_standard_form``.  ``basis`` is None, the ``WarmStart`` of a
-    solve of the same program, or several bases a run holds, a sequence of
-    ``WarmStart``s, latest first, as an earlier solution's ``held`` or the
-    reference starts are; the walk folds each basis it reaches into them by
-    ``_hold`` and ends with ``L1Solution.held``.  An entry with no optimum
-    leaves them as they are.  None or an empty sequence is a cold start,
-    from the all-artificial basis: ``solve_l1`` knows no program's
-    reference starts, and ``rom_state`` and ``channel_robustness`` pass
-    those in place of an empty ``basis``.
+    solve of the same program, or a sequence of ``WarmStart``s, latest
+    first, as the reference starts are; the walk folds each basis it
+    reaches into them by ``_hold``, and an entry with no optimum leaves
+    them as they are.  None or an empty sequence is a cold start, from the
+    all-artificial basis: ``solve_l1`` knows no program's reference
+    starts, and ``rom_state`` and ``channel_robustness`` pass those.
     ``renorm_factor`` (a number, or one per right-hand side) is reported on
     the solution.  Deterministic under the fixed atom ordering and
     ``basis`` (see ``solve_standard_form``); the reconstruction residual,
@@ -235,12 +222,12 @@ def solve_l1(A: np.ndarray, b: np.ndarray, basis=None, renorm_factor=1.0) -> L1S
     half = n // 2
     if single:
         return L1Solution(float(objective[0]), status[0], float(residual[0]), x[0, :half], x[0, half:], float(gap[0]),
-                          float(violation[0]), int(iterations[0]), starts[0], float(factors[0]), (A, b[0]), held)
+                          float(violation[0]), int(iterations[0]), starts[0], float(factors[0]), (A, b[0]))
     return L1Solution(objective, status, residual, x[:, :half], x[:, half:], gap, violation, iterations, starts,
-                      factors, (A, b), held)
+                      factors, (A, b))
 
 
-# Most distinct optimal bases a caller holds for one program.
+# Most distinct optimal bases a walk holds after it reaches one it did not hold.
 _HELD_BASES = 4
 
 
@@ -251,9 +238,7 @@ def _hold(held, start):
     elsewhere (the same object) moves to the front.  A new one drops an
     older entry with the same basic columns, and only the last
     ``_HELD_BASES`` stay, latest first, the order in which ``reuse_basis``
-    breaks ties.  ``solve_l1`` folds in each entry of a walk, so a sweep
-    run or a threshold search that passes its ``held`` back holds, block
-    after block, what one walk of all its points would."""
+    breaks ties.  ``solve_l1`` folds in each entry of a walk."""
     if start is None or (held and held[0] is start):
         return held
     if any(other is start for other in held):
@@ -280,7 +265,13 @@ _T_TYPE_STATES = [(np.eye(2) + (x * PAULI_X + y * PAULI_Y + z * PAULI_Z) / np.sq
                   for x, y, z in itertools.product((1, -1), repeat=3)]
 
 
-@lru_cache(maxsize=None)
+# Most atom sets whose program each of the two program caches keeps.  Both
+# are keyed by the identity of the atom set, so equal sets built apart are
+# apart in the cache; the package builds one set per program.
+_CACHED_PROGRAMS = 8
+
+
+@lru_cache(maxsize=_CACHED_PROGRAMS)
 def _state_constraints(dictionary) -> tuple:
     """The state program's constraint matrix and its reference starts: the
     optimal bases at the eight T-type states for one qubit, then at the
@@ -291,17 +282,15 @@ def _state_constraints(dictionary) -> tuple:
     return A, _reference_starts(A, pauli_vectorize(np.array([*magic, np.eye(dictionary.dim) / dictionary.dim]), paulis))
 
 
-def rom_state(rho: DensityOperator, dictionary, basis=None) -> L1Solution:
+def rom_state(rho: DensityOperator, dictionary) -> L1Solution:
     """Robustness of a state over a stabilizer dictionary.
 
     Every input is renormalized first; the factor is reported on the
     solution and logged when it is not 1.  Faithful: the value is 1 exactly when the
-    state lies in the stabilizer polytope.  ``basis`` may carry the
-    ``warm_start`` of a neighbouring state's solve, or several held bases
-    (a tuple of ``WarmStart``s), as a starting point; with none, the solve
-    starts from the program's reference starts.  A grid of states gives one
-    solution with an entry per state, in order, from one warm walk
-    (``solve_l1``).  An infeasible LP, for any entry, raises.
+    state lies in the stabilizer polytope.  The solve starts from the
+    program's reference starts.  A grid of states gives one solution with
+    an entry per state, in order, from one warm walk (``solve_l1``).  An
+    infeasible LP, for any entry, raises.
     """
     rho, factor = rho.renormalized()
     log_renormalized(logger, "rom_state", factor)
@@ -311,7 +300,7 @@ def rom_state(rho: DensityOperator, dictionary, basis=None) -> L1Solution:
         )
     A, starts = _state_constraints(dictionary)
     target = pauli_vectorize(rho.matrix, pauli_basis(dictionary.n_qubits))
-    solution = solve_l1(A, target, basis or starts, factor)
+    solution = solve_l1(A, target, starts, factor)
     logger.debug("rom_state status=%s value=%s", solution.status, solution.value)
     # ``in`` finds "infeasible" in a block's list of statuses, or as the
     # one status, which is no other status's substring.
@@ -357,7 +346,7 @@ _CHANNEL_REFERENCES = {
 }
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHED_PROGRAMS)
 def _channel_constraints(atoms) -> tuple:
     """The channel program's constraint matrix and its reference starts.
 
@@ -373,22 +362,20 @@ def _channel_constraints(atoms) -> tuple:
     return A, _reference_starts(A, _channel_rhs(np.array([choi() for choi in _CHANNEL_REFERENCES.values()])))
 
 
-def channel_robustness(ch: KrausChannel, atoms, basis=None) -> L1Solution:
+def channel_robustness(ch: KrausChannel, atoms) -> L1Solution:
     """Channel robustness of a single-qubit channel over Choi atoms.
 
     The two sides of the decomposition are conic combinations of stabilizer
     Choi projectors; each side separately satisfies the trace-preservation
     marginal (its X, Y, Z components vanish), which together with the Choi
-    reconstruction rows makes the optimal l1 norm equal 1 + 2p.  ``basis``
-    may carry the ``warm_start`` of a neighbouring channel's solve, or
-    several held bases (a tuple of ``WarmStart``s), as a starting point;
-    with none, the solve starts from the program's reference starts.  A grid of
-    channels gives one solution with an entry per channel, in order, from
-    one warm walk (``solve_l1``).
+    reconstruction rows makes the optimal l1 norm equal 1 + 2p.  The solve
+    starts from the program's reference starts.  A grid of channels gives
+    one solution with an entry per channel, in order, from one warm walk
+    (``solve_l1``).
     """
     if ch.d_in != 2 or ch.d_out != 2:
         raise DimensionMismatchError("channel robustness is implemented for qubit channels")
     A, starts = _channel_constraints(atoms)
-    solution = solve_l1(A, _channel_rhs(choi_of_channel(ch).matrix), basis or starts)
+    solution = solve_l1(A, _channel_rhs(choi_of_channel(ch).matrix), starts)
     logger.debug("channel_robustness status=%s value=%s", solution.status, solution.value)
     return solution

@@ -110,7 +110,13 @@ class ChoiAtom:
     marginal: np.ndarray
 
 
-@lru_cache(maxsize=None)
+# Most dictionaries whose atoms ``cspo_choi_atoms`` keeps.  It is keyed by
+# the identity of the dictionary, so equal dictionaries built apart are
+# apart in the cache; the package builds one two-qubit dictionary.
+_CACHED_ATOM_SETS = 8
+
+
+@lru_cache(maxsize=_CACHED_ATOM_SETS)
 def cspo_choi_atoms(dictionary: StabilizerDictionary) -> tuple:
     """Pair each two-qubit stabilizer projector with its output marginal."""
     if dictionary.n_qubits != 2:

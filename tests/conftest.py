@@ -133,15 +133,21 @@ def pivots_by_caller(monkeypatch, run):
 def recorded_solves(monkeypatch, run):
     """Run ``run()``; return its result and, per LP a sweep or a search
     solved by ``channel_robustness`` or ``rom_state``, in order: [whether it
-    started from a held basis, its ``iterations``].  The first entry of a
-    block starts from the bases its call was given, each later one from
-    those the walk holds by then."""
+    was read off one of its program's reference starts, its
+    ``iterations``].  Every call starts from those; a later entry of a
+    block can also be read off a basis an earlier entry pivoted to."""
     with monkeypatch.context() as patch:
         calls = spy(patch, experiments, "channel_robustness")
         spy(patch, experiments, "rom_state", calls)
         result = run()
-    entries = [(call.kwargs.get("basis"), np.atleast_1d(call.result.iterations).tolist()) for call in calls]
-    return result, [[bool(basis) or k > 0, n] for basis, block in entries for k, n in enumerate(block)]
+    solves = []
+    for call in calls:
+        build = channel_program if isinstance(call.args[1], tuple) else state_program  # atoms or a dictionary
+        references = {id(start) for start in build(call.args[1])[1]}
+        starts = call.result.warm_start if isinstance(call.result.warm_start, list) else [call.result.warm_start]
+        iterations = np.atleast_1d(call.result.iterations).tolist()
+        solves += [[id(start) in references, n] for start, n in zip(starts, iterations)]
+    return result, solves
 
 
 def sweep_rows(experiment, grid, lp_tol, block_points=None):
@@ -164,17 +170,11 @@ def sweep_config(argv):
     return cli._sweep_config(cli.build_parser().parse_args(argv))
 
 
-def run_state(sampling=False):
-    """A fresh ``state`` for a registered measure, to carry across blocks;
-    if ``sampling``, its ``samples`` records each block's fit, as in a search."""
-    return experiments._RunState(samples=[] if sampling else None)
-
-
-def scored_block(p, state, column, program, *args, scale=1.0):
-    """(values, statuses) of ``program(*args)`` as column ``column`` of one
-    fig2 block at noise values ``p``, walked from the bases the column holds
-    in ``state``; its fit sample has scale s(p) = ``scale``."""
-    return experiments._Grid("fig2", p, DEFAULT_TOL.lp_value, state).solve(column, program, *args, scale=scale)
+def scored_block(p, samples, program, *args, scale=1.0):
+    """(values, statuses) of ``program(*args)`` as an LP column of one fig2
+    block at noise values ``p``; when ``samples`` is a list, the block
+    appends its fit sample, with scale s(p) = ``scale``, as in a search."""
+    return experiments._Grid("fig2", p, DEFAULT_TOL.lp_value, samples).solve(program, *args, scale=scale)
 
 
 def threshold_value_calls(monkeypatch):
@@ -217,6 +217,11 @@ def channel_program(atoms):
 
 def state_program(dictionary):
     return _program_builders()[1](dictionary)
+
+
+def held_after(held, start):
+    """The bases a walk holds once it reaches ``start``, from ``held``."""
+    return lp._hold(held, start)
 
 
 def clear_program_caches():
@@ -277,9 +282,8 @@ class PointOracle:
     """One noise value ``p`` of one sweep experiment: the per-point sweep the
     array program replaced, kept as its reference.  Each intermediate is
     built by the package's single-object functions on first use, and each
-    LP is solved alone, from the bases its column held after the previous
-    point of the run (``run["bases"]``, that solution's ``held``), or cold
-    when ``run["cold"]``."""
+    LP is solved alone, from its program's reference starts, or cold when
+    ``run["cold"]``."""
 
     def __init__(self, experiment, p, lp_tol, run):
         self.experiment, self.p, self.lp_tol, self.run = experiment, p, lp_tol, run
@@ -297,14 +301,13 @@ class PointOracle:
     def t_branches(self):
         return effective_t_channels(self.p)
 
-    def solve(self, column, program, *args):
+    def solve(self, program, *args):
         """The value and status of one LP: its checked status, with an
         optimal value below 1 - max(lp_tol, the rounding floor) read as
         ``below_floor`` and any other optimal one as ``ok``."""
-        solution = program(*args, basis=self.run["bases"].get(column))
+        solution = program(*args)
         if self.run.get("cold"):
             solution = lp.solve_l1(*solution.standard_form, (), solution.renorm_factor)
-        self.run["bases"][column] = solution.held
         status = solution.checked_status
         if status == "optimal":
             floor = 1.0 - max(self.lp_tol, DEFAULT_TOL.rounding)
@@ -322,47 +325,47 @@ def _mana_status(value):
     return value, "ok" if value >= -DEFAULT_TOL.mana_zero else "check_failed"
 
 
-def _oracle_channel_robustness(pt, column):
-    return pt.solve(column, channel_robustness, pt.channel, cspo_choi_atoms(enumerate_stabilizer_states(2)))
+def _oracle_channel_robustness(pt):
+    return pt.solve(channel_robustness, pt.channel, cspo_choi_atoms(enumerate_stabilizer_states(2)))
 
 
-def _oracle_channel_mana(pt, column):
+def _oracle_channel_mana(pt):
     return _mana_status(mana_channel(pt.channel, build_frame(3)))
 
 
-def _oracle_probability(pt, column, k):
+def _oracle_probability(pt, k):
     probs = pt.switch_outputs[2:]
     return probs[k], _prob_status(*probs)
 
 
-def _oracle_branch_robustness(pt, column, k):
+def _oracle_branch_robustness(pt, k):
     if pt.switch_outputs[2 + k] <= DEFAULT_TOL.degenerate_prob:
         return float("nan"), "degenerate"
-    return pt.solve(column, rom_state, pt.switch_outputs[k], enumerate_stabilizer_states(1))
+    return pt.solve(rom_state, pt.switch_outputs[k], enumerate_stabilizer_states(1))
 
 
-def _oracle_branch_mana(pt, column, k):
+def _oracle_branch_mana(pt, k):
     if pt.switch_outputs[2 + k] <= DEFAULT_TOL.degenerate_prob:
         return float("nan"), "degenerate"
     return _mana_status(mana_state(pt.switch_outputs[k], build_frame(3)))
 
 
-def _oracle_t_robustness(pt, column, k):
+def _oracle_t_robustness(pt, k):
     atoms = cspo_choi_atoms(enumerate_stabilizer_states(2))
     if k == 0:
-        return pt.solve(column, channel_robustness, pt.t_branches[0].channel, atoms)
+        return pt.solve(channel_robustness, pt.t_branches[0].channel, atoms)
     # The minus-branch channel does not depend on p: solved once per run.
     if "switch_minus" not in pt.run:
-        pt.run["switch_minus"] = pt.solve(column, channel_robustness, pt.t_branches[1].channel, atoms)
+        pt.run["switch_minus"] = pt.solve(channel_robustness, pt.t_branches[1].channel, atoms)
     return pt.run["switch_minus"]
 
 
-def _oracle_t_weight(pt, column, k):
+def _oracle_t_weight(pt, k):
     weights = [branch.weight for branch in pt.t_branches]
     return weights[k], _prob_status(*weights)
 
 
-# Sweep column -> its per-point measure (point, column) -> (value, status).
+# Sweep column -> its per-point measure point -> (value, status).
 ORACLE_MEASURES = {
     "channel_robustness": _oracle_channel_robustness,
     "rom_plus": partial(_oracle_branch_robustness, k=0),
@@ -382,17 +385,17 @@ ORACLE_MEASURES = {
 
 def oracle_rows(experiment, grid, lp_tol=DEFAULT_TOL.lp_value, cold=False):
     """The rows of one contiguous run over ``grid``, one point at a time, in
-    order, each LP warm-started from the bases its column holds (from the
+    order, each LP started from its program's reference starts (from the
     all-artificial basis at every point when ``cold``)."""
-    run = {"bases": {}}
+    run = {}
     rows = []
     for p in grid:
         if cold:
-            run = {"bases": {}, "cold": True}
+            run = {"cold": True}
         point = PointOracle(experiment, p, lp_tol, run)
         row = experiments.SweepRow(p=p)
         for column in experiments.MEASURE_COLUMNS[experiment]:
-            row.values[column], row.status[column] = ORACLE_MEASURES[column](point, column)
+            row.values[column], row.status[column] = ORACLE_MEASURES[column](point)
         rows.append(row)
     return rows
 

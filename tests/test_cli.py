@@ -356,7 +356,7 @@ BAD_INPUT_MESSAGES = {
     "appendix-c --dims 2,3,2": "error: dimension d=2 is given twice",
     "rom --state qutrit-plus": "error: rom supports 1- and 2-qubit states, got dimension 3",
     "rom --state-file one-row": "error: one-row: 'matrix' must be square, got shape (1, 2)",
-    "fig2 --config no-equals-sign": "error: no-equals-sign:1: expected 'key = value', got 'experiment fig2\\n'",
+    "fig2 --config no-equals-sign": "error: no-equals-sign:1: expected 'key = value', got 'experiment fig2'",
 }
 
 

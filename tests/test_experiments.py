@@ -36,7 +36,7 @@ from magicswitch.experiments import _certified_value, _floor_slack
 
 from conftest import (LP_BRACKETS, LP_THRESHOLDS, basis_root, channel_program, channel_wigner_builds,
                       clear_program_caches, dispatched_rows, oracle_rows, pivots_by_caller, proposed_roots,
-                      recorded_solves, run_state, scored_block, spy, state_program, sweep_rows, threshold_value_calls)
+                      recorded_solves, scored_block, spy, state_program, sweep_rows, threshold_value_calls)
 
 
 class TestSweepConfig:
@@ -183,9 +183,10 @@ class TestDeterminism:
     @pytest.mark.parametrize("block_points", [3, 64, 128])
     @pytest.mark.parametrize("experiment", ["fig2", "fig3", "figs1"])
     def test_default_csv_hash_does_not_depend_on_block_size(self, experiment, block_points):
-        # A run carries its held bases from block to block, so its walk, and
-        # every byte of its CSV, is the same in blocks of any size: 34 blocks
-        # of 3, two of 64 or one of 128.
+        # Every block's LPs start from their programs' reference starts,
+        # which serve every LP of a default grid, so every byte of its CSV is
+        # the same in blocks of any size: 34 blocks of 3, two of 64 or one
+        # of 128.
         from perfbench.workloads import EXPECTED_SHA256
 
         config = default_config(experiment)
@@ -242,15 +243,11 @@ class TestWarmStart:
                         assert math.isnan(got.values[m])
                     else:
                         assert abs(got.values[m] - want.values[m]) <= 1e-12, (got.p, m)
-        # Only the first LP of each column holds no basis; it starts from its
-        # program's reference starts, which serve it with no pivot: the
-        # channel columns open at p = 0 on the noise-free end of their
-        # family, fig3's minus branch on its own reference, and fig2's
-        # branch states on a T-type state or I/2.  Every later LP is read
-        # off a basis its column holds (iterations 0).
-        first = [iterations for warm, iterations in solves if not warm]
-        assert first == [0, 0, 0]
-        assert all(iterations == 0 for _, iterations in solves)
+        # Every LP starts from its program's reference starts, and each is
+        # read off one of them with no pivot: the channel columns off the
+        # ends of their family, fig3's minus branch off its own reference,
+        # and fig2's branch states off a T-type state or I/2.
+        assert solves and all(reference and iterations == 0 for reference, iterations in solves)
 
     def test_each_run_starts_cold(self, monkeypatch, reference_starts):
         config = _tiny("fig3", stop=0.2, step=0.02)
@@ -261,13 +258,11 @@ class TestWarmStart:
                 runs.append((*recorded_solves(patch, lambda: run_experiment(config)), calls))
         (first, solves, calls), (second, again, calls_again) = runs
         # Nothing carries over from the first run: the second solves the
-        # same LPs the same way, the first LP of each column from its
-        # program's reference starts again, each read off one with no
+        # same LPs the same way, each read off a reference start with no
         # pivot.  Both runs read the minus branch off its own reference,
         # not off a basis the first run left behind.
         assert solves == again
-        cold = [k for k, (warm, _) in enumerate(solves) if not warm]
-        assert len(cold) == 3 and [solves[k][1] for k in cold] == [0, 0, 0]
+        assert solves and all(reference and n == 0 for reference, n in solves)
         for recorded in (calls, calls_again):
             # The minus branch is the one grid of one entry.
             [solution] = [c.result for c in recorded if c.args[0].kraus_ops.shape[:-3] == (1,)]
@@ -275,12 +270,11 @@ class TestWarmStart:
         assert rows_to_csv(first, MEASURE_COLUMNS["fig3"]) == rows_to_csv(second, MEASURE_COLUMNS["fig3"])
 
     def test_nearly_every_sweep_lp_reuses_its_basis(self, monkeypatch, reference_starts):
-        # fig2 and fig3 on their default grids solve 485 LPs: 6 start from
-        # their program's reference starts, and all but a few of the rest
-        # are read off a basis their column holds.  The few that pivot take
-        # at most 30 dual pivots in all; from cold first LPs they took 173.
-        # The references are built first, so their own pivots are not
-        # counted.
+        # fig2 and fig3 on their default grids solve 485 LPs, each from its
+        # program's reference starts, and all but a few are read off one.
+        # The few that pivot take at most 30 dual pivots in all; from cold
+        # first LPs they took 173.  The references are built first, so their
+        # own pivots are not counted.
         (_, solves), pivots = pivots_by_caller(
             monkeypatch, lambda: recorded_solves(
                 monkeypatch, lambda: [run_experiment(default_config(exp)) for exp in ("fig2", "fig3")]))
@@ -349,14 +343,14 @@ class TestWarmStart:
 
     def test_fig3_minus_branch_is_solved_once_per_run(self, monkeypatch, reference_starts):
         # The minus-branch channel does not depend on p: each block scores
-        # it as a grid of one, and a run's first block reads it off its own
-        # reference start, with no pivot.
+        # it as a grid of one, and reads it off its own reference start,
+        # with no pivot.
         original, minus = experiments.channel_robustness, []
 
-        def solve(ch, atoms, basis=None):
+        def solve(ch, atoms):
             if ch.kraus_ops.shape[:-3] != (1,):
-                return original(ch, atoms, basis=basis)
-            solution, pivots = pivots_by_caller(monkeypatch, lambda: original(ch, atoms, basis=basis))
+                return original(ch, atoms)
+            solution, pivots = pivots_by_caller(monkeypatch, lambda: original(ch, atoms))
             minus.append((sum(pivots.values()), solution.warm_start[0]))
             return solution
 
@@ -367,8 +361,8 @@ class TestWarmStart:
         rows = run_experiment(_tiny("fig3", start=0.0, stop=0.4))
         assert len(rows) == 5 and sorted(call.args[0].kraus_ops.shape[:-3] for call in calls) == [(1,), (5,), (5,)]
         assert minus == [(0, reference_starts[0])]
-        # Blocks of 2: each later block reads the minus branch off the basis
-        # its column holds, with no pivot, and every row gets the same value.
+        # Blocks of 2: each block reads the minus branch off that same
+        # reference start, with no pivot, and every row gets the same value.
         minus.clear()
         blocks = sweep_rows("fig3", default_config("fig3", stop=0.35, step=0.05).grid(), 1e-6, block_points=2)
         assert minus == [(0, reference_starts[0])] * 4
@@ -462,7 +456,7 @@ class TestThresholdFinder:
         # The opening block [0.1, 0.5, 0.9] is scored at once, but its
         # statuses are read in the order of one point at a time: a bad end,
         # then a bracket with no crossing, then a bad midpoint.
-        def toy(p, state=None):
+        def toy(p, samples=None):
             values = 1.0 + np.maximum(0.0, 0.37 - p) if crossing else np.full(len(p), 2.0)
             return values, ["check_failed" if x in bad else "ok" for x in p.tolist()]
 
@@ -685,14 +679,15 @@ class TestWalkedThresholds:
 
     @pytest.mark.parametrize("wrong_proposal", [False, True], ids=["walked", "bisected"])
     @pytest.mark.parametrize("name", list(LP_CROSSINGS))
-    def test_only_the_first_lp_of_a_search_starts_cold(self, monkeypatch, name, wrong_proposal):
-        # One run state serves the opening block (the ends and the bisection
-        # step), the probe block, and the bisection after a wrong proposal.
+    def test_every_lp_of_a_search_is_read_off_a_reference_start(self, monkeypatch, name, wrong_proposal):
+        # The opening block (the ends and the bisection step), the probe
+        # block and the bisection after a wrong proposal each start from
+        # their program's reference starts, and none pivots.
         (lo, hi), _, exact, _ = LP_CROSSINGS[name]
         proposals = proposed_roots(monkeypatch, injected=exact + 1e-3 if wrong_proposal else ...)
         evaluated = recorded_evaluations(monkeypatch, name)
         _, solves = recorded_solves(monkeypatch, lambda: find_threshold(name, lo, hi, threshold_tol=1e-6))
-        assert [warm for warm, _ in solves] == [False] + [True] * (len(solves) - 1)
+        assert all(reference and iterations == 0 for reference, iterations in solves)
         # Ends, one bisection step and two probes, then bisection, one
         # point per block.
         assert len(solves) > 5 if wrong_proposal else len(solves) == 5
@@ -706,17 +701,17 @@ class TestWalkedThresholds:
         assert evaluated[1] == [root - half, root + half]
         assert len(evaluated) > 2 if wrong_proposal else len(evaluated) == 2
 
-    def test_fig2_channel_search_reads_most_lps_off_held_bases(self, monkeypatch):
-        # The run state holds the last few optimal bases of the search: the
-        # midpoint and both probes lie inside the region of the basis at one
-        # bracket end, and are read off it with no pivot.
+    def test_fig2_channel_search_reads_every_lp_off_a_reference_start(self, monkeypatch):
+        # The ends, the midpoint and both probes each lie inside the region
+        # of the T H or the measure-and-prepare reference, and are read off
+        # it with no pivot.
         (lo, hi), shift, _, _ = LP_CROSSINGS["fig2_channel_robustness"]
         for s in np.random.default_rng(23).uniform(-shift, shift, size=4):
             res, solves = recorded_solves(
                 monkeypatch, lambda: find_threshold("fig2_channel_robustness", lo + s, hi + s, threshold_tol=1e-6)
             )
             assert res.iterations == 3 and len(solves) == 5
-            assert sum(warm and iterations == 0 for warm, iterations in solves) >= 3
+            assert all(reference and iterations == 0 for reference, iterations in solves)
 
     @pytest.mark.parametrize("name", [
         "fig2_channel_robustness", "fig3_sequential", "fig3_switch_plus", "fig2_rom_plus"])
@@ -858,9 +853,9 @@ class TestWalkedThresholds:
         # x2 = 0.3 - p there reaches the root.  From (0.29, 0.4) it narrows
         # to (0.29, 0.345), whose low end's basis stops at the kink; only
         # the basis of x1 = p - 0.3 reaches the root, so the search bisects.
-        def toy(p, state=None):
+        def toy(p, samples=None):
             b = (p - 0.3)[:, None]
-            values, _ = scored_block(p, state or run_state(), "toy", lp.solve_l1, ABS_A, b, scale=1.0 + p)
+            values, _ = scored_block(p, samples, lp.solve_l1, ABS_A, b, scale=1.0 + p)
             return values, ["ok"] * len(p)  # |p - 0.3| < 1 reads below the robustness floor
 
         monkeypatch.setitem(MEASURES, "toy", (toy, floor))
@@ -908,10 +903,10 @@ def test_fit_polynomial_interpolates_three_points():
 def test_sampled_mana_evaluation_builds_one_wigner_function(monkeypatch):
     calls = channel_wigner_builds(monkeypatch)
     # A search's opening block: one Wigner build for its three points.
-    state = run_state(sampling=True)
-    values, _ = MEASURES["figs1_mana_channel"][0](np.array([0.3, 0.4, 0.5]), state=state)
-    assert len(calls) == 1 and len(state.samples) == 1
-    (p, _, wigner), = state.samples
+    samples = []
+    values, _ = MEASURES["figs1_mana_channel"][0](np.array([0.3, 0.4, 0.5]), samples=samples)
+    assert len(calls) == 1 and len(samples) == 1
+    (p, _, wigner), = samples
     assert p.tolist() == [0.3, 0.4, 0.5] and wigner.shape == (3, 9, 9)
     assert np.array_equal(values, mana_of_wigner(wigner, channel=True))
 

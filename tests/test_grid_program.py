@@ -29,7 +29,7 @@ from magicswitch.experiments import default_config, run_experiment
 from magicswitch.phasespace import wigner_of_operator
 
 from conftest import (LP_BRACKETS, LP_THRESHOLDS, channel_program, compare_rows, completeness_checks, grid_of,
-                      oracle_rows, sweep_rows)
+                      held_after, oracle_rows, sweep_rows)
 
 FINE = {"fig2": dict(step=0.0005), "fig3": dict(step=0.0002)}
 
@@ -126,22 +126,17 @@ class TestGridKernels:
         walk = lp.channel_robustness(noisy_th_channel(self.P), atoms)
         assert isinstance(walk, lp.L1Solution) and len(walk.status) == len(walk.warm_start) == len(self.P)
         # Each entry walks as a lone solve from the bases the walk held
-        # before it, and holds what that solve holds after it.
-        held = ()
+        # before it: the reference starts, with the bases the entries before
+        # it reached folded in.
+        A, held = channel_program(atoms)
         for k, p in enumerate(self.P):
-            alone = lp.channel_robustness(noisy_th_channel(p), atoms, basis=held)
-            start, held = alone.warm_start, alone.held
+            alone = lp.solve_l1(A, walk.standard_form[1][k], held)
             for field in ("value", "status", "iterations", "residual", "dual_gap", "dual_violation", "plus", "minus"):
                 assert np.array_equal(getattr(walk, field)[k], getattr(alone, field)), (p, field)
-            assert np.array_equal(walk.warm_start[k].basis, start.basis)
-            assert np.array_equal(walk.warm_start[k].inverse, start.inverse)
-        assert len(walk.held) == len(held)
-        for got, want in zip(walk.held, held):
-            assert np.array_equal(got.basis, want.basis) and np.array_equal(got.inverse, want.inverse)
-        # The walk holds the very starts its entries reached, the last one
-        # latest: reference starts it read entries off, or bases it pivoted to.
-        reached = {id(start) for start in (*walk.warm_start, *channel_program(atoms)[1])}
-        assert walk.held[0] is walk.warm_start[-1] and all(id(start) in reached for start in walk.held)
+            assert walk.warm_start[k] is alone.warm_start or walk.iterations[k] > 0
+            assert np.array_equal(walk.warm_start[k].basis, alone.warm_start.basis)
+            assert np.array_equal(walk.warm_start[k].inverse, alone.warm_start.inverse)
+            held = held_after(held, walk.warm_start[k])
         assert walk.standard_form[1].shape == (len(self.P), walk.standard_form[0].shape[0])
 
     def test_rom_state_logs_each_renormalized_entry(self, caplog):

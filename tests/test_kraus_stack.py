@@ -35,6 +35,7 @@ from magicswitch.channels import ChannelCompletenessError, apply_kraus, plus_den
 from magicswitch.config import DEFAULT_TOL
 from magicswitch.gates import T_GATE, plus_state
 from magicswitch.linalg import DimensionMismatchError, tensor
+from magicswitch.lp import solve_l1
 from magicswitch.phasespace import wigner_of_operator
 
 from conftest import apply_chunk_bytes, completeness_checks, grid_of, joint_input, random_density_matrix, spy
@@ -437,8 +438,8 @@ class TestCheckedOnce:
         start, reused = None, 0
         for gamma in np.linspace(0.1, 0.5, 41):
             k0 = np.array([[1.0, 0.0], [0.0, np.sqrt(1 - gamma)]])
-            sol = channel_robustness(KrausChannel([k0, [[0.0, np.sqrt(gamma) + 1e-10], [0.0, 0.0]]]), choi_atoms,
-                                     basis=start)
+            channel = KrausChannel([k0, [[0.0, np.sqrt(gamma) + 1e-10], [0.0, 0.0]]])
+            sol = solve_l1(*channel_robustness(channel, choi_atoms).standard_form, start)
             assert sol.status == "optimal"
             reused += sol.iterations == 0
             start = sol.warm_start

@@ -13,6 +13,7 @@ from magicswitch import (
     channel_robustness,
     choi_of_channel,
     compose_channels,
+    cspo_choi_atoms,
     depolarizing_channel,
     noisy_th_channel,
     rom_state,
@@ -23,11 +24,12 @@ from magicswitch._simplex import WarmStart, solve_standard_form
 from magicswitch.config import DEFAULT_TOL
 from magicswitch.gates import HADAMARD, PAULI_X, PAULI_Y, PAULI_Z, T_GATE, plus_state
 from magicswitch.linalg import DimensionMismatchError, partial_trace, pauli_basis, pauli_vectorize
-from magicswitch.lp import _HELD_BASES, _assemble_standard_form, _hold, solve_l1
+from magicswitch.lp import (_HELD_BASES, _assemble_standard_form, _channel_constraints, _hold, _state_constraints,
+                            solve_l1)
 from magicswitch.stabilizers import StabilizerDictionary
 
 from conftest import (PHASE_S, channel_program, clear_program_caches, extend_with_reference, fig2_fig3_channels,
-                      pivots_by_caller, random_density_matrix, random_kraus_channel, state_program)
+                      grid_of, pivots_by_caller, random_density_matrix, random_kraus_channel, state_program)
 
 SQRT2 = np.sqrt(2.0)
 
@@ -89,9 +91,9 @@ class TestSolveL1:
         assert np.isnan(walk.plus[2]).all() and np.isnan(walk.minus[2]).all()
         assert walk.warm_start[2] is None
         before = solve_l1(A, np.array(feasible[:2]))
-        kept = solve_l1(A, bad, before.held).held
-        assert len(kept) == len(before.held) and all(a is b for a, b in zip(kept, before.held))
-        after = solve_l1(A, np.array(feasible[2:]), before.held)
+        held = reduce(_hold, before.warm_start, ())
+        assert solve_l1(A, bad, held).warm_start is None
+        after = solve_l1(A, np.array(feasible[2:]), held)
         # The entries around it walk as their own blocks do.
         for entries, alone in (((0, 1), before), ((3, 4), after)):
             for k, entry in enumerate(entries):
@@ -459,17 +461,16 @@ class TestReferenceStarts:
                 assert np.array_equal(cold.warm_start.inverse, start.inverse)
                 assert not (start.basis.flags.writeable or start.inverse.flags.writeable)
 
-    def test_an_empty_sequence_of_bases_starts_from_the_references(self, qubit_dict, choi_atoms):
-        # rom_state and channel_robustness read basis=() as no basis held;
-        # solve_l1 knows no program, and basis=() is a cold start there.
+    def test_each_call_starts_from_the_references(self, qubit_dict, choi_atoms):
+        # rom_state and channel_robustness start from their program's
+        # reference starts; solve_l1 knows no program, and basis=() is a
+        # cold start there.
         rho = DensityOperator.pure(T_GATE @ plus_state(2))
         no_basis = rom_state(rho, qubit_dict)
-        assert_same_solution(rom_state(rho, qubit_dict, basis=()), no_basis)
         A, starts = state_program(qubit_dict)
         assert_same_solution(no_basis, solve_l1(A, no_basis.standard_form[1], starts))
         ch = noisy_th_channel(0.2)
         no_basis = channel_robustness(ch, choi_atoms)
-        assert_same_solution(channel_robustness(ch, choi_atoms, basis=()), no_basis)
         A, starts = channel_program(choi_atoms)
         assert_same_solution(no_basis, solve_l1(A, no_basis.standard_form[1], starts))
         b = no_basis.standard_form[1]
@@ -534,12 +535,10 @@ class TestReferenceStarts:
     def test_each_entry_of_a_block_starts_from_the_least_infeasible_held_basis(self, choi_atoms, reference_starts):
         # Noisy TH at 0.2 is read off the T H reference.  At 0.4, past the
         # crossing, that basis no longer serves, but the measure-and-prepare
-        # reference, still held, does: neither entry pivots.  Folding in
-        # references drops none, so the walk ends holding all five.
+        # reference, still held, does: neither entry pivots.
         walk = channel_robustness(noisy_th_channel(np.array([0.2, 0.4])), choi_atoms)
         assert walk.iterations.tolist() == [0, 0]
         assert walk.warm_start[0] is reference_starts[1] and walk.warm_start[1] is reference_starts[2]
-        assert sorted(map(id, walk.held)) == sorted(map(id, reference_starts)) and len(walk.held) == 5
         assert abs(walk.value[0] - 1.6 * SQRT2 / 2) <= 1e-12 and abs(walk.value[1] - 1.0) <= 1e-12
 
     def test_fewer_dual_pivots_than_cold_on_the_sweep_channels(self, monkeypatch, choi_atoms, reference_starts):
@@ -604,6 +603,47 @@ class TestReferenceStarts:
                 assert same_outcome(got, solve_l1(A, got.standard_form[1], starts))
                 if not starts:
                     assert same_outcome(got, solve_l1(A, got.standard_form[1]))
+
+
+def test_an_off_family_block_walks_on_from_the_bases_it_pivots_to(monkeypatch, choi_atoms, reference_starts):
+    # The 51 channels (cos t I - i sin t X) T, t in [0, 0.5], lie off both
+    # channel families, so few of them are read off a reference.  As one
+    # block, each entry also starts from the bases the entries before it
+    # pivoted to; as 51 lone calls, each starts from the references alone.
+    t = np.linspace(0.0, 0.5, 51)[:, None, None]
+    gates = (np.cos(t) * np.eye(2) - 1j * np.sin(t) * PAULI_X) @ T_GATE
+    block, pivots = pivots_by_caller(monkeypatch, lambda: channel_robustness(grid_of(KrausChannel, gates[:, None]),
+                                                                             choi_atoms))
+    assert block.checked_status == ["optimal"] * 51
+    lone_pivots = 0
+    for k, gate in enumerate(gates):
+        alone, lone = pivots_by_caller(monkeypatch, lambda: channel_robustness(unitary_channel(gate), choi_atoms))
+        assert abs(block.value[k] - alone.value) <= 1e-12, k
+        lone_pivots += sum(lone.values())
+    assert sum(pivots.values()) < lone_pivots
+
+
+def test_program_caches_keep_a_bounded_number_of_atom_sets(qubit_dict, twoq_dict, choi_atoms):
+    # The two program caches and the Choi atom cache are keyed by the
+    # identity of a dictionary or an atom set, so equal ones built apart
+    # are apart in them; each keeps at most a fixed number.  A program
+    # built again for an equal set is the same program: each value equals
+    # the canonical set's bit for bit.  The canonical sets are used on
+    # every round, so they stay cached.
+    caches = (_state_constraints, _channel_constraints, cspo_choi_atoms)
+    assert all(cache.cache_info().maxsize is not None for cache in caches)
+    rng = np.random.default_rng(11)
+    states = grid_of(DensityOperator, np.array([random_density_matrix(2, rng, rank=r) for r in (1, 2, 1, 2)]))
+    channel = noisy_th_channel(np.array([0.1, 0.4, 0.8]))
+    for _ in range(max(cache.cache_info().maxsize for cache in caches) + 2):
+        qubit = StabilizerDictionary(qubit_dict.n_qubits, qubit_dict.projectors, qubit_dict.labels)
+        twoq = StabilizerDictionary(twoq_dict.n_qubits, twoq_dict.projectors, twoq_dict.labels)
+        assert np.array_equal(rom_state(states, qubit).value, rom_state(states, qubit_dict).value)
+        assert np.array_equal(channel_robustness(channel, cspo_choi_atoms(twoq)).value,
+                              channel_robustness(channel, cspo_choi_atoms(twoq_dict)).value)
+        assert all(cache.cache_info().currsize <= cache.cache_info().maxsize for cache in caches)
+    assert all(cache.cache_info().currsize == cache.cache_info().maxsize for cache in caches)
+    assert cspo_choi_atoms(twoq_dict) is choi_atoms
 
 
 def test_held_bases_are_distinct_and_bounded():
@@ -681,7 +721,7 @@ def test_rom_state_is_clifford_invariant(qubit_dict, seed):
     reused = 0
     for u in CLIFFORDS:
         start = rom_state(DensityOperator(u @ near @ u.conj().T), qubit_dict).warm_start
-        sol = rom_state(DensityOperator(u @ rho @ u.conj().T), qubit_dict, basis=start)
+        sol = solve_l1(*rom_state(DensityOperator(u @ rho @ u.conj().T), qubit_dict).standard_form, start)
         assert sol.status == "optimal" and abs(sol.value - base) <= 1e-9
         reused += sol.iterations == 0
     assert reused >= len(CLIFFORDS) // 2
@@ -703,6 +743,6 @@ def test_channel_robustness_is_clifford_invariant(choi_atoms, seed, pre, post):
 
     base = channel_robustness(ch, choi_atoms)
     start = channel_robustness(dressed(near), choi_atoms).warm_start
-    sol = channel_robustness(dressed(ch), choi_atoms, basis=start)
+    sol = solve_l1(*channel_robustness(dressed(ch), choi_atoms).standard_form, start)
     assert base.status == sol.status == "optimal"
     assert abs(sol.value - base.value) <= 1e-9

@@ -363,8 +363,8 @@ def test_warm_start_runs_no_pivot_loop(monkeypatch, choi_atoms):
     # same inverse.
     for p, step in ((0.1, 0.01), (0.5, 0.01), (0.9, -0.01)):
         start = channel_robustness(noisy_th_channel(p), choi_atoms).warm_start
-        ch = noisy_th_channel(p + step)
-        warm, pivots = pivots_by_caller(monkeypatch, lambda: channel_robustness(ch, choi_atoms, basis=start))
+        A, b = channel_robustness(noisy_th_channel(p + step), choi_atoms).standard_form
+        warm, pivots = pivots_by_caller(monkeypatch, lambda: solve_l1(A, b, start))
         cold, cold_pivots = pivots_by_caller(monkeypatch, lambda: solve_l1(*warm.standard_form, ()))
         assert not pivots and warm.iterations == 0 and warm.warm_start is start
         # The cold solve pivots by dual simplex only; its two Bland loops
