@@ -14,10 +14,10 @@ Every optimal solve returns its basis with the inverse B^-1 read off its
 final tableau, as one ``WarmStart``.  Reduced costs and y = c_B B^-1 do not
 depend on ``b``, so an optimal basis stays optimal while it stays primal
 feasible (Bertsimas & Tsitsiklis, *Introduction to Linear Optimization*,
-1997, secs. 3.3 and 5.1).  ``reuse_basis`` picks, of several held bases,
-the one to start from at the first right-hand side of a block, one that
-serves it where any does, and reads the block off it, x_B = B^-1 b, while
-it serves it, with no pivot.
+1997, secs. 3.3 and 5.1).  ``Starts`` stacks several bases of one program
+once; ``reuse_basis`` picks, for each right-hand side of a block on its
+own, the one to start from, one that serves it where any does, and reads
+it off that one, x_B = B^-1 b, with no pivot.
 
 ``solve_standard_form`` solves an LP that must pivot by dual simplex (sec.
 4.5), with no phase-1 walk.  Costs are nonnegative, so the all-artificial
@@ -285,37 +285,66 @@ def _excess(x_B, real):
     return np.maximum(off, 0.0).sum(axis=-1)
 
 
-def reuse_basis(A, b, c, held):
-    """The basis to start from, of the ``WarmStart``s ``held`` (latest
-    first, at least one), and its solutions of the leading right-hand sides
-    it serves in the block ``b``, one per row: ``(start, served, x,
-    objective, dual)``.
+def dual_violation(A, c, dual):
+    """The worst excess of A^T y over the costs c, at least 0, for each row
+    y of ``dual``: one stacked mat-vec, each with the bits of its own."""
+    return np.maximum(0.0, ((A.T @ dual[:, :, None])[:, :, 0] - c).max(axis=1))
 
-    x_B = B^-1 b is one stacked mat-vec, with the bits of ``inverse @ b_j``
-    for each row alone.  The held bases are compared at ``b[0]``, their
-    inverses stacked for one product: ``start`` has the least ``_excess``
-    there (one that serves ``b[0]`` where any does), ties to the latest,
-    and its product opens the block.  Row j is served when its ``_excess``
-    is 0; ``served`` counts the rows before the first that is not, which
-    must pivot from ``start``, and ``x`` (served, n) and ``objective``
-    (served,) hold their solutions.  The dual y = c_B B^-1 is the same for
-    every row.  When no row is served, all three are None."""
-    m, n = A.shape
-    inverses = np.array([start.inverse for start in held])
-    first = (inverses @ b[0][:, None])[:, :, 0]
-    k = int(_excess(first, np.array([start.basis for start in held]) < n).argmin()) if len(held) > 1 else 0
-    start = held[k]
-    x_B = np.concatenate([first[k, None], (inverses[k] @ b[1:, :, None])[:, :, 0]])
-    real = start.basis < n
-    feasible = _excess(x_B, real) == 0.0
-    served = len(b) if feasible.all() else int(feasible.argmin())
-    if not served:
-        return start, 0, None, None, None
-    x = np.zeros((served, n))
-    x[:, start.basis[real]] = x_B[:served, real]
-    cost_B = np.concatenate([c, np.zeros(m)])[start.basis]
-    objective = (x_B[:served, None, :] @ cost_B[:, None])[:, 0, 0]
-    return start, served, x, objective, cost_B @ start.inverse
+
+class Starts(tuple):
+    """``WarmStart``s of one program, min c.x subject to A x = b, x >= 0,
+    latest first, with what ``reuse_basis`` reads of them stacked once, one
+    entry per start: ``inverses`` (k, m, m); ``basis``, ``real`` (its basic
+    columns of A) and the basic costs ``cost``, each (k, m); y = c_B B^-1 as
+    ``dual`` (k, m), and its ``dual_violation`` (k,).  y does not depend on
+    b, so every solution read off a start shares its y and its check."""
+
+    def __new__(cls, A, c, starts=()):
+        held = super().__new__(cls, starts)
+        m, n = A.shape
+        held.basis = np.array([start.basis for start in held], dtype=np.int64).reshape(-1, m)
+        held.inverses = np.array([start.inverse for start in held]).reshape(-1, m, m)
+        held.real = held.basis < n
+        held.cost = np.concatenate([c, np.zeros(m)])[held.basis]
+        held.dual = np.array([cost @ start.inverse for cost, start in zip(held.cost, held)]).reshape(-1, m)
+        held.violation = dual_violation(A, c, held.dual)
+        for stack in (held.basis, held.inverses, held.real, held.cost, held.dual, held.violation):
+            stack.flags.writeable = False
+        return held
+
+
+def reuse_basis(A, b, held):
+    """Each right-hand side's start, of the ``Starts`` ``held``, and what
+    it reads off that start: ``(starts, served, x, objective, dual,
+    violation)``, one entry per row of the block ``b``.
+
+    Row j compares every start at its own b_j, x_B = B^-1 b_j: one stacked
+    mat-vec, with the bits of ``inverse @ b_j`` alone.  A start serves b_j
+    when x_B has no ``_excess``.  The row takes the latest start that
+    serves it, or else the one with the least ``_excess``, ties to the
+    latest, and ``served`` marks the rows some start serves.  Each row's x,
+    c.x and the start's y and its ``dual_violation`` are read off its
+    start, whether it serves the row or not, so no row depends on another.
+    A row no start serves, and each row when ``held`` is empty (its start
+    None, the rest 0), must pivot instead."""
+    (m, n), rows = A.shape, np.arange(len(b))
+    if not held:
+        none = np.zeros(len(b))
+        return [None] * len(b), none > 0, np.zeros((len(b), n)), none, np.zeros((len(b), m)), none.copy()
+    x_B = (held.inverses[:, None] @ b[None, :, :, None])[..., 0]
+    fits = (np.where(held.real[:, None], -x_B, np.abs(x_B)) <= DEFAULT_TOL.primal).all(axis=-1)
+    choice, served = fits.argmax(axis=0), fits.any(axis=0)
+    if not served.all():
+        choice[~served] = _excess(x_B[:, ~served], held.real[:, None]).argmin(axis=0)
+    x_B, x, objective = x_B[choice, rows], np.zeros((len(b), n + m)), np.empty(len(b))
+    x[rows[:, None], held.basis[choice]] = x_B
+    picks = choice.tolist()
+    for k in set(picks):
+        # One product per start, its c_B shared as in a lone read: a c_B
+        # gathered per row moves the last bits under some BLAS kernels.
+        at = choice == k
+        objective[at] = (x_B[at, None, :] @ held.cost[k, :, None])[:, 0, 0]
+    return [held[k] for k in picks], served, x[:, :n], objective, held.dual[choice], held.violation[choice]
 
 
 def solve_standard_form(A: np.ndarray, b: np.ndarray, c: np.ndarray, basis: WarmStart | None = None) -> SimplexResult:

@@ -153,12 +153,12 @@ class DensityOperator:
 
 
 def log_renormalized(log: logging.Logger, who: str, factor) -> None:
-    """One INFO line on ``log`` per renormalization factor (a number, or one
+    """One DEBUG line on ``log`` per renormalization factor (a number, or one
     per grid entry) that is not 1."""
-    if log.isEnabledFor(logging.INFO):
+    if log.isEnabledFor(logging.DEBUG):
         for f in np.atleast_1d(factor):
             if f != 1.0:
-                log.info("%s renormalized input by factor %.12g", who, f)
+                log.debug("%s renormalized input by factor %.12g", who, f)
 
 
 @lru_cache(maxsize=None)

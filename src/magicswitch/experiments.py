@@ -20,9 +20,9 @@ A sweep run is evaluated in blocks (``_Grid``) of at most
 ``_dispatch_row`` is called once per grid row, in order, and assembles
 that row's ``SweepRow``.  Each robustness column of a block is one call
 of its program on the block's grid and one ``L1Solution`` with the
-block's axis: one warm LP walk down the block (``lp.solve_l1``) from the
+block's axis (``lp.solve_l1``), each entry solved on its own from the
 program's reference starts, where every LP call starts (``lp``).  No
-basis passes from one block, or one run, to the next, so identical
+basis passes from one entry, block or run to the next, so identical
 configs produce byte-identical CSV.  Every LP of the default grids is read
 off a reference start with no pivot, a block's off one stacked mat-vec.
 A value read off a basis can differ from a cold solve at the same point
@@ -254,7 +254,7 @@ class _Grid:
 
     def solve(self, program, *args, scale=1.0) -> tuple:
         """``_certified_value`` of the one block ``L1Solution`` of
-        ``program(*args)``, walked from its program's reference starts
+        ``program(*args)``, each entry from its program's reference starts
         (``lp``).  A search's opening block records its sample, with s b
         and s per entry: ``scale`` is the positive s(p) that makes s(p)
         times the LP's right-hand side b a polynomial in p, the probability

@@ -23,19 +23,19 @@ only on its atom set: ``_assemble_standard_form`` builds it once per set,
 with the plus parts of the coefficients in the first half of the columns
 and the minus parts in the second, and a solve builds only its right-hand
 side.  ``solve_l1(A, b, basis)`` then runs the embedded simplex at unit
-costs and certifies the answer.  ``basis`` is the one start form the
-simplex takes, a ``WarmStart``, or several, a tuple of them latest first,
-and the solve starts from the one least infeasible for its right-hand
-side (``_simplex.reuse_basis``): one that serves it, where any does.
+costs and certifies the answer.  ``basis`` is one ``WarmStart``, or
+several, latest first, and the solve starts from the one least
+infeasible for its right-hand side (``_simplex.reuse_basis``): the latest
+that serves it, where any does.
 
 Every call of ``rom_state`` or ``channel_robustness`` starts from its
 program's reference starts, built with the constraint matrix and cached
-with it: the optimal bases at a few fixed right-hand sides, held as one
-such tuple.  The state program's are the maximally mixed state, and for
-one qubit also the eight T-type magic states (``_T_TYPE_STATES``).  The
-channel program's are the two ends of the range the package scores of
-each of the two qubit channel families, and fig3's minus branch
-(``_CHANNEL_REFERENCES``).  Reduced costs do not depend on ``b``, so an
+with it: the optimal bases at a few fixed right-hand sides, stacked once
+as one ``_simplex.Starts``.  The state program's are the maximally mixed
+state, and for one qubit also the eight T-type magic states
+(``_T_TYPE_STATES``).  The channel program's are the two ends of the
+range the package scores of each of the two qubit channel families, and
+fig3's minus branch (``_CHANNEL_REFERENCES``).  Reduced costs do not depend on ``b``, so an
 optimal basis is dual feasible at every right-hand side of its program,
 and a dual simplex can start from it (a crash basis; Bixby, ORSA J.
 Comput. 4, 267 (1992)).  A channel of either family anywhere in its
@@ -51,21 +51,17 @@ all-artificial basis, as ``solve_l1`` with no basis does.
 
 Both programs also take a grid (a channel or state with a leading axis)
 and return one ``L1Solution`` for it, whose fields carry one entry per
-grid entry, in order: one warm walk down the column of right-hand sides,
-from the reference starts.  At entry j the walk compares every
-basis it holds at ``b_j`` and takes the least infeasible
-(``_simplex.reuse_basis``); ``B^-1 [b_j ... b_N]``, one stacked mat-vec,
-reads off every entry from j on that this basis serves, with no pivot.
-An entry that no held basis serves must pivot: ``solve_standard_form``
-solves it from the least infeasible one (repaired by dual pivots), or
-from the all-artificial basis when none is held.  After each entry, the
-walk folds the basis it reached into what it holds (``_hold``); an entry
-with no optimum adds nothing.  So a basis one entry pivots to serves the
-entries after it: the 51 channels (cos t I - i sin t X) T, t in [0, 0.5],
-far from both families, take 59 dual pivots as one block and 1,279 as
-lone calls.  Each entry gets the solution, and the certificates, that a
-lone solve of it from the bases the walk held before it gives; a single
-right-hand side is the walk of one, with scalar fields.
+grid entry, in order.  A block is the stack of its lone calls: each entry
+compares every start at its own right-hand side b_j, x_B = B^-1 b_j, all
+in one stacked mat-vec, and is read off the latest that serves it, with
+no pivot.  An entry that none serves must pivot: ``solve_standard_form``
+solves it from the least infeasible start (repaired by dual pivots), or
+from the all-artificial basis when none is held.  Nothing passes from one
+entry to another, so each entry gets every field of a lone call on it,
+bit for bit: the 51 channels (cos t I - i sin t X) T, t in [0, 0.5], far
+from both families, take 1,279 dual pivots as one block, as many as
+their lone calls.  A single right-hand side is a block of one, with
+scalar fields.
 """
 
 from __future__ import annotations
@@ -80,7 +76,9 @@ import numpy as np
 from ._simplex import (
     STATUS_INFEASIBLE,
     STATUS_OPTIMAL,
+    Starts,
     WarmStart,
+    dual_violation,
     optimal_start,
     reuse_basis,
     solve_standard_form,
@@ -166,24 +164,23 @@ def solve_l1(A: np.ndarray, b: np.ndarray, basis=None, renorm_factor=1.0) -> L1S
     ``_assemble_standard_form``, with the embedded simplex.
 
     ``b`` is one right-hand side or a block of them, one per row; either
-    gives one ``L1Solution``, a block's with one entry per row.  A block is
-    the warm walk of the module docstring, from ``basis``: each entry starts
-    from the least infeasible of the bases the walk holds
-    (``reuse_basis``), and only an entry none of them serves reaches
-    ``solve_standard_form``.  ``basis`` is None, the ``WarmStart`` of a
-    solve of the same program, or a sequence of ``WarmStart``s, latest
-    first, as the reference starts are; the walk folds each basis it
-    reaches into them by ``_hold``, and an entry with no optimum leaves
-    them as they are.  None or an empty sequence is a cold start, from the
+    gives one ``L1Solution``, a block's with one entry per row, each the
+    lone call on its row.  Each entry starts from its own pick of the
+    starts ``basis`` (``reuse_basis``), and only an entry none of them
+    serves reaches ``solve_standard_form``.  ``basis`` is None, the
+    ``WarmStart`` of a solve of the same program, or several, latest
+    first: a sequence, or a program's reference starts, a ``Starts``
+    stacked once.  None or an empty sequence is a cold start, from the
     all-artificial basis: ``solve_l1`` knows no program's reference
     starts, and ``rom_state`` and ``channel_robustness`` pass those.
     ``renorm_factor`` (a number, or one per right-hand side) is reported on
     the solution.  Deterministic under the fixed atom ordering and
     ``basis`` (see ``solve_standard_form``); the reconstruction residual,
     the duality gap and the dual feasibility of every entry, a reused
-    ``WarmStart``'s too, are computed once per call from A, x and y, each
-    entry with the bits of its own mat-vecs, and
-    ``L1Solution.checked_status`` holds them to one tolerance.
+    ``WarmStart``'s too, are computed from A, x and y, each entry with the
+    bits of its own products (an entry read off a start shares its y and
+    its dual check), and ``L1Solution.checked_status`` holds them to one
+    tolerance.
     """
     single = np.ndim(b) == 1
     b = np.asarray(b, dtype=np.float64).reshape(-1, A.shape[0])
@@ -191,33 +188,22 @@ def solve_l1(A: np.ndarray, b: np.ndarray, basis=None, renorm_factor=1.0) -> L1S
         raise ValueError("LP right-hand side is not finite")
     (m, n), rows = A.shape, len(b)
     c = np.ones(n)
-    held = (basis,) if isinstance(basis, WarmStart) else tuple(basis or ())
-    x, dual = np.empty((rows, n)), np.empty((rows, m))
-    objective, iterations = np.empty(rows), np.zeros(rows, dtype=int)
-    status, starts = ["optimal"] * rows, [None] * rows
-    j = 0
-    while j < rows:
-        start = None
-        if held:
-            start, served, *read = reuse_basis(A, b[j:], c, held)
-            if served:
-                x[j : j + served], objective[j : j + served], dual[j : j + served] = read
-                starts[j : j + served] = [start] * served
-                j += served
-                held = _hold(held, start)
-                continue
-        result = solve_standard_form(A, b[j], c, basis=start)
-        iterations[j] = result.iterations
+    if not isinstance(basis, Starts):
+        basis = Starts(A, c, (basis,) if isinstance(basis, WarmStart) else basis or ())
+    starts, served, x, objective, dual, violation = reuse_basis(A, b, basis)
+    iterations, status = np.zeros(rows, dtype=int), ["optimal"] * rows
+    pivoted = (~served).nonzero()[0]
+    for j in pivoted:
+        result = solve_standard_form(A, b[j], c, basis=starts[j])
+        iterations[j], starts[j] = result.iterations, result.warm_start
         if result.status == STATUS_OPTIMAL:
-            x[j], objective[j], dual[j], starts[j] = result.x, result.objective, result.dual, result.warm_start
+            x[j], objective[j], dual[j] = result.x, result.objective, result.dual
         else:
             x[j], objective[j], dual[j] = np.nan, np.nan, np.nan
             status[j] = "infeasible" if result.status == STATUS_INFEASIBLE else "numerical_failure"
-        held = _hold(held, starts[j])
-        j += 1
+    violation[pivoted] = dual_violation(A, c, dual[pivoted])
     residual = np.abs((A @ x[:, :, None])[:, :, 0] - b).max(axis=1, initial=0.0)
-    gap = np.abs(objective - (b[:, None, :] @ dual[:, :, None])[:, 0, 0])
-    violation = np.maximum(0.0, ((A.T @ dual[:, :, None])[:, :, 0] - c).max(axis=1))
+    gap = np.abs(objective - (b * dual).sum(axis=1))
     factors = np.broadcast_to(np.asarray(renorm_factor, dtype=np.float64), rows)
     half = n // 2
     if single:
@@ -227,35 +213,16 @@ def solve_l1(A: np.ndarray, b: np.ndarray, basis=None, renorm_factor=1.0) -> L1S
                       factors, (A, b))
 
 
-# Most distinct optimal bases a walk holds after it reaches one it did not hold.
-_HELD_BASES = 4
-
-
-def _hold(held, start):
-    """The bases a walk holds next: the tuple of ``WarmStart``s ``held``,
-    latest first, with ``start`` as its latest basis.  A None, or the basis
-    already latest, adds nothing: ``held`` itself.  A start ``held`` holds
-    elsewhere (the same object) moves to the front.  A new one drops an
-    older entry with the same basic columns, and only the last
-    ``_HELD_BASES`` stay, latest first, the order in which ``reuse_basis``
-    breaks ties.  ``solve_l1`` folds in each entry of a walk."""
-    if start is None or (held and held[0] is start):
-        return held
-    if any(other is start for other in held):
-        return (start, *(other for other in held if other is not start))
-    columns = set(start.basis.tolist())
-    return (start, *(other for other in held if set(other.basis.tolist()) != columns))[:_HELD_BASES]
-
-
 def _reference_starts(A: np.ndarray, references):
     """The optimal ``WarmStart``s of the program ``A`` at the right-hand
     sides ``references``, each from the all-artificial basis
-    (``_simplex.optimal_start``), as a tuple with the last reference
-    latest; () when there are none.  A reference is only ever a start:
-    every solve it starts checks it again and is certified.  A reference
-    with no optimum, as for an atom set it lies outside of, is left out."""
+    (``_simplex.optimal_start``), stacked once as ``Starts`` with the last
+    reference latest; empty when there are none.  A reference is only ever
+    a start: every solve it starts checks it again and is certified.  A
+    reference with no optimum, as for an atom set it lies outside of, is
+    left out."""
     c = np.ones(A.shape[1])
-    return tuple(start for start in (optimal_start(A, b, c) for b in references) if start is not None)[::-1]
+    return Starts(A, c, [start for start in (optimal_start(A, b, c) for b in references) if start is not None][::-1])
 
 
 # The eight T-type magic states (I + (+-X +- Y +- Z)/sqrt(3))/2 of one qubit
@@ -289,7 +256,7 @@ def rom_state(rho: DensityOperator, dictionary) -> L1Solution:
     solution and logged when it is not 1.  Faithful: the value is 1 exactly when the
     state lies in the stabilizer polytope.  The solve starts from the
     program's reference starts.  A grid of states gives one solution with
-    an entry per state, in order, from one warm walk (``solve_l1``).  An
+    an entry per state, in order, each its lone call (``solve_l1``).  An
     infeasible LP, for any entry, raises.
     """
     rho, factor = rho.renormalized()
@@ -334,7 +301,7 @@ def _depolarized_t_choi(q: float) -> np.ndarray:
 # [0, 1] (fig2) and the T gate behind two depolarizing passes on
 # [0, 0.45] (fig3), and fig3's minus branch, the T gate behind depolarizing
 # noise of the p-independent strength 4/3.  The minus branch comes first,
-# so that it loses every tie and is the first that ``_hold`` drops.  Each
+# so that it loses every tie.  Each
 # is written down complete, as the zoo writes noisy TH, so building them
 # runs no completeness check.
 _CHANNEL_REFERENCES = {
@@ -370,7 +337,7 @@ def channel_robustness(ch: KrausChannel, atoms) -> L1Solution:
     marginal (its X, Y, Z components vanish), which together with the Choi
     reconstruction rows makes the optimal l1 norm equal 1 + 2p.  The solve
     starts from the program's reference starts.  A grid of channels gives
-    one solution with an entry per channel, in order, from one warm walk
+    one solution with an entry per channel, in order, each its lone call
     (``solve_l1``).
     """
     if ch.d_in != 2 or ch.d_out != 2:

@@ -128,7 +128,7 @@ def mana_of_wigner(wig: np.ndarray, channel: bool = False):
 def mana_state(rho: DensityOperator, frame: PhaseSpaceFrame):
     """Mana of a state: log2 of the Wigner l1 norm, zero exactly on the
     nonnegative-Wigner set.  Unnormalized inputs are renormalized first,
-    with one INFO line per renormalized state; a grid of states gives one
+    with one DEBUG line per renormalized state; a grid of states gives one
     mana per entry."""
     rho, factor = rho.renormalized()
     log_renormalized(logger, "mana_state", factor)

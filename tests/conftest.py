@@ -134,8 +134,8 @@ def recorded_solves(monkeypatch, run):
     """Run ``run()``; return its result and, per LP a sweep or a search
     solved by ``channel_robustness`` or ``rom_state``, in order: [whether it
     was read off one of its program's reference starts, its
-    ``iterations``].  Every call starts from those; a later entry of a
-    block can also be read off a basis an earlier entry pivoted to."""
+    ``iterations``].  Every LP starts from those, a block's entries each
+    on its own, so an LP that pivots is not read off a reference."""
     with monkeypatch.context() as patch:
         calls = spy(patch, experiments, "channel_robustness")
         spy(patch, experiments, "rom_state", calls)
@@ -217,11 +217,6 @@ def channel_program(atoms):
 
 def state_program(dictionary):
     return _program_builders()[1](dictionary)
-
-
-def held_after(held, start):
-    """The bases a walk holds once it reaches ``start``, from ``held``."""
-    return lp._hold(held, start)
 
 
 def clear_program_caches():
@@ -398,6 +393,24 @@ def oracle_rows(experiment, grid, lp_tol=DEFAULT_TOL.lp_value, cold=False):
             row.values[column], row.status[column] = ORACLE_MEASURES[column](point)
         rows.append(row)
     return rows
+
+
+def assert_entries_are_lone_calls(block, basis):
+    """Assert that each entry of the block ``L1Solution`` ``block`` is
+    ``lp.solve_l1`` of its right-hand side alone, from ``basis`` and with
+    its renormalization factor: every field bit for bit, NaN where NaN, the
+    ``warm_start`` basis and inverse included."""
+    A, b = block.standard_form
+    assert len(block.status) == len(block.warm_start) == len(b) and b.shape[1] == A.shape[0]
+    lone = [lp.solve_l1(A, b_j, basis, factor) for b_j, factor in zip(b, block.renorm_factor)]
+    for k, alone in enumerate(lone):
+        assert block.status[k] == alone.status, k
+        for name in ("value", "residual", "dual_gap", "dual_violation", "plus", "minus", "iterations"):
+            assert np.array_equal(getattr(block, name)[k], getattr(alone, name), equal_nan=True), (k, name)
+        start, want = block.warm_start[k], alone.warm_start
+        assert (start is None) == (want is None), k
+        if start is not None:
+            assert np.array_equal(start.basis, want.basis) and np.array_equal(start.inverse, want.inverse), k
 
 
 def compare_rows(got, want, tol=1e-12):

@@ -16,7 +16,6 @@ from magicswitch import (
     build_switch,
     choi_of_channel,
     conditional_outputs,
-    cspo_choi_atoms,
     enumerate_stabilizer_states,
     find_threshold,
     noisy_th_channel,
@@ -28,8 +27,8 @@ from magicswitch.channels import StateValidationError, plus_density
 from magicswitch.experiments import default_config, run_experiment
 from magicswitch.phasespace import wigner_of_operator
 
-from conftest import (LP_BRACKETS, LP_THRESHOLDS, channel_program, compare_rows, completeness_checks, grid_of,
-                      held_after, oracle_rows, sweep_rows)
+from conftest import (LP_BRACKETS, LP_THRESHOLDS, assert_entries_are_lone_calls, compare_rows, completeness_checks,
+                      grid_of, oracle_rows, spy, sweep_rows)
 
 FINE = {"fig2": dict(step=0.0005), "fig3": dict(step=0.0002)}
 
@@ -63,6 +62,24 @@ class TestAgainstThePointOracle:
         grid = grid[::-1] if backward else grid
         equal, total = compare_rows(sweep_rows(experiment, grid, 1e-6, block_points=3), oracle_rows(experiment, grid))
         assert equal == total
+
+
+@pytest.mark.parametrize("fine", [False, True], ids=["default", "fine"])
+@pytest.mark.parametrize("experiment", list(FINE))
+def test_each_lp_block_of_a_sweep_is_its_lone_calls(monkeypatch, experiment, fine):
+    # A block's entries are each solved on their own, from the program's
+    # reference starts: every field of every entry of every LP column has
+    # the bits of its lone call.  fig2 solves each column but the minus
+    # branch at p = 0, which is degenerate; fig3 solves the minus branch
+    # once per block.
+    config = default_config(experiment, **(FINE[experiment] if fine else {}))
+    with monkeypatch.context() as patch:
+        calls = spy(patch, lp, "solve_l1")
+        sweep_rows(experiment, config.grid(), config.lp_tol)
+    entries = {"fig2": (302, 6002), "fig3": (183, 4520)}[experiment][fine]
+    assert sum(len(call.result.status) for call in calls) == entries
+    for call in calls:
+        assert_entries_are_lone_calls(call.result, call.args[2])
 
 
 def test_fig3_builds_its_t_gate_once_per_channel_family(monkeypatch):
@@ -121,32 +138,15 @@ class TestGridKernels:
         for i, p in enumerate(self.P):
             assert np.array_equal(wig[i], wigner_of_channel(qutrit_noisy_th_channel(p), frame))
 
-    def test_channel_robustness_walks_the_grid_in_order(self):
-        atoms = cspo_choi_atoms(enumerate_stabilizer_states(2))
-        walk = lp.channel_robustness(noisy_th_channel(self.P), atoms)
-        assert isinstance(walk, lp.L1Solution) and len(walk.status) == len(walk.warm_start) == len(self.P)
-        # Each entry walks as a lone solve from the bases the walk held
-        # before it: the reference starts, with the bases the entries before
-        # it reached folded in.
-        A, held = channel_program(atoms)
-        for k, p in enumerate(self.P):
-            alone = lp.solve_l1(A, walk.standard_form[1][k], held)
-            for field in ("value", "status", "iterations", "residual", "dual_gap", "dual_violation", "plus", "minus"):
-                assert np.array_equal(getattr(walk, field)[k], getattr(alone, field)), (p, field)
-            assert walk.warm_start[k] is alone.warm_start or walk.iterations[k] > 0
-            assert np.array_equal(walk.warm_start[k].basis, alone.warm_start.basis)
-            assert np.array_equal(walk.warm_start[k].inverse, alone.warm_start.inverse)
-            held = held_after(held, walk.warm_start[k])
-        assert walk.standard_form[1].shape == (len(self.P), walk.standard_form[0].shape[0])
-
     def test_rom_state_logs_each_renormalized_entry(self, caplog):
         rho = grid_of(DensityOperator, np.array([np.eye(2) / 2, np.eye(2) / 4, np.diag([0.3, 0.1])]))
-        with caplog.at_level(logging.INFO, logger="magicswitch.lp"):
+        with caplog.at_level(logging.DEBUG, logger="magicswitch.lp"):
             walk = lp.rom_state(rho, enumerate_stabilizer_states(1))
         assert walk.renorm_factor.tolist() == [1.0, 0.5, 0.4]
-        assert [r.getMessage() for r in caplog.records] == [
+        assert [r.getMessage() for r in caplog.records if "renormalized" in r.getMessage()] == [
             "rom_state renormalized input by factor 0.5", "rom_state renormalized input by factor 0.4",
         ]
+        assert all(r.levelno == logging.DEBUG for r in caplog.records)
 
     def test_grid_checks_name_the_entry(self):
         with pytest.raises(ValueError, match="p=1.5 outside"):

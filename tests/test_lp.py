@@ -1,5 +1,4 @@
 import itertools
-from functools import reduce
 
 import numpy as np
 import pytest
@@ -20,16 +19,16 @@ from magicswitch import (
     unitary_channel,
 )
 from magicswitch import experiments
-from magicswitch._simplex import WarmStart, solve_standard_form
+from magicswitch._simplex import Starts, solve_standard_form
 from magicswitch.config import DEFAULT_TOL
 from magicswitch.gates import HADAMARD, PAULI_X, PAULI_Y, PAULI_Z, T_GATE, plus_state
 from magicswitch.linalg import DimensionMismatchError, partial_trace, pauli_basis, pauli_vectorize
-from magicswitch.lp import (_HELD_BASES, _assemble_standard_form, _channel_constraints, _hold, _state_constraints,
-                            solve_l1)
+from magicswitch.lp import _assemble_standard_form, _channel_constraints, _state_constraints, solve_l1
 from magicswitch.stabilizers import StabilizerDictionary
 
-from conftest import (PHASE_S, channel_program, clear_program_caches, extend_with_reference, fig2_fig3_channels,
-                      grid_of, pivots_by_caller, random_density_matrix, random_kraus_channel, state_program)
+from conftest import (PHASE_S, assert_entries_are_lone_calls, channel_program, clear_program_caches,
+                      extend_with_reference, fig2_fig3_channels, grid_of, pivots_by_caller, random_density_matrix,
+                      random_kraus_channel, state_program)
 
 SQRT2 = np.sqrt(2.0)
 
@@ -77,32 +76,24 @@ class TestSolveL1:
         sol = solve_l1(A, np.concatenate([atoms[0], [1.0, 0.0]]))
         assert sol.status == "infeasible"
 
-    def test_infeasible_entry_mid_walk(self, rng):
-        # The same infeasible right-hand side between feasible ones in one
-        # block: it reads NaN with no basis and leaves the held bases as they
-        # were, so the walk goes on from the bases it held before it.
+    def test_infeasible_entry_mid_block(self, rng):
+        # An infeasible right-hand side between feasible ones in one block
+        # reads NaN with no basis, and every entry, it too, is its lone
+        # call: from no start (cold), and from the basis of the first entry.
         atoms = rng.normal(size=(3, 2))
         A = _assemble_standard_form(atoms, np.zeros((1, 3)))
         feasible = [np.concatenate([atoms[0] + shift, [0.0, 0.0]]) for shift in (0.0, 0.01, 0.02, 0.03)]
         bad = np.concatenate([atoms[0], [1.0, 0.0]])
-        walk = solve_l1(A, np.array([*feasible[:2], bad, *feasible[2:]]))
-        assert walk.status == ["optimal", "optimal", "infeasible", "optimal", "optimal"]
-        assert np.isnan([walk.value[2], walk.residual[2], walk.dual_gap[2], walk.dual_violation[2]]).all()
-        assert np.isnan(walk.plus[2]).all() and np.isnan(walk.minus[2]).all()
-        assert walk.warm_start[2] is None
-        before = solve_l1(A, np.array(feasible[:2]))
-        held = reduce(_hold, before.warm_start, ())
-        assert solve_l1(A, bad, held).warm_start is None
-        after = solve_l1(A, np.array(feasible[2:]), held)
-        # The entries around it walk as their own blocks do.
-        for entries, alone in (((0, 1), before), ((3, 4), after)):
-            for k, entry in enumerate(entries):
-                assert (walk.value[entry], walk.iterations[entry], walk.status[entry]) == (
-                    alone.value[k], alone.iterations[k], alone.status[k]
-                )
-                assert (walk.residual[entry], walk.dual_gap[entry]) == (alone.residual[k], alone.dual_gap[k])
-                assert walk.warm_start[entry] is not None
-                assert np.array_equal(walk.warm_start[entry].basis, alone.warm_start[k].basis)
+        block = np.array([*feasible[:2], bad, *feasible[2:]])
+        start = solve_l1(A, feasible[0]).warm_start
+        for basis in (None, start):
+            solved = solve_l1(A, block, basis)
+            assert solved.status == ["optimal", "optimal", "infeasible", "optimal", "optimal"]
+            assert np.isnan([solved.value[2], solved.residual[2], solved.dual_gap[2], solved.dual_violation[2]]).all()
+            assert np.isnan(solved.plus[2]).all() and np.isnan(solved.minus[2]).all()
+            assert solved.warm_start[2] is None
+            assert_entries_are_lone_calls(solved, basis)
+        assert solved.iterations[0] == 0 and solved.warm_start[0] is start
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_right_hand_side_is_refused(self, rng, bad):
@@ -452,7 +443,7 @@ class TestReferenceStarts:
             states = [*magic, DensityOperator.maximally_mixed(dictionary.dim)]
             programs.append((state_program(dictionary), [reference_state_lp(rho, dictionary)[1] for rho in states]))
         for (A, held), references in programs:
-            assert type(held) is tuple
+            assert isinstance(held, Starts)
             starts = held[::-1]  # in the order of the references
             assert len(starts) == len(references)
             for b, start in zip(references, starts):
@@ -605,22 +596,40 @@ class TestReferenceStarts:
                     assert same_outcome(got, solve_l1(A, got.standard_form[1]))
 
 
-def test_an_off_family_block_walks_on_from_the_bases_it_pivots_to(monkeypatch, choi_atoms, reference_starts):
+def test_an_off_family_block_is_its_lone_calls(monkeypatch, choi_atoms, reference_starts):
     # The 51 channels (cos t I - i sin t X) T, t in [0, 0.5], lie off both
-    # channel families, so few of them are read off a reference.  As one
-    # block, each entry also starts from the bases the entries before it
-    # pivoted to; as 51 lone calls, each starts from the references alone.
+    # channel families, so few of them are read off a reference.  Nothing
+    # passes from one entry of a block to the next: each entry is its lone
+    # call, bit for bit, and the block makes the pivots of the lone calls.
     t = np.linspace(0.0, 0.5, 51)[:, None, None]
     gates = (np.cos(t) * np.eye(2) - 1j * np.sin(t) * PAULI_X) @ T_GATE
     block, pivots = pivots_by_caller(monkeypatch, lambda: channel_robustness(grid_of(KrausChannel, gates[:, None]),
                                                                              choi_atoms))
     assert block.checked_status == ["optimal"] * 51
+    assert_entries_are_lone_calls(block, channel_program(choi_atoms)[1])
     lone_pivots = 0
     for k, gate in enumerate(gates):
         alone, lone = pivots_by_caller(monkeypatch, lambda: channel_robustness(unitary_channel(gate), choi_atoms))
         assert abs(block.value[k] - alone.value) <= 1e-12, k
         lone_pivots += sum(lone.values())
-    assert sum(pivots.values()) < lone_pivots
+    assert sum(pivots.values()) == lone_pivots and 0 < block.iterations.sum()
+
+
+@settings(derandomize=True, database=None, max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), size=st.integers(1, 6), n_ops=st.integers(1, 3))
+def test_random_blocks_are_their_lone_calls(qubit_dict, choi_atoms, seed, size, n_ops):
+    # Random qubit states and Kraus channels, each mixed with a state or a
+    # channel the references serve by a weight of 0, 0.5 or 1, so that
+    # entries read off a reference and entries that pivot mix in a block.
+    rng = np.random.default_rng(seed)
+    weights = rng.choice([0.0, 0.5, 1.0], size=size)
+    states = [(1 - w) * random_density_matrix(2, rng, rank=1) + w * np.eye(2) / 2 for w in weights]
+    solution = rom_state(grid_of(DensityOperator, np.array(states)), qubit_dict)
+    assert_entries_are_lone_calls(solution, state_program(qubit_dict)[1])
+    ops = [np.concatenate([np.sqrt(1 - w) * random_kraus_channel(2, n_ops, rng).kraus_ops,
+                           np.sqrt(w) * noisy_th_channel(rng.uniform(0.0, 1.0)).kraus_ops]) for w in weights]
+    solution = channel_robustness(grid_of(KrausChannel, np.array(ops)), choi_atoms)
+    assert_entries_are_lone_calls(solution, channel_program(choi_atoms)[1])
 
 
 def test_program_caches_keep_a_bounded_number_of_atom_sets(qubit_dict, twoq_dict, choi_atoms):
@@ -644,30 +653,6 @@ def test_program_caches_keep_a_bounded_number_of_atom_sets(qubit_dict, twoq_dict
         assert all(cache.cache_info().currsize <= cache.cache_info().maxsize for cache in caches)
     assert all(cache.cache_info().currsize == cache.cache_info().maxsize for cache in caches)
     assert cspo_choi_atoms(twoq_dict) is choi_atoms
-
-
-def test_held_bases_are_distinct_and_bounded():
-    # lp owns the rule and folds one basis at a time, as a walk does its
-    # entries: entries served by one basis repeat it, and a failed entry
-    # is None.  The held set is a plain tuple of the very starts, latest
-    # first.
-    starts = [WarmStart(np.array([k, 9]), np.eye(2) * (k + 1)) for k in range(6)]
-    block = [starts[0], starts[0], None, *starts[1:], starts[5]]
-    held = reduce(_hold, block, ())
-    assert type(held) is tuple and len(held) == _HELD_BASES
-    assert all(got is want for got, want in zip(held, starts[::-1][: _HELD_BASES]))
-    # A start already held moves to the front, and nothing is copied.
-    reordered = _hold(held, held[2])
-    assert type(reordered) is tuple
-    assert [id(start) for start in reordered] == [id(start) for start in (held[2], held[0], held[1], held[3])]
-    # The same basic columns in another order replace the older entry.
-    again = WarmStart(np.array([9, starts[3].basis[0]]), np.eye(2))
-    held = _hold(held, again)
-    assert [start.basis[0] for start in held] == [9, 5, 4, 2]
-    assert held[0] is again
-    assert _hold(held, None) is held and _hold(held, again) is held
-    assert _hold((), None) == ()
-    assert not (hasattr(experiments, "_hold") or hasattr(experiments, "_HELD_BASES"))
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from magicswitch import (
     DensityOperator,
@@ -161,6 +163,32 @@ class TestConditionalOutputs:
         target = DensityOperator(random_density_matrix(3, rng))
         _, _, p_plus, p_minus = conditional_outputs(switched, target)
         assert abs(p_plus + p_minus - 1.0) < 1e-10
+
+    @settings(derandomize=True, database=None, max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), d=st.sampled_from([2, 3]), n_a=st.integers(1, 4), n_b=st.integers(1, 4))
+    def test_kraus_freedom(self, seed, d, n_a, n_b):
+        # The switch is a supermap of the channels, not of their Kraus
+        # operators (Chiribella, D'Ariano, Perinotti & Valiron, PRA 88,
+        # 022318 (2013)): mixing each channel's operators by a Haar unitary,
+        # K'_i = sum_j U_ij K_j, leaves both branches and both probabilities
+        # as they were, to a few ulps of the unit input trace, which bounds
+        # every entry.
+        rng = np.random.default_rng(seed)
+        a, b = random_kraus_channel(d, n_a, rng), random_kraus_channel(d, n_b, rng)
+        target = DensityOperator(random_density_matrix(d, rng))
+
+        def mixed(channel):
+            n = len(channel.kraus_ops)
+            q, r = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+            haar = q * (np.diag(r) / np.abs(np.diag(r)))
+            return KrausChannel(np.einsum("ij,jkl->ikl", haar, channel.kraus_ops))
+
+        want = conditional_outputs(build_switch(a, b), target)
+        got = conditional_outputs(build_switch(mixed(a), mixed(b)), target)
+        tol = 8 * np.finfo(np.float64).eps
+        for branch in range(2):
+            assert np.abs(got[branch].matrix - want[branch].matrix).max() <= tol
+            assert abs(got[2 + branch] - want[2 + branch]) <= tol
 
     def test_target_validation(self):
         switched = build_switch(unitary_channel(np.eye(2)), unitary_channel(np.eye(2)))

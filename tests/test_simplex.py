@@ -503,7 +503,8 @@ def assert_warm_start_matches_the_oracle(A, b, c, start):
     must be HiGHS's.  Returns (served, result)."""
     m, n = A.shape
     tol = DEFAULT_TOL.pivot
-    _, served, reused, objective, _ = _simplex.reuse_basis(A, b[None], c, (start,))
+    _, served, reused, objective, _, _ = _simplex.reuse_basis(A, b[None], _simplex.Starts(A, c, (start,)))
+    served = int(served[0])
     got, starts = solve_recording_starts(A, b, c, start)
     assert np.array_equal(starts[0][0], start.basis)
     x_B = np.linalg.solve(np.hstack([A, np.eye(m)])[:, start.basis], b)
@@ -734,28 +735,43 @@ def test_repair_drives_a_zero_artificial_out_on_a_negative_entry(monkeypatch):
     assert np.array_equal(got.x, [0.0, 0.0, 1.0])
     assert (got.warm_start.basis < 3).all()
     # The WarmStart serves a neighbouring b with no pivot.
-    held = (got.warm_start,)
-    _, served, _, objective, _ = _simplex.reuse_basis(A, np.array([[0.0, 2.0]]), c, held)
-    assert served == 1 and objective.tolist() == [2.0]
+    held = _simplex.Starts(A, c, (got.warm_start,))
+    _, served, _, objective, _, _ = _simplex.reuse_basis(A, np.array([[0.0, 2.0]]), held)
+    assert served.tolist() == [True] and objective.tolist() == [2.0]
 
 
 def test_block_reuse_matches_single_solves():
-    # reuse_basis reads each served row of a block off one stacked mat-vec,
-    # with the bits a solve of that row alone gets from the same basis.
+    # reuse_basis picks each row's start at that row alone, of starts held
+    # latest first: the latest that serves it, or else the least infeasible
+    # there, ties to the latest.  A copy of the older start, held last,
+    # ties with it everywhere and is never picked.  Each row gets the bits
+    # of a block of that row alone, and a served row the value a solve of
+    # it from its start reaches.
     rng = np.random.default_rng(5)
     A = np.hstack([rng.normal(size=(4, 6)), np.eye(4)])
-    c = rng.uniform(1.0, 2.0, size=A.shape[1])
-    b0 = rng.uniform(1, 2, size=4)
-    start = _simplex.solve_standard_form(A, b0, c).warm_start
-    block = b0 + np.outer(np.linspace(0.0, 4.0, 40), rng.normal(size=4))
-    held = (start,)
-    _, served, x, objective, dual = _simplex.reuse_basis(A, block, c, held)
-    assert 0 < served < 40  # the block runs past the basis's feasible region
-    for j in range(served):
-        _, one, x_j, objective_j, dual_j = _simplex.reuse_basis(A, block[j : j + 1], c, held)
-        assert one == 1 and np.array_equal(x_j[0], x[j]) and objective_j[0] == objective[j]
-        assert np.array_equal(dual_j, dual)
-    assert _simplex.reuse_basis(A, block[served : served + 1], c, held)[1] == 0
+    m, n = A.shape
+    c = rng.uniform(1.0, 2.0, size=n)
+    b0, direction = rng.uniform(1, 2, size=4), rng.normal(size=4)
+    old, new = (solve_standard_form(A, b0 + t * direction, c).warm_start for t in (0.0, 4.0))
+    held = _simplex.Starts(A, c, (new, old, WarmStart(old.basis, old.inverse)))
+    block = b0 + np.outer(np.linspace(-2.0, 6.0, 41), direction)
+    starts, served, x, objective, dual, violation = _simplex.reuse_basis(A, block, held)
+    picked = [next(k for k, start in enumerate(held) if start is chosen) for chosen in starts]
+    assert set(picked) == {0, 1} and 0 < served.sum() < len(block)  # some rows no start serves
+    for j, b in enumerate(block):
+        excess = [_simplex._excess(start.inverse @ b, start.basis < n) for start in held]
+        assert picked[j] == (excess.index(0.0) if served[j] else int(np.argmin(excess)))
+        one = _simplex.reuse_basis(A, b[None], held)
+        assert one[0][0] is starts[j] and one[1][0] == served[j] and np.array_equal(one[2][0], x[j])
+        assert one[3][0] == objective[j] and np.array_equal(one[4][0], dual[j]) and one[5][0] == violation[j]
+        assert np.array_equal(dual[j], held.dual[picked[j]]) and violation[j] == held.violation[picked[j]]
+        if served[j]:
+            alone = solve_standard_form(A, b, c, basis=starts[j])
+            assert np.array_equal(alone.warm_start.basis, starts[j].basis)
+            assert abs(alone.objective - objective[j]) <= 1e-12 * abs(objective[j])
+    # With no start held, every row must pivot from no start.
+    starts, served, *_ = _simplex.reuse_basis(A, block, _simplex.Starts(A, c))
+    assert starts == [None] * len(block) and not served.any()
 
 
 def test_drifted_inverse_gives_way_to_the_cold_start():
