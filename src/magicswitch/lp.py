@@ -22,11 +22,8 @@ solver sees exact real inputs.  Each program's constraint matrix depends
 only on its atom set: ``_assemble_standard_form`` builds it once per set,
 with the plus parts of the coefficients in the first half of the columns
 and the minus parts in the second, and a solve builds only its right-hand
-side.  ``solve_l1(A, b, basis)`` then runs the embedded simplex at unit
-costs and certifies the answer.  ``basis`` is one ``WarmStart``, or
-several, latest first, and the solve starts from the one least
-infeasible for its right-hand side (``_simplex.reuse_basis``): the latest
-that serves it, where any does.
+side.  ``solve_l1(A, b, starts)`` then runs the embedded simplex at unit
+costs and certifies the answer.
 
 Every call of ``rom_state`` or ``channel_robustness`` starts from its
 program's reference starts, built with the constraint matrix and cached
@@ -35,33 +32,28 @@ as one ``_simplex.Starts``.  The state program's are the maximally mixed
 state, and for one qubit also the eight T-type magic states
 (``_T_TYPE_STATES``).  The channel program's are the two ends of the
 range the package scores of each of the two qubit channel families, and
-fig3's minus branch (``_CHANNEL_REFERENCES``).  Reduced costs do not depend on ``b``, so an
-optimal basis is dual feasible at every right-hand side of its program,
-and a dual simplex can start from it (a crash basis; Bixby, ORSA J.
-Comput. 4, 267 (1992)).  A channel of either family anywhere in its
+fig3's minus branch (``_CHANNEL_REFERENCES``).  Reduced costs do not
+depend on ``b``, so an optimal basis is optimal at every right-hand side
+of its program where it stays primal feasible (a crash basis; Bixby, ORSA
+J. Comput. 4, 267 (1992)).  A channel of either family anywhere in its
 scored range, fig3's minus branch, and each state of fig2's sweep are
-read off one of them with no pivot.  They also save pivots for a channel
-far from both families: over 100 random Kraus channels and 50
-Haar-random unitaries the repairs take 4,407 dual pivots where B = I
-takes 5,988.  They depend on the atom set alone, and no basis passes from
-one call to the next, so a call's result depends on its own inputs alone,
-never on call order.  An atom set whose program has no optimum at a
-reference leaves that reference out; one with none starts cold, from the
-all-artificial basis, as ``solve_l1`` with no basis does.
+read off one of them with no pivot.  They depend on the atom set alone,
+and no basis passes from one call to the next, so a call's result
+depends on its own inputs alone, never on call order.  An atom set whose
+program has no optimum at a reference leaves that reference out.
 
 Both programs also take a grid (a channel or state with a leading axis)
 and return one ``L1Solution`` for it, whose fields carry one entry per
 grid entry, in order.  A block is the stack of its lone calls: each entry
 compares every start at its own right-hand side b_j, x_B = B^-1 b_j, all
 in one stacked mat-vec, and is read off the latest that serves it, with
-no pivot.  An entry that none serves must pivot: ``solve_standard_form``
-solves it from the least infeasible start (repaired by dual pivots), or
-from the all-artificial basis when none is held.  Nothing passes from one
-entry to another, so each entry gets every field of a lone call on it,
-bit for bit: the 51 channels (cos t I - i sin t X) T, t in [0, 0.5], far
-from both families, take 1,279 dual pivots as one block, as many as
-their lone calls.  A single right-hand side is a block of one, with
-scalar fields.
+no pivot.  An entry that none serves, as every entry of a call with no
+starts, is solved by ``solve_standard_form`` from the all-artificial
+basis, B = I.  Nothing passes from one entry to another, so each entry
+gets every field of a lone call on it, bit for bit: the 51 channels (cos
+t I - i sin t X) T, t in [0, 0.5], far from both families, take 1,961
+dual pivots as one block, as many as their lone calls.  A single
+right-hand side is a block of one, with scalar fields.
 """
 
 from __future__ import annotations
@@ -107,8 +99,9 @@ class L1Solution:
     ``plus`` and ``minus`` are the two sides of the decomposition, one
     weight per atom.  ``residual``, ``dual_gap`` and ``dual_violation`` (the
     worst excess of A^T y over the unit costs) certify the value.
-    ``warm_start`` is the optimal basis with its inverse, which can start the
-    solve of a neighbouring problem; it is None when no optimum was found.
+    ``warm_start`` is the optimal basis with its inverse, which, held in a
+    ``Starts``, can serve a neighbouring problem; it is None when no
+    optimum was found.
     ``standard_form`` is the pair ``(A, b)`` of the equality constraints
     ``A x = b, x >= 0`` it solved.  For one right-hand side the numbers are
     Python floats and ints and ``status`` is a str; for a block ``b`` of N
@@ -159,28 +152,25 @@ def _assemble_standard_form(vectors: np.ndarray, marginal_rows: np.ndarray | Non
     return A
 
 
-def solve_l1(A: np.ndarray, b: np.ndarray, basis=None, renorm_factor=1.0) -> L1Solution:
+def solve_l1(A: np.ndarray, b: np.ndarray, starts=None, renorm_factor=1.0) -> L1Solution:
     """min sum(x) subject to A x = b, x >= 0, for a matrix from
     ``_assemble_standard_form``, with the embedded simplex.
 
     ``b`` is one right-hand side or a block of them, one per row; either
     gives one ``L1Solution``, a block's with one entry per row, each the
-    lone call on its row.  Each entry starts from its own pick of the
-    starts ``basis`` (``reuse_basis``), and only an entry none of them
-    serves reaches ``solve_standard_form``.  ``basis`` is None, the
-    ``WarmStart`` of a solve of the same program, or several, latest
-    first: a sequence, or a program's reference starts, a ``Starts``
-    stacked once.  None or an empty sequence is a cold start, from the
-    all-artificial basis: ``solve_l1`` knows no program's reference
-    starts, and ``rom_state`` and ``channel_robustness`` pass those.
-    ``renorm_factor`` (a number, or one per right-hand side) is reported on
-    the solution.  Deterministic under the fixed atom ordering and
-    ``basis`` (see ``solve_standard_form``); the reconstruction residual,
-    the duality gap and the dual feasibility of every entry, a reused
-    ``WarmStart``'s too, are computed from A, x and y, each entry with the
-    bits of its own products (an entry read off a start shares its y and
-    its dual check), and ``L1Solution.checked_status`` holds them to one
-    tolerance.
+    lone call on its row.  ``starts`` is the ``Starts`` of the program,
+    optimal bases of other solves of A stacked once, or None.  Each entry
+    is read off the latest start that serves it (``reuse_basis``), with no
+    pivot, and an entry that none serves is solved by
+    ``solve_standard_form``, from the all-artificial basis.  ``solve_l1``
+    knows no program's reference starts: ``rom_state`` and
+    ``channel_robustness`` pass those.  ``renorm_factor`` (a number, or one
+    per right-hand side) is reported on the solution.  Deterministic under
+    the fixed atom ordering and ``starts``; the reconstruction residual,
+    the duality gap and the dual feasibility of every entry, one read off
+    a start too, are computed from A, x and y, each entry with the bits of
+    its own products (an entry read off a start shares its y and its dual
+    check), and ``L1Solution.checked_status`` holds them to one tolerance.
     """
     single = np.ndim(b) == 1
     b = np.asarray(b, dtype=np.float64).reshape(-1, A.shape[0])
@@ -188,14 +178,12 @@ def solve_l1(A: np.ndarray, b: np.ndarray, basis=None, renorm_factor=1.0) -> L1S
         raise ValueError("LP right-hand side is not finite")
     (m, n), rows = A.shape, len(b)
     c = np.ones(n)
-    if not isinstance(basis, Starts):
-        basis = Starts(A, c, (basis,) if isinstance(basis, WarmStart) else basis or ())
-    starts, served, x, objective, dual, violation = reuse_basis(A, b, basis)
+    bases, served, x, objective, dual, violation = reuse_basis(A, b, starts)
     iterations, status = np.zeros(rows, dtype=int), ["optimal"] * rows
     pivoted = (~served).nonzero()[0]
     for j in pivoted:
-        result = solve_standard_form(A, b[j], c, basis=starts[j])
-        iterations[j], starts[j] = result.iterations, result.warm_start
+        result = solve_standard_form(A, b[j], c)
+        iterations[j], bases[j] = result.iterations, result.warm_start
         if result.status == STATUS_OPTIMAL:
             x[j], objective[j], dual[j] = result.x, result.objective, result.dual
         else:
@@ -208,8 +196,8 @@ def solve_l1(A: np.ndarray, b: np.ndarray, basis=None, renorm_factor=1.0) -> L1S
     half = n // 2
     if single:
         return L1Solution(float(objective[0]), status[0], float(residual[0]), x[0, :half], x[0, half:], float(gap[0]),
-                          float(violation[0]), int(iterations[0]), starts[0], float(factors[0]), (A, b[0]))
-    return L1Solution(objective, status, residual, x[:, :half], x[:, half:], gap, violation, iterations, starts,
+                          float(violation[0]), int(iterations[0]), bases[0], float(factors[0]), (A, b[0]))
+    return L1Solution(objective, status, residual, x[:, :half], x[:, half:], gap, violation, iterations, bases,
                       factors, (A, b))
 
 

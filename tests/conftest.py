@@ -302,7 +302,7 @@ class PointOracle:
         ``below_floor`` and any other optimal one as ``ok``."""
         solution = program(*args)
         if self.run.get("cold"):
-            solution = lp.solve_l1(*solution.standard_form, (), solution.renorm_factor)
+            solution = lp.solve_l1(*solution.standard_form, renorm_factor=solution.renorm_factor)
         status = solution.checked_status
         if status == "optimal":
             floor = 1.0 - max(self.lp_tol, DEFAULT_TOL.rounding)
@@ -395,14 +395,14 @@ def oracle_rows(experiment, grid, lp_tol=DEFAULT_TOL.lp_value, cold=False):
     return rows
 
 
-def assert_entries_are_lone_calls(block, basis):
+def assert_entries_are_lone_calls(block, starts):
     """Assert that each entry of the block ``L1Solution`` ``block`` is
-    ``lp.solve_l1`` of its right-hand side alone, from ``basis`` and with
+    ``lp.solve_l1`` of its right-hand side alone, from ``starts`` and with
     its renormalization factor: every field bit for bit, NaN where NaN, the
     ``warm_start`` basis and inverse included."""
     A, b = block.standard_form
     assert len(block.status) == len(block.warm_start) == len(b) and b.shape[1] == A.shape[0]
-    lone = [lp.solve_l1(A, b_j, basis, factor) for b_j, factor in zip(b, block.renorm_factor)]
+    lone = [lp.solve_l1(A, b_j, starts, factor) for b_j, factor in zip(b, block.renorm_factor)]
     for k, alone in enumerate(lone):
         assert block.status[k] == alone.status, k
         for name in ("value", "residual", "dual_gap", "dual_violation", "plus", "minus", "iterations"):

@@ -31,6 +31,7 @@ from magicswitch import (
     wigner_of_channel,
 )
 from magicswitch import channels, cli, experiments
+from magicswitch._simplex import Starts
 from magicswitch.channels import ChannelCompletenessError, apply_kraus, plus_density
 from magicswitch.config import DEFAULT_TOL
 from magicswitch.gates import T_GATE, plus_state
@@ -435,14 +436,15 @@ class TestCheckedOnce:
         # Such a defect does not reach the LP, so a walk over gamma reads
         # every LP but the first, which starts cold, off the basis before
         # it.
-        start, reused = None, 0
+        starts, reused = None, 0
         for gamma in np.linspace(0.1, 0.5, 41):
             k0 = np.array([[1.0, 0.0], [0.0, np.sqrt(1 - gamma)]])
             channel = KrausChannel([k0, [[0.0, np.sqrt(gamma) + 1e-10], [0.0, 0.0]]])
-            sol = solve_l1(*channel_robustness(channel, choi_atoms).standard_form, start)
+            A, b = channel_robustness(channel, choi_atoms).standard_form
+            sol = solve_l1(A, b, starts)
             assert sol.status == "optimal"
             reused += sol.iterations == 0
-            start = sol.warm_start
+            starts = Starts(A, np.ones(A.shape[1]), (sol.warm_start,))
         assert reused >= 40
 
     def test_warm_sweeps_run_no_eigenvalue_check(self, monkeypatch):

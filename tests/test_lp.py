@@ -86,13 +86,13 @@ class TestSolveL1:
         bad = np.concatenate([atoms[0], [1.0, 0.0]])
         block = np.array([*feasible[:2], bad, *feasible[2:]])
         start = solve_l1(A, feasible[0]).warm_start
-        for basis in (None, start):
-            solved = solve_l1(A, block, basis)
+        for starts in (None, Starts(A, np.ones(A.shape[1]), (start,))):
+            solved = solve_l1(A, block, starts)
             assert solved.status == ["optimal", "optimal", "infeasible", "optimal", "optimal"]
             assert np.isnan([solved.value[2], solved.residual[2], solved.dual_gap[2], solved.dual_violation[2]]).all()
             assert np.isnan(solved.plus[2]).all() and np.isnan(solved.minus[2]).all()
             assert solved.warm_start[2] is None
-            assert_entries_are_lone_calls(solved, basis)
+            assert_entries_are_lone_calls(solved, starts)
         assert solved.iterations[0] == 0 and solved.warm_start[0] is start
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -305,7 +305,7 @@ class TestChannelRobustness:
         # reference serves, are solved by pivots.
         for p in (0.0, 0.2, 0.4):
             sol = channel_robustness(noisy_th_channel(p), choi_atoms)
-            cold = solve_l1(*sol.standard_form, ())
+            cold = solve_l1(*sol.standard_form)
             assert sol.iterations == 0 and cold.iterations > 2
             for s in (sol, cold):
                 assert s.dual_gap < 1e-8
@@ -447,15 +447,15 @@ class TestReferenceStarts:
             starts = held[::-1]  # in the order of the references
             assert len(starts) == len(references)
             for b, start in zip(references, starts):
-                cold = solve_l1(A, b, ())
+                cold = solve_l1(A, b)
                 assert np.array_equal(cold.warm_start.basis, start.basis)
                 assert np.array_equal(cold.warm_start.inverse, start.inverse)
                 assert not (start.basis.flags.writeable or start.inverse.flags.writeable)
 
     def test_each_call_starts_from_the_references(self, qubit_dict, choi_atoms):
         # rom_state and channel_robustness start from their program's
-        # reference starts; solve_l1 knows no program, and basis=() is a
-        # cold start there.
+        # reference starts; solve_l1 knows no program, and with no starts
+        # solves cold.
         rho = DensityOperator.pure(T_GATE @ plus_state(2))
         no_basis = rom_state(rho, qubit_dict)
         A, starts = state_program(qubit_dict)
@@ -464,10 +464,7 @@ class TestReferenceStarts:
         no_basis = channel_robustness(ch, choi_atoms)
         A, starts = channel_program(choi_atoms)
         assert_same_solution(no_basis, solve_l1(A, no_basis.standard_form[1], starts))
-        b = no_basis.standard_form[1]
-        cold = solve_l1(A, b, basis=[])
-        assert_same_solution(cold, solve_l1(A, b))
-        assert cold.iterations > no_basis.iterations
+        assert solve_l1(A, no_basis.standard_form[1]).iterations > no_basis.iterations
 
     @settings(derandomize=True, database=None, max_examples=25, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n_ops=st.integers(1, 4), th_weight=st.sampled_from([0.0, 0.5, 1.0]))
@@ -523,7 +520,7 @@ class TestReferenceStarts:
                 sol, pivots = pivots_by_caller(monkeypatch, lambda: channel_robustness(family(p), choi_atoms))
                 assert not pivots and sol.iterations == 0 and sol.checked_status == "optimal", p
 
-    def test_each_entry_of_a_block_starts_from_the_least_infeasible_held_basis(self, choi_atoms, reference_starts):
+    def test_each_entry_of_a_block_is_read_off_the_latest_start_that_serves_it(self, choi_atoms, reference_starts):
         # Noisy TH at 0.2 is read off the T H reference.  At 0.4, past the
         # crossing, that basis no longer serves, but the measure-and-prepare
         # reference, still held, does: neither entry pivots.
@@ -541,32 +538,12 @@ class TestReferenceStarts:
         totals = [0, 0]
         for ch in channels:
             sol, pivots = pivots_by_caller(monkeypatch, lambda: channel_robustness(ch, choi_atoms))
-            cold, cold_pivots = pivots_by_caller(monkeypatch, lambda: solve_l1(*sol.standard_form, ()))
+            cold, cold_pivots = pivots_by_caller(monkeypatch, lambda: solve_l1(*sol.standard_form))
             assert pivots["dual_pivot_loop"] < cold_pivots["dual_pivot_loop"]
             assert abs(sol.value - cold.value) <= 1e-12
             totals[0] += pivots["dual_pivot_loop"]
             totals[1] += cold_pivots["dual_pivot_loop"]
         assert 5 * totals[0] < totals[1]
-
-    def test_fewer_dual_pivots_than_cold_off_the_families(self, monkeypatch, choi_atoms, reference_starts):
-        # 100 random Kraus channels (25 each with 1-4 operators) and 50
-        # Haar-random unitaries, near none of the reference channels: from
-        # the references they take fewer dual pivots in all than from the
-        # all-artificial basis, to the cold values.
-        rng = np.random.default_rng(11)
-        channels = [random_kraus_channel(2, n_ops, rng) for n_ops in (1, 2, 3, 4) for _ in range(25)]
-        for _ in range(50):
-            q, r = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
-            channels.append(unitary_channel(q * (np.diag(r) / np.abs(np.diag(r)))))
-        totals = [0, 0]
-        for ch in channels:
-            sol, pivots = pivots_by_caller(monkeypatch, lambda: channel_robustness(ch, choi_atoms))
-            cold, cold_pivots = pivots_by_caller(monkeypatch, lambda: solve_l1(*sol.standard_form, ()))
-            assert sol.checked_status == cold.checked_status == "optimal"
-            assert abs(sol.value - cold.value) <= 1e-12
-            totals[0] += pivots["dual_pivot_loop"]
-            totals[1] += cold_pivots["dual_pivot_loop"]
-        assert totals[0] < totals[1]
 
     def test_two_calls_in_either_order_are_bit_identical(self, qubit_dict, choi_atoms):
         # The references depend on the atom set alone, not on which call
@@ -658,8 +635,9 @@ def test_program_caches_keep_a_bounded_number_of_atom_sets(qubit_dict, twoq_dict
 # ---------------------------------------------------------------------------
 # Clifford covariance (Seddon & Campbell 2019): a Clifford permutes the
 # stabilizer atoms, so it cannot change a robustness.  The oracle shares no
-# code with the solver; each dressed LP starts from the WarmStart of a
-# neighbouring LP, so the reused-basis path is under the oracle too.
+# code with the solver; each dressed LP is given the optimal basis of a
+# neighbouring LP as its one start, so the reused-basis path is under the
+# oracle too.
 # ---------------------------------------------------------------------------
 
 def single_qubit_cliffords():
@@ -706,7 +684,8 @@ def test_rom_state_is_clifford_invariant(qubit_dict, seed):
     reused = 0
     for u in CLIFFORDS:
         start = rom_state(DensityOperator(u @ near @ u.conj().T), qubit_dict).warm_start
-        sol = solve_l1(*rom_state(DensityOperator(u @ rho @ u.conj().T), qubit_dict).standard_form, start)
+        A, b = rom_state(DensityOperator(u @ rho @ u.conj().T), qubit_dict).standard_form
+        sol = solve_l1(A, b, Starts(A, np.ones(A.shape[1]), (start,)))
         assert sol.status == "optimal" and abs(sol.value - base) <= 1e-9
         reused += sol.iterations == 0
     assert reused >= len(CLIFFORDS) // 2
@@ -728,6 +707,90 @@ def test_channel_robustness_is_clifford_invariant(choi_atoms, seed, pre, post):
 
     base = channel_robustness(ch, choi_atoms)
     start = channel_robustness(dressed(near), choi_atoms).warm_start
-    sol = solve_l1(*channel_robustness(dressed(ch), choi_atoms).standard_form, start)
+    A, b = channel_robustness(dressed(ch), choi_atoms).standard_form
+    sol = solve_l1(A, b, Starts(A, np.ones(A.shape[1]), (start,)))
     assert base.status == sol.status == "optimal"
     assert abs(sol.value - base.value) <= 1e-9
+
+
+# ---------------------------------------------------------------------------
+# Laws of the robustness monotones (Howard & Campbell 2017; Seddon &
+# Campbell 2019), on seeded random qubit channels and one- and two-qubit
+# states.  No reference start serves such a channel, so each channel LP is
+# solved from the all-artificial basis.  Each law holds to lp_residual.
+# ---------------------------------------------------------------------------
+
+def random_channel_and_state(seed):
+    """A seeded random qubit Kraus channel (1-3 operators) and a random
+    qubit state of rank 1 or 2."""
+    rng = np.random.default_rng(seed)
+    return random_kraus_channel(2, int(rng.integers(1, 4)), rng), random_density_matrix(2, rng, int(rng.integers(1, 3)))
+
+
+def certified_value(solution):
+    assert solution.checked_status == "optimal"
+    return solution.value
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_channel_robustness_is_submultiplicative(choi_atoms, seed):
+    # R(E o F) <= R(E) R(F): the stabilizer-preserving decompositions of E
+    # and F compose to one of E o F.
+    (outer, _), (inner, _) = random_channel_and_state(seed), random_channel_and_state(seed + 1)
+    composed = certified_value(channel_robustness(compose_channels(outer, inner), choi_atoms))
+    product = certified_value(channel_robustness(outer, choi_atoms)) * certified_value(
+        channel_robustness(inner, choi_atoms))
+    assert composed <= product + DEFAULT_TOL.lp_residual
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_robustness_of_an_output_state_is_at_most_the_product(qubit_dict, choi_atoms, seed):
+    # R(E(rho)) <= R(E) R(rho): a stabilizer-preserving channel maps each
+    # stabilizer state of rho's decomposition to a stabilizer state.
+    channel, rho = random_channel_and_state(seed)
+    output = certified_value(rom_state(apply_channel(channel, DensityOperator(rho)), qubit_dict))
+    product = certified_value(channel_robustness(channel, choi_atoms)) * certified_value(
+        rom_state(DensityOperator(rho), qubit_dict))
+    assert output <= product + DEFAULT_TOL.lp_residual
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_a_mixture_of_cliffords_is_free(choi_atoms, seed):
+    # A random mixture of the 24 single-qubit Cliffords is stabilizer
+    # preserving, so its robustness is 1.
+    weights = np.random.default_rng(seed).dirichlet(np.ones(len(CLIFFORDS)))
+    mixture = KrausChannel(np.sqrt(weights)[:, None, None] * np.array(CLIFFORDS))
+    assert abs(certified_value(channel_robustness(mixture, choi_atoms)) - 1.0) <= DEFAULT_TOL.lp_residual
+
+
+@pytest.mark.parametrize("n_qubits", [1, 2])
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_rom_state_is_convex(qubit_dict, twoq_dict, n_qubits, seed):
+    # R(p rho + (1 - p) sigma) <= p R(rho) + (1 - p) R(sigma): the optimal
+    # decompositions of rho and sigma, mixed, decompose the mixture.
+    dictionary, d = {1: (qubit_dict, 2), 2: (twoq_dict, 4)}[n_qubits]
+    rng = np.random.default_rng(seed)
+    rho, sigma = (random_density_matrix(d, rng, int(rng.integers(1, d + 1))) for _ in range(2))
+    p = rng.uniform()
+    mixed, first, second = (certified_value(rom_state(DensityOperator(matrix), dictionary))
+                            for matrix in (p * rho + (1 - p) * sigma, rho, sigma))
+    assert mixed <= p * first + (1 - p) * second + DEFAULT_TOL.lp_residual
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_channel_robustness_is_convex(choi_atoms, seed):
+    # R(p E + (1 - p) F) <= p R(E) + (1 - p) R(F): the Kraus operators of E
+    # and F, weighted by sqrt(p) and sqrt(1 - p), are those of the mixture,
+    # whose Choi matrix is the mixture of theirs.
+    (first, _), (second, _) = random_channel_and_state(seed), random_channel_and_state(seed + 1)
+    p = np.random.default_rng(seed).uniform()
+    mixture = KrausChannel(np.concatenate([np.sqrt(p) * first.kraus_ops, np.sqrt(1 - p) * second.kraus_ops]))
+    mixed = certified_value(channel_robustness(mixture, choi_atoms))
+    bound = p * certified_value(channel_robustness(first, choi_atoms)) + (1 - p) * certified_value(
+        channel_robustness(second, choi_atoms))
+    assert mixed <= bound + DEFAULT_TOL.lp_residual
