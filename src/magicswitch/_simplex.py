@@ -27,11 +27,12 @@ That loop counts a basic artificial as fixed at 0, so it drives out every
 artificial off 0, and then every one at 0 on a real entry of either sign
 (Koberstein, *The dual simplex method*, PhD thesis, Paderborn, 2005); only
 an exactly redundant row keeps one, and the package's programs have none.
-A failed repair is the solve's verdict.  Phase 1 and phase 2 follow, each
-Bland loop confirming the repaired tableau.  ``optimal_start`` runs the
-repair alone, for a basis kept only to start other solves from.  Where an
-LP has several optimal vertices, a solution read off a start and one
-solved may differ in ``x``, not in value beyond rounding.  A repair judges
+Phase 1 and phase 2 follow, each Bland loop confirming the repaired
+tableau; a status short of optimal, of the repair or of either loop, is
+the solve's verdict.  ``optimal_start`` runs the repair alone, for a basis
+kept only to serve reads of other right-hand sides.  Where an LP has
+several optimal vertices, a solution read off a start and one solved may
+differ in ``x``, not in value beyond rounding.  A repair judges
 feasibility at ``Tolerances.primal``, far below the pivot tolerance: a
 basic variable a pivot tolerance below 0 reads an infeasible vertex's
 value.
@@ -183,7 +184,7 @@ def dual_pivot_loop(tableau, basis, n_enterable, tol, max_iter):
 
 class WarmStart(NamedTuple):
     """An optimal basis (indices into ``[A | I]``) with its read-only inverse,
-    for a solve of the same A and c at another b."""
+    which ``reuse_basis`` reads the same A and c off at another b."""
 
     basis: np.ndarray
     inverse: np.ndarray
@@ -191,9 +192,10 @@ class WarmStart(NamedTuple):
 
 @dataclass(frozen=True)
 class SimplexResult:
-    """``warm_start`` carries the optimal basis with its inverse (None for any
-    other status); ``iterations`` counts the dual pivots of the repair and
-    the iterations of both Bland loops."""
+    """``warm_start`` carries the optimal basis with its inverse.  Any other
+    status has NaN ``x``, ``objective`` and ``dual`` and no ``warm_start``.
+    ``iterations`` counts the dual pivots of the repair and the iterations
+    of the Bland loops that ran."""
 
     status: int
     x: np.ndarray
@@ -237,9 +239,9 @@ def _warm_start(tableau, basis, n):
 def optimal_start(A, b, c):
     """The ``WarmStart`` that the dual repair from the all-artificial basis
     reaches at ``b``, under costs c >= 0, or None when that repair does not
-    end optimal.  It is a start for solves of the same A and c at other
-    right-hand sides, each of which checks it again and is certified, so
-    no Bland loop confirms it here: its pivots are dual pivots only."""
+    end optimal.  It serves reads of the same A and c at other right-hand
+    sides, each certified on its own, so no Bland loop confirms it here:
+    its pivots are dual pivots only."""
     m, n = A.shape
     status, tableau, basis, _ = _repair(A, b, np.concatenate([c, np.zeros(m + 1)]))
     return _warm_start(tableau, basis, n) if status == STATUS_OPTIMAL else None
@@ -311,17 +313,18 @@ def reuse_basis(A, b, held):
 def solve_standard_form(A: np.ndarray, b: np.ndarray, c: np.ndarray) -> SimplexResult:
     """Minimize c.x subject to A x = b, x >= 0, for costs c >= 0.
 
-    The solve starts from the all-artificial basis ``arange(n, n + m)``,
-    and a failed repair (STATUS_INFEASIBLE or STATUS_ITER_LIMIT) is
-    returned as it is.  A solution that a ``WarmStart`` serves with no
-    pivot is read off it by ``reuse_basis``, not here.
+    The solve starts from the all-artificial basis ``arange(n, n + m)``.
+    A solution that a ``WarmStart`` serves with no pivot is read off it by
+    ``reuse_basis``, not here.
 
     STATUS_OPTIMAL means a primal feasible solution: the dual repair left
-    no basic variable past its bound by more than ``Tolerances.primal``.
-    Failing that is STATUS_INFEASIBLE, with zero ``x`` and dual and a NaN
-    objective.  The dual vector is read off the final tableau (artificial
-    columns stay in the tableau, barred from entering), so callers can
-    verify a zero duality gap on every reported solution.
+    no basic variable past its bound by more than ``Tolerances.primal``,
+    and both Bland loops confirmed it.  The dual vector is read off the
+    final tableau (artificial columns stay in the tableau, barred from
+    entering), so callers can verify a zero duality gap on every reported
+    solution.  Any other status, of the repair (STATUS_INFEASIBLE when no
+    x >= 0 solves A x = b) or of either Bland loop, is the solve's
+    verdict, with NaN ``x``, objective and dual and no ``warm_start``.
     """
     A = np.ascontiguousarray(A, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
@@ -333,27 +336,23 @@ def solve_standard_form(A: np.ndarray, b: np.ndarray, c: np.ndarray) -> SimplexR
         raise ValueError("LP right-hand side is not finite")
     if not (c >= 0.0).all():
         raise ValueError("LP costs must be nonnegative")
-    tol, max_iter = DEFAULT_TOL.pivot, _max_iter(m, n)
     real_cost = np.zeros(n + m + 1)
     real_cost[:n] = c
-    status, tableau, basis, it0 = _repair(A, b, real_cost)
-    if status != STATUS_OPTIMAL:
-        return SimplexResult(status, np.zeros(n), np.nan, np.zeros(m), it0)
-
-    # Phase 1, then phase 2, each over the repaired tableau, confirm it.
     artificial_cost = np.zeros(n + m + 1)
     artificial_cost[n : n + m] = 1.0
-    tableau[m] = _cost_row(tableau, basis, artificial_cost)
-    status, it1 = bland_pivot_loop(tableau, basis, n, tol, max_iter)
+    status, tableau, basis, iterations = _repair(A, b, real_cost)
+    # Phase 1, then phase 2, each over the repaired tableau, confirm it.
+    for cost in (artificial_cost, real_cost):
+        if status != STATUS_OPTIMAL:
+            break
+        tableau[m] = _cost_row(tableau, basis, cost)
+        status, it = bland_pivot_loop(tableau, basis, n, DEFAULT_TOL.pivot, _max_iter(m, n))
+        iterations += it
     if status != STATUS_OPTIMAL:
-        return SimplexResult(status, np.zeros(n), np.nan, np.zeros(m), it0 + it1)
-    tableau[m] = _cost_row(tableau, basis, real_cost)
-    status, it2 = bland_pivot_loop(tableau, basis, n, tol, max_iter)
+        return SimplexResult(status, np.full(n, np.nan), np.nan, np.full(m, np.nan), iterations)
     x = np.zeros(n)
     real = basis < n
     x[basis[real]] = tableau[:m, -1][real]
-    objective = float(-tableau[m, -1])
     # The artificial columns hold B^-1 and their reduced costs -y.
     dual = -tableau[m, n : n + m]
-    warm_start = _warm_start(tableau, basis, n) if status == STATUS_OPTIMAL else None
-    return SimplexResult(status, x, objective, dual, it0 + it1 + it2, warm_start)
+    return SimplexResult(status, x, float(-tableau[m, -1]), dual, iterations, _warm_start(tableau, basis, n))

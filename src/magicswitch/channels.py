@@ -132,7 +132,7 @@ class DensityOperator:
     @classmethod
     def maximally_mixed(cls, d: int) -> "DensityOperator":
         # np.eye's own refusals do not name d, and a bool is an Integral np.eye refuses.
-        if not (isinstance(d, numbers.Integral) and not isinstance(d, bool) and d >= 0):
+        if not (isinstance(d, numbers.Integral) and not isinstance(d, bool) and d >= 1):
             raise StateValidationError(f"a maximally mixed state needs an integer dimension d >= 1, got d={d}")
         return cls(np.eye(d, dtype=complex) / d)
 

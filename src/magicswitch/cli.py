@@ -2,10 +2,10 @@
 
 One subcommand per canned experiment (the sweeps of ``MEASURE_TABLE``,
 then appendix-c) plus generic monotone evaluators (rom,
-channel-robustness, mana) and a threshold finder.  Renormalization factors
-are logged to stderr at info level, each LP's status at debug level; data
-goes to --out (default stdout).  A run builds the parser of its own
-subcommand only.
+channel-robustness, mana) and a threshold finder.  Logging goes to stderr
+at info level (warning with -q); renormalization factors and each LP's
+status log at debug level, below it.  Data goes to --out (default
+stdout).  A run builds the parser of its own subcommand only.
 """
 
 from __future__ import annotations
@@ -233,17 +233,15 @@ def _cmd_rom(args) -> int:
         raise ValueError(f"rom supports 1- and 2-qubit states, got dimension {rho.dim}")
     n = 1 if rho.dim == 2 else 2
     solution = rom_state(rho, enumerate_stabilizer_states(n))
-    status = solution.checked_status
-    _emit({"value": solution.value, "status": status, "renorm_factor": solution.renorm_factor}, args.out)
-    return 0 if status == "optimal" else 1
+    _emit({"value": solution.value, "status": solution.status, "renorm_factor": solution.renorm_factor}, args.out)
+    return 0 if solution.status == "optimal" else 1
 
 
 def _cmd_channel_robustness(args) -> int:
     ch = _named_channel(args.channel, 2, "channel robustness is implemented for qubit channels")
     solution = channel_robustness(ch, cspo_choi_atoms(enumerate_stabilizer_states(2)))
-    status = solution.checked_status
-    _emit({"value": solution.value, "status": status}, args.out)
-    return 0 if status == "optimal" else 1
+    _emit({"value": solution.value, "status": solution.status}, args.out)
+    return 0 if solution.status == "optimal" else 1
 
 
 def _cmd_mana(args) -> int:

@@ -197,14 +197,14 @@ def _floor_slack(lp_tol: float) -> float:
 
 
 def _certified_value(solution: L1Solution, lp_tol: float) -> tuple:
-    """A block LP solution's values and list of statuses:
-    ``L1Solution.checked_status``, with an optimal value below the floor
+    """A block LP solution's values and list of statuses: each entry's
+    certified ``L1Solution.status``, with an optimal value below the floor
     ``below_floor`` and any other ``ok``."""
     def rule(status: str, below: bool) -> str:
         return status if status != "optimal" else "below_floor" if below else "ok"
 
     below = solution.value < 1.0 - _floor_slack(lp_tol)
-    return solution.value, list(map(rule, solution.checked_status, below.tolist()))
+    return solution.value, list(map(rule, solution.status, below.tolist()))
 
 
 def _prob_status(prob_plus: np.ndarray, prob_minus: np.ndarray) -> np.ndarray:
@@ -706,8 +706,9 @@ def _basis_root(solution: L1Solution, entry: int, fit: np.ndarray, level: float,
 
     ``fit`` holds the polynomials s(p) b(p), one per row of the LP's A, then
     s(p).  Reduced costs do not depend on b, so the basis is optimal
-    wherever s > 0 and x_B = B^-1 b >= -tol (the pivot tolerance), and there
-    the value sum(x) equals ``level`` at a root of c_B B^-1 s b - level s.
+    wherever s > 0 and x_B = B^-1 b >= -``Tolerances.primal``, the rule
+    ``reuse_basis`` serves by, and there the value sum(x) equals ``level``
+    at a root of c_B B^-1 s b - level s.
     A crossing that only another basis reaches gives None."""
     start, n = solution.warm_start[entry], solution.standard_form[0].shape[1]
     # Row i: the coefficients of s(p) x_B[i](p).  Both programs have full
@@ -718,7 +719,7 @@ def _basis_root(solution: L1Solution, entry: int, fit: np.ndarray, level: float,
     gap = (start.basis < n).astype(np.float64) @ x - level * scale  # s(p) (value(p) - level)
     roots = quadratic_roots(gap)
     s = polyval(scale, roots)
-    feasible = (polyval(x.T, roots[:, None]) >= -DEFAULT_TOL.pivot * s[:, None]).all(axis=1)
+    feasible = (polyval(x.T, roots[:, None]) >= -DEFAULT_TOL.primal * s[:, None]).all(axis=1)
     roots = roots[(lo <= roots) & (roots <= hi) & (s > 0) & feasible]
     return float(roots.min()) if roots.size else None
 

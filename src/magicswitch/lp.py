@@ -89,6 +89,9 @@ from .linalg import DimensionMismatchError, pauli_basis, pauli_vectorize
 
 logger = logging.getLogger(__name__)
 
+# An entry's status by ``solve_standard_form``'s; any other is ``numerical_failure``.
+_STATUS_NAMES = {STATUS_OPTIMAL: "optimal", STATUS_INFEASIBLE: "infeasible"}
+
 
 @dataclass(frozen=True, eq=False)
 class L1Solution:
@@ -99,6 +102,9 @@ class L1Solution:
     ``plus`` and ``minus`` are the two sides of the decomposition, one
     weight per atom.  ``residual``, ``dual_gap`` and ``dual_violation`` (the
     worst excess of A^T y over the unit costs) certify the value.
+    ``status`` is the certified verdict, decided at construction (so again
+    after ``dataclasses.replace``): an optimal entry whose residual, gap or
+    dual violation exceeds ``DEFAULT_TOL.lp_residual`` is ``check_failed``.
     ``warm_start`` is the optimal basis with its inverse, which, held in a
     ``Starts``, can serve a neighbouring problem; it is None when no
     optimum was found.
@@ -106,7 +112,7 @@ class L1Solution:
     ``A x = b, x >= 0`` it solved.  For one right-hand side the numbers are
     Python floats and ints and ``status`` is a str; for a block ``b`` of N
     rows every other field has a leading axis of N, ``status`` and
-    ``warm_start`` as lists.  An entry that is not optimal is NaN.
+    ``warm_start`` as lists.  An entry the simplex did not end optimal is NaN.
     """
 
     value: float | np.ndarray
@@ -121,16 +127,11 @@ class L1Solution:
     renorm_factor: float | np.ndarray = 1.0
     standard_form: tuple | None = None
 
-    @property
-    def checked_status(self) -> str | list:
-        """``status``, except that an optimal entry whose residual, duality
-        gap or dual infeasibility exceeds ``DEFAULT_TOL.lp_residual`` is
-        ``check_failed``: a str, or a block's list of them."""
+    def __post_init__(self):
         failed = np.maximum(np.maximum(self.residual, self.dual_gap), self.dual_violation) > DEFAULT_TOL.lp_residual
-        if isinstance(self.status, str):
-            return "check_failed" if failed and self.status == "optimal" else self.status
-        return ["check_failed" if fail and entry == "optimal" else entry
-                for entry, fail in zip(self.status, failed.tolist())]
+        verdicts = ["check_failed" if fail and entry == "optimal" else entry
+                    for entry, fail in zip(np.atleast_1d(self.status).tolist(), np.atleast_1d(failed).tolist())]
+        object.__setattr__(self, "status", verdicts[0] if isinstance(self.status, str) else verdicts)
 
 
 def _assemble_standard_form(vectors: np.ndarray, marginal_rows: np.ndarray | None = None) -> np.ndarray:
@@ -170,7 +171,7 @@ def solve_l1(A: np.ndarray, b: np.ndarray, starts=None, renorm_factor=1.0) -> L1
     the duality gap and the dual feasibility of every entry, one read off
     a start too, are computed from A, x and y, each entry with the bits of
     its own products (an entry read off a start shares its y and its dual
-    check), and ``L1Solution.checked_status`` holds them to one tolerance.
+    check), and ``L1Solution`` holds them to one tolerance in its status.
     """
     single = np.ndim(b) == 1
     b = np.asarray(b, dtype=np.float64).reshape(-1, A.shape[0])
@@ -183,12 +184,9 @@ def solve_l1(A: np.ndarray, b: np.ndarray, starts=None, renorm_factor=1.0) -> L1
     pivoted = (~served).nonzero()[0]
     for j in pivoted:
         result = solve_standard_form(A, b[j], c)
+        x[j], objective[j], dual[j] = result.x, result.objective, result.dual
         iterations[j], bases[j] = result.iterations, result.warm_start
-        if result.status == STATUS_OPTIMAL:
-            x[j], objective[j], dual[j] = result.x, result.objective, result.dual
-        else:
-            x[j], objective[j], dual[j] = np.nan, np.nan, np.nan
-            status[j] = "infeasible" if result.status == STATUS_INFEASIBLE else "numerical_failure"
+        status[j] = _STATUS_NAMES.get(result.status, "numerical_failure")
     violation[pivoted] = dual_violation(A, c, dual[pivoted])
     residual = np.abs((A @ x[:, :, None])[:, :, 0] - b).max(axis=1, initial=0.0)
     gap = np.abs(objective - (b * dual).sum(axis=1))
@@ -205,10 +203,9 @@ def _reference_starts(A: np.ndarray, references):
     """The optimal ``WarmStart``s of the program ``A`` at the right-hand
     sides ``references``, each from the all-artificial basis
     (``_simplex.optimal_start``), stacked once as ``Starts`` with the last
-    reference latest; empty when there are none.  A reference is only ever
-    a start: every solve it starts checks it again and is certified.  A
-    reference with no optimum, as for an atom set it lies outside of, is
-    left out."""
+    reference latest; empty when there are none.  A reference only serves
+    reads: every entry read off it is certified on its own.  A reference
+    with no optimum, as for an atom set it lies outside of, is left out."""
     c = np.ones(A.shape[1])
     return Starts(A, c, [start for start in (optimal_start(A, b, c) for b in references) if start is not None][::-1])
 

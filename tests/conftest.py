@@ -297,13 +297,13 @@ class PointOracle:
         return effective_t_channels(self.p)
 
     def solve(self, program, *args):
-        """The value and status of one LP: its checked status, with an
+        """The value and status of one LP: its certified status, with an
         optimal value below 1 - max(lp_tol, the rounding floor) read as
         ``below_floor`` and any other optimal one as ``ok``."""
         solution = program(*args)
         if self.run.get("cold"):
             solution = lp.solve_l1(*solution.standard_form, renorm_factor=solution.renorm_factor)
-        status = solution.checked_status
+        status = solution.status
         if status == "optimal":
             floor = 1.0 - max(self.lp_tol, DEFAULT_TOL.rounding)
             status = "below_floor" if solution.value < floor else "ok"

@@ -2,18 +2,15 @@
 
 Runs tier-1 (``pytest -q --continue-on-collection-errors`` from the repository
 root) in this process under ``sys.settrace``, and fails when tier-1 fails or
-when a line of the package that can run was left unrun and is not in
-``ALLOWED``.  A line can run when a code object compiled from its file maps
-an instruction to it (``co_lines``).  Tests that start a subprocess are not
+when a line of the package that can run was left unrun: every line must
+run.  A line can run when a code object compiled from its file maps an
+instruction to it (``co_lines``).  Tests that start a subprocess are not
 counted.  Neither is anything run while ``tracemalloc`` traces: recording a
 line allocates memory, which a test that reads its peak would see.
 
     python tests/line_coverage.py
 
-An ``ALLOWED`` entry is keyed by file name and by the line's source text,
-stripped, so an edit elsewhere in the file does not move it; its value says
-why no input reaches the line.  An entry that names no unrun line fails the
-gate too, so the list only shrinks.  pytest does not collect this file.
+pytest does not collect this file.
 """
 
 import os
@@ -25,12 +22,6 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "magicswitch"
-
-ALLOWED = {
-    ("_simplex.py", "return SimplexResult(status, np.zeros(n), np.nan, np.zeros(m), it0 + it1)"):
-        "phase 1 starts at the dual repair's primal feasible basis and minimizes the sum of the artificials, "
-        "which is bounded below by 0, under Bland's rule, which cannot cycle: it ends optimal",
-}
 
 
 def executable_lines(path: Path) -> set:
@@ -72,25 +63,20 @@ def main() -> int:
     os.chdir(ROOT)
     sys.path.insert(0, str(PACKAGE.parent))
     status, ran = run_traced(["-q", "--continue-on-collection-errors"])
-    total, unrun, allowed = 0, [], []
+    total, unrun = 0, []
     for path in sorted(PACKAGE.glob("*.py")):
         source = path.read_text().splitlines()
         lines = executable_lines(path)
         total += len(lines)
         for line in sorted(lines - {n for f, n in ran if f == str(path)}):
-            text = source[line - 1].strip()
-            (allowed if (path.name, text) in ALLOWED else unrun).append((path.name, line, text))
-    stale = set(ALLOWED) - {(name, text) for name, _, text in allowed}
+            unrun.append((path.name, line, source[line - 1].strip()))
 
-    print(f"line coverage: {total - len(unrun) - len(allowed)} of {total} executable lines of "
-          f"{PACKAGE.relative_to(ROOT)} ran; {len(allowed)} allowed unrun")
+    print(f"line coverage: {total - len(unrun)} of {total} executable lines of {PACKAGE.relative_to(ROOT)} ran")
     for name, line, text in unrun:
-        print(f"unrun and not allowed: {name}:{line}: {text}")
-    for name, text in sorted(stale):
-        print(f"allowed, but no unrun line of {name} reads: {text}")
+        print(f"unrun: {name}:{line}: {text}")
     if status != 0:
         print(f"tier-1 failed under the tracer: pytest exit code {int(status)}")
-    return 1 if unrun or stale or status != 0 else 0
+    return 1 if unrun or status != 0 else 0
 
 
 if __name__ == "__main__":

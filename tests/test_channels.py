@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -89,6 +91,12 @@ class TestDensityOperator:
         assert np.array_equal(rho.matrix, 0.5 * (near + near.conj().T))
         assert mana_state(rho, build_frame(3)) == 0.0
 
+    @pytest.mark.parametrize("shape", [(0, 0), (2, 3), (4,)])
+    def test_rejects_a_matrix_that_is_not_square_and_nonempty(self, shape):
+        message = rf"^density operator must be square and nonempty, got {re.escape(str(shape))}$"
+        with pytest.raises(StateValidationError, match=message):
+            DensityOperator(np.zeros(shape))
+
     @pytest.mark.parametrize("bad", [np.inf, np.nan, -np.inf])
     def test_rejects_entries_that_are_not_finite(self, bad):
         # Refused before the Hermitian check, whose inf - inf would warn and
@@ -102,9 +110,7 @@ class TestDensityOperator:
             DensityOperator.pure(vec)
 
     def test_maximally_mixed_of_no_dimension_is_refused(self):
-        with pytest.raises(StateValidationError, match=r"^density operator must be square and nonempty, got \(0, 0\)$"):
-            DensityOperator.maximally_mixed(0)
-        for d in (-1, 2.5, True):
+        for d in (0, -1, 2.5, True):
             message = rf"^a maximally mixed state needs an integer dimension d >= 1, got d={d}$"
             with pytest.raises(StateValidationError, match=message):
                 DensityOperator.maximally_mixed(d)

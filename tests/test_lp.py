@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from magicswitch import (
     unitary_channel,
 )
 from magicswitch import experiments
-from magicswitch._simplex import Starts, solve_standard_form
+from magicswitch._simplex import STATUS_OPTIMAL, SimplexResult, Starts, solve_standard_form
 from magicswitch.config import DEFAULT_TOL
 from magicswitch.gates import HADAMARD, PAULI_X, PAULI_Y, PAULI_Z, T_GATE, plus_state
 from magicswitch.linalg import DimensionMismatchError, partial_trace, pauli_basis, pauli_vectorize
@@ -94,6 +95,35 @@ class TestSolveL1:
             assert solved.warm_start[2] is None
             assert_entries_are_lone_calls(solved, starts)
         assert solved.iterations[0] == 0 and solved.warm_start[0] is start
+
+    @pytest.mark.parametrize("certificate, record", [
+        ("residual", ([2.0, 0.0], 1.0, [1.0])),
+        ("dual_gap", ([1.0, 0.0], 2.0, [1.0])),
+        ("dual_violation", ([1.0, 0.0], 2.0, [2.0])),
+    ])
+    def test_an_optimal_entry_past_a_certificate_reads_check_failed(self, monkeypatch, certificate, record):
+        # min x0 + x1 subject to x0 - x1 = 1 has the optimum x = (1, 0),
+        # y = 1, with every certificate 0.  Each record is off it by 1 in
+        # one certificate alone: x off the row, the value off b.y, or y
+        # past the unit costs.
+        A, b = _assemble_standard_form(np.array([[1.0]])), np.array([1.0])
+        certificates = ["residual", "dual_gap", "dual_violation"]
+        good, block = solve_l1(A, b), solve_l1(A, np.array([b, b]))
+        assert good.status == "optimal" and [getattr(good, name) for name in certificates] == [0.0] * 3
+        # A solution rebuilt with dataclasses.replace decides its status again.
+        tol = DEFAULT_TOL.lp_residual
+        assert replace(good, **{certificate: tol}).status == "optimal"
+        assert replace(good, **{certificate: 10 * tol}).status == "check_failed"
+        assert replace(block, **{certificate: np.array([0.0, 10 * tol])}).status == ["optimal", "check_failed"]
+        # A pivoted entry keeps the simplex's record as it stands.
+        x, objective, dual = record
+        result = SimplexResult(STATUS_OPTIMAL, np.array(x), objective, np.array(dual), 1)
+        monkeypatch.setattr("magicswitch.lp.solve_standard_form", lambda *args: result)
+        lone, block = solve_l1(A, b), solve_l1(A, np.array([b, b]))
+        assert lone.status == "check_failed" and block.status == ["check_failed"] * 2
+        for name in certificates:
+            assert getattr(lone, name) == (name == certificate)
+            assert (getattr(block, name) == (name == certificate)).all()
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_right_hand_side_is_refused(self, rng, bad):
@@ -479,7 +509,7 @@ class TestReferenceStarts:
         sol = channel_robustness(KrausChannel(ops), choi_atoms)
         A, b = sol.standard_form
         cold = solve_standard_form(A, b, np.ones(A.shape[1]))
-        assert sol.checked_status == "optimal" and abs(sol.value - cold.objective) <= 1e-12
+        assert sol.status == "optimal" and abs(sol.value - cold.objective) <= 1e-12
         assert max(sol.residual, sol.dual_gap, sol.dual_violation) <= DEFAULT_TOL.lp_residual
 
     @settings(derandomize=True, database=None, max_examples=25, deadline=None)
@@ -490,7 +520,7 @@ class TestReferenceStarts:
         sol = rom_state(DensityOperator(rho), qubit_dict)
         A, b = sol.standard_form
         cold = solve_standard_form(A, b, np.ones(A.shape[1]))
-        assert sol.checked_status == "optimal" and abs(sol.value - cold.objective) <= 1e-12
+        assert sol.status == "optimal" and abs(sol.value - cold.objective) <= 1e-12
         assert max(sol.residual, sol.dual_gap, sol.dual_violation) <= DEFAULT_TOL.lp_residual
 
     def test_served_and_unserved_channels(self, choi_atoms, reference_starts):
@@ -518,7 +548,7 @@ class TestReferenceStarts:
         for family, grid in families:
             for p in grid:
                 sol, pivots = pivots_by_caller(monkeypatch, lambda: channel_robustness(family(p), choi_atoms))
-                assert not pivots and sol.iterations == 0 and sol.checked_status == "optimal", p
+                assert not pivots and sol.iterations == 0 and sol.status == "optimal", p
 
     def test_each_entry_of_a_block_is_read_off_the_latest_start_that_serves_it(self, choi_atoms, reference_starts):
         # Noisy TH at 0.2 is read off the T H reference.  At 0.4, past the
@@ -582,7 +612,7 @@ def test_an_off_family_block_is_its_lone_calls(monkeypatch, choi_atoms, referenc
     gates = (np.cos(t) * np.eye(2) - 1j * np.sin(t) * PAULI_X) @ T_GATE
     block, pivots = pivots_by_caller(monkeypatch, lambda: channel_robustness(grid_of(KrausChannel, gates[:, None]),
                                                                              choi_atoms))
-    assert block.checked_status == ["optimal"] * 51
+    assert block.status == ["optimal"] * 51
     assert_entries_are_lone_calls(block, channel_program(choi_atoms)[1])
     lone_pivots = 0
     for k, gate in enumerate(gates):
@@ -728,7 +758,7 @@ def random_channel_and_state(seed):
 
 
 def certified_value(solution):
-    assert solution.checked_status == "optimal"
+    assert solution.status == "optimal"
     return solution.value
 
 

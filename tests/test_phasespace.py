@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from magicswitch import (
     DensityOperator,
     PhaseSpaceFrame,
+    apply_channel,
     build_frame,
     build_switch,
     compose_channels,
@@ -374,3 +375,54 @@ def test_mana_is_weyl_covariant(frame3, seed, rank):
         for b in range(3):
             d = np.linalg.matrix_power(shift, a) @ np.linalg.matrix_power(clock, b)
             assert abs(mana_state(DensityOperator(d @ rho @ d.conj().T), frame3) - base) <= 1e-9
+
+
+# ---------------------------------------------------------------------------
+# Laws of mana, on seeded random qutrit Kraus channels and states.  A
+# channel's W(v|u) carries M(A_u) = sum_v W(v|u) A_v, so the Wigner matrix
+# of a composition is the product of the factors'.  Mana is log2 of the
+# largest column l1 norm of W, an induced norm, so it adds at most under
+# composition and under applying a channel to a state.
+# ---------------------------------------------------------------------------
+
+def random_qutrit_channel(rng):
+    """A seeded random qutrit Kraus channel of one to three operators."""
+    return random_kraus_channel(3, int(rng.integers(1, 4)), rng)
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_wigner_of_a_composition_is_the_product(frame3, seed):
+    rng = np.random.default_rng(seed)
+    outer, inner = random_qutrit_channel(rng), random_qutrit_channel(rng)
+    composed = wigner_of_channel(compose_channels(outer, inner), frame3)
+    product = wigner_of_channel(outer, frame3) @ wigner_of_channel(inner, frame3)
+    assert np.abs(composed - product).max() <= 8 * np.finfo(float).eps
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_mana_of_a_composition_is_at_most_the_sum(frame3, seed):
+    rng = np.random.default_rng(seed)
+    outer, inner = random_qutrit_channel(rng), random_qutrit_channel(rng)
+    bound = mana_channel(outer, frame3) + mana_channel(inner, frame3)
+    assert mana_channel(compose_channels(outer, inner), frame3) <= bound + DEFAULT_TOL.mana_zero
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_mana_of_an_output_state_is_at_most_the_sum(frame3, seed):
+    rng = np.random.default_rng(seed)
+    channel = random_qutrit_channel(rng)
+    rho = DensityOperator(random_density_matrix(3, rng, rank=int(rng.integers(1, 4))))
+    bound = mana_channel(channel, frame3) + mana_state(rho, frame3)
+    assert mana_state(apply_channel(channel, rho), frame3) <= bound + DEFAULT_TOL.mana_zero
+
+
+@pytest.mark.parametrize("name", ["F", "S", "FS", "X"])
+def test_qutrit_cliffords_have_no_mana(frame3, name):
+    # The Fourier gate, the phase gate diag(1, 1, omega), their product and
+    # the shift |j> -> |j + 1> map phase points to phase points.
+    gates = {"F": fourier_gate(3), "S": qutrit_phase_s(), "FS": fourier_gate(3) @ qutrit_phase_s(),
+             "X": np.roll(np.eye(3), 1, axis=0)}
+    assert mana_channel(unitary_channel(gates[name]), frame3) == 0.0

@@ -89,7 +89,7 @@ def test_slightly_infeasible_lp_is_infeasible():
     # drive it out on: the LP is infeasible.
     res = solve_standard_form(np.array([[1.0, 1.0]]), np.array([-3e-8]), np.array([1.0, 2.0]))
     assert res.status == STATUS_INFEASIBLE
-    assert np.isnan(res.objective) and not res.x.any() and not res.dual.any()
+    assert np.isnan(res.objective) and np.isnan(res.x).all() and np.isnan(res.dual).all()
 
 
 def test_rejects_malformed_data():
@@ -413,9 +413,9 @@ def test_start_off_dual_feasibility_fails_the_check():
     read = solve_l1(A, b, _simplex.Starts(A, np.ones(4), (start,)))
     assert read.warm_start is start and read.iterations == 0
     assert (read.value, read.residual, read.dual_gap, read.dual_violation) == (1.0, 0.0, 0.0, 1.0)
-    assert read.status == "optimal" and read.checked_status == "check_failed"
+    assert read.status == "check_failed"
     cold = solve_l1(A, b)
-    assert cold.checked_status == "optimal" and (cold.value, cold.dual_violation) == (0.5, 0.0)
+    assert cold.status == "optimal" and (cold.value, cold.dual_violation) == (0.5, 0.0)
     assert cold.plus.tolist() == [0.5, 0.0] and cold.warm_start.basis.tolist() == [0]
 
 
