@@ -14,9 +14,9 @@ Every optimal solve returns its basis with the inverse B^-1 read off its
 final tableau, as one ``WarmStart``.  Reduced costs and y = c_B B^-1 do not
 depend on ``b``, so an optimal basis stays optimal while it stays primal
 feasible (Bertsimas & Tsitsiklis, *Introduction to Linear Optimization*,
-1997, secs. 3.3 and 5.1).  ``Starts`` stacks several bases of one program
-once; ``reuse_basis`` reads each right-hand side of a block, on its own,
-off the latest of them that serves it, x_B = B^-1 b, with no pivot.
+1997, secs. 3.3 and 5.1).  ``Starts`` stacks bases of one program once;
+``reuse_basis`` reads each right-hand side of a block, on its own, off the
+first of them that serves it, x_B = B^-1 b, with no pivot.
 
 ``solve_standard_form`` solves an LP that must pivot by dual simplex (sec.
 4.5), with no phase-1 walk, and always from one start: costs are
@@ -254,59 +254,56 @@ def dual_violation(A, c, dual):
 
 
 class Starts(tuple):
-    """``WarmStart``s of one program, min c.x subject to A x = b, x >= 0,
-    latest first, with what ``reuse_basis`` reads of them stacked once, one
-    entry per start: ``inverses`` (k, m, m); ``basis``, ``real`` (its basic
-    columns of A) and the basic costs ``cost``, each (k, m); y = c_B B^-1 as
-    ``dual`` (k, m), and its ``dual_violation`` (k,).  y does not depend on
-    b, so every solution read off a start shares its y and its check."""
+    """``WarmStart``s of one program, min c.x subject to A x = b, x >= 0, in
+    the order they are tried, with what ``reuse_basis`` reads of them stacked
+    once, one entry per start: ``inverses`` (k, m, m); ``basis``, ``real``
+    (its basic columns of A) and the basic costs ``cost``, each (k, m); y =
+    c_B B^-1 as ``dual`` (k, m), and its ``dual_violation`` (k,).  y does
+    not depend on b, so every solution read off a start shares its y."""
 
     def __new__(cls, A, c, starts=()):
-        held = super().__new__(cls, starts)
+        table = super().__new__(cls, starts)
         m, n = A.shape
-        held.basis = np.array([start.basis for start in held], dtype=np.int64).reshape(-1, m)
-        held.inverses = np.array([start.inverse for start in held]).reshape(-1, m, m)
-        held.real = held.basis < n
-        held.cost = np.concatenate([c, np.zeros(m)])[held.basis]
-        held.dual = np.array([cost @ start.inverse for cost, start in zip(held.cost, held)]).reshape(-1, m)
-        held.violation = dual_violation(A, c, held.dual)
-        for stack in (held.basis, held.inverses, held.real, held.cost, held.dual, held.violation):
+        table.basis = np.array([start.basis for start in table], dtype=np.int64).reshape(-1, m)
+        table.inverses = np.array([start.inverse for start in table]).reshape(-1, m, m)
+        table.real = table.basis < n
+        table.cost = np.concatenate([c, np.zeros(m)])[table.basis]
+        table.dual = np.array([cost @ start.inverse for cost, start in zip(table.cost, table)]).reshape(-1, m)
+        table.violation = dual_violation(A, c, table.dual)
+        for stack in (table.basis, table.inverses, table.real, table.cost, table.dual, table.violation):
             stack.flags.writeable = False
-        return held
+        return table
 
 
-def reuse_basis(A, b, held):
-    """What each right-hand side of the block ``b`` reads off the latest
-    of the ``Starts`` ``held`` that serves it: ``(starts, served, x,
+def reuse_basis(A, b, table):
+    """What each right-hand side of the block ``b`` reads off the first of
+    the ``Starts`` ``table`` that serves it: ``(starts, served, x,
     objective, dual, violation)``, one entry per row.
 
     Row j compares every start at its own b_j, x_B = B^-1 b_j: one stacked
     mat-vec, with the bits of ``inverse @ b_j`` alone.  A start serves b_j
     when no real x_B lies below 0, and no artificial off 0, by more than
-    ``Tolerances.primal``.  A served row reads its x and c.x off the latest
-    start that serves it and shares that start's y and its
-    ``dual_violation``, so no row depends on another; ``served`` marks
-    these rows.  A row that no start serves (every row, when ``held`` is
-    None or empty) must pivot: its start is None and its other fields 0."""
+    ``Tolerances.primal``.  A served row reads its x off the first start
+    that serves it, c.x as a row sum with no BLAS, and shares that start's
+    y and ``dual_violation``, so no row depends on another; ``served``
+    marks these rows.  A row that no start serves (every row, when
+    ``table`` is None or empty) must pivot: its start is None and its other
+    fields 0."""
     (m, n), size = A.shape, len(b)
     starts, served = [None] * size, np.zeros(size, dtype=bool)
     x, objective, dual, violation = np.zeros((size, n + m)), np.zeros(size), np.zeros((size, m)), np.zeros(size)
-    if held:
-        x_B = (held.inverses[:, None] @ b[None, :, :, None])[..., 0]
-        fits = (np.where(held.real[:, None], -x_B, np.abs(x_B)) <= DEFAULT_TOL.primal).all(axis=-1)
+    if table:
+        x_B = (table.inverses[:, None] @ b[None, :, :, None])[..., 0]
+        fits = (np.where(table.real[:, None], -x_B, np.abs(x_B)) <= DEFAULT_TOL.primal).all(axis=-1)
         served = fits.any(axis=0)
         rows = served.nonzero()[0]
         choice = fits[:, rows].argmax(axis=0)
         x_B = x_B[choice, rows]
-        x[rows[:, None], held.basis[choice]] = x_B
-        dual[rows], violation[rows] = held.dual[choice], held.violation[choice]
-        for k in set(choice.tolist()):
-            # One product per start, its c_B shared as in a lone read: a c_B
-            # gathered per row moves the last bits under some BLAS kernels.
-            at = choice == k
-            objective[rows[at]] = (x_B[at, None, :] @ held.cost[k, :, None])[:, 0, 0]
+        x[rows[:, None], table.basis[choice]] = x_B
+        objective[rows] = (x_B * table.cost[choice]).sum(axis=1)
+        dual[rows], violation[rows] = table.dual[choice], table.violation[choice]
         for j, k in zip(rows.tolist(), choice.tolist()):
-            starts[j] = held[k]
+            starts[j] = table[k]
     return starts, served, x[:, :n], objective, dual, violation
 
 

@@ -314,9 +314,10 @@ def apply_kraus(kraus_ops, matrix: np.ndarray) -> np.ndarray:
     M maps through each, entry by entry.  The grid entries are taken a chunk
     at a time, at most ``_APPLY_CHUNK_BYTES`` of products each.  Every K_i M
     of a chunk is one ``(chunk k d, d) @ (d, d)`` product, each entry summing
-    the same d terms in the same order as ``K_i @ M`` alone.  Each (K_i M)
-    K_i^dag is then its own product, and each entry's sum runs over its
-    operators in order."""
+    the same d terms as ``K_i @ M`` alone, with its bits under OpenBLAS's
+    Prescott, Nehalem, Sandybridge and SkylakeX kernels but not under its
+    Haswell ones, which it runs on AMD Zen too.  Each (K_i M) K_i^dag is
+    then its own product, summed over the operators in order."""
     ops, matrix = np.asarray(kraus_ops, dtype=complex), np.asarray(matrix)
     if matrix.ndim != 2:
         raise DimensionMismatchError(f"apply_kraus maps one matrix, got shape {matrix.shape}")

@@ -7,7 +7,7 @@ Campbell, Proc. R. Soc. A 475, 20190251 (2019)):
   sum_i (a_i - b_i) P_i = rho, over the pure stabilizer projectors P_i;
 * channel robustness, ``channel_robustness``: the same over the 60
   two-qubit stabilizer Choi atoms, with each side's reference marginal
-  held proportional to the identity (its X, Y, Z components vanish), which
+  kept proportional to the identity (its X, Y, Z components vanish), which
   makes the optimal value 1 + 2p.
 
 Both constraint matrices have full row rank.  The channel program has 19
@@ -28,25 +28,26 @@ costs and certifies the answer.
 Every call of ``rom_state`` or ``channel_robustness`` starts from its
 program's reference starts, built with the constraint matrix and cached
 with it: the optimal bases at a few fixed right-hand sides, stacked once
-as one ``_simplex.Starts``.  The state program's are the maximally mixed
-state, and for one qubit also the eight T-type magic states
-(``_T_TYPE_STATES``).  The channel program's are the two ends of the
-range the package scores of each of the two qubit channel families, and
-fig3's minus branch (``_CHANNEL_REFERENCES``).  Reduced costs do not
-depend on ``b``, so an optimal basis is optimal at every right-hand side
-of its program where it stays primal feasible (a crash basis; Bixby, ORSA
-J. Comput. 4, 267 (1992)).  A channel of either family anywhere in its
-scored range, fig3's minus branch, and each state of fig2's sweep are
-read off one of them with no pivot.  They depend on the atom set alone,
-and no basis passes from one call to the next, so a call's result
-depends on its own inputs alone, never on call order.  An atom set whose
-program has no optimum at a reference leaves that reference out.
+as one ``_simplex.Starts``, in the order they are tried.  The state
+program's are the maximally mixed state, then for one qubit the eight
+T-type magic states (``_T_TYPE_STATES``).  The channel program's are the
+two ends of the range the package scores of each of the two qubit
+channel families, then fig3's minus branch (``_CHANNEL_REFERENCES``).
+Reduced costs do not depend on ``b``, so an optimal basis is optimal at
+every right-hand side of its program where it stays primal feasible (a
+crash basis; Bixby, ORSA J. Comput. 4, 267 (1992)).  A channel of either
+family anywhere in its scored range, fig3's minus branch, and each state
+of fig2's sweep are read off one of them with no pivot.  They depend on
+the atom set alone, and no basis passes from one call to the next, so a
+call's result depends on its own inputs alone, never on call order.  An
+atom set whose program has no optimum at a reference leaves that
+reference out.
 
 Both programs also take a grid (a channel or state with a leading axis)
 and return one ``L1Solution`` for it, whose fields carry one entry per
 grid entry, in order.  A block is the stack of its lone calls: each entry
 compares every start at its own right-hand side b_j, x_B = B^-1 b_j, all
-in one stacked mat-vec, and is read off the latest that serves it, with
+in one stacked mat-vec, and is read off the first that serves it, with
 no pivot.  An entry that none serves, as every entry of a call with no
 starts, is solved by ``solve_standard_form`` from the all-artificial
 basis, B = I.  Nothing passes from one entry to another, so each entry
@@ -105,8 +106,8 @@ class L1Solution:
     ``status`` is the certified verdict, decided at construction (so again
     after ``dataclasses.replace``): an optimal entry whose residual, gap or
     dual violation exceeds ``DEFAULT_TOL.lp_residual`` is ``check_failed``.
-    ``warm_start`` is the optimal basis with its inverse, which, held in a
-    ``Starts``, can serve a neighbouring problem; it is None when no
+    ``warm_start`` is the optimal basis with its inverse, which, stacked in
+    a ``Starts``, can serve a neighbouring problem; it is None when no
     optimum was found.
     ``standard_form`` is the pair ``(A, b)`` of the equality constraints
     ``A x = b, x >= 0`` it solved.  For one right-hand side the numbers are
@@ -161,7 +162,7 @@ def solve_l1(A: np.ndarray, b: np.ndarray, starts=None, renorm_factor=1.0) -> L1
     gives one ``L1Solution``, a block's with one entry per row, each the
     lone call on its row.  ``starts`` is the ``Starts`` of the program,
     optimal bases of other solves of A stacked once, or None.  Each entry
-    is read off the latest start that serves it (``reuse_basis``), with no
+    is read off the first start that serves it (``reuse_basis``), with no
     pivot, and an entry that none serves is solved by
     ``solve_standard_form``, from the all-artificial basis.  ``solve_l1``
     knows no program's reference starts: ``rom_state`` and
@@ -202,19 +203,19 @@ def solve_l1(A: np.ndarray, b: np.ndarray, starts=None, renorm_factor=1.0) -> L1
 def _reference_starts(A: np.ndarray, references):
     """The optimal ``WarmStart``s of the program ``A`` at the right-hand
     sides ``references``, each from the all-artificial basis
-    (``_simplex.optimal_start``), stacked once as ``Starts`` with the last
-    reference latest; empty when there are none.  A reference only serves
+    (``_simplex.optimal_start``), stacked once as ``Starts`` in the order
+    of ``references``; empty when there are none.  A reference only serves
     reads: every entry read off it is certified on its own.  A reference
     with no optimum, as for an atom set it lies outside of, is left out."""
     c = np.ones(A.shape[1])
-    return Starts(A, c, [start for start in (optimal_start(A, b, c) for b in references) if start is not None][::-1])
+    return Starts(A, c, [start for start in (optimal_start(A, b, c) for b in references) if start is not None])
 
 
 # The eight T-type magic states (I + (+-X +- Y +- Z)/sqrt(3))/2 of one qubit
 # (Bravyi & Kitaev, PRA 71, 022316 (2005)): each the pure state over the
 # centre of one face of the stabilizer octahedron.
 _T_TYPE_STATES = [(np.eye(2) + (x * PAULI_X + y * PAULI_Y + z * PAULI_Z) / np.sqrt(3)) / 2
-                  for x, y, z in itertools.product((1, -1), repeat=3)]
+                  for x, y, z in itertools.product((-1, 1), repeat=3)]
 
 
 # Most atom sets whose program each of the two program caches keeps.  Both
@@ -226,12 +227,12 @@ _CACHED_PROGRAMS = 8
 @lru_cache(maxsize=_CACHED_PROGRAMS)
 def _state_constraints(dictionary) -> tuple:
     """The state program's constraint matrix and its reference starts: the
-    optimal bases at the eight T-type states for one qubit, then at the
-    maximally mixed state, the latest."""
+    optimal bases at the maximally mixed state, then for one qubit at the
+    eight T-type states."""
     paulis = pauli_basis(dictionary.n_qubits)
     A = _assemble_standard_form(pauli_vectorize(np.array(dictionary.projectors), paulis))
     magic = _T_TYPE_STATES if dictionary.n_qubits == 1 else []
-    return A, _reference_starts(A, pauli_vectorize(np.array([*magic, np.eye(dictionary.dim) / dictionary.dim]), paulis))
+    return A, _reference_starts(A, pauli_vectorize(np.array([np.eye(dictionary.dim) / dictionary.dim, *magic]), paulis))
 
 
 def rom_state(rho: DensityOperator, dictionary) -> L1Solution:
@@ -281,20 +282,19 @@ def _depolarized_t_choi(q: float) -> np.ndarray:
     return (1 - q) * choi_of_channel(_derived(KrausChannel, np.array([T_GATE]))).matrix + q * np.eye(4) / 4
 
 
-# The channel program's references: the Choi matrices at the two ends of
-# the range the package scores of each qubit channel family, noisy TH on
-# [0, 1] (fig2) and the T gate behind two depolarizing passes on
-# [0, 0.45] (fig3), and fig3's minus branch, the T gate behind depolarizing
-# noise of the p-independent strength 4/3.  The minus branch comes first,
-# so that it loses every tie.  Each
-# is written down complete, as the zoo writes noisy TH, so building them
-# runs no completeness check.
+# The channel program's references, in the order they are tried: the Choi
+# matrices at the two ends of the range the package scores of each qubit
+# channel family, the T gate behind two depolarizing passes on [0, 0.45]
+# (fig3) and noisy TH on [0, 1] (fig2), then fig3's minus branch, the T
+# gate behind depolarizing noise of the p-independent strength 4/3, last
+# so that it loses every tie.  Each is written down complete, as the zoo
+# writes noisy TH, so building them runs no completeness check.
 _CHANNEL_REFERENCES = {
-    "depolarized T, q = 4/3: fig3's minus branch": lambda: _depolarized_t_choi(4 / 3),
-    "noisy TH, p = 0: the T H gate": lambda: choi_of_channel(noisy_th_channel(0.0)).matrix,
-    "noisy TH, p = 1: measure and prepare": lambda: choi_of_channel(noisy_th_channel(1.0)).matrix,
-    "depolarized T, p = 0: the T gate": lambda: _depolarized_t_choi(0.0),
     "depolarized T, p = 0.45: the end of fig3's grid": lambda: _depolarized_t_choi(2 * 0.45 - 0.45 * 0.45),
+    "depolarized T, p = 0: the T gate": lambda: _depolarized_t_choi(0.0),
+    "noisy TH, p = 1: measure and prepare": lambda: choi_of_channel(noisy_th_channel(1.0)).matrix,
+    "noisy TH, p = 0: the T H gate": lambda: choi_of_channel(noisy_th_channel(0.0)).matrix,
+    "depolarized T, q = 4/3: fig3's minus branch": lambda: _depolarized_t_choi(4 / 3),
 }
 
 

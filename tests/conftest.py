@@ -207,7 +207,7 @@ def proposed_roots(monkeypatch, mana=False, injected=...):
 
 
 def _program_builders():
-    """lp's channel and state programs: atoms -> (A, reference starts latest first)."""
+    """lp's channel and state programs: atoms -> (A, reference starts in their table's order)."""
     return lp._channel_constraints, lp._state_constraints
 
 
@@ -229,7 +229,7 @@ def reference_starts(choi_atoms, qubit_dict):
     """The channel program's reference starts in its table's order, the qubit
     state program's built too, so a pivot count leaves out their own pivots."""
     state_program(qubit_dict)
-    return channel_program(choi_atoms)[1][::-1]
+    return channel_program(choi_atoms)[1]
 
 
 def grid_of(cls, array):

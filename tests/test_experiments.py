@@ -266,7 +266,7 @@ class TestWarmStart:
         for recorded in (calls, calls_again):
             # The minus branch is the one grid of one entry.
             [solution] = [c.result for c in recorded if c.args[0].kraus_ops.shape[:-3] == (1,)]
-            assert solution.iterations.tolist() == [0] and solution.warm_start[0] is reference_starts[0]
+            assert solution.iterations.tolist() == [0] and solution.warm_start[0] is reference_starts[4]
         assert rows_to_csv(first, MEASURE_COLUMNS["fig3"]) == rows_to_csv(second, MEASURE_COLUMNS["fig3"])
 
     def test_nearly_every_sweep_lp_reuses_its_basis(self, monkeypatch, reference_starts):
@@ -360,12 +360,12 @@ class TestWarmStart:
         # rows, and the minus branch one solve of a grid of one.
         rows = run_experiment(_tiny("fig3", start=0.0, stop=0.4))
         assert len(rows) == 5 and sorted(call.args[0].kraus_ops.shape[:-3] for call in calls) == [(1,), (5,), (5,)]
-        assert minus == [(0, reference_starts[0])]
+        assert minus == [(0, reference_starts[4])]
         # Blocks of 2: each block reads the minus branch off that same
         # reference start, with no pivot, and every row gets the same value.
         minus.clear()
         blocks = sweep_rows("fig3", default_config("fig3", stop=0.35, step=0.05).grid(), 1e-6, block_points=2)
-        assert minus == [(0, reference_starts[0])] * 4
+        assert minus == [(0, reference_starts[4])] * 4
         values = {(r.values["rob_switch_minus"], r.status["rob_switch_minus"]) for r in rows + blocks}
         assert len(values) == 1
 

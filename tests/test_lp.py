@@ -459,22 +459,22 @@ class TestReferenceStarts:
     which stay dual feasible at every right-hand side."""
 
     def test_starts_are_the_cold_optima_at_the_references(self, qubit_dict, twoq_dict, choi_atoms):
-        # fig3's minus branch, both ends of noisy TH, and of the T gate behind
-        # two depolarizing passes on fig3's grid, composed as the sweep
-        # composes them: the closed-form Choi matrix in the table reaches
-        # the same start, bit for bit.  The qubit state program's references
-        # are the eight T-type states, then I/2; the two-qubit one's is I/4.
-        ends = (experiments.CHANNELS["switch-minus-t"](0.3), noisy_th_channel(0.0), noisy_th_channel(1.0),
-                unitary_channel(T_GATE), experiments.CHANNELS["depol-squared-t"](0.45))
+        # In the order they are tried: both ends of the T gate behind two
+        # depolarizing passes on fig3's grid, and of noisy TH, then fig3's
+        # minus branch, composed as the sweep composes them: the closed-form
+        # Choi matrix in the table reaches the same start, bit for bit.  The
+        # qubit state program's references are I/2, then the eight T-type
+        # states; the two-qubit one's is I/4.
+        ends = (experiments.CHANNELS["depol-squared-t"](0.45), unitary_channel(T_GATE), noisy_th_channel(1.0),
+                noisy_th_channel(0.0), experiments.CHANNELS["switch-minus-t"](0.3))
         programs = [(channel_program(choi_atoms), [reference_channel_lp(ch, choi_atoms)[1] for ch in ends])]
         t_type = [DensityOperator((np.eye(2) + (x * PAULI_X + y * PAULI_Y + z * PAULI_Z) / np.sqrt(3)) / 2)
-                  for x, y, z in itertools.product((1, -1), repeat=3)]
+                  for x, y, z in itertools.product((-1, 1), repeat=3)]
         for dictionary, magic in ((qubit_dict, t_type), (twoq_dict, [])):
-            states = [*magic, DensityOperator.maximally_mixed(dictionary.dim)]
+            states = [DensityOperator.maximally_mixed(dictionary.dim), *magic]
             programs.append((state_program(dictionary), [reference_state_lp(rho, dictionary)[1] for rho in states]))
-        for (A, held), references in programs:
-            assert isinstance(held, Starts)
-            starts = held[::-1]  # in the order of the references
+        for (A, starts), references in programs:
+            assert isinstance(starts, Starts)
             assert len(starts) == len(references)
             for b, start in zip(references, starts):
                 cold = solve_l1(A, b)
@@ -530,9 +530,9 @@ class TestReferenceStarts:
         served = channel_robustness(noisy_th_channel(0.5), choi_atoms)
         assert served.iterations == 0 and served.warm_start is reference_starts[2]
         served = channel_robustness(unitary_channel(T_GATE), choi_atoms)
-        assert served.iterations == 0 and served.warm_start is reference_starts[3]
+        assert served.iterations == 0 and served.warm_start is reference_starts[1]
         served = channel_robustness(experiments.CHANNELS["switch-minus-t"](0.3), choi_atoms)
-        assert served.iterations == 0 and served.warm_start is reference_starts[0]
+        assert served.iterations == 0 and served.warm_start is reference_starts[4]
         unserved = channel_robustness(unitary_channel(HADAMARD @ T_GATE), choi_atoms)
         assert unserved.iterations > 0 and all(unserved.warm_start is not s for s in reference_starts)
         assert abs(unserved.value - SQRT2) <= 1e-12
@@ -550,13 +550,13 @@ class TestReferenceStarts:
                 sol, pivots = pivots_by_caller(monkeypatch, lambda: channel_robustness(family(p), choi_atoms))
                 assert not pivots and sol.iterations == 0 and sol.status == "optimal", p
 
-    def test_each_entry_of_a_block_is_read_off_the_latest_start_that_serves_it(self, choi_atoms, reference_starts):
+    def test_each_entry_of_a_block_is_read_off_the_first_start_that_serves_it(self, choi_atoms, reference_starts):
         # Noisy TH at 0.2 is read off the T H reference.  At 0.4, past the
         # crossing, that basis no longer serves, but the measure-and-prepare
-        # reference, still held, does: neither entry pivots.
+        # reference, tried before it, does: neither entry pivots.
         walk = channel_robustness(noisy_th_channel(np.array([0.2, 0.4])), choi_atoms)
         assert walk.iterations.tolist() == [0, 0]
-        assert walk.warm_start[0] is reference_starts[1] and walk.warm_start[1] is reference_starts[2]
+        assert walk.warm_start[0] is reference_starts[3] and walk.warm_start[1] is reference_starts[2]
         assert abs(walk.value[0] - 1.6 * SQRT2 / 2) <= 1e-12 and abs(walk.value[1] - 1.0) <= 1e-12
 
     def test_fewer_dual_pivots_than_cold_on_the_sweep_channels(self, monkeypatch, choi_atoms, reference_starts):

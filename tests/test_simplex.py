@@ -355,8 +355,8 @@ def test_warm_start_runs_no_pivot_loop(monkeypatch, choi_atoms):
     for p, step in ((0.1, 0.01), (0.5, 0.01), (0.9, -0.01)):
         start = channel_robustness(noisy_th_channel(p), choi_atoms).warm_start
         A, b = channel_robustness(noisy_th_channel(p + step), choi_atoms).standard_form
-        held = _simplex.Starts(A, np.ones(A.shape[1]), (start,))
-        warm, pivots = pivots_by_caller(monkeypatch, lambda: solve_l1(A, b, held))
+        table = _simplex.Starts(A, np.ones(A.shape[1]), (start,))
+        warm, pivots = pivots_by_caller(monkeypatch, lambda: solve_l1(A, b, table))
         cold, cold_pivots = pivots_by_caller(monkeypatch, lambda: solve_l1(*warm.standard_form))
         assert not pivots and warm.iterations == 0 and warm.warm_start is start
         # The cold solve pivots by dual simplex only; its two Bland loops
@@ -392,8 +392,8 @@ def test_optimal_basis_past_its_feasible_range_serves_nothing(monkeypatch):
     c = np.array([1.0, 2.0])
     start = solve_standard_form(A, np.array([1.0]), c).warm_start
     assert start.basis.tolist() == [0]
-    held = _simplex.Starts(A, c, (start,))
-    starts, served, x, objective, *_ = _simplex.reuse_basis(A, np.array([[1.0], [-1.0]]), held)
+    table = _simplex.Starts(A, c, (start,))
+    starts, served, x, objective, *_ = _simplex.reuse_basis(A, np.array([[1.0], [-1.0]]), table)
     assert starts[0] is start and starts[1] is None and served.tolist() == [True, False]
     assert x.tolist() == [[1.0, 0.0], [0.0, 0.0]] and objective.tolist() == [1.0, 0.0]
     cold, pivots = pivots_by_caller(monkeypatch, lambda: solve_standard_form(A, np.array([-1.0]), c))
@@ -659,16 +659,16 @@ def test_repair_drives_a_zero_artificial_out_on_a_negative_entry(monkeypatch):
     assert np.array_equal(got.x, [0.0, 0.0, 1.0])
     assert (got.warm_start.basis < 3).all()
     # The WarmStart serves a neighbouring b with no pivot.
-    held = _simplex.Starts(A, c, (got.warm_start,))
-    _, served, _, objective, _, _ = _simplex.reuse_basis(A, np.array([[0.0, 2.0]]), held)
+    table = _simplex.Starts(A, c, (got.warm_start,))
+    _, served, _, objective, _, _ = _simplex.reuse_basis(A, np.array([[0.0, 2.0]]), table)
     assert served.tolist() == [True] and objective.tolist() == [2.0]
 
 
 def test_block_reuse_matches_single_solves():
-    # reuse_basis reads each row off the latest of the starts held, latest
-    # first, that serves that row alone, and gives a row none serves no
-    # start.  A copy of the older start, held last, serves wherever it does
-    # and is never picked.  Each row gets the bits of a block of that row
+    # reuse_basis reads each row off the first start in the table that
+    # serves that row alone, and gives a row none serves no start.  A copy
+    # of the older start, last in the table, serves wherever it does and is
+    # never picked.  Each row gets the bits of a block of that row
     # alone, and a served row the value a cold solve of it reaches.
     rng = np.random.default_rng(5)
     A = np.hstack([rng.normal(size=(4, 6)), np.eye(4)])
@@ -676,27 +676,27 @@ def test_block_reuse_matches_single_solves():
     c = rng.uniform(1.0, 2.0, size=n)
     b0, direction = rng.uniform(1, 2, size=4), rng.normal(size=4)
     old, new = (solve_standard_form(A, b0 + t * direction, c).warm_start for t in (0.0, 4.0))
-    held = _simplex.Starts(A, c, (new, old, WarmStart(old.basis, old.inverse)))
+    table = _simplex.Starts(A, c, (new, old, WarmStart(old.basis, old.inverse)))
     block = b0 + np.outer(np.linspace(-2.0, 6.0, 41), direction)
-    starts, served, x, objective, dual, violation = _simplex.reuse_basis(A, block, held)
+    starts, served, x, objective, dual, violation = _simplex.reuse_basis(A, block, table)
     assert {id(start) for start in starts} == {id(new), id(old), id(None)}
     for j, b in enumerate(block):
         fits = []
-        for start in held:
+        for start in table:
             x_B = start.inverse @ b
             fits.append(np.where(start.basis < n, -x_B, np.abs(x_B)).max() <= DEFAULT_TOL.primal)
-        assert served[j] == any(fits) and starts[j] is (held[fits.index(True)] if any(fits) else None)
-        one = _simplex.reuse_basis(A, b[None], held)
+        assert served[j] == any(fits) and starts[j] is (table[fits.index(True)] if any(fits) else None)
+        one = _simplex.reuse_basis(A, b[None], table)
         assert one[0][0] is starts[j] and one[1][0] == served[j] and np.array_equal(one[2][0], x[j])
         assert one[3][0] == objective[j] and np.array_equal(one[4][0], dual[j]) and one[5][0] == violation[j]
         if served[j]:
             k = fits.index(True)
-            assert np.array_equal(dual[j], held.dual[k]) and violation[j] == held.violation[k]
+            assert np.array_equal(dual[j], table.dual[k]) and violation[j] == table.violation[k]
             alone = solve_standard_form(A, b, c)
             assert abs(alone.objective - objective[j]) <= 1e-12 * abs(objective[j])
         else:
             assert not (x[j].any() or objective[j] or dual[j].any() or violation[j])
-    # With no start held, every row must pivot from no start.
+    # With no start in the table, every row must pivot from no start.
     for none in (_simplex.Starts(A, c), None):
         starts, served, *_ = _simplex.reuse_basis(A, block, none)
         assert starts == [None] * len(block) and not served.any()
